@@ -135,8 +135,10 @@ class GiraudSample:
 class GiraudTorus:
     """The intersection torus of the coequidistant extors E(p,q), E(p,r).
 
-    Points are [(q - e^{i theta} p) box (r - e^{i phi} p)]; the three box
-    products are precomputed so grids evaluate with one complex broadcast.
+    Points are [(q - e^{i theta} p) box (r - e^{i phi} p)], expanded as
+    qr - e^{-i theta} pr - e^{-i phi} qp in the precomputed box products
+    qr = q box r, pr = p box r, qp = q box p, so grids evaluate with one
+    complex broadcast.
     """
 
     def __init__(self, p: HVec, q: HVec, r: HVec, tol=None):
@@ -148,18 +150,21 @@ class GiraudTorus:
             raise GeometryError(f"pair is {kind.value}; torus needs an unbalanced pair")
         self.p, self.q, self.r = p, q, r
         self.space = p.space
-        self._qr = box(q, r).v
-        self._pr = box(p, r).v
-        self._qp = box(q, p).v
+        self.qr = box(q, r).v
+        self.pr = box(p, r).v
+        self.qp = box(q, p).v
         self.bis1, self.bis2 = b1, b2
 
-    def point(self, theta: float, phi: float) -> HVec:
-        v = (
-            self._qr
-            - np.exp(-1j * phi) * self._qp
-            - np.exp(-1j * theta) * self._pr
+    def vectors(self, theta, phi) -> np.ndarray:
+        """Representatives at broadcastable arrays of angles, shape (..., 3)."""
+        return (
+            self.qr
+            - np.exp(-1j * np.asarray(theta))[..., None] * self.pr
+            - np.exp(-1j * np.asarray(phi))[..., None] * self.qp
         )
-        return HVec(v, self.space)
+
+    def point(self, theta: float, phi: float) -> HVec:
+        return HVec(self.vectors(theta, phi), self.space)
 
     def sample(self, theta: float, phi: float) -> GiraudSample:
         pt = self.point(theta, phi)
@@ -169,17 +174,21 @@ class GiraudTorus:
         """Vectorized (theta, phi) grid of torus points; returns (thetas, phis, V)
         with V of shape (n, n, 3)."""
         thetas = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-        phis = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-        et = np.exp(-1j * thetas)[:, None, None]
-        ep = np.exp(-1j * phis)[None, :, None]
-        V = self._qr[None, None, :] - ep * self._qp[None, None, :] - et * self._pr[None, None, :]
-        return thetas, phis, V
+        return thetas, thetas, self.vectors(thetas[:, None], thetas[None, :])
 
     def norms_grid(self, n: int):
         thetas, phis, V = self.grid(n)
-        J = self.space.J
-        norms = np.einsum("ijk,kl,ijl->ij", V.conj(), J, V).real
-        return thetas, phis, V, norms
+        return thetas, phis, V, self.space.norm_grid(V)
+
+    def sigma_delta_grid(self, n: int, delta0: float):
+        """Unit representatives on the (sigma, delta) grid, theta = sigma +
+        delta and phi = sigma - delta, that covers the torus once: n values
+        of sigma on [0, 2 pi) and n // 2 of delta on delta0 + [0, pi).
+        Returns (sigmas, deltas, V) with V of shape (n, n // 2, 3)."""
+        sigmas = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+        deltas = delta0 + np.linspace(0.0, math.pi, n // 2, endpoint=False)
+        V = self.vectors(sigmas[:, None] + deltas, sigmas[:, None] - deltas)
+        return sigmas, deltas, V / np.linalg.norm(V, axis=-1, keepdims=True)
 
 
 def level_g(theta, phi):

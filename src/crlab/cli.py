@@ -108,12 +108,11 @@ def cmd_figure(args) -> int:
         if args.resolution < 64:
             print("error: resolution must be >= 64", file=sys.stderr)
             return 2
-        key = "n" if args.name == "disk-projection" else "resolution"
         if args.name == "disk-projection":
             kwargs["n"] = args.n or 20
             kwargs["boundary_points"] = args.resolution
         else:
-            kwargs[key] = args.resolution
+            kwargs["resolution"] = args.resolution
     elif args.name == "disk-projection":
         kwargs["n"] = args.n or 20
     if args.name == "spinal-trace" and args.alpha2 is not None:

@@ -89,6 +89,19 @@ class HermitianSpace:
     def point(self, coords) -> "HVec":
         return HVec(np.asarray(coords, dtype=complex), self)
 
+    def inner_grid(self, w: np.ndarray, V: np.ndarray) -> np.ndarray:
+        """<w, V_i> for every row V_i of V, shape (..., 3) -> (...): the
+        functional w^H J is formed once and applied by one matmul."""
+        return V @ (w.conj() @ self.J)
+
+    def norm_grid(self, V: np.ndarray) -> np.ndarray:
+        """<V_i, V_i> (real) for every row V_i of V, shape (..., 3) -> (...).
+
+        Summed as V_i . conj(J V_i), whose real part is the norm, so only
+        one grid-sized temporary is allocated."""
+        JV = V @ self.J.T
+        return np.einsum("...k,...k->...", V, np.conjugate(JV, out=JV)).real
+
 
 def ball_model() -> HermitianSpace:
     return HermitianSpace(np.diag([1.0, 1.0, -1.0]).astype(complex), Model.BALL)

@@ -23,7 +23,7 @@ from .family import (
 )
 from .isometry import goldman_f
 from .bisector import level_g, classify_bisector
-from .verify import FaceFamily
+from .verify import FaceFamily, delta0
 from .visual import project_bisector
 
 CSV_FMT = "%.17g"
@@ -203,21 +203,11 @@ def figure_disk_projection(out_base, n=20, boundary_points=512, fmt="csv"):
 def figure_spinal_trace(out_base, alpha2=0.7, resolution=361, fmt="csv"):
     """Curves on the intersection torus of two neighbouring bisectors: the
     locus inside the closed ball and the crossing loci with the third extor."""
-    from .verify import _tf_torus_data, _torus_vectors, _norms, _abs_inner_sq, _unit_rows
-
     ff = FaceFamily(alpha2, grid_n=resolution)
-    a, b, c = _tf_torus_data(ff)
-    a2 = ff.alpha2
-    if abs(a2) > 1e-12:
-        delta0 = math.atan((1 - 2 * math.cos(2 * a2)) / (2 * math.sin(2 * a2)))
-    else:
-        delta0 = 0.0
-    sigmas = np.linspace(0.0, 2 * math.pi, resolution, endpoint=False)
-    deltas = delta0 + np.linspace(0.0, math.pi, resolution // 2, endpoint=False)
-    V = _unit_rows(_torus_vectors(a, b, c, sigmas, deltas))
-    J = ff.space.J
-    norms = _norms(V, J)
-    side = _abs_inner_sq(ff.pts.p_U, V, J) - _abs_inner_sq(ff.pts.p_V, V, J)
+    sigmas, deltas, V = ff.torus_minus.sigma_delta_grid(resolution, delta0(ff.alpha2))
+    sp = ff.space
+    norms = sp.norm_grid(V)
+    side = np.abs(sp.inner_grid(ff.pts.p_U.v, V)) ** 2 - np.abs(sp.inner_grid(ff.pts.p_V.v, V)) ** 2
     rows = []
     for i in range(len(sigmas)):
         for j in range(len(deltas)):

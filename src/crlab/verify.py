@@ -25,10 +25,11 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .core import HVec, box, inner, proj_distance, tolerance
+from .core import HVec, inner, proj_distance, tolerance
 from .isometry import Isometry, elliptic_type
 from .family import (
     FamilyParams,
@@ -38,11 +39,13 @@ from .family import (
     param_side,
     remarkable_points,
 )
-from .bisector import classify_bisector, _row_runs
+from .bisector import GiraudTorus, classify_bisector
 from .visual import (
     VisualChart,
     angle_between,
+    angular_diameter,
     project_bisector,
+    spinal_samples,
     tangency_check,
 )
 
@@ -188,6 +191,21 @@ class FaceFamily:
     def bisector_minus(self, k: int = 0):
         return classify_bisector(self.pts.p_U, self.u_power_point(k, self.pts.p_W), self.tol)
 
+    @cached_property
+    def torus_minus(self) -> GiraudTorus:
+        """The intersection torus of the extors of J_0^- and J_-1^-,
+        parametrized by (p_W - e^{i th} p_U) box (U^-1 p_W - e^{i ph} p_U)."""
+        pts = self.pts
+        return GiraudTorus(pts.p_U, pts.p_W, self.U.inv().apply(pts.p_W), self.tol)
+
+
+def delta0(alpha2: float) -> float:
+    """The delta at which the complex-line locus meets the torus of
+    J_0^- and J_-1^- (mod pi), on its (sigma, delta) grid."""
+    if abs(alpha2) > 1e-12:
+        return math.atan((1.0 - 2.0 * math.cos(2 * alpha2)) / (2.0 * math.sin(2 * alpha2)))
+    return 0.0
+
 
 # ---------------------------------------------------------------------------
 # small shared helpers
@@ -197,33 +215,11 @@ def _unit_rows(V):
     return V / np.linalg.norm(V, axis=-1, keepdims=True)
 
 
-def _abs_inner_sq(w: HVec, V, J):
-    vals = np.einsum("k,kl,...l->...", w.v.conj(), J, V)
-    return np.abs(vals) ** 2
-
-
-def _norms(V, J):
-    return np.einsum("...k,kl,...l->...", V.conj(), J, V).real
-
-
 def _chordal(V, p: HVec):
     """Projective chordal distance of unit rows V to the class of p."""
     pn = p.unit().v
-    overlap = np.abs(np.einsum("...k,k->...", V.conj(), pn))
+    overlap = np.abs(V.conj() @ pn)
     return np.sqrt(np.maximum(0.0, 1.0 - np.minimum(overlap, 1.0) ** 2))
-
-
-def _torus_vectors(a, b, c, sigmas, deltas):
-    """Vectors a - e^{-i theta} b - e^{-i phi} c on the (sigma, delta) grid
-    with theta = sigma + delta, phi = sigma - delta (the expansion of the
-    box product (q - e^{i theta} p) box (r - e^{i phi} p))."""
-    th = sigmas[:, None] + deltas[None, :]
-    ph = sigmas[:, None] - deltas[None, :]
-    return (
-        a[None, None, :]
-        - np.exp(-1j * th)[:, :, None] * b[None, None, :]
-        - np.exp(-1j * ph)[:, :, None] * c[None, None, :]
-    )
 
 
 def _two_point_exclusion(V, norms, excess, targets, step_scale, vertex_radius=0.08):
@@ -310,20 +306,9 @@ def incidence_check(ff: FaceFamily) -> CheckResult:
 # TF: topology of faces
 
 
-def _tf_torus_data(ff: FaceFamily):
-    """The intersection torus of the extors of J_0^- and J_-1^-,
-    parametrized by (p_W - e^{i th} p_U) box (U^-1 p_W - e^{i ph} p_U)."""
-    pts = ff.pts
-    Ui_pW = ff.U.inv().apply(pts.p_W)
-    a = box(pts.p_W, Ui_pW).v
-    b = box(pts.p_U, Ui_pW).v
-    c = box(pts.p_W, pts.p_U).v
-    return a, b, c
-
-
 def tf_check(ff: FaceFamily) -> CheckResult:
     res = CheckResult("tf", True)
-    pts, J, a2 = ff.pts, ff.space.J, ff.alpha2
+    pts, sp, J, a2 = ff.pts, ff.space, ff.space.J, ff.alpha2
     cos2 = math.cos(a2) ** 2
     sin_a2 = math.sin(a2)
     tol = ff.tol
@@ -370,17 +355,11 @@ def tf_check(ff: FaceFamily) -> CheckResult:
     cl_ok = worst_cl <= 1e-8 and res.margins["cline_norm"] > 0 or abs(a2) < 1e-12
 
     # --- (c) torus part
-    a, b, c = _tf_torus_data(ff)
-    if abs(a2) > 1e-12:
-        delta0 = math.atan((1.0 - 2.0 * math.cos(2 * a2)) / (2.0 * math.sin(2 * a2)))
-    else:
-        delta0 = 0.0
-    sigmas = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    deltas = delta0 + np.linspace(0.0, math.pi, n // 2, endpoint=False)
-    V = _torus_vectors(a, b, c, sigmas, deltas)
-    Vu = _unit_rows(V)
-    norms = _norms(Vu, J)
-    s_plus = _abs_inner_sq(pts.p_U, Vu, J) - _abs_inner_sq(pts.p_V, Vu, J)
+    torus = ff.torus_minus
+    d0 = delta0(a2)
+    _, deltas, Vu = torus.sigma_delta_grid(n, d0)
+    norms = sp.norm_grid(Vu)
+    s_plus = np.abs(sp.inner_grid(pts.p_U.v, Vu)) ** 2 - np.abs(sp.inner_grid(pts.p_V.v, Vu)) ** 2
     step = 2.0 * math.pi / n
     passed_c, margin_c, _, targets_min = _two_point_exclusion(
         Vu, norms, s_plus, [pts.p_A, pts.p_B], step
@@ -389,19 +368,17 @@ def tf_check(ff: FaceFamily) -> CheckResult:
     res.residuals["vertex_pA_distance"] = targets_min[0]
     res.residuals["vertex_pB_distance"] = targets_min[1]
     res.counts["torus_ball_points"] = int((norms <= 0).sum())
-    # interval structure: in each delta-column the ball locus is one run
-    runs_bad = 0
+    # interval structure: in each delta-column the ball locus is one
+    # circular run, i.e. has at most one run start
     mask = norms <= 0.0
-    for j in range(mask.shape[1]):
-        runs = _row_runs(mask[:, j])
-        if len(runs) > 1:
-            runs_bad += 1
+    runs_bad = int(((mask & ~np.roll(mask, 1, axis=0)).sum(axis=0) > 1).sum())
     res.counts["torus_noninterval_columns"] = runs_bad
 
     # derivative factorization: d h / d sigma = -12 sin(sigma) (2 cos(2 a2 - d) - cos d)
     # for the norm rescaled by the common 2 cos^2 a2 factor of the box products
+    a, b, c = torus.qr, torus.pr, torus.qp
     worst_d = 0.0
-    for dl in np.linspace(delta0 + 0.15, delta0 + math.pi - 0.15, 7):
+    for dl in np.linspace(d0 + 0.15, d0 + math.pi - 0.15, 7):
         for sg in np.linspace(0.1, 2 * math.pi - 0.1, 15):
             th, ph = sg + dl, sg - dl
             v = a - cmath.exp(-1j * th) * b - cmath.exp(-1j * ph) * c
@@ -413,7 +390,7 @@ def tf_check(ff: FaceFamily) -> CheckResult:
 
     # complex-line locus on the torus sits at delta = delta0 mod pi
     lpole = np.array([sin_a2, -1j * math.sqrt(2.0) / 2.0, -sin_a2])
-    on_line = np.abs(np.einsum("k,kl,...l->...", lpole.conj(), J, Vu))
+    on_line = np.abs(sp.inner_grid(lpole, Vu))
     col_d0 = float(on_line[:, 0].max())
     col_mid = float(on_line[:, len(deltas) // 2].min())
     res.residuals["cline_locus_at_delta0"] = col_d0
@@ -452,35 +429,22 @@ def tf_check(ff: FaceFamily) -> CheckResult:
     return res
 
 
-def _giraud_circle_tangent_at(ff: FaceFamily, q_vec: HVec, r_vec: HVec, target: HVec):
-    """Affine-chart velocity of the Giraud circle of E(p_U, q), E(p_U, r)
-    at the torus point closest to `target`; returns (velocity, lift, dist)."""
-    pts, J = ff.pts, ff.space.J
-    A = box(q_vec, r_vec).v
-    B = box(pts.p_U, r_vec).v
-    C = box(q_vec, pts.p_U).v
+def _giraud_circle_tangent_at(torus: GiraudTorus, target: HVec):
+    """Affine-chart velocity of the Giraud circle `torus` at the vertex
+    `target`; returns (velocity, lift, dist).
 
-    def vec(th, ph):
-        return A - cmath.exp(-1j * ph) * C - cmath.exp(-1j * th) * B
-
-    # locate the target on the curve {norm = 0} by nested grid refinement
-    best = (math.inf, 0.0, 0.0)
-    th0, ph0, span = math.pi, math.pi, math.pi
-    for _ in range(24):
-        ths = np.linspace(th0 - span, th0 + span, 17)
-        phs = np.linspace(ph0 - span, ph0 + span, 17)
-        for th in ths:
-            for ph in phs:
-                v = vec(th, ph)
-                d = proj_distance(HVec(v, ff.space), target)
-                if d < best[0]:
-                    best = (d, th, ph)
-        th0, ph0 = best[1], best[2]
-        span *= 0.45
-    d, th, ph = best
-    v = vec(th, ph)
-    dvth = 1j * cmath.exp(-1j * th) * B
-    dvph = 1j * cmath.exp(-1j * ph) * C
+    A torus point is J-orthogonal to both factors q - e^{i th} p and
+    r - e^{i ph} p, so the vertex t sits at e^{-i th} = <q,t>/<p,t> and
+    e^{-i ph} = <r,t>/<p,t>; dist is the projective distance from the
+    torus point there to t."""
+    J = torus.space.J
+    pt = inner(torus.p, target)
+    th = -cmath.phase(inner(torus.q, target) / pt)
+    ph = -cmath.phase(inner(torus.r, target) / pt)
+    v = torus.vectors(th, ph)
+    d = proj_distance(HVec(v, torus.space), target)
+    dvth = 1j * cmath.exp(-1j * th) * torus.pr
+    dvph = 1j * cmath.exp(-1j * ph) * torus.qp
     gth = 2.0 * (v.conj() @ J @ dvth).real
     gph = 2.0 * (v.conj() @ J @ dvph).real
     # curve tangent in parameter space is orthogonal to the norm gradient
@@ -496,12 +460,13 @@ def _bitangency(ff: FaceFamily):
     """Tangent-direction agreement of the circles bounding the first face
     at both shared ideal vertices, compared as real lines in an affine chart."""
     pts = ff.pts
-    Ui_pW = ff.U.inv().apply(pts.p_W)
+    circle1 = GiraudTorus(pts.p_U, pts.p_V, pts.p_W, ff.tol)
+    circle2 = GiraudTorus(pts.p_U, pts.p_V, ff.U.inv().apply(pts.p_W), ff.tol)
     resids = []
     notes = []
     for target in (pts.p_A, pts.p_B):
-        w1, _, d1 = _giraud_circle_tangent_at(ff, pts.p_V, pts.p_W, target)
-        w2, _, d2 = _giraud_circle_tangent_at(ff, pts.p_V, Ui_pW, target)
+        w1, _, d1 = _giraud_circle_tangent_at(circle1, target)
+        w2, _, d2 = _giraud_circle_tangent_at(circle2, target)
         if max(d1, d2) > 1e-5:
             resids.append(math.inf)
             notes.append(f"vertex location failed (dist {max(d1, d2):.2e})")
@@ -518,11 +483,11 @@ def _bitangency(ff: FaceFamily):
 # LC: local combinatorics
 
 
-def lc_check(ff: FaceFamily, tf: CheckResult) -> CheckResult:
+def lc_check(ff: FaceFamily) -> CheckResult:
     from .bisector import symmetric_intersection_type, SymmetricKind
 
     res = CheckResult("lc", True)
-    pts, J = ff.pts, ff.space.J
+    pts, sp = ff.pts, ff.space
     a2 = ff.alpha2
     n = ff.grid_n
     u = (2.0 / 3.0) * (4.0 * math.cos(a2) ** 2 - 3.0)
@@ -540,17 +505,12 @@ def lc_check(ff: FaceFamily, tf: CheckResult) -> CheckResult:
 
     # F_0^- /\ F_-1^- == {p_A, p_B} on the torus grid (common constraint
     # |<z,p_U>| <= |<z,p_V>| must fail off the vertices)
-    a, b, c = _tf_torus_data(ff)
-    sigmas = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    deltas = np.linspace(0.0, math.pi, n // 2, endpoint=False)
-    V = _unit_rows(_torus_vectors(a, b, c, sigmas, deltas))
-    norms = _norms(V, J)
-    pu2 = _abs_inner_sq(pts.p_U, V, J)
-    excess_minus = pu2 - np.minimum.reduce(
+    _, _, V = ff.torus_minus.sigma_delta_grid(n, 0.0)
+    norms = sp.norm_grid(V)
+    excess_minus = np.abs(sp.inner_grid(pts.p_U.v, V)) ** 2 - np.minimum.reduce(
         [
-            _abs_inner_sq(pts.p_V, V, J),
-            _abs_inner_sq(ff.U.apply(pts.p_V), V, J),
-            _abs_inner_sq(ff.U.inv().apply(pts.p_V), V, J),
+            np.abs(sp.inner_grid(w.v, V)) ** 2
+            for w in (pts.p_V, ff.U.apply(pts.p_V), ff.U.inv().apply(pts.p_V))
         ]
     )
     step = 2.0 * math.pi / n
@@ -560,16 +520,13 @@ def lc_check(ff: FaceFamily, tf: CheckResult) -> CheckResult:
     res.margins["faces_minus_minus"] = margin_mm
 
     # F_0^+ /\ F_1^+ == {p_B, U p_A}
-    UpV = ff.U.apply(pts.p_V)
-    a2v = box(pts.p_V, UpV).v
-    b2v = box(pts.p_U, UpV).v
-    c2v = box(pts.p_V, pts.p_U).v
-    V2 = _unit_rows(_torus_vectors(a2v, b2v, c2v, sigmas, deltas))
-    norms2 = _norms(V2, J)
-    pu2b = _abs_inner_sq(pts.p_U, V2, J)
-    w_pW = _abs_inner_sq(pts.p_W, V2, J)
-    w_UipW = _abs_inner_sq(ff.U.inv().apply(pts.p_W), V2, J)
-    w_UpW = _abs_inner_sq(ff.U.apply(pts.p_W), V2, J)
+    torus_pp = GiraudTorus(pts.p_U, pts.p_V, ff.U.apply(pts.p_V), ff.tol)
+    _, _, V2 = torus_pp.sigma_delta_grid(n, 0.0)
+    norms2 = sp.norm_grid(V2)
+    pu2b, w_pW, w_UipW, w_UpW = (
+        np.abs(sp.inner_grid(w.v, V2)) ** 2
+        for w in (pts.p_U, pts.p_W, ff.U.inv().apply(pts.p_W), ff.U.apply(pts.p_W))
+    )
     exc_f0 = pu2b - np.minimum(w_pW, w_UipW)  # fails F_0^+
     exc_f1 = pu2b - np.minimum(w_UpW, w_pW)  # fails F_1^+
     excess_pp = np.maximum(exc_f0, exc_f1)
@@ -641,35 +598,11 @@ def _fan_focus_check(ff: FaceFamily, res: CheckResult) -> bool:
 # GC: global combinatorics
 
 
-def _sample_spinal_chart(ff: FaceFamily, q: HVec, n_alpha=128, n_t=64):
-    """Chart values of a dense sample of the spinal surface of (p_U, q)."""
-    from .visual import slice_boundary_circle
-
-    vals = []
-    for alpha in np.exp(1j * np.linspace(0, 2 * math.pi, n_alpha, endpoint=False)):
-        pole = HVec(q.v - alpha * ff.pts.p_U.v, ff.space)
-        circ = slice_boundary_circle(pole)
-        if circ is None:
-            continue
-        pts_ = circ(np.linspace(0, 2 * math.pi, n_t, endpoint=False))
-        vals.append(ff.chart.values(pts_))
-    return np.concatenate(vals)
-
-
 def _gc_h_values(ff: FaceFamily):
     pts = ff.pts
     h1 = inner(pts.p_U_prime, pts.p_V)
     h2 = inner(pts.p_U_dprime, pts.p_V)
     return h1, h2
-
-
-def _cone_radius(ff: FaceFamily) -> float:
-    """Angular radius of a face bisector seen from the interior fixed point:
-    arccos(tanh(d/4)) for d the distance between the defining points."""
-    pts = ff.pts
-    c2 = (abs(inner(pts.p_U, pts.p_V)) ** 2) / (pts.p_U.norm() * pts.p_V.norm())
-    half_d = math.acosh(math.sqrt(c2))
-    return math.acos(math.tanh(half_d / 2.0))
 
 
 def _tangency_pair_check(ff: FaceFamily, res: CheckResult) -> bool:
@@ -712,7 +645,7 @@ def _cone_separation(ff: FaceFamily, res: CheckResult, n: int) -> bool:
     of two bisectors are disjoint when their axes are separated by more
     than twice the cone radius."""
     pts, U = ff.pts, ff.U
-    rho = _cone_radius(ff)
+    rho = angular_diameter(pts.p_U, pts.p_V, ff.tol) / 2.0
     res.residuals["value_cone_radius"] = rho
     worst = math.inf
     worst_pair = ""
@@ -765,13 +698,13 @@ def gc_check_loxodromic(ff: FaceFamily) -> CheckResult:
     h_ok = max(r_h1, r_h2, r_h12, r_cross) <= 1e-8 * max(1.0, abs(h1) ** 2)
 
     # (c) direct guard check: sampled chart moduli stay inside the annulus
-    vals = _sample_spinal_chart(ff, pts.p_V)
+    vals = ff.chart.values(spinal_samples(ff.bisector_plus(0), 128, 64))
     logs = np.log(np.abs(vals[np.isfinite(vals)]))
     res.margins["annulus_upper"] = 1.5 * length - float(logs.max())
     res.margins["annulus_lower"] = float(logs.min()) + 2.5 * length
     annulus_ok = res.margins["annulus_upper"] > 0 and res.margins["annulus_lower"] > 0
     # mirrored family
-    vals_m = _sample_spinal_chart(ff, pts.p_W)
+    vals_m = ff.chart.values(spinal_samples(ff.bisector_minus(0), 128, 64))
     logs_m = np.log(np.abs(vals_m[np.isfinite(vals_m)]))
     res.margins["annulus_minus_upper"] = 2.5 * length - float(logs_m.max())
     res.margins["annulus_minus_lower"] = float(logs_m.min()) + 1.5 * length
@@ -817,7 +750,8 @@ def gc_check_elliptic(ff: FaceFamily) -> CheckResult:
     et = elliptic_type(ff.U, ff.tol)
     if not et.is_finite or {et.p, et.q} != {1, -1}:
         res.passed = False
-        res.notes.append("peripheral element is not of finite type (1/n, -1/n)")
+        res.skipped = True
+        res.notes.append("peripheral element not of finite type (1/n, -1/n)")
         return res
     n = et.n
     res.counts["order"] = n
@@ -867,7 +801,7 @@ def gc_check_elliptic(ff: FaceFamily) -> CheckResult:
     )
 
     # (b) direct guard check: sampled chart arguments avoid the two rays
-    vals = _sample_spinal_chart(ff, ff.pts.p_V)
+    vals = ff.chart.values(spinal_samples(ff.bisector_plus(0), 128, 64))
     args = np.angle(vals[np.isfinite(vals)])
     # wrap into a window centred between the rays -5 beta/2 and 3 beta/2
     centre = -0.5 * beta
@@ -881,7 +815,7 @@ def gc_check_elliptic(ff: FaceFamily) -> CheckResult:
     # (c) real angular control from the interior fixed point
     ratio = (9.0 / 4.0) / (1.0 - cb) ** 2
     res.margins["distance_ratio_above_4"] = ratio - 4.0
-    diam = 2.0 * _cone_radius(ff)
+    diam = angular_diameter(ff.pts.p_U, ff.pts.p_V, ff.tol)
     res.residuals["value_true_angular_diameter"] = diam
     if diam >= math.pi / 3.0:
         res.notes.append(
@@ -930,8 +864,7 @@ def verify(alpha2: float, tol=None, grid_n: int = DEFAULT_GRID) -> VerificationR
     ff = FaceFamily(alpha2, tol, grid_n)
     inc = incidence_check(ff)
     tf = tf_check(ff)
-    lc = lc_check(ff, tf)
-    notes = []
+    lc = lc_check(ff)
 
     side = ff.side
     if side.kind is SideKind.UNIPOTENT:
@@ -949,29 +882,25 @@ def verify(alpha2: float, tol=None, grid_n: int = DEFAULT_GRID) -> VerificationR
         else:
             verdict = Verdict(VerdictKind.INCONCLUSIVE, reason="a check failed")
     else:
-        et = elliptic_type(ff.U, ff.tol)
-        if not et.is_finite or {et.p, et.q} != {1, -1}:
-            gc = CheckResult("gc", False, skipped=True)
-            gc.notes.append("peripheral element not of finite type (1/n, -1/n)")
+        gc = gc_check_elliptic(ff)
+        n = gc.counts.get("order")
+        if n is None:
             verdict = Verdict(
                 VerdictKind.INCONCLUSIVE,
                 reason="peripheral element is not a finite-order rotation of "
                 "type (1/n, -1/n); no surgery statement at this parameter",
             )
-        elif et.n < 9:
-            gc = gc_check_elliptic(ff)
+        elif n < 9:
             verdict = Verdict(
                 VerdictKind.INCONCLUSIVE,
                 reason="angular-sector method requires order >= 9; orders 4..8 "
                 "are settled in the triangle-group literature by other techniques",
             )
+        elif inc.passed and tf.passed and lc.passed and gc.passed:
+            p, q = surgery_slope_from_type(1, -1, n)
+            verdict = Verdict(VerdictKind.SURGERY, p, q)
         else:
-            gc = gc_check_elliptic(ff)
-            if inc.passed and tf.passed and lc.passed and gc.passed:
-                p, q = surgery_slope_from_type(1, -1, et.n)
-                verdict = Verdict(VerdictKind.SURGERY, p, q)
-            else:
-                verdict = Verdict(VerdictKind.INCONCLUSIVE, reason="a check failed")
+            verdict = Verdict(VerdictKind.INCONCLUSIVE, reason="a check failed")
 
     return VerificationReport(
         alpha2=alpha2,
@@ -982,7 +911,6 @@ def verify(alpha2: float, tol=None, grid_n: int = DEFAULT_GRID) -> VerificationR
         gc=gc,
         incidence=inc,
         verdict=verdict,
-        notes=notes,
         grid_n=grid_n,
         tol=ff.tol,
     )

@@ -123,9 +123,9 @@ class VisualChart:
 
     def values(self, V: np.ndarray) -> np.ndarray:
         """Vectorized chart on an array of representatives, shape (..., 3)."""
-        J = self.base.space.J
-        num = np.einsum("k,kl,...l->...", self.p_prime.v.conj(), J, V)
-        den = np.einsum("k,kl,...l->...", self.p_dprime.v.conj(), J, V)
+        sp = self.base.space
+        num = sp.inner_grid(self.p_prime.v, V)
+        den = sp.inner_grid(self.p_dprime.v, V)
         with np.errstate(divide="ignore", invalid="ignore"):
             return num / den
 
@@ -206,9 +206,8 @@ def line_spinal_crossings(p: HVec, q: HVec, r: HVec, n=4096):
         raise GeometryError("line misses the boundary sphere")
     ts = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
     Z = circle(ts)
-    J = p.space.J
-    ap = np.abs(np.einsum("k,kl,...l->...", p.v.conj(), J, Z))
-    aq = np.abs(np.einsum("k,kl,...l->...", q.v.conj(), J, Z))
+    ap = np.abs(p.space.inner_grid(p.v, Z))
+    aq = np.abs(p.space.inner_grid(q.v, Z))
     res = ap - aq
     scale = float(np.maximum(ap, aq).max())
     res = np.where(np.abs(res) <= 1e-9 * max(scale, 1e-300), 0.0, res)
@@ -304,7 +303,7 @@ class DiskProjection:
     marked: dict = field(default_factory=dict)
 
 
-def _spinal_samples(b: Bisector, n_alpha=96, n_t=48):
+def spinal_samples(b: Bisector, n_alpha=96, n_t=48):
     """Representatives covering the spinal surface, by extor slices."""
     out = []
     for alpha in np.exp(1j * np.linspace(0, 2 * math.pi, n_alpha, endpoint=False)):
@@ -335,7 +334,7 @@ def project_bisector(chart: VisualChart, b: Bisector, n_boundary=1024, tol=None)
 
         if not proj_equal(chart.base, b.p, 1e-8):
             raise GeometryError("chart base must be the bisector's first lift")
-    samples = _spinal_samples(b)
+    samples = spinal_samples(b)
     psi_samples = chart.values(samples)
 
     p, q = b.p, b.q

@@ -41,11 +41,11 @@ from crlab.family import (
 from crlab.isometry import OMEGA, eigen, elliptic_type
 from crlab.verify import FaceFamily, VerdictKind, tf_check, verify
 from crlab.visual import (
-    _spinal_samples,
     angle_between,
     angular_diameter,
     line_spinal_crossings,
     slice_boundary_circle,
+    spinal_samples,
     tangency_check,
 )
 
@@ -277,7 +277,7 @@ def test_criterion_6c_angular_diameter_oracle():
     q = HVec([math.sinh(1.2), 0, math.cosh(1.2)], ball)
     theta = angular_diameter(p, q)
     b = classify_bisector(p, q)
-    Z = _spinal_samples(b, 100, 50)[:5000]
+    Z = spinal_samples(b, 100, 50)[:5000]
     angs = np.array([angle_between(p, q, HVec(z, ball)) for z in Z])
     # max angle from the axis is the angular radius; the diameter doubles it
     radius_ok = angs.max() <= theta / 2 + 1e-3 and angs.max() >= theta / 2 - 1e-2

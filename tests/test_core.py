@@ -96,9 +96,25 @@ def test_box_defining_property_custom_model():
     rng = np.random.default_rng(3)
     for _ in range(20):
         u, v, r = (rng.normal(size=3) + 1j * rng.normal(size=3) for _ in range(3))
-        det = np.linalg.det(np.stack([u, v, r], axis=1))
+        det = np.dot(u, np.cross(v, r))  # triple product u . (v x r), no division
         got = inner(box(HVec(u, sp), HVec(v, sp)), HVec(r, sp))
         assert abs(got - det) <= 1e-10 * max(1.0, abs(det))
+
+
+def test_grid_forms_match_inner():
+    # the batched kernel keeps the <u, v> = u^H J v convention, also for a
+    # form whose matrix is not real symmetric
+    J = np.array([[2.0, 0.3 + 0.1j, 0], [0.3 - 0.1j, 1.0, 0], [0, 0, -1.5]])
+    rng = np.random.default_rng(11)
+    V = rng.normal(size=(4, 5, 3)) + 1j * rng.normal(size=(4, 5, 3))
+    w = rng.normal(size=3) + 1j * rng.normal(size=3)
+    for sp in (siegel_model(), ball_model(), custom_model(J)):
+        forms, norms = sp.inner_grid(w, V), sp.norm_grid(V)
+        assert forms.shape == norms.shape == (4, 5)
+        for i, j in np.ndindex(4, 5):
+            z = HVec(V[i, j], sp)
+            assert abs(forms[i, j] - inner(HVec(w, sp), z)) <= 1e-12
+            assert abs(norms[i, j] - z.norm()) <= 1e-12
 
 
 def test_box_orthogonality_and_collinear(siegel):

@@ -1,0 +1,19 @@
+"""Module boundaries inside the crlab package."""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "crlab"
+
+
+def test_no_private_names_imported_across_modules():
+    # a module may use its own underscore names, never another crlab module's
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and (node.module or "").split(".")[0] != "crlab":
+                continue
+            found += [f"{path.name}:{node.lineno} {a.name}" for a in node.names if a.name.startswith("_")]
+    assert found == []

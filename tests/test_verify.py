@@ -4,11 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from crlab.core import HVec, inner
-from crlab.family import ALPHA2_LIM, alpha2_for_order
+from crlab.bisector import GiraudTorus
+from crlab.core import HVec, inner, proj_distance
+from crlab.family import ALPHA2_LIM, alpha2_for_length, alpha2_for_order
 from crlab.verify import (
+    _giraud_circle_tangent_at,
     FaceFamily,
     VerdictKind,
+    delta0,
     gc_check_elliptic,
     gc_check_loxodromic,
     incidence_check,
@@ -72,8 +75,7 @@ def test_tf_at_fan_and_cone_parameters():
 
 
 def test_lc_structure(ff_lox):
-    tf = tf_check(ff_lox)
-    res = lc_check(ff_lox, tf)
+    res = lc_check(ff_lox)
     assert res.passed
     assert res.margins["u_below_two_thirds"] > 0
     assert res.margins["faces_minus_minus"] > 0
@@ -82,7 +84,7 @@ def test_lc_structure(ff_lox):
 
 def test_lc_u_value_at_wall():
     ff = FaceFamily(ALPHA2_LIM, grid_n=GRID)
-    res = lc_check(ff, tf_check(ff))
+    res = lc_check(ff)
     # u = (2/3)(4 cos^2 - 3) = (2/3)(3/2 - 3) = -1 at the wall
     assert res.margins["u_below_two_thirds"] == pytest.approx(2 / 3 + 1.0, abs=1e-12)
     assert res.passed
@@ -90,7 +92,7 @@ def test_lc_u_value_at_wall():
 
 def test_lc_fan_focus_identities():
     ff = FaceFamily(math.pi / 6, grid_n=GRID)
-    res = lc_check(ff, tf_check(ff))
+    res = lc_check(ff)
     assert res.passed
     assert res.residuals["fan_circle_identities"] <= 1e-8
     assert res.margins["fan_focus_interior"] > 0
@@ -283,19 +285,34 @@ def test_balanced_pair_decomposition_sampling(ff_lox):
 def test_monotone_exclusion_finite_differences(ff_lox):
     # h(. , delta1) decreases on [0, pi] and increases on [pi, 2 pi] for
     # every delta1 strictly between the two line-locus values
-    from crlab.verify import _tf_torus_data, _torus_vectors, _norms
-
-    a, b, c = _tf_torus_data(ff_lox)
-    a2 = ff_lox.alpha2
-    delta0 = math.atan((1 - 2 * math.cos(2 * a2)) / (2 * math.sin(2 * a2)))
+    torus = ff_lox.torus_minus
     sigmas = np.linspace(0, 2 * math.pi, 101)
-    for d1 in delta0 + np.linspace(0.05, math.pi - 0.05, 9):
-        V = _torus_vectors(a, b, c, sigmas, np.array([d1]))
-        h = _norms(V, ff_lox.space.J)[:, 0]
+    for d1 in delta0(ff_lox.alpha2) + np.linspace(0.05, math.pi - 0.05, 9):
+        V = torus.vectors(sigmas[:, None] + d1, sigmas[:, None] - d1)
+        h = ff_lox.space.norm_grid(V)[:, 0]
         dh = np.diff(h)
         half = len(dh) // 2
         assert (dh[:half] <= 1e-10).all()
         assert (dh[half:] >= -1e-10).all()
+
+
+@pytest.mark.parametrize(
+    "alpha2",
+    [alpha2_for_order(n) for n in (9, 12, 50)]
+    + [ALPHA2_LIM]
+    + [alpha2_for_length(ln) for ln in (0.3, 1.0, 1.7)],
+)
+def test_vertex_location_closed_form(alpha2):
+    # both Giraud circles bounding the first face pass through p_A and p_B,
+    # and the closed-form angles land on each vertex to rounding
+    ff = FaceFamily(alpha2, grid_n=64)
+    pts = ff.pts
+    for r in (pts.p_W, ff.U.inv().apply(pts.p_W)):
+        circle = GiraudTorus(pts.p_U, pts.p_V, r, ff.tol)
+        for target in (pts.p_A, pts.p_B):
+            _, lift, d = _giraud_circle_tangent_at(circle, target)
+            assert d <= 1e-12
+            assert proj_distance(HVec(lift, ff.space), target) <= 1e-12
 
 
 def test_h_identities_twenty_parameters_per_side():

@@ -11,7 +11,6 @@ from crlab.isometry import Isometry
 from crlab.verify import FaceFamily
 from crlab.visual import (
     INF,
-    _spinal_samples,
     angle_between,
     angular_diameter,
     fit_circle,
@@ -21,6 +20,7 @@ from crlab.visual import (
     mobius_from_pairs,
     project_bisector,
     slice_boundary_circle,
+    spinal_samples,
     tangency_check,
 )
 
@@ -248,7 +248,7 @@ def test_angular_diameter_montecarlo_oracle(ball):
     q = HVec([math.sinh(r), 0, math.cosh(r)], ball)
     th = angular_diameter(p, q)
     b = classify_bisector(p, q)
-    Z = _spinal_samples(b, 100, 50)
+    Z = spinal_samples(b, 100, 50)
     angs = np.array([angle_between(p, q, HVec(z, ball)) for z in Z])
     # radius = half the diameter, attained on the spinal surface
     assert angs.max() <= th / 2 + 1e-3
@@ -338,7 +338,7 @@ def test_projected_samples_inside_fitted_circle():
 
         b = _cb(ff.pts.p_U, ff.pts.p_V)
         disk = project_bisector(ff.chart, b, n_boundary=512)
-        vals = _spinal_samples(b, 64, 32)
+        vals = spinal_samples(b, 64, 32)
         zs = ff.chart.values(vals)
         zs = zs[np.isfinite(zs)]
         dist = np.abs(zs - disk.circle.center)
