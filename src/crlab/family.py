@@ -25,6 +25,7 @@ from .isometry import Isometry, IsometryClass, classify, verify_su21
 
 ALPHA2_LIM = math.acos(math.sqrt(3.0 / 8.0))
 ALPHA1_LIM = math.acos(math.sqrt(3.0) / 4.0)
+MAX_ORDER = 10**6  # largest rotation order param_side recognizes
 
 # peripheral words on T1/T2 and the link-group relator, in the letters s, t
 WORD_M1 = "ts^-1"
@@ -182,7 +183,7 @@ class ParamSide:
     delta: complex = 0.0
 
 
-def param_side(alpha2: float, tol=None, order_cap=10**6) -> ParamSide:
+def param_side(alpha2: float, tol=None) -> ParamSide:
     tol = tolerance(tol)
     tr = 8.0 * math.cos(alpha2) ** 2
     delta = cmath.sqrt((tr - 3.0) * (tr + 1.0))
@@ -193,7 +194,7 @@ def param_side(alpha2: float, tol=None, order_cap=10**6) -> ParamSide:
         n = None
         ratio = 2.0 * math.pi / beta
         cand = round(ratio)
-        if cand >= 3 and abs(ratio - cand) <= 1e-8 * cand and cand <= order_cap:
+        if cand >= 3 and abs(ratio - cand) <= 1e-8 * cand and cand <= MAX_ORDER:
             n = int(cand)
         return ParamSide(SideKind.ELLIPTIC, beta=beta, n=n, delta=delta)
     length = math.acosh((tr - 1.0) / 2.0)

@@ -1,9 +1,10 @@
 """SU(2,1) elements: validity, trace classification, eigendata, fixed points.
 
-Classification follows the trace polynomial f(z) = |z|^4 - 8 Re(z^3)
-+ 18|z|^2 - 27: negative for regular elliptic, positive for loxodromic,
-zero on the non-regular locus, where eigenvalue clustering decides between
-unipotent, ellipto-parabolic, non-regular elliptic and the identity.
+Classification follows the eigenvalues: three pairwise separated ones make
+a regular element (loxodromic when one is off the unit circle), clustered
+ones decide between unipotent, ellipto-parabolic, non-regular elliptic and
+the identity.  f(z) = |z|^4 - 8 Re(z^3) + 18|z|^2 - 27 is reported alongside;
+its triple zero at tr = 3 makes a band on f unfit to decide regularity.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .core import GeometryError, HermitianSpace, HVec, tolerance
 OMEGA = cmath.exp(2j * math.pi / 3)
 
 UNIPOTENT_CLUSTER_TOL = 1e-6
+CLUSTER_GAP = 5e-5  # eigenvalues closer than this (relative) form one cluster
 EIGEN_RESIDUAL_TOL = 1e-7
 RATIONAL_ANGLE_TOL = 1e-8
 MAX_ELLIPTIC_ORDER = 512
@@ -125,8 +127,7 @@ def _polish_clusters(roots, c2, c1):
     eps^(1/2); the cluster means recover the exact values from the cubic's
     coefficients (c2/3 for a triple, a root of the derivative for a double).
     """
-    scale = max(1.0, max(abs(r) for r in roots))
-    gap = 5e-5 * scale
+    gap = CLUSTER_GAP * max(1.0, max(abs(r) for r in roots))
     d01, d02, d12 = (
         abs(roots[0] - roots[1]),
         abs(roots[0] - roots[2]),
@@ -246,38 +247,34 @@ class IsometryClass:
 
 
 def classify(g: Isometry, tol=None) -> IsometryClass:
-    """Classify a lift using f(tr) where decisive, eigendata otherwise."""
+    """Classify a lift from the separation and moduli of its eigenvalues."""
     tol = tolerance(tol)
     tr = g.trace()
-    f = goldman_f(tr)
     triples = eigen(g, tol)
     values = [t.value for t in triples]
     cond = max(t.residual for t in triples)
+    gap = CLUSTER_GAP * max(1.0, max(abs(v) for v in values))
 
-    regular_tol = max(tol, 1e-9) * max(1.0, abs(tr)) ** 4 * 100
-    if f > regular_tol:
+    k = _cube_root_cluster(values)
+    if k is not None:
+        if np.abs(g.M - (OMEGA**k) * np.eye(3)).max() <= 1e-8:
+            kind = IsometryKind.IDENTITY
+        else:
+            kind = IsometryKind.UNIPOTENT
+    elif any(abs(abs(v) - 1.0) > UNIPOTENT_CLUSTER_TOL for v in values):
         kind = IsometryKind.LOXODROMIC
-    elif f < -regular_tol:
+    elif min(abs(values[i] - values[j]) for i, j in ((0, 1), (0, 2), (1, 2))) > gap:
         kind = IsometryKind.REGULAR_ELLIPTIC
     else:
-        k = _cube_root_cluster(values)
-        if k is not None:
-            if np.abs(g.M - (OMEGA**k) * np.eye(3)).max() <= 1e-8:
-                kind = IsometryKind.IDENTITY
-            else:
-                kind = IsometryKind.UNIPOTENT
-        elif any(abs(abs(v) - 1.0) > UNIPOTENT_CLUSTER_TOL for v in values):
-            kind = IsometryKind.LOXODROMIC
+        # repeated unit eigenvalue: diagonalizable <=> boundary reflection
+        lam0 = _repeated_value(values)
+        A = g.M - lam0 * np.eye(3)
+        _, s, _ = np.linalg.svd(A)
+        if s[1] <= 1e-6 * max(s[0], 1.0):
+            kind = IsometryKind.NON_REGULAR_ELLIPTIC
         else:
-            # repeated unit eigenvalue: diagonalizable <=> boundary reflection
-            lam0 = _repeated_value(values)
-            A = g.M - lam0 * np.eye(3)
-            _, s, _ = np.linalg.svd(A)
-            if s[1] <= 1e-6 * max(s[0], 1.0):
-                kind = IsometryKind.NON_REGULAR_ELLIPTIC
-            else:
-                kind = IsometryKind.ELLIPTIC_PARABOLIC
-    return IsometryClass(kind, tuple(triples), tr, f, cond)
+            kind = IsometryKind.ELLIPTIC_PARABOLIC
+    return IsometryClass(kind, tuple(triples), tr, goldman_f(tr), cond)
 
 
 def _repeated_value(values):

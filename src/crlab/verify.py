@@ -29,8 +29,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import HVec, inner, proj_distance, tolerance
-from .isometry import Isometry, elliptic_type
+from .core import GeometryError, HVec, inner, proj_distance, tolerance
+from .isometry import Isometry
 from .family import (
     FamilyParams,
     FamilyRep,
@@ -311,7 +311,6 @@ def tf_check(ff: FaceFamily) -> CheckResult:
     pts, sp, J, a2 = ff.pts, ff.space, ff.space.J, ff.alpha2
     cos2 = math.cos(a2) ** 2
     sin_a2 = math.sin(a2)
-    tol = ff.tol
     n = ff.grid_n
 
     # --- (a) real-plane part: the two closed-form squared moduli and the
@@ -408,11 +407,11 @@ def tf_check(ff: FaceFamily) -> CheckResult:
     res.notes.extend(bt_notes)
 
     crit_ok = True
-    if abs(pts.p_U.norm()) > 1e3 * tol:
+    if ff.side.kind is not SideKind.UNIPOTENT:
         UpA = ff.U.apply(pts.p_A)
         UiB = ff.U.inv().apply(pts.p_B)
-        crit_ok = tangency_check(pts.p_U, pts.p_V, UpA, tol) and tangency_check(
-            pts.p_U, pts.p_V, UiB, tol
+        crit_ok = tangency_check(pts.p_U, pts.p_V, UpA, ff.tol) and tangency_check(
+            pts.p_U, pts.p_V, UiB, ff.tol
         )
         res.counts["criterion_tangencies"] = 2 if crit_ok else 0
     else:
@@ -653,7 +652,8 @@ def _cone_separation(ff: FaceFamily, res: CheckResult, n: int) -> bool:
         for nm, target in (("plus", pts.p_V), ("minus", pts.p_W)):
             if nm == "minus" and k == n - 2:
                 continue  # vertex-contact pair, handled by the tangency check
-            sep = angle_between(pts.p_U, pts.p_V, U.power(k).apply(target))
+            j = k - n if k > n / 2 else k  # U^n = 1 projectively; U^j drifts less than U^k
+            sep = angle_between(pts.p_U, pts.p_V, U.power(j).apply(target))
             m = sep - 2.0 * rho
             if m < worst:
                 worst, worst_pair = m, f"k={k},{nm}"
@@ -747,13 +747,15 @@ def gc_check_elliptic(ff: FaceFamily) -> CheckResult:
     res = CheckResult("gc", True)
     if ff.side.kind is not SideKind.ELLIPTIC:
         raise ValueError("elliptic check on a non-elliptic parameter")
-    et = elliptic_type(ff.U, ff.tol)
-    if not et.is_finite or {et.p, et.q} != {1, -1}:
+    n = ff.side.n
+    if n is None:
         res.passed = False
         res.skipped = True
-        res.notes.append("peripheral element not of finite type (1/n, -1/n)")
+        res.notes.append(
+            "peripheral element is not a finite-order rotation of type (1/n, -1/n); "
+            "no surgery statement at this parameter"
+        )
         return res
-    n = et.n
     res.counts["order"] = n
     if n < 9:
         res.skipped = True
@@ -859,58 +861,54 @@ def surgery_slope_from_type(p: int, q: int, n: int):
     raise ValueError("no surgery bookkeeping for this type")
 
 
-def verify(alpha2: float, tol=None, grid_n: int = DEFAULT_GRID) -> VerificationReport:
-    """Run the three checks at a parameter and assemble the verdict."""
-    ff = FaceFamily(alpha2, tol, grid_n)
-    inc = incidence_check(ff)
-    tf = tf_check(ff)
-    lc = lc_check(ff)
+def gc_check(ff: FaceFamily) -> CheckResult:
+    """GC on the side of the unipotent wall named by ff.side; skipped on the wall."""
+    if ff.side.kind is SideKind.LOXODROMIC:
+        return gc_check_loxodromic(ff)
+    if ff.side.kind is SideKind.ELLIPTIC:
+        return gc_check_elliptic(ff)
+    note = "unipotent boundary parameter: global check not applicable"
+    return CheckResult("gc", True, skipped=True, notes=[note])
 
-    side = ff.side
+
+def _run_check(name: str, check, ff: FaceFamily) -> CheckResult:
+    """A check whose preconditions fail at this parameter (GeometryError)
+    fails with the reason, so that every parameter gets a report."""
+    try:
+        return check(ff)
+    except GeometryError as exc:
+        return CheckResult(name, False, notes=[f"check not evaluated: {exc}"])
+
+
+def verify(alpha2: float, tol=None, grid_n: int = DEFAULT_GRID) -> VerificationReport:
+    """Run the checks at a parameter and assemble the verdict from ff.side."""
+    ff = FaceFamily(alpha2, tol, grid_n)
+    checks = {
+        name: _run_check(name, check, ff)
+        for name, check in (
+            ("incidence", incidence_check), ("tf", tf_check), ("lc", lc_check), ("gc", gc_check)
+        )
+    }
+    side, gc = ff.side, checks["gc"]
     if side.kind is SideKind.UNIPOTENT:
-        gc = CheckResult("gc", True, skipped=True)
-        gc.notes.append("unipotent boundary parameter: global check not applicable")
         verdict = Verdict(
             VerdictKind.NOT_APPLICABLE,
             reason="peripheral element is unipotent: the parameter carries the "
             "cusped uniformization itself, not a surgery",
         )
-    elif side.kind is SideKind.LOXODROMIC:
-        gc = gc_check_loxodromic(ff)
-        if inc.passed and tf.passed and lc.passed and gc.passed:
-            verdict = Verdict(VerdictKind.SURGERY, 1, -3)
-        else:
-            verdict = Verdict(VerdictKind.INCONCLUSIVE, reason="a check failed")
+    elif gc.skipped:
+        verdict = Verdict(VerdictKind.INCONCLUSIVE, reason=gc.notes[0])
+    elif all(c.passed for c in checks.values()):
+        slope = (1, -3) if side.n is None else surgery_slope_from_type(1, -1, side.n)
+        verdict = Verdict(VerdictKind.SURGERY, *slope)
     else:
-        gc = gc_check_elliptic(ff)
-        n = gc.counts.get("order")
-        if n is None:
-            verdict = Verdict(
-                VerdictKind.INCONCLUSIVE,
-                reason="peripheral element is not a finite-order rotation of "
-                "type (1/n, -1/n); no surgery statement at this parameter",
-            )
-        elif n < 9:
-            verdict = Verdict(
-                VerdictKind.INCONCLUSIVE,
-                reason="angular-sector method requires order >= 9; orders 4..8 "
-                "are settled in the triangle-group literature by other techniques",
-            )
-        elif inc.passed and tf.passed and lc.passed and gc.passed:
-            p, q = surgery_slope_from_type(1, -1, n)
-            verdict = Verdict(VerdictKind.SURGERY, p, q)
-        else:
-            verdict = Verdict(VerdictKind.INCONCLUSIVE, reason="a check failed")
-
+        verdict = Verdict(VerdictKind.INCONCLUSIVE, reason="a check failed")
     return VerificationReport(
         alpha2=alpha2,
         side=side,
         tr_u=8.0 * math.cos(alpha2) ** 2,
-        tf=tf,
-        lc=lc,
-        gc=gc,
-        incidence=inc,
         verdict=verdict,
         grid_n=grid_n,
         tol=ff.tol,
+        **checks,
     )

@@ -101,6 +101,18 @@ def test_sweep_determinism_across_workers(tmp_path):
         assert (out1 / f).read_bytes() == (out8 / f).read_bytes()
 
 
+def test_sweep_across_the_wall(tmp_path):
+    # one parameter per side of the wall and one beside it; none may abort the pool
+    code, out, _ = run_cli(
+        ["verify", "--sweep", "0.9107:0.9137:0.001", "--grid", "64", "--workers", "2",
+         "--out", str(tmp_path)]
+    )
+    assert code == 0
+    assert len(out.splitlines()) == 3
+    assert all(line.startswith("alpha2=") for line in out.splitlines())
+    assert len(os.listdir(tmp_path)) == 3
+
+
 def test_figure_determinism(tmp_path):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     for d in (d1, d2):

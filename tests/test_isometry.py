@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from crlab.core import HVec, Location, locate, proj_distance, proj_equal, siegel_model
-from crlab.family import ALPHA2_LIM, FamilyParams, FamilyRep, alpha2_for_order
+from crlab.family import (
+    ALPHA2_LIM,
+    FamilyParams,
+    FamilyRep,
+    SideKind,
+    alpha2_for_order,
+    param_side,
+)
 from crlab.isometry import (
     OMEGA,
     Isometry,
@@ -56,6 +63,22 @@ def test_classify_examples():
     assert classify(U9).kind is IsometryKind.REGULAR_ELLIPTIC
     assert np.abs(U9.power(9).M - np.eye(3)).max() < 1e-7
     assert classify(Isometry(np.eye(3), siegel_model())).kind is IsometryKind.IDENTITY
+
+
+def test_classify_agrees_with_param_side():
+    # regularity comes from eigenvalue separation, so the triple zero of f at
+    # tr = 3 no longer turns high-order rotations elliptic-parabolic
+    kinds = {
+        SideKind.ELLIPTIC: IsometryKind.REGULAR_ELLIPTIC,
+        SideKind.LOXODROMIC: IsometryKind.LOXODROMIC,
+        SideKind.UNIPOTENT: IsometryKind.UNIPOTENT,
+    }
+    orders = list(range(4, 64)) + [100, 517, 1000, 2809, 3000, 5000, 10**4, 3 * 10**4, 6 * 10**4]
+    params = [alpha2_for_order(n) for n in orders]
+    params += [float(a) for a in np.linspace(0.01, 1.56, 200)]
+    params += [ALPHA2_LIM + s * d for d in (1e-4, 1e-6, 1e-8) for s in (1, -1)] + [ALPHA2_LIM]
+    for a2 in params:
+        assert classify(U_at(a2)).kind is kinds[param_side(a2).kind], a2
 
 
 def test_classify_conjugation_invariance():

@@ -17,3 +17,10 @@ def test_no_private_names_imported_across_modules():
                 continue
             found += [f"{path.name}:{node.lineno} {a.name}" for a in node.names if a.name.startswith("_")]
     assert found == []
+
+
+def test_verify_takes_its_side_from_family():
+    # the wall, side and order are decided once, by family.param_side
+    tree = ast.parse((SRC / "verify.py").read_text())
+    names = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names}
+    assert names.isdisjoint({"elliptic_type", "classify"})

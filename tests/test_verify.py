@@ -156,6 +156,16 @@ def test_gc_elliptic_n8_inconclusive():
     assert 2 + 4 * math.cos(beta9) - 9 * math.cos(beta9) ** 2 < 0
 
 
+def test_gc_elliptic_cone_separation_n922():
+    # U^k for k near n drifts enough under repeated squaring to give a
+    # negative cone margin; the reduced power U^(k-n) does not
+    ff = FaceFamily(alpha2_for_order(922), grid_n=64)
+    res = gc_check_elliptic(ff)
+    assert res.passed and not res.skipped
+    assert res.counts["order"] == 922
+    assert res.margins["cone_separation"] > 1e-3
+
+
 def test_marking_arithmetic_integers():
     # with l0 = m1 and m0 = 3 m1 - l1, the filled curve n l0 + p m0 reads
     # -p l1 + (n + 3p) m1 in the original marking
@@ -183,6 +193,28 @@ def test_verdicts():
     assert rlim.tf.passed and rlim.lc.passed
     r_irr = verify(1.25, grid_n=96)
     assert r_irr.verdict.kind is VerdictKind.INCONCLUSIVE
+
+
+@pytest.mark.parametrize("n", [56, 100, 1000])
+def test_verdicts_high_orders(n):
+    r = verify(alpha2_for_order(n), grid_n=128)
+    assert r.verdict.kind is VerdictKind.SURGERY and (r.verdict.p, r.verdict.q) == (1, n - 3)
+    assert all(c.passed for c in (r.incidence, r.tf, r.lc, r.gc) if not c.skipped)
+
+
+@pytest.mark.parametrize(
+    "alpha2", [alpha2_for_order(10**4), ALPHA2_LIM - 1e-6, ALPHA2_LIM + 1e-6]
+)
+def test_verify_near_the_wall_reports(alpha2):
+    # parameters too close to the wall for the tangency criterion still get a
+    # report; an inconclusive one says what could not be certified
+    r = verify(alpha2, grid_n=64)
+    if r.verdict.kind is VerdictKind.SURGERY:
+        assert r.all_passed()
+        return
+    assert r.verdict.kind is VerdictKind.INCONCLUSIVE
+    notes = [n for c in (r.incidence, r.tf, r.lc, r.gc) if not c.passed for n in c.notes]
+    assert r.verdict.reason != "a check failed" or any("not evaluated" in n for n in notes)
 
 
 def test_report_schema():
