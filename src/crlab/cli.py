@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import figures
-from .core import siegel_model, tolerance
+from .core import GeometryError, siegel_model
 from .family import FamilyParams, FamilyRep, alpha2_for_order
 from .isometry import Isometry, classify, elliptic_type, verify_su21
 from .verify import DEFAULT_GRID, verify
@@ -34,16 +34,24 @@ def _param_token(alpha2: float) -> str:
 
 
 def _verify_one(job):
+    """Verify one parameter: (summary line, whether it failed).  A
+    GeometryError fails this parameter alone; a sweep keeps the others."""
     alpha2, grid_n, tol, out_dir = job
-    report = verify(alpha2, tol=tol, grid_n=grid_n)
-    payload = _report_to_json(report)
+    head = f"alpha2={CSV_FLOAT % alpha2}: "
+    try:
+        report = verify(alpha2, tol=tol, grid_n=grid_n)
+    except GeometryError as exc:
+        return head + f"error ({exc})", True
     path = None
     if out_dir:
         path = os.path.join(out_dir, f"report_alpha2_{_param_token(alpha2)}.json")
         with open(path, "w", newline="\n") as fh:
-            fh.write(payload)
-    failed_hard = not report.all_passed()
-    return alpha2, report.verdict.to_dict(), failed_hard, path
+            fh.write(_report_to_json(report))
+    verdict = report.verdict.to_dict()
+    slope = verdict["slope"]
+    tag = f"slope {slope[0]}/{slope[1]}" if slope else verdict["kind"]
+    reason = f" ({verdict['reason']})" if verdict["reason"] else ""
+    return head + tag + reason + (f" -> {path}" if path else ""), not report.all_passed()
 
 
 def cmd_verify(args) -> int:
@@ -85,15 +93,9 @@ def cmd_verify(args) -> int:
     else:
         results = [_verify_one(j) for j in jobs]
 
-    exit_code = 0
-    for alpha2, verdict, failed_hard, path in results:
-        slope = verdict["slope"]
-        tag = f"slope {slope[0]}/{slope[1]}" if slope else verdict["kind"]
-        reason = f" ({verdict['reason']})" if verdict["reason"] else ""
-        print(f"alpha2={CSV_FLOAT % alpha2}: {tag}{reason}" + (f" -> {path}" if path else ""))
-        if failed_hard:
-            exit_code = 1
-    return exit_code
+    for line, _ in results:
+        print(line)
+    return 1 if any(failed for _, failed in results) else 0
 
 
 def cmd_figure(args) -> int:

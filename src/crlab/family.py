@@ -319,6 +319,24 @@ def region_Z(params: FamilyParams):
     return val > 0.0, val
 
 
+def trace_ts_inv(alpha1, alpha2):
+    """tr rho(t s^-1) in closed form, elementwise over arrays of angles.
+
+    With x1^2 = 2 cos(alpha1) (cos alpha1 > 0 on the family's domain),
+    tr(T S^-1) = 2 e^{-2i(2a1/3 + a2)} [cos a1 e^{i a1} + e^{2i a2}
+    + e^{2i(a1 + a2)} + cos a1 e^{i(a1 + 4 a2)}], which is 8 cos^2 alpha2 on
+    the alpha1 = 0 slice.
+    """
+    a1, a2 = np.asarray(alpha1, dtype=float), np.asarray(alpha2, dtype=float)
+    c = np.cos(a1)
+    return 2.0 * np.exp(-2j * (2.0 * a1 / 3.0 + a2)) * (
+        c * np.exp(1j * a1)
+        + np.exp(2j * a2)
+        + np.exp(2j * (a1 + a2))
+        + c * np.exp(1j * (a1 + 4.0 * a2))
+    )
+
+
 def peripheral_type(params: FamilyParams, tol=None) -> IsometryClass:
     """Class of rho(t s^-1), the peripheral holonomy being deformed."""
     rep = FamilyRep(params)

@@ -1,25 +1,28 @@
 """Deterministic figure data: CSV grids and simple SVG renderings.
 
-All floating point output is formatted with 17 significant digits in CSV
-(round-trip exact) and 9 in SVG, so repeated runs are byte-identical.
+Every figure is an array program: its grid is evaluated with numpy in one
+pass, contours come from a vectorized marching squares, and CSV lines are
+formatted from arrays.  Floats are written with 17 significant digits in
+CSV (round-trip exact) and 9 in SVG.  Output bytes are identical from run
+to run and across worker counts.  They are not promised across numpy's and
+cmath's roundings: a grid evaluated by numpy ufuncs may differ in the last
+bits from the same formula evaluated on Python scalars.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
 
 from .family import (
     ALPHA2_LIM,
-    FamilyParams,
-    FamilyRep,
     alpha2_for_order,
     char_P,
     char_Q,
     discriminant_D,
     schwartz_point,
+    trace_ts_inv,
 )
 from .isometry import goldman_f
 from .bisector import level_g, classify_bisector
@@ -30,18 +33,20 @@ CSV_FMT = "%.17g"
 SVG_PREC = 9
 
 
-def _fmt(x) -> str:
-    return CSV_FMT % float(x)
-
-
 def write_csv(path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
-    data = "\n".join(lines) + "\n"
+    """Write a header and the rows of a 2-D array, one CSV_FMT per value."""
+    rows = np.asarray(rows, dtype=float).reshape(-1, len(header))
+    line = ",".join([CSV_FMT] * len(header)) + "\n"
+    data = ",".join(header) + "\n" + line * len(rows) % tuple(rows.ravel().tolist())
     with open(path, "w", newline="\n") as fh:
         fh.write(data)
     return path
+
+
+def _grid_rows(xs, ys, *values):
+    """Rows (x_i, y_j, v[i, j], ...) of grids over xs x ys, row-major in i."""
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    return np.column_stack([X.ravel(), Y.ravel()] + [v.ravel() for v in values])
 
 
 class SvgCanvas:
@@ -55,12 +60,20 @@ class SvgCanvas:
         return f"%.{SVG_PREC}g" % x
 
     def polyline(self, points, color="#1f4e9c", width=0.002):
-        pts = " ".join(
-            f"{self._f(p.real)},{self._f(self.ymax + self.ymin - p.imag)}" for p in points
+        self.polylines(np.asarray(points, dtype=complex)[None, :], color, width)
+
+    def polylines(self, curves, color="#1f4e9c", width=0.002):
+        """One polyline per row of an (m, k) array of complex points."""
+        m, k = curves.shape
+        if m == 0:
+            return
+        point = f"%.{SVG_PREC}g,%.{SVG_PREC}g"
+        line = (
+            f'<polyline fill="none" stroke="{color}" stroke-width="{self._f(width * (self.xmax - self.xmin))}" '
+            f'points="{" ".join([point] * k)}"/>'
         )
-        self.elements.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="{self._f(width * (self.xmax - self.xmin))}" points="{pts}"/>'
-        )
+        xy = np.stack([curves.real, self.ymax + self.ymin - curves.imag], axis=-1)
+        self.elements.append("\n".join([line] * m) % tuple(xy.ravel().tolist()))
 
     def circle(self, center, r, color="#b02020"):
         cx, cy = center.real, self.ymax + self.ymin - center.imag
@@ -85,41 +98,41 @@ def figure_level_sets(out_base, resolution=720, fmt="csv"):
     th = np.linspace(-math.pi, math.pi, resolution, endpoint=False)
     G = level_g(th[:, None], th[None, :])
     if fmt == "csv":
-        rows = []
-        for i in range(resolution):
-            for j in range(resolution):
-                rows.append((th[i], th[j], G[i, j]))
-        return write_csv(out_base + ".csv", ["theta", "phi", "g"], rows), G
+        return write_csv(out_base + ".csv", ["theta", "phi", "g"], _grid_rows(th, th, G)), G
     canvas = SvgCanvas(-math.pi, math.pi, -math.pi, math.pi)
     for level in np.linspace(-1.4, 2.8, 15):
-        segs = _contour_segments(th, th, G, level)
-        for seg in segs:
-            canvas.polyline(seg)
+        canvas.polylines(_contour_segments(th, th, G, level))
     return canvas.write(out_base + ".svg"), G
 
 
+# corners of cell (i, j) counter-clockwise from (xs[i], ys[j]); edge k runs
+# from corner k to corner k + 1
+_CORNER_DI = np.array([0, 1, 1, 0])
+_CORNER_DJ = np.array([0, 0, 1, 1])
+
+
 def _contour_segments(xs, ys, Z, level):
-    """Marching-squares zero crossings of Z - level, as tiny segments."""
+    """Marching-squares crossings of Z - level, one segment per cell.
+
+    An edge whose ends lie on opposite sides of 0 (by f > 0) is cut at
+    x1 + t (x2 - x1), t = f1 / (f1 - f2); a cell cut at least twice gives
+    the segment through its first two cuts in edge order.  Segments come
+    in row-major cell order, as the rows of a (segments, 2) complex array.
+    """
     F = Z - level
-    segs = []
+    pos = F > 0
     n, m = F.shape
-    for i in range(n - 1):
-        for j in range(m - 1):
-            corners = [
-                (xs[i], ys[j], F[i, j]),
-                (xs[i + 1], ys[j], F[i + 1, j]),
-                (xs[i + 1], ys[j + 1], F[i + 1, j + 1]),
-                (xs[i], ys[j + 1], F[i, j + 1]),
-            ]
-            pts = []
-            for k in range(4):
-                x1, y1, f1 = corners[k]
-                x2, y2, f2 = corners[(k + 1) % 4]
-                if (f1 > 0) != (f2 > 0):
-                    t = f1 / (f1 - f2)
-                    pts.append(complex(x1 + t * (x2 - x1), y1 + t * (y2 - y1)))
-            if len(pts) >= 2:
-                segs.append(pts[:2])
+    corner = [pos[di:n - 1 + di, dj:m - 1 + dj] for di, dj in zip(_CORNER_DI, _CORNER_DJ)]
+    cut = np.stack([corner[k] != corner[(k + 1) % 4] for k in range(4)], axis=-1)
+    ci, cj = np.nonzero(cut.sum(axis=-1) >= 2)
+    edge = np.argsort(~cut[ci, cj], axis=-1, kind="stable")[:, :2]
+    i1, j1 = ci[:, None] + _CORNER_DI[edge], cj[:, None] + _CORNER_DJ[edge]
+    i2, j2 = ci[:, None] + _CORNER_DI[(edge + 1) % 4], cj[:, None] + _CORNER_DJ[(edge + 1) % 4]
+    f1, f2 = F[i1, j1], F[i2, j2]
+    t = f1 / (f1 - f2)
+    segs = np.empty(edge.shape, dtype=complex)
+    segs.real = xs[i1] + t * (xs[i2] - xs[i1])
+    segs.imag = ys[j1] + t * (ys[j2] - ys[j1])
     return segs
 
 
@@ -128,19 +141,12 @@ def figure_peach_curve(out_base, resolution=256, fmt="csv"):
     locus is the curve of non-loxodromic peripheral deformations."""
     a1s = np.linspace(-math.pi / 2 + 1e-3, math.pi / 2 - 1e-3, resolution)
     a2s = np.linspace(-math.pi / 2 + 1e-3, math.pi / 2 - 1e-3, resolution)
-    rows = []
-    F = np.zeros((resolution, resolution))
-    for i, a1 in enumerate(a1s):
-        for j, a2 in enumerate(a2s):
-            rep = FamilyRep(FamilyParams(a1, a2))
-            tr = complex(np.trace(rep.V.M))
-            F[i, j] = goldman_f(tr)
-            rows.append((a1, a2, F[i, j]))
+    F = goldman_f(trace_ts_inv(a1s[:, None], a2s[None, :]))
     if fmt == "csv":
+        rows = _grid_rows(a1s, a2s, F)
         return write_csv(out_base + ".csv", ["alpha1", "alpha2", "f_tr"], rows), (a1s, a2s, F)
     canvas = SvgCanvas(-math.pi / 2, math.pi / 2, -math.pi / 2, math.pi / 2)
-    for seg in _contour_segments(a1s, a2s, F, 0.0):
-        canvas.polyline(seg)
+    canvas.polylines(_contour_segments(a1s, a2s, F, 0.0))
     canvas.circle(complex(0, ALPHA2_LIM), 0.01)
     canvas.circle(complex(0, -ALPHA2_LIM), 0.01)
     return canvas.write(out_base + ".svg"), (a1s, a2s, F)
@@ -149,18 +155,18 @@ def figure_peach_curve(out_base, resolution=256, fmt="csv"):
 def figure_region_z(out_base, resolution=256, fmt="csv"):
     a1s = np.linspace(-math.pi / 2 + 1e-3, math.pi / 2 - 1e-3, resolution)
     a2s = np.linspace(-math.pi / 2 + 1e-3, math.pi / 2 - 1e-3, resolution)
-    rows = []
-    D = np.zeros((resolution, resolution))
-    for i, a1 in enumerate(a1s):
-        for j, a2 in enumerate(a2s):
-            D[i, j] = discriminant_D(4 * math.cos(a1) ** 2, 4 * math.cos(a2) ** 2)
-            rows.append((a1, a2, D[i, j]))
+    D = discriminant_D(4 * np.cos(a1s)[:, None] ** 2, 4 * np.cos(a2s)[None, :] ** 2)
     if fmt == "csv":
+        rows = _grid_rows(a1s, a2s, D)
         return write_csv(out_base + ".csv", ["alpha1", "alpha2", "D"], rows), (a1s, a2s, D)
     canvas = SvgCanvas(-math.pi / 2, math.pi / 2, -math.pi / 2, math.pi / 2)
-    for seg in _contour_segments(a1s, a2s, D, 0.0):
-        canvas.polyline(seg)
+    canvas.polylines(_contour_segments(a1s, a2s, D, 0.0))
     return canvas.write(out_base + ".svg"), (a1s, a2s, D)
+
+
+def _labelled_rows(family, k, z):
+    """Rows (family, k, re z, im z) over the points z."""
+    return np.column_stack(np.broadcast_arrays(family, k, z.real, z.imag))
 
 
 def figure_disk_projection(out_base, n=20, boundary_points=512, fmt="csv"):
@@ -169,32 +175,24 @@ def figure_disk_projection(out_base, n=20, boundary_points=512, fmt="csv"):
     a2 = alpha2_for_order(n)
     ff = FaceFamily(a2, grid_n=256)
     ch = ff.chart
-    rows = []
     curves = {}
     for k in range(n):
         for sign, point in (("plus", ff.u_power_point(k, ff.pts.p_V)),
                             ("minus", ff.u_power_point(k, ff.pts.p_W))):
             b = classify_bisector(ff.pts.p_U, point, ff.tol)
             disk = project_bisector(ch, b, n_boundary=boundary_points, tol=ff.tol)
-            vals = disk.boundary[np.isfinite(disk.boundary)]
-            curves[(sign, k)] = vals
-            for z in vals:
-                rows.append((0 if sign == "plus" else 1, k, z.real, z.imag))
-    marks = []
-    for k in range(n):
-        marks.append(ch(ff.U.power(k).apply(ff.pts.p_A)))
-        marks.append(ch(ff.U.power(k).apply(ff.pts.p_B)))
+            curves[(sign, k)] = disk.boundary[np.isfinite(disk.boundary)]
+    marks = [ch(ff.U.power(k).apply(p)) for k in range(n) for p in (ff.pts.p_A, ff.pts.p_B)]
     if fmt == "csv":
-        for i, z in enumerate(marks):
-            rows.append((2, i, z.real, z.imag))
-        path = write_csv(out_base + ".csv", ["family", "k", "re", "im"], rows)
+        rows = [_labelled_rows(sign != "plus", k, vals) for (sign, k), vals in curves.items()]
+        rows.append(_labelled_rows(2, np.arange(len(marks)), np.array(marks)))
+        path = write_csv(out_base + ".csv", ["family", "k", "re", "im"], np.concatenate(rows))
         return path, curves
     canvas = SvgCanvas(-3.2, 3.2, -3.2, 3.2)
-    unit = [cmath.exp(1j * t) for t in np.linspace(0, 2 * math.pi, 361)]
-    canvas.polyline(unit, color="#888888")
+    canvas.polyline(np.exp(1j * np.linspace(0, 2 * math.pi, 361)), color="#888888")
     for (sign, k), vals in curves.items():
         color = "#1f4e9c" if sign == "plus" else "#0c8a3c"
-        canvas.polyline(list(vals) + [vals[0]], color=color)
+        canvas.polyline(np.append(vals, vals[0]), color=color)
     for z in marks:
         canvas.circle(z, 0.02)
     return canvas.write(out_base + ".svg"), curves
@@ -208,20 +206,17 @@ def figure_spinal_trace(out_base, alpha2=0.7, resolution=361, fmt="csv"):
     sp = ff.space
     norms = sp.norm_grid(V)
     side = np.abs(sp.inner_grid(ff.pts.p_U.v, V)) ** 2 - np.abs(sp.inner_grid(ff.pts.p_V.v, V)) ** 2
-    rows = []
-    for i in range(len(sigmas)):
-        for j in range(len(deltas)):
-            rows.append((sigmas[i], deltas[j], norms[i, j], side[i, j]))
     if fmt == "csv":
+        rows = _grid_rows(sigmas, deltas, norms, side)
         return (
             write_csv(out_base + ".csv", ["sigma", "delta", "norm", "side"], rows),
             (sigmas, deltas, norms, side),
         )
     canvas = SvgCanvas(0, 2 * math.pi, float(deltas[0]), float(deltas[-1]))
-    for seg in _contour_segments(sigmas, deltas, norms, 0.0):
-        canvas.polyline(seg, color="#0c8a3c")
-    for seg in _contour_segments(sigmas, deltas, side, 0.0):
-        canvas.polyline(seg, color="#1f4e9c")
+    canvas.polylines(_contour_segments(sigmas, deltas, norms, 0.0), color="#0c8a3c")
+    # side is exactly 0 on the complex-line locus delta = delta0 (column 0),
+    # where its sign is rounding noise; that column is left out of its contour
+    canvas.polylines(_contour_segments(sigmas, deltas[1:], side[:, 1:], 0.0), color="#1f4e9c")
     return canvas.write(out_base + ".svg"), (sigmas, deltas, norms, side)
 
 
@@ -230,22 +225,16 @@ def figure_schwartz_slice(out_base, resolution=256, extent=3.2, fmt="csv"):
     existence region of the character equations and the non-regular locus."""
     w = schwartz_point()
     xs = np.linspace(-extent, extent, resolution)
-    rows = []
-    F = np.zeros((resolution, resolution))
-    E = np.zeros((resolution, resolution))
-    for i, x in enumerate(xs):
-        for j, y in enumerate(xs):
-            z = complex(x, y)
-            F[i, j] = goldman_f(z)
-            E[i, j] = char_P(z, w) - char_Q(z, w) ** 2 / 4.0
-            rows.append((x, y, F[i, j], E[i, j]))
+    z = np.empty((resolution, resolution), dtype=complex)
+    z.real, z.imag = xs[:, None], xs[None, :]
+    F = goldman_f(z)
+    E = char_P(z, w) - char_Q(z, w) ** 2 / 4.0
     if fmt == "csv":
+        rows = _grid_rows(xs, xs, F, E)
         return write_csv(out_base + ".csv", ["re_z", "im_z", "f", "existence"], rows), (xs, F, E)
     canvas = SvgCanvas(-extent, extent, -extent, extent)
-    for seg in _contour_segments(xs, xs, F, 0.0):
-        canvas.polyline(seg)
-    for seg in _contour_segments(xs, xs, E, 0.0):
-        canvas.polyline(seg, color="#b02020")
+    canvas.polylines(_contour_segments(xs, xs, F, 0.0))
+    canvas.polylines(_contour_segments(xs, xs, E, 0.0), color="#b02020")
     return canvas.write(out_base + ".svg"), (xs, F, E)
 
 

@@ -84,9 +84,12 @@ def verify_su21(M, space: HermitianSpace, tol=None):
     return (unit_res <= tol * scale and det_res <= tol * scale, unit_res, det_res)
 
 
-def goldman_f(z: complex) -> float:
-    """f(z) = |z|^4 - 8 Re(z^3) + 18 |z|^2 - 27; invariant under z -> wz, w^3=1."""
-    z = complex(z)
+def goldman_f(z):
+    """f(z) = |z|^4 - 8 Re(z^3) + 18 |z|^2 - 27; invariant under z -> wz, w^3=1.
+
+    A scalar gives a float, an array an array of f elementwise.
+    """
+    z = complex(z) if np.ndim(z) == 0 else np.asarray(z, dtype=complex)
     return abs(z) ** 4 - 8.0 * (z**3).real + 18.0 * abs(z) ** 2 - 27.0
 
 

@@ -223,25 +223,33 @@ def _plane_basis(p: HVec, r: HVec):
     return np.stack([p.v, r.v], axis=0)
 
 
+def _null_circles(B, J):
+    """Null circles of the planes spanned by the row pairs of B (..., 2, 3).
+
+    Uses the eigenbasis of each restricted form: with eigenvalues
+    lam+ > 0 > lam-, the null points are em + rho e^{it} ep,
+    rho = sqrt(-lam- / lam+).  Returns (em, ep, rho, keep); keep is False
+    where the form is definite or degenerate and the line misses the ball.
+    """
+    evals, evecs = np.linalg.eigh(B.conj() @ J @ np.swapaxes(B, -1, -2))
+    scale = 1e-14 * np.abs(evals).max(axis=-1)
+    keep = (evals[..., 0] < -scale) & (evals[..., 1] > scale)
+    em = (evecs[..., None, :, 0] @ B)[..., 0, :]
+    ep = (evecs[..., None, :, 1] @ B)[..., 0, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho = np.sqrt(-evals[..., 0] / evals[..., 1])
+    return em, ep, rho, keep
+
+
 def boundary_circle_of_plane(p: HVec, r: HVec):
     """Parametrization t -> representatives of (span(p, r) /\\ null cone).
 
     Returns None when the complex line through [p], [r] misses the closed
-    ball.  Uses the eigenbasis of the restricted form: with eigenvalues
-    lam+ > 0 > lam-, the null points are e- + rho e^{it} e+.
+    ball.
     """
-    J = p.space.J
-    B = _plane_basis(p, r)  # rows span the plane
-    G = B.conj() @ J @ B.T  # 2x2 restricted Hermitian form
-    evals, evecs = np.linalg.eigh(G)
-    if evals[0] >= -1e-14 * abs(evals).max():
-        return None  # definite or degenerate: no interior circle
-    lam_m, lam_p = evals[0], evals[1]
-    if lam_p <= 1e-14 * abs(evals).max():
+    em, ep, rho, keep = _null_circles(_plane_basis(p, r), p.space.J)
+    if not keep:
         return None
-    em = evecs[:, 0] @ B
-    ep = evecs[:, 1] @ B
-    rho = math.sqrt(-lam_m / lam_p)
 
     def circle(ts):
         phase = rho * np.exp(1j * np.atleast_1d(ts))
@@ -304,17 +312,21 @@ class DiskProjection:
 
 
 def spinal_samples(b: Bisector, n_alpha=96, n_t=48):
-    """Representatives covering the spinal surface, by extor slices."""
-    out = []
-    for alpha in np.exp(1j * np.linspace(0, 2 * math.pi, n_alpha, endpoint=False)):
-        pole = HVec(b.q.v - alpha * b.p.v, b.p.space)
-        circ = slice_boundary_circle(pole)
-        if circ is None:
-            continue
-        out.append(circ(np.linspace(0, 2 * math.pi, n_t, endpoint=False)))
-    if not out:
+    """Representatives covering the spinal surface, by extor slices.
+
+    Slice alpha is the polar line of q - alpha p, and its boundary circle is
+    found as in `slice_boundary_circle`, for all alphas at once with one
+    stacked svd and one stacked eigh.  Slices missing the ball are skipped.
+    """
+    J = b.p.space.J
+    alphas = np.exp(1j * np.linspace(0, 2 * math.pi, n_alpha, endpoint=False))
+    poles = b.q.v - alphas[:, None] * b.p.v
+    _, _, vh = np.linalg.svd(poles.conj()[:, None, :] @ J)
+    em, ep, rho, keep = _null_circles(vh[:, 1:].conj(), J)
+    if not keep.any():
         raise GeometryError("spinal surface sampling found no boundary points")
-    return np.concatenate(out, axis=0)
+    phase = rho[keep, None] * np.exp(1j * np.linspace(0, 2 * math.pi, n_t, endpoint=False))
+    return (em[keep, None, :] + phase[:, :, None] * ep[keep, None, :]).reshape(-1, 3)
 
 
 def project_bisector(chart: VisualChart, b: Bisector, n_boundary=1024, tol=None) -> DiskProjection:

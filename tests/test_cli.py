@@ -113,6 +113,29 @@ def test_sweep_across_the_wall(tmp_path):
     assert len(os.listdir(tmp_path)) == 3
 
 
+def test_sweep_keeps_other_parameters_on_error(tmp_path, monkeypatch):
+    import crlab.cli
+    from crlab.core import GeometryError
+
+    real_verify = crlab.cli.verify
+
+    def verify(alpha2, **kwargs):
+        if abs(alpha2 - 0.7) < 1e-9:
+            raise GeometryError("face family failed")
+        return real_verify(alpha2, **kwargs)
+
+    monkeypatch.setattr(crlab.cli, "verify", verify)
+    code, out, _ = run_cli(
+        ["verify", "--sweep", "0.6:0.9:0.1", "--grid", "64", "--workers", "1", "--out", str(tmp_path)]
+    )
+    assert code == 1
+    lines = out.splitlines()
+    assert len(lines) == 3
+    assert lines[1] == "alpha2=0.69999999999999996: error (face family failed)"
+    assert "slope 1/-3" in lines[0] and "slope 1/-3" in lines[2]
+    assert len(os.listdir(tmp_path)) == 2
+
+
 def test_figure_determinism(tmp_path):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     for d in (d1, d2):

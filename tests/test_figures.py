@@ -1,0 +1,118 @@
+"""The figures' array kernels against the per-cell and per-value loops they
+replace, kept here as oracles."""
+
+import math
+
+import numpy as np
+import pytest
+
+from crlab.bisector import classify_bisector
+from crlab.core import HVec
+from crlab.family import FamilyParams, FamilyRep, alpha2_for_length, alpha2_for_order, trace_ts_inv
+from crlab.figures import _contour_segments, write_csv
+from crlab.isometry import goldman_f
+from crlab.verify import FaceFamily
+from crlab.visual import slice_boundary_circle, spinal_samples
+
+
+def contour_segments_loop(xs, ys, Z, level):
+    F = Z - level
+    segs = []
+    n, m = F.shape
+    for i in range(n - 1):
+        for j in range(m - 1):
+            corners = [
+                (xs[i], ys[j], F[i, j]),
+                (xs[i + 1], ys[j], F[i + 1, j]),
+                (xs[i + 1], ys[j + 1], F[i + 1, j + 1]),
+                (xs[i], ys[j + 1], F[i, j + 1]),
+            ]
+            pts = []
+            for k in range(4):
+                x1, y1, f1 = corners[k]
+                x2, y2, f2 = corners[(k + 1) % 4]
+                if (f1 > 0) != (f2 > 0):
+                    t = f1 / (f1 - f2)
+                    pts.append(complex(x1 + t * (x2 - x1), y1 + t * (y2 - y1)))
+            if len(pts) >= 2:
+                segs.append(pts[:2])
+    return segs
+
+
+def _contour_cases():
+    rng = np.random.default_rng(11)
+    for n, m in ((2, 2), (7, 5), (31, 40)):
+        xs, ys = np.sort(rng.uniform(-3, 3, n)), np.sort(rng.uniform(-2, 2, m))
+        yield xs, ys, rng.standard_normal((n, m)), 0.0
+        # exact zeros on the grid
+        yield xs, ys, rng.integers(-1, 2, (n, m)).astype(float), 0.0
+        # the level equal to grid values
+        Z = rng.integers(0, 4, (n, m)) / 2.0
+        yield xs, ys, Z, 1.0
+        yield xs, ys, Z, float(Z[0, 0])
+    th = np.linspace(-math.pi, math.pi, 36, endpoint=False)
+    G = np.cos(th[:, None]) + np.cos(th[None, :]) + np.cos(th[None, :] - th[:, None])
+    yield th, th, G, -1.5
+    yield th, th, G, 0.5
+
+
+@pytest.mark.parametrize("case", range(14))
+def test_contour_segments_match_loop(case):
+    xs, ys, Z, level = list(_contour_cases())[case]
+    new = _contour_segments(xs, ys, Z, level)
+    assert new.shape[1:] == (2,)
+    assert new.tolist() == contour_segments_loop(xs, ys, Z, level)
+
+
+def test_write_csv_matches_per_value_format(tmp_path):
+    rng = np.random.default_rng(3)
+    special = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 2.2e-308, 1.0, 3, -1e300]
+    rows = np.concatenate([np.reshape(special, (-1, 2)), rng.standard_normal((40, 2)) * 1e3])
+    path = write_csv(str(tmp_path / "t.csv"), ["a", "b"], rows)
+    lines = ["a,b"] + [",".join("%.17g" % float(x) for x in row) for row in rows.tolist()]
+    with open(path, "rb") as fh:
+        assert fh.read() == ("\n".join(lines) + "\n").encode()
+
+
+def test_trace_ts_inv_matches_rep():
+    rng = np.random.default_rng(5)
+    a1 = rng.uniform(-math.pi / 2 + 1e-3, math.pi / 2 - 1e-3, 200)
+    a2 = rng.uniform(-math.pi / 2, math.pi / 2, 200)
+    got = trace_ts_inv(a1, a2)
+    want = [np.trace(FamilyRep(FamilyParams(x, y)).V.M) for x, y in zip(a1, a2)]
+    assert np.abs(got - want).max() <= 1e-13
+    a2 = np.linspace(-math.pi / 2, math.pi / 2, 101)
+    assert np.abs(trace_ts_inv(0.0, a2) - 8 * np.cos(a2) ** 2).max() <= 1e-14
+
+
+def test_goldman_f_arrays_and_scalars():
+    rng = np.random.default_rng(9)
+    z = rng.uniform(-4, 4, 300) + 1j * rng.uniform(-4, 4, 300)
+    for w in z[:20].tolist():
+        # scalar path: the formula on Python complex, bit for bit
+        assert goldman_f(w) == abs(w) ** 4 - 8.0 * (w**3).real + 18.0 * abs(w) ** 2 - 27.0
+    scalars = np.array([goldman_f(w) for w in z.tolist()])
+    assert goldman_f(z).shape == z.shape
+    assert np.allclose(goldman_f(z), scalars, rtol=1e-12, atol=1e-12)
+    assert goldman_f(z.reshape(20, 15)).shape == (20, 15)
+
+
+def spinal_samples_loop(b, n_alpha, n_t):
+    out = []
+    for alpha in np.exp(1j * np.linspace(0, 2 * math.pi, n_alpha, endpoint=False)):
+        circ = slice_boundary_circle(HVec(b.q.v - alpha * b.p.v, b.p.space))
+        if circ is not None:
+            out.append(circ(np.linspace(0, 2 * math.pi, n_t, endpoint=False)))
+    return np.concatenate(out, axis=0)
+
+
+@pytest.mark.parametrize("alpha2", [alpha2_for_order(9), alpha2_for_order(20), alpha2_for_length(1.0)])
+def test_spinal_samples_match_slice_loop(alpha2, ball):
+    ff = FaceFamily(alpha2, grid_n=64)
+    bisectors = [ff.bisector_plus(1), ff.bisector_minus(2)]
+    bisectors.append(classify_bisector(HVec([0, 0, 1.0], ball), HVec([math.sinh(1.2), 0, math.cosh(1.2)], ball)))
+    for b in bisectors:
+        for n_alpha, n_t in ((96, 48), (37, 5)):
+            got, want = spinal_samples(b, n_alpha, n_t), spinal_samples_loop(b, n_alpha, n_t)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-14

@@ -24,3 +24,10 @@ def test_verify_takes_its_side_from_family():
     tree = ast.parse((SRC / "verify.py").read_text())
     names = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names}
     assert names.isdisjoint({"elliptic_type", "classify"})
+
+
+def test_figures_build_no_representation():
+    # figures evaluate closed forms on whole grids, never a FamilyRep per cell
+    tree = ast.parse((SRC / "figures.py").read_text())
+    names = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names}
+    assert names.isdisjoint({"FamilyRep", "FamilyParams"})
