@@ -202,10 +202,9 @@ def figure_spinal_trace(out_base, alpha2=0.7, resolution=361, fmt="csv"):
     """Curves on the intersection torus of two neighbouring bisectors: the
     locus inside the closed ball and the crossing loci with the third extor."""
     ff = FaceFamily(alpha2, grid_n=resolution)
-    sigmas, deltas, V = ff.torus_minus.sigma_delta_grid(resolution, delta0(ff.alpha2))
-    sp = ff.space
-    norms = sp.norm_grid(V)
-    side = np.abs(sp.inner_grid(ff.pts.p_U.v, V)) ** 2 - np.abs(sp.inner_grid(ff.pts.p_V.v, V)) ** 2
+    grid = ff.torus_minus.sigma_delta(resolution, delta0(ff.alpha2))
+    sigmas, deltas, norms = grid.sigmas, grid.deltas, grid.norm
+    side = grid.abs2(ff.pts.p_U.v) - grid.abs2(ff.pts.p_V.v)
     if fmt == "csv":
         rows = _grid_rows(sigmas, deltas, norms, side)
         return (

@@ -39,7 +39,7 @@ from .family import (
     param_side,
     remarkable_points,
 )
-from .bisector import GiraudTorus, classify_bisector
+from .bisector import GiraudTorus, TorusGrid, classify_bisector
 from .visual import (
     VisualChart,
     angle_between,
@@ -211,10 +211,6 @@ def delta0(alpha2: float) -> float:
 # small shared helpers
 
 
-def _unit_rows(V):
-    return V / np.linalg.norm(V, axis=-1, keepdims=True)
-
-
 def _chordal(V, p: HVec):
     """Projective chordal distance of unit rows V to the class of p."""
     pn = p.unit().v
@@ -222,26 +218,34 @@ def _chordal(V, p: HVec):
     return np.sqrt(np.maximum(0.0, 1.0 - np.minimum(overlap, 1.0) ** 2))
 
 
-def _two_point_exclusion(V, norms, excess, targets, step_scale, vertex_radius=0.08):
-    """Common pattern: on the locus {norms <= 0}, the positive function
-    `excess` may vanish only near the target points.
+def _two_point_exclusion(grid, excess, targets, res, key, vertex_radius=0.08):
+    """Common pattern: on the ball locus of a TorusGrid, the positive
+    function `excess` (given at the ball cells) may vanish only near the
+    named target points.
 
-    Returns (passed, margin outside the vertex balls, worst distance of a
-    locus point to its nearest target, per-target minimal distances).
+    Records the margin outside the vertex balls as res.margins[key], and a
+    note naming the vertex-presence gate when that gate alone fails.
+    Returns (passed, per-target minimal distances).
     """
-    mask = norms <= 0.0
-    if not mask.any():
-        return False, math.inf, math.inf, [math.inf] * len(targets)
-    Vm = _unit_rows(V[mask])
-    dists = np.stack([_chordal(Vm, t) for t in targets], axis=0)
-    dmin = dists.min(axis=0)
-    target_min = [float(d.min()) for d in dists]
-    outside = dmin > vertex_radius
-    exc = excess[mask]
-    margin = float(exc[outside].min()) if outside.any() else math.inf
-    present = all(d <= max(4.0 * step_scale, 0.02) for d in target_min)
-    passed = present and (not outside.any() or margin > 0.0)
-    return passed, margin, float(dmin.max()), target_min
+    step = 2.0 * math.pi / len(grid.sigmas)
+    radius = max(4.0 * step, 0.02)
+    if grid.ball.any():
+        dists = np.stack([_chordal(grid.ball_points, t) for t in targets.values()])
+        outside = dists.min(axis=0) > vertex_radius
+        margin = float(excess[outside].min()) if outside.any() else math.inf
+        target_min = [float(d.min()) for d in dists]
+    else:
+        outside, margin, target_min = False, math.inf, [math.inf] * len(targets)
+    present = all(d <= radius for d in target_min)
+    passed = present and (not np.any(outside) or margin > 0.0)
+    res.margins[key] = margin
+    if not present and margin > 0.0:
+        found = ", ".join(f"{nm} at {d:.3e}" for nm, d in zip(targets, target_min))
+        res.notes.append(
+            f"{key}: vertex-presence gate failed: nearest sampled locus point to "
+            f"{found}; threshold max(4*step, 0.02) = {radius:.3e}"
+        )
+    return passed, target_min
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +312,7 @@ def incidence_check(ff: FaceFamily) -> CheckResult:
 
 def tf_check(ff: FaceFamily) -> CheckResult:
     res = CheckResult("tf", True)
-    pts, sp, J, a2 = ff.pts, ff.space, ff.space.J, ff.alpha2
+    pts, sp, a2 = ff.pts, ff.space, ff.alpha2
     cos2 = math.cos(a2) ** 2
     sin_a2 = math.sin(a2)
     n = ff.grid_n
@@ -316,26 +320,21 @@ def tf_check(ff: FaceFamily) -> CheckResult:
     # --- (a) real-plane part: the two closed-form squared moduli and the
     # resulting exclusion 2s^2 - r >= 3 s^2 on the norm <= 0 half.
     rng = np.random.default_rng(20260810)
-    rs = rng.uniform(-5.0, 5.0, size=(64, 2))
-    worst_rp = 0.0
-    for r, s in rs:
-        q = HVec([r, 1j * math.sqrt(2.0) * s, 1.0], ff.space)
-        lhs_u = abs(inner(pts.p_U, q)) ** 2
-        rhs_u = r * r + s * s + 1.0 + 2.0 * r * (2.0 * cos2 - 1.0) + 2.0 * (r - 1.0) * s * sin_a2
-        lhs_w = abs(inner(pts.p_W, q)) ** 2
-        rhs_w = (8.0 * cos2 + 1.0) * s * s + r * r + 2.0 * (r - 1.0) * s * sin_a2 - 2.0 * r + 1.0
-        worst_rp = max(worst_rp, abs(lhs_u - rhs_u), abs(lhs_w - rhs_w))
-        # equality locus is 4 cos^2 (2 s^2 - r)
-        diff = lhs_w - lhs_u
-        worst_rp = max(worst_rp, abs(diff - 4.0 * cos2 * (2.0 * s * s - r)))
+    r, s = rng.uniform(-5.0, 5.0, size=(64, 2)).T
+    Q = np.stack([r, 1j * math.sqrt(2.0) * s, np.ones_like(r)], axis=-1)
+    lhs_u = np.abs(sp.inner_grid(pts.p_U.v, Q)) ** 2
+    rhs_u = r * r + s * s + 1.0 + 2.0 * r * (2.0 * cos2 - 1.0) + 2.0 * (r - 1.0) * s * sin_a2
+    lhs_w = np.abs(sp.inner_grid(pts.p_W.v, Q)) ** 2
+    rhs_w = (8.0 * cos2 + 1.0) * s * s + r * r + 2.0 * (r - 1.0) * s * sin_a2 - 2.0 * r + 1.0
+    # equality locus is 4 cos^2 (2 s^2 - r)
+    locus = lhs_w - lhs_u - 4.0 * cos2 * (2.0 * s * s - r)
+    worst_rp = float(np.abs([lhs_u - rhs_u, lhs_w - rhs_w, locus]).max())
     res.residuals["rplane_identities"] = worst_rp
     # the line with third coordinate 0 never meets the locus
-    worst_line = math.inf
-    for r in np.linspace(-6, 6, 41):
-        q = HVec([r, 1j * math.sqrt(2.0), 0.0], ff.space)
-        worst_line = min(
-            worst_line, abs(inner(pts.p_W, q)) ** 2 - abs(inner(pts.p_U, q)) ** 2
-        )
+    r = np.linspace(-6, 6, 41)
+    L = np.stack([r, np.full(r.shape, 1j * math.sqrt(2.0)), np.zeros_like(r)], axis=-1)
+    gap = np.abs(sp.inner_grid(pts.p_W.v, L)) ** 2 - np.abs(sp.inner_grid(pts.p_U.v, L)) ** 2
+    worst_line = float(gap.min())
     res.margins["rplane_ideal_line_gap"] = worst_line  # equals 8 cos^2 alpha2
     rp_ok = worst_rp <= 1e-8 and worst_line > 0
 
@@ -356,42 +355,38 @@ def tf_check(ff: FaceFamily) -> CheckResult:
     # --- (c) torus part
     torus = ff.torus_minus
     d0 = delta0(a2)
-    _, deltas, Vu = torus.sigma_delta_grid(n, d0)
-    norms = sp.norm_grid(Vu)
-    s_plus = np.abs(sp.inner_grid(pts.p_U.v, Vu)) ** 2 - np.abs(sp.inner_grid(pts.p_V.v, Vu)) ** 2
-    step = 2.0 * math.pi / n
-    passed_c, margin_c, _, targets_min = _two_point_exclusion(
-        Vu, norms, s_plus, [pts.p_A, pts.p_B], step
+    grid = torus.sigma_delta(n, d0)
+    s_plus = grid.ball_abs2(pts.p_U.v) - grid.ball_abs2(pts.p_V.v)
+    passed_c, targets_min = _two_point_exclusion(
+        grid, s_plus, {"p_A": pts.p_A, "p_B": pts.p_B}, res, "torus_exclusion"
     )
-    res.margins["torus_exclusion"] = margin_c
     res.residuals["vertex_pA_distance"] = targets_min[0]
     res.residuals["vertex_pB_distance"] = targets_min[1]
-    res.counts["torus_ball_points"] = int((norms <= 0).sum())
+    mask = grid.ball
+    res.counts["torus_ball_points"] = int(mask.sum())
     # interval structure: in each delta-column the ball locus is one
     # circular run, i.e. has at most one run start
-    mask = norms <= 0.0
     runs_bad = int(((mask & ~np.roll(mask, 1, axis=0)).sum(axis=0) > 1).sum())
     res.counts["torus_noninterval_columns"] = runs_bad
 
     # derivative factorization: d h / d sigma = -12 sin(sigma) (2 cos(2 a2 - d) - cos d)
-    # for the norm rescaled by the common 2 cos^2 a2 factor of the box products
-    a, b, c = torus.qr, torus.pr, torus.qp
-    worst_d = 0.0
-    for dl in np.linspace(d0 + 0.15, d0 + math.pi - 0.15, 7):
-        for sg in np.linspace(0.1, 2 * math.pi - 0.1, 15):
-            th, ph = sg + dl, sg - dl
-            v = a - cmath.exp(-1j * th) * b - cmath.exp(-1j * ph) * c
-            dv = 1j * (cmath.exp(-1j * th) * b + cmath.exp(-1j * ph) * c)
-            dh = 2.0 * (v.conj() @ J @ dv).real / (2.0 * cos2)
-            closed = -12.0 * math.sin(sg) * (2.0 * math.cos(2 * a2 - dl) - math.cos(dl))
-            worst_d = max(worst_d, abs(dh - closed))
+    # for the norm rescaled by the common 2 cos^2 a2 factor of the box products;
+    # h = A - 2 Re(e^{-i sigma} C) gives d h / d sigma = -2 Im(e^{-i sigma} C)
+    dls = np.linspace(d0 + 0.15, d0 + math.pi - 0.15, 7)
+    sgs = np.linspace(0.1, 2 * math.pi - 0.1, 15)
+    _, C = torus.norm_terms(dls)
+    dh = -2.0 * (np.exp(-1j * sgs)[:, None] * C).imag / (2.0 * cos2)
+    closed = -12.0 * np.sin(sgs)[:, None] * (2.0 * np.cos(2 * a2 - dls) - np.cos(dls))
+    worst_d = float(np.abs(dh - closed).max())
     res.residuals["dh_dsigma_factorization"] = worst_d
 
-    # complex-line locus on the torus sits at delta = delta0 mod pi
+    # complex-line locus on the torus sits at delta = delta0 mod pi: the
+    # columns at delta0 and delta0 + pi/2
     lpole = np.array([sin_a2, -1j * math.sqrt(2.0) / 2.0, -sin_a2])
-    on_line = np.abs(sp.inner_grid(lpole, Vu))
+    cols = TorusGrid(torus, grid.sigmas, grid.deltas[[0, len(grid.deltas) // 2]])
+    on_line = np.sqrt(cols.abs2(lpole))
     col_d0 = float(on_line[:, 0].max())
-    col_mid = float(on_line[:, len(deltas) // 2].min())
+    col_mid = float(on_line[:, 1].min())
     res.residuals["cline_locus_at_delta0"] = col_d0
     res.margins["cline_locus_off_delta0"] = col_mid
 
@@ -486,7 +481,7 @@ def lc_check(ff: FaceFamily) -> CheckResult:
     from .bisector import symmetric_intersection_type, SymmetricKind
 
     res = CheckResult("lc", True)
-    pts, sp = ff.pts, ff.space
+    pts = ff.pts
     a2 = ff.alpha2
     n = ff.grid_n
     u = (2.0 / 3.0) * (4.0 * math.cos(a2) ** 2 - 3.0)
@@ -504,35 +499,27 @@ def lc_check(ff: FaceFamily) -> CheckResult:
 
     # F_0^- /\ F_-1^- == {p_A, p_B} on the torus grid (common constraint
     # |<z,p_U>| <= |<z,p_V>| must fail off the vertices)
-    _, _, V = ff.torus_minus.sigma_delta_grid(n, 0.0)
-    norms = sp.norm_grid(V)
-    excess_minus = np.abs(sp.inner_grid(pts.p_U.v, V)) ** 2 - np.minimum.reduce(
-        [
-            np.abs(sp.inner_grid(w.v, V)) ** 2
-            for w in (pts.p_V, ff.U.apply(pts.p_V), ff.U.inv().apply(pts.p_V))
-        ]
+    grid = ff.torus_minus.sigma_delta(n, 0.0)
+    excess_minus = grid.ball_abs2(pts.p_U.v) - np.minimum.reduce(
+        [grid.ball_abs2(w.v) for w in (pts.p_V, ff.U.apply(pts.p_V), ff.U.inv().apply(pts.p_V))]
     )
-    step = 2.0 * math.pi / n
-    ok_mm, margin_mm, _, tmin = _two_point_exclusion(
-        V, norms, excess_minus, [pts.p_A, pts.p_B], step
+    ok_mm, _ = _two_point_exclusion(
+        grid, excess_minus, {"p_A": pts.p_A, "p_B": pts.p_B}, res, "faces_minus_minus"
     )
-    res.margins["faces_minus_minus"] = margin_mm
 
     # F_0^+ /\ F_1^+ == {p_B, U p_A}
     torus_pp = GiraudTorus(pts.p_U, pts.p_V, ff.U.apply(pts.p_V), ff.tol)
-    _, _, V2 = torus_pp.sigma_delta_grid(n, 0.0)
-    norms2 = sp.norm_grid(V2)
+    grid2 = torus_pp.sigma_delta(n, 0.0)
     pu2b, w_pW, w_UipW, w_UpW = (
-        np.abs(sp.inner_grid(w.v, V2)) ** 2
+        grid2.ball_abs2(w.v)
         for w in (pts.p_U, pts.p_W, ff.U.inv().apply(pts.p_W), ff.U.apply(pts.p_W))
     )
     exc_f0 = pu2b - np.minimum(w_pW, w_UipW)  # fails F_0^+
     exc_f1 = pu2b - np.minimum(w_UpW, w_pW)  # fails F_1^+
     excess_pp = np.maximum(exc_f0, exc_f1)
-    ok_pp, margin_pp, _, tmin2 = _two_point_exclusion(
-        V2, norms2, excess_pp, [pts.p_B, ff.U.apply(pts.p_A)], step
+    ok_pp, _ = _two_point_exclusion(
+        grid2, excess_pp, {"p_B": pts.p_B, "U p_A": ff.U.apply(pts.p_A)}, res, "faces_plus_plus"
     )
-    res.margins["faces_plus_plus"] = margin_pp
 
     # fan parameter: the singular focus must sit strictly inside the
     # quadrilateral's boundary arc on its slice circle
@@ -549,27 +536,21 @@ def _fan_focus_check(ff: FaceFamily, res: CheckResult) -> bool:
     circle through the two neighbouring vertices."""
     pts = ff.pts
     sp = ff.space
-    worst = 0.0
     thetas = np.linspace(0.0, 2.0 * math.pi, 1441)
-    vals_u, vals_w, vals_uw = [], [], []
-    UipW = ff.U.inv().apply(pts.p_W)
-    for th in thetas:
-        q = HVec([1.0, math.sqrt(2.0) * cmath.exp(1j * th), -1.0], sp)
-        mu = abs(inner(pts.p_U, q)) ** 2
-        mw = abs(inner(pts.p_W, q)) ** 2
-        muw = abs(inner(UipW, q)) ** 2
-        worst = max(worst, abs(mu - 2.0 * (1.0 + math.sin(th))))
-        worst = max(
-            worst, abs(mw - (6.0 * math.sqrt(3.0) * math.cos(th) + 2.0 * math.sin(th) + 11.0))
-        )
-        worst = max(
-            worst, abs(muw - (-6.0 * math.sqrt(3.0) * math.cos(th) + 2.0 * math.sin(th) + 11.0))
-        )
-        vals_u.append(mu)
-        vals_w.append(mw)
-        vals_uw.append(muw)
+    ones = np.ones_like(thetas)
+    Q = np.stack([ones, math.sqrt(2.0) * np.exp(1j * thetas), -ones], axis=-1)
+    mu, mw, muw = (
+        np.abs(sp.inner_grid(w.v, Q)) ** 2 for w in (pts.p_U, pts.p_W, ff.U.inv().apply(pts.p_W))
+    )
+    c, s = np.cos(thetas), np.sin(thetas)
+    identities = [
+        mu - 2.0 * (1.0 + s),
+        mw - (6.0 * math.sqrt(3.0) * c + 2.0 * s + 11.0),
+        muw - (-6.0 * math.sqrt(3.0) * c + 2.0 * s + 11.0),
+    ]
+    worst = float(np.abs(identities).max())
     res.residuals["fan_circle_identities"] = worst
-    member = np.array(vals_u) <= np.minimum(vals_w, vals_uw) + 1e-12
+    member = mu <= np.minimum(mw, muw) + 1e-12
     # the arc containing the focus theta = 3 pi / 2
     i_f = int(np.argmin(np.abs(thetas - 1.5 * math.pi)))
     if not member[i_f]:

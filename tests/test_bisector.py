@@ -22,6 +22,7 @@ from crlab.bisector import (
     symmetric_intersection_type,
 )
 from crlab.family import FamilyParams, remarkable_points
+from crlab.verify import FaceFamily, delta0
 
 
 def ball_rotation3():
@@ -270,3 +271,48 @@ def test_grid_scan_csv_rows(pts07):
     assert len(rows) == 64
     th, ph, nm = rows[9]
     assert nm == pytest.approx(gt.sample(th, ph).norm, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("at_delta0", [False, True])
+def test_torus_grid_matches_materialized_grid(n, at_delta0):
+    # oracle: build every (sigma, delta) point with torus.vectors, normalize
+    # the rows and apply the pointwise form kernel
+    from crlab.verify import FaceFamily, delta0
+
+    rng = np.random.default_rng(41 + n)
+    for a2 in rng.uniform(0.05, 1.5, 3):
+        ff = FaceFamily(float(a2), grid_n=n)
+        pts, sp, U = ff.pts, ff.space, ff.U
+        d0 = delta0(ff.alpha2) if at_delta0 else 0.0
+        for torus in (ff.torus_minus, GiraudTorus(pts.p_U, pts.p_V, U.apply(pts.p_V), ff.tol)):
+            grid = torus.sigma_delta(n, d0)
+            sigmas = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+            deltas = d0 + np.linspace(0.0, math.pi, n // 2, endpoint=False)
+            assert np.array_equal(grid.sigmas, sigmas) and np.array_equal(grid.deltas, deltas)
+            V = torus.vectors(sigmas[:, None] + deltas, sigmas[:, None] - deltas)
+            V = V / np.linalg.norm(V, axis=-1, keepdims=True)
+            norms = sp.norm_grid(V)
+            assert np.abs(grid.norm - norms).max() <= 1e-12 * np.abs(norms).max()
+            clear = np.abs(norms) > 1e-9
+            assert np.array_equal(grid.ball[clear], norms[clear] <= 0.0)
+            Vm = V[grid.ball]
+            assert len(grid.ball_points) == len(Vm) > 0
+            overlap = np.abs(np.einsum("ik,ik->i", grid.ball_points.conj(), Vm))
+            assert np.abs(overlap - 1.0).max() <= 1e-12
+            for w in (pts.p_U, pts.p_V, pts.p_W, U.apply(pts.p_A)):
+                want = np.abs(sp.inner_grid(w.v, V)) ** 2
+                assert np.abs(grid.abs2(w.v) - want).max() <= 1e-12 * want.max()
+                want_m = np.abs(sp.inner_grid(w.v, Vm)) ** 2
+                assert np.abs(grid.ball_abs2(w.v) - want_m).max() <= 1e-12 * want.max()
+
+
+def test_torus_norm_terms_match_vectors(pts07):
+    # <V, V> = A - 2 Re(e^{-i sigma} C) at theta = sigma + delta, phi = sigma - delta
+    gt = GiraudTorus(pts07.p_U, pts07.p_V, pts07.p_W)
+    rng = np.random.default_rng(8)
+    sigmas, deltas = rng.uniform(0, 2 * math.pi, (2, 20))
+    A, C = gt.norm_terms(deltas)
+    got = A - 2.0 * (np.exp(-1j * sigmas) * C).real
+    want = gt.space.norm_grid(gt.vectors(sigmas + deltas, sigmas - deltas))
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

@@ -31,3 +31,38 @@ def test_figures_build_no_representation():
     tree = ast.parse((SRC / "figures.py").read_text())
     names = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names}
     assert names.isdisjoint({"FamilyRep", "FamilyParams"})
+
+
+# GiraudTorus methods that build torus points as arrays of 3-vectors
+TORUS_POINT_BUILDERS = {"vectors", "grid", "norms_grid", "ball_points"}
+
+
+def test_one_torus_grid_path():
+    # forms on torus grids come from TorusGrid in closed form; no module
+    # builds the (sigma, delta) grid of points, and verify/figures never put
+    # torus points through the pointwise form kernel
+    assert [p.name for p in sorted(SRC.glob("*.py")) if "sigma_delta_grid" in p.read_text()] == []
+    found = []
+    for name in ("verify.py", "figures.py"):
+        for fn in ast.walk(ast.parse((SRC / name).read_text())):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            torus_names = set()
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Assign) and _builds_torus_points(node.value):
+                    torus_names |= {n.id for t in node.targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            for node in ast.walk(fn):
+                if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                    continue
+                if node.func.attr not in ("norm_grid", "inner_grid"):
+                    continue
+                for arg in node.args:
+                    if _builds_torus_points(arg) or (isinstance(arg, ast.Name) and arg.id in torus_names):
+                        found.append(f"{name}:{node.lineno} {node.func.attr}")
+    assert found == []
+
+
+def _builds_torus_points(node) -> bool:
+    return any(
+        isinstance(n, ast.Attribute) and n.attr in TORUS_POINT_BUILDERS for n in ast.walk(node)
+    )

@@ -383,3 +383,71 @@ def test_incidence_printed_value(ff_lox):
     pts = ff_lox.pts
     val = inner(pts.p_B, ff_lox.U.apply(pts.p_V))
     assert abs(val - 1.0) < 1e-12
+
+
+def test_failed_vertex_presence_gate_is_named():
+    # every LC margin is positive at 1.4395 (grid 128); the check fails on
+    # the vertex-presence gate alone, and the note says so
+    lc = verify(1.4395, grid_n=128).lc
+    assert not lc.passed and min(lc.margins.values()) > 0
+    (note,) = lc.notes
+    assert note.startswith("faces_plus_plus: vertex-presence gate failed")
+    assert "p_B at 2.177e-01" in note and "U p_A at" in note
+    assert "threshold max(4*step, 0.02) = 1.963e-01" in note
+    # passing checks carry no such note
+    rep = verify(alpha2_for_order(9), grid_n=128)
+    assert rep.tf.passed and rep.lc.passed
+    assert not any("gate" in n for c in (rep.tf, rep.lc) for n in c.notes)
+
+
+@pytest.mark.parametrize("alpha2", [math.pi / 6, 0.7, alpha2_for_order(9)])
+def test_batched_residuals_match_per_sample_loops(alpha2):
+    # reference: the per-sample loops the batched form kernel replaced
+    ff = FaceFamily(alpha2, grid_n=64)
+    pts, a2 = ff.pts, ff.alpha2
+    cos2, sin_a2 = math.cos(a2) ** 2, math.sin(a2)
+    tf = tf_check(ff)
+    worst_rp = 0.0
+    for r, s in np.random.default_rng(20260810).uniform(-5.0, 5.0, size=(64, 2)):
+        q = HVec([r, 1j * math.sqrt(2.0) * s, 1.0], ff.space)
+        lhs_u, lhs_w = abs(inner(pts.p_U, q)) ** 2, abs(inner(pts.p_W, q)) ** 2
+        rhs_u = r * r + s * s + 1.0 + 2.0 * r * (2.0 * cos2 - 1.0) + 2.0 * (r - 1.0) * s * sin_a2
+        rhs_w = (8.0 * cos2 + 1.0) * s * s + r * r + 2.0 * (r - 1.0) * s * sin_a2 - 2.0 * r + 1.0
+        locus = lhs_w - lhs_u - 4.0 * cos2 * (2.0 * s * s - r)
+        worst_rp = max(worst_rp, abs(lhs_u - rhs_u), abs(lhs_w - rhs_w), abs(locus))
+    assert abs(tf.residuals["rplane_identities"] - worst_rp) <= 1e-12
+    gap = min(
+        abs(inner(pts.p_W, q)) ** 2 - abs(inner(pts.p_U, q)) ** 2
+        for q in (HVec([r, 1j * math.sqrt(2.0), 0.0], ff.space) for r in np.linspace(-6, 6, 41))
+    )
+    assert tf.margins["rplane_ideal_line_gap"] == pytest.approx(gap, rel=1e-12)
+    torus, d0 = ff.torus_minus, delta0(a2)
+    worst_d = 0.0
+    for dl in np.linspace(d0 + 0.15, d0 + math.pi - 0.15, 7):
+        for sg in np.linspace(0.1, 2 * math.pi - 0.1, 15):
+            v = torus.vectors(sg + dl, sg - dl)
+            dv = 1j * (np.exp(-1j * (sg + dl)) * torus.pr + np.exp(-1j * (sg - dl)) * torus.qp)
+            dh = 2.0 * (v.conj() @ ff.space.J @ dv).real / (2.0 * cos2)
+            closed = -12.0 * math.sin(sg) * (2.0 * math.cos(2 * a2 - dl) - math.cos(dl))
+            worst_d = max(worst_d, abs(dh - closed))
+    assert abs(tf.residuals["dh_dsigma_factorization"] - worst_d) <= 1e-12
+    if abs(a2 - math.pi / 6) > 1e-9:
+        return
+    lc = lc_check(ff)
+    UipW = ff.U.inv().apply(pts.p_W)
+    worst, member = 0.0, []
+    for th in np.linspace(0.0, 2.0 * math.pi, 1441):
+        q = HVec([1.0, math.sqrt(2.0) * np.exp(1j * th), -1.0], ff.space)
+        mu, mw, muw = (abs(inner(w, q)) ** 2 for w in (pts.p_U, pts.p_W, UipW))
+        worst = max(
+            worst,
+            abs(mu - 2.0 * (1.0 + math.sin(th))),
+            abs(mw - (6.0 * math.sqrt(3.0) * math.cos(th) + 2.0 * math.sin(th) + 11.0)),
+            abs(muw - (-6.0 * math.sqrt(3.0) * math.cos(th) + 2.0 * math.sin(th) + 11.0)),
+        )
+        member.append(mu <= min(mw, muw) + 1e-12)
+    assert abs(lc.residuals["fan_circle_identities"] - worst) <= 1e-12
+    # the arc through the focus theta = 3 pi / 2 runs from 7 pi / 6 to 11 pi / 6
+    assert member[1080] and not member[839] and not member[1321]
+    assert all(member[840:1321])
+    assert lc.margins["fan_focus_interior"] == pytest.approx(math.pi / 3, abs=1e-12)
