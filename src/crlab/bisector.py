@@ -138,9 +138,10 @@ class GiraudTorus:
 
     Points are [(q - e^{i theta} p) box (r - e^{i phi} p)], expanded as
     qr - e^{-i theta} pr - e^{-i phi} qp in the precomputed box products
-    qr = q box r, pr = p box r, qp = q box p.  `vectors` evaluates that
-    expansion pointwise; `sigma_delta` evaluates forms on the covering
-    (sigma, delta) grid in closed form, without building the grid points.
+    qr = q box r, pr = p box r, qp = q box p.  `vectors`, `point` and
+    `sample` evaluate that expansion at given angles; grids go only through
+    `sigma_delta`, which evaluates forms on the covering (sigma, delta) grid
+    in closed form, without building the grid points.
     """
 
     def __init__(self, p: HVec, q: HVec, r: HVec, tol=None):
@@ -171,16 +172,6 @@ class GiraudTorus:
     def sample(self, theta: float, phi: float) -> GiraudSample:
         pt = self.point(theta, phi)
         return GiraudSample(theta, phi, pt, pt.norm())
-
-    def grid(self, n: int):
-        """Vectorized (theta, phi) grid of torus points; returns (thetas, phis, V)
-        with V of shape (n, n, 3)."""
-        thetas = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-        return thetas, thetas, self.vectors(thetas[:, None], thetas[None, :])
-
-    def norms_grid(self, n: int):
-        thetas, phis, V = self.grid(n)
-        return thetas, phis, V, self.space.norm_grid(V)
 
     def delta_rows(self, deltas) -> np.ndarray:
         """B(delta) = e^{-i delta} pr + e^{i delta} qp, shape (len(deltas), 3):
@@ -383,27 +374,14 @@ def symmetric_intersection_type(p: HVec, q: HVec, r: HVec, tol=None) -> Symmetri
     return SymmetricIntersection(kind, float(u), k1, float(l1))
 
 
-def count_sublevel_components(u: float, n: int = TORUS_GRID_DEFAULT, refine: bool = True) -> int:
+def count_sublevel_components(u: float, n: int = TORUS_GRID_DEFAULT) -> int:
     """Components of {g < -3u/2} on the torus; 1 for a disk-type
     intersection, 2 for a torus-minus-two-disks one.
 
-    With refine set, the count is re-taken at TORUS_REFINE_FACTOR times the
-    resolution (where all the sign changes live) and the refined count wins
-    on disagreement.
+    Counted on the grid of TORUS_REFINE_FACTOR * n points a side.
     """
-    level = -1.5 * u
-
-    def _count(m):
-        th = np.linspace(0.0, 2 * math.pi, m, endpoint=False)
-        gg = level_g(th[:, None], th[None, :])
-        return periodic_components(gg < level)
-
-    c = _count(n)
-    if refine:
-        c2 = _count(TORUS_REFINE_FACTOR * n)
-        if c2 != c:
-            c = c2
-    return c
+    th = np.linspace(0.0, 2 * math.pi, TORUS_REFINE_FACTOR * n, endpoint=False)
+    return periodic_components(level_g(th[:, None], th[None, :]) < -1.5 * u)
 
 
 def brute_force_symmetric_kind(u: float, n: int = TORUS_GRID_DEFAULT) -> SymmetricKind:
@@ -442,13 +420,3 @@ def real_spine_endpoints(b: Bisector, tol=None):
         tau = s * base - math.atan2(c.imag, c.real)
         out.append(b.p + complex(math.cos(tau), math.sin(tau)) * b.q)
     return out[0], out[1]
-
-
-def grid_scan_csv(torus: GiraudTorus, n: int):
-    """Rows (theta, phi, norm) of a torus scan, for CSV export."""
-    thetas, phis, _, norms = torus.norms_grid(n)
-    rows = []
-    for i, th in enumerate(thetas):
-        for j, ph in enumerate(phis):
-            rows.append((float(th), float(ph), float(norms[i, j])))
-    return rows

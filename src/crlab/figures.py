@@ -182,7 +182,7 @@ def figure_disk_projection(out_base, n=20, boundary_points=512, fmt="csv"):
             b = classify_bisector(ff.pts.p_U, point, ff.tol)
             disk = project_bisector(ch, b, n_boundary=boundary_points, tol=ff.tol)
             curves[(sign, k)] = disk.boundary[np.isfinite(disk.boundary)]
-    marks = [ch(ff.U.power(k).apply(p)) for k in range(n) for p in (ff.pts.p_A, ff.pts.p_B)]
+    marks = [ch(ff.u_power_point(k, p)) for k in range(n) for p in (ff.pts.p_A, ff.pts.p_B)]
     if fmt == "csv":
         rows = [_labelled_rows(sign != "plus", k, vals) for (sign, k), vals in curves.items()]
         rows.append(_labelled_rows(2, np.arange(len(marks)), np.array(marks)))

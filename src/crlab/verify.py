@@ -39,10 +39,15 @@ from .family import (
     param_side,
     remarkable_points,
 )
-from .bisector import GiraudTorus, TorusGrid, classify_bisector
+from .bisector import (
+    GiraudTorus,
+    SymmetricKind,
+    TorusGrid,
+    classify_bisector,
+    symmetric_intersection_type,
+)
 from .visual import (
     VisualChart,
-    angle_between,
     angular_diameter,
     project_bisector,
     spinal_samples,
@@ -478,8 +483,6 @@ def _bitangency(ff: FaceFamily):
 
 
 def lc_check(ff: FaceFamily) -> CheckResult:
-    from .bisector import symmetric_intersection_type, SymmetricKind
-
     res = CheckResult("lc", True)
     pts = ff.pts
     a2 = ff.alpha2
@@ -620,27 +623,46 @@ def _tangency_pair_check(ff: FaceFamily, res: CheckResult) -> bool:
     return ok
 
 
+def cone_angles(ff: FaceFamily, ks) -> np.ndarray:
+    """Angles at p_U from the geodesic toward p_V to those toward U^k p_V
+    (column 0) and U^k p_W (column 1), shape (len(ks), 2), on the elliptic
+    side of order n.
+
+    U fixes p_U and scales its eigenvectors p_U', p_U'' by e^{i beta},
+    e^{-i beta} with beta = 2 pi / n, so <p_U, U^k x> = <p_U, x> and in the
+    orthonormal basis of the polar line that the normalized eigenvectors
+    give, the unit tangent direction toward U^k x is (c' e^{ik beta},
+    c'' e^{-ik beta}) for the direction (c', c'') toward x.  The angle is
+    2 atan2(|d - x|, |d + x|), which keeps its precision near pi.
+    """
+    pts = ff.pts
+
+    def direction(x: HVec) -> np.ndarray:
+        # rephased so that <p_U, x> is real negative, as in tangent_direction
+        c = np.array([inner(e, x) / math.sqrt(e.norm()) for e in (pts.p_U_prime, pts.p_U_dprime)])
+        c *= -inner(pts.p_U, x).conjugate()
+        return c / np.linalg.norm(c)
+
+    dirs = np.stack([direction(pts.p_V), direction(pts.p_W)])
+    z = np.exp(2j * math.pi / ff.side.n * np.asarray(ks))[:, None]
+    X = dirs * np.stack([z, z.conj()], axis=-1)
+    d = dirs[0]
+    return 2.0 * np.arctan2(np.linalg.norm(d - X, axis=-1), np.linalg.norm(d + X, axis=-1))
+
+
 def _cone_separation(ff: FaceFamily, res: CheckResult, n: int) -> bool:
     """Exact pairwise cone margins on the elliptic side: the direction cones
     of two bisectors are disjoint when their axes are separated by more
     than twice the cone radius."""
-    pts, U = ff.pts, ff.U
-    rho = angular_diameter(pts.p_U, pts.p_V, ff.tol) / 2.0
+    rho = angular_diameter(ff.pts.p_U, ff.pts.p_V, ff.tol) / 2.0
     res.residuals["value_cone_radius"] = rho
-    worst = math.inf
-    worst_pair = ""
-    for k in range(2, n - 1):
-        for nm, target in (("plus", pts.p_V), ("minus", pts.p_W)):
-            if nm == "minus" and k == n - 2:
-                continue  # vertex-contact pair, handled by the tangency check
-            j = k - n if k > n / 2 else k  # U^n = 1 projectively; U^j drifts less than U^k
-            sep = angle_between(pts.p_U, pts.p_V, U.power(j).apply(target))
-            m = sep - 2.0 * rho
-            if m < worst:
-                worst, worst_pair = m, f"k={k},{nm}"
-    res.margins["cone_separation"] = worst
-    res.notes.append(f"tightest cone pair: {worst_pair}")
-    return worst > 0.0
+    ks = np.arange(2, n - 1)
+    margins = cone_angles(ff, ks) - 2.0 * rho
+    margins[-1, 1] = math.inf  # k = n - 2, minus: the vertex-contact pair of the tangency check
+    i, j = np.unravel_index(np.argmin(margins), margins.shape)
+    res.margins["cone_separation"] = float(margins[i, j])
+    res.notes.append(f"tightest cone pair: k={ks[i]},{('plus', 'minus')[j]}")
+    return margins[i, j] > 0.0
 
 
 def gc_check_loxodromic(ff: FaceFamily) -> CheckResult:
@@ -696,22 +718,17 @@ def gc_check_loxodromic(ff: FaceFamily) -> CheckResult:
 
     # (e) separation bookkeeping across the window, from the measured
     # log-modulus ranges: translates shift by 2kl, the mirrored family is
-    # the reflection of the range
-    K = max(3, math.ceil(math.log(1e6) / (2.0 * length) + 2.0))
-    res.counts["window"] = K
+    # the reflection of the range.  Every gap grows with |k|, so the worst
+    # are the nearest translates: k = +-2 in the same family, and k = 2 and
+    # k = -3 in the cross family (range [-m_hi, -m_lo] + 2kl)
+    res.counts["window"] = max(3, math.ceil(math.log(1e6) / (2.0 * length) + 2.0))
     m_lo, m_hi = float(logs.min()), float(logs.max())
-    worst_sep = math.inf
-    for k in range(-K, K + 1):
-        if abs(k) >= 2:  # same family
-            if k > 0:
-                worst_sep = min(worst_sep, (m_lo + 2 * k * length) - m_hi)
-            else:
-                worst_sep = min(worst_sep, m_lo - (m_hi + 2 * k * length))
-        if k not in (-2, -1, 0, 1):  # cross family: range [-m_hi, -m_lo] + 2kl
-            if k >= 2:
-                worst_sep = min(worst_sep, (-m_hi + 2 * k * length) - m_hi)
-            else:
-                worst_sep = min(worst_sep, m_lo - (-m_lo + 2 * k * length))
+    worst_sep = min(
+        (m_lo + 4 * length) - m_hi,
+        m_lo - (m_hi - 4 * length),
+        (-m_hi + 4 * length) - m_hi,
+        m_lo - (-m_lo - 6 * length),
+    )
     res.margins["window_annulus_separation"] = worst_sep
     res.passed = bool(
         res.margins["exclusion_chain"] > 0
@@ -813,15 +830,12 @@ def gc_check_elliptic(ff: FaceFamily) -> CheckResult:
 
     # (e) rotated sectors stay disjoint away from the opposite band: the
     # complex-line projection identifies antipodal rays, so rotations with
-    # s near n/2 are left to the real cone margins of (c)
-    worst_rot = math.inf
-    sector_range = [s for s in range(2, n - 1) if s <= n / 2 - 2 or s >= n / 2 + 2]
-    for s in sector_range:
-        rot = 2.0 * s * beta
-        offset = abs(math.remainder(rot, 2.0 * math.pi))
-        worst_rot = min(worst_rot, offset - width)
+    # s near n/2 are left to the real cone margins of (c).  Over the checked
+    # s in [2, n - 2] with |s - n/2| >= 2, the rotation 2 s beta stays at
+    # least 4 beta away from 0 mod 2 pi, exactly 4 beta at s = 2
+    worst_rot = res.margins["sector_width_below_4beta"]
     res.margins["rotated_sector_gap"] = worst_rot
-    res.counts["sector_checked_powers"] = len(sector_range)
+    res.counts["sector_checked_powers"] = n - 6 - n % 2
     res.passed = bool(
         cert_ok and sector_ok and cone_ok and tang_ok
         and ratio > 4.0 and worst_rot > 0.0

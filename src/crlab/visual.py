@@ -24,6 +24,7 @@ from .core import (
     box,
     inner,
     locate,
+    proj_equal,
     tolerance,
 )
 from .bisector import Bisector, BisectorKind
@@ -338,14 +339,8 @@ def project_bisector(chart: VisualChart, b: Bisector, n_boundary=1024, tol=None)
     sampled polyline returned.
     """
     tol = tolerance(tol)
-    if not np.allclose(chart.base.unit().v, b.p.unit().v) and not np.allclose(
-        chart.base.unit().v, -b.p.unit().v
-    ):
-        # base may differ by phase; use projective comparison
-        from .core import proj_equal
-
-        if not proj_equal(chart.base, b.p, 1e-8):
-            raise GeometryError("chart base must be the bisector's first lift")
+    if not proj_equal(chart.base, b.p, 1e-8):
+        raise GeometryError("chart base must be the bisector's first lift")
     samples = spinal_samples(b)
     psi_samples = chart.values(samples)
 

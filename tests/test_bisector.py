@@ -263,16 +263,6 @@ def test_slice_points_on_extor(rep07, pts07):
     assert hits >= 4
 
 
-def test_grid_scan_csv_rows(pts07):
-    from crlab.bisector import grid_scan_csv
-
-    gt = GiraudTorus(pts07.p_U, pts07.p_V, pts07.p_W)
-    rows = grid_scan_csv(gt, 8)
-    assert len(rows) == 64
-    th, ph, nm = rows[9]
-    assert nm == pytest.approx(gt.sample(th, ph).norm, abs=1e-12)
-
-
 @pytest.mark.parametrize("n", [16, 64])
 @pytest.mark.parametrize("at_delta0", [False, True])
 def test_torus_grid_matches_materialized_grid(n, at_delta0):

@@ -34,7 +34,7 @@ def test_figures_build_no_representation():
 
 
 # GiraudTorus methods that build torus points as arrays of 3-vectors
-TORUS_POINT_BUILDERS = {"vectors", "grid", "norms_grid", "ball_points"}
+TORUS_POINT_BUILDERS = {"vectors", "ball_points"}
 
 
 def test_one_torus_grid_path():

@@ -7,10 +7,14 @@ import pytest
 from crlab.bisector import GiraudTorus
 from crlab.core import HVec, inner, proj_distance
 from crlab.family import ALPHA2_LIM, alpha2_for_length, alpha2_for_order
+from crlab.isometry import Isometry
 from crlab.verify import (
+    _cone_separation,
     _giraud_circle_tangent_at,
+    CheckResult,
     FaceFamily,
     VerdictKind,
+    cone_angles,
     delta0,
     gc_check_elliptic,
     gc_check_loxodromic,
@@ -157,13 +161,83 @@ def test_gc_elliptic_n8_inconclusive():
 
 
 def test_gc_elliptic_cone_separation_n922():
-    # U^k for k near n drifts enough under repeated squaring to give a
-    # negative cone margin; the reduced power U^(k-n) does not
+    # a margin taken from floating-point powers U^k drifts negative here for
+    # k near n; the closed-form angles of cone_angles keep it near 2.5e-3
     ff = FaceFamily(alpha2_for_order(922), grid_n=64)
     res = gc_check_elliptic(ff)
     assert res.passed and not res.skipped
     assert res.counts["order"] == 922
     assert res.margins["cone_separation"] > 1e-3
+
+
+def _mp_cone_reference(n, ks):
+    """Angles at p_U from p_V to U^k p_V and to U^k p_W, and the cone
+    radius, from a 60-digit rebuild of rho_s, rho_t at the order-n parameter
+    with explicit powers of U."""
+    import mpmath as mp
+
+    with mp.workdps(60):
+        e = mp.expj(mp.acos(mp.sqrt((2 * mp.cos(2 * mp.pi / n) + 1) / 8)))
+        x1 = mp.sqrt(2)
+        S = mp.matrix([[1, x1 * mp.conj(e), -1], [-x1 * e, -1, 0], [-1, 0, 0]])
+        T = mp.matrix([[0, 0, -1], [0, -1, -x1 * mp.conj(e)], [-1, x1 * e, 1]])
+        J = mp.matrix([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
+        U = S**-1 * T
+        pU = mp.matrix([1, -x1 / 2 * e, e * e])
+        pV = S * pU
+        pW = S * pV
+
+        def ip(u, v):
+            return (u.H * J * v)[0]
+
+        def direction(x):
+            px = ip(pU, x)
+            x = x * (-mp.conj(px) / abs(px))
+            return x - pU * (ip(pU, x) / ip(pU, pU))
+
+        def angle(y):
+            u, v = direction(pV), direction(y)
+            return mp.acos(mp.re(ip(u, v)) / mp.sqrt(mp.re(ip(u, u)) * mp.re(ip(v, v))))
+
+        angles = [[float(angle(U**k * t)) for t in (pV, pW)] for k in ks]
+        c2 = mp.re(abs(ip(pU, pV)) ** 2 / (ip(pU, pU) * ip(pV, pV)))
+        rho = float(mp.acos(mp.tanh(mp.acosh(mp.sqrt(c2)) / 2)))
+    return np.array(angles), rho
+
+
+@pytest.mark.parametrize("n", [9, 100, 922, 2809, 10**4])
+def test_cone_angles_match_mpmath_reference(n):
+    ff = FaceFamily(alpha2_for_order(n), grid_n=64)
+    res = CheckResult("gc", True)
+    _cone_separation(ff, res, n)
+    k_note, fam_note = res.notes[-1].removeprefix("tightest cone pair: k=").split(",")
+    ks = sorted({2, 3, n // 2 - 1, n // 2 + 1, n - 3, int(k_note)})
+    ref, rho = _mp_cone_reference(n, ks)
+    assert np.abs(cone_angles(ff, ks) - ref).max() <= 1e-9
+    assert res.residuals["value_cone_radius"] == pytest.approx(rho, abs=1e-9)
+    # the reported margin is the true margin of the named pair, and no
+    # sampled pair is tighter; (n - 2, minus) is the vertex-contact pair, at
+    # margin 0, which the tangency check covers
+    margins = ref - 2.0 * rho
+    named = margins[ks.index(int(k_note)), ("plus", "minus").index(fam_note)]
+    assert res.margins["cone_separation"] == pytest.approx(named, abs=1e-9)
+    if n - 2 in ks:
+        assert margins[ks.index(n - 2), 1] == pytest.approx(0.0, abs=1e-9)
+        margins[ks.index(n - 2), 1] = math.inf
+    assert res.margins["cone_separation"] <= margins.min() + 1e-9
+
+
+def test_gc_elliptic_powers_of_u_do_not_grow_with_order(monkeypatch):
+    calls = []
+    power = Isometry.power
+    monkeypatch.setattr(Isometry, "power", lambda g, k: calls.append(k) or power(g, k))
+    counts = []
+    for n in (100, 1000):
+        ff = FaceFamily(alpha2_for_order(n), grid_n=64)
+        calls.clear()
+        assert gc_check_elliptic(ff).passed
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 5
 
 
 def test_marking_arithmetic_integers():
