@@ -29,6 +29,8 @@ from .core import (
 
 TORUS_GRID_DEFAULT = 720
 TORUS_REFINE_FACTOR = 4
+# bound on |fl(<V, V>) - <V, V>| per unit of |A| + 2|C| (see TorusGrid)
+FORM_ROUNDING = 16 * 2.0**-53
 
 
 class BisectorKind(enum.Enum):
@@ -213,6 +215,23 @@ class TorusGrid:
     The expanded |V|^2 and <V, V> lose about max|V|^2 / min|V|^2 ulps to
     cancellation: on the tori of the face family that is below 1e-13
     relative for alpha2 <= 1.5 and reaches 6e-12 at alpha2 = 1.56.
+
+    The ball cells are found column by column, without the dense form.  In
+    column d the form is the sinusoid h(sigma) = A_d - 2 |C_d| cos(sigma -
+    arg C_d), so h <= 0 on the single arc arg C_d +- arccos(A_d / 2|C_d|)
+    (the whole column when A_d <= -2|C_d|, none when A_d > 2|C_d|).  The
+    float value f = fl(A_d - 2 (zr cr - zi ci)) at cell (s, d), with z_s =
+    zr + i zi and C_d = cr + i ci, differs from h(sigma_s) by at most E_d = 16 u (|A_d| + 2 |C_d|), u = 2^-53: the three
+    roundings of the expression give u |A_d| + 6 u |z_s| |C_d| to first
+    order (|zr cr| + |zi ci| <= |z_s| |C_d|), and z_s = e^{-i sigma_s} to a
+    few ulps adds 2 |C_d| |z_s - e^{-i sigma_s}|; 16 u leaves ample slack.
+    Every cell with f <= 0 thus has h(sigma_s) <= E_d, that is, lies on the
+    arc arg C_d +- arccos((A_d - E_d) / 2|C_d|).  That arc is widened by one
+    cell for the rounding of arccos, angle and the index arithmetic (errors
+    far below a cell), and the float test f <= 0 is applied inside it, in
+    the same operations as the dense form, so the cells are exactly those
+    of `_form <= 0`.  A column with C_d = 0 has f = A_d everywhere: all
+    ball when A_d <= 0, else none.
     """
 
     def __init__(self, torus: GiraudTorus, sigmas: np.ndarray, deltas: np.ndarray):
@@ -240,14 +259,40 @@ class TorusGrid:
         return self._form * self._inv_sq
 
     @cached_property
+    def ball_cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """(sigma, delta) indices of the ball cells, norm <= 0, in row-major
+        order: the cells of `_form <= 0.0`, found from the per-column arcs
+        (see the class docstring)."""
+        n, m = len(self.sigmas), len(self.deltas)
+        A, C = self.torus.norm_terms(self.deltas)
+        mod = np.abs(C)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            x = (A - FORM_ROUNDING * (np.abs(A) + 2.0 * mod)) / (2.0 * mod)
+        zero = mod == 0.0  # the form is A on the whole column
+        x[zero] = np.where(A[zero] <= 0.0, -np.inf, np.inf)
+        half = np.arccos(np.clip(x, -1.0, 1.0))
+        step = 2.0 * math.pi / n
+        lo = np.ceil((np.angle(C) - half) / step) - 1.0
+        count = np.minimum(np.floor((np.angle(C) + half) / step) + 2.0 - lo, n)
+        count, lo = count.astype(np.intp), lo.astype(np.intp)
+        d = np.repeat(np.arange(m), count)
+        s = (np.repeat(lo - (np.cumsum(count) - count), count) + np.arange(len(d))) % n
+        z = self._z
+        f = A[d] - 2.0 * (z.real[s] * C.real[d] - z.imag[s] * C.imag[d])
+        keep = f <= 0.0
+        return np.divmod(np.sort(s[keep] * m + d[keep]), m)
+
+    @cached_property
     def ball(self) -> np.ndarray:
-        """The cells of the locus in the closed ball, norm <= 0."""
-        return self._form <= 0.0
+        """The cells of the locus in the closed ball, norm <= 0, as a mask."""
+        mask = np.zeros((len(self.sigmas), len(self.deltas)), dtype=bool)
+        mask[self.ball_cells] = True
+        return mask
 
     @cached_property
     def ball_points(self) -> np.ndarray:
         """Unit representatives at the ball cells in row-major order, shape (cells, 3)."""
-        s, d = np.nonzero(self.ball)
+        s, d = self.ball_cells
         V = self.torus.qr - self._z[s, None] * self._B[d]
         return V / np.linalg.norm(V, axis=-1, keepdims=True)
 

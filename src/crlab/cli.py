@@ -8,9 +8,9 @@ at a parameter where it should pass, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
-import multiprocessing
 import os
 import sys
 
@@ -88,6 +88,8 @@ def cmd_verify(args) -> int:
         os.makedirs(out_dir, exist_ok=True)
     jobs = [(p, args.grid, args.tol, out_dir) for p in params]
     if args.workers > 1 and len(jobs) > 1:
+        import multiprocessing
+
         with multiprocessing.Pool(args.workers) as pool:
             results = pool.map(_verify_one, jobs)
     else:
@@ -220,9 +222,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built on first use."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.command == "verify" and args.grid < 64:
         print("error: grid resolution must be >= 64", file=sys.stderr)
         return 2

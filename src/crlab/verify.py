@@ -56,6 +56,8 @@ from .visual import (
 
 SCHEMA_VERSION = "report-v1"
 DEFAULT_GRID = 720
+# cone margins this close to the least one are ties up to rounding
+CONE_TIE = 8 * np.spacing(math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +372,8 @@ def tf_check(ff: FaceFamily) -> CheckResult:
     mask = grid.ball
     res.counts["torus_ball_points"] = int(mask.sum())
     # interval structure: in each delta-column the ball locus is one
-    # circular run, i.e. has at most one run start
+    # circular run, i.e. has at most one run start; the column's form is a
+    # sinusoid in sigma, so this holds exactly and the count checks rounding
     runs_bad = int(((mask & ~np.roll(mask, 1, axis=0)).sum(axis=0) > 1).sum())
     res.counts["torus_noninterval_columns"] = runs_bad
 
@@ -659,10 +662,13 @@ def _cone_separation(ff: FaceFamily, res: CheckResult, n: int) -> bool:
     ks = np.arange(2, n - 1)
     margins = cone_angles(ff, ks) - 2.0 * rho
     margins[-1, 1] = math.inf  # k = n - 2, minus: the vertex-contact pair of the tangency check
-    i, j = np.unravel_index(np.argmin(margins), margins.shape)
-    res.margins["cone_separation"] = float(margins[i, j])
+    least = margins.min()
+    # pairs with equal exact angles (k and n - k of the plus family) differ by
+    # rounding; the note names the smallest (k, family) among them
+    i, j = np.argwhere(margins <= least + CONE_TIE)[0]
+    res.margins["cone_separation"] = float(least)
     res.notes.append(f"tightest cone pair: k={ks[i]},{('plus', 'minus')[j]}")
-    return margins[i, j] > 0.0
+    return least > 0.0
 
 
 def gc_check_loxodromic(ff: FaceFamily) -> CheckResult:

@@ -306,3 +306,74 @@ def test_torus_norm_terms_match_vectors(pts07):
     got = A - 2.0 * (np.exp(-1j * sigmas) * C).real
     want = gt.space.norm_grid(gt.vectors(sigmas + deltas, sigmas - deltas))
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _dense_ball_cells(grid):
+    return np.nonzero(grid._form <= 0.0)
+
+
+@pytest.mark.parametrize("n", [64, 127, 128, 720])
+def test_ball_cells_match_dense_form(n):
+    # the cells from the per-column arcs are those of the dense float form,
+    # bit for bit, and ball_points follows them in row-major order
+    rng = np.random.default_rng(90 + n)
+    params = list(rng.uniform(0.02, 0.91, 2)) + list(rng.uniform(0.92, 1.56, 2)) + [1.56]
+    for a2 in params:
+        ff = FaceFamily(float(a2), grid_n=n)
+        pts = ff.pts
+        torus_pp = GiraudTorus(pts.p_U, pts.p_V, ff.U.apply(pts.p_V), ff.tol)
+        for torus in (ff.torus_minus, torus_pp):
+            for d0 in (0.0, delta0(ff.alpha2)):
+                grid = torus.sigma_delta(n, d0)
+                s, d = _dense_ball_cells(grid)
+                assert np.array_equal(grid.ball_cells[0], s)
+                assert np.array_equal(grid.ball_cells[1], d)
+                assert np.array_equal(grid.ball, grid._form <= 0.0)
+                V = torus.qr - np.exp(-1j * grid.sigmas[s])[:, None] * torus.delta_rows(grid.deltas[d])
+                V /= np.linalg.norm(V, axis=-1, keepdims=True)
+                assert np.array_equal(grid.ball_points, V)
+
+
+class _Columns:
+    """A torus stand-in whose norm terms (A, C) are given per column."""
+
+    def __init__(self, A, C):
+        self.A, self.C = np.asarray(A, dtype=float), np.asarray(C, dtype=complex)
+        self.qr = np.zeros(3, dtype=complex)
+
+    def delta_rows(self, deltas):
+        return np.zeros((len(deltas), 3), dtype=complex)
+
+    def norm_terms(self, deltas):
+        return self.A, self.C
+
+
+@pytest.mark.parametrize("n", [64, 127, 720])
+def test_ball_cells_of_synthetic_columns(n):
+    from crlab.bisector import TorusGrid
+
+    u = 2.0**-53
+    rng = np.random.default_rng(n)
+    C = np.concatenate(
+        [
+            [1.0, 1j, -0.5, 3.0 * np.exp(2j * math.pi * 5 / n)],  # tangent at a grid angle
+            [np.exp(1e-20j), np.exp(-1e-20j)],  # tangent a hair off the sigma = 0 cell
+            rng.normal(size=8) + 1j * rng.normal(size=8),
+            [0.0, 0.0, 0.0, 0.0, 1e-300, 1e-300],
+        ]
+    )
+    A = 2.0 * np.abs(C)
+    A[6:10] *= 1.0 + u * rng.integers(-4, 5, 4)  # tangent up to a few ulps
+    A[10] *= 1.5  # empty
+    A[11] = -2.5 * abs(C[11])  # full
+    A[12] = -2.0 * abs(C[12])  # tangent from below
+    A[13] = 0.0  # arc of half the column
+    A[14:18] = [1.0, -1.0, 0.0, -0.0]  # C = 0: all or none by the sign of A
+    A[18:20] = [1e-290, -1e-290]
+    grid = TorusGrid(_Columns(A, C), np.linspace(0.0, 2.0 * math.pi, n, endpoint=False), np.arange(len(C)))
+    s, d = _dense_ball_cells(grid)
+    assert np.array_equal(grid.ball_cells[0], s) and np.array_equal(grid.ball_cells[1], d)
+    per_column = np.bincount(d, minlength=len(C))
+    assert per_column[0] == per_column[4] == per_column[5] == 1  # A = 2|C| touches sigma = 0
+    assert per_column[10] == 0 and per_column[11] == n
+    assert list(per_column[14:20]) == [0, n, n, n, 0, n]

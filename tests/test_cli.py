@@ -208,3 +208,33 @@ def test_svg_outputs_are_wellformed(tmp_path):
         root = ET.parse(tmp_path / f"{name}.svg").getroot()
         assert root.tag.endswith("svg")
         assert root.attrib["width"] == "800" and root.attrib["height"] == "800"
+
+
+def test_parser_is_built_once_per_process(monkeypatch):
+    import crlab.cli
+
+    built = []
+    build = crlab.cli.build_parser
+    monkeypatch.setattr(crlab.cli, "build_parser", lambda: built.append(1) or build())
+    crlab.cli._parser.cache_clear()
+    try:
+        for _ in range(3):
+            assert run_cli(["classify", "--word", "ts^-1", "--alpha2", "0.97"])[0] == 0
+        assert run_cli(["verify"])[0] == 2
+    finally:
+        crlab.cli._parser.cache_clear()
+    assert len(built) == 1
+
+
+def test_import_leaves_multiprocessing_to_parallel_sweeps():
+    import crlab
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(crlab.__file__)))
+    code = "import sys, crlab.cli; print('multiprocessing' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0 and proc.stdout.strip() == "False"

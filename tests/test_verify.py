@@ -227,6 +227,38 @@ def test_cone_angles_match_mpmath_reference(n):
     assert res.margins["cone_separation"] <= margins.min() + 1e-9
 
 
+@pytest.mark.parametrize("n", [10, 50, 56, 100, 1000])
+def test_tightest_cone_pair_note_names_the_smallest_tie(n):
+    # k = 2 and k = n - 2 of the plus family have the same exact angle 2 beta;
+    # rounding alone orders them, and the note names k = 2
+    ff = FaceFamily(alpha2_for_order(n), grid_n=64)
+    res = CheckResult("gc", True)
+    _cone_separation(ff, res, n)
+    assert res.notes[-1] == "tightest cone pair: k=2,plus"
+    ks = np.arange(2, n - 1)
+    margins = cone_angles(ff, ks) - 2.0 * res.residuals["value_cone_radius"]
+    margins[-1, 1] = math.inf
+    assert res.margins["cone_separation"] == margins.min()
+    assert abs(margins[0, 0] - margins[-1, 0]) <= 8 * np.spacing(math.pi)
+
+
+def test_verify_forms_no_dense_torus_grid(monkeypatch):
+    # every closed-form grid expression goes through _re_outer; on the verify
+    # path none may span more than two columns of the n x n/2 torus grid
+    import crlab.bisector
+
+    sizes = []
+    re_outer = crlab.bisector._re_outer
+    monkeypatch.setattr(
+        crlab.bisector, "_re_outer", lambda z, c: sizes.append(z.size * c.size) or re_outer(z, c)
+    )
+    n = 720
+    for a2 in (alpha2_for_order(9), alpha2_for_order(56), alpha2_for_length(1.0)):
+        sizes.clear()
+        verify(a2, grid_n=n)
+        assert sizes and max(sizes) <= 2 * n
+
+
 def test_gc_elliptic_powers_of_u_do_not_grow_with_order(monkeypatch):
     calls = []
     power = Isometry.power
