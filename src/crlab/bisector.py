@@ -201,20 +201,55 @@ def _re_outer(z: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.multiply.outer(z.real, c.real) - np.multiply.outer(z.imag, c.imag)
 
 
+def _sinusoid_at(A, C, zr, zi, d) -> np.ndarray:
+    """A_d - 2 Re(z C_d) at cells of columns d with z = zr + i zi.
+
+    The roundings are those of A - 2 _re_outer(z, C), so the values equal
+    it bit for bit (negating and doubling are exact); the operations run in
+    place, because at a few 1e4 cells fresh temporaries cost more than the
+    arithmetic."""
+    out = zr * C.real[d]
+    t = C.imag[d]
+    t *= zi
+    out -= t
+    out *= -2.0
+    out += np.take(A, d, out=t)
+    return out
+
+
+def _abs2_terms(u: np.ndarray, v: np.ndarray):
+    """(A, C) with |u - z v_d|^2 = A_d - 2 Re(z C_d) for |z| = 1, where u has
+    shape (k,) and v shape (len(deltas), k): A = |u|^2 + |v_d|^2, C = u^H v_d."""
+    return np.vdot(u, u).real + (v.real**2 + v.imag**2).sum(axis=1), v @ u.conj()
+
+
 class TorusGrid:
     """Forms of unit representatives on a (sigma, delta) grid of a
     GiraudTorus, evaluated in closed form.
 
     The point at (sigma_s, delta_d) is V = qr - z_s B_d with z_s =
-    e^{-i sigma_s} (see GiraudTorus.delta_rows).  A functional is then the
-    outer expression <w, qr> - z_s <w, B_d>, and |V|^2 and <V, V> are
-    A_d - 2 Re(z_s C_d), so exponentials and 3-vectors are taken on
-    len(sigmas) + len(deltas) values and the grids are (sigmas, deltas)
-    scalars.  Every grid is that of the row-normalized points V / |V|.
+    e^{-i sigma_s} (see GiraudTorus.delta_rows).  Every quantity read from
+    it is a ratio of sinusoids in sigma: for any linear map L into C^k,
+    |L V|^2 = |L qr - z_s L B_d|^2 = A_d - 2 Re(z_s C_d) with A_d = |L qr|^2
+    + |L B_d|^2 and C_d = (L qr)^H L B_d (`_abs2_terms`).  So are <V, V>
+    (`GiraudTorus.norm_terms`), |V|^2 (L the identity), |<w, V>|^2 (L = w^H
+    J) and |p x V|^2 (L = p x .), and every grid value is one of them over
+    |V|^2, that of the row-normalized point V / |V|.  The coefficients are
+    taken once per delta-column; the whole-grid forms are the outer
+    expressions A - 2 Re(z C), and ball_abs2 and ball_chordal evaluate them
+    only at the ball cells (`_at_ball`), without forming torus points.
 
-    The expanded |V|^2 and <V, V> lose about max|V|^2 / min|V|^2 ulps to
-    cancellation: on the tori of the face family that is below 1e-13
-    relative for alpha2 <= 1.5 and reaches 6e-12 at alpha2 = 1.56.
+    Evaluated this way, a sinusoid in column d is off by at most about
+    16 u (A_d + 2 |C_d|) <= 16 u max_sigma |L V|^2 (u = 2^-53, see below).
+    On the whole grid |V|^2 is such a sinusoid too, so a ratio |L V|^2 /
+    |V|^2 there is off by at most about 32 u kappa_d times the column's
+    largest ratio, kappa_d = max|V|^2 / min|V|^2 over the column: the
+    cancellation of the expanded form.  On the tori of the face family
+    kappa u is below 1e-13 for alpha2 <= 1.5 and reaches 6e-12 at alpha2 =
+    1.56.  At the ball cells |V|^2 is taken in a form without that
+    cancellation (`_ball_inv_sq`), so only the numerator's 16 u kappa_d
+    remains, and in practice the error stays below 1e-12 of the grid's
+    largest ratio through alpha2 = 1.56.
 
     The ball cells are found column by column, without the dense form.  In
     column d the form is the sinusoid h(sigma) = A_d - 2 |C_d| cos(sigma -
@@ -241,11 +276,15 @@ class TorusGrid:
         self._B = torus.delta_rows(deltas)
 
     @cached_property
+    def _sq_terms(self):
+        """(A, C) of the sinusoid |V|^2."""
+        return _abs2_terms(self.torus.qr, self._B)
+
+    @cached_property
     def _inv_sq(self) -> np.ndarray:
         """1 / |V|^2 on the grid."""
-        a, B = self.torus.qr, self._B
-        e_sq = np.vdot(a, a).real + (B.real**2 + B.imag**2).sum(axis=1)
-        return 1.0 / (e_sq - 2.0 * _re_outer(self._z, B @ a.conj()))
+        A, C = self._sq_terms
+        return 1.0 / (A - 2.0 * _re_outer(self._z, C))
 
     @cached_property
     def _form(self) -> np.ndarray:
@@ -276,11 +315,52 @@ class TorusGrid:
         count = np.minimum(np.floor((np.angle(C) + half) / step) + 2.0 - lo, n)
         count, lo = count.astype(np.intp), lo.astype(np.intp)
         d = np.repeat(np.arange(m), count)
-        s = (np.repeat(lo - (np.cumsum(count) - count), count) + np.arange(len(d))) % n
-        z = self._z
-        f = A[d] - 2.0 * (z.real[s] * C.real[d] - z.imag[s] * C.imag[d])
-        keep = f <= 0.0
-        return np.divmod(np.sort(s[keep] * m + d[keep]), m)
+        s = np.repeat(lo - (np.cumsum(count) - count), count)
+        s += np.arange(len(d))
+        s %= n
+        keep = _sinusoid_at(A, C, self._z.real[s], self._z.imag[s], d) <= 0.0
+        key = s[keep]
+        key *= m
+        key += d[keep]
+        key.sort()
+        return np.divmod(key, m)
+
+    @cached_property
+    def _ball_z(self):
+        """(Re z_s, Im z_s, d) at the ball cells, gathered once."""
+        s, d = self.ball_cells
+        return self._z.real[s], self._z.imag[s], d
+
+    def _at_ball(self, A: np.ndarray, C: np.ndarray) -> np.ndarray:
+        """The sinusoid A_d - 2 Re(z_s C_d) at the ball cells."""
+        return _sinusoid_at(A, C, *self._ball_z)
+
+    @cached_property
+    def _ball_inv_sq(self) -> np.ndarray:
+        """1 / |V|^2 at the ball cells, without the cancellation of the plain
+        sinusoid near its column minimum: with c_d = C_d / |C_d| on the unit
+        circle, |V|^2 = m_d + |C_d| |z_s - conj(c_d)|^2, and the minimum m_d =
+        A_d - 2 |C_d| is (|qr| - |B_d|)^2 + 2 |qr x B_d|^2 / (|qr| |B_d| +
+        |C_d|) by Lagrange's identity."""
+        qr, B = self.torus.qr, self._B
+        C = self._sq_terms[1]
+        mod = np.abs(C)
+        c = C / np.where(mod > 0.0, mod, 1.0)
+        qn, bn = np.linalg.norm(qr), np.linalg.norm(B, axis=1)
+        cross = np.cross(qr, B)
+        low = (qn - bn) ** 2 + 2.0 * (cross.real**2 + cross.imag**2).sum(axis=1) / np.maximum(
+            qn * bn + mod, np.finfo(float).tiny
+        )
+        zr, zi, d = self._ball_z
+        re = zr - c.real[d]
+        im = c.imag[d]
+        im += zi
+        re *= re
+        im *= im
+        re += im
+        re *= np.take(mod, d, out=im)
+        re += np.take(low, d, out=im)
+        return np.divide(1.0, re, out=re)
 
     @cached_property
     def ball(self) -> np.ndarray:
@@ -292,8 +372,12 @@ class TorusGrid:
     @cached_property
     def ball_points(self) -> np.ndarray:
         """Unit representatives at the ball cells in row-major order, shape (cells, 3)."""
+        return self._points(slice(None))
+
+    def _points(self, i) -> np.ndarray:
+        """Unit representatives at the ball cells selected by the index i."""
         s, d = self.ball_cells
-        V = self.torus.qr - self._z[s, None] * self._B[d]
+        V = self.torus.qr - self._z[s[i], None] * self._B[d[i]]
         return V / np.linalg.norm(V, axis=-1, keepdims=True)
 
     def abs2(self, w: np.ndarray) -> np.ndarray:
@@ -304,7 +388,41 @@ class TorusGrid:
 
     def ball_abs2(self, w: np.ndarray) -> np.ndarray:
         """|<w, V>|^2 / |V|^2 at the ball cells, in the order of ball_points."""
-        return np.abs(self.torus.space.inner_grid(w, self.ball_points)) ** 2
+        sp = self.torus.space
+        a, b = sp.inner_grid(w, self.torus.qr), sp.inner_grid(w, self._B)
+        # |a - z_s b_d|^2, with a and b_d as vectors of C^1
+        out = self._at_ball(*_abs2_terms(a[None], b[:, None]))
+        out *= self._ball_inv_sq
+        return out
+
+    def ball_chordal(self, p: np.ndarray) -> np.ndarray:
+        """Projective chordal distance sqrt(1 - |p^H V|^2 / (|p|^2 |V|^2)) of
+        the ball cells to the class of a coordinate vector p, in the order of
+        ball_points.
+
+        By Lagrange's identity its square is the ratio of sinusoids |p x V|^2
+        / (|p|^2 |V|^2), off by at most 32 u kappa with kappa = (|qr| +
+        |B_d|)^2 / |V|^2 (see the class docstring).  Where that bound is not
+        small against the value, at cells within rounding of the point p,
+        the distance is taken from the unit point itself as sqrt(1 -
+        min(|p^H V|, 1)^2); with exact arithmetic both agree."""
+        p = p / np.linalg.norm(p)
+        K = np.cross(p, np.eye(3))  # x @ K = p x x
+        dist = self._at_ball(*_abs2_terms(self.torus.qr @ K, self._B @ K))
+        dist *= self._ball_inv_sq
+        np.sqrt(np.maximum(dist, 0.0, out=dist), out=dist)
+        near = np.flatnonzero(dist <= self._chordal_floor)
+        if near.size:
+            overlap = np.abs(self._points(near).conj() @ p)
+            dist[near] = np.sqrt(np.maximum(0.0, 1.0 - np.minimum(overlap, 1.0) ** 2))
+        return dist
+
+    @cached_property
+    def _chordal_floor(self) -> float:
+        """A distance below which ball_chordal's sinusoid may be all rounding:
+        the square root of four times its bound 32 u max kappa."""
+        t_max = (np.linalg.norm(self.torus.qr) + np.linalg.norm(self._B, axis=1)).max() ** 2
+        return math.sqrt(4.0 * 2.0 * FORM_ROUNDING * t_max * self._ball_inv_sq.max(initial=0.0))
 
 
 def level_g(theta, phi):

@@ -165,7 +165,8 @@ class HVec:
 
 
 def _check_same_space(u: HVec, v: HVec):
-    if u.space != v.space:
+    # identity first: comparing the forms runs np.array_equal on J
+    if u.space is not v.space and u.space != v.space:
         raise GeometryError("operands live in different Hermitian spaces")
 
 

@@ -218,13 +218,6 @@ def delta0(alpha2: float) -> float:
 # small shared helpers
 
 
-def _chordal(V, p: HVec):
-    """Projective chordal distance of unit rows V to the class of p."""
-    pn = p.unit().v
-    overlap = np.abs(V.conj() @ pn)
-    return np.sqrt(np.maximum(0.0, 1.0 - np.minimum(overlap, 1.0) ** 2))
-
-
 def _two_point_exclusion(grid, excess, targets, res, key, vertex_radius=0.08):
     """Common pattern: on the ball locus of a TorusGrid, the positive
     function `excess` (given at the ball cells) may vanish only near the
@@ -236,8 +229,8 @@ def _two_point_exclusion(grid, excess, targets, res, key, vertex_radius=0.08):
     """
     step = 2.0 * math.pi / len(grid.sigmas)
     radius = max(4.0 * step, 0.02)
-    if grid.ball.any():
-        dists = np.stack([_chordal(grid.ball_points, t) for t in targets.values()])
+    if len(grid.ball_cells[0]):
+        dists = np.stack([grid.ball_chordal(t.v) for t in targets.values()])
         outside = dists.min(axis=0) > vertex_radius
         margin = float(excess[outside].min()) if outside.any() else math.inf
         target_min = [float(d.min()) for d in dists]
@@ -253,6 +246,15 @@ def _two_point_exclusion(grid, excess, targets, res, key, vertex_radius=0.08):
             f"{found}; threshold max(4*step, 0.02) = {radius:.3e}"
         )
     return passed, target_min
+
+
+def _multi_run_columns(cells, n: int, m: int) -> int:
+    """Columns of an n x m grid on the torus in which the cells (s, d), given
+    in row-major order, form more than one circular run in s.  A run starts
+    at a cell whose s-predecessor is no cell."""
+    s, d = cells
+    starts = d[~np.isin((s - 1) % n * m + d, s * m + d, assume_unique=True)]
+    return int((np.bincount(starts, minlength=m) > 1).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -369,12 +371,11 @@ def tf_check(ff: FaceFamily) -> CheckResult:
     )
     res.residuals["vertex_pA_distance"] = targets_min[0]
     res.residuals["vertex_pB_distance"] = targets_min[1]
-    mask = grid.ball
-    res.counts["torus_ball_points"] = int(mask.sum())
+    res.counts["torus_ball_points"] = len(grid.ball_cells[0])
     # interval structure: in each delta-column the ball locus is one
-    # circular run, i.e. has at most one run start; the column's form is a
-    # sinusoid in sigma, so this holds exactly and the count checks rounding
-    runs_bad = int(((mask & ~np.roll(mask, 1, axis=0)).sum(axis=0) > 1).sum())
+    # circular run; the column's form is a sinusoid in sigma, so this holds
+    # exactly and the count checks rounding
+    runs_bad = _multi_run_columns(grid.ball_cells, n, len(grid.deltas))
     res.counts["torus_noninterval_columns"] = runs_bad
 
     # derivative factorization: d h / d sigma = -12 sin(sigma) (2 cos(2 a2 - d) - cos d)

@@ -312,10 +312,9 @@ def _dense_ball_cells(grid):
     return np.nonzero(grid._form <= 0.0)
 
 
-@pytest.mark.parametrize("n", [64, 127, 128, 720])
-def test_ball_cells_match_dense_form(n):
-    # the cells from the per-column arcs are those of the dense float form,
-    # bit for bit, and ball_points follows them in row-major order
+def _ball_grids(n):
+    """(ff, torus, grid) for five seeded alpha2 on both sides of the wall plus
+    1.56, the torus_minus and plus-plus tori, and delta offsets 0 and delta0."""
     rng = np.random.default_rng(90 + n)
     params = list(rng.uniform(0.02, 0.91, 2)) + list(rng.uniform(0.92, 1.56, 2)) + [1.56]
     for a2 in params:
@@ -324,14 +323,60 @@ def test_ball_cells_match_dense_form(n):
         torus_pp = GiraudTorus(pts.p_U, pts.p_V, ff.U.apply(pts.p_V), ff.tol)
         for torus in (ff.torus_minus, torus_pp):
             for d0 in (0.0, delta0(ff.alpha2)):
-                grid = torus.sigma_delta(n, d0)
-                s, d = _dense_ball_cells(grid)
-                assert np.array_equal(grid.ball_cells[0], s)
-                assert np.array_equal(grid.ball_cells[1], d)
-                assert np.array_equal(grid.ball, grid._form <= 0.0)
-                V = torus.qr - np.exp(-1j * grid.sigmas[s])[:, None] * torus.delta_rows(grid.deltas[d])
-                V /= np.linalg.norm(V, axis=-1, keepdims=True)
-                assert np.array_equal(grid.ball_points, V)
+                yield ff, torus, torus.sigma_delta(n, d0)
+
+
+@pytest.mark.parametrize("n", [64, 127, 128, 720])
+def test_ball_cells_match_dense_form(n):
+    # the cells from the per-column arcs are those of the dense float form,
+    # bit for bit, and ball_points follows them in row-major order
+    for ff, torus, grid in _ball_grids(n):
+        s, d = _dense_ball_cells(grid)
+        assert np.array_equal(grid.ball_cells[0], s)
+        assert np.array_equal(grid.ball_cells[1], d)
+        assert np.array_equal(grid.ball, grid._form <= 0.0)
+        V = torus.qr - np.exp(-1j * grid.sigmas[s])[:, None] * torus.delta_rows(grid.deltas[d])
+        V /= np.linalg.norm(V, axis=-1, keepdims=True)
+        assert np.array_equal(grid.ball_points, V)
+
+
+@pytest.mark.parametrize("n", [64, 127, 128, 720])
+def test_ball_sinusoids_match_ball_points(n):
+    # oracle: the unit points ball_points through inner_grid and through the
+    # chordal formula sqrt(1 - min(|p^H V|, 1)^2)
+    u = 2.0**-53
+    for ff, torus, grid in _ball_grids(n):
+        pts, U, P = ff.pts, ff.U, grid.ball_points
+        for w in (pts.p_U, pts.p_V, pts.p_W, U.apply(pts.p_V), U.inv().apply(pts.p_W)):
+            want = np.abs(ff.space.inner_grid(w.v, P)) ** 2
+            assert np.abs(grid.ball_abs2(w.v) - want).max(initial=0.0) <= 1e-12 * grid.abs2(w.v).max()
+        # Squared distances.  With T = (|qr| + |B_d|)^2 >= A + 2|C| for both
+        # |p x V|^2 and |V|^2, and kappa = T / |V|^2 at the cell: the plain
+        # sinusoid |p x V|^2 is within 16 u T (TorusGrid) plus 8 u T for its
+        # coefficients, and |V|^2 within a few u sqrt(kappa) relative, so the
+        # ratio is within 24 u kappa + 4 u; the oracle's V is within 2 u sqrt(T)
+        # per component, which moves its overlap^2 by at most 8 u sqrt(kappa) +
+        # 16 u.  Hence |got^2 - want^2| <= 32 u (kappa + 1).  Cells within
+        # rounding of the target are taken from their points and agree exactly.
+        s, d = grid.ball_cells
+        B = torus.delta_rows(grid.deltas[d])
+        V = torus.qr - np.exp(-1j * grid.sigmas[s])[:, None] * B
+        kappa = (np.linalg.norm(torus.qr) + np.linalg.norm(B, axis=1)) ** 2 / (np.abs(V) ** 2).sum(axis=1)
+        for t in (pts.p_A, pts.p_B, U.apply(pts.p_A)):
+            want = 1.0 - np.minimum(np.abs(P.conj() @ (t.v / np.linalg.norm(t.v))), 1.0) ** 2
+            got = grid.ball_chordal(t.v)
+            assert np.all(np.abs(got**2 - np.maximum(want, 0.0)) <= 32 * u * (kappa + 1.0))
+            near = got <= grid._chordal_floor
+            assert np.array_equal(got[near], np.sqrt(np.maximum(want[near], 0.0)))
+
+
+def test_ball_chordal_at_a_vertex_cell():
+    # at the fan parameter both vertices sit on cells of the grid-720 torus;
+    # the plain sinusoid there is rounding noise of about 1e-8
+    ff = FaceFamily(math.pi / 6.0, grid_n=720)
+    grid = ff.torus_minus.sigma_delta(720, delta0(ff.alpha2))
+    for t in (ff.pts.p_A, ff.pts.p_B):
+        assert grid.ball_chordal(t.v).min() <= 1e-12
 
 
 class _Columns:

@@ -69,9 +69,19 @@ def test_inner_conjugate_symmetric(siegel):
     assert inner(u, 2j * v) == pytest.approx(2j * inner(u, v))
 
 
-def test_inner_space_mismatch(siegel, ball):
+def test_inner_space_mismatch(siegel, ball, monkeypatch):
     with pytest.raises(GeometryError):
         inner(HVec([1, 0, 0], siegel), HVec([1, 0, 0], ball))
+    with pytest.raises(GeometryError):  # the ball's form under another model tag
+        box(HVec([1, 0, 0], custom_model(ball.J)), HVec([0, 1, 0], ball))
+    # equal but distinct spaces pass; one space is never compared with itself
+    assert inner(HVec([0, 1, 0], siegel_model()), HVec([0, 1, 0], siegel)) == 1.0
+    compared = []
+    eq = type(siegel).__eq__
+    monkeypatch.setattr(type(siegel), "__eq__", lambda a, b: compared.append(1) or eq(a, b))
+    u = HVec([1.0, 2j, 0.5], siegel)
+    inner(u, u), box(u, u), u + u, u - u
+    assert compared == []
 
 
 @settings(max_examples=60, deadline=None)

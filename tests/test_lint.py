@@ -62,6 +62,17 @@ def test_one_torus_grid_path():
     assert found == []
 
 
+def test_verify_reads_no_torus_points():
+    # TF and LC read the ball cells through TorusGrid's sinusoid kernels
+    tree = ast.parse((SRC / "verify.py").read_text())
+    found = [
+        f"verify.py:{n.lineno} {n.attr}"
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and n.attr in ("ball", "ball_points")
+    ]
+    assert found == []
+
+
 def _builds_torus_points(node) -> bool:
     return any(
         isinstance(n, ast.Attribute) and n.attr in TORUS_POINT_BUILDERS for n in ast.walk(node)

@@ -11,6 +11,7 @@ from crlab.isometry import Isometry
 from crlab.verify import (
     _cone_separation,
     _giraud_circle_tangent_at,
+    _multi_run_columns,
     CheckResult,
     FaceFamily,
     VerdictKind,
@@ -244,7 +245,8 @@ def test_tightest_cone_pair_note_names_the_smallest_tie(n):
 
 def test_verify_forms_no_dense_torus_grid(monkeypatch):
     # every closed-form grid expression goes through _re_outer; on the verify
-    # path none may span more than two columns of the n x n/2 torus grid
+    # path none may span more than two columns of the n x n/2 torus grid, and
+    # verify reads the ball cells as sinusoids, never as points or a mask
     import crlab.bisector
 
     sizes = []
@@ -252,11 +254,29 @@ def test_verify_forms_no_dense_torus_grid(monkeypatch):
     monkeypatch.setattr(
         crlab.bisector, "_re_outer", lambda z, c: sizes.append(z.size * c.size) or re_outer(z, c)
     )
+
+    def refuse(grid):
+        raise AssertionError("verify built torus points or the dense ball mask")
+
+    for name in ("ball_points", "ball"):
+        monkeypatch.setattr(crlab.bisector.TorusGrid, name, property(refuse))
     n = 720
     for a2 in (alpha2_for_order(9), alpha2_for_order(56), alpha2_for_length(1.0)):
         sizes.clear()
         verify(a2, grid_n=n)
         assert sizes and max(sizes) <= 2 * n
+
+
+def test_multi_run_columns_match_the_mask_count():
+    # reference: the count TF took from the dense ball mask
+    rng = np.random.default_rng(12)
+    for n, m in ((16, 8), (17, 5), (64, 32)):
+        for p in (0.0, 0.2, 0.5, 0.9, 1.0):
+            mask = rng.random((n, m)) < p
+            mask[:, 0] = np.roll(np.arange(n) < n // 3, -2)  # one run across the seam
+            mask[:, 1] = True
+            want = int(((mask & ~np.roll(mask, 1, axis=0)).sum(axis=0) > 1).sum())
+            assert _multi_run_columns(np.nonzero(mask), n, m) == want
 
 
 def test_gc_elliptic_powers_of_u_do_not_grow_with_order(monkeypatch):
