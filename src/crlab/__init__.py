@@ -66,6 +66,7 @@ from .visual import (
     angular_diameter,
     induced_action,
     project_bisector,
+    silhouette_circle,
     tangency_check,
 )
 from .verify import FaceFamily, VerificationReport, verify

@@ -235,21 +235,19 @@ class TorusGrid:
     (`GiraudTorus.norm_terms`), |V|^2 (L the identity), |<w, V>|^2 (L = w^H
     J) and |p x V|^2 (L = p x .), and every grid value is one of them over
     |V|^2, that of the row-normalized point V / |V|.  The coefficients are
-    taken once per delta-column; the whole-grid forms are the outer
-    expressions A - 2 Re(z C), and ball_abs2 and ball_chordal evaluate them
-    only at the ball cells (`_at_ball`), without forming torus points.
+    taken once per delta-column; the whole-grid forms take their outer
+    products through `_re_outer`, and ball_abs2 and ball_chordal evaluate
+    the sinusoids only at the ball cells (`_at_ball`), without forming
+    torus points.
 
     Evaluated this way, a sinusoid in column d is off by at most about
-    16 u (A_d + 2 |C_d|) <= 16 u max_sigma |L V|^2 (u = 2^-53, see below).
-    On the whole grid |V|^2 is such a sinusoid too, so a ratio |L V|^2 /
-    |V|^2 there is off by at most about 32 u kappa_d times the column's
-    largest ratio, kappa_d = max|V|^2 / min|V|^2 over the column: the
-    cancellation of the expanded form.  On the tori of the face family
-    kappa u is below 1e-13 for alpha2 <= 1.5 and reaches 6e-12 at alpha2 =
-    1.56.  At the ball cells |V|^2 is taken in a form without that
-    cancellation (`_ball_inv_sq`), so only the numerator's 16 u kappa_d
-    remains, and in practice the error stays below 1e-12 of the grid's
-    largest ratio through alpha2 = 1.56.
+    16 u (A_d + 2 |C_d|) <= 16 u max_sigma |L V|^2 (u = 2^-53, see below),
+    that is 16 u kappa_d times the column's largest ratio, kappa_d =
+    max|V|^2 / min|V|^2.  |V|^2 itself is taken in a form without that
+    cancellation (`_inv_sq_at`), on the whole grid and at the ball cells
+    alike, and whole-grid numerators |<w, V>|^2 as |<w, qr> - z_s <w,
+    B_d>|^2 (`abs2`); on the tori of the face family the ratios stay below
+    1e-12 of the grid's largest ratio through alpha2 = 1.56.
 
     The ball cells are found column by column, without the dense form.  In
     column d the form is the sinusoid h(sigma) = A_d - 2 |C_d| cos(sigma -
@@ -281,12 +279,6 @@ class TorusGrid:
         return _abs2_terms(self.torus.qr, self._B)
 
     @cached_property
-    def _inv_sq(self) -> np.ndarray:
-        """1 / |V|^2 on the grid."""
-        A, C = self._sq_terms
-        return 1.0 / (A - 2.0 * _re_outer(self._z, C))
-
-    @cached_property
     def _form(self) -> np.ndarray:
         """<V, V> on the grid, before normalization."""
         A, C = self.torus.norm_terms(self.deltas)
@@ -295,7 +287,7 @@ class TorusGrid:
     @cached_property
     def norm(self) -> np.ndarray:
         """<V, V> / |V|^2, shape (len(sigmas), len(deltas))."""
-        return self._form * self._inv_sq
+        return self._form * self._grid_inv_sq
 
     @cached_property
     def ball_cells(self) -> tuple[np.ndarray, np.ndarray]:
@@ -335,13 +327,13 @@ class TorusGrid:
         """The sinusoid A_d - 2 Re(z_s C_d) at the ball cells."""
         return _sinusoid_at(A, C, *self._ball_z)
 
-    @cached_property
-    def _ball_inv_sq(self) -> np.ndarray:
-        """1 / |V|^2 at the ball cells, without the cancellation of the plain
-        sinusoid near its column minimum: with c_d = C_d / |C_d| on the unit
-        circle, |V|^2 = m_d + |C_d| |z_s - conj(c_d)|^2, and the minimum m_d =
-        A_d - 2 |C_d| is (|qr| - |B_d|)^2 + 2 |qr x B_d|^2 / (|qr| |B_d| +
-        |C_d|) by Lagrange's identity."""
+    def _inv_sq_at(self, zr, zi, d) -> np.ndarray:
+        """1 / |V|^2 at the cells (z_s = zr + i zi, column d; the arguments
+        broadcast), without the cancellation of the plain sinusoid near its
+        column minimum: with c_d = C_d / |C_d| on the unit circle, |V|^2 =
+        m_d + |C_d| |z_s - conj(c_d)|^2, and the minimum m_d = A_d - 2 |C_d|
+        is (|qr| - |B_d|)^2 + 2 |qr x B_d|^2 / (|qr| |B_d| + |C_d|) by
+        Lagrange's identity."""
         qr, B = self.torus.qr, self._B
         C = self._sq_terms[1]
         mod = np.abs(C)
@@ -351,16 +343,24 @@ class TorusGrid:
         low = (qn - bn) ** 2 + 2.0 * (cross.real**2 + cross.imag**2).sum(axis=1) / np.maximum(
             qn * bn + mod, np.finfo(float).tiny
         )
-        zr, zi, d = self._ball_z
         re = zr - c.real[d]
-        im = c.imag[d]
-        im += zi
+        im = zi + c.imag[d]
         re *= re
         im *= im
         re += im
-        re *= np.take(mod, d, out=im)
-        re += np.take(low, d, out=im)
+        re *= mod[d]
+        re += low[d]
         return np.divide(1.0, re, out=re)
+
+    @cached_property
+    def _grid_inv_sq(self) -> np.ndarray:
+        """1 / |V|^2 on the whole grid."""
+        return self._inv_sq_at(self._z.real[:, None], self._z.imag[:, None], np.arange(len(self.deltas)))
+
+    @cached_property
+    def _ball_inv_sq(self) -> np.ndarray:
+        """1 / |V|^2 at the ball cells."""
+        return self._inv_sq_at(*self._ball_z)
 
     @cached_property
     def ball(self) -> np.ndarray:
@@ -383,8 +383,11 @@ class TorusGrid:
     def abs2(self, w: np.ndarray) -> np.ndarray:
         """|<w, V>|^2 / |V|^2 for a coordinate vector w, on the whole grid."""
         sp = self.torus.space
-        f = sp.inner_grid(w, self.torus.qr) - np.multiply.outer(self._z, sp.inner_grid(w, self._B))
-        return (f.real**2 + f.imag**2) * self._inv_sq
+        a, b = sp.inner_grid(w, self.torus.qr), sp.inner_grid(w, self._B)
+        # a - z_s b_d, its imaginary part as Re(z_s (-i b_d))
+        re = a.real - _re_outer(self._z, b)
+        im = a.imag - _re_outer(self._z, -1j * b)
+        return (re**2 + im**2) * self._grid_inv_sq
 
     def ball_abs2(self, w: np.ndarray) -> np.ndarray:
         """|<w, V>|^2 / |V|^2 at the ball cells, in the order of ball_points."""

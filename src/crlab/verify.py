@@ -11,8 +11,7 @@ checked numerically:
   GC  - global combinatorics: non-neighbouring bisectors are disjoint,
         certified by closed-form guard surfaces on the visual sphere of the
         deformation's fixed point (annuli on the loxodromic side, angular
-        sectors on the elliptic side) plus exact cone-separation margins,
-        with grid sampling as a secondary oracle.
+        sectors on the elliptic side) plus exact cone-separation margins.
 
 Passing all three yields the Dehn-surgery verdict for the parameter:
 slope 1/(n-3) on the elliptic side of order n >= 9, slope -1/3 on the
@@ -47,10 +46,10 @@ from .bisector import (
     symmetric_intersection_type,
 )
 from .visual import (
+    Silhouette,
     VisualChart,
     angular_diameter,
-    project_bisector,
-    spinal_samples,
+    silhouette_circle,
     tangency_check,
 )
 
@@ -602,14 +601,13 @@ def _tangency_pair_check(ff: FaceFamily, res: CheckResult) -> bool:
     pts, U, ch = ff.pts, ff.U, ff.chart
     ok = True
     b0p = ff.bisector_plus(0)
-    D0p = project_bisector(ch, b0p, n_boundary=512, tol=ff.tol)
+    c1 = silhouette_circle(ch, b0p, ff.tol)
     marked = {
         "k_plus_1": (U.apply(pts.p_A), ff.bisector_minus(1)),
         "k_minus_2": (U.inv().apply(pts.p_B), ff.bisector_minus(-2)),
     }
     for name, (point, bis) in marked.items():
-        Dk = project_bisector(ch, bis, n_boundary=512, tol=ff.tol)
-        c1, c2 = D0p.circle, Dk.circle
+        c2 = silhouette_circle(ch, bis, ff.tol)
         d = abs(c1.center - c2.center)
         resid = min(abs(d - (c1.radius + c2.radius)), abs(d - abs(c1.radius - c2.radius)))
         scale = max(c1.radius, c2.radius, 1.0)
@@ -672,6 +670,19 @@ def _cone_separation(ff: FaceFamily, res: CheckResult, n: int) -> bool:
     return least > 0.0
 
 
+def _disk_extent(res: CheckResult, name: str, sil: Silhouette):
+    """The projected disk |z - c| <= r of a silhouette as seen from 0: the
+    range log(|c| -+ r) of log|z|, and the half-width asin(r/|c|) of arg z
+    about arg c.  Both need the disk to be bounded and to miss 0 (|c| > r);
+    where that gate fails it is named in a note, and the extent is that of
+    the whole plane."""
+    c, r = abs(sil.center), sil.radius
+    if sil.bounded and c > r:
+        return math.log(c - r), math.log(c + r), math.asin(r / c)
+    res.notes.append(f"disk gate failed: the projected disk of {name} is not bounded away from 0 (|c| > r)")
+    return -math.inf, math.inf, math.pi
+
+
 def gc_check_loxodromic(ff: FaceFamily) -> CheckResult:
     res = CheckResult("gc", True)
     if ff.side.kind is not SideKind.LOXODROMIC:
@@ -707,29 +718,26 @@ def gc_check_loxodromic(ff: FaceFamily) -> CheckResult:
     res.residuals["h1_conj_h2"] = r_cross
     h_ok = max(r_h1, r_h2, r_h12, r_cross) <= 1e-8 * max(1.0, abs(h1) ** 2)
 
-    # (c) direct guard check: sampled chart moduli stay inside the annulus
-    vals = ff.chart.values(spinal_samples(ff.bisector_plus(0), 128, 64))
-    logs = np.log(np.abs(vals[np.isfinite(vals)]))
-    res.margins["annulus_upper"] = 1.5 * length - float(logs.max())
-    res.margins["annulus_lower"] = float(logs.min()) + 2.5 * length
+    # (c) direct guard check: the projected disks stay inside the annuli
+    m_lo, m_hi, _ = _disk_extent(res, "J_0^+", silhouette_circle(ff.chart, ff.bisector_plus(0), ff.tol))
+    res.margins["annulus_upper"] = 1.5 * length - m_hi
+    res.margins["annulus_lower"] = m_lo + 2.5 * length
     annulus_ok = res.margins["annulus_upper"] > 0 and res.margins["annulus_lower"] > 0
     # mirrored family
-    vals_m = ff.chart.values(spinal_samples(ff.bisector_minus(0), 128, 64))
-    logs_m = np.log(np.abs(vals_m[np.isfinite(vals_m)]))
-    res.margins["annulus_minus_upper"] = 2.5 * length - float(logs_m.max())
-    res.margins["annulus_minus_lower"] = float(logs_m.min()) + 1.5 * length
+    mm_lo, mm_hi, _ = _disk_extent(res, "J_0^-", silhouette_circle(ff.chart, ff.bisector_minus(0), ff.tol))
+    res.margins["annulus_minus_upper"] = 2.5 * length - mm_hi
+    res.margins["annulus_minus_lower"] = mm_lo + 1.5 * length
     annulus_ok = annulus_ok and res.margins["annulus_minus_upper"] > 0 and res.margins["annulus_minus_lower"] > 0
 
     # (d) tangencies of the contact pairs
     tang_ok = _tangency_pair_check(ff, res)
 
-    # (e) separation bookkeeping across the window, from the measured
-    # log-modulus ranges: translates shift by 2kl, the mirrored family is
+    # (e) separation bookkeeping across the window, from the log-modulus
+    # range of (c): translates shift by 2kl, the mirrored family is
     # the reflection of the range.  Every gap grows with |k|, so the worst
     # are the nearest translates: k = +-2 in the same family, and k = 2 and
     # k = -3 in the cross family (range [-m_hi, -m_lo] + 2kl)
     res.counts["window"] = max(3, math.ceil(math.log(1e6) / (2.0 * length) + 2.0))
-    m_lo, m_hi = float(logs.min()), float(logs.max())
     worst_sep = min(
         (m_lo + 4 * length) - m_hi,
         m_lo - (m_hi - 4 * length),
@@ -791,9 +799,10 @@ def gc_check_elliptic(ff: FaceFamily) -> CheckResult:
         "discriminant sign factor fixed to 2 + 4 cos(beta) - 9 cos^2(beta); "
         "the variant with -4 cos(beta) fails the closed-form residual check"
     )
-    ks = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 40)])
-    pvals = c0 + c1 * ks + c2 * ks * ks
-    res.margins["P_sampled_max"] = -float(pvals.max())
+    # the maximum of P(k) = c0 + c1 k + c2 k^2 over k >= 0, taken as unbounded
+    # unless c2 < 0: at k = 0, or at the vertex k = -c1 / 2 c2 when c1 > 0
+    p_max = math.inf if c2 >= 0.0 else c0 - c1 * c1 / (4.0 * c2) if c1 > 0.0 else c0
+    res.margins["P_sampled_max"] = -p_max
     r_h12 = abs(
         h2 * h1.conjugate()
         - 12.0 * cmath.exp(1j * beta / 2.0) * (2.0 * cb + 1.0) * math.cos(beta / 2.0)
@@ -802,21 +811,21 @@ def gc_check_elliptic(ff: FaceFamily) -> CheckResult:
     res.residuals["h2_conj_h1"] = r_h12
     res.residuals["h_product"] = r_prod
     cert_ok = (
-        disc_sign < 0 and c0 < 0 and c2 < 0 and disc < 0 and pvals.max() < 0
+        disc_sign < 0 and c0 < 0 and c2 < 0 and disc < 0 and p_max < 0
         and max(r_h12, r_prod) <= 1e-8 * max(1.0, a_h1 * a_h2)
         and res.residuals["discriminant_closed_form"] <= 1e-6 * max(1.0, abs(disc))
     )
 
-    # (b) direct guard check: sampled chart arguments avoid the two rays
-    vals = ff.chart.values(spinal_samples(ff.bisector_plus(0), 128, 64))
-    args = np.angle(vals[np.isfinite(vals)])
-    # wrap into a window centred between the rays -5 beta/2 and 3 beta/2
+    # (b) direct guard check: the projected disk's arguments avoid the two
+    # rays, with arg c wrapped into a window centred between the rays
+    # -5 beta/2 and 3 beta/2
+    sil = silhouette_circle(ff.chart, ff.bisector_plus(0), ff.tol)
+    _, _, half = _disk_extent(res, "J_0^+", sil)
     centre = -0.5 * beta
-    wrapped = np.angle(np.exp(1j * (args - centre))) + centre
-    res.margins["sector_upper"] = 1.5 * beta - float(wrapped.max())
-    res.margins["sector_lower"] = float(wrapped.min()) + 2.5 * beta
-    width = float(wrapped.max() - wrapped.min())
-    res.margins["sector_width_below_4beta"] = 4.0 * beta - width
+    mid = centre + math.remainder(cmath.phase(sil.center) - centre, 2.0 * math.pi)
+    res.margins["sector_upper"] = 1.5 * beta - (mid + half)
+    res.margins["sector_lower"] = (mid - half) + 2.5 * beta
+    res.margins["sector_width_below_4beta"] = 4.0 * beta - 2.0 * half
     sector_ok = res.margins["sector_upper"] > 0 and res.margins["sector_lower"] > 0
 
     # (c) real angular control from the interior fixed point

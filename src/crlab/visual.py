@@ -13,7 +13,7 @@ circles in every chart, which the intersection controls below exploit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -220,10 +220,6 @@ def line_spinal_crossings(p: HVec, q: HVec, r: HVec, n=4096):
     return int(np.count_nonzero(nz != np.roll(nz, 1)))
 
 
-def _plane_basis(p: HVec, r: HVec):
-    return np.stack([p.v, r.v], axis=0)
-
-
 def _null_circles(B, J):
     """Null circles of the planes spanned by the row pairs of B (..., 2, 3).
 
@@ -242,13 +238,17 @@ def _null_circles(B, J):
     return em, ep, rho, keep
 
 
-def boundary_circle_of_plane(p: HVec, r: HVec):
-    """Parametrization t -> representatives of (span(p, r) /\\ null cone).
+def _polar_basis(pole_vec: HVec) -> np.ndarray:
+    """Orthonormal rows spanning the polar line of pole_vec: the kernel of
+    z -> <pole, z>, from its SVD."""
+    _, _, vh = np.linalg.svd((pole_vec.v.conj() @ pole_vec.space.J).reshape(1, 3))
+    return vh[1:].conj()
 
-    Returns None when the complex line through [p], [r] misses the closed
-    ball.
-    """
-    em, ep, rho, keep = _null_circles(_plane_basis(p, r), p.space.J)
+
+def _boundary_circle(B, J):
+    """t -> representatives of the null circle of the plane spanned by the
+    rows of B, or None when that line misses the closed ball."""
+    em, ep, rho, keep = _null_circles(B, J)
     if not keep:
         return None
 
@@ -259,35 +259,67 @@ def boundary_circle_of_plane(p: HVec, r: HVec):
     return circle
 
 
+def boundary_circle_of_plane(p: HVec, r: HVec):
+    """Parametrization t -> representatives of (span(p, r) /\\ null cone).
+
+    Returns None when the complex line through [p], [r] misses the closed
+    ball.
+    """
+    return _boundary_circle(np.stack([p.v, r.v]), p.space.J)
+
+
 def slice_boundary_circle(pole_vec: HVec):
     """Boundary circle of the polar line of pole_vec, as t -> vectors."""
-    J = pole_vec.space.J
-    w = pole_vec.v.conj() @ J  # functional z -> <pole, z>
-    # orthonormal basis of ker(w) via SVD
-    _, _, vh = np.linalg.svd(w.reshape(1, 3))
-    u1, u2 = vh[1].conj(), vh[2].conj()
-    sp = pole_vec.space
-    return boundary_circle_of_plane(HVec(u1, sp), HVec(u2, sp))
+    return _boundary_circle(_polar_basis(pole_vec), pole_vec.space.J)
 
 
 @dataclass(frozen=True)
-class CircleFit:
+class Silhouette:
+    """The silhouette circle |z - center| = radius of a bisector in a chart
+    of its base point's visual sphere.  eps is the sign of the slice p -
+    eps q it comes from; the projected disk is the circle's inside when
+    bounded, else its outside; residual is a sampled boundary's largest
+    distance from the circle, where one was taken (`project_bisector`)."""
+
     center: complex
     radius: float
-    residual: float
+    eps: float
+    bounded: bool
+    residual: float = 0.0
 
 
-def fit_circle(points: np.ndarray) -> CircleFit:
-    """Least-squares circle through complex points."""
-    x, y = points.real, points.imag
-    A = np.stack([2 * x, 2 * y, np.ones_like(x)], axis=1)
-    b = x * x + y * y
-    sol, *_ = np.linalg.lstsq(A, b, rcond=None)
-    cx, cy, c = sol
-    r2 = c + cx * cx + cy * cy
-    radius = math.sqrt(max(r2, 0.0))
-    res = float(np.abs(np.hypot(x - cx, y - cy) - radius).max())
-    return CircleFit(complex(cx, cy), radius, res)
+def silhouette_circle(chart: VisualChart, b: Bisector, tol=None) -> Silhouette:
+    """The silhouette of a bisector from its own base point, in closed form.
+
+    The lines through [p] tangent to the spinal surface touch it on the
+    boundary circle of the slice with pole p - eps q, eps = -sign <p, q>
+    (see `tangency_check`), the pole of norm 2(<p,p> + |<p,q>|) > 0.  Each
+    line through [p] meets that slice once, and the slice's ball disk lies
+    on the bisector, so the projection is the chart image of that disk.
+    Its boundary em + rho e^{it} ep goes to (a + b w)/(c + d w), |w| = 1,
+    with a, b = <p', em>, rho <p', ep> and c, d = <p'', em>, rho <p'', ep>:
+    the circle of centre (a c* - b d*)/(|c|^2 - |d|^2) and radius |ad - bc|
+    / ||c|^2 - |d|^2|, the image of |w| < 1 lying inside when |c| > |d|.
+    """
+    tol = tolerance(tol)
+    if not proj_equal(chart.base, b.p, 1e-8):
+        raise GeometryError("chart base must be the bisector's first lift")
+    p, q, scale = b.p, b.q, b.scale()
+    pq = inner(p, q)
+    if abs(pq.imag) > 1e3 * tol * max(scale, 1.0) or abs(pq) <= tol * scale:
+        raise GeometryError("silhouette circle needs a real nonzero <p, q>")
+    eps = -math.copysign(1.0, pq.real)
+    pole = HVec(p.v - eps * q.v, p.space)
+    if pole.norm() <= 1e3 * tol * max(scale, 1.0):
+        raise GeometryError("silhouette slice has a pole of norm <= 0")
+    J = p.space.J
+    em, ep, rho, _ = _null_circles(_polar_basis(pole), J)
+    (a, bw), (c, d) = np.stack([chart.p_prime.v, chart.p_dprime.v]).conj() @ J @ np.stack([em, rho * ep]).T
+    den = abs(c) ** 2 - abs(d) ** 2
+    if abs(den) <= tol * (abs(c) ** 2 + abs(d) ** 2):
+        raise GeometryError("silhouette passes through the chart's infinity")
+    center = (a * c.conjugate() - bw * d.conjugate()) / den
+    return Silhouette(complex(center), float(abs(a * d - bw * c) / abs(den)), eps, bool(den > 0))
 
 
 @dataclass
@@ -295,8 +327,10 @@ class DiskProjection:
     """Projection of a bisector based at p onto the visual sphere of [p].
 
     boundary: sampled boundary polyline in the supplied chart.
+    circle: the exact silhouette circle, with the polyline's residual.
     priv_radius: modulus of the boundary in the rotation-invariant chart
     whose 0 and infinity are the lines to [q] and to the focus.
+    priv_range: the range of that modulus over spinal samples.
     contains_zero: whether the line to [q] projects inside the disk (true
     exactly when the pair discriminant is negative).
     """
@@ -304,12 +338,10 @@ class DiskProjection:
     chart: VisualChart
     boundary: np.ndarray
     boundary_eps: float
-    circle: CircleFit
+    circle: Silhouette
     priv_radius: float | None
     priv_range: tuple
     contains_zero: bool
-    is_fan: bool = False
-    marked: dict = field(default_factory=dict)
 
 
 def spinal_samples(b: Bisector, n_alpha=96, n_t=48):
@@ -331,99 +363,29 @@ def spinal_samples(b: Bisector, n_alpha=96, n_t=48):
 
 
 def project_bisector(chart: VisualChart, b: Bisector, n_boundary=1024, tol=None) -> DiskProjection:
-    """Silhouette of the bisector from its own base point in a given chart.
-
-    The boundary consists of the lines meeting the spinal surface exactly
-    once; these touch along the boundary circle of the slice with pole
-    p - eps q for the sign eps passing the tangency criterion, which is the
-    sampled polyline returned.
-    """
-    tol = tolerance(tol)
-    if not proj_equal(chart.base, b.p, 1e-8):
-        raise GeometryError("chart base must be the bisector's first lift")
-    samples = spinal_samples(b)
-    psi_samples = chart.values(samples)
-
-    p, q = b.p, b.q
-    npp = p.norm()
-    pq = inner(p, q)
-    candidates = []
-    for eps in (1.0, -1.0):
-        pole = HVec(p.v - eps * q.v, p.space)
-        if pole.is_zero(1e-13):
-            continue
-        # condition 2 of the tangency criterion, eps-independent of r
-        if abs(pq - eps * npp) <= 1e3 * tol * max(abs(npp), 1.0):
-            continue
-        circ = slice_boundary_circle(pole)
-        if circ is None:
-            continue
-        ts = np.linspace(0, 2 * math.pi, n_boundary, endpoint=False)
-        pts = circ(ts)
-        candidates.append((eps, pts))
-    if not candidates:
-        raise GeometryError("no silhouette circle found")
-
-    priv = None
+    """Silhouette of the bisector from its own base point in a given chart:
+    the circle of `silhouette_circle`, sampled at n_boundary points of its
+    slice.  Off fans, the privileged chart sees that slice at one modulus."""
+    sil = silhouette_circle(chart, b, tol)
+    pts = slice_boundary_circle(HVec(b.p.v - sil.eps * b.q.v, b.p.space))(
+        np.linspace(0, 2 * math.pi, n_boundary, endpoint=False)
+    )
+    boundary = chart.values(pts)
+    finite = boundary[np.isfinite(boundary)]
+    sil = replace(sil, residual=float(np.abs(np.abs(finite - sil.center) - sil.radius).max()))
+    priv_radius, priv_range = None, (math.nan, math.nan)
     if b.kind is not BisectorKind.FAN:
-        f = b.focus
-        a_vec = f
-        b_vec = box(p, f)
-        priv = VisualChart(p, a_vec, b_vec)
-
-    def priv_mods(pts):
-        if priv is None:
-            return None
-        vals = priv.values(pts)
-        return np.abs(vals)
-
-    chosen = None
-    if priv is not None:
-        mods_samples = priv_mods(samples)
-        finite = mods_samples[np.isfinite(mods_samples)]
-        lo, hi = float(finite.min()), float(finite.max())
-        contains_zero = b.r_disc < 0
-        target = hi if contains_zero else lo
-        best = None
-        for eps, pts in candidates:
-            mods = priv_mods(pts)
-            spread = mods.max() - mods.min()
-            mean = float(mods.mean())
-            if spread > 1e-6 * max(mean, 1.0):
-                continue
-            score = abs(mean - target)
-            if best is None or score < best[0]:
-                best = (score, eps, pts, mean)
-        if best is None:
-            raise GeometryError("no constant-modulus silhouette circle found")
-        _, eps, pts, radius = best
-        chosen = (eps, pts)
-        priv_radius = radius
-        priv_range = (lo, hi)
-    else:
-        contains_zero = False
-        priv_radius = None
-        priv_range = (math.nan, math.nan)
-        eps, pts = candidates[0]
-        chosen = (eps, pts)
-
-    eps, pts = chosen
-    boundary_vals = chart.values(pts)
-    finite_mask = np.isfinite(boundary_vals.real) & np.isfinite(boundary_vals.imag)
-    circle = fit_circle(boundary_vals[finite_mask])
-    marked = {"centre_q": chart.value(q)}
-    if b.kind is not BisectorKind.FAN:
-        marked["centre_focus"] = chart.value(b.focus)
+        priv = VisualChart(b.p, b.focus, box(b.p, b.focus))
+        mods = np.abs(priv.values(pts))
+        if mods.max() - mods.min() > 1e-6 * max(float(mods.mean()), 1.0):
+            raise GeometryError("silhouette circle has no constant modulus in the privileged chart")
+        priv_radius = float(mods.mean())
+        mods = np.abs(priv.values(spinal_samples(b)))
+        mods = mods[np.isfinite(mods)]
+        priv_range = (float(mods.min()), float(mods.max()))
     return DiskProjection(
-        chart=chart,
-        boundary=boundary_vals,
-        boundary_eps=eps,
-        circle=circle,
-        priv_radius=priv_radius,
-        priv_range=priv_range,
-        contains_zero=contains_zero,
-        is_fan=b.kind is BisectorKind.FAN,
-        marked=marked,
+        chart, boundary, sil.eps, sil, priv_radius, priv_range,
+        contains_zero=b.kind is not BisectorKind.FAN and b.r_disc < 0,
     )
 
 

@@ -73,6 +73,25 @@ def test_verify_reads_no_torus_points():
     assert found == []
 
 
+def test_verify_reads_no_sampled_silhouette():
+    # GC takes its disks from visual.silhouette_circle in closed form, never
+    # from spinal samples or their projection
+    tree = ast.parse((SRC / "verify.py").read_text())
+    banned = {"spinal_samples", "project_bisector"}
+    found = [
+        f"verify.py:{n.lineno} {name}"
+        for n in ast.walk(tree)
+        for name in (
+            [a.name for a in n.names] if isinstance(n, ast.ImportFrom)
+            else [n.id] if isinstance(n, ast.Name)
+            else [n.attr] if isinstance(n, ast.Attribute)
+            else []
+        )
+        if name in banned
+    ]
+    assert found == []
+
+
 def _builds_torus_points(node) -> bool:
     return any(
         isinstance(n, ast.Attribute) and n.attr in TORUS_POINT_BUILDERS for n in ast.walk(node)

@@ -119,6 +119,38 @@ def test_gc_loxodromic(ff_lox):
     assert math.exp(-2.5 * length) < z < math.exp(1.5 * length)
 
 
+@pytest.mark.parametrize("alpha2", [alpha2_for_length(x) for x in (0.25, 1.0, 1.75)] + [math.pi / 6])
+def test_gc_annulus_margins_are_symmetric(alpha2):
+    # the exact silhouette disks of J_0^+ and J_0^- sit symmetrically in
+    # their annuli: all four margins agree
+    m = gc_check_loxodromic(FaceFamily(alpha2, grid_n=64)).margins
+    keys = ("annulus_upper", "annulus_lower", "annulus_minus_upper", "annulus_minus_lower")
+    for k in keys[1:]:
+        assert m[k] == pytest.approx(m[keys[0]], rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [9, 12, 100])
+def test_gc_sector_margins_are_symmetric(n):
+    # the exact silhouette disk of J_0^+ is centred on the ray -beta/2
+    # between the two guard rays
+    m = gc_check_elliptic(FaceFamily(alpha2_for_order(n), grid_n=64)).margins
+    assert m["sector_upper"] == pytest.approx(m["sector_lower"], rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [9, 100, 2809])
+def test_gc_p_maximum_is_exact(n):
+    # P(k) = c0 + c1 k + c2 k^2 has its maximum over k >= 0 at the vertex
+    # here; a dense sampling of P never exceeds the reported maximum
+    m = gc_check_elliptic(FaceFamily(alpha2_for_order(n), grid_n=64)).margins
+    beta = 2 * math.pi / n
+    c0, c2 = -m["P_constant_negative"], -m["P_leading_negative"]
+    c1 = 24 * math.cos(2 * beta) * (2 * math.cos(beta) + 1) * math.cos(beta / 2)
+    ks = np.linspace(0.0, -c1 / c2, 100001)
+    sampled = (c0 + c1 * ks + c2 * ks * ks).max()
+    assert sampled <= -m["P_sampled_max"] + 1e-12 * abs(c0)
+    assert -m["P_sampled_max"] == pytest.approx(sampled, abs=1e-8 * abs(c0))
+
+
 def test_gc_h_identities_at_05():
     ff = FaceFamily(0.5, grid_n=128)
     res = gc_check_loxodromic(ff)

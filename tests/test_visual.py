@@ -6,19 +6,20 @@ import pytest
 
 from crlab.core import GeometryError, HVec, inner
 from crlab.bisector import classify_bisector
-from crlab.family import alpha2_for_order, involution_matrix
+from crlab.family import alpha2_for_length, alpha2_for_order, involution_matrix
 from crlab.isometry import Isometry
 from crlab.verify import FaceFamily
 from crlab.visual import (
     INF,
     angle_between,
+    VisualChart,
     angular_diameter,
-    fit_circle,
     induced_action,
     is_inf,
     line_spinal_crossings,
     mobius_from_pairs,
     project_bisector,
+    silhouette_circle,
     slice_boundary_circle,
     spinal_samples,
     tangency_check,
@@ -292,13 +293,71 @@ def test_angle_between_matches_euclidean_at_center(ball):
         assert angle_between(p, x, y) == pytest.approx(want, abs=1e-10)
 
 
-def test_fit_circle():
-    ts = np.linspace(0, 2 * math.pi, 50, endpoint=False)
-    pts = 2.5 * np.exp(1j * ts) + (1.0 - 0.5j)
-    fit = fit_circle(pts)
-    assert fit.center == pytest.approx(1.0 - 0.5j, abs=1e-9)
-    assert fit.radius == pytest.approx(2.5, abs=1e-9)
-    assert fit.residual < 1e-9
+def _lstsq_circle(z):
+    """(centre, radius) of the least-squares circle through complex points."""
+    A = np.stack([2 * z.real, 2 * z.imag, np.ones(len(z))], axis=1)
+    (cx, cy, c), *_ = np.linalg.lstsq(A, np.abs(z) ** 2, rcond=None)
+    return complex(cx, cy), math.sqrt(c + cx * cx + cy * cy)
+
+
+SILHOUETTE_PARAMS = {
+    "n9": alpha2_for_order(9),
+    "n100": alpha2_for_order(100),
+    "n922": alpha2_for_order(922),
+    "l0.25": alpha2_for_length(0.25),
+    "l1.0": alpha2_for_length(1.0),
+    "l1.75": alpha2_for_length(1.75),
+    "pi/6": math.pi / 6,
+}
+
+
+@pytest.mark.parametrize("alpha2", SILHOUETTE_PARAMS.values(), ids=SILHOUETTE_PARAMS.keys())
+def test_silhouette_circle_matches_projected_boundary(alpha2):
+    # the closed-form circle against a least-squares fit of project_bisector's
+    # sampled boundary, for J_0^+, J_0^-, J_-1^-, J_-2^- and J_1^- (GC reads
+    # J_0^+, J_0^-, J_1^- and J_-2^-)
+    ff = chart_at(alpha2)
+    bisectors = [ff.bisector_plus(0)] + [ff.bisector_minus(k) for k in (0, -1, -2, 1)]
+    for b in bisectors:
+        sil = silhouette_circle(ff.chart, b)
+        disk = project_bisector(ff.chart, b, n_boundary=512)
+        centre, radius = _lstsq_circle(disk.boundary[np.isfinite(disk.boundary)])
+        scale = max(abs(centre), radius)
+        assert abs(sil.center - centre) <= 1e-10 * scale
+        assert abs(sil.radius - radius) <= 1e-10 * scale
+        assert sil.eps == disk.boundary_eps
+        assert sil.bounded
+        assert (disk.circle.center, disk.circle.radius) == (sil.center, sil.radius)
+        assert disk.circle.residual <= 1e-10 * scale
+
+
+def test_silhouette_circle_needs_a_real_pair_and_a_positive_pole(ball, siegel):
+    def chart(p, u, w):
+        return VisualChart(p, HVec(u, p.space), HVec(w, p.space))
+
+    # the fan in Siegel normal form: <p, q> = e^{i theta} is not real
+    p = HVec([0, 1.0, 0], siegel)
+    fan = classify_bisector(p, HVec([-1.0, cmath.exp(0.35j), 0.0], siegel))
+    assert fan.kind.value == "fan"
+    with pytest.raises(GeometryError, match="real nonzero"):
+        silhouette_circle(chart(p, [1.0, 0, 0], [0, 0, 1.0]), fan)
+    # a Clifford cone of two orthogonal exterior points: <p, q> = 0
+    p = HVec([1.0, 0, 0], ball)
+    cone = classify_bisector(p, HVec([0, 1.0, 0], ball))
+    assert cone.kind.value == "clifford-cone"
+    with pytest.raises(GeometryError, match="real nonzero"):
+        silhouette_circle(chart(p, [0, 1.0, 0], [0, 0, 1.0]), cone)
+    # the fan of an interior point with its negated lift: the pole p - eps q is 0
+    p = HVec([0, 0, 1.0], ball)
+    fan = classify_bisector(p, HVec([0, 0, -1.0], ball))
+    assert fan.kind.value == "fan"
+    with pytest.raises(GeometryError, match="pole of norm"):
+        silhouette_circle(chart(p, [1.0, 0, 0], [0, 1.0, 0]), fan)
+    # a family bisector with a rephased second lift
+    ff = chart_at(alpha2_for_order(9))
+    b = classify_bisector(ff.pts.p_U, HVec(cmath.exp(0.3j) * ff.pts.p_V.v, ff.space))
+    with pytest.raises(GeometryError, match="real nonzero"):
+        silhouette_circle(ff.chart, b)
 
 
 def test_chart_ratio_is_cross_ratio():
