@@ -29,8 +29,6 @@ from .core import (
 
 TORUS_GRID_DEFAULT = 720
 TORUS_REFINE_FACTOR = 4
-# bound on |fl(<V, V>) - <V, V>| per unit of |A| + 2|C| (see TorusGrid)
-FORM_ROUNDING = 16 * 2.0**-53
 
 
 class BisectorKind(enum.Enum):
@@ -141,9 +139,11 @@ class GiraudTorus:
     Points are [(q - e^{i theta} p) box (r - e^{i phi} p)], expanded as
     qr - e^{-i theta} pr - e^{-i phi} qp in the precomputed box products
     qr = q box r, pr = p box r, qp = q box p.  `vectors`, `point` and
-    `sample` evaluate that expansion at given angles; grids go only through
-    `sigma_delta`, which evaluates forms on the covering (sigma, delta) grid
-    in closed form, without building the grid points.
+    `sample` evaluate that expansion at given angles.  With theta = sigma +
+    delta and phi = sigma - delta the point is qr - e^{-i sigma} B(delta),
+    so every form on a delta-column is a sinusoid in sigma: `ball_arcs` and
+    `column_minima` read the ball part of each column in closed form, and
+    `sigma_delta` evaluates forms on a covering (sigma, delta) grid.
     """
 
     def __init__(self, p: HVec, q: HVec, r: HVec, tol=None):
@@ -188,6 +188,59 @@ class GiraudTorus:
         B, sp = self.delta_rows(deltas), self.space
         return sp.norm_grid(self.qr) + sp.norm_grid(B), sp.inner_grid(self.qr, B)
 
+    def ball_arcs(self, deltas):
+        """(mid, half) per delta-column: the form <V, V> = A - 2 |C|
+        cos(sigma - arg C) is <= 0 exactly on the arc mid +- half, mid =
+        arg C and half = arccos(A / 2|C|).  half is pi where the whole column
+        is in the ball (A <= -2|C|, which covers C = 0 with A <= 0) and nan
+        where no point is (A > 2|C|)."""
+        A, C = self.norm_terms(deltas)
+        mod = np.abs(C)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            half = np.arccos(np.clip(A / (2.0 * mod), -1.0, 1.0))
+        half[A <= -2.0 * mod] = math.pi
+        half[A > 2.0 * mod] = math.nan
+        return np.angle(C), half
+
+    def column_minima(self, deltas, pos, negs, ball: bool = True) -> np.ndarray:
+        """Per delta-column, the exact minimum over sigma of max_i E_i / |V|^2
+        with E_i = |<pos, V>|^2 - |<neg_i, V>|^2, for coordinate vectors pos
+        and neg_i: over the column's ball arc (`ball_arcs`), or over the
+        whole column when ball is False; inf where the arc is empty.
+
+        In a column every E_i and |V|^2 is a sinusoid k + p cos(sigma) + q
+        sin(sigma) (`_abs2_terms`, `_harmonic`).  On the arc the minimum
+        of the envelope sits at an arc end, at a critical point of one ratio
+        E_i / |V|^2, where E_i' |V|^2 - E_i (|V|^2)' vanishes, or at a
+        crossing E_i = E_j.  Both conditions are a constant plus one
+        harmonic, with closed-form roots, so no sigma is sampled: the least
+        envelope value over these candidates is the minimum.  A candidate
+        that is no root (`_harmonic_roots`) is still a point of the arc, so
+        it cannot take the minimum below the true one.  On the face-family
+        tori through alpha2 = 1.56 the values agree with a 40-digit
+        evaluation of the same points to about 2e-11 relative."""
+        deltas = np.asarray(deltas, dtype=float)
+        B, sp = self.delta_rows(deltas), self.space
+
+        def abs2(w):  # |<w, V>|^2 = |<w, qr> - e^{-i sigma} <w, B_d>|^2
+            return _harmonic(*_abs2_terms(sp.inner_grid(w, self.qr)[None], sp.inner_grid(w, B)[:, None]))
+
+        den = _harmonic(*_abs2_terms(self.qr, B))
+        nums = [abs2(pos) - abs2(w) for w in negs]
+        if ball:
+            mid, half = self.ball_arcs(deltas)
+        else:
+            mid, half = np.zeros(len(deltas)), np.full(len(deltas), math.pi)
+        roots = [r for e in nums for r in _harmonic_roots(*_ratio_critical(e, den))]
+        roots += [r for i, e in enumerate(nums) for f in nums[:i] for r in _harmonic_roots(*(e - f))]
+        # offsets from mid: the arc ends, then every root in (-pi, pi]
+        t = np.stack([-half, half] + [math.pi - np.remainder(math.pi + mid - r, 2 * math.pi) for r in roots])
+        cos, sin = np.cos(mid + t), np.sin(mid + t)
+        env = np.max([k + p * cos + q * sin for k, p, q in nums], axis=0)
+        k, p, q = den
+        env /= k + p * cos + q * sin
+        return np.where(np.abs(t) <= half, env, math.inf).min(axis=0)
+
     def sigma_delta(self, n: int, delta0: float) -> "TorusGrid":
         """Forms on the (sigma, delta) grid that covers the torus once: n
         values of sigma on [0, 2 pi) and n // 2 of delta on delta0 + [0, pi)."""
@@ -201,70 +254,49 @@ def _re_outer(z: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.multiply.outer(z.real, c.real) - np.multiply.outer(z.imag, c.imag)
 
 
-def _sinusoid_at(A, C, zr, zi, d) -> np.ndarray:
-    """A_d - 2 Re(z C_d) at cells of columns d with z = zr + i zi.
-
-    The roundings are those of A - 2 _re_outer(z, C), so the values equal
-    it bit for bit (negating and doubling are exact); the operations run in
-    place, because at a few 1e4 cells fresh temporaries cost more than the
-    arithmetic."""
-    out = zr * C.real[d]
-    t = C.imag[d]
-    t *= zi
-    out -= t
-    out *= -2.0
-    out += np.take(A, d, out=t)
-    return out
-
-
 def _abs2_terms(u: np.ndarray, v: np.ndarray):
     """(A, C) with |u - z v_d|^2 = A_d - 2 Re(z C_d) for |z| = 1, where u has
     shape (k,) and v shape (len(deltas), k): A = |u|^2 + |v_d|^2, C = u^H v_d."""
     return np.vdot(u, u).real + (v.real**2 + v.imag**2).sum(axis=1), v @ u.conj()
 
 
+def _harmonic(A, C) -> np.ndarray:
+    """The sinusoid A - 2 Re(e^{-i sigma} C) as the rows (k, p, q) of k +
+    p cos(sigma) + q sin(sigma)."""
+    return np.stack([A, -2.0 * C.real, -2.0 * C.imag])
+
+
+def _ratio_critical(num, den):
+    """(k, p, q) of num' den - num den' for two sinusoids in (k, p, q) rows:
+    the sin^2 and cos^2 terms sum to a constant, and the products sin cos
+    cancel, so it is a constant plus one harmonic."""
+    (k1, p1, q1), (k0, p0, q0) = num, den
+    return q1 * p0 - p1 * q0, q1 * k0 - k1 * q0, k1 * p0 - p1 * k0
+
+
+def _harmonic_roots(k, p, q):
+    """The two roots phase +- arccos(-k / R) of k + R cos(sigma - phase) =
+    k + p cos(sigma) + q sin(sigma); where it has none, the angles at which
+    it comes nearest to 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        half = np.arccos(np.clip(-k / np.hypot(p, q), -1.0, 1.0))
+    phase = np.arctan2(q, p)
+    return phase - half, phase + half
+
+
 class TorusGrid:
     """Forms of unit representatives on a (sigma, delta) grid of a
-    GiraudTorus, evaluated in closed form.
+    GiraudTorus, evaluated in closed form, for the figures.
 
     The point at (sigma_s, delta_d) is V = qr - z_s B_d with z_s =
-    e^{-i sigma_s} (see GiraudTorus.delta_rows).  Every quantity read from
-    it is a ratio of sinusoids in sigma: for any linear map L into C^k,
-    |L V|^2 = |L qr - z_s L B_d|^2 = A_d - 2 Re(z_s C_d) with A_d = |L qr|^2
-    + |L B_d|^2 and C_d = (L qr)^H L B_d (`_abs2_terms`).  So are <V, V>
-    (`GiraudTorus.norm_terms`), |V|^2 (L the identity), |<w, V>|^2 (L = w^H
-    J) and |p x V|^2 (L = p x .), and every grid value is one of them over
-    |V|^2, that of the row-normalized point V / |V|.  The coefficients are
-    taken once per delta-column; the whole-grid forms take their outer
-    products through `_re_outer`, and ball_abs2 and ball_chordal evaluate
-    the sinusoids only at the ball cells (`_at_ball`), without forming
-    torus points.
-
-    Evaluated this way, a sinusoid in column d is off by at most about
-    16 u (A_d + 2 |C_d|) <= 16 u max_sigma |L V|^2 (u = 2^-53, see below),
-    that is 16 u kappa_d times the column's largest ratio, kappa_d =
-    max|V|^2 / min|V|^2.  |V|^2 itself is taken in a form without that
-    cancellation (`_inv_sq_at`), on the whole grid and at the ball cells
-    alike, and whole-grid numerators |<w, V>|^2 as |<w, qr> - z_s <w,
-    B_d>|^2 (`abs2`); on the tori of the face family the ratios stay below
-    1e-12 of the grid's largest ratio through alpha2 = 1.56.
-
-    The ball cells are found column by column, without the dense form.  In
-    column d the form is the sinusoid h(sigma) = A_d - 2 |C_d| cos(sigma -
-    arg C_d), so h <= 0 on the single arc arg C_d +- arccos(A_d / 2|C_d|)
-    (the whole column when A_d <= -2|C_d|, none when A_d > 2|C_d|).  The
-    float value f = fl(A_d - 2 (zr cr - zi ci)) at cell (s, d), with z_s =
-    zr + i zi and C_d = cr + i ci, differs from h(sigma_s) by at most E_d = 16 u (|A_d| + 2 |C_d|), u = 2^-53: the three
-    roundings of the expression give u |A_d| + 6 u |z_s| |C_d| to first
-    order (|zr cr| + |zi ci| <= |z_s| |C_d|), and z_s = e^{-i sigma_s} to a
-    few ulps adds 2 |C_d| |z_s - e^{-i sigma_s}|; 16 u leaves ample slack.
-    Every cell with f <= 0 thus has h(sigma_s) <= E_d, that is, lies on the
-    arc arg C_d +- arccos((A_d - E_d) / 2|C_d|).  That arc is widened by one
-    cell for the rounding of arccos, angle and the index arithmetic (errors
-    far below a cell), and the float test f <= 0 is applied inside it, in
-    the same operations as the dense form, so the cells are exactly those
-    of `_form <= 0`.  A column with C_d = 0 has f = A_d everywhere: all
-    ball when A_d <= 0, else none.
+    e^{-i sigma_s} (see GiraudTorus.delta_rows), so <V, V> = A_d - 2 Re(z_s
+    C_d) (`GiraudTorus.norm_terms`) and |<w, V>|^2 = |<w, qr> - z_s <w,
+    B_d>|^2 are taken from per-column coefficients through the outer
+    products of `_re_outer`, without forming torus points.  Each value is
+    divided by |V|^2, that of the row-normalized point V / |V|, which is
+    taken without the cancellation of the plain sinusoid near its column
+    minimum (`_grid_inv_sq`).  On the tori of the face family the ratios
+    stay below 1e-12 of the grid's largest ratio through alpha2 = 1.56.
     """
 
     def __init__(self, torus: GiraudTorus, sigmas: np.ndarray, deltas: np.ndarray):
@@ -272,11 +304,6 @@ class TorusGrid:
         self.sigmas, self.deltas = sigmas, deltas
         self._z = np.exp(-1j * sigmas)
         self._B = torus.delta_rows(deltas)
-
-    @cached_property
-    def _sq_terms(self):
-        """(A, C) of the sinusoid |V|^2."""
-        return _abs2_terms(self.torus.qr, self._B)
 
     @cached_property
     def _form(self) -> np.ndarray:
@@ -290,52 +317,13 @@ class TorusGrid:
         return self._form * self._grid_inv_sq
 
     @cached_property
-    def ball_cells(self) -> tuple[np.ndarray, np.ndarray]:
-        """(sigma, delta) indices of the ball cells, norm <= 0, in row-major
-        order: the cells of `_form <= 0.0`, found from the per-column arcs
-        (see the class docstring)."""
-        n, m = len(self.sigmas), len(self.deltas)
-        A, C = self.torus.norm_terms(self.deltas)
-        mod = np.abs(C)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            x = (A - FORM_ROUNDING * (np.abs(A) + 2.0 * mod)) / (2.0 * mod)
-        zero = mod == 0.0  # the form is A on the whole column
-        x[zero] = np.where(A[zero] <= 0.0, -np.inf, np.inf)
-        half = np.arccos(np.clip(x, -1.0, 1.0))
-        step = 2.0 * math.pi / n
-        lo = np.ceil((np.angle(C) - half) / step) - 1.0
-        count = np.minimum(np.floor((np.angle(C) + half) / step) + 2.0 - lo, n)
-        count, lo = count.astype(np.intp), lo.astype(np.intp)
-        d = np.repeat(np.arange(m), count)
-        s = np.repeat(lo - (np.cumsum(count) - count), count)
-        s += np.arange(len(d))
-        s %= n
-        keep = _sinusoid_at(A, C, self._z.real[s], self._z.imag[s], d) <= 0.0
-        key = s[keep]
-        key *= m
-        key += d[keep]
-        key.sort()
-        return np.divmod(key, m)
-
-    @cached_property
-    def _ball_z(self):
-        """(Re z_s, Im z_s, d) at the ball cells, gathered once."""
-        s, d = self.ball_cells
-        return self._z.real[s], self._z.imag[s], d
-
-    def _at_ball(self, A: np.ndarray, C: np.ndarray) -> np.ndarray:
-        """The sinusoid A_d - 2 Re(z_s C_d) at the ball cells."""
-        return _sinusoid_at(A, C, *self._ball_z)
-
-    def _inv_sq_at(self, zr, zi, d) -> np.ndarray:
-        """1 / |V|^2 at the cells (z_s = zr + i zi, column d; the arguments
-        broadcast), without the cancellation of the plain sinusoid near its
-        column minimum: with c_d = C_d / |C_d| on the unit circle, |V|^2 =
-        m_d + |C_d| |z_s - conj(c_d)|^2, and the minimum m_d = A_d - 2 |C_d|
-        is (|qr| - |B_d|)^2 + 2 |qr x B_d|^2 / (|qr| |B_d| + |C_d|) by
-        Lagrange's identity."""
+    def _grid_inv_sq(self) -> np.ndarray:
+        """1 / |V|^2 on the whole grid: with c_d = C_d / |C_d| on the unit
+        circle, |V|^2 = m_d + |C_d| |z_s - conj(c_d)|^2, and the column
+        minimum m_d = A_d - 2 |C_d| is (|qr| - |B_d|)^2 + 2 |qr x B_d|^2 /
+        (|qr| |B_d| + |C_d|) by Lagrange's identity."""
         qr, B = self.torus.qr, self._B
-        C = self._sq_terms[1]
+        C = _abs2_terms(qr, B)[1]
         mod = np.abs(C)
         c = C / np.where(mod > 0.0, mod, 1.0)
         qn, bn = np.linalg.norm(qr), np.linalg.norm(B, axis=1)
@@ -343,42 +331,14 @@ class TorusGrid:
         low = (qn - bn) ** 2 + 2.0 * (cross.real**2 + cross.imag**2).sum(axis=1) / np.maximum(
             qn * bn + mod, np.finfo(float).tiny
         )
-        re = zr - c.real[d]
-        im = zi + c.imag[d]
+        re = self._z.real[:, None] - c.real
+        im = self._z.imag[:, None] + c.imag
         re *= re
         im *= im
         re += im
-        re *= mod[d]
-        re += low[d]
+        re *= mod
+        re += low
         return np.divide(1.0, re, out=re)
-
-    @cached_property
-    def _grid_inv_sq(self) -> np.ndarray:
-        """1 / |V|^2 on the whole grid."""
-        return self._inv_sq_at(self._z.real[:, None], self._z.imag[:, None], np.arange(len(self.deltas)))
-
-    @cached_property
-    def _ball_inv_sq(self) -> np.ndarray:
-        """1 / |V|^2 at the ball cells."""
-        return self._inv_sq_at(*self._ball_z)
-
-    @cached_property
-    def ball(self) -> np.ndarray:
-        """The cells of the locus in the closed ball, norm <= 0, as a mask."""
-        mask = np.zeros((len(self.sigmas), len(self.deltas)), dtype=bool)
-        mask[self.ball_cells] = True
-        return mask
-
-    @cached_property
-    def ball_points(self) -> np.ndarray:
-        """Unit representatives at the ball cells in row-major order, shape (cells, 3)."""
-        return self._points(slice(None))
-
-    def _points(self, i) -> np.ndarray:
-        """Unit representatives at the ball cells selected by the index i."""
-        s, d = self.ball_cells
-        V = self.torus.qr - self._z[s[i], None] * self._B[d[i]]
-        return V / np.linalg.norm(V, axis=-1, keepdims=True)
 
     def abs2(self, w: np.ndarray) -> np.ndarray:
         """|<w, V>|^2 / |V|^2 for a coordinate vector w, on the whole grid."""
@@ -388,44 +348,6 @@ class TorusGrid:
         re = a.real - _re_outer(self._z, b)
         im = a.imag - _re_outer(self._z, -1j * b)
         return (re**2 + im**2) * self._grid_inv_sq
-
-    def ball_abs2(self, w: np.ndarray) -> np.ndarray:
-        """|<w, V>|^2 / |V|^2 at the ball cells, in the order of ball_points."""
-        sp = self.torus.space
-        a, b = sp.inner_grid(w, self.torus.qr), sp.inner_grid(w, self._B)
-        # |a - z_s b_d|^2, with a and b_d as vectors of C^1
-        out = self._at_ball(*_abs2_terms(a[None], b[:, None]))
-        out *= self._ball_inv_sq
-        return out
-
-    def ball_chordal(self, p: np.ndarray) -> np.ndarray:
-        """Projective chordal distance sqrt(1 - |p^H V|^2 / (|p|^2 |V|^2)) of
-        the ball cells to the class of a coordinate vector p, in the order of
-        ball_points.
-
-        By Lagrange's identity its square is the ratio of sinusoids |p x V|^2
-        / (|p|^2 |V|^2), off by at most 32 u kappa with kappa = (|qr| +
-        |B_d|)^2 / |V|^2 (see the class docstring).  Where that bound is not
-        small against the value, at cells within rounding of the point p,
-        the distance is taken from the unit point itself as sqrt(1 -
-        min(|p^H V|, 1)^2); with exact arithmetic both agree."""
-        p = p / np.linalg.norm(p)
-        K = np.cross(p, np.eye(3))  # x @ K = p x x
-        dist = self._at_ball(*_abs2_terms(self.torus.qr @ K, self._B @ K))
-        dist *= self._ball_inv_sq
-        np.sqrt(np.maximum(dist, 0.0, out=dist), out=dist)
-        near = np.flatnonzero(dist <= self._chordal_floor)
-        if near.size:
-            overlap = np.abs(self._points(near).conj() @ p)
-            dist[near] = np.sqrt(np.maximum(0.0, 1.0 - np.minimum(overlap, 1.0) ** 2))
-        return dist
-
-    @cached_property
-    def _chordal_floor(self) -> float:
-        """A distance below which ball_chordal's sinusoid may be all rounding:
-        the square root of four times its bound 32 u max kappa."""
-        t_max = (np.linalg.norm(self.torus.qr) + np.linalg.norm(self._B, axis=1)).max() ** 2
-        return math.sqrt(4.0 * 2.0 * FORM_ROUNDING * t_max * self._ball_inv_sq.max(initial=0.0))
 
 
 def level_g(theta, phi):

@@ -198,7 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--n", type=int, help="elliptic order (picks alpha2 with 8cos^2 = 2cos(2pi/n)+1)")
     pv.add_argument("--alpha2", type=float, help="parameter alpha2 in (0, pi/2)")
     pv.add_argument("--sweep", type=str, help="half-open sweep A:B:STEP over alpha2")
-    pv.add_argument("--grid", type=int, default=DEFAULT_GRID, help="torus grid resolution")
+    pv.add_argument(
+        "--grid", type=int, default=DEFAULT_GRID, help="torus resolution: TF and LC read grid // 2 delta-columns"
+    )
     pv.add_argument("--workers", type=int, default=1)
     pv.add_argument("--out", type=str, default=None, help="directory for report JSON files")
     pv.add_argument("--tol", type=float, default=None)

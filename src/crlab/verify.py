@@ -13,6 +13,10 @@ checked numerically:
         deformation's fixed point (annuli on the loxodromic side, angular
         sectors on the elliptic side) plus exact cone-separation margins.
 
+TF and LC read the Giraud tori of neighbouring faces one delta-column at a
+time, where every form is a sinusoid in sigma: each exclusion margin is an
+exact minimum over sigma (GiraudTorus.column_minima), sampled in delta.
+
 Passing all three yields the Dehn-surgery verdict for the parameter:
 slope 1/(n-3) on the elliptic side of order n >= 9, slope -1/3 on the
 loxodromic side.
@@ -41,7 +45,6 @@ from .family import (
 from .bisector import (
     GiraudTorus,
     SymmetricKind,
-    TorusGrid,
     classify_bisector,
     symmetric_intersection_type,
 )
@@ -217,43 +220,37 @@ def delta0(alpha2: float) -> float:
 # small shared helpers
 
 
-def _two_point_exclusion(grid, excess, targets, res, key, vertex_radius=0.08):
-    """Common pattern: on the ball locus of a TorusGrid, the positive
-    function `excess` (given at the ball cells) may vanish only near the
-    named target points.
-
-    Records the margin outside the vertex balls as res.margins[key], and a
-    note naming the vertex-presence gate when that gate alone fails.
-    Returns (passed, per-target minimal distances).
-    """
-    step = 2.0 * math.pi / len(grid.sigmas)
-    radius = max(4.0 * step, 0.02)
-    if len(grid.ball_cells[0]):
-        dists = np.stack([grid.ball_chordal(t.v) for t in targets.values()])
-        outside = dists.min(axis=0) > vertex_radius
-        margin = float(excess[outside].min()) if outside.any() else math.inf
-        target_min = [float(d.min()) for d in dists]
-    else:
-        outside, margin, target_min = False, math.inf, [math.inf] * len(targets)
-    present = all(d <= radius for d in target_min)
-    passed = present and (not np.any(outside) or margin > 0.0)
-    res.margins[key] = margin
-    if not present and margin > 0.0:
-        found = ", ".join(f"{nm} at {d:.3e}" for nm, d in zip(targets, target_min))
-        res.notes.append(
-            f"{key}: vertex-presence gate failed: nearest sampled locus point to "
-            f"{found}; threshold max(4*step, 0.02) = {radius:.3e}"
-        )
-    return passed, target_min
+def _vertex_angles(torus: GiraudTorus, target: HVec):
+    """(theta, phi) of the torus point at the vertex `target`: a torus point
+    is J-orthogonal to both factors q - e^{i th} p and r - e^{i ph} p, so
+    e^{-i th} = <q,t>/<p,t> and e^{-i ph} = <r,t>/<p,t>."""
+    pt = inner(torus.p, target)
+    return -cmath.phase(inner(torus.q, target) / pt), -cmath.phase(inner(torus.r, target) / pt)
 
 
-def _multi_run_columns(cells, n: int, m: int) -> int:
-    """Columns of an n x m grid on the torus in which the cells (s, d), given
-    in row-major order, form more than one circular run in s.  A run starts
-    at a cell whose s-predecessor is no cell."""
-    s, d = cells
-    starts = d[~np.isin((s - 1) % n * m + d, s * m + d, assume_unique=True)]
-    return int((np.bincount(starts, minlength=m) > 1).sum())
+def _torus_exclusion(ff: FaceFamily, res, key, torus: GiraudTorus, pos: HVec, negs, vertices: dict) -> bool:
+    """On the ball part of `torus`, the envelope max_i |<pos, z>|^2 -
+    |<neg_i, z>|^2 over unit representatives z vanishes only at the two
+    named vertices.
+
+    Both vertices lie on the delta-column delta_v = (theta - phi) / 2 mod pi
+    (`_vertex_angles`), at the two ends of its ball arc, where the contact
+    is of second order.  The envelope's exact minimum on the arcs of m
+    columns delta_v + (k + 1/2) pi / m (`GiraudTorus.column_minima`), over
+    sin^2(delta - delta_v), gives res.margins[key]; the distance from each
+    vertex to the nearer end of the delta_v arc is its residual, at most
+    1e3 tol.  Exact in sigma, sampled in delta, with m = grid_n // 2."""
+    m = ff.grid_n // 2
+    theta, phi = _vertex_angles(torus, next(iter(vertices.values())))
+    dv = ((theta - phi) / 2.0) % math.pi
+    offsets = (np.arange(m) + 0.5) * (math.pi / m)
+    minima = torus.column_minima(dv + offsets, pos.v, [w.v for w in negs])
+    res.margins[key] = float((minima / np.sin(offsets) ** 2).min())
+    (mid,), (half,) = torus.ball_arcs([dv])
+    ends = [torus.point(s + dv, s - dv) for s in (mid - half, mid + half)]
+    for name, t in vertices.items():
+        res.residuals[name] = math.inf if math.isnan(half) else min(proj_distance(e, t) for e in ends)
+    return res.margins[key] > 0.0 and all(res.residuals[name] <= 1e3 * ff.tol for name in vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +320,6 @@ def tf_check(ff: FaceFamily) -> CheckResult:
     pts, sp, a2 = ff.pts, ff.space, ff.alpha2
     cos2 = math.cos(a2) ** 2
     sin_a2 = math.sin(a2)
-    n = ff.grid_n
 
     # --- (a) real-plane part: the two closed-form squared moduli and the
     # resulting exclusion 2s^2 - r >= 3 s^2 on the norm <= 0 half.
@@ -360,22 +356,12 @@ def tf_check(ff: FaceFamily) -> CheckResult:
     res.margins["cline_norm"] = 24.0 * sin_a2**2
     cl_ok = worst_cl <= 1e-8 and res.margins["cline_norm"] > 0 or abs(a2) < 1e-12
 
-    # --- (c) torus part
+    # --- (c) torus part: on the ball part of the torus of J_0^- and J_-1^-,
+    # |<z, p_U>| <= |<z, p_V>| only at p_A and p_B
     torus = ff.torus_minus
     d0 = delta0(a2)
-    grid = torus.sigma_delta(n, d0)
-    s_plus = grid.ball_abs2(pts.p_U.v) - grid.ball_abs2(pts.p_V.v)
-    passed_c, targets_min = _two_point_exclusion(
-        grid, s_plus, {"p_A": pts.p_A, "p_B": pts.p_B}, res, "torus_exclusion"
-    )
-    res.residuals["vertex_pA_distance"] = targets_min[0]
-    res.residuals["vertex_pB_distance"] = targets_min[1]
-    res.counts["torus_ball_points"] = len(grid.ball_cells[0])
-    # interval structure: in each delta-column the ball locus is one
-    # circular run; the column's form is a sinusoid in sigma, so this holds
-    # exactly and the count checks rounding
-    runs_bad = _multi_run_columns(grid.ball_cells, n, len(grid.deltas))
-    res.counts["torus_noninterval_columns"] = runs_bad
+    vertices = {"vertex_pA_distance": pts.p_A, "vertex_pB_distance": pts.p_B}
+    passed_c = _torus_exclusion(ff, res, "torus_exclusion", torus, pts.p_U, [pts.p_V], vertices)
 
     # derivative factorization: d h / d sigma = -12 sin(sigma) (2 cos(2 a2 - d) - cos d)
     # for the norm rescaled by the common 2 cos^2 a2 factor of the box products;
@@ -389,18 +375,18 @@ def tf_check(ff: FaceFamily) -> CheckResult:
     res.residuals["dh_dsigma_factorization"] = worst_d
 
     # complex-line locus on the torus sits at delta = delta0 mod pi: the
-    # columns at delta0 and delta0 + pi/2
+    # largest |<z, lpole>| on the whole column at delta0 and the least at
+    # delta0 + pi/2, in closed form
     lpole = np.array([sin_a2, -1j * math.sqrt(2.0) / 2.0, -sin_a2])
-    cols = TorusGrid(torus, grid.sigmas, grid.deltas[[0, len(grid.deltas) // 2]])
-    on_line = np.sqrt(cols.abs2(lpole))
-    col_d0 = float(on_line[:, 0].max())
-    col_mid = float(on_line[:, 1].min())
+    zero = np.zeros(3)
+    col_d0 = math.sqrt(max(0.0, -torus.column_minima([d0], zero, [lpole], ball=False)[0]))
+    col_mid = math.sqrt(max(0.0, torus.column_minima([d0 + math.pi / 2.0], lpole, [zero], ball=False)[0]))
     res.residuals["cline_locus_at_delta0"] = col_d0
     res.margins["cline_locus_off_delta0"] = col_mid
 
     res.notes.append(
-        "torus exclusion is established by per-parameter grid evidence over "
-        "the monotone columns (numerical, not a proof)"
+        "torus exclusion is exact in sigma on each delta-column and sampled "
+        "in delta (numerical, not a proof)"
     )
 
     # --- bi-tangency of the two bounding Giraud circles at p_A and p_B
@@ -425,24 +411,17 @@ def tf_check(ff: FaceFamily) -> CheckResult:
     bt_ok = max(bt_resid) <= 1e-3
     res.passed = bool(
         rp_ok and cl_ok and passed_c and bt_ok and crit_ok
-        and worst_d <= 1e-8 and col_d0 <= 1e-9 and runs_bad == 0
-        and col_mid > 0
+        and worst_d <= 1e-8 and col_d0 <= 1e-9 and col_mid > 0
     )
     return res
 
 
 def _giraud_circle_tangent_at(torus: GiraudTorus, target: HVec):
     """Affine-chart velocity of the Giraud circle `torus` at the vertex
-    `target`; returns (velocity, lift, dist).
-
-    A torus point is J-orthogonal to both factors q - e^{i th} p and
-    r - e^{i ph} p, so the vertex t sits at e^{-i th} = <q,t>/<p,t> and
-    e^{-i ph} = <r,t>/<p,t>; dist is the projective distance from the
-    torus point there to t."""
+    `target`; returns (velocity, lift, dist), where dist is the projective
+    distance to `target` from the torus point at its `_vertex_angles`."""
     J = torus.space.J
-    pt = inner(torus.p, target)
-    th = -cmath.phase(inner(torus.q, target) / pt)
-    ph = -cmath.phase(inner(torus.r, target) / pt)
+    th, ph = _vertex_angles(torus, target)
     v = torus.vectors(th, ph)
     d = proj_distance(HVec(v, torus.space), target)
     dvth = 1j * cmath.exp(-1j * th) * torus.pr
@@ -489,7 +468,6 @@ def lc_check(ff: FaceFamily) -> CheckResult:
     res = CheckResult("lc", True)
     pts = ff.pts
     a2 = ff.alpha2
-    n = ff.grid_n
     u = (2.0 / 3.0) * (4.0 * math.cos(a2) ** 2 - 3.0)
     res.margins["u_below_two_thirds"] = 2.0 / 3.0 - u
     ok_u = u < 2.0 / 3.0 - 1e-12 or abs(a2) < 1e-12
@@ -503,28 +481,20 @@ def lc_check(ff: FaceFamily) -> CheckResult:
     res.residuals["u_cross_pair"] = abs(si2.u - u)
     disks_ok = si1.kind is SymmetricKind.DISK and si2.kind is SymmetricKind.DISK
 
-    # F_0^- /\ F_-1^- == {p_A, p_B} on the torus grid (common constraint
-    # |<z,p_U>| <= |<z,p_V>| must fail off the vertices)
-    grid = ff.torus_minus.sigma_delta(n, 0.0)
-    excess_minus = grid.ball_abs2(pts.p_U.v) - np.minimum.reduce(
-        [grid.ball_abs2(w.v) for w in (pts.p_V, ff.U.apply(pts.p_V), ff.U.inv().apply(pts.p_V))]
-    )
-    ok_mm, _ = _two_point_exclusion(
-        grid, excess_minus, {"p_A": pts.p_A, "p_B": pts.p_B}, res, "faces_minus_minus"
+    # F_0^- /\ F_-1^- == {p_A, p_B} on the torus of J_0^- and J_-1^- (the
+    # common constraint |<z,p_U>| <= |<z,p_V>| must fail off the vertices)
+    U, Ui = ff.U, ff.U.inv()
+    ok_mm = _torus_exclusion(
+        ff, res, "faces_minus_minus", ff.torus_minus, pts.p_U, [pts.p_V, U.apply(pts.p_V), Ui.apply(pts.p_V)],
+        {"faces_minus_minus_vertex_pA": pts.p_A, "faces_minus_minus_vertex_pB": pts.p_B},
     )
 
-    # F_0^+ /\ F_1^+ == {p_B, U p_A}
-    torus_pp = GiraudTorus(pts.p_U, pts.p_V, ff.U.apply(pts.p_V), ff.tol)
-    grid2 = torus_pp.sigma_delta(n, 0.0)
-    pu2b, w_pW, w_UipW, w_UpW = (
-        grid2.ball_abs2(w.v)
-        for w in (pts.p_U, pts.p_W, ff.U.inv().apply(pts.p_W), ff.U.apply(pts.p_W))
-    )
-    exc_f0 = pu2b - np.minimum(w_pW, w_UipW)  # fails F_0^+
-    exc_f1 = pu2b - np.minimum(w_UpW, w_pW)  # fails F_1^+
-    excess_pp = np.maximum(exc_f0, exc_f1)
-    ok_pp, _ = _two_point_exclusion(
-        grid2, excess_pp, {"p_B": pts.p_B, "U p_A": ff.U.apply(pts.p_A)}, res, "faces_plus_plus"
+    # F_0^+ /\ F_1^+ == {p_B, U p_A}: off the vertices z fails F_0^+ (against
+    # p_W, U^-1 p_W) or F_1^+ (against U p_W, p_W)
+    torus_pp = GiraudTorus(pts.p_U, pts.p_V, U.apply(pts.p_V), ff.tol)
+    ok_pp = _torus_exclusion(
+        ff, res, "faces_plus_plus", torus_pp, pts.p_U, [pts.p_W, Ui.apply(pts.p_W), U.apply(pts.p_W)],
+        {"faces_plus_plus_vertex_pB": pts.p_B, "faces_plus_plus_vertex_UpA": U.apply(pts.p_A)},
     )
 
     # fan parameter: the singular focus must sit strictly inside the
@@ -556,23 +526,10 @@ def _fan_focus_check(ff: FaceFamily, res: CheckResult) -> bool:
     ]
     worst = float(np.abs(identities).max())
     res.residuals["fan_circle_identities"] = worst
-    member = mu <= np.minimum(mw, muw) + 1e-12
-    # the arc containing the focus theta = 3 pi / 2
-    i_f = int(np.argmin(np.abs(thetas - 1.5 * math.pi)))
-    if not member[i_f]:
-        return False
-    lo = i_f
-    while member[lo - 1]:
-        lo -= 1
-    hi = i_f
-    while member[(hi + 1) % len(member)]:
-        hi += 1
-    arc = (thetas[lo % len(thetas)], thetas[hi % len(thetas)])
-    res.residuals["fan_arc_lo_vs_7pi6"] = abs(arc[0] - 7.0 * math.pi / 6.0)
-    res.residuals["fan_arc_hi_vs_11pi6"] = abs(arc[1] - 11.0 * math.pi / 6.0)
-    res.margins["fan_focus_interior"] = float(
-        min(1.5 * math.pi - arc[0], arc[1] - 1.5 * math.pi)
-    )
+    # by the identities mu <= min(mw, muw) exactly when |cos theta| <=
+    # sqrt(3)/2: on the arc 3 pi/2 +- asin(sqrt(3)/2) = [7 pi/6, 11 pi/6]
+    # around the focus theta = 3 pi/2
+    res.margins["fan_focus_interior"] = math.asin(math.sqrt(3.0) / 2.0)
     res.notes.append(
         "fan focus checked on the slice circle through the quadrilateral "
         "vertices at theta = 7pi/6 and 11pi/6"

@@ -330,7 +330,6 @@ class DiskProjection:
     circle: the exact silhouette circle, with the polyline's residual.
     priv_radius: modulus of the boundary in the rotation-invariant chart
     whose 0 and infinity are the lines to [q] and to the focus.
-    priv_range: the range of that modulus over spinal samples.
     contains_zero: whether the line to [q] projects inside the disk (true
     exactly when the pair discriminant is negative).
     """
@@ -340,7 +339,6 @@ class DiskProjection:
     boundary_eps: float
     circle: Silhouette
     priv_radius: float | None
-    priv_range: tuple
     contains_zero: bool
 
 
@@ -373,18 +371,15 @@ def project_bisector(chart: VisualChart, b: Bisector, n_boundary=1024, tol=None)
     boundary = chart.values(pts)
     finite = boundary[np.isfinite(boundary)]
     sil = replace(sil, residual=float(np.abs(np.abs(finite - sil.center) - sil.radius).max()))
-    priv_radius, priv_range = None, (math.nan, math.nan)
+    priv_radius = None
     if b.kind is not BisectorKind.FAN:
         priv = VisualChart(b.p, b.focus, box(b.p, b.focus))
         mods = np.abs(priv.values(pts))
         if mods.max() - mods.min() > 1e-6 * max(float(mods.mean()), 1.0):
             raise GeometryError("silhouette circle has no constant modulus in the privileged chart")
         priv_radius = float(mods.mean())
-        mods = np.abs(priv.values(spinal_samples(b)))
-        mods = mods[np.isfinite(mods)]
-        priv_range = (float(mods.min()), float(mods.max()))
     return DiskProjection(
-        chart, boundary, sil.eps, sil, priv_radius, priv_range,
+        chart, boundary, sil.eps, sil, priv_radius,
         contains_zero=b.kind is not BisectorKind.FAN and b.r_disc < 0,
     )
 

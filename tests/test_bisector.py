@@ -11,6 +11,7 @@ from crlab.bisector import (
     ExtorPairKind,
     GiraudTorus,
     SymmetricKind,
+    TorusGrid,
     brute_force_symmetric_kind,
     classify_bisector,
     classify_pair,
@@ -21,8 +22,8 @@ from crlab.bisector import (
     real_spine_endpoints,
     symmetric_intersection_type,
 )
-from crlab.family import FamilyParams, remarkable_points
-from crlab.verify import FaceFamily, delta0
+from crlab.family import FamilyParams, alpha2_for_order, remarkable_points
+from crlab.verify import FaceFamily, _vertex_angles, delta0
 
 
 def ball_rotation3():
@@ -284,17 +285,9 @@ def test_torus_grid_matches_materialized_grid(n, at_delta0):
             V = V / np.linalg.norm(V, axis=-1, keepdims=True)
             norms = sp.norm_grid(V)
             assert np.abs(grid.norm - norms).max() <= 1e-12 * np.abs(norms).max()
-            clear = np.abs(norms) > 1e-9
-            assert np.array_equal(grid.ball[clear], norms[clear] <= 0.0)
-            Vm = V[grid.ball]
-            assert len(grid.ball_points) == len(Vm) > 0
-            overlap = np.abs(np.einsum("ik,ik->i", grid.ball_points.conj(), Vm))
-            assert np.abs(overlap - 1.0).max() <= 1e-12
             for w in (pts.p_U, pts.p_V, pts.p_W, U.apply(pts.p_A)):
                 want = np.abs(sp.inner_grid(w.v, V)) ** 2
                 assert np.abs(grid.abs2(w.v) - want).max() <= 1e-12 * want.max()
-                want_m = np.abs(sp.inner_grid(w.v, Vm)) ** 2
-                assert np.abs(grid.ball_abs2(w.v) - want_m).max() <= 1e-12 * want.max()
 
 
 def test_torus_norm_terms_match_vectors(pts07):
@@ -308,86 +301,92 @@ def test_torus_norm_terms_match_vectors(pts07):
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-def _dense_ball_cells(grid):
-    return np.nonzero(grid._form <= 0.0)
-
-
-def _ball_grids(n):
-    """(ff, torus, grid) for five seeded alpha2 on both sides of the wall plus
-    1.56, the torus_minus and plus-plus tori, and delta offsets 0 and delta0."""
+def _ball_tori(n):
+    """(torus, pos, negs, deltas) for five seeded alpha2 on both sides of the
+    wall plus 1.56: the torus of J_0^- and J_-1^- with LC's envelope for
+    F_0^- /\\ F_-1^-, the plus-plus torus with that for F_0^+ /\\ F_1^+, and
+    the n // 2 columns of the grid at delta offsets 0 and delta0."""
     rng = np.random.default_rng(90 + n)
     params = list(rng.uniform(0.02, 0.91, 2)) + list(rng.uniform(0.92, 1.56, 2)) + [1.56]
     for a2 in params:
         ff = FaceFamily(float(a2), grid_n=n)
-        pts = ff.pts
-        torus_pp = GiraudTorus(pts.p_U, pts.p_V, ff.U.apply(pts.p_V), ff.tol)
-        for torus in (ff.torus_minus, torus_pp):
+        pts, U, Ui = ff.pts, ff.U, ff.U.inv()
+        torus_pp = GiraudTorus(pts.p_U, pts.p_V, U.apply(pts.p_V), ff.tol)
+        for torus, negs in (
+            (ff.torus_minus, [pts.p_V, U.apply(pts.p_V), Ui.apply(pts.p_V)]),
+            (torus_pp, [pts.p_W, Ui.apply(pts.p_W), U.apply(pts.p_W)]),
+        ):
             for d0 in (0.0, delta0(ff.alpha2)):
-                yield ff, torus, torus.sigma_delta(n, d0)
+                deltas = d0 + np.linspace(0.0, math.pi, n // 2, endpoint=False)
+                yield torus, pts.p_U.v, [w.v for w in negs], deltas
+
+
+def _sampled_envelope(torus, pos, negs, sigmas, deltas):
+    """The envelope max_i |<pos, V>|^2 - |<neg_i, V>|^2 over |V|^2, the
+    largest |<w, V>|^2 / |V|^2 that it cancels, and <V, V> / |V|^2, at the
+    torus points V(sigma, delta), built one by one."""
+    V = torus.vectors(sigmas + deltas, sigmas - deltas)
+    sp, sq = torus.space, (np.abs(V) ** 2).sum(axis=-1)
+    terms = [np.abs(sp.inner_grid(w, V)) ** 2 for w in [pos] + negs]
+    env = np.max([terms[0] - t for t in terms[1:]], axis=0)
+    return env / sq, np.max(terms, axis=0) / sq, sp.norm_grid(V) / sq
+
+
+def _assert_sampled_minima(got, env, terms):
+    """got is the minimum of the sampled envelope rows (sample axis 0): no
+    sample is below it, and the least sample exceeds it by at most twice
+    the largest step between neighbours (the slope bound at a kink).  Both
+    sides round like differences of terms as large as `terms`; the ratios
+    agree with a 40-digit evaluation to about 4e-11 relative."""
+    least = env.min(axis=0)
+    step = np.abs(np.diff(env, axis=0)).max(axis=0)
+    slack = 1e-10 * terms.max(axis=0)
+    assert np.all(got <= least + slack)
+    assert np.all(least - got <= 2.0 * step + slack)
 
 
 @pytest.mark.parametrize("n", [64, 127, 128, 720])
 def test_ball_cells_match_dense_form(n):
-    # the cells from the per-column arcs are those of the dense float form,
-    # bit for bit, and ball_points follows them in row-major order
-    for ff, torus, grid in _ball_grids(n):
-        s, d = _dense_ball_cells(grid)
-        assert np.array_equal(grid.ball_cells[0], s)
-        assert np.array_equal(grid.ball_cells[1], d)
-        assert np.array_equal(grid.ball, grid._form <= 0.0)
-        V = torus.qr - np.exp(-1j * grid.sigmas[s])[:, None] * torus.delta_rows(grid.deltas[d])
-        V /= np.linalg.norm(V, axis=-1, keepdims=True)
-        assert np.array_equal(grid.ball_points, V)
+    # every cell of the dense float form <V, V> <= 0 on the n x n/2 grid lies
+    # on its column's closed-form ball arc, and every cell clear of 0 off it
+    cells = 0
+    for torus, _, _, deltas in _ball_tori(n):
+        grid = TorusGrid(torus, np.linspace(0.0, 2.0 * math.pi, n, endpoint=False), deltas)
+        mid, half = torus.ball_arcs(deltas)
+        t = np.remainder(grid.sigmas[:, None] - mid + math.pi, 2.0 * math.pi) - math.pi
+        A, C = torus.norm_terms(deltas)
+        clear = np.abs(grid._form) > 1e-10 * (np.abs(A) + 2.0 * np.abs(C))
+        assert np.array_equal((np.abs(t) <= half)[clear], (grid._form <= 0.0)[clear])
+        cells += np.count_nonzero(grid._form <= 0.0)
+    assert cells
 
 
 @pytest.mark.parametrize("n", [64, 127, 128, 720])
 def test_ball_sinusoids_match_ball_points(n):
-    # oracle: the unit points ball_points through inner_grid and through the
-    # chordal formula sqrt(1 - min(|p^H V|, 1)^2)
-    u = 2.0**-53
-    for ff, torus, grid in _ball_grids(n):
-        pts, U, P = ff.pts, ff.U, grid.ball_points
-        for w in (pts.p_U, pts.p_V, pts.p_W, U.apply(pts.p_V), U.inv().apply(pts.p_W)):
-            want = np.abs(ff.space.inner_grid(w.v, P)) ** 2
-            assert np.abs(grid.ball_abs2(w.v) - want).max(initial=0.0) <= 1e-12 * grid.abs2(w.v).max()
-        # Squared distances.  With T = (|qr| + |B_d|)^2 >= A + 2|C| for both
-        # |p x V|^2 and |V|^2, and kappa = T / |V|^2 at the cell: the plain
-        # sinusoid |p x V|^2 is within 16 u T (TorusGrid) plus 8 u T for its
-        # coefficients, and |V|^2 within a few u sqrt(kappa) relative, so the
-        # ratio is within 24 u kappa + 4 u; the oracle's V is within 2 u sqrt(T)
-        # per component, which moves its overlap^2 by at most 8 u sqrt(kappa) +
-        # 16 u.  Hence |got^2 - want^2| <= 32 u (kappa + 1).  Cells within
-        # rounding of the target are taken from their points and agree exactly.
-        s, d = grid.ball_cells
-        B = torus.delta_rows(grid.deltas[d])
-        V = torus.qr - np.exp(-1j * grid.sigmas[s])[:, None] * B
-        kappa = (np.linalg.norm(torus.qr) + np.linalg.norm(B, axis=1)) ** 2 / (np.abs(V) ** 2).sum(axis=1)
-        for t in (pts.p_A, pts.p_B, U.apply(pts.p_A)):
-            want = 1.0 - np.minimum(np.abs(P.conj() @ (t.v / np.linalg.norm(t.v))), 1.0) ** 2
-            got = grid.ball_chordal(t.v)
-            assert np.all(np.abs(got**2 - np.maximum(want, 0.0)) <= 32 * u * (kappa + 1.0))
-            near = got <= grid._chordal_floor
-            assert np.array_equal(got[near], np.sqrt(np.maximum(want[near], 0.0)))
+    # oracle: 4001 torus points on each column's ball arc, ends included,
+    # and 4001 on the whole column, built explicitly
+    for torus, pos, negs, deltas in _ball_tori(n):
+        mid, half = torus.ball_arcs(deltas)
+        got = torus.column_minima(deltas, pos, negs)
+        empty = np.isnan(half)
+        assert np.array_equal(np.isinf(got), empty) and not empty.all()
+        sigmas = mid[~empty] + np.linspace(-1.0, 1.0, 4001)[:, None] * half[~empty]
+        env, terms, norm = _sampled_envelope(torus, pos, negs, sigmas, deltas[~empty])
+        assert norm.max() <= 1e-10
+        _assert_sampled_minima(got[~empty], env, terms)
+        whole = deltas[:: len(deltas) // 4]
+        sigmas = np.linspace(0.0, 2.0 * math.pi, 4001)[:, None]
+        env, terms, _ = _sampled_envelope(torus, pos, negs, sigmas, whole)
+        _assert_sampled_minima(torus.column_minima(whole, pos, negs, ball=False), env, terms)
 
 
-def test_ball_chordal_at_a_vertex_cell():
-    # at the fan parameter both vertices sit on cells of the grid-720 torus;
-    # the plain sinusoid there is rounding noise of about 1e-8
-    ff = FaceFamily(math.pi / 6.0, grid_n=720)
-    grid = ff.torus_minus.sigma_delta(720, delta0(ff.alpha2))
-    for t in (ff.pts.p_A, ff.pts.p_B):
-        assert grid.ball_chordal(t.v).min() <= 1e-12
+class _Columns(GiraudTorus):
+    """A Giraud torus whose norm terms (A, C), and so its ball arcs, are
+    given per column."""
 
-
-class _Columns:
-    """A torus stand-in whose norm terms (A, C) are given per column."""
-
-    def __init__(self, A, C):
+    def __init__(self, torus, A, C):
+        vars(self).update(vars(torus))
         self.A, self.C = np.asarray(A, dtype=float), np.asarray(C, dtype=complex)
-        self.qr = np.zeros(3, dtype=complex)
-
-    def delta_rows(self, deltas):
-        return np.zeros((len(deltas), 3), dtype=complex)
 
     def norm_terms(self, deltas):
         return self.A, self.C
@@ -395,30 +394,47 @@ class _Columns:
 
 @pytest.mark.parametrize("n", [64, 127, 720])
 def test_ball_cells_of_synthetic_columns(n):
-    from crlab.bisector import TorusGrid
-
-    u = 2.0**-53
-    rng = np.random.default_rng(n)
-    C = np.concatenate(
-        [
-            [1.0, 1j, -0.5, 3.0 * np.exp(2j * math.pi * 5 / n)],  # tangent at a grid angle
-            [np.exp(1e-20j), np.exp(-1e-20j)],  # tangent a hair off the sigma = 0 cell
-            rng.normal(size=8) + 1j * rng.normal(size=8),
-            [0.0, 0.0, 0.0, 0.0, 1e-300, 1e-300],
-        ]
-    )
+    # ball arcs and column minima for an empty arc, C = 0 with A of both
+    # signs and 0, tangent arcs from above and below, and a half column,
+    # against 64 n + 1 explicit points on each arc
+    ff = FaceFamily(0.7, grid_n=n)
+    pts = ff.pts
+    C = np.array([1.0 + 1j, 0.0, 0.0, 0.0, 3.0 * np.exp(2j * math.pi * 5 / n), -0.5j, 2.0])
     A = 2.0 * np.abs(C)
-    A[6:10] *= 1.0 + u * rng.integers(-4, 5, 4)  # tangent up to a few ulps
-    A[10] *= 1.5  # empty
-    A[11] = -2.5 * abs(C[11])  # full
-    A[12] = -2.0 * abs(C[12])  # tangent from below
-    A[13] = 0.0  # arc of half the column
-    A[14:18] = [1.0, -1.0, 0.0, -0.0]  # C = 0: all or none by the sign of A
-    A[18:20] = [1e-290, -1e-290]
-    grid = TorusGrid(_Columns(A, C), np.linspace(0.0, 2.0 * math.pi, n, endpoint=False), np.arange(len(C)))
-    s, d = _dense_ball_cells(grid)
-    assert np.array_equal(grid.ball_cells[0], s) and np.array_equal(grid.ball_cells[1], d)
-    per_column = np.bincount(d, minlength=len(C))
-    assert per_column[0] == per_column[4] == per_column[5] == 1  # A = 2|C| touches sigma = 0
-    assert per_column[10] == 0 and per_column[11] == n
-    assert list(per_column[14:20]) == [0, n, n, n, 0, n]
+    A[0] *= 1.5  # empty
+    A[1:4] = [1.0, -1.0, 0.0]  # C = 0: none, all, all
+    A[5] = -A[5]  # tangent from below: the whole column
+    A[6] = 0.0  # half the column
+    torus = _Columns(ff.torus_minus, A, C)
+    deltas = np.linspace(0.2, 3.0, len(C))
+    mid, half = torus.ball_arcs(deltas)
+    assert np.isnan(half[:2]).all()
+    assert list(half[2:]) == [math.pi, math.pi, 0.0, math.pi, pytest.approx(math.pi / 2)]
+    assert mid[4] == pytest.approx(2.0 * math.pi * 5 / n)
+    pos, negs = pts.p_U.v, [pts.p_V.v, ff.U.apply(pts.p_V).v]
+    got = torus.column_minima(deltas, pos, negs)
+    assert np.isinf(got[:2]).all() and np.isfinite(got[2:]).all()
+    sigmas = mid[2:] + np.linspace(-1.0, 1.0, 64 * n + 1)[:, None] * half[2:]
+    env, terms, _ = _sampled_envelope(torus, pos, negs, sigmas, deltas[2:])
+    _assert_sampled_minima(got[2:], env, terms)
+    # the tangent arc is the single point sigma = arg C
+    assert got[4] == pytest.approx(env[0, 2], rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "alpha2", list(np.linspace(0.02, 1.56, 9)) + [math.pi / 6, alpha2_for_order(9), alpha2_for_order(2809)]
+)
+def test_vertex_arc_ends_are_the_vertices(alpha2):
+    # both vertices of each face-family torus sit on one delta-column, at
+    # the two ends of its ball arc
+    ff = FaceFamily(float(alpha2), grid_n=64)
+    pts, U = ff.pts, ff.U
+    torus_pp = GiraudTorus(pts.p_U, pts.p_V, U.apply(pts.p_V), ff.tol)
+    for torus, vertices in ((ff.torus_minus, (pts.p_A, pts.p_B)), (torus_pp, (pts.p_B, U.apply(pts.p_A)))):
+        (th1, ph1), (th2, ph2) = (_vertex_angles(torus, t) for t in vertices)
+        dv = (th1 - ph1) / 2.0
+        assert abs(math.remainder((th2 - ph2) / 2.0 - dv, math.pi)) <= 1e-12
+        (mid,), (half,) = torus.ball_arcs([dv])
+        ends = [torus.point(s + dv, s - dv) for s in (mid - half, mid + half)]
+        dist = np.array([[proj_distance(e, t) for e in ends] for t in vertices])
+        assert max(dist[0, 0], dist[1, 1]) <= 1e-12 or max(dist[0, 1], dist[1, 0]) <= 1e-12

@@ -33,17 +33,13 @@ def test_figures_build_no_representation():
     assert names.isdisjoint({"FamilyRep", "FamilyParams"})
 
 
-# GiraudTorus methods that build torus points as arrays of 3-vectors
-TORUS_POINT_BUILDERS = {"vectors", "ball_points"}
-
-
 def test_one_torus_grid_path():
     # forms on torus grids come from TorusGrid in closed form; no module
-    # builds the (sigma, delta) grid of points, and verify/figures never put
+    # builds the (sigma, delta) grid of points, and the figures never put
     # torus points through the pointwise form kernel
     assert [p.name for p in sorted(SRC.glob("*.py")) if "sigma_delta_grid" in p.read_text()] == []
     found = []
-    for name in ("verify.py", "figures.py"):
+    for name in ("figures.py",):
         for fn in ast.walk(ast.parse((SRC / name).read_text())):
             if not isinstance(fn, ast.FunctionDef):
                 continue
@@ -63,7 +59,8 @@ def test_one_torus_grid_path():
 
 
 def test_verify_reads_no_torus_points():
-    # TF and LC read the ball cells through TorusGrid's sinusoid kernels
+    # TF and LC read the ball cells from their closed-form sigma-arcs, never
+    # from sampled torus points
     tree = ast.parse((SRC / "verify.py").read_text())
     found = [
         f"verify.py:{n.lineno} {n.attr}"
@@ -93,6 +90,5 @@ def test_verify_reads_no_sampled_silhouette():
 
 
 def _builds_torus_points(node) -> bool:
-    return any(
-        isinstance(n, ast.Attribute) and n.attr in TORUS_POINT_BUILDERS for n in ast.walk(node)
-    )
+    # GiraudTorus.vectors builds torus points as arrays of 3-vectors
+    return any(isinstance(n, ast.Attribute) and n.attr == "vectors" for n in ast.walk(node))

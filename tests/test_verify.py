@@ -1,3 +1,6 @@
+import ast
+import importlib
+import inspect
 import json
 import math
 
@@ -11,7 +14,6 @@ from crlab.isometry import Isometry
 from crlab.verify import (
     _cone_separation,
     _giraud_circle_tangent_at,
-    _multi_run_columns,
     CheckResult,
     FaceFamily,
     VerdictKind,
@@ -61,7 +63,7 @@ def test_tf_structure(ff_lox):
     assert res.margins["cline_norm"] == pytest.approx(24 * math.sin(0.7) ** 2, abs=1e-12)
     assert res.residuals["dh_dsigma_factorization"] <= 1e-8
     assert res.residuals["cline_locus_at_delta0"] <= 1e-9
-    assert res.counts["torus_noninterval_columns"] == 0
+    assert max(res.residuals["vertex_pA_distance"], res.residuals["vertex_pB_distance"]) <= 1e-12
     assert res.residuals["bitangency_pA"] <= 1e-4
     assert res.residuals["bitangency_pB"] <= 1e-4
 
@@ -85,6 +87,7 @@ def test_lc_structure(ff_lox):
     assert res.margins["u_below_two_thirds"] > 0
     assert res.margins["faces_minus_minus"] > 0
     assert res.margins["faces_plus_plus"] > 0
+    assert max(v for k, v in res.residuals.items() if "_vertex_" in k) <= 1e-12
 
 
 def test_lc_u_value_at_wall():
@@ -100,10 +103,9 @@ def test_lc_fan_focus_identities():
     res = lc_check(ff)
     assert res.passed
     assert res.residuals["fan_circle_identities"] <= 1e-8
-    assert res.margins["fan_focus_interior"] > 0
-    # the arc endpoints are the corrected vertex labels
-    assert res.residuals["fan_arc_lo_vs_7pi6"] < 0.02
-    assert res.residuals["fan_arc_hi_vs_11pi6"] < 0.02
+    # the focus 3 pi/2 sits in the arc [7 pi/6, 11 pi/6] between the
+    # corrected vertex labels
+    assert res.margins["fan_focus_interior"] == pytest.approx(math.pi / 3, abs=1e-12)
 
 
 def test_gc_loxodromic(ff_lox):
@@ -275,40 +277,16 @@ def test_tightest_cone_pair_note_names_the_smallest_tie(n):
     assert abs(margins[0, 0] - margins[-1, 0]) <= 8 * np.spacing(math.pi)
 
 
-def test_verify_forms_no_dense_torus_grid(monkeypatch):
-    # every closed-form grid expression goes through _re_outer; on the verify
-    # path none may span more than two columns of the n x n/2 torus grid, and
-    # verify reads the ball cells as sinusoids, never as points or a mask
-    import crlab.bisector
-
-    sizes = []
-    re_outer = crlab.bisector._re_outer
-    monkeypatch.setattr(
-        crlab.bisector, "_re_outer", lambda z, c: sizes.append(z.size * c.size) or re_outer(z, c)
-    )
-
-    def refuse(grid):
-        raise AssertionError("verify built torus points or the dense ball mask")
-
-    for name in ("ball_points", "ball"):
-        monkeypatch.setattr(crlab.bisector.TorusGrid, name, property(refuse))
-    n = 720
-    for a2 in (alpha2_for_order(9), alpha2_for_order(56), alpha2_for_length(1.0)):
-        sizes.clear()
-        verify(a2, grid_n=n)
-        assert sizes and max(sizes) <= 2 * n
-
-
-def test_multi_run_columns_match_the_mask_count():
-    # reference: the count TF took from the dense ball mask
-    rng = np.random.default_rng(12)
-    for n, m in ((16, 8), (17, 5), (64, 32)):
-        for p in (0.0, 0.2, 0.5, 0.9, 1.0):
-            mask = rng.random((n, m)) < p
-            mask[:, 0] = np.roll(np.arange(n) < n // 3, -2)  # one run across the seam
-            mask[:, 1] = True
-            want = int(((mask & ~np.roll(mask, 1, axis=0)).sum(axis=0) > 1).sum())
-            assert _multi_run_columns(np.nonzero(mask), n, m) == want
+def test_verify_forms_no_dense_torus_grid():
+    # TF and LC read the Giraud tori per delta-column in closed form
+    # (GiraudTorus.column_minima): verify builds no (sigma, delta) grid
+    tree = ast.parse(inspect.getsource(importlib.import_module("crlab.verify")))
+    imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+    called = {
+        n.func.attr for n in ast.walk(tree) if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+    }
+    assert "TorusGrid" not in imported and "sigma_delta" not in called
+    assert "column_minima" in called
 
 
 def test_gc_elliptic_powers_of_u_do_not_grow_with_order(monkeypatch):
@@ -543,19 +521,30 @@ def test_incidence_printed_value(ff_lox):
     assert abs(val - 1.0) < 1e-12
 
 
-def test_failed_vertex_presence_gate_is_named():
-    # every LC margin is positive at 1.4395 (grid 128); the check fails on
-    # the vertex-presence gate alone, and the note says so
-    lc = verify(1.4395, grid_n=128).lc
-    assert not lc.passed and min(lc.margins.values()) > 0
-    (note,) = lc.notes
-    assert note.startswith("faces_plus_plus: vertex-presence gate failed")
-    assert "p_B at 2.177e-01" in note and "U p_A at" in note
-    assert "threshold max(4*step, 0.02) = 1.963e-01" in note
-    # passing checks carry no such note
-    rep = verify(alpha2_for_order(9), grid_n=128)
-    assert rep.tf.passed and rep.lc.passed
-    assert not any("gate" in n for c in (rep.tf, rep.lc) for n in c.notes)
+@pytest.mark.parametrize("grid", [128, 720])
+@pytest.mark.parametrize("alpha2", [1.4395, 1.5, 1.5205, 1.56])
+def test_tf_lc_pass_where_the_ball_band_is_thin(alpha2, grid):
+    # near alpha2 = pi/2 the ball part of the tori is a thin band in delta
+    # around the vertex column; no sampled cell came near the vertices there,
+    # while the closed-form arcs end on them
+    rep = verify(alpha2, grid_n=grid)
+    for check in (rep.tf, rep.lc):
+        assert check.passed
+        assert min(check.margins.values()) > 0
+        assert max(v for k, v in check.residuals.items() if "vertex" in k) <= 1e-12
+
+
+def test_torus_margins_do_not_depend_on_the_grid():
+    # grid_n sets only the number of delta-columns; the margins on 64 and
+    # 360 columns agree to 1e-3
+    for a2 in (alpha2_for_order(9), alpha2_for_order(2809), alpha2_for_length(1.0), math.pi / 6):
+        coarse, fine = FaceFamily(a2, grid_n=128), FaceFamily(a2, grid_n=720)
+        assert tf_check(coarse).margins["torus_exclusion"] == pytest.approx(
+            tf_check(fine).margins["torus_exclusion"], rel=1e-3
+        )
+        lc_coarse, lc_fine = lc_check(coarse).margins, lc_check(fine).margins
+        for key in ("faces_minus_minus", "faces_plus_plus"):
+            assert lc_coarse[key] == pytest.approx(lc_fine[key], rel=1e-3)
 
 
 @pytest.mark.parametrize("alpha2", [math.pi / 6, 0.7, alpha2_for_order(9)])
