@@ -12,7 +12,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -125,25 +124,17 @@ def classify_pair(b1: Bisector, b2: Bisector, tol=None) -> ExtorPairKind:
     return ExtorPairKind.UNBALANCED
 
 
-@dataclass(frozen=True)
-class GiraudSample:
-    theta: float
-    phi: float
-    point: HVec
-    norm: float
-
-
 class GiraudTorus:
     """The intersection torus of the coequidistant extors E(p,q), E(p,r).
 
     Points are [(q - e^{i theta} p) box (r - e^{i phi} p)], expanded as
     qr - e^{-i theta} pr - e^{-i phi} qp in the precomputed box products
-    qr = q box r, pr = p box r, qp = q box p.  `vectors`, `point` and
-    `sample` evaluate that expansion at given angles.  With theta = sigma +
-    delta and phi = sigma - delta the point is qr - e^{-i sigma} B(delta),
-    so every form on a delta-column is a sinusoid in sigma: `ball_arcs` and
+    qr = q box r, pr = p box r, qp = q box p.  `vectors` and `point`
+    evaluate that expansion at given angles.  With theta = sigma + delta and
+    phi = sigma - delta the point is qr - e^{-i sigma} B(delta), so every
+    form on a delta-column is a sinusoid in sigma: `ball_arcs` and
     `column_minima` read the ball part of each column in closed form, and
-    `sigma_delta` evaluates forms on a covering (sigma, delta) grid.
+    `column_forms` evaluates the forms on a (sigma, delta) grid.
     """
 
     def __init__(self, p: HVec, q: HVec, r: HVec, tol=None):
@@ -170,10 +161,6 @@ class GiraudTorus:
 
     def point(self, theta: float, phi: float) -> HVec:
         return HVec(self.vectors(theta, phi), self.space)
-
-    def sample(self, theta: float, phi: float) -> GiraudSample:
-        pt = self.point(theta, phi)
-        return GiraudSample(theta, phi, pt, pt.norm())
 
     def delta_rows(self, deltas) -> np.ndarray:
         """B(delta) = e^{-i delta} pr + e^{i delta} qp, shape (len(deltas), 3):
@@ -209,7 +196,7 @@ class GiraudTorus:
         whole column when ball is False; inf where the arc is empty.
 
         In a column every E_i and |V|^2 is a sinusoid k + p cos(sigma) + q
-        sin(sigma) (`_abs2_terms`, `_harmonic`).  On the arc the minimum
+        sin(sigma) (`_column_rows`).  On the arc the minimum
         of the envelope sits at an arc end, at a critical point of one ratio
         E_i / |V|^2, where E_i' |V|^2 - E_i (|V|^2)' vanishes, or at a
         crossing E_i = E_j.  Both conditions are a constant plus one
@@ -220,13 +207,8 @@ class GiraudTorus:
         tori through alpha2 = 1.56 the values agree with a 40-digit
         evaluation of the same points to about 2e-11 relative."""
         deltas = np.asarray(deltas, dtype=float)
-        B, sp = self.delta_rows(deltas), self.space
-
-        def abs2(w):  # |<w, V>|^2 = |<w, qr> - e^{-i sigma} <w, B_d>|^2
-            return _harmonic(*_abs2_terms(sp.inner_grid(w, self.qr)[None], sp.inner_grid(w, B)[:, None]))
-
-        den = _harmonic(*_abs2_terms(self.qr, B))
-        nums = [abs2(pos) - abs2(w) for w in negs]
+        den, (top, *rest) = self._column_rows(deltas, [pos, *negs])
+        nums = [top - e for e in rest]
         if ball:
             mid, half = self.ball_arcs(deltas)
         else:
@@ -241,17 +223,28 @@ class GiraudTorus:
         env /= k + p * cos + q * sin
         return np.where(np.abs(t) <= half, env, math.inf).min(axis=0)
 
-    def sigma_delta(self, n: int, delta0: float) -> "TorusGrid":
-        """Forms on the (sigma, delta) grid that covers the torus once: n
-        values of sigma on [0, 2 pi) and n // 2 of delta on delta0 + [0, pi)."""
-        sigmas = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-        deltas = delta0 + np.linspace(0.0, math.pi, n // 2, endpoint=False)
-        return TorusGrid(self, sigmas, deltas)
+    def column_forms(self, sigmas, deltas, ws) -> list:
+        """[<V, V> / |V|^2, then |<w, V>|^2 / |V|^2 for each coordinate
+        vector w], each of shape (len(sigmas), len(deltas)): on every
+        delta-column each form is a sinusoid k + p cos(sigma) + q sin(sigma)
+        (`norm_terms`, `_column_rows`), so no torus point is formed.  |V|^2
+        is the plain sinusoid, which cancels near its column minimum: on the
+        face-family torus at alpha2 = 1.56 the ratios agree with a 40-digit
+        evaluation of the same points to about 6e-12 of the grid's largest
+        value, and to 1e-15 at alpha2 = 0.7."""
+        den, abs2 = self._column_rows(deltas, ws)
+        cos, sin = np.cos(sigmas)[:, None], np.sin(sigmas)[:, None]
+        sq, *forms = [k + p * cos + q * sin for k, p, q in [den, _harmonic(*self.norm_terms(deltas)), *abs2]]
+        return [f / sq for f in forms]
 
-
-def _re_outer(z: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Re(z_i c_j) for every pair, from real outer products."""
-    return np.multiply.outer(z.real, c.real) - np.multiply.outer(z.imag, c.imag)
+    def _column_rows(self, deltas, ws):
+        """Per delta-column rows (k, p, q) of |V|^2 and of each |<w, V>|^2 =
+        |<w, qr> - e^{-i sigma} <w, B_d>|^2, as sinusoids in sigma."""
+        B, sp = self.delta_rows(deltas), self.space
+        den = _harmonic(*_abs2_terms(self.qr, B))
+        return den, [
+            _harmonic(*_abs2_terms(sp.inner_grid(w, self.qr)[None], sp.inner_grid(w, B)[:, None])) for w in ws
+        ]
 
 
 def _abs2_terms(u: np.ndarray, v: np.ndarray):
@@ -282,72 +275,6 @@ def _harmonic_roots(k, p, q):
         half = np.arccos(np.clip(-k / np.hypot(p, q), -1.0, 1.0))
     phase = np.arctan2(q, p)
     return phase - half, phase + half
-
-
-class TorusGrid:
-    """Forms of unit representatives on a (sigma, delta) grid of a
-    GiraudTorus, evaluated in closed form, for the figures.
-
-    The point at (sigma_s, delta_d) is V = qr - z_s B_d with z_s =
-    e^{-i sigma_s} (see GiraudTorus.delta_rows), so <V, V> = A_d - 2 Re(z_s
-    C_d) (`GiraudTorus.norm_terms`) and |<w, V>|^2 = |<w, qr> - z_s <w,
-    B_d>|^2 are taken from per-column coefficients through the outer
-    products of `_re_outer`, without forming torus points.  Each value is
-    divided by |V|^2, that of the row-normalized point V / |V|, which is
-    taken without the cancellation of the plain sinusoid near its column
-    minimum (`_grid_inv_sq`).  On the tori of the face family the ratios
-    stay below 1e-12 of the grid's largest ratio through alpha2 = 1.56.
-    """
-
-    def __init__(self, torus: GiraudTorus, sigmas: np.ndarray, deltas: np.ndarray):
-        self.torus = torus
-        self.sigmas, self.deltas = sigmas, deltas
-        self._z = np.exp(-1j * sigmas)
-        self._B = torus.delta_rows(deltas)
-
-    @cached_property
-    def _form(self) -> np.ndarray:
-        """<V, V> on the grid, before normalization."""
-        A, C = self.torus.norm_terms(self.deltas)
-        return A - 2.0 * _re_outer(self._z, C)
-
-    @cached_property
-    def norm(self) -> np.ndarray:
-        """<V, V> / |V|^2, shape (len(sigmas), len(deltas))."""
-        return self._form * self._grid_inv_sq
-
-    @cached_property
-    def _grid_inv_sq(self) -> np.ndarray:
-        """1 / |V|^2 on the whole grid: with c_d = C_d / |C_d| on the unit
-        circle, |V|^2 = m_d + |C_d| |z_s - conj(c_d)|^2, and the column
-        minimum m_d = A_d - 2 |C_d| is (|qr| - |B_d|)^2 + 2 |qr x B_d|^2 /
-        (|qr| |B_d| + |C_d|) by Lagrange's identity."""
-        qr, B = self.torus.qr, self._B
-        C = _abs2_terms(qr, B)[1]
-        mod = np.abs(C)
-        c = C / np.where(mod > 0.0, mod, 1.0)
-        qn, bn = np.linalg.norm(qr), np.linalg.norm(B, axis=1)
-        cross = np.cross(qr, B)
-        low = (qn - bn) ** 2 + 2.0 * (cross.real**2 + cross.imag**2).sum(axis=1) / np.maximum(
-            qn * bn + mod, np.finfo(float).tiny
-        )
-        re = self._z.real[:, None] - c.real
-        im = self._z.imag[:, None] + c.imag
-        re *= re
-        im *= im
-        re += im
-        re *= mod
-        re += low
-        return np.divide(1.0, re, out=re)
-
-    def abs2(self, w: np.ndarray) -> np.ndarray:
-        """|<w, V>|^2 / |V|^2 for a coordinate vector w, on the whole grid."""
-        sp = self.torus.space
-        a, b = sp.inner_grid(w, self.torus.qr), sp.inner_grid(w, self._B)
-        # a - z_s b_d, its imaginary part as Re(z_s (-i b_d))
-        re = a.real - _re_outer(self._z, b)
-        im = a.imag - _re_outer(self._z, -1j * b)
-        return (re**2 + im**2) * self._grid_inv_sq
 
 
 def level_g(theta, phi):

@@ -22,22 +22,20 @@ from .family import FamilyParams, FamilyRep, alpha2_for_order
 from .isometry import Isometry, classify, elliptic_type, verify_su21
 from .verify import DEFAULT_GRID, verify
 
-CSV_FLOAT = "%.17g"
-
 
 def _report_to_json(report) -> str:
     return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
 def _param_token(alpha2: float) -> str:
-    return (CSV_FLOAT % alpha2).replace("-", "m").replace(".", "p").replace("+", "")
+    return (figures.CSV_FMT % alpha2).replace("-", "m").replace(".", "p").replace("+", "")
 
 
 def _verify_one(job):
     """Verify one parameter: (summary line, whether it failed).  A
     GeometryError fails this parameter alone; a sweep keeps the others."""
     alpha2, grid_n, tol, out_dir = job
-    head = f"alpha2={CSV_FLOAT % alpha2}: "
+    head = f"alpha2={figures.CSV_FMT % alpha2}: "
     try:
         report = verify(alpha2, tol=tol, grid_n=grid_n)
     except GeometryError as exc:

@@ -202,9 +202,10 @@ def figure_spinal_trace(out_base, alpha2=0.7, resolution=361, fmt="csv"):
     """Curves on the intersection torus of two neighbouring bisectors: the
     locus inside the closed ball and the crossing loci with the third extor."""
     ff = FaceFamily(alpha2, grid_n=resolution)
-    grid = ff.torus_minus.sigma_delta(resolution, delta0(ff.alpha2))
-    sigmas, deltas, norms = grid.sigmas, grid.deltas, grid.norm
-    side = grid.abs2(ff.pts.p_U.v) - grid.abs2(ff.pts.p_V.v)
+    sigmas = np.linspace(0.0, 2.0 * math.pi, resolution, endpoint=False)
+    deltas = delta0(ff.alpha2) + np.linspace(0.0, math.pi, resolution // 2, endpoint=False)
+    norms, to_u, to_v = ff.torus_minus.column_forms(sigmas, deltas, [ff.pts.p_U.v, ff.pts.p_V.v])
+    side = to_u - to_v
     if fmt == "csv":
         rows = _grid_rows(sigmas, deltas, norms, side)
         return (

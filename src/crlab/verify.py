@@ -246,6 +246,11 @@ def _torus_exclusion(ff: FaceFamily, res, key, torus: GiraudTorus, pos: HVec, ne
     offsets = (np.arange(m) + 0.5) * (math.pi / m)
     minima = torus.column_minima(dv + offsets, pos.v, [w.v for w in negs])
     res.margins[key] = float((minima / np.sin(offsets) ** 2).min())
+    if math.isinf(res.margins[key]):
+        res.notes.append(
+            f"{key}: no sampled delta-column meets the ball (the ball band at "
+            f"delta_v is narrower than the column spacing pi/{m})"
+        )
     (mid,), (half,) = torus.ball_arcs([dv])
     ends = [torus.point(s + dv, s - dv) for s in (mid - half, mid + half)]
     for name, t in vertices.items():
@@ -469,8 +474,10 @@ def lc_check(ff: FaceFamily) -> CheckResult:
     pts = ff.pts
     a2 = ff.alpha2
     u = (2.0 / 3.0) * (4.0 * math.cos(a2) ** 2 - 3.0)
-    res.margins["u_below_two_thirds"] = 2.0 / 3.0 - u
-    ok_u = u < 2.0 / 3.0 - 1e-12 or abs(a2) < 1e-12
+    # 2/3 - u in closed form, without the cancellation of 2/3 - u near alpha2 = 0
+    margin = (8.0 / 3.0) * math.sin(a2) ** 2
+    res.margins["u_below_two_thirds"] = margin
+    ok_u = margin > 0.0 or abs(a2) < 1e-12
 
     # both face-boundary intersections are Giraud disks of symmetric triples
     si1 = symmetric_intersection_type(pts.p_U, pts.p_V, pts.p_W, ff.tol)
@@ -479,7 +486,14 @@ def lc_check(ff: FaceFamily) -> CheckResult:
     )
     res.residuals["u_plus_pair"] = abs(si1.u - u)
     res.residuals["u_cross_pair"] = abs(si2.u - u)
-    disks_ok = si1.kind is SymmetricKind.DISK and si2.kind is SymmetricKind.DISK
+    # below alpha2 ~ 6e-4 a triple's u falls in the 1e3 tol band around 2/3
+    # that reads TRI_CIRCLE_DISK; there the closed form decides, when the
+    # triple's u matches it
+    disks_ok = all(
+        si.kind is SymmetricKind.DISK
+        or (si.kind is SymmetricKind.TRI_CIRCLE_DISK and abs(si.u - u) <= 1e3 * ff.tol and margin > 0.0)
+        for si in (si1, si2)
+    )
 
     # F_0^- /\ F_-1^- == {p_A, p_B} on the torus of J_0^- and J_-1^- (the
     # common constraint |<z,p_U>| <= |<z,p_V>| must fail off the vertices)

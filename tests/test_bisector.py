@@ -11,7 +11,6 @@ from crlab.bisector import (
     ExtorPairKind,
     GiraudTorus,
     SymmetricKind,
-    TorusGrid,
     brute_force_symmetric_kind,
     classify_bisector,
     classify_pair,
@@ -121,9 +120,9 @@ def test_giraud_torus_samples_on_both_extors(rep07, pts07):
     gt = GiraudTorus(pts07.p_U, pts07.p_V, pts07.p_W)
     rng = np.random.default_rng(5)
     for _ in range(30):
-        s = gt.sample(float(rng.uniform(0, 2 * math.pi)), float(rng.uniform(0, 2 * math.pi)))
-        assert membership(s.point, gt.bis1).on_extor
-        assert membership(s.point, gt.bis2).on_extor
+        pt = gt.point(float(rng.uniform(0, 2 * math.pi)), float(rng.uniform(0, 2 * math.pi)))
+        assert membership(pt, gt.bis1).on_extor
+        assert membership(pt, gt.bis2).on_extor
 
 
 def test_giraud_torus_rejects_confocal(pts07):
@@ -136,7 +135,7 @@ def test_giraud_torus_rejects_confocal(pts07):
 
 def test_symmetric_norm_formula(rep07, pts07):
     # <v,v> = 2 k (3u/2 + cos th + cos ph + cos(ph - th)) with k the common
-    # cyclic product <p x q, q x r>, directly in the sampler's angles
+    # cyclic product <p x q, q x r>, directly in the torus angles
     p, q, r = pts07.p_U, pts07.p_V, pts07.p_W
     gt = GiraudTorus(p, q, r)
     si = symmetric_intersection_type(p, q, r)
@@ -144,15 +143,14 @@ def test_symmetric_norm_formula(rep07, pts07):
     rng = np.random.default_rng(12)
     for _ in range(25):
         th, ph = rng.uniform(0, 2 * math.pi, 2)
-        s = gt.sample(th, ph)
         g = math.cos(th) + math.cos(ph) + math.cos(ph - th)
         want = 2.0 * k * (1.5 * si.u + g)
-        assert s.norm == pytest.approx(want, abs=1e-9 * max(1, abs(want)))
-    # the zero-angle sample is the midpoint-slice point at level 3
-    s0 = gt.sample(0.0, 0.0)
-    assert s0.norm == pytest.approx(2.0 * k * (1.5 * si.u + 3.0), abs=1e-10)
+        assert gt.point(th, ph).norm() == pytest.approx(want, abs=1e-9 * max(1, abs(want)))
+    # the zero-angle point is the midpoint-slice point at level 3
+    p0 = gt.point(0.0, 0.0)
+    assert p0.norm() == pytest.approx(2.0 * k * (1.5 * si.u + 3.0), abs=1e-10)
     mid = box(HVec(q.v - p.v, p.space), HVec(r.v - p.v, p.space))
-    assert proj_distance(s0.point, mid) < 1e-10
+    assert proj_distance(p0, mid) < 1e-10
 
 
 def test_level_function_extrema():
@@ -277,17 +275,17 @@ def test_torus_grid_matches_materialized_grid(n, at_delta0):
         pts, sp, U = ff.pts, ff.space, ff.U
         d0 = delta0(ff.alpha2) if at_delta0 else 0.0
         for torus in (ff.torus_minus, GiraudTorus(pts.p_U, pts.p_V, U.apply(pts.p_V), ff.tol)):
-            grid = torus.sigma_delta(n, d0)
             sigmas = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
             deltas = d0 + np.linspace(0.0, math.pi, n // 2, endpoint=False)
-            assert np.array_equal(grid.sigmas, sigmas) and np.array_equal(grid.deltas, deltas)
+            ws = (pts.p_U, pts.p_V, pts.p_W, U.apply(pts.p_A))
+            norm, *abs2 = torus.column_forms(sigmas, deltas, [w.v for w in ws])
             V = torus.vectors(sigmas[:, None] + deltas, sigmas[:, None] - deltas)
             V = V / np.linalg.norm(V, axis=-1, keepdims=True)
             norms = sp.norm_grid(V)
-            assert np.abs(grid.norm - norms).max() <= 1e-12 * np.abs(norms).max()
-            for w in (pts.p_U, pts.p_V, pts.p_W, U.apply(pts.p_A)):
+            assert np.abs(norm - norms).max() <= 1e-12 * np.abs(norms).max()
+            for w, got in zip(ws, abs2):
                 want = np.abs(sp.inner_grid(w.v, V)) ** 2
-                assert np.abs(grid.abs2(w.v) - want).max() <= 1e-12 * want.max()
+                assert np.abs(got - want).max() <= 1e-12 * want.max()
 
 
 def test_torus_norm_terms_match_vectors(pts07):
@@ -351,13 +349,14 @@ def test_ball_cells_match_dense_form(n):
     # on its column's closed-form ball arc, and every cell clear of 0 off it
     cells = 0
     for torus, _, _, deltas in _ball_tori(n):
-        grid = TorusGrid(torus, np.linspace(0.0, 2.0 * math.pi, n, endpoint=False), deltas)
+        sigmas = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)[:, None]
+        form = torus.space.norm_grid(torus.vectors(sigmas + deltas, sigmas - deltas))
         mid, half = torus.ball_arcs(deltas)
-        t = np.remainder(grid.sigmas[:, None] - mid + math.pi, 2.0 * math.pi) - math.pi
+        t = np.remainder(sigmas - mid + math.pi, 2.0 * math.pi) - math.pi
         A, C = torus.norm_terms(deltas)
-        clear = np.abs(grid._form) > 1e-10 * (np.abs(A) + 2.0 * np.abs(C))
-        assert np.array_equal((np.abs(t) <= half)[clear], (grid._form <= 0.0)[clear])
-        cells += np.count_nonzero(grid._form <= 0.0)
+        clear = np.abs(form) > 1e-10 * (np.abs(A) + 2.0 * np.abs(C))
+        assert np.array_equal((np.abs(t) <= half)[clear], (form <= 0.0)[clear])
+        cells += np.count_nonzero(form <= 0.0)
     assert cells
 
 

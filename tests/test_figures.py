@@ -9,7 +9,7 @@ import pytest
 from crlab.bisector import classify_bisector
 from crlab.core import HVec
 from crlab.family import FamilyParams, FamilyRep, alpha2_for_length, alpha2_for_order, trace_ts_inv
-from crlab.figures import _contour_segments, write_csv
+from crlab.figures import _contour_segments, figure_spinal_trace, write_csv
 from crlab.isometry import goldman_f
 from crlab.verify import FaceFamily
 from crlab.visual import slice_boundary_circle, spinal_samples
@@ -116,3 +116,13 @@ def test_spinal_samples_match_slice_loop(alpha2, ball):
             got, want = spinal_samples(b, n_alpha, n_t), spinal_samples_loop(b, n_alpha, n_t)
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-14
+
+
+@pytest.mark.parametrize("alpha2", [0.05, 0.7, 1.2, 1.56])
+def test_spinal_trace_side_vanishes_on_the_complex_line_column(alpha2, tmp_path):
+    # the first delta-column is the complex-line locus delta = delta0, where
+    # side is exactly 0 and left out of its contour; the next one is not
+    _, (_, _, _, side) = figure_spinal_trace(str(tmp_path / "st"), alpha2=alpha2, resolution=720, fmt="svg")
+    top = np.abs(side).max()
+    assert np.abs(side[:, 0]).max() <= 1e-12 * top
+    assert np.abs(side[:, 1]).max() > 1e-12 * top

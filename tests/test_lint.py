@@ -34,9 +34,9 @@ def test_figures_build_no_representation():
 
 
 def test_one_torus_grid_path():
-    # forms on torus grids come from TorusGrid in closed form; no module
-    # builds the (sigma, delta) grid of points, and the figures never put
-    # torus points through the pointwise form kernel
+    # forms on torus grids come from GiraudTorus.column_forms in closed
+    # form; no module builds the (sigma, delta) grid of points, and the
+    # figures never put torus points through the pointwise form kernel
     assert [p.name for p in sorted(SRC.glob("*.py")) if "sigma_delta_grid" in p.read_text()] == []
     found = []
     for name in ("figures.py",):

@@ -279,13 +279,13 @@ def test_tightest_cone_pair_note_names_the_smallest_tie(n):
 
 def test_verify_forms_no_dense_torus_grid():
     # TF and LC read the Giraud tori per delta-column in closed form
-    # (GiraudTorus.column_minima): verify builds no (sigma, delta) grid
+    # (GiraudTorus.column_minima): verify never evaluates the figures'
+    # (sigma, delta) grid (GiraudTorus.column_forms)
     tree = ast.parse(inspect.getsource(importlib.import_module("crlab.verify")))
-    imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
     called = {
         n.func.attr for n in ast.walk(tree) if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
     }
-    assert "TorusGrid" not in imported and "sigma_delta" not in called
+    assert "column_forms" not in called
     assert "column_minima" in called
 
 
@@ -532,6 +532,30 @@ def test_tf_lc_pass_where_the_ball_band_is_thin(alpha2, grid):
         assert check.passed
         assert min(check.margins.values()) > 0
         assert max(v for k, v in check.residuals.items() if "vertex" in k) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha2", [3e-4, 1e-4, 1e-6, 1e-8])
+def test_lc_passes_near_alpha2_zero(alpha2):
+    # there u = (2/3)(4 cos^2 alpha2 - 3) sits in the band around 2/3 that
+    # reads TRI_CIRCLE_DISK; the closed form 2/3 - u = (8/3) sin^2 alpha2
+    # decides the disk type
+    rep = verify(alpha2)
+    assert rep.verdict.kind is VerdictKind.SURGERY and (rep.verdict.p, rep.verdict.q) == (1, -3)
+    assert all(c.passed for c in (rep.incidence, rep.tf, rep.lc, rep.gc) if not c.skipped)
+    assert rep.lc.margins["u_below_two_thirds"] == pytest.approx(8.0 / 3.0 * math.sin(alpha2) ** 2, rel=1e-15)
+    assert rep.lc.residuals["u_plus_pair"] <= 1e-6 and rep.lc.residuals["u_cross_pair"] <= 1e-6
+
+
+@pytest.mark.parametrize("alpha2, grid, empty", [(1.569, 64, True), (1.56, 720, False)])
+def test_empty_ball_band_is_named(alpha2, grid, empty):
+    # where the ball band at delta_v is narrower than the column spacing no
+    # sampled column meets the ball: the margin reads inf and a note says why
+    rep = verify(alpha2, grid_n=grid)
+    for check, keys in ((rep.tf, ["torus_exclusion"]), (rep.lc, ["faces_minus_minus", "faces_plus_plus"])):
+        notes = [n for n in check.notes if "no sampled delta-column meets the ball" in n]
+        assert [n.split(":")[0] for n in notes] == (keys if empty else [])
+        assert all(math.isinf(check.margins[k]) == empty for k in keys)
+        assert check.passed
 
 
 def test_torus_margins_do_not_depend_on_the_grid():
