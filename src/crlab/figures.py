@@ -34,10 +34,27 @@ SVG_PREC = 9
 
 
 def write_csv(path, header, rows):
-    """Write a header and the rows of a 2-D array, one CSV_FMT per value."""
+    """Write a header and the rows of a 2-D array, one CSV_FMT per value.
+
+    A column with at most half as many distinct bit patterns as rows (grid
+    axes, labels, symmetric grids) is formatted once per pattern and its
+    strings fill %s fields.  Patterns, not values, are compared, so -0.0
+    and 0.0 and NaN payloads stay apart and every field is CSV_FMT % v.
+    """
     rows = np.asarray(rows, dtype=float).reshape(-1, len(header))
-    line = ",".join([CSV_FMT] * len(header)) + "\n"
-    data = ",".join(header) + "\n" + line * len(rows) % tuple(rows.ravel().tolist())
+    cells = np.empty(rows.shape, dtype=object)
+    fields = []
+    for j, col in enumerate(rows.T):
+        bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
+        if 2 * len(bits) <= len(rows):
+            table = np.array([CSV_FMT % v for v in bits.view(float).tolist()], dtype=object)
+            cells[:, j] = table[inverse]
+            fields.append("%s")
+        else:
+            cells[:, j] = col
+            fields.append(CSV_FMT)
+    line = ",".join(fields) + "\n"
+    data = ",".join(header) + "\n" + line * len(rows) % tuple(cells.ravel().tolist())
     with open(path, "w", newline="\n") as fh:
         fh.write(data)
     return path

@@ -253,9 +253,14 @@ def _torus_exclusion(ff: FaceFamily, res, key, torus: GiraudTorus, pos: HVec, ne
         )
     (mid,), (half,) = torus.ball_arcs([dv])
     ends = [torus.point(s + dv, s - dv) for s in (mid - half, mid + half)]
+    gate = 1e3 * ff.tol
     for name, t in vertices.items():
         res.residuals[name] = math.inf if math.isnan(half) else min(proj_distance(e, t) for e in ends)
-    return res.margins[key] > 0.0 and all(res.residuals[name] <= 1e3 * ff.tol for name in vertices)
+        if not res.residuals[name] <= gate:
+            res.notes.append(
+                f"{name}: vertex residual {res.residuals[name]:.2e} exceeds the gate 1e3 tol = {gate:.2e}"
+            )
+    return res.margins[key] > 0.0 and all(res.residuals[name] <= gate for name in vertices)
 
 
 # ---------------------------------------------------------------------------

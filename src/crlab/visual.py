@@ -251,12 +251,13 @@ def _boundary_circle(B, J):
     em, ep, rho, keep = _null_circles(B, J)
     if not keep:
         return None
+    return lambda ts: _circle_points(em, ep, rho, ts)
 
-    def circle(ts):
-        phase = rho * np.exp(1j * np.atleast_1d(ts))
-        return em[None, :] + phase[:, None] * ep[None, :]
 
-    return circle
+def _circle_points(em, ep, rho, ts):
+    """The points em + rho e^{it} ep at the angles ts."""
+    phase = rho * np.exp(1j * np.atleast_1d(ts))
+    return em[None, :] + phase[:, None] * ep[None, :]
 
 
 def boundary_circle_of_plane(p: HVec, r: HVec):
@@ -301,7 +302,12 @@ def silhouette_circle(chart: VisualChart, b: Bisector, tol=None) -> Silhouette:
     the circle of centre (a c* - b d*)/(|c|^2 - |d|^2) and radius |ad - bc|
     / ||c|^2 - |d|^2|, the image of |w| < 1 lying inside when |c| > |d|.
     """
-    tol = tolerance(tol)
+    return _silhouette(chart, b, tolerance(tol))[0]
+
+
+def _silhouette(chart: VisualChart, b: Bisector, tol):
+    """`silhouette_circle` with the boundary circle em + rho e^{it} ep of
+    its slice, as (silhouette, em, ep, rho)."""
     if not proj_equal(chart.base, b.p, 1e-8):
         raise GeometryError("chart base must be the bisector's first lift")
     p, q, scale = b.p, b.q, b.scale()
@@ -319,7 +325,8 @@ def silhouette_circle(chart: VisualChart, b: Bisector, tol=None) -> Silhouette:
     if abs(den) <= tol * (abs(c) ** 2 + abs(d) ** 2):
         raise GeometryError("silhouette passes through the chart's infinity")
     center = (a * c.conjugate() - bw * d.conjugate()) / den
-    return Silhouette(complex(center), float(abs(a * d - bw * c) / abs(den)), eps, bool(den > 0))
+    sil = Silhouette(complex(center), float(abs(a * d - bw * c) / abs(den)), eps, bool(den > 0))
+    return sil, em, ep, rho
 
 
 @dataclass
@@ -364,10 +371,8 @@ def project_bisector(chart: VisualChart, b: Bisector, n_boundary=1024, tol=None)
     """Silhouette of the bisector from its own base point in a given chart:
     the circle of `silhouette_circle`, sampled at n_boundary points of its
     slice.  Off fans, the privileged chart sees that slice at one modulus."""
-    sil = silhouette_circle(chart, b, tol)
-    pts = slice_boundary_circle(HVec(b.p.v - sil.eps * b.q.v, b.p.space))(
-        np.linspace(0, 2 * math.pi, n_boundary, endpoint=False)
-    )
+    sil, em, ep, rho = _silhouette(chart, b, tolerance(tol))
+    pts = _circle_points(em, ep, rho, np.linspace(0, 2 * math.pi, n_boundary, endpoint=False))
     boundary = chart.values(pts)
     finite = boundary[np.isfinite(boundary)]
     sil = replace(sil, residual=float(np.abs(np.abs(finite - sil.center) - sil.radius).max()))

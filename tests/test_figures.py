@@ -9,7 +9,7 @@ import pytest
 from crlab.bisector import classify_bisector
 from crlab.core import HVec
 from crlab.family import FamilyParams, FamilyRep, alpha2_for_length, alpha2_for_order, trace_ts_inv
-from crlab.figures import _contour_segments, figure_spinal_trace, write_csv
+from crlab.figures import _contour_segments, figure_level_sets, figure_spinal_trace, write_csv
 from crlab.isometry import goldman_f
 from crlab.verify import FaceFamily
 from crlab.visual import slice_boundary_circle, spinal_samples
@@ -64,14 +64,43 @@ def test_contour_segments_match_loop(case):
     assert new.tolist() == contour_segments_loop(xs, ys, Z, level)
 
 
-def test_write_csv_matches_per_value_format(tmp_path):
+def write_csv_loop(header, rows):
+    lines = [",".join(header)] + [",".join("%.17g" % float(x) for x in row) for row in rows.tolist()]
+    return ("\n".join(lines) + "\n").encode()
+
+
+SPECIAL = [-0.0, 0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324, 2.2e-308, 1.0, 3, -1e300]
+
+
+def _csv_cases():
     rng = np.random.default_rng(3)
-    special = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 2.2e-308, 1.0, 3, -1e300]
-    rows = np.concatenate([np.reshape(special, (-1, 2)), rng.standard_normal((40, 2)) * 1e3])
-    path = write_csv(str(tmp_path / "t.csv"), ["a", "b"], rows)
-    lines = ["a,b"] + [",".join("%.17g" % float(x) for x in row) for row in rows.tolist()]
+    # every column unique: one CSV_FMT per value
+    yield np.concatenate([np.reshape(SPECIAL, (-1, 2)), rng.standard_normal((40, 2)) * 1e3])
+    # the specials repeated in a table column (-0.0 and 0.0 as distinct
+    # patterns), next to a unique column
+    table = rng.permutation(np.repeat(SPECIAL, 5))
+    yield np.column_stack([table, rng.standard_normal(len(table))])
+    # 20 rows: 10 distinct patterns take the table, 11 do not
+    for distinct in (10, 11):
+        col = np.resize(np.array(SPECIAL[:distinct]) * 7.25, 20)
+        yield np.column_stack([col, rng.permutation(col)])
+
+
+def test_write_csv_matches_per_value_format(tmp_path):
+    for case, rows in enumerate(_csv_cases()):
+        path = write_csv(str(tmp_path / f"t{case}.csv"), ["a", "b"], rows)
+        with open(path, "rb") as fh:
+            assert fh.read() == write_csv_loop(["a", "b"], rows), case
+
+
+def test_level_sets_csv_matches_per_value_format(tmp_path):
+    # a real grid: both axes take the table, and so does the symmetric g
+    path, G = figure_level_sets(str(tmp_path / "ls"), resolution=96)
+    th = np.linspace(-math.pi, math.pi, 96, endpoint=False)
+    T, P = np.meshgrid(th, th, indexing="ij")
+    rows = np.column_stack([T.ravel(), P.ravel(), G.ravel()])
     with open(path, "rb") as fh:
-        assert fh.read() == ("\n".join(lines) + "\n").encode()
+        assert fh.read() == write_csv_loop(["theta", "phi", "g"], rows)
 
 
 def test_trace_ts_inv_matches_rep():

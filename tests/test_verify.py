@@ -546,6 +546,19 @@ def test_lc_passes_near_alpha2_zero(alpha2):
     assert rep.lc.residuals["u_plus_pair"] <= 1e-6 and rep.lc.residuals["u_cross_pair"] <= 1e-6
 
 
+@pytest.mark.parametrize("alpha2, fails", [(1e-10, True), (1e-8, False)])
+def test_failing_vertex_gate_is_named(alpha2, fails):
+    # at alpha2 = 1e-10 LC fails with every margin positive: a vertex
+    # residual of the near-degenerate torus exceeds the 1e3 tol gate, and a
+    # note names it
+    rep = verify(alpha2, grid_n=128)
+    assert min(rep.lc.margins.values()) > 0 and rep.lc.passed != fails
+    over = [k for k, v in rep.lc.residuals.items() if "_vertex_" in k and v > 1e3 * rep.tol]
+    notes = [n for n in rep.lc.notes if "exceeds the gate" in n]
+    assert [n.split(":")[0] for n in notes] == over
+    assert bool(over) == fails
+
+
 @pytest.mark.parametrize("alpha2, grid, empty", [(1.569, 64, True), (1.56, 720, False)])
 def test_empty_ball_band_is_named(alpha2, grid, empty):
     # where the ball band at delta_v is narrower than the column spacing no

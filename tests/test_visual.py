@@ -335,6 +335,26 @@ def test_silhouette_circle_matches_projected_boundary(alpha2):
         assert disk.circle.residual <= 1e-10 * scale
 
 
+@pytest.mark.parametrize("k", [0, 1, 7, 19])
+def test_project_bisector_shares_the_silhouette_slice(k):
+    # the disk-projection bisectors (order 20, 768 boundary points): the
+    # circle is silhouette_circle's, field for field, and the boundary is the
+    # chart image of slice_boundary_circle's points on the slice p - eps q
+    ff = FaceFamily(alpha2_for_order(20), grid_n=256)
+    for p in (ff.pts.p_V, ff.pts.p_W):
+        b = classify_bisector(ff.pts.p_U, ff.u_power_point(k, p), ff.tol)
+        disk = project_bisector(ff.chart, b, n_boundary=768, tol=ff.tol)
+        sil = silhouette_circle(ff.chart, b, ff.tol)
+        assert (disk.circle.center, disk.circle.radius, disk.circle.eps, disk.circle.bounded) == (
+            sil.center, sil.radius, sil.eps, sil.bounded
+        )
+        assert disk.circle.residual <= 1e-12
+        pts = slice_boundary_circle(HVec(b.p.v - sil.eps * b.q.v, b.p.space))(
+            np.linspace(0, 2 * math.pi, 768, endpoint=False)
+        )
+        assert np.array_equal(disk.boundary, ff.chart.values(pts), equal_nan=True)
+
+
 def test_silhouette_circle_needs_a_real_pair_and_a_positive_pole(ball, siegel):
     def chart(p, u, w):
         return VisualChart(p, HVec(u, p.space), HVec(w, p.space))
