@@ -103,6 +103,9 @@ def cmd_figure(args) -> int:
         print(f"error: unknown figure {args.name!r}; choose from "
               f"{sorted(figures.FIGURES)}", file=sys.stderr)
         return 2
+    if args.n is not None and args.n < 4:
+        print("error: --n must be at least 4", file=sys.stderr)
+        return 2
     os.makedirs(args.out, exist_ok=True)
     base = os.path.join(args.out, args.name)
     kwargs = {}
@@ -119,7 +122,11 @@ def cmd_figure(args) -> int:
         kwargs["n"] = args.n or 20
     if args.name == "spinal-trace" and args.alpha2 is not None:
         kwargs["alpha2"] = args.alpha2
-    path, _ = figures.FIGURES[args.name](base, fmt=args.format, **kwargs)
+    try:
+        path, _ = figures.FIGURES[args.name](base, fmt=args.format, **kwargs)
+    except GeometryError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(path)
     return 0
 

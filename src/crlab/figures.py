@@ -2,11 +2,12 @@
 
 Every figure is an array program: its grid is evaluated with numpy in one
 pass, contours come from a vectorized marching squares, and CSV lines are
-formatted from arrays.  Floats are written with 17 significant digits in
-CSV (round-trip exact) and 9 in SVG.  Output bytes are identical from run
-to run and across worker counts.  They are not promised across numpy's and
-cmath's roundings: a grid evaluated by numpy ufuncs may differ in the last
-bits from the same formula evaluated on Python scalars.
+formatted from arrays and streamed to the file in fixed blocks of rows.
+Floats are written with 17 significant digits in CSV (round-trip exact)
+and 9 in SVG.  Output bytes are identical from run to run and across
+worker counts.  They are not promised across numpy's and cmath's
+roundings: a grid evaluated by numpy ufuncs may differ in the last bits
+from the same formula evaluated on Python scalars.
 """
 
 from __future__ import annotations
@@ -30,33 +31,48 @@ from .verify import FaceFamily, delta0
 from .visual import project_bisector
 
 CSV_FMT = "%.17g"
+CSV_BLOCK_ROWS = 4096  # rows formatted and written at a time by write_csv
 SVG_PREC = 9
 
 
 def write_csv(path, header, rows):
-    """Write a header and the rows of a 2-D array, one CSV_FMT per value.
+    """Write a header and the rows of a 2-D array, one CSV_FMT per value,
+    streamed to the file in blocks of CSV_BLOCK_ROWS rows.
 
     A column with at most half as many distinct bit patterns as rows (grid
-    axes, labels, symmetric grids) is formatted once per pattern and its
-    strings fill %s fields.  Patterns, not values, are compared, so -0.0
-    and 0.0 and NaN payloads stay apart and every field is CSV_FMT % v.
+    axes, labels, symmetric grids) is formatted once per pattern, over the
+    whole column, and its strings fill %s fields.  Patterns, not values, are
+    compared, so -0.0 and 0.0 and NaN payloads stay apart and every field is
+    CSV_FMT % v.  Each block fills one reused object array, with table
+    strings or raw floats, and goes out as one `%` over its flat tuple, so
+    the Python objects alive at a time are those of one block.
     """
     rows = np.asarray(rows, dtype=float).reshape(-1, len(header))
-    cells = np.empty(rows.shape, dtype=object)
-    fields = []
-    for j, col in enumerate(rows.T):
+    n = len(rows)
+    tables, fields = [], []
+    for col in rows.T:
         bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
-        if 2 * len(bits) <= len(rows):
-            table = np.array([CSV_FMT % v for v in bits.view(float).tolist()], dtype=object)
-            cells[:, j] = table[inverse]
+        if 2 * len(bits) <= n:
+            strings = np.array([CSV_FMT % v for v in bits.view(float).tolist()], dtype=object)
+            tables.append((strings, inverse))
             fields.append("%s")
         else:
-            cells[:, j] = col
+            tables.append(None)
             fields.append(CSV_FMT)
     line = ",".join(fields) + "\n"
-    data = ",".join(header) + "\n" + line * len(rows) % tuple(cells.ravel().tolist())
+    cells = np.empty((min(n, CSV_BLOCK_ROWS), len(header)), dtype=object)
     with open(path, "w", newline="\n") as fh:
-        fh.write(data)
+        fh.write(",".join(header) + "\n")
+        for start in range(0, n, CSV_BLOCK_ROWS):
+            stop = min(start + CSV_BLOCK_ROWS, n)
+            block = cells[: stop - start]
+            for j, table in enumerate(tables):
+                if table is None:
+                    block[:, j] = rows[start:stop, j]
+                else:
+                    strings, inverse = table
+                    block[:, j] = strings[inverse[start:stop]]
+            fh.write(line * len(block) % tuple(block.ravel().tolist()))
     return path
 
 

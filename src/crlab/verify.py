@@ -192,7 +192,20 @@ class FaceFamily:
         return VisualChart(pts.p_U, pts.p_U_prime, pts.p_U_dprime)
 
     def u_power_point(self, k: int, p: HVec) -> HVec:
-        return self.U.power(k).apply(p)
+        """U^k p.  On the elliptic side U fixes p_U and turns its
+        eigenvectors p_U', p_U'' by e^{i beta}, e^{-i beta}.  Over that
+        J-orthogonal eigenbasis U^k p = p + sum_e c_e (lambda_e^k - 1) e with
+        c_e = <e, p> / <e, e>, and the p_U term vanishes.  The norm of p then
+        holds at every k (a product of k matrices drifts it with k), and
+        k = 0 gives p itself.  Elsewhere p_U', p_U'' are null or absent and
+        the matrix power serves: callers take it only for |k| <= 2."""
+        pts, side = self.pts, self.side
+        if side.kind is not SideKind.ELLIPTIC or pts.p_U_prime is None:
+            return self.U.power(k).apply(p)
+        v = p.v
+        for e, angle in ((pts.p_U_prime, side.beta), (pts.p_U_dprime, -side.beta)):
+            v = v + (inner(e, p) / e.norm() * (cmath.exp(1j * k * angle) - 1.0)) * e.v
+        return HVec(v, p.space)
 
     def bisector_plus(self, k: int = 0):
         return classify_bisector(self.pts.p_U, self.u_power_point(k, self.pts.p_V), self.tol)

@@ -238,3 +238,37 @@ def test_import_leaves_multiprocessing_to_parallel_sweeps():
         env=dict(os.environ, PYTHONPATH=src),
     )
     assert proc.returncode == 0 and proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("n", ["3", "0", "-5"])
+def test_figure_order_below_4_is_a_usage_error(n, tmp_path):
+    code, out, err = run_cli(["figure", "disk-projection", "--n", n, "--out", str(tmp_path)])
+    assert code == 2 and out == ""
+    assert err == "error: --n must be at least 4\n"
+    assert os.listdir(tmp_path) == []
+
+
+def test_figure_geometry_error_exits_1_without_traceback(tmp_path):
+    # project_bisector refuses a translate at order 3000 (the figure builds up to 686)
+    proc = subprocess.run(
+        [sys.executable, "-m", "crlab.cli", "figure", "disk-projection", "--n", "3000",
+         "--resolution", "64", "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("n", ["90", "100"])
+def test_figure_disk_projection_high_orders(n, tmp_path):
+    # U^k p keeps its norm at every k, so every bisector of the family builds
+    code, out, _ = run_cli(["figure", "disk-projection", "--n", n, "--resolution", "64", "--out", str(tmp_path)])
+    assert code == 0
+    path = tmp_path / "disk-projection.csv"
+    assert out.strip() == str(path)
+    rows = np.loadtxt(path, delimiter=",", skiprows=1)
+    # two families of n bisectors, then 2n marks
+    assert set(rows[rows[:, 0] < 2, 1].astype(int)) == set(range(int(n)))
+    assert (rows[:, 0] == 2).sum() == 2 * int(n)

@@ -2,6 +2,7 @@
 replace, kept here as oracles."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from crlab.bisector import classify_bisector
 from crlab.core import HVec
 from crlab.family import FamilyParams, FamilyRep, alpha2_for_length, alpha2_for_order, trace_ts_inv
-from crlab.figures import _contour_segments, figure_level_sets, figure_spinal_trace, write_csv
+from crlab.figures import CSV_BLOCK_ROWS, _contour_segments, figure_level_sets, figure_spinal_trace, write_csv
 from crlab.isometry import goldman_f
 from crlab.verify import FaceFamily
 from crlab.visual import slice_boundary_circle, spinal_samples
@@ -84,6 +85,12 @@ def _csv_cases():
     for distinct in (10, 11):
         col = np.resize(np.array(SPECIAL[:distinct]) * 7.25, 20)
         yield np.column_stack([col, rng.permutation(col)])
+    # row counts around the block size: the specials in a table column that
+    # spans blocks, next to a unique column
+    B = CSV_BLOCK_ROWS
+    for n in (0, 1, B - 1, B, B + 1, 2 * B + 3):
+        table = np.resize(rng.permutation(SPECIAL), n)
+        yield np.column_stack([table, rng.standard_normal(n)])
 
 
 def test_write_csv_matches_per_value_format(tmp_path):
@@ -91,6 +98,25 @@ def test_write_csv_matches_per_value_format(tmp_path):
         path = write_csv(str(tmp_path / f"t{case}.csv"), ["a", "b"], rows)
         with open(path, "rb") as fh:
             assert fh.read() == write_csv_loop(["a", "b"], rows), case
+
+
+def test_write_csv_peak_memory_is_bounded_by_the_file(tmp_path):
+    # blocks of rows go out as they are formatted: on a 100k x 3 grid table
+    # (two axis columns through the string table, one unique column) the
+    # traced peak stays within twice the file's size, where a whole table of
+    # Python objects took about 3 times
+    import tracemalloc
+
+    X, Y = np.meshgrid(np.linspace(-3, 3, 400), np.linspace(-1, 1, 250), indexing="ij")
+    rows = np.column_stack([X.ravel(), Y.ravel(), np.random.default_rng(1).standard_normal(X.size)])
+    path = str(tmp_path / "t.csv")
+    tracemalloc.start()
+    try:
+        write_csv(path, ["a", "b", "c"], rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * os.path.getsize(path)
 
 
 def test_level_sets_csv_matches_per_value_format(tmp_path):

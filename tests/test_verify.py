@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from crlab.bisector import GiraudTorus
+from crlab.bisector import GiraudTorus, classify_bisector
 from crlab.core import HVec, inner, proj_distance
 from crlab.family import ALPHA2_LIM, alpha2_for_length, alpha2_for_order
 from crlab.isometry import Isometry
@@ -377,6 +377,53 @@ def test_family_translation_compatibility(ff_lox):
             zk = U.power(k).apply(z)
             rk = abs(inner(zk, pts.p_U)) - abs(inner(zk, q))
             assert rk == pytest.approx(r0, abs=1e-9 * max(1.0, abs(r0)))
+
+
+def test_u_power_point_bisectors_build_at_orders_30_to_100():
+    # a product of k matrices drifted the norm of U^k p until classify_bisector
+    # rejected the pair (orders 90 and 100, k = n - 1)
+    for n in range(30, 101):
+        ff = FaceFamily(alpha2_for_order(n), grid_n=64)
+        for p in (ff.pts.p_V, ff.pts.p_W):
+            for k in range(n):
+                classify_bisector(ff.pts.p_U, ff.u_power_point(k, p), ff.tol)
+
+
+def _mp_u_powers(alpha2, ks):
+    """U^k p_V for each k, from a 60-digit rebuild of rho_s, rho_t at the
+    float parameter with explicit powers of U."""
+    import mpmath as mp
+
+    with mp.workdps(60):
+        e = mp.expj(mp.mpf(alpha2))
+        x1 = mp.sqrt(2)
+        S = mp.matrix([[1, x1 * mp.conj(e), -1], [-x1 * e, -1, 0], [-1, 0, 0]])
+        T = mp.matrix([[0, 0, -1], [0, -1, -x1 * mp.conj(e)], [-1, x1 * e, 1]])
+        U = S**-1 * T
+        pV = S * mp.matrix([1, -x1 / 2 * e, e * e])
+        return [np.array([complex(z) for z in U**k * pV]) for k in ks]
+
+
+@pytest.mark.parametrize("n", [9, 100])
+def test_u_power_point_matches_mpmath_powers(n):
+    ff = FaceFamily(alpha2_for_order(n), grid_n=64)
+    pts = ff.pts
+    for p in (pts.p_V, pts.p_W, pts.p_A, pts.p_B):
+        # k = 0 is p itself, bit for bit, so the k = 0 bisectors do not move
+        assert ff.u_power_point(0, p).v.tobytes() == p.v.tobytes()
+        assert np.abs(ff.u_power_point(n, p).v - p.v).max() <= 1e-12
+    ks = sorted({-2, -1, 1, 2, n // 4, n // 2, n - 2, n - 1})
+    for k, want in zip(ks, _mp_u_powers(ff.alpha2, ks)):
+        got = ff.u_power_point(k, pts.p_V)
+        # the matrix power was 4.9e-6 off at (100, 99)
+        assert np.abs(got.v - want).max() <= 1e-10
+        assert got.norm() == pytest.approx(pts.p_V.norm(), rel=1e-6)
+
+
+def test_u_power_point_is_the_matrix_power_off_the_elliptic_side(ff_lox):
+    for k in (-2, -1, 0, 1, 2):
+        for p in (ff_lox.pts.p_V, ff_lox.pts.p_W):
+            assert np.array_equal(ff_lox.u_power_point(k, p).v, ff_lox.U.power(k).apply(p).v)
 
 
 def test_balanced_pair_decomposition_sampling(ff_lox):
