@@ -103,25 +103,25 @@ def cmd_figure(args) -> int:
         print(f"error: unknown figure {args.name!r}; choose from "
               f"{sorted(figures.FIGURES)}", file=sys.stderr)
         return 2
+    for flag, value, owner in (("--n", args.n, "disk-projection"), ("--alpha2", args.alpha2, "spinal-trace")):
+        if value is not None and args.name != owner:
+            print(f"error: {flag} applies only to {owner}", file=sys.stderr)
+            return 2
     if args.n is not None and args.n < 4:
         print("error: --n must be at least 4", file=sys.stderr)
         return 2
+    if args.alpha2 is not None and not (0.0 < args.alpha2 < math.pi / 2):
+        print("error: --alpha2 must lie in (0, pi/2)", file=sys.stderr)
+        return 2
+    if args.resolution is not None and args.resolution < 64:
+        print("error: resolution must be >= 64", file=sys.stderr)
+        return 2
+    kwargs = {"n": args.n, "alpha2": args.alpha2}
+    if args.resolution is not None:
+        kwargs["boundary_points" if args.name == "disk-projection" else "resolution"] = args.resolution
+    kwargs = {key: value for key, value in kwargs.items() if value is not None}
     os.makedirs(args.out, exist_ok=True)
     base = os.path.join(args.out, args.name)
-    kwargs = {}
-    if args.resolution is not None:
-        if args.resolution < 64:
-            print("error: resolution must be >= 64", file=sys.stderr)
-            return 2
-        if args.name == "disk-projection":
-            kwargs["n"] = args.n or 20
-            kwargs["boundary_points"] = args.resolution
-        else:
-            kwargs["resolution"] = args.resolution
-    elif args.name == "disk-projection":
-        kwargs["n"] = args.n or 20
-    if args.name == "spinal-trace" and args.alpha2 is not None:
-        kwargs["alpha2"] = args.alpha2
     try:
         path, _ = figures.FIGURES[args.name](base, fmt=args.format, **kwargs)
     except GeometryError as exc:

@@ -16,8 +16,10 @@ import math
 
 import numpy as np
 
+from .core import GeometryError
 from .family import (
     ALPHA2_LIM,
+    SideKind,
     alpha2_for_order,
     char_P,
     char_Q,
@@ -26,7 +28,7 @@ from .family import (
     trace_ts_inv,
 )
 from .isometry import goldman_f
-from .bisector import level_g, classify_bisector
+from .bisector import level_g
 from .verify import FaceFamily, delta0
 from .visual import project_bisector
 
@@ -198,34 +200,46 @@ def figure_region_z(out_base, resolution=256, fmt="csv"):
 
 
 def _labelled_rows(family, k, z):
-    """Rows (family, k, re z, im z) over the points z."""
-    return np.column_stack(np.broadcast_arrays(family, k, z.real, z.imag))
+    """Rows (family, k, re z, im z) over the points z, broadcast together
+    and read in row-major order."""
+    return np.column_stack([c.ravel() for c in np.broadcast_arrays(family, k, z.real, z.imag)])
 
 
 def figure_disk_projection(out_base, n=20, boundary_points=512, fmt="csv"):
     """Boundary circles of the projected bisector family for an elliptic
-    order-n parameter, plus the unit circle and the marked vertex images."""
-    a2 = alpha2_for_order(n)
-    ff = FaceFamily(a2, grid_n=256)
+    order-n parameter, plus the unit circle and the marked vertex images.
+
+    Only J_0^+ and J_0^- are built and projected.  U acts on the chart by
+    its multiplier m = e^{2 i beta} (`FaceFamily.chart_multiplier`), so the
+    curve of J_k^+- is m^k times that of J_0^+-, and the marks are
+    m^k chart(p_A) and m^k chart(p_B), k = 0..n-1.  The geometry is the same
+    at every order; only the output grows with n.  An order that reads as
+    the unipotent wall (10^5 at the default tolerance) raises GeometryError.
+    """
+    ff = FaceFamily(alpha2_for_order(n), grid_n=256)
+    if ff.side.kind is not SideKind.ELLIPTIC:
+        raise GeometryError(f"order {n} reads as the unipotent wall: U has no rotation to draw")
     ch = ff.chart
-    curves = {}
-    for k in range(n):
-        for sign, point in (("plus", ff.u_power_point(k, ff.pts.p_V)),
-                            ("minus", ff.u_power_point(k, ff.pts.p_W))):
-            b = classify_bisector(ff.pts.p_U, point, ff.tol)
-            disk = project_bisector(ch, b, n_boundary=boundary_points, tol=ff.tol)
-            curves[(sign, k)] = disk.boundary[np.isfinite(disk.boundary)]
-    marks = [ch(ff.u_power_point(k, p)) for k in range(n) for p in (ff.pts.p_A, ff.pts.p_B)]
+    powers = ff.chart_multiplier ** np.arange(n)[:, None]
+    families = {}
+    for sign, b in (("plus", ff.bisector_plus(0)), ("minus", ff.bisector_minus(0))):
+        boundary = project_bisector(ch, b, n_boundary=boundary_points, tol=ff.tol).boundary
+        families[sign] = powers * boundary[np.isfinite(boundary)]
+    curves = {(sign, k): families[sign][k] for k in range(n) for sign in ("plus", "minus")}
+    marks = (powers * np.array([ch(ff.pts.p_A), ch(ff.pts.p_B)])).ravel()
     if fmt == "csv":
-        rows = [_labelled_rows(sign != "plus", k, vals) for (sign, k), vals in curves.items()]
-        rows.append(_labelled_rows(2, np.arange(len(marks)), np.array(marks)))
+        plus, minus = families["plus"], families["minus"]
+        label = np.repeat([0, 1], [plus.shape[1], minus.shape[1]])
+        rows = [
+            _labelled_rows(label, np.arange(n)[:, None], np.concatenate([plus, minus], axis=1)),
+            _labelled_rows(2, np.arange(len(marks)), marks),
+        ]
         path = write_csv(out_base + ".csv", ["family", "k", "re", "im"], np.concatenate(rows))
         return path, curves
     canvas = SvgCanvas(-3.2, 3.2, -3.2, 3.2)
     canvas.polyline(np.exp(1j * np.linspace(0, 2 * math.pi, 361)), color="#888888")
-    for (sign, k), vals in curves.items():
-        color = "#1f4e9c" if sign == "plus" else "#0c8a3c"
-        canvas.polyline(np.append(vals, vals[0]), color=color)
+    for sign, color in (("plus", "#1f4e9c"), ("minus", "#0c8a3c")):
+        canvas.polylines(np.concatenate([families[sign], families[sign][:, :1]], axis=1), color=color)
     for z in marks:
         canvas.circle(z, 0.02)
     return canvas.write(out_base + ".svg"), curves

@@ -249,9 +249,9 @@ def test_figure_order_below_4_is_a_usage_error(n, tmp_path):
 
 
 def test_figure_geometry_error_exits_1_without_traceback(tmp_path):
-    # project_bisector refuses a translate at order 3000 (the figure builds up to 686)
+    # order 10^5 reads as the unipotent wall, where U has no rotation to draw
     proc = subprocess.run(
-        [sys.executable, "-m", "crlab.cli", "figure", "disk-projection", "--n", "3000",
+        [sys.executable, "-m", "crlab.cli", "figure", "disk-projection", "--n", "100000",
          "--resolution", "64", "--out", str(tmp_path)],
         capture_output=True,
         text=True,
@@ -261,9 +261,11 @@ def test_figure_geometry_error_exits_1_without_traceback(tmp_path):
     assert proc.stderr.count("\n") == 1
 
 
-@pytest.mark.parametrize("n", ["90", "100"])
+@pytest.mark.parametrize("n", ["90", "100", "687", "3000"])
 def test_figure_disk_projection_high_orders(n, tmp_path):
-    # U^k p keeps its norm at every k, so every bisector of the family builds
+    # every translate is the k = 0 silhouette turned by the chart multiplier,
+    # so no order builds a bisector near the wall (the per-k builds failed
+    # at 90 and 100, and refused a translate from 687)
     code, out, _ = run_cli(["figure", "disk-projection", "--n", n, "--resolution", "64", "--out", str(tmp_path)])
     assert code == 0
     path = tmp_path / "disk-projection.csv"
@@ -272,3 +274,26 @@ def test_figure_disk_projection_high_orders(n, tmp_path):
     # two families of n bisectors, then 2n marks
     assert set(rows[rows[:, 0] < 2, 1].astype(int)) == set(range(int(n)))
     assert (rows[:, 0] == 2).sum() == 2 * int(n)
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["spinal-trace", "--alpha2", "2"], "error: --alpha2 must lie in (0, pi/2)\n"),
+        (["spinal-trace", "--alpha2", "0"], "error: --alpha2 must lie in (0, pi/2)\n"),
+        (["spinal-trace", "--alpha2", "%.17g" % (math.pi / 2)], "error: --alpha2 must lie in (0, pi/2)\n"),
+        (["level-sets", "--n", "20"], "error: --n applies only to disk-projection\n"),
+        (["spinal-trace", "--n", "20", "--alpha2", "0.7"], "error: --n applies only to disk-projection\n"),
+        (["disk-projection", "--alpha2", "0.7"], "error: --alpha2 applies only to spinal-trace\n"),
+        (["region-z", "--alpha2", "0.7"], "error: --alpha2 applies only to spinal-trace\n"),
+    ],
+)
+def test_figure_options_are_checked_like_verify(argv, err, tmp_path):
+    # an out-of-range parameter, or an option the figure does not read, is a
+    # usage error, and no file is written
+    code, out, got = run_cli(["figure"] + argv + ["--resolution", "64", "--out", str(tmp_path / "out")])
+    assert (code, out, got) == (2, "", err)
+    assert not (tmp_path / "out").exists()
+    # verify rejects the same out-of-range parameters with the same line
+    if argv[0] == "spinal-trace" and "--n" not in argv:
+        assert run_cli(["verify", "--alpha2", argv[2]])[::2] == (2, err)

@@ -10,10 +10,18 @@ import pytest
 from crlab.bisector import classify_bisector
 from crlab.core import HVec
 from crlab.family import FamilyParams, FamilyRep, alpha2_for_length, alpha2_for_order, trace_ts_inv
-from crlab.figures import CSV_BLOCK_ROWS, _contour_segments, figure_level_sets, figure_spinal_trace, write_csv
+from crlab.figures import (
+    CSV_BLOCK_ROWS,
+    SVG_PREC,
+    _contour_segments,
+    figure_disk_projection,
+    figure_level_sets,
+    figure_spinal_trace,
+    write_csv,
+)
 from crlab.isometry import goldman_f
 from crlab.verify import FaceFamily
-from crlab.visual import slice_boundary_circle, spinal_samples
+from crlab.visual import silhouette_circle, slice_boundary_circle, spinal_samples
 
 
 def contour_segments_loop(xs, ys, Z, level):
@@ -181,3 +189,67 @@ def test_spinal_trace_side_vanishes_on_the_complex_line_column(alpha2, tmp_path)
     top = np.abs(side).max()
     assert np.abs(side[:, 0]).max() <= 1e-12 * top
     assert np.abs(side[:, 1]).max() > 1e-12 * top
+
+
+@pytest.mark.parametrize("n", [20, 1000])
+def test_disk_projection_builds_two_bisectors_at_every_order(n, tmp_path, monkeypatch):
+    # J_0^+ and J_0^- are built and projected once each; every translate is
+    # read from them by the chart multiplier
+    import sys
+
+    import crlab.bisector
+    import crlab.visual
+
+    calls = {}
+    for home, name in ((crlab.bisector, "classify_bisector"), (crlab.visual, "project_bisector")):
+        real = getattr(home, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        for mod in [m for key, m in sys.modules.items() if key.startswith("crlab")]:
+            if getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, counted)
+    for fmt in ("csv", "svg"):
+        calls.update(classify_bisector=0, project_bisector=0)
+        figure_disk_projection(str(tmp_path / "dp"), n=n, boundary_points=64, fmt=fmt)
+        assert calls == {"classify_bisector": 2, "project_bisector": 2}
+
+
+@pytest.mark.parametrize("n", [20, 100])
+def test_disk_projection_translates_lie_on_their_silhouettes(n, tmp_path):
+    # oracle: each translate J_k^+- built from U^k p_V or U^k p_W and its
+    # circle taken by silhouette_circle, the way the figure once drew it; the
+    # marks against the chart images of U^k p_A and U^k p_B
+    path, curves = figure_disk_projection(str(tmp_path / "dp"), n=n, boundary_points=256)
+    ff = FaceFamily(alpha2_for_order(n), grid_n=256)
+    pts = ff.pts
+    assert list(curves) == [(sign, k) for k in range(n) for sign in ("plus", "minus")]
+    for (sign, k), z in curves.items():
+        q = ff.u_power_point(k, pts.p_V if sign == "plus" else pts.p_W)
+        sil = silhouette_circle(ff.chart, classify_bisector(pts.p_U, q, ff.tol), ff.tol)
+        assert len(z) == 256
+        assert np.abs(np.abs(z - sil.center) - sil.radius).max() <= 1e-9 * max(abs(sil.center), sil.radius)
+    rows = np.loadtxt(path, delimiter=",", skiprows=1)
+    marks = rows[rows[:, 0] == 2]
+    assert marks[:, 1].tolist() == list(range(2 * n))
+    for j, (re, im) in enumerate(marks[:, 2:]):
+        want = ff.chart(ff.u_power_point(j // 2, (pts.p_A, pts.p_B)[j % 2]))
+        assert abs(complex(re, im) - want) <= 1e-9 * max(1.0, abs(want))
+
+
+def test_disk_projection_svg_draws_each_family_as_closed_polylines(tmp_path):
+    # after the unit circle, the n curves of the plus family and then the n
+    # of the minus family, each closed on its first point, in SVG_PREC digits
+    import xml.etree.ElementTree as ET
+
+    n = 9
+    path, curves = figure_disk_projection(str(tmp_path / "dp"), n=n, boundary_points=64, fmt="svg")
+    lines = ET.parse(path).getroot().findall("{http://www.w3.org/2000/svg}polyline")
+    assert len(lines) == 1 + 2 * n
+    for line, key in zip(lines[1:], [(sign, k) for sign in ("plus", "minus") for k in range(n)]):
+        z = np.append(curves[key], curves[key][0])
+        want = " ".join(f"%.{SVG_PREC}g,%.{SVG_PREC}g" % (w.real, 0.0 - w.imag) for w in z.tolist())
+        assert line.attrib["points"] == want
+        assert line.attrib["stroke"] == ("#1f4e9c" if key[0] == "plus" else "#0c8a3c")

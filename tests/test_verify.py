@@ -56,6 +56,44 @@ def test_incidence_symmetry_both_ways(ff_lox):
     assert res.residuals["max_involution_symmetry"] <= 1e-10
 
 
+@pytest.mark.parametrize("n", [9789, 60636])
+def test_incidence_near_the_wall(n):
+    # U^k p from the eigenbasis lost digits near the wall, where p_U' and
+    # p_U'' tend to one null point: the symmetry residual read 1.9e-4 at
+    # order 60636; Newton's form on the eigenvalues needs no eigenvector
+    res = incidence_check(FaceFamily(alpha2_for_order(n), grid_n=64))
+    assert res.passed
+    assert set(res.residuals) == {
+        "max_modulus_deviation", "max_translation_incidence", "max_involution_symmetry", "chart_action"
+    }
+    assert max(res.residuals.values()) <= 1e-11
+
+
+@pytest.mark.parametrize("alpha2", [0.7, alpha2_for_length(1.75), alpha2_for_order(9), alpha2_for_order(2809)])
+def test_incidence_checks_the_chart_multiplier(alpha2):
+    # chart(U x) = m chart(x) on both sides of the wall, with m = e^{2l} or
+    # e^{2 i beta}; a multiplier turned the wrong way fails the gate
+    ff = FaceFamily(alpha2, grid_n=64)
+    m = ff.chart_multiplier
+    if ff.side.length is not None:
+        assert m == math.exp(2 * ff.side.length)
+    else:
+        assert m == pytest.approx(complex(math.cos(2 * ff.side.beta), math.sin(2 * ff.side.beta)), abs=1e-15)
+    res = incidence_check(ff)
+    assert res.passed and res.residuals["chart_action"] <= 1e-12
+    ff.chart_multiplier = m.conjugate() if ff.side.length is None else 1 / m
+    res = incidence_check(ff)
+    assert not res.passed and res.residuals["chart_action"] > 1e-3
+
+
+def test_chart_action_is_skipped_on_the_wall():
+    ff = FaceFamily(ALPHA2_LIM, grid_n=64)
+    assert ff.chart is None and ff.chart_multiplier is None
+    res = incidence_check(ff)
+    assert "chart_action" not in res.residuals
+    assert res.notes == ["chart_action skipped: U acts on no chart by a multiplier at the unipotent parameter"]
+
+
 def test_tf_structure(ff_lox):
     res = tf_check(ff_lox)
     assert res.passed
@@ -418,6 +456,17 @@ def test_u_power_point_matches_mpmath_powers(n):
         # the matrix power was 4.9e-6 off at (100, 99)
         assert np.abs(got.v - want).max() <= 1e-10
         assert got.norm() == pytest.approx(pts.p_V.norm(), rel=1e-6)
+
+
+@pytest.mark.parametrize("n", [2809, 9789, 60636])
+def test_u_power_point_keeps_its_digits_near_the_wall(n):
+    # at |k| <= 2, where incidence reads it: the eigenbasis form was 3e-4
+    # off at order 60636 and the difference quotient for f[1,a,b] 1.3e-11;
+    # the closed form is within 1e-14
+    ff = FaceFamily(alpha2_for_order(n), grid_n=64)
+    ks = [-2, -1, 1, 2]
+    for k, want in zip(ks, _mp_u_powers(ff.alpha2, ks)):
+        assert np.abs(ff.u_power_point(k, ff.pts.p_V).v - want).max() <= 1e-13
 
 
 def test_u_power_point_is_the_matrix_power_off_the_elliptic_side(ff_lox):
