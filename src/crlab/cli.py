@@ -22,6 +22,9 @@ from .family import FamilyParams, FamilyRep, alpha2_for_order
 from .isometry import Isometry, classify, elliptic_type, verify_su21
 from .verify import DEFAULT_GRID, verify
 
+# the most parameters one --sweep may list
+MAX_SWEEP_POINTS = 10**6
+
 
 def _report_to_json(report) -> str:
     return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
@@ -73,6 +76,12 @@ def cmd_verify(args) -> int:
         if step <= 0 or not (0.0 < a < math.pi / 2) or not (0.0 < b <= math.pi / 2):
             print("error: sweep outside (0, pi/2) or nonpositive step", file=sys.stderr)
             return 2
+        if a + step == a:
+            print("error: sweep step does not advance A", file=sys.stderr)
+            return 2
+        if (b - a) / step > MAX_SWEEP_POINTS:
+            print(f"error: sweep has more than {MAX_SWEEP_POINTS} points", file=sys.stderr)
+            return 2
         x = a
         while x < b - 1e-15:
             params.append(x)
@@ -81,6 +90,9 @@ def cmd_verify(args) -> int:
         print("error: one of --n, --alpha2, --sweep is required", file=sys.stderr)
         return 2
 
+    if args.workers < 1:
+        print("error: --workers must be at least 1", file=sys.stderr)
+        return 2
     out_dir = args.out
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
@@ -88,7 +100,7 @@ def cmd_verify(args) -> int:
     if args.workers > 1 and len(jobs) > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(args.workers) as pool:
+        with multiprocessing.Pool(min(args.workers, len(jobs))) as pool:
             results = pool.map(_verify_one, jobs)
     else:
         results = [_verify_one(j) for j in jobs]

@@ -49,16 +49,38 @@ class GeometryError(ValueError):
     """Raised when an operation's geometric preconditions fail."""
 
 
-def _signature(J):
-    eigs = np.linalg.eigvalsh(J)
-    pos = int(np.sum(eigs > 0))
-    neg = int(np.sum(eigs < 0))
-    return pos, neg
+def cross(a, b):
+    """Bilinear cross product a x b (no conjugation) of (..., 3) arrays."""
+    i, j = [1, 2, 0], [2, 0, 1]
+    return a[..., i] * b[..., j] - a[..., j] * b[..., i]
+
+
+def _sign_changes(coeffs) -> int:
+    signs = [c > 0 for c in coeffs if c != 0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _adjugate_and_signature(J):
+    """adj(J), det J and the signature (pos, neg) of a Hermitian 3x3 J.
+
+    The columns of adj(J) are cross products of the rows of J.  The
+    characteristic polynomial x^3 - c1 x^2 + c2 x - c3 has c1 = tr J,
+    c2 = tr adj(J) (the principal 2x2 minors) and c3 = det J; its roots are
+    real, so Descartes' rule of signs counts them exactly: the positive ones
+    on (1, -c1, c2, -c3), the negative ones on (1, c1, c2, c3).
+    """
+    adj = cross(J[[1, 2, 0]], J[[2, 0, 1]]).T
+    det = (J[0] @ adj[:, 0]).real
+    c1, c2 = np.trace(J).real, np.trace(adj).real
+    return adj, det, (_sign_changes((1.0, -c1, c2, -det)), _sign_changes((1.0, c1, c2, det)))
 
 
 @dataclass(frozen=True)
 class HermitianSpace:
-    """A Hermitian form of signature (2,1) on C^3."""
+    """A Hermitian form of signature (2,1) on C^3.
+
+    The signature is read off the characteristic polynomial and J_inv is
+    adj(J) / det J, both in closed form (`_adjugate_and_signature`)."""
 
     J: np.ndarray
     model_tag: Model = Model.CUSTOM
@@ -70,11 +92,12 @@ class HermitianSpace:
             raise GeometryError("form matrix must be 3x3")
         if np.abs(J - J.conj().T).max() > 1e-12:
             raise GeometryError("form matrix must be Hermitian")
-        if _signature(J) != (2, 1):
+        adj, det, signature = _adjugate_and_signature(J)
+        if signature != (2, 1):
             raise GeometryError("form must have signature (2,1)")
         J.setflags(write=False)
         object.__setattr__(self, "J", J)
-        J_inv = np.linalg.inv(J)
+        J_inv = adj / det
         J_inv.setflags(write=False)
         object.__setattr__(self, "J_inv", J_inv)
 

@@ -60,6 +60,10 @@ SCHEMA_VERSION = "report-v1"
 DEFAULT_GRID = 720
 # cone margins this close to the least one are ties up to rounding
 CONE_TIE = 8 * np.spacing(math.pi)
+# TF (a) sample points (r, s): an 8 x 8 lattice over [-5, 5]^2.  The
+# identities checked there are quadratic in (r, s), so these 64 distinct
+# nodes determine them
+RPLANE_SAMPLES = np.stack(np.meshgrid(np.linspace(-5.0, 5.0, 8), np.linspace(-5.0, 5.0, 8)), axis=-1).reshape(-1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +393,7 @@ def tf_check(ff: FaceFamily) -> CheckResult:
 
     # --- (a) real-plane part: the two closed-form squared moduli and the
     # resulting exclusion 2s^2 - r >= 3 s^2 on the norm <= 0 half.
-    rng = np.random.default_rng(20260810)
-    r, s = rng.uniform(-5.0, 5.0, size=(64, 2)).T
+    r, s = RPLANE_SAMPLES.T
     Q = np.stack([r, 1j * math.sqrt(2.0) * s, np.ones_like(r)], axis=-1)
     lhs_u = np.abs(sp.inner_grid(pts.p_U.v, Q)) ** 2
     rhs_u = r * r + s * s + 1.0 + 2.0 * r * (2.0 * cos2 - 1.0) + 2.0 * (r - 1.0) * s * sin_a2

@@ -22,6 +22,7 @@ from .core import (
     HVec,
     Location,
     box,
+    cross,
     inner,
     locate,
     proj_equal,
@@ -223,26 +224,53 @@ def line_spinal_crossings(p: HVec, q: HVec, r: HVec, n=4096):
 def _null_circles(B, J):
     """Null circles of the planes spanned by the row pairs of B (..., 2, 3).
 
-    Uses the eigenbasis of each restricted form: with eigenvalues
-    lam+ > 0 > lam-, the null points are em + rho e^{it} ep,
-    rho = sqrt(-lam- / lam+).  Returns (em, ep, rho, keep); keep is False
-    where the form is definite or degenerate and the line misses the ball.
+    Uses the eigenbasis of each restricted form [[a, b], [b*, d]], in closed
+    form: with m = (a + d)/2, s = (a - d)/2 and h = hypot(s, |b|), the
+    eigenvalues are lam+- = m +- h, the one of smaller modulus taken as
+    det / (the other), free of the cancellation in m -+ h.  The unit
+    eigenvectors, from the row of G - lam that keeps g = h + |s|, are
+    (g, b*) and (b, -g) for s >= 0, else (b, g) and (-g, b*), over
+    sqrt(g^2 + |b|^2).  With
+    lam+ > 0 > lam-, the null points are em + rho e^{it} ep, rho =
+    sqrt(-lam- / lam+).  Returns (em, ep, rho, keep); keep is False where
+    the form is definite or degenerate and the line misses the ball.
     """
-    evals, evecs = np.linalg.eigh(B.conj() @ J @ np.swapaxes(B, -1, -2))
-    scale = 1e-14 * np.abs(evals).max(axis=-1)
-    keep = (evals[..., 0] < -scale) & (evals[..., 1] > scale)
-    em = (evecs[..., None, :, 0] @ B)[..., 0, :]
-    ep = (evecs[..., None, :, 1] @ B)[..., 0, :]
+    G = B.conj() @ J @ np.swapaxes(B, -1, -2)
+    a, d, b = G[..., 0, 0].real, G[..., 1, 1].real, G[..., 0, 1]
+    m, s = 0.5 * (a + d), 0.5 * (a - d)
+    b2 = (b * b.conj()).real
+    h = np.hypot(s, np.abs(b))
     with np.errstate(divide="ignore", invalid="ignore"):
-        rho = np.sqrt(-evals[..., 0] / evals[..., 1])
+        big = np.where(m >= 0, m + h, m - h)
+        small = (a * d - b2) / big
+        lam_m, lam_p = np.where(m >= 0, small, big), np.where(m >= 0, big, small)
+        g = h + np.abs(s)
+        nrm = np.sqrt(g * g + b2)
+        g, bn, bc = g / nrm, b / nrm, b.conj() / nrm
+        up = s >= 0
+        v_p = np.stack([np.where(up, g, bn), np.where(up, bc, g)], axis=-1)
+        v_m = np.stack([np.where(up, bn, -g), np.where(up, -g, bc)], axis=-1)
+        rho = np.sqrt(-lam_m / lam_p)
+    scale = 1e-14 * np.maximum(np.abs(lam_m), np.abs(lam_p))
+    keep = (lam_m < -scale) & (lam_p > scale)
+    em = (v_m[..., None, :] @ B)[..., 0, :]
+    ep = (v_p[..., None, :] @ B)[..., 0, :]
     return em, ep, rho, keep
 
 
-def _polar_basis(pole_vec: HVec) -> np.ndarray:
-    """Orthonormal rows spanning the polar line of pole_vec: the kernel of
-    z -> <pole, z>, from its SVD."""
-    _, _, vh = np.linalg.svd((pole_vec.v.conj() @ pole_vec.space.J).reshape(1, 3))
-    return vh[1:].conj()
+def _polar_basis(poles, J):
+    """Orthonormal row pairs (..., 2, 3) spanning the polar lines of poles
+    (..., 3).  The polar line of a pole is the Euclidean complement of
+    w = J pole; with e the unit vector on the least |w_i|, it is spanned by
+    u1 = conj(w x e) and u2 = conj(w x u1), |u1|^2 = |w|^2 - |w_i|^2 and
+    |u2| = |w| |u1|, each scaled to norm 1."""
+    w = poles @ J.T
+    e = np.eye(3)[np.argmin(np.abs(w), axis=-1)]
+    u1 = cross(w, e).conj()
+    u1 /= np.linalg.norm(u1, axis=-1, keepdims=True)
+    u2 = cross(w, u1).conj()
+    u2 /= np.linalg.norm(u2, axis=-1, keepdims=True)
+    return np.stack([u1, u2], axis=-2)
 
 
 def _boundary_circle(B, J):
@@ -271,7 +299,8 @@ def boundary_circle_of_plane(p: HVec, r: HVec):
 
 def slice_boundary_circle(pole_vec: HVec):
     """Boundary circle of the polar line of pole_vec, as t -> vectors."""
-    return _boundary_circle(_polar_basis(pole_vec), pole_vec.space.J)
+    J = pole_vec.space.J
+    return _boundary_circle(_polar_basis(pole_vec.v, J), J)
 
 
 @dataclass(frozen=True)
@@ -319,7 +348,7 @@ def _silhouette(chart: VisualChart, b: Bisector, tol):
     if pole.norm() <= 1e3 * tol * max(scale, 1.0):
         raise GeometryError("silhouette slice has a pole of norm <= 0")
     J = p.space.J
-    em, ep, rho, _ = _null_circles(_polar_basis(pole), J)
+    em, ep, rho, _ = _null_circles(_polar_basis(pole.v, J), J)
     (a, bw), (c, d) = np.stack([chart.p_prime.v, chart.p_dprime.v]).conj() @ J @ np.stack([em, rho * ep]).T
     den = abs(c) ** 2 - abs(d) ** 2
     if abs(den) <= tol * (abs(c) ** 2 + abs(d) ** 2):
@@ -353,14 +382,13 @@ def spinal_samples(b: Bisector, n_alpha=96, n_t=48):
     """Representatives covering the spinal surface, by extor slices.
 
     Slice alpha is the polar line of q - alpha p, and its boundary circle is
-    found as in `slice_boundary_circle`, for all alphas at once with one
-    stacked svd and one stacked eigh.  Slices missing the ball are skipped.
+    found as in `slice_boundary_circle`, for all alphas at once through the
+    same batched closed forms.  Slices missing the ball are skipped.
     """
     J = b.p.space.J
     alphas = np.exp(1j * np.linspace(0, 2 * math.pi, n_alpha, endpoint=False))
     poles = b.q.v - alphas[:, None] * b.p.v
-    _, _, vh = np.linalg.svd(poles.conj()[:, None, :] @ J)
-    em, ep, rho, keep = _null_circles(vh[:, 1:].conj(), J)
+    em, ep, rho, keep = _null_circles(_polar_basis(poles, J), J)
     if not keep.any():
         raise GeometryError("spinal surface sampling found no boundary points")
     phase = rho[keep, None] * np.exp(1j * np.linspace(0, 2 * math.pi, n_t, endpoint=False))

@@ -297,3 +297,102 @@ def test_figure_options_are_checked_like_verify(argv, err, tmp_path):
     # verify rejects the same out-of-range parameters with the same line
     if argv[0] == "spinal-trace" and "--n" not in argv:
         assert run_cli(["verify", "--alpha2", argv[2]])[::2] == (2, err)
+
+
+@pytest.mark.parametrize(
+    "sweep, err",
+    [
+        ("0.1:0.2:1e-300", "error: sweep step does not advance A\n"),
+        ("0.5:0.50000000000001:1e-17", "error: sweep step does not advance A\n"),
+        ("0.1:1.5:1e-9", "error: sweep has more than 1000000 points\n"),
+    ],
+)
+def test_sweep_step_is_checked_before_any_point(sweep, err):
+    # a step below A's rounding never moved the sweep on, and a tiny one
+    # listed billions of parameters: both exit 2 at once
+    assert run_cli(["verify", "--sweep", sweep, "--grid", "64"]) == (2, "", err)
+
+
+def test_workers_are_checked_and_capped_by_the_sweep(monkeypatch):
+    # the pool never starts more processes than the sweep has parameters;
+    # the recording pool runs the jobs in this process
+    import multiprocessing
+
+    sizes = []
+
+    class Pool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return [fn(j) for j in jobs]
+
+    monkeypatch.setattr(multiprocessing, "Pool", Pool)
+    sweep = ["verify", "--sweep", "0.6:0.8:0.1", "--grid", "64"]
+    code, out, _ = run_cli(sweep + ["--workers", "5000"])
+    assert code == 0 and out.count("\n") == 2
+    assert sizes == [2]
+    for workers in ("0", "-3"):
+        assert run_cli(sweep + ["--workers", workers]) == (2, "", "error: --workers must be at least 1\n")
+    assert sizes == [2]
+
+
+_NO_LAPACK = """
+import sys
+import numpy as np
+from numpy.linalg import _umath_linalg
+
+
+def raiser(name):
+    def call(*args, **kwargs):
+        raise AssertionError("LAPACK routine called: " + name)
+    return call
+
+
+for name in ("svd", "eig", "eigh", "eigvals", "eigvalsh", "inv", "det", "solve", "lstsq", "qr", "cholesky", "pinv"):
+    setattr(np.linalg, name, raiser("numpy.linalg." + name))
+# numpy.linalg's own functions call these gufuncs
+for name in dir(_umath_linalg):
+    if not name.startswith("_") and callable(getattr(_umath_linalg, name)):
+        setattr(_umath_linalg, name, raiser("_umath_linalg." + name))
+
+from crlab.cli import main
+from crlab.family import ALPHA2_LIM, alpha2_for_length
+
+out = sys.argv[1]
+runs = [
+    ["verify", "--n", "9"],
+    ["verify", "--n", "6"],
+    ["verify", "--alpha2", repr(alpha2_for_length(1.0))],
+    ["verify", "--alpha2", repr(np.pi / 6)],
+    ["verify", "--alpha2", repr(ALPHA2_LIM)],
+    ["figure", "disk-projection", "--resolution", "64", "--out", out],
+    ["figure", "spinal-trace", "--resolution", "64", "--out", out],
+]
+for argv in runs:
+    assert main(argv + (["--grid", "64"] if argv[0] == "verify" else [])) == 0, argv
+print(sorted(m for m in sys.modules if m.split(".")[:2] == ["numpy", "random"]))
+"""
+
+
+def test_verify_and_figures_run_without_lapack_or_numpy_random(tmp_path):
+    # every form, kernel and sample of verify and of the FaceFamily figures
+    # is a closed form: with each LAPACK routine replaced by a raiser, the
+    # runs pass, and numpy.random is never imported
+    import crlab
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(crlab.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_LAPACK, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -89,6 +89,38 @@ def test_verify_reads_no_sampled_silhouette():
     assert found == []
 
 
+def test_verify_path_uses_no_random_numbers_and_no_lapack():
+    # the modules that verify and the figures run keep to closed forms and
+    # ufuncs: no numpy.random, and no numpy.linalg routine but norm
+    # (isometry and family keep theirs, for classify and build_rep)
+    found = []
+    for name in ("core.py", "bisector.py", "visual.py", "verify.py", "figures.py"):
+        tree = ast.parse((SRC / name).read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                mods = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                mods = [node.module or ""] + [f"{node.module}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Attribute):
+                mods = [_dotted(node)]
+            else:
+                continue
+            for mod in mods:
+                parts = mod.replace("numpy.", "np.", 1).split(".")
+                if parts[:2] == ["np", "random"] or (parts[:2] == ["np", "linalg"] and parts[2:] not in ([], ["norm"])):
+                    found.append(f"{name}:{node.lineno} {mod}")
+    assert found == []
+
+
+def _dotted(node) -> str:
+    # a.b.c for a chain of attributes on a name, else ""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id] + parts[::-1]) if isinstance(node, ast.Name) else ""
+
+
 def _builds_torus_points(node) -> bool:
     # GiraudTorus.vectors builds torus points as arrays of 3-vectors
     return any(isinstance(n, ast.Attribute) and n.attr == "vectors" for n in ast.walk(node))

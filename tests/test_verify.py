@@ -16,6 +16,7 @@ from crlab.verify import (
     _giraud_circle_tangent_at,
     CheckResult,
     FaceFamily,
+    RPLANE_SAMPLES,
     VerdictKind,
     cone_angles,
     delta0,
@@ -688,7 +689,7 @@ def test_batched_residuals_match_per_sample_loops(alpha2):
     cos2, sin_a2 = math.cos(a2) ** 2, math.sin(a2)
     tf = tf_check(ff)
     worst_rp = 0.0
-    for r, s in np.random.default_rng(20260810).uniform(-5.0, 5.0, size=(64, 2)):
+    for r, s in RPLANE_SAMPLES:
         q = HVec([r, 1j * math.sqrt(2.0) * s, 1.0], ff.space)
         lhs_u, lhs_w = abs(inner(pts.p_U, q)) ** 2, abs(inner(pts.p_W, q)) ** 2
         rhs_u = r * r + s * s + 1.0 + 2.0 * r * (2.0 * cos2 - 1.0) + 2.0 * (r - 1.0) * s * sin_a2
