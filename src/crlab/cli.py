@@ -86,6 +86,9 @@ def cmd_verify(args) -> int:
         while x < b - 1e-15:
             params.append(x)
             x = a + len(params) * step
+        if not params:
+            print("error: sweep lists no parameter in [A, B)", file=sys.stderr)
+            return 2
     else:
         print("error: one of --n, --alpha2, --sweep is required", file=sys.stderr)
         return 2

@@ -216,7 +216,7 @@ def figure_disk_projection(out_base, n=20, boundary_points=512, fmt="csv"):
     at every order; only the output grows with n.  An order that reads as
     the unipotent wall (10^5 at the default tolerance) raises GeometryError.
     """
-    ff = FaceFamily(alpha2_for_order(n), grid_n=256)
+    ff = FaceFamily(alpha2_for_order(n))
     if ff.side.kind is not SideKind.ELLIPTIC:
         raise GeometryError(f"order {n} reads as the unipotent wall: U has no rotation to draw")
     ch = ff.chart
@@ -248,7 +248,7 @@ def figure_disk_projection(out_base, n=20, boundary_points=512, fmt="csv"):
 def figure_spinal_trace(out_base, alpha2=0.7, resolution=361, fmt="csv"):
     """Curves on the intersection torus of two neighbouring bisectors: the
     locus inside the closed ball and the crossing loci with the third extor."""
-    ff = FaceFamily(alpha2, grid_n=resolution)
+    ff = FaceFamily(alpha2)
     sigmas = np.linspace(0.0, 2.0 * math.pi, resolution, endpoint=False)
     deltas = delta0(ff.alpha2) + np.linspace(0.0, math.pi, resolution // 2, endpoint=False)
     norms, to_u, to_v = ff.torus_minus.column_forms(sigmas, deltas, [ff.pts.p_U.v, ff.pts.p_V.v])

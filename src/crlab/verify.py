@@ -178,6 +178,9 @@ class FaceFamily:
         self.U = self.rep.U
         self.I = Isometry(involution_matrix(self.alpha2), self.space)
         self.chart = self._oriented_chart()
+        pts, Ui = self.pts, self.U.inv()
+        self.U_pA, self.Ui_pB = self.U.apply(pts.p_A), Ui.apply(pts.p_B)
+        self.U_pV, self.Ui_pW = self.U.apply(pts.p_V), Ui.apply(pts.p_W)
 
     def _oriented_chart(self):
         """Chart on the visual sphere of [p_U] in which U acts by
@@ -251,8 +254,24 @@ class FaceFamily:
     def torus_minus(self) -> GiraudTorus:
         """The intersection torus of the extors of J_0^- and J_-1^-,
         parametrized by (p_W - e^{i th} p_U) box (U^-1 p_W - e^{i ph} p_U)."""
-        pts = self.pts
-        return GiraudTorus(pts.p_U, pts.p_W, self.U.inv().apply(pts.p_W), self.tol)
+        return GiraudTorus(self.pts.p_U, self.pts.p_W, self.Ui_pW, self.tol)
+
+    @cached_property
+    def torus_plus(self) -> GiraudTorus:
+        """The intersection torus of the extors of J_0^+ and J_1^+."""
+        return GiraudTorus(self.pts.p_U, self.pts.p_V, self.U_pV, self.tol)
+
+    @cached_property
+    def exclusion_minus(self) -> tuple[float, list[float]]:
+        """`_torus_exclusion` of p_V on `torus_minus` at p_A and p_B, which
+        TF records as torus_exclusion and LC as faces_minus_minus."""
+        return _torus_exclusion(self, self.torus_minus, self.pts.p_V, (self.pts.p_A, self.pts.p_B))
+
+    @cached_property
+    def criterion_tangencies(self) -> tuple[bool, bool]:
+        """tangency_check(p_U, p_V, .) at U p_A and U^-1 p_B, read by TF and GC.
+        A raise (the tangency band at the wall) is not cached: each reader raises."""
+        return tuple(tangency_check(self.pts.p_U, self.pts.p_V, x, self.tol) for x in (self.U_pA, self.Ui_pB))
 
 
 def delta0(alpha2: float) -> float:
@@ -275,39 +294,44 @@ def _vertex_angles(torus: GiraudTorus, target: HVec):
     return -cmath.phase(inner(torus.q, target) / pt), -cmath.phase(inner(torus.r, target) / pt)
 
 
-def _torus_exclusion(ff: FaceFamily, res, key, torus: GiraudTorus, pos: HVec, negs, vertices: dict) -> bool:
-    """On the ball part of `torus`, the envelope max_i |<pos, z>|^2 -
-    |<neg_i, z>|^2 over unit representatives z vanishes only at the two
-    named vertices.
+def _torus_exclusion(ff: FaceFamily, torus: GiraudTorus, neg: HVec, vertices) -> tuple[float, list[float]]:
+    """(margin, vertex residuals) of the claim that on the ball part of
+    `torus` |<z, p_U>| <= |<z, neg>| holds only at the two `vertices`.
 
     Both vertices lie on the delta-column delta_v = (theta - phi) / 2 mod pi
     (`_vertex_angles`), at the two ends of its ball arc, where the contact
-    is of second order.  The envelope's exact minimum on the arcs of m
-    columns delta_v + (k + 1/2) pi / m (`GiraudTorus.column_minima`), over
-    sin^2(delta - delta_v), gives res.margins[key]; the distance from each
-    vertex to the nearer end of the delta_v arc is its residual, at most
-    1e3 tol.  Exact in sigma, sampled in delta, with m = grid_n // 2."""
+    is of second order.  The margin is the exact minimum of |<p_U, z>|^2 -
+    |<neg, z>|^2, z unit, on the arcs of m columns delta_v + (k + 1/2) pi / m
+    (`GiraudTorus.column_minima`), over sin^2(delta - delta_v); a vertex's
+    residual is its distance to the nearer end of the delta_v arc.  Exact in
+    sigma, sampled in delta, with m = grid_n // 2."""
     m = ff.grid_n // 2
-    theta, phi = _vertex_angles(torus, next(iter(vertices.values())))
+    theta, phi = _vertex_angles(torus, vertices[0])
     dv = ((theta - phi) / 2.0) % math.pi
     offsets = (np.arange(m) + 0.5) * (math.pi / m)
-    minima = torus.column_minima(dv + offsets, pos.v, [w.v for w in negs])
-    res.margins[key] = float((minima / np.sin(offsets) ** 2).min())
-    if math.isinf(res.margins[key]):
-        res.notes.append(
-            f"{key}: no sampled delta-column meets the ball (the ball band at "
-            f"delta_v is narrower than the column spacing pi/{m})"
-        )
+    minima = torus.column_minima(dv + offsets, ff.pts.p_U.v, [neg.v])
     (mid,), (half,) = torus.ball_arcs([dv])
     ends = [torus.point(s + dv, s - dv) for s in (mid - half, mid + half)]
+    resids = [math.inf if math.isnan(half) else min(proj_distance(e, t) for e in ends) for t in vertices]
+    return float((minima / np.sin(offsets) ** 2).min()), resids
+
+
+def _record_exclusion(ff: FaceFamily, res: CheckResult, key: str, exclusion, names) -> bool:
+    """Record a `_torus_exclusion` pass in `res` under `key` and the vertex
+    `names`, with notes; whether the margin is positive and no residual
+    exceeds the gate 1e3 tol."""
+    margin, resids = exclusion
+    res.margins[key] = margin
+    res.residuals.update(zip(names, resids))
+    if math.isinf(margin):
+        res.notes.append(
+            f"{key}: no sampled delta-column meets the ball (the ball band at "
+            f"delta_v is narrower than the column spacing pi/{ff.grid_n // 2})"
+        )
     gate = 1e3 * ff.tol
-    for name, t in vertices.items():
-        res.residuals[name] = math.inf if math.isnan(half) else min(proj_distance(e, t) for e in ends)
-        if not res.residuals[name] <= gate:
-            res.notes.append(
-                f"{name}: vertex residual {res.residuals[name]:.2e} exceeds the gate 1e3 tol = {gate:.2e}"
-            )
-    return res.margins[key] > 0.0 and all(res.residuals[name] <= gate for name in vertices)
+    over = [(n, r) for n, r in zip(names, resids) if not r <= gate]
+    res.notes.extend(f"{n}: vertex residual {r:.2e} exceeds the gate 1e3 tol = {gate:.2e}" for n, r in over)
+    return margin > 0.0 and not over
 
 
 # ---------------------------------------------------------------------------
@@ -319,30 +343,29 @@ def incidence_check(ff: FaceFamily) -> CheckResult:
     bisectors around them, plus translation compatibility of the family and
     the chart action chart(U x) = m chart(x) of `FaceFamily.chart_multiplier`
     (skipped, with a note, on the unipotent wall)."""
-    pts, U, J = ff.pts, ff.U, ff.space.J
+    pts, U = ff.pts, ff.U
     res = CheckResult("incidence", True)
     pA, pB = pts.p_A, pts.p_B
-    Ui = U.inv()
     prods = {
         "pA_pU": inner(pA, pts.p_U),
         "pA_pV": inner(pA, pts.p_V),
         "pA_pW": inner(pA, pts.p_W),
-        "pA_Ui_pV": inner(pA, Ui.apply(pts.p_V)),
-        "pA_Ui_pW": inner(pA, Ui.apply(pts.p_W)),
+        "pA_Ui_pV": inner(pA, U.inv().apply(pts.p_V)),
+        "pA_Ui_pW": inner(pA, ff.Ui_pW),
         "pB_pU": inner(pB, pts.p_U),
         "pB_pV": inner(pB, pts.p_V),
         "pB_pW": inner(pB, pts.p_W),
-        "pB_U_pV": inner(pB, U.apply(pts.p_V)),
-        "pB_Ui_pW": inner(pB, Ui.apply(pts.p_W)),
+        "pB_U_pV": inner(pB, ff.U_pV),
+        "pB_Ui_pW": inner(pB, ff.Ui_pW),
     }
     worst = max(abs(abs(v) - 1.0) for v in prods.values())
     res.residuals["max_modulus_deviation"] = worst
     # corollary translations: both vertices and their U-translates lie on
     # the expected bisectors
     checks = []
-    for z in (pA, U.apply(pA), pB, Ui.apply(pB)):
+    for z in (pA, ff.U_pA, pB, ff.Ui_pB):
         checks.append(abs(abs(inner(z, pts.p_U)) - abs(inner(z, pts.p_V))))
-    for z in (pA, U.apply(pA), pB, U.apply(pB)):
+    for z in (pA, ff.U_pA, pB, U.apply(pB)):
         checks.append(abs(abs(inner(z, pts.p_U)) - abs(inner(z, pts.p_W))))
     res.residuals["max_translation_incidence"] = max(checks)
     # symmetry: the involution carries J_k^+ onto J_{-k}^- and back, checked
@@ -352,18 +375,9 @@ def incidence_check(ff: FaceFamily) -> CheckResult:
         q_plus = ff.u_power_point(k, pts.p_V)
         q_minus = ff.u_power_point(-k, pts.p_W)
         for lam in np.exp(1j * np.linspace(0.3, 5.9, 5)):
-            z = HVec(pts.p_U.v + lam * q_plus.v, ff.space)
-            iz = ff.I.apply(z)
-            sym.append(
-                abs(abs(inner(iz, pts.p_U)) - abs(inner(iz, q_minus)))
-                / max(1.0, np.linalg.norm(iz.v) ** 2)
-            )
-            w = HVec(pts.p_U.v + lam * q_minus.v, ff.space)
-            iw = ff.I.apply(w)
-            sym.append(
-                abs(abs(inner(iw, pts.p_U)) - abs(inner(iw, q_plus)))
-                / max(1.0, np.linalg.norm(iw.v) ** 2)
-            )
+            for q, image in ((q_plus, q_minus), (q_minus, q_plus)):
+                iz = ff.I.apply(HVec(pts.p_U.v + lam * q.v, ff.space))
+                sym.append(abs(abs(inner(iz, pts.p_U)) - abs(inner(iz, image))) / max(1.0, np.linalg.norm(iz.v) ** 2))
     res.residuals["max_involution_symmetry"] = max(sym)
     # U acts on the chart by its multiplier m, from which every translate's
     # silhouette is taken: checked at the vertices and at p_V, p_W
@@ -429,8 +443,8 @@ def tf_check(ff: FaceFamily) -> CheckResult:
     # |<z, p_U>| <= |<z, p_V>| only at p_A and p_B
     torus = ff.torus_minus
     d0 = delta0(a2)
-    vertices = {"vertex_pA_distance": pts.p_A, "vertex_pB_distance": pts.p_B}
-    passed_c = _torus_exclusion(ff, res, "torus_exclusion", torus, pts.p_U, [pts.p_V], vertices)
+    names = ("vertex_pA_distance", "vertex_pB_distance")
+    passed_c = _record_exclusion(ff, res, "torus_exclusion", ff.exclusion_minus, names)
 
     # derivative factorization: d h / d sigma = -12 sin(sigma) (2 cos(2 a2 - d) - cos d)
     # for the norm rescaled by the common 2 cos^2 a2 factor of the box products;
@@ -466,11 +480,7 @@ def tf_check(ff: FaceFamily) -> CheckResult:
 
     crit_ok = True
     if ff.side.kind is not SideKind.UNIPOTENT:
-        UpA = ff.U.apply(pts.p_A)
-        UiB = ff.U.inv().apply(pts.p_B)
-        crit_ok = tangency_check(pts.p_U, pts.p_V, UpA, ff.tol) and tangency_check(
-            pts.p_U, pts.p_V, UiB, ff.tol
-        )
+        crit_ok = all(ff.criterion_tangencies)
         res.counts["criterion_tangencies"] = 2 if crit_ok else 0
     else:
         res.notes.append(
@@ -511,7 +521,7 @@ def _bitangency(ff: FaceFamily):
     at both shared ideal vertices, compared as real lines in an affine chart."""
     pts = ff.pts
     circle1 = GiraudTorus(pts.p_U, pts.p_V, pts.p_W, ff.tol)
-    circle2 = GiraudTorus(pts.p_U, pts.p_V, ff.U.inv().apply(pts.p_W), ff.tol)
+    circle2 = GiraudTorus(pts.p_U, pts.p_V, ff.Ui_pW, ff.tol)
     resids = []
     notes = []
     for target in (pts.p_A, pts.p_B):
@@ -545,9 +555,7 @@ def lc_check(ff: FaceFamily) -> CheckResult:
 
     # both face-boundary intersections are Giraud disks of symmetric triples
     si1 = symmetric_intersection_type(pts.p_U, pts.p_V, pts.p_W, ff.tol)
-    si2 = symmetric_intersection_type(
-        pts.p_U, ff.U.apply(pts.p_V), pts.p_W, ff.tol
-    )
+    si2 = symmetric_intersection_type(pts.p_U, ff.U_pV, pts.p_W, ff.tol)
     res.residuals["u_plus_pair"] = abs(si1.u - u)
     res.residuals["u_cross_pair"] = abs(si2.u - u)
     # below alpha2 ~ 6e-4 a triple's u falls in the 1e3 tol band around 2/3
@@ -559,21 +567,15 @@ def lc_check(ff: FaceFamily) -> CheckResult:
         for si in (si1, si2)
     )
 
-    # F_0^- /\ F_-1^- == {p_A, p_B} on the torus of J_0^- and J_-1^- (the
-    # common constraint |<z,p_U>| <= |<z,p_V>| must fail off the vertices)
-    U, Ui = ff.U, ff.U.inv()
-    ok_mm = _torus_exclusion(
-        ff, res, "faces_minus_minus", ff.torus_minus, pts.p_U, [pts.p_V, U.apply(pts.p_V), Ui.apply(pts.p_V)],
-        {"faces_minus_minus_vertex_pA": pts.p_A, "faces_minus_minus_vertex_pB": pts.p_B},
-    )
-
-    # F_0^+ /\ F_1^+ == {p_B, U p_A}: off the vertices z fails F_0^+ (against
-    # p_W, U^-1 p_W) or F_1^+ (against U p_W, p_W)
-    torus_pp = GiraudTorus(pts.p_U, pts.p_V, U.apply(pts.p_V), ff.tol)
-    ok_pp = _torus_exclusion(
-        ff, res, "faces_plus_plus", torus_pp, pts.p_U, [pts.p_W, Ui.apply(pts.p_W), U.apply(pts.p_W)],
-        {"faces_plus_plus_vertex_pB": pts.p_B, "faces_plus_plus_vertex_UpA": U.apply(pts.p_A)},
-    )
+    # F_0^- /\ F_-1^- == {p_A, p_B} and F_0^+ /\ F_1^+ == {p_B, U p_A}: each
+    # pair lies in the set of the constraint both faces share, |<z,p_U>| <=
+    # |<z,p_V>| (TF's torus_exclusion pass) and <= |<z,p_W>|, so it suffices
+    # that this set meets the torus's ball part only at the two vertices
+    mm_names = ("faces_minus_minus_vertex_pA", "faces_minus_minus_vertex_pB")
+    ok_mm = _record_exclusion(ff, res, "faces_minus_minus", ff.exclusion_minus, mm_names)
+    pp_names = ("faces_plus_plus_vertex_pB", "faces_plus_plus_vertex_UpA")
+    plus = _torus_exclusion(ff, ff.torus_plus, pts.p_W, (pts.p_B, ff.U_pA))
+    ok_pp = _record_exclusion(ff, res, "faces_plus_plus", plus, pp_names)
 
     # fan parameter: the singular focus must sit strictly inside the
     # quadrilateral's boundary arc on its slice circle
@@ -593,9 +595,7 @@ def _fan_focus_check(ff: FaceFamily, res: CheckResult) -> bool:
     thetas = np.linspace(0.0, 2.0 * math.pi, 1441)
     ones = np.ones_like(thetas)
     Q = np.stack([ones, math.sqrt(2.0) * np.exp(1j * thetas), -ones], axis=-1)
-    mu, mw, muw = (
-        np.abs(sp.inner_grid(w.v, Q)) ** 2 for w in (pts.p_U, pts.p_W, ff.U.inv().apply(pts.p_W))
-    )
+    mu, mw, muw = (np.abs(sp.inner_grid(w.v, Q)) ** 2 for w in (pts.p_U, pts.p_W, ff.Ui_pW))
     c, s = np.cos(thetas), np.sin(thetas)
     identities = [
         mu - 2.0 * (1.0 + s),
@@ -636,14 +636,11 @@ def _tangency_pair_check(ff: FaceFamily, res: CheckResult) -> bool:
     neighbour J_k^- is the U^k-translate of J_0^-, so its silhouette is that
     of J_0^- with centre times m^k and radius times |m|^k, m the chart
     multiplier: no translate is built."""
-    pts, U, ch, m = ff.pts, ff.U, ff.chart, ff.chart_multiplier
+    ch, m = ff.chart, ff.chart_multiplier
     ok = True
     c1, c0 = ff.silhouettes
-    marked = {
-        "k_plus_1": (U.apply(pts.p_A), 1),
-        "k_minus_2": (U.inv().apply(pts.p_B), -2),
-    }
-    for name, (point, k) in marked.items():
+    marked = {"k_plus_1": (ff.U_pA, 1), "k_minus_2": (ff.Ui_pB, -2)}
+    for (name, (point, k)), crit in zip(marked.items(), ff.criterion_tangencies):
         center, radius = m**k * c0.center, abs(m) ** k * c0.radius
         d = abs(c1.center - center)
         resid = min(abs(d - (c1.radius + radius)), abs(d - abs(c1.radius - radius)))
@@ -653,7 +650,6 @@ def _tangency_pair_check(ff: FaceFamily, res: CheckResult) -> bool:
         on1 = abs(abs(zc - c1.center) - c1.radius)
         on2 = abs(abs(zc - center) - radius)
         res.residuals[f"contact_point_{name}"] = max(on1, on2) / scale
-        crit = tangency_check(pts.p_U, pts.p_V, point, ff.tol)
         ok = ok and crit and resid / scale <= 1e-6
     res.notes.append(
         "second cross-family contact certified at offset -2 (the vertex "
@@ -689,11 +685,11 @@ def cone_angles(ff: FaceFamily, ks) -> np.ndarray:
     return 2.0 * np.arctan2(np.linalg.norm(d - X, axis=-1), np.linalg.norm(d + X, axis=-1))
 
 
-def _cone_separation(ff: FaceFamily, res: CheckResult, n: int) -> bool:
+def _cone_separation(ff: FaceFamily, res: CheckResult, n: int, diam: float) -> bool:
     """Exact pairwise cone margins on the elliptic side: the direction cones
     of two bisectors are disjoint when their axes are separated by more
-    than twice the cone radius."""
-    rho = angular_diameter(ff.pts.p_U, ff.pts.p_V, ff.tol) / 2.0
+    than twice the cone radius, half the angular diameter `diam`."""
+    rho = diam / 2.0
     res.residuals["value_cone_radius"] = rho
     ks = np.arange(2, n - 1)
     margins = cone_angles(ff, ks) - 2.0 * rho
@@ -725,7 +721,6 @@ def gc_check_loxodromic(ff: FaceFamily) -> CheckResult:
     if ff.side.kind is not SideKind.LOXODROMIC:
         raise ValueError("loxodromic check on a non-loxodromic parameter")
     length = ff.side.length
-    pts = ff.pts
     a2 = ff.alpha2
 
     # (a) the closed-form exclusion chain for the two guard circles
@@ -877,7 +872,7 @@ def gc_check_elliptic(ff: FaceFamily) -> CheckResult:
             f"this order (value {diam:.6f}); disjointness is certified by "
             "the pairwise cone margins instead"
         )
-    cone_ok = _cone_separation(ff, res, n)
+    cone_ok = _cone_separation(ff, res, n, diam)
 
     # (d) tangencies of the contact pairs
     tang_ok = _tangency_pair_check(ff, res)

@@ -313,6 +313,14 @@ def test_sweep_step_is_checked_before_any_point(sweep, err):
     assert run_cli(["verify", "--sweep", sweep, "--grid", "64"]) == (2, "", err)
 
 
+@pytest.mark.parametrize("sweep", ["0.8:0.6:0.1", "0.7:0.7:0.1", "0.5:0.5000000000000005:0.1"])
+def test_empty_sweep_is_a_usage_error(sweep):
+    # a sweep that lists no parameter (B <= A, or B within rounding of A)
+    # used to print nothing and exit 0, as if every parameter had passed
+    err = "error: sweep lists no parameter in [A, B)\n"
+    assert run_cli(["verify", "--sweep", sweep, "--grid", "64"]) == (2, "", err)
+
+
 def test_workers_are_checked_and_capped_by_the_sweep(monkeypatch):
     # the pool never starts more processes than the sweep has parameters;
     # the recording pool runs the jobs in this process

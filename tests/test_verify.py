@@ -1,4 +1,5 @@
 import ast
+import cmath
 import importlib
 import inspect
 import json
@@ -11,6 +12,7 @@ from crlab.bisector import GiraudTorus, classify_bisector
 from crlab.core import HVec, inner, proj_distance
 from crlab.family import ALPHA2_LIM, alpha2_for_length, alpha2_for_order
 from crlab.isometry import Isometry
+from crlab.visual import angular_diameter
 from crlab.verify import (
     _cone_separation,
     _giraud_circle_tangent_at,
@@ -283,7 +285,7 @@ def _mp_cone_reference(n, ks):
 def test_cone_angles_match_mpmath_reference(n):
     ff = FaceFamily(alpha2_for_order(n), grid_n=64)
     res = CheckResult("gc", True)
-    _cone_separation(ff, res, n)
+    _cone_separation(ff, res, n, angular_diameter(ff.pts.p_U, ff.pts.p_V, ff.tol))
     k_note, fam_note = res.notes[-1].removeprefix("tightest cone pair: k=").split(",")
     ks = sorted({2, 3, n // 2 - 1, n // 2 + 1, n - 3, int(k_note)})
     ref, rho = _mp_cone_reference(n, ks)
@@ -307,7 +309,7 @@ def test_tightest_cone_pair_note_names_the_smallest_tie(n):
     # rounding alone orders them, and the note names k = 2
     ff = FaceFamily(alpha2_for_order(n), grid_n=64)
     res = CheckResult("gc", True)
-    _cone_separation(ff, res, n)
+    _cone_separation(ff, res, n, angular_diameter(ff.pts.p_U, ff.pts.p_V, ff.tol))
     assert res.notes[-1] == "tightest cone pair: k=2,plus"
     ks = np.arange(2, n - 1)
     margins = cone_angles(ff, ks) - 2.0 * res.residuals["value_cone_radius"]
@@ -679,6 +681,63 @@ def test_torus_margins_do_not_depend_on_the_grid():
         lc_coarse, lc_fine = lc_check(coarse).margins, lc_check(fine).margins
         for key in ("faces_minus_minus", "faces_plus_plus"):
             assert lc_coarse[key] == pytest.approx(lc_fine[key], rel=1e-3)
+
+
+@pytest.mark.parametrize("grid", [128, 720])
+@pytest.mark.parametrize(
+    "alpha2",
+    [alpha2_for_order(9), alpha2_for_order(56), alpha2_for_order(922), alpha2_for_length(0.25),
+     alpha2_for_length(1.75), 1.44, 1.56, 1e-8],
+)
+def test_lc_common_constraint_matches_the_three_constraint_envelope(alpha2, grid):
+    # oracle: LC's former envelope of all three constraints of each face
+    # pair.  The pair's common constraint alone is a lower bound of it on
+    # every column, so the reported margin can never exceed the envelope's;
+    # on these parameters the two are equal
+    ff = FaceFamily(alpha2, grid_n=grid)
+    lc = lc_check(ff)
+    pts, U, Ui = ff.pts, ff.U, ff.U.inv()
+    m = grid // 2
+    offsets = (np.arange(m) + 0.5) * (math.pi / m)
+    for key, torus, negs, vertex in (
+        ("faces_minus_minus", GiraudTorus(pts.p_U, pts.p_W, Ui.apply(pts.p_W)),
+         [pts.p_V, U.apply(pts.p_V), Ui.apply(pts.p_V)], pts.p_A),
+        ("faces_plus_plus", GiraudTorus(pts.p_U, pts.p_V, U.apply(pts.p_V)),
+         [pts.p_W, Ui.apply(pts.p_W), U.apply(pts.p_W)], pts.p_B),
+    ):
+        pt = inner(torus.p, vertex)
+        theta, phi = (-cmath.phase(inner(w, vertex) / pt) for w in (torus.q, torus.r))
+        dv = ((theta - phi) / 2.0) % math.pi
+        minima = torus.column_minima(dv + offsets, pts.p_U.v, [w.v for w in negs])
+        envelope = float((minima / np.sin(offsets) ** 2).min())
+        assert envelope >= lc.margins[key]
+        assert envelope == lc.margins[key]
+
+
+@pytest.mark.parametrize("alpha2", [alpha2_for_order(9), alpha2_for_length(1.0)])
+def test_verify_runs_one_exclusion_pass_per_torus(alpha2, monkeypatch):
+    # TF's torus_exclusion and LC's faces_minus_minus share one pass over
+    # the J_0^-/J_-1^- torus, and each pass reads a single constraint; TF
+    # and GC share the two criterion tangencies
+    module = importlib.import_module("crlab.verify")
+    minima, tangencies = [], []
+    column_minima, tangency_check = GiraudTorus.column_minima, module.tangency_check
+
+    def counted_minima(self, deltas, pos, negs, ball=True):
+        minima.append((ball, len(negs)))
+        return column_minima(self, deltas, pos, negs, ball)
+
+    def counted_tangency(*args):
+        tangencies.append(args)
+        return tangency_check(*args)
+
+    monkeypatch.setattr(GiraudTorus, "column_minima", counted_minima)
+    monkeypatch.setattr(module, "tangency_check", counted_tangency)
+    rep = verify(alpha2, grid_n=720)
+    assert rep.all_passed()
+    assert sum(ball for ball, _ in minima) == 2
+    assert all(n == 1 for _, n in minima)
+    assert len(tangencies) == 2
 
 
 @pytest.mark.parametrize("alpha2", [math.pi / 6, 0.7, alpha2_for_order(9)])
