@@ -4,10 +4,14 @@ Every figure is an array program: its grid is evaluated with numpy in one
 pass, contours come from a vectorized marching squares, and CSV lines are
 formatted from arrays and streamed to the file in fixed blocks of rows.
 Floats are written with 17 significant digits in CSV (round-trip exact)
-and 9 in SVG.  Output bytes are identical from run to run and across
-worker counts.  They are not promised across numpy's and cmath's
-roundings: a grid evaluated by numpy ufuncs may differ in the last bits
-from the same formula evaluated on Python scalars.
+and 9 in SVG.  The CSV bytes are those of %.17g, written by one numpy
+kernel, `csvfloat.format_g17`, with no per-value dtoa for a value in
+fixed notation; the rest (zeros, |v| < 1e-4, |v| >= 1e17, non-finite
+values and exact ties) take %.17g itself.  Output bytes are identical
+from run to run and across worker counts.  They are not promised across
+numpy's and cmath's roundings: a grid evaluated by numpy ufuncs may
+differ in the last bits from the same formula evaluated on Python
+scalars.
 """
 
 from __future__ import annotations
@@ -30,47 +34,54 @@ from .family import (
 from .isometry import goldman_f
 from .bisector import level_g
 from .verify import FaceFamily, delta0
+from .csvfloat import format_g17
 from .visual import project_bisector
 
 CSV_FMT = "%.17g"
-CSV_BLOCK_ROWS = 4096  # rows formatted and written at a time by write_csv
+CSV_BLOCK_ROWS = 4096  # rows written, and values formatted, at a time by write_csv
 SVG_PREC = 9
 
 
 def write_csv(path, header, rows):
-    """Write a header and the rows of a 2-D array, one CSV_FMT per value,
-    streamed to the file in blocks of CSV_BLOCK_ROWS rows.
+    """Write a header and the rows of a 2-D array with one column per header
+    name, every value as CSV_FMT % v, streamed to the file in blocks of
+    CSV_BLOCK_ROWS rows.
 
     A column with at most half as many distinct bit patterns as rows (grid
-    axes, labels, symmetric grids) is formatted once per pattern, over the
-    whole column, and its strings fill %s fields.  Patterns, not values, are
-    compared, so -0.0 and 0.0 and NaN payloads stay apart and every field is
-    CSV_FMT % v.  Each block fills one reused object array, with table
-    strings or raw floats, and goes out as one `%` over its flat tuple, so
-    the Python objects alive at a time are those of one block.
+    axes, labels, symmetric grids) is formatted once per pattern, and its
+    strings are gathered by the pattern index.  Patterns, not values, are
+    compared, so -0.0 and 0.0 and NaN payloads stay apart.  Every other
+    column is formatted block by block.  All formatting goes through
+    `csvfloat.format_g17`, at most CSV_BLOCK_ROWS values at a time.  Each
+    block fills one reused object array with bytes and goes out as one `%`
+    over its flat tuple, so the Python objects alive at a time are those of
+    one block and of the distinct-pattern tables.
     """
-    rows = np.asarray(rows, dtype=float).reshape(-1, len(header))
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != len(header):
+        raise ValueError(f"rows of shape {rows.shape} do not fit a header of {len(header)} columns")
     n = len(rows)
-    tables, fields = [], []
+    tables = []
     for col in rows.T:
         bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
         if 2 * len(bits) <= n:
-            strings = np.array([CSV_FMT % v for v in bits.view(float).tolist()], dtype=object)
+            values = bits.view(float)
+            strings = np.empty(len(values), dtype=object)
+            for start in range(0, len(values), CSV_BLOCK_ROWS):
+                strings[start : start + CSV_BLOCK_ROWS] = format_g17(values[start : start + CSV_BLOCK_ROWS])
             tables.append((strings, inverse))
-            fields.append("%s")
         else:
             tables.append(None)
-            fields.append(CSV_FMT)
-    line = ",".join(fields) + "\n"
+    line = b",".join([b"%s"] * len(header)) + b"\n"
     cells = np.empty((min(n, CSV_BLOCK_ROWS), len(header)), dtype=object)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(",".join(header).encode() + b"\n")
         for start in range(0, n, CSV_BLOCK_ROWS):
             stop = min(start + CSV_BLOCK_ROWS, n)
             block = cells[: stop - start]
             for j, table in enumerate(tables):
                 if table is None:
-                    block[:, j] = rows[start:stop, j]
+                    block[:, j] = format_g17(rows[start:stop, j])
                 else:
                     strings, inverse = table
                     block[:, j] = strings[inverse[start:stop]]

@@ -108,23 +108,49 @@ def test_write_csv_matches_per_value_format(tmp_path):
             assert fh.read() == write_csv_loop(["a", "b"], rows), case
 
 
-def test_write_csv_peak_memory_is_bounded_by_the_file(tmp_path):
-    # blocks of rows go out as they are formatted: on a 100k x 3 grid table
-    # (two axis columns through the string table, one unique column) the
+def test_write_csv_rejects_rows_that_do_not_fit_the_header(tmp_path):
+    rows = np.arange(12.0).reshape(6, 2)
+    for header in (["a", "b", "c"], ["a"]):
+        with pytest.raises(ValueError):
+            write_csv(str(tmp_path / "t.csv"), header, rows)
+    with pytest.raises(ValueError):
+        write_csv(str(tmp_path / "t.csv"), ["a", "b"], rows.ravel())
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_write_csv_peak_memory_is_bounded_by_the_file(tmp_path, monkeypatch):
+    # blocks of rows go out as they are formatted: on a 100k x 4 grid table
+    # (two axis columns through the string table, one unique column, and one
+    # of exactly n/2 distinct values, the largest table the rule admits) the
     # traced peak stays within twice the file's size, where a whole table of
-    # Python objects took about 3 times
+    # Python objects took about 3 times; the kernel formats at most
+    # CSV_BLOCK_ROWS values at a time, distinct values included
     import tracemalloc
 
+    import crlab.figures
+
+    sizes = []
+
+    def counted(x, _real=crlab.figures.format_g17):
+        sizes.append(len(x))
+        return _real(x)
+
+    monkeypatch.setattr(crlab.figures, "format_g17", counted)
     X, Y = np.meshgrid(np.linspace(-3, 3, 400), np.linspace(-1, 1, 250), indexing="ij")
-    rows = np.column_stack([X.ravel(), Y.ravel(), np.random.default_rng(1).standard_normal(X.size)])
+    rng = np.random.default_rng(1)
+    half = rng.permutation(np.repeat(rng.standard_normal(X.size // 2), 2))
+    rows = np.column_stack([X.ravel(), Y.ravel(), rng.standard_normal(X.size), half])
     path = str(tmp_path / "t.csv")
     tracemalloc.start()
     try:
-        write_csv(path, ["a", "b", "c"], rows)
+        write_csv(path, ["a", "b", "c", "d"], rows)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert len(np.unique(rows[:, 3])) == len(rows) // 2
     assert peak <= 2 * os.path.getsize(path)
+    assert max(sizes) <= CSV_BLOCK_ROWS
+    assert sum(sizes) == 400 + 250 + len(rows) + len(rows) // 2
 
 
 def test_level_sets_csv_matches_per_value_format(tmp_path):
