@@ -1,10 +1,9 @@
 """Byte-exact `b"%.17g" % v` for float64 arrays, the CSV format of the
 figures (`figures.write_csv`).
 
-`format_g17` writes every value that %.17g puts in fixed notation from
+`g17_fields` writes every value that %.17g puts in fixed notation from
 numpy arrays, with no per-value dtoa, and hands the rest to %.17g itself.
-Its docstring holds the exactness argument.  The tables are built on the
-first call, not at import.
+The tables are built on the first call, not at import.
 """
 
 from __future__ import annotations
@@ -13,18 +12,18 @@ import functools
 
 import numpy as np
 
-# a `format_g17` source row is 24 bytes, 6 uint32 words: 3 unused bytes,
+# a `g17_fields` source row is 24 bytes, 6 uint32 words: 3 unused bytes,
 # the 17 digits (the lead digit, then 4 groups of 4, one word each) from
 # byte _LEAD, and the bytes "0.-\0" of the last word
 _LEAD = 3
 _ZERO, _DOT, _MINUS, _NUL = range(20, 24)
-_G17_WIDTH = 23  # longest fixed-notation field: "-0.000" and 17 digits
-_G17_GATHER = 512  # fields laid out per take: an index of 512 x 23 intp, 94 KB
+G17_WIDTH = 24  # longest %.17g field: "-2.2250738585072014e-308"
+_G17_GATHER = 512  # fields laid out per take: an index of 512 x 24 intp, 98 KB
 
 
 @functools.cache
 def _g17_tables():
-    """Tables of `format_g17`, built on its first call:
+    """Tables of `g17_fields`, built on its first call:
 
     - bounds[i], i = 0..21: the least double >= 10^(i - 4);
     - pow10[s], s = 0..20: 10^s (exact), with its Veltkamp halves;
@@ -55,7 +54,7 @@ def _g17_tables():
                     row += digit[: d + 1] + ([_DOT] + digit[d + 1 : k] if k > d + 1 else [])
                 else:
                     row += [_ZERO, _DOT] + [_ZERO] * (-d - 1) + digit[:k]
-                rows.append(row + [_NUL] * (_G17_WIDTH - len(row)))
+                rows.append(row + [_NUL] * (G17_WIDTH - len(row)))
     return bounds, pow10, _veltkamp(pow10), groups, last, np.array(rows, dtype=np.uint8)
 
 
@@ -70,7 +69,7 @@ def _scale_to_17_digits(x):
     """(fast, s, p, e): where fast, p + e = |x| 10^s exactly, in [10^16, 10^17),
     with p = fl(|x| 10^s) and s = 16 - floor(log10 |x|).  Elsewhere
     (|x| < 1e-4 or >= 1e17, or not finite) s = 16 and p + e = 10^16.  The
-    exactness argument is `format_g17`'s.
+    exactness argument is `g17_fields`'s.
     """
     bounds, pow10, (p10_hi, p10_lo) = _g17_tables()[:3]
     a = np.abs(x)
@@ -85,9 +84,10 @@ def _scale_to_17_digits(x):
     return fast, s, p, e
 
 
-def format_g17(x):
-    """b"%.17g" % v for every value v of the float64 array x, as an object
-    array of bytes, with no per-value dtoa in the common case.
+def g17_fields(x):
+    """b"%.17g" % v for every value v of the float64 array x, as the rows of
+    an (n, G17_WIDTH) uint8 array padded with NUL, with no per-value dtoa
+    in the common case.
 
     %.17g writes v in fixed notation when the decimal exponent d of v,
     rounded to 17 significant digits, satisfies -4 <= d <= 16.  The fast
@@ -118,22 +118,21 @@ def format_g17(x):
     d, k) picks a `layout` row, and a flat take (_G17_GATHER fields at a
     time, which bounds its index array) lays out the sign, the "0.000"
     prefix, the "." after digit d and the cut of trailing zeros, padded
-    with NUL, which the S-dtype view drops.
+    with NUL.
 
     Fallback, b"%.17g" % v per value: zeros, non-finite values, subnormals,
     |v| < 1e-4 or >= 1e17 (exponent notation), the guard band and a failed
     post-condition.
     """
     fields, fast = _fixed_notation_fields(x)
-    strings = fields.view(f"S{_G17_WIDTH}").ravel().astype(object)
     slow = np.flatnonzero(~fast)
-    strings[slow] = [b"%.17g" % v for v in x[slow].tolist()]
-    return strings
+    text = np.array([b"%.17g" % v for v in x[slow].tolist()], dtype=f"S{G17_WIDTH}")
+    fields[slow] = text.view(np.uint8).reshape(-1, G17_WIDTH)
+    return fields
 
 
 def _fixed_notation_fields(x):
-    """(fields, fast): row i of the (n, _G17_WIDTH) uint8 array fields holds
-    b"%.17g" % x[i] padded with NUL wherever fast[i] (`format_g17`)."""
+    """(fields, fast): fields[i] is `g17_fields(x)[i]` wherever fast[i]."""
     groups, last, layout = _g17_tables()[3:]
     n = len(x)
     fast, s, p, e = _scale_to_17_digits(x)
@@ -155,9 +154,9 @@ def _fixed_notation_fields(x):
     src = src.view(np.uint8)
     src[:, _LEAD] = lead + ord("0")
     code = ((x < 0) * 21 + 20 - s) * 17 + k - 1  # 20 - s = d + 4
-    out = np.empty((n, _G17_WIDTH), dtype=np.uint8)
+    out = np.empty((n, G17_WIDTH), dtype=np.uint8)
     for start in range(0, n, _G17_GATHER):
         fields = layout.take(code[start : start + _G17_GATHER], axis=0)
         index = np.arange(start, start + len(fields))[:, None] * src.shape[1] + fields
-        src.ravel().take(index, out=out[start : start + _G17_GATHER])
+        src.ravel().take(index, out=out[start : start + _G17_GATHER], mode="clip")  # unbuffered
     return out, fast

@@ -1,17 +1,14 @@
 """Deterministic figure data: CSV grids and simple SVG renderings.
 
 Every figure is an array program: its grid is evaluated with numpy in one
-pass, contours come from a vectorized marching squares, and CSV lines are
-formatted from arrays and streamed to the file in fixed blocks of rows.
-Floats are written with 17 significant digits in CSV (round-trip exact)
-and 9 in SVG.  The CSV bytes are those of %.17g, written by one numpy
-kernel, `csvfloat.format_g17`, with no per-value dtoa for a value in
-fixed notation; the rest (zeros, |v| < 1e-4, |v| >= 1e17, non-finite
-values and exact ties) take %.17g itself.  Output bytes are identical
-from run to run and across worker counts.  They are not promised across
-numpy's and cmath's roundings: a grid evaluated by numpy ufuncs may
-differ in the last bits from the same formula evaluated on Python
-scalars.
+pass, contours come from a vectorized marching squares, and CSV blocks are
+laid out as byte arrays and streamed to the file.  Floats are written with
+17 significant digits in CSV (round-trip exact) and 9 in SVG, the CSV
+digits by the numpy kernel `csvfloat.g17_fields`.  Output bytes are
+identical from run to run and across worker counts.  They are not
+promised across numpy's and cmath's roundings: a grid evaluated by numpy
+ufuncs may differ in the last bits from the same formula evaluated on
+Python scalars.
 """
 
 from __future__ import annotations
@@ -34,7 +31,7 @@ from .family import (
 from .isometry import goldman_f
 from .bisector import level_g
 from .verify import FaceFamily, delta0
-from .csvfloat import format_g17
+from .csvfloat import G17_WIDTH, g17_fields
 from .visual import project_bisector
 
 CSV_FMT = "%.17g"
@@ -42,57 +39,58 @@ CSV_BLOCK_ROWS = 4096  # rows written, and values formatted, at a time by write_
 SVG_PREC = 9
 
 
-def write_csv(path, header, rows):
-    """Write a header and the rows of a 2-D array with one column per header
-    name, every value as CSV_FMT % v, streamed to the file in blocks of
-    CSV_BLOCK_ROWS rows.
+def write_csv(path, header, columns):
+    """Write a header and one column per header name, every value as
+    CSV_FMT % v, streamed to the file in blocks of CSV_BLOCK_ROWS rows.
 
-    A column with at most half as many distinct bit patterns as rows (grid
-    axes, labels, symmetric grids) is formatted once per pattern, and its
-    strings are gathered by the pattern index.  Patterns, not values, are
-    compared, so -0.0 and 0.0 and NaN payloads stay apart.  Every other
-    column is formatted block by block.  All formatting goes through
-    `csvfloat.format_g17`, at most CSV_BLOCK_ROWS values at a time.  Each
-    block fills one reused object array with bytes and goes out as one `%`
-    over its flat tuple, so the Python objects alive at a time are those of
-    one block and of the distinct-pattern tables.
+    A column is a 1-D array, or a pair (values, index) declaring it as
+    values[index] (the figures' axes and labels).  An undeclared column
+    with at most half as many distinct bit patterns as rows, found by a
+    sort and a count, is declared by np.unique.  Declared values are
+    formatted once, the rest block by block, by `csvfloat.g17_fields`.  A
+    block is one reused (rows, columns, G17_WIDTH + 1) uint8 array of
+    NUL-padded fields ended by "," or a newline, written without its NULs.
     """
-    rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2 or rows.shape[1] != len(header):
-        raise ValueError(f"rows of shape {rows.shape} do not fit a header of {len(header)} columns")
-    n = len(rows)
-    tables = []
-    for col in rows.T:
-        bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
-        if 2 * len(bits) <= n:
-            values = bits.view(float)
-            strings = np.empty(len(values), dtype=object)
+    cols = [col if isinstance(col, tuple) else (col, None) for col in columns]
+    cols = [(np.asarray(v, dtype=float), i if i is None else np.asarray(i)) for v, i in cols]
+    for v, i in cols:
+        if v.ndim != 1 or i is not None and (
+            i.ndim != 1 or i.dtype.kind not in "iu" or i.size and not 0 <= i.min() <= i.max() < len(v)
+        ):
+            raise ValueError("a column is not 1-D, or its index is not 1-D integers in range")
+    lengths = {len(v if i is None else i) for v, i in cols}
+    if len(cols) != len(header) or len(lengths) > 1:
+        raise ValueError(f"columns of lengths {sorted(lengths)} do not fit {len(header)} names")
+    n = lengths.pop() if lengths else 0
+    for j, (values, index) in enumerate(cols):
+        if index is None:
+            bits = np.sort(values.view(np.int64))
+            if 2 * np.count_nonzero(bits[1:] != bits[:-1]) + 2 <= n:
+                bits, index = np.unique(values.view(np.int64), return_inverse=True)
+                values = bits.view(float)
+        if index is not None:
+            fields = np.empty((len(values), G17_WIDTH), dtype=np.uint8)
             for start in range(0, len(values), CSV_BLOCK_ROWS):
-                strings[start : start + CSV_BLOCK_ROWS] = format_g17(values[start : start + CSV_BLOCK_ROWS])
-            tables.append((strings, inverse))
-        else:
-            tables.append(None)
-    line = b",".join([b"%s"] * len(header)) + b"\n"
-    cells = np.empty((min(n, CSV_BLOCK_ROWS), len(header)), dtype=object)
+                fields[start : start + CSV_BLOCK_ROWS] = g17_fields(values[start : start + CSV_BLOCK_ROWS])
+            cols[j] = (fields, index)
+    block = np.empty((min(n, CSV_BLOCK_ROWS), len(cols), G17_WIDTH + 1), dtype=np.uint8)
+    block[..., -1] = ord(",")
+    block[:, -1:, -1] = ord("\n")
     with open(path, "wb") as fh:
         fh.write(",".join(header).encode() + b"\n")
         for start in range(0, n, CSV_BLOCK_ROWS):
-            stop = min(start + CSV_BLOCK_ROWS, n)
-            block = cells[: stop - start]
-            for j, table in enumerate(tables):
-                if table is None:
-                    block[:, j] = format_g17(rows[start:stop, j])
-                else:
-                    strings, inverse = table
-                    block[:, j] = strings[inverse[start:stop]]
-            fh.write(line * len(block) % tuple(block.ravel().tolist()))
+            rows = block[: min(n - start, CSV_BLOCK_ROWS)]
+            part = slice(start, start + len(rows))
+            for j, (values, index) in enumerate(cols):
+                rows[:, j, :-1] = g17_fields(values[part]) if index is None else values.take(index[part], axis=0)
+            fh.write(rows.tobytes().translate(None, b"\0"))
     return path
 
 
-def _grid_rows(xs, ys, *values):
-    """Rows (x_i, y_j, v[i, j], ...) of grids over xs x ys, row-major in i."""
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    return np.column_stack([X.ravel(), Y.ravel()] + [v.ravel() for v in values])
+def _grid_columns(xs, ys, *values):
+    """Columns (x_i, y_j, v[i, j], ...) over xs x ys, row-major in i."""
+    axes = [(xs, np.repeat(np.arange(len(xs)), len(ys))), (ys, np.tile(np.arange(len(ys)), len(xs)))]
+    return axes + [v.ravel() for v in values]
 
 
 class SvgCanvas:
@@ -144,7 +142,7 @@ def figure_level_sets(out_base, resolution=720, fmt="csv"):
     th = np.linspace(-math.pi, math.pi, resolution, endpoint=False)
     G = level_g(th[:, None], th[None, :])
     if fmt == "csv":
-        return write_csv(out_base + ".csv", ["theta", "phi", "g"], _grid_rows(th, th, G)), G
+        return write_csv(out_base + ".csv", ["theta", "phi", "g"], _grid_columns(th, th, G)), G
     canvas = SvgCanvas(-math.pi, math.pi, -math.pi, math.pi)
     for level in np.linspace(-1.4, 2.8, 15):
         canvas.polylines(_contour_segments(th, th, G, level))
@@ -189,8 +187,7 @@ def figure_peach_curve(out_base, resolution=256, fmt="csv"):
     a2s = np.linspace(-math.pi / 2 + 1e-3, math.pi / 2 - 1e-3, resolution)
     F = goldman_f(trace_ts_inv(a1s[:, None], a2s[None, :]))
     if fmt == "csv":
-        rows = _grid_rows(a1s, a2s, F)
-        return write_csv(out_base + ".csv", ["alpha1", "alpha2", "f_tr"], rows), (a1s, a2s, F)
+        return write_csv(out_base + ".csv", ["alpha1", "alpha2", "f_tr"], _grid_columns(a1s, a2s, F)), (a1s, a2s, F)
     canvas = SvgCanvas(-math.pi / 2, math.pi / 2, -math.pi / 2, math.pi / 2)
     canvas.polylines(_contour_segments(a1s, a2s, F, 0.0))
     canvas.circle(complex(0, ALPHA2_LIM), 0.01)
@@ -203,17 +200,10 @@ def figure_region_z(out_base, resolution=256, fmt="csv"):
     a2s = np.linspace(-math.pi / 2 + 1e-3, math.pi / 2 - 1e-3, resolution)
     D = discriminant_D(4 * np.cos(a1s)[:, None] ** 2, 4 * np.cos(a2s)[None, :] ** 2)
     if fmt == "csv":
-        rows = _grid_rows(a1s, a2s, D)
-        return write_csv(out_base + ".csv", ["alpha1", "alpha2", "D"], rows), (a1s, a2s, D)
+        return write_csv(out_base + ".csv", ["alpha1", "alpha2", "D"], _grid_columns(a1s, a2s, D)), (a1s, a2s, D)
     canvas = SvgCanvas(-math.pi / 2, math.pi / 2, -math.pi / 2, math.pi / 2)
     canvas.polylines(_contour_segments(a1s, a2s, D, 0.0))
     return canvas.write(out_base + ".svg"), (a1s, a2s, D)
-
-
-def _labelled_rows(family, k, z):
-    """Rows (family, k, re z, im z) over the points z, broadcast together
-    and read in row-major order."""
-    return np.column_stack([c.ravel() for c in np.broadcast_arrays(family, k, z.real, z.imag)])
 
 
 def figure_disk_projection(out_base, n=20, boundary_points=512, fmt="csv"):
@@ -239,14 +229,13 @@ def figure_disk_projection(out_base, n=20, boundary_points=512, fmt="csv"):
     curves = {(sign, k): families[sign][k] for k in range(n) for sign in ("plus", "minus")}
     marks = (powers * np.array([ch(ff.pts.p_A), ch(ff.pts.p_B)])).ravel()
     if fmt == "csv":
-        plus, minus = families["plus"], families["minus"]
-        label = np.repeat([0, 1], [plus.shape[1], minus.shape[1]])
-        rows = [
-            _labelled_rows(label, np.arange(n)[:, None], np.concatenate([plus, minus], axis=1)),
-            _labelled_rows(2, np.arange(len(marks)), marks),
-        ]
-        path = write_csv(out_base + ".csv", ["family", "k", "re", "im"], np.concatenate(rows))
-        return path, curves
+        # J_k^+ and J_k^- (family 0, 1) for each k, then the marks (family 2)
+        p, m = families["plus"].shape[1], families["minus"].shape[1]
+        z = np.concatenate([np.concatenate([families["plus"], families["minus"]], axis=1).ravel(), marks])
+        family = np.append(np.tile(np.repeat([0, 1], [p, m]), n), np.full(2 * n, 2))
+        k = np.append(np.repeat(np.arange(n), p + m), np.arange(2 * n))
+        columns = [(np.arange(3.0), family), (np.arange(2.0 * n), k), z.real, z.imag]
+        return write_csv(out_base + ".csv", ["family", "k", "re", "im"], columns), curves
     canvas = SvgCanvas(-3.2, 3.2, -3.2, 3.2)
     canvas.polyline(np.exp(1j * np.linspace(0, 2 * math.pi, 361)), color="#888888")
     for sign, color in (("plus", "#1f4e9c"), ("minus", "#0c8a3c")):
@@ -265,9 +254,8 @@ def figure_spinal_trace(out_base, alpha2=0.7, resolution=361, fmt="csv"):
     norms, to_u, to_v = ff.torus_minus.column_forms(sigmas, deltas, [ff.pts.p_U.v, ff.pts.p_V.v])
     side = to_u - to_v
     if fmt == "csv":
-        rows = _grid_rows(sigmas, deltas, norms, side)
         return (
-            write_csv(out_base + ".csv", ["sigma", "delta", "norm", "side"], rows),
+            write_csv(out_base + ".csv", ["sigma", "delta", "norm", "side"], _grid_columns(sigmas, deltas, norms, side)),
             (sigmas, deltas, norms, side),
         )
     canvas = SvgCanvas(0, 2 * math.pi, float(deltas[0]), float(deltas[-1]))
@@ -288,8 +276,7 @@ def figure_schwartz_slice(out_base, resolution=256, extent=3.2, fmt="csv"):
     F = goldman_f(z)
     E = char_P(z, w) - char_Q(z, w) ** 2 / 4.0
     if fmt == "csv":
-        rows = _grid_rows(xs, xs, F, E)
-        return write_csv(out_base + ".csv", ["re_z", "im_z", "f", "existence"], rows), (xs, F, E)
+        return write_csv(out_base + ".csv", ["re_z", "im_z", "f", "existence"], _grid_columns(xs, xs, F, E)), (xs, F, E)
     canvas = SvgCanvas(-extent, extent, -extent, extent)
     canvas.polylines(_contour_segments(xs, xs, F, 0.0))
     canvas.polylines(_contour_segments(xs, xs, E, 0.0), color="#b02020")

@@ -9,12 +9,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from crlab.csvfloat import _fixed_notation_fields, _g17_tables, _scale_to_17_digits, format_g17
+from crlab.csvfloat import G17_WIDTH, _fixed_notation_fields, _g17_tables, _scale_to_17_digits, g17_fields
 from crlab.figures import CSV_BLOCK_ROWS
 
 
 def _g17_loop(x):
     return [b"%.17g" % v for v in np.asarray(x, dtype=float).tolist()]
+
+
+def _g17(x):
+    """The kernel's field rows, read through an S view (which drops the NUL
+    padding)."""
+    return g17_fields(x).view(f"S{G17_WIDTH}").ravel().tolist()
 
 
 def _near(values, steps=2):
@@ -45,8 +51,13 @@ def _midpoints():
     return np.array(values + [-v for v in values[::7]])
 
 
+# the longest %.17g fields (the least normal double: 24 bytes with its sign)
+# and the other values that take %.17g itself
+SPECIALS = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324]
+SPECIALS += [2.2250738585072014e-308, -2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308]
+
 G17_SETS = {
-    "specials": [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072014e-308],
+    "specials": SPECIALS,
     "powers of ten": _near([10.0**k for k in range(-30, 31)], 1),
     # the switches between fixed and exponent notation
     "notation switches": _near([1e-5, 1e-4, 1e16, 1e17], 4),
@@ -59,10 +70,21 @@ G17_SETS = {
 @pytest.mark.parametrize("name", list(G17_SETS))
 def test_format_g17_matches_per_value_format(name):
     x = np.array(G17_SETS[name], dtype=float)
-    assert format_g17(x).tolist() == _g17_loop(x)
+    assert _g17(x) == _g17_loop(x)
     # a strided column, as write_csv passes it
     rows = np.column_stack([x, -x])
-    assert format_g17(rows[:, 1]).tolist() == _g17_loop(-x)
+    assert _g17(rows[:, 1]) == _g17_loop(-x)
+
+
+def test_g17_fields_hold_the_longest_fields_whole():
+    # every special alone, each field whole and NUL-padded to the width,
+    # which is that of the longest field
+    assert max(len(b"%.17g" % v) for v in SPECIALS) == G17_WIDTH
+    for v in SPECIALS:
+        fields = g17_fields(np.array([v]))
+        assert fields.shape == (1, G17_WIDTH) and fields.dtype == np.uint8
+        text = b"%.17g" % v
+        assert fields[0].tobytes() == text + b"\0" * (G17_WIDTH - len(text))
 
 
 def test_format_g17_matches_per_value_format_on_random_doubles():
@@ -74,7 +96,7 @@ def test_format_g17_matches_per_value_format_on_random_doubles():
     for x in (bits, scaled, near_one):
         for start in range(0, n, CSV_BLOCK_ROWS):
             block = x[start : start + CSV_BLOCK_ROWS]
-            assert format_g17(block).tolist() == _g17_loop(block)
+            assert _g17(block) == _g17_loop(block)
 
 
 def test_scale_to_17_digits_is_exact():

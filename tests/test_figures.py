@@ -16,6 +16,9 @@ from crlab.figures import (
     _contour_segments,
     figure_disk_projection,
     figure_level_sets,
+    figure_peach_curve,
+    figure_region_z,
+    figure_schwartz_slice,
     figure_spinal_trace,
     write_csv,
 )
@@ -74,11 +77,14 @@ def test_contour_segments_match_loop(case):
 
 
 def write_csv_loop(header, rows):
-    lines = [",".join(header)] + [",".join("%.17g" % float(x) for x in row) for row in rows.tolist()]
+    lines = [",".join(header)] + [",".join("%.17g" % float(x) for x in row) for row in np.asarray(rows).tolist()]
     return ("\n".join(lines) + "\n").encode()
 
 
+# the values %.17g writes itself, among them its longest fields (24 bytes:
+# the least normal double with its sign)
 SPECIAL = [-0.0, 0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324, 2.2e-308, 1.0, 3, -1e300]
+SPECIAL += [2.2250738585072014e-308, -2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308]
 
 
 def _csv_cases():
@@ -101,20 +107,52 @@ def _csv_cases():
         yield np.column_stack([table, rng.standard_normal(n)])
 
 
+def _declared(col):
+    """col as a (values, index) pair over its distinct bit patterns."""
+    bits, index = np.unique(col.view(np.int64), return_inverse=True)
+    return bits.view(float), index
+
+
 def test_write_csv_matches_per_value_format(tmp_path):
+    # each case with plain columns (the writer decides which take a table)
+    # and with every column declared as a (values, index) pair
     for case, rows in enumerate(_csv_cases()):
-        path = write_csv(str(tmp_path / f"t{case}.csv"), ["a", "b"], rows)
-        with open(path, "rb") as fh:
-            assert fh.read() == write_csv_loop(["a", "b"], rows), case
+        for form, columns in (("plain", list(rows.T)), ("declared", [_declared(c) for c in rows.T])):
+            path = write_csv(str(tmp_path / f"t{case}{form}.csv"), ["a", "b"], columns)
+            with open(path, "rb") as fh:
+                assert fh.read() == write_csv_loop(["a", "b"], rows), (case, form)
+
+
+def test_write_csv_writes_the_longest_fields_whole(tmp_path):
+    # each special alone, and repeated in a column that takes the table
+    for case, v in enumerate(SPECIAL):
+        col = np.array([v])
+        for form, columns in (("alone", [col]), ("table", [np.tile(col, 6)])):
+            path = write_csv(str(tmp_path / f"t{case}{form}.csv"), ["a"], columns)
+            with open(path, "rb") as fh:
+                assert fh.read() == write_csv_loop(["a"], columns[0][:, None]), (v, form)
 
 
 def test_write_csv_rejects_rows_that_do_not_fit_the_header(tmp_path):
-    rows = np.arange(12.0).reshape(6, 2)
-    for header in (["a", "b", "c"], ["a"]):
+    # columns that do not fit the header, or each other, raise before the
+    # file is opened
+    col, index = np.arange(6.0), np.arange(6)
+    bad = [
+        (["a", "b", "c"], [col, col]),  # more names than columns
+        (["a"], [col, col]),  # more columns than names
+        (["a", "b"], [col, col[:5]]),  # unequal lengths
+        (["a", "b"], [col, (col, index[:5])]),  # unequal lengths, declared
+        (["a", "b"], [col, col.reshape(3, 2)]),  # a 2-D column
+        (["a", "b"], [col, (col.reshape(3, 2), index)]),  # 2-D values
+        (["a", "b"], [col, (col, index.reshape(3, 2))]),  # a 2-D index
+        (["a", "b"], [col, (col, index + 1)]),  # an index past the values
+        (["a", "b"], [col, (col, index - 1)]),  # a negative index
+        (["a", "b"], [col, (col, index.astype(float))]),  # a float index
+        (["a", "b"], np.column_stack([col, col])),  # rows, not columns
+    ]
+    for header, columns in bad:
         with pytest.raises(ValueError):
-            write_csv(str(tmp_path / "t.csv"), header, rows)
-    with pytest.raises(ValueError):
-        write_csv(str(tmp_path / "t.csv"), ["a", "b"], rows.ravel())
+            write_csv(str(tmp_path / "t.csv"), header, columns)
     assert not (tmp_path / "t.csv").exists()
 
 
@@ -131,11 +169,11 @@ def test_write_csv_peak_memory_is_bounded_by_the_file(tmp_path, monkeypatch):
 
     sizes = []
 
-    def counted(x, _real=crlab.figures.format_g17):
+    def counted(x, _real=crlab.figures.g17_fields):
         sizes.append(len(x))
         return _real(x)
 
-    monkeypatch.setattr(crlab.figures, "format_g17", counted)
+    monkeypatch.setattr(crlab.figures, "g17_fields", counted)
     X, Y = np.meshgrid(np.linspace(-3, 3, 400), np.linspace(-1, 1, 250), indexing="ij")
     rng = np.random.default_rng(1)
     half = rng.permutation(np.repeat(rng.standard_normal(X.size // 2), 2))
@@ -143,7 +181,7 @@ def test_write_csv_peak_memory_is_bounded_by_the_file(tmp_path, monkeypatch):
     path = str(tmp_path / "t.csv")
     tracemalloc.start()
     try:
-        write_csv(path, ["a", "b", "c", "d"], rows)
+        write_csv(path, ["a", "b", "c", "d"], list(rows.T))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -161,6 +199,48 @@ def test_level_sets_csv_matches_per_value_format(tmp_path):
     rows = np.column_stack([T.ravel(), P.ravel(), G.ravel()])
     with open(path, "rb") as fh:
         assert fh.read() == write_csv_loop(["theta", "phi", "g"], rows)
+
+
+def _grid_rows_loop(xs, ys, *values):
+    return [[xs[i], ys[j]] + [v[i][j] for v in values] for i in range(len(xs)) for j in range(len(ys))]
+
+
+@pytest.mark.parametrize("name", ["peach-curve", "region-z", "spinal-trace", "schwartz-slice"])
+def test_grid_figure_csv_matches_per_value_format(name, tmp_path):
+    # the declared axes and the value columns, against a per-cell loop over
+    # the arrays the figure returns
+    base = str(tmp_path / "f")
+    if name == "peach-curve":
+        path, (xs, ys, F) = figure_peach_curve(base, resolution=17)
+        header, rows = ["alpha1", "alpha2", "f_tr"], _grid_rows_loop(xs, ys, F)
+    elif name == "region-z":
+        path, (xs, ys, D) = figure_region_z(base, resolution=16)
+        header, rows = ["alpha1", "alpha2", "D"], _grid_rows_loop(xs, ys, D)
+    elif name == "spinal-trace":
+        path, (sigmas, deltas, norms, side) = figure_spinal_trace(base, alpha2=0.7, resolution=24)
+        header, rows = ["sigma", "delta", "norm", "side"], _grid_rows_loop(sigmas, deltas, norms, side)
+    else:
+        path, (xs, F, E) = figure_schwartz_slice(base, resolution=20)
+        header, rows = ["re_z", "im_z", "f", "existence"], _grid_rows_loop(xs, xs, F, E)
+    with open(path, "rb") as fh:
+        assert fh.read() == write_csv_loop(header, rows)
+
+
+def test_disk_projection_csv_matches_per_value_format(tmp_path):
+    # the declared family and k labels: the plus and minus curves of each k,
+    # then the marks m^k chart(p_A), m^k chart(p_B) numbered in order
+    n = 9
+    path, curves = figure_disk_projection(str(tmp_path / "dp"), n=n, boundary_points=32)
+    ff = FaceFamily(alpha2_for_order(n))
+    rows = []
+    for k in range(n):
+        for family, sign in enumerate(("plus", "minus")):
+            rows += [[family, k, z.real, z.imag] for z in curves[(sign, k)].tolist()]
+    # the marks as the figure forms them (numpy's complex power)
+    marks = ff.chart_multiplier ** np.arange(n)[:, None] * np.array([ff.chart(ff.pts.p_A), ff.chart(ff.pts.p_B)])
+    rows += [[2, i, z.real, z.imag] for i, z in enumerate(marks.ravel().tolist())]
+    with open(path, "rb") as fh:
+        assert fh.read() == write_csv_loop(["family", "k", "re", "im"], rows)
 
 
 def test_trace_ts_inv_matches_rep():

@@ -112,6 +112,27 @@ def test_verify_path_uses_no_random_numbers_and_no_lapack():
     assert found == []
 
 
+def test_csv_path_makes_no_object_arrays():
+    # CSV fields are laid out in uint8 arrays; an object array (dtype=object,
+    # astype(object)) would bring back one Python object per field
+    found = []
+    for name in ("figures.py", "csvfloat.py"):
+        for node in ast.walk(ast.parse((SRC / name).read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            dtypes = [k.value for k in node.keywords if k.arg == "dtype"] + list(node.args)
+            if any(_is_object_dtype(d) for d in dtypes):
+                found.append(f"{name}:{node.lineno}")
+    assert found == []
+
+
+def _is_object_dtype(node) -> bool:
+    # object, np.object_, or the dtype strings "O" and "object"
+    if isinstance(node, ast.Constant):
+        return node.value in ("O", "|O", "object")
+    return (isinstance(node, ast.Name) and node.id == "object") or _dotted(node) in ("np.object_", "numpy.object_")
+
+
 def _dotted(node) -> str:
     # a.b.c for a chain of attributes on a name, else ""
     parts = []
