@@ -26,9 +26,6 @@ from .core import (
     tolerance,
 )
 
-TORUS_GRID_DEFAULT = 720
-TORUS_REFINE_FACTOR = 4
-
 
 class BisectorKind(enum.Enum):
     METRIC_BISECTOR = "metric-bisector"
@@ -45,14 +42,14 @@ class Bisector:
     kind: BisectorKind
 
     def scale(self) -> float:
-        return float(np.linalg.norm(self.p.v) * np.linalg.norm(self.q.v))
+        return self.p.length() * self.q.length()
 
 
 def classify_bisector(p: HVec, q: HVec, tol=None) -> Bisector:
     """Build the bisector of two equal-norm lifts and classify it by r_disc."""
     tol = tolerance(tol)
     np_, nq = p.norm(), q.norm()
-    scale = max(abs(np_), abs(nq), np.linalg.norm(p.v) * np.linalg.norm(q.v))
+    scale = max(abs(np_), abs(nq), p.length() * q.length())
     if abs(np_ - nq) > 1e3 * tol * max(scale, 1.0):
         raise GeometryError(f"lifts have different norms ({np_:.6g} vs {nq:.6g})")
     r = np_ * nq - abs(inner(p, q)) ** 2
@@ -79,7 +76,7 @@ def membership(z: HVec, b: Bisector, tol=None) -> Membership:
     """Equal-modulus residual of z against (p, q), tagged by location."""
     tol = tolerance(tol)
     ap, aq = abs(inner(z, b.p)), abs(inner(z, b.q))
-    scale = max(ap, aq, np.linalg.norm(z.v) * math.sqrt(b.scale()))
+    scale = max(ap, aq, z.length() * math.sqrt(b.scale()))
     res = ap - aq
     on_extor = abs(res) <= tol * max(scale, 1e-300)
     loc = locate(z, tol)
@@ -101,7 +98,7 @@ class ExtorPairKind(enum.Enum):
 
 def _focus_in_extor(f: HVec, b: Bisector, tol) -> bool:
     ap, aq = abs(inner(f, b.p)), abs(inner(f, b.q))
-    scale = max(np.linalg.norm(f.v) * math.sqrt(b.scale()), 1e-300)
+    scale = max(f.length() * math.sqrt(b.scale()), 1e-300)
     return abs(ap - aq) <= tol * scale
 
 
@@ -139,16 +136,27 @@ class GiraudTorus:
 
     def __init__(self, p: HVec, q: HVec, r: HVec, tol=None):
         tol = tolerance(tol)
-        b1 = classify_bisector(p, q, tol)
-        b2 = classify_bisector(p, r, tol)
+        self._pair(classify_bisector(p, q, tol), classify_bisector(p, r, tol), tol)
+
+    @classmethod
+    def from_bisectors(cls, b1: Bisector, b2: Bisector, tol=None) -> "GiraudTorus":
+        """The torus of E(p, q) and E(p, r) from their classified bisectors
+        b1 = (p, q) and b2 = (p, r), which are not classified again."""
+        if b1.p is not b2.p and not np.array_equal(b1.p.v, b2.p.v):
+            raise GeometryError("the bisectors of a torus need a common first lift")
+        torus = cls.__new__(cls)
+        torus._pair(b1, b2, tolerance(tol))
+        return torus
+
+    def _pair(self, b1: Bisector, b2: Bisector, tol):
         kind = classify_pair(b1, b2, tol)
         if kind is not ExtorPairKind.UNBALANCED:
             raise GeometryError(f"pair is {kind.value}; torus needs an unbalanced pair")
-        self.p, self.q, self.r = p, q, r
-        self.space = p.space
-        self.qr = box(q, r).v
-        self.pr = box(p, r).v
-        self.qp = box(q, p).v
+        self.p, self.q, self.r = b1.p, b1.q, b2.q
+        self.space = self.p.space
+        self.qr = box(self.q, self.r).v
+        self.pr = b2.focus.v  # p box r
+        self.qp = -b1.focus.v  # q box p = -(p box q)
         self.bis1, self.bis2 = b1, b2
 
     def vectors(self, theta, phi) -> np.ndarray:
@@ -172,7 +180,10 @@ class GiraudTorus:
     def norm_terms(self, deltas):
         """(A, C) with <V, V> = A - 2 Re(e^{-i sigma} C) at (sigma, delta):
         A = <qr, qr> + <B, B> is real and C = <qr, B>, one value per delta."""
-        B, sp = self.delta_rows(deltas), self.space
+        return self._norm_terms(self.delta_rows(deltas))
+
+    def _norm_terms(self, B):
+        sp = self.space
         return sp.norm_grid(self.qr) + sp.norm_grid(B), sp.inner_grid(self.qr, B)
 
     def ball_arcs(self, deltas):
@@ -181,47 +192,38 @@ class GiraudTorus:
         arg C and half = arccos(A / 2|C|).  half is pi where the whole column
         is in the ball (A <= -2|C|, which covers C = 0 with A <= 0) and nan
         where no point is (A > 2|C|)."""
-        A, C = self.norm_terms(deltas)
-        mod = np.abs(C)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            half = np.arccos(np.clip(A / (2.0 * mod), -1.0, 1.0))
-        half[A <= -2.0 * mod] = math.pi
-        half[A > 2.0 * mod] = math.nan
-        return np.angle(C), half
+        return _arcs(*self.norm_terms(deltas))
 
-    def column_minima(self, deltas, pos, negs, ball: bool = True) -> np.ndarray:
-        """Per delta-column, the exact minimum over sigma of max_i E_i / |V|^2
-        with E_i = |<pos, V>|^2 - |<neg_i, V>|^2, for coordinate vectors pos
-        and neg_i: over the column's ball arc (`ball_arcs`), or over the
-        whole column when ball is False; inf where the arc is empty.
+    def column_minima(self, deltas, pos, neg, ball: bool = True) -> np.ndarray:
+        """Per delta-column, the exact minimum over sigma of E / |V|^2 with
+        E = |<pos, V>|^2 - |<neg, V>|^2, for coordinate vectors pos and neg:
+        over the column's ball arc (`ball_arcs`), or over the whole column
+        when ball is False; inf where the arc is empty.
 
-        In a column every E_i and |V|^2 is a sinusoid k + p cos(sigma) + q
-        sin(sigma) (`_column_rows`).  On the arc the minimum
-        of the envelope sits at an arc end, at a critical point of one ratio
-        E_i / |V|^2, where E_i' |V|^2 - E_i (|V|^2)' vanishes, or at a
-        crossing E_i = E_j.  Both conditions are a constant plus one
-        harmonic, with closed-form roots, so no sigma is sampled: the least
-        envelope value over these candidates is the minimum.  A candidate
+        In a column E and |V|^2 are sinusoids k + p cos(sigma) + q sin(sigma)
+        (`_column_rows`).  On the arc the minimum of the ratio sits at an arc
+        end or where E' |V|^2 - E (|V|^2)' vanishes, a constant plus one
+        harmonic with closed-form roots, so no sigma is sampled.  A candidate
         that is no root (`_harmonic_roots`) is still a point of the arc, so
         it cannot take the minimum below the true one.  On the face-family
         tori through alpha2 = 1.56 the values agree with a 40-digit
         evaluation of the same points to about 2e-11 relative."""
         deltas = np.asarray(deltas, dtype=float)
-        den, (top, *rest) = self._column_rows(deltas, [pos, *negs])
-        nums = [top - e for e in rest]
+        B = self.delta_rows(deltas)
+        den, (top, low) = self._column_rows(B, [pos, neg])
+        num = [a - b for a, b in zip(top, low)]
         if ball:
-            mid, half = self.ball_arcs(deltas)
+            mid, half = _arcs(*self._norm_terms(B))
         else:
             mid, half = np.zeros(len(deltas)), np.full(len(deltas), math.pi)
-        roots = [r for e in nums for r in _harmonic_roots(*_ratio_critical(e, den))]
-        roots += [r for i, e in enumerate(nums) for f in nums[:i] for r in _harmonic_roots(*(e - f))]
-        # offsets from mid: the arc ends, then every root in (-pi, pi]
-        t = np.stack([-half, half] + [math.pi - np.remainder(math.pi + mid - r, 2 * math.pi) for r in roots])
-        cos, sin = np.cos(mid + t), np.sin(mid + t)
-        env = np.max([k + p * cos + q * sin for k, p, q in nums], axis=0)
-        k, p, q = den
-        env /= k + p * cos + q * sin
-        return np.where(np.abs(t) <= half, env, math.inf).min(axis=0)
+        # offsets from mid: the arc ends, then both roots in (-pi, pi]
+        roots = _harmonic_roots(*_ratio_critical(num, den))
+        t = np.array([-half, half] + [math.pi - np.remainder(math.pi + mid - r, 2 * math.pi) for r in roots])
+        sigma = mid + t
+        cos, sin = np.cos(sigma), np.sin(sigma)
+        (k1, p1, q1), (k0, p0, q0) = num, den
+        ratio = (k1 + p1 * cos + q1 * sin) / (k0 + p0 * cos + q0 * sin)
+        return np.where(np.abs(t) <= half, ratio, math.inf).min(axis=0)
 
     def column_forms(self, sigmas, deltas, ws) -> list:
         """[<V, V> / |V|^2, then |<w, V>|^2 / |V|^2 for each coordinate
@@ -232,19 +234,31 @@ class GiraudTorus:
         face-family torus at alpha2 = 1.56 the ratios agree with a 40-digit
         evaluation of the same points to about 6e-12 of the grid's largest
         value, and to 1e-15 at alpha2 = 0.7."""
-        den, abs2 = self._column_rows(deltas, ws)
+        B = self.delta_rows(deltas)
+        den, abs2 = self._column_rows(B, ws)
         cos, sin = np.cos(sigmas)[:, None], np.sin(sigmas)[:, None]
-        sq, *forms = [k + p * cos + q * sin for k, p, q in [den, _harmonic(*self.norm_terms(deltas)), *abs2]]
+        sq, *forms = [k + p * cos + q * sin for k, p, q in [den, _harmonic(*self._norm_terms(B)), *abs2]]
         return [f / sq for f in forms]
 
-    def _column_rows(self, deltas, ws):
+    def _column_rows(self, B, ws):
         """Per delta-column rows (k, p, q) of |V|^2 and of each |<w, V>|^2 =
-        |<w, qr> - e^{-i sigma} <w, B_d>|^2, as sinusoids in sigma."""
-        B, sp = self.delta_rows(deltas), self.space
+        |<w, qr> - e^{-i sigma} <w, B_d>|^2, as sinusoids in sigma, for the
+        rows B of `delta_rows`."""
         den = _harmonic(*_abs2_terms(self.qr, B))
-        return den, [
-            _harmonic(*_abs2_terms(sp.inner_grid(w, self.qr)[None], sp.inner_grid(w, B)[:, None])) for w in ws
-        ]
+        # <w, V> = V @ f, f = w^H J as in `HermitianSpace.inner_grid`: f is
+        # formed once for both qr and B
+        fs = [w.conj() @ self.space.J for w in ws]
+        return den, [_harmonic(*_abs2_terms((self.qr @ f)[None], (B @ f)[:, None])) for f in fs]
+
+
+def _arcs(A, C):
+    """`GiraudTorus.ball_arcs` from the norm terms (A, C) of the columns."""
+    mod2 = 2.0 * np.abs(C)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        half = np.arccos(np.clip(A / mod2, -1.0, 1.0))
+    half[A <= -mod2] = math.pi
+    half[A > mod2] = math.nan
+    return np.angle(C), half
 
 
 def _abs2_terms(u: np.ndarray, v: np.ndarray):
@@ -253,10 +267,10 @@ def _abs2_terms(u: np.ndarray, v: np.ndarray):
     return np.vdot(u, u).real + (v.real**2 + v.imag**2).sum(axis=1), v @ u.conj()
 
 
-def _harmonic(A, C) -> np.ndarray:
+def _harmonic(A, C) -> tuple:
     """The sinusoid A - 2 Re(e^{-i sigma} C) as the rows (k, p, q) of k +
     p cos(sigma) + q sin(sigma)."""
-    return np.stack([A, -2.0 * C.real, -2.0 * C.imag])
+    return A, -2.0 * C.real, -2.0 * C.imag
 
 
 def _ratio_critical(num, den):
@@ -280,74 +294,6 @@ def _harmonic_roots(k, p, q):
 def level_g(theta, phi):
     """The symmetric level function cos(theta) + cos(phi) + cos(phi - theta)."""
     return np.cos(theta) + np.cos(phi) + np.cos(phi - theta)
-
-
-def _row_runs(row: np.ndarray):
-    """Circular runs of True in a 1-d mask as (start, end) with end exclusive;
-    a run wrapping the seam is reported with end > len(row)."""
-    m = len(row)
-    if row.all():
-        return [(0, m)]
-    if not row.any():
-        return []
-    ext = np.concatenate([row, row[:1]])
-    d = np.diff(ext.astype(np.int8))
-    starts = list(np.flatnonzero(d == 1) + 1)
-    ends = list(np.flatnonzero(d == -1) + 1)
-    if row[0]:
-        starts.insert(0, 0)
-    if len(ends) < len(starts):
-        ends.append(m)
-    runs = list(zip(starts, ends))
-    # merge a run ending at the seam with one starting at 0 (circular wrap)
-    if len(runs) > 1 and runs[0][0] == 0 and runs[-1][1] == m:
-        s, _ = runs.pop()
-        _, e = runs.pop(0)
-        runs.append((s, e + m))
-    return runs
-
-
-def _runs_overlap(a, b, m):
-    """Circular interval overlap on Z/m for runs in the _row_runs format."""
-    for shift_a in (0, -m, m):
-        s1, e1 = a[0] + shift_a, a[1] + shift_a
-        if max(s1, b[0]) < min(e1, b[1]):
-            return True
-    return False
-
-
-def periodic_components(mask: np.ndarray) -> int:
-    """Number of 4-connected components of a boolean mask on the torus grid.
-
-    Rows are run-length encoded and a union-find is run on the runs, so the
-    cost scales with the number of level-curve crossings, not with cells.
-    """
-    n, m = mask.shape
-    row_runs = [_row_runs(mask[i]) for i in range(n)]
-    offsets = np.cumsum([0] + [len(r) for r in row_runs])
-    total = int(offsets[-1])
-    if total == 0:
-        return 0
-    parent = list(range(total))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    for i in range(n):
-        j = (i + 1) % n
-        for ai, ra in enumerate(row_runs[i]):
-            for bi, rb in enumerate(row_runs[j]):
-                if _runs_overlap(ra, rb, m):
-                    union(offsets[i] + ai, offsets[j] + bi)
-    return len({find(a) for a in range(total)})
 
 
 class SymmetricKind(enum.Enum):
@@ -387,30 +333,6 @@ def symmetric_intersection_type(p: HVec, q: HVec, r: HVec, tol=None) -> Symmetri
     else:
         kind = SymmetricKind.TRI_CIRCLE_DISK
     return SymmetricIntersection(kind, float(u), k1, float(l1))
-
-
-def count_sublevel_components(u: float, n: int = TORUS_GRID_DEFAULT) -> int:
-    """Components of {g < -3u/2} on the torus; 1 for a disk-type
-    intersection, 2 for a torus-minus-two-disks one.
-
-    Counted on the grid of TORUS_REFINE_FACTOR * n points a side.
-    """
-    th = np.linspace(0.0, 2 * math.pi, TORUS_REFINE_FACTOR * n, endpoint=False)
-    return periodic_components(level_g(th[:, None], th[None, :]) < -1.5 * u)
-
-
-def brute_force_symmetric_kind(u: float, n: int = TORUS_GRID_DEFAULT) -> SymmetricKind:
-    """Grid oracle for the trichotomy, by complement component count."""
-    comps = count_sublevel_components(u, n)
-    if comps == 0:
-        # sublevel set empty: the whole torus has norm <= 0 cannot happen;
-        # treat as the degenerate tri-circle configuration
-        return SymmetricKind.TRI_CIRCLE_DISK
-    if comps == 1:
-        return SymmetricKind.DISK
-    if comps == 2:
-        return SymmetricKind.TORUS_MINUS_TWO_DISKS
-    raise GeometryError(f"unexpected component count {comps}")
 
 
 def real_spine_endpoints(b: Bisector, tol=None):

@@ -24,6 +24,8 @@ from .verify import DEFAULT_GRID, verify
 
 # the most parameters one --sweep may list
 MAX_SWEEP_POINTS = 10**6
+# the largest --grid; verify's memory grows about linearly with the grid
+MAX_GRID = 2**16
 
 
 def _report_to_json(report) -> str:
@@ -219,7 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--alpha2", type=float, help="parameter alpha2 in (0, pi/2)")
     pv.add_argument("--sweep", type=str, help="half-open sweep A:B:STEP over alpha2")
     pv.add_argument(
-        "--grid", type=int, default=DEFAULT_GRID, help="torus resolution: TF and LC read grid // 2 delta-columns"
+        "--grid", type=int, default=DEFAULT_GRID,
+        help=f"torus resolution in [64, {MAX_GRID}]: TF and LC read grid // 2 delta-columns",
     )
     pv.add_argument("--workers", type=int, default=1)
     pv.add_argument("--out", type=str, default=None, help="directory for report JSON files")
@@ -252,8 +255,8 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    if args.command == "verify" and args.grid < 64:
-        print("error: grid resolution must be >= 64", file=sys.stderr)
+    if args.command == "verify" and not 64 <= args.grid <= MAX_GRID:
+        print(f"error: grid resolution must lie in [64, {MAX_GRID}]", file=sys.stderr)
         return 2
     tol = getattr(args, "tol", None)
     if tol is not None and not (1e-14 <= tol <= 1e-3):

@@ -14,6 +14,7 @@ identity that only holds after a conjugation swap.
 from __future__ import annotations
 
 import enum
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -114,8 +115,10 @@ class HermitianSpace:
 
     def inner_grid(self, w: np.ndarray, V: np.ndarray) -> np.ndarray:
         """<w, V_i> for every row V_i of V, shape (..., 3) -> (...): the
-        functional w^H J is formed once and applied by one matmul."""
-        return V @ (w.conj() @ self.J)
+        functional w^H J is formed once and applied by one matmul.  For k
+        rows w_j, shape (k, 3), it is the Gram array <w_j, V_i> of shape
+        (..., k)."""
+        return V @ (w.conj() @ self.J).T
 
     def norm_grid(self, V: np.ndarray) -> np.ndarray:
         """<V_i, V_i> (real) for every row V_i of V, shape (..., 3) -> (...).
@@ -176,15 +179,18 @@ class HVec:
         """Real value of <v, v>."""
         return inner(self, self).real
 
-    def unit(self) -> "HVec":
-        """Rescale to Euclidean norm 1 (projective representative)."""
-        n = np.linalg.norm(self.v)
-        if n == 0:
-            raise GeometryError("zero vector has no projective class")
-        return HVec(self.v / n, self.space)
+    def length(self) -> float:
+        """Euclidean length |v| of the representative."""
+        return _length(self.v)
 
     def apply(self, M) -> "HVec":
         return HVec(np.asarray(M, dtype=complex) @ self.v, self.space)
+
+
+def _length(v: np.ndarray) -> float:
+    """Euclidean length of a complex vector, summed as np.linalg.norm sums
+    it, to the same bits."""
+    return math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
 
 
 def _check_same_space(u: HVec, v: HVec):
@@ -196,7 +202,7 @@ def _check_same_space(u: HVec, v: HVec):
 def inner(u: HVec, v: HVec) -> complex:
     """<u, v> = u^H J v; conjugate-symmetric: inner(u,v) = conj(inner(v,u))."""
     _check_same_space(u, v)
-    return complex(u.v.conj() @ (u.space.J @ v.v))
+    return complex(np.vdot(u.v, u.space.J @ v.v))
 
 
 def box(u: HVec, v: HVec) -> HVec:
@@ -226,7 +232,7 @@ def locate(v: HVec, tol=None) -> Location:
     if v.is_zero():
         raise GeometryError("cannot locate the zero vector")
     tol = tolerance(tol)
-    scale = float(np.linalg.norm(v.v)) ** 2
+    scale = v.length() ** 2
     n = v.norm()
     if n < -tol * scale:
         return Location.INSIDE
@@ -243,7 +249,7 @@ class Line:
 
     def contains(self, q: HVec, tol=None) -> bool:
         tol = tolerance(tol)
-        scale = np.linalg.norm(self.pole_vec.v) * np.linalg.norm(q.v)
+        scale = self.pole_vec.length() * q.length()
         return abs(inner(self.pole_vec, q)) <= tol * max(scale, 1e-300)
 
 
@@ -261,7 +267,7 @@ def pole(line: Line) -> HVec:
 def line_through(p: HVec, q: HVec) -> Line:
     """The line through two distinct points; its pole is [p box q]."""
     bp = box(p, q)
-    if bp.is_zero(1e-13 * max(np.linalg.norm(p.v) * np.linalg.norm(q.v), 1e-300)):
+    if bp.is_zero(1e-13 * max(p.length() * q.length(), 1e-300)):
         raise GeometryError("points are projectively equal; line is not unique")
     return Line(bp)
 
@@ -273,10 +279,11 @@ def proj_equal(u: HVec, v: HVec, tol=PROJ_EQ_TOL) -> bool:
 
 def proj_distance(u: HVec, v: HVec) -> float:
     """Euclidean distance between unit representatives at optimal phase."""
-    a = u.unit().v
-    b = v.unit().v
-    lam = np.vdot(b, a)  # projection coefficient of a on b
-    return float(np.linalg.norm(a - lam * b))
+    nu, nv = u.length(), v.length()
+    if nu == 0 or nv == 0:
+        raise GeometryError("zero vector has no projective class")
+    a, b = u.v / nu, v.v / nv
+    return _length(a - np.vdot(b, a) * b)  # a less its projection on b
 
 
 def is_autopolar_triple(p: HVec, q: HVec, r: HVec, tol=None) -> bool:
@@ -284,7 +291,7 @@ def is_autopolar_triple(p: HVec, q: HVec, r: HVec, tol=None) -> bool:
     tol = tolerance(tol)
 
     def _ok(a, b):
-        scale = max(np.linalg.norm(a.v) * np.linalg.norm(b.v), 1e-300)
+        scale = max(a.length() * b.length(), 1e-300)
         return abs(inner(a, b)) <= tol * scale
 
     def _noniso(a):

@@ -43,6 +43,7 @@ from .family import (
     remarkable_points,
 )
 from .bisector import (
+    Bisector,
     GiraudTorus,
     SymmetricKind,
     classify_bisector,
@@ -52,7 +53,7 @@ from .visual import (
     Silhouette,
     VisualChart,
     angular_diameter,
-    silhouette_circle,
+    silhouette_circles,
     tangency_check,
 )
 
@@ -181,6 +182,7 @@ class FaceFamily:
         pts, Ui = self.pts, self.U.inv()
         self.U_pA, self.Ui_pB = self.U.apply(pts.p_A), Ui.apply(pts.p_B)
         self.U_pV, self.Ui_pW = self.U.apply(pts.p_V), Ui.apply(pts.p_W)
+        self._bisectors = {}
 
     def _oriented_chart(self):
         """Chart on the visual sphere of [p_U] in which U acts by
@@ -236,30 +238,50 @@ class FaceFamily:
         w = U @ p.v - p.v
         return HVec(p.v + f1a * w + f1ab * (U @ w - cmath.exp(2j * half) * w), p.space)
 
+    def _bisector(self, name: str) -> Bisector:
+        """The bisector of p_U with p_V, p_W, U p_V or U^-1 p_W (J_0^+, J_0^-,
+        J_1^+ or J_-1^-), by the name of its second point.  Each is classified
+        once, on first use; the tori and the silhouettes read these four."""
+        if name not in self._bisectors:
+            q = {"p_V": self.pts.p_V, "p_W": self.pts.p_W, "U_pV": self.U_pV, "Ui_pW": self.Ui_pW}[name]
+            self._bisectors[name] = classify_bisector(self.pts.p_U, q, self.tol)
+        return self._bisectors[name]
+
+    def _torus(self, q: str, r: str) -> GiraudTorus:
+        return GiraudTorus.from_bisectors(self._bisector(q), self._bisector(r), self.tol)
+
     def bisector_plus(self, k: int = 0):
+        if k == 0:
+            return self._bisector("p_V")
         return classify_bisector(self.pts.p_U, self.u_power_point(k, self.pts.p_V), self.tol)
 
     def bisector_minus(self, k: int = 0):
+        if k == 0:
+            return self._bisector("p_W")
         return classify_bisector(self.pts.p_U, self.u_power_point(k, self.pts.p_W), self.tol)
 
     @cached_property
     def silhouettes(self) -> tuple[Silhouette, Silhouette]:
         """The silhouette circles of J_0^+ and J_0^- in the chart, each built
         once; GC reads every translate's from these by the chart multiplier."""
-        return tuple(
-            silhouette_circle(self.chart, b, self.tol) for b in (self.bisector_plus(0), self.bisector_minus(0))
-        )
+        return tuple(silhouette_circles(self.chart, [self.bisector_plus(0), self.bisector_minus(0)], self.tol))
 
     @cached_property
     def torus_minus(self) -> GiraudTorus:
         """The intersection torus of the extors of J_0^- and J_-1^-,
         parametrized by (p_W - e^{i th} p_U) box (U^-1 p_W - e^{i ph} p_U)."""
-        return GiraudTorus(self.pts.p_U, self.pts.p_W, self.Ui_pW, self.tol)
+        return self._torus("p_W", "Ui_pW")
 
     @cached_property
     def torus_plus(self) -> GiraudTorus:
         """The intersection torus of the extors of J_0^+ and J_1^+."""
-        return GiraudTorus(self.pts.p_U, self.pts.p_V, self.U_pV, self.tol)
+        return self._torus("p_V", "U_pV")
+
+    @cached_property
+    def giraud_circles(self) -> tuple[GiraudTorus, GiraudTorus]:
+        """The tori of J_0^+ with J_0^- and with J_-1^-, whose Giraud circles
+        bound the first face at p_A and p_B (`_bitangency`)."""
+        return self._torus("p_V", "p_W"), self._torus("p_V", "Ui_pW")
 
     @cached_property
     def exclusion_minus(self) -> tuple[float, list[float]]:
@@ -303,16 +325,25 @@ def _torus_exclusion(ff: FaceFamily, torus: GiraudTorus, neg: HVec, vertices) ->
     is of second order.  The margin is the exact minimum of |<p_U, z>|^2 -
     |<neg, z>|^2, z unit, on the arcs of m columns delta_v + (k + 1/2) pi / m
     (`GiraudTorus.column_minima`), over sin^2(delta - delta_v); a vertex's
-    residual is its distance to the nearer end of the delta_v arc.  Exact in
-    sigma, sampled in delta, with m = grid_n // 2."""
+    residual is its distance (`proj_distance`) to the nearer end of the
+    delta_v arc, all four from one array.  Exact in sigma, sampled in delta,
+    with m = grid_n // 2."""
     m = ff.grid_n // 2
     theta, phi = _vertex_angles(torus, vertices[0])
     dv = ((theta - phi) / 2.0) % math.pi
     offsets = (np.arange(m) + 0.5) * (math.pi / m)
-    minima = torus.column_minima(dv + offsets, ff.pts.p_U.v, [neg.v])
+    minima = torus.column_minima(dv + offsets, ff.pts.p_U.v, neg.v)
     (mid,), (half,) = torus.ball_arcs([dv])
-    ends = [torus.point(s + dv, s - dv) for s in (mid - half, mid + half)]
-    resids = [math.inf if math.isnan(half) else min(proj_distance(e, t) for e in ends) for t in vertices]
+    resids = [math.inf, math.inf]
+    if not math.isnan(half):
+        s = mid + np.array([-half, half])
+        ends = torus.vectors(s + dv, s - dv)
+        ends /= np.linalg.norm(ends, axis=1, keepdims=True)
+        t = np.array([x.v for x in vertices])
+        t /= np.linalg.norm(t, axis=1, keepdims=True)
+        # [vertex, end]: each end less its projection on the vertex
+        d = ends - (t.conj() @ ends.T)[:, :, None] * t[:, None]
+        resids = np.linalg.norm(d, axis=-1).min(axis=1).tolist()
     return float((minima / np.sin(offsets) ** 2).min()), resids
 
 
@@ -343,53 +374,43 @@ def incidence_check(ff: FaceFamily) -> CheckResult:
     bisectors around them, plus translation compatibility of the family and
     the chart action chart(U x) = m chart(x) of `FaceFamily.chart_multiplier`
     (skipped, with a note, on the unipotent wall)."""
-    pts, U = ff.pts, ff.U
+    pts, U, sp = ff.pts, ff.U, ff.space
     res = CheckResult("incidence", True)
-    pA, pB = pts.p_A, pts.p_B
-    prods = {
-        "pA_pU": inner(pA, pts.p_U),
-        "pA_pV": inner(pA, pts.p_V),
-        "pA_pW": inner(pA, pts.p_W),
-        "pA_Ui_pV": inner(pA, U.inv().apply(pts.p_V)),
-        "pA_Ui_pW": inner(pA, ff.Ui_pW),
-        "pB_pU": inner(pB, pts.p_U),
-        "pB_pV": inner(pB, pts.p_V),
-        "pB_pW": inner(pB, pts.p_W),
-        "pB_U_pV": inner(pB, ff.U_pV),
-        "pB_Ui_pW": inner(pB, ff.Ui_pW),
-    }
-    worst = max(abs(abs(v) - 1.0) for v in prods.values())
-    res.residuals["max_modulus_deviation"] = worst
+    U_pB = U.apply(pts.p_B)
+    # |<z, w>| for the vertices and their translates z (rows: p_A, p_B, U p_A,
+    # U^-1 p_B, U p_B) and the bisectors' second points w (columns: p_U, p_V,
+    # p_W, U^-1 p_V, U^-1 p_W, U p_V), as one Gram product
+    rows = np.array([x.v for x in (pts.p_A, pts.p_B, ff.U_pA, ff.Ui_pB, U_pB)])
+    cols = np.array([x.v for x in (pts.p_U, pts.p_V, pts.p_W, U.inv().apply(pts.p_V), ff.Ui_pW, ff.U_pV)])
+    G = np.abs(sp.inner_grid(rows, cols)).T
+    units = np.concatenate([G[0, :5], G[1, [0, 1, 2, 5, 4]]])
+    res.residuals["max_modulus_deviation"] = float(np.abs(units - 1.0).max())
     # corollary translations: both vertices and their U-translates lie on
     # the expected bisectors
-    checks = []
-    for z in (pA, ff.U_pA, pB, ff.Ui_pB):
-        checks.append(abs(abs(inner(z, pts.p_U)) - abs(inner(z, pts.p_V))))
-    for z in (pA, ff.U_pA, pB, U.apply(pB)):
-        checks.append(abs(abs(inner(z, pts.p_U)) - abs(inner(z, pts.p_W))))
-    res.residuals["max_translation_incidence"] = max(checks)
+    on_v, on_w = [0, 2, 1, 3], [0, 2, 1, 4]
+    res.residuals["max_translation_incidence"] = float(
+        max(np.abs(G[on_v, 0] - G[on_v, 1]).max(), np.abs(G[on_w, 0] - G[on_w, 2]).max())
+    )
     # symmetry: the involution carries J_k^+ onto J_{-k}^- and back, checked
-    # on real-spine samples of each side
-    sym = []
-    for k in (0, 1, 2):
-        q_plus = ff.u_power_point(k, pts.p_V)
-        q_minus = ff.u_power_point(-k, pts.p_W)
-        for lam in np.exp(1j * np.linspace(0.3, 5.9, 5)):
-            for q, image in ((q_plus, q_minus), (q_minus, q_plus)):
-                iz = ff.I.apply(HVec(pts.p_U.v + lam * q.v, ff.space))
-                sym.append(abs(abs(inner(iz, pts.p_U)) - abs(inner(iz, image))) / max(1.0, np.linalg.norm(iz.v) ** 2))
-    res.residuals["max_involution_symmetry"] = max(sym)
+    # on real-spine samples p_U + lam q of each side, shape (k, side, lam, 3)
+    q = np.array([[ff.u_power_point(k, pts.p_V).v, ff.u_power_point(-k, pts.p_W).v] for k in (0, 1, 2)])
+    lam = np.exp(1j * np.linspace(0.3, 5.9, 5))[:, None]
+    iz = (pts.p_U.v + lam * q[:, :, None]) @ ff.I.M.T
+    to_image = np.abs(((iz.conj() @ sp.J) * q[:, ::-1, None]).sum(axis=-1))
+    sym = np.abs(np.abs(sp.inner_grid(pts.p_U.v, iz)) - to_image) / np.maximum(1.0, (np.abs(iz) ** 2).sum(axis=-1))
+    res.residuals["max_involution_symmetry"] = float(sym.max())
     # U acts on the chart by its multiplier m, from which every translate's
     # silhouette is taken: checked at the vertices and at p_V, p_W
     m, ch = ff.chart_multiplier, ff.chart
     if m is None or ch is None:
         res.notes.append("chart_action skipped: U acts on no chart by a multiplier at the unipotent parameter")
     else:
-        act = []
-        for x in (pA, pB, pts.p_V, pts.p_W):
-            mz = m * ch(x)
-            act.append(abs(ch(U.apply(x)) - mz) / max(1.0, abs(mz)))
-        res.residuals["chart_action"] = max(act)
+        X = np.array([x.v for x in (pts.p_A, pts.p_B, pts.p_V, pts.p_W)])
+        mz = m * ch.values(X)
+        with np.errstate(invalid="ignore"):
+            act = np.abs(ch.values(X @ U.M.T) - mz) / np.maximum(1.0, np.abs(mz))
+        # a point at the chart's infinity reads inf
+        res.residuals["chart_action"] = float(np.where(np.isnan(act), math.inf, act).max())
     tol = 1e3 * ff.tol
     res.passed = all(v <= tol for v in res.residuals.values())
     return res
@@ -426,15 +447,14 @@ def tf_check(ff: FaceFamily) -> CheckResult:
     rp_ok = worst_rp <= 1e-8 and worst_line > 0
 
     # --- (b) complex-line part: solutions have positive norm 24 sin^2 a2
-    worst_cl = 0.0
-    for mu in (0.3 + 0.1j, -1.2j, 2.0 + 1.5j, 0.9 - 2.2j):
-        q = HVec([-1.0 + mu, 2j * math.sqrt(2.0) * sin_a2, 1.0 + mu], ff.space)
-        worst_cl = max(worst_cl, abs(abs(inner(pts.p_U, q)) ** 2 - 4.0 * cos2 * abs(mu) ** 2))
-        worst_cl = max(
-            worst_cl,
-            abs(abs(inner(pts.p_W, q)) ** 2 - 4.0 * (9.0 - 8.0 * cos2) * cos2),
-        )
-        worst_cl = max(worst_cl, abs(q.norm() - 2.0 * (abs(mu) ** 2 - 4.0 * cos2 + 3.0)))
+    mu = np.array([0.3 + 0.1j, -1.2j, 2.0 + 1.5j, 0.9 - 2.2j])
+    mu2 = np.abs(mu) ** 2
+    Q = np.stack([mu - 1.0, np.full(4, 2j * math.sqrt(2.0) * sin_a2), mu + 1.0], axis=-1)
+    worst_cl = float(np.abs([
+        np.abs(sp.inner_grid(pts.p_U.v, Q)) ** 2 - 4.0 * cos2 * mu2,
+        np.abs(sp.inner_grid(pts.p_W.v, Q)) ** 2 - 4.0 * (9.0 - 8.0 * cos2) * cos2,
+        sp.norm_grid(Q) - 2.0 * (mu2 - 4.0 * cos2 + 3.0),
+    ]).max())
     res.residuals["cline_identities"] = worst_cl
     res.margins["cline_norm"] = 24.0 * sin_a2**2
     cl_ok = worst_cl <= 1e-8 and res.margins["cline_norm"] > 0 or abs(a2) < 1e-12
@@ -462,8 +482,8 @@ def tf_check(ff: FaceFamily) -> CheckResult:
     # delta0 + pi/2, in closed form
     lpole = np.array([sin_a2, -1j * math.sqrt(2.0) / 2.0, -sin_a2])
     zero = np.zeros(3)
-    col_d0 = math.sqrt(max(0.0, -torus.column_minima([d0], zero, [lpole], ball=False)[0]))
-    col_mid = math.sqrt(max(0.0, torus.column_minima([d0 + math.pi / 2.0], lpole, [zero], ball=False)[0]))
+    col_d0 = math.sqrt(max(0.0, -torus.column_minima([d0], zero, lpole, ball=False)[0]))
+    col_mid = math.sqrt(max(0.0, torus.column_minima([d0 + math.pi / 2.0], lpole, zero, ball=False)[0]))
     res.residuals["cline_locus_at_delta0"] = col_d0
     res.margins["cline_locus_off_delta0"] = col_mid
 
@@ -473,7 +493,7 @@ def tf_check(ff: FaceFamily) -> CheckResult:
     )
 
     # --- bi-tangency of the two bounding Giraud circles at p_A and p_B
-    bt_resid, bt_notes = _bitangency(ff)
+    bt_resid, bt_notes = _bitangency(ff.giraud_circles, (pts.p_A, pts.p_B))
     res.residuals["bitangency_pA"] = bt_resid[0]
     res.residuals["bitangency_pB"] = bt_resid[1]
     res.notes.extend(bt_notes)
@@ -499,32 +519,29 @@ def _giraud_circle_tangent_at(torus: GiraudTorus, target: HVec):
     """Affine-chart velocity of the Giraud circle `torus` at the vertex
     `target`; returns (velocity, lift, dist), where dist is the projective
     distance to `target` from the torus point at its `_vertex_angles`."""
-    J = torus.space.J
     th, ph = _vertex_angles(torus, target)
     v = torus.vectors(th, ph)
     d = proj_distance(HVec(v, torus.space), target)
     dvth = 1j * cmath.exp(-1j * th) * torus.pr
     dvph = 1j * cmath.exp(-1j * ph) * torus.qp
-    gth = 2.0 * (v.conj() @ J @ dvth).real
-    gph = 2.0 * (v.conj() @ J @ dvph).real
+    vJ = v.conj() @ torus.space.J
+    gth, gph = 2.0 * (vJ @ dvth).real, 2.0 * (vJ @ dvph).real
     # curve tangent in parameter space is orthogonal to the norm gradient
     w = dvth * (-gph) + dvph * gth
     # velocity in the affine chart that pins the relative lift scale
     j0 = int(np.argmax(np.abs(target.v)))
     what = (w * v[j0] - v * w[j0]) / (v[j0] ** 2)
-    what = np.delete(what, j0)
-    return what, v, d
+    return what[np.arange(3) != j0], v, d
 
 
-def _bitangency(ff: FaceFamily):
-    """Tangent-direction agreement of the circles bounding the first face
-    at both shared ideal vertices, compared as real lines in an affine chart."""
-    pts = ff.pts
-    circle1 = GiraudTorus(pts.p_U, pts.p_V, pts.p_W, ff.tol)
-    circle2 = GiraudTorus(pts.p_U, pts.p_V, ff.Ui_pW, ff.tol)
+def _bitangency(circles, targets):
+    """Tangent-direction agreement of the two Giraud circles bounding the
+    first face (`FaceFamily.giraud_circles`) at both shared ideal vertices,
+    compared as real lines in an affine chart."""
+    circle1, circle2 = circles
     resids = []
     notes = []
-    for target in (pts.p_A, pts.p_B):
+    for target in targets:
         w1, _, d1 = _giraud_circle_tangent_at(circle1, target)
         w2, _, d2 = _giraud_circle_tangent_at(circle2, target)
         if max(d1, d2) > 1e-5:

@@ -105,9 +105,9 @@ class VisualChart:
     p_dprime: HVec
 
     def __post_init__(self):
-        scale = np.linalg.norm(self.base.v)
+        scale = self.base.length()
         for w in (self.p_prime, self.p_dprime):
-            if abs(inner(w, self.base)) > 1e-8 * scale * np.linalg.norm(w.v):
+            if abs(inner(w, self.base)) > 1e-8 * scale * w.length():
                 raise GeometryError("chart points must lie on the polar line of base")
         if box(self.p_prime, self.p_dprime).is_zero(1e-12):
             raise GeometryError("chart points must be distinct")
@@ -140,10 +140,10 @@ def induced_action(chart: VisualChart, g: Isometry, samples=None, tol=None) -> M
     tol = tolerance(tol)
     base = chart.base
     gb = g.apply(base)
-    scale = np.linalg.norm(gb.v)
+    scale = gb.length()
     lam = None
     for k in range(3):
-        if abs(base.v[k]) > 1e-6 * np.linalg.norm(base.v):
+        if abs(base.v[k]) > 1e-6 * base.length():
             lam = gb.v[k] / base.v[k]
             break
     if lam is None or np.abs(gb.v - lam * base.v).max() > 1e-6 * scale:
@@ -179,7 +179,7 @@ def tangency_check(p: HVec, q: HVec, r: HVec, tol=None) -> bool:
     """
     tol = tolerance(tol)
     npp, nq = p.norm(), q.norm()
-    scale = float(np.linalg.norm(p.v) * np.linalg.norm(q.v))
+    scale = p.length() * q.length()
     if abs(npp - nq) > 1e3 * tol * max(scale, 1.0):
         raise GeometryError("tangency criterion needs equal-norm lifts")
     if abs(npp) <= 1e3 * tol * max(scale, 1.0):
@@ -331,31 +331,44 @@ def silhouette_circle(chart: VisualChart, b: Bisector, tol=None) -> Silhouette:
     the circle of centre (a c* - b d*)/(|c|^2 - |d|^2) and radius |ad - bc|
     / ||c|^2 - |d|^2|, the image of |w| < 1 lying inside when |c| > |d|.
     """
-    return _silhouette(chart, b, tolerance(tol))[0]
+    return _silhouettes(chart, [b], tolerance(tol))[0][0]
 
 
-def _silhouette(chart: VisualChart, b: Bisector, tol):
-    """`silhouette_circle` with the boundary circle em + rho e^{it} ep of
-    its slice, as (silhouette, em, ep, rho)."""
-    if not proj_equal(chart.base, b.p, 1e-8):
-        raise GeometryError("chart base must be the bisector's first lift")
-    p, q, scale = b.p, b.q, b.scale()
-    pq = inner(p, q)
-    if abs(pq.imag) > 1e3 * tol * max(scale, 1.0) or abs(pq) <= tol * scale:
-        raise GeometryError("silhouette circle needs a real nonzero <p, q>")
-    eps = -math.copysign(1.0, pq.real)
-    pole = HVec(p.v - eps * q.v, p.space)
-    if pole.norm() <= 1e3 * tol * max(scale, 1.0):
-        raise GeometryError("silhouette slice has a pole of norm <= 0")
-    J = p.space.J
-    em, ep, rho, _ = _null_circles(_polar_basis(pole.v, J), J)
-    (a, bw), (c, d) = np.stack([chart.p_prime.v, chart.p_dprime.v]).conj() @ J @ np.stack([em, rho * ep]).T
-    den = abs(c) ** 2 - abs(d) ** 2
-    if abs(den) <= tol * (abs(c) ** 2 + abs(d) ** 2):
-        raise GeometryError("silhouette passes through the chart's infinity")
-    center = (a * c.conjugate() - bw * d.conjugate()) / den
-    sil = Silhouette(complex(center), float(abs(a * d - bw * c) / abs(den)), eps, bool(den > 0))
-    return sil, em, ep, rho
+def silhouette_circles(chart: VisualChart, bisectors, tol=None) -> list[Silhouette]:
+    """`silhouette_circle` of each bisector based at the chart's base point,
+    the polar bases and null circles of their slices taken as one batch."""
+    return _silhouettes(chart, bisectors, tolerance(tol))[0]
+
+
+def _silhouettes(chart: VisualChart, bisectors, tol):
+    """`silhouette_circles` with the boundary circles em + rho e^{it} ep of
+    the slices, as (silhouettes, em, ep, rho) with one row per bisector."""
+    poles, signs = [], []
+    for b in bisectors:
+        if not proj_equal(chart.base, b.p, 1e-8):
+            raise GeometryError("chart base must be the bisector's first lift")
+        p, q, scale = b.p, b.q, b.scale()
+        pq = inner(p, q)
+        if abs(pq.imag) > 1e3 * tol * max(scale, 1.0) or abs(pq) <= tol * scale:
+            raise GeometryError("silhouette circle needs a real nonzero <p, q>")
+        eps = -math.copysign(1.0, pq.real)
+        pole = HVec(p.v - eps * q.v, p.space)
+        if pole.norm() <= 1e3 * tol * max(scale, 1.0):
+            raise GeometryError("silhouette slice has a pole of norm <= 0")
+        poles.append(pole.v)
+        signs.append(eps)
+    J = chart.base.space.J
+    em, ep, rho, _ = _null_circles(_polar_basis(np.array(poles), J), J)
+    P = np.stack([chart.p_prime.v, chart.p_dprime.v]).conj() @ J
+    sils = []
+    for eps, e_m, e_p, r in zip(signs, em, ep, rho):
+        (a, bw), (c, d) = P @ np.stack([e_m, r * e_p]).T
+        den = abs(c) ** 2 - abs(d) ** 2
+        if abs(den) <= tol * (abs(c) ** 2 + abs(d) ** 2):
+            raise GeometryError("silhouette passes through the chart's infinity")
+        center = (a * c.conjugate() - bw * d.conjugate()) / den
+        sils.append(Silhouette(complex(center), float(abs(a * d - bw * c) / abs(den)), eps, bool(den > 0)))
+    return sils, em, ep, rho
 
 
 @dataclass
@@ -399,8 +412,8 @@ def project_bisector(chart: VisualChart, b: Bisector, n_boundary=1024, tol=None)
     """Silhouette of the bisector from its own base point in a given chart:
     the circle of `silhouette_circle`, sampled at n_boundary points of its
     slice.  Off fans, the privileged chart sees that slice at one modulus."""
-    sil, em, ep, rho = _silhouette(chart, b, tolerance(tol))
-    pts = _circle_points(em, ep, rho, np.linspace(0, 2 * math.pi, n_boundary, endpoint=False))
+    (sil,), em, ep, rho = _silhouettes(chart, [b], tolerance(tol))
+    pts = _circle_points(em[0], ep[0], rho[0], np.linspace(0, 2 * math.pi, n_boundary, endpoint=False))
     boundary = chart.values(pts)
     finite = boundary[np.isfinite(boundary)]
     sil = replace(sil, residual=float(np.abs(np.abs(finite - sil.center) - sil.radius).max()))

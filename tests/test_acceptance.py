@@ -21,11 +21,7 @@ import numpy as np
 import pytest
 
 from crlab.core import HVec, ball_model, box, inner
-from crlab.bisector import (
-    brute_force_symmetric_kind,
-    classify_bisector,
-    symmetric_intersection_type,
-)
+from crlab.bisector import classify_bisector, symmetric_intersection_type
 from crlab.family import (
     ALPHA2_LIM,
     FamilyParams,
@@ -48,6 +44,8 @@ from crlab.visual import (
     spinal_samples,
     tangency_check,
 )
+
+from oracles import brute_force_symmetric_kind
 
 
 def report(name, ok):

@@ -11,18 +11,17 @@ from crlab.bisector import (
     ExtorPairKind,
     GiraudTorus,
     SymmetricKind,
-    brute_force_symmetric_kind,
     classify_bisector,
     classify_pair,
-    count_sublevel_components,
     level_g,
     membership,
-    periodic_components,
     real_spine_endpoints,
     symmetric_intersection_type,
 )
 from crlab.family import FamilyParams, alpha2_for_order, remarkable_points
 from crlab.verify import FaceFamily, _vertex_angles, delta0
+
+from oracles import brute_force_symmetric_kind, count_sublevel_components, envelope_minima, periodic_components
 
 
 def ball_rotation3():
@@ -288,6 +287,21 @@ def test_torus_grid_matches_materialized_grid(n, at_delta0):
                 assert np.abs(got - want).max() <= 1e-12 * want.max()
 
 
+def test_torus_from_bisectors_matches_the_box_products(pts07):
+    # the torus of two classified bisectors takes p box r and q box p from
+    # their foci: the box products of GiraudTorus(p, q, r), which classifies
+    # both bisectors again; the two bisectors need a common first lift
+    p, q, r = pts07.p_U, pts07.p_V, pts07.p_W
+    b1, b2 = classify_bisector(p, q), classify_bisector(p, r)
+    torus = GiraudTorus.from_bisectors(b1, b2)
+    assert torus.bis1 is b1 and torus.bis2 is b2
+    assert torus.pr.tobytes() == box(p, r).v.tobytes()
+    assert np.array_equal(torus.qp, box(q, p).v) and np.array_equal(torus.qr, box(q, r).v)
+    assert np.array_equal(GiraudTorus(p, q, r).qp, torus.qp)
+    with pytest.raises(GeometryError, match="common first lift"):
+        GiraudTorus.from_bisectors(b1, classify_bisector(q, r))
+
+
 def test_torus_norm_terms_match_vectors(pts07):
     # <V, V> = A - 2 Re(e^{-i sigma} C) at theta = sigma + delta, phi = sigma - delta
     gt = GiraudTorus(pts07.p_U, pts07.p_V, pts07.p_W)
@@ -366,7 +380,7 @@ def test_ball_sinusoids_match_ball_points(n):
     # and 4001 on the whole column, built explicitly
     for torus, pos, negs, deltas in _ball_tori(n):
         mid, half = torus.ball_arcs(deltas)
-        got = torus.column_minima(deltas, pos, negs)
+        got = envelope_minima(torus, deltas, pos, negs)
         empty = np.isnan(half)
         assert np.array_equal(np.isinf(got), empty) and not empty.all()
         sigmas = mid[~empty] + np.linspace(-1.0, 1.0, 4001)[:, None] * half[~empty]
@@ -376,7 +390,18 @@ def test_ball_sinusoids_match_ball_points(n):
         whole = deltas[:: len(deltas) // 4]
         sigmas = np.linspace(0.0, 2.0 * math.pi, 4001)[:, None]
         env, terms, _ = _sampled_envelope(torus, pos, negs, sigmas, whole)
-        _assert_sampled_minima(torus.column_minima(whole, pos, negs, ball=False), env, terms)
+        _assert_sampled_minima(envelope_minima(torus, whole, pos, negs, ball=False), env, terms)
+
+
+@pytest.mark.parametrize("n", [64, 720])
+def test_column_minima_is_the_envelope_of_one_constraint(n):
+    # the engine's single ratio and the oracle's envelope of one constraint
+    # run the same arithmetic: equal to the bit, on the ball arcs and on
+    # whole columns
+    for torus, pos, negs, deltas in _ball_tori(n):
+        for neg, ball in zip(negs, (True, False, True)):
+            got = torus.column_minima(deltas, pos, neg, ball=ball)
+            assert np.array_equal(got, envelope_minima(torus, deltas, pos, [neg], ball=ball))
 
 
 class _Columns(GiraudTorus):
@@ -411,7 +436,7 @@ def test_ball_cells_of_synthetic_columns(n):
     assert list(half[2:]) == [math.pi, math.pi, 0.0, math.pi, pytest.approx(math.pi / 2)]
     assert mid[4] == pytest.approx(2.0 * math.pi * 5 / n)
     pos, negs = pts.p_U.v, [pts.p_V.v, ff.U.apply(pts.p_V).v]
-    got = torus.column_minima(deltas, pos, negs)
+    got = envelope_minima(torus, deltas, pos, negs)
     assert np.isinf(got[:2]).all() and np.isfinite(got[2:]).all()
     sigmas = mid[2:] + np.linspace(-1.0, 1.0, 64 * n + 1)[:, None] * half[2:]
     env, terms, _ = _sampled_envelope(torus, pos, negs, sigmas, deltas[2:])

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from crlab.cli import main
+from crlab.cli import MAX_GRID, main
 
 
 def run_cli(args, tmp_path=None):
@@ -313,6 +313,18 @@ def test_sweep_step_is_checked_before_any_point(sweep, err):
     assert run_cli(["verify", "--sweep", sweep, "--grid", "64"]) == (2, "", err)
 
 
+@pytest.mark.parametrize("grid", [63, MAX_GRID + 1, 10**8])
+def test_grid_outside_its_range_is_a_usage_error(grid, monkeypatch):
+    # memory grows about linearly with --grid, so a grid above MAX_GRID
+    # exits 2 before any parameter is verified, like a sweep that is too long
+    import crlab.cli as cli
+
+    monkeypatch.setattr(cli, "verify", lambda *args, **kwargs: pytest.fail("verify ran"))
+    err = f"error: grid resolution must lie in [64, {MAX_GRID}]\n"
+    assert run_cli(["verify", "--n", "9", "--grid", str(grid)]) == (2, "", err)
+    assert run_cli(["verify", "--sweep", "0.6:0.9:0.1", "--grid", str(grid)]) == (2, "", err)
+
+
 @pytest.mark.parametrize("sweep", ["0.8:0.6:0.1", "0.7:0.7:0.1", "0.5:0.5000000000000005:0.1"])
 def test_empty_sweep_is_a_usage_error(sweep):
     # a sweep that lists no parameter (B <= A, or B within rounding of A)
@@ -370,7 +382,7 @@ for name in dir(_umath_linalg):
     if not name.startswith("_") and callable(getattr(_umath_linalg, name)):
         setattr(_umath_linalg, name, raiser("_umath_linalg." + name))
 
-from crlab.cli import main
+from crlab.cli import MAX_GRID, main
 from crlab.family import ALPHA2_LIM, alpha2_for_length
 
 out = sys.argv[1]

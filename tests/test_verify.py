@@ -1,5 +1,6 @@
 import ast
 import cmath
+import collections
 import importlib
 import inspect
 import json
@@ -32,6 +33,7 @@ from crlab.verify import (
 )
 
 from conftest import sample_alpha2
+from oracles import envelope_minima
 
 GRID = 240
 
@@ -708,7 +710,7 @@ def test_lc_common_constraint_matches_the_three_constraint_envelope(alpha2, grid
         pt = inner(torus.p, vertex)
         theta, phi = (-cmath.phase(inner(w, vertex) / pt) for w in (torus.q, torus.r))
         dv = ((theta - phi) / 2.0) % math.pi
-        minima = torus.column_minima(dv + offsets, pts.p_U.v, [w.v for w in negs])
+        minima = envelope_minima(torus, dv + offsets, pts.p_U.v, [w.v for w in negs])
         envelope = float((minima / np.sin(offsets) ** 2).min())
         assert envelope >= lc.margins[key]
         assert envelope == lc.margins[key]
@@ -723,9 +725,9 @@ def test_verify_runs_one_exclusion_pass_per_torus(alpha2, monkeypatch):
     minima, tangencies = [], []
     column_minima, tangency_check = GiraudTorus.column_minima, module.tangency_check
 
-    def counted_minima(self, deltas, pos, negs, ball=True):
-        minima.append((ball, len(negs)))
-        return column_minima(self, deltas, pos, negs, ball)
+    def counted_minima(self, deltas, pos, neg, ball=True):
+        minima.append((ball, np.shape(neg)))
+        return column_minima(self, deltas, pos, neg, ball)
 
     def counted_tangency(*args):
         tangencies.append(args)
@@ -736,8 +738,51 @@ def test_verify_runs_one_exclusion_pass_per_torus(alpha2, monkeypatch):
     rep = verify(alpha2, grid_n=720)
     assert rep.all_passed()
     assert sum(ball for ball, _ in minima) == 2
-    assert all(n == 1 for _, n in minima)
+    assert all(shape == (3,) for _, shape in minima)
     assert len(tangencies) == 2
+
+
+# scalar core.inner calls of verify(alpha2, grid_n=720): 97 at order 9 and 82
+# at length 1.0 when the bound was set, under half of the 229 and 214 made
+# when every bisector and torus was built per use and incidence looped
+INNER_CALLS_BOUND = 97
+
+
+@pytest.mark.parametrize("alpha2", [alpha2_for_order(9), alpha2_for_length(1.0)])
+def test_verify_builds_each_bisector_and_torus_once(alpha2, monkeypatch):
+    # FaceFamily classifies its four bisectors once and builds its four tori
+    # from them, two of which the bi-tangency reads; scalar Hermitian
+    # products stay within the measured bound
+    core, bisector, visual, module = (
+        importlib.import_module(f"crlab.{name}") for name in ("core", "bisector", "visual", "verify")
+    )
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for mod in (core, bisector, visual, module):
+        for name in ("inner", "classify_bisector"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+    monkeypatch.setattr(GiraudTorus, "_pair", counted("torus", GiraudTorus._pair))
+    bitangency = module._bitangency
+
+    def counted_bitangency(*args):
+        before = calls["torus"]
+        try:
+            return bitangency(*args)
+        finally:
+            calls["bitangency_torus"] += calls["torus"] - before
+
+    monkeypatch.setattr(module, "_bitangency", counted_bitangency)
+    assert verify(alpha2, grid_n=720).all_passed()
+    assert calls["classify_bisector"] <= 4
+    assert calls["torus"] == 4 and calls["bitangency_torus"] == 0
+    assert 0 < calls["inner"] <= INNER_CALLS_BOUND
 
 
 @pytest.mark.parametrize("alpha2", [math.pi / 6, 0.7, alpha2_for_order(9)])

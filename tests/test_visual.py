@@ -20,6 +20,7 @@ from crlab.visual import (
     mobius_from_pairs,
     project_bisector,
     silhouette_circle,
+    silhouette_circles,
     slice_boundary_circle,
     spinal_samples,
     tangency_check,
@@ -333,6 +334,8 @@ def test_silhouette_circle_matches_projected_boundary(alpha2):
         assert sil.bounded
         assert (disk.circle.center, disk.circle.radius) == (sil.center, sil.radius)
         assert disk.circle.residual <= 1e-10 * scale
+    # the batch is the circles one by one, to the bit
+    assert silhouette_circles(ff.chart, bisectors) == [silhouette_circle(ff.chart, b) for b in bisectors]
 
 
 @pytest.mark.parametrize("k", [0, 1, 7, 19])
