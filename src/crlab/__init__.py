@@ -1,14 +1,19 @@
 """crlab: numerical geometry of the complex hyperbolic plane for a
 one-parameter family of deformed Ford domains.
 
-Subpackages:
-  core      Hermitian linear algebra of signature (2,1), box product, polarity
-  isometry  SU(2,1) lifts, trace classification, eigendata, elliptic types
-  family    the two-parameter representation family and its trace coordinates
-  bisector  bisectors/extors, pair classification, Giraud tori, level sets
-  visual    visual-sphere charts, projections, tangency and angle bounds
-  verify    the TF/LC/GC verification engine and surgery verdicts
-  figures   deterministic CSV/SVG figure data
+Modules:
+  core       Hermitian linear algebra of signature (2,1), the box product
+  isometry   SU(2,1) lifts, trace classification, eigendata, elliptic types
+  family     the two-parameter representation family and its remarkable points
+  bisector   bisectors/extors, pair classification, Giraud tori, level sets
+  visual     visual-sphere charts, silhouettes, tangency and angle bounds
+  verify     the TF/LC/GC verification engine and surgery verdicts
+  figures    deterministic CSV/SVG figure data
+  csvfloat   the byte-exact %.17g kernel of the figure CSVs
+  cli        the `crlab` command line
+  reference  the paper's objects no check computes with (trace coordinates,
+             region Z, peripheral words, fixed points, ball and custom
+             models); not imported here, nor by any module above
 """
 
 from .core import (
@@ -16,13 +21,9 @@ from .core import (
     HVec,
     Location,
     Model,
-    ball_model,
     box,
-    custom_model,
     inner,
     locate,
-    polar,
-    pole,
     proj_equal,
     siegel_model,
 )
@@ -30,7 +31,6 @@ from .isometry import (
     EllipticType,
     Isometry,
     IsometryKind,
-    canonical_fixed_point,
     classify,
     eigen,
     elliptic_type,
@@ -42,13 +42,9 @@ from .family import (
     FamilyParams,
     FamilyRep,
     alpha2_for_order,
-    build_rep,
     param_side,
-    peripheral_type,
-    region_Z,
     remarkable_points,
     schwartz_point,
-    trace_coords,
 )
 from .bisector import (
     Bisector,
@@ -57,16 +53,13 @@ from .bisector import (
     GiraudTorus,
     classify_bisector,
     classify_pair,
-    membership,
-    real_spine_endpoints,
     symmetric_intersection_type,
 )
 from .visual import (
     VisualChart,
     angular_diameter,
-    induced_action,
     project_bisector,
-    silhouette_circle,
+    silhouette_circles,
     tangency_check,
 )
 from .verify import FaceFamily, VerificationReport, verify

@@ -18,10 +18,8 @@ import numpy as np
 from .core import (
     GeometryError,
     HVec,
-    Location,
     box,
     inner,
-    locate,
     proj_equal,
     tolerance,
 )
@@ -61,32 +59,6 @@ def classify_bisector(p: HVec, q: HVec, tol=None) -> Bisector:
     else:
         kind = BisectorKind.FAN
     return Bisector(p, q, box(p, q), float(r), kind)
-
-
-@dataclass(frozen=True)
-class Membership:
-    residual: float
-    location: Location
-    on_extor: bool
-    on_bisector: bool
-    on_spinal: bool
-
-
-def membership(z: HVec, b: Bisector, tol=None) -> Membership:
-    """Equal-modulus residual of z against (p, q), tagged by location."""
-    tol = tolerance(tol)
-    ap, aq = abs(inner(z, b.p)), abs(inner(z, b.q))
-    scale = max(ap, aq, z.length() * math.sqrt(b.scale()))
-    res = ap - aq
-    on_extor = abs(res) <= tol * max(scale, 1e-300)
-    loc = locate(z, tol)
-    return Membership(
-        residual=float(res),
-        location=loc,
-        on_extor=on_extor,
-        on_bisector=on_extor and loc is Location.INSIDE,
-        on_spinal=on_extor and loc is Location.BOUNDARY,
-    )
 
 
 class ExtorPairKind(enum.Enum):
@@ -334,26 +306,3 @@ def symmetric_intersection_type(p: HVec, q: HVec, r: HVec, tol=None) -> Symmetri
         kind = SymmetricKind.TRI_CIRCLE_DISK
     return SymmetricIntersection(kind, float(u), k1, float(l1))
 
-
-def real_spine_endpoints(b: Bisector, tol=None):
-    """The two boundary points of the real spine {[p + a q] : |a| = 1}.
-
-    On the unit circle a = e^{i tau} the null condition reads
-    2 <p,p> + 2 Re(a <p,q>) = 0; a metric bisector gives two solutions.
-    """
-    tol = tolerance(tol)
-    if b.kind is not BisectorKind.METRIC_BISECTOR:
-        raise GeometryError("real spine endpoints require a metric bisector")
-    npp = b.p.norm()
-    c = inner(b.p, b.q)
-    if abs(c) < tol * max(1.0, abs(npp)):
-        raise GeometryError("degenerate spine: <p,q> = 0")
-    # Re(e^{i tau} c) = -<p,p>
-    ratio = -npp / abs(c)
-    ratio = min(1.0, max(-1.0, ratio))
-    base = math.acos(ratio)
-    out = []
-    for s in (+1.0, -1.0):
-        tau = s * base - math.atan2(c.imag, c.real)
-        out.append(b.p + complex(math.cos(tau), math.sin(tau)) * b.q)
-    return out[0], out[1]

@@ -57,17 +57,26 @@ def _verify_one(job):
     return head + tag + reason + (f" -> {path}" if path else ""), not report.all_passed()
 
 
+def _bad_n_or_alpha2(n, alpha2) -> bool:
+    """Whether an order n below 4 or an alpha2 outside (0, pi/2) was given,
+    the usage error printed; None stands for a flag not given."""
+    if n is not None and n < 4:
+        print("error: --n must be at least 4", file=sys.stderr)
+        return True
+    if alpha2 is not None and not (0.0 < alpha2 < math.pi / 2):
+        print("error: --alpha2 must lie in (0, pi/2)", file=sys.stderr)
+        return True
+    return False
+
+
 def cmd_verify(args) -> int:
+    # --n decides the parameter when both are given; --alpha2 is then unread
+    if _bad_n_or_alpha2(args.n, args.alpha2 if args.n is None else None):
+        return 2
     params = []
     if args.n is not None:
-        if args.n < 4:
-            print("error: --n must be at least 4", file=sys.stderr)
-            return 2
         params = [alpha2_for_order(args.n)]
     elif args.alpha2 is not None:
-        if not (0.0 < args.alpha2 < math.pi / 2):
-            print("error: --alpha2 must lie in (0, pi/2)", file=sys.stderr)
-            return 2
         params = [args.alpha2]
     elif args.sweep is not None:
         try:
@@ -124,11 +133,7 @@ def cmd_figure(args) -> int:
         if value is not None and args.name != owner:
             print(f"error: {flag} applies only to {owner}", file=sys.stderr)
             return 2
-    if args.n is not None and args.n < 4:
-        print("error: --n must be at least 4", file=sys.stderr)
-        return 2
-    if args.alpha2 is not None and not (0.0 < args.alpha2 < math.pi / 2):
-        print("error: --alpha2 must lie in (0, pi/2)", file=sys.stderr)
+    if _bad_n_or_alpha2(args.n, args.alpha2):
         return 2
     if args.resolution is not None and args.resolution < 64:
         print("error: resolution must be >= 64", file=sys.stderr)

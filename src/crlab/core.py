@@ -14,6 +14,7 @@ identity that only holds after a conjugation swap.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import os
 from dataclasses import dataclass, field
@@ -110,9 +111,6 @@ class HermitianSpace:
     def __hash__(self):
         return hash((self.model_tag, self.J.tobytes()))
 
-    def point(self, coords) -> "HVec":
-        return HVec(np.asarray(coords, dtype=complex), self)
-
     def inner_grid(self, w: np.ndarray, V: np.ndarray) -> np.ndarray:
         """<w, V_i> for every row V_i of V, shape (..., 3) -> (...): the
         functional w^H J is formed once and applied by one matmul.  For k
@@ -129,18 +127,13 @@ class HermitianSpace:
         return np.einsum("...k,...k->...", V, np.conjugate(JV, out=JV)).real
 
 
-def ball_model() -> HermitianSpace:
-    return HermitianSpace(np.diag([1.0, 1.0, -1.0]).astype(complex), Model.BALL)
-
-
+@functools.cache
 def siegel_model() -> HermitianSpace:
+    """The Siegel form, built and checked once per process: the instance is
+    shared, and both J and J_inv are read-only."""
     J = np.zeros((3, 3), dtype=complex)
     J[0, 2] = J[1, 1] = J[2, 0] = 1.0
     return HermitianSpace(J, Model.SIEGEL)
-
-
-def custom_model(J) -> HermitianSpace:
-    return HermitianSpace(np.asarray(J, dtype=complex), Model.CUSTOM)
 
 
 @dataclass(frozen=True)
@@ -241,37 +234,6 @@ def locate(v: HVec, tol=None) -> Location:
     return Location.BOUNDARY
 
 
-@dataclass(frozen=True)
-class Line:
-    """A complex line of CP^2, stored through its pole for the form."""
-
-    pole_vec: HVec
-
-    def contains(self, q: HVec, tol=None) -> bool:
-        tol = tolerance(tol)
-        scale = self.pole_vec.length() * q.length()
-        return abs(inner(self.pole_vec, q)) <= tol * max(scale, 1e-300)
-
-
-def polar(p: HVec) -> Line:
-    """The polar line of [p]: all [q] with <p, q> = 0."""
-    if p.is_zero():
-        raise GeometryError("zero vector has no polar line")
-    return Line(p)
-
-
-def pole(line: Line) -> HVec:
-    return line.pole_vec
-
-
-def line_through(p: HVec, q: HVec) -> Line:
-    """The line through two distinct points; its pole is [p box q]."""
-    bp = box(p, q)
-    if bp.is_zero(1e-13 * max(p.length() * q.length(), 1e-300)):
-        raise GeometryError("points are projectively equal; line is not unique")
-    return Line(bp)
-
-
 def proj_equal(u: HVec, v: HVec, tol=PROJ_EQ_TOL) -> bool:
     """Projective equality after optimal phase/scale alignment."""
     return proj_distance(u, v) <= tol
@@ -285,18 +247,3 @@ def proj_distance(u: HVec, v: HVec) -> float:
     a, b = u.v / nu, v.v / nv
     return _length(a - np.vdot(b, a) * b)  # a less its projection on b
 
-
-def is_autopolar_triple(p: HVec, q: HVec, r: HVec, tol=None) -> bool:
-    """Three mutually orthogonal, non-isotropic points form an auto-polar triple."""
-    tol = tolerance(tol)
-
-    def _ok(a, b):
-        scale = max(a.length() * b.length(), 1e-300)
-        return abs(inner(a, b)) <= tol * scale
-
-    def _noniso(a):
-        return locate(a, tol) is not Location.BOUNDARY
-
-    return (
-        _ok(p, q) and _ok(q, r) and _ok(r, p) and _noniso(p) and _noniso(q) and _noniso(r)
-    )

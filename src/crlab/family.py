@@ -21,19 +21,10 @@ from functools import cached_property
 import numpy as np
 
 from .core import GeometryError, HVec, siegel_model, tolerance
-from .isometry import Isometry, IsometryClass, classify, verify_su21
+from .isometry import Isometry
 
 ALPHA2_LIM = math.acos(math.sqrt(3.0 / 8.0))
-ALPHA1_LIM = math.acos(math.sqrt(3.0) / 4.0)
 MAX_ORDER = 10**6  # largest rotation order param_side recognizes
-
-# peripheral words on T1/T2 and the link-group relator, in the letters s, t
-WORD_M1 = "ts^-1"
-WORD_L1 = "ts^-1ts^-1ts^-1"
-WORD_M2 = "st"
-WORD_L2 = "ststst"
-WORD_L2_LONG = "ststs^-1t^3s^-1t"
-WORD_RELATOR = "ts^-1t^-3s^-2t^-1st^3s^2"
 
 
 @dataclass(frozen=True)
@@ -105,6 +96,7 @@ class FamilyRep:
 
     @cached_property
     def space(self):
+        """The Siegel space, one instance shared by every representation."""
         return siegel_model()
 
     @cached_property
@@ -145,21 +137,6 @@ class FamilyRep:
             for _ in range(abs(power)):
                 M = M @ base
         return Isometry(M, self.space)
-
-
-def build_rep(params: FamilyParams, check=True, tol=None) -> FamilyRep:
-    rep = FamilyRep(params)
-    if check:
-        tol_ = tolerance(tol)
-        for g in (rep.S, rep.T):
-            ok, u_res, d_res = verify_su21(g.M, rep.space, tol_)
-            if not ok:
-                raise GeometryError(
-                    f"generator fails SU(2,1) residuals ({u_res:.2e}, {d_res:.2e})"
-                )
-            if np.abs(np.linalg.matrix_power(g.M, 3) - np.eye(3)).max() > 1e3 * tol_:
-                raise GeometryError("generator is not of order 3")
-    return rep
 
 
 class SideKind(enum.Enum):
@@ -206,16 +183,6 @@ def alpha2_for_order(n: int) -> float:
     if n < 4:
         raise GeometryError("order must be at least 4")
     return math.acos(math.sqrt((2.0 * math.cos(2.0 * math.pi / n) + 1.0) / 8.0))
-
-
-def alpha2_for_length(length: float) -> float:
-    """The alpha2 < ALPHA2_LIM at which U is loxodromic of length l > 0."""
-    if length <= 0:
-        raise GeometryError("length must be positive")
-    tr = 2.0 * math.cosh(length) + 1.0
-    if tr >= 8.0:
-        raise GeometryError("length exceeds the family (needs cosh(l) < 7/2)")
-    return math.acos(math.sqrt(tr / 8.0))
 
 
 @dataclass(frozen=True)
@@ -267,23 +234,6 @@ def remarkable_points(params: FamilyParams, rep: FamilyRep | None = None) -> Rem
     return RemarkablePoints(p_A, p_B, p_U, p_V, p_W, p_p, p_dp, delta)
 
 
-@dataclass(frozen=True)
-class TraceCoords:
-    """Trace coordinates (z, w, x) = (tr st, tr st^-1, tr [s,t])."""
-
-    z: complex
-    w: complex
-    x: complex
-
-
-def trace_coords(rep: FamilyRep) -> TraceCoords:
-    S, T = rep.S.M, rep.T.M
-    z = complex(np.trace(S @ T))
-    w = complex(np.trace(S @ rep.T.inv().M))
-    x = complex(np.trace(S @ T @ rep.S.inv().M @ rep.T.inv().M))
-    return TraceCoords(z, w, x)
-
-
 def char_Q(z: complex, w: complex) -> float:
     return abs(z) ** 2 + abs(w) ** 2 - 3.0
 
@@ -299,24 +249,9 @@ def char_P(z: complex, w: complex) -> float:
     )
 
 
-def char_variety_residuals(tc: TraceCoords):
-    """Residuals of x + conj(x) = Q(z,w) and |x|^2 = P(z,w)."""
-    r1 = abs(2.0 * tc.x.real - char_Q(tc.z, tc.w))
-    r2 = abs(abs(tc.x) ** 2 - char_P(tc.z, tc.w))
-    return r1, r2
-
-
 def discriminant_D(x: float, y: float) -> float:
     """D(x, y) = x^3 y^3 - 9 x^2 y^2 - 27 x y^2 + 81 x y - 27 x - 27."""
     return x**3 * y**3 - 9.0 * x**2 * y**2 - 27.0 * x * y**2 + 81.0 * x * y - 27.0 * x - 27.0
-
-
-def region_Z(params: FamilyParams):
-    """(inside, margin): membership in the discreteness region D(...) > 0."""
-    val = discriminant_D(
-        4.0 * math.cos(params.alpha1) ** 2, 4.0 * math.cos(params.alpha2) ** 2
-    )
-    return val > 0.0, val
 
 
 def trace_ts_inv(alpha1, alpha2):
@@ -337,12 +272,6 @@ def trace_ts_inv(alpha1, alpha2):
     )
 
 
-def peripheral_type(params: FamilyParams, tol=None) -> IsometryClass:
-    """Class of rho(t s^-1), the peripheral holonomy being deformed."""
-    rep = FamilyRep(params)
-    return classify(rep.word(WORD_M1), tol)
-
-
 def involution_matrix(alpha2: float) -> np.ndarray:
     """The U(2,1) involution fixing p_U and swapping p_V with p_W (alpha1 = 0)."""
     e = cmath.exp(1j * alpha2)
@@ -361,11 +290,3 @@ def schwartz_point() -> complex:
     theta = math.acos(-7.0 / 8.0) / 3.0
     return 2.0 * cmath.exp(1j * theta) + cmath.exp(-2j * theta)
 
-
-def schwartz_peripheral_matrix() -> np.ndarray:
-    """An SU(2,1)-conjugate of the ellipto-parabolic peripheral generator."""
-    theta = math.acos(-7.0 / 8.0) / 3.0
-    return cmath.exp(1j * theta) * np.array(
-        [[1.0, 0.0, -0.5j], [0.0, cmath.exp(-3j * theta), 0.0], [0.0, 0.0, 1.0]],
-        dtype=complex,
-    )

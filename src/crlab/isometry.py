@@ -154,7 +154,7 @@ def _polish_clusters(roots, c2, c1):
     return roots
 
 
-def _nullspace_vector(A):
+def nullspace_vector(A):
     """Least-singular right-singular vector of A."""
     _, s, vh = np.linalg.svd(A)
     return vh[-1].conj(), float(s[-1])
@@ -172,7 +172,7 @@ def _eigenvector_for(M, lam):
             best, best_norm = w, n
     scale = max(np.linalg.norm(A, "fro"), 1e-300)
     if best_norm <= 1e-10 * scale**2:
-        v, _ = _nullspace_vector(A)
+        v, _ = nullspace_vector(A)
         return v, True
     return best / best_norm, False
 
@@ -231,7 +231,7 @@ def eigen(g: Isometry, tol=None):
     return triples
 
 
-def _cube_root_cluster(values, tol=UNIPOTENT_CLUSTER_TOL):
+def cube_root_cluster(values, tol=UNIPOTENT_CLUSTER_TOL):
     """Common k with all values within tol of OMEGA^k, or None."""
     for k in range(3):
         target = OMEGA**k
@@ -258,7 +258,7 @@ def classify(g: Isometry, tol=None) -> IsometryClass:
     cond = max(t.residual for t in triples)
     gap = CLUSTER_GAP * max(1.0, max(abs(v) for v in values))
 
-    k = _cube_root_cluster(values)
+    k = cube_root_cluster(values)
     if k is not None:
         if np.abs(g.M - (OMEGA**k) * np.eye(3)).max() <= 1e-8:
             kind = IsometryKind.IDENTITY
@@ -284,38 +284,6 @@ def _repeated_value(values):
     pairs = [(abs(values[i] - values[j]), (values[i] + values[j]) / 2)
              for i in range(3) for j in range(i + 1, 3)]
     return min(pairs)[1]
-
-
-def canonical_fixed_point(g: Isometry, tol=None) -> HVec:
-    """The distinguished fixed point of a regular or unipotent element.
-
-    Regular elliptic: the negative-norm eigenvector (interior fixed point).
-    Loxodromic: the unit-modulus eigenvalue's eigenvector (polar point of
-    the axis).  Unipotent: the unique eigendirection (boundary point).
-    """
-    tol = tolerance(tol)
-    cls = classify(g, tol)
-    if cls.kind is IsometryKind.REGULAR_ELLIPTIC:
-        for t in cls.eigen:
-            if t.norm_sign < 0:
-                return t.vector
-        raise GeometryError("regular elliptic without negative eigenvector")
-    if cls.kind is IsometryKind.LOXODROMIC:
-        best = min(cls.eigen, key=lambda t: abs(abs(t.value) - 1.0))
-        return best.vector
-    if cls.kind is IsometryKind.UNIPOTENT:
-        vec, _ = _nullspace_vector(g.M - _cube_root_value(cls.eigen) * np.eye(3))
-        return HVec(vec, g.space)
-    raise GeometryError(
-        f"no canonical fixed point for class {cls.kind.value}"
-    )
-
-
-def _cube_root_value(triples):
-    k = _cube_root_cluster([t.value for t in triples])
-    if k is None:
-        raise GeometryError("eigenvalues do not cluster at a cube root of 1")
-    return OMEGA**k
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,150 @@
+"""The paper's own objects that no verification or figure computes with:
+trace coordinates and the character variety, the discreteness region Z,
+the peripheral words and their classes, Schwartz's peripheral generator,
+checked builds of a representation, fixed points of single elements, and
+the ball and custom models of the form.
+
+The command line never loads this module; the tests and interactive use
+import it as `crlab.reference`.
+"""
+
+from __future__ import annotations
+
+import cmath
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .core import GeometryError, HermitianSpace, HVec, Model, tolerance
+from .family import FamilyParams, FamilyRep, char_P, char_Q, discriminant_D
+from .isometry import (
+    OMEGA,
+    Isometry,
+    IsometryClass,
+    IsometryKind,
+    classify,
+    cube_root_cluster,
+    nullspace_vector,
+    verify_su21,
+)
+
+# peripheral words on T1/T2 and the link-group relator, in the letters s, t
+WORD_M1 = "ts^-1"
+WORD_L1 = "ts^-1ts^-1ts^-1"
+WORD_M2 = "st"
+WORD_L2 = "ststst"
+WORD_L2_LONG = "ststs^-1t^3s^-1t"
+WORD_RELATOR = "ts^-1t^-3s^-2t^-1st^3s^2"
+
+
+def ball_model() -> HermitianSpace:
+    return HermitianSpace(np.diag([1.0, 1.0, -1.0]).astype(complex), Model.BALL)
+
+
+def custom_model(J) -> HermitianSpace:
+    return HermitianSpace(np.asarray(J, dtype=complex), Model.CUSTOM)
+
+
+def build_rep(params: FamilyParams, check=True, tol=None) -> FamilyRep:
+    rep = FamilyRep(params)
+    if check:
+        tol_ = tolerance(tol)
+        for g in (rep.S, rep.T):
+            ok, u_res, d_res = verify_su21(g.M, rep.space, tol_)
+            if not ok:
+                raise GeometryError(
+                    f"generator fails SU(2,1) residuals ({u_res:.2e}, {d_res:.2e})"
+                )
+            if np.abs(np.linalg.matrix_power(g.M, 3) - np.eye(3)).max() > 1e3 * tol_:
+                raise GeometryError("generator is not of order 3")
+    return rep
+
+
+def alpha2_for_length(length: float) -> float:
+    """The alpha2 < ALPHA2_LIM at which U is loxodromic of length l > 0."""
+    if length <= 0:
+        raise GeometryError("length must be positive")
+    tr = 2.0 * math.cosh(length) + 1.0
+    if tr >= 8.0:
+        raise GeometryError("length exceeds the family (needs cosh(l) < 7/2)")
+    return math.acos(math.sqrt(tr / 8.0))
+
+
+@dataclass(frozen=True)
+class TraceCoords:
+    """Trace coordinates (z, w, x) = (tr st, tr st^-1, tr [s,t])."""
+
+    z: complex
+    w: complex
+    x: complex
+
+
+def trace_coords(rep: FamilyRep) -> TraceCoords:
+    S, T = rep.S.M, rep.T.M
+    z = complex(np.trace(S @ T))
+    w = complex(np.trace(S @ rep.T.inv().M))
+    x = complex(np.trace(S @ T @ rep.S.inv().M @ rep.T.inv().M))
+    return TraceCoords(z, w, x)
+
+
+def char_variety_residuals(tc: TraceCoords):
+    """Residuals of x + conj(x) = Q(z,w) and |x|^2 = P(z,w)."""
+    r1 = abs(2.0 * tc.x.real - char_Q(tc.z, tc.w))
+    r2 = abs(abs(tc.x) ** 2 - char_P(tc.z, tc.w))
+    return r1, r2
+
+
+def region_Z(params: FamilyParams):
+    """(inside, margin): membership in the discreteness region D(...) > 0."""
+    val = discriminant_D(
+        4.0 * math.cos(params.alpha1) ** 2, 4.0 * math.cos(params.alpha2) ** 2
+    )
+    return val > 0.0, val
+
+
+def peripheral_type(params: FamilyParams, tol=None) -> IsometryClass:
+    """Class of rho(t s^-1), the peripheral holonomy being deformed."""
+    rep = FamilyRep(params)
+    return classify(rep.word(WORD_M1), tol)
+
+
+def schwartz_peripheral_matrix() -> np.ndarray:
+    """An SU(2,1)-conjugate of the ellipto-parabolic peripheral generator."""
+    theta = math.acos(-7.0 / 8.0) / 3.0
+    return cmath.exp(1j * theta) * np.array(
+        [[1.0, 0.0, -0.5j], [0.0, cmath.exp(-3j * theta), 0.0], [0.0, 0.0, 1.0]],
+        dtype=complex,
+    )
+
+
+def canonical_fixed_point(g: Isometry, tol=None) -> HVec:
+    """The distinguished fixed point of a regular or unipotent element.
+
+    Regular elliptic: the negative-norm eigenvector (interior fixed point).
+    Loxodromic: the unit-modulus eigenvalue's eigenvector (polar point of
+    the axis).  Unipotent: the unique eigendirection (boundary point).
+    """
+    tol = tolerance(tol)
+    cls = classify(g, tol)
+    if cls.kind is IsometryKind.REGULAR_ELLIPTIC:
+        for t in cls.eigen:
+            if t.norm_sign < 0:
+                return t.vector
+        raise GeometryError("regular elliptic without negative eigenvector")
+    if cls.kind is IsometryKind.LOXODROMIC:
+        best = min(cls.eigen, key=lambda t: abs(abs(t.value) - 1.0))
+        return best.vector
+    if cls.kind is IsometryKind.UNIPOTENT:
+        vec, _ = nullspace_vector(g.M - _cube_root_value(cls.eigen) * np.eye(3))
+        return HVec(vec, g.space)
+    raise GeometryError(
+        f"no canonical fixed point for class {cls.kind.value}"
+    )
+
+
+def _cube_root_value(triples):
+    k = cube_root_cluster([t.value for t in triples])
+    if k is None:
+        raise GeometryError("eigenvalues do not cluster at a cube root of 1")
+    return OMEGA**k

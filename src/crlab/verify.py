@@ -690,7 +690,8 @@ def cone_angles(ff: FaceFamily, ks) -> np.ndarray:
     pts = ff.pts
 
     def direction(x: HVec) -> np.ndarray:
-        # rephased so that <p_U, x> is real negative, as in tangent_direction
+        # rephased so that <p_U, x> is real negative, the geodesic direction's
+        # convention (the oracle tangent_direction in tests/oracles.py)
         c = np.array([inner(e, x) / math.sqrt(e.norm()) for e in (pts.p_U_prime, pts.p_U_dprime)])
         c *= -inner(pts.p_U, x).conjugate()
         return c / np.linalg.norm(c)

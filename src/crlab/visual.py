@@ -29,13 +29,8 @@ from .core import (
     tolerance,
 )
 from .bisector import Bisector, BisectorKind
-from .isometry import Isometry
 
 INF = complex(math.inf, 0.0)
-
-
-def is_inf(z) -> bool:
-    return not (math.isfinite(z.real) and math.isfinite(z.imag))
 
 
 def ext_div(num: complex, den: complex, tol=1e-12) -> complex:
@@ -45,55 +40,6 @@ def ext_div(num: complex, den: complex, tol=1e-12) -> complex:
             raise GeometryError("0/0 in extended-complex division")
         return INF
     return num / den
-
-
-@dataclass(frozen=True)
-class Mobius:
-    """A fractional-linear map (az + b)/(cz + d) with explicit infinity."""
-
-    m: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.m, dtype=complex).reshape(2, 2)
-        m.setflags(write=False)
-        object.__setattr__(self, "m", m)
-
-    def __call__(self, z: complex) -> complex:
-        (a, b), (c, d) = self.m
-        if is_inf(z):
-            return ext_div(a, c)
-        return ext_div(a * z + b, c * z + d)
-
-    def compose(self, other: "Mobius") -> "Mobius":
-        return Mobius(self.m @ other.m)
-
-    def inv(self) -> "Mobius":
-        (a, b), (c, d) = self.m
-        return Mobius(np.array([[d, -b], [-c, a]]))
-
-    def fixed_zero_inf_factor(self, tol=1e-9):
-        """If the map fixes 0 and infinity, the multiplier z -> kz; else None."""
-        (a, b), (c, d) = self.m
-        scale = np.abs(self.m).max()
-        if abs(b) <= tol * scale and abs(c) <= tol * scale and abs(d) > tol * scale:
-            return a / d
-        return None
-
-
-def mobius_to_zero_one_inf(z1: complex, z2: complex, z3: complex) -> Mobius:
-    """The unique Mobius map sending (z1, z2, z3) to (0, 1, infinity)."""
-    if is_inf(z1):
-        return Mobius([[0.0, z2 - z3], [1.0, -z3]])
-    if is_inf(z2):
-        return Mobius([[1.0, -z1], [1.0, -z3]])
-    if is_inf(z3):
-        return Mobius([[1.0, -z1], [0.0, z2 - z1]])
-    return Mobius([[z2 - z3, -z1 * (z2 - z3)], [z2 - z1, -z3 * (z2 - z1)]])
-
-
-def mobius_from_pairs(zs, ws) -> Mobius:
-    """The Mobius map with ws[i] = f(zs[i]) for three distinct pairs."""
-    return mobius_to_zero_one_inf(*ws).inv().compose(mobius_to_zero_one_inf(*zs))
 
 
 @dataclass(frozen=True)
@@ -132,43 +78,6 @@ class VisualChart:
             return num / den
 
 
-def induced_action(chart: VisualChart, g: Isometry, samples=None, tol=None) -> Mobius:
-    """The Mobius map the chart assigns to an isometry fixing the base point.
-
-    Built from three sample lines and cross-checked on the remaining ones.
-    """
-    tol = tolerance(tol)
-    base = chart.base
-    gb = g.apply(base)
-    scale = gb.length()
-    lam = None
-    for k in range(3):
-        if abs(base.v[k]) > 1e-6 * base.length():
-            lam = gb.v[k] / base.v[k]
-            break
-    if lam is None or np.abs(gb.v - lam * base.v).max() > 1e-6 * scale:
-        raise GeometryError("isometry does not fix the chart's base point")
-    if samples is None:
-        sp = base.space
-        samples = [
-            HVec([1.0, 0.3 + 0.1j, -0.2], sp),
-            HVec([0.1j, 1.0, 0.7], sp),
-            HVec([-0.5, 0.25j, 1.0], sp),
-            HVec([0.9, -0.6, 0.33 + 0.75j], sp),
-            HVec([0.2, 1.1j, -0.8 + 0.1j], sp),
-        ]
-    zs = [chart.value(q) for q in samples]
-    ws = [chart.value(g.apply(q)) for q in samples]
-    mob = mobius_from_pairs(zs[:3], ws[:3])
-    for z, w in zip(zs[3:], ws[3:]):
-        w2 = mob(z)
-        if is_inf(w) != is_inf(w2):
-            raise GeometryError("induced action inconsistent at infinity")
-        if not is_inf(w) and abs(w - w2) > 1e-6 * max(1.0, abs(w)):
-            raise GeometryError("induced action failed cross-check")
-    return mob
-
-
 def tangency_check(p: HVec, q: HVec, r: HVec, tol=None) -> bool:
     """Whether the line through [p] and [r] meets the spinal surface of
     (p, q) only at [r].
@@ -198,27 +107,6 @@ def tangency_check(p: HVec, q: HVec, r: HVec, tol=None) -> bool:
             if abs(pq - eps * npp) > 1e3 * tol * max(scale, 1.0):
                 return True
     return False
-
-
-def line_spinal_crossings(p: HVec, q: HVec, r: HVec, n=4096):
-    """Grid oracle: count sign changes of the spinal residual along the
-    boundary circle of the line through [p] and [r]."""
-    circle = boundary_circle_of_plane(p, r)
-    if circle is None:
-        raise GeometryError("line misses the boundary sphere")
-    ts = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    Z = circle(ts)
-    ap = np.abs(p.space.inner_grid(p.v, Z))
-    aq = np.abs(p.space.inner_grid(q.v, Z))
-    res = ap - aq
-    scale = float(np.maximum(ap, aq).max())
-    res = np.where(np.abs(res) <= 1e-9 * max(scale, 1e-300), 0.0, res)
-    signs = np.sign(res)
-    # drop near-zeros so only transversal crossings flip the sign
-    nz = signs[signs != 0]
-    if len(nz) == 0:
-        return 0
-    return int(np.count_nonzero(nz != np.roll(nz, 1)))
 
 
 def _null_circles(B, J):
@@ -273,34 +161,10 @@ def _polar_basis(poles, J):
     return np.stack([u1, u2], axis=-2)
 
 
-def _boundary_circle(B, J):
-    """t -> representatives of the null circle of the plane spanned by the
-    rows of B, or None when that line misses the closed ball."""
-    em, ep, rho, keep = _null_circles(B, J)
-    if not keep:
-        return None
-    return lambda ts: _circle_points(em, ep, rho, ts)
-
-
 def _circle_points(em, ep, rho, ts):
     """The points em + rho e^{it} ep at the angles ts."""
     phase = rho * np.exp(1j * np.atleast_1d(ts))
     return em[None, :] + phase[:, None] * ep[None, :]
-
-
-def boundary_circle_of_plane(p: HVec, r: HVec):
-    """Parametrization t -> representatives of (span(p, r) /\\ null cone).
-
-    Returns None when the complex line through [p], [r] misses the closed
-    ball.
-    """
-    return _boundary_circle(np.stack([p.v, r.v]), p.space.J)
-
-
-def slice_boundary_circle(pole_vec: HVec):
-    """Boundary circle of the polar line of pole_vec, as t -> vectors."""
-    J = pole_vec.space.J
-    return _boundary_circle(_polar_basis(pole_vec.v, J), J)
 
 
 @dataclass(frozen=True)
@@ -318,8 +182,10 @@ class Silhouette:
     residual: float = 0.0
 
 
-def silhouette_circle(chart: VisualChart, b: Bisector, tol=None) -> Silhouette:
-    """The silhouette of a bisector from its own base point, in closed form.
+def silhouette_circles(chart: VisualChart, bisectors, tol=None) -> list[Silhouette]:
+    """The silhouette of each bisector from its own base point, the chart's
+    base, in closed form; the polar bases and null circles of their slices
+    are taken as one batch.
 
     The lines through [p] tangent to the spinal surface touch it on the
     boundary circle of the slice with pole p - eps q, eps = -sign <p, q>
@@ -331,12 +197,6 @@ def silhouette_circle(chart: VisualChart, b: Bisector, tol=None) -> Silhouette:
     the circle of centre (a c* - b d*)/(|c|^2 - |d|^2) and radius |ad - bc|
     / ||c|^2 - |d|^2|, the image of |w| < 1 lying inside when |c| > |d|.
     """
-    return _silhouettes(chart, [b], tolerance(tol))[0][0]
-
-
-def silhouette_circles(chart: VisualChart, bisectors, tol=None) -> list[Silhouette]:
-    """`silhouette_circle` of each bisector based at the chart's base point,
-    the polar bases and null circles of their slices taken as one batch."""
     return _silhouettes(chart, bisectors, tolerance(tol))[0]
 
 
@@ -391,26 +251,9 @@ class DiskProjection:
     contains_zero: bool
 
 
-def spinal_samples(b: Bisector, n_alpha=96, n_t=48):
-    """Representatives covering the spinal surface, by extor slices.
-
-    Slice alpha is the polar line of q - alpha p, and its boundary circle is
-    found as in `slice_boundary_circle`, for all alphas at once through the
-    same batched closed forms.  Slices missing the ball are skipped.
-    """
-    J = b.p.space.J
-    alphas = np.exp(1j * np.linspace(0, 2 * math.pi, n_alpha, endpoint=False))
-    poles = b.q.v - alphas[:, None] * b.p.v
-    em, ep, rho, keep = _null_circles(_polar_basis(poles, J), J)
-    if not keep.any():
-        raise GeometryError("spinal surface sampling found no boundary points")
-    phase = rho[keep, None] * np.exp(1j * np.linspace(0, 2 * math.pi, n_t, endpoint=False))
-    return (em[keep, None, :] + phase[:, :, None] * ep[keep, None, :]).reshape(-1, 3)
-
-
 def project_bisector(chart: VisualChart, b: Bisector, n_boundary=1024, tol=None) -> DiskProjection:
     """Silhouette of the bisector from its own base point in a given chart:
-    the circle of `silhouette_circle`, sampled at n_boundary points of its
+    the circle of `silhouette_circles`, sampled at n_boundary points of its
     slice.  Off fans, the privileged chart sees that slice at one modulus."""
     (sil,), em, ep, rho = _silhouettes(chart, [b], tolerance(tol))
     pts = _circle_points(em[0], ep[0], rho[0], np.linspace(0, 2 * math.pi, n_boundary, endpoint=False))
@@ -451,32 +294,3 @@ def angular_diameter(p: HVec, q: HVec, tol=None) -> float:
     half_d = math.acosh(math.sqrt(c2))
     return 2.0 * math.acos(math.tanh(half_d / 2.0))
 
-
-def tangent_direction(p: HVec, x: HVec) -> np.ndarray:
-    """Initial direction at interior [p] of the geodesic toward [x].
-
-    The lift of x is rephased so <p, x> is real negative; the direction is
-    the J-orthogonal projection of x away from p.
-    """
-    px = inner(p, x)
-    if abs(px) == 0:
-        raise GeometryError("x on the polar line of p has no geodesic direction")
-    phase = -px.conjugate() / abs(px)
-    xv = phase * x.v
-    px = -abs(px)
-    u = xv - p.v * (px / p.norm())
-    return u
-
-
-def angle_between(p: HVec, x: HVec, y: HVec) -> float:
-    """Angle at interior [p] between the geodesics toward [x] and [y]."""
-    J = p.space.J
-    ux, uy = tangent_direction(p, x), tangent_direction(p, y)
-
-    def ip(a, b):
-        return (a.conj() @ J @ b)
-
-    na = math.sqrt(max(ip(ux, ux).real, 1e-300))
-    nb = math.sqrt(max(ip(uy, uy).real, 1e-300))
-    c = ip(ux, uy).real / (na * nb)
-    return math.acos(min(1.0, max(-1.0, c)))

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from crlab.core import siegel_model, ball_model
+from crlab.core import siegel_model
 from crlab.family import ALPHA2_LIM, FamilyParams, FamilyRep, alpha2_for_order, remarkable_points
+from crlab.reference import ball_model
 
 
 @pytest.fixture(scope="session")

@@ -1,16 +1,32 @@
 """Reference implementations that the tests compare the program against.
 
-None of these is on a program path: `verify` and the figures read one
-constraint per Giraud-torus column (`GiraudTorus.column_minima`) and decide
-the symmetric trichotomy in closed form (`symmetric_intersection_type`).
+None of these is on a program path, and none is imported by `crlab`:
+
+- `envelope_minima`, the multi-constraint envelope of which `verify` and
+  the figures read one constraint per Giraud-torus column
+  (`GiraudTorus.column_minima`);
+- the grid oracle of the symmetric trichotomy (`periodic_components`,
+  `count_sublevel_components`, `brute_force_symmetric_kind`), which the
+  program decides in closed form (`symmetric_intersection_type`);
+- sampled spinal surfaces and null circles (`spinal_samples`,
+  `slice_boundary_circle`, `boundary_circle_of_plane`) and the sampled
+  tangency count `line_spinal_crossings`, against which GC's closed-form
+  silhouettes (`visual.silhouette_circles`) and `tangency_check` are held;
+- geodesic directions and angles at an interior point (`tangent_direction`,
+  `angle_between`), against which `angular_diameter` and
+  `verify.cone_angles` are held;
+- equal-modulus membership (`membership`, `Membership`), the real spine's
+  ends (`real_spine_endpoints`) and `is_autopolar_triple`.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from crlab.bisector import SymmetricKind, _harmonic_roots, _ratio_critical, level_g
-from crlab.core import GeometryError
+from crlab.bisector import Bisector, BisectorKind, SymmetricKind, _harmonic_roots, _ratio_critical, level_g
+from crlab.core import GeometryError, HVec, Location, inner, locate, tolerance
+from crlab.visual import _circle_points, _null_circles, _polar_basis
 
 TORUS_GRID_DEFAULT = 720
 TORUS_REFINE_FACTOR = 4
@@ -138,3 +154,161 @@ def brute_force_symmetric_kind(u: float, n: int = TORUS_GRID_DEFAULT) -> Symmetr
     if comps == 2:
         return SymmetricKind.TORUS_MINUS_TWO_DISKS
     raise GeometryError(f"unexpected component count {comps}")
+
+
+def spinal_samples(b: Bisector, n_alpha=96, n_t=48):
+    """Representatives covering the spinal surface, by extor slices.
+
+    Slice alpha is the polar line of q - alpha p, and its boundary circle is
+    found as in `slice_boundary_circle`, for all alphas at once through the
+    same batched closed forms.  Slices missing the ball are skipped.
+    """
+    J = b.p.space.J
+    alphas = np.exp(1j * np.linspace(0, 2 * math.pi, n_alpha, endpoint=False))
+    poles = b.q.v - alphas[:, None] * b.p.v
+    em, ep, rho, keep = _null_circles(_polar_basis(poles, J), J)
+    if not keep.any():
+        raise GeometryError("spinal surface sampling found no boundary points")
+    phase = rho[keep, None] * np.exp(1j * np.linspace(0, 2 * math.pi, n_t, endpoint=False))
+    return (em[keep, None, :] + phase[:, :, None] * ep[keep, None, :]).reshape(-1, 3)
+
+
+def line_spinal_crossings(p: HVec, q: HVec, r: HVec, n=4096):
+    """Grid oracle: count sign changes of the spinal residual along the
+    boundary circle of the line through [p] and [r]."""
+    circle = boundary_circle_of_plane(p, r)
+    if circle is None:
+        raise GeometryError("line misses the boundary sphere")
+    ts = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    Z = circle(ts)
+    ap = np.abs(p.space.inner_grid(p.v, Z))
+    aq = np.abs(p.space.inner_grid(q.v, Z))
+    res = ap - aq
+    scale = float(np.maximum(ap, aq).max())
+    res = np.where(np.abs(res) <= 1e-9 * max(scale, 1e-300), 0.0, res)
+    signs = np.sign(res)
+    # drop near-zeros so only transversal crossings flip the sign
+    nz = signs[signs != 0]
+    if len(nz) == 0:
+        return 0
+    return int(np.count_nonzero(nz != np.roll(nz, 1)))
+
+
+def _boundary_circle(B, J):
+    """t -> representatives of the null circle of the plane spanned by the
+    rows of B, or None when that line misses the closed ball."""
+    em, ep, rho, keep = _null_circles(B, J)
+    if not keep:
+        return None
+    return lambda ts: _circle_points(em, ep, rho, ts)
+
+
+def boundary_circle_of_plane(p: HVec, r: HVec):
+    """Parametrization t -> representatives of (span(p, r) /\\ null cone).
+
+    Returns None when the complex line through [p], [r] misses the closed
+    ball.
+    """
+    return _boundary_circle(np.stack([p.v, r.v]), p.space.J)
+
+
+def slice_boundary_circle(pole_vec: HVec):
+    """Boundary circle of the polar line of pole_vec, as t -> vectors."""
+    J = pole_vec.space.J
+    return _boundary_circle(_polar_basis(pole_vec.v, J), J)
+
+
+def tangent_direction(p: HVec, x: HVec) -> np.ndarray:
+    """Initial direction at interior [p] of the geodesic toward [x].
+
+    The lift of x is rephased so <p, x> is real negative; the direction is
+    the J-orthogonal projection of x away from p.
+    """
+    px = inner(p, x)
+    if abs(px) == 0:
+        raise GeometryError("x on the polar line of p has no geodesic direction")
+    phase = -px.conjugate() / abs(px)
+    xv = phase * x.v
+    px = -abs(px)
+    u = xv - p.v * (px / p.norm())
+    return u
+
+
+def angle_between(p: HVec, x: HVec, y: HVec) -> float:
+    """Angle at interior [p] between the geodesics toward [x] and [y]."""
+    J = p.space.J
+    ux, uy = tangent_direction(p, x), tangent_direction(p, y)
+
+    def ip(a, b):
+        return (a.conj() @ J @ b)
+
+    na = math.sqrt(max(ip(ux, ux).real, 1e-300))
+    nb = math.sqrt(max(ip(uy, uy).real, 1e-300))
+    c = ip(ux, uy).real / (na * nb)
+    return math.acos(min(1.0, max(-1.0, c)))
+
+
+@dataclass(frozen=True)
+class Membership:
+    residual: float
+    location: Location
+    on_extor: bool
+    on_bisector: bool
+    on_spinal: bool
+
+
+def membership(z: HVec, b: Bisector, tol=None) -> Membership:
+    """Equal-modulus residual of z against (p, q), tagged by location."""
+    tol = tolerance(tol)
+    ap, aq = abs(inner(z, b.p)), abs(inner(z, b.q))
+    scale = max(ap, aq, z.length() * math.sqrt(b.scale()))
+    res = ap - aq
+    on_extor = abs(res) <= tol * max(scale, 1e-300)
+    loc = locate(z, tol)
+    return Membership(
+        residual=float(res),
+        location=loc,
+        on_extor=on_extor,
+        on_bisector=on_extor and loc is Location.INSIDE,
+        on_spinal=on_extor and loc is Location.BOUNDARY,
+    )
+
+
+def real_spine_endpoints(b: Bisector, tol=None):
+    """The two boundary points of the real spine {[p + a q] : |a| = 1}.
+
+    On the unit circle a = e^{i tau} the null condition reads
+    2 <p,p> + 2 Re(a <p,q>) = 0; a metric bisector gives two solutions.
+    """
+    tol = tolerance(tol)
+    if b.kind is not BisectorKind.METRIC_BISECTOR:
+        raise GeometryError("real spine endpoints require a metric bisector")
+    npp = b.p.norm()
+    c = inner(b.p, b.q)
+    if abs(c) < tol * max(1.0, abs(npp)):
+        raise GeometryError("degenerate spine: <p,q> = 0")
+    # Re(e^{i tau} c) = -<p,p>
+    ratio = -npp / abs(c)
+    ratio = min(1.0, max(-1.0, ratio))
+    base = math.acos(ratio)
+    out = []
+    for s in (+1.0, -1.0):
+        tau = s * base - math.atan2(c.imag, c.real)
+        out.append(b.p + complex(math.cos(tau), math.sin(tau)) * b.q)
+    return out[0], out[1]
+
+
+def is_autopolar_triple(p: HVec, q: HVec, r: HVec, tol=None) -> bool:
+    """Three mutually orthogonal, non-isotropic points form an auto-polar triple."""
+    tol = tolerance(tol)
+
+    def _ok(a, b):
+        scale = max(a.length() * b.length(), 1e-300)
+        return abs(inner(a, b)) <= tol * scale
+
+    def _noniso(a):
+        return locate(a, tol) is not Location.BOUNDARY
+
+    return (
+        _ok(p, q) and _ok(q, r) and _ok(r, p) and _noniso(p) and _noniso(q) and _noniso(r)
+    )

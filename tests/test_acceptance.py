@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from crlab.core import HVec, ball_model, box, inner
+from crlab.core import HVec, box, inner
 from crlab.bisector import classify_bisector, symmetric_intersection_type
 from crlab.family import (
     ALPHA2_LIM,
@@ -29,23 +29,22 @@ from crlab.family import (
     alpha2_for_order,
     char_P,
     char_Q,
-    char_variety_residuals,
     remarkable_points,
     schwartz_point,
-    trace_coords,
 )
 from crlab.isometry import OMEGA, eigen, elliptic_type
 from crlab.verify import FaceFamily, VerdictKind, tf_check, verify
-from crlab.visual import (
+from crlab.reference import ball_model, char_variety_residuals, trace_coords
+from crlab.visual import angular_diameter, tangency_check
+
+from oracles import (
     angle_between,
-    angular_diameter,
+    brute_force_symmetric_kind,
     line_spinal_crossings,
     slice_boundary_circle,
     spinal_samples,
-    tangency_check,
+    tangent_direction,
 )
-
-from oracles import brute_force_symmetric_kind
 
 
 def report(name, ok):
@@ -282,8 +281,6 @@ def test_criterion_6c_angular_diameter_oracle():
     # pairwise maximum over a subsample approximates the full diameter
     dirs = []
     for z in Z[::4]:
-        from crlab.visual import tangent_direction
-
         u = tangent_direction(p, HVec(z, ball))
         u = np.concatenate([u.real, u.imag])
         dirs.append(u / np.linalg.norm(u))

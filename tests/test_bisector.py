@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from crlab.core import GeometryError, HVec, Location, ball_model, box, inner, locate, proj_distance
+from crlab.core import GeometryError, HVec, Location, box, inner, locate, proj_distance
 from crlab.bisector import (
     Bisector,
     BisectorKind,
@@ -14,14 +14,21 @@ from crlab.bisector import (
     classify_bisector,
     classify_pair,
     level_g,
-    membership,
-    real_spine_endpoints,
     symmetric_intersection_type,
 )
 from crlab.family import FamilyParams, alpha2_for_order, remarkable_points
+from crlab.reference import ball_model
 from crlab.verify import FaceFamily, _vertex_angles, delta0
 
-from oracles import brute_force_symmetric_kind, count_sublevel_components, envelope_minima, periodic_components
+from oracles import (
+    brute_force_symmetric_kind,
+    count_sublevel_components,
+    envelope_minima,
+    membership,
+    periodic_components,
+    real_spine_endpoints,
+    slice_boundary_circle,
+)
 
 
 def ball_rotation3():
@@ -242,8 +249,6 @@ def test_real_spine_endpoints(ball, rep07, pts07):
 
 def test_slice_points_on_extor(rep07, pts07):
     # every point of a slice [q - alpha p]^perp satisfies the defining property
-    from crlab.visual import slice_boundary_circle
-
     p, q = pts07.p_U, pts07.p_V
     b = classify_bisector(p, q)
     rng = np.random.default_rng(3)

@@ -383,7 +383,8 @@ for name in dir(_umath_linalg):
         setattr(_umath_linalg, name, raiser("_umath_linalg." + name))
 
 from crlab.cli import MAX_GRID, main
-from crlab.family import ALPHA2_LIM, alpha2_for_length
+from crlab.family import ALPHA2_LIM
+from crlab.reference import alpha2_for_length
 
 out = sys.argv[1]
 runs = [

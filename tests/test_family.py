@@ -7,32 +7,34 @@ import pytest
 from crlab.core import HVec, proj_distance, proj_equal
 from crlab.family import (
     ALPHA2_LIM,
+    FamilyParams,
+    FamilyRep,
+    SideKind,
+    alpha2_for_order,
+    char_P,
+    char_Q,
+    discriminant_D,
+    involution_matrix,
+    param_side,
+    parse_word,
+    remarkable_points,
+    schwartz_point,
+)
+from crlab.isometry import OMEGA, IsometryKind, verify_su21
+from crlab.reference import (
     WORD_L1,
     WORD_L2,
     WORD_L2_LONG,
     WORD_M1,
     WORD_M2,
     WORD_RELATOR,
-    FamilyParams,
-    FamilyRep,
-    SideKind,
-    alpha2_for_order,
     build_rep,
-    char_P,
-    char_Q,
     char_variety_residuals,
-    discriminant_D,
-    involution_matrix,
-    param_side,
-    parse_word,
     peripheral_type,
     region_Z,
-    remarkable_points,
     schwartz_peripheral_matrix,
-    schwartz_point,
     trace_coords,
 )
-from crlab.isometry import OMEGA, IsometryKind, verify_su21
 
 from conftest import sample_alpha2
 
@@ -220,3 +222,27 @@ def test_schwartz_point():
     from crlab.isometry import goldman_f
 
     assert goldman_f(3.0) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_one_siegel_space_per_process(monkeypatch, capsys):
+    # every representation, FaceFamily and `crlab classify` shares the one
+    # Siegel space, whose form is checked once
+    from crlab.cli import main
+    from crlab.core import HermitianSpace, siegel_model
+    from crlab.verify import FaceFamily
+
+    reps = [FamilyRep(FamilyParams(0.0, a2)) for a2 in (0.7, 1.2)]
+    assert reps[0].space is reps[1].space is siegel_model()
+    FaceFamily(0.7)
+    built = []
+    real = HermitianSpace.__post_init__
+
+    def counted(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(HermitianSpace, "__post_init__", counted)
+    ff = FaceFamily(alpha2_for_order(9))
+    assert ff.space is reps[0].space
+    assert main(["classify", "--word", "ts^-1", "--alpha2", "0.7"]) == 0
+    assert built == []

@@ -9,7 +9,7 @@ import pytest
 
 from crlab.bisector import classify_bisector
 from crlab.core import HVec
-from crlab.family import FamilyParams, FamilyRep, alpha2_for_length, alpha2_for_order, trace_ts_inv
+from crlab.family import FamilyParams, FamilyRep, alpha2_for_order, trace_ts_inv
 from crlab.figures import (
     CSV_BLOCK_ROWS,
     SVG_PREC,
@@ -23,8 +23,11 @@ from crlab.figures import (
     write_csv,
 )
 from crlab.isometry import goldman_f
+from crlab.reference import alpha2_for_length
 from crlab.verify import FaceFamily
-from crlab.visual import silhouette_circle, slice_boundary_circle, spinal_samples
+from crlab.visual import silhouette_circles
+
+from oracles import slice_boundary_circle, spinal_samples
 
 
 def contour_segments_loop(xs, ys, Z, level):
@@ -326,7 +329,7 @@ def test_disk_projection_builds_two_bisectors_at_every_order(n, tmp_path, monkey
 @pytest.mark.parametrize("n", [20, 100])
 def test_disk_projection_translates_lie_on_their_silhouettes(n, tmp_path):
     # oracle: each translate J_k^+- built from U^k p_V or U^k p_W and its
-    # circle taken by silhouette_circle, the way the figure once drew it; the
+    # circle taken by silhouette_circles, the way the figure once drew it; the
     # marks against the chart images of U^k p_A and U^k p_B
     path, curves = figure_disk_projection(str(tmp_path / "dp"), n=n, boundary_points=256)
     ff = FaceFamily(alpha2_for_order(n), grid_n=256)
@@ -334,7 +337,7 @@ def test_disk_projection_translates_lie_on_their_silhouettes(n, tmp_path):
     assert list(curves) == [(sign, k) for k in range(n) for sign in ("plus", "minus")]
     for (sign, k), z in curves.items():
         q = ff.u_power_point(k, pts.p_V if sign == "plus" else pts.p_W)
-        sil = silhouette_circle(ff.chart, classify_bisector(pts.p_U, q, ff.tol), ff.tol)
+        (sil,) = silhouette_circles(ff.chart, [classify_bisector(pts.p_U, q, ff.tol)], ff.tol)
         assert len(z) == 256
         assert np.abs(np.abs(z - sil.center) - sil.radius).max() <= 1e-9 * max(abs(sil.center), sil.radius)
     rows = np.loadtxt(path, delimiter=",", skiprows=1)

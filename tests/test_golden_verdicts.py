@@ -17,7 +17,8 @@ import pathlib
 
 import numpy as np
 
-from crlab.family import ALPHA2_LIM, alpha2_for_length, alpha2_for_order
+from crlab.family import ALPHA2_LIM, alpha2_for_order
+from crlab.reference import alpha2_for_length
 from crlab.verify import verify
 
 TABLE = pathlib.Path(__file__).with_name("golden_verdicts.json")

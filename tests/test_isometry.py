@@ -17,13 +17,13 @@ from crlab.isometry import (
     OMEGA,
     Isometry,
     IsometryKind,
-    canonical_fixed_point,
     classify,
     eigen,
     elliptic_type,
     goldman_f,
     verify_su21,
 )
+from crlab.reference import canonical_fixed_point, schwartz_peripheral_matrix
 
 from conftest import sample_alpha2
 
@@ -215,8 +215,6 @@ def test_elliptic_type_infinite_order_reports_angles():
 
 
 def test_ellipto_parabolic_detection(siegel):
-    from crlab.family import schwartz_peripheral_matrix
-
     P = schwartz_peripheral_matrix()
     assert verify_su21(P, siegel)[0]
     assert classify(Isometry(P, siegel)).kind is IsometryKind.ELLIPTIC_PARABOLIC

@@ -1,9 +1,15 @@
 """Module boundaries inside the crlab package."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "crlab"
+# modules outside the program: the package's re-exports, and the paper's
+# objects that no check computes with
+NOT_PROGRAM = ("__init__", "reference")
 
 
 def test_no_private_names_imported_across_modules():
@@ -71,7 +77,7 @@ def test_verify_reads_no_torus_points():
 
 
 def test_verify_reads_no_sampled_silhouette():
-    # GC takes its disks from visual.silhouette_circle in closed form, never
+    # GC takes its disks from visual.silhouette_circles in closed form, never
     # from spinal samples or their projection
     tree = ast.parse((SRC / "verify.py").read_text())
     banned = {"spinal_samples", "project_bisector"}
@@ -92,9 +98,9 @@ def test_verify_reads_no_sampled_silhouette():
 def test_verify_path_uses_no_random_numbers_and_no_lapack():
     # the modules that verify and the figures run keep to closed forms and
     # ufuncs: no numpy.random, and no numpy.linalg routine but norm
-    # (isometry and family keep theirs, for classify and build_rep)
+    # (isometry keeps its own, for classify)
     found = []
-    for name in ("core.py", "bisector.py", "visual.py", "verify.py", "figures.py", "csvfloat.py"):
+    for name in ("core.py", "family.py", "bisector.py", "visual.py", "verify.py", "figures.py", "csvfloat.py"):
         tree = ast.parse((SRC / name).read_text())
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
@@ -124,6 +130,85 @@ def test_csv_path_makes_no_object_arrays():
             if any(_is_object_dtype(d) for d in dtypes):
                 found.append(f"{name}:{node.lineno}")
     assert found == []
+
+
+def test_every_top_level_def_is_reached_from_the_program():
+    # each top-level function and class of the program modules is named, at
+    # least indirectly, by cli.main or by a module's top-level statements;
+    # anything else belongs in crlab.reference or tests/oracles.py
+    assert unreached_defs(SRC) == []
+
+
+def test_no_program_module_imports_reference():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem in NOT_PROGRAM:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom):
+                mods = [node.module or ""] + [f"{node.module or ''}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Import):
+                mods = [a.name for a in node.names]
+            else:
+                continue
+            if any(mod.split(".")[-1] == "reference" for mod in mods):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_import_of_the_cli_leaves_reference_unloaded():
+    code = "import sys, crlab.cli; print('crlab.reference' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
+    )
+    assert proc.returncode == 0 and proc.stdout.strip() == "False", proc.stderr
+
+
+def unreached_defs(src: pathlib.Path) -> list[str]:
+    """"module.name" of each top-level def of the program modules under src
+    that no walk from cli.main and the modules' top-level statements reaches.
+
+    A reached def makes every name in it reached (a class: its whole body).
+    A name is resolved in its module: its own top-level defs, its relative
+    imports `from .mod import name`, and `mod.name` for `from . import mod`.
+    Import statements themselves reach nothing."""
+    trees = {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(src.glob("*.py")) if p.stem not in NOT_PROGRAM}
+    defs, imported = {}, {}
+    for mod, tree in trees.items():
+        imported[mod] = {}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defs[mod, node.name] = node
+            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                for a in node.names:
+                    imported[mod][a.asname or a.name] = (node.module, a.name) if node.module else (a.name, None)
+
+    def uses(mod, node):
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name):
+                target = (mod, n.id) if (mod, n.id) in defs else imported[mod].get(n.id)
+                if target and target[1] is not None:
+                    yield target
+            elif isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name):
+                target = imported[mod].get(n.value.id)
+                if target and target[1] is None:
+                    yield target[0], n.attr
+
+    todo = [("cli", "main")]
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Import, ast.ImportFrom)):
+                todo += uses(mod, node)
+    reached = set()
+    while todo:
+        key = todo.pop()
+        if key in defs and key not in reached:
+            reached.add(key)
+            todo += uses(key[0], defs[key])
+    return sorted(f"{mod}.{name}" for mod, name in defs if (mod, name) not in reached)
 
 
 def _is_object_dtype(node) -> bool:

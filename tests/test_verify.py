@@ -11,8 +11,9 @@ import pytest
 
 from crlab.bisector import GiraudTorus, classify_bisector
 from crlab.core import HVec, inner, proj_distance
-from crlab.family import ALPHA2_LIM, alpha2_for_length, alpha2_for_order
+from crlab.family import ALPHA2_LIM, alpha2_for_order
 from crlab.isometry import Isometry
+from crlab.reference import alpha2_for_length
 from crlab.visual import angular_diameter
 from crlab.verify import (
     _cone_separation,
@@ -495,8 +496,6 @@ def test_balanced_pair_decomposition_sampling(ff_lox):
 
     def rcirc_points(alpha, count):
         # slice of E(p_U, p_V) at phase alpha, cut by the second extor
-        from crlab.visual import slice_boundary_circle
-
         pole = HVec(pts.p_V.v - alpha * pts.p_U.v, sp)
         w = pole.v.conj() @ J
         _, _, vh = np.linalg.svd(w.reshape(1, 3))

@@ -6,24 +6,25 @@ import pytest
 
 from crlab.core import GeometryError, HVec, box, inner
 from crlab.bisector import classify_bisector
-from crlab.family import alpha2_for_length, alpha2_for_order, involution_matrix
+from crlab.family import alpha2_for_order, involution_matrix
 from crlab.isometry import Isometry
+from crlab.reference import alpha2_for_length
 from crlab.verify import FaceFamily
 from crlab.visual import (
     INF,
-    angle_between,
     VisualChart,
     angular_diameter,
-    induced_action,
-    is_inf,
-    line_spinal_crossings,
-    mobius_from_pairs,
     project_bisector,
-    silhouette_circle,
     silhouette_circles,
+    tangency_check,
+)
+
+from oracles import (
+    angle_between,
+    is_autopolar_triple,
+    line_spinal_crossings,
     slice_boundary_circle,
     spinal_samples,
-    tangency_check,
 )
 
 
@@ -37,7 +38,7 @@ def test_chart_marked_values_elliptic():
     ch, pts = ff.chart, ff.pts
     assert ch(pts.p_B) == pytest.approx(1.0, abs=1e-12)
     assert ch(pts.p_A) == pytest.approx(cmath.exp(-1j * beta), abs=1e-10)
-    assert is_inf(ch(pts.p_U_prime))
+    assert ch(pts.p_U_prime) == INF
     assert ch(pts.p_U_dprime) == pytest.approx(0.0, abs=1e-12)
     for k in range(1, 6):
         zk = ch(ff.U.power(k).apply(pts.p_B))
@@ -69,26 +70,36 @@ def test_chart_line_invariance():
 
 def test_chart_autopolar_convention():
     # with an auto-polar triple the second chart point goes to 0
-    from crlab.core import is_autopolar_triple
-
     ff = chart_at(alpha2_for_order(10))
     assert is_autopolar_triple(ff.pts.p_U, ff.pts.p_U_prime, ff.pts.p_U_dprime)
 
 
+# representatives of lines through the chart's base point, in general position
+CHART_SAMPLES = np.array([
+    [1.0, 0.3 + 0.1j, -0.2],
+    [0.1j, 1.0, 0.7],
+    [-0.5, 0.25j, 1.0],
+    [0.9, -0.6, 0.33 + 0.75j],
+    [0.2, 1.1j, -0.8 + 0.1j],
+])
+
+
 def test_induced_action_rotation_and_homothety():
-    ffe = chart_at(alpha2_for_order(12))
-    mob = induced_action(ffe.chart, ffe.U)
-    fac = mob.fixed_zero_inf_factor()
-    assert fac == pytest.approx(cmath.exp(2j * 2 * math.pi / 12), abs=1e-9)
-    ffl = chart_at(0.7)
-    mob2 = induced_action(ffl.chart, ffl.U)
-    assert mob2.fixed_zero_inf_factor() == pytest.approx(
-        math.exp(2 * ffl.side.length), abs=1e-8
-    )
-    # iterating the action reproduces the power images exactly
+    # U fixes the chart's 0 and infinity and acts on it as z -> m z: a
+    # rotation by 2 beta at order 12, a homothety by e^{2l} at 0.7
+    ffe, ffl = chart_at(alpha2_for_order(12)), chart_at(0.7)
+    assert ffe.chart_multiplier == pytest.approx(cmath.exp(2j * 2 * math.pi / 12), abs=1e-12)
+    assert ffl.chart_multiplier == pytest.approx(math.exp(2 * ffl.side.length), abs=1e-12)
+    for ff in (ffe, ffl):
+        ch, m, U = ff.chart, ff.chart_multiplier, ff.U.M
+        z = ch.values(CHART_SAMPLES)
+        assert np.abs(ch.values(CHART_SAMPLES @ U.T) - m * z).max() <= 1e-9 * np.abs(m * z).max()
+        assert ch(ff.U.apply(ff.pts.p_U_prime)) == INF
+        assert ch(ff.U.apply(ff.pts.p_U_dprime)) == pytest.approx(0.0, abs=1e-12)
+    # iterating the action reproduces the power images
     z = ffe.chart(ffe.pts.p_B)
     for k in range(1, 6):
-        z = mob(z)
+        z = ffe.chart_multiplier * z
         want = ffe.chart(ffe.U.power(k).apply(ffe.pts.p_B))
         assert abs(z - want) < 1e-9
 
@@ -97,26 +108,13 @@ def test_induced_action_involution_is_inversion():
     for a2 in (0.7, alpha2_for_order(9)):
         ff = chart_at(a2)
         I = Isometry(involution_matrix(a2), ff.space)
-        mob = induced_action(ff.chart, I)
         rng = np.random.default_rng(2)
-        for _ in range(6):
-            q = HVec(rng.normal(size=3) + 1j * rng.normal(size=3), ff.space)
-            z = ff.chart(q)
-            assert mob(z) * z == pytest.approx(1.0, abs=1e-8)
-
-
-def test_induced_action_requires_fixed_base():
-    ff = chart_at(0.7)
-    with pytest.raises(GeometryError):
-        induced_action(ff.chart, ff.rep.S)
-
-
-def test_mobius_from_pairs_and_infinity():
-    m = mobius_from_pairs([0.0, 1.0, INF], [1j, 2.0, -1.0])
-    assert m(0.0) == pytest.approx(1j)
-    assert m(1.0) == pytest.approx(2.0)
-    assert m(INF) == pytest.approx(-1.0)
-    assert is_inf(m.inv()(-1.0)) or abs(m.inv()(-1.0)) > 1e10
+        X = rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
+        z = ff.chart.values(X)
+        assert ff.chart.values(X @ I.M.T) * z == pytest.approx(np.ones(6), abs=1e-8)
+        # the chart's 0 and infinity swap
+        assert ff.chart(I.apply(ff.pts.p_U_prime)) == pytest.approx(0.0, abs=1e-12)
+        assert ff.chart(I.apply(ff.pts.p_U_dprime)) == INF
 
 
 def test_tangency_criterion_examples():
@@ -324,7 +322,7 @@ def test_silhouette_circle_matches_projected_boundary(alpha2):
     ff = chart_at(alpha2)
     bisectors = [ff.bisector_plus(0)] + [ff.bisector_minus(k) for k in (0, -1, -2, 1)]
     for b in bisectors:
-        sil = silhouette_circle(ff.chart, b)
+        (sil,) = silhouette_circles(ff.chart, [b])
         disk = project_bisector(ff.chart, b, n_boundary=512)
         centre, radius = _lstsq_circle(disk.boundary[np.isfinite(disk.boundary)])
         scale = max(abs(centre), radius)
@@ -335,19 +333,19 @@ def test_silhouette_circle_matches_projected_boundary(alpha2):
         assert (disk.circle.center, disk.circle.radius) == (sil.center, sil.radius)
         assert disk.circle.residual <= 1e-10 * scale
     # the batch is the circles one by one, to the bit
-    assert silhouette_circles(ff.chart, bisectors) == [silhouette_circle(ff.chart, b) for b in bisectors]
+    assert silhouette_circles(ff.chart, bisectors) == [silhouette_circles(ff.chart, [b])[0] for b in bisectors]
 
 
 @pytest.mark.parametrize("k", [0, 1, 7, 19])
 def test_project_bisector_shares_the_silhouette_slice(k):
     # the disk-projection bisectors (order 20, 768 boundary points): the
-    # circle is silhouette_circle's, field for field, and the boundary is the
+    # circle is silhouette_circles', field for field, and the boundary is the
     # chart image of slice_boundary_circle's points on the slice p - eps q
     ff = FaceFamily(alpha2_for_order(20), grid_n=256)
     for p in (ff.pts.p_V, ff.pts.p_W):
         b = classify_bisector(ff.pts.p_U, ff.u_power_point(k, p), ff.tol)
         disk = project_bisector(ff.chart, b, n_boundary=768, tol=ff.tol)
-        sil = silhouette_circle(ff.chart, b, ff.tol)
+        (sil,) = silhouette_circles(ff.chart, [b], ff.tol)
         assert (disk.circle.center, disk.circle.radius, disk.circle.eps, disk.circle.bounded) == (
             sil.center, sil.radius, sil.eps, sil.bounded
         )
@@ -367,24 +365,24 @@ def test_silhouette_circle_needs_a_real_pair_and_a_positive_pole(ball, siegel):
     fan = classify_bisector(p, HVec([-1.0, cmath.exp(0.35j), 0.0], siegel))
     assert fan.kind.value == "fan"
     with pytest.raises(GeometryError, match="real nonzero"):
-        silhouette_circle(chart(p, [1.0, 0, 0], [0, 0, 1.0]), fan)
+        silhouette_circles(chart(p, [1.0, 0, 0], [0, 0, 1.0]), [fan])
     # a Clifford cone of two orthogonal exterior points: <p, q> = 0
     p = HVec([1.0, 0, 0], ball)
     cone = classify_bisector(p, HVec([0, 1.0, 0], ball))
     assert cone.kind.value == "clifford-cone"
     with pytest.raises(GeometryError, match="real nonzero"):
-        silhouette_circle(chart(p, [0, 1.0, 0], [0, 0, 1.0]), cone)
+        silhouette_circles(chart(p, [0, 1.0, 0], [0, 0, 1.0]), [cone])
     # the fan of an interior point with its negated lift: the pole p - eps q is 0
     p = HVec([0, 0, 1.0], ball)
     fan = classify_bisector(p, HVec([0, 0, -1.0], ball))
     assert fan.kind.value == "fan"
     with pytest.raises(GeometryError, match="pole of norm"):
-        silhouette_circle(chart(p, [1.0, 0, 0], [0, 1.0, 0]), fan)
+        silhouette_circles(chart(p, [1.0, 0, 0], [0, 1.0, 0]), [fan])
     # a family bisector with a rephased second lift
     ff = chart_at(alpha2_for_order(9))
     b = classify_bisector(ff.pts.p_U, HVec(cmath.exp(0.3j) * ff.pts.p_V.v, ff.space))
     with pytest.raises(GeometryError, match="real nonzero"):
-        silhouette_circle(ff.chart, b)
+        silhouette_circles(ff.chart, [b])
 
 
 def test_chart_ratio_is_cross_ratio():
