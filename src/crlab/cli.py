@@ -70,8 +70,11 @@ def _bad_n_or_alpha2(n, alpha2) -> bool:
 
 
 def cmd_verify(args) -> int:
-    # --n decides the parameter when both are given; --alpha2 is then unread
-    if _bad_n_or_alpha2(args.n, args.alpha2 if args.n is None else None):
+    given = [flag for flag, value in (("--n", args.n), ("--alpha2", args.alpha2), ("--sweep", args.sweep)) if value is not None]
+    if len(given) > 1:
+        print(f"error: give only one of --n, --alpha2, --sweep (given: {', '.join(given)})", file=sys.stderr)
+        return 2
+    if _bad_n_or_alpha2(args.n, args.alpha2):
         return 2
     params = []
     if args.n is not None:

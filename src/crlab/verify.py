@@ -15,7 +15,8 @@ checked numerically:
 
 TF and LC read the Giraud tori of neighbouring faces one delta-column at a
 time, where every form is a sinusoid in sigma: each exclusion margin is an
-exact minimum over sigma (GiraudTorus.column_minima), sampled in delta.
+exact minimum over sigma, sampled in delta, and one GiraudTorus.column_minima
+call reads every column of a parameter (FaceFamily.torus_pass).
 
 Passing all three yields the Dehn-surgery verdict for the parameter:
 slope 1/(n-3) on the elliptic side of order n >= 9, slope -1/3 on the
@@ -32,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import GeometryError, HVec, inner, proj_distance, tolerance
+from .core import GeometryError, HVec, inner, tolerance
 from .isometry import Isometry
 from .family import (
     FamilyParams,
@@ -47,7 +48,9 @@ from .bisector import (
     GiraudTorus,
     SymmetricKind,
     classify_bisector,
+    giraud_circle_tangents,
     symmetric_intersection_type,
+    vertex_angles,
 )
 from .visual import (
     Silhouette,
@@ -179,9 +182,9 @@ class FaceFamily:
         self.U = self.rep.U
         self.I = Isometry(involution_matrix(self.alpha2), self.space)
         self.chart = self._oriented_chart()
-        pts, Ui = self.pts, self.U.inv()
-        self.U_pA, self.Ui_pB = self.U.apply(pts.p_A), Ui.apply(pts.p_B)
-        self.U_pV, self.Ui_pW = self.U.apply(pts.p_V), Ui.apply(pts.p_W)
+        pts, self.Ui = self.pts, self.U.inv()
+        self.U_pA, self.Ui_pB = self.U.apply(pts.p_A), self.Ui.apply(pts.p_B)
+        self.U_pV, self.Ui_pW = self.U.apply(pts.p_V), self.Ui.apply(pts.p_W)
         self._bisectors = {}
 
     def _oriented_chart(self):
@@ -284,10 +287,15 @@ class FaceFamily:
         return self._torus("p_V", "p_W"), self._torus("p_V", "Ui_pW")
 
     @cached_property
-    def exclusion_minus(self) -> tuple[float, list[float]]:
-        """`_torus_exclusion` of p_V on `torus_minus` at p_A and p_B, which
-        TF records as torus_exclusion and LC as faces_minus_minus."""
-        return _torus_exclusion(self, self.torus_minus, self.pts.p_V, (self.pts.p_A, self.pts.p_B))
+    def torus_pass(self) -> tuple[list, np.ndarray]:
+        """`_torus_exclusion` of p_V on `torus_minus` at p_A and p_B (TF, LC)
+        and of p_W on `torus_plus` at p_B and U p_A (LC), and TF's whole
+        complex-line columns of `torus_minus`: the minima of -|<lpole, z>|^2
+        at delta0 and of |<lpole, z>|^2 at delta0 + pi/2."""
+        pts, tm, s = self.pts, self.torus_minus, math.sin(self.alpha2)
+        d0, lpole, zero = delta0(self.alpha2), np.array([s, -1j * math.sqrt(2.0) / 2.0, -s]), np.zeros(3)
+        passes = [(tm, pts.p_V, (pts.p_A, pts.p_B)), (self.torus_plus, pts.p_W, (pts.p_B, self.U_pA))]
+        return _torus_exclusion(self, passes, [(tm, [d0], zero, lpole, False), (tm, [d0 + math.pi / 2.0], lpole, zero, False)])
 
     @cached_property
     def criterion_tangencies(self) -> tuple[bool, bool]:
@@ -308,43 +316,37 @@ def delta0(alpha2: float) -> float:
 # small shared helpers
 
 
-def _vertex_angles(torus: GiraudTorus, target: HVec):
-    """(theta, phi) of the torus point at the vertex `target`: a torus point
-    is J-orthogonal to both factors q - e^{i th} p and r - e^{i ph} p, so
-    e^{-i th} = <q,t>/<p,t> and e^{-i ph} = <r,t>/<p,t>."""
-    pt = inner(torus.p, target)
-    return -cmath.phase(inner(torus.q, target) / pt), -cmath.phase(inner(torus.r, target) / pt)
-
-
-def _torus_exclusion(ff: FaceFamily, torus: GiraudTorus, neg: HVec, vertices) -> tuple[float, list[float]]:
-    """(margin, vertex residuals) of the claim that on the ball part of
-    `torus` |<z, p_U>| <= |<z, neg>| holds only at the two `vertices`.
-
-    Both vertices lie on the delta-column delta_v = (theta - phi) / 2 mod pi
-    (`_vertex_angles`), at the two ends of its ball arc, where the contact
-    is of second order.  The margin is the exact minimum of |<p_U, z>|^2 -
-    |<neg, z>|^2, z unit, on the arcs of m columns delta_v + (k + 1/2) pi / m
-    (`GiraudTorus.column_minima`), over sin^2(delta - delta_v); a vertex's
-    residual is its distance (`proj_distance`) to the nearer end of the
-    delta_v arc, all four from one array.  Exact in sigma, sampled in delta,
-    with m = grid_n // 2."""
-    m = ff.grid_n // 2
-    theta, phi = _vertex_angles(torus, vertices[0])
-    dv = ((theta - phi) / 2.0) % math.pi
+def _torus_exclusion(ff: FaceFamily, passes, blocks) -> tuple[list, np.ndarray]:
+    """([(margin, vertex residuals)] per pass (torus, neg, vertices), and the
+    minima of the further column `blocks`): a pass is the claim that on the
+    ball part of `torus` |<z, p_U>| <= |<z, neg>| holds only at the two
+    `vertices`.  Both vertices lie on the delta-column delta_v = (theta -
+    phi) / 2 mod pi (`vertex_angles`), at the two ends of its ball arc,
+    where the contact is of second order.  The margin is the exact minimum
+    of |<p_U, z>|^2 - |<neg, z>|^2, z unit, on the arcs of m columns delta_v
+    + (k + 1/2) pi / m, over sin^2(delta - delta_v); a vertex's residual is
+    its distance (`proj_distance`) to the nearer end of the delta_v arc.
+    One `GiraudTorus.column_minima` call reads these columns, each delta_v
+    column as a block alone, and `blocks`.  Exact in sigma, sampled in delta,
+    m = grid_n // 2; about 0.55 ms at grid 720 with TF's two reads."""
+    m, k = ff.grid_n // 2, len(passes)
     offsets = (np.arange(m) + 0.5) * (math.pi / m)
-    minima = torus.column_minima(dv + offsets, ff.pts.p_U.v, neg.v)
-    (mid,), (half,) = torus.ball_arcs([dv])
-    resids = [math.inf, math.inf]
-    if not math.isnan(half):
-        s = mid + np.array([-half, half])
-        ends = torus.vectors(s + dv, s - dv)
-        ends /= np.linalg.norm(ends, axis=1, keepdims=True)
-        t = np.array([x.v for x in vertices])
-        t /= np.linalg.norm(t, axis=1, keepdims=True)
-        # [vertex, end]: each end less its projection on the vertex
-        d = ends - (t.conj() @ ends.T)[:, :, None] * t[:, None]
-        resids = np.linalg.norm(d, axis=-1).min(axis=1).tolist()
-    return float((minima / np.sin(offsets) ** 2).min()), resids
+    dvs = np.array([((th - ph) / 2.0) % math.pi for th, ph in vertex_angles([(t, v[0]) for t, _, v in passes])])
+    # the passes' columns, then each delta_v column alone, then `blocks`
+    cols = [[(t, d, ff.pts.p_U.v, neg.v, True) for (t, neg, _), d in zip(passes, ds)] for ds in (dvs[:, None] + offsets, dvs[:, None])]
+    (torus, *block), *more = cols[0] + cols[1] + blocks
+    minima, mid, half = torus.column_minima(*block, more=more)
+    margins = (minima[: k * m].reshape(k, m) / np.sin(offsets) ** 2).min(axis=1)
+    mid, half = mid[k * m : k * m + k, None], half[k * m : k * m + k, None]
+    s, dv = mid + half * [-1.0, 1.0], dvs[:, None]
+    # per pass: the two arc ends, then the two vertices, as unit vectors
+    x = np.array([[*t.vectors(a, b), *(y.v for y in vs)] for (t, _, vs), a, b in zip(passes, s + dv, s - dv)])
+    x /= np.linalg.norm(x, axis=-1, keepdims=True)
+    ends, t = x[:, :2], x[:, 2:]
+    # [pass, vertex, end]: each end less its projection on the vertex
+    d = ends[:, None] - (t.conj() @ ends.transpose(0, 2, 1))[..., None] * t[:, :, None]
+    resids = np.where(np.isnan(half), math.inf, np.linalg.norm(d, axis=-1).min(axis=-1))
+    return [(float(a), r) for a, r in zip(margins, resids.tolist())], minima[k * m + k :]
 
 
 def _record_exclusion(ff: FaceFamily, res: CheckResult, key: str, exclusion, names) -> bool:
@@ -381,7 +383,7 @@ def incidence_check(ff: FaceFamily) -> CheckResult:
     # U^-1 p_B, U p_B) and the bisectors' second points w (columns: p_U, p_V,
     # p_W, U^-1 p_V, U^-1 p_W, U p_V), as one Gram product
     rows = np.array([x.v for x in (pts.p_A, pts.p_B, ff.U_pA, ff.Ui_pB, U_pB)])
-    cols = np.array([x.v for x in (pts.p_U, pts.p_V, pts.p_W, U.inv().apply(pts.p_V), ff.Ui_pW, ff.U_pV)])
+    cols = np.array([x.v for x in (pts.p_U, pts.p_V, pts.p_W, ff.Ui.apply(pts.p_V), ff.Ui_pW, ff.U_pV)])
     G = np.abs(sp.inner_grid(rows, cols)).T
     units = np.concatenate([G[0, :5], G[1, [0, 1, 2, 5, 4]]])
     res.residuals["max_modulus_deviation"] = float(np.abs(units - 1.0).max())
@@ -464,7 +466,8 @@ def tf_check(ff: FaceFamily) -> CheckResult:
     torus = ff.torus_minus
     d0 = delta0(a2)
     names = ("vertex_pA_distance", "vertex_pB_distance")
-    passed_c = _record_exclusion(ff, res, "torus_exclusion", ff.exclusion_minus, names)
+    (minus, _), lines = ff.torus_pass
+    passed_c = _record_exclusion(ff, res, "torus_exclusion", minus, names)
 
     # derivative factorization: d h / d sigma = -12 sin(sigma) (2 cos(2 a2 - d) - cos d)
     # for the norm rescaled by the common 2 cos^2 a2 factor of the box products;
@@ -479,11 +482,8 @@ def tf_check(ff: FaceFamily) -> CheckResult:
 
     # complex-line locus on the torus sits at delta = delta0 mod pi: the
     # largest |<z, lpole>| on the whole column at delta0 and the least at
-    # delta0 + pi/2, in closed form
-    lpole = np.array([sin_a2, -1j * math.sqrt(2.0) / 2.0, -sin_a2])
-    zero = np.zeros(3)
-    col_d0 = math.sqrt(max(0.0, -torus.column_minima([d0], zero, lpole, ball=False)[0]))
-    col_mid = math.sqrt(max(0.0, torus.column_minima([d0 + math.pi / 2.0], lpole, zero, ball=False)[0]))
+    # delta0 + pi/2, in closed form (`FaceFamily.torus_pass`)
+    col_d0, col_mid = math.sqrt(max(0.0, -lines[0])), math.sqrt(max(0.0, lines[1]))
     res.residuals["cline_locus_at_delta0"] = col_d0
     res.margins["cline_locus_off_delta0"] = col_mid
 
@@ -515,45 +515,17 @@ def tf_check(ff: FaceFamily) -> CheckResult:
     return res
 
 
-def _giraud_circle_tangent_at(torus: GiraudTorus, target: HVec):
-    """Affine-chart velocity of the Giraud circle `torus` at the vertex
-    `target`; returns (velocity, lift, dist), where dist is the projective
-    distance to `target` from the torus point at its `_vertex_angles`."""
-    th, ph = _vertex_angles(torus, target)
-    v = torus.vectors(th, ph)
-    d = proj_distance(HVec(v, torus.space), target)
-    dvth = 1j * cmath.exp(-1j * th) * torus.pr
-    dvph = 1j * cmath.exp(-1j * ph) * torus.qp
-    vJ = v.conj() @ torus.space.J
-    gth, gph = 2.0 * (vJ @ dvth).real, 2.0 * (vJ @ dvph).real
-    # curve tangent in parameter space is orthogonal to the norm gradient
-    w = dvth * (-gph) + dvph * gth
-    # velocity in the affine chart that pins the relative lift scale
-    j0 = int(np.argmax(np.abs(target.v)))
-    what = (w * v[j0] - v * w[j0]) / (v[j0] ** 2)
-    return what[np.arange(3) != j0], v, d
-
-
 def _bitangency(circles, targets):
-    """Tangent-direction agreement of the two Giraud circles bounding the
-    first face (`FaceFamily.giraud_circles`) at both shared ideal vertices,
-    compared as real lines in an affine chart."""
-    circle1, circle2 = circles
-    resids = []
-    notes = []
-    for target in targets:
-        w1, _, d1 = _giraud_circle_tangent_at(circle1, target)
-        w2, _, d2 = _giraud_circle_tangent_at(circle2, target)
-        if max(d1, d2) > 1e-5:
-            resids.append(math.inf)
-            notes.append(f"vertex location failed (dist {max(d1, d2):.2e})")
-            continue
-        r1 = np.concatenate([w1.real, w1.imag])
-        r2 = np.concatenate([w2.real, w2.imag])
-        r1 /= np.linalg.norm(r1)
-        r2 /= np.linalg.norm(r2)
-        resids.append(float(math.sqrt(max(0.0, 1.0 - (r1 @ r2) ** 2))))
-    return resids, notes
+    """Tangent-direction agreement of the Giraud circles bounding the first
+    face (`FaceFamily.giraud_circles`) at both shared ideal vertices, as real
+    lines in an affine chart, from one `giraud_circle_tangents` evaluation."""
+    w, _, dist = giraud_circle_tangents([(c, t) for t in targets for c in circles])
+    r = np.concatenate([w.real, w.imag], axis=1).reshape(len(targets), 2, 4)
+    r /= np.linalg.norm(r, axis=-1, keepdims=True)
+    resids = np.sqrt(np.maximum(0.0, 1.0 - (r[:, 0] * r[:, 1]).sum(axis=-1) ** 2)).tolist()
+    dist = dist.reshape(-1, 2).max(axis=1)
+    notes = [f"vertex location failed (dist {d:.2e})" for d in dist if d > 1e-5]
+    return [math.inf if d > 1e-5 else r for r, d in zip(resids, dist)], notes
 
 
 # ---------------------------------------------------------------------------
@@ -588,10 +560,10 @@ def lc_check(ff: FaceFamily) -> CheckResult:
     # pair lies in the set of the constraint both faces share, |<z,p_U>| <=
     # |<z,p_V>| (TF's torus_exclusion pass) and <= |<z,p_W>|, so it suffices
     # that this set meets the torus's ball part only at the two vertices
+    (minus, plus), _ = ff.torus_pass
     mm_names = ("faces_minus_minus_vertex_pA", "faces_minus_minus_vertex_pB")
-    ok_mm = _record_exclusion(ff, res, "faces_minus_minus", ff.exclusion_minus, mm_names)
+    ok_mm = _record_exclusion(ff, res, "faces_minus_minus", minus, mm_names)
     pp_names = ("faces_plus_plus_vertex_pB", "faces_plus_plus_vertex_UpA")
-    plus = _torus_exclusion(ff, ff.torus_plus, pts.p_W, (pts.p_B, ff.U_pA))
     ok_pp = _record_exclusion(ff, res, "faces_plus_plus", plus, pp_names)
 
     # fan parameter: the singular focus must sit strictly inside the

@@ -2,9 +2,9 @@
 
 None of these is on a program path, and none is imported by `crlab`:
 
-- `envelope_minima`, the multi-constraint envelope of which `verify` and
-  the figures read one constraint per Giraud-torus column
-  (`GiraudTorus.column_minima`);
+- `envelope_minima`, the multi-constraint envelope of which `verify` reads
+  one constraint per Giraud-torus column (`GiraudTorus.column_minima`),
+  the per-torus ball arcs `ball_arcs` it reads, and torus points `point`;
 - the grid oracle of the symmetric trichotomy (`periodic_components`,
   `count_sublevel_components`, `brute_force_symmetric_kind`), which the
   program decides in closed form (`symmetric_intersection_type`);
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from crlab.bisector import Bisector, BisectorKind, SymmetricKind, _harmonic_roots, _ratio_critical, level_g
+from crlab.bisector import Bisector, BisectorKind, SymmetricKind, _arcs, _harmonic_roots, _ratio_critical, level_g
 from crlab.core import GeometryError, HVec, Location, inner, locate, tolerance
 from crlab.visual import _circle_points, _null_circles, _polar_basis
 
@@ -32,10 +32,24 @@ TORUS_GRID_DEFAULT = 720
 TORUS_REFINE_FACTOR = 4
 
 
+def point(torus, theta: float, phi: float) -> HVec:
+    """The torus point at (theta, phi) as an HVec."""
+    return HVec(torus.vectors(theta, phi), torus.space)
+
+
+def ball_arcs(torus, deltas):
+    """(mid, half) per delta-column of `torus`: the form <V, V> = A - 2 |C|
+    cos(sigma - arg C) (`GiraudTorus.norm_terms`) is <= 0 exactly on the arc
+    mid +- half, mid = arg C and half = arccos(A / 2|C|).  half is pi where
+    the whole column is in the ball (A <= -2|C|, which covers C = 0 with
+    A <= 0) and nan where no point is (A > 2|C|)."""
+    return _arcs(*torus.norm_terms(deltas))
+
+
 def envelope_minima(torus, deltas, pos, negs, ball=True):
     """Per delta-column, the exact minimum over sigma of max_i E_i / |V|^2
     with E_i = |<pos, V>|^2 - |<neg_i, V>|^2, for coordinate vectors pos and
-    neg_i: over the column's ball arc (`GiraudTorus.ball_arcs`), or over the
+    neg_i: over the column's ball arc (`ball_arcs`), or over the
     whole column when ball is False; inf where the arc is empty.
 
     In a column every E_i and |V|^2 is a sinusoid k + p cos(sigma) + q
@@ -50,7 +64,7 @@ def envelope_minima(torus, deltas, pos, negs, ball=True):
     den, top = np.array(den), np.array(top)
     nums = [top - np.array(e) for e in rest]
     if ball:
-        mid, half = torus.ball_arcs(deltas)
+        mid, half = ball_arcs(torus, deltas)
     else:
         mid, half = np.zeros(len(deltas)), np.full(len(deltas), math.pi)
     roots = [r for e in nums for r in _harmonic_roots(*_ratio_critical(e, den))]

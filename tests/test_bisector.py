@@ -15,17 +15,20 @@ from crlab.bisector import (
     classify_pair,
     level_g,
     symmetric_intersection_type,
+    vertex_angles,
 )
-from crlab.family import FamilyParams, alpha2_for_order, remarkable_points
-from crlab.reference import ball_model
-from crlab.verify import FaceFamily, _vertex_angles, delta0
+from crlab.family import ALPHA2_LIM, FamilyParams, alpha2_for_order, remarkable_points
+from crlab.reference import alpha2_for_length, ball_model
+from crlab.verify import FaceFamily, delta0
 
 from oracles import (
+    ball_arcs,
     brute_force_symmetric_kind,
     count_sublevel_components,
     envelope_minima,
     membership,
     periodic_components,
+    point,
     real_spine_endpoints,
     slice_boundary_circle,
 )
@@ -126,7 +129,7 @@ def test_giraud_torus_samples_on_both_extors(rep07, pts07):
     gt = GiraudTorus(pts07.p_U, pts07.p_V, pts07.p_W)
     rng = np.random.default_rng(5)
     for _ in range(30):
-        pt = gt.point(float(rng.uniform(0, 2 * math.pi)), float(rng.uniform(0, 2 * math.pi)))
+        pt = point(gt, float(rng.uniform(0, 2 * math.pi)), float(rng.uniform(0, 2 * math.pi)))
         assert membership(pt, gt.bis1).on_extor
         assert membership(pt, gt.bis2).on_extor
 
@@ -151,9 +154,9 @@ def test_symmetric_norm_formula(rep07, pts07):
         th, ph = rng.uniform(0, 2 * math.pi, 2)
         g = math.cos(th) + math.cos(ph) + math.cos(ph - th)
         want = 2.0 * k * (1.5 * si.u + g)
-        assert gt.point(th, ph).norm() == pytest.approx(want, abs=1e-9 * max(1, abs(want)))
+        assert point(gt, th, ph).norm() == pytest.approx(want, abs=1e-9 * max(1, abs(want)))
     # the zero-angle point is the midpoint-slice point at level 3
-    p0 = gt.point(0.0, 0.0)
+    p0 = point(gt, 0.0, 0.0)
     assert p0.norm() == pytest.approx(2.0 * k * (1.5 * si.u + 3.0), abs=1e-10)
     mid = box(HVec(q.v - p.v, p.space), HVec(r.v - p.v, p.space))
     assert proj_distance(p0, mid) < 1e-10
@@ -370,7 +373,7 @@ def test_ball_cells_match_dense_form(n):
     for torus, _, _, deltas in _ball_tori(n):
         sigmas = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)[:, None]
         form = torus.space.norm_grid(torus.vectors(sigmas + deltas, sigmas - deltas))
-        mid, half = torus.ball_arcs(deltas)
+        mid, half = ball_arcs(torus, deltas)
         t = np.remainder(sigmas - mid + math.pi, 2.0 * math.pi) - math.pi
         A, C = torus.norm_terms(deltas)
         clear = np.abs(form) > 1e-10 * (np.abs(A) + 2.0 * np.abs(C))
@@ -384,7 +387,7 @@ def test_ball_sinusoids_match_ball_points(n):
     # oracle: 4001 torus points on each column's ball arc, ends included,
     # and 4001 on the whole column, built explicitly
     for torus, pos, negs, deltas in _ball_tori(n):
-        mid, half = torus.ball_arcs(deltas)
+        mid, half = ball_arcs(torus, deltas)
         got = envelope_minima(torus, deltas, pos, negs)
         empty = np.isnan(half)
         assert np.array_equal(np.isinf(got), empty) and not empty.all()
@@ -405,8 +408,49 @@ def test_column_minima_is_the_envelope_of_one_constraint(n):
     # whole columns
     for torus, pos, negs, deltas in _ball_tori(n):
         for neg, ball in zip(negs, (True, False, True)):
-            got = torus.column_minima(deltas, pos, neg, ball=ball)
+            got = torus.column_minima(deltas, pos, neg, ball=ball)[0]
             assert np.array_equal(got, envelope_minima(torus, deltas, pos, [neg], ball=ball))
+
+
+# the parameters of the benchmark's verify-params workload: orders 9, 6 and
+# 56, the unipotent wall and a loxodromic length
+VERIFY_PARAMS = [alpha2_for_order(9), alpha2_for_order(6), alpha2_for_order(56), ALPHA2_LIM, alpha2_for_length(1.0)]
+
+
+@pytest.mark.parametrize("alpha2, n", [(a, n) for a in VERIFY_PARAMS for n in (64, 720)] + [(1.569, 64)])
+def test_stacked_column_minima_equal_each_block_alone(alpha2, n):
+    # a stack of column blocks from both tori, ball and whole-column blocks,
+    # reads every column with the bits of its block alone (the batch of
+    # one) and of the oracle's envelope of one constraint; at alpha2 1.569
+    # and grid 64 no pass column meets the ball, so every one reads inf
+    ff = FaceFamily(alpha2, grid_n=n)
+    pts, tm, tp = ff.pts, ff.torus_minus, ff.torus_plus
+    m = n // 2
+    offsets = (np.arange(m) + 0.5) * (math.pi / m)
+    dvs = [((th - ph) / 2.0) % math.pi for th, ph in vertex_angles([(tm, pts.p_A), (tp, pts.p_B)])]
+    s, d0 = math.sin(alpha2), delta0(alpha2)
+    lpole, zero = np.array([s, -1j * math.sqrt(2.0) / 2.0, -s]), np.zeros(3)
+    passes = [(tm, dvs[0], pts.p_V.v), (tp, dvs[1], pts.p_W.v)]
+    ball = [(t, dv + offsets, pts.p_U.v, neg, True) for t, dv, neg in passes]
+    single = [(t, [dv], pts.p_U.v, neg, True) for t, dv, neg in passes]
+    lines = [(tm, [d0], zero, lpole, False), (tm, [d0 + math.pi / 2.0], lpole, zero, False)]
+    stacks = [single[:1], single[:1] + lines[:1], ball[:1] + single[:1] + lines[1:], ball + single + lines]
+    assert [sum(len(b[1]) for b in stack) for stack in stacks] == [1, 2, m + 2, 2 * m + 4]
+    for stack in stacks:
+        (torus, *block), *more = stack
+        got = torus.column_minima(*block, more=more)
+        alone = [b[0].column_minima(*b[1:]) for b in stack]
+        for g, want in zip(got, zip(*alone)):
+            assert np.array_equal(g, np.concatenate(want), equal_nan=True)
+        oracle = [envelope_minima(t, d, pos, [neg], ball=b) for t, d, pos, neg, b in stack]
+        assert np.array_equal(got[0], np.concatenate(oracle))
+        whole = np.concatenate([[not b[4]] * len(b[1]) for b in stack])
+        assert (got[1][whole] == 0.0).all() and (got[2][whole] == math.pi).all()
+    # an empty arc reads inf, and only an empty arc
+    minima, _, half = got
+    assert np.isinf(minima).any() and np.array_equal(np.isinf(minima), np.isnan(half))
+    if alpha2 == 1.569:
+        assert np.isinf(minima[: 2 * m]).all()
 
 
 class _Columns(GiraudTorus):
@@ -436,7 +480,7 @@ def test_ball_cells_of_synthetic_columns(n):
     A[6] = 0.0  # half the column
     torus = _Columns(ff.torus_minus, A, C)
     deltas = np.linspace(0.2, 3.0, len(C))
-    mid, half = torus.ball_arcs(deltas)
+    mid, half = ball_arcs(torus, deltas)
     assert np.isnan(half[:2]).all()
     assert list(half[2:]) == [math.pi, math.pi, 0.0, math.pi, pytest.approx(math.pi / 2)]
     assert mid[4] == pytest.approx(2.0 * math.pi * 5 / n)
@@ -460,10 +504,10 @@ def test_vertex_arc_ends_are_the_vertices(alpha2):
     pts, U = ff.pts, ff.U
     torus_pp = GiraudTorus(pts.p_U, pts.p_V, U.apply(pts.p_V), ff.tol)
     for torus, vertices in ((ff.torus_minus, (pts.p_A, pts.p_B)), (torus_pp, (pts.p_B, U.apply(pts.p_A)))):
-        (th1, ph1), (th2, ph2) = (_vertex_angles(torus, t) for t in vertices)
+        (th1, ph1), (th2, ph2) = vertex_angles([(torus, t) for t in vertices])
         dv = (th1 - ph1) / 2.0
         assert abs(math.remainder((th2 - ph2) / 2.0 - dv, math.pi)) <= 1e-12
-        (mid,), (half,) = torus.ball_arcs([dv])
-        ends = [torus.point(s + dv, s - dv) for s in (mid - half, mid + half)]
+        (mid,), (half,) = ball_arcs(torus, [dv])
+        ends = [point(torus, s + dv, s - dv) for s in (mid - half, mid + half)]
         dist = np.array([[proj_distance(e, t) for e in ends] for t in vertices])
         assert max(dist[0, 0], dist[1, 1]) <= 1e-12 or max(dist[0, 1], dist[1, 0]) <= 1e-12

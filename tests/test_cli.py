@@ -57,6 +57,24 @@ def test_usage_errors():
     assert run_cli(["verify", "--alpha2", "0.5", "--tol", "1.0"])[0] == 2
 
 
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--n", "9", "--alpha2", "5", "--sweep", "x"], "--n, --alpha2, --sweep"),
+        (["--n", "9", "--alpha2", "0.5"], "--n, --alpha2"),
+        (["--alpha2", "0.5", "--sweep", "0.6:0.9:0.1"], "--alpha2, --sweep"),
+        (["--n", "9", "--sweep", "0.6:0.9:0.1"], "--n, --sweep"),
+    ],
+)
+def test_verify_takes_one_parameter_source(flags, named, tmp_path):
+    # more than one of --n, --alpha2, --sweep is a usage error that names
+    # them; no parameter is verified and no report is written
+    code, out, err = run_cli(["verify", *flags, "--grid", "64", "--out", str(tmp_path)])
+    assert code == 2 and out == ""
+    assert err == f"error: give only one of --n, --alpha2, --sweep (given: {named})\n"
+    assert os.listdir(tmp_path) == []
+
+
 def test_classify_word(tmp_path):
     code, out, _ = run_cli(["classify", "--word", "st", "--alpha2", "0.7"])
     assert code == 0

@@ -139,6 +139,13 @@ def test_every_top_level_def_is_reached_from_the_program():
     assert unreached_defs(SRC) == []
 
 
+def test_torus_and_family_methods_are_named_by_the_program():
+    # each method of GiraudTorus and FaceFamily, dunders aside, is named as
+    # an attribute somewhere in the program outside its own body; a helper
+    # that only the tests run belongs in tests/oracles.py
+    assert unnamed_methods(SRC, {"bisector": "GiraudTorus", "verify": "FaceFamily"}) == []
+
+
 def test_no_program_module_imports_reference():
     found = []
     for path in sorted(SRC.glob("*.py")):
@@ -209,6 +216,24 @@ def unreached_defs(src: pathlib.Path) -> list[str]:
             reached.add(key)
             todo += uses(key[0], defs[key])
     return sorted(f"{mod}.{name}" for mod, name in defs if (mod, name) not in reached)
+
+
+def unnamed_methods(src: pathlib.Path, classes: dict) -> list[str]:
+    """"Class.method" of each method of the classes ({module: class name})
+    that no `.method` attribute in the program modules under src names,
+    outside the method's own body; dunder methods are left out."""
+    trees = {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(src.glob("*.py")) if p.stem not in NOT_PROGRAM}
+    attrs = [n for tree in trees.values() for n in ast.walk(tree) if isinstance(n, ast.Attribute)]
+    found = []
+    for mod, name in classes.items():
+        (cls,) = [n for n in trees[mod].body if isinstance(n, ast.ClassDef) and n.name == name]
+        for fn in cls.body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("__"):
+                continue
+            own = {id(n) for n in ast.walk(fn)}
+            if not any(a.attr == fn.name and id(a) not in own for a in attrs):
+                found.append(f"{name}.{fn.name}")
+    return found
 
 
 def _is_object_dtype(node) -> bool:

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from crlab.bisector import GiraudTorus, classify_bisector
+from crlab.bisector import GiraudTorus, classify_bisector, giraud_circle_tangents
 from crlab.core import HVec, inner, proj_distance
 from crlab.family import ALPHA2_LIM, alpha2_for_order
 from crlab.isometry import Isometry
@@ -17,7 +17,6 @@ from crlab.reference import alpha2_for_length
 from crlab.visual import angular_diameter
 from crlab.verify import (
     _cone_separation,
-    _giraud_circle_tangent_at,
     CheckResult,
     FaceFamily,
     RPLANE_SAMPLES,
@@ -577,9 +576,9 @@ def test_vertex_location_closed_form(alpha2):
     pts = ff.pts
     for r in (pts.p_W, ff.U.inv().apply(pts.p_W)):
         circle = GiraudTorus(pts.p_U, pts.p_V, r, ff.tol)
-        for target in (pts.p_A, pts.p_B):
-            _, lift, d = _giraud_circle_tangent_at(circle, target)
-            assert d <= 1e-12
+        _, lifts, dist = giraud_circle_tangents([(circle, t) for t in (pts.p_A, pts.p_B)])
+        assert dist.max() <= 1e-12
+        for lift, target in zip(lifts, (pts.p_A, pts.p_B)):
             assert proj_distance(HVec(lift, ff.space), target) <= 1e-12
 
 
@@ -717,16 +716,19 @@ def test_lc_common_constraint_matches_the_three_constraint_envelope(alpha2, grid
 
 @pytest.mark.parametrize("alpha2", [alpha2_for_order(9), alpha2_for_length(1.0)])
 def test_verify_runs_one_exclusion_pass_per_torus(alpha2, monkeypatch):
-    # TF's torus_exclusion and LC's faces_minus_minus share one pass over
-    # the J_0^-/J_-1^- torus, and each pass reads a single constraint; TF
-    # and GC share the two criterion tangencies
+    # one stacked column call per verify: TF's torus_exclusion and LC's
+    # faces_minus_minus share the pass over the J_0^-/J_-1^- torus, LC's
+    # faces_plus_plus is the second pass, then come each pass's delta_v
+    # column alone and TF's two complex-line reads, whole-column blocks of
+    # one column each; every block reads a single constraint, and TF and GC
+    # share the two criterion tangencies
     module = importlib.import_module("crlab.verify")
-    minima, tangencies = [], []
+    calls, tangencies = [], []
     column_minima, tangency_check = GiraudTorus.column_minima, module.tangency_check
 
-    def counted_minima(self, deltas, pos, neg, ball=True):
-        minima.append((ball, np.shape(neg)))
-        return column_minima(self, deltas, pos, neg, ball)
+    def counted_minima(self, deltas, pos, neg, ball=True, more=()):
+        calls.append([(b, len(d), np.shape(w)) for _, d, _, w, b in [(self, deltas, pos, neg, ball), *more]])
+        return column_minima(self, deltas, pos, neg, ball, more)
 
     def counted_tangency(*args):
         tangencies.append(args)
@@ -736,15 +738,17 @@ def test_verify_runs_one_exclusion_pass_per_torus(alpha2, monkeypatch):
     monkeypatch.setattr(module, "tangency_check", counted_tangency)
     rep = verify(alpha2, grid_n=720)
     assert rep.all_passed()
-    assert sum(ball for ball, _ in minima) == 2
-    assert all(shape == (3,) for _, shape in minima)
+    (blocks,) = calls
+    assert [(ball, n) for ball, n, _ in blocks] == [(True, 360), (True, 360), (True, 1), (True, 1), (False, 1), (False, 1)]
+    assert all(shape == (3,) for *_, shape in blocks)
     assert len(tangencies) == 2
 
 
-# scalar core.inner calls of verify(alpha2, grid_n=720): 97 at order 9 and 82
-# at length 1.0 when the bound was set, under half of the 229 and 214 made
-# when every bisector and torus was built per use and incidence looped
-INNER_CALLS_BOUND = 97
+# scalar core.inner calls of verify(alpha2, grid_n=720): 79 at order 9 and 64
+# at length 1.0 since the vertex angles of the exclusion passes and of the
+# bi-tangency come from Gram arrays (97 and 82 before; 229 and 214 when every
+# bisector and torus was built per use and incidence looped)
+INNER_CALLS_BOUND = 79
 
 
 @pytest.mark.parametrize("alpha2", [alpha2_for_order(9), alpha2_for_length(1.0)])
