@@ -96,7 +96,8 @@ def classify_pair(b1: Bisector, b2: Bisector, tol=None) -> ExtorPairKind:
 
 
 class GiraudTorus:
-    """The intersection torus of the coequidistant extors E(p,q), E(p,r).
+    """The intersection torus of the coequidistant extors E(p,q), E(p,r),
+    built from their two bisectors (`classify_bisector`).
 
     Points are [(q - e^{i theta} p) box (r - e^{i phi} p)], expanded as
     qr - e^{-i theta} pr - e^{-i phi} qp in the precomputed box products
@@ -108,22 +109,12 @@ class GiraudTorus:
     a (sigma, delta) grid.
     """
 
-    def __init__(self, p: HVec, q: HVec, r: HVec, tol=None):
-        tol = tolerance(tol)
-        self._pair(classify_bisector(p, q, tol), classify_bisector(p, r, tol), tol)
-
-    @classmethod
-    def from_bisectors(cls, b1: Bisector, b2: Bisector, tol=None) -> "GiraudTorus":
+    def __init__(self, b1: Bisector, b2: Bisector, tol=None):
         """The torus of E(p, q) and E(p, r) from their classified bisectors
         b1 = (p, q) and b2 = (p, r), which are not classified again."""
         if b1.p is not b2.p and not np.array_equal(b1.p.v, b2.p.v):
             raise GeometryError("the bisectors of a torus need a common first lift")
-        torus = cls.__new__(cls)
-        torus._pair(b1, b2, tolerance(tol))
-        return torus
-
-    def _pair(self, b1: Bisector, b2: Bisector, tol):
-        kind = classify_pair(b1, b2, tol)
+        kind = classify_pair(b1, b2, tolerance(tol))
         if kind is not ExtorPairKind.UNBALANCED:
             raise GeometryError(f"pair is {kind.value}; torus needs an unbalanced pair")
         self.p, self.q, self.r = b1.p, b1.q, b2.q
@@ -169,7 +160,8 @@ class GiraudTorus:
         with its torus's rows qr, pr, qp and its pos, neg keep the shapes of
         the block alone, and every other stage runs once, elementwise, on the
         stack, so a column's minimum has the same bits in any stack.  verify's
-        call (six blocks, 724 columns at grid 720) takes about 0.4 ms.
+        call, through `torus_exclusion` (six blocks, 724 columns at grid
+        720), takes about 0.4 ms.
 
         In a column E and |V|^2 are sinusoids k + p cos(sigma) + q sin(sigma)
         (`_column_rows`).  On the arc the minimum of the ratio sits at an arc
@@ -258,6 +250,40 @@ def vertex_angles(pairs) -> list[tuple[float, float]]:
     W = np.array([x.v for torus, _ in pairs for x in (torus.p, torus.q, torus.r)])
     G = pairs[0][0].space.inner_grid(W, np.array([t.v for _, t in pairs])).tolist()
     return [(-cmath.phase(g[3 * i + 1] / g[3 * i]), -cmath.phase(g[3 * i + 2] / g[3 * i])) for i, g in enumerate(G)]
+
+
+def torus_exclusion(passes, blocks, m: int) -> tuple[list, np.ndarray]:
+    """([(margin, vertex residuals)] per pass (torus, neg, vertices), and the
+    minima of the further column `blocks`): a pass is the claim that on the
+    ball part of `torus` |<z, p>| <= |<z, neg>|, p the torus's own first
+    lift, holds only at the two `vertices`.  Both vertices lie on the
+    delta-column delta_v = (theta - phi) / 2 mod pi (`vertex_angles`), at
+    the two ends of its ball arc, where the contact is of second order.  The
+    margin is the exact minimum of |<p, z>|^2 - |<neg, z>|^2, z unit, on the
+    arcs of the m columns delta_v + (k + 1/2) pi / m, over sin^2(delta -
+    delta_v); a vertex's residual is its distance (`proj_distance`) to the
+    nearer end of the delta_v arc.  One `GiraudTorus.column_minima` call
+    reads these columns, each delta_v column as a block alone, and
+    `blocks`.  Exact in sigma, sampled in delta; about 0.55 ms for verify's
+    two passes and TF's two reads at m = 360."""
+    k = len(passes)
+    offsets = (np.arange(m) + 0.5) * (math.pi / m)
+    dvs = np.array([((th - ph) / 2.0) % math.pi for th, ph in vertex_angles([(t, v[0]) for t, _, v in passes])])
+    # the passes' columns, then each delta_v column alone, then `blocks`
+    cols = [[(t, d, t.p.v, neg.v, True) for (t, neg, _), d in zip(passes, ds)] for ds in (dvs[:, None] + offsets, dvs[:, None])]
+    (torus, *block), *more = cols[0] + cols[1] + blocks
+    minima, mid, half = torus.column_minima(*block, more=more)
+    margins = (minima[: k * m].reshape(k, m) / np.sin(offsets) ** 2).min(axis=1)
+    mid, half = mid[k * m : k * m + k, None], half[k * m : k * m + k, None]
+    s, dv = mid + half * [-1.0, 1.0], dvs[:, None]
+    # per pass: the two arc ends, then the two vertices, as unit vectors
+    x = np.array([[*t.vectors(a, b), *(y.v for y in vs)] for (t, _, vs), a, b in zip(passes, s + dv, s - dv)])
+    x /= np.linalg.norm(x, axis=-1, keepdims=True)
+    ends, t = x[:, :2], x[:, 2:]
+    # [pass, vertex, end]: each end less its projection on the vertex
+    d = ends[:, None] - (t.conj() @ ends.transpose(0, 2, 1))[..., None] * t[:, :, None]
+    resids = np.where(np.isnan(half), math.inf, np.linalg.norm(d, axis=-1).min(axis=-1))
+    return [(float(a), r) for a, r in zip(margins, resids.tolist())], minima[k * m + k :]
 
 
 def giraud_circle_tangents(pairs):

@@ -20,16 +20,13 @@ from . import figures
 from .core import GeometryError, siegel_model
 from .family import FamilyParams, FamilyRep, alpha2_for_order
 from .isometry import Isometry, classify, elliptic_type, verify_su21
+from .report import to_json
 from .verify import DEFAULT_GRID, verify
 
 # the most parameters one --sweep may list
 MAX_SWEEP_POINTS = 10**6
 # the largest --grid; verify's memory grows about linearly with the grid
 MAX_GRID = 2**16
-
-
-def _report_to_json(report) -> str:
-    return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
 def _param_token(alpha2: float) -> str:
@@ -49,11 +46,10 @@ def _verify_one(job):
     if out_dir:
         path = os.path.join(out_dir, f"report_alpha2_{_param_token(alpha2)}.json")
         with open(path, "w", newline="\n") as fh:
-            fh.write(_report_to_json(report))
-    verdict = report.verdict.to_dict()
-    slope = verdict["slope"]
-    tag = f"slope {slope[0]}/{slope[1]}" if slope else verdict["kind"]
-    reason = f" ({verdict['reason']})" if verdict["reason"] else ""
+            fh.write(to_json(report))
+    verdict = report.verdict
+    tag = verdict.kind.value if verdict.p is None else f"slope {verdict.p}/{verdict.q}"
+    reason = f" ({verdict.reason})" if verdict.reason else ""
     return head + tag + reason + (f" -> {path}" if path else ""), not report.all_passed()
 
 
@@ -199,7 +195,12 @@ def cmd_classify(args) -> int:
         print("error: one of --matrix, --word is required", file=sys.stderr)
         return 2
 
-    cls = classify(g, args.tol)
+    try:
+        cls = classify(g, args.tol)
+        et = elliptic_type(g, args.tol) if cls.kind.value == "regular-elliptic" else None
+    except GeometryError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     out = {
         "class": cls.kind.value,
         "trace": [cls.trace.real, cls.trace.imag],
@@ -207,12 +208,8 @@ def cmd_classify(args) -> int:
         "eigenvalues": [[t.value.real, t.value.imag] for t in cls.eigen],
         "norm_signs": [t.norm_sign for t in cls.eigen],
     }
-    if cls.kind.value == "regular-elliptic":
-        et = elliptic_type(g, args.tol)
-        if et.is_finite:
-            out["elliptic_type"] = {"p": et.p, "q": et.q, "n": et.n}
-        else:
-            out["elliptic_type"] = {"angles": [et.angle1, et.angle2]}
+    if et is not None:
+        out["elliptic_type"] = {"p": et.p, "q": et.q, "n": et.n} if et.is_finite else {"angles": [et.angle1, et.angle2]}
     print(json.dumps(out, sort_keys=True))
     return 0
 

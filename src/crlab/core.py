@@ -152,19 +152,6 @@ class HVec:
         v.setflags(write=False)
         object.__setattr__(self, "v", v)
 
-    def __add__(self, other: "HVec") -> "HVec":
-        _check_same_space(self, other)
-        return HVec(self.v + other.v, self.space)
-
-    def __sub__(self, other: "HVec") -> "HVec":
-        _check_same_space(self, other)
-        return HVec(self.v - other.v, self.space)
-
-    def __mul__(self, scalar) -> "HVec":
-        return HVec(self.v * complex(scalar), self.space)
-
-    __rmul__ = __mul__
-
     def is_zero(self, tol=1e-14) -> bool:
         return bool(np.abs(self.v).max() <= tol)
 
@@ -175,9 +162,6 @@ class HVec:
     def length(self) -> float:
         """Euclidean length |v| of the representative."""
         return _length(self.v)
-
-    def apply(self, M) -> "HVec":
-        return HVec(np.asarray(M, dtype=complex) @ self.v, self.space)
 
 
 def _length(v: np.ndarray) -> float:

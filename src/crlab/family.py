@@ -108,24 +108,8 @@ class FamilyRep:
         return Isometry(rho_t(self.params), self.space)
 
     @cached_property
-    def A(self) -> Isometry:  # S T, unipotent throughout the family
-        return self.S @ self.T
-
-    @cached_property
-    def B(self) -> Isometry:  # T S
-        return self.T @ self.S
-
-    @cached_property
     def U(self) -> Isometry:  # S^-1 T
         return self.S.inv() @ self.T
-
-    @cached_property
-    def V(self) -> Isometry:  # T S^-1 = S U S^-1
-        return self.T @ self.S.inv()
-
-    @cached_property
-    def W(self) -> Isometry:  # S T S = S V S^-1
-        return self.S @ self.T @ self.S
 
     def word(self, word: str) -> Isometry:
         """Evaluate a group word such as "ts^-1ts^2" in this representation."""
@@ -283,6 +267,14 @@ def involution_matrix(alpha2: float) -> np.ndarray:
         ],
         dtype=complex,
     )
+
+
+def delta0(alpha2: float) -> float:
+    """The delta at which the complex-line locus meets the torus of
+    J_0^- and J_-1^- (mod pi), on its (sigma, delta) grid."""
+    if abs(alpha2) > 1e-12:
+        return math.atan((1.0 - 2.0 * math.cos(2 * alpha2)) / (2.0 * math.sin(2 * alpha2)))
+    return 0.0
 
 
 def schwartz_point() -> complex:

@@ -24,13 +24,14 @@ from .family import (
     alpha2_for_order,
     char_P,
     char_Q,
+    delta0,
     discriminant_D,
     schwartz_point,
     trace_ts_inv,
 )
 from .isometry import goldman_f
 from .bisector import level_g
-from .verify import FaceFamily, delta0
+from .verify import FaceFamily
 from .csvfloat import G17_WIDTH, g17_fields
 from .visual import project_bisector
 
@@ -223,7 +224,7 @@ def figure_disk_projection(out_base, n=20, boundary_points=512, fmt="csv"):
     ch = ff.chart
     powers = ff.chart_multiplier ** np.arange(n)[:, None]
     families = {}
-    for sign, b in (("plus", ff.bisector_plus(0)), ("minus", ff.bisector_minus(0))):
+    for sign, b in (("plus", ff.bisector_plus()), ("minus", ff.bisector_minus())):
         boundary = project_bisector(ch, b, n_boundary=boundary_points, tol=ff.tol).boundary
         families[sign] = powers * boundary[np.isfinite(boundary)]
     curves = {(sign, k): families[sign][k] for k in range(n) for sign in ("plus", "minus")}

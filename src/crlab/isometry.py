@@ -307,11 +307,6 @@ class EllipticType:
     def is_finite(self) -> bool:
         return self.n is not None
 
-    def as_pair(self):
-        if not self.is_finite:
-            return None
-        return (Fraction(self.p, self.n), Fraction(self.q, self.n))
-
 
 def _recognize_angle(theta: float):
     """theta ~ 2 pi p/n with small denominator, else None."""

@@ -26,9 +26,7 @@ loxodromic side.
 from __future__ import annotations
 
 import cmath
-import enum
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -39,6 +37,7 @@ from .family import (
     FamilyParams,
     FamilyRep,
     SideKind,
+    delta0,
     involution_matrix,
     param_side,
     remarkable_points,
@@ -50,7 +49,7 @@ from .bisector import (
     classify_bisector,
     giraud_circle_tangents,
     symmetric_intersection_type,
-    vertex_angles,
+    torus_exclusion,
 )
 from .visual import (
     Silhouette,
@@ -59,8 +58,8 @@ from .visual import (
     silhouette_circles,
     tangency_check,
 )
+from .report import CheckResult, Verdict, VerdictKind, VerificationReport
 
-SCHEMA_VERSION = "report-v1"
 DEFAULT_GRID = 720
 # cone margins this close to the least one are ties up to rounding
 CONE_TIE = 8 * np.spacing(math.pi)
@@ -68,98 +67,6 @@ CONE_TIE = 8 * np.spacing(math.pi)
 # identities checked there are quadratic in (r, s), so these 64 distinct
 # nodes determine them
 RPLANE_SAMPLES = np.stack(np.meshgrid(np.linspace(-5.0, 5.0, 8), np.linspace(-5.0, 5.0, 8)), axis=-1).reshape(-1, 2)
-
-
-# ---------------------------------------------------------------------------
-# result containers
-
-
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    margins: dict = field(default_factory=dict)
-    residuals: dict = field(default_factory=dict)
-    counts: dict = field(default_factory=dict)
-    notes: list = field(default_factory=list)
-    skipped: bool = False
-
-    def to_dict(self):
-        return {
-            "name": self.name,
-            "passed": bool(self.passed),
-            "skipped": bool(self.skipped),
-            "margins": {k: float(v) for k, v in sorted(self.margins.items())},
-            "residuals": {k: float(v) for k, v in sorted(self.residuals.items())},
-            "counts": {k: int(v) for k, v in sorted(self.counts.items())},
-            "notes": list(self.notes),
-        }
-
-
-class VerdictKind(enum.Enum):
-    SURGERY = "surgery-slope"
-    INCONCLUSIVE = "inconclusive"
-    NOT_APPLICABLE = "not-applicable"
-
-
-@dataclass
-class Verdict:
-    kind: VerdictKind
-    p: int | None = None
-    q: int | None = None
-    reason: str = ""
-
-    def to_dict(self):
-        return {
-            "kind": self.kind.value,
-            "slope": None if self.p is None else [int(self.p), int(self.q)],
-            "reason": self.reason,
-        }
-
-
-@dataclass
-class VerificationReport:
-    alpha2: float
-    side: object
-    tr_u: float
-    tf: CheckResult
-    lc: CheckResult
-    gc: CheckResult
-    incidence: CheckResult
-    verdict: Verdict
-    notes: list = field(default_factory=list)
-    grid_n: int = DEFAULT_GRID
-    tol: float = 0.0
-
-    def all_passed(self):
-        return all(
-            c.passed for c in (self.incidence, self.tf, self.lc, self.gc) if not c.skipped
-        )
-
-    def to_dict(self):
-        side = {
-            "kind": self.side.kind.value,
-            "beta": self.side.beta,
-            "length": self.side.length,
-            "n": self.side.n,
-            "delta": [self.side.delta.real, self.side.delta.imag],
-        }
-        return {
-            "schema": SCHEMA_VERSION,
-            "alpha2": float(self.alpha2),
-            "tr_u": float(self.tr_u),
-            "side": side,
-            "grid_n": int(self.grid_n),
-            "tolerance": float(self.tol),
-            "checks": {
-                "incidence": self.incidence.to_dict(),
-                "tf": self.tf.to_dict(),
-                "lc": self.lc.to_dict(),
-                "gc": self.gc.to_dict(),
-            },
-            "verdict": self.verdict.to_dict(),
-            "notes": list(self.notes),
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -251,23 +158,21 @@ class FaceFamily:
         return self._bisectors[name]
 
     def _torus(self, q: str, r: str) -> GiraudTorus:
-        return GiraudTorus.from_bisectors(self._bisector(q), self._bisector(r), self.tol)
+        return GiraudTorus(self._bisector(q), self._bisector(r), self.tol)
 
-    def bisector_plus(self, k: int = 0):
-        if k == 0:
-            return self._bisector("p_V")
-        return classify_bisector(self.pts.p_U, self.u_power_point(k, self.pts.p_V), self.tol)
+    def bisector_plus(self) -> Bisector:
+        """J_0^+, the bisector of p_U and p_V."""
+        return self._bisector("p_V")
 
-    def bisector_minus(self, k: int = 0):
-        if k == 0:
-            return self._bisector("p_W")
-        return classify_bisector(self.pts.p_U, self.u_power_point(k, self.pts.p_W), self.tol)
+    def bisector_minus(self) -> Bisector:
+        """J_0^-, the bisector of p_U and p_W."""
+        return self._bisector("p_W")
 
     @cached_property
     def silhouettes(self) -> tuple[Silhouette, Silhouette]:
         """The silhouette circles of J_0^+ and J_0^- in the chart, each built
         once; GC reads every translate's from these by the chart multiplier."""
-        return tuple(silhouette_circles(self.chart, [self.bisector_plus(0), self.bisector_minus(0)], self.tol))
+        return tuple(silhouette_circles(self.chart, [self.bisector_plus(), self.bisector_minus()], self.tol))
 
     @cached_property
     def torus_minus(self) -> GiraudTorus:
@@ -288,14 +193,16 @@ class FaceFamily:
 
     @cached_property
     def torus_pass(self) -> tuple[list, np.ndarray]:
-        """`_torus_exclusion` of p_V on `torus_minus` at p_A and p_B (TF, LC)
-        and of p_W on `torus_plus` at p_B and U p_A (LC), and TF's whole
-        complex-line columns of `torus_minus`: the minima of -|<lpole, z>|^2
-        at delta0 and of |<lpole, z>|^2 at delta0 + pi/2."""
+        """`bisector.torus_exclusion` of p_V on `torus_minus` at p_A and p_B
+        (TF, LC) and of p_W on `torus_plus` at p_B and U p_A (LC), on
+        grid_n // 2 columns, and TF's whole complex-line columns of
+        `torus_minus`: the minima of -|<lpole, z>|^2 at delta0 and of
+        |<lpole, z>|^2 at delta0 + pi/2."""
         pts, tm, s = self.pts, self.torus_minus, math.sin(self.alpha2)
         d0, lpole, zero = delta0(self.alpha2), np.array([s, -1j * math.sqrt(2.0) / 2.0, -s]), np.zeros(3)
         passes = [(tm, pts.p_V, (pts.p_A, pts.p_B)), (self.torus_plus, pts.p_W, (pts.p_B, self.U_pA))]
-        return _torus_exclusion(self, passes, [(tm, [d0], zero, lpole, False), (tm, [d0 + math.pi / 2.0], lpole, zero, False)])
+        blocks = [(tm, [d0], zero, lpole, False), (tm, [d0 + math.pi / 2.0], lpole, zero, False)]
+        return torus_exclusion(passes, blocks, self.grid_n // 2)
 
     @cached_property
     def criterion_tangencies(self) -> tuple[bool, bool]:
@@ -304,53 +211,12 @@ class FaceFamily:
         return tuple(tangency_check(self.pts.p_U, self.pts.p_V, x, self.tol) for x in (self.U_pA, self.Ui_pB))
 
 
-def delta0(alpha2: float) -> float:
-    """The delta at which the complex-line locus meets the torus of
-    J_0^- and J_-1^- (mod pi), on its (sigma, delta) grid."""
-    if abs(alpha2) > 1e-12:
-        return math.atan((1.0 - 2.0 * math.cos(2 * alpha2)) / (2.0 * math.sin(2 * alpha2)))
-    return 0.0
-
-
 # ---------------------------------------------------------------------------
 # small shared helpers
 
 
-def _torus_exclusion(ff: FaceFamily, passes, blocks) -> tuple[list, np.ndarray]:
-    """([(margin, vertex residuals)] per pass (torus, neg, vertices), and the
-    minima of the further column `blocks`): a pass is the claim that on the
-    ball part of `torus` |<z, p_U>| <= |<z, neg>| holds only at the two
-    `vertices`.  Both vertices lie on the delta-column delta_v = (theta -
-    phi) / 2 mod pi (`vertex_angles`), at the two ends of its ball arc,
-    where the contact is of second order.  The margin is the exact minimum
-    of |<p_U, z>|^2 - |<neg, z>|^2, z unit, on the arcs of m columns delta_v
-    + (k + 1/2) pi / m, over sin^2(delta - delta_v); a vertex's residual is
-    its distance (`proj_distance`) to the nearer end of the delta_v arc.
-    One `GiraudTorus.column_minima` call reads these columns, each delta_v
-    column as a block alone, and `blocks`.  Exact in sigma, sampled in delta,
-    m = grid_n // 2; about 0.55 ms at grid 720 with TF's two reads."""
-    m, k = ff.grid_n // 2, len(passes)
-    offsets = (np.arange(m) + 0.5) * (math.pi / m)
-    dvs = np.array([((th - ph) / 2.0) % math.pi for th, ph in vertex_angles([(t, v[0]) for t, _, v in passes])])
-    # the passes' columns, then each delta_v column alone, then `blocks`
-    cols = [[(t, d, ff.pts.p_U.v, neg.v, True) for (t, neg, _), d in zip(passes, ds)] for ds in (dvs[:, None] + offsets, dvs[:, None])]
-    (torus, *block), *more = cols[0] + cols[1] + blocks
-    minima, mid, half = torus.column_minima(*block, more=more)
-    margins = (minima[: k * m].reshape(k, m) / np.sin(offsets) ** 2).min(axis=1)
-    mid, half = mid[k * m : k * m + k, None], half[k * m : k * m + k, None]
-    s, dv = mid + half * [-1.0, 1.0], dvs[:, None]
-    # per pass: the two arc ends, then the two vertices, as unit vectors
-    x = np.array([[*t.vectors(a, b), *(y.v for y in vs)] for (t, _, vs), a, b in zip(passes, s + dv, s - dv)])
-    x /= np.linalg.norm(x, axis=-1, keepdims=True)
-    ends, t = x[:, :2], x[:, 2:]
-    # [pass, vertex, end]: each end less its projection on the vertex
-    d = ends[:, None] - (t.conj() @ ends.transpose(0, 2, 1))[..., None] * t[:, :, None]
-    resids = np.where(np.isnan(half), math.inf, np.linalg.norm(d, axis=-1).min(axis=-1))
-    return [(float(a), r) for a, r in zip(margins, resids.tolist())], minima[k * m + k :]
-
-
 def _record_exclusion(ff: FaceFamily, res: CheckResult, key: str, exclusion, names) -> bool:
-    """Record a `_torus_exclusion` pass in `res` under `key` and the vertex
+    """Record a `torus_exclusion` pass in `res` under `key` and the vertex
     `names`, with notes; whether the margin is positive and no residual
     exceeds the gate 1e3 tol."""
     margin, resids = exclusion

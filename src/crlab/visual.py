@@ -59,9 +59,6 @@ class VisualChart:
             raise GeometryError("chart points must be distinct")
 
     def __call__(self, q: HVec) -> complex:
-        return self.value(q)
-
-    def value(self, q: HVec) -> complex:
         """Chart coordinate of the line through base and q (q != base)."""
         num = inner(self.p_prime, q)
         den = inner(self.p_dprime, q)

@@ -308,7 +308,7 @@ def real_spine_endpoints(b: Bisector, tol=None):
     out = []
     for s in (+1.0, -1.0):
         tau = s * base - math.atan2(c.imag, c.real)
-        out.append(b.p + complex(math.cos(tau), math.sin(tau)) * b.q)
+        out.append(HVec(b.p.v + complex(math.cos(tau), math.sin(tau)) * b.q.v, b.p.space))
     return out[0], out[1]
 
 

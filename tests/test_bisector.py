@@ -54,7 +54,7 @@ def test_membership_examples(rep07, pts07):
     assert bpq.r_disc < 0
     c = inner(p, q)
     alpha = -c.conjugate() / abs(c)  # makes <p, alpha q> real negative
-    z = p + alpha * q
+    z = HVec(p.v + alpha * q.v, bm)
     mz = membership(z, bpq)
     assert mz.on_bisector and mz.location is Location.INSIDE
 
@@ -81,7 +81,7 @@ def test_two_inside_points_always_metric(ball):
         if locate(p) is not Location.INSIDE:
             continue
         g = np.linalg.matrix_power(R, int(rng.integers(1, 3)))
-        q = p.apply(g)
+        q = HVec(g @ p.v, ball)
         assert classify_bisector(p, q).kind is BisectorKind.METRIC_BISECTOR
 
 
@@ -126,7 +126,7 @@ def test_classify_pair_examples(rep07, pts07):
 
 
 def test_giraud_torus_samples_on_both_extors(rep07, pts07):
-    gt = GiraudTorus(pts07.p_U, pts07.p_V, pts07.p_W)
+    gt = GiraudTorus(classify_bisector(pts07.p_U, pts07.p_V), classify_bisector(pts07.p_U, pts07.p_W))
     rng = np.random.default_rng(5)
     for _ in range(30):
         pt = point(gt, float(rng.uniform(0, 2 * math.pi)), float(rng.uniform(0, 2 * math.pi)))
@@ -139,14 +139,14 @@ def test_giraud_torus_rejects_confocal(pts07):
     sp = pts07.p_U.space
     r = HVec(pts07.p_V.v + 0.3 * pts07.p_U.v, sp)
     with pytest.raises(GeometryError):
-        GiraudTorus(pts07.p_U, pts07.p_V, r)
+        GiraudTorus(classify_bisector(pts07.p_U, pts07.p_V), classify_bisector(pts07.p_U, r))
 
 
 def test_symmetric_norm_formula(rep07, pts07):
     # <v,v> = 2 k (3u/2 + cos th + cos ph + cos(ph - th)) with k the common
     # cyclic product <p x q, q x r>, directly in the torus angles
     p, q, r = pts07.p_U, pts07.p_V, pts07.p_W
-    gt = GiraudTorus(p, q, r)
+    gt = GiraudTorus(classify_bisector(p, q), classify_bisector(p, r))
     si = symmetric_intersection_type(p, q, r)
     k = si.k_value.real
     rng = np.random.default_rng(12)
@@ -211,7 +211,7 @@ def test_symmetric_trichotomy_vs_grid_oracle(ball):
     cases = [(0.4, 0.3), (1.2, 0.0), (3.0, 1.0), (5.0, 0.0), (5.0, 1.0), (8.0, 2.0)]
     for a, b in cases:
         p = HVec([a, b, 1.0], ball)
-        q, r = p.apply(R), p.apply(R @ R)
+        q, r = HVec(R @ p.v, ball), HVec(R @ R @ p.v, ball)
         si = symmetric_intersection_type(p, q, r)
         oracle = brute_force_symmetric_kind(si.u, 480)
         assert si.kind is oracle
@@ -237,7 +237,7 @@ def test_real_spine_endpoints(ball, rep07, pts07):
     # as -conj(tau), so the pair is symmetric under alpha -> conj(alpha)
     taus = []
     for e in (e1, e2):
-        lam = (e - p).v[0] / q.v[0]
+        lam = (e.v - p.v)[0] / q.v[0]
         taus.append(cmath.phase(lam))
     assert taus[0] == pytest.approx(-taus[1], abs=1e-9)
     # family bisector on the metric side
@@ -281,7 +281,8 @@ def test_torus_grid_matches_materialized_grid(n, at_delta0):
         ff = FaceFamily(float(a2), grid_n=n)
         pts, sp, U = ff.pts, ff.space, ff.U
         d0 = delta0(ff.alpha2) if at_delta0 else 0.0
-        for torus in (ff.torus_minus, GiraudTorus(pts.p_U, pts.p_V, U.apply(pts.p_V), ff.tol)):
+        torus_pp = GiraudTorus(classify_bisector(pts.p_U, pts.p_V, ff.tol), classify_bisector(pts.p_U, U.apply(pts.p_V), ff.tol), ff.tol)
+        for torus in (ff.torus_minus, torus_pp):
             sigmas = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
             deltas = d0 + np.linspace(0.0, math.pi, n // 2, endpoint=False)
             ws = (pts.p_U, pts.p_V, pts.p_W, U.apply(pts.p_A))
@@ -297,22 +298,22 @@ def test_torus_grid_matches_materialized_grid(n, at_delta0):
 
 def test_torus_from_bisectors_matches_the_box_products(pts07):
     # the torus of two classified bisectors takes p box r and q box p from
-    # their foci: the box products of GiraudTorus(p, q, r), which classifies
-    # both bisectors again; the two bisectors need a common first lift
+    # their foci: the box products of a torus of the same bisectors
+    # classified again; the two bisectors need a common first lift
     p, q, r = pts07.p_U, pts07.p_V, pts07.p_W
     b1, b2 = classify_bisector(p, q), classify_bisector(p, r)
-    torus = GiraudTorus.from_bisectors(b1, b2)
+    torus = GiraudTorus(b1, b2)
     assert torus.bis1 is b1 and torus.bis2 is b2
     assert torus.pr.tobytes() == box(p, r).v.tobytes()
     assert np.array_equal(torus.qp, box(q, p).v) and np.array_equal(torus.qr, box(q, r).v)
-    assert np.array_equal(GiraudTorus(p, q, r).qp, torus.qp)
+    assert np.array_equal(GiraudTorus(classify_bisector(p, q), classify_bisector(p, r)).qp, torus.qp)
     with pytest.raises(GeometryError, match="common first lift"):
-        GiraudTorus.from_bisectors(b1, classify_bisector(q, r))
+        GiraudTorus(b1, classify_bisector(q, r))
 
 
 def test_torus_norm_terms_match_vectors(pts07):
     # <V, V> = A - 2 Re(e^{-i sigma} C) at theta = sigma + delta, phi = sigma - delta
-    gt = GiraudTorus(pts07.p_U, pts07.p_V, pts07.p_W)
+    gt = GiraudTorus(classify_bisector(pts07.p_U, pts07.p_V), classify_bisector(pts07.p_U, pts07.p_W))
     rng = np.random.default_rng(8)
     sigmas, deltas = rng.uniform(0, 2 * math.pi, (2, 20))
     A, C = gt.norm_terms(deltas)
@@ -331,7 +332,7 @@ def _ball_tori(n):
     for a2 in params:
         ff = FaceFamily(float(a2), grid_n=n)
         pts, U, Ui = ff.pts, ff.U, ff.U.inv()
-        torus_pp = GiraudTorus(pts.p_U, pts.p_V, U.apply(pts.p_V), ff.tol)
+        torus_pp = GiraudTorus(classify_bisector(pts.p_U, pts.p_V, ff.tol), classify_bisector(pts.p_U, U.apply(pts.p_V), ff.tol), ff.tol)
         for torus, negs in (
             (ff.torus_minus, [pts.p_V, U.apply(pts.p_V), Ui.apply(pts.p_V)]),
             (torus_pp, [pts.p_W, Ui.apply(pts.p_W), U.apply(pts.p_W)]),
@@ -502,7 +503,7 @@ def test_vertex_arc_ends_are_the_vertices(alpha2):
     # the two ends of its ball arc
     ff = FaceFamily(float(alpha2), grid_n=64)
     pts, U = ff.pts, ff.U
-    torus_pp = GiraudTorus(pts.p_U, pts.p_V, U.apply(pts.p_V), ff.tol)
+    torus_pp = GiraudTorus(classify_bisector(pts.p_U, pts.p_V, ff.tol), classify_bisector(pts.p_U, U.apply(pts.p_V), ff.tol), ff.tol)
     for torus, vertices in ((ff.torus_minus, (pts.p_A, pts.p_B)), (torus_pp, (pts.p_B, U.apply(pts.p_A)))):
         (th1, ph1), (th2, ph2) = vertex_angles([(torus, t) for t in vertices])
         dv = (th1 - ph1) / 2.0

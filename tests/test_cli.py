@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from crlab.cli import MAX_GRID, main
+from crlab.family import alpha2_for_order
 
 
 def run_cli(args, tmp_path=None):
@@ -277,6 +278,13 @@ def test_figure_geometry_error_exits_1_without_traceback(tmp_path):
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
     assert proc.stderr.count("\n") == 1
+
+
+def test_classify_geometry_error_exits_1_with_an_error_line():
+    # at order 10^5 the eigenvector norms of s^-1 t do not split as (+,+,-)
+    code, out, err = run_cli(["classify", "--word", "s^-1t", "--alpha2", "%.17g" % alpha2_for_order(10**5)])
+    assert code == 1 and out == ""
+    assert err == "error: eigenvector norms do not split as (+,+,-)\n"
 
 
 @pytest.mark.parametrize("n", ["90", "100", "687", "3000"])

@@ -62,8 +62,8 @@ def test_inner_conjugate_symmetric(siegel):
     v = HVec([0.3, 1j, -2.0], siegel)
     assert inner(u, v) == pytest.approx(inner(v, u).conjugate())
     # conjugate-linear in the first slot
-    assert inner(2j * u, v) == pytest.approx(-2j * inner(u, v))
-    assert inner(u, 2j * v) == pytest.approx(2j * inner(u, v))
+    assert inner(HVec(2j * u.v, siegel), v) == pytest.approx(-2j * inner(u, v))
+    assert inner(u, HVec(2j * v.v, siegel)) == pytest.approx(2j * inner(u, v))
 
 
 def test_inner_space_mismatch(siegel, ball, monkeypatch):
@@ -77,7 +77,7 @@ def test_inner_space_mismatch(siegel, ball, monkeypatch):
     eq = type(siegel).__eq__
     monkeypatch.setattr(type(siegel), "__eq__", lambda a, b: compared.append(1) or eq(a, b))
     u = HVec([1.0, 2j, 0.5], siegel)
-    inner(u, u), box(u, u), u + u, u - u
+    inner(u, u), box(u, u)
     assert compared == []
 
 
@@ -129,7 +129,7 @@ def test_box_orthogonality_and_collinear(siegel):
     v = HVec([0, 1, 0], siegel)
     b = box(u, v)
     assert abs(inner(u, b)) < 1e-14 and abs(inner(v, b)) < 1e-14
-    assert box(u, 3.0 * u).is_zero()
+    assert box(u, HVec(3.0 * u.v, siegel)).is_zero()
 
 
 def test_box_closed_form_example(rep07, pts07):
@@ -161,7 +161,7 @@ def test_locate_scale_invariant(v, r, phase):
     if hv.is_zero(1e-6):
         return
     lam = r * cmath.exp(1j * phase)
-    assert locate(hv) is locate(lam * hv)
+    assert locate(hv) is locate(HVec(lam * hv.v, sp))
 
 
 def on_polar(p, q, tol=1e-9):
@@ -201,6 +201,6 @@ def test_autopolar_triple(ball):
 
 def test_proj_equal_phase_and_scale(siegel):
     v = HVec([1.0, 2j, -0.5], siegel)
-    assert proj_equal(v, (3.7 * cmath.exp(0.9j)) * v)
+    assert proj_equal(v, HVec((3.7 * cmath.exp(0.9j)) * v.v, siegel))
     assert not proj_equal(v, HVec([1.0, 2j, -0.4], siegel))
-    assert proj_distance(v, v * cmath.exp(2.1j)) < 1e-14
+    assert proj_distance(v, HVec(v.v * cmath.exp(2.1j), siegel)) < 1e-14

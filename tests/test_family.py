@@ -55,8 +55,8 @@ def test_build_rep_printed_matrices(siegel):
 def test_unipotent_product_and_real_point():
     for a1, a2 in ((0.0, 0.3), (0.4, -0.8), (-1.1, 1.2), (0.0, 0.0)):
         rep = build_rep(FamilyParams(a1, a2))
-        assert abs(rep.A.trace() - 3.0) < 1e-12
-        assert abs(rep.B.trace() - 3.0) < 1e-12
+        assert abs((rep.S @ rep.T).trace() - 3.0) < 1e-12
+        assert abs((rep.T @ rep.S).trace() - 3.0) < 1e-12
     rep0 = build_rep(FamilyParams(0.0, 0.0))
     assert np.abs(rep0.S.M.imag).max() < 1e-14
     assert rep0.U.trace() == pytest.approx(8.0)
@@ -88,11 +88,11 @@ def test_parse_word():
 
 def test_remarkable_points_fixed(rep07, pts07):
     pairs = [
-        (rep07.A, pts07.p_A),
-        (rep07.B, pts07.p_B),
+        (rep07.S @ rep07.T, pts07.p_A),
+        (rep07.T @ rep07.S, pts07.p_B),
         (rep07.U, pts07.p_U),
-        (rep07.V, pts07.p_V),
-        (rep07.W, pts07.p_W),
+        (rep07.T @ rep07.S.inv(), pts07.p_V),
+        (rep07.S @ rep07.T @ rep07.S, pts07.p_W),
     ]
     for g, p in pairs:
         assert proj_distance(g.apply(p), p) < 1e-8

@@ -251,7 +251,8 @@ def test_trace_ts_inv_matches_rep():
     a1 = rng.uniform(-math.pi / 2 + 1e-3, math.pi / 2 - 1e-3, 200)
     a2 = rng.uniform(-math.pi / 2, math.pi / 2, 200)
     got = trace_ts_inv(a1, a2)
-    want = [np.trace(FamilyRep(FamilyParams(x, y)).V.M) for x, y in zip(a1, a2)]
+    reps = [FamilyRep(FamilyParams(x, y)) for x, y in zip(a1, a2)]
+    want = [np.trace((rep.T @ rep.S.inv()).M) for rep in reps]
     assert np.abs(got - want).max() <= 1e-13
     a2 = np.linspace(-math.pi / 2, math.pi / 2, 101)
     assert np.abs(trace_ts_inv(0.0, a2) - 8 * np.cos(a2) ** 2).max() <= 1e-14
@@ -281,7 +282,7 @@ def spinal_samples_loop(b, n_alpha, n_t):
 @pytest.mark.parametrize("alpha2", [alpha2_for_order(9), alpha2_for_order(20), alpha2_for_length(1.0)])
 def test_spinal_samples_match_slice_loop(alpha2, ball):
     ff = FaceFamily(alpha2, grid_n=64)
-    bisectors = [ff.bisector_plus(1), ff.bisector_minus(2)]
+    bisectors = [classify_bisector(ff.pts.p_U, ff.u_power_point(k, q), ff.tol) for k, q in ((1, ff.pts.p_V), (2, ff.pts.p_W))]
     bisectors.append(classify_bisector(HVec([0, 0, 1.0], ball), HVec([math.sinh(1.2), 0, math.cosh(1.2)], ball)))
     for b in bisectors:
         for n_alpha, n_t in ((96, 48), (37, 5)):

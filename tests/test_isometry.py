@@ -172,7 +172,7 @@ def test_trace_formula_50_samples():
 
 
 def test_canonical_fixed_points(rep07, pts07, rep_n9, pts_n9, siegel):
-    A = rep07.A  # unipotent
+    A = rep07.S @ rep07.T  # unipotent
     assert proj_equal(canonical_fixed_point(A), HVec([1, 0, 0], siegel))
     # elliptic side: interior fixed point is the explicit formula vector
     pU = canonical_fixed_point(rep_n9.U)

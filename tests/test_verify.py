@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from crlab.bisector import GiraudTorus, classify_bisector, giraud_circle_tangents
+from crlab.bisector import GiraudTorus, classify_bisector, giraud_circle_tangents, torus_exclusion
 from crlab.core import HVec, inner, proj_distance
 from crlab.family import ALPHA2_LIM, alpha2_for_order
 from crlab.isometry import Isometry
@@ -322,11 +322,14 @@ def test_tightest_cone_pair_note_names_the_smallest_tie(n):
 
 def test_verify_forms_no_dense_torus_grid():
     # TF and LC read the Giraud tori per delta-column in closed form
-    # (GiraudTorus.column_minima): verify never evaluates the figures'
-    # (sigma, delta) grid (GiraudTorus.column_forms)
-    tree = ast.parse(inspect.getsource(importlib.import_module("crlab.verify")))
+    # (GiraudTorus.column_minima, through bisector.torus_exclusion): verify
+    # never evaluates the figures' (sigma, delta) grid (GiraudTorus.column_forms)
+    sources = (inspect.getsource(importlib.import_module("crlab.verify")), inspect.getsource(torus_exclusion))
     called = {
-        n.func.attr for n in ast.walk(tree) if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+        n.func.attr
+        for source in sources
+        for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
     }
     assert "column_forms" not in called
     assert "column_minima" in called
@@ -575,7 +578,7 @@ def test_vertex_location_closed_form(alpha2):
     ff = FaceFamily(alpha2, grid_n=64)
     pts = ff.pts
     for r in (pts.p_W, ff.U.inv().apply(pts.p_W)):
-        circle = GiraudTorus(pts.p_U, pts.p_V, r, ff.tol)
+        circle = GiraudTorus(classify_bisector(pts.p_U, pts.p_V, ff.tol), classify_bisector(pts.p_U, r, ff.tol), ff.tol)
         _, lifts, dist = giraud_circle_tangents([(circle, t) for t in (pts.p_A, pts.p_B)])
         assert dist.max() <= 1e-12
         for lift, target in zip(lifts, (pts.p_A, pts.p_B)):
@@ -700,9 +703,9 @@ def test_lc_common_constraint_matches_the_three_constraint_envelope(alpha2, grid
     m = grid // 2
     offsets = (np.arange(m) + 0.5) * (math.pi / m)
     for key, torus, negs, vertex in (
-        ("faces_minus_minus", GiraudTorus(pts.p_U, pts.p_W, Ui.apply(pts.p_W)),
+        ("faces_minus_minus", GiraudTorus(classify_bisector(pts.p_U, pts.p_W), classify_bisector(pts.p_U, Ui.apply(pts.p_W))),
          [pts.p_V, U.apply(pts.p_V), Ui.apply(pts.p_V)], pts.p_A),
-        ("faces_plus_plus", GiraudTorus(pts.p_U, pts.p_V, U.apply(pts.p_V)),
+        ("faces_plus_plus", GiraudTorus(classify_bisector(pts.p_U, pts.p_V), classify_bisector(pts.p_U, U.apply(pts.p_V))),
          [pts.p_W, Ui.apply(pts.p_W), U.apply(pts.p_W)], pts.p_B),
     ):
         pt = inner(torus.p, vertex)
@@ -771,7 +774,7 @@ def test_verify_builds_each_bisector_and_torus_once(alpha2, monkeypatch):
         for name in ("inner", "classify_bisector"):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
-    monkeypatch.setattr(GiraudTorus, "_pair", counted("torus", GiraudTorus._pair))
+    monkeypatch.setattr(GiraudTorus, "__init__", counted("torus", GiraudTorus.__init__))
     bitangency = module._bitangency
 
     def counted_bitangency(*args):

@@ -320,7 +320,7 @@ def test_silhouette_circle_matches_projected_boundary(alpha2):
     # sampled boundary, for J_0^+, J_0^-, J_-1^-, J_-2^- and J_1^- (GC reads
     # J_0^+, J_0^-, J_1^- and J_-2^-)
     ff = chart_at(alpha2)
-    bisectors = [ff.bisector_plus(0)] + [ff.bisector_minus(k) for k in (0, -1, -2, 1)]
+    bisectors = [ff.bisector_plus()] + [classify_bisector(ff.pts.p_U, ff.u_power_point(k, ff.pts.p_W), ff.tol) for k in (0, -1, -2, 1)]
     for b in bisectors:
         (sil,) = silhouette_circles(ff.chart, [b])
         disk = project_bisector(ff.chart, b, n_boundary=512)
