@@ -104,9 +104,10 @@ class GiraudTorus:
     qr = q box r, pr = p box r, qp = q box p.  `vectors` evaluates that
     expansion at given angles.  With theta = sigma + delta and phi = sigma -
     delta the point is qr - e^{-i sigma} B(delta), so every form on a
-    delta-column is a sinusoid in sigma: `column_minima` reads the ball part
-    of each column in closed form, and `column_forms` evaluates the forms on
-    a (sigma, delta) grid.
+    delta-column is a sinusoid in sigma, formed by `_column_sinusoids` alone:
+    `column_minima` reads the ball part of each column in closed form for
+    verify, and `column_forms` evaluates the forms on a (sigma, delta) grid
+    for the figures.
     """
 
     def __init__(self, b1: Bisector, b2: Bisector, tol=None):
@@ -142,104 +143,100 @@ class GiraudTorus:
     def norm_terms(self, deltas):
         """(A, C) with <V, V> = A - 2 Re(e^{-i sigma} C) at (sigma, delta):
         A = <qr, qr> + <B, B> is real and C = <qr, B>, one value per delta."""
-        return self._norm_terms(self.delta_rows(deltas))
-
-    def _norm_terms(self, B):
-        sp = self.space
+        sp, B = self.space, self.delta_rows(deltas)
         return sp.norm_grid(self.qr) + sp.norm_grid(B), sp.inner_grid(self.qr, B)
 
-    def column_minima(self, deltas, pos, neg, ball: bool = True, more=()) -> tuple:
-        """(minima, mid, half) per delta-column: the exact minimum over sigma
-        of E / |V|^2, E = |<pos, V>|^2 - |<neg, V>|^2 for coordinate vectors
-        pos and neg, over the column's ball arc mid +- half (mid = arg C,
-        half = arccos(A / 2|C|) for <V, V> = A - 2|C| cos(sigma - arg C),
-        `norm_terms`; pi where the whole column is in the ball, nan where no
-        point is), or over the whole column (0 +- pi) when ball is False; inf
-        where the arc is empty.  `more` stacks further blocks (torus, deltas,
-        pos, neg, ball) of tori in this one's space: each block's products
-        with its torus's rows qr, pr, qp and its pos, neg keep the shapes of
-        the block alone, and every other stage runs once, elementwise, on the
-        stack, so a column's minimum has the same bits in any stack.  verify's
-        call, through `torus_exclusion` (six blocks, 724 columns at grid
-        720), takes about 0.4 ms.
-
-        In a column E and |V|^2 are sinusoids k + p cos(sigma) + q sin(sigma)
-        (`_column_rows`).  On the arc the minimum of the ratio sits at an arc
-        end or where E' |V|^2 - E (|V|^2)' vanishes, a constant plus one
-        harmonic with closed-form roots, so no sigma is sampled.  A candidate
-        that is no root (`_harmonic_roots`) is still a point of the arc, so
-        it cannot take the minimum below the true one.  On the face-family
-        tori through alpha2 = 1.56 the values agree with a 40-digit
-        evaluation of the same points to about 2e-11 relative."""
-        blocks = [(self, deltas, pos, neg, ball), *more]
-        sizes = [len(b[1]) for b in blocks]
-        # per block the rows pos, neg, qr, pr, qp; functionals w^H J, then qr^H
-        X = np.array([r for t, _, w1, w2, _ in blocks for r in (w1, w2, t.qr, t.pr, t.qp)]).reshape(-1, 5, 3)
-        qr, qr_h = X[:, 2], X[:, 2].conj()
-        F = np.concatenate([X[:, :3].conj() @ self.space.J, qr_h[:, None]], axis=1)
-        e = np.exp(-1j * np.concatenate([b[1] for b in blocks]))
-        PQ = np.repeat(X[:, 3:].transpose(1, 2, 0), sizes, axis=2)
-        Bt = e * PQ[0] + e.conj() * PQ[1]  # `delta_rows` of every column, laid out (3, columns)
-        # <B, B> per column and <qr, qr> per block; |qr|^2 as np.vdot forms it
-        N = self.space.norm_grid(np.concatenate([Bt.T, qr]))
-        QN = np.stack([np.matmul(qr_h[:, None], qr[..., None])[:, 0, 0].real, N[len(e) :]], axis=1)
-        Zs, Ss, i, start, F4, Q4 = [], [], 0, 0, F[..., None], qr[:, None, None]
-        # a run of blocks of one size shares one stacked matmul per product, each
-        # item in the shapes of its block alone (`_column_rows`, `_norm_terms`)
-        for m, run in itertools.groupby(sizes):
-            g = len(list(run))
-            B = np.ascontiguousarray(Bt[:, start : start + g * m].T).reshape(g, 1, m, 3)  # rows, as BLAS reads them
-            P = np.matmul(B, F4[i : i + g])  # <pos, B>, <neg, B>, <qr, B>_J, <B, qr>
-            u = np.matmul(Q4[i : i + g], F4[i : i + g, :2])  # <pos, qr>, <neg, qr>
-            Zs.append(np.concatenate([P, np.matmul(P[:, :2], u.conj())], axis=1).transpose(1, 0, 2, 3).reshape(6, -1))
-            Ss.append(np.repeat(np.concatenate([QN[i : i + g], np.matmul(u.conj(), u)[..., 0, 0].real], axis=1).T, m, axis=1))
-            i, start = i + g, start + g * m
-        Z, S = np.concatenate(Zs, axis=1), np.concatenate(Ss, axis=1)
-        mid, half = _arcs(S[1] + N[: len(e)], Z[2])
-        in_ball = np.repeat([b[4] for b in blocks], sizes)
-        mid, half = np.where(in_ball, mid, 0.0), np.where(in_ball, half, math.pi)
-        # a column with an empty arc reads inf; the others are evaluated
-        live = np.flatnonzero(~np.isnan(half))
-        Bt, Z, S, lmid, lhalf = Bt[:, live], Z[:, live], S[:, live], mid[live], half[live]
-        sq = np.concatenate([Bt, Z[:2]])
-        sq = sq.real**2 + sq.imag**2
-        C = Z[[3, 4, 5]]
-        # rows (k, p, q) of |V|^2, |<pos, V>|^2 and |<neg, V>|^2 (`_harmonic`)
-        kpq = np.array([S[[0, 2, 3]] + [(sq[0] + sq[1]) + sq[2], sq[3], sq[4]], -2.0 * C.real, -2.0 * C.imag])
-        sines = np.array([kpq[:, 1] - kpq[:, 2], kpq[:, 0]])  # E and |V|^2
-        # offsets from mid: the arc ends, then both roots in (-pi, pi]
-        roots = np.array(_harmonic_roots(*_ratio_critical(*sines)))
-        t = np.concatenate([[-lhalf, lhalf], math.pi - np.remainder(math.pi + lmid - roots, 2 * math.pi)])
-        sigma = lmid + t
-        top, bottom = sines[:, 0, None] + sines[:, 1, None] * np.cos(sigma) + sines[:, 2, None] * np.sin(sigma)
-        minima = np.full(len(half), math.inf)
-        minima[live] = np.where(np.abs(t) <= lhalf, top / bottom, math.inf).min(axis=0)
-        return minima, mid, half
-
-    def column_forms(self, sigmas, deltas, ws) -> list:
-        """[<V, V> / |V|^2, then |<w, V>|^2 / |V|^2 for each coordinate
-        vector w], each of shape (len(sigmas), len(deltas)): on every
-        delta-column each form is a sinusoid k + p cos(sigma) + q sin(sigma)
-        (`norm_terms`, `_column_rows`), so no torus point is formed.  |V|^2
-        is the plain sinusoid, which cancels near its column minimum: on the
-        face-family torus at alpha2 = 1.56 the ratios agree with a 40-digit
-        evaluation of the same points to about 6e-12 of the grid's largest
-        value, and to 1e-15 at alpha2 = 0.7."""
-        B = self.delta_rows(deltas)
-        den, abs2 = self._column_rows(B, ws)
+    def column_forms(self, sigmas, deltas, pos, neg) -> list:
+        """[<V, V>, |<pos, V>|^2, |<neg, V>|^2], each over |V|^2 and of shape
+        (len(sigmas), len(deltas)), for coordinate vectors pos and neg: the
+        rows of `_column_sinusoids` for the block of whole columns, so no
+        torus point is formed.  |V|^2 is the plain sinusoid, which cancels
+        near its column minimum: on the face-family torus at alpha2 = 1.56
+        the ratios agree with a 40-digit evaluation of the same points to
+        about 6e-12 of the grid's largest value, and to 1e-15 at alpha2 =
+        0.7."""
+        kpq, (A, C), _ = _column_sinusoids([(self, deltas, pos, neg, False)])
         cos, sin = np.cos(sigmas)[:, None], np.sin(sigmas)[:, None]
-        sq, *forms = [k + p * cos + q * sin for k, p, q in [den, _harmonic(*self._norm_terms(B)), *abs2]]
+        sq, *forms = [k + p * cos + q * sin for k, p, q in [kpq[:, 0], (A, -2.0 * C.real, -2.0 * C.imag), kpq[:, 1], kpq[:, 2]]]
         return [f / sq for f in forms]
 
-    def _column_rows(self, B, ws):
-        """Per delta-column rows (k, p, q) of |V|^2 and of each |<w, V>|^2 =
-        |<w, qr> - e^{-i sigma} <w, B_d>|^2, as sinusoids in sigma, for the
-        rows B of `delta_rows`."""
-        den = _harmonic(*_abs2_terms(self.qr, B))
-        # <w, V> = V @ f, f = w^H J as in `HermitianSpace.inner_grid`: f is
-        # formed once for both qr and B
-        fs = [w.conj() @ self.space.J for w in ws]
-        return den, [_harmonic(*_abs2_terms((self.qr @ f)[None], (B @ f)[:, None])) for f in fs]
+
+def _column_sinusoids(blocks) -> tuple:
+    """The one stage that forms a torus column's sinusoids in sigma, for a
+    stack of blocks (torus, deltas, pos, neg, ball) of tori in one space,
+    with coordinate vectors pos and neg: per column the rows (k, p, q) of
+    k + p cos(sigma) + q sin(sigma) for |V|^2, |<pos, V>|^2 and |<neg, V>|^2,
+    shape (3, 3, columns); the terms (A, C) of <V, V> = A - 2 Re(e^{-i sigma}
+    C) (`GiraudTorus.norm_terms`); and the ball arc (mid, half) of `_arcs`,
+    or the whole column (0, pi) for a block whose ball is False.
+
+    Each block's products with its torus's rows qr, pr, qp and its pos, neg
+    keep the shapes of the block alone, and every other stage runs once,
+    elementwise, on the stack, so a column has the same bits in any stack."""
+    sizes = [len(b[1]) for b in blocks]
+    # per block the rows pos, neg, qr, pr, qp; functionals w^H J, then qr^H
+    X = np.array([r for t, _, w1, w2, _ in blocks for r in (w1, w2, t.qr, t.pr, t.qp)]).reshape(-1, 5, 3)
+    qr, qr_h, space = X[:, 2], X[:, 2].conj(), blocks[0][0].space
+    F = np.concatenate([X[:, :3].conj() @ space.J, qr_h[:, None]], axis=1)
+    e = np.exp(-1j * np.concatenate([b[1] for b in blocks]))
+    PQ = np.repeat(X[:, 3:].transpose(1, 2, 0), sizes, axis=2)
+    Bt = e * PQ[0] + e.conj() * PQ[1]  # `delta_rows` of every column, laid out (3, columns)
+    # <B, B> per column and <qr, qr> per block; |qr|^2 as np.vdot forms it
+    N = space.norm_grid(np.concatenate([Bt.T, qr]))
+    QN = np.stack([np.matmul(qr_h[:, None], qr[..., None])[:, 0, 0].real, N[len(e) :]], axis=1)
+    Zs, Ss, i, start, F4, Q4 = [], [], 0, 0, F[..., None], qr[:, None, None]
+    # a run of blocks of one size shares one stacked matmul per product, each
+    # item in the shapes of its block alone
+    for m, run in itertools.groupby(sizes):
+        g = len(list(run))
+        B = np.ascontiguousarray(Bt[:, start : start + g * m].T).reshape(g, 1, m, 3)  # rows, as BLAS reads them
+        P = np.matmul(B, F4[i : i + g])  # <pos, B>, <neg, B>, <qr, B>_J, <B, qr>
+        u = np.matmul(Q4[i : i + g], F4[i : i + g, :2])  # <pos, qr>, <neg, qr>
+        Zs.append(np.concatenate([P, np.matmul(P[:, :2], u.conj())], axis=1).transpose(1, 0, 2, 3).reshape(6, -1))
+        Ss.append(np.repeat(np.concatenate([QN[i : i + g], np.matmul(u.conj(), u)[..., 0, 0].real], axis=1).T, m, axis=1))
+        i, start = i + g, start + g * m
+    Z, S = np.concatenate(Zs, axis=1), np.concatenate(Ss, axis=1)
+    A, C = S[1] + N[: len(e)], Z[2]
+    mid, half = _arcs(A, C)
+    in_ball = np.repeat([b[4] for b in blocks], sizes)
+    sq = np.concatenate([Bt, Z[:2]])
+    sq = sq.real**2 + sq.imag**2
+    cross = Z[[3, 4, 5]]
+    kpq = np.array([S[[0, 2, 3]] + [(sq[0] + sq[1]) + sq[2], sq[3], sq[4]], -2.0 * cross.real, -2.0 * cross.imag])
+    return kpq, (A, C), (np.where(in_ball, mid, 0.0), np.where(in_ball, half, math.pi))
+
+
+def column_minima(blocks) -> tuple:
+    """(minima, mid, half) per column of the stacked blocks (torus, deltas,
+    pos, neg, ball) of `_column_sinusoids`: the exact minimum over sigma of
+    E / |V|^2, E = |<pos, V>|^2 - |<neg, V>|^2, over the column's ball arc
+    mid +- half (mid = arg C, half = arccos(A / 2|C|) for <V, V> = A - 2|C|
+    cos(sigma - arg C); pi where the whole column is in the ball, nan where
+    no point is), or over the whole column (0 +- pi) for a block whose ball
+    is False; inf where the arc is empty.  verify's call, through
+    `torus_exclusion` (six blocks, 724 columns at grid 720), takes about
+    0.4 ms.
+
+    On the arc the minimum of the ratio sits at an arc end or where E' |V|^2
+    - E (|V|^2)' vanishes, a constant plus one harmonic with closed-form
+    roots, so no sigma is sampled.  A candidate that is no root
+    (`_harmonic_roots`) is still a point of the arc, so it cannot take the
+    minimum below the true one.  On the face-family tori through alpha2 =
+    1.56 the values agree with a 40-digit evaluation of the same points to
+    about 2e-11 relative."""
+    kpq, _, (mid, half) = _column_sinusoids(blocks)
+    # a column with an empty arc reads inf; the others are evaluated
+    live = np.flatnonzero(~np.isnan(half))
+    kpq, lmid, lhalf = kpq[..., live], mid[live], half[live]
+    sines = np.array([kpq[:, 1] - kpq[:, 2], kpq[:, 0]])  # E and |V|^2
+    # offsets from mid: the arc ends, then both roots in (-pi, pi]
+    roots = np.array(_harmonic_roots(*_ratio_critical(*sines)))
+    t = np.concatenate([[-lhalf, lhalf], math.pi - np.remainder(math.pi + lmid - roots, 2 * math.pi)])
+    sigma = lmid + t
+    top, bottom = sines[:, 0, None] + sines[:, 1, None] * np.cos(sigma) + sines[:, 2, None] * np.sin(sigma)
+    minima = np.full(len(half), math.inf)
+    minima[live] = np.where(np.abs(t) <= lhalf, top / bottom, math.inf).min(axis=0)
+    return minima, mid, half
 
 
 def vertex_angles(pairs) -> list[tuple[float, float]]:
@@ -262,17 +259,16 @@ def torus_exclusion(passes, blocks, m: int) -> tuple[list, np.ndarray]:
     margin is the exact minimum of |<p, z>|^2 - |<neg, z>|^2, z unit, on the
     arcs of the m columns delta_v + (k + 1/2) pi / m, over sin^2(delta -
     delta_v); a vertex's residual is its distance (`proj_distance`) to the
-    nearer end of the delta_v arc.  One `GiraudTorus.column_minima` call
-    reads these columns, each delta_v column as a block alone, and
-    `blocks`.  Exact in sigma, sampled in delta; about 0.55 ms for verify's
-    two passes and TF's two reads at m = 360."""
+    nearer end of the delta_v arc.  One `column_minima` call reads these
+    columns, each delta_v column as a block alone, and `blocks`.  Exact in
+    sigma, sampled in delta; about 0.55 ms for verify's two passes and TF's
+    two reads at m = 360."""
     k = len(passes)
     offsets = (np.arange(m) + 0.5) * (math.pi / m)
     dvs = np.array([((th - ph) / 2.0) % math.pi for th, ph in vertex_angles([(t, v[0]) for t, _, v in passes])])
     # the passes' columns, then each delta_v column alone, then `blocks`
-    cols = [[(t, d, t.p.v, neg.v, True) for (t, neg, _), d in zip(passes, ds)] for ds in (dvs[:, None] + offsets, dvs[:, None])]
-    (torus, *block), *more = cols[0] + cols[1] + blocks
-    minima, mid, half = torus.column_minima(*block, more=more)
+    cols = [(t, d, t.p.v, neg.v, True) for ds in (dvs[:, None] + offsets, dvs[:, None]) for (t, neg, _), d in zip(passes, ds)]
+    minima, mid, half = column_minima(cols + blocks)
     margins = (minima[: k * m].reshape(k, m) / np.sin(offsets) ** 2).min(axis=1)
     mid, half = mid[k * m : k * m + k, None], half[k * m : k * m + k, None]
     s, dv = mid + half * [-1.0, 1.0], dvs[:, None]
@@ -309,25 +305,13 @@ def giraud_circle_tangents(pairs):
 
 
 def _arcs(A, C):
-    """The ball arcs (mid, half) of `GiraudTorus.column_minima` from the norm terms (A, C)."""
+    """The ball arcs (mid, half) of `_column_sinusoids` from the norm terms (A, C)."""
     mod2 = 2.0 * np.abs(C)
     with np.errstate(divide="ignore", invalid="ignore"):
         half = np.arccos(np.clip(A / mod2, -1.0, 1.0))
     half[A <= -mod2] = math.pi
     half[A > mod2] = math.nan
     return np.arctan2(C.imag, C.real), half  # arg C, as np.angle forms it
-
-
-def _abs2_terms(u: np.ndarray, v: np.ndarray):
-    """(A, C) with |u - z v_d|^2 = A_d - 2 Re(z C_d) for |z| = 1, where u has
-    shape (k,) and v shape (len(deltas), k): A = |u|^2 + |v_d|^2, C = u^H v_d."""
-    return np.vdot(u, u).real + (v.real**2 + v.imag**2).sum(axis=1), v @ u.conj()
-
-
-def _harmonic(A, C) -> tuple:
-    """The sinusoid A - 2 Re(e^{-i sigma} C) as the rows (k, p, q) of k +
-    p cos(sigma) + q sin(sigma)."""
-    return A, -2.0 * C.real, -2.0 * C.imag
 
 
 def _ratio_critical(num, den):

@@ -263,10 +263,21 @@ def main(argv=None) -> int:
     if args.command == "verify" and not 64 <= args.grid <= MAX_GRID:
         print(f"error: grid resolution must lie in [64, {MAX_GRID}]", file=sys.stderr)
         return 2
-    tol = getattr(args, "tol", None)
+    # the tolerance of every subcommand: --tol, else CRLAB_TOL, which the
+    # figures read through core.tolerance
+    tol, source, env = getattr(args, "tol", None), "--tol", os.environ.get("CRLAB_TOL")
+    if tol is None and env:
+        source = "CRLAB_TOL"
+        try:
+            tol = float(env)
+        except ValueError:
+            print(f"error: CRLAB_TOL={env!r} is not a number", file=sys.stderr)
+            return 2
     if tol is not None and not (1e-14 <= tol <= 1e-3):
-        print("error: tolerance must lie in [1e-14, 1e-3]", file=sys.stderr)
+        print(f"error: tolerance ({source}) must lie in [1e-14, 1e-3]", file=sys.stderr)
         return 2
+    if hasattr(args, "tol"):
+        args.tol = tol
     return args.func(args)
 
 

@@ -171,16 +171,19 @@ def alpha2_for_order(n: int) -> float:
 
 @dataclass(frozen=True)
 class RemarkablePoints:
-    """Fixed points of the distinguished elements on the alpha1 = 0 slice."""
+    """Fixed points of the distinguished elements on the alpha1 = 0 slice.
+
+    p_U_prime and p_U_dprime are formed at every parameter, the wall
+    included, where they merge; which side the parameter is on is
+    `param_side`'s to say."""
 
     p_A: HVec
     p_B: HVec
     p_U: HVec
     p_V: HVec
     p_W: HVec
-    p_U_prime: HVec | None
-    p_U_dprime: HVec | None
-    delta: complex
+    p_U_prime: HVec
+    p_U_dprime: HVec
 
 
 def remarkable_points(params: FamilyParams, rep: FamilyRep | None = None) -> RemarkablePoints:
@@ -188,7 +191,8 @@ def remarkable_points(params: FamilyParams, rep: FamilyRep | None = None) -> Rem
 
     p_U_prime / p_U_dprime are the eigenvectors of U for the eigenvalues
     e^{l}, e^{-l} (loxodromic side) or e^{i beta}, e^{-i beta} (elliptic
-    side); they degenerate at the unipotent parameter and are None there.
+    side), in closed form with delta = sqrt((tr U - 3)(tr U + 1)) as in
+    `param_side`; at the unipotent parameter delta = 0 and the two coincide.
     """
     if abs(params.alpha1) > 1e-14:
         raise GeometryError("remarkable points are tabulated on the alpha1 = 0 slice")
@@ -203,19 +207,11 @@ def remarkable_points(params: FamilyParams, rep: FamilyRep | None = None) -> Rem
     p_W = rep.S.apply(p_V)
     c8 = 8.0 * math.cos(a2) ** 2
     delta = cmath.sqrt((c8 - 3.0) * (c8 + 1.0))
-    if abs(c8 - 3.0) <= 1e-12:
-        p_p = p_dp = None
-    else:
-        common = 2.0 * (2.0 * e * e + 1.0)
-        p_p = HVec(
-            [common, -math.sqrt(2.0) * e * (2.0 * e * e + 1.0 + delta), -(c8 + 1.0) - delta],
-            sp,
-        )
-        p_dp = HVec(
-            [common, -math.sqrt(2.0) * e * (2.0 * e * e + 1.0 - delta), -(c8 + 1.0) + delta],
-            sp,
-        )
-    return RemarkablePoints(p_A, p_B, p_U, p_V, p_W, p_p, p_dp, delta)
+    common = 2.0 * (2.0 * e * e + 1.0)
+    p_p, p_dp = (
+        HVec([common, -math.sqrt(2.0) * e * (2.0 * e * e + 1.0 + d), -(c8 + 1.0) - d], sp) for d in (delta, -delta)
+    )
+    return RemarkablePoints(p_A, p_B, p_U, p_V, p_W, p_p, p_dp)
 
 
 def char_Q(z: complex, w: complex) -> float:

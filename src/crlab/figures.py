@@ -252,7 +252,7 @@ def figure_spinal_trace(out_base, alpha2=0.7, resolution=361, fmt="csv"):
     ff = FaceFamily(alpha2)
     sigmas = np.linspace(0.0, 2.0 * math.pi, resolution, endpoint=False)
     deltas = delta0(ff.alpha2) + np.linspace(0.0, math.pi, resolution // 2, endpoint=False)
-    norms, to_u, to_v = ff.torus_minus.column_forms(sigmas, deltas, [ff.pts.p_U.v, ff.pts.p_V.v])
+    norms, to_u, to_v = ff.torus_minus.column_forms(sigmas, deltas, ff.pts.p_U.v, ff.pts.p_V.v)
     side = to_u - to_v
     if fmt == "csv":
         return (

@@ -15,8 +15,11 @@ checked numerically:
 
 TF and LC read the Giraud tori of neighbouring faces one delta-column at a
 time, where every form is a sinusoid in sigma: each exclusion margin is an
-exact minimum over sigma, sampled in delta, and one GiraudTorus.column_minima
-call reads every column of a parameter (FaceFamily.torus_pass).
+exact minimum over sigma, sampled in delta, and one bisector.column_minima
+call reads every column of a parameter (FaceFamily.torus_pass), from the
+sinusoids of the one stage that also draws the spinal-trace figure.  The
+unipotent wall is decided once, by family.param_side: on it GC is not
+applicable and the visual chart does not exist.
 
 Passing all three yields the Dehn-surgery verdict for the parameter:
 slope 1/(n-3) on the elliptic side of order n >= 9, slope -1/3 on the
@@ -96,7 +99,8 @@ class FaceFamily:
 
     def _oriented_chart(self):
         """Chart on the visual sphere of [p_U] in which U acts by
-        z -> e^{2l} z (loxodromic) or z -> e^{2 i beta} z (elliptic).
+        z -> e^{2l} z (loxodromic) or z -> e^{2 i beta} z (elliptic); None
+        exactly on the unipotent wall of `param_side`, as the multiplier is.
 
         With the convention <u,v> = u^H J v the usual ordering of the two
         non-unit eigenvectors yields the reciprocal chart on the loxodromic
@@ -104,7 +108,7 @@ class FaceFamily:
         roles); the ordering below restores the expanding orientation.
         """
         pts = self.pts
-        if pts.p_U_prime is None:
+        if self.side.kind is SideKind.UNIPOTENT:
             return None
         if self.side.kind is SideKind.LOXODROMIC:
             return VisualChart(pts.p_U, pts.p_U_dprime, pts.p_U_prime)
@@ -270,7 +274,7 @@ def incidence_check(ff: FaceFamily) -> CheckResult:
     # U acts on the chart by its multiplier m, from which every translate's
     # silhouette is taken: checked at the vertices and at p_V, p_W
     m, ch = ff.chart_multiplier, ff.chart
-    if m is None or ch is None:
+    if ch is None:
         res.notes.append("chart_action skipped: U acts on no chart by a multiplier at the unipotent parameter")
     else:
         X = np.array([x.v for x in (pts.p_A, pts.p_B, pts.p_V, pts.p_W)])
@@ -325,7 +329,7 @@ def tf_check(ff: FaceFamily) -> CheckResult:
     ]).max())
     res.residuals["cline_identities"] = worst_cl
     res.margins["cline_norm"] = 24.0 * sin_a2**2
-    cl_ok = worst_cl <= 1e-8 and res.margins["cline_norm"] > 0 or abs(a2) < 1e-12
+    cl_ok = worst_cl <= 1e-8 and res.margins["cline_norm"] > 0
 
     # --- (c) torus part: on the ball part of the torus of J_0^- and J_-1^-,
     # |<z, p_U>| <= |<z, p_V>| only at p_A and p_B
@@ -406,7 +410,7 @@ def lc_check(ff: FaceFamily) -> CheckResult:
     # 2/3 - u in closed form, without the cancellation of 2/3 - u near alpha2 = 0
     margin = (8.0 / 3.0) * math.sin(a2) ** 2
     res.margins["u_below_two_thirds"] = margin
-    ok_u = margin > 0.0 or abs(a2) < 1e-12
+    ok_u = margin > 0.0
 
     # both face-boundary intersections are Giraud disks of symmetric triples
     si1 = symmetric_intersection_type(pts.p_U, pts.p_V, pts.p_W, ff.tol)

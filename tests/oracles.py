@@ -3,8 +3,9 @@
 None of these is on a program path, and none is imported by `crlab`:
 
 - `envelope_minima`, the multi-constraint envelope of which `verify` reads
-  one constraint per Giraud-torus column (`GiraudTorus.column_minima`),
-  the per-torus ball arcs `ball_arcs` it reads, and torus points `point`;
+  one constraint per Giraud-torus column (`bisector.column_minima`), with
+  its own per-form column rows, the per-torus ball arcs `ball_arcs` it
+  reads, and torus points `point`;
 - the grid oracle of the symmetric trichotomy (`periodic_components`,
   `count_sublevel_components`, `brute_force_symmetric_kind`), which the
   program decides in closed form (`symmetric_intersection_type`);
@@ -58,9 +59,9 @@ def envelope_minima(torus, deltas, pos, negs, ball=True):
     (|V|^2)' vanishes, or at a crossing E_i = E_j.  Both conditions are a
     constant plus one harmonic, with closed-form roots, so the least envelope
     value over these candidates is the minimum.  With one constraint this is
-    the arithmetic of `GiraudTorus.column_minima`, to the bit."""
+    the arithmetic of `bisector.column_minima`, to the bit."""
     deltas = np.asarray(deltas, dtype=float)
-    den, (top, *rest) = torus._column_rows(torus.delta_rows(deltas), [pos, *negs])
+    den, (top, *rest) = _column_rows(torus, torus.delta_rows(deltas), [pos, *negs])
     den, top = np.array(den), np.array(top)
     nums = [top - np.array(e) for e in rest]
     if ball:
@@ -76,6 +77,30 @@ def envelope_minima(torus, deltas, pos, negs, ball=True):
     k, p, q = den
     env /= k + p * cos + q * sin
     return np.where(np.abs(t) <= half, env, math.inf).min(axis=0)
+
+
+def _column_rows(torus, B, ws):
+    """Per delta-column rows (k, p, q) of |V|^2 and of each |<w, V>|^2 =
+    |<w, qr> - e^{-i sigma} <w, B_d>|^2, as sinusoids in sigma, for the rows
+    B of `GiraudTorus.delta_rows`: each form on its own, apart from the
+    program's stacked `bisector._column_sinusoids`."""
+    den = _harmonic(*_abs2_terms(torus.qr, B))
+    # <w, V> = V @ f, f = w^H J as in `HermitianSpace.inner_grid`: f is
+    # formed once for both qr and B
+    fs = [w.conj() @ torus.space.J for w in ws]
+    return den, [_harmonic(*_abs2_terms((torus.qr @ f)[None], (B @ f)[:, None])) for f in fs]
+
+
+def _abs2_terms(u: np.ndarray, v: np.ndarray):
+    """(A, C) with |u - z v_d|^2 = A_d - 2 Re(z C_d) for |z| = 1, where u has
+    shape (k,) and v shape (len(deltas), k): A = |u|^2 + |v_d|^2, C = u^H v_d."""
+    return np.vdot(u, u).real + (v.real**2 + v.imag**2).sum(axis=1), v @ u.conj()
+
+
+def _harmonic(A, C) -> tuple:
+    """The sinusoid A - 2 Re(e^{-i sigma} C) as the rows (k, p, q) of k +
+    p cos(sigma) + q sin(sigma)."""
+    return A, -2.0 * C.real, -2.0 * C.imag
 
 
 def _row_runs(row: np.ndarray):

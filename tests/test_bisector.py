@@ -13,6 +13,7 @@ from crlab.bisector import (
     SymmetricKind,
     classify_bisector,
     classify_pair,
+    column_minima,
     level_g,
     symmetric_intersection_type,
     vertex_angles,
@@ -286,12 +287,13 @@ def test_torus_grid_matches_materialized_grid(n, at_delta0):
             sigmas = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
             deltas = d0 + np.linspace(0.0, math.pi, n // 2, endpoint=False)
             ws = (pts.p_U, pts.p_V, pts.p_W, U.apply(pts.p_A))
-            norm, *abs2 = torus.column_forms(sigmas, deltas, [w.v for w in ws])
+            (norm, *abs2), (norm_wx, *abs2_wx) = (torus.column_forms(sigmas, deltas, a.v, b.v) for a, b in (ws[:2], ws[2:]))
             V = torus.vectors(sigmas[:, None] + deltas, sigmas[:, None] - deltas)
             V = V / np.linalg.norm(V, axis=-1, keepdims=True)
             norms = sp.norm_grid(V)
-            assert np.abs(norm - norms).max() <= 1e-12 * np.abs(norms).max()
-            for w, got in zip(ws, abs2):
+            for got in (norm, norm_wx):
+                assert np.abs(got - norms).max() <= 1e-12 * np.abs(norms).max()
+            for w, got in zip(ws, abs2 + abs2_wx):
                 want = np.abs(sp.inner_grid(w.v, V)) ** 2
                 assert np.abs(got - want).max() <= 1e-12 * want.max()
 
@@ -409,7 +411,7 @@ def test_column_minima_is_the_envelope_of_one_constraint(n):
     # whole columns
     for torus, pos, negs, deltas in _ball_tori(n):
         for neg, ball in zip(negs, (True, False, True)):
-            got = torus.column_minima(deltas, pos, neg, ball=ball)[0]
+            got = column_minima([(torus, deltas, pos, neg, ball)])[0]
             assert np.array_equal(got, envelope_minima(torus, deltas, pos, [neg], ball=ball))
 
 
@@ -438,9 +440,8 @@ def test_stacked_column_minima_equal_each_block_alone(alpha2, n):
     stacks = [single[:1], single[:1] + lines[:1], ball[:1] + single[:1] + lines[1:], ball + single + lines]
     assert [sum(len(b[1]) for b in stack) for stack in stacks] == [1, 2, m + 2, 2 * m + 4]
     for stack in stacks:
-        (torus, *block), *more = stack
-        got = torus.column_minima(*block, more=more)
-        alone = [b[0].column_minima(*b[1:]) for b in stack]
+        got = column_minima(stack)
+        alone = [column_minima([b]) for b in stack]
         for g, want in zip(got, zip(*alone)):
             assert np.array_equal(g, np.concatenate(want), equal_nan=True)
         oracle = [envelope_minima(t, d, pos, [neg], ball=b) for t, d, pos, neg, b in stack]

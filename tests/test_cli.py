@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from crlab.cli import MAX_GRID, main
-from crlab.family import alpha2_for_order
+from crlab.family import ALPHA2_LIM, alpha2_for_order
 
 
 def run_cli(args, tmp_path=None):
@@ -188,6 +188,56 @@ def test_env_tolerance_override(monkeypatch):
     assert tolerance(1e-5) == 1e-5
     monkeypatch.delenv("CRLAB_TOL")
     assert tolerance() == 1e-9
+
+
+@pytest.mark.parametrize(
+    "value, err",
+    [
+        ("abc", "error: CRLAB_TOL='abc' is not a number\n"),
+        ("0.5", "error: tolerance (CRLAB_TOL) must lie in [1e-14, 1e-3]\n"),
+        ("0", "error: tolerance (CRLAB_TOL) must lie in [1e-14, 1e-3]\n"),
+        ("-1", "error: tolerance (CRLAB_TOL) must lie in [1e-14, 1e-3]\n"),
+        ("nan", "error: tolerance (CRLAB_TOL) must lie in [1e-14, 1e-3]\n"),
+        ("1e-20", "error: tolerance (CRLAB_TOL) must lie in [1e-14, 1e-3]\n"),
+    ],
+)
+def test_env_tolerance_is_checked_like_the_flag(value, err, tmp_path, monkeypatch):
+    # without --tol, a CRLAB_TOL that is not a number in [1e-14, 1e-3] is a
+    # usage error that names it, for every subcommand; the flag takes
+    # precedence
+    import crlab.cli as cli
+
+    monkeypatch.setenv("CRLAB_TOL", value)
+    monkeypatch.setattr(cli, "verify", lambda *args, **kwargs: pytest.fail("verify ran"))
+    assert run_cli(["verify", "--n", "9", "--grid", "64"]) == (2, "", err)
+    assert run_cli(["figure", "spinal-trace", "--resolution", "64", "--out", str(tmp_path / "out")]) == (2, "", err)
+    assert not (tmp_path / "out").exists()
+    assert run_cli(["classify", "--word", "ts^-1", "--alpha2", "0.5"]) == (2, "", err)
+    flag = "error: tolerance (--tol) must lie in [1e-14, 1e-3]\n"
+    assert run_cli(["verify", "--n", "9", "--tol", "1.0"]) == (2, "", flag)
+    assert run_cli(["classify", "--word", "ts^-1", "--alpha2", "0.5", "--tol", "1e-9"])[0] == 0
+
+
+def test_env_tolerance_reaches_verify(monkeypatch):
+    # without --tol each parameter is verified at CRLAB_TOL; with it, at the flag
+    import crlab.cli as cli
+
+    seen = []
+    monkeypatch.setenv("CRLAB_TOL", "1e-7")
+    monkeypatch.setattr(cli, "_verify_one", lambda job: (seen.append(job[2]) or "", False))
+    assert run_cli(["verify", "--n", "9", "--grid", "64"])[0] == 0
+    assert run_cli(["verify", "--n", "9", "--grid", "64", "--tol", "1e-5"])[0] == 0
+    assert seen == [1e-7, 1e-5]
+
+
+@pytest.mark.parametrize("offset", [1e-13, 2e-14])
+def test_verify_near_the_wall_at_the_least_tolerance_exits_1(offset):
+    # off the wall by param_side at tol 1e-14, with |tr U - 3| below 1e-12:
+    # a summary line, not a traceback
+    a2 = "%.17g" % (ALPHA2_LIM - offset)
+    code, out, err = run_cli(["verify", "--alpha2", a2, "--tol", "1e-14", "--grid", "128"])
+    assert (code, err) == (1, "")
+    assert out == f"alpha2={float(a2):.17g}: inconclusive (a check failed)\n"
 
 
 def test_figure_spinal_trace_and_schwartz(tmp_path):

@@ -11,7 +11,7 @@ import pytest
 
 from crlab.bisector import GiraudTorus, classify_bisector, giraud_circle_tangents, torus_exclusion
 from crlab.core import HVec, inner, proj_distance
-from crlab.family import ALPHA2_LIM, alpha2_for_order
+from crlab.family import ALPHA2_LIM, SideKind, alpha2_for_order, param_side
 from crlab.isometry import Isometry
 from crlab.reference import alpha2_for_length
 from crlab.visual import angular_diameter
@@ -97,6 +97,25 @@ def test_chart_action_is_skipped_on_the_wall():
     res = incidence_check(ff)
     assert "chart_action" not in res.residuals
     assert res.notes == ["chart_action skipped: U acts on no chart by a multiplier at the unipotent parameter"]
+
+
+@pytest.mark.parametrize("tol", [1e-14, 1e-9])
+def test_chart_exists_exactly_off_the_wall(tol):
+    # one wall: the chart is None exactly where param_side reads unipotent,
+    # whatever the tolerance, with |tr U - 3| below and above 1e-12
+    for a2 in ALPHA2_LIM + np.array([0.0, 1e-13, -1e-13, 1e-10, -1e-10]):
+        ff = FaceFamily(float(a2), tol)
+        unipotent = param_side(float(a2), tol).kind is SideKind.UNIPOTENT
+        assert (ff.chart is None) == unipotent and (ff.chart_multiplier is None) == unipotent
+
+
+@pytest.mark.parametrize("offset", [1e-13, 2e-14])
+def test_wall_at_the_least_tolerance_gets_a_verdict(offset):
+    # off the wall by param_side at tol 1e-14, with |tr U - 3| below 1e-12:
+    # every check runs on p_U' and p_U'', and the report is inconclusive
+    r = verify(ALPHA2_LIM - offset, tol=1e-14, grid_n=128)
+    assert r.side.kind is SideKind.LOXODROMIC
+    assert r.verdict.kind is VerdictKind.INCONCLUSIVE and r.verdict.reason == "a check failed"
 
 
 def test_tf_structure(ff_lox):
@@ -322,14 +341,14 @@ def test_tightest_cone_pair_note_names_the_smallest_tie(n):
 
 def test_verify_forms_no_dense_torus_grid():
     # TF and LC read the Giraud tori per delta-column in closed form
-    # (GiraudTorus.column_minima, through bisector.torus_exclusion): verify
+    # (bisector.column_minima, through bisector.torus_exclusion): verify
     # never evaluates the figures' (sigma, delta) grid (GiraudTorus.column_forms)
     sources = (inspect.getsource(importlib.import_module("crlab.verify")), inspect.getsource(torus_exclusion))
     called = {
-        n.func.attr
+        n.func.attr if isinstance(n.func, ast.Attribute) else n.func.id
         for source in sources
         for n in ast.walk(ast.parse(source))
-        if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+        if isinstance(n, ast.Call) and isinstance(n.func, (ast.Attribute, ast.Name))
     }
     assert "column_forms" not in called
     assert "column_minima" in called
@@ -725,19 +744,19 @@ def test_verify_runs_one_exclusion_pass_per_torus(alpha2, monkeypatch):
     # column alone and TF's two complex-line reads, whole-column blocks of
     # one column each; every block reads a single constraint, and TF and GC
     # share the two criterion tangencies
-    module = importlib.import_module("crlab.verify")
+    module, bisector = importlib.import_module("crlab.verify"), importlib.import_module("crlab.bisector")
     calls, tangencies = [], []
-    column_minima, tangency_check = GiraudTorus.column_minima, module.tangency_check
+    column_minima, tangency_check = bisector.column_minima, module.tangency_check
 
-    def counted_minima(self, deltas, pos, neg, ball=True, more=()):
-        calls.append([(b, len(d), np.shape(w)) for _, d, _, w, b in [(self, deltas, pos, neg, ball), *more]])
-        return column_minima(self, deltas, pos, neg, ball, more)
+    def counted_minima(blocks):
+        calls.append([(b, len(d), np.shape(w)) for _, d, _, w, b in blocks])
+        return column_minima(blocks)
 
     def counted_tangency(*args):
         tangencies.append(args)
         return tangency_check(*args)
 
-    monkeypatch.setattr(GiraudTorus, "column_minima", counted_minima)
+    monkeypatch.setattr(bisector, "column_minima", counted_minima)
     monkeypatch.setattr(module, "tangency_check", counted_tangency)
     rep = verify(alpha2, grid_n=720)
     assert rep.all_passed()
@@ -745,6 +764,26 @@ def test_verify_runs_one_exclusion_pass_per_torus(alpha2, monkeypatch):
     assert [(ball, n) for ball, n, _ in blocks] == [(True, 360), (True, 360), (True, 1), (True, 1), (False, 1), (False, 1)]
     assert all(shape == (3,) for *_, shape in blocks)
     assert len(tangencies) == 2
+
+
+def test_verify_and_the_spinal_trace_share_one_column_stage(tmp_path, monkeypatch):
+    # one engine forms the torus columns' sinusoids: a verify calls it once,
+    # with the six blocks of the exclusion passes and the complex-line
+    # reads, and a spinal-trace figure once, with its one block of whole
+    # columns
+    bisector, figures = (importlib.import_module(f"crlab.{name}") for name in ("bisector", "figures"))
+    calls, stage = [], bisector._column_sinusoids
+
+    def counted(blocks):
+        calls.append([(b, len(d)) for _, d, _, _, b in blocks])
+        return stage(blocks)
+
+    monkeypatch.setattr(bisector, "_column_sinusoids", counted)
+    assert verify(alpha2_for_order(9), grid_n=720).all_passed()
+    assert calls == [[(True, 360), (True, 360), (True, 1), (True, 1), (False, 1), (False, 1)]]
+    calls.clear()
+    figures.figure_spinal_trace(str(tmp_path / "spinal-trace"), resolution=181)
+    assert calls == [[(False, 90)]]
 
 
 # scalar core.inner calls of verify(alpha2, grid_n=720): 79 at order 9 and 64
