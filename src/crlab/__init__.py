@@ -4,7 +4,7 @@ one-parameter family of deformed Ford domains.
 Modules:
   core       Hermitian linear algebra of signature (2,1), the box product
   isometry   SU(2,1) lifts, trace classification, eigendata, elliptic types
-  family     the two-parameter representation family and its remarkable points
+  family     the two-parameter representation family and its point table
   bisector   bisectors/extors, pair classification, Giraud tori, level sets
   visual     visual-sphere charts, silhouettes, tangency and angle bounds
   verify     the TF/LC/GC verification engine and surgery verdicts
@@ -14,18 +14,17 @@ Modules:
   cli        the `crlab` command line
   reference  the paper's objects no check computes with (trace coordinates,
              region Z, peripheral words, fixed points, ball and custom
-             models); not imported here, nor by any module above
+             models, and the per-point forms: remarkable points as HVecs,
+             box, locate, proj_equal); not imported here, nor by any
+             module above
 """
 
 from .core import (
     HermitianSpace,
     HVec,
-    Location,
     Model,
-    box,
+    box_rows,
     inner,
-    locate,
-    proj_equal,
     siegel_model,
 )
 from .isometry import (
@@ -43,25 +42,23 @@ from .family import (
     FamilyParams,
     FamilyRep,
     alpha2_for_order,
+    face_points,
     param_side,
-    remarkable_points,
     schwartz_point,
 )
 from .bisector import (
-    Bisector,
     BisectorKind,
     ExtorPairKind,
     GiraudTorus,
-    classify_bisector,
-    classify_pair,
-    symmetric_intersection_type,
+    bisector_kinds,
+    pair_kinds,
+    symmetric_kinds,
 )
 from .visual import (
     VisualChart,
     angular_diameter,
-    project_bisector,
     silhouette_circles,
-    tangency_check,
+    tangencies,
 )
 from .report import VerificationReport
 from .verify import FaceFamily, verify

@@ -1,30 +1,27 @@
-"""Bisectors, extors, their pairs and parametrized intersections.
+"""Bisectors, extors, their pairs and parametrized intersections, decided
+on tables of lifts.
 
 A bisector is the equal-modulus locus |<z,p>| = |<z,q>| cut down to the
 closure of the negative cone; its extension to all of CP^2 is the extor.
 The Gram determinant r = <p,p><q,q> - <p,q><q,p> of equal-norm lifts sorts
 the locus into a metric bisector (r < 0), a fan (r = 0), or a Clifford
 cone (r > 0); the focus is always the pole [p box q] of the complex spine.
+Every decision here reads a Gram table G[i, j] = <x_i, x_j> of a table of
+lifts, or the box products of its rows (`core.box_rows`), so that a whole
+family of bisectors is one array evaluation.
 """
 
 from __future__ import annotations
 
 import cmath
 import enum
+import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    GeometryError,
-    HVec,
-    box,
-    inner,
-    proj_equal,
-    tolerance,
-)
+from .core import GeometryError
 
 
 class BisectorKind(enum.Enum):
@@ -33,34 +30,24 @@ class BisectorKind(enum.Enum):
     CLIFFORD_CONE = "clifford-cone"
 
 
-@dataclass(frozen=True)
-class Bisector:
-    p: HVec
-    q: HVec
-    focus: HVec
-    r_disc: float
-    kind: BisectorKind
-
-    def scale(self) -> float:
-        return self.p.length() * self.q.length()
-
-
-def classify_bisector(p: HVec, q: HVec, tol=None) -> Bisector:
-    """Build the bisector of two equal-norm lifts and classify it by r_disc."""
-    tol = tolerance(tol)
-    np_, nq = p.norm(), q.norm()
-    scale = max(abs(np_), abs(nq), p.length() * q.length())
-    if abs(np_ - nq) > 1e3 * tol * max(scale, 1.0):
-        raise GeometryError(f"lifts have different norms ({np_:.6g} vs {nq:.6g})")
-    r = np_ * nq - abs(inner(p, q)) ** 2
-    band = tol * max(1.0, abs(np_)) ** 2
-    if r < -band:
-        kind = BisectorKind.METRIC_BISECTOR
-    elif r > band:
-        kind = BisectorKind.CLIFFORD_CONE
-    else:
-        kind = BisectorKind.FAN
-    return Bisector(p, q, box(p, q), float(r), kind)
+def bisector_kinds(G, lengths, p: int, qs, tol) -> tuple[np.ndarray, list]:
+    """(r_disc, kinds) of the bisectors of the lift p with each lift qs[i],
+    read from the Gram table G and the Euclidean lengths of a table of
+    lifts: r_disc = <p,p><q,q> - |<p,q>|^2 against the band tol max(1,
+    |<p,p>|)^2.  Raises GeometryError when two lifts' norms differ by more
+    than 1e3 tol times their scale."""
+    n_p, n_q = G[p, p].real, G[qs, qs].real
+    scale = np.maximum(np.maximum(abs(n_p), np.abs(n_q)), lengths[p] * lengths[qs])
+    off = np.flatnonzero(np.abs(n_p - n_q) > 1e3 * tol * np.maximum(scale, 1.0))
+    if len(off):
+        raise GeometryError(f"lifts have different norms ({n_p:.6g} vs {n_q[off[0]]:.6g})")
+    r = n_p * n_q - np.abs(G[p, qs]) ** 2
+    band = tol * max(1.0, abs(n_p)) ** 2
+    kinds = [
+        BisectorKind.METRIC_BISECTOR if x < -band else BisectorKind.CLIFFORD_CONE if x > band else BisectorKind.FAN
+        for x in r.tolist()
+    ]
+    return r, kinds
 
 
 class ExtorPairKind(enum.Enum):
@@ -70,68 +57,66 @@ class ExtorPairKind(enum.Enum):
     UNBALANCED = "unbalanced"
 
 
-def _focus_in_extor(f: HVec, b: Bisector, tol) -> bool:
-    ap, aq = abs(inner(f, b.p)), abs(inner(f, b.q))
-    scale = max(f.length() * math.sqrt(b.scale()), 1e-300)
-    return abs(ap - aq) <= tol * scale
+def pair_kinds(foci, lifts, pairs, space, tol) -> list[ExtorPairKind]:
+    """The kind of each pair (i, j) of the bisectors with foci foci[i] and
+    lifts (p_i, q_i) = lifts[i], shapes (k, 3) and (k, 2, 3).  Confocal when
+    the foci are projectively equal within 1e3 tol (GeometryError when the
+    lifts are too: the extors are identical); else a line through a focus
+    lies in an extor exactly when its second point does, so both
+    containments reduce to the membership |<f, p>| = |<f, q>| of each focus
+    in the other extor, within 1e3 tol |f| sqrt(|p| |q|).  The products of
+    every focus with every lift are one matmul, and the foci's Euclidean
+    products another: the squared distance of two unit vectors at optimal
+    phase is 1 - |<a, b>|^2."""
+    H = np.abs((foci.conj() @ space.J) @ lifts.reshape(-1, 3).T).reshape(len(foci), -1, 2).tolist()
+    E, Lpq = (foci.conj() @ foci.T).tolist(), np.linalg.norm(lifts, axis=2).tolist()
+
+    def inside(f, b):  # focus f in the extor of bisector b
+        (ap, aq), (lp, lq) = H[f][b], Lpq[b]
+        return abs(ap - aq) <= 1e3 * tol * max(math.sqrt(E[f][f].real * lp * lq), 1e-300)
+
+    kinds = []
+    for f, g in pairs:
+        if 1.0 - abs(E[f][g]) ** 2 / (E[f][f].real * E[g][g].real) <= (1e3 * tol) ** 2:
+            if _proj_distances(lifts[f], lifts[g]).max() <= 1e-8:
+                raise GeometryError("extors are identical")
+            kinds.append(ExtorPairKind.CONFOCAL)
+        else:
+            c1, c2 = inside(g, f), inside(f, g)
+            kinds.append(
+                ExtorPairKind.BALANCED if c1 and c2 else ExtorPairKind.SEMI_BALANCED if c1 or c2 else ExtorPairKind.UNBALANCED
+            )
+    return kinds
 
 
-def classify_pair(b1: Bisector, b2: Bisector, tol=None) -> ExtorPairKind:
-    """Pair type from the foci: a line through a focus lies in that extor
-    exactly when its second point does, so both containments reduce to two
-    membership tests."""
-    tol = tolerance(tol)
-    f1, f2 = b1.focus, b2.focus
-    if proj_equal(f1, f2, 1e3 * tol):
-        if proj_equal(b1.p, b2.p, 1e-8) and proj_equal(b1.q, b2.q, 1e-8):
-            raise GeometryError("extors are identical")
-        return ExtorPairKind.CONFOCAL
-    c1 = _focus_in_extor(f2, b1, tol * 1e3)
-    c2 = _focus_in_extor(f1, b2, tol * 1e3)
-    if c1 and c2:
-        return ExtorPairKind.BALANCED
-    if c1 or c2:
-        return ExtorPairKind.SEMI_BALANCED
-    return ExtorPairKind.UNBALANCED
+def _proj_distances(a, b) -> np.ndarray:
+    """Row by row, the distance of the unit representatives of a and b at
+    optimal phase: a less its projection on b."""
+    a = a / np.linalg.norm(a, axis=-1, keepdims=True)
+    b = b / np.linalg.norm(b, axis=-1, keepdims=True)
+    return np.linalg.norm(a - (b.conj() * a).sum(axis=-1, keepdims=True) * b, axis=-1)
 
 
 class GiraudTorus:
-    """The intersection torus of the coequidistant extors E(p,q), E(p,r),
-    built from their two bisectors (`classify_bisector`).
+    """The intersection torus of the coequidistant extors E(p,q), E(p,r) of
+    an unbalanced pair (`pair_kinds`), from its lifts and box products.
 
     Points are [(q - e^{i theta} p) box (r - e^{i phi} p)], expanded as
-    qr - e^{-i theta} pr - e^{-i phi} qp in the precomputed box products
-    qr = q box r, pr = p box r, qp = q box p.  `vectors` evaluates that
-    expansion at given angles.  With theta = sigma + delta and phi = sigma -
-    delta the point is qr - e^{-i sigma} B(delta), so every form on a
-    delta-column is a sinusoid in sigma, formed by `_column_sinusoids` alone:
-    `column_minima` reads the ball part of each column in closed form for
-    verify, and `column_forms` evaluates the forms on a (sigma, delta) grid
-    for the figures.
+    qr - e^{-i theta} pr - e^{-i phi} qp in the box products qr = q box r,
+    pr = p box r, qp = q box p.  With theta = sigma + delta and phi =
+    sigma - delta the point is qr - e^{-i sigma} B(delta), so every form on
+    a delta-column is a sinusoid in sigma, formed by `_column_sinusoids`
+    alone: `column_minima` reads the ball part of each column in closed
+    form for verify, and `column_forms` evaluates the forms on a (sigma,
+    delta) grid for the figures.
     """
 
-    def __init__(self, b1: Bisector, b2: Bisector, tol=None):
-        """The torus of E(p, q) and E(p, r) from their classified bisectors
-        b1 = (p, q) and b2 = (p, r), which are not classified again."""
-        if b1.p is not b2.p and not np.array_equal(b1.p.v, b2.p.v):
-            raise GeometryError("the bisectors of a torus need a common first lift")
-        kind = classify_pair(b1, b2, tolerance(tol))
-        if kind is not ExtorPairKind.UNBALANCED:
-            raise GeometryError(f"pair is {kind.value}; torus needs an unbalanced pair")
-        self.p, self.q, self.r = b1.p, b1.q, b2.q
-        self.space = self.p.space
-        self.qr = box(self.q, self.r).v
-        self.pr = b2.focus.v  # p box r
-        self.qp = -b1.focus.v  # q box p = -(p box q)
-        self.bis1, self.bis2 = b1, b2
-
-    def vectors(self, theta, phi) -> np.ndarray:
-        """Representatives at broadcastable arrays of angles, shape (..., 3)."""
-        return (
-            self.qr
-            - np.exp(-1j * np.asarray(theta))[..., None] * self.pr
-            - np.exp(-1j * np.asarray(phi))[..., None] * self.qp
-        )
+    def __init__(self, lifts, rows, space):
+        """The torus of the lifts (p, q, r), coordinate vectors of `space`,
+        with the box products rows = (q box r, p box r, q box p)."""
+        self.p, self.q, self.r = lifts
+        self.qr, self.pr, self.qp = rows
+        self.space = space
 
     def delta_rows(self, deltas) -> np.ndarray:
         """B(delta) = e^{-i delta} pr + e^{i delta} qp, shape (len(deltas), 3):
@@ -215,7 +200,7 @@ def column_minima(blocks) -> tuple:
     no point is), or over the whole column (0 +- pi) for a block whose ball
     is False; inf where the arc is empty.  verify's call, through
     `torus_exclusion` (six blocks, 724 columns at grid 720), takes about
-    0.4 ms.
+    0.35 ms (least of 3,000 runs on 2 cores, Python 3.11, numpy 2.4).
 
     On the arc the minimum of the ratio sits at an arc end or where E' |V|^2
     - E (|V|^2)' vanishes, a constant plus one harmonic with closed-form
@@ -244,8 +229,8 @@ def vertex_angles(pairs) -> list[tuple[float, float]]:
     pair: a torus point is J-orthogonal to both factors q - e^{i th} p and
     r - e^{i ph} p, so e^{-i th} = <q,t>/<p,t> and e^{-i ph} = <r,t>/<p,t>,
     from one Gram array of the tori's p, q, r against the vertices."""
-    W = np.array([x.v for torus, _ in pairs for x in (torus.p, torus.q, torus.r)])
-    G = pairs[0][0].space.inner_grid(W, np.array([t.v for _, t in pairs])).tolist()
+    W = np.array([x for torus, _ in pairs for x in (torus.p, torus.q, torus.r)])
+    G = pairs[0][0].space.inner_grid(W, np.array([t for _, t in pairs])).tolist()
     return [(-cmath.phase(g[3 * i + 1] / g[3 * i]), -cmath.phase(g[3 * i + 2] / g[3 * i])) for i, g in enumerate(G)]
 
 
@@ -258,22 +243,26 @@ def torus_exclusion(passes, blocks, m: int) -> tuple[list, np.ndarray]:
     the two ends of its ball arc, where the contact is of second order.  The
     margin is the exact minimum of |<p, z>|^2 - |<neg, z>|^2, z unit, on the
     arcs of the m columns delta_v + (k + 1/2) pi / m, over sin^2(delta -
-    delta_v); a vertex's residual is its distance (`proj_distance`) to the
-    nearer end of the delta_v arc.  One `column_minima` call reads these
-    columns, each delta_v column as a block alone, and `blocks`.  Exact in
-    sigma, sampled in delta; about 0.55 ms for verify's two passes and TF's
-    two reads at m = 360."""
-    k = len(passes)
-    offsets = (np.arange(m) + 0.5) * (math.pi / m)
+    delta_v); a vertex's residual is its projective distance to the nearer
+    end of the delta_v arc.  One `column_minima` call reads these columns,
+    each delta_v column as a block alone, and `blocks`.  Exact in sigma,
+    sampled in delta; about 0.45 ms for verify's two passes and TF's two
+    reads at m = 360, 0.35 ms of it in `column_minima`."""
+    k, (offsets, sin2) = len(passes), _offsets(m)
     dvs = np.array([((th - ph) / 2.0) % math.pi for th, ph in vertex_angles([(t, v[0]) for t, _, v in passes])])
     # the passes' columns, then each delta_v column alone, then `blocks`
-    cols = [(t, d, t.p.v, neg.v, True) for ds in (dvs[:, None] + offsets, dvs[:, None]) for (t, neg, _), d in zip(passes, ds)]
+    cols = [(t, d, t.p, neg, True) for ds in (dvs[:, None] + offsets, dvs[:, None]) for (t, neg, _), d in zip(passes, ds)]
     minima, mid, half = column_minima(cols + blocks)
-    margins = (minima[: k * m].reshape(k, m) / np.sin(offsets) ** 2).min(axis=1)
+    margins = (minima[: k * m].reshape(k, m) / sin2).min(axis=1)
     mid, half = mid[k * m : k * m + k, None], half[k * m : k * m + k, None]
-    s, dv = mid + half * [-1.0, 1.0], dvs[:, None]
-    # per pass: the two arc ends, then the two vertices, as unit vectors
-    x = np.array([[*t.vectors(a, b), *(y.v for y in vs)] for (t, _, vs), a, b in zip(passes, s + dv, s - dv)])
+    s, dv = mid + half * _ENDS, dvs[:, None]
+    # per pass: the torus points qr - e^{-i theta} pr - e^{-i phi} qp at the
+    # two arc ends, every pass at once, then the two vertices, as unit vectors
+    R = np.array([(t.qr, t.pr, t.qp) for t, _, _ in passes])
+    x = np.concatenate([
+        R[:, None, 0] - np.exp(-1j * (s + dv))[..., None] * R[:, None, 1] - np.exp(-1j * (s - dv))[..., None] * R[:, None, 2],
+        np.array([vs for _, _, vs in passes]),
+    ], axis=1)
     x /= np.linalg.norm(x, axis=-1, keepdims=True)
     ends, t = x[:, :2], x[:, 2:]
     # [pass, vertex, end]: each end less its projection on the vertex
@@ -282,16 +271,28 @@ def torus_exclusion(passes, blocks, m: int) -> tuple[list, np.ndarray]:
     return [(float(a), r) for a, r in zip(margins, resids.tolist())], minima[k * m + k :]
 
 
+_ENDS = np.array([-1.0, 1.0])
+
+
+@functools.cache
+def _offsets(m: int):
+    """The column offsets (k + 1/2) pi / m of `torus_exclusion` and their
+    sin^2, formed once per m."""
+    offsets = (np.arange(m) + 0.5) * (math.pi / m)
+    return offsets, np.sin(offsets) ** 2
+
+
 def giraud_circle_tangents(pairs):
     """Affine-chart velocities, shape (k, 2), of the Giraud circles of the k
     (torus, vertex) pairs at their vertices, with the torus points V (k, 3)
-    at `vertex_angles` and their distances (`core.proj_distance`) to the
-    vertices, as one array evaluation."""
+    at `vertex_angles` and their projective distances (unit representatives
+    at optimal phase) to the vertices, as one array evaluation."""
     R = np.array([(t.qr, t.pr, t.qp) for t, _ in pairs])
     PQ = np.exp(-1j * np.array(vertex_angles(pairs)))[..., None] * R[:, 1:]
-    # `GiraudTorus.vectors` and its theta and phi derivatives
+    # the torus point qr - e^{-i theta} pr - e^{-i phi} qp and its theta and
+    # phi derivatives
     v, dv = R[:, 0] - PQ[:, 0] - PQ[:, 1], 1j * PQ
-    x = np.array([t.v for _, t in pairs])
+    x = np.array([t for _, t in pairs])
     a, b = (y / np.linalg.norm(y, axis=1, keepdims=True) for y in (v, x))
     dist = np.linalg.norm(a - (b.conj() * a).sum(axis=1, keepdims=True) * b, axis=1)
     g = 2.0 * ((v.conj() @ pairs[0][0].space.J)[:, None] * dv).sum(axis=-1).real
@@ -344,35 +345,28 @@ class SymmetricKind(enum.Enum):
     TORUS_MINUS_TWO_DISKS = "torus-minus-two-disks"
 
 
-@dataclass(frozen=True)
-class SymmetricIntersection:
-    kind: SymmetricKind
-    u: float
-    k_value: complex  # the common mixed Hermitian product, real negative
-    l_value: float  # the common squared norm of the box products
-
-
-def symmetric_intersection_type(p: HVec, q: HVec, r: HVec, tol=None) -> SymmetricIntersection:
-    """Trichotomy for the intersection B(p,q) /\\ B(p,r) of an order-3
-    symmetric triple, decided by u = <pxq, pxq> / <pxq, qxr> against 2/3."""
-    tol = tolerance(tol)
-    bpq, bqr, brp = box(p, q), box(q, r), box(r, p)
-    k1, k2, k3 = inner(bpq, bqr), inner(bqr, brp), inner(brp, bpq)
-    l1, l2, l3 = bpq.norm(), bqr.norm(), brp.norm()
-    scale = max(abs(k1), abs(l1), 1e-300)
-    sym_tol = 1e3 * tol * scale
-    if max(abs(k1 - k2), abs(k2 - k3)) > sym_tol or max(abs(l1 - l2), abs(l2 - l3)) > sym_tol:
-        raise GeometryError("triple is not order-3 symmetric within tolerance")
-    if abs(k1.imag) > sym_tol or k1.real >= -tol * scale:
-        raise GeometryError("mixed product is not real negative; hypotheses violated")
-    k = k1.real
-    u = l1 / k
-    band = 1e3 * tol * max(1.0, abs(u))
-    if u < 2.0 / 3.0 - band:
-        kind = SymmetricKind.DISK
-    elif u > 2.0 / 3.0 + band:
-        kind = SymmetricKind.TORUS_MINUS_TWO_DISKS
-    else:
-        kind = SymmetricKind.TRI_CIRCLE_DISK
-    return SymmetricIntersection(kind, float(u), k1, float(l1))
-
+def symmetric_kinds(boxes, space, tol) -> tuple[list, list]:
+    """(u, kinds) of the intersections B(p,q) /\\ B(p,r) of order-3
+    symmetric triples, decided by u = <pxq, pxq> / <pxq, qxr> against 2/3,
+    from the box products (p box q, q box r, r box p) of each triple, shape
+    (m, 3, 3), and their Gram blocks, one matmul.  Raises GeometryError for
+    a triple that is not order-3 symmetric, or whose mixed product is not
+    real negative."""
+    us, kinds = [], []
+    for K in ((boxes.conj() @ space.J) @ boxes.transpose(0, 2, 1)).tolist():
+        (l1, k1, _), (_, l2, k2), (k3, _, l3) = K
+        l1, l2, l3 = l1.real, l2.real, l3.real
+        scale = max(abs(k1), abs(l1), 1e-300)
+        sym_tol = 1e3 * tol * scale
+        if max(abs(k1 - k2), abs(k2 - k3)) > sym_tol or max(abs(l1 - l2), abs(l2 - l3)) > sym_tol:
+            raise GeometryError("triple is not order-3 symmetric within tolerance")
+        if abs(k1.imag) > sym_tol or k1.real >= -tol * scale:
+            raise GeometryError("mixed product is not real negative; hypotheses violated")
+        u = l1 / k1.real
+        band = 1e3 * tol * max(1.0, abs(u))
+        us.append(u)
+        kinds.append(
+            SymmetricKind.DISK if u < 2.0 / 3.0 - band else SymmetricKind.TORUS_MINUS_TWO_DISKS if u > 2.0 / 3.0 + band
+            else SymmetricKind.TRI_CIRCLE_DISK
+        )
+    return us, kinds

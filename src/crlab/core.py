@@ -15,14 +15,12 @@ from __future__ import annotations
 
 import enum
 import functools
-import math
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 DEFAULT_TOL = 1e-9
-PROJ_EQ_TOL = 1e-8
 
 
 def tolerance(tol=None):
@@ -41,12 +39,6 @@ class Model(enum.Enum):
     CUSTOM = "custom"
 
 
-class Location(enum.Enum):
-    INSIDE = "inside"
-    BOUNDARY = "boundary"
-    OUTSIDE = "outside"
-
-
 class GeometryError(ValueError):
     """Raised when an operation's geometric preconditions fail."""
 
@@ -55,6 +47,22 @@ def cross(a, b):
     """Bilinear cross product a x b (no conjugation) of (..., 3) arrays."""
     i, j = [1, 2, 0], [2, 0, 1]
     return a[..., i] * b[..., j] - a[..., j] * b[..., i]
+
+
+def box_rows(a, b, space: "HermitianSpace") -> np.ndarray:
+    """The box products of the rows of a and b, shape (..., 3): J^{-1}
+    conj(a x b), the unique s with <s, r> = det(a, b, r).  Each complex
+    product is formed from its real parts as Python's complex scalars form
+    it (no fused multiply-add), so every row has the bits of the same
+    product taken on one pair of complex scalars."""
+    # the six products a_i b_j of both terms of the cross product at once
+    x, y = a[..., [1, 2, 0, 2, 0, 1]], b[..., [2, 0, 1, 1, 2, 0]]
+    re = x.real * y.real - x.imag * y.imag
+    im = x.real * y.imag + x.imag * y.real
+    c = np.empty(re.shape[:-1] + (3,), dtype=complex)
+    c.real = re[..., :3] - re[..., 3:]
+    c.imag = im[..., 3:] - im[..., :3]
+    return c @ space.J_inv.T
 
 
 def _sign_changes(coeffs) -> int:
@@ -141,7 +149,8 @@ class HVec:
     """A vector of C^3 interpreted in a fixed Hermitian space.
 
     A nonzero HVec doubles as a homogeneous representative of a point of
-    CP^2; `locate` classifies the point against the null cone.
+    CP^2.  It is the per-object form of a row of the program's point
+    tables, kept for the eigendata of `isometry` and the tests.
     """
 
     v: np.ndarray
@@ -152,82 +161,14 @@ class HVec:
         v.setflags(write=False)
         object.__setattr__(self, "v", v)
 
-    def is_zero(self, tol=1e-14) -> bool:
-        return bool(np.abs(self.v).max() <= tol)
-
     def norm(self) -> float:
         """Real value of <v, v>."""
         return inner(self, self).real
 
-    def length(self) -> float:
-        """Euclidean length |v| of the representative."""
-        return _length(self.v)
-
-
-def _length(v: np.ndarray) -> float:
-    """Euclidean length of a complex vector, summed as np.linalg.norm sums
-    it, to the same bits."""
-    return math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
-
-
-def _check_same_space(u: HVec, v: HVec):
-    # identity first: comparing the forms runs np.array_equal on J
-    if u.space is not v.space and u.space != v.space:
-        raise GeometryError("operands live in different Hermitian spaces")
-
 
 def inner(u: HVec, v: HVec) -> complex:
     """<u, v> = u^H J v; conjugate-symmetric: inner(u,v) = conj(inner(v,u))."""
-    _check_same_space(u, v)
+    # identity first: comparing the forms runs np.array_equal on J
+    if u.space is not v.space and u.space != v.space:
+        raise GeometryError("operands live in different Hermitian spaces")
     return complex(np.vdot(u.v, u.space.J @ v.v))
-
-
-def box(u: HVec, v: HVec) -> HVec:
-    """Hermitian cross product: the unique s with <s, r> = det(u, v, r).
-
-    Computed as J^{-1} conj(u x v); for the ball and Siegel forms this
-    reduces to the usual coordinate formulas.  Collinear inputs give the
-    zero vector.
-    """
-    _check_same_space(u, v)
-    cross = np.array(
-        [
-            u.v[1] * v.v[2] - u.v[2] * v.v[1],
-            u.v[2] * v.v[0] - u.v[0] * v.v[2],
-            u.v[0] * v.v[1] - u.v[1] * v.v[0],
-        ]
-    )
-    return HVec(u.space.J_inv @ cross.conj(), u.space)
-
-
-def locate(v: HVec, tol=None) -> Location:
-    """Classify [v] against the null cone of the form, with a tolerance band.
-
-    The band scales with the squared Euclidean norm of the representative,
-    so the answer is invariant under rescaling of v.
-    """
-    if v.is_zero():
-        raise GeometryError("cannot locate the zero vector")
-    tol = tolerance(tol)
-    scale = v.length() ** 2
-    n = v.norm()
-    if n < -tol * scale:
-        return Location.INSIDE
-    if n > tol * scale:
-        return Location.OUTSIDE
-    return Location.BOUNDARY
-
-
-def proj_equal(u: HVec, v: HVec, tol=PROJ_EQ_TOL) -> bool:
-    """Projective equality after optimal phase/scale alignment."""
-    return proj_distance(u, v) <= tol
-
-
-def proj_distance(u: HVec, v: HVec) -> float:
-    """Euclidean distance between unit representatives at optimal phase."""
-    nu, nv = u.length(), v.length()
-    if nu == 0 or nv == 0:
-        raise GeometryError("zero vector has no projective class")
-    a, b = u.v / nu, v.v / nv
-    return _length(a - np.vdot(b, a) * b)  # a less its projection on b
-

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import GeometryError, HVec, siegel_model, tolerance
+from .core import GeometryError, siegel_model, tolerance
 from .isometry import Isometry
 
 ALPHA2_LIM = math.acos(math.sqrt(3.0 / 8.0))
@@ -107,10 +107,6 @@ class FamilyRep:
     def T(self) -> Isometry:
         return Isometry(rho_t(self.params), self.space)
 
-    @cached_property
-    def U(self) -> Isometry:  # S^-1 T
-        return self.S.inv() @ self.T
-
     def word(self, word: str) -> Isometry:
         """Evaluate a group word such as "ts^-1ts^2" in this representation."""
         M = np.eye(3, dtype=complex)
@@ -169,49 +165,43 @@ def alpha2_for_order(n: int) -> float:
     return math.acos(math.sqrt((2.0 * math.cos(2.0 * math.pi / n) + 1.0) / 8.0))
 
 
-@dataclass(frozen=True)
-class RemarkablePoints:
-    """Fixed points of the distinguished elements on the alpha1 = 0 slice.
-
-    p_U_prime and p_U_dprime are formed at every parameter, the wall
-    included, where they merge; which side the parameter is on is
-    `param_side`'s to say."""
-
-    p_A: HVec
-    p_B: HVec
-    p_U: HVec
-    p_V: HVec
-    p_W: HVec
-    p_U_prime: HVec
-    p_U_dprime: HVec
+# the rows of the point table of `face_points`: the remarkable points, then
+# the U-translates that verify reads
+P_A, P_B, P_U, P_V, P_W, P_U1, P_U2, U_PA, U_PB, U_PV, U_PW, UI_PB, UI_PV, UI_PW, U2_PV, UI2_PW = range(16)
 
 
-def remarkable_points(params: FamilyParams, rep: FamilyRep | None = None) -> RemarkablePoints:
-    """Explicit fixed-point representatives; p_V, p_W are the S-translates of p_U.
+def face_points(alpha2: float) -> np.ndarray:
+    """The table P, shape (16, 3), on the alpha1 = 0 slice, of the
+    remarkable points p_A, p_B, p_U, p_V = S p_U, p_W = S p_V,
+    p_U', p_U'' and of U p_A, U p_B, U p_V, U p_W, U^-1 p_B, U^-1 p_V,
+    U^-1 p_W, U^2 p_V and U^-2 p_W (U = S^-1 T), in the order of the row
+    names above.
 
-    p_U_prime / p_U_dprime are the eigenvectors of U for the eigenvalues
-    e^{l}, e^{-l} (loxodromic side) or e^{i beta}, e^{-i beta} (elliptic
-    side), in closed form with delta = sqrt((tr U - 3)(tr U + 1)) as in
-    `param_side`; at the unipotent parameter delta = 0 and the two coincide.
-    """
-    if abs(params.alpha1) > 1e-14:
-        raise GeometryError("remarkable points are tabulated on the alpha1 = 0 slice")
-    rep = rep or FamilyRep(params)
-    sp = rep.space
-    a2 = params.alpha2
-    e = cmath.exp(1j * a2)
-    p_A = HVec([1.0, 0.0, 0.0], sp)
-    p_B = HVec([0.0, 0.0, 1.0], sp)
-    p_U = HVec([1.0, -math.sqrt(2.0) / 2.0 * e, e * e], sp)
-    p_V = rep.S.apply(p_U)
-    p_W = rep.S.apply(p_V)
-    c8 = 8.0 * math.cos(a2) ** 2
+    p_U' and p_U'' are the eigenvectors of U for the eigenvalues e^{l},
+    e^{-l} (loxodromic side) or e^{i beta}, e^{-i beta} (elliptic side), in
+    closed form with delta = sqrt((tr U - 3)(tr U + 1)) as in `param_side`;
+    at the unipotent parameter delta = 0 and the two coincide.  Every other
+    row is a matrix times one vector, as `Isometry.apply` forms it, so it has
+    the bits of that product taken alone."""
+    params, sp = FamilyParams(0.0, alpha2), siegel_model()
+    S = rho_s(params)
+    U = sp.J_inv @ S.conj().T @ sp.J @ rho_t(params)  # S^-1 T, as Isometry.inv and @ form it
+    Ui = sp.J_inv @ U.conj().T @ sp.J
+    e = cmath.exp(1j * alpha2)
+    c8 = 8.0 * math.cos(alpha2) ** 2
     delta = cmath.sqrt((c8 - 3.0) * (c8 + 1.0))
-    common = 2.0 * (2.0 * e * e + 1.0)
-    p_p, p_dp = (
-        HVec([common, -math.sqrt(2.0) * e * (2.0 * e * e + 1.0 + d), -(c8 + 1.0) - d], sp) for d in (delta, -delta)
-    )
-    return RemarkablePoints(p_A, p_B, p_U, p_V, p_W, p_p, p_dp)
+    P = np.zeros((16, 3), dtype=complex)
+    P[P_A, 0] = P[P_B, 2] = 1.0
+    P[P_U] = 1.0, -math.sqrt(2.0) / 2.0 * e, e * e
+    P[P_V] = S @ P[P_U]
+    P[P_W] = S @ P[P_V]
+    for row, d in ((P_U1, delta), (P_U2, -delta)):
+        P[row] = 2.0 * (2.0 * e * e + 1.0), -math.sqrt(2.0) * e * (2.0 * e * e + 1.0 + d), -(c8 + 1.0) - d
+    P[U_PA:UI_PB] = np.matmul(U, P[[P_A, P_B, P_V, P_W], :, None])[..., 0]
+    P[UI_PB:U2_PV] = np.matmul(Ui, P[[P_B, P_V, P_W], :, None])[..., 0]
+    P[U2_PV] = U @ P[U_PV]
+    P[UI2_PW] = Ui @ P[UI_PW]
+    return P
 
 
 def char_Q(z: complex, w: complex) -> float:

@@ -20,6 +20,10 @@ import numpy as np
 from .core import GeometryError
 from .family import (
     ALPHA2_LIM,
+    P_A,
+    P_B,
+    P_U,
+    P_V,
     SideKind,
     alpha2_for_order,
     char_P,
@@ -33,7 +37,7 @@ from .isometry import goldman_f
 from .bisector import level_g
 from .verify import FaceFamily
 from .csvfloat import G17_WIDTH, g17_fields
-from .visual import project_bisector
+from .visual import circle_points
 
 CSV_FMT = "%.17g"
 CSV_BLOCK_ROWS = 4096  # rows written, and values formatted, at a time by write_csv
@@ -211,10 +215,12 @@ def figure_disk_projection(out_base, n=20, boundary_points=512, fmt="csv"):
     """Boundary circles of the projected bisector family for an elliptic
     order-n parameter, plus the unit circle and the marked vertex images.
 
-    Only J_0^+ and J_0^- are built and projected.  U acts on the chart by
-    its multiplier m = e^{2 i beta} (`FaceFamily.chart_multiplier`), so the
-    curve of J_k^+- is m^k times that of J_0^+-, and the marks are
-    m^k chart(p_A) and m^k chart(p_B), k = 0..n-1.  The geometry is the same
+    Only the silhouette slices of J_0^+ and J_0^- are sampled, from the
+    family's one silhouette batch (`FaceFamily.silhouettes`), at
+    boundary_points angles each.  U acts on the chart by its multiplier
+    m = e^{2 i beta} (`FaceFamily.chart_multiplier`), so the curve of J_k^+-
+    is m^k times that of J_0^+-, and the marks are m^k chart(p_A) and
+    m^k chart(p_B), k = 0..n-1.  The geometry is the same
     at every order; only the output grows with n.  An order that reads as
     the unipotent wall (10^5 at the default tolerance) raises GeometryError.
     """
@@ -223,12 +229,13 @@ def figure_disk_projection(out_base, n=20, boundary_points=512, fmt="csv"):
         raise GeometryError(f"order {n} reads as the unipotent wall: U has no rotation to draw")
     ch = ff.chart
     powers = ff.chart_multiplier ** np.arange(n)[:, None]
+    ts = np.linspace(0, 2 * math.pi, boundary_points, endpoint=False)
     families = {}
-    for sign, b in (("plus", ff.bisector_plus()), ("minus", ff.bisector_minus())):
-        boundary = project_bisector(ch, b, n_boundary=boundary_points, tol=ff.tol).boundary
+    for sign, em, ep, rho in zip(("plus", "minus"), *ff.silhouettes[1]):
+        boundary = ch.values(circle_points(em, ep, rho, ts))
         families[sign] = powers * boundary[np.isfinite(boundary)]
     curves = {(sign, k): families[sign][k] for k in range(n) for sign in ("plus", "minus")}
-    marks = (powers * np.array([ch(ff.pts.p_A), ch(ff.pts.p_B)])).ravel()
+    marks = (powers * np.array([ch(ff.P[P_A]), ch(ff.P[P_B])])).ravel()
     if fmt == "csv":
         # J_k^+ and J_k^- (family 0, 1) for each k, then the marks (family 2)
         p, m = families["plus"].shape[1], families["minus"].shape[1]
@@ -252,7 +259,7 @@ def figure_spinal_trace(out_base, alpha2=0.7, resolution=361, fmt="csv"):
     ff = FaceFamily(alpha2)
     sigmas = np.linspace(0.0, 2.0 * math.pi, resolution, endpoint=False)
     deltas = delta0(ff.alpha2) + np.linspace(0.0, math.pi, resolution // 2, endpoint=False)
-    norms, to_u, to_v = ff.torus_minus.column_forms(sigmas, deltas, ff.pts.p_U.v, ff.pts.p_V.v)
+    norms, to_u, to_v = ff.tori[0].column_forms(sigmas, deltas, ff.P[P_U], ff.P[P_V])
     side = to_u - to_v
     if fmt == "csv":
         return (

@@ -56,16 +56,8 @@ class Isometry:
         # U^-1 = J^-1 U^H J for a J-unitary U; cheaper and exacter than inv().
         return Isometry(self.space.J_inv @ self.M.conj().T @ self.space.J, self.space)
 
-    def power(self, k: int) -> "Isometry":
-        if k < 0:
-            return self.inv().power(-k)
-        return Isometry(np.linalg.matrix_power(self.M, k), self.space)
-
     def trace(self) -> complex:
         return complex(np.trace(self.M))
-
-    def apply(self, p: HVec) -> HVec:
-        return HVec(self.M @ p.v, self.space)
 
 
 def su21_residuals(M, space: HermitianSpace):

@@ -1,8 +1,11 @@
 """The paper's own objects that no verification or figure computes with:
 trace coordinates and the character variety, the discreteness region Z,
 the peripheral words and their classes, Schwartz's peripheral generator,
-checked builds of a representation, fixed points of single elements, and
-the ball and custom models of the form.
+checked builds of a representation, fixed points of single elements, the
+ball and custom models of the form, and the per-point forms of the
+program's point tables: the remarkable points as HVecs, the box product
+of two HVecs, the location of a point against the null cone and
+projective equality.
 
 The command line never loads this module; the tests and interactive use
 import it as `crlab.reference`.
@@ -11,13 +14,14 @@ import it as `crlab.reference`.
 from __future__ import annotations
 
 import cmath
+import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GeometryError, HermitianSpace, HVec, Model, tolerance
-from .family import FamilyParams, FamilyRep, char_P, char_Q, discriminant_D
+from .core import GeometryError, HermitianSpace, HVec, Model, box_rows, siegel_model, tolerance
+from .family import FamilyParams, FamilyRep, char_P, char_Q, discriminant_D, face_points
 from .isometry import (
     OMEGA,
     Isometry,
@@ -36,6 +40,90 @@ WORD_M2 = "st"
 WORD_L2 = "ststst"
 WORD_L2_LONG = "ststs^-1t^3s^-1t"
 WORD_RELATOR = "ts^-1t^-3s^-2t^-1st^3s^2"
+PROJ_EQ_TOL = 1e-8
+
+
+class Location(enum.Enum):
+    INSIDE = "inside"
+    BOUNDARY = "boundary"
+    OUTSIDE = "outside"
+
+
+def box(u: HVec, v: HVec) -> HVec:
+    """Hermitian cross product: the unique s with <s, r> = det(u, v, r).
+
+    Computed as J^{-1} conj(u x v) (`core.box_rows` on one pair); for the
+    ball and Siegel forms this reduces to the usual coordinate formulas.
+    Collinear inputs give the zero vector.
+    """
+    if u.space is not v.space and u.space != v.space:
+        raise GeometryError("operands live in different Hermitian spaces")
+    return HVec(box_rows(u.v, v.v, u.space), u.space)
+
+
+def locate(v: HVec, tol=None) -> Location:
+    """Classify [v] against the null cone of the form, with a tolerance band.
+
+    The band scales with the squared Euclidean norm of the representative,
+    so the answer is invariant under rescaling of v.
+    """
+    if np.abs(v.v).max() <= 1e-14:
+        raise GeometryError("cannot locate the zero vector")
+    tol = tolerance(tol)
+    scale = _length(v.v) ** 2
+    n = v.norm()
+    if n < -tol * scale:
+        return Location.INSIDE
+    if n > tol * scale:
+        return Location.OUTSIDE
+    return Location.BOUNDARY
+
+
+def proj_equal(u: HVec, v: HVec, tol=PROJ_EQ_TOL) -> bool:
+    """Projective equality after optimal phase/scale alignment."""
+    return proj_distance(u, v) <= tol
+
+
+def proj_distance(u: HVec, v: HVec) -> float:
+    """Euclidean distance between unit representatives at optimal phase."""
+    nu, nv = _length(u.v), _length(v.v)
+    if nu == 0 or nv == 0:
+        raise GeometryError("zero vector has no projective class")
+    a, b = u.v / nu, v.v / nv
+    return _length(a - np.vdot(b, a) * b)  # a less its projection on b
+
+
+def _length(v: np.ndarray) -> float:
+    """Euclidean length of a complex vector, summed as np.linalg.norm sums
+    it, to the same bits."""
+    return math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
+
+
+@dataclass(frozen=True)
+class RemarkablePoints:
+    """Fixed points of the distinguished elements on the alpha1 = 0 slice,
+    the first seven rows of `family.face_points` as HVecs.
+
+    p_U_prime and p_U_dprime are formed at every parameter, the wall
+    included, where they merge; which side the parameter is on is
+    `param_side`'s to say."""
+
+    p_A: HVec
+    p_B: HVec
+    p_U: HVec
+    p_V: HVec
+    p_W: HVec
+    p_U_prime: HVec
+    p_U_dprime: HVec
+
+
+def remarkable_points(params: FamilyParams) -> RemarkablePoints:
+    """The remarkable points as HVecs (`family.face_points`); p_V and p_W
+    are the S-translates of p_U."""
+    if abs(params.alpha1) > 1e-14:
+        raise GeometryError("remarkable points are tabulated on the alpha1 = 0 slice")
+    sp = siegel_model()
+    return RemarkablePoints(*(HVec(x, sp) for x in face_points(params.alpha2)[:7]))
 
 
 def ball_model() -> HermitianSpace:

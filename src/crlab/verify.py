@@ -34,32 +34,30 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import GeometryError, HVec, inner, tolerance
-from .isometry import Isometry
+from .core import GeometryError, box_rows, siegel_model, tolerance
 from .family import (
-    FamilyParams,
-    FamilyRep,
+    P_A, P_B, P_U, P_V, P_W, P_U1, P_U2, U_PA, U_PB, U_PV, U_PW, UI_PB, UI_PV, UI_PW, U2_PV, UI2_PW,
     SideKind,
     delta0,
+    face_points,
     involution_matrix,
     param_side,
-    remarkable_points,
 )
 from .bisector import (
-    Bisector,
+    ExtorPairKind,
     GiraudTorus,
     SymmetricKind,
-    classify_bisector,
+    bisector_kinds,
     giraud_circle_tangents,
-    symmetric_intersection_type,
+    pair_kinds,
+    symmetric_kinds,
     torus_exclusion,
 )
 from .visual import (
-    Silhouette,
     VisualChart,
     angular_diameter,
     silhouette_circles,
-    tangency_check,
+    tangencies,
 )
 from .report import CheckResult, Verdict, VerdictKind, VerificationReport
 
@@ -70,6 +68,38 @@ CONE_TIE = 8 * np.spacing(math.pi)
 # identities checked there are quadratic in (r, s), so these 64 distinct
 # nodes determine them
 RPLANE_SAMPLES = np.stack(np.meshgrid(np.linspace(-5.0, 5.0, 8), np.linspace(-5.0, 5.0, 8)), axis=-1).reshape(-1, 2)
+# TF's parameter-free sample arrays, formed once: the points of (a) and (b)
+# as rows, 64 of the real plane (r, i sqrt2 s, 1), 41 of the ideal line
+# (r, i sqrt2, 0) and 4 of the complex line (mu - 1, ., mu + 1), whose middle
+# entry the parameter sets; the r- and s-terms of the real-plane identities;
+# and the sigma samples of the derivative factorization with e^{-i sigma}
+# and sin(sigma)
+_R, _S = RPLANE_SAMPLES.T
+CLINE_MU = np.array([0.3 + 0.1j, -1.2j, 2.0 + 1.5j, 0.9 - 2.2j])
+_L = np.linspace(-6, 6, 41)
+TF_SAMPLES = np.concatenate([
+    np.stack([_R, 1j * math.sqrt(2.0) * _S, np.ones_like(_R)], axis=-1),
+    np.stack([_L, np.full(_L.shape, 1j * math.sqrt(2.0)), np.zeros_like(_L)], axis=-1),
+    np.stack([CLINE_MU - 1.0, np.zeros(4), CLINE_MU + 1.0], axis=-1),
+])
+RPLANE_TERMS = _R * _R + _S * _S + 1.0, 2.0 * _R, 2.0 * (_R - 1.0) * _S, 2.0 * _S * _S - _R
+# incidence's Gram block: the vertices and their translates (rows) against
+# the bisectors' points (columns), and its real-spine samples p_U + lam q,
+# |lam| = 1
+INCIDENCE_ROWS, INCIDENCE_COLS = np.array([[P_A], [P_B], [U_PA], [UI_PB], [U_PB]]), np.array([P_U, P_V, P_W, UI_PV, UI_PW, U_PV])
+SPINE_LAMBDAS = np.exp(1j * np.linspace(0.3, 5.9, 5))[:, None]
+_SG = np.linspace(0.1, 2 * math.pi - 0.1, 15)
+DH_SIGMAS = np.exp(-1j * _SG)[:, None], np.sin(_SG)[:, None]
+# the second lifts of the bisectors of p_U: J_0^+, J_0^-, J_1^+ and J_-1^-
+BISECTORS = [P_V, P_W, U_PV, UI_PW]
+# row pairs of FaceFamily.boxes: the foci p_U box q of BISECTORS, then q box
+# r of the tori (J_0^-, J_-1^-), (J_0^+, J_1^+), (J_0^+, J_0^-) and
+# (J_0^+, J_-1^-), then U p_V box p_W for LC's second triple
+BOX_PAIRS = np.array([[P_U, q] for q in BISECTORS] + [[P_W, UI_PW], [P_V, U_PV], [P_V, P_W], [P_V, UI_PW], [U_PV, P_W]]).T
+# the tori above as (bisector of q, bisector of r), indices into BISECTORS,
+# with their lifts (p_U, q, r) as rows of the point table
+TORI = [(1, 3), (0, 2), (0, 1), (0, 3)]
+TORUS_LIFTS = np.array([[P_U, BISECTORS[i], BISECTORS[j]] for i, j in TORI])
 
 
 # ---------------------------------------------------------------------------
@@ -77,25 +107,24 @@ RPLANE_SAMPLES = np.stack(np.meshgrid(np.linspace(-5.0, 5.0, 8), np.linspace(-5.
 
 
 class FaceFamily:
-    """All data attached to a parameter: representation, fixed points, the
-    oriented chart on the visual sphere of [p_U], and grid settings."""
+    """All data attached to a parameter, as arrays: the point table P of
+    `family.face_points` (rows P_A .. UI2_PW), its Gram table G[i, j] =
+    <P_i, P_j>, the Euclidean lengths of its rows and the box products of
+    the row pairs BOX_PAIRS, from which every decision of the checks is
+    read; the oriented chart on the visual sphere of [p_U]; grid settings."""
 
     def __init__(self, alpha2: float, tol=None, grid_n: int = DEFAULT_GRID):
         self.alpha2 = float(alpha2)
         self.tol = tolerance(tol)
         self.grid_n = int(grid_n)
-        self.params = FamilyParams(0.0, self.alpha2)
-        self.rep = FamilyRep(self.params)
-        self.pts = remarkable_points(self.params, self.rep)
         self.side = param_side(self.alpha2, self.tol)
-        self.space = self.rep.space
-        self.U = self.rep.U
-        self.I = Isometry(involution_matrix(self.alpha2), self.space)
+        self.space = siegel_model()
+        self.P = face_points(self.alpha2)
+        self.G = (self.P.conj() @ self.space.J) @ self.P.T
+        self.lengths = np.linalg.norm(self.P, axis=1)
+        self.boxes = box_rows(self.P[BOX_PAIRS[0]], self.P[BOX_PAIRS[1]], self.space)
+        self.I = involution_matrix(self.alpha2)
         self.chart = self._oriented_chart()
-        pts, self.Ui = self.pts, self.U.inv()
-        self.U_pA, self.Ui_pB = self.U.apply(pts.p_A), self.Ui.apply(pts.p_B)
-        self.U_pV, self.Ui_pW = self.U.apply(pts.p_V), self.Ui.apply(pts.p_W)
-        self._bisectors = {}
 
     def _oriented_chart(self):
         """Chart on the visual sphere of [p_U] in which U acts by
@@ -107,12 +136,10 @@ class FaceFamily:
         side (the eigenvectors are null there, so 0 and infinity swap
         roles); the ordering below restores the expanding orientation.
         """
-        pts = self.pts
         if self.side.kind is SideKind.UNIPOTENT:
             return None
-        if self.side.kind is SideKind.LOXODROMIC:
-            return VisualChart(pts.p_U, pts.p_U_dprime, pts.p_U_prime)
-        return VisualChart(pts.p_U, pts.p_U_prime, pts.p_U_dprime)
+        rows = (P_U2, P_U1) if self.side.kind is SideKind.LOXODROMIC else (P_U1, P_U2)
+        return VisualChart(self.P[P_U], *self.P[list(rows)], self.space)
 
     @cached_property
     def chart_multiplier(self) -> complex | None:
@@ -126,93 +153,67 @@ class FaceFamily:
             return cmath.exp(2j * side.beta)
         return None
 
-    def u_power_point(self, k: int, p: HVec) -> HVec:
-        """U^k p, with k = 0 giving p itself.  On the elliptic side U has the
-        eigenvalues 1, a = e^{i beta}, b = e^{-i beta}, so Newton's form of
-        z^k on them gives U^k p = p + f[1,a] (U - I)p + f[1,a,b] (U - aI)(U - I)p
-        with f[1,a] = (a^k - 1)/(a - 1) = e^{i(k-1) beta/2} sin(k beta/2) /
-        sin(beta/2) and f[1,a,b] = (f[a,b] - f[1,a])/(b - 1), f[a,b] =
-        sin(k beta)/sin(beta).  Since f[a,b] - f[1,a] = (a^k - 1)(a^{1-k} - 1)
-        / (a^2 - 1), f[1,a,b] = sin(k beta/2) sin((k-1) beta/2) /
-        (2 sin^2(beta/2) cos(beta/2)): real, and free of the difference
-        quotient's cancellation, which loses digits like 1/beta toward the
-        wall.  No eigenvector enters (those of a and b merge at the wall).
-        Elsewhere the matrix power serves; callers take it only for
-        |k| <= 2."""
-        side = self.side
-        if k == 0:
-            return p
-        if side.kind is not SideKind.ELLIPTIC:
-            return self.U.power(k).apply(p)
-        half = 0.5 * side.beta
-        s = math.sin(half)
-        f1a = cmath.exp(1j * (k - 1) * half) * (math.sin(k * half) / s)
-        f1ab = math.sin(k * half) * math.sin((k - 1) * half) / (2.0 * s * s * math.cos(half))
-        U = self.U.M
-        w = U @ p.v - p.v
-        return HVec(p.v + f1a * w + f1ab * (U @ w - cmath.exp(2j * half) * w), p.space)
-
-    def _bisector(self, name: str) -> Bisector:
-        """The bisector of p_U with p_V, p_W, U p_V or U^-1 p_W (J_0^+, J_0^-,
-        J_1^+ or J_-1^-), by the name of its second point.  Each is classified
-        once, on first use; the tori and the silhouettes read these four."""
-        if name not in self._bisectors:
-            q = {"p_V": self.pts.p_V, "p_W": self.pts.p_W, "U_pV": self.U_pV, "Ui_pW": self.Ui_pW}[name]
-            self._bisectors[name] = classify_bisector(self.pts.p_U, q, self.tol)
-        return self._bisectors[name]
-
-    def _torus(self, q: str, r: str) -> GiraudTorus:
-        return GiraudTorus(self._bisector(q), self._bisector(r), self.tol)
-
-    def bisector_plus(self) -> Bisector:
-        """J_0^+, the bisector of p_U and p_V."""
-        return self._bisector("p_V")
-
-    def bisector_minus(self) -> Bisector:
-        """J_0^-, the bisector of p_U and p_W."""
-        return self._bisector("p_W")
+    @cached_property
+    def bisector_kinds(self) -> tuple[np.ndarray, list]:
+        """(r_disc, kinds) of the bisectors of p_U with BISECTORS, read from G."""
+        return bisector_kinds(self.G, self.lengths, P_U, BISECTORS, self.tol)
 
     @cached_property
-    def silhouettes(self) -> tuple[Silhouette, Silhouette]:
-        """The silhouette circles of J_0^+ and J_0^- in the chart, each built
-        once; GC reads every translate's from these by the chart multiplier."""
-        return tuple(silhouette_circles(self.chart, [self.bisector_plus(), self.bisector_minus()], self.tol))
+    def pair_kinds(self) -> list[ExtorPairKind]:
+        """The pair kinds of the TORI, from the foci's products with the lifts."""
+        lifts = self.P[[[P_U, q] for q in BISECTORS]]
+        return pair_kinds(self.boxes[:4], lifts, TORI, self.space, self.tol)
 
     @cached_property
-    def torus_minus(self) -> GiraudTorus:
-        """The intersection torus of the extors of J_0^- and J_-1^-,
-        parametrized by (p_W - e^{i th} p_U) box (U^-1 p_W - e^{i ph} p_U)."""
-        return self._torus("p_W", "Ui_pW")
+    def tori(self) -> list[GiraudTorus]:
+        """The tori of J_0^- with J_-1^- and of J_0^+ with J_1^+ (TF, LC),
+        then of J_0^+ with J_0^- and with J_-1^- (the Giraud circles of
+        `_bitangency`), each parametrized by (q - e^{i th} p_U) box (r -
+        e^{i ph} p_U) from the table's box products, once its lifts have
+        equal norms (`bisector_kinds`) and the pair is unbalanced.  A raise
+        is not cached: each reader raises."""
+        self.bisector_kinds
+        for kind in self.pair_kinds:
+            if kind is not ExtorPairKind.UNBALANCED:
+                raise GeometryError(f"pair is {kind.value}; torus needs an unbalanced pair")
+        i, j = np.array(TORI).T
+        rows = zip(self.boxes[4:8], self.boxes[j], -self.boxes[i])
+        return [GiraudTorus(lifts, r, self.space) for lifts, r in zip(self.P[TORUS_LIFTS], rows)]
 
     @cached_property
-    def torus_plus(self) -> GiraudTorus:
-        """The intersection torus of the extors of J_0^+ and J_1^+."""
-        return self._torus("p_V", "U_pV")
+    def symmetric(self) -> tuple[np.ndarray, list]:
+        """(u, kinds) of the symmetric triples (p_U, p_V, p_W) and (p_U,
+        U p_V, p_W) (`symmetric_kinds`), LC's Giraud disks."""
+        b = self.boxes  # rows of BOX_PAIRS; p_W box p_U is -(p_U box p_W)
+        return symmetric_kinds(np.array([[b[0], b[6], -b[1]], [b[2], b[8], -b[1]]]), self.space, self.tol)
 
     @cached_property
-    def giraud_circles(self) -> tuple[GiraudTorus, GiraudTorus]:
-        """The tori of J_0^+ with J_0^- and with J_-1^-, whose Giraud circles
-        bound the first face at p_A and p_B (`_bitangency`)."""
-        return self._torus("p_V", "p_W"), self._torus("p_V", "Ui_pW")
+    def silhouettes(self):
+        """(silhouettes, slices) of J_0^+ and J_0^- in the chart
+        (`silhouette_circles`), each built once; GC reads every translate's
+        from these by the chart multiplier, and the disk-projection figure
+        samples the slices."""
+        scale = (self.lengths[P_U] * self.lengths[[P_V, P_W]]).tolist()
+        return silhouette_circles(self.chart, self.P[[P_V, P_W]], self.G[P_U, [P_V, P_W]], scale, self.tol)
 
     @cached_property
     def torus_pass(self) -> tuple[list, np.ndarray]:
-        """`bisector.torus_exclusion` of p_V on `torus_minus` at p_A and p_B
-        (TF, LC) and of p_W on `torus_plus` at p_B and U p_A (LC), on
-        grid_n // 2 columns, and TF's whole complex-line columns of
-        `torus_minus`: the minima of -|<lpole, z>|^2 at delta0 and of
-        |<lpole, z>|^2 at delta0 + pi/2."""
-        pts, tm, s = self.pts, self.torus_minus, math.sin(self.alpha2)
+        """`bisector.torus_exclusion` of p_V on the first torus at p_A and
+        p_B (TF, LC) and of p_W on the second at p_B and U p_A (LC), on
+        grid_n // 2 columns, and TF's whole complex-line columns of the
+        first: the minima of -|<lpole, z>|^2 at delta0 and of |<lpole,
+        z>|^2 at delta0 + pi/2."""
+        P, (tm, tp, *_), s = self.P, self.tori, math.sin(self.alpha2)
         d0, lpole, zero = delta0(self.alpha2), np.array([s, -1j * math.sqrt(2.0) / 2.0, -s]), np.zeros(3)
-        passes = [(tm, pts.p_V, (pts.p_A, pts.p_B)), (self.torus_plus, pts.p_W, (pts.p_B, self.U_pA))]
+        passes = [(tm, P[P_V], P[[P_A, P_B]]), (tp, P[P_W], P[[P_B, U_PA]])]
         blocks = [(tm, [d0], zero, lpole, False), (tm, [d0 + math.pi / 2.0], lpole, zero, False)]
         return torus_exclusion(passes, blocks, self.grid_n // 2)
 
     @cached_property
-    def criterion_tangencies(self) -> tuple[bool, bool]:
-        """tangency_check(p_U, p_V, .) at U p_A and U^-1 p_B, read by TF and GC.
+    def criterion_tangencies(self) -> list[bool]:
+        """`tangencies` of (p_U, p_V) at U p_A and U^-1 p_B, read by TF and GC.
         A raise (the tangency band at the wall) is not cached: each reader raises."""
-        return tuple(tangency_check(self.pts.p_U, self.pts.p_V, x, self.tol) for x in (self.U_pA, self.Ui_pB))
+        return tangencies(self.G, self.lengths, P_U, P_V, [U_PA, UI_PB], self.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -246,30 +247,26 @@ def incidence_check(ff: FaceFamily) -> CheckResult:
     bisectors around them, plus translation compatibility of the family and
     the chart action chart(U x) = m chart(x) of `FaceFamily.chart_multiplier`
     (skipped, with a note, on the unipotent wall)."""
-    pts, U, sp = ff.pts, ff.U, ff.space
+    P, sp = ff.P, ff.space
     res = CheckResult("incidence", True)
-    U_pB = U.apply(pts.p_B)
     # |<z, w>| for the vertices and their translates z (rows: p_A, p_B, U p_A,
     # U^-1 p_B, U p_B) and the bisectors' second points w (columns: p_U, p_V,
-    # p_W, U^-1 p_V, U^-1 p_W, U p_V), as one Gram product
-    rows = np.array([x.v for x in (pts.p_A, pts.p_B, ff.U_pA, ff.Ui_pB, U_pB)])
-    cols = np.array([x.v for x in (pts.p_U, pts.p_V, pts.p_W, ff.Ui.apply(pts.p_V), ff.Ui_pW, ff.U_pV)])
-    G = np.abs(sp.inner_grid(rows, cols)).T
-    units = np.concatenate([G[0, :5], G[1, [0, 1, 2, 5, 4]]])
-    res.residuals["max_modulus_deviation"] = float(np.abs(units - 1.0).max())
+    # p_W, U^-1 p_V, U^-1 p_W, U p_V), read from the Gram table
+    G = np.abs(ff.G[INCIDENCE_ROWS, INCIDENCE_COLS]).tolist()
+    units = G[0][:5] + [G[1][j] for j in (0, 1, 2, 5, 4)]
+    res.residuals["max_modulus_deviation"] = max(abs(x - 1.0) for x in units)
     # corollary translations: both vertices and their U-translates lie on
     # the expected bisectors
-    on_v, on_w = [0, 2, 1, 3], [0, 2, 1, 4]
-    res.residuals["max_translation_incidence"] = float(
-        max(np.abs(G[on_v, 0] - G[on_v, 1]).max(), np.abs(G[on_w, 0] - G[on_w, 2]).max())
+    res.residuals["max_translation_incidence"] = max(
+        [abs(G[i][0] - G[i][1]) for i in (0, 2, 1, 3)] + [abs(G[i][0] - G[i][2]) for i in (0, 2, 1, 4)]
     )
     # symmetry: the involution carries J_k^+ onto J_{-k}^- and back, checked
-    # on real-spine samples p_U + lam q of each side, shape (k, side, lam, 3)
-    q = np.array([[ff.u_power_point(k, pts.p_V).v, ff.u_power_point(-k, pts.p_W).v] for k in (0, 1, 2)])
-    lam = np.exp(1j * np.linspace(0.3, 5.9, 5))[:, None]
-    iz = (pts.p_U.v + lam * q[:, :, None]) @ ff.I.M.T
+    # on real-spine samples p_U + lam q of each side, shape (k, side, lam, 3),
+    # q = U^k p_V and U^-k p_W for k = 0, 1, 2
+    q = P[[[P_V, P_W], [U_PV, UI_PW], [U2_PV, UI2_PW]]]
+    iz = (P[P_U] + SPINE_LAMBDAS * q[:, :, None]) @ ff.I.T
     to_image = np.abs(((iz.conj() @ sp.J) * q[:, ::-1, None]).sum(axis=-1))
-    sym = np.abs(np.abs(sp.inner_grid(pts.p_U.v, iz)) - to_image) / np.maximum(1.0, (np.abs(iz) ** 2).sum(axis=-1))
+    sym = np.abs(np.abs(sp.inner_grid(P[P_U], iz)) - to_image) / np.maximum(1.0, (np.abs(iz) ** 2).sum(axis=-1))
     res.residuals["max_involution_symmetry"] = float(sym.max())
     # U acts on the chart by its multiplier m, from which every translate's
     # silhouette is taken: checked at the vertices and at p_V, p_W
@@ -277,10 +274,10 @@ def incidence_check(ff: FaceFamily) -> CheckResult:
     if ch is None:
         res.notes.append("chart_action skipped: U acts on no chart by a multiplier at the unipotent parameter")
     else:
-        X = np.array([x.v for x in (pts.p_A, pts.p_B, pts.p_V, pts.p_W)])
-        mz = m * ch.values(X)
+        z = ch.values(P[[P_A, P_B, P_V, P_W, U_PA, U_PB, U_PV, U_PW]])
+        mz = m * z[:4]
         with np.errstate(invalid="ignore"):
-            act = np.abs(ch.values(X @ U.M.T) - mz) / np.maximum(1.0, np.abs(mz))
+            act = np.abs(z[4:] - mz) / np.maximum(1.0, np.abs(mz))
         # a point at the chart's infinity reads inf
         res.residuals["chart_action"] = float(np.where(np.isnan(act), math.inf, act).max())
     tol = 1e3 * ff.tol
@@ -294,38 +291,35 @@ def incidence_check(ff: FaceFamily) -> CheckResult:
 
 def tf_check(ff: FaceFamily) -> CheckResult:
     res = CheckResult("tf", True)
-    pts, sp, a2 = ff.pts, ff.space, ff.alpha2
+    sp, a2 = ff.space, ff.alpha2
     cos2 = math.cos(a2) ** 2
     sin_a2 = math.sin(a2)
+    # |<p_U, x>|^2 and |<p_W, x>|^2 at every sample x of (a) and (b), one product
+    X = TF_SAMPLES.copy()
+    X[105:, 1] = 2j * math.sqrt(2.0) * sin_a2
+    H = np.abs(sp.inner_grid(ff.P[[P_U, P_W]], X)) ** 2
 
     # --- (a) real-plane part: the two closed-form squared moduli and the
     # resulting exclusion 2s^2 - r >= 3 s^2 on the norm <= 0 half.
-    r, s = RPLANE_SAMPLES.T
-    Q = np.stack([r, 1j * math.sqrt(2.0) * s, np.ones_like(r)], axis=-1)
-    lhs_u = np.abs(sp.inner_grid(pts.p_U.v, Q)) ** 2
-    rhs_u = r * r + s * s + 1.0 + 2.0 * r * (2.0 * cos2 - 1.0) + 2.0 * (r - 1.0) * s * sin_a2
-    lhs_w = np.abs(sp.inner_grid(pts.p_W.v, Q)) ** 2
-    rhs_w = (8.0 * cos2 + 1.0) * s * s + r * r + 2.0 * (r - 1.0) * s * sin_a2 - 2.0 * r + 1.0
+    (r, s), (rs1, r2, rs_term, locus_rs), (lhs_u, lhs_w) = RPLANE_SAMPLES.T, RPLANE_TERMS, H[:64].T
+    rhs_u = rs1 + r2 * (2.0 * cos2 - 1.0) + rs_term * sin_a2
+    rhs_w = (8.0 * cos2 + 1.0) * s * s + r * r + rs_term * sin_a2 - r2 + 1.0
     # equality locus is 4 cos^2 (2 s^2 - r)
-    locus = lhs_w - lhs_u - 4.0 * cos2 * (2.0 * s * s - r)
+    locus = lhs_w - lhs_u - 4.0 * cos2 * locus_rs
     worst_rp = float(np.abs([lhs_u - rhs_u, lhs_w - rhs_w, locus]).max())
     res.residuals["rplane_identities"] = worst_rp
     # the line with third coordinate 0 never meets the locus
-    r = np.linspace(-6, 6, 41)
-    L = np.stack([r, np.full(r.shape, 1j * math.sqrt(2.0)), np.zeros_like(r)], axis=-1)
-    gap = np.abs(sp.inner_grid(pts.p_W.v, L)) ** 2 - np.abs(sp.inner_grid(pts.p_U.v, L)) ** 2
+    gap = H[64:105, 1] - H[64:105, 0]
     worst_line = float(gap.min())
     res.margins["rplane_ideal_line_gap"] = worst_line  # equals 8 cos^2 alpha2
     rp_ok = worst_rp <= 1e-8 and worst_line > 0
 
     # --- (b) complex-line part: solutions have positive norm 24 sin^2 a2
-    mu = np.array([0.3 + 0.1j, -1.2j, 2.0 + 1.5j, 0.9 - 2.2j])
-    mu2 = np.abs(mu) ** 2
-    Q = np.stack([mu - 1.0, np.full(4, 2j * math.sqrt(2.0) * sin_a2), mu + 1.0], axis=-1)
+    mu2 = np.abs(CLINE_MU) ** 2
     worst_cl = float(np.abs([
-        np.abs(sp.inner_grid(pts.p_U.v, Q)) ** 2 - 4.0 * cos2 * mu2,
-        np.abs(sp.inner_grid(pts.p_W.v, Q)) ** 2 - 4.0 * (9.0 - 8.0 * cos2) * cos2,
-        sp.norm_grid(Q) - 2.0 * (mu2 - 4.0 * cos2 + 3.0),
+        H[105:, 0] - 4.0 * cos2 * mu2,
+        H[105:, 1] - 4.0 * (9.0 - 8.0 * cos2) * cos2,
+        sp.norm_grid(X[105:]) - 2.0 * (mu2 - 4.0 * cos2 + 3.0),
     ]).max())
     res.residuals["cline_identities"] = worst_cl
     res.margins["cline_norm"] = 24.0 * sin_a2**2
@@ -333,7 +327,7 @@ def tf_check(ff: FaceFamily) -> CheckResult:
 
     # --- (c) torus part: on the ball part of the torus of J_0^- and J_-1^-,
     # |<z, p_U>| <= |<z, p_V>| only at p_A and p_B
-    torus = ff.torus_minus
+    torus = ff.tori[0]
     d0 = delta0(a2)
     names = ("vertex_pA_distance", "vertex_pB_distance")
     (minus, _), lines = ff.torus_pass
@@ -343,10 +337,9 @@ def tf_check(ff: FaceFamily) -> CheckResult:
     # for the norm rescaled by the common 2 cos^2 a2 factor of the box products;
     # h = A - 2 Re(e^{-i sigma} C) gives d h / d sigma = -2 Im(e^{-i sigma} C)
     dls = np.linspace(d0 + 0.15, d0 + math.pi - 0.15, 7)
-    sgs = np.linspace(0.1, 2 * math.pi - 0.1, 15)
-    _, C = torus.norm_terms(dls)
-    dh = -2.0 * (np.exp(-1j * sgs)[:, None] * C).imag / (2.0 * cos2)
-    closed = -12.0 * np.sin(sgs)[:, None] * (2.0 * np.cos(2 * a2 - dls) - np.cos(dls))
+    (e_sg, sin_sg), (_, C) = DH_SIGMAS, torus.norm_terms(dls)
+    dh = -2.0 * (e_sg * C).imag / (2.0 * cos2)
+    closed = -12.0 * sin_sg * (2.0 * np.cos(2 * a2 - dls) - np.cos(dls))
     worst_d = float(np.abs(dh - closed).max())
     res.residuals["dh_dsigma_factorization"] = worst_d
 
@@ -363,7 +356,7 @@ def tf_check(ff: FaceFamily) -> CheckResult:
     )
 
     # --- bi-tangency of the two bounding Giraud circles at p_A and p_B
-    bt_resid, bt_notes = _bitangency(ff.giraud_circles, (pts.p_A, pts.p_B))
+    bt_resid, bt_notes = _bitangency(ff.tori[2:], ff.P[[P_A, P_B]])
     res.residuals["bitangency_pA"] = bt_resid[0]
     res.residuals["bitangency_pB"] = bt_resid[1]
     res.notes.extend(bt_notes)
@@ -387,7 +380,7 @@ def tf_check(ff: FaceFamily) -> CheckResult:
 
 def _bitangency(circles, targets):
     """Tangent-direction agreement of the Giraud circles bounding the first
-    face (`FaceFamily.giraud_circles`) at both shared ideal vertices, as real
+    face (the last two `FaceFamily.tori`) at both shared ideal vertices, as real
     lines in an affine chart, from one `giraud_circle_tangents` evaluation."""
     w, _, dist = giraud_circle_tangents([(c, t) for t in targets for c in circles])
     r = np.concatenate([w.real, w.imag], axis=1).reshape(len(targets), 2, 4)
@@ -404,7 +397,6 @@ def _bitangency(circles, targets):
 
 def lc_check(ff: FaceFamily) -> CheckResult:
     res = CheckResult("lc", True)
-    pts = ff.pts
     a2 = ff.alpha2
     u = (2.0 / 3.0) * (4.0 * math.cos(a2) ** 2 - 3.0)
     # 2/3 - u in closed form, without the cancellation of 2/3 - u near alpha2 = 0
@@ -413,17 +405,16 @@ def lc_check(ff: FaceFamily) -> CheckResult:
     ok_u = margin > 0.0
 
     # both face-boundary intersections are Giraud disks of symmetric triples
-    si1 = symmetric_intersection_type(pts.p_U, pts.p_V, pts.p_W, ff.tol)
-    si2 = symmetric_intersection_type(pts.p_U, ff.U_pV, pts.p_W, ff.tol)
-    res.residuals["u_plus_pair"] = abs(si1.u - u)
-    res.residuals["u_cross_pair"] = abs(si2.u - u)
+    (u1, u2), kinds = ff.symmetric
+    res.residuals["u_plus_pair"] = abs(u1 - u)
+    res.residuals["u_cross_pair"] = abs(u2 - u)
     # below alpha2 ~ 6e-4 a triple's u falls in the 1e3 tol band around 2/3
     # that reads TRI_CIRCLE_DISK; there the closed form decides, when the
     # triple's u matches it
     disks_ok = all(
-        si.kind is SymmetricKind.DISK
-        or (si.kind is SymmetricKind.TRI_CIRCLE_DISK and abs(si.u - u) <= 1e3 * ff.tol and margin > 0.0)
-        for si in (si1, si2)
+        kind is SymmetricKind.DISK
+        or (kind is SymmetricKind.TRI_CIRCLE_DISK and abs(x - u) <= 1e3 * ff.tol and margin > 0.0)
+        for x, kind in zip((u1, u2), kinds)
     )
 
     # F_0^- /\ F_-1^- == {p_A, p_B} and F_0^+ /\ F_1^+ == {p_B, U p_A}: each
@@ -449,12 +440,11 @@ def _fan_focus_check(ff: FaceFamily, res: CheckResult) -> bool:
     """At the fan parameter the focus is a singular point of the boundary
     sphere; it must lie strictly inside the face, located on the slice
     circle through the two neighbouring vertices."""
-    pts = ff.pts
     sp = ff.space
     thetas = np.linspace(0.0, 2.0 * math.pi, 1441)
     ones = np.ones_like(thetas)
     Q = np.stack([ones, math.sqrt(2.0) * np.exp(1j * thetas), -ones], axis=-1)
-    mu, mw, muw = (np.abs(sp.inner_grid(w.v, Q)) ** 2 for w in (pts.p_U, pts.p_W, ff.Ui_pW))
+    mu, mw, muw = (np.abs(sp.inner_grid(w, Q)) ** 2 for w in ff.P[[P_U, P_W, UI_PW]])
     c, s = np.cos(thetas), np.sin(thetas)
     identities = [
         mu - 2.0 * (1.0 + s),
@@ -478,13 +468,6 @@ def _fan_focus_check(ff: FaceFamily, res: CheckResult) -> bool:
 # GC: global combinatorics
 
 
-def _gc_h_values(ff: FaceFamily):
-    pts = ff.pts
-    h1 = inner(pts.p_U_prime, pts.p_V)
-    h2 = inner(pts.p_U_dprime, pts.p_V)
-    return h1, h2
-
-
 def _tangency_pair_check(ff: FaceFamily, res: CheckResult) -> bool:
     """Single-point contacts of the first face's bisector with its two
     contact neighbours in the other family.
@@ -495,17 +478,16 @@ def _tangency_pair_check(ff: FaceFamily, res: CheckResult) -> bool:
     neighbour J_k^- is the U^k-translate of J_0^-, so its silhouette is that
     of J_0^- with centre times m^k and radius times |m|^k, m the chart
     multiplier: no translate is built."""
-    ch, m = ff.chart, ff.chart_multiplier
-    ok = True
-    c1, c0 = ff.silhouettes
-    marked = {"k_plus_1": (ff.U_pA, 1), "k_minus_2": (ff.Ui_pB, -2)}
-    for (name, (point, k)), crit in zip(marked.items(), ff.criterion_tangencies):
+    m, ok = ff.chart_multiplier, True
+    (c1, c0), _ = ff.silhouettes
+    # the contact points U p_A (k = +1) and U^-1 p_B (k = -2) in the chart
+    zs = ff.chart.values(ff.P[[U_PA, UI_PB]]).tolist()
+    for name, k, zc, crit in zip(("k_plus_1", "k_minus_2"), (1, -2), zs, ff.criterion_tangencies):
         center, radius = m**k * c0.center, abs(m) ** k * c0.radius
         d = abs(c1.center - center)
         resid = min(abs(d - (c1.radius + radius)), abs(d - abs(c1.radius - radius)))
         scale = max(c1.radius, radius, 1.0)
         res.residuals[f"disk_tangency_{name}"] = resid / scale
-        zc = ch(point)
         on1 = abs(abs(zc - c1.center) - c1.radius)
         on2 = abs(abs(zc - center) - radius)
         res.residuals[f"contact_point_{name}"] = max(on1, on2) / scale
@@ -529,16 +511,12 @@ def cone_angles(ff: FaceFamily, ks) -> np.ndarray:
     c'' e^{-ik beta}) for the direction (c', c'') toward x.  The angle is
     2 atan2(|d - x|, |d + x|), which keeps its precision near pi.
     """
-    pts = ff.pts
-
-    def direction(x: HVec) -> np.ndarray:
-        # rephased so that <p_U, x> is real negative, the geodesic direction's
-        # convention (the oracle tangent_direction in tests/oracles.py)
-        c = np.array([inner(e, x) / math.sqrt(e.norm()) for e in (pts.p_U_prime, pts.p_U_dprime)])
-        c *= -inner(pts.p_U, x).conjugate()
-        return c / np.linalg.norm(c)
-
-    dirs = np.stack([direction(pts.p_V), direction(pts.p_W)])
+    # the directions toward p_V and p_W (rows), rephased so that <p_U, x> is
+    # real negative, the geodesic direction's convention (the oracle
+    # tangent_direction in tests/oracles.py), from the Gram table
+    G, e = ff.G, [P_U1, P_U2]
+    dirs = G[e][:, [P_V, P_W]].T / np.sqrt(G[e, e].real) * -G[P_U, [P_V, P_W]].conj()[:, None]
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     z = np.exp(2j * math.pi / ff.side.n * np.asarray(ks))[:, None]
     X = dirs * np.stack([z, z.conj()], axis=-1)
     d = dirs[0]
@@ -557,7 +535,7 @@ def _cone_separation(ff: FaceFamily, res: CheckResult, n: int, diam: float) -> b
     least = margins.min()
     # pairs with equal exact angles (k and n - k of the plus family) differ by
     # rounding; the note names the smallest (k, family) among them
-    i, j = np.argwhere(margins <= least + CONE_TIE)[0]
+    i, j = divmod(int(np.flatnonzero(margins <= least + CONE_TIE)[0]), 2)
     res.margins["cone_separation"] = float(least)
     res.notes.append(f"tightest cone pair: k={ks[i]},{('plus', 'minus')[j]}")
     return least > 0.0
@@ -593,7 +571,7 @@ def gc_check_loxodromic(ff: FaceFamily) -> CheckResult:
     res.margins["cosh4l_above_1"] = math.cosh(4 * length) - 1.0
 
     # (b) the h identities
-    h1, h2 = _gc_h_values(ff)
+    h1, h2 = ff.G[[P_U1, P_U2], P_V].tolist()
     t = 2.0 * math.cosh(length) + 1.0
     ch_half = math.cosh(length / 2.0)
     r_h1 = abs(abs(h1) ** 2 - 12.0 * math.exp(length / 2.0) * t * ch_half)
@@ -611,7 +589,7 @@ def gc_check_loxodromic(ff: FaceFamily) -> CheckResult:
     h_ok = max(r_h1, r_h2, r_h12, r_cross) <= 1e-8 * max(1.0, abs(h1) ** 2)
 
     # (c) direct guard check: the projected disks stay inside the annuli
-    sil_plus, sil_minus = ff.silhouettes
+    (sil_plus, sil_minus), _ = ff.silhouettes
     m_lo, m_hi, _ = _disk_extent(res, "J_0^+", sil_plus)
     res.margins["annulus_upper"] = 1.5 * length - m_hi
     res.margins["annulus_lower"] = m_lo + 2.5 * length
@@ -675,7 +653,7 @@ def gc_check_elliptic(ff: FaceFamily) -> CheckResult:
     cb = math.cos(beta)
 
     # (a) discriminant sign and negativity certificate for the guard rays
-    h1, h2 = _gc_h_values(ff)
+    h1, h2 = ff.G[[P_U1, P_U2], P_V].tolist()
     a_h1, a_h2 = abs(h1) ** 2, abs(h2) ** 2
     disc_sign = 2.0 + 4.0 * cb - 9.0 * cb * cb
     res.margins["discriminant_sign"] = -disc_sign  # must be positive
@@ -712,7 +690,7 @@ def gc_check_elliptic(ff: FaceFamily) -> CheckResult:
     # (b) direct guard check: the projected disk's arguments avoid the two
     # rays, with arg c wrapped into a window centred between the rays
     # -5 beta/2 and 3 beta/2
-    sil = ff.silhouettes[0]
+    sil = ff.silhouettes[0][0]
     _, _, half = _disk_extent(res, "J_0^+", sil)
     centre = -0.5 * beta
     mid = centre + math.remainder(cmath.phase(sil.center) - centre, 2.0 * math.pi)
@@ -724,7 +702,7 @@ def gc_check_elliptic(ff: FaceFamily) -> CheckResult:
     # (c) real angular control from the interior fixed point
     ratio = (9.0 / 4.0) / (1.0 - cb) ** 2
     res.margins["distance_ratio_above_4"] = ratio - 4.0
-    diam = angular_diameter(ff.pts.p_U, ff.pts.p_V, ff.tol)
+    diam = angular_diameter(ff.G, ff.lengths, P_U, P_V, ff.tol)
     res.residuals["value_true_angular_diameter"] = diam
     if diam >= math.pi / 3.0:
         res.notes.append(

@@ -8,29 +8,21 @@ points p', p'' of the polar line of p give the chart
 which depends only on the line through [p] and [q].  Projections of
 bisectors based at p are closed disks here; their boundaries are honest
 circles in every chart, which the intersection controls below exploit.
+The decisions read a Gram table of lifts, and the silhouettes of a
+family of bisectors are one batch.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    GeometryError,
-    HVec,
-    Location,
-    box,
-    cross,
-    inner,
-    locate,
-    proj_equal,
-    tolerance,
-)
-from .bisector import Bisector, BisectorKind
+from .core import GeometryError, HermitianSpace, cross
 
 INF = complex(math.inf, 0.0)
+_EYE3 = np.eye(3)
 
 
 def ext_div(num: complex, den: complex, tol=1e-12) -> complex:
@@ -42,68 +34,69 @@ def ext_div(num: complex, den: complex, tol=1e-12) -> complex:
     return num / den
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VisualChart:
-    """A coordinate on the visual sphere of `base` given by two polar points."""
+    """A coordinate on the visual sphere of `base` given by two polar
+    points, each a coordinate vector of `space`."""
 
-    base: HVec
-    p_prime: HVec
-    p_dprime: HVec
+    base: np.ndarray
+    p_prime: np.ndarray
+    p_dprime: np.ndarray
+    space: HermitianSpace
 
     def __post_init__(self):
-        scale = self.base.length()
-        for w in (self.p_prime, self.p_dprime):
-            if abs(inner(w, self.base)) > 1e-8 * scale * w.length():
-                raise GeometryError("chart points must lie on the polar line of base")
-        if box(self.p_prime, self.p_dprime).is_zero(1e-12):
+        X = np.array([self.base, self.p_prime, self.p_dprime])
+        L = np.linalg.norm(X, axis=1)
+        if (np.abs(self.space.inner_grid(X[1:], X[0])) > 1e-8 * L[0] * L[1:]).any():
+            raise GeometryError("chart points must lie on the polar line of base")
+        (a0, a1, a2), (b0, b1, b2) = X[1:].tolist()
+        if max(abs(a1 * b2 - a2 * b1), abs(a2 * b0 - a0 * b2), abs(a0 * b1 - a1 * b0)) <= 1e-12:
             raise GeometryError("chart points must be distinct")
 
-    def __call__(self, q: HVec) -> complex:
-        """Chart coordinate of the line through base and q (q != base)."""
-        num = inner(self.p_prime, q)
-        den = inner(self.p_dprime, q)
+    def __call__(self, q) -> complex:
+        """Chart coordinate, on the extended plane, of the line through base
+        and the coordinate vector q (q != base)."""
+        num, den = (complex(np.vdot(w, self.space.J @ q)) for w in (self.p_prime, self.p_dprime))
         if num == 0 and den == 0:
             raise GeometryError("chart undefined at its base point")
         return ext_div(num, den)
 
     def values(self, V: np.ndarray) -> np.ndarray:
         """Vectorized chart on an array of representatives, shape (..., 3)."""
-        sp = self.base.space
-        num = sp.inner_grid(self.p_prime.v, V)
-        den = sp.inner_grid(self.p_dprime.v, V)
+        num = self.space.inner_grid(self.p_prime, V)
+        den = self.space.inner_grid(self.p_dprime, V)
         with np.errstate(divide="ignore", invalid="ignore"):
             return num / den
 
 
-def tangency_check(p: HVec, q: HVec, r: HVec, tol=None) -> bool:
-    """Whether the line through [p] and [r] meets the spinal surface of
-    (p, q) only at [r].
+def tangencies(G, lengths, p: int, q: int, rs, tol) -> list[bool]:
+    """For each lift r of rs, whether the line through [p] and [r] meets
+    the spinal surface of (p, q) only at [r], read from the Gram table G
+    and the Euclidean lengths of a table of lifts.
 
     Requires equal nonzero norms, a real nonzero <p, q>, and r on the
-    spinal surface; then the test is the existence of a sign eps with
-    <p,r> = eps <q,r> while <q,p> != eps <p,p>.
+    spinal surface (GeometryError otherwise, for the first r that fails);
+    then the test is the existence of a sign eps with <p,r> = eps <q,r>
+    while <q,p> != eps <p,p>.
     """
-    tol = tolerance(tol)
-    npp, nq = p.norm(), q.norm()
-    scale = p.length() * q.length()
-    if abs(npp - nq) > 1e3 * tol * max(scale, 1.0):
+    npp, nq, pq = G[p, p].real, G[q, q].real, G[p, q]
+    scale = lengths[p] * lengths[q]
+    gate = 1e3 * tol * max(scale, 1.0)
+    if abs(npp - nq) > gate:
         raise GeometryError("tangency criterion needs equal-norm lifts")
-    if abs(npp) <= 1e3 * tol * max(scale, 1.0):
+    if abs(npp) <= gate:
         raise GeometryError("tangency criterion needs non-null lifts")
-    pq = inner(p, q)
-    if abs(pq.imag) > 1e3 * tol * max(scale, 1.0) or abs(pq) <= tol * scale:
+    if abs(pq.imag) > gate or abs(pq) <= tol * scale:
         raise GeometryError("tangency criterion needs a real nonzero <p, q>")
-    if locate(r, 1e3 * tol) is not Location.BOUNDARY:
-        raise GeometryError("r must be a boundary point")
-    pr, qr = inner(p, r), inner(q, r)
-    rscale = max(abs(pr), abs(qr), 1e-300)
-    if abs(abs(pr) - abs(qr)) > 1e3 * tol * rscale:
-        raise GeometryError("r must lie on the spinal surface of (p, q)")
-    for eps in (1.0, -1.0):
-        if abs(pr - eps * qr) <= 1e3 * tol * rscale:
-            if abs(pq - eps * npp) > 1e3 * tol * max(scale, 1.0):
-                return True
-    return False
+    found = []
+    for r, pr, qr in zip(rs, G[p, rs].tolist(), G[q, rs].tolist()):
+        if abs(G[r, r].real) > 1e3 * tol * lengths[r] ** 2:
+            raise GeometryError("r must be a boundary point")
+        rgate = 1e3 * tol * max(abs(pr), abs(qr), 1e-300)
+        if abs(abs(pr) - abs(qr)) > rgate:
+            raise GeometryError("r must lie on the spinal surface of (p, q)")
+        found.append(any(abs(pr - eps * qr) <= rgate and abs(pq - eps * npp) > gate for eps in (1.0, -1.0)))
+    return found
 
 
 def _null_circles(B, J):
@@ -133,13 +126,14 @@ def _null_circles(B, J):
         nrm = np.sqrt(g * g + b2)
         g, bn, bc = g / nrm, b / nrm, b.conj() / nrm
         up = s >= 0
-        v_p = np.stack([np.where(up, g, bn), np.where(up, bc, g)], axis=-1)
-        v_m = np.stack([np.where(up, bn, -g), np.where(up, -g, bc)], axis=-1)
+        # rows v_m, v_p of one array, shape (..., 2, 2)
+        v = np.empty(up.shape + (2, 2), dtype=complex)
+        v[..., 0, 0], v[..., 0, 1] = np.where(up, bn, -g), np.where(up, -g, bc)
+        v[..., 1, 0], v[..., 1, 1] = np.where(up, g, bn), np.where(up, bc, g)
         rho = np.sqrt(-lam_m / lam_p)
     scale = 1e-14 * np.maximum(np.abs(lam_m), np.abs(lam_p))
     keep = (lam_m < -scale) & (lam_p > scale)
-    em = (v_m[..., None, :] @ B)[..., 0, :]
-    ep = (v_p[..., None, :] @ B)[..., 0, :]
+    em, ep = ((v[..., i, None, :] @ B)[..., 0, :] for i in (0, 1))
     return em, ep, rho, keep
 
 
@@ -150,15 +144,15 @@ def _polar_basis(poles, J):
     u1 = conj(w x e) and u2 = conj(w x u1), |u1|^2 = |w|^2 - |w_i|^2 and
     |u2| = |w| |u1|, each scaled to norm 1."""
     w = poles @ J.T
-    e = np.eye(3)[np.argmin(np.abs(w), axis=-1)]
-    u1 = cross(w, e).conj()
-    u1 /= np.linalg.norm(u1, axis=-1, keepdims=True)
-    u2 = cross(w, u1).conj()
-    u2 /= np.linalg.norm(u2, axis=-1, keepdims=True)
-    return np.stack([u1, u2], axis=-2)
+    B = np.empty(w.shape[:-1] + (2, 3), dtype=complex)
+    B[..., 0, :] = cross(w, _EYE3[np.argmin(np.abs(w), axis=-1)]).conj()
+    B[..., 0, :] /= np.linalg.norm(B[..., 0, :], axis=-1, keepdims=True)
+    B[..., 1, :] = cross(w, B[..., 0, :]).conj()
+    B[..., 1, :] /= np.linalg.norm(B[..., 1, :], axis=-1, keepdims=True)
+    return B
 
 
-def _circle_points(em, ep, rho, ts):
+def circle_points(em, ep, rho, ts):
     """The points em + rho e^{it} ep at the angles ts."""
     phase = rho * np.exp(1j * np.atleast_1d(ts))
     return em[None, :] + phase[:, None] * ep[None, :]
@@ -169,24 +163,24 @@ class Silhouette:
     """The silhouette circle |z - center| = radius of a bisector in a chart
     of its base point's visual sphere.  eps is the sign of the slice p -
     eps q it comes from; the projected disk is the circle's inside when
-    bounded, else its outside; residual is a sampled boundary's largest
-    distance from the circle, where one was taken (`project_bisector`)."""
+    bounded, else its outside."""
 
     center: complex
     radius: float
     eps: float
     bounded: bool
-    residual: float = 0.0
 
 
-def silhouette_circles(chart: VisualChart, bisectors, tol=None) -> list[Silhouette]:
-    """The silhouette of each bisector from its own base point, the chart's
-    base, in closed form; the polar bases and null circles of their slices
-    are taken as one batch.
+def silhouette_circles(chart: VisualChart, Q, pq, scale, tol):
+    """(silhouettes, (em, ep, rho)): the silhouette of each bisector of the
+    chart's base p with a row of Q, shape (k, 3), given pq = <p, Q_i> and
+    the scales |p| |Q_i|, seen from p in closed form, and the boundary
+    circles em + rho e^{it} ep of their slices, one row per bisector; the
+    polar bases and null circles of the slices are taken as one batch.
 
     The lines through [p] tangent to the spinal surface touch it on the
     boundary circle of the slice with pole p - eps q, eps = -sign <p, q>
-    (see `tangency_check`), the pole of norm 2(<p,p> + |<p,q>|) > 0.  Each
+    (see `tangencies`), the pole of norm 2(<p,p> + |<p,q>|) > 0.  Each
     line through [p] meets that slice once, and the slice's ball disk lies
     on the bisector, so the projection is the chart image of that disk.
     Its boundary em + rho e^{it} ep goes to (a + b w)/(c + d w), |w| = 1,
@@ -194,84 +188,31 @@ def silhouette_circles(chart: VisualChart, bisectors, tol=None) -> list[Silhouet
     the circle of centre (a c* - b d*)/(|c|^2 - |d|^2) and radius |ad - bc|
     / ||c|^2 - |d|^2|, the image of |w| < 1 lying inside when |c| > |d|.
     """
-    return _silhouettes(chart, bisectors, tolerance(tol))[0]
-
-
-def _silhouettes(chart: VisualChart, bisectors, tol):
-    """`silhouette_circles` with the boundary circles em + rho e^{it} ep of
-    the slices, as (silhouettes, em, ep, rho) with one row per bisector."""
-    poles, signs = [], []
-    for b in bisectors:
-        if not proj_equal(chart.base, b.p, 1e-8):
-            raise GeometryError("chart base must be the bisector's first lift")
-        p, q, scale = b.p, b.q, b.scale()
-        pq = inner(p, q)
-        if abs(pq.imag) > 1e3 * tol * max(scale, 1.0) or abs(pq) <= tol * scale:
-            raise GeometryError("silhouette circle needs a real nonzero <p, q>")
-        eps = -math.copysign(1.0, pq.real)
-        pole = HVec(p.v - eps * q.v, p.space)
-        if pole.norm() <= 1e3 * tol * max(scale, 1.0):
-            raise GeometryError("silhouette slice has a pole of norm <= 0")
-        poles.append(pole.v)
-        signs.append(eps)
-    J = chart.base.space.J
-    em, ep, rho, _ = _null_circles(_polar_basis(np.array(poles), J), J)
-    P = np.stack([chart.p_prime.v, chart.p_dprime.v]).conj() @ J
+    gates = [1e3 * tol * max(x, 1.0) for x in scale]
+    if any(abs(z.imag) > g or abs(z) <= tol * x for z, g, x in zip(pq.tolist(), gates, scale)):
+        raise GeometryError("silhouette circle needs a real nonzero <p, q>")
+    eps = -np.sign(pq.real)
+    poles = chart.base - eps[:, None] * Q
+    if any(n <= g for n, g in zip(chart.space.norm_grid(poles).tolist(), gates)):
+        raise GeometryError("silhouette slice has a pole of norm <= 0")
+    J = chart.space.J
+    em, ep, rho, _ = _null_circles(_polar_basis(poles, J), J)
+    # a, b = <p', em>, rho <p', ep> and c, d = <p'', em>, rho <p'', ep>, per bisector
+    abcd = (np.stack([chart.p_prime, chart.p_dprime]).conj() @ J) @ np.stack([em, rho[:, None] * ep], axis=-1)
     sils = []
-    for eps, e_m, e_p, r in zip(signs, em, ep, rho):
-        (a, bw), (c, d) = P @ np.stack([e_m, r * e_p]).T
+    for e, ((a, bw), (c, d)) in zip(eps.tolist(), abcd):
         den = abs(c) ** 2 - abs(d) ** 2
         if abs(den) <= tol * (abs(c) ** 2 + abs(d) ** 2):
             raise GeometryError("silhouette passes through the chart's infinity")
         center = (a * c.conjugate() - bw * d.conjugate()) / den
-        sils.append(Silhouette(complex(center), float(abs(a * d - bw * c) / abs(den)), eps, bool(den > 0)))
-    return sils, em, ep, rho
+        sils.append(Silhouette(complex(center), float(abs(a * d - bw * c) / abs(den)), e, bool(den > 0)))
+    return sils, (em, ep, rho)
 
 
-@dataclass
-class DiskProjection:
-    """Projection of a bisector based at p onto the visual sphere of [p].
-
-    boundary: sampled boundary polyline in the supplied chart.
-    circle: the exact silhouette circle, with the polyline's residual.
-    priv_radius: modulus of the boundary in the rotation-invariant chart
-    whose 0 and infinity are the lines to [q] and to the focus.
-    contains_zero: whether the line to [q] projects inside the disk (true
-    exactly when the pair discriminant is negative).
-    """
-
-    chart: VisualChart
-    boundary: np.ndarray
-    boundary_eps: float
-    circle: Silhouette
-    priv_radius: float | None
-    contains_zero: bool
-
-
-def project_bisector(chart: VisualChart, b: Bisector, n_boundary=1024, tol=None) -> DiskProjection:
-    """Silhouette of the bisector from its own base point in a given chart:
-    the circle of `silhouette_circles`, sampled at n_boundary points of its
-    slice.  Off fans, the privileged chart sees that slice at one modulus."""
-    (sil,), em, ep, rho = _silhouettes(chart, [b], tolerance(tol))
-    pts = _circle_points(em[0], ep[0], rho[0], np.linspace(0, 2 * math.pi, n_boundary, endpoint=False))
-    boundary = chart.values(pts)
-    finite = boundary[np.isfinite(boundary)]
-    sil = replace(sil, residual=float(np.abs(np.abs(finite - sil.center) - sil.radius).max()))
-    priv_radius = None
-    if b.kind is not BisectorKind.FAN:
-        priv = VisualChart(b.p, b.focus, box(b.p, b.focus))
-        mods = np.abs(priv.values(pts))
-        if mods.max() - mods.min() > 1e-6 * max(float(mods.mean()), 1.0):
-            raise GeometryError("silhouette circle has no constant modulus in the privileged chart")
-        priv_radius = float(mods.mean())
-    return DiskProjection(
-        chart, boundary, sil.eps, sil, priv_radius,
-        contains_zero=b.kind is not BisectorKind.FAN and b.r_disc < 0,
-    )
-
-
-def angular_diameter(p: HVec, q: HVec, tol=None) -> float:
-    """The real angular diameter of the bisector of (p, q) seen from [p].
+def angular_diameter(G, lengths, p: int, q: int, tol) -> float:
+    """The real angular diameter of the bisector of the lifts p and q seen
+    from [p], read from the Gram table G and the Euclidean lengths of a
+    table of lifts.
 
     With cosh^2(d/2) = <p,q><q,p> / (<p,p><q,q>) for the hyperbolic
     distance d between the two interior points, the angular radius around
@@ -282,12 +223,11 @@ def angular_diameter(p: HVec, q: HVec, tol=None) -> float:
     (which realize tanh(d/2), the *largest* cosine).  The diameter is twice
     the radius by rotational symmetry about the axis.
     """
-    tol = tolerance(tol)
-    if locate(p, tol) is not Location.INSIDE or locate(q, tol) is not Location.INSIDE:
+    npp, nqq = G[p, p].real, G[q, q].real
+    if not (npp < -tol * lengths[p] ** 2 and nqq < -tol * lengths[q] ** 2):
         raise GeometryError("angular diameter needs two interior points")
-    c2 = (abs(inner(p, q)) ** 2) / (p.norm() * q.norm())
+    c2 = float(abs(G[p, q]) ** 2 / (npp * nqq))
     if c2 < 1.0:
         raise GeometryError("inconsistent distance data")
     half_d = math.acosh(math.sqrt(c2))
     return 2.0 * math.acos(math.tanh(half_d / 2.0))
-

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from crlab.core import siegel_model
-from crlab.family import ALPHA2_LIM, FamilyParams, FamilyRep, alpha2_for_order, remarkable_points
-from crlab.reference import ball_model
+from crlab.family import ALPHA2_LIM, FamilyParams, FamilyRep, alpha2_for_order
+from crlab.reference import ball_model, remarkable_points
 
 
 @pytest.fixture(scope="session")
@@ -23,7 +23,7 @@ def rep07():
 
 @pytest.fixture(scope="session")
 def pts07(rep07):
-    return remarkable_points(rep07.params, rep07)
+    return remarkable_points(rep07.params)
 
 
 @pytest.fixture(scope="session")
@@ -33,7 +33,7 @@ def rep_n9():
 
 @pytest.fixture(scope="session")
 def pts_n9(rep_n9):
-    return remarkable_points(rep_n9.params, rep_n9)
+    return remarkable_points(rep_n9.params)
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,7 @@ None of these is on a program path, and none is imported by `crlab`:
 - `envelope_minima`, the multi-constraint envelope of which `verify` reads
   one constraint per Giraud-torus column (`bisector.column_minima`), with
   its own per-form column rows, the per-torus ball arcs `ball_arcs` it
-  reads, and torus points `point`;
+  reads, and torus points `torus_vectors` and `point`;
 - the grid oracle of the symmetric trichotomy (`periodic_components`,
   `count_sublevel_components`, `brute_force_symmetric_kind`), which the
   program decides in closed form (`symmetric_intersection_type`);
@@ -17,25 +17,62 @@ None of these is on a program path, and none is imported by `crlab`:
   `angle_between`), against which `angular_diameter` and
   `verify.cone_angles` are held;
 - equal-modulus membership (`membership`, `Membership`), the real spine's
-  ends (`real_spine_endpoints`) and `is_autopolar_triple`.
+  ends (`real_spine_endpoints`) and `is_autopolar_triple`;
+- the per-object forms of the program's array decisions, written with the
+  scalar `inner` and `box` of single HVecs: `classify_bisector` and its
+  `Bisector`, `classify_pair`, `giraud_torus`, `symmetric_intersection_type`,
+  `tangency_check`, `silhouette_circles`, `project_bisector`,
+  `angular_diameter` and `u_power_point`, against which `FaceFamily`'s
+  Gram-table decisions are held; and `table`, the Gram table of a few
+  HVecs, with `bisector_kind`, `pair_kind`, `symmetric_kind` and
+  `tangency`, through which the tests call the program's kernels on one
+  bisector, pair, triple or point.
 """
 
+from __future__ import annotations
+
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from crlab.bisector import Bisector, BisectorKind, SymmetricKind, _arcs, _harmonic_roots, _ratio_critical, level_g
-from crlab.core import GeometryError, HVec, Location, inner, locate, tolerance
-from crlab.visual import _circle_points, _null_circles, _polar_basis
+from crlab.bisector import (
+    BisectorKind,
+    ExtorPairKind,
+    GiraudTorus,
+    SymmetricKind,
+    _arcs,
+    _harmonic_roots,
+    _ratio_critical,
+    bisector_kinds,
+    level_g,
+    pair_kinds,
+    symmetric_kinds,
+)
+from crlab.core import GeometryError, HVec, inner, tolerance
+from crlab.family import FamilyParams, FamilyRep, SideKind
+from crlab.isometry import Isometry
+from crlab.reference import Location, box, locate, proj_equal, remarkable_points
+from crlab.visual import Silhouette, VisualChart, _null_circles, _polar_basis, circle_points, tangencies
 
 TORUS_GRID_DEFAULT = 720
 TORUS_REFINE_FACTOR = 4
 
 
+def torus_vectors(torus, theta, phi) -> np.ndarray:
+    """Torus representatives qr - e^{-i theta} pr - e^{-i phi} qp at
+    broadcastable arrays of angles, shape (..., 3)."""
+    return (
+        torus.qr
+        - np.exp(-1j * np.asarray(theta))[..., None] * torus.pr
+        - np.exp(-1j * np.asarray(phi))[..., None] * torus.qp
+    )
+
+
 def point(torus, theta: float, phi: float) -> HVec:
     """The torus point at (theta, phi) as an HVec."""
-    return HVec(torus.vectors(theta, phi), torus.space)
+    return HVec(torus_vectors(torus, theta, phi), torus.space)
 
 
 def ball_arcs(torus, deltas):
@@ -239,7 +276,7 @@ def _boundary_circle(B, J):
     em, ep, rho, keep = _null_circles(B, J)
     if not keep:
         return None
-    return lambda ts: _circle_points(em, ep, rho, ts)
+    return lambda ts: circle_points(em, ep, rho, ts)
 
 
 def boundary_circle_of_plane(p: HVec, r: HVec):
@@ -300,7 +337,7 @@ def membership(z: HVec, b: Bisector, tol=None) -> Membership:
     """Equal-modulus residual of z against (p, q), tagged by location."""
     tol = tolerance(tol)
     ap, aq = abs(inner(z, b.p)), abs(inner(z, b.q))
-    scale = max(ap, aq, z.length() * math.sqrt(b.scale()))
+    scale = max(ap, aq, _length(z) * math.sqrt(b.scale()))
     res = ap - aq
     on_extor = abs(res) <= tol * max(scale, 1e-300)
     loc = locate(z, tol)
@@ -342,7 +379,7 @@ def is_autopolar_triple(p: HVec, q: HVec, r: HVec, tol=None) -> bool:
     tol = tolerance(tol)
 
     def _ok(a, b):
-        scale = max(a.length() * b.length(), 1e-300)
+        scale = max(_length(a) * _length(b), 1e-300)
         return abs(inner(a, b)) <= tol * scale
 
     def _noniso(a):
@@ -351,3 +388,306 @@ def is_autopolar_triple(p: HVec, q: HVec, r: HVec, tol=None) -> bool:
     return (
         _ok(p, q) and _ok(q, r) and _ok(r, p) and _noniso(p) and _noniso(q) and _noniso(r)
     )
+
+
+# ---------------------------------------------------------------------------
+# per-object forms of the program's array decisions
+
+
+def _length(v: HVec) -> float:
+    return float(np.linalg.norm(v.v))
+
+
+def table(*points: HVec):
+    """(G, lengths) of the rows of HVecs in one space: the Gram table
+    G[i, j] = <x_i, x_j> and the Euclidean lengths, the inputs of the
+    program's kernels (`bisector_kinds`, `tangencies`, `angular_diameter`)."""
+    X = np.array([x.v for x in points])
+    return (X.conj() @ points[0].space.J) @ X.T, np.linalg.norm(X, axis=1)
+
+
+def bisector_kind(p: HVec, q: HVec, tol=None):
+    """(r_disc, kind) of the program's `bisector_kinds` on one bisector."""
+    r, (kind,) = bisector_kinds(*table(p, q), 0, [1], tolerance(tol))
+    return float(r[0]), kind
+
+
+def pair_kind(b1, b2, tol=None) -> ExtorPairKind:
+    """The program's `pair_kinds` on one pair of bisectors."""
+    lifts = np.array([[b1.p.v, b1.q.v], [b2.p.v, b2.q.v]])
+    return pair_kinds(np.array([b1.focus.v, b2.focus.v]), lifts, [(0, 1)], b1.p.space, tolerance(tol))[0]
+
+
+def symmetric_kind(p: HVec, q: HVec, r: HVec, tol=None):
+    """(u, kind) of the program's `symmetric_kinds` on one triple."""
+    (u,), (kind,) = symmetric_kinds(np.array([[box(p, q).v, box(q, r).v, box(r, p).v]]), p.space, tolerance(tol))
+    return float(u), kind
+
+
+def tangency(p: HVec, q: HVec, r: HVec, tol=None) -> bool:
+    """The program's `tangencies` of (p, q) at one point r."""
+    return tangencies(*table(p, q, r), 0, 1, [2], tolerance(tol))[0]
+
+
+@dataclass(frozen=True)
+class Bisector:
+    p: HVec
+    q: HVec
+    focus: HVec
+    r_disc: float
+    kind: BisectorKind
+
+    def scale(self) -> float:
+        return _length(self.p) * _length(self.q)
+
+
+def classify_bisector(p: HVec, q: HVec, tol=None) -> Bisector:
+    """Build the bisector of two equal-norm lifts and classify it by r_disc."""
+    tol = tolerance(tol)
+    np_, nq = p.norm(), q.norm()
+    scale = max(abs(np_), abs(nq), _length(p) * _length(q))
+    if abs(np_ - nq) > 1e3 * tol * max(scale, 1.0):
+        raise GeometryError(f"lifts have different norms ({np_:.6g} vs {nq:.6g})")
+    r = np_ * nq - abs(inner(p, q)) ** 2
+    band = tol * max(1.0, abs(np_)) ** 2
+    if r < -band:
+        kind = BisectorKind.METRIC_BISECTOR
+    elif r > band:
+        kind = BisectorKind.CLIFFORD_CONE
+    else:
+        kind = BisectorKind.FAN
+    return Bisector(p, q, box(p, q), float(r), kind)
+
+
+def _focus_in_extor(f: HVec, b: Bisector, tol) -> bool:
+    ap, aq = abs(inner(f, b.p)), abs(inner(f, b.q))
+    scale = max(_length(f) * math.sqrt(b.scale()), 1e-300)
+    return abs(ap - aq) <= tol * scale
+
+
+def classify_pair(b1: Bisector, b2: Bisector, tol=None) -> ExtorPairKind:
+    """Pair type from the foci: a line through a focus lies in that extor
+    exactly when its second point does, so both containments reduce to two
+    membership tests."""
+    tol = tolerance(tol)
+    f1, f2 = b1.focus, b2.focus
+    if proj_equal(f1, f2, 1e3 * tol):
+        if proj_equal(b1.p, b2.p, 1e-8) and proj_equal(b1.q, b2.q, 1e-8):
+            raise GeometryError("extors are identical")
+        return ExtorPairKind.CONFOCAL
+    c1 = _focus_in_extor(f2, b1, tol * 1e3)
+    c2 = _focus_in_extor(f1, b2, tol * 1e3)
+    if c1 and c2:
+        return ExtorPairKind.BALANCED
+    if c1 or c2:
+        return ExtorPairKind.SEMI_BALANCED
+    return ExtorPairKind.UNBALANCED
+
+
+def giraud_torus(b1: Bisector, b2: Bisector, tol=None) -> GiraudTorus:
+    """The torus of E(p, q) and E(p, r) from the bisectors b1 = (p, q) and
+    b2 = (p, r) of an unbalanced pair (`classify_pair`)."""
+    if b1.p is not b2.p and not np.array_equal(b1.p.v, b2.p.v):
+        raise GeometryError("the bisectors of a torus need a common first lift")
+    kind = classify_pair(b1, b2, tolerance(tol))
+    if kind is not ExtorPairKind.UNBALANCED:
+        raise GeometryError(f"pair is {kind.value}; torus needs an unbalanced pair")
+    lifts = np.array([b1.p.v, b1.q.v, b2.q.v])
+    return GiraudTorus(lifts, (box(b1.q, b2.q).v, b2.focus.v, -b1.focus.v), b1.p.space)
+
+
+@dataclass(frozen=True)
+class SymmetricIntersection:
+    kind: SymmetricKind
+    u: float
+    k_value: complex  # the common mixed Hermitian product, real negative
+    l_value: float  # the common squared norm of the box products
+
+
+def symmetric_intersection_type(p: HVec, q: HVec, r: HVec, tol=None) -> SymmetricIntersection:
+    """Trichotomy for the intersection B(p,q) /\\ B(p,r) of an order-3
+    symmetric triple, decided by u = <pxq, pxq> / <pxq, qxr> against 2/3."""
+    tol = tolerance(tol)
+    bpq, bqr, brp = box(p, q), box(q, r), box(r, p)
+    k1, k2, k3 = inner(bpq, bqr), inner(bqr, brp), inner(brp, bpq)
+    l1, l2, l3 = bpq.norm(), bqr.norm(), brp.norm()
+    scale = max(abs(k1), abs(l1), 1e-300)
+    sym_tol = 1e3 * tol * scale
+    if max(abs(k1 - k2), abs(k2 - k3)) > sym_tol or max(abs(l1 - l2), abs(l2 - l3)) > sym_tol:
+        raise GeometryError("triple is not order-3 symmetric within tolerance")
+    if abs(k1.imag) > sym_tol or k1.real >= -tol * scale:
+        raise GeometryError("mixed product is not real negative; hypotheses violated")
+    k = k1.real
+    u = l1 / k
+    band = 1e3 * tol * max(1.0, abs(u))
+    if u < 2.0 / 3.0 - band:
+        kind = SymmetricKind.DISK
+    elif u > 2.0 / 3.0 + band:
+        kind = SymmetricKind.TORUS_MINUS_TWO_DISKS
+    else:
+        kind = SymmetricKind.TRI_CIRCLE_DISK
+    return SymmetricIntersection(kind, float(u), k1, float(l1))
+
+
+def tangency_check(p: HVec, q: HVec, r: HVec, tol=None) -> bool:
+    """Whether the line through [p] and [r] meets the spinal surface of
+    (p, q) only at [r]: with equal nonzero norms, a real nonzero <p, q> and
+    r on the spinal surface, a sign eps with <p,r> = eps <q,r> while
+    <q,p> != eps <p,p>."""
+    tol = tolerance(tol)
+    npp, nq = p.norm(), q.norm()
+    scale = _length(p) * _length(q)
+    if abs(npp - nq) > 1e3 * tol * max(scale, 1.0):
+        raise GeometryError("tangency criterion needs equal-norm lifts")
+    if abs(npp) <= 1e3 * tol * max(scale, 1.0):
+        raise GeometryError("tangency criterion needs non-null lifts")
+    pq = inner(p, q)
+    if abs(pq.imag) > 1e3 * tol * max(scale, 1.0) or abs(pq) <= tol * scale:
+        raise GeometryError("tangency criterion needs a real nonzero <p, q>")
+    if locate(r, 1e3 * tol) is not Location.BOUNDARY:
+        raise GeometryError("r must be a boundary point")
+    pr, qr = inner(p, r), inner(q, r)
+    rscale = max(abs(pr), abs(qr), 1e-300)
+    if abs(abs(pr) - abs(qr)) > 1e3 * tol * rscale:
+        raise GeometryError("r must lie on the spinal surface of (p, q)")
+    for eps in (1.0, -1.0):
+        if abs(pr - eps * qr) <= 1e3 * tol * rscale:
+            if abs(pq - eps * npp) > 1e3 * tol * max(scale, 1.0):
+                return True
+    return False
+
+
+def _silhouettes(chart: VisualChart, bisectors, tol):
+    """The silhouette of each bisector from the chart's base, with the
+    boundary circles em + rho e^{it} ep of the slices, as (silhouettes, em,
+    ep, rho), the poles' Hermitian products taken one bisector at a time."""
+    poles, signs = [], []
+    base = HVec(chart.base, chart.space)
+    for b in bisectors:
+        if not proj_equal(base, b.p, 1e-8):
+            raise GeometryError("chart base must be the bisector's first lift")
+        p, q, scale = b.p, b.q, b.scale()
+        pq = inner(p, q)
+        if abs(pq.imag) > 1e3 * tol * max(scale, 1.0) or abs(pq) <= tol * scale:
+            raise GeometryError("silhouette circle needs a real nonzero <p, q>")
+        eps = -math.copysign(1.0, pq.real)
+        pole = HVec(p.v - eps * q.v, p.space)
+        if pole.norm() <= 1e3 * tol * max(scale, 1.0):
+            raise GeometryError("silhouette slice has a pole of norm <= 0")
+        poles.append(pole.v)
+        signs.append(eps)
+    J = chart.space.J
+    em, ep, rho, _ = _null_circles(_polar_basis(np.array(poles), J), J)
+    P = np.stack([chart.p_prime, chart.p_dprime]).conj() @ J
+    sils = []
+    for eps, e_m, e_p, r in zip(signs, em, ep, rho):
+        (a, bw), (c, d) = P @ np.stack([e_m, r * e_p]).T
+        den = abs(c) ** 2 - abs(d) ** 2
+        if abs(den) <= tol * (abs(c) ** 2 + abs(d) ** 2):
+            raise GeometryError("silhouette passes through the chart's infinity")
+        center = (a * c.conjugate() - bw * d.conjugate()) / den
+        sils.append(Silhouette(complex(center), float(abs(a * d - bw * c) / abs(den)), eps, bool(den > 0)))
+    return sils, em, ep, rho
+
+
+def silhouette_circles(chart: VisualChart, bisectors, tol=None) -> list:
+    """The silhouette of each bisector from its own base point, the chart's base."""
+    return _silhouettes(chart, bisectors, tolerance(tol))[0]
+
+
+@dataclass
+class DiskProjection:
+    """Projection of a bisector based at p onto the visual sphere of [p]:
+    the sampled boundary in the chart, the exact silhouette circle with the
+    boundary's largest distance from it, the boundary's modulus in the
+    rotation-invariant chart whose 0 and infinity are the lines to [q] and
+    to the focus, and whether the line to [q] projects inside the disk."""
+
+    chart: VisualChart
+    boundary: np.ndarray
+    boundary_eps: float
+    circle: Silhouette
+    residual: float
+    priv_radius: float | None
+    contains_zero: bool
+
+
+def project_bisector(chart: VisualChart, b: Bisector, n_boundary=1024, tol=None) -> DiskProjection:
+    """Silhouette of the bisector from its own base point in a given chart:
+    the circle of `silhouette_circles`, sampled at n_boundary points of its
+    slice.  Off fans, the privileged chart sees that slice at one modulus."""
+    (sil,), em, ep, rho = _silhouettes(chart, [b], tolerance(tol))
+    pts = circle_points(em[0], ep[0], rho[0], np.linspace(0, 2 * math.pi, n_boundary, endpoint=False))
+    boundary = chart.values(pts)
+    finite = boundary[np.isfinite(boundary)]
+    residual = float(np.abs(np.abs(finite - sil.center) - sil.radius).max())
+    priv_radius = None
+    if b.kind is not BisectorKind.FAN:
+        priv = VisualChart(b.p.v, b.focus.v, box(b.p, b.focus).v, b.p.space)
+        mods = np.abs(priv.values(pts))
+        if mods.max() - mods.min() > 1e-6 * max(float(mods.mean()), 1.0):
+            raise GeometryError("silhouette circle has no constant modulus in the privileged chart")
+        priv_radius = float(mods.mean())
+    return DiskProjection(
+        chart, boundary, sil.eps, sil, residual, priv_radius,
+        contains_zero=b.kind is not BisectorKind.FAN and b.r_disc < 0,
+    )
+
+
+def angular_diameter(p: HVec, q: HVec, tol=None) -> float:
+    """The real angular diameter 2 arccos(tanh(d/4)) of the bisector of
+    (p, q) seen from [p], d the distance of the two interior points."""
+    tol = tolerance(tol)
+    if locate(p, tol) is not Location.INSIDE or locate(q, tol) is not Location.INSIDE:
+        raise GeometryError("angular diameter needs two interior points")
+    c2 = (abs(inner(p, q)) ** 2) / (p.norm() * q.norm())
+    if c2 < 1.0:
+        raise GeometryError("inconsistent distance data")
+    half_d = math.acosh(math.sqrt(c2))
+    return 2.0 * math.acos(math.tanh(half_d / 2.0))
+
+
+def family_points(ff):
+    """The remarkable points of a FaceFamily's parameter as HVecs."""
+    return remarkable_points(FamilyParams(0.0, ff.alpha2))
+
+
+def apply(g, p: HVec) -> HVec:
+    """The point g p of an Isometry g."""
+    return HVec(g.M @ p.v, g.space)
+
+
+def power(g, k: int):
+    """g^k of an Isometry g, k of either sign."""
+    return Isometry(np.linalg.matrix_power(g.M if k >= 0 else g.inv().M, abs(k)), g.space)
+
+
+def family_U(ff):
+    """U = S^-1 T of a FaceFamily's parameter as an Isometry."""
+    return FamilyRep(FamilyParams(0.0, ff.alpha2)).word("s^-1t")
+
+
+def u_power_point(ff, k: int, p: HVec) -> HVec:
+    """U^k p, with k = 0 giving p itself.  On the elliptic side U has the
+    eigenvalues 1, a = e^{i beta}, b = e^{-i beta}, so Newton's form of
+    z^k on them gives U^k p = p + f[1,a] (U - I)p + f[1,a,b] (U - aI)(U - I)p
+    with f[1,a] = (a^k - 1)/(a - 1) = e^{i(k-1) beta/2} sin(k beta/2) /
+    sin(beta/2) and f[1,a,b] = (f[a,b] - f[1,a])/(b - 1), f[a,b] =
+    sin(k beta)/sin(beta).  Since f[a,b] - f[1,a] = (a^k - 1)(a^{1-k} - 1)
+    / (a^2 - 1), f[1,a,b] = sin(k beta/2) sin((k-1) beta/2) /
+    (2 sin^2(beta/2) cos(beta/2)): real, and free of the difference
+    quotient's cancellation, which loses digits like 1/beta toward the
+    wall.  No eigenvector enters (those of a and b merge at the wall).
+    Elsewhere the matrix power serves."""
+    side = ff.side
+    if k == 0:
+        return p
+    if side.kind is not SideKind.ELLIPTIC:
+        return apply(power(family_U(ff), k), p)
+    half = 0.5 * side.beta
+    s = math.sin(half)
+    f1a = cmath.exp(1j * (k - 1) * half) * (math.sin(k * half) / s)
+    f1ab = math.sin(k * half) * math.sin((k - 1) * half) / (2.0 * s * s * math.cos(half))
+    U = family_U(ff).M
+    w = U @ p.v - p.v
+    return HVec(p.v + f1a * w + f1ab * (U @ w - cmath.exp(2j * half) * w), p.space)

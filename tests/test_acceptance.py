@@ -20,8 +20,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from crlab.core import HVec, box, inner
-from crlab.bisector import classify_bisector, symmetric_intersection_type
+from crlab.core import HVec, inner
 from crlab.family import (
     ALPHA2_LIM,
     FamilyParams,
@@ -29,20 +28,23 @@ from crlab.family import (
     alpha2_for_order,
     char_P,
     char_Q,
-    remarkable_points,
     schwartz_point,
 )
 from crlab.isometry import OMEGA, eigen, elliptic_type
 from crlab.verify import FaceFamily, VerdictKind, tf_check, verify
-from crlab.reference import ball_model, char_variety_residuals, trace_coords
-from crlab.visual import angular_diameter, tangency_check
+from crlab.reference import ball_model, box, char_variety_residuals, remarkable_points, trace_coords
+from crlab.visual import angular_diameter
 
 from oracles import (
     angle_between,
     brute_force_symmetric_kind,
+    classify_bisector,
     line_spinal_crossings,
     slice_boundary_circle,
     spinal_samples,
+    symmetric_kind,
+    table,
+    tangency,
     tangent_direction,
 )
 
@@ -64,7 +66,7 @@ def test_criterion_1a_trace_formula():
     worst = 0.0
     for a2 in np.linspace(0.01, math.pi / 2 - 0.01, 50):
         rep = FamilyRep(FamilyParams(0.0, float(a2)))
-        worst = max(worst, abs(rep.U.trace() - 8 * math.cos(a2) ** 2))
+        worst = max(worst, abs(rep.word("s^-1t").trace() - 8 * math.cos(a2) ** 2))
     report("1a trace of the deformation element", worst <= 1e-10)
 
 
@@ -117,7 +119,7 @@ def test_criterion_1e_schwartz_constant():
 def test_criterion_1f_eigen_data_order6_point():
     a2 = 2 * math.pi / 3
     rep = FamilyRep(FamilyParams(0.0, a2))
-    U = rep.U  # equals rho(s^-1 t) at this parameter
+    U = rep.word("s^-1t")  # equals rho(s^-1 t) at this parameter
     triples = eigen(U)
     w = OMEGA
     values = sorted((t.value for t in triples), key=lambda z: cmath.phase(z))
@@ -138,7 +140,7 @@ def test_criterion_1f_eigen_data_order6_point():
         f"(computed ({et.p}/{et.n}, {et.q}/{et.n}))",
         _type_pair(et) == derived,
     )
-    et9 = elliptic_type(FamilyRep(FamilyParams(0.0, alpha2_for_order(9))).U)
+    et9 = elliptic_type(FamilyRep(FamilyParams(0.0, alpha2_for_order(9))).word("s^-1t"))
     stated = (Fraction(1, 9), Fraction(-1, 9))
     report(
         f"1f-iv stated elliptic type (1/9, -1/9) at the order-9 parameter "
@@ -237,13 +239,13 @@ def test_criterion_6a_trichotomy_oracle():
     count = 0
     for a2 in (0.3, 0.7, 1.1, 1.4):
         pts = remarkable_points(FamilyParams(0.0, a2))
-        si = symmetric_intersection_type(pts.p_U, pts.p_V, pts.p_W)
-        ok &= brute_force_symmetric_kind(si.u, 720) is si.kind
+        u, kind = symmetric_kind(pts.p_U, pts.p_V, pts.p_W)
+        ok &= brute_force_symmetric_kind(u, 720) is kind
         count += 1
     for a, b in ((0.4, 0.3), (1.2, 0.0), (3.0, 1.0), (5.0, 0.0), (5.0, 1.0), (8.0, 2.0)):
         p = HVec([a, b, 1.0], ball)
-        si = symmetric_intersection_type(p, HVec(R @ p.v, ball), HVec(R @ R @ p.v, ball))
-        ok &= brute_force_symmetric_kind(si.u, 720) is si.kind
+        u, kind = symmetric_kind(p, HVec(R @ p.v, ball), HVec(R @ R @ p.v, ball))
+        ok &= brute_force_symmetric_kind(u, 720) is kind
         count += 1
     report(f"6a trichotomy vs level-set components on {count} triples", ok and count == 10)
 
@@ -254,11 +256,12 @@ def test_criterion_6b_tangency_oracle():
     ok = True
     for a2 in (0.7, 0.9, 1.1, alpha2_for_order(9), alpha2_for_order(15)):
         ff = FaceFamily(a2, grid_n=64)
-        p, q = ff.pts.p_U, ff.pts.p_V
+        pts = remarkable_points(FamilyParams(0.0, ff.alpha2))
+        p, q = pts.p_U, pts.p_V
         circ_t = slice_boundary_circle(HVec(q.v - p.v, ff.space))
         for t in rng.uniform(0, 2 * math.pi, 5):
             r = HVec(circ_t(np.array([t]))[0], ff.space)
-            ok &= tangency_check(p, q, r) and line_spinal_crossings(p, q, r) == 0
+            ok &= tangency(p, q, r) and line_spinal_crossings(p, q, r) == 0
             total += 1
         drawn = 0
         while drawn < 5:
@@ -267,7 +270,7 @@ def test_criterion_6b_tangency_oracle():
             if circ is None:
                 continue
             r = HVec(circ(np.array([rng.uniform(0, 2 * math.pi)]))[0], ff.space)
-            ok &= tangency_check(p, q, r) == (line_spinal_crossings(p, q, r) == 0)
+            ok &= tangency(p, q, r) == (line_spinal_crossings(p, q, r) == 0)
             drawn += 1
             total += 1
     report(f"6b tangency criterion vs crossing oracle on {total} triples", ok and total == 50)
@@ -277,7 +280,7 @@ def test_criterion_6c_angular_diameter_oracle():
     ball = ball_model()
     p = HVec([0, 0, 1.0], ball)
     q = HVec([math.sinh(1.2), 0, math.cosh(1.2)], ball)
-    theta = angular_diameter(p, q)
+    theta = angular_diameter(*table(p, q), 0, 1, 1e-9)
     b = classify_bisector(p, q)
     Z = spinal_samples(b, 100, 50)[:5000]
     angs = np.array([angle_between(p, q, HVec(z, ball)) for z in Z])

@@ -4,34 +4,40 @@ import math
 import numpy as np
 import pytest
 
-from crlab.core import GeometryError, HVec, Location, box, inner, locate, proj_distance
+from crlab.core import GeometryError, HVec, inner
 from crlab.bisector import (
-    Bisector,
     BisectorKind,
     ExtorPairKind,
     GiraudTorus,
     SymmetricKind,
-    classify_bisector,
-    classify_pair,
     column_minima,
     level_g,
-    symmetric_intersection_type,
     vertex_angles,
 )
-from crlab.family import ALPHA2_LIM, FamilyParams, alpha2_for_order, remarkable_points
-from crlab.reference import alpha2_for_length, ball_model
+from crlab.family import ALPHA2_LIM, FamilyParams, alpha2_for_order
+from crlab.reference import Location, alpha2_for_length, ball_model, box, locate, proj_distance, remarkable_points
 from crlab.verify import FaceFamily, delta0
 
 from oracles import (
+    apply,
     ball_arcs,
+    bisector_kind,
     brute_force_symmetric_kind,
+    classify_bisector,
     count_sublevel_components,
     envelope_minima,
+    family_U,
+    family_points,
+    giraud_torus,
     membership,
+    pair_kind,
     periodic_components,
     point,
     real_spine_endpoints,
     slice_boundary_circle,
+    symmetric_intersection_type,
+    symmetric_kind,
+    torus_vectors,
 )
 
 
@@ -67,10 +73,10 @@ def test_classify_bisector_trichotomy():
         (0.3, BisectorKind.CLIFFORD_CONE),
     ):
         pts = remarkable_points(FamilyParams(0.0, a2))
-        b = classify_bisector(pts.p_U, pts.p_V)
-        assert b.kind is kind
+        r_disc, got = bisector_kind(pts.p_U, pts.p_V)
+        assert got is kind
         want = 4 * math.cos(a2) ** 2 * (4 * math.cos(a2) ** 2 - 3)
-        assert b.r_disc == pytest.approx(want, abs=1e-12)
+        assert r_disc == pytest.approx(want, abs=1e-12)
 
 
 def test_two_inside_points_always_metric(ball):
@@ -83,7 +89,7 @@ def test_two_inside_points_always_metric(ball):
             continue
         g = np.linalg.matrix_power(R, int(rng.integers(1, 3)))
         q = HVec(g @ p.v, ball)
-        assert classify_bisector(p, q).kind is BisectorKind.METRIC_BISECTOR
+        assert bisector_kind(p, q)[1] is BisectorKind.METRIC_BISECTOR
 
 
 def test_orthogonal_outside_pair_is_cone(ball):
@@ -91,19 +97,19 @@ def test_orthogonal_outside_pair_is_cone(ball):
     q = HVec([0, 1.5, 1.0], ball)
     assert locate(p) is Location.OUTSIDE and locate(q) is Location.OUTSIDE
     # rephase q to match norms exactly (already equal) and check <p,q> != 0 case vs = 0
-    b = classify_bisector(p, q)
-    assert b.r_disc > 0 and b.kind is BisectorKind.CLIFFORD_CONE
+    r_disc, kind = bisector_kind(p, q)
+    assert r_disc > 0 and kind is BisectorKind.CLIFFORD_CONE
 
 
 def test_norm_mismatch_rejected(siegel):
-    with pytest.raises(GeometryError):
-        classify_bisector(HVec([1, 0, 0], siegel), HVec([0, 1, 0], siegel))
+    with pytest.raises(GeometryError, match="different norms"):
+        bisector_kind(HVec([1, 0, 0], siegel), HVec([0, 1, 0], siegel))
 
 
 def test_classify_pair_examples(rep07, pts07):
     b1 = classify_bisector(pts07.p_U, pts07.p_V)
-    b2 = classify_bisector(pts07.p_W, rep07.U.inv().apply(pts07.p_W))
-    assert classify_pair(b1, b2) is ExtorPairKind.BALANCED
+    b2 = classify_bisector(pts07.p_W, apply(rep07.word("s^-1t").inv(), pts07.p_W))
+    assert pair_kind(b1, b2) is ExtorPairKind.BALANCED
     # the pair's common line has the printed pole
     a2 = 0.7
     pole = np.array([math.sin(a2), -1j * math.sqrt(2) / 2, -math.sin(a2)])
@@ -112,7 +118,7 @@ def test_classify_pair_examples(rep07, pts07):
     s = np.linalg.svd(M, compute_uv=False)
     assert s[1] / s[0] < 1e-10
     b3 = classify_bisector(pts07.p_U, pts07.p_W)
-    assert classify_pair(b1, b3) is ExtorPairKind.UNBALANCED
+    assert pair_kind(b1, b3) is ExtorPairKind.UNBALANCED
     # confocal: same focus, different defining circles
     sp = pts07.p_U.space
     lam = cmath.exp(0.83j)
@@ -123,16 +129,19 @@ def test_classify_pair_examples(rep07, pts07):
     mid = HVec(pts07.p_U.v + 0.2 * pts07.p_V.v, sp)
     other = HVec(pts07.p_V.v + 0.2 * pts07.p_U.v, sp)
     b5 = classify_bisector(mid, other)
-    assert classify_pair(b1, b5) is ExtorPairKind.CONFOCAL
+    assert pair_kind(b1, b5) is ExtorPairKind.CONFOCAL
+    with pytest.raises(GeometryError, match="identical"):
+        pair_kind(b1, b4)
 
 
 def test_giraud_torus_samples_on_both_extors(rep07, pts07):
-    gt = GiraudTorus(classify_bisector(pts07.p_U, pts07.p_V), classify_bisector(pts07.p_U, pts07.p_W))
+    b1, b2 = classify_bisector(pts07.p_U, pts07.p_V), classify_bisector(pts07.p_U, pts07.p_W)
+    gt = giraud_torus(b1, b2)
     rng = np.random.default_rng(5)
     for _ in range(30):
         pt = point(gt, float(rng.uniform(0, 2 * math.pi)), float(rng.uniform(0, 2 * math.pi)))
-        assert membership(pt, gt.bis1).on_extor
-        assert membership(pt, gt.bis2).on_extor
+        assert membership(pt, b1).on_extor
+        assert membership(pt, b2).on_extor
 
 
 def test_giraud_torus_rejects_confocal(pts07):
@@ -140,14 +149,14 @@ def test_giraud_torus_rejects_confocal(pts07):
     sp = pts07.p_U.space
     r = HVec(pts07.p_V.v + 0.3 * pts07.p_U.v, sp)
     with pytest.raises(GeometryError):
-        GiraudTorus(classify_bisector(pts07.p_U, pts07.p_V), classify_bisector(pts07.p_U, r))
+        giraud_torus(classify_bisector(pts07.p_U, pts07.p_V), classify_bisector(pts07.p_U, r))
 
 
 def test_symmetric_norm_formula(rep07, pts07):
     # <v,v> = 2 k (3u/2 + cos th + cos ph + cos(ph - th)) with k the common
     # cyclic product <p x q, q x r>, directly in the torus angles
     p, q, r = pts07.p_U, pts07.p_V, pts07.p_W
-    gt = GiraudTorus(classify_bisector(p, q), classify_bisector(p, r))
+    gt = giraud_torus(classify_bisector(p, q), classify_bisector(p, r))
     si = symmetric_intersection_type(p, q, r)
     k = si.k_value.real
     rng = np.random.default_rng(12)
@@ -195,15 +204,16 @@ def test_symmetric_trichotomy_family(rep07):
     for a2 in (0.3, 0.7, 1.2):
         pts = remarkable_points(FamilyParams(0.0, a2))
         si = symmetric_intersection_type(pts.p_U, pts.p_V, pts.p_W)
-        assert si.kind is SymmetricKind.DISK
-        assert si.u == pytest.approx((2 / 3) * (4 * math.cos(a2) ** 2 - 3), abs=1e-12)
+        u, kind = symmetric_kind(pts.p_U, pts.p_V, pts.p_W)
+        assert si.kind is kind is SymmetricKind.DISK
+        assert u == pytest.approx((2 / 3) * (4 * math.cos(a2) ** 2 - 3), abs=1e-12)
+        assert si.u == pytest.approx(u, abs=1e-12)
         assert si.k_value.real < 0 and abs(si.k_value.imag) < 1e-9
         # Gram sign pattern of the hypothesis lemma
         assert si.l_value - si.k_value.real > 0
         assert si.l_value + 2 * si.k_value.real < 0
     pts0 = remarkable_points(FamilyParams(0.0, 0.0))
-    si0 = symmetric_intersection_type(pts0.p_U, pts0.p_V, pts0.p_W)
-    assert si0.kind is SymmetricKind.TRI_CIRCLE_DISK
+    assert symmetric_kind(pts0.p_U, pts0.p_V, pts0.p_W)[1] is SymmetricKind.TRI_CIRCLE_DISK
 
 
 def test_symmetric_trichotomy_vs_grid_oracle(ball):
@@ -213,9 +223,8 @@ def test_symmetric_trichotomy_vs_grid_oracle(ball):
     for a, b in cases:
         p = HVec([a, b, 1.0], ball)
         q, r = HVec(R @ p.v, ball), HVec(R @ R @ p.v, ball)
-        si = symmetric_intersection_type(p, q, r)
-        oracle = brute_force_symmetric_kind(si.u, 480)
-        assert si.kind is oracle
+        u, kind = symmetric_kind(p, q, r)
+        assert kind is brute_force_symmetric_kind(u, 480)
 
 
 def test_count_sublevel_components_direct():
@@ -280,15 +289,15 @@ def test_torus_grid_matches_materialized_grid(n, at_delta0):
     rng = np.random.default_rng(41 + n)
     for a2 in rng.uniform(0.05, 1.5, 3):
         ff = FaceFamily(float(a2), grid_n=n)
-        pts, sp, U = ff.pts, ff.space, ff.U
+        pts, sp, U = family_points(ff), ff.space, family_U(ff)
         d0 = delta0(ff.alpha2) if at_delta0 else 0.0
-        torus_pp = GiraudTorus(classify_bisector(pts.p_U, pts.p_V, ff.tol), classify_bisector(pts.p_U, U.apply(pts.p_V), ff.tol), ff.tol)
-        for torus in (ff.torus_minus, torus_pp):
+        torus_pp = giraud_torus(classify_bisector(pts.p_U, pts.p_V, ff.tol), classify_bisector(pts.p_U, apply(U, pts.p_V), ff.tol), ff.tol)
+        for torus in (ff.tori[0], torus_pp):
             sigmas = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
             deltas = d0 + np.linspace(0.0, math.pi, n // 2, endpoint=False)
-            ws = (pts.p_U, pts.p_V, pts.p_W, U.apply(pts.p_A))
+            ws = (pts.p_U, pts.p_V, pts.p_W, apply(U, pts.p_A))
             (norm, *abs2), (norm_wx, *abs2_wx) = (torus.column_forms(sigmas, deltas, a.v, b.v) for a, b in (ws[:2], ws[2:]))
-            V = torus.vectors(sigmas[:, None] + deltas, sigmas[:, None] - deltas)
+            V = torus_vectors(torus, sigmas[:, None] + deltas, sigmas[:, None] - deltas)
             V = V / np.linalg.norm(V, axis=-1, keepdims=True)
             norms = sp.norm_grid(V)
             for got in (norm, norm_wx):
@@ -304,23 +313,22 @@ def test_torus_from_bisectors_matches_the_box_products(pts07):
     # classified again; the two bisectors need a common first lift
     p, q, r = pts07.p_U, pts07.p_V, pts07.p_W
     b1, b2 = classify_bisector(p, q), classify_bisector(p, r)
-    torus = GiraudTorus(b1, b2)
-    assert torus.bis1 is b1 and torus.bis2 is b2
+    torus = giraud_torus(b1, b2)
     assert torus.pr.tobytes() == box(p, r).v.tobytes()
     assert np.array_equal(torus.qp, box(q, p).v) and np.array_equal(torus.qr, box(q, r).v)
-    assert np.array_equal(GiraudTorus(classify_bisector(p, q), classify_bisector(p, r)).qp, torus.qp)
+    assert np.array_equal(giraud_torus(classify_bisector(p, q), classify_bisector(p, r)).qp, torus.qp)
     with pytest.raises(GeometryError, match="common first lift"):
-        GiraudTorus(b1, classify_bisector(q, r))
+        giraud_torus(b1, classify_bisector(q, r))
 
 
 def test_torus_norm_terms_match_vectors(pts07):
     # <V, V> = A - 2 Re(e^{-i sigma} C) at theta = sigma + delta, phi = sigma - delta
-    gt = GiraudTorus(classify_bisector(pts07.p_U, pts07.p_V), classify_bisector(pts07.p_U, pts07.p_W))
+    gt = giraud_torus(classify_bisector(pts07.p_U, pts07.p_V), classify_bisector(pts07.p_U, pts07.p_W))
     rng = np.random.default_rng(8)
     sigmas, deltas = rng.uniform(0, 2 * math.pi, (2, 20))
     A, C = gt.norm_terms(deltas)
     got = A - 2.0 * (np.exp(-1j * sigmas) * C).real
-    want = gt.space.norm_grid(gt.vectors(sigmas + deltas, sigmas - deltas))
+    want = gt.space.norm_grid(torus_vectors(gt, sigmas + deltas, sigmas - deltas))
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -333,11 +341,11 @@ def _ball_tori(n):
     params = list(rng.uniform(0.02, 0.91, 2)) + list(rng.uniform(0.92, 1.56, 2)) + [1.56]
     for a2 in params:
         ff = FaceFamily(float(a2), grid_n=n)
-        pts, U, Ui = ff.pts, ff.U, ff.U.inv()
-        torus_pp = GiraudTorus(classify_bisector(pts.p_U, pts.p_V, ff.tol), classify_bisector(pts.p_U, U.apply(pts.p_V), ff.tol), ff.tol)
+        pts, U, Ui = family_points(ff), family_U(ff), family_U(ff).inv()
+        torus_pp = giraud_torus(classify_bisector(pts.p_U, pts.p_V, ff.tol), classify_bisector(pts.p_U, apply(U, pts.p_V), ff.tol), ff.tol)
         for torus, negs in (
-            (ff.torus_minus, [pts.p_V, U.apply(pts.p_V), Ui.apply(pts.p_V)]),
-            (torus_pp, [pts.p_W, Ui.apply(pts.p_W), U.apply(pts.p_W)]),
+            (ff.tori[0], [pts.p_V, apply(U, pts.p_V), apply(Ui, pts.p_V)]),
+            (torus_pp, [pts.p_W, apply(Ui, pts.p_W), apply(U, pts.p_W)]),
         ):
             for d0 in (0.0, delta0(ff.alpha2)):
                 deltas = d0 + np.linspace(0.0, math.pi, n // 2, endpoint=False)
@@ -348,7 +356,7 @@ def _sampled_envelope(torus, pos, negs, sigmas, deltas):
     """The envelope max_i |<pos, V>|^2 - |<neg_i, V>|^2 over |V|^2, the
     largest |<w, V>|^2 / |V|^2 that it cancels, and <V, V> / |V|^2, at the
     torus points V(sigma, delta), built one by one."""
-    V = torus.vectors(sigmas + deltas, sigmas - deltas)
+    V = torus_vectors(torus, sigmas + deltas, sigmas - deltas)
     sp, sq = torus.space, (np.abs(V) ** 2).sum(axis=-1)
     terms = [np.abs(sp.inner_grid(w, V)) ** 2 for w in [pos] + negs]
     env = np.max([terms[0] - t for t in terms[1:]], axis=0)
@@ -375,7 +383,7 @@ def test_ball_cells_match_dense_form(n):
     cells = 0
     for torus, _, _, deltas in _ball_tori(n):
         sigmas = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)[:, None]
-        form = torus.space.norm_grid(torus.vectors(sigmas + deltas, sigmas - deltas))
+        form = torus.space.norm_grid(torus_vectors(torus, sigmas + deltas, sigmas - deltas))
         mid, half = ball_arcs(torus, deltas)
         t = np.remainder(sigmas - mid + math.pi, 2.0 * math.pi) - math.pi
         A, C = torus.norm_terms(deltas)
@@ -427,10 +435,10 @@ def test_stacked_column_minima_equal_each_block_alone(alpha2, n):
     # one) and of the oracle's envelope of one constraint; at alpha2 1.569
     # and grid 64 no pass column meets the ball, so every one reads inf
     ff = FaceFamily(alpha2, grid_n=n)
-    pts, tm, tp = ff.pts, ff.torus_minus, ff.torus_plus
+    pts, tm, tp = family_points(ff), ff.tori[0], ff.tori[1]
     m = n // 2
     offsets = (np.arange(m) + 0.5) * (math.pi / m)
-    dvs = [((th - ph) / 2.0) % math.pi for th, ph in vertex_angles([(tm, pts.p_A), (tp, pts.p_B)])]
+    dvs = [((th - ph) / 2.0) % math.pi for th, ph in vertex_angles([(tm, pts.p_A.v), (tp, pts.p_B.v)])]
     s, d0 = math.sin(alpha2), delta0(alpha2)
     lpole, zero = np.array([s, -1j * math.sqrt(2.0) / 2.0, -s]), np.zeros(3)
     passes = [(tm, dvs[0], pts.p_V.v), (tp, dvs[1], pts.p_W.v)]
@@ -473,20 +481,20 @@ def test_ball_cells_of_synthetic_columns(n):
     # signs and 0, tangent arcs from above and below, and a half column,
     # against 64 n + 1 explicit points on each arc
     ff = FaceFamily(0.7, grid_n=n)
-    pts = ff.pts
+    pts = family_points(ff)
     C = np.array([1.0 + 1j, 0.0, 0.0, 0.0, 3.0 * np.exp(2j * math.pi * 5 / n), -0.5j, 2.0])
     A = 2.0 * np.abs(C)
     A[0] *= 1.5  # empty
     A[1:4] = [1.0, -1.0, 0.0]  # C = 0: none, all, all
     A[5] = -A[5]  # tangent from below: the whole column
     A[6] = 0.0  # half the column
-    torus = _Columns(ff.torus_minus, A, C)
+    torus = _Columns(ff.tori[0], A, C)
     deltas = np.linspace(0.2, 3.0, len(C))
     mid, half = ball_arcs(torus, deltas)
     assert np.isnan(half[:2]).all()
     assert list(half[2:]) == [math.pi, math.pi, 0.0, math.pi, pytest.approx(math.pi / 2)]
     assert mid[4] == pytest.approx(2.0 * math.pi * 5 / n)
-    pos, negs = pts.p_U.v, [pts.p_V.v, ff.U.apply(pts.p_V).v]
+    pos, negs = pts.p_U.v, [pts.p_V.v, apply(family_U(ff), pts.p_V).v]
     got = envelope_minima(torus, deltas, pos, negs)
     assert np.isinf(got[:2]).all() and np.isfinite(got[2:]).all()
     sigmas = mid[2:] + np.linspace(-1.0, 1.0, 64 * n + 1)[:, None] * half[2:]
@@ -503,10 +511,10 @@ def test_vertex_arc_ends_are_the_vertices(alpha2):
     # both vertices of each face-family torus sit on one delta-column, at
     # the two ends of its ball arc
     ff = FaceFamily(float(alpha2), grid_n=64)
-    pts, U = ff.pts, ff.U
-    torus_pp = GiraudTorus(classify_bisector(pts.p_U, pts.p_V, ff.tol), classify_bisector(pts.p_U, U.apply(pts.p_V), ff.tol), ff.tol)
-    for torus, vertices in ((ff.torus_minus, (pts.p_A, pts.p_B)), (torus_pp, (pts.p_B, U.apply(pts.p_A)))):
-        (th1, ph1), (th2, ph2) = vertex_angles([(torus, t) for t in vertices])
+    pts, U = family_points(ff), family_U(ff)
+    torus_pp = giraud_torus(classify_bisector(pts.p_U, pts.p_V, ff.tol), classify_bisector(pts.p_U, apply(U, pts.p_V), ff.tol), ff.tol)
+    for torus, vertices in ((ff.tori[0], (pts.p_A, pts.p_B)), (torus_pp, (pts.p_B, apply(U, pts.p_A)))):
+        (th1, ph1), (th2, ph2) = vertex_angles([(torus, t.v) for t in vertices])
         dv = (th1 - ph1) / 2.0
         assert abs(math.remainder((th2 - ph2) / 2.0 - dv, math.pi)) <= 1e-12
         (mid,), (half,) = ball_arcs(torus, [dv])

@@ -7,7 +7,6 @@ import os
 import numpy as np
 import pytest
 
-from crlab.bisector import classify_bisector
 from crlab.core import HVec
 from crlab.family import FamilyParams, FamilyRep, alpha2_for_order, trace_ts_inv
 from crlab.figures import (
@@ -25,9 +24,8 @@ from crlab.figures import (
 from crlab.isometry import goldman_f
 from crlab.reference import alpha2_for_length
 from crlab.verify import FaceFamily
-from crlab.visual import silhouette_circles
 
-from oracles import slice_boundary_circle, spinal_samples
+from oracles import classify_bisector, family_points, silhouette_circles, slice_boundary_circle, spinal_samples, u_power_point
 
 
 def contour_segments_loop(xs, ys, Z, level):
@@ -240,7 +238,7 @@ def test_disk_projection_csv_matches_per_value_format(tmp_path):
         for family, sign in enumerate(("plus", "minus")):
             rows += [[family, k, z.real, z.imag] for z in curves[(sign, k)].tolist()]
     # the marks as the figure forms them (numpy's complex power)
-    marks = ff.chart_multiplier ** np.arange(n)[:, None] * np.array([ff.chart(ff.pts.p_A), ff.chart(ff.pts.p_B)])
+    marks = ff.chart_multiplier ** np.arange(n)[:, None] * np.array([ff.chart(family_points(ff).p_A.v), ff.chart(family_points(ff).p_B.v)])
     rows += [[2, i, z.real, z.imag] for i, z in enumerate(marks.ravel().tolist())]
     with open(path, "rb") as fh:
         assert fh.read() == write_csv_loop(["family", "k", "re", "im"], rows)
@@ -282,7 +280,7 @@ def spinal_samples_loop(b, n_alpha, n_t):
 @pytest.mark.parametrize("alpha2", [alpha2_for_order(9), alpha2_for_order(20), alpha2_for_length(1.0)])
 def test_spinal_samples_match_slice_loop(alpha2, ball):
     ff = FaceFamily(alpha2, grid_n=64)
-    bisectors = [classify_bisector(ff.pts.p_U, ff.u_power_point(k, q), ff.tol) for k, q in ((1, ff.pts.p_V), (2, ff.pts.p_W))]
+    bisectors = [classify_bisector(family_points(ff).p_U, u_power_point(ff, k, q), ff.tol) for k, q in ((1, family_points(ff).p_V), (2, family_points(ff).p_W))]
     bisectors.append(classify_bisector(HVec([0, 0, 1.0], ball), HVec([math.sinh(1.2), 0, math.cosh(1.2)], ball)))
     for b in bisectors:
         for n_alpha, n_t in ((96, 48), (37, 5)):
@@ -303,28 +301,25 @@ def test_spinal_trace_side_vanishes_on_the_complex_line_column(alpha2, tmp_path)
 
 @pytest.mark.parametrize("n", [20, 1000])
 def test_disk_projection_builds_two_bisectors_at_every_order(n, tmp_path, monkeypatch):
-    # J_0^+ and J_0^- are built and projected once each; every translate is
-    # read from them by the chart multiplier
-    import sys
+    # the silhouettes of J_0^+ and J_0^- are taken once, as one batch of two
+    # bisectors, from the family's point table, and both are sampled; every
+    # translate is read from them by the chart multiplier
+    import importlib
 
-    import crlab.bisector
-    import crlab.visual
+    module = importlib.import_module("crlab.verify")
+    calls = []
+    real = module.silhouette_circles
 
-    calls = {}
-    for home, name in ((crlab.bisector, "classify_bisector"), (crlab.visual, "project_bisector")):
-        real = getattr(home, name)
+    def counted(chart, Q, *args):
+        calls.append(len(Q))
+        return real(chart, Q, *args)
 
-        def counted(*args, _name=name, _real=real, **kwargs):
-            calls[_name] += 1
-            return _real(*args, **kwargs)
-
-        for mod in [m for key, m in sys.modules.items() if key.startswith("crlab")]:
-            if getattr(mod, name, None) is real:
-                monkeypatch.setattr(mod, name, counted)
+    monkeypatch.setattr(module, "silhouette_circles", counted)
     for fmt in ("csv", "svg"):
-        calls.update(classify_bisector=0, project_bisector=0)
-        figure_disk_projection(str(tmp_path / "dp"), n=n, boundary_points=64, fmt=fmt)
-        assert calls == {"classify_bisector": 2, "project_bisector": 2}
+        calls.clear()
+        _, curves = figure_disk_projection(str(tmp_path / "dp"), n=n, boundary_points=64, fmt=fmt)
+        assert calls == [2]
+        assert len(curves) == 2 * n and all(len(z) == 64 for z in curves.values())
 
 
 @pytest.mark.parametrize("n", [20, 100])
@@ -334,10 +329,10 @@ def test_disk_projection_translates_lie_on_their_silhouettes(n, tmp_path):
     # marks against the chart images of U^k p_A and U^k p_B
     path, curves = figure_disk_projection(str(tmp_path / "dp"), n=n, boundary_points=256)
     ff = FaceFamily(alpha2_for_order(n), grid_n=256)
-    pts = ff.pts
+    pts = family_points(ff)
     assert list(curves) == [(sign, k) for k in range(n) for sign in ("plus", "minus")]
     for (sign, k), z in curves.items():
-        q = ff.u_power_point(k, pts.p_V if sign == "plus" else pts.p_W)
+        q = u_power_point(ff, k, pts.p_V if sign == "plus" else pts.p_W)
         (sil,) = silhouette_circles(ff.chart, [classify_bisector(pts.p_U, q, ff.tol)], ff.tol)
         assert len(z) == 256
         assert np.abs(np.abs(z - sil.center) - sil.radius).max() <= 1e-9 * max(abs(sil.center), sil.radius)
@@ -345,7 +340,7 @@ def test_disk_projection_translates_lie_on_their_silhouettes(n, tmp_path):
     marks = rows[rows[:, 0] == 2]
     assert marks[:, 1].tolist() == list(range(2 * n))
     for j, (re, im) in enumerate(marks[:, 2:]):
-        want = ff.chart(ff.u_power_point(j // 2, (pts.p_A, pts.p_B)[j % 2]))
+        want = ff.chart(u_power_point(ff, j // 2, (pts.p_A, pts.p_B)[j % 2]).v)
         assert abs(complex(re, im) - want) <= 1e-9 * max(1.0, abs(want))
 
 

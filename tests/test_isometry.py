@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from crlab.core import HVec, Location, locate, proj_distance, proj_equal, siegel_model
+from crlab.core import HVec, siegel_model
 from crlab.family import (
     ALPHA2_LIM,
     FamilyParams,
@@ -23,13 +23,22 @@ from crlab.isometry import (
     goldman_f,
     verify_su21,
 )
-from crlab.reference import canonical_fixed_point, schwartz_peripheral_matrix
+from crlab.reference import (
+    Location,
+    canonical_fixed_point,
+    locate,
+    proj_distance,
+    proj_equal,
+    schwartz_peripheral_matrix,
+)
 
 from conftest import sample_alpha2
 
+from oracles import power
+
 
 def U_at(a2):
-    return FamilyRep(FamilyParams(0.0, a2)).U
+    return FamilyRep(FamilyParams(0.0, a2)).word("s^-1t")
 
 
 def test_verify_su21_examples(siegel):
@@ -61,7 +70,7 @@ def test_classify_examples():
     assert classify(U_at(0.5)).kind is IsometryKind.LOXODROMIC
     U9 = U_at(alpha2_for_order(9))
     assert classify(U9).kind is IsometryKind.REGULAR_ELLIPTIC
-    assert np.abs(U9.power(9).M - np.eye(3)).max() < 1e-7
+    assert np.abs(power(U9, 9).M - np.eye(3)).max() < 1e-7
     assert classify(Isometry(np.eye(3), siegel_model())).kind is IsometryKind.IDENTITY
 
 
@@ -87,7 +96,7 @@ def test_classify_conjugation_invariance():
     words = ["st", "ts^-1", "s^-1t", "tst", "st^-1s"]
     for a2 in sample_alpha2(6, seed=5):
         rep = FamilyRep(FamilyParams(0.0, a2))
-        g = rep.U
+        g = rep.word("s^-1t")
         kind = classify(g).kind
         assert classify(g.inv()).kind is kind
         h = rep.word(words[rng.integers(0, len(words))])
@@ -144,7 +153,7 @@ def test_eigen_example_printed_vectors(siegel):
 
 
 def test_eigen_elliptic_side_matches_fixed_points(rep_n9, pts_n9):
-    triples = eigen(rep_n9.U)
+    triples = eigen(rep_n9.word("s^-1t"))
     beta = 2 * math.pi / 9
     vals = sorted((t.value for t in triples), key=lambda z: cmath.phase(z))
     expect = sorted([1.0, cmath.exp(1j * beta), cmath.exp(-1j * beta)], key=lambda z: cmath.phase(z))
@@ -175,11 +184,11 @@ def test_canonical_fixed_points(rep07, pts07, rep_n9, pts_n9, siegel):
     A = rep07.S @ rep07.T  # unipotent
     assert proj_equal(canonical_fixed_point(A), HVec([1, 0, 0], siegel))
     # elliptic side: interior fixed point is the explicit formula vector
-    pU = canonical_fixed_point(rep_n9.U)
+    pU = canonical_fixed_point(rep_n9.word("s^-1t"))
     assert proj_distance(pU, pts_n9.p_U) < 1e-8
     assert locate(pU) is Location.INSIDE
     # loxodromic side: unit-modulus eigenvector, outside
-    pUl = canonical_fixed_point(rep07.U)
+    pUl = canonical_fixed_point(rep07.word("s^-1t"))
     assert proj_distance(pUl, pts07.p_U) < 1e-8
     assert locate(pUl) is Location.OUTSIDE
 
@@ -189,7 +198,7 @@ def test_finite_order_powers_and_angles():
         U = U_at(alpha2_for_order(n))
         et = elliptic_type(U)
         assert et.n == n
-        Mn = U.power(n).M
+        Mn = power(U, n).M
         assert min(np.abs(Mn - OMEGA**k * np.eye(3)).max() for k in range(3)) < 1e-7
         assert (et.angle1 * n) % (2 * math.pi) == pytest.approx(0.0, abs=1e-6)
 

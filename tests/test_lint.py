@@ -37,6 +37,20 @@ def test_verify_takes_its_side_from_family():
     assert names.isdisjoint({"elliptic_type", "classify"})
 
 
+def test_verify_imports_no_scalar_form():
+    # verify reads every decision from its point table, Gram table and box
+    # rows: the scalar Hermitian product, box product and HVec of single
+    # points stay out of it
+    tree = ast.parse((SRC / "verify.py").read_text())
+    names = {
+        a.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] in ("core", "reference")
+        for a in node.names
+    }
+    assert names.isdisjoint({"inner", "box", "HVec"})
+
+
 def test_figures_build_no_representation():
     # figures evaluate closed forms on whole grids, never a FamilyRep per cell
     tree = ast.parse((SRC / "figures.py").read_text())

@@ -3,23 +3,24 @@ import cmath
 import collections
 import importlib
 import inspect
+import sys
 import json
 import math
 
 import numpy as np
 import pytest
 
-from crlab.bisector import GiraudTorus, classify_bisector, giraud_circle_tangents, torus_exclusion
-from crlab.core import HVec, inner, proj_distance
-from crlab.family import ALPHA2_LIM, SideKind, alpha2_for_order, param_side
-from crlab.isometry import Isometry
-from crlab.reference import alpha2_for_length
+from crlab.bisector import GiraudTorus, giraud_circle_tangents, torus_exclusion
+from crlab.core import GeometryError, HVec, inner
+from crlab.family import ALPHA2_LIM, P_U, P_U1, P_U2, P_V, SideKind, alpha2_for_order, param_side
+from crlab.reference import alpha2_for_length, proj_distance
 from crlab.visual import angular_diameter
 from crlab.verify import (
     _cone_separation,
     CheckResult,
     FaceFamily,
     RPLANE_SAMPLES,
+    TORI,
     VerdictKind,
     cone_angles,
     delta0,
@@ -33,7 +34,22 @@ from crlab.verify import (
 )
 
 from conftest import sample_alpha2
-from oracles import envelope_minima
+from oracles import (
+    apply,
+    classify_bisector,
+    classify_pair,
+    envelope_minima,
+    family_U,
+    family_points,
+    giraud_torus,
+    power,
+    silhouette_circles,
+    symmetric_intersection_type,
+    tangency_check,
+    torus_vectors,
+    u_power_point,
+)
+from test_golden_verdicts import parameters as golden_parameters
 
 GRID = 240
 
@@ -306,7 +322,7 @@ def _mp_cone_reference(n, ks):
 def test_cone_angles_match_mpmath_reference(n):
     ff = FaceFamily(alpha2_for_order(n), grid_n=64)
     res = CheckResult("gc", True)
-    _cone_separation(ff, res, n, angular_diameter(ff.pts.p_U, ff.pts.p_V, ff.tol))
+    _cone_separation(ff, res, n, angular_diameter(ff.G, ff.lengths, P_U, P_V, ff.tol))
     k_note, fam_note = res.notes[-1].removeprefix("tightest cone pair: k=").split(",")
     ks = sorted({2, 3, n // 2 - 1, n // 2 + 1, n - 3, int(k_note)})
     ref, rho = _mp_cone_reference(n, ks)
@@ -330,7 +346,7 @@ def test_tightest_cone_pair_note_names_the_smallest_tie(n):
     # rounding alone orders them, and the note names k = 2
     ff = FaceFamily(alpha2_for_order(n), grid_n=64)
     res = CheckResult("gc", True)
-    _cone_separation(ff, res, n, angular_diameter(ff.pts.p_U, ff.pts.p_V, ff.tol))
+    _cone_separation(ff, res, n, angular_diameter(ff.G, ff.lengths, P_U, P_V, ff.tol))
     assert res.notes[-1] == "tightest cone pair: k=2,plus"
     ks = np.arange(2, n - 1)
     margins = cone_angles(ff, ks) - 2.0 * res.residuals["value_cone_radius"]
@@ -355,16 +371,18 @@ def test_verify_forms_no_dense_torus_grid():
 
 
 def test_gc_elliptic_powers_of_u_do_not_grow_with_order(monkeypatch):
+    # every translate comes from the chart multiplier and the point table's
+    # U^k rows (|k| <= 2): no matrix power is taken at any order
     calls = []
-    power = Isometry.power
-    monkeypatch.setattr(Isometry, "power", lambda g, k: calls.append(k) or power(g, k))
+    power = np.linalg.matrix_power
+    monkeypatch.setattr(np.linalg, "matrix_power", lambda M, k: calls.append(k) or power(M, k))
     counts = []
     for n in (100, 1000):
         ff = FaceFamily(alpha2_for_order(n), grid_n=64)
         calls.clear()
         assert gc_check_elliptic(ff).passed
         counts.append(len(calls))
-    assert counts[0] == counts[1] <= 5
+    assert counts[0] == counts[1] == 0
 
 
 def test_marking_arithmetic_integers():
@@ -432,14 +450,14 @@ def test_report_schema():
 
 def test_family_translation_compatibility(ff_lox):
     # J_k is the U^k-translate: membership is preserved under the action
-    pts, U = ff_lox.pts, ff_lox.U
+    pts, U = family_points(ff_lox), family_U(ff_lox)
     rng = np.random.default_rng(0)
     for k in (1, 2, -1):
-        q = ff_lox.u_power_point(k, pts.p_V)
+        q = u_power_point(ff_lox, k, pts.p_V)
         for _ in range(10):
             z = HVec(rng.normal(size=3) + 1j * rng.normal(size=3), ff_lox.space)
             r0 = abs(inner(z, pts.p_U)) - abs(inner(z, pts.p_V))
-            zk = U.power(k).apply(z)
+            zk = apply(power(U, k), z)
             rk = abs(inner(zk, pts.p_U)) - abs(inner(zk, q))
             assert rk == pytest.approx(r0, abs=1e-9 * max(1.0, abs(r0)))
 
@@ -449,9 +467,9 @@ def test_u_power_point_bisectors_build_at_orders_30_to_100():
     # rejected the pair (orders 90 and 100, k = n - 1)
     for n in range(30, 101):
         ff = FaceFamily(alpha2_for_order(n), grid_n=64)
-        for p in (ff.pts.p_V, ff.pts.p_W):
+        for p in (family_points(ff).p_V, family_points(ff).p_W):
             for k in range(n):
-                classify_bisector(ff.pts.p_U, ff.u_power_point(k, p), ff.tol)
+                classify_bisector(family_points(ff).p_U, u_power_point(ff, k, p), ff.tol)
 
 
 def _mp_u_powers(alpha2, ks):
@@ -472,14 +490,14 @@ def _mp_u_powers(alpha2, ks):
 @pytest.mark.parametrize("n", [9, 100])
 def test_u_power_point_matches_mpmath_powers(n):
     ff = FaceFamily(alpha2_for_order(n), grid_n=64)
-    pts = ff.pts
+    pts = family_points(ff)
     for p in (pts.p_V, pts.p_W, pts.p_A, pts.p_B):
         # k = 0 is p itself, bit for bit, so the k = 0 bisectors do not move
-        assert ff.u_power_point(0, p).v.tobytes() == p.v.tobytes()
-        assert np.abs(ff.u_power_point(n, p).v - p.v).max() <= 1e-12
+        assert u_power_point(ff, 0, p).v.tobytes() == p.v.tobytes()
+        assert np.abs(u_power_point(ff, n, p).v - p.v).max() <= 1e-12
     ks = sorted({-2, -1, 1, 2, n // 4, n // 2, n - 2, n - 1})
     for k, want in zip(ks, _mp_u_powers(ff.alpha2, ks)):
-        got = ff.u_power_point(k, pts.p_V)
+        got = u_power_point(ff, k, pts.p_V)
         # the matrix power was 4.9e-6 off at (100, 99)
         assert np.abs(got.v - want).max() <= 1e-10
         assert got.norm() == pytest.approx(pts.p_V.norm(), rel=1e-6)
@@ -493,13 +511,13 @@ def test_u_power_point_keeps_its_digits_near_the_wall(n):
     ff = FaceFamily(alpha2_for_order(n), grid_n=64)
     ks = [-2, -1, 1, 2]
     for k, want in zip(ks, _mp_u_powers(ff.alpha2, ks)):
-        assert np.abs(ff.u_power_point(k, ff.pts.p_V).v - want).max() <= 1e-13
+        assert np.abs(u_power_point(ff, k, family_points(ff).p_V).v - want).max() <= 1e-13
 
 
 def test_u_power_point_is_the_matrix_power_off_the_elliptic_side(ff_lox):
     for k in (-2, -1, 0, 1, 2):
-        for p in (ff_lox.pts.p_V, ff_lox.pts.p_W):
-            assert np.array_equal(ff_lox.u_power_point(k, p).v, ff_lox.U.power(k).apply(p).v)
+        for p in (family_points(ff_lox).p_V, family_points(ff_lox).p_W):
+            assert np.array_equal(u_power_point(ff_lox, k, p).v, apply(power(family_U(ff_lox), k), p).v)
 
 
 def test_balanced_pair_decomposition_sampling(ff_lox):
@@ -507,11 +525,11 @@ def test_balanced_pair_decomposition_sampling(ff_lox):
     # real plane or on the shared complex line
     import cmath
 
-    pts = ff_lox.pts
+    pts = family_points(ff_lox)
     a2 = ff_lox.alpha2
     sp = ff_lox.space
     J = sp.J
-    pW, UipW = pts.p_W, ff_lox.U.inv().apply(pts.p_W)
+    pW, UipW = pts.p_W, apply(family_U(ff_lox).inv(), pts.p_W)
     lpole = np.array([math.sin(a2), -1j * math.sqrt(2) / 2, -math.sin(a2)])
     lpole /= np.linalg.norm(lpole)
 
@@ -574,10 +592,10 @@ def test_balanced_pair_decomposition_sampling(ff_lox):
 def test_monotone_exclusion_finite_differences(ff_lox):
     # h(. , delta1) decreases on [0, pi] and increases on [pi, 2 pi] for
     # every delta1 strictly between the two line-locus values
-    torus = ff_lox.torus_minus
+    torus = ff_lox.tori[0]
     sigmas = np.linspace(0, 2 * math.pi, 101)
     for d1 in delta0(ff_lox.alpha2) + np.linspace(0.05, math.pi - 0.05, 9):
-        V = torus.vectors(sigmas[:, None] + d1, sigmas[:, None] - d1)
+        V = torus_vectors(torus, sigmas[:, None] + d1, sigmas[:, None] - d1)
         h = ff_lox.space.norm_grid(V)[:, 0]
         dh = np.diff(h)
         half = len(dh) // 2
@@ -595,22 +613,21 @@ def test_vertex_location_closed_form(alpha2):
     # both Giraud circles bounding the first face pass through p_A and p_B,
     # and the closed-form angles land on each vertex to rounding
     ff = FaceFamily(alpha2, grid_n=64)
-    pts = ff.pts
-    for r in (pts.p_W, ff.U.inv().apply(pts.p_W)):
-        circle = GiraudTorus(classify_bisector(pts.p_U, pts.p_V, ff.tol), classify_bisector(pts.p_U, r, ff.tol), ff.tol)
-        _, lifts, dist = giraud_circle_tangents([(circle, t) for t in (pts.p_A, pts.p_B)])
+    pts = family_points(ff)
+    for r in (pts.p_W, apply(family_U(ff).inv(), pts.p_W)):
+        circle = giraud_torus(classify_bisector(pts.p_U, pts.p_V, ff.tol), classify_bisector(pts.p_U, r, ff.tol), ff.tol)
+        _, lifts, dist = giraud_circle_tangents([(circle, t.v) for t in (pts.p_A, pts.p_B)])
         assert dist.max() <= 1e-12
         for lift, target in zip(lifts, (pts.p_A, pts.p_B)):
             assert proj_distance(HVec(lift, ff.space), target) <= 1e-12
 
 
 def test_h_identities_twenty_parameters_per_side():
-    from crlab.verify import _gc_h_values
-
+    # h1 = <p_U', p_V> and h2 = <p_U'', p_V>, GC's reads of the Gram table
     rng = np.random.default_rng(77)
     for a2 in rng.uniform(0.05, ALPHA2_LIM - 0.02, 20):
         ff = FaceFamily(float(a2), grid_n=64)
-        h1, h2 = _gc_h_values(ff)
+        h1, h2 = ff.G[[P_U1, P_U2], P_V]
         ln = ff.side.length
         t = 2 * math.cosh(ln) + 1
         ch = math.cosh(ln / 2)
@@ -618,7 +635,7 @@ def test_h_identities_twenty_parameters_per_side():
         assert abs(abs(h2) ** 2 - 12 * math.exp(-ln / 2) * t * ch) <= 1e-8 * max(1, abs(h2) ** 2)
     for a2 in rng.uniform(ALPHA2_LIM + 0.02, math.pi / 2 - 0.05, 20):
         ff = FaceFamily(float(a2), grid_n=64)
-        h1, h2 = _gc_h_values(ff)
+        h1, h2 = ff.G[[P_U1, P_U2], P_V]
         beta = ff.side.beta
         cb = math.cos(beta)
         prod = 72 * (2 * cb + 1) ** 2 * (cb + 1)
@@ -637,8 +654,8 @@ def test_h_identities_twenty_parameters_per_side():
 
 def test_incidence_printed_value(ff_lox):
     # <p_B, U p_V> = 1 exactly, one of the vertex products
-    pts = ff_lox.pts
-    val = inner(pts.p_B, ff_lox.U.apply(pts.p_V))
+    pts = family_points(ff_lox)
+    val = inner(pts.p_B, apply(family_U(ff_lox), pts.p_V))
     assert abs(val - 1.0) < 1e-12
 
 
@@ -718,17 +735,17 @@ def test_lc_common_constraint_matches_the_three_constraint_envelope(alpha2, grid
     # on these parameters the two are equal
     ff = FaceFamily(alpha2, grid_n=grid)
     lc = lc_check(ff)
-    pts, U, Ui = ff.pts, ff.U, ff.U.inv()
+    pts, U, Ui = family_points(ff), family_U(ff), family_U(ff).inv()
     m = grid // 2
     offsets = (np.arange(m) + 0.5) * (math.pi / m)
     for key, torus, negs, vertex in (
-        ("faces_minus_minus", GiraudTorus(classify_bisector(pts.p_U, pts.p_W), classify_bisector(pts.p_U, Ui.apply(pts.p_W))),
-         [pts.p_V, U.apply(pts.p_V), Ui.apply(pts.p_V)], pts.p_A),
-        ("faces_plus_plus", GiraudTorus(classify_bisector(pts.p_U, pts.p_V), classify_bisector(pts.p_U, U.apply(pts.p_V))),
-         [pts.p_W, Ui.apply(pts.p_W), U.apply(pts.p_W)], pts.p_B),
+        ("faces_minus_minus", giraud_torus(classify_bisector(pts.p_U, pts.p_W), classify_bisector(pts.p_U, apply(Ui, pts.p_W))),
+         [pts.p_V, apply(U, pts.p_V), apply(Ui, pts.p_V)], pts.p_A),
+        ("faces_plus_plus", giraud_torus(classify_bisector(pts.p_U, pts.p_V), classify_bisector(pts.p_U, apply(U, pts.p_V))),
+         [pts.p_W, apply(Ui, pts.p_W), apply(U, pts.p_W)], pts.p_B),
     ):
-        pt = inner(torus.p, vertex)
-        theta, phi = (-cmath.phase(inner(w, vertex) / pt) for w in (torus.q, torus.r))
+        pt = inner(HVec(torus.p, ff.space), vertex)
+        theta, phi = (-cmath.phase(inner(HVec(w, ff.space), vertex) / pt) for w in (torus.q, torus.r))
         dv = ((theta - phi) / 2.0) % math.pi
         minima = envelope_minima(torus, dv + offsets, pts.p_U.v, [w.v for w in negs])
         envelope = float((minima / np.sin(offsets) ** 2).min())
@@ -743,10 +760,10 @@ def test_verify_runs_one_exclusion_pass_per_torus(alpha2, monkeypatch):
     # faces_plus_plus is the second pass, then come each pass's delta_v
     # column alone and TF's two complex-line reads, whole-column blocks of
     # one column each; every block reads a single constraint, and TF and GC
-    # share the two criterion tangencies
+    # share the two criterion tangencies, one call for both points
     module, bisector = importlib.import_module("crlab.verify"), importlib.import_module("crlab.bisector")
     calls, tangencies = [], []
-    column_minima, tangency_check = bisector.column_minima, module.tangency_check
+    column_minima, tangency_kernel = bisector.column_minima, module.tangencies
 
     def counted_minima(blocks):
         calls.append([(b, len(d), np.shape(w)) for _, d, _, w, b in blocks])
@@ -754,16 +771,16 @@ def test_verify_runs_one_exclusion_pass_per_torus(alpha2, monkeypatch):
 
     def counted_tangency(*args):
         tangencies.append(args)
-        return tangency_check(*args)
+        return tangency_kernel(*args)
 
     monkeypatch.setattr(bisector, "column_minima", counted_minima)
-    monkeypatch.setattr(module, "tangency_check", counted_tangency)
+    monkeypatch.setattr(module, "tangencies", counted_tangency)
     rep = verify(alpha2, grid_n=720)
     assert rep.all_passed()
     (blocks,) = calls
     assert [(ball, n) for ball, n, _ in blocks] == [(True, 360), (True, 360), (True, 1), (True, 1), (False, 1), (False, 1)]
     assert all(shape == (3,) for *_, shape in blocks)
-    assert len(tangencies) == 2
+    assert [len(args[4]) for args in tangencies] == [2]
 
 
 def test_verify_and_the_spinal_trace_share_one_column_stage(tmp_path, monkeypatch):
@@ -786,21 +803,21 @@ def test_verify_and_the_spinal_trace_share_one_column_stage(tmp_path, monkeypatc
     assert calls == [[(False, 90)]]
 
 
-# scalar core.inner calls of verify(alpha2, grid_n=720): 79 at order 9 and 64
-# at length 1.0 since the vertex angles of the exclusion passes and of the
-# bi-tangency come from Gram arrays (97 and 82 before; 229 and 214 when every
-# bisector and torus was built per use and incidence looped)
-INNER_CALLS_BOUND = 79
+# scalar core.inner and box calls, and HVec constructions, of
+# verify(alpha2, grid_n=720): none since FaceFamily reads every decision from
+# its point table, Gram table and box rows (79 inner calls at order 9 and 64
+# at length 1.0 before; 229 and 214 when every bisector and torus was built
+# per use and incidence looped)
+INNER_CALLS_BOUND = 0
 
 
 @pytest.mark.parametrize("alpha2", [alpha2_for_order(9), alpha2_for_length(1.0)])
 def test_verify_builds_each_bisector_and_torus_once(alpha2, monkeypatch):
-    # FaceFamily classifies its four bisectors once and builds its four tori
-    # from them, two of which the bi-tangency reads; scalar Hermitian
-    # products stay within the measured bound
-    core, bisector, visual, module = (
-        importlib.import_module(f"crlab.{name}") for name in ("core", "bisector", "visual", "verify")
-    )
+    # FaceFamily builds its four Giraud tori once, from its table's box
+    # rows, two of which the bi-tangency reads; from FaceFamily.__init__
+    # through torus_pass and the four checks no scalar Hermitian product,
+    # box product or HVec is formed
+    core, reference, module = (importlib.import_module(f"crlab.{name}") for name in ("core", "reference", "verify"))
     calls = collections.Counter()
 
     def counted(name, fn):
@@ -809,10 +826,11 @@ def test_verify_builds_each_bisector_and_torus_once(alpha2, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for mod in (core, bisector, visual, module):
-        for name in ("inner", "classify_bisector"):
-            if hasattr(mod, name):
-                monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+    for mod in [m for key, m in sys.modules.items() if key.startswith("crlab")]:
+        for name, home in (("inner", core), ("box", reference)):
+            if getattr(mod, name, None) is getattr(home, name):
+                monkeypatch.setattr(mod, name, counted(name, getattr(home, name)))
+    monkeypatch.setattr(HVec, "__post_init__", counted("HVec", HVec.__post_init__))
     monkeypatch.setattr(GiraudTorus, "__init__", counted("torus", GiraudTorus.__init__))
     bitangency = module._bitangency
 
@@ -824,17 +842,19 @@ def test_verify_builds_each_bisector_and_torus_once(alpha2, monkeypatch):
             calls["bitangency_torus"] += calls["torus"] - before
 
     monkeypatch.setattr(module, "_bitangency", counted_bitangency)
+    ff = FaceFamily(alpha2, grid_n=720)
+    ff.torus_pass
+    assert calls["inner"] == calls["box"] == calls["HVec"] == 0
     assert verify(alpha2, grid_n=720).all_passed()
-    assert calls["classify_bisector"] <= 4
-    assert calls["torus"] == 4 and calls["bitangency_torus"] == 0
-    assert 0 < calls["inner"] <= INNER_CALLS_BOUND
+    assert calls["torus"] == 8 and calls["bitangency_torus"] == 0
+    assert calls["inner"] + calls["box"] + calls["HVec"] <= INNER_CALLS_BOUND
 
 
 @pytest.mark.parametrize("alpha2", [math.pi / 6, 0.7, alpha2_for_order(9)])
 def test_batched_residuals_match_per_sample_loops(alpha2):
     # reference: the per-sample loops the batched form kernel replaced
     ff = FaceFamily(alpha2, grid_n=64)
-    pts, a2 = ff.pts, ff.alpha2
+    pts, a2 = family_points(ff), ff.alpha2
     cos2, sin_a2 = math.cos(a2) ** 2, math.sin(a2)
     tf = tf_check(ff)
     worst_rp = 0.0
@@ -851,11 +871,11 @@ def test_batched_residuals_match_per_sample_loops(alpha2):
         for q in (HVec([r, 1j * math.sqrt(2.0), 0.0], ff.space) for r in np.linspace(-6, 6, 41))
     )
     assert tf.margins["rplane_ideal_line_gap"] == pytest.approx(gap, rel=1e-12)
-    torus, d0 = ff.torus_minus, delta0(a2)
+    torus, d0 = ff.tori[0], delta0(a2)
     worst_d = 0.0
     for dl in np.linspace(d0 + 0.15, d0 + math.pi - 0.15, 7):
         for sg in np.linspace(0.1, 2 * math.pi - 0.1, 15):
-            v = torus.vectors(sg + dl, sg - dl)
+            v = torus_vectors(torus, sg + dl, sg - dl)
             dv = 1j * (np.exp(-1j * (sg + dl)) * torus.pr + np.exp(-1j * (sg - dl)) * torus.qp)
             dh = 2.0 * (v.conj() @ ff.space.J @ dv).real / (2.0 * cos2)
             closed = -12.0 * math.sin(sg) * (2.0 * math.cos(2 * a2 - dl) - math.cos(dl))
@@ -864,7 +884,7 @@ def test_batched_residuals_match_per_sample_loops(alpha2):
     if abs(a2 - math.pi / 6) > 1e-9:
         return
     lc = lc_check(ff)
-    UipW = ff.U.inv().apply(pts.p_W)
+    UipW = apply(family_U(ff).inv(), pts.p_W)
     worst, member = 0.0, []
     for th in np.linspace(0.0, 2.0 * math.pi, 1441):
         q = HVec([1.0, math.sqrt(2.0) * np.exp(1j * th), -1.0], ff.space)
@@ -881,3 +901,47 @@ def test_batched_residuals_match_per_sample_loops(alpha2):
     assert member[1080] and not member[839] and not member[1321]
     assert all(member[840:1321])
     assert lc.margins["fan_focus_interior"] == pytest.approx(math.pi / 3, abs=1e-12)
+
+
+def _outcome(fn):
+    # a decision's value, or the message it raises with
+    try:
+        return fn()
+    except GeometryError as exc:
+        return f"raises: {exc}"
+
+
+@pytest.mark.parametrize(
+    "alpha2",
+    [a for _, a in golden_parameters()] + [ALPHA2_LIM + d for d in (-1e-6, 1e-6, -1e-10, 1e-10)],
+)
+def test_array_decisions_equal_the_per_object_oracle(alpha2):
+    # FaceFamily's Gram-table decisions against the per-object forms of
+    # tests/oracles.py (scalar inner and box on single HVecs): bisector
+    # kinds, pair kinds, the symmetric u, the criterion tangencies and the
+    # silhouettes, on the golden-verdict parameters and near the wall
+    ff = FaceFamily(alpha2, grid_n=128)
+    pts, U = family_points(ff), family_U(ff)
+    Ui = U.inv()
+    seconds = [pts.p_V, pts.p_W, apply(U, pts.p_V), apply(Ui, pts.p_W)]
+    bs = [_outcome(lambda q=q: classify_bisector(pts.p_U, q, ff.tol)) for q in seconds]
+    got = _outcome(lambda: ff.bisector_kinds)
+    if isinstance(got, str):
+        assert got in bs
+        return
+    assert got[1] == [b.kind for b in bs]
+    assert np.allclose(got[0], [b.r_disc for b in bs], rtol=1e-12, atol=1e-12)
+    assert _outcome(lambda: ff.pair_kinds) == [_outcome(lambda: classify_pair(bs[i], bs[j], ff.tol)) for i, j in TORI]
+    triples = [(pts.p_U, pts.p_V, pts.p_W), (pts.p_U, seconds[2], pts.p_W)]
+    want = [_outcome(lambda t=t: symmetric_intersection_type(*t, ff.tol)) for t in triples]
+    sym = _outcome(lambda: ff.symmetric)
+    if isinstance(sym, str):
+        assert sym == want[0] if isinstance(want[0], str) else sym == want[1]
+    else:
+        assert sym[1] == [w.kind for w in want]
+        assert np.allclose(sym[0], [w.u for w in want], rtol=0.0, atol=1e-12)
+    want = [_outcome(lambda x=x: tangency_check(pts.p_U, pts.p_V, x, ff.tol)) for x in (apply(U, pts.p_A), apply(Ui, pts.p_B))]
+    got = _outcome(lambda: ff.criterion_tangencies)
+    assert got == (next((w for w in want if isinstance(w, str)), want))
+    if ff.chart is not None:
+        assert _outcome(lambda: ff.silhouettes[0]) == _outcome(lambda: silhouette_circles(ff.chart, bs[:2], ff.tol))

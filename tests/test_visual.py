@@ -4,27 +4,29 @@ import math
 import numpy as np
 import pytest
 
-from crlab.core import GeometryError, HVec, box, inner
-from crlab.bisector import classify_bisector
+from crlab.core import GeometryError, HVec, inner
 from crlab.family import alpha2_for_order, involution_matrix
 from crlab.isometry import Isometry
-from crlab.reference import alpha2_for_length
+from crlab.reference import alpha2_for_length, box
 from crlab.verify import FaceFamily
-from crlab.visual import (
-    INF,
-    VisualChart,
-    angular_diameter,
-    project_bisector,
-    silhouette_circles,
-    tangency_check,
-)
+from crlab.visual import INF, VisualChart, angular_diameter
 
 from oracles import (
     angle_between,
+    apply,
+    classify_bisector,
+    family_U,
+    family_points,
     is_autopolar_triple,
     line_spinal_crossings,
+    power,
+    project_bisector,
+    silhouette_circles,
     slice_boundary_circle,
     spinal_samples,
+    table,
+    tangency,
+    u_power_point,
 )
 
 
@@ -35,26 +37,26 @@ def chart_at(a2):
 def test_chart_marked_values_elliptic():
     ff = chart_at(alpha2_for_order(12))
     beta = 2 * math.pi / 12
-    ch, pts = ff.chart, ff.pts
-    assert ch(pts.p_B) == pytest.approx(1.0, abs=1e-12)
-    assert ch(pts.p_A) == pytest.approx(cmath.exp(-1j * beta), abs=1e-10)
-    assert ch(pts.p_U_prime) == INF
-    assert ch(pts.p_U_dprime) == pytest.approx(0.0, abs=1e-12)
+    ch, pts = ff.chart, family_points(ff)
+    assert ch(pts.p_B.v) == pytest.approx(1.0, abs=1e-12)
+    assert ch(pts.p_A.v) == pytest.approx(cmath.exp(-1j * beta), abs=1e-10)
+    assert ch(pts.p_U_prime.v) == INF
+    assert ch(pts.p_U_dprime.v) == pytest.approx(0.0, abs=1e-12)
     for k in range(1, 6):
-        zk = ch(ff.U.power(k).apply(pts.p_B))
+        zk = ch(apply(power(family_U(ff), k), pts.p_B).v)
         assert zk == pytest.approx(cmath.exp(2j * k * beta), abs=1e-9)
-        ak = ch(ff.U.power(k).apply(pts.p_A))
+        ak = ch(apply(power(family_U(ff), k), pts.p_A).v)
         assert ak == pytest.approx(cmath.exp(1j * (2 * k - 1) * beta), abs=1e-9)
 
 
 def test_chart_marked_values_loxodromic():
     ff = chart_at(0.7)
     ln = ff.side.length
-    ch, pts = ff.chart, ff.pts
-    assert ch(pts.p_B) == pytest.approx(1.0, abs=1e-12)
-    assert ch(pts.p_A) == pytest.approx(math.exp(-ln), abs=1e-10)
-    assert ch(ff.U.apply(pts.p_A)) == pytest.approx(math.exp(ln), abs=1e-9)
-    assert ch(ff.U.inv().apply(pts.p_B)) == pytest.approx(math.exp(-2 * ln), abs=1e-9)
+    ch, pts = ff.chart, family_points(ff)
+    assert ch(pts.p_B.v) == pytest.approx(1.0, abs=1e-12)
+    assert ch(pts.p_A.v) == pytest.approx(math.exp(-ln), abs=1e-10)
+    assert ch(apply(family_U(ff), pts.p_A).v) == pytest.approx(math.exp(ln), abs=1e-9)
+    assert ch(apply(family_U(ff).inv(), pts.p_B).v) == pytest.approx(math.exp(-2 * ln), abs=1e-9)
 
 
 def test_chart_line_invariance():
@@ -64,14 +66,14 @@ def test_chart_line_invariance():
     for _ in range(10):
         q = HVec(rng.normal(size=3) + 1j * rng.normal(size=3), ff.space)
         lam = complex(rng.normal(), rng.normal())
-        q2 = HVec(q.v + lam * ch.base.v, ff.space)
-        assert ch(q) == pytest.approx(ch(q2), rel=1e-9)
+        q2 = HVec(q.v + lam * ch.base, ff.space)
+        assert ch(q.v) == pytest.approx(ch(q2.v), rel=1e-9)
 
 
 def test_chart_autopolar_convention():
     # with an auto-polar triple the second chart point goes to 0
     ff = chart_at(alpha2_for_order(10))
-    assert is_autopolar_triple(ff.pts.p_U, ff.pts.p_U_prime, ff.pts.p_U_dprime)
+    assert is_autopolar_triple(family_points(ff).p_U, family_points(ff).p_U_prime, family_points(ff).p_U_dprime)
 
 
 # representatives of lines through the chart's base point, in general position
@@ -91,16 +93,16 @@ def test_induced_action_rotation_and_homothety():
     assert ffe.chart_multiplier == pytest.approx(cmath.exp(2j * 2 * math.pi / 12), abs=1e-12)
     assert ffl.chart_multiplier == pytest.approx(math.exp(2 * ffl.side.length), abs=1e-12)
     for ff in (ffe, ffl):
-        ch, m, U = ff.chart, ff.chart_multiplier, ff.U.M
+        ch, m, U = ff.chart, ff.chart_multiplier, family_U(ff).M
         z = ch.values(CHART_SAMPLES)
         assert np.abs(ch.values(CHART_SAMPLES @ U.T) - m * z).max() <= 1e-9 * np.abs(m * z).max()
-        assert ch(ff.U.apply(ff.pts.p_U_prime)) == INF
-        assert ch(ff.U.apply(ff.pts.p_U_dprime)) == pytest.approx(0.0, abs=1e-12)
+        assert ch(apply(family_U(ff), family_points(ff).p_U_prime).v) == INF
+        assert ch(apply(family_U(ff), family_points(ff).p_U_dprime).v) == pytest.approx(0.0, abs=1e-12)
     # iterating the action reproduces the power images
-    z = ffe.chart(ffe.pts.p_B)
+    z = ffe.chart(family_points(ffe).p_B.v)
     for k in range(1, 6):
         z = ffe.chart_multiplier * z
-        want = ffe.chart(ffe.U.power(k).apply(ffe.pts.p_B))
+        want = ffe.chart(apply(power(family_U(ffe), k), family_points(ffe).p_B).v)
         assert abs(z - want) < 1e-9
 
 
@@ -113,26 +115,26 @@ def test_induced_action_involution_is_inversion():
         z = ff.chart.values(X)
         assert ff.chart.values(X @ I.M.T) * z == pytest.approx(np.ones(6), abs=1e-8)
         # the chart's 0 and infinity swap
-        assert ff.chart(I.apply(ff.pts.p_U_prime)) == pytest.approx(0.0, abs=1e-12)
-        assert ff.chart(I.apply(ff.pts.p_U_dprime)) == INF
+        assert ff.chart(apply(I, family_points(ff).p_U_prime).v) == pytest.approx(0.0, abs=1e-12)
+        assert ff.chart(apply(I, family_points(ff).p_U_dprime).v) == INF
 
 
 def test_tangency_criterion_examples():
     ff = chart_at(0.8)
-    pts, U = ff.pts, ff.U
-    UpA = U.apply(pts.p_A)
-    UiB = U.inv().apply(pts.p_B)
+    pts, U = family_points(ff), family_U(ff)
+    UpA = apply(U, pts.p_A)
+    UiB = apply(U.inv(), pts.p_B)
     # the lemma's products
     assert inner(pts.p_U, UpA) == pytest.approx(cmath.exp(-2j * 0.8), abs=1e-12)
     assert inner(pts.p_V, UpA) == pytest.approx(cmath.exp(-2j * 0.8), abs=1e-12)
     assert inner(pts.p_U, UiB) == pytest.approx(1.0, abs=1e-12)
     assert inner(pts.p_V, pts.p_U) == pytest.approx(-1.5, abs=1e-12)
-    assert tangency_check(pts.p_U, pts.p_V, UpA)
-    assert tangency_check(pts.p_U, pts.p_V, UiB)
+    assert tangency(pts.p_U, pts.p_V, UpA)
+    assert tangency(pts.p_U, pts.p_V, UiB)
     # a generic spinal point admits no sign and is not a touch point
     circ = slice_boundary_circle(HVec(pts.p_V.v - cmath.exp(0.4j) * pts.p_U.v, ff.space))
     z = HVec(circ(np.array([0.7]))[0], ff.space)
-    assert not tangency_check(pts.p_U, pts.p_V, z)
+    assert not tangency(pts.p_U, pts.p_V, z)
 
 
 def test_tangency_vs_crossing_oracle():
@@ -141,13 +143,13 @@ def test_tangency_vs_crossing_oracle():
     total = 0
     for a2 in (0.7, 0.85, 1.05, alpha2_for_order(9), alpha2_for_order(20)):
         ff = chart_at(a2)
-        pts = ff.pts
+        pts = family_points(ff)
         p, q = pts.p_U, pts.p_V
         # engineered touch points: the midpoint-slice boundary circle
         circ_t = slice_boundary_circle(HVec(q.v - p.v, ff.space))
         for t in rng.uniform(0, 2 * math.pi, 5):
             r = HVec(circ_t(np.array([t]))[0], ff.space)
-            res = tangency_check(p, q, r)
+            res = tangency(p, q, r)
             crossings = line_spinal_crossings(p, q, r)
             assert res and crossings == 0
             agree += 1
@@ -162,7 +164,7 @@ def test_tangency_vs_crossing_oracle():
                 continue
             drawn += 1
             r = HVec(circ(np.array([t]))[0], ff.space)
-            res = tangency_check(p, q, r)
+            res = tangency(p, q, r)
             crossings = line_spinal_crossings(p, q, r)
             assert (crossings == 0) == res
             agree += 1
@@ -184,23 +186,23 @@ def test_tangency_eps_mismatch_is_false(ball):
     r = HVec(circ(np.array([1.1]))[0], ball)
     pr, qr = inner(p, r), inner(q, r)
     assert abs(pr / qr - alpha) < 1e-9
-    assert not tangency_check(p, q, r)
+    assert not tangency(p, q, r)
     assert line_spinal_crossings(p, q, r) == 2
 
 
 def test_project_bisector_marked_boundary():
     ff = chart_at(0.7)
-    b = classify_bisector(ff.pts.p_U, ff.pts.p_V)
+    b = classify_bisector(family_points(ff).p_U, family_points(ff).p_V)
     disk = project_bisector(ff.chart, b, n_boundary=2048)
-    assert disk.circle.residual < 1e-9
-    for point in (ff.U.apply(ff.pts.p_A), ff.U.inv().apply(ff.pts.p_B)):
-        z = ff.chart(point)
+    assert disk.residual < 1e-9
+    for point in (apply(family_U(ff), family_points(ff).p_A), apply(family_U(ff).inv(), family_points(ff).p_B)):
+        z = ff.chart(point.v)
         assert abs(abs(z - disk.circle.center) - disk.circle.radius) < 1e-9
     # metric side: the line to [q] projects inside, the focus line outside
     assert disk.contains_zero and b.r_disc < 0
     # the boundary's modulus in the privileged chart lies within the range
     # the spinal surface covers there
-    priv = VisualChart(b.p, b.focus, box(b.p, b.focus))
+    priv = VisualChart(b.p.v, b.focus.v, box(b.p, b.focus).v, b.p.space)
     mods = np.abs(priv.values(spinal_samples(b)))
     mods = mods[np.isfinite(mods)]
     assert mods.min() < disk.priv_radius <= mods.max() + 1e-12
@@ -208,7 +210,7 @@ def test_project_bisector_marked_boundary():
 
 def test_project_bisector_rotation_invariant_radius():
     ff = chart_at(alpha2_for_order(10))
-    b = classify_bisector(ff.pts.p_U, ff.pts.p_V)
+    b = classify_bisector(family_points(ff).p_U, family_points(ff).p_V)
     disk = project_bisector(ff.chart, b)
     # the privileged chart sees the boundary at one modulus
     assert disk.priv_radius is not None
@@ -238,19 +240,19 @@ def test_angular_diameter_formula_and_limits(ball):
     p = HVec([0, 0, 1.0], ball)
     for r in (0.8, 1.5, 3.0):
         q = HVec([math.sinh(r), 0, math.cosh(r)], ball)
-        th = angular_diameter(p, q)
+        th = angular_diameter(*table(p, q), 0, 1, 1e-9)
         assert th == pytest.approx(2 * math.acos(math.tanh(r / 2)), abs=1e-12)
-        assert th == pytest.approx(angular_diameter(q, p), abs=1e-12)
+        assert th == pytest.approx(angular_diameter(*table(q, p), 0, 1, 1e-9), abs=1e-12)
     # distance to infinity shrinks the diameter to zero
     q_far = HVec([math.sinh(8.0), 0, math.cosh(8.0)], ball)
-    assert angular_diameter(p, q_far) < 0.08
+    assert angular_diameter(*table(p, q_far), 0, 1, 1e-9) < 0.08
 
 
 def test_angular_diameter_montecarlo_oracle(ball):
     p = HVec([0, 0, 1.0], ball)
     r = 1.2
     q = HVec([math.sinh(r), 0, math.cosh(r)], ball)
-    th = angular_diameter(p, q)
+    th = angular_diameter(*table(p, q), 0, 1, 1e-9)
     b = classify_bisector(p, q)
     Z = spinal_samples(b, 100, 50)
     angs = np.array([angle_between(p, q, HVec(z, ball)) for z in Z])
@@ -320,7 +322,7 @@ def test_silhouette_circle_matches_projected_boundary(alpha2):
     # sampled boundary, for J_0^+, J_0^-, J_-1^-, J_-2^- and J_1^- (GC reads
     # J_0^+, J_0^-, J_1^- and J_-2^-)
     ff = chart_at(alpha2)
-    bisectors = [ff.bisector_plus()] + [classify_bisector(ff.pts.p_U, ff.u_power_point(k, ff.pts.p_W), ff.tol) for k in (0, -1, -2, 1)]
+    bisectors = [classify_bisector(family_points(ff).p_U, family_points(ff).p_V, ff.tol)] + [classify_bisector(family_points(ff).p_U, u_power_point(ff, k, family_points(ff).p_W), ff.tol) for k in (0, -1, -2, 1)]
     for b in bisectors:
         (sil,) = silhouette_circles(ff.chart, [b])
         disk = project_bisector(ff.chart, b, n_boundary=512)
@@ -331,7 +333,7 @@ def test_silhouette_circle_matches_projected_boundary(alpha2):
         assert sil.eps == disk.boundary_eps
         assert sil.bounded
         assert (disk.circle.center, disk.circle.radius) == (sil.center, sil.radius)
-        assert disk.circle.residual <= 1e-10 * scale
+        assert disk.residual <= 1e-10 * scale
     # the batch is the circles one by one, to the bit
     assert silhouette_circles(ff.chart, bisectors) == [silhouette_circles(ff.chart, [b])[0] for b in bisectors]
 
@@ -342,14 +344,14 @@ def test_project_bisector_shares_the_silhouette_slice(k):
     # circle is silhouette_circles', field for field, and the boundary is the
     # chart image of slice_boundary_circle's points on the slice p - eps q
     ff = FaceFamily(alpha2_for_order(20), grid_n=256)
-    for p in (ff.pts.p_V, ff.pts.p_W):
-        b = classify_bisector(ff.pts.p_U, ff.u_power_point(k, p), ff.tol)
+    for p in (family_points(ff).p_V, family_points(ff).p_W):
+        b = classify_bisector(family_points(ff).p_U, u_power_point(ff, k, p), ff.tol)
         disk = project_bisector(ff.chart, b, n_boundary=768, tol=ff.tol)
         (sil,) = silhouette_circles(ff.chart, [b], ff.tol)
         assert (disk.circle.center, disk.circle.radius, disk.circle.eps, disk.circle.bounded) == (
             sil.center, sil.radius, sil.eps, sil.bounded
         )
-        assert disk.circle.residual <= 1e-12
+        assert disk.residual <= 1e-12
         pts = slice_boundary_circle(HVec(b.p.v - sil.eps * b.q.v, b.p.space))(
             np.linspace(0, 2 * math.pi, 768, endpoint=False)
         )
@@ -358,7 +360,7 @@ def test_project_bisector_shares_the_silhouette_slice(k):
 
 def test_silhouette_circle_needs_a_real_pair_and_a_positive_pole(ball, siegel):
     def chart(p, u, w):
-        return VisualChart(p, HVec(u, p.space), HVec(w, p.space))
+        return VisualChart(p.v, np.asarray(u, dtype=complex), np.asarray(w, dtype=complex), p.space)
 
     # the fan in Siegel normal form: <p, q> = e^{i theta} is not real
     p = HVec([0, 1.0, 0], siegel)
@@ -380,7 +382,7 @@ def test_silhouette_circle_needs_a_real_pair_and_a_positive_pole(ball, siegel):
         silhouette_circles(chart(p, [1.0, 0, 0], [0, 1.0, 0]), [fan])
     # a family bisector with a rephased second lift
     ff = chart_at(alpha2_for_order(9))
-    b = classify_bisector(ff.pts.p_U, HVec(cmath.exp(0.3j) * ff.pts.p_V.v, ff.space))
+    b = classify_bisector(family_points(ff).p_U, HVec(cmath.exp(0.3j) * family_points(ff).p_V.v, ff.space))
     with pytest.raises(GeometryError, match="real nonzero"):
         silhouette_circles(ff.chart, [b])
 
@@ -395,12 +397,10 @@ def test_chart_ratio_is_cross_ratio():
     # a second chart from two other polar points of the base
     base = ch.base
     J = sp.J
-    _, _, vh = np.linalg.svd((base.v.conj() @ J).reshape(1, 3))
-    w1 = HVec(vh[1].conj() + 0.3 * vh[2].conj(), sp)
-    w2 = HVec(vh[2].conj() - 0.2j * vh[1].conj(), sp)
-    from crlab.visual import VisualChart
-
-    ch2 = VisualChart(base, w1, w2)
+    _, _, vh = np.linalg.svd((base.conj() @ J).reshape(1, 3))
+    w1 = vh[1].conj() + 0.3 * vh[2].conj()
+    w2 = vh[2].conj() - 0.2j * vh[1].conj()
+    ch2 = VisualChart(base, w1, w2, sp)
 
     def cross_ratio(z1, z2, z3, z4):
         return ((z3 - z1) * (z4 - z2)) / ((z3 - z2) * (z4 - z1))
@@ -408,8 +408,8 @@ def test_chart_ratio_is_cross_ratio():
     for _ in range(8):
         q = HVec(rng.normal(size=3) + 1j * rng.normal(size=3), sp)
         qp = HVec(rng.normal(size=3) + 1j * rng.normal(size=3), sp)
-        ratio = ch(qp) / ch(q)
-        cr = cross_ratio(ch2(ff.pts.p_U_prime), ch2(ff.pts.p_U_dprime), ch2(q), ch2(qp))
+        ratio = ch(qp.v) / ch(q.v)
+        cr = cross_ratio(ch2(family_points(ff).p_U_prime.v), ch2(family_points(ff).p_U_dprime.v), ch2(q.v), ch2(qp.v))
         assert ratio == pytest.approx(cr, rel=1e-8)
 
 
@@ -418,9 +418,7 @@ def test_projected_samples_inside_fitted_circle():
     # circle (the disk excludes the chart's 0 and infinity here)
     for a2 in (0.7, alpha2_for_order(10)):
         ff = chart_at(a2)
-        from crlab.bisector import classify_bisector as _cb
-
-        b = _cb(ff.pts.p_U, ff.pts.p_V)
+        b = classify_bisector(family_points(ff).p_U, family_points(ff).p_V)
         disk = project_bisector(ff.chart, b, n_boundary=512)
         vals = spinal_samples(b, 64, 32)
         zs = ff.chart.values(vals)
