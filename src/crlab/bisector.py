@@ -104,8 +104,9 @@ class GiraudTorus:
     Points are [(q - e^{i theta} p) box (r - e^{i phi} p)], expanded as
     qr - e^{-i theta} pr - e^{-i phi} qp in the box products qr = q box r,
     pr = p box r, qp = q box p.  With theta = sigma + delta and phi =
-    sigma - delta the point is qr - e^{-i sigma} B(delta), so every form on
-    a delta-column is a sinusoid in sigma, formed by `_column_sinusoids`
+    sigma - delta the point is qr - e^{-i sigma} B(delta), B(delta) =
+    e^{-i delta} pr + e^{i delta} qp, so every form on a delta-column is a
+    sinusoid in sigma, formed by `_column_sinusoids`
     alone: `column_minima` reads the ball part of each column in closed
     form for verify, and `column_forms` evaluates the forms on a (sigma,
     delta) grid for the figures.
@@ -117,19 +118,6 @@ class GiraudTorus:
         self.p, self.q, self.r = lifts
         self.qr, self.pr, self.qp = rows
         self.space = space
-
-    def delta_rows(self, deltas) -> np.ndarray:
-        """B(delta) = e^{-i delta} pr + e^{i delta} qp, shape (len(deltas), 3):
-        with theta = sigma + delta and phi = sigma - delta the torus point is
-        qr - e^{-i sigma} B(delta)."""
-        e = np.exp(-1j * np.asarray(deltas))[:, None]
-        return e * self.pr + e.conj() * self.qp
-
-    def norm_terms(self, deltas):
-        """(A, C) with <V, V> = A - 2 Re(e^{-i sigma} C) at (sigma, delta):
-        A = <qr, qr> + <B, B> is real and C = <qr, B>, one value per delta."""
-        sp, B = self.space, self.delta_rows(deltas)
-        return sp.norm_grid(self.qr) + sp.norm_grid(B), sp.inner_grid(self.qr, B)
 
     def column_forms(self, sigmas, deltas, pos, neg) -> list:
         """[<V, V>, |<pos, V>|^2, |<neg, V>|^2], each over |V|^2 and of shape
@@ -151,9 +139,9 @@ def _column_sinusoids(blocks) -> tuple:
     stack of blocks (torus, deltas, pos, neg, ball) of tori in one space,
     with coordinate vectors pos and neg: per column the rows (k, p, q) of
     k + p cos(sigma) + q sin(sigma) for |V|^2, |<pos, V>|^2 and |<neg, V>|^2,
-    shape (3, 3, columns); the terms (A, C) of <V, V> = A - 2 Re(e^{-i sigma}
-    C) (`GiraudTorus.norm_terms`); and the ball arc (mid, half) of `_arcs`,
-    or the whole column (0, pi) for a block whose ball is False.
+    shape (3, 3, columns); the terms A = <qr, qr> + <B, B> and C = <qr, B>
+    of <V, V> = A - 2 Re(e^{-i sigma} C); and the ball arc (mid, half) of
+    `_arcs`, or the whole column (0, pi) for a block whose ball is False.
 
     Each block's products with its torus's rows qr, pr, qp and its pos, neg
     keep the shapes of the block alone, and every other stage runs once,
@@ -165,7 +153,7 @@ def _column_sinusoids(blocks) -> tuple:
     F = np.concatenate([X[:, :3].conj() @ space.J, qr_h[:, None]], axis=1)
     e = np.exp(-1j * np.concatenate([b[1] for b in blocks]))
     PQ = np.repeat(X[:, 3:].transpose(1, 2, 0), sizes, axis=2)
-    Bt = e * PQ[0] + e.conj() * PQ[1]  # `delta_rows` of every column, laid out (3, columns)
+    Bt = e * PQ[0] + e.conj() * PQ[1]  # B(delta) of every column, laid out (3, columns)
     # <B, B> per column and <qr, qr> per block; |qr|^2 as np.vdot forms it
     N = space.norm_grid(np.concatenate([Bt.T, qr]))
     QN = np.stack([np.matmul(qr_h[:, None], qr[..., None])[:, 0, 0].real, N[len(e) :]], axis=1)

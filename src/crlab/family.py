@@ -257,10 +257,11 @@ def involution_matrix(alpha2: float) -> np.ndarray:
 
 def delta0(alpha2: float) -> float:
     """The delta at which the complex-line locus meets the torus of
-    J_0^- and J_-1^- (mod pi), on its (sigma, delta) grid."""
-    if abs(alpha2) > 1e-12:
-        return math.atan((1.0 - 2.0 * math.cos(2 * alpha2)) / (2.0 * math.sin(2 * alpha2)))
-    return 0.0
+    J_0^- and J_-1^- (mod pi), on its (sigma, delta) grid; at alpha2 = 0
+    the limit -pi/2, where the quotient below has a zero denominator."""
+    if alpha2 == 0.0:
+        return -math.pi / 2.0
+    return math.atan((1.0 - 2.0 * math.cos(2 * alpha2)) / (2.0 * math.sin(2 * alpha2)))
 
 
 def schwartz_point() -> complex:

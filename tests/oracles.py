@@ -5,7 +5,8 @@ None of these is on a program path, and none is imported by `crlab`:
 - `envelope_minima`, the multi-constraint envelope of which `verify` reads
   one constraint per Giraud-torus column (`bisector.column_minima`), with
   its own per-form column rows, the per-torus ball arcs `ball_arcs` it
-  reads, and torus points `torus_vectors` and `point`;
+  reads from the norm terms `norm_terms` of the column rows `delta_rows`,
+  and torus points `torus_vectors` and `point`;
 - the grid oracle of the symmetric trichotomy (`periodic_components`,
   `count_sublevel_components`, `brute_force_symmetric_kind`), which the
   program decides in closed form (`symmetric_intersection_type`);
@@ -75,20 +76,37 @@ def point(torus, theta: float, phi: float) -> HVec:
     return HVec(torus_vectors(torus, theta, phi), torus.space)
 
 
-def ball_arcs(torus, deltas):
+def delta_rows(torus, deltas) -> np.ndarray:
+    """B(delta) = e^{-i delta} pr + e^{i delta} qp, shape (len(deltas), 3):
+    with theta = sigma + delta and phi = sigma - delta the torus point is
+    qr - e^{-i sigma} B(delta)."""
+    e = np.exp(-1j * np.asarray(deltas))[:, None]
+    return e * torus.pr + e.conj() * torus.qp
+
+
+def norm_terms(torus, deltas):
+    """(A, C) with <V, V> = A - 2 Re(e^{-i sigma} C) at (sigma, delta):
+    A = <qr, qr> + <B, B> is real and C = <qr, B>, one value per delta."""
+    sp, B = torus.space, delta_rows(torus, deltas)
+    return sp.norm_grid(torus.qr) + sp.norm_grid(B), sp.inner_grid(torus.qr, B)
+
+
+def ball_arcs(torus, deltas, terms=None):
     """(mid, half) per delta-column of `torus`: the form <V, V> = A - 2 |C|
-    cos(sigma - arg C) (`GiraudTorus.norm_terms`) is <= 0 exactly on the arc
-    mid +- half, mid = arg C and half = arccos(A / 2|C|).  half is pi where
-    the whole column is in the ball (A <= -2|C|, which covers C = 0 with
-    A <= 0) and nan where no point is (A > 2|C|)."""
-    return _arcs(*torus.norm_terms(deltas))
+    cos(sigma - arg C) is <= 0 exactly on the arc mid +- half, mid = arg C
+    and half = arccos(A / 2|C|), for the terms (A, C), by default
+    `norm_terms(torus, deltas)`.  half is pi where the whole column is in
+    the ball (A <= -2|C|, which covers C = 0 with A <= 0) and nan where no
+    point is (A > 2|C|)."""
+    return _arcs(*(norm_terms(torus, deltas) if terms is None else terms))
 
 
-def envelope_minima(torus, deltas, pos, negs, ball=True):
+def envelope_minima(torus, deltas, pos, negs, ball=True, terms=None):
     """Per delta-column, the exact minimum over sigma of max_i E_i / |V|^2
     with E_i = |<pos, V>|^2 - |<neg_i, V>|^2, for coordinate vectors pos and
-    neg_i: over the column's ball arc (`ball_arcs`), or over the
-    whole column when ball is False; inf where the arc is empty.
+    neg_i: over the column's ball arc (`ball_arcs` of the norm terms
+    `terms`), or over the whole column when ball is False; inf where the arc
+    is empty.
 
     In a column every E_i and |V|^2 is a sinusoid k + p cos(sigma) + q
     sin(sigma).  On the arc the minimum of the envelope sits at an arc end,
@@ -98,11 +116,11 @@ def envelope_minima(torus, deltas, pos, negs, ball=True):
     value over these candidates is the minimum.  With one constraint this is
     the arithmetic of `bisector.column_minima`, to the bit."""
     deltas = np.asarray(deltas, dtype=float)
-    den, (top, *rest) = _column_rows(torus, torus.delta_rows(deltas), [pos, *negs])
+    den, (top, *rest) = _column_rows(torus, delta_rows(torus, deltas), [pos, *negs])
     den, top = np.array(den), np.array(top)
     nums = [top - np.array(e) for e in rest]
     if ball:
-        mid, half = ball_arcs(torus, deltas)
+        mid, half = ball_arcs(torus, deltas, terms)
     else:
         mid, half = np.zeros(len(deltas)), np.full(len(deltas), math.pi)
     roots = [r for e in nums for r in _harmonic_roots(*_ratio_critical(e, den))]
@@ -119,7 +137,7 @@ def envelope_minima(torus, deltas, pos, negs, ball=True):
 def _column_rows(torus, B, ws):
     """Per delta-column rows (k, p, q) of |V|^2 and of each |<w, V>|^2 =
     |<w, qr> - e^{-i sigma} <w, B_d>|^2, as sinusoids in sigma, for the rows
-    B of `GiraudTorus.delta_rows`: each form on its own, apart from the
+    B of `delta_rows`: each form on its own, apart from the
     program's stacked `bisector._column_sinusoids`."""
     den = _harmonic(*_abs2_terms(torus.qr, B))
     # <w, V> = V @ f, f = w^H J as in `HermitianSpace.inner_grid`: f is

@@ -8,7 +8,6 @@ from crlab.core import GeometryError, HVec, inner
 from crlab.bisector import (
     BisectorKind,
     ExtorPairKind,
-    GiraudTorus,
     SymmetricKind,
     column_minima,
     level_g,
@@ -30,6 +29,7 @@ from oracles import (
     family_points,
     giraud_torus,
     membership,
+    norm_terms,
     pair_kind,
     periodic_components,
     point,
@@ -326,7 +326,7 @@ def test_torus_norm_terms_match_vectors(pts07):
     gt = giraud_torus(classify_bisector(pts07.p_U, pts07.p_V), classify_bisector(pts07.p_U, pts07.p_W))
     rng = np.random.default_rng(8)
     sigmas, deltas = rng.uniform(0, 2 * math.pi, (2, 20))
-    A, C = gt.norm_terms(deltas)
+    A, C = norm_terms(gt, deltas)
     got = A - 2.0 * (np.exp(-1j * sigmas) * C).real
     want = gt.space.norm_grid(torus_vectors(gt, sigmas + deltas, sigmas - deltas))
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -386,7 +386,7 @@ def test_ball_cells_match_dense_form(n):
         form = torus.space.norm_grid(torus_vectors(torus, sigmas + deltas, sigmas - deltas))
         mid, half = ball_arcs(torus, deltas)
         t = np.remainder(sigmas - mid + math.pi, 2.0 * math.pi) - math.pi
-        A, C = torus.norm_terms(deltas)
+        A, C = norm_terms(torus, deltas)
         clear = np.abs(form) > 1e-10 * (np.abs(A) + 2.0 * np.abs(C))
         assert np.array_equal((np.abs(t) <= half)[clear], (form <= 0.0)[clear])
         cells += np.count_nonzero(form <= 0.0)
@@ -463,18 +463,6 @@ def test_stacked_column_minima_equal_each_block_alone(alpha2, n):
         assert np.isinf(minima[: 2 * m]).all()
 
 
-class _Columns(GiraudTorus):
-    """A Giraud torus whose norm terms (A, C), and so its ball arcs, are
-    given per column."""
-
-    def __init__(self, torus, A, C):
-        vars(self).update(vars(torus))
-        self.A, self.C = np.asarray(A, dtype=float), np.asarray(C, dtype=complex)
-
-    def norm_terms(self, deltas):
-        return self.A, self.C
-
-
 @pytest.mark.parametrize("n", [64, 127, 720])
 def test_ball_cells_of_synthetic_columns(n):
     # ball arcs and column minima for an empty arc, C = 0 with A of both
@@ -488,14 +476,14 @@ def test_ball_cells_of_synthetic_columns(n):
     A[1:4] = [1.0, -1.0, 0.0]  # C = 0: none, all, all
     A[5] = -A[5]  # tangent from below: the whole column
     A[6] = 0.0  # half the column
-    torus = _Columns(ff.tori[0], A, C)
+    torus = ff.tori[0]
     deltas = np.linspace(0.2, 3.0, len(C))
-    mid, half = ball_arcs(torus, deltas)
+    mid, half = ball_arcs(torus, deltas, (A, C))
     assert np.isnan(half[:2]).all()
     assert list(half[2:]) == [math.pi, math.pi, 0.0, math.pi, pytest.approx(math.pi / 2)]
     assert mid[4] == pytest.approx(2.0 * math.pi * 5 / n)
     pos, negs = pts.p_U.v, [pts.p_V.v, apply(family_U(ff), pts.p_V).v]
-    got = envelope_minima(torus, deltas, pos, negs)
+    got = envelope_minima(torus, deltas, pos, negs, terms=(A, C))
     assert np.isinf(got[:2]).all() and np.isfinite(got[2:]).all()
     sigmas = mid[2:] + np.linspace(-1.0, 1.0, 64 * n + 1)[:, None] * half[2:]
     env, terms, _ = _sampled_envelope(torus, pos, negs, sigmas, deltas[2:])

@@ -1,11 +1,14 @@
 """Module boundaries inside the crlab package."""
 
 import ast
+import importlib
+import inspect
 import os
 import pathlib
 import subprocess
 import sys
 import tokenize
+import typing
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "crlab"
 # modules outside the program: the package's re-exports, and the paper's
@@ -15,6 +18,8 @@ NOT_PROGRAM = ("__init__", "reference")
 # process compiles crlab's modules anew (PYTHONDONTWRITEBYTECODE=1): a module
 # past 8,192 tokens pays the next doubling, so each keeps 1,024 below it
 MODULE_TOKEN_BUDGET = 7_168
+# verify.py's float literals in (0, 1e-2)
+VERIFY_GATE_LITERALS = 10
 
 
 def test_no_private_names_imported_across_modules():
@@ -165,6 +170,20 @@ def test_every_method_is_named_by_the_program():
     assert unnamed_methods(SRC) == []
 
 
+def test_every_annotation_resolves():
+    # typing.get_type_hints evaluates each annotation string of the program
+    # modules in its module: a name used only in an annotation is imported
+    assert unresolved_annotations(SRC) == []
+
+
+def test_verify_gate_literals_do_not_grow():
+    # float literals in (0, 1e-2) in verify.py are its thresholds; one table
+    # of named gates derived from tol should only lower this count
+    tree = ast.parse((SRC / "verify.py").read_text())
+    small = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Constant) and type(n.value) is float and 0.0 < n.value < 1e-2]
+    assert len(small) <= VERIFY_GATE_LITERALS, small
+
+
 def test_every_module_fits_the_parser_token_budget():
     sizes = {path.name: module_tokens(path) for path in sorted(SRC.glob("*.py"))}
     assert {name: n for name, n in sizes.items() if n > MODULE_TOKEN_BUDGET} == {}
@@ -256,6 +275,30 @@ def unnamed_methods(src: pathlib.Path) -> list[str]:
             own = {id(n) for n in ast.walk(fn)}
             if not any(a.attr == fn.name and id(a) not in own for a in attrs):
                 found.append(f"{cls.name}.{fn.name}")
+    return found
+
+
+def unresolved_annotations(src: pathlib.Path) -> list[str]:
+    """"module.name: error" of each class, function and method defined in
+    the program modules under src, properties and cached properties
+    included, whose annotations `typing.get_type_hints` cannot resolve."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.stem in NOT_PROGRAM:
+            continue
+        mod = importlib.import_module(f"crlab.{path.stem}")
+        own = [(n, v) for n, v in vars(mod).items() if getattr(v, "__module__", None) == mod.__name__]
+        objs = [(n, v) for n, v in own if inspect.isfunction(v) or inspect.isclass(v)]
+        for cname, cls in [(n, v) for n, v in objs if inspect.isclass(v)]:
+            for n, v in vars(cls).items():
+                f = getattr(v, "fget", None) or getattr(v, "func", None) or getattr(v, "__func__", None) or v
+                if inspect.isfunction(f):
+                    objs.append((f"{cname}.{n}", f))
+        for name, obj in objs:
+            try:
+                typing.get_type_hints(obj)
+            except NameError as exc:
+                found.append(f"{path.stem}.{name}: {exc}")
     return found
 
 

@@ -19,7 +19,6 @@ from crlab.verify import (
     _cone_separation,
     CheckResult,
     FaceFamily,
-    RPLANE_SAMPLES,
     TORI,
     VerdictKind,
     cone_angles,
@@ -138,12 +137,31 @@ def test_tf_structure(ff_lox):
     res = tf_check(ff_lox)
     assert res.passed
     assert res.margins["torus_exclusion"] > 0
-    assert res.margins["cline_norm"] == pytest.approx(24 * math.sin(0.7) ** 2, abs=1e-12)
-    assert res.residuals["dh_dsigma_factorization"] <= 1e-8
     assert res.residuals["cline_locus_at_delta0"] <= 1e-9
     assert max(res.residuals["vertex_pA_distance"], res.residuals["vertex_pB_distance"]) <= 1e-12
     assert res.residuals["bitangency_pA"] <= 1e-4
     assert res.residuals["bitangency_pB"] <= 1e-4
+    # TF reports only what can fail at a parameter; its identities in
+    # alpha2 are proved in tests/test_tf_identities.py
+    assert sorted(res.margins) == ["cline_locus_off_delta0", "torus_exclusion"]
+    assert sorted(res.residuals) == [
+        "bitangency_pA", "bitangency_pB", "cline_locus_at_delta0", "vertex_pA_distance", "vertex_pB_distance",
+    ]
+
+
+@pytest.mark.parametrize("alpha2", [1e-12, 1e-13, 1e-14])
+def test_tf_reads_the_complex_line_at_delta0_near_zero(alpha2):
+    # delta0 tends to -pi/2 as alpha2 -> 0 and is that limit at 0: TF finds
+    # the complex-line locus on the column at delta0 and keeps clear of it
+    # at delta0 + pi/2 down to the least parameters; the verdict still
+    # fails on the vertex residuals, which grow like 1/alpha2^2
+    assert delta0(0.0) == -math.pi / 2
+    assert delta0(alpha2) == pytest.approx(-math.pi / 2, abs=1e-11)
+    r = verify(alpha2, grid_n=128)
+    assert r.tf.residuals["cline_locus_at_delta0"] <= 1e-15
+    assert r.tf.margins["cline_locus_off_delta0"] == pytest.approx(math.sqrt(0.1), rel=1e-9)
+    assert r.tf.residuals["vertex_pA_distance"] > 1e3 * r.tol
+    assert r.verdict.kind is VerdictKind.INCONCLUSIVE
 
 
 def test_tf_at_unipotent_wall():
@@ -439,7 +457,7 @@ def test_verify_near_the_wall_reports(alpha2):
 def test_report_schema():
     r = verify(0.7, grid_n=96)
     d = r.to_dict()
-    assert d["schema"] == "report-v1"
+    assert d["schema"] == "report-v2"
     payload = json.dumps(d, sort_keys=True)
     back = json.loads(payload)
     assert back["checks"]["tf"]["passed"] is True
@@ -850,39 +868,10 @@ def test_verify_builds_each_bisector_and_torus_once(alpha2, monkeypatch):
     assert calls["inner"] + calls["box"] + calls["HVec"] <= INNER_CALLS_BOUND
 
 
-@pytest.mark.parametrize("alpha2", [math.pi / 6, 0.7, alpha2_for_order(9)])
-def test_batched_residuals_match_per_sample_loops(alpha2):
-    # reference: the per-sample loops the batched form kernel replaced
-    ff = FaceFamily(alpha2, grid_n=64)
-    pts, a2 = family_points(ff), ff.alpha2
-    cos2, sin_a2 = math.cos(a2) ** 2, math.sin(a2)
-    tf = tf_check(ff)
-    worst_rp = 0.0
-    for r, s in RPLANE_SAMPLES:
-        q = HVec([r, 1j * math.sqrt(2.0) * s, 1.0], ff.space)
-        lhs_u, lhs_w = abs(inner(pts.p_U, q)) ** 2, abs(inner(pts.p_W, q)) ** 2
-        rhs_u = r * r + s * s + 1.0 + 2.0 * r * (2.0 * cos2 - 1.0) + 2.0 * (r - 1.0) * s * sin_a2
-        rhs_w = (8.0 * cos2 + 1.0) * s * s + r * r + 2.0 * (r - 1.0) * s * sin_a2 - 2.0 * r + 1.0
-        locus = lhs_w - lhs_u - 4.0 * cos2 * (2.0 * s * s - r)
-        worst_rp = max(worst_rp, abs(lhs_u - rhs_u), abs(lhs_w - rhs_w), abs(locus))
-    assert abs(tf.residuals["rplane_identities"] - worst_rp) <= 1e-12
-    gap = min(
-        abs(inner(pts.p_W, q)) ** 2 - abs(inner(pts.p_U, q)) ** 2
-        for q in (HVec([r, 1j * math.sqrt(2.0), 0.0], ff.space) for r in np.linspace(-6, 6, 41))
-    )
-    assert tf.margins["rplane_ideal_line_gap"] == pytest.approx(gap, rel=1e-12)
-    torus, d0 = ff.tori[0], delta0(a2)
-    worst_d = 0.0
-    for dl in np.linspace(d0 + 0.15, d0 + math.pi - 0.15, 7):
-        for sg in np.linspace(0.1, 2 * math.pi - 0.1, 15):
-            v = torus_vectors(torus, sg + dl, sg - dl)
-            dv = 1j * (np.exp(-1j * (sg + dl)) * torus.pr + np.exp(-1j * (sg - dl)) * torus.qp)
-            dh = 2.0 * (v.conj() @ ff.space.J @ dv).real / (2.0 * cos2)
-            closed = -12.0 * math.sin(sg) * (2.0 * math.cos(2 * a2 - dl) - math.cos(dl))
-            worst_d = max(worst_d, abs(dh - closed))
-    assert abs(tf.residuals["dh_dsigma_factorization"] - worst_d) <= 1e-12
-    if abs(a2 - math.pi / 6) > 1e-9:
-        return
+def test_fan_residuals_match_per_sample_loops():
+    # reference: the per-sample loop the batched fan-circle kernel replaced
+    ff = FaceFamily(math.pi / 6, grid_n=64)
+    pts = family_points(ff)
     lc = lc_check(ff)
     UipW = apply(family_U(ff).inv(), pts.p_W)
     worst, member = 0.0, []
