@@ -10,7 +10,7 @@ Modules:
   verify     the TF/LC/GC verification engine and surgery verdicts
   report     check results, verdicts and the report-v2 JSON layout
   figures    deterministic CSV/SVG figure data
-  csvfloat   the byte-exact %.17g kernel of the figure CSVs
+  csvfloat   the byte-exact %.17g and %.9g kernel of the figure CSVs and SVGs
   cli        the `crlab` command line
   reference  the paper's objects no check computes with (trace coordinates,
              region Z, peripheral words, fixed points, ball and custom

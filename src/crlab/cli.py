@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
 import math
 import os
@@ -27,6 +28,11 @@ from .verify import DEFAULT_GRID, verify
 MAX_SWEEP_POINTS = 10**6
 # the largest --grid; verify's memory grows about linearly with the grid
 MAX_GRID = 2**16
+# the most output rows one figure may have: resolution^2 grid cells (the
+# grid figures), resolution * (resolution // 2) (spinal-trace), or 2n curves
+# of resolution + 1 points with their 2n marks (disk-projection); a
+# figure's memory grows about linearly with its rows
+MAX_FIGURE_ROWS = 2**24
 
 
 def _param_token(alpha2: float) -> str:
@@ -63,6 +69,28 @@ def _bad_n_or_alpha2(n, alpha2) -> bool:
         print("error: --alpha2 must lie in (0, pi/2)", file=sys.stderr)
         return True
     return False
+
+
+def _make_out_dir(path) -> bool:
+    """Create the --out directory, or print the usage error and return
+    False when it cannot be made (it names an existing file, say)."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot make the --out directory {path!r}: {exc.strerror}", file=sys.stderr)
+        return False
+    return True
+
+
+def _figure_rows(name, kwargs) -> int:
+    """The output rows of figure `name` called with kwargs (see
+    MAX_FIGURE_ROWS), its defaults filling in the rest."""
+    params = inspect.signature(figures.FIGURES[name]).parameters
+    arg = {key: kwargs.get(key, param.default) for key, param in params.items()}
+    if name == "disk-projection":
+        return 2 * arg["n"] * (arg["boundary_points"] + 1)
+    res = arg["resolution"]
+    return res * (res // 2) if name == "spinal-trace" else res * res
 
 
 def cmd_verify(args) -> int:
@@ -107,8 +135,8 @@ def cmd_verify(args) -> int:
         print("error: --workers must be at least 1", file=sys.stderr)
         return 2
     out_dir = args.out
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
+    if out_dir and not _make_out_dir(out_dir):
+        return 2
     jobs = [(p, args.grid, args.tol, out_dir) for p in params]
     if args.workers > 1 and len(jobs) > 1:
         import multiprocessing
@@ -141,7 +169,11 @@ def cmd_figure(args) -> int:
     if args.resolution is not None:
         kwargs["boundary_points" if args.name == "disk-projection" else "resolution"] = args.resolution
     kwargs = {key: value for key, value in kwargs.items() if value is not None}
-    os.makedirs(args.out, exist_ok=True)
+    if _figure_rows(args.name, kwargs) > MAX_FIGURE_ROWS:
+        print(f"error: figure has more than {MAX_FIGURE_ROWS} rows (cli.MAX_FIGURE_ROWS)", file=sys.stderr)
+        return 2
+    if not _make_out_dir(args.out):
+        return 2
     base = os.path.join(args.out, args.name)
     try:
         path, _ = figures.FIGURES[args.name](base, fmt=args.format, **kwargs)

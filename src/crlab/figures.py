@@ -1,10 +1,12 @@
 """Deterministic figure data: CSV grids and simple SVG renderings.
 
 Every figure is an array program: its grid is evaluated with numpy in one
-pass, contours come from a vectorized marching squares, and CSV blocks are
-laid out as byte arrays and streamed to the file.  Floats are written with
-17 significant digits in CSV (round-trip exact) and 9 in SVG, the CSV
-digits by the numpy kernel `csvfloat.g17_fields`.  Output bytes are
+pass, contours come from a marching squares read from a 16-case table, and
+CSV blocks and SVG polylines are laid out as byte arrays.  Floats are
+written with 17 significant digits in CSV (round-trip exact) and 9 in SVG:
+every CSV value and every polyline point by the exact numpy kernel of
+`csvfloat` (`g17_fields`, `g9_fields`), and the few scalar SVG attributes
+(view box, stroke widths, marks) by %.9g itself.  Output bytes are
 identical from run to run and across worker counts.  They are not
 promised across numpy's and cmath's roundings: a grid evaluated by numpy
 ufuncs may differ in the last bits from the same formula evaluated on
@@ -36,7 +38,7 @@ from .family import (
 from .isometry import goldman_f
 from .bisector import level_g
 from .verify import FaceFamily
-from .csvfloat import G17_WIDTH, g17_fields
+from .csvfloat import g9_fields, g17_fields
 from .visual import circle_points
 
 CSV_FMT = "%.17g"
@@ -49,12 +51,12 @@ def write_csv(path, header, columns):
     CSV_FMT % v, streamed to the file in blocks of CSV_BLOCK_ROWS rows.
 
     A column is a 1-D array, or a pair (values, index) declaring it as
-    values[index] (the figures' axes and labels).  An undeclared column
-    with at most half as many distinct bit patterns as rows, found by a
-    sort and a count, is declared by np.unique.  Declared values are
-    formatted once, the rest block by block, by `csvfloat.g17_fields`.  A
-    block is one reused (rows, columns, G17_WIDTH + 1) uint8 array of
-    NUL-padded fields ended by "," or a newline, written without its NULs.
+    values[index] (the figures' axes and labels).  An undeclared column is
+    declared by its distinct bit patterns when it has at most half as many
+    as rows (`_distinct`).  Declared values are formatted once, the rest
+    block by block, by `csvfloat.g17_fields`.  A block joins each column's
+    NUL-padded fields, each at its widest field in the block plus one slot
+    for "," or a newline, and is written without its NULs.
     """
     cols = [col if isinstance(col, tuple) else (col, None) for col in columns]
     cols = [(np.asarray(v, dtype=float), i if i is None else np.asarray(i)) for v, i in cols]
@@ -69,27 +71,64 @@ def write_csv(path, header, columns):
     n = lengths.pop() if lengths else 0
     for j, (values, index) in enumerate(cols):
         if index is None:
-            bits = np.sort(values.view(np.int64))
-            if 2 * np.count_nonzero(bits[1:] != bits[:-1]) + 2 <= n:
-                bits, index = np.unique(values.view(np.int64), return_inverse=True)
-                values = bits.view(float)
+            values, index = _distinct(values)
         if index is not None:
-            fields = np.empty((len(values), G17_WIDTH), dtype=np.uint8)
-            for start in range(0, len(values), CSV_BLOCK_ROWS):
-                fields[start : start + CSV_BLOCK_ROWS] = g17_fields(values[start : start + CSV_BLOCK_ROWS])
+            parts = [g17_fields(values[start : start + CSV_BLOCK_ROWS]) for start in range(0, len(values), CSV_BLOCK_ROWS)]
+            fields = np.zeros((len(values), max((p.shape[1] for p in parts), default=1)), dtype=np.uint8)
+            for start, part in zip(range(0, len(values), CSV_BLOCK_ROWS), parts):
+                fields[start : start + len(part), : part.shape[1]] = part
             cols[j] = (fields, index)
-    block = np.empty((min(n, CSV_BLOCK_ROWS), len(cols), G17_WIDTH + 1), dtype=np.uint8)
-    block[..., -1] = ord(",")
-    block[:, -1:, -1] = ord("\n")
+    # each field's last slot takes its separator, once for declared fields
+    separators = [ord(",")] * (len(cols) - 1) + [ord("\n")]
+    for (fields, index), sep in zip(cols, separators):
+        if index is not None:
+            fields[:, -1] = sep
     with open(path, "wb") as fh:
         fh.write(",".join(header).encode() + b"\n")
         for start in range(0, n, CSV_BLOCK_ROWS):
-            rows = block[: min(n - start, CSV_BLOCK_ROWS)]
-            part = slice(start, start + len(rows))
-            for j, (values, index) in enumerate(cols):
-                rows[:, j, :-1] = g17_fields(values[part]) if index is None else values.take(index[part], axis=0)
-            fh.write(rows.tobytes().translate(None, b"\0"))
+            part = slice(start, min(n, start + CSV_BLOCK_ROWS))
+            block = []
+            for (values, index), sep in zip(cols, separators):
+                if index is None:
+                    block.append(g17_fields(values[part]))
+                    block[-1][:, -1] = sep
+                else:
+                    block.append(values.take(index[part], axis=0))
+            fh.write(np.concatenate(block, axis=1).tobytes().translate(None, b"\0"))
     return path
+
+
+SAMPLE_STRIDE = 16  # every 16th value of a long column is sampled by _distinct
+
+
+def _distinct(values):
+    """(table, inverse) with values = table[inverse], table the distinct bit
+    patterns of values in increasing int64 order, when there are at most
+    half as many as values; (values, None) otherwise.
+
+    A column longer than CSV_BLOCK_ROWS whose every SAMPLE_STRIDE-th value
+    has a distinct bit pattern is taken as distinct with no full sort:
+    either way the bytes written are the same.  Otherwise a sort counts
+    the distinct patterns, and a column that takes the table gets it and
+    its inverse from one argsort.
+    """
+    bits = values.view(np.int64)
+    n = len(bits)
+    if n > CSV_BLOCK_ROWS:
+        sample = np.sort(bits[::SAMPLE_STRIDE])
+        if (sample[1:] != sample[:-1]).all():
+            return values, None
+    ordered = np.sort(bits)
+    if 2 * np.count_nonzero(ordered[1:] != ordered[:-1]) + 2 > n:
+        return values, None
+    order = np.argsort(bits)
+    ordered = bits[order]
+    first = np.empty(n, dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[first].view(float), inverse
 
 
 def _grid_columns(xs, ys, *values):
@@ -112,33 +151,48 @@ class SvgCanvas:
         self.polylines(np.asarray(points, dtype=complex)[None, :], color, width)
 
     def polylines(self, curves, color="#1f4e9c", width=0.002):
-        """One polyline per row of an (m, k) array of complex points."""
+        """One polyline per row of an (m, k) array of complex points, every
+        coordinate formatted by `csvfloat.g9_fields` in one pass: the ","
+        and " " separators and a newline after each row's last point are
+        written into the fields' last slots, one translate drops the NUL
+        padding, and one replace turns each newline into the joint between
+        two polylines."""
         m, k = curves.shape
         if m == 0:
             return
-        point = f"%.{SVG_PREC}g,%.{SVG_PREC}g"
-        line = (
+        head = (
             f'<polyline fill="none" stroke="{color}" stroke-width="{self._f(width * (self.xmax - self.xmin))}" '
-            f'points="{" ".join([point] * k)}"/>'
-        )
-        xy = np.stack([curves.real, self.ymax + self.ymin - curves.imag], axis=-1)
-        self.elements.append("\n".join([line] * m) % tuple(xy.ravel().tolist()))
+            'points="'
+        ).encode()
+        xy = np.empty((m, k, 2))
+        xy[..., 0] = curves.real
+        xy[..., 1] = self.ymax + self.ymin - curves.imag
+        fields = g9_fields(xy.ravel())
+        del xy
+        ends = fields[:, -1]
+        ends[0::2] = ord(",")
+        ends[1::2] = ord(" ")
+        ends[2 * k - 1 :: 2 * k] = ord("\n")
+        ends[-1] = 0
+        points = fields.tobytes().translate(None, b"\0")
+        del fields, ends
+        self.elements.append(b"".join([head, points.replace(b"\n", b'"/>\n' + head), b'"/>']))
 
     def circle(self, center, r, color="#b02020"):
         cx, cy = center.real, self.ymax + self.ymin - center.imag
         self.elements.append(
-            f'<circle cx="{self._f(cx)}" cy="{self._f(cy)}" r="{self._f(r)}" fill="{color}"/>'
+            f'<circle cx="{self._f(cx)}" cy="{self._f(cy)}" r="{self._f(r)}" fill="{color}"/>'.encode()
         )
 
     def write(self, path):
         vb = f"{self._f(self.xmin)} {self._f(self.ymin)} {self._f(self.xmax - self.xmin)} {self._f(self.ymax - self.ymin)}"
-        body = "\n".join(self.elements)
-        svg = (
-            '<svg xmlns="http://www.w3.org/2000/svg" width="800" height="800" '
-            f'viewBox="{vb}">\n{body}\n</svg>\n'
-        )
-        with open(path, "w", newline="\n") as fh:
-            fh.write(svg)
+        head = f'<svg xmlns="http://www.w3.org/2000/svg" width="800" height="800" viewBox="{vb}">\n'
+        with open(path, "wb") as fh:
+            fh.write(head.encode())
+            for element in self.elements:
+                fh.write(element)
+                fh.write(b"\n")
+            fh.write(b"</svg>\n")
         return path
 
 
@@ -158,25 +212,31 @@ def figure_level_sets(out_base, resolution=720, fmt="csv"):
 # from corner k to corner k + 1
 _CORNER_DI = np.array([0, 1, 1, 0])
 _CORNER_DJ = np.array([0, 0, 1, 1])
+# the case of a cell is its corners' bits (bit k: corner k has f > 0); an
+# edge is cut where its ends' bits differ, and _FIRST_CUTS[case] is the
+# first two cut edges in edge order (cases 0 and 15 have none)
+_FIRST_CUTS = np.array(
+    [[k for k in range(4) if (case >> k ^ case >> (k + 1) % 4) & 1][:2] or [0, 0] for case in range(16)]
+)
 
 
 def _contour_segments(xs, ys, Z, level):
     """Marching-squares crossings of Z - level, one segment per cell.
 
     An edge whose ends lie on opposite sides of 0 (by f > 0) is cut at
-    x1 + t (x2 - x1), t = f1 / (f1 - f2); a cell cut at least twice gives
-    the segment through its first two cuts in edge order.  Segments come
-    in row-major cell order, as the rows of a (segments, 2) complex array.
+    x1 + t (x2 - x1), t = f1 / (f1 - f2); a cell cut at least twice (any
+    case but 0 and 15) gives the segment through its first two cuts in
+    edge order, read from _FIRST_CUTS.  Segments come in row-major cell
+    order, as the rows of a (segments, 2) complex array.
     """
     F = Z - level
-    pos = F > 0
-    n, m = F.shape
-    corner = [pos[di:n - 1 + di, dj:m - 1 + dj] for di, dj in zip(_CORNER_DI, _CORNER_DJ)]
-    cut = np.stack([corner[k] != corner[(k + 1) % 4] for k in range(4)], axis=-1)
-    ci, cj = np.nonzero(cut.sum(axis=-1) >= 2)
-    edge = np.argsort(~cut[ci, cj], axis=-1, kind="stable")[:, :2]
+    pos = (F > 0).view(np.uint8)
+    case = pos[:-1, :-1] | pos[1:, :-1] << 1 | pos[1:, 1:] << 2 | pos[:-1, 1:] << 3
+    ci, cj = np.nonzero((case - 1) < 14)  # uint8: cases 1..14
+    edge = _FIRST_CUTS[case[ci, cj]]
     i1, j1 = ci[:, None] + _CORNER_DI[edge], cj[:, None] + _CORNER_DJ[edge]
-    i2, j2 = ci[:, None] + _CORNER_DI[(edge + 1) % 4], cj[:, None] + _CORNER_DJ[(edge + 1) % 4]
+    edge = (edge + 1) % 4
+    i2, j2 = ci[:, None] + _CORNER_DI[edge], cj[:, None] + _CORNER_DJ[edge]
     f1, f2 = F[i1, j1], F[i2, j2]
     t = f1 / (f1 - f2)
     segs = np.empty(edge.shape, dtype=complex)

@@ -709,3 +709,47 @@ def u_power_point(ff, k: int, p: HVec) -> HVec:
     U = family_U(ff).M
     w = U @ p.v - p.v
     return HVec(p.v + f1a * w + f1ab * (U @ w - cmath.exp(2j * half) * w), p.space)
+
+
+# corners of cell (i, j) counter-clockwise from (xs[i], ys[j]); edge k runs
+# from corner k to corner k + 1
+_CORNER_DI = np.array([0, 1, 1, 0])
+_CORNER_DJ = np.array([0, 0, 1, 1])
+
+
+def contour_segments(xs, ys, Z, level):
+    """Marching-squares crossings of Z - level, one segment per cell, as
+    figures._contour_segments writes them: each cell's four cut flags are
+    stacked, a cell cut at least twice keeps its first two cut edges (a
+    stable argsort of the flags), and an edge is cut at t = f1 / (f1 - f2)."""
+    F = Z - level
+    pos = F > 0
+    n, m = F.shape
+    corner = [pos[di:n - 1 + di, dj:m - 1 + dj] for di, dj in zip(_CORNER_DI, _CORNER_DJ)]
+    cut = np.stack([corner[k] != corner[(k + 1) % 4] for k in range(4)], axis=-1)
+    ci, cj = np.nonzero(cut.sum(axis=-1) >= 2)
+    edge = np.argsort(~cut[ci, cj], axis=-1, kind="stable")[:, :2]
+    i1, j1 = ci[:, None] + _CORNER_DI[edge], cj[:, None] + _CORNER_DJ[edge]
+    i2, j2 = ci[:, None] + _CORNER_DI[(edge + 1) % 4], cj[:, None] + _CORNER_DJ[(edge + 1) % 4]
+    f1, f2 = F[i1, j1], F[i2, j2]
+    t = f1 / (f1 - f2)
+    segs = np.empty(edge.shape, dtype=complex)
+    segs.real = xs[i1] + t * (xs[i2] - xs[i1])
+    segs.imag = ys[j1] + t * (ys[j2] - ys[j1])
+    return segs
+
+
+def svg_polylines(canvas, curves, color="#1f4e9c", width=0.002):
+    """figures.SvgCanvas.polylines with every coordinate through a `%.9g`
+    template over a Python tuple: one polyline per row of the (m, k)
+    complex array curves, appended to canvas.elements."""
+    m, k = curves.shape
+    if m == 0:
+        return
+    point = "%.9g,%.9g"
+    line = (
+        f'<polyline fill="none" stroke="{color}" stroke-width="{"%.9g" % (width * (canvas.xmax - canvas.xmin))}" '
+        f'points="{" ".join([point] * k)}"/>'
+    )
+    xy = np.stack([curves.real, canvas.ymax + canvas.ymin - curves.imag], axis=-1)
+    canvas.elements.append(("\n".join([line] * m) % tuple(xy.ravel().tolist())).encode())

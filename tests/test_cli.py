@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from crlab.cli import MAX_GRID, main
+from crlab.cli import MAX_FIGURE_ROWS, MAX_GRID, main
 from crlab.family import ALPHA2_LIM, alpha2_for_order
 
 
@@ -330,6 +330,58 @@ def test_figure_geometry_error_exits_1_without_traceback(tmp_path):
     assert proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--n", "9", "--grid", "64"],
+        ["figure", "peach-curve"],
+    ],
+)
+def test_out_naming_an_existing_file_is_a_usage_error(argv, tmp_path, monkeypatch):
+    # the report or figure directory cannot be made: exit 2 with one error
+    # line, before any parameter is verified or figure computed
+    import functools
+
+    import crlab.cli
+
+    path = tmp_path / "taken"
+    path.write_bytes(b"not a directory")
+
+    def refuse(fn):
+        return functools.wraps(fn)(lambda *a, **k: pytest.fail(f"{fn.__name__} ran"))
+
+    monkeypatch.setattr(crlab.cli, "verify", refuse(crlab.cli.verify))
+    monkeypatch.setitem(crlab.cli.figures.FIGURES, "peach-curve", refuse(crlab.cli.figures.FIGURES["peach-curve"]))
+    code, out, err = run_cli(argv + ["--out", str(path)])
+    assert code == 2 and out == ""
+    assert err == f"error: cannot make the --out directory {str(path)!r}: File exists\n"
+    assert path.read_bytes() == b"not a directory"
+
+
+@pytest.mark.parametrize(
+    "argv, rows",
+    [
+        (["level-sets", "--resolution", "4097"], 4097**2),
+        (["schwartz-slice", "--resolution", "4097", "--format", "svg"], 4097**2),
+        (["spinal-trace", "--resolution", "5794"], 5794 * 2897),
+        (["disk-projection", "--resolution", "419430"], 2 * 20 * 419431),
+        (["disk-projection", "--n", "10000", "--resolution", "838"], 2 * 10000 * 839),
+    ],
+)
+def test_figure_over_the_row_limit_is_a_usage_error(argv, rows, tmp_path):
+    # just over cli.MAX_FIGURE_ROWS: exit 2 at once, nothing allocated or
+    # written
+    import time
+
+    assert MAX_FIGURE_ROWS < rows <= MAX_FIGURE_ROWS + 10**4
+    t0 = time.perf_counter()
+    code, out, err = run_cli(["figure", *argv, "--out", str(tmp_path / "out")])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and out == ""
+    assert err == f"error: figure has more than {MAX_FIGURE_ROWS} rows (cli.MAX_FIGURE_ROWS)\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_classify_geometry_error_exits_1_with_an_error_line():
     # at order 10^5 the eigenvector norms of s^-1 t do not split as (+,+,-)
     code, out, err = run_cli(["classify", "--word", "s^-1t", "--alpha2", "%.17g" % alpha2_for_order(10**5)])
@@ -458,7 +510,7 @@ for name in dir(_umath_linalg):
     if not name.startswith("_") and callable(getattr(_umath_linalg, name)):
         setattr(_umath_linalg, name, raiser("_umath_linalg." + name))
 
-from crlab.cli import MAX_GRID, main
+from crlab.cli import MAX_FIGURE_ROWS, MAX_GRID, main
 from crlab.family import ALPHA2_LIM
 from crlab.reference import alpha2_for_length
 

@@ -25,7 +25,16 @@ from crlab.isometry import goldman_f
 from crlab.reference import alpha2_for_length
 from crlab.verify import FaceFamily
 
-from oracles import classify_bisector, family_points, silhouette_circles, slice_boundary_circle, spinal_samples, u_power_point
+from oracles import (
+    classify_bisector,
+    contour_segments,
+    family_points,
+    silhouette_circles,
+    slice_boundary_circle,
+    spinal_samples,
+    svg_polylines,
+    u_power_point,
+)
 
 
 def contour_segments_loop(xs, ys, Z, level):
@@ -75,6 +84,59 @@ def test_contour_segments_match_loop(case):
     new = _contour_segments(xs, ys, Z, level)
     assert new.shape[1:] == (2,)
     assert new.tolist() == contour_segments_loop(xs, ys, Z, level)
+
+
+def test_contour_table_matches_the_oracle_over_all_levels():
+    # the 16-case table against the stack/sum/argsort path it replaced:
+    # the level-sets levels at the tier-1 and benchmark resolutions, the
+    # zero contours of the other grid figures, and levels at grid values
+    th_levels = np.linspace(-1.4, 2.8, 15)
+    for res in (64, 66, 96, 720):
+        th = np.linspace(-math.pi, math.pi, res, endpoint=False)
+        G = np.cos(th[:, None]) + np.cos(th[None, :]) + np.cos(th[None, :] - th[:, None])
+        for level in list(th_levels) + [float(G[0, 0]), float(G[1, 2]), float(G.min()), float(G.max())]:
+            assert np.array_equal(_contour_segments(th, th, G, level), contour_segments(th, th, G, level))
+    for res in (64, 65, 100, 160):
+        xs = np.linspace(-3.2, 3.2, res)
+        Z = xs[:, None] ** 2 - xs[None, :] ** 3 + np.round(xs[:, None])
+        for level in (0.0, 1.0, -2.0, float(Z[3, 5])):
+            assert np.array_equal(_contour_segments(xs, xs[::-1], Z, level), contour_segments(xs, xs[::-1], Z, level))
+    for case in _contour_cases():
+        assert np.array_equal(_contour_segments(*case), contour_segments(*case))
+
+
+# (figure, arguments) of the tier-1 SVGs and of the benchmark's SVG commands
+SVG_CASES = [
+    ("level-sets", {"resolution": 64}),
+    ("level-sets", {"resolution": 66}),
+    ("level-sets", {"resolution": 96}),
+    ("peach-curve", {"resolution": 64}),
+    ("peach-curve", {"resolution": 65}),
+    ("region-z", {"resolution": 64}),
+    ("region-z", {"resolution": 160}),
+    ("disk-projection", {"n": 9, "boundary_points": 64}),
+    ("disk-projection", {"n": 20, "boundary_points": 768}),
+    ("spinal-trace", {"alpha2": 0.7, "resolution": 181}),
+    ("spinal-trace", {"alpha2": 0.8, "resolution": 96}),
+    ("spinal-trace", {"alpha2": 1.56, "resolution": 720}),
+    ("schwartz-slice", {"resolution": 64}),
+    ("schwartz-slice", {"resolution": 100}),
+]
+
+
+@pytest.mark.parametrize("case", range(len(SVG_CASES)))
+def test_svg_matches_the_oracle_path(case, tmp_path, monkeypatch):
+    # every figure's SVG is byte-identical to the one drawn with the
+    # oracle contours and the per-value %.9g polylines
+    import crlab.figures
+
+    name, kwargs = SVG_CASES[case]
+    path, _ = crlab.figures.FIGURES[name](str(tmp_path / "new"), fmt="svg", **kwargs)
+    monkeypatch.setattr(crlab.figures, "_contour_segments", contour_segments)
+    monkeypatch.setattr(crlab.figures.SvgCanvas, "polylines", svg_polylines)
+    oracle, _ = crlab.figures.FIGURES[name](str(tmp_path / "oracle"), fmt="svg", **kwargs)
+    with open(path, "rb") as fh, open(oracle, "rb") as fo:
+        assert fh.read() == fo.read()
 
 
 def write_csv_loop(header, rows):
