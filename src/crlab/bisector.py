@@ -16,12 +16,11 @@ from __future__ import annotations
 import cmath
 import enum
 import functools
-import itertools
 import math
 
 import numpy as np
 
-from .core import GeometryError
+from .core import GeometryError, sesquilinear
 
 
 class BisectorKind(enum.Enum):
@@ -65,11 +64,11 @@ def pair_kinds(foci, lifts, pairs, space, tol) -> list[ExtorPairKind]:
     lies in an extor exactly when its second point does, so both
     containments reduce to the membership |<f, p>| = |<f, q>| of each focus
     in the other extor, within 1e3 tol |f| sqrt(|p| |q|).  The products of
-    every focus with every lift are one matmul, and the foci's Euclidean
-    products another: the squared distance of two unit vectors at optimal
-    phase is 1 - |<a, b>|^2."""
-    H = np.abs((foci.conj() @ space.J) @ lifts.reshape(-1, 3).T).reshape(len(foci), -1, 2).tolist()
-    E, Lpq = (foci.conj() @ foci.T).tolist(), np.linalg.norm(lifts, axis=2).tolist()
+    every focus with every lift are one form, and the foci's Euclidean
+    products one `sesquilinear`: the squared distance of two unit vectors at
+    optimal phase is 1 - |<a, b>|^2."""
+    H = np.abs(space.form(foci[:, None, None], lifts)).tolist()
+    E, Lpq = sesquilinear(foci[:, None], foci).tolist(), np.linalg.norm(lifts, axis=2).tolist()
 
     def inside(f, b):  # focus f in the extor of bisector b
         (ap, aq), (lp, lq) = H[f][b], Lpq[b]
@@ -94,7 +93,7 @@ def _proj_distances(a, b) -> np.ndarray:
     optimal phase: a less its projection on b."""
     a = a / np.linalg.norm(a, axis=-1, keepdims=True)
     b = b / np.linalg.norm(b, axis=-1, keepdims=True)
-    return np.linalg.norm(a - (b.conj() * a).sum(axis=-1, keepdims=True) * b, axis=-1)
+    return np.linalg.norm(a - sesquilinear(b, a)[..., None] * b, axis=-1)
 
 
 class GiraudTorus:
@@ -143,39 +142,26 @@ def _column_sinusoids(blocks) -> tuple:
     of <V, V> = A - 2 Re(e^{-i sigma} C); and the ball arc (mid, half) of
     `_arcs`, or the whole column (0, pi) for a block whose ball is False.
 
-    Each block's products with its torus's rows qr, pr, qp and its pos, neg
-    keep the shapes of the block alone, and every other stage runs once,
-    elementwise, on the stack, so a column has the same bits in any stack."""
-    sizes = [len(b[1]) for b in blocks]
-    # per block the rows pos, neg, qr, pr, qp; functionals w^H J, then qr^H
-    X = np.array([r for t, _, w1, w2, _ in blocks for r in (w1, w2, t.qr, t.pr, t.qp)]).reshape(-1, 5, 3)
-    qr, qr_h, space = X[:, 2], X[:, 2].conj(), blocks[0][0].space
-    F = np.concatenate([X[:, :3].conj() @ space.J, qr_h[:, None]], axis=1)
-    e = np.exp(-1j * np.concatenate([b[1] for b in blocks]))
-    PQ = np.repeat(X[:, 3:].transpose(1, 2, 0), sizes, axis=2)
-    Bt = e * PQ[0] + e.conj() * PQ[1]  # B(delta) of every column, laid out (3, columns)
-    # <B, B> per column and <qr, qr> per block; |qr|^2 as np.vdot forms it
-    N = space.norm_grid(np.concatenate([Bt.T, qr]))
-    QN = np.stack([np.matmul(qr_h[:, None], qr[..., None])[:, 0, 0].real, N[len(e) :]], axis=1)
-    Zs, Ss, i, start, F4, Q4 = [], [], 0, 0, F[..., None], qr[:, None, None]
-    # a run of blocks of one size shares one stacked matmul per product, each
-    # item in the shapes of its block alone
-    for m, run in itertools.groupby(sizes):
-        g = len(list(run))
-        B = np.ascontiguousarray(Bt[:, start : start + g * m].T).reshape(g, 1, m, 3)  # rows, as BLAS reads them
-        P = np.matmul(B, F4[i : i + g])  # <pos, B>, <neg, B>, <qr, B>_J, <B, qr>
-        u = np.matmul(Q4[i : i + g], F4[i : i + g, :2])  # <pos, qr>, <neg, qr>
-        Zs.append(np.concatenate([P, np.matmul(P[:, :2], u.conj())], axis=1).transpose(1, 0, 2, 3).reshape(6, -1))
-        Ss.append(np.repeat(np.concatenate([QN[i : i + g], np.matmul(u.conj(), u)[..., 0, 0].real], axis=1).T, m, axis=1))
-        i, start = i + g, start + g * m
-    Z, S = np.concatenate(Zs, axis=1), np.concatenate(Ss, axis=1)
-    A, C = S[1] + N[: len(e)], Z[2]
+    Every product is a `core.sesquilinear` sum, elementwise on the whole
+    stack, so a column has the same bits in any stack."""
+    sizes, space = [len(b[1]) for b in blocks], blocks[0][0].space
+    R = np.array([(w1, w2, t.qr, t.pr, t.qp) for t, _, w1, w2, _ in blocks])
+    # per block <pos, qr>, <neg, qr>, <qr, qr> and |qr|^2, then per column
+    # its block's values and its block's rows pos, neg, qr, pr, qp
+    per_block = np.concatenate([space.form(R[:, :3], R[:, 2, None]), sesquilinear(R[:, 2], R[:, 2])[:, None]], axis=1)
+    up, un, nq, eq = np.repeat(per_block.T, sizes, axis=1)
+    X, (pr, qp) = (np.repeat(R[:, i].transpose(1, 0, 2), sizes, axis=1) for i in (slice(3), slice(3, 5)))
+    e = np.exp(-1j * np.concatenate([b[1] for b in blocks]))[:, None]
+    B = e * pr + e.conj() * qp
+    fp, fn, C = space.form(X, B)
+    A = nq.real + space.form(B, B).real
+    sq = np.array([fp, fn, up, un])
+    sq = sq.real**2 + sq.imag**2
+    k = [eq.real + sesquilinear(B, B).real, sq[0] + sq[2], sq[1] + sq[3]]
+    cross = np.array([sesquilinear(X[2], B), fp * up.conj(), fn * un.conj()])
+    kpq = np.array([k, -2.0 * cross.real, -2.0 * cross.imag])
     mid, half = _arcs(A, C)
     in_ball = np.repeat([b[4] for b in blocks], sizes)
-    sq = np.concatenate([Bt, Z[:2]])
-    sq = sq.real**2 + sq.imag**2
-    cross = Z[[3, 4, 5]]
-    kpq = np.array([S[[0, 2, 3]] + [(sq[0] + sq[1]) + sq[2], sq[3], sq[4]], -2.0 * cross.real, -2.0 * cross.imag])
     return kpq, (A, C), (np.where(in_ball, mid, 0.0), np.where(in_ball, half, math.pi))
 
 
@@ -186,9 +172,7 @@ def column_minima(blocks) -> tuple:
     mid +- half (mid = arg C, half = arccos(A / 2|C|) for <V, V> = A - 2|C|
     cos(sigma - arg C); pi where the whole column is in the ball, nan where
     no point is), or over the whole column (0 +- pi) for a block whose ball
-    is False; inf where the arc is empty.  verify's call, through
-    `torus_exclusion` (six blocks, 724 columns at grid 720), takes about
-    0.35 ms (least of 3,000 runs on 2 cores, Python 3.11, numpy 2.4).
+    is False; inf where the arc is empty.
 
     On the arc the minimum of the ratio sits at an arc end or where E' |V|^2
     - E (|V|^2)' vanishes, a constant plus one harmonic with closed-form
@@ -234,8 +218,7 @@ def torus_exclusion(passes, blocks, m: int) -> tuple[list, np.ndarray]:
     delta_v); a vertex's residual is its projective distance to the nearer
     end of the delta_v arc.  One `column_minima` call reads these columns,
     each delta_v column as a block alone, and `blocks`.  Exact in sigma,
-    sampled in delta; about 0.45 ms for verify's two passes and TF's two
-    reads at m = 360, 0.35 ms of it in `column_minima`."""
+    sampled in delta."""
     k, (offsets, sin2) = len(passes), _offsets(m)
     dvs = np.array([((th - ph) / 2.0) % math.pi for th, ph in vertex_angles([(t, v[0]) for t, _, v in passes])])
     # the passes' columns, then each delta_v column alone, then `blocks`
@@ -243,23 +226,14 @@ def torus_exclusion(passes, blocks, m: int) -> tuple[list, np.ndarray]:
     minima, mid, half = column_minima(cols + blocks)
     margins = (minima[: k * m].reshape(k, m) / sin2).min(axis=1)
     mid, half = mid[k * m : k * m + k, None], half[k * m : k * m + k, None]
-    s, dv = mid + half * _ENDS, dvs[:, None]
-    # per pass: the torus points qr - e^{-i theta} pr - e^{-i phi} qp at the
-    # two arc ends, every pass at once, then the two vertices, as unit vectors
+    s, dv = mid + half * np.array([-1.0, 1.0]), dvs[:, None]
+    # per pass the torus points qr - e^{-i theta} pr - e^{-i phi} qp at the two
+    # arc ends, and their distances [pass, vertex, end] to the two vertices
     R = np.array([(t.qr, t.pr, t.qp) for t, _, _ in passes])
-    x = np.concatenate([
-        R[:, None, 0] - np.exp(-1j * (s + dv))[..., None] * R[:, None, 1] - np.exp(-1j * (s - dv))[..., None] * R[:, None, 2],
-        np.array([vs for _, _, vs in passes]),
-    ], axis=1)
-    x /= np.linalg.norm(x, axis=-1, keepdims=True)
-    ends, t = x[:, :2], x[:, 2:]
-    # [pass, vertex, end]: each end less its projection on the vertex
-    d = ends[:, None] - (t.conj() @ ends.transpose(0, 2, 1))[..., None] * t[:, :, None]
-    resids = np.where(np.isnan(half), math.inf, np.linalg.norm(d, axis=-1).min(axis=-1))
+    ends = R[:, None, 0] - np.exp(-1j * (s + dv))[..., None] * R[:, None, 1] - np.exp(-1j * (s - dv))[..., None] * R[:, None, 2]
+    dist = _proj_distances(ends[:, None], np.array([vs for _, _, vs in passes])[:, :, None])
+    resids = np.where(np.isnan(half), math.inf, dist.min(axis=-1))
     return [(float(a), r) for a, r in zip(margins, resids.tolist())], minima[k * m + k :]
-
-
-_ENDS = np.array([-1.0, 1.0])
 
 
 @functools.cache
@@ -281,16 +255,14 @@ def giraud_circle_tangents(pairs):
     # phi derivatives
     v, dv = R[:, 0] - PQ[:, 0] - PQ[:, 1], 1j * PQ
     x = np.array([t for _, t in pairs])
-    a, b = (y / np.linalg.norm(y, axis=1, keepdims=True) for y in (v, x))
-    dist = np.linalg.norm(a - (b.conj() * a).sum(axis=1, keepdims=True) * b, axis=1)
-    g = 2.0 * ((v.conj() @ pairs[0][0].space.J)[:, None] * dv).sum(axis=-1).real
+    g = 2.0 * pairs[0][0].space.form(v[:, None], dv).real
     # curve tangent in parameter space is orthogonal to the norm gradient
     w = (dv * (g[:, ::-1] * [-1.0, 1.0])[..., None]).sum(axis=1)
     # velocity in the affine chart that pins the relative lift scale
     j = np.argmax(np.abs(x), axis=1)
     vj, wj = (y[np.arange(len(pairs)), j, None] for y in (v, w))
     what = (w * vj - v * wj) / vj**2
-    return what[np.arange(3) != j[:, None]].reshape(-1, 2), v, dist
+    return what[np.arange(3) != j[:, None]].reshape(-1, 2), v, _proj_distances(v, x)
 
 
 def _arcs(A, C):
@@ -337,11 +309,11 @@ def symmetric_kinds(boxes, space, tol) -> tuple[list, list]:
     """(u, kinds) of the intersections B(p,q) /\\ B(p,r) of order-3
     symmetric triples, decided by u = <pxq, pxq> / <pxq, qxr> against 2/3,
     from the box products (p box q, q box r, r box p) of each triple, shape
-    (m, 3, 3), and their Gram blocks, one matmul.  Raises GeometryError for
+    (m, 3, 3), and their Gram blocks, one form.  Raises GeometryError for
     a triple that is not order-3 symmetric, or whose mixed product is not
     real negative."""
     us, kinds = [], []
-    for K in ((boxes.conj() @ space.J) @ boxes.transpose(0, 2, 1)).tolist():
+    for K in space.form(boxes[:, :, None], boxes[:, None]).tolist():
         (l1, k1, _), (_, l2, k2), (k3, _, l3) = K
         l1, l2, l3 = l1.real, l2.real, l3.real
         scale = max(abs(k1), abs(l1), 1e-300)

@@ -9,6 +9,10 @@ The sesquilinear convention throughout is
 (conjugate-linear in the first slot, linear in the second).  All derived
 formulas in the other modules assume this convention; tests flag any
 identity that only holds after a conjugation swap.
+
+Every product on the verify and figure path is a fixed-order elementwise
+sum, `sesquilinear` (`HermitianSpace.form` on the terms of J) or `apply`:
+no BLAS routine forms a number, and a row has its bits in any array.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 DEFAULT_TOL = 1e-9
+EUCLIDEAN = ((0, 0, 1.0), (1, 1, 1.0), (2, 2, 1.0))
 
 
 def tolerance(tol=None):
@@ -49,6 +54,24 @@ def cross(a, b):
     return a[..., i] * b[..., j] - a[..., j] * b[..., i]
 
 
+def sesquilinear(X, Y, terms=EUCLIDEAN):
+    """The sum of conj(X_i) c Y_j over the terms (i, j, c), left to right, of
+    arrays of shape (..., 3) broadcast against each other, shape (...): a
+    unit c multiplies nothing, any other is taken as (conj(X_i) c) Y_j.  The
+    default terms give the Euclidean product sum conj(X_i) Y_i."""
+    Xc, total = np.conj(X), None
+    for i, j, c in terms:
+        t = Xc[..., i] * Y[..., j] if c == 1.0 else Xc[..., i] * c * Y[..., j]
+        total = t if total is None else total + t
+    return total
+
+
+def apply(M, X):
+    """M x for every row x of X (..., 3), M (..., 3, 3) broadcast against the
+    leading axes of X: x_0 M[:, 0] + x_1 M[:, 1] + x_2 M[:, 2], left to right."""
+    return X[..., 0, None] * M[..., 0] + X[..., 1, None] * M[..., 1] + X[..., 2, None] * M[..., 2]
+
+
 def box_rows(a, b, space: "HermitianSpace") -> np.ndarray:
     """The box products of the rows of a and b, shape (..., 3): J^{-1}
     conj(a x b), the unique s with <s, r> = det(a, b, r).  Each complex
@@ -62,7 +85,7 @@ def box_rows(a, b, space: "HermitianSpace") -> np.ndarray:
     c = np.empty(re.shape[:-1] + (3,), dtype=complex)
     c.real = re[..., :3] - re[..., 3:]
     c.imag = im[..., 3:] - im[..., :3]
-    return c @ space.J_inv.T
+    return apply(space.J_inv, c)
 
 
 def _sign_changes(coeffs) -> int:
@@ -80,7 +103,7 @@ def _adjugate_and_signature(J):
     on (1, -c1, c2, -c3), the negative ones on (1, c1, c2, c3).
     """
     adj = cross(J[[1, 2, 0]], J[[2, 0, 1]]).T
-    det = (J[0] @ adj[:, 0]).real
+    det = (J[0, 0] * adj[0, 0] + J[0, 1] * adj[1, 0] + J[0, 2] * adj[2, 0]).real
     c1, c2 = np.trace(J).real, np.trace(adj).real
     return adj, det, (_sign_changes((1.0, -c1, c2, -det)), _sign_changes((1.0, c1, c2, det)))
 
@@ -90,11 +113,13 @@ class HermitianSpace:
     """A Hermitian form of signature (2,1) on C^3.
 
     The signature is read off the characteristic polynomial and J_inv is
-    adj(J) / det J, both in closed form (`_adjugate_and_signature`)."""
+    adj(J) / det J, both in closed form (`_adjugate_and_signature`); terms
+    are the nonzero entries (i, j, J_ij) of J in row order."""
 
     J: np.ndarray
     model_tag: Model = Model.CUSTOM
     J_inv: np.ndarray = field(init=False, repr=False, compare=False)
+    terms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         J = np.asarray(self.J, dtype=complex)
@@ -110,6 +135,8 @@ class HermitianSpace:
         J_inv = adj / det
         J_inv.setflags(write=False)
         object.__setattr__(self, "J_inv", J_inv)
+        terms = tuple((i, j, complex(J[i, j])) for i in range(3) for j in range(3) if J[i, j] != 0)
+        object.__setattr__(self, "terms", terms)
 
     def __eq__(self, other):
         if not isinstance(other, HermitianSpace):
@@ -119,20 +146,23 @@ class HermitianSpace:
     def __hash__(self):
         return hash((self.model_tag, self.J.tobytes()))
 
+    def form(self, X, Y):
+        """<X, Y> of arrays of shape (..., 3) broadcast against each other:
+        `sesquilinear` on the terms of J (three products and two sums)."""
+        return sesquilinear(X, Y, self.terms)
+
     def inner_grid(self, w: np.ndarray, V: np.ndarray) -> np.ndarray:
-        """<w, V_i> for every row V_i of V, shape (..., 3) -> (...): the
-        functional w^H J is formed once and applied by one matmul.  For k
-        rows w_j, shape (k, 3), it is the Gram array <w_j, V_i> of shape
-        (..., k)."""
-        return V @ (w.conj() @ self.J).T
+        """<w, V_i> for every row V_i of V, shape (..., 3) -> (...); for k rows
+        w_j, shape (k, 3), the Gram array <w_j, V_i> of shape (..., k)."""
+        return self.form(w, V[..., None, :] if np.ndim(w) == 2 else V)
 
     def norm_grid(self, V: np.ndarray) -> np.ndarray:
-        """<V_i, V_i> (real) for every row V_i of V, shape (..., 3) -> (...).
+        """<V_i, V_i> (real) for every row V_i of V, shape (..., 3) -> (...)."""
+        return self.form(V, V).real
 
-        Summed as V_i . conj(J V_i), whose real part is the norm, so only
-        one grid-sized temporary is allocated."""
-        JV = V @ self.J.T
-        return np.einsum("...k,...k->...", V, np.conjugate(JV, out=JV)).real
+    def gram(self, X: np.ndarray) -> np.ndarray:
+        """The Gram table G[i, j] = <X_i, X_j> of the rows of X, shape (k, 3)."""
+        return self.form(X[:, None], X[None])
 
 
 @functools.cache
@@ -171,4 +201,4 @@ def inner(u: HVec, v: HVec) -> complex:
     # identity first: comparing the forms runs np.array_equal on J
     if u.space is not v.space and u.space != v.space:
         raise GeometryError("operands live in different Hermitian spaces")
-    return complex(np.vdot(u.v, u.space.J @ v.v))
+    return complex(u.space.form(u.v, v.v))

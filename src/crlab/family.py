@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import GeometryError, siegel_model, tolerance
+from .core import GeometryError, apply, siegel_model, tolerance
 from .isometry import Isometry
 
 ALPHA2_LIM = math.acos(math.sqrt(3.0 / 8.0))
@@ -181,26 +181,25 @@ def face_points(alpha2: float) -> np.ndarray:
     e^{-l} (loxodromic side) or e^{i beta}, e^{-i beta} (elliptic side), in
     closed form with delta = sqrt((tr U - 3)(tr U + 1)) as in `param_side`;
     at the unipotent parameter delta = 0 and the two coincide.  Every other
-    row is a matrix times one vector, as `Isometry.apply` forms it, so it has
-    the bits of that product taken alone."""
+    row is `core.apply` of S, U or U^-1 to a row, where J U = S^H J T is the
+    form of the columns of S against those of T, and J U^-1 = T^H J S its
+    adjoint."""
     params, sp = FamilyParams(0.0, alpha2), siegel_model()
-    S = rho_s(params)
-    U = sp.J_inv @ S.conj().T @ sp.J @ rho_t(params)  # S^-1 T, as Isometry.inv and @ form it
-    Ui = sp.J_inv @ U.conj().T @ sp.J
+    S, T = rho_s(params), rho_t(params)
+    G = sp.form(S.T[:, None], T.T[None])
+    UU = apply(sp.J_inv, np.stack([G.T, G.conj()])).transpose(0, 2, 1)  # U, U^-1
     e = cmath.exp(1j * alpha2)
     c8 = 8.0 * math.cos(alpha2) ** 2
     delta = cmath.sqrt((c8 - 3.0) * (c8 + 1.0))
     P = np.zeros((16, 3), dtype=complex)
     P[P_A, 0] = P[P_B, 2] = 1.0
     P[P_U] = 1.0, -math.sqrt(2.0) / 2.0 * e, e * e
-    P[P_V] = S @ P[P_U]
-    P[P_W] = S @ P[P_V]
+    P[P_V] = apply(S, P[P_U])
+    P[P_W] = apply(S, P[P_V])
     for row, d in ((P_U1, delta), (P_U2, -delta)):
         P[row] = 2.0 * (2.0 * e * e + 1.0), -math.sqrt(2.0) * e * (2.0 * e * e + 1.0 + d), -(c8 + 1.0) - d
-    P[U_PA:UI_PB] = np.matmul(U, P[[P_A, P_B, P_V, P_W], :, None])[..., 0]
-    P[UI_PB:U2_PV] = np.matmul(Ui, P[[P_B, P_V, P_W], :, None])[..., 0]
-    P[U2_PV] = U @ P[U_PV]
-    P[UI2_PW] = Ui @ P[UI_PW]
+    P[U_PA:U2_PV] = apply(UU[[0, 0, 0, 0, 1, 1, 1]], P[[P_A, P_B, P_V, P_W, P_B, P_V, P_W]])
+    P[U2_PV:] = apply(UU, P[[U_PV, UI_PW]])
     return P
 
 

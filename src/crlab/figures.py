@@ -7,10 +7,10 @@ written with 17 significant digits in CSV (round-trip exact) and 9 in SVG:
 every CSV value and every polyline point by the exact numpy kernel of
 `csvfloat` (`g17_fields`, `g9_fields`), and the few scalar SVG attributes
 (view box, stroke widths, marks) by %.9g itself.  Output bytes are
-identical from run to run and across worker counts.  They are not
-promised across numpy's and cmath's roundings: a grid evaluated by numpy
-ufuncs may differ in the last bits from the same formula evaluated on
-Python scalars.
+identical from run to run, across worker counts and across OpenBLAS
+kernels: no product goes through BLAS (`core.sesquilinear`, `core.apply`).
+They are not promised across numpy's CPU-dispatch levels, nor across its
+and cmath's roundings (numpy ufuncs against Python scalars).
 """
 
 from __future__ import annotations

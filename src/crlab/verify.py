@@ -34,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import GeometryError, box_rows, siegel_model, tolerance
+from .core import GeometryError, apply, box_rows, siegel_model, tolerance
 from .family import (
     P_A, P_B, P_U, P_V, P_W, P_U1, P_U2, U_PA, U_PB, U_PV, U_PW, UI_PB, UI_PV, UI_PW, U2_PV, UI2_PW,
     SideKind,
@@ -100,7 +100,7 @@ class FaceFamily:
         self.side = param_side(self.alpha2, self.tol)
         self.space = siegel_model()
         self.P = face_points(self.alpha2)
-        self.G = (self.P.conj() @ self.space.J) @ self.P.T
+        self.G = self.space.gram(self.P)
         self.lengths = np.linalg.norm(self.P, axis=1)
         self.boxes = box_rows(self.P[BOX_PAIRS[0]], self.P[BOX_PAIRS[1]], self.space)
         self.I = involution_matrix(self.alpha2)
@@ -244,9 +244,9 @@ def incidence_check(ff: FaceFamily) -> CheckResult:
     # on real-spine samples p_U + lam q of each side, shape (k, side, lam, 3),
     # q = U^k p_V and U^-k p_W for k = 0, 1, 2
     q = P[[[P_V, P_W], [U_PV, UI_PW], [U2_PV, UI2_PW]]]
-    iz = (P[P_U] + SPINE_LAMBDAS * q[:, :, None]) @ ff.I.T
-    to_image = np.abs(((iz.conj() @ sp.J) * q[:, ::-1, None]).sum(axis=-1))
-    sym = np.abs(np.abs(sp.inner_grid(P[P_U], iz)) - to_image) / np.maximum(1.0, (np.abs(iz) ** 2).sum(axis=-1))
+    iz = apply(ff.I, P[P_U] + SPINE_LAMBDAS * q[:, :, None])
+    to_image = np.abs(sp.form(iz, q[:, ::-1, None]))
+    sym = np.abs(np.abs(sp.form(P[P_U], iz)) - to_image) / np.maximum(1.0, (np.abs(iz) ** 2).sum(axis=-1))
     res.residuals["max_involution_symmetry"] = float(sym.max())
     # U acts on the chart by its multiplier m, from which every translate's
     # silhouette is taken: checked at the vertices and at p_V, p_W

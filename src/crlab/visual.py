@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GeometryError, HermitianSpace, cross
+from .core import GeometryError, HermitianSpace, apply, cross
 
 INF = complex(math.inf, 0.0)
 _EYE3 = np.eye(3)
@@ -49,22 +49,20 @@ class VisualChart:
         L = np.linalg.norm(X, axis=1)
         if (np.abs(self.space.inner_grid(X[1:], X[0])) > 1e-8 * L[0] * L[1:]).any():
             raise GeometryError("chart points must lie on the polar line of base")
-        (a0, a1, a2), (b0, b1, b2) = X[1:].tolist()
-        if max(abs(a1 * b2 - a2 * b1), abs(a2 * b0 - a0 * b2), abs(a0 * b1 - a1 * b0)) <= 1e-12:
+        if np.abs(cross(X[1], X[2])).max() <= 1e-12:
             raise GeometryError("chart points must be distinct")
 
     def __call__(self, q) -> complex:
         """Chart coordinate, on the extended plane, of the line through base
         and the coordinate vector q (q != base)."""
-        num, den = (complex(np.vdot(w, self.space.J @ q)) for w in (self.p_prime, self.p_dprime))
+        num, den = (complex(self.space.form(w, q)) for w in (self.p_prime, self.p_dprime))
         if num == 0 and den == 0:
             raise GeometryError("chart undefined at its base point")
         return ext_div(num, den)
 
     def values(self, V: np.ndarray) -> np.ndarray:
         """Vectorized chart on an array of representatives, shape (..., 3)."""
-        num = self.space.inner_grid(self.p_prime, V)
-        den = self.space.inner_grid(self.p_dprime, V)
+        num, den = (self.space.form(w, V) for w in (self.p_prime, self.p_dprime))
         with np.errstate(divide="ignore", invalid="ignore"):
             return num / den
 
@@ -99,8 +97,9 @@ def tangencies(G, lengths, p: int, q: int, rs, tol) -> list[bool]:
     return found
 
 
-def _null_circles(B, J):
-    """Null circles of the planes spanned by the row pairs of B (..., 2, 3).
+def _null_circles(B, space):
+    """Null circles of the planes spanned by the row pairs of B (..., 2, 3),
+    coordinate vectors of `space`.
 
     Uses the eigenbasis of each restricted form [[a, b], [b*, d]], in closed
     form: with m = (a + d)/2, s = (a - d)/2 and h = hypot(s, |b|), the
@@ -113,8 +112,8 @@ def _null_circles(B, J):
     sqrt(-lam- / lam+).  Returns (em, ep, rho, keep); keep is False where
     the form is definite or degenerate and the line misses the ball.
     """
-    G = B.conj() @ J @ np.swapaxes(B, -1, -2)
-    a, d, b = G[..., 0, 0].real, G[..., 1, 1].real, G[..., 0, 1]
+    G = space.form(B[..., [0, 1, 0], :], B[..., [0, 1, 1], :])
+    a, d, b = G[..., 0].real, G[..., 1].real, G[..., 2]
     m, s = 0.5 * (a + d), 0.5 * (a - d)
     b2 = (b * b.conj()).real
     h = np.hypot(s, np.abs(b))
@@ -133,17 +132,17 @@ def _null_circles(B, J):
         rho = np.sqrt(-lam_m / lam_p)
     scale = 1e-14 * np.maximum(np.abs(lam_m), np.abs(lam_p))
     keep = (lam_m < -scale) & (lam_p > scale)
-    em, ep = ((v[..., i, None, :] @ B)[..., 0, :] for i in (0, 1))
-    return em, ep, rho, keep
+    E = v[..., 0, None] * B[..., None, 0, :] + v[..., 1, None] * B[..., None, 1, :]
+    return E[..., 0, :], E[..., 1, :], rho, keep
 
 
-def _polar_basis(poles, J):
+def _polar_basis(poles, space):
     """Orthonormal row pairs (..., 2, 3) spanning the polar lines of poles
-    (..., 3).  The polar line of a pole is the Euclidean complement of
-    w = J pole; with e the unit vector on the least |w_i|, it is spanned by
-    u1 = conj(w x e) and u2 = conj(w x u1), |u1|^2 = |w|^2 - |w_i|^2 and
-    |u2| = |w| |u1|, each scaled to norm 1."""
-    w = poles @ J.T
+    (..., 3), coordinate vectors of `space`.  The polar line of a pole is the
+    Euclidean complement of w = J pole; with e the unit vector on the least
+    |w_i|, it is spanned by u1 = conj(w x e) and u2 = conj(w x u1), |u1|^2 =
+    |w|^2 - |w_i|^2 and |u2| = |w| |u1|, each scaled to norm 1."""
+    w = apply(space.J, poles)
     B = np.empty(w.shape[:-1] + (2, 3), dtype=complex)
     B[..., 0, :] = cross(w, _EYE3[np.argmin(np.abs(w), axis=-1)]).conj()
     B[..., 0, :] /= np.linalg.norm(B[..., 0, :], axis=-1, keepdims=True)
@@ -195,10 +194,10 @@ def silhouette_circles(chart: VisualChart, Q, pq, scale, tol):
     poles = chart.base - eps[:, None] * Q
     if any(n <= g for n, g in zip(chart.space.norm_grid(poles).tolist(), gates)):
         raise GeometryError("silhouette slice has a pole of norm <= 0")
-    J = chart.space.J
-    em, ep, rho, _ = _null_circles(_polar_basis(poles, J), J)
+    em, ep, rho, _ = _null_circles(_polar_basis(poles, chart.space), chart.space)
     # a, b = <p', em>, rho <p', ep> and c, d = <p'', em>, rho <p'', ep>, per bisector
-    abcd = (np.stack([chart.p_prime, chart.p_dprime]).conj() @ J) @ np.stack([em, rho[:, None] * ep], axis=-1)
+    X, Y = np.stack([chart.p_prime, chart.p_dprime]), np.stack([em, rho[:, None] * ep], axis=1)
+    abcd = chart.space.form(X[:, None], Y[:, None])
     sils = []
     for e, ((a, bw), (c, d)) in zip(eps.tolist(), abcd):
         den = abs(c) ** 2 - abs(d) ** 2

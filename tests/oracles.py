@@ -51,7 +51,7 @@ from crlab.bisector import (
     pair_kinds,
     symmetric_kinds,
 )
-from crlab.core import GeometryError, HVec, inner, tolerance
+from crlab.core import GeometryError, HVec, inner, sesquilinear, tolerance
 from crlab.family import FamilyParams, FamilyRep, SideKind
 from crlab.isometry import Isometry
 from crlab.reference import Location, box, locate, proj_equal, remarkable_points
@@ -139,17 +139,16 @@ def _column_rows(torus, B, ws):
     |<w, qr> - e^{-i sigma} <w, B_d>|^2, as sinusoids in sigma, for the rows
     B of `delta_rows`: each form on its own, apart from the
     program's stacked `bisector._column_sinusoids`."""
-    den = _harmonic(*_abs2_terms(torus.qr, B))
-    # <w, V> = V @ f, f = w^H J as in `HermitianSpace.inner_grid`: f is
-    # formed once for both qr and B
-    fs = [w.conj() @ torus.space.J for w in ws]
-    return den, [_harmonic(*_abs2_terms((torus.qr @ f)[None], (B @ f)[:, None])) for f in fs]
+    sp, qr = torus.space, torus.qr
+    den = _harmonic(sesquilinear(qr, qr).real + sesquilinear(B, B).real, sesquilinear(qr, B))
+    return den, [_harmonic(*_abs2_terms(sp.form(w, qr[None]), sp.form(w, B))) for w in ws]
 
 
 def _abs2_terms(u: np.ndarray, v: np.ndarray):
     """(A, C) with |u - z v_d|^2 = A_d - 2 Re(z C_d) for |z| = 1, where u has
-    shape (k,) and v shape (len(deltas), k): A = |u|^2 + |v_d|^2, C = u^H v_d."""
-    return np.vdot(u, u).real + (v.real**2 + v.imag**2).sum(axis=1), v @ u.conj()
+    shape (1,) and v shape (len(deltas),): A = |v_d|^2 + |u|^2, C = v_d
+    conj(u)."""
+    return v.real**2 + v.imag**2 + (u.real**2 + u.imag**2), v * u.conj()
 
 
 def _harmonic(A, C) -> tuple:
@@ -257,10 +256,10 @@ def spinal_samples(b: Bisector, n_alpha=96, n_t=48):
     found as in `slice_boundary_circle`, for all alphas at once through the
     same batched closed forms.  Slices missing the ball are skipped.
     """
-    J = b.p.space.J
+    sp = b.p.space
     alphas = np.exp(1j * np.linspace(0, 2 * math.pi, n_alpha, endpoint=False))
     poles = b.q.v - alphas[:, None] * b.p.v
-    em, ep, rho, keep = _null_circles(_polar_basis(poles, J), J)
+    em, ep, rho, keep = _null_circles(_polar_basis(poles, sp), sp)
     if not keep.any():
         raise GeometryError("spinal surface sampling found no boundary points")
     phase = rho[keep, None] * np.exp(1j * np.linspace(0, 2 * math.pi, n_t, endpoint=False))
@@ -288,10 +287,10 @@ def line_spinal_crossings(p: HVec, q: HVec, r: HVec, n=4096):
     return int(np.count_nonzero(nz != np.roll(nz, 1)))
 
 
-def _boundary_circle(B, J):
+def _boundary_circle(B, space):
     """t -> representatives of the null circle of the plane spanned by the
     rows of B, or None when that line misses the closed ball."""
-    em, ep, rho, keep = _null_circles(B, J)
+    em, ep, rho, keep = _null_circles(B, space)
     if not keep:
         return None
     return lambda ts: circle_points(em, ep, rho, ts)
@@ -303,13 +302,13 @@ def boundary_circle_of_plane(p: HVec, r: HVec):
     Returns None when the complex line through [p], [r] misses the closed
     ball.
     """
-    return _boundary_circle(np.stack([p.v, r.v]), p.space.J)
+    return _boundary_circle(np.stack([p.v, r.v]), p.space)
 
 
 def slice_boundary_circle(pole_vec: HVec):
     """Boundary circle of the polar line of pole_vec, as t -> vectors."""
-    J = pole_vec.space.J
-    return _boundary_circle(_polar_basis(pole_vec.v, J), J)
+    sp = pole_vec.space
+    return _boundary_circle(_polar_basis(pole_vec.v, sp), sp)
 
 
 def tangent_direction(p: HVec, x: HVec) -> np.ndarray:
@@ -330,11 +329,8 @@ def tangent_direction(p: HVec, x: HVec) -> np.ndarray:
 
 def angle_between(p: HVec, x: HVec, y: HVec) -> float:
     """Angle at interior [p] between the geodesics toward [x] and [y]."""
-    J = p.space.J
     ux, uy = tangent_direction(p, x), tangent_direction(p, y)
-
-    def ip(a, b):
-        return (a.conj() @ J @ b)
+    ip = p.space.form
 
     na = math.sqrt(max(ip(ux, ux).real, 1e-300))
     nb = math.sqrt(max(ip(uy, uy).real, 1e-300))
@@ -421,7 +417,7 @@ def table(*points: HVec):
     G[i, j] = <x_i, x_j> and the Euclidean lengths, the inputs of the
     program's kernels (`bisector_kinds`, `tangencies`, `angular_diameter`)."""
     X = np.array([x.v for x in points])
-    return (X.conj() @ points[0].space.J) @ X.T, np.linalg.norm(X, axis=1)
+    return points[0].space.gram(X), np.linalg.norm(X, axis=1)
 
 
 def bisector_kind(p: HVec, q: HVec, tol=None):
@@ -594,12 +590,11 @@ def _silhouettes(chart: VisualChart, bisectors, tol):
             raise GeometryError("silhouette slice has a pole of norm <= 0")
         poles.append(pole.v)
         signs.append(eps)
-    J = chart.space.J
-    em, ep, rho, _ = _null_circles(_polar_basis(np.array(poles), J), J)
-    P = np.stack([chart.p_prime, chart.p_dprime]).conj() @ J
+    sp = chart.space
+    em, ep, rho, _ = _null_circles(_polar_basis(np.array(poles), sp), sp)
     sils = []
     for eps, e_m, e_p, r in zip(signs, em, ep, rho):
-        (a, bw), (c, d) = P @ np.stack([e_m, r * e_p]).T
+        (a, bw), (c, d) = [[sp.form(x, y) for y in (e_m, r * e_p)] for x in (chart.p_prime, chart.p_dprime)]
         den = abs(c) ** 2 - abs(d) ** 2
         if abs(den) <= tol * (abs(c) ** 2 + abs(d) ** 2):
             raise GeometryError("silhouette passes through the chart's infinity")

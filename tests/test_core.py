@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from crlab.core import GeometryError, HVec, box_rows, inner, siegel_model
+from crlab.core import GeometryError, HVec, box_rows, inner, sesquilinear, siegel_model
+from crlab import core
 from crlab.family import ALPHA2_LIM, FamilyParams
 from crlab.reference import (
     Location,
@@ -121,6 +122,27 @@ def test_grid_forms_match_inner():
             z = HVec(V[i, j], sp)
             assert abs(forms[i, j] - inner(HVec(w, sp), z)) <= 1e-12
             assert abs(norms[i, j] - z.norm()) <= 1e-12
+
+
+def test_kernel_rows_keep_their_bits_in_any_array():
+    # the form, the Euclidean product and the matrix action are elementwise
+    # fixed-order sums: an entry has the same bits alone, in a stack and in
+    # a broadcast Gram table, and the values are those of the matrix products
+    J = np.array([[2.0, 0.3 + 0.1j, 0], [0.3 - 0.1j, 1.0, 0], [0, 0, -1.5]])
+    rng = np.random.default_rng(5)
+    X, Y = (rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3)) for _ in range(2))
+    M = rng.normal(size=(6, 3, 3)) + 1j * rng.normal(size=(6, 3, 3))
+    for sp in (siegel_model(), ball_model(), custom_model(J)):
+        G = sp.form(X[:, None], Y[None])
+        assert all(G[i, j] == sp.form(X[i], Y[j]) for i, j in np.ndindex(6, 6))
+        assert np.array_equal(sp.gram(X), sp.form(X[:, None], X[None]))
+        assert np.abs(G - X.conj() @ sp.J @ Y.T).max() <= 1e-13 * np.abs(G).max()
+    E = sesquilinear(X[:, None], Y[None])
+    assert all(E[i, j] == sesquilinear(X[i], Y[j]) for i, j in np.ndindex(6, 6))
+    assert np.abs(E - X.conj() @ Y.T).max() <= 1e-13 * np.abs(E).max()
+    A = core.apply(M, X)
+    assert all(np.array_equal(A[i], core.apply(M[i], X[i])) for i in range(6))
+    assert np.abs(A - (M @ X[..., None])[..., 0]).max() <= 1e-13 * np.abs(A).max()
 
 
 def test_box_orthogonality_and_collinear(siegel):

@@ -20,6 +20,8 @@ NOT_PROGRAM = ("__init__", "reference")
 MODULE_TOKEN_BUDGET = 7_168
 # verify.py's float literals in (0, 1e-2)
 VERIFY_GATE_LITERALS = 10
+# numpy's products, which can run through BLAS
+BLAS_PRODUCTS = ("matmul", "dot", "vdot", "einsum", "inner", "tensordot")
 
 
 def test_no_private_names_imported_across_modules():
@@ -122,11 +124,28 @@ def test_verify_reads_no_sampled_silhouette():
 def test_verify_path_uses_no_random_numbers_and_no_lapack():
     # the modules that verify and the figures run keep to closed forms and
     # ufuncs: no numpy.random, and no numpy.linalg routine but norm
-    # (isometry keeps its own, for classify)
+    # (isometry keeps its own, for classify).  No product goes through BLAS
+    # either: no @ and no matmul, dot, vdot, einsum, inner or tensordot, so
+    # every number is a fixed-order elementwise sum (`core.sesquilinear`,
+    # `core.apply`) with the same bits under every BLAS kernel; norm takes
+    # an axis, without which it sums by BLAS dot.  Exempt is
+    # family.FamilyRep, whose group words serve the classify command
     found = []
     for name in ("core.py", "family.py", "bisector.py", "visual.py", "verify.py", "figures.py", "csvfloat.py"):
         tree = ast.parse((SRC / name).read_text())
+        reps = [c for c in tree.body if name == "family.py" and isinstance(c, ast.ClassDef) and c.name == "FamilyRep"]
+        exempt = {id(n) for c in reps for n in ast.walk(c)}
         for node in ast.walk(tree):
+            if id(node) in exempt:
+                continue
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+                found.append(f"{name}:{node.lineno} @")
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in BLAS_PRODUCTS:
+                if _dotted(node.func).split(".")[0] in ("np", "numpy") or node.func.attr == "dot":
+                    found.append(f"{name}:{node.lineno} {node.func.attr}")
+            elif isinstance(node, ast.Call) and _dotted(node.func) in ("np.linalg.norm", "numpy.linalg.norm"):
+                if "axis" not in [k.arg for k in node.keywords] and len(node.args) < 3:
+                    found.append(f"{name}:{node.lineno} norm without an axis")
             if isinstance(node, ast.Import):
                 mods = [a.name for a in node.names]
             elif isinstance(node, ast.ImportFrom):

@@ -12,7 +12,9 @@ import pytest
 
 from crlab.bisector import GiraudTorus, giraud_circle_tangents, torus_exclusion
 from crlab.core import GeometryError, HVec, inner
-from crlab.family import ALPHA2_LIM, P_U, P_U1, P_U2, P_V, SideKind, alpha2_for_order, param_side
+from crlab.family import (
+    ALPHA2_LIM, P_A, P_B, P_U, P_U1, P_U2, P_V, P_W, U_PV, U_PW, UI_PV, UI_PW, SideKind, alpha2_for_order, param_side,
+)
 from crlab.reference import alpha2_for_length, proj_distance
 from crlab.visual import angular_diameter
 from crlab.verify import (
@@ -154,13 +156,15 @@ def test_tf_reads_the_complex_line_at_delta0_near_zero(alpha2):
     # delta0 tends to -pi/2 as alpha2 -> 0 and is that limit at 0: TF finds
     # the complex-line locus on the column at delta0 and keeps clear of it
     # at delta0 + pi/2 down to the least parameters; the verdict still
-    # fails on the vertex residuals, which grow like 1/alpha2^2
+    # fails on LC's vertex gate: faces_plus_plus_vertex_pB grows like
+    # 1/alpha2^2 (1.7e-6 at 1e-10)
     assert delta0(0.0) == -math.pi / 2
     assert delta0(alpha2) == pytest.approx(-math.pi / 2, abs=1e-11)
     r = verify(alpha2, grid_n=128)
     assert r.tf.residuals["cline_locus_at_delta0"] <= 1e-15
     assert r.tf.margins["cline_locus_off_delta0"] == pytest.approx(math.sqrt(0.1), rel=1e-9)
-    assert r.tf.residuals["vertex_pA_distance"] > 1e3 * r.tol
+    assert r.lc.residuals["faces_plus_plus_vertex_pB"] > 1e3 * r.tol and not r.lc.passed
+    assert any(n.startswith("faces_plus_plus_vertex_pB: vertex residual") and "exceeds the gate" in n for n in r.lc.notes)
     assert r.verdict.kind is VerdictKind.INCONCLUSIVE
 
 
@@ -750,22 +754,23 @@ def test_lc_common_constraint_matches_the_three_constraint_envelope(alpha2, grid
     # oracle: LC's former envelope of all three constraints of each face
     # pair.  The pair's common constraint alone is a lower bound of it on
     # every column, so the reported margin can never exceed the envelope's;
-    # on these parameters the two are equal
+    # on these parameters the two are equal.  The points and their
+    # U-translates are the rows of the program's table
     ff = FaceFamily(alpha2, grid_n=grid)
     lc = lc_check(ff)
-    pts, U, Ui = family_points(ff), family_U(ff), family_U(ff).inv()
+    p_A, p_B, p_U, p_V, p_W, UpV, UpW, UipV, UipW = (
+        HVec(ff.P[i], ff.space) for i in (P_A, P_B, P_U, P_V, P_W, U_PV, U_PW, UI_PV, UI_PW)
+    )
     m = grid // 2
     offsets = (np.arange(m) + 0.5) * (math.pi / m)
     for key, torus, negs, vertex in (
-        ("faces_minus_minus", giraud_torus(classify_bisector(pts.p_U, pts.p_W), classify_bisector(pts.p_U, apply(Ui, pts.p_W))),
-         [pts.p_V, apply(U, pts.p_V), apply(Ui, pts.p_V)], pts.p_A),
-        ("faces_plus_plus", giraud_torus(classify_bisector(pts.p_U, pts.p_V), classify_bisector(pts.p_U, apply(U, pts.p_V))),
-         [pts.p_W, apply(Ui, pts.p_W), apply(U, pts.p_W)], pts.p_B),
+        ("faces_minus_minus", giraud_torus(classify_bisector(p_U, p_W), classify_bisector(p_U, UipW)), [p_V, UpV, UipV], p_A),
+        ("faces_plus_plus", giraud_torus(classify_bisector(p_U, p_V), classify_bisector(p_U, UpV)), [p_W, UipW, UpW], p_B),
     ):
         pt = inner(HVec(torus.p, ff.space), vertex)
         theta, phi = (-cmath.phase(inner(HVec(w, ff.space), vertex) / pt) for w in (torus.q, torus.r))
         dv = ((theta - phi) / 2.0) % math.pi
-        minima = envelope_minima(torus, dv + offsets, pts.p_U.v, [w.v for w in negs])
+        minima = envelope_minima(torus, dv + offsets, p_U.v, [w.v for w in negs])
         envelope = float((minima / np.sin(offsets) ** 2).min())
         assert envelope >= lc.margins[key]
         assert envelope == lc.margins[key]
