@@ -20,7 +20,7 @@ import numpy as np
 from . import figures
 from .core import GeometryError, siegel_model
 from .family import FamilyParams, FamilyRep, alpha2_for_order
-from .isometry import Isometry, classify, elliptic_type, verify_su21
+from .isometry import MAX_ORDER, Isometry, classify, elliptic_type, verify_su21
 from .report import to_json
 from .verify import DEFAULT_GRID, verify
 
@@ -60,10 +60,14 @@ def _verify_one(job):
 
 
 def _bad_n_or_alpha2(n, alpha2) -> bool:
-    """Whether an order n below 4 or an alpha2 outside (0, pi/2) was given,
-    the usage error printed; None stands for a flag not given."""
+    """Whether an order n outside [4, MAX_ORDER] or an alpha2 outside
+    (0, pi/2) was given, the usage error printed; None stands for a flag
+    not given."""
     if n is not None and n < 4:
         print("error: --n must be at least 4", file=sys.stderr)
+        return True
+    if n is not None and n > MAX_ORDER:
+        print(f"error: --n must be at most {MAX_ORDER}, the largest order an alpha2 pins", file=sys.stderr)
         return True
     if alpha2 is not None and not (0.0 < alpha2 < math.pi / 2):
         print("error: --alpha2 must lie in (0, pi/2)", file=sys.stderr)

@@ -12,7 +12,6 @@ angle beta.
 from __future__ import annotations
 
 import cmath
-import enum
 import math
 import re
 from dataclasses import dataclass
@@ -20,11 +19,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import GeometryError, apply, siegel_model, tolerance
-from .isometry import Isometry
+from .core import GeometryError, apply, siegel_model
+from .isometry import Isometry, SideKind, rotation_turn, trace_side
 
 ALPHA2_LIM = math.acos(math.sqrt(3.0 / 8.0))
-MAX_ORDER = 10**6  # largest rotation order param_side recognizes
 
 
 @dataclass(frozen=True)
@@ -119,12 +117,6 @@ class FamilyRep:
         return Isometry(M, self.space)
 
 
-class SideKind(enum.Enum):
-    ELLIPTIC = "elliptic"
-    UNIPOTENT = "unipotent"
-    LOXODROMIC = "loxodromic"
-
-
 @dataclass(frozen=True)
 class ParamSide:
     """Which side of the unipotent wall alpha2 sits on, and the parameter there.
@@ -136,26 +128,24 @@ class ParamSide:
     kind: SideKind
     beta: float | None = None  # rotation angle, elliptic side
     length: float | None = None  # translation length l, loxodromic side
-    n: int | None = None  # order when beta = 2 pi / n exactly
+    n: int | None = None  # order when beta reads as 2 pi / n
     delta: complex = 0.0
 
 
 def param_side(alpha2: float, tol=None) -> ParamSide:
-    tol = tolerance(tol)
+    """The side of alpha2 by `isometry.trace_side` of tr U = 8 cos^2 alpha2,
+    and the order n where `rotation_turn` reads beta as 2 pi / n."""
     tr = 8.0 * math.cos(alpha2) ** 2
+    kind = trace_side(tr, tol).kind
     delta = cmath.sqrt((tr - 3.0) * (tr + 1.0))
-    if abs(tr - 3.0) <= 10 * tol:
-        return ParamSide(SideKind.UNIPOTENT, delta=0.0)
-    if tr < 3.0:
-        beta = math.acos((tr - 1.0) / 2.0)
-        n = None
-        ratio = 2.0 * math.pi / beta
-        cand = round(ratio)
-        if cand >= 3 and abs(ratio - cand) <= 1e-8 * cand and cand <= MAX_ORDER:
-            n = int(cand)
-        return ParamSide(SideKind.ELLIPTIC, beta=beta, n=n, delta=delta)
-    length = math.acosh((tr - 1.0) / 2.0)
-    return ParamSide(SideKind.LOXODROMIC, length=length, delta=delta)
+    if kind is SideKind.UNIPOTENT:
+        return ParamSide(kind, delta=0.0)
+    if kind is SideKind.LOXODROMIC:
+        return ParamSide(kind, length=math.acosh((tr - 1.0) / 2.0), delta=delta)
+    beta = math.acos((tr - 1.0) / 2.0)
+    turn = rotation_turn(beta / (2.0 * math.pi))
+    n = turn.denominator if turn is not None and turn.numerator == 1 else None
+    return ParamSide(kind, beta=beta, n=n, delta=delta)
 
 
 def alpha2_for_order(n: int) -> float:

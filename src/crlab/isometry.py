@@ -1,10 +1,16 @@
 """SU(2,1) elements: validity, trace classification, eigendata, fixed points.
 
-Classification follows the eigenvalues: three pairwise separated ones make
-a regular element (loxodromic when one is off the unit circle), clustered
-ones decide between unipotent, ellipto-parabolic, non-regular elliptic and
-the identity.  f(z) = |z|^4 - 8 Re(z^3) + 18|z|^2 - 27 is reported alongside;
-its triple zero at tr = 3 makes a band on f unfit to decide regularity.
+One rule, `trace_side`, reads an element's class from its trace alone, as
+Goldman's classification does (*Complex Hyperbolic Geometry*, 1999): about
+the nearest cusp 3 omega^k of the deltoid f = 0, a trace within 10 tol of
+the cusp is unipotent (or the identity), and off it the sign of f, written
+about the cusp, names the side.  The same rule gives the eigenvalues (the
+roots of the SU(2,1) cubic, solved about the cusp), the norm signs of the
+eigenvectors (Krein signs, read without the eigenvector) and, through
+`rotation_turn`, the order of a rotation; `family.param_side` reads the
+alpha1 = 0 slice through it.  `classify` asks the matrix only what the
+trace cannot tell: the identity from a unipotent element, and a complex
+reflection from an ellipto-parabolic one.
 """
 
 from __future__ import annotations
@@ -21,11 +27,17 @@ from .core import GeometryError, HermitianSpace, HVec, tolerance
 
 OMEGA = cmath.exp(2j * math.pi / 3)
 
-UNIPOTENT_CLUSTER_TOL = 1e-6
-CLUSTER_GAP = 5e-5  # eigenvalues closer than this (relative) form one cluster
-EIGEN_RESIDUAL_TOL = 1e-7
-RATIONAL_ANGLE_TOL = 1e-8
-MAX_ELLIPTIC_ORDER = 512
+# A trace pins the turn t of a rotation by 2 pi t to TURN_SLACK scale / |t|:
+# scale is 1 for param_side's 8 cos^2 alpha2, and for a matrix M the ulps
+# (at least 1) by which M's characteristic polynomial misses the SU(2,1)
+# cubic of its trace.  |t - p/n| |t| / scale reads at most 1.65e-17 through
+# param_side at every order n <= 3e5 (alpha2_for_order), 1.85e-17 through
+# s^-1 t at orders to 232,079, and 1.92e-17 on 6,000 conjugates of s^+-1
+# and t^+-1 by words of length 1-3.
+TURN_SLACK = 4e-17
+# the largest order that window pins: the windows of 1/n and of any p/m
+# (m <= MAX_ORDER) stay apart while 2 TURN_SLACK MAX_ORDER^3 <= 1
+MAX_ORDER = 232_079
 
 
 class IsometryKind(enum.Enum):
@@ -85,6 +97,56 @@ def goldman_f(z):
     return abs(z) ** 4 - 8.0 * (z**3).real + 18.0 * abs(z) ** 2 - 27.0
 
 
+class SideKind(enum.Enum):
+    """An element's class by its trace."""
+
+    ELLIPTIC = "elliptic"  # f < 0: three distinct unit eigenvalues
+    UNIPOTENT = "unipotent"  # at a cusp: unipotent or the identity
+    LOXODROMIC = "loxodromic"  # f > 0
+    REPEATED = "repeated"  # f = 0 off the cusps: a repeated unit eigenvalue
+
+
+@dataclass(frozen=True)
+class TraceSide:
+    kind: SideKind
+    k: int  # the nearest cusp is 3 omega^k
+    eps: complex  # omega^-k tr - 3
+
+
+def trace_side(tau, tol=None) -> TraceSide:
+    """The side of an element of trace tau, read about its nearest cusp.
+
+    With eps = omega^-k tau - 3 = x + iy, Goldman's f(tau) equals
+    108 y^2 + 4x(x^2 + 9y^2) + |eps|^4 exactly ((tau - 3)^3 (tau + 1) for
+    real tau): summed so, its sign keeps its digits next to the cusp,
+    where `goldman_f` loses them to cancellation.  Unipotent within
+    |eps| <= 10 tol; a repeated eigenvalue where |f| is within tol of the
+    size of its terms; else elliptic for f < 0 and loxodromic for f > 0.
+    """
+    tol = tolerance(tol)
+    k = round(1.5 * cmath.phase(tau) / math.pi) % 3
+    eps = tau * OMEGA**-k - 3.0
+    x, y = eps.real, eps.imag
+    terms = (108.0 * y * y, 4.0 * x * (x * x + 9.0 * y * y), (x * x + y * y) ** 2)
+    f = sum(terms)
+    if abs(eps) <= 10 * tol:
+        kind = SideKind.UNIPOTENT
+    elif abs(f) <= tol * sum(map(abs, terms)):
+        kind = SideKind.REPEATED
+    else:
+        kind = SideKind.ELLIPTIC if f < 0 else SideKind.LOXODROMIC
+    return TraceSide(kind, k, eps)
+
+
+def rotation_turn(turn: float, scale=1.0) -> Fraction | None:
+    """The fraction p/n (n <= MAX_ORDER) within TURN_SLACK scale / |turn|
+    of a rotation by 2 pi turn, or None."""
+    frac = Fraction(turn).limit_denominator(MAX_ORDER)
+    if frac == 0 or abs(turn - frac) > TURN_SLACK * scale / abs(turn):
+        return None
+    return frac
+
+
 def _cubic_roots(c2: complex, c1: complex, c0: complex):
     """Roots of x^3 - c2 x^2 + c1 x - c0 by Cardano, branch by separation."""
     # substitute x = t + c2/3 to get the depressed cubic t^3 + p t + q
@@ -96,54 +158,36 @@ def _cubic_roots(c2: complex, c1: complex, c0: complex):
     # pick the cube-root argument with larger modulus to avoid cancellation
     u3a, u3b = -q / 2.0 + sq, -q / 2.0 - sq
     u3 = u3a if abs(u3a) >= abs(u3b) else u3b
-    if abs(u3) < 1e-300:
-        ts = [0.0 + 0.0j] * 3
-    else:
-        u = u3 ** (1.0 / 3.0)
-        roots = [u * OMEGA**k for k in range(3)]
-        ts = [u_ - p / (3.0 * u_) for u_ in roots]
-    return [t + shift for t in ts]
+    roots = [u3 ** (1.0 / 3.0) * OMEGA**k for k in range(3)]
+    return [u - p / (3.0 * u) + shift for u in roots]
 
 
 def _newton_refine(lam, c2, c1, c0, steps=3):
     for _ in range(steps):
         f = ((lam - c2) * lam + c1) * lam - c0
         df = (3.0 * lam - 2.0 * c2) * lam + c1
-        if abs(df) < 1e-300:
-            break
         lam = lam - f / df
     return lam
 
 
-def _polish_clusters(roots, c2, c1):
-    """Snap nearly-coincident roots to their well-conditioned cluster value.
+def _cusp_roots(side: TraceSide):
+    """The z with omega^k (1 + z) the eigenvalues of trace tau.
 
-    A perturbed triple root scatters like eps^(1/3), a double root like
-    eps^(1/2); the cluster means recover the exact values from the cubic's
-    coefficients (c2/3 for a triple, a root of the derivative for a double).
+    At x = omega^k (1 + z) the SU(2,1) cubic x^3 - tau x^2 + conj(tau) x - 1
+    reads z^3 - eps z^2 + (conj(eps) - 2 eps) z + conj(eps) - eps, whose
+    coefficients keep the digits of eps.  At a cusp the root is z = 0,
+    three times; on f = 0 the repeated root is the root of the derivative
+    at which the cubic vanishes.
     """
-    gap = CLUSTER_GAP * max(1.0, max(abs(r) for r in roots))
-    d01, d02, d12 = (
-        abs(roots[0] - roots[1]),
-        abs(roots[0] - roots[2]),
-        abs(roots[1] - roots[2]),
-    )
-    if d01 <= gap and d02 <= gap and d12 <= gap:
-        lam = c2 / 3.0
-        return [lam, lam, lam]
-    for (i, j), d in (((0, 1), d01), ((0, 2), d02), ((1, 2), d12)):
-        if d <= gap:
-            k = 3 - i - j
-            # double root solves the derivative 3x^2 - 2 c2 x + c1 = 0
-            disc = cmath.sqrt(c2 * c2 - 3.0 * c1)
-            cand = [(c2 + disc) / 3.0, (c2 - disc) / 3.0]
-            mean = (roots[i] + roots[j]) / 2.0
-            mu = min(cand, key=lambda x: abs(x - mean))
-            out = [None, None, None]
-            out[i] = out[j] = mu
-            out[k] = c2 - 2.0 * mu
-            return out
-    return roots
+    eps = side.eps
+    c2, c1, c0 = eps, eps.conjugate() - 2.0 * eps, eps - eps.conjugate()
+    if side.kind is SideKind.UNIPOTENT:
+        return [0j, 0j, 0j]
+    if side.kind is SideKind.REPEATED:
+        disc = cmath.sqrt(c2 * c2 - 3.0 * c1)
+        mu = min(((c2 + disc) / 3.0, (c2 - disc) / 3.0), key=lambda z: abs(((z - c2) * z + c1) * z - c0))
+        return [mu, mu, c2 - 2.0 * mu]
+    return [_newton_refine(z, c2, c1, c0) for z in _cubic_roots(c2, c1, c0)]
 
 
 def nullspace_vector(A):
@@ -173,63 +217,49 @@ def _eigenvector_for(M, lam):
 class EigenTriple:
     value: complex
     vector: HVec
-    norm_sign: int  # sign of <v, v>, 0 on the null cone
+    # the sign of <v, v> for a simple unit eigenvalue; 0 off the unit
+    # circle, where v is null, and for a repeated eigenvalue
+    norm_sign: int
     residual: float
     generalized: bool = False  # vector from defective (clustered) eigenspace
 
 
 def eigen(g: Isometry, tol=None):
-    """Eigendata of a 3x3 lift: three (value, vector, norm sign) triples.
+    """Eigendata of a 3x3 lift: three (value, vector, norm sign) triples."""
+    return _eigen(g, trace_side(g.trace(), tol))
 
-    The characteristic cubic is solved in closed form from tr M, tr M^2 and
-    det M, each root polished by Newton; eigenvectors come from row cross
-    products of M - lam I with an SVD fallback for near-defective matrices,
-    which are flagged as generalized.
+
+def _eigen(g: Isometry, side: TraceSide):
+    """The eigenvalues are the roots of the SU(2,1) cubic of the trace
+    (`_cusp_roots`), the eigenvectors row cross products of M - lam I with
+    an SVD fallback for near-defective matrices, flagged as generalized.
+
+    The norm sign of a simple unit eigenvalue lam is its Krein sign
+    (Gohberg, Lancaster and Rodman, *Indefinite Linear Algebra and
+    Applications*, 2005), read without the eigenvector: for a J-unitary M
+    the left eigenvector of lam is v^H J, so adj(lam I - M) J^-1 =
+    chi'(lam) v v^H / <v, v> and sign <v, v> = sign Re(chi'(lam) /
+    tr(adj(lam I - M) J^-1)), with chi'(lam) the product of lam's
+    differences to the other two eigenvalues.
     """
-    tol = tolerance(tol)
     M = g.M
-    c2 = complex(np.trace(M))
-    c1 = (c2 * c2 - complex(np.trace(M @ M))) / 2.0
-    c0 = complex(np.linalg.det(M))
-    roots = [_newton_refine(lam, c2, c1, c0) for lam in _cubic_roots(c2, c1, c0)]
-    roots = _polish_clusters(roots, c2, c1)
-    scale = max(float(np.abs(M).max()), 1.0)
+    values = [OMEGA**side.k * (1.0 + z) for z in _cusp_roots(side)]
+    unit = {SideKind.ELLIPTIC: [0, 1, 2], SideKind.REPEATED: [2]}.get(side.kind, [])
+    if side.kind is SideKind.LOXODROMIC:
+        unit = [min(range(3), key=lambda i: abs(abs(values[i]) - 1.0))]
     triples = []
-    for lam in roots:
+    for i, lam in enumerate(values):
         vec, generalized = _eigenvector_for(M, lam)
         res = float(np.linalg.norm(M @ vec - lam * vec))
-        hv = HVec(vec, g.space)
-        n = hv.norm()
         sgn = 0
-        if n > tol * 1.0:
-            sgn = 1
-        elif n < -tol * 1.0:
-            sgn = -1
-        triples.append(EigenTriple(lam, hv, sgn, res, generalized))
-    if all(t.generalized for t in triples):
-        # fully defective within resolution; keep data but no residual promise
-        return triples
-    worst = max(t.residual for t in triples if not t.generalized)
-    if worst > max(EIGEN_RESIDUAL_TOL * scale, EIGEN_RESIDUAL_TOL):
-        # disambiguate with numpy's QR eigensolver before giving up
-        vals, vecs = np.linalg.eig(M)
-        triples = []
-        for k in range(3):
-            hv = HVec(vecs[:, k], g.space)
-            n = hv.norm()
-            sgn = 1 if n > tol else (-1 if n < -tol else 0)
-            res = float(np.linalg.norm(M @ vecs[:, k] - vals[k] * vecs[:, k]))
-            triples.append(EigenTriple(complex(vals[k]), hv, sgn, res))
+        if i in unit:
+            A = lam * np.eye(3) - M
+            adj_tr = complex((np.cross(A[[1, 2, 0]], A[[2, 0, 1]]) * g.space.J_inv).sum())
+            dchi = (lam - values[i - 1]) * (lam - values[i - 2])
+            krein = (dchi * adj_tr.conjugate()).real
+            sgn = (krein > 0) - (krein < 0)
+        triples.append(EigenTriple(lam, HVec(vec, g.space), sgn, res, generalized))
     return triples
-
-
-def cube_root_cluster(values, tol=UNIPOTENT_CLUSTER_TOL):
-    """Common k with all values within tol of OMEGA^k, or None."""
-    for k in range(3):
-        target = OMEGA**k
-        if all(abs(v - target) <= tol for v in values):
-            return k
-    return None
 
 
 @dataclass(frozen=True)
@@ -238,44 +268,26 @@ class IsometryClass:
     eigen: tuple
     trace: complex
     goldman: float
-    condition: float = 0.0
 
 
 def classify(g: Isometry, tol=None) -> IsometryClass:
-    """Classify a lift from the separation and moduli of its eigenvalues."""
-    tol = tolerance(tol)
+    """Classify a lift by `trace_side`.  The matrix tells only the identity
+    from a unipotent element, and at a repeated eigenvalue lam a complex
+    reflection (M - lam I of rank 1) from an ellipto-parabolic element."""
     tr = g.trace()
-    triples = eigen(g, tol)
-    values = [t.value for t in triples]
-    cond = max(t.residual for t in triples)
-    gap = CLUSTER_GAP * max(1.0, max(abs(v) for v in values))
-
-    k = cube_root_cluster(values)
-    if k is not None:
-        if np.abs(g.M - (OMEGA**k) * np.eye(3)).max() <= 1e-8:
-            kind = IsometryKind.IDENTITY
-        else:
-            kind = IsometryKind.UNIPOTENT
-    elif any(abs(abs(v) - 1.0) > UNIPOTENT_CLUSTER_TOL for v in values):
-        kind = IsometryKind.LOXODROMIC
-    elif min(abs(values[i] - values[j]) for i, j in ((0, 1), (0, 2), (1, 2))) > gap:
-        kind = IsometryKind.REGULAR_ELLIPTIC
+    side = trace_side(tr, tol)
+    triples = _eigen(g, side)
+    lam = triples[0].value  # omega^k at a cusp, else the repeated value
+    if side.kind is SideKind.UNIPOTENT:
+        identity = np.abs(g.M - lam * np.eye(3)).max() <= 1e-8
+        kind = IsometryKind.IDENTITY if identity else IsometryKind.UNIPOTENT
+    elif side.kind is SideKind.REPEATED:
+        s = np.linalg.svd(g.M - lam * np.eye(3), compute_uv=False)
+        reflection = s[1] <= 1e-6 * max(s[0], 1.0)
+        kind = IsometryKind.NON_REGULAR_ELLIPTIC if reflection else IsometryKind.ELLIPTIC_PARABOLIC
     else:
-        # repeated unit eigenvalue: diagonalizable <=> boundary reflection
-        lam0 = _repeated_value(values)
-        A = g.M - lam0 * np.eye(3)
-        _, s, _ = np.linalg.svd(A)
-        if s[1] <= 1e-6 * max(s[0], 1.0):
-            kind = IsometryKind.NON_REGULAR_ELLIPTIC
-        else:
-            kind = IsometryKind.ELLIPTIC_PARABOLIC
-    return IsometryClass(kind, tuple(triples), tr, goldman_f(tr), cond)
-
-
-def _repeated_value(values):
-    pairs = [(abs(values[i] - values[j]), (values[i] + values[j]) / 2)
-             for i in range(3) for j in range(i + 1, 3)]
-    return min(pairs)[1]
+        kind = IsometryKind.REGULAR_ELLIPTIC if side.kind is SideKind.ELLIPTIC else IsometryKind.LOXODROMIC
+    return IsometryClass(kind, tuple(triples), tr, goldman_f(tr))
 
 
 @dataclass(frozen=True)
@@ -284,9 +296,10 @@ class EllipticType:
 
     Angles are measured on the positive-norm eigenvectors relative to the
     negative-norm eigenvector's eigenvalue; (p, q, n) is the reduced integer
-    form with angle_i = 2 pi p_i / n and gcd(p, q, n) = 1.  For an element
-    whose angles are not recognized as rational multiples of 2 pi the pair
-    (angle1, angle2) is still reported with p = q = n = None.
+    form with gcd(p, q, n) = 1, and the angles are then 2 pi p / n and
+    2 pi q / n.  For an element whose angles are not recognized as rational
+    multiples of 2 pi the measured pair (angle1, angle2) is reported with
+    p = q = n = None.
     """
 
     p: int | None
@@ -300,17 +313,19 @@ class EllipticType:
         return self.n is not None
 
 
-def _recognize_angle(theta: float):
-    """theta ~ 2 pi p/n with small denominator, else None."""
-    frac = Fraction(theta / (2 * math.pi)).limit_denominator(MAX_ELLIPTIC_ORDER)
-    if abs(theta / (2 * math.pi) - float(frac)) > RATIONAL_ANGLE_TOL:
-        return None
-    return frac
-
-
 def elliptic_type(g: Isometry, tol=None) -> EllipticType:
-    """Type of a regular elliptic element, reduced so gcd(p, q, n) = 1."""
-    tol = tolerance(tol)
+    """Type of a regular elliptic element, each angle read by `rotation_turn`
+    at the scale of M's rounding, in ulps: |c1 - conj(tr)| + |det - 1|, with
+    c1 = tr adj M the characteristic polynomial's middle coefficient.
+
+    With the turns reduced as p1/n1 and p2/n2 and n = lcm(n1, n2) at most
+    MAX_ORDER, the type (p1 n/n1, p2 n/n2, n) has gcd 1: a prime d | n
+    divides n1, say, to its full power in n, so d divides neither p1 nor
+    n/n1.  No power of g is checked: a regular elliptic M has distinct eigenvalues lam,
+    lam e^{2 pi i p/n}, lam e^{2 pi i q/n}, so it is diagonalizable and
+    M^n = lam^n I, where det M = 1 gives lam^{3n} = 1: g^n is the
+    identity of PU(2,1).
+    """
     cls = classify(g, tol)
     if cls.kind is not IsometryKind.REGULAR_ELLIPTIC:
         raise GeometryError("elliptic type is defined for regular elliptic elements")
@@ -318,21 +333,14 @@ def elliptic_type(g: Isometry, tol=None) -> EllipticType:
     pos = [t for t in cls.eigen if t.norm_sign > 0]
     if len(neg) != 1 or len(pos) != 2:
         raise GeometryError("eigenvector norms do not split as (+,+,-)")
-    lam_neg = neg[0].value
-    angles = sorted(
-        (cmath.phase(t.value / lam_neg) for t in pos), reverse=True
-    )  # canonical order: first angle >= second
-    fr1, fr2 = _recognize_angle(angles[0]), _recognize_angle(angles[1])
-    if fr1 is None or fr2 is None:
+    # canonical order: first angle >= second
+    angles = sorted((cmath.phase(t.value / neg[0].value) for t in pos), reverse=True)
+    M = g.M
+    adj = np.cross(M[[1, 2, 0]], M[[2, 0, 1]])  # the columns of adj M
+    miss = abs(np.trace(adj) - cls.trace.conjugate()) + abs((M[0] * adj[0]).sum() - 1.0)
+    turns = [rotation_turn(a / (2 * math.pi), max(1.0, miss / 2.0**-52)) for a in angles]
+    n = None if None in turns else math.lcm(*(fr.denominator for fr in turns))
+    if n is None or n > MAX_ORDER:
         return EllipticType(None, None, None, angles[0], angles[1])
-    n = math.lcm(fr1.denominator, fr2.denominator)
-    p = fr1.numerator * (n // fr1.denominator)
-    q = fr2.numerator * (n // fr2.denominator)
-    common = math.gcd(math.gcd(abs(p), abs(q)), n)
-    if common > 1:
-        p, q, n = p // common, q // common, n // common
-    # order check: g^n must project to the identity
-    Mn = np.linalg.matrix_power(g.M, n)
-    if min(np.abs(Mn - (OMEGA**k) * np.eye(3)).max() for k in range(3)) > 1e-6:
-        return EllipticType(None, None, None, angles[0], angles[1])
-    return EllipticType(p, q, n, angles[0], angles[1])
+    p, q = (fr.numerator * (n // fr.denominator) for fr in turns)
+    return EllipticType(p, q, n, 2 * math.pi * p / n, 2 * math.pi * q / n)

@@ -28,8 +28,8 @@ from .isometry import (
     IsometryClass,
     IsometryKind,
     classify,
-    cube_root_cluster,
     nullspace_vector,
+    trace_side,
     verify_su21,
 )
 
@@ -224,15 +224,10 @@ def canonical_fixed_point(g: Isometry, tol=None) -> HVec:
         best = min(cls.eigen, key=lambda t: abs(abs(t.value) - 1.0))
         return best.vector
     if cls.kind is IsometryKind.UNIPOTENT:
-        vec, _ = nullspace_vector(g.M - _cube_root_value(cls.eigen) * np.eye(3))
+        k = trace_side(cls.trace, tol).k
+        vec, _ = nullspace_vector(g.M - OMEGA**k * np.eye(3))
         return HVec(vec, g.space)
     raise GeometryError(
         f"no canonical fixed point for class {cls.kind.value}"
     )
 
-
-def _cube_root_value(triples):
-    k = cube_root_cluster([t.value for t in triples])
-    if k is None:
-        raise GeometryError("eigenvalues do not cluster at a cube root of 1")
-    return OMEGA**k

@@ -7,7 +7,9 @@ import sys
 import numpy as np
 import pytest
 
-from crlab.cli import MAX_FIGURE_ROWS, MAX_GRID, main
+from crlab import cli
+from crlab.cli import MAX_FIGURE_ROWS, MAX_GRID, MAX_ORDER, main
+from crlab.core import GeometryError
 from crlab.family import ALPHA2_LIM, alpha2_for_order
 
 
@@ -309,6 +311,15 @@ def test_import_leaves_multiprocessing_to_parallel_sweeps():
     assert proc.returncode == 0 and proc.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize("argv", [["verify"], ["figure", "disk-projection"]])
+def test_order_above_max_order_is_a_usage_error(argv, tmp_path):
+    # a float alpha2 pins the order only up to MAX_ORDER
+    code, out, err = run_cli(argv + ["--n", str(MAX_ORDER + 1), "--out", str(tmp_path)])
+    assert code == 2 and out == ""
+    assert err == f"error: --n must be at most {MAX_ORDER}, the largest order an alpha2 pins\n"
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("n", ["3", "0", "-5"])
 def test_figure_order_below_4_is_a_usage_error(n, tmp_path):
     code, out, err = run_cli(["figure", "disk-projection", "--n", n, "--out", str(tmp_path)])
@@ -382,11 +393,26 @@ def test_figure_over_the_row_limit_is_a_usage_error(argv, rows, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-def test_classify_geometry_error_exits_1_with_an_error_line():
-    # at order 10^5 the eigenvector norms of s^-1 t do not split as (+,+,-)
-    code, out, err = run_cli(["classify", "--word", "s^-1t", "--alpha2", "%.17g" % alpha2_for_order(10**5)])
+def test_classify_geometry_error_exits_1_with_an_error_line(monkeypatch):
+    # no word of the family makes the Krein signs of a regular elliptic
+    # element split otherwise than (+,+,-), so the raise is stood in for
+    def raise_split(g, tol=None):
+        raise GeometryError("eigenvector norms do not split as (+,+,-)")
+
+    monkeypatch.setattr(cli, "elliptic_type", raise_split)
+    code, out, err = run_cli(["classify", "--word", "s^-1t", "--alpha2", "%.17g" % alpha2_for_order(9)])
     assert code == 1 and out == ""
     assert err == "error: eigenvector norms do not split as (+,+,-)\n"
+
+
+def test_classify_order_1e5_at_tol_1e_14():
+    # off the band 10 tol of the wall (|tr U - 3| = 3.9e-9), order 10^5
+    # reads as the rotation of type (1, -1, 10^5)
+    code, out, _ = run_cli(["classify", "--word", "s^-1t", "--alpha2", "%.17g" % alpha2_for_order(10**5), "--tol", "1e-14"])
+    data = json.loads(out)
+    assert code == 0 and data["class"] == "regular-elliptic"
+    assert data["elliptic_type"] == {"p": 1, "q": -1, "n": 10**5}
+    assert sorted(data["norm_signs"]) == [-1, 1, 1]
 
 
 @pytest.mark.parametrize("n", ["90", "100", "687", "3000"])

@@ -17,6 +17,8 @@ from crlab.isometry import (
     OMEGA,
     Isometry,
     IsometryKind,
+    MAX_ORDER,
+    TURN_SLACK,
     classify,
     eigen,
     elliptic_type,
@@ -88,6 +90,34 @@ def test_classify_agrees_with_param_side():
     params += [ALPHA2_LIM + s * d for d in (1e-4, 1e-6, 1e-8) for s in (1, -1)] + [ALPHA2_LIM]
     for a2 in params:
         assert classify(U_at(a2)).kind is kinds[param_side(a2).kind], a2
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-14])
+def test_the_two_classifiers_agree_on_the_slice(tol):
+    # classify and elliptic_type on s^-1 t against param_side: the same
+    # side, and type (1, -1, n) with the same n, for every order to 200 and
+    # strided on to MAX_ORDER, and on both sides next to the wall; at tol
+    # 1e-9 the band 10 tol of the wall starts at order 62,832
+    kinds = {
+        SideKind.ELLIPTIC: IsometryKind.REGULAR_ELLIPTIC,
+        SideKind.LOXODROMIC: IsometryKind.LOXODROMIC,
+        SideKind.UNIPOTENT: IsometryKind.UNIPOTENT,
+    }
+    orders = list(range(4, 201)) + list(range(211, MAX_ORDER, 1499)) + [62831, 62832, MAX_ORDER]
+    for n in orders:
+        a2, U = alpha2_for_order(n), U_at(alpha2_for_order(n))
+        side = param_side(a2, tol)
+        assert side.kind is (SideKind.UNIPOTENT if tol == 1e-9 and n > 62831 else SideKind.ELLIPTIC), n
+        assert classify(U, tol).kind is kinds[side.kind], n
+        if side.kind is SideKind.ELLIPTIC:
+            et = elliptic_type(U, tol)
+            assert side.n == n and (et.p, et.q, et.n) == (1, -1, n), n
+    for a2 in [ALPHA2_LIM + s * d for d in (1e-8, 1e-10, 1e-12) for s in (1, -1)]:
+        assert classify(U_at(a2), tol).kind is kinds[param_side(a2, tol).kind], a2
+
+
+def test_max_order_is_the_largest_order_the_window_pins():
+    assert 2 * TURN_SLACK * MAX_ORDER**3 <= 1 < 2 * TURN_SLACK * (MAX_ORDER + 1) ** 3
 
 
 def test_classify_conjugation_invariance():

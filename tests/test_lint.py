@@ -39,6 +39,7 @@ def test_no_private_names_imported_across_modules():
 
 def test_verify_takes_its_side_from_family():
     # the wall, side and order are decided once, by family.param_side
+    # through isometry's trace rule
     tree = ast.parse((SRC / "verify.py").read_text())
     names = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names}
     assert names.isdisjoint({"elliptic_type", "classify"})
@@ -123,16 +124,21 @@ def test_verify_reads_no_sampled_silhouette():
 
 def test_verify_path_uses_no_random_numbers_and_no_lapack():
     # the modules that verify and the figures run keep to closed forms and
-    # ufuncs: no numpy.random, and no numpy.linalg routine but norm
-    # (isometry keeps its own, for classify).  No product goes through BLAS
+    # ufuncs: no numpy.random, and no numpy.linalg routine but norm.  Of
+    # isometry only the trace rule that param_side calls is held to this
+    # (the rest keeps its own, for classify).  No product goes through BLAS
     # either: no @ and no matmul, dot, vdot, einsum, inner or tensordot, so
     # every number is a fixed-order elementwise sum (`core.sesquilinear`,
     # `core.apply`) with the same bits under every BLAS kernel; norm takes
     # an axis, without which it sums by BLAS dot.  Exempt is
     # family.FamilyRep, whose group words serve the classify command
     found = []
-    for name in ("core.py", "family.py", "bisector.py", "visual.py", "verify.py", "figures.py", "csvfloat.py"):
-        tree = ast.parse((SRC / name).read_text())
+    iso = ast.parse((SRC / "isometry.py").read_text())
+    rule = [f for f in iso.body if isinstance(f, ast.FunctionDef) and f.name in ("trace_side", "rotation_turn")]
+    assert len(rule) == 2
+    trees = {name: ast.parse((SRC / name).read_text()) for name in ("core.py", "family.py", "bisector.py", "visual.py", "verify.py", "figures.py", "csvfloat.py")}
+    trees["isometry.py"] = ast.Module(rule, [])
+    for name, tree in trees.items():
         reps = [c for c in tree.body if name == "family.py" and isinstance(c, ast.ClassDef) and c.name == "FamilyRep"]
         exempt = {id(n) for c in reps for n in ast.walk(c)}
         for node in ast.walk(tree):
