@@ -1,0 +1,60 @@
+"""The alpha1 = 0 slice over real symbols, for the sympy proofs in
+tests/test_tf_identities.py and tests/test_gc_identities.py.
+
+c = cos(alpha2) and s = sin(alpha2) are real symbols; an expression is an
+identity of the slice when it vanishes modulo c^2 + s^2 - 1 and whatever
+relations its other symbols obey (`zero`).  S and T are the closed forms of
+`family.rho_s` and `family.rho_t` at alpha1 = 0, U = S^-1 T, and the points
+are built from them as `family.face_points` builds its rows.
+"""
+
+import sympy as sp
+
+c, s = sp.symbols("c s", real=True)
+I, SQ2 = sp.I, sp.sqrt(2)
+E = c + I * s  # e^{i alpha2}
+J = sp.Matrix([[0, 0, 1], [0, 1, 0], [1, 0, 0]])  # the Siegel form, J^-1 = J
+
+
+def conj(x):
+    """The complex conjugate of an expression or matrix over real symbols."""
+    return x.subs(I, -I) if isinstance(x, sp.Expr) else x.applyfunc(lambda y: y.subs(I, -I))
+
+
+def inv(M):
+    """M^-1 = J^-1 M^H J for M in U(2,1), as `Isometry.inv` forms it."""
+    return J * conj(M).T * J
+
+
+def inner(u, v):
+    """<u, v> = u^H J v."""
+    return sp.expand((conj(u).T * J * v)[0])
+
+
+def box(a, b):
+    """J^-1 conj(a x b), as `core.box_rows`."""
+    return J * conj(a.cross(b))
+
+
+def zero(expr, relations, gens) -> bool:
+    """expr vanishes on the variety of `relations`, a Groebner basis in the
+    lex order of `gens`: its real and imaginary parts reduce to 0."""
+    expr = sp.expand(expr)
+    parts = [expr.subs(I, 0), sp.expand((expr - expr.subs(I, 0)) / I)]
+    return all(sp.reduced(p, relations, *gens)[1] == 0 for p in parts)
+
+
+# rho_s and rho_t at alpha1 = 0: x1 = sqrt2, unit phase
+S = sp.Matrix([[1, SQ2 * conj(E), -1], [-SQ2 * E, -1, 0], [-1, 0, 0]])
+T = sp.Matrix([[0, 0, -1], [0, -1, -SQ2 * conj(E)], [-1, SQ2 * E, 1]])
+U = (inv(S) * T).expand()
+P_U = sp.Matrix([1, -SQ2 / 2 * E, E**2])
+P_V = (S * P_U).expand()
+P_W = (S * P_V).expand()
+UI_PW = (inv(U) * P_W).expand()
+
+
+def eigenvector(delta):
+    """`face_points`' row p_U' (delta) or p_U'' (-delta), the eigenvectors of
+    U off the unipotent wall, with delta = sqrt((8c^2 - 3)(8c^2 + 1))."""
+    return sp.Matrix([2 * (2 * E**2 + 1), -SQ2 * E * (2 * E**2 + 1 + delta), -(8 * c * c + 1) - delta])

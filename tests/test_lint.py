@@ -19,7 +19,7 @@ NOT_PROGRAM = ("__init__", "reference")
 # past 8,192 tokens pays the next doubling, so each keeps 1,024 below it
 MODULE_TOKEN_BUDGET = 7_168
 # verify.py's float literals in (0, 1e-2)
-VERIFY_GATE_LITERALS = 10
+VERIFY_GATE_LITERALS = 6
 # numpy's products, which can run through BLAS
 BLAS_PRODUCTS = ("matmul", "dot", "vdot", "einsum", "inner", "tensordot")
 

@@ -17,9 +17,9 @@ alpha2, so they are proved here instead of being re-sampled at each one:
   real, so that d<V, V>/d sigma factors as -12 sin(sigma) (2 cos(2 alpha2
   - delta) - cos delta) times 2 cos^2(alpha2).
 
-The symbolic points are built from the closed forms of `family.rho_s` and
-`family.rho_t` at alpha1 = 0, and the torus rows as `core.box_rows` forms
-them, J^-1 conj(a x b); the last test ties them to the program's own
+The symbolic points are built (tests/slice_algebra.py) from the closed
+forms of `family.rho_s` and `family.rho_t` at alpha1 = 0, and the torus rows
+as `core.box_rows` forms them, J^-1 conj(a x b); the last test ties them to the program's own
 point table and torus at a few parameters.
 """
 
@@ -32,56 +32,26 @@ import sympy as sp
 from crlab.family import P_U, P_W, UI_PW, face_points
 from crlab.verify import FaceFamily
 
-c, s = sp.symbols("c s", real=True)
+import slice_algebra
+from slice_algebra import I, SQ2, box, c, conj, inner, s, zero
+
 r, t, m1, m2, cd, sd = sp.symbols("r t m1 m2 cd sd", real=True)
 # the Groebner basis of the two circles (c, s) and (cd, sd) = (cos delta,
 # sin delta): they share no variable
 CIRCLES = [c**2 + s**2 - 1, cd**2 + sd**2 - 1]
 GENS = (c, s, cd, sd, r, t, m1, m2)
-I, SQ2 = sp.I, sp.sqrt(2)
-E = c + I * s  # e^{i alpha2}
-J = sp.Matrix([[0, 0, 1], [0, 1, 0], [1, 0, 0]])  # the Siegel form, J^-1 = J
-
-
-def _conj(x):
-    """The complex conjugate of an expression or matrix over real symbols."""
-    return x.subs(I, -I) if isinstance(x, sp.Expr) else x.applyfunc(lambda y: y.subs(I, -I))
-
-
-def _inv(M):
-    """M^-1 = J^-1 M^H J for M in U(2,1), as `Isometry.inv` forms it."""
-    return J * _conj(M).T * J
-
-
-def _inner(u, v):
-    """<u, v> = u^H J v."""
-    return sp.expand((_conj(u).T * J * v)[0])
-
-
-def _box(a, b):
-    """J^-1 conj(a x b), as `core.box_rows`."""
-    return J * _conj(a.cross(b))
 
 
 def _zero(expr) -> bool:
-    """expr vanishes on both circles: its real and imaginary parts reduce to
-    0 modulo CIRCLES."""
-    expr = sp.expand(expr)
-    parts = [expr.subs(I, 0), sp.expand((expr - expr.subs(I, 0)) / I)]
-    return all(sp.reduced(p, CIRCLES, *GENS)[1] == 0 for p in parts)
+    """expr vanishes on both circles."""
+    return zero(expr, CIRCLES, GENS)
 
 
 def _points():
     """p_U, p_W, U^-1 p_W (U = S^-1 T) and the torus rows (qr, pr, qp) of
     the lifts (p_U, p_W, U^-1 p_W), over c and s."""
-    # rho_s and rho_t at alpha1 = 0: x1 = sqrt2, unit phase
-    S = sp.Matrix([[1, SQ2 * _conj(E), -1], [-SQ2 * E, -1, 0], [-1, 0, 0]])
-    T = sp.Matrix([[0, 0, -1], [0, -1, -SQ2 * _conj(E)], [-1, SQ2 * E, 1]])
-    U = (_inv(S) * T).expand()
-    p_U = sp.Matrix([1, -SQ2 / 2 * E, E**2])
-    p_W = (S * S * p_U).expand()
-    ui_pw = (_inv(U) * p_W).expand()
-    rows = [_box(p_W, ui_pw), _box(p_U, ui_pw), _box(p_W, p_U)]
+    p_U, p_W, ui_pw = slice_algebra.P_U, slice_algebra.P_W, slice_algebra.UI_PW
+    rows = [box(p_W, ui_pw), box(p_U, ui_pw), box(p_W, p_U)]
     return p_U, p_W, ui_pw, [row.expand() for row in rows]
 
 
@@ -90,14 +60,14 @@ P_UVEC, P_WVEC, UI_PWVEC, (QR, PR, QP) = _points()
 
 def test_real_plane_identities():
     x = sp.Matrix([r, I * SQ2 * t, 1])
-    hu, hw = (_inner(p, x) * _conj(_inner(p, x)) for p in (P_UVEC, P_WVEC))
+    hu, hw = (inner(p, x) * conj(inner(p, x)) for p in (P_UVEC, P_WVEC))
     rs_term = 2 * (r - 1) * t * s
     assert _zero(hu - (r * r + t * t + 1 + 2 * r * (2 * c * c - 1) + rs_term))
     assert _zero(hw - ((8 * c * c + 1) * t * t + r * r + rs_term - 2 * r + 1))
     assert _zero(hw - hu - 4 * c * c * (2 * t * t - r))
     # the ideal line the plane leaves out never meets the locus
     y = sp.Matrix([r, I * SQ2, 0])
-    gap = _inner(P_WVEC, y) * _conj(_inner(P_WVEC, y)) - _inner(P_UVEC, y) * _conj(_inner(P_UVEC, y))
+    gap = inner(P_WVEC, y) * conj(inner(P_WVEC, y)) - inner(P_UVEC, y) * conj(inner(P_UVEC, y))
     assert _zero(gap - 8 * c * c)
 
 
@@ -105,10 +75,10 @@ def test_complex_line_identities():
     mu = m1 + I * m2
     x = sp.Matrix([mu - 1, 2 * I * SQ2 * s, mu + 1])
     mu2 = m1 * m1 + m2 * m2
-    hu, hw = (_inner(p, x) * _conj(_inner(p, x)) for p in (P_UVEC, P_WVEC))
+    hu, hw = (inner(p, x) * conj(inner(p, x)) for p in (P_UVEC, P_WVEC))
     assert _zero(hu - 4 * c * c * mu2)
     assert _zero(hw - 4 * (9 - 8 * c * c) * c * c)
-    assert _zero(_inner(x, x) - 2 * (mu2 - 4 * c * c + 3))
+    assert _zero(inner(x, x) - 2 * (mu2 - 4 * c * c + 3))
     # where |<p_U, x>| = |<p_W, x>|, mu2 = 9 - 8 c^2 and the norm is 24 s^2
     assert _zero(2 * ((9 - 8 * c * c) - 4 * c * c + 3) - 24 * s * s)
 
@@ -117,7 +87,7 @@ def test_dh_dsigma_factorization():
     # B(delta) = e^{-i delta} pr + e^{i delta} qp and <V, V> = A - 2 Re(e^{-i
     # sigma} C): a real C gives d<V, V>/d sigma = 2 C sin(sigma)
     B = (cd - I * sd) * PR + (cd + I * sd) * QP
-    C = _inner(QR, B)
+    C = inner(QR, B)
     cos_2a_d = (c * c - s * s) * cd + 2 * c * s * sd  # cos(2 alpha2 - delta)
     assert _zero(C + 12 * c * c * (2 * cos_2a_d - cd))
 

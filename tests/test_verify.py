@@ -202,7 +202,8 @@ def test_lc_fan_focus_identities():
     ff = FaceFamily(math.pi / 6, grid_n=GRID)
     res = lc_check(ff)
     assert res.passed
-    assert res.residuals["fan_circle_identities"] <= 1e-8
+    # the slice-circle identities are proved in
+    # tests/test_gc_identities.py::test_fan_slice_circle_identities; by them
     # the focus 3 pi/2 sits in the arc [7 pi/6, 11 pi/6] between the
     # corrected vertex labels
     assert res.margins["fan_focus_interior"] == pytest.approx(math.pi / 3, abs=1e-12)
@@ -212,9 +213,9 @@ def test_gc_loxodromic(ff_lox):
     res = gc_check_loxodromic(ff_lox)
     assert res.passed
     length = ff_lox.side.length
-    assert res.margins["exclusion_chain"] > 0
+    # the exclusion chain and the h identities hold at every length:
+    # tests/test_gc_identities.py
     assert res.margins["annulus_upper"] > 0 and res.margins["annulus_lower"] > 0
-    assert max(res.residuals[k] for k in ("h1_sq", "h2_sq", "h1h2", "h1_conj_h2")) <= 1e-8
     assert res.margins["window_annulus_separation"] >= 0
     # the marked contact value sits inside the annulus
     z = math.exp(-2 * length)
@@ -241,39 +242,38 @@ def test_gc_sector_margins_are_symmetric(n):
 
 @pytest.mark.parametrize("n", [9, 100, 2809])
 def test_gc_p_maximum_is_exact(n):
-    # P(k) = c0 + c1 k + c2 k^2 has its maximum over k >= 0 at the vertex
-    # here; a dense sampling of P never exceeds the reported maximum
-    m = gc_check_elliptic(FaceFamily(alpha2_for_order(n), grid_n=64)).margins
+    # the guard-ray polynomial P(k) = c0 + c1 k + c2 k^2 that
+    # tests/test_gc_identities.py proves negative, from the program's h1, h2:
+    # its maximum over k >= 0 is the vertex value, negative, and a dense
+    # sampling of P never exceeds it
+    ff = FaceFamily(alpha2_for_order(n), grid_n=64)
+    a_h1, a_h2 = np.abs(ff.G[[P_U1, P_U2], P_V]) ** 2
     beta = 2 * math.pi / n
-    c0, c2 = -m["P_constant_negative"], -m["P_leading_negative"]
+    c0, c2 = a_h2 * (1 - a_h1 / 18), a_h1 * (1 - a_h2 / 18)
     c1 = 24 * math.cos(2 * beta) * (2 * math.cos(beta) + 1) * math.cos(beta / 2)
+    p_max = c0 - c1 * c1 / (4 * c2)
+    assert c0 < 0 and c2 < 0 < c1 and p_max < 0
     ks = np.linspace(0.0, -c1 / c2, 100001)
     sampled = (c0 + c1 * ks + c2 * ks * ks).max()
-    assert sampled <= -m["P_sampled_max"] + 1e-12 * abs(c0)
-    assert -m["P_sampled_max"] == pytest.approx(sampled, abs=1e-8 * abs(c0))
+    assert sampled <= p_max + 1e-12 * abs(c0)
+    assert p_max == pytest.approx(sampled, abs=1e-8 * abs(c0))
 
 
 def test_gc_h_identities_at_05():
     ff = FaceFamily(0.5, grid_n=128)
     res = gc_check_loxodromic(ff)
-    assert max(res.residuals[k] for k in ("h1_sq", "h2_sq", "h1h2", "h1_conj_h2")) <= 1e-8
+    # the h identities: tests/test_gc_identities.py, tied to the Gram table
+    # at 0.5 by test_symbolic_h_are_the_programs
     assert res.passed
 
 
 def test_gc_elliptic(ff_n12):
     res = gc_check_elliptic(ff_n12)
     assert res.passed
-    beta = 2 * math.pi / 12
-    assert res.margins["discriminant_sign"] > 0
-    assert res.margins["P_constant_negative"] > 0
-    assert res.margins["P_leading_negative"] > 0
-    assert res.margins["P_discriminant_negative"] > 0
-    assert res.margins["sector_width_below_4beta"] > 0
+    # the certificate's signs and the h identities hold at every order
+    # n >= 9: tests/test_gc_identities.py
+    assert res.margins["rotated_sector_gap"] > 0
     assert res.margins["cone_separation"] > 0
-    assert res.residuals["h2_conj_h1"] <= 1e-8
-    # h2 conj(h1) = 12 e^{i beta/2}(2cos b + 1) cos(b/2) checked inside;
-    # the product identity too
-    assert res.residuals["h_product"] <= 1e-8
 
 
 def test_gc_elliptic_n9_true_diameter_note():
@@ -461,7 +461,7 @@ def test_verify_near_the_wall_reports(alpha2):
 def test_report_schema():
     r = verify(0.7, grid_n=96)
     d = r.to_dict()
-    assert d["schema"] == "report-v2"
+    assert d["schema"] == "report-v3"
     payload = json.dumps(d, sort_keys=True)
     back = json.loads(payload)
     assert back["checks"]["tf"]["passed"] is True
@@ -874,7 +874,8 @@ def test_verify_builds_each_bisector_and_torus_once(alpha2, monkeypatch):
 
 
 def test_fan_residuals_match_per_sample_loops():
-    # reference: the per-sample loop the batched fan-circle kernel replaced
+    # the fan's slice-circle identities and its arc, sampled one point at a
+    # time on the scalar path, against LC's margin
     ff = FaceFamily(math.pi / 6, grid_n=64)
     pts = family_points(ff)
     lc = lc_check(ff)
@@ -890,7 +891,8 @@ def test_fan_residuals_match_per_sample_loops():
             abs(muw - (-6.0 * math.sqrt(3.0) * math.cos(th) + 2.0 * math.sin(th) + 11.0)),
         )
         member.append(mu <= min(mw, muw) + 1e-12)
-    assert abs(lc.residuals["fan_circle_identities"] - worst) <= 1e-12
+    # the identities of tests/test_gc_identities.py, on the scalar path
+    assert worst <= 1e-12
     # the arc through the focus theta = 3 pi / 2 runs from 7 pi / 6 to 11 pi / 6
     assert member[1080] and not member[839] and not member[1321]
     assert all(member[840:1321])
