@@ -8,7 +8,7 @@ Modules:
   bisector   bisectors/extors, pair classification, Giraud tori, level sets
   visual     visual-sphere charts, silhouettes, tangency and angle bounds
   verify     the TF/LC/GC verification engine and surgery verdicts
-  report     check results, verdicts and the report-v3 JSON layout
+  report     check results, verdicts and the report-v4 JSON layout
   figures    deterministic CSV/SVG figure data
   csvfloat   the byte-exact %.17g and %.9g kernel of the figure CSVs and SVGs
   cli        the `crlab` command line
@@ -52,7 +52,6 @@ from .bisector import (
     GiraudTorus,
     bisector_kinds,
     pair_kinds,
-    symmetric_kinds,
 )
 from .visual import (
     VisualChart,

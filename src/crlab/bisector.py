@@ -297,36 +297,3 @@ def _harmonic_roots(k, p, q):
 def level_g(theta, phi):
     """The symmetric level function cos(theta) + cos(phi) + cos(phi - theta)."""
     return np.cos(theta) + np.cos(phi) + np.cos(phi - theta)
-
-
-class SymmetricKind(enum.Enum):
-    DISK = "disk"
-    TRI_CIRCLE_DISK = "tri-circle-disk"
-    TORUS_MINUS_TWO_DISKS = "torus-minus-two-disks"
-
-
-def symmetric_kinds(boxes, space, tol) -> tuple[list, list]:
-    """(u, kinds) of the intersections B(p,q) /\\ B(p,r) of order-3
-    symmetric triples, decided by u = <pxq, pxq> / <pxq, qxr> against 2/3,
-    from the box products (p box q, q box r, r box p) of each triple, shape
-    (m, 3, 3), and their Gram blocks, one form.  Raises GeometryError for
-    a triple that is not order-3 symmetric, or whose mixed product is not
-    real negative."""
-    us, kinds = [], []
-    for K in space.form(boxes[:, :, None], boxes[:, None]).tolist():
-        (l1, k1, _), (_, l2, k2), (k3, _, l3) = K
-        l1, l2, l3 = l1.real, l2.real, l3.real
-        scale = max(abs(k1), abs(l1), 1e-300)
-        sym_tol = 1e3 * tol * scale
-        if max(abs(k1 - k2), abs(k2 - k3)) > sym_tol or max(abs(l1 - l2), abs(l2 - l3)) > sym_tol:
-            raise GeometryError("triple is not order-3 symmetric within tolerance")
-        if abs(k1.imag) > sym_tol or k1.real >= -tol * scale:
-            raise GeometryError("mixed product is not real negative; hypotheses violated")
-        u = l1 / k1.real
-        band = 1e3 * tol * max(1.0, abs(u))
-        us.append(u)
-        kinds.append(
-            SymmetricKind.DISK if u < 2.0 / 3.0 - band else SymmetricKind.TORUS_MINUS_TWO_DISKS if u > 2.0 / 3.0 + band
-            else SymmetricKind.TRI_CIRCLE_DISK
-        )
-    return us, kinds

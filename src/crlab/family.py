@@ -157,15 +157,14 @@ def alpha2_for_order(n: int) -> float:
 
 # the rows of the point table of `face_points`: the remarkable points, then
 # the U-translates that verify reads
-P_A, P_B, P_U, P_V, P_W, P_U1, P_U2, U_PA, U_PB, U_PV, U_PW, UI_PB, UI_PV, UI_PW, U2_PV, UI2_PW = range(16)
+P_A, P_B, P_U, P_V, P_W, P_U1, P_U2, U_PA, U_PB, U_PV, U_PW, UI_PB, UI_PV, UI_PW = range(14)
 
 
 def face_points(alpha2: float) -> np.ndarray:
-    """The table P, shape (16, 3), on the alpha1 = 0 slice, of the
+    """The table P, shape (14, 3), on the alpha1 = 0 slice, of the
     remarkable points p_A, p_B, p_U, p_V = S p_U, p_W = S p_V,
-    p_U', p_U'' and of U p_A, U p_B, U p_V, U p_W, U^-1 p_B, U^-1 p_V,
-    U^-1 p_W, U^2 p_V and U^-2 p_W (U = S^-1 T), in the order of the row
-    names above.
+    p_U', p_U'' and of U p_A, U p_B, U p_V, U p_W, U^-1 p_B, U^-1 p_V and
+    U^-1 p_W (U = S^-1 T), in the order of the row names above.
 
     p_U' and p_U'' are the eigenvectors of U for the eigenvalues e^{l},
     e^{-l} (loxodromic side) or e^{i beta}, e^{-i beta} (elliptic side), in
@@ -181,15 +180,14 @@ def face_points(alpha2: float) -> np.ndarray:
     e = cmath.exp(1j * alpha2)
     c8 = 8.0 * math.cos(alpha2) ** 2
     delta = cmath.sqrt((c8 - 3.0) * (c8 + 1.0))
-    P = np.zeros((16, 3), dtype=complex)
+    P = np.zeros((14, 3), dtype=complex)
     P[P_A, 0] = P[P_B, 2] = 1.0
     P[P_U] = 1.0, -math.sqrt(2.0) / 2.0 * e, e * e
     P[P_V] = apply(S, P[P_U])
     P[P_W] = apply(S, P[P_V])
     for row, d in ((P_U1, delta), (P_U2, -delta)):
         P[row] = 2.0 * (2.0 * e * e + 1.0), -math.sqrt(2.0) * e * (2.0 * e * e + 1.0 + d), -(c8 + 1.0) - d
-    P[U_PA:U2_PV] = apply(UU[[0, 0, 0, 0, 1, 1, 1]], P[[P_A, P_B, P_V, P_W, P_B, P_V, P_W]])
-    P[U2_PV:] = apply(UU, P[[U_PV, UI_PW]])
+    P[U_PA:] = apply(UU[[0, 0, 0, 0, 1, 1, 1]], P[[P_A, P_B, P_V, P_W, P_B, P_V, P_W]])
     return P
 
 
@@ -228,19 +226,6 @@ def trace_ts_inv(alpha1, alpha2):
         + np.exp(2j * a2)
         + np.exp(2j * (a1 + a2))
         + c * np.exp(1j * (a1 + 4.0 * a2))
-    )
-
-
-def involution_matrix(alpha2: float) -> np.ndarray:
-    """The U(2,1) involution fixing p_U and swapping p_V with p_W (alpha1 = 0)."""
-    e = cmath.exp(1j * alpha2)
-    return np.array(
-        [
-            [1.0, 0.0, 0.0],
-            [-math.sqrt(2.0) * e, -1.0, 0.0],
-            [-1.0, -math.sqrt(2.0) / e, 1.0],
-        ],
-        dtype=complex,
     )
 
 

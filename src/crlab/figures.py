@@ -51,12 +51,11 @@ def write_csv(path, header, columns):
     CSV_FMT % v, streamed to the file in blocks of CSV_BLOCK_ROWS rows.
 
     A column is a 1-D array, or a pair (values, index) declaring it as
-    values[index] (the figures' axes and labels).  An undeclared column is
-    declared by its distinct bit patterns when it has at most half as many
-    as rows (`_distinct`).  Declared values are formatted once, the rest
-    block by block, by `csvfloat.g17_fields`.  A block joins each column's
-    NUL-padded fields, each at its widest field in the block plus one slot
-    for "," or a newline, and is written without its NULs.
+    values[index] (the figures' axes and labels).  Declared values are
+    formatted once, the rest block by block, by `csvfloat.g17_fields`.  A
+    block joins each column's NUL-padded fields, each at its widest field
+    in the block plus one slot for "," or a newline, and is written without
+    its NULs.
     """
     cols = [col if isinstance(col, tuple) else (col, None) for col in columns]
     cols = [(np.asarray(v, dtype=float), i if i is None else np.asarray(i)) for v, i in cols]
@@ -69,20 +68,16 @@ def write_csv(path, header, columns):
     if len(cols) != len(header) or len(lengths) > 1:
         raise ValueError(f"columns of lengths {sorted(lengths)} do not fit {len(header)} names")
     n = lengths.pop() if lengths else 0
-    for j, (values, index) in enumerate(cols):
-        if index is None:
-            values, index = _distinct(values)
+    # each field's last slot takes its separator, once for declared fields
+    separators = [ord(",")] * (len(cols) - 1) + [ord("\n")]
+    for j, ((values, index), sep) in enumerate(zip(cols, separators)):
         if index is not None:
             parts = [g17_fields(values[start : start + CSV_BLOCK_ROWS]) for start in range(0, len(values), CSV_BLOCK_ROWS)]
             fields = np.zeros((len(values), max((p.shape[1] for p in parts), default=1)), dtype=np.uint8)
             for start, part in zip(range(0, len(values), CSV_BLOCK_ROWS), parts):
                 fields[start : start + len(part), : part.shape[1]] = part
-            cols[j] = (fields, index)
-    # each field's last slot takes its separator, once for declared fields
-    separators = [ord(",")] * (len(cols) - 1) + [ord("\n")]
-    for (fields, index), sep in zip(cols, separators):
-        if index is not None:
             fields[:, -1] = sep
+            cols[j] = (fields, index)
     with open(path, "wb") as fh:
         fh.write(",".join(header).encode() + b"\n")
         for start in range(0, n, CSV_BLOCK_ROWS):
@@ -96,39 +91,6 @@ def write_csv(path, header, columns):
                     block.append(values.take(index[part], axis=0))
             fh.write(np.concatenate(block, axis=1).tobytes().translate(None, b"\0"))
     return path
-
-
-SAMPLE_STRIDE = 16  # every 16th value of a long column is sampled by _distinct
-
-
-def _distinct(values):
-    """(table, inverse) with values = table[inverse], table the distinct bit
-    patterns of values in increasing int64 order, when there are at most
-    half as many as values; (values, None) otherwise.
-
-    A column longer than CSV_BLOCK_ROWS whose every SAMPLE_STRIDE-th value
-    has a distinct bit pattern is taken as distinct with no full sort:
-    either way the bytes written are the same.  Otherwise a sort counts
-    the distinct patterns, and a column that takes the table gets it and
-    its inverse from one argsort.
-    """
-    bits = values.view(np.int64)
-    n = len(bits)
-    if n > CSV_BLOCK_ROWS:
-        sample = np.sort(bits[::SAMPLE_STRIDE])
-        if (sample[1:] != sample[:-1]).all():
-            return values, None
-    ordered = np.sort(bits)
-    if 2 * np.count_nonzero(ordered[1:] != ordered[:-1]) + 2 > n:
-        return values, None
-    order = np.argsort(bits)
-    ordered = bits[order]
-    first = np.empty(n, dtype=bool)
-    first[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    inverse = np.empty(n, dtype=np.intp)
-    inverse[order] = np.cumsum(first) - 1
-    return ordered[first].view(float), inverse
 
 
 def _grid_columns(xs, ys, *values):

@@ -6,8 +6,9 @@ checked numerically:
   TF  - topology of faces: the triple bisector intersection meets the
         closure of the ball only at the two shared ideal vertices, and the
         two Giraud circles bounding a face are bi-tangent there;
-  LC  - local combinatorics: neighbouring faces meet in Giraud disks or in
-        the expected vertex pairs, and the face cut is well defined;
+  LC  - local combinatorics: neighbouring faces meet in the expected vertex
+        pairs (that the others meet in Giraud disks is proved once, in
+        tests/test_lc_identities.py);
   GC  - global combinatorics: non-neighbouring bisectors are disjoint,
         certified by closed-form guard surfaces on the visual sphere of the
         deformation's fixed point (annuli on the loxodromic side, angular
@@ -34,23 +35,20 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import GeometryError, apply, box_rows, siegel_model, tolerance
+from .core import GeometryError, box_rows, siegel_model, tolerance
 from .family import (
-    P_A, P_B, P_U, P_V, P_W, P_U1, P_U2, U_PA, U_PB, U_PV, U_PW, UI_PB, UI_PV, UI_PW, U2_PV, UI2_PW,
+    P_A, P_B, P_U, P_V, P_W, P_U1, P_U2, U_PA, U_PB, U_PV, U_PW, UI_PB, UI_PV, UI_PW,
     SideKind,
     delta0,
     face_points,
-    involution_matrix,
     param_side,
 )
 from .bisector import (
     ExtorPairKind,
     GiraudTorus,
-    SymmetricKind,
     bisector_kinds,
     giraud_circle_tangents,
     pair_kinds,
-    symmetric_kinds,
     torus_exclusion,
 )
 from .visual import (
@@ -66,16 +64,14 @@ DEFAULT_GRID = 720
 # cone margins this close to the least one are ties up to rounding
 CONE_TIE = 8 * np.spacing(math.pi)
 # incidence's Gram block: the vertices and their translates (rows) against
-# the bisectors' points (columns), and its real-spine samples p_U + lam q,
-# |lam| = 1
+# the bisectors' points (columns)
 INCIDENCE_ROWS, INCIDENCE_COLS = np.array([[P_A], [P_B], [U_PA], [UI_PB], [U_PB]]), np.array([P_U, P_V, P_W, UI_PV, UI_PW, U_PV])
-SPINE_LAMBDAS = np.exp(1j * np.linspace(0.3, 5.9, 5))[:, None]
 # the second lifts of the bisectors of p_U: J_0^+, J_0^-, J_1^+ and J_-1^-
 BISECTORS = [P_V, P_W, U_PV, UI_PW]
 # row pairs of FaceFamily.boxes: the foci p_U box q of BISECTORS, then q box
 # r of the tori (J_0^-, J_-1^-), (J_0^+, J_1^+), (J_0^+, J_0^-) and
-# (J_0^+, J_-1^-), then U p_V box p_W for LC's second triple
-BOX_PAIRS = np.array([[P_U, q] for q in BISECTORS] + [[P_W, UI_PW], [P_V, U_PV], [P_V, P_W], [P_V, UI_PW], [U_PV, P_W]]).T
+# (J_0^+, J_-1^-)
+BOX_PAIRS = np.array([[P_U, q] for q in BISECTORS] + [[P_W, UI_PW], [P_V, U_PV], [P_V, P_W], [P_V, UI_PW]]).T
 # the tori above as (bisector of q, bisector of r), indices into BISECTORS,
 # with their lifts (p_U, q, r) as rows of the point table
 TORI = [(1, 3), (0, 2), (0, 1), (0, 3)]
@@ -88,7 +84,7 @@ TORUS_LIFTS = np.array([[P_U, BISECTORS[i], BISECTORS[j]] for i, j in TORI])
 
 class FaceFamily:
     """All data attached to a parameter, as arrays: the point table P of
-    `family.face_points` (rows P_A .. UI2_PW), its Gram table G[i, j] =
+    `family.face_points` (rows P_A .. UI_PW), its Gram table G[i, j] =
     <P_i, P_j>, the Euclidean lengths of its rows and the box products of
     the row pairs BOX_PAIRS, from which every decision of the checks is
     read; the oriented chart on the visual sphere of [p_U]; grid settings."""
@@ -103,7 +99,6 @@ class FaceFamily:
         self.G = self.space.gram(self.P)
         self.lengths = np.linalg.norm(self.P, axis=1)
         self.boxes = box_rows(self.P[BOX_PAIRS[0]], self.P[BOX_PAIRS[1]], self.space)
-        self.I = involution_matrix(self.alpha2)
         self.chart = self._oriented_chart()
 
     def _oriented_chart(self):
@@ -159,13 +154,6 @@ class FaceFamily:
         i, j = np.array(TORI).T
         rows = zip(self.boxes[4:8], self.boxes[j], -self.boxes[i])
         return [GiraudTorus(lifts, r, self.space) for lifts, r in zip(self.P[TORUS_LIFTS], rows)]
-
-    @cached_property
-    def symmetric(self) -> tuple[np.ndarray, list]:
-        """(u, kinds) of the symmetric triples (p_U, p_V, p_W) and (p_U,
-        U p_V, p_W) (`symmetric_kinds`), LC's Giraud disks."""
-        b = self.boxes  # rows of BOX_PAIRS; p_W box p_U is -(p_U box p_W)
-        return symmetric_kinds(np.array([[b[0], b[6], -b[1]], [b[2], b[8], -b[1]]]), self.space, self.tol)
 
     @cached_property
     def silhouettes(self):
@@ -226,8 +214,10 @@ def incidence_check(ff: FaceFamily) -> CheckResult:
     """Unit-modulus products putting the two ideal vertices on the four
     bisectors around them, plus translation compatibility of the family and
     the chart action chart(U x) = m chart(x) of `FaceFamily.chart_multiplier`
-    (skipped, with a note, on the unipotent wall)."""
-    P, sp = ff.P, ff.space
+    (skipped, with a note, on the unipotent wall).  The involution that
+    carries J_k^+ onto J_-k^- holds at every alpha2; it is proved once, in
+    tests/test_lc_identities.py."""
+    P = ff.P
     res = CheckResult("incidence", True)
     # |<z, w>| for the vertices and their translates z (rows: p_A, p_B, U p_A,
     # U^-1 p_B, U p_B) and the bisectors' second points w (columns: p_U, p_V,
@@ -240,14 +230,6 @@ def incidence_check(ff: FaceFamily) -> CheckResult:
     res.residuals["max_translation_incidence"] = max(
         [abs(G[i][0] - G[i][1]) for i in (0, 2, 1, 3)] + [abs(G[i][0] - G[i][2]) for i in (0, 2, 1, 4)]
     )
-    # symmetry: the involution carries J_k^+ onto J_{-k}^- and back, checked
-    # on real-spine samples p_U + lam q of each side, shape (k, side, lam, 3),
-    # q = U^k p_V and U^-k p_W for k = 0, 1, 2
-    q = P[[[P_V, P_W], [U_PV, UI_PW], [U2_PV, UI2_PW]]]
-    iz = apply(ff.I, P[P_U] + SPINE_LAMBDAS * q[:, :, None])
-    to_image = np.abs(sp.form(iz, q[:, ::-1, None]))
-    sym = np.abs(np.abs(sp.form(P[P_U], iz)) - to_image) / np.maximum(1.0, (np.abs(iz) ** 2).sum(axis=-1))
-    res.residuals["max_involution_symmetry"] = float(sym.max())
     # U acts on the chart by its multiplier m, from which every translate's
     # silhouette is taken: checked at the vertices and at p_V, p_W
     m, ch = ff.chart_multiplier, ff.chart
@@ -331,27 +313,13 @@ def _bitangency(circles, targets):
 
 
 def lc_check(ff: FaceFamily) -> CheckResult:
+    """LC from what can fail: the two torus-exclusion passes.  Both
+    face-boundary intersections are Giraud disks of order-3 symmetric
+    triples with u = (2/3)(4 cos^2 alpha2 - 3) < 2/3 at every alpha2 in (0,
+    pi/2), and the fan focus at alpha2 = pi/6 sits inside its arc; both are
+    proved once, in tests/test_lc_identities.py and
+    tests/test_gc_identities.py."""
     res = CheckResult("lc", True)
-    a2 = ff.alpha2
-    u = (2.0 / 3.0) * (4.0 * math.cos(a2) ** 2 - 3.0)
-    # 2/3 - u in closed form, without the cancellation of 2/3 - u near alpha2 = 0
-    margin = (8.0 / 3.0) * math.sin(a2) ** 2
-    res.margins["u_below_two_thirds"] = margin
-    ok_u = margin > 0.0
-
-    # both face-boundary intersections are Giraud disks of symmetric triples
-    (u1, u2), kinds = ff.symmetric
-    res.residuals["u_plus_pair"] = abs(u1 - u)
-    res.residuals["u_cross_pair"] = abs(u2 - u)
-    # below alpha2 ~ 6e-4 a triple's u falls in the 1e3 tol band around 2/3
-    # that reads TRI_CIRCLE_DISK; there the closed form decides, when the
-    # triple's u matches it
-    disks_ok = all(
-        kind is SymmetricKind.DISK
-        or (kind is SymmetricKind.TRI_CIRCLE_DISK and abs(x - u) <= 1e3 * ff.tol and margin > 0.0)
-        for x, kind in zip((u1, u2), kinds)
-    )
-
     # F_0^- /\ F_-1^- == {p_A, p_B} and F_0^+ /\ F_1^+ == {p_B, U p_A}: each
     # pair lies in the set of the constraint both faces share, |<z,p_U>| <=
     # |<z,p_V>| (TF's torus_exclusion pass) and <= |<z,p_W>|, so it suffices
@@ -361,21 +329,7 @@ def lc_check(ff: FaceFamily) -> CheckResult:
     ok_mm = _record_exclusion(ff, res, "faces_minus_minus", minus, mm_names)
     pp_names = ("faces_plus_plus_vertex_pB", "faces_plus_plus_vertex_UpA")
     ok_pp = _record_exclusion(ff, res, "faces_plus_plus", plus, pp_names)
-
-    # fan parameter: the singular focus theta = 3 pi/2 must sit strictly
-    # inside the quadrilateral's boundary arc on the slice circle q(theta) =
-    # (1, sqrt2 e^{i theta}, -1) through the two neighbouring vertices.  There
-    # |<p_U, q>|^2 = 2 (1 + sin theta) and |<p_W, q>|^2, |<U^-1 p_W, q>|^2 =
-    # 11 + 2 sin theta +- 6 sqrt3 cos theta (tests/test_gc_identities.py), so
-    # the face holds the arc |cos theta| <= sqrt3/2, [7 pi/6, 11 pi/6], with
-    # the focus asin(sqrt3/2) inside either end
-    if abs(a2 - math.pi / 6.0) < 1e-9:
-        res.margins["fan_focus_interior"] = math.asin(math.sqrt(3.0) / 2.0)
-        res.notes.append(
-            "fan focus checked on the slice circle through the quadrilateral "
-            "vertices at theta = 7pi/6 and 11pi/6"
-        )
-    res.passed = bool(ok_u and disks_ok and ok_mm and ok_pp)
+    res.passed = bool(ok_mm and ok_pp)
     return res
 
 

@@ -7,9 +7,13 @@ None of these is on a program path, and none is imported by `crlab`:
   its own per-form column rows, the per-torus ball arcs `ball_arcs` it
   reads from the norm terms `norm_terms` of the column rows `delta_rows`,
   and torus points `torus_vectors` and `point`;
-- the grid oracle of the symmetric trichotomy (`periodic_components`,
-  `count_sublevel_components`, `brute_force_symmetric_kind`), which the
-  program decides in closed form (`symmetric_intersection_type`);
+- the symmetric trichotomy of an order-3 symmetric triple: its array
+  form `symmetric_kinds` with `SymmetricKind`, its grid oracle
+  (`periodic_components`, `count_sublevel_components`,
+  `brute_force_symmetric_kind`), and the per-object form
+  `symmetric_intersection_type`; on the slice, LC's two triples
+  (`lc_triples`) are proved to be disks at every parameter
+  (tests/test_lc_identities.py), so the program decides none;
 - sampled spinal surfaces and null circles (`spinal_samples`,
   `slice_boundary_circle`, `boundary_circle_of_plane`) and the sampled
   tangency count `line_spinal_crossings`, against which GC's closed-form
@@ -21,18 +25,20 @@ None of these is on a program path, and none is imported by `crlab`:
   ends (`real_spine_endpoints`) and `is_autopolar_triple`;
 - the per-object forms of the program's array decisions, written with the
   scalar `inner` and `box` of single HVecs: `classify_bisector` and its
-  `Bisector`, `classify_pair`, `giraud_torus`, `symmetric_intersection_type`,
-  `tangency_check`, `silhouette_circles`, `project_bisector`,
-  `angular_diameter` and `u_power_point`, against which `FaceFamily`'s
-  Gram-table decisions are held; and `table`, the Gram table of a few
-  HVecs, with `bisector_kind`, `pair_kind`, `symmetric_kind` and
-  `tangency`, through which the tests call the program's kernels on one
-  bisector, pair, triple or point.
+  `Bisector`, `classify_pair`, `giraud_torus`, `tangency_check`,
+  `silhouette_circles`, `project_bisector`, `angular_diameter` and
+  `u_power_point`, against which `FaceFamily`'s Gram-table decisions are
+  held; and `table`, the Gram table of a few HVecs, with `bisector_kind`,
+  `pair_kind`, `symmetric_kind` and `tangency`, through which the tests
+  call the kernels on one bisector, pair, triple or point;
+- the slice's involution `involution_matrix`, which swaps the two
+  bisector families.
 """
 
 from __future__ import annotations
 
 import cmath
+import enum
 import math
 from dataclasses import dataclass
 
@@ -42,17 +48,15 @@ from crlab.bisector import (
     BisectorKind,
     ExtorPairKind,
     GiraudTorus,
-    SymmetricKind,
     _arcs,
     _harmonic_roots,
     _ratio_critical,
     bisector_kinds,
     level_g,
     pair_kinds,
-    symmetric_kinds,
 )
-from crlab.core import GeometryError, HVec, inner, sesquilinear, tolerance
-from crlab.family import FamilyParams, FamilyRep, SideKind
+from crlab.core import GeometryError, HVec, box_rows, inner, sesquilinear, tolerance
+from crlab.family import P_W, U_PV, FamilyParams, FamilyRep, SideKind
 from crlab.isometry import Isometry
 from crlab.reference import Location, box, locate, proj_equal, remarkable_points
 from crlab.visual import Silhouette, VisualChart, _null_circles, _polar_basis, circle_points, tangencies
@@ -432,8 +436,51 @@ def pair_kind(b1, b2, tol=None) -> ExtorPairKind:
     return pair_kinds(np.array([b1.focus.v, b2.focus.v]), lifts, [(0, 1)], b1.p.space, tolerance(tol))[0]
 
 
+class SymmetricKind(enum.Enum):
+    DISK = "disk"
+    TRI_CIRCLE_DISK = "tri-circle-disk"
+    TORUS_MINUS_TWO_DISKS = "torus-minus-two-disks"
+
+
+def symmetric_kinds(boxes, space, tol) -> tuple[list, list]:
+    """(u, kinds) of the intersections B(p,q) /\\ B(p,r) of order-3
+    symmetric triples, decided by u = <pxq, pxq> / <pxq, qxr> against 2/3,
+    from the box products (p box q, q box r, r box p) of each triple, shape
+    (m, 3, 3), and their Gram blocks, one form.  Raises GeometryError for
+    a triple that is not order-3 symmetric, or whose mixed product is not
+    real negative.  On the slice both of LC's triples are proved DISK at
+    every alpha2 in (0, pi/2) (tests/test_lc_identities.py)."""
+    us, kinds = [], []
+    for K in space.form(boxes[:, :, None], boxes[:, None]).tolist():
+        (l1, k1, _), (_, l2, k2), (k3, _, l3) = K
+        l1, l2, l3 = l1.real, l2.real, l3.real
+        scale = max(abs(k1), abs(l1), 1e-300)
+        sym_tol = 1e3 * tol * scale
+        if max(abs(k1 - k2), abs(k2 - k3)) > sym_tol or max(abs(l1 - l2), abs(l2 - l3)) > sym_tol:
+            raise GeometryError("triple is not order-3 symmetric within tolerance")
+        if abs(k1.imag) > sym_tol or k1.real >= -tol * scale:
+            raise GeometryError("mixed product is not real negative; hypotheses violated")
+        u = l1 / k1.real
+        band = 1e3 * tol * max(1.0, abs(u))
+        us.append(u)
+        kinds.append(
+            SymmetricKind.DISK if u < 2.0 / 3.0 - band else SymmetricKind.TORUS_MINUS_TWO_DISKS if u > 2.0 / 3.0 + band
+            else SymmetricKind.TRI_CIRCLE_DISK
+        )
+    return us, kinds
+
+
+def lc_triples(ff) -> np.ndarray:
+    """The box products (p box q, q box r, r box p) of LC's triples (p_U,
+    p_V, p_W) and (p_U, U p_V, p_W), shape (2, 3, 3), the input of
+    `symmetric_kinds`: rows of a FaceFamily's box table (p_W box p_U is
+    -(p_U box p_W)), and U p_V box p_W by `core.box_rows` as they are."""
+    b = ff.boxes
+    return np.array([[b[0], b[6], -b[1]], [b[2], box_rows(ff.P[U_PV], ff.P[P_W], ff.space), -b[1]]])
+
+
 def symmetric_kind(p: HVec, q: HVec, r: HVec, tol=None):
-    """(u, kind) of the program's `symmetric_kinds` on one triple."""
+    """(u, kind) of `symmetric_kinds` on one triple."""
     (u,), (kind,) = symmetric_kinds(np.array([[box(p, q).v, box(q, r).v, box(r, p).v]]), p.space, tolerance(tol))
     return float(u), kind
 
@@ -678,6 +725,14 @@ def power(g, k: int):
 def family_U(ff):
     """U = S^-1 T of a FaceFamily's parameter as an Isometry."""
     return FamilyRep(FamilyParams(0.0, ff.alpha2)).word("s^-1t")
+
+
+def involution_matrix(alpha2: float) -> np.ndarray:
+    """The U(2,1) involution I on the alpha1 = 0 slice: I p_U = p_U, I p_V =
+    p_W and I U I = U^-1, so I carries U^k p_V onto U^-k p_W for every k
+    (`slice_algebra.INVOLUTION`, proved in tests/test_lc_identities.py)."""
+    e = cmath.exp(1j * alpha2)
+    return np.array([[1.0, 0.0, 0.0], [-math.sqrt(2.0) * e, -1.0, 0.0], [-1.0, -math.sqrt(2.0) / e, 1.0]], dtype=complex)
 
 
 def u_power_point(ff, k: int, p: HVec) -> HVec:

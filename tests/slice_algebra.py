@@ -1,11 +1,14 @@
 """The alpha1 = 0 slice over real symbols, for the sympy proofs in
-tests/test_tf_identities.py and tests/test_gc_identities.py.
+tests/test_tf_identities.py, tests/test_gc_identities.py and
+tests/test_lc_identities.py.
 
 c = cos(alpha2) and s = sin(alpha2) are real symbols; an expression is an
 identity of the slice when it vanishes modulo c^2 + s^2 - 1 and whatever
-relations its other symbols obey (`zero`).  S and T are the closed forms of
+relations its other symbols obey (`zero`), and a polynomial in one symbol
+is positive on an interval by Sturm's count (`positive`).  S and T are the closed forms of
 `family.rho_s` and `family.rho_t` at alpha1 = 0, U = S^-1 T, and the points
-are built from them as `family.face_points` builds its rows.
+are built from them as `family.face_points` builds its rows.  INVOLUTION
+is the involution that fixes p_U and swaps p_V with p_W.
 """
 
 import sympy as sp
@@ -36,6 +39,16 @@ def box(a, b):
     return J * conj(a.cross(b))
 
 
+def positive(expr, lo, hi=sp.oo) -> bool:
+    """expr, a polynomial in one symbol, is positive on the open interval
+    (lo, hi): Sturm's count (`Poly.count_roots`) finds no root inside it,
+    and expr is positive at a point, in exact rational arithmetic."""
+    p = sp.Poly(expr)
+    ends = [e for e in (lo, hi) if e is not sp.oo and p.eval(e) == 0]
+    inside = p.count_roots(lo, None if hi is sp.oo else hi) - len(ends)
+    return inside == 0 and p.eval(lo + 1 if hi is sp.oo else sp.S(lo + hi) / 2) > 0
+
+
 def zero(expr, relations, gens) -> bool:
     """expr vanishes on the variety of `relations`, a Groebner basis in the
     lex order of `gens`: its real and imaginary parts reduce to 0."""
@@ -51,7 +64,9 @@ U = (inv(S) * T).expand()
 P_U = sp.Matrix([1, -SQ2 / 2 * E, E**2])
 P_V = (S * P_U).expand()
 P_W = (S * P_V).expand()
+U_PV = (U * P_V).expand()
 UI_PW = (inv(U) * P_W).expand()
+INVOLUTION = sp.Matrix([[1, 0, 0], [-SQ2 * E, -1, 0], [-1, -SQ2 * conj(E), 1]])
 
 
 def eigenvector(delta):

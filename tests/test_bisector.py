@@ -8,7 +8,6 @@ from crlab.core import GeometryError, HVec, inner
 from crlab.bisector import (
     BisectorKind,
     ExtorPairKind,
-    SymmetricKind,
     column_minima,
     level_g,
     vertex_angles,
@@ -18,6 +17,7 @@ from crlab.reference import Location, alpha2_for_length, ball_model, box, locate
 from crlab.verify import FaceFamily, delta0
 
 from oracles import (
+    SymmetricKind,
     apply,
     ball_arcs,
     bisector_kind,

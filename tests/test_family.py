@@ -14,7 +14,6 @@ from crlab.family import (
     char_P,
     char_Q,
     discriminant_D,
-    involution_matrix,
     param_side,
     parse_word,
     schwartz_point,
@@ -40,7 +39,7 @@ from crlab.reference import (
 
 from conftest import sample_alpha2
 
-from oracles import apply, power
+from oracles import apply, involution_matrix, power
 
 
 def proj_identity_residual(M):

@@ -154,16 +154,16 @@ def _csv_cases():
     rng = np.random.default_rng(3)
     # every column unique: one CSV_FMT per value
     yield np.concatenate([np.reshape(SPECIAL, (-1, 2)), rng.standard_normal((40, 2)) * 1e3])
-    # the specials repeated in a table column (-0.0 and 0.0 as distinct
-    # patterns), next to a unique column
+    # the specials repeated (-0.0 and 0.0 as distinct patterns), next to a
+    # unique column
     table = rng.permutation(np.repeat(SPECIAL, 5))
     yield np.column_stack([table, rng.standard_normal(len(table))])
-    # 20 rows: 10 distinct patterns take the table, 11 do not
+    # 20 rows of 10 and of 11 distinct patterns
     for distinct in (10, 11):
         col = np.resize(np.array(SPECIAL[:distinct]) * 7.25, 20)
         yield np.column_stack([col, rng.permutation(col)])
-    # row counts around the block size: the specials in a table column that
-    # spans blocks, next to a unique column
+    # row counts around the block size: the specials in a column that spans
+    # blocks, next to a unique column
     B = CSV_BLOCK_ROWS
     for n in (0, 1, B - 1, B, B + 1, 2 * B + 3):
         table = np.resize(rng.permutation(SPECIAL), n)
@@ -177,8 +177,8 @@ def _declared(col):
 
 
 def test_write_csv_matches_per_value_format(tmp_path):
-    # each case with plain columns (the writer decides which take a table)
-    # and with every column declared as a (values, index) pair
+    # each case with plain columns, formatted block by block, and with every
+    # column declared as a (values, index) pair, formatted once
     for case, rows in enumerate(_csv_cases()):
         for form, columns in (("plain", list(rows.T)), ("declared", [_declared(c) for c in rows.T])):
             path = write_csv(str(tmp_path / f"t{case}{form}.csv"), ["a", "b"], columns)
@@ -187,13 +187,14 @@ def test_write_csv_matches_per_value_format(tmp_path):
 
 
 def test_write_csv_writes_the_longest_fields_whole(tmp_path):
-    # each special alone, and repeated in a column that takes the table
+    # each special alone, and repeated in a column declared as a table
     for case, v in enumerate(SPECIAL):
         col = np.array([v])
-        for form, columns in (("alone", [col]), ("table", [np.tile(col, 6)])):
+        for form, columns in (("alone", [col]), ("table", [(col, np.zeros(6, dtype=int))])):
             path = write_csv(str(tmp_path / f"t{case}{form}.csv"), ["a"], columns)
+            rows = np.resize(col, 1 if form == "alone" else 6)[:, None]
             with open(path, "rb") as fh:
-                assert fh.read() == write_csv_loop(["a"], columns[0][:, None]), (v, form)
+                assert fh.read() == write_csv_loop(["a"], rows), (v, form)
 
 
 def test_write_csv_rejects_rows_that_do_not_fit_the_header(tmp_path):
@@ -221,11 +222,11 @@ def test_write_csv_rejects_rows_that_do_not_fit_the_header(tmp_path):
 
 def test_write_csv_peak_memory_is_bounded_by_the_file(tmp_path, monkeypatch):
     # blocks of rows go out as they are formatted: on a 100k x 4 grid table
-    # (two axis columns through the string table, one unique column, and one
-    # of exactly n/2 distinct values, the largest table the rule admits) the
-    # traced peak stays within twice the file's size, where a whole table of
-    # Python objects took about 3 times; the kernel formats at most
-    # CSV_BLOCK_ROWS values at a time, distinct values included
+    # (two axis columns declared over their axes, one unique column, and one
+    # of exactly n/2 distinct values) the traced peak stays within twice the
+    # file's size, where a whole table of Python objects took about 3 times;
+    # the kernel formats each axis value once and every other value once, at
+    # most CSV_BLOCK_ROWS values at a time
     import tracemalloc
 
     import crlab.figures
@@ -237,25 +238,28 @@ def test_write_csv_peak_memory_is_bounded_by_the_file(tmp_path, monkeypatch):
         return _real(x)
 
     monkeypatch.setattr(crlab.figures, "g17_fields", counted)
-    X, Y = np.meshgrid(np.linspace(-3, 3, 400), np.linspace(-1, 1, 250), indexing="ij")
+    xs, ys = np.linspace(-3, 3, 400), np.linspace(-1, 1, 250)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
     rng = np.random.default_rng(1)
     half = rng.permutation(np.repeat(rng.standard_normal(X.size // 2), 2))
     rows = np.column_stack([X.ravel(), Y.ravel(), rng.standard_normal(X.size), half])
+    axes = [(xs, np.repeat(np.arange(400), 250)), (ys, np.tile(np.arange(250), 400))]
     path = str(tmp_path / "t.csv")
     tracemalloc.start()
     try:
-        write_csv(path, ["a", "b", "c", "d"], list(rows.T))
+        write_csv(path, ["a", "b", "c", "d"], axes + list(rows[:, 2:].T))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(np.unique(rows[:, 3])) == len(rows) // 2
     assert peak <= 2 * os.path.getsize(path)
     assert max(sizes) <= CSV_BLOCK_ROWS
-    assert sum(sizes) == 400 + 250 + len(rows) + len(rows) // 2
+    assert sum(sizes) == 400 + 250 + 2 * len(rows)
 
 
 def test_level_sets_csv_matches_per_value_format(tmp_path):
-    # a real grid: both axes take the table, and so does the symmetric g
+    # a real grid: both axes declared over theta, and the symmetric g formatted
+    # block by block
     path, G = figure_level_sets(str(tmp_path / "ls"), resolution=96)
     th = np.linspace(-math.pi, math.pi, 96, endpoint=False)
     T, P = np.meshgrid(th, th, indexing="ij")

@@ -50,7 +50,7 @@ from crlab.reference import alpha2_for_length
 from crlab.verify import FaceFamily
 
 import slice_algebra
-from slice_algebra import I, SQ2, c, conj, eigenvector, inner, s, zero
+from slice_algebra import I, SQ2, c, conj, eigenvector, inner, positive, s, zero
 
 d, x, b, hc = sp.symbols("d x b hc", real=True)
 GENS = (d, s, c)
@@ -79,15 +79,6 @@ H_ELLIPTIC, H_LOXODROMIC = _h(I * d), _h(d)
 
 def _sq(z):
     return z * conj(z)
-
-
-def _positive(expr, lo, hi=sp.oo) -> bool:
-    """expr, a polynomial in x, is positive on the open interval (lo, hi):
-    Sturm's count finds no root inside it, and expr is positive at a point."""
-    p = sp.Poly(expr, x)
-    ends = [e for e in (lo, hi) if e is not sp.oo and p.eval(e) == 0]
-    inside = p.count_roots(lo, None if hi is sp.oo else hi) - len(ends)
-    return inside == 0 and p.eval(lo + 1 if hi is sp.oo else (lo + hi) / 2) > 0
 
 
 def test_elliptic_h_identities():
@@ -131,7 +122,7 @@ def test_elliptic_certificate():
     # |h1|^2, |h2|^2 > 18: A - 18 > 0 and (A - 18)^2 - b^2 > 0 give A - 18 > |b|
     q = 16 * x**3 + 8 * x**2 - 16 * x + 1
     assert sp.expand((A - 18) ** 2 - B2 - 36 * q) == 0
-    assert _positive(A - 18, LO, 1) and _positive(q, LO, 1)
+    assert positive(A - 18, LO, 1) and positive(q, LO, 1)
     h1sq, h2sq = A - b, A + b
     c0, c2 = h2sq * (1 - h1sq / 18), h1sq * (1 - h2sq / 18)  # so c0 < 0, c2 < 0
     # c1 with hc = cos(beta/2), hc^2 = (1 + x)/2
@@ -142,24 +133,24 @@ def test_elliptic_certificate():
     assert sp.expand(A**2 - B2 - product) == 0  # |h1|^2 |h2|^2 in x
     assert sp.expand(disc - sp.Rational(16, 9) * product * (1 - x**2) * (2 + 4 * x - 9 * x**2)) == 0
     # each factor has its sign on (LO, 1): disc < 0
-    assert _positive(product, LO, 1) and _positive(1 - x**2, LO, 1)
-    assert _positive(-(2 + 4 * x - 9 * x**2), LO, 1)
+    assert positive(product, LO, 1) and positive(1 - x**2, LO, 1)
+    assert positive(-(2 + 4 * x - 9 * x**2), LO, 1)
     # c2 < 0 and disc < 0: P(k) = c2 (k + c1/(2 c2))^2 - disc/(4 c2) < 0 for
     # every real k, and the largest value over k >= 0 is at k = 0 or at the vertex
     k, c0_, c1_, c2_ = sp.symbols("k c0_ c1_ c2_", real=True)
     vertex = c2_ * (k + c1_ / (2 * c2_)) ** 2 - (c1_**2 - 4 * c0_ * c2_) / (4 * c2_)
     assert sp.simplify(vertex - (c0_ + c1_ * k + c2_ * k**2)) == 0
     # (9/4)/(1 - x)^2 > 4
-    assert _positive(9 - 16 * (1 - x) ** 2, LO, 1)
+    assert positive(9 - 16 * (1 - x) ** 2, LO, 1)
 
 
 def test_loxodromic_certificate():
     cosh = [sp.chebyshevt(m, x) for m in range(5)]  # cosh(m l) = T_m(cosh l)
     chain = 9 * cosh[4] + 8 * cosh[1] - 8 * cosh[3] - 8 * cosh[2] - 1
     assert sp.expand(chain - 8 * (x - 1) * (9 * x**3 + 5 * x**2 - 6 * x - 2)) == 0
-    assert _positive(chain, 1)
-    assert _positive(cosh[4] + cosh[1] - cosh[3] - cosh[2], 1)
-    assert _positive(cosh[4] - 1, 1)
+    assert positive(chain, 1)
+    assert positive(cosh[4] + cosh[1] - cosh[3] - cosh[2], 1)
+    assert positive(cosh[4] - 1, 1)
 
 
 def test_fan_slice_circle_identities():

@@ -19,7 +19,7 @@ NOT_PROGRAM = ("__init__", "reference")
 # past 8,192 tokens pays the next doubling, so each keeps 1,024 below it
 MODULE_TOKEN_BUDGET = 7_168
 # verify.py's float literals in (0, 1e-2)
-VERIFY_GATE_LITERALS = 6
+VERIFY_GATE_LITERALS = 5
 # numpy's products, which can run through BLAS
 BLAS_PRODUCTS = ("matmul", "dot", "vdot", "einsum", "inner", "tensordot")
 
@@ -43,6 +43,15 @@ def test_verify_takes_its_side_from_family():
     tree = ast.parse((SRC / "verify.py").read_text())
     names = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names}
     assert names.isdisjoint({"elliptic_type", "classify"})
+
+
+def test_verify_decides_no_proved_identity():
+    # LC's symmetric triples and incidence's involution are proved at every
+    # alpha2 (tests/test_lc_identities.py): verify neither decides the
+    # trichotomy nor builds the involution
+    tree = ast.parse((SRC / "verify.py").read_text())
+    names = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names}
+    assert names.isdisjoint({"symmetric_kinds", "SymmetricKind", "involution_matrix"})
 
 
 def test_verify_imports_no_scalar_form():

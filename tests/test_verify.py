@@ -36,6 +36,7 @@ from crlab.verify import (
 
 from conftest import sample_alpha2
 from oracles import (
+    SymmetricKind,
     apply,
     classify_bisector,
     classify_pair,
@@ -43,9 +44,11 @@ from oracles import (
     family_U,
     family_points,
     giraud_torus,
+    lc_triples,
     power,
     silhouette_circles,
     symmetric_intersection_type,
+    symmetric_kinds,
     tangency_check,
     torus_vectors,
     u_power_point,
@@ -72,22 +75,13 @@ def test_incidence_many_parameters():
         assert res.residuals["max_modulus_deviation"] <= 1e-10
 
 
-def test_incidence_symmetry_both_ways(ff_lox):
-    # the involution carries each bisector family onto the mirrored one
-    res = incidence_check(ff_lox)
-    assert res.residuals["max_involution_symmetry"] <= 1e-10
-
-
 @pytest.mark.parametrize("n", [9789, 60636])
 def test_incidence_near_the_wall(n):
-    # U^k p from the eigenbasis lost digits near the wall, where p_U' and
-    # p_U'' tend to one null point: the symmetry residual read 1.9e-4 at
-    # order 60636; Newton's form on the eigenvalues needs no eigenvector
+    # near the wall p_U' and p_U'' tend to one null point; the point table's
+    # rows U^k p need no eigenvector, so every residual keeps its digits
     res = incidence_check(FaceFamily(alpha2_for_order(n), grid_n=64))
     assert res.passed
-    assert set(res.residuals) == {
-        "max_modulus_deviation", "max_translation_incidence", "max_involution_symmetry", "chart_action"
-    }
+    assert set(res.residuals) == {"max_modulus_deviation", "max_translation_incidence", "chart_action"}
     assert max(res.residuals.values()) <= 1e-11
 
 
@@ -184,7 +178,6 @@ def test_tf_at_fan_and_cone_parameters():
 def test_lc_structure(ff_lox):
     res = lc_check(ff_lox)
     assert res.passed
-    assert res.margins["u_below_two_thirds"] > 0
     assert res.margins["faces_minus_minus"] > 0
     assert res.margins["faces_plus_plus"] > 0
     assert max(v for k, v in res.residuals.items() if "_vertex_" in k) <= 1e-12
@@ -193,8 +186,10 @@ def test_lc_structure(ff_lox):
 def test_lc_u_value_at_wall():
     ff = FaceFamily(ALPHA2_LIM, grid_n=GRID)
     res = lc_check(ff)
-    # u = (2/3)(4 cos^2 - 3) = (2/3)(3/2 - 3) = -1 at the wall
-    assert res.margins["u_below_two_thirds"] == pytest.approx(2 / 3 + 1.0, abs=1e-12)
+    # u = (2/3)(4 cos^2 - 3) = (2/3)(3/2 - 3) = -1 at the wall, read by the
+    # array oracle from the program's box rows
+    us, kinds = symmetric_kinds(lc_triples(ff), ff.space, ff.tol)
+    assert us == pytest.approx([-1.0, -1.0], abs=1e-12) and kinds == [SymmetricKind.DISK] * 2
     assert res.passed
 
 
@@ -205,8 +200,8 @@ def test_lc_fan_focus_identities():
     # the slice-circle identities are proved in
     # tests/test_gc_identities.py::test_fan_slice_circle_identities; by them
     # the focus 3 pi/2 sits in the arc [7 pi/6, 11 pi/6] between the
-    # corrected vertex labels
-    assert res.margins["fan_focus_interior"] == pytest.approx(math.pi / 3, abs=1e-12)
+    # corrected vertex labels, so LC reads only its torus passes here too
+    assert sorted(res.margins) == ["faces_minus_minus", "faces_plus_plus"] and res.notes == []
 
 
 def test_gc_loxodromic(ff_lox):
@@ -461,7 +456,7 @@ def test_verify_near_the_wall_reports(alpha2):
 def test_report_schema():
     r = verify(0.7, grid_n=96)
     d = r.to_dict()
-    assert d["schema"] == "report-v3"
+    assert d["schema"] == "report-v4"
     payload = json.dumps(d, sort_keys=True)
     back = json.loads(payload)
     assert back["checks"]["tf"]["passed"] is True
@@ -696,14 +691,16 @@ def test_tf_lc_pass_where_the_ball_band_is_thin(alpha2, grid):
 
 @pytest.mark.parametrize("alpha2", [3e-4, 1e-4, 1e-6, 1e-8])
 def test_lc_passes_near_alpha2_zero(alpha2):
-    # there u = (2/3)(4 cos^2 alpha2 - 3) sits in the band around 2/3 that
-    # reads TRI_CIRCLE_DISK; the closed form 2/3 - u = (8/3) sin^2 alpha2
-    # decides the disk type
+    # there u = (2/3)(4 cos^2 alpha2 - 3) sits in the array oracle's band
+    # around 2/3, which reads TRI_CIRCLE_DISK; the disk type is proved at
+    # every alpha2 (2/3 - u = (8/3) sin^2 alpha2, tests/test_lc_identities.py)
     rep = verify(alpha2)
     assert rep.verdict.kind is VerdictKind.SURGERY and (rep.verdict.p, rep.verdict.q) == (1, -3)
     assert all(c.passed for c in (rep.incidence, rep.tf, rep.lc, rep.gc) if not c.skipped)
-    assert rep.lc.margins["u_below_two_thirds"] == pytest.approx(8.0 / 3.0 * math.sin(alpha2) ** 2, rel=1e-15)
-    assert rep.lc.residuals["u_plus_pair"] <= 1e-6 and rep.lc.residuals["u_cross_pair"] <= 1e-6
+    ff = FaceFamily(alpha2)
+    us, kinds = symmetric_kinds(lc_triples(ff), ff.space, ff.tol)
+    assert us == pytest.approx([(2 / 3) * (4 * math.cos(alpha2) ** 2 - 3)] * 2, abs=1e-6)
+    assert kinds == [SymmetricKind.TRI_CIRCLE_DISK] * 2
 
 
 @pytest.mark.parametrize("alpha2, fails", [(1e-10, True), (1e-8, False)])
@@ -875,10 +872,9 @@ def test_verify_builds_each_bisector_and_torus_once(alpha2, monkeypatch):
 
 def test_fan_residuals_match_per_sample_loops():
     # the fan's slice-circle identities and its arc, sampled one point at a
-    # time on the scalar path, against LC's margin
+    # time on the scalar path
     ff = FaceFamily(math.pi / 6, grid_n=64)
     pts = family_points(ff)
-    lc = lc_check(ff)
     UipW = apply(family_U(ff).inv(), pts.p_W)
     worst, member = 0.0, []
     for th in np.linspace(0.0, 2.0 * math.pi, 1441):
@@ -896,7 +892,6 @@ def test_fan_residuals_match_per_sample_loops():
     # the arc through the focus theta = 3 pi / 2 runs from 7 pi / 6 to 11 pi / 6
     assert member[1080] and not member[839] and not member[1321]
     assert all(member[840:1321])
-    assert lc.margins["fan_focus_interior"] == pytest.approx(math.pi / 3, abs=1e-12)
 
 
 def _outcome(fn):
@@ -930,7 +925,7 @@ def test_array_decisions_equal_the_per_object_oracle(alpha2):
     assert _outcome(lambda: ff.pair_kinds) == [_outcome(lambda: classify_pair(bs[i], bs[j], ff.tol)) for i, j in TORI]
     triples = [(pts.p_U, pts.p_V, pts.p_W), (pts.p_U, seconds[2], pts.p_W)]
     want = [_outcome(lambda t=t: symmetric_intersection_type(*t, ff.tol)) for t in triples]
-    sym = _outcome(lambda: ff.symmetric)
+    sym = _outcome(lambda: symmetric_kinds(lc_triples(ff), ff.space, ff.tol))
     if isinstance(sym, str):
         assert sym == want[0] if isinstance(want[0], str) else sym == want[1]
     else:

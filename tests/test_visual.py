@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from crlab.core import GeometryError, HVec, inner
-from crlab.family import alpha2_for_order, involution_matrix
+from crlab.family import alpha2_for_order
 from crlab.isometry import Isometry
 from crlab.reference import alpha2_for_length, box
 from crlab.verify import FaceFamily
@@ -17,6 +17,7 @@ from oracles import (
     classify_bisector,
     family_U,
     family_points,
+    involution_matrix,
     is_autopolar_triple,
     line_spinal_crossings,
     power,
