@@ -5,10 +5,10 @@ Modules:
   core       Hermitian linear algebra of signature (2,1), the box product
   isometry   SU(2,1) lifts, trace classification, eigendata, elliptic types
   family     the two-parameter representation family and its point table
-  bisector   bisectors/extors, pair classification, Giraud tori, level sets
-  visual     visual-sphere charts, silhouettes, tangency and angle bounds
+  bisector   Giraud tori of bisector pairs, their column minima, level sets
+  visual     visual-sphere charts, silhouettes and angle bounds
   verify     the TF/LC/GC verification engine and surgery verdicts
-  report     check results, verdicts and the report-v4 JSON layout
+  report     check results, verdicts and the report-v5 JSON layout
   figures    deterministic CSV/SVG figure data
   csvfloat   the byte-exact %.17g and %.9g kernel of the figure CSVs and SVGs
   cli        the `crlab` command line
@@ -46,19 +46,8 @@ from .family import (
     param_side,
     schwartz_point,
 )
-from .bisector import (
-    BisectorKind,
-    ExtorPairKind,
-    GiraudTorus,
-    bisector_kinds,
-    pair_kinds,
-)
-from .visual import (
-    VisualChart,
-    angular_diameter,
-    silhouette_circles,
-    tangencies,
-)
+from .bisector import GiraudTorus
+from .visual import VisualChart, angular_diameter, silhouette_circles
 from .report import VerificationReport
 from .verify import FaceFamily, verify
 

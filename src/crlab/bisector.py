@@ -1,104 +1,44 @@
-"""Bisectors, extors, their pairs and parametrized intersections, decided
-on tables of lifts.
+"""Giraud tori of pairs of bisectors, read from the box products of a
+table of lifts.
 
 A bisector is the equal-modulus locus |<z,p>| = |<z,q>| cut down to the
-closure of the negative cone; its extension to all of CP^2 is the extor.
-The Gram determinant r = <p,p><q,q> - <p,q><q,p> of equal-norm lifts sorts
-the locus into a metric bisector (r < 0), a fan (r = 0), or a Clifford
-cone (r > 0); the focus is always the pole [p box q] of the complex spine.
-Every decision here reads a Gram table G[i, j] = <x_i, x_j> of a table of
-lifts, or the box products of its rows (`core.box_rows`), so that a whole
-family of bisectors is one array evaluation.
+closure of the negative cone; its extension to all of CP^2 is the extor,
+whose focus is the pole [p box q] of the complex spine.  Two extors E(p,q)
+and E(p,r) of equal-norm lifts meet in a Giraud torus when the pair is
+unbalanced: neither focus lies in the other extor (the oracle `pair_kinds`
+in tests/oracles.py; every pair verify reads is unbalanced at each alpha2,
+tests/test_face_family_identities.py).  Every column here is formed from
+the box products of the rows (`core.box_rows`), so that a whole family of
+tori is one array evaluation.
 """
 
 from __future__ import annotations
 
 import cmath
-import enum
 import functools
 import math
 
 import numpy as np
 
-from .core import GeometryError, sesquilinear
-
-
-class BisectorKind(enum.Enum):
-    METRIC_BISECTOR = "metric-bisector"
-    FAN = "fan"
-    CLIFFORD_CONE = "clifford-cone"
-
-
-def bisector_kinds(G, lengths, p: int, qs, tol) -> tuple[np.ndarray, list]:
-    """(r_disc, kinds) of the bisectors of the lift p with each lift qs[i],
-    read from the Gram table G and the Euclidean lengths of a table of
-    lifts: r_disc = <p,p><q,q> - |<p,q>|^2 against the band tol max(1,
-    |<p,p>|)^2.  Raises GeometryError when two lifts' norms differ by more
-    than 1e3 tol times their scale."""
-    n_p, n_q = G[p, p].real, G[qs, qs].real
-    scale = np.maximum(np.maximum(abs(n_p), np.abs(n_q)), lengths[p] * lengths[qs])
-    off = np.flatnonzero(np.abs(n_p - n_q) > 1e3 * tol * np.maximum(scale, 1.0))
-    if len(off):
-        raise GeometryError(f"lifts have different norms ({n_p:.6g} vs {n_q[off[0]]:.6g})")
-    r = n_p * n_q - np.abs(G[p, qs]) ** 2
-    band = tol * max(1.0, abs(n_p)) ** 2
-    kinds = [
-        BisectorKind.METRIC_BISECTOR if x < -band else BisectorKind.CLIFFORD_CONE if x > band else BisectorKind.FAN
-        for x in r.tolist()
-    ]
-    return r, kinds
-
-
-class ExtorPairKind(enum.Enum):
-    CONFOCAL = "confocal"
-    BALANCED = "balanced"
-    SEMI_BALANCED = "semi-balanced"
-    UNBALANCED = "unbalanced"
-
-
-def pair_kinds(foci, lifts, pairs, space, tol) -> list[ExtorPairKind]:
-    """The kind of each pair (i, j) of the bisectors with foci foci[i] and
-    lifts (p_i, q_i) = lifts[i], shapes (k, 3) and (k, 2, 3).  Confocal when
-    the foci are projectively equal within 1e3 tol (GeometryError when the
-    lifts are too: the extors are identical); else a line through a focus
-    lies in an extor exactly when its second point does, so both
-    containments reduce to the membership |<f, p>| = |<f, q>| of each focus
-    in the other extor, within 1e3 tol |f| sqrt(|p| |q|).  The products of
-    every focus with every lift are one form, and the foci's Euclidean
-    products one `sesquilinear`: the squared distance of two unit vectors at
-    optimal phase is 1 - |<a, b>|^2."""
-    H = np.abs(space.form(foci[:, None, None], lifts)).tolist()
-    E, Lpq = sesquilinear(foci[:, None], foci).tolist(), np.linalg.norm(lifts, axis=2).tolist()
-
-    def inside(f, b):  # focus f in the extor of bisector b
-        (ap, aq), (lp, lq) = H[f][b], Lpq[b]
-        return abs(ap - aq) <= 1e3 * tol * max(math.sqrt(E[f][f].real * lp * lq), 1e-300)
-
-    kinds = []
-    for f, g in pairs:
-        if 1.0 - abs(E[f][g]) ** 2 / (E[f][f].real * E[g][g].real) <= (1e3 * tol) ** 2:
-            if _proj_distances(lifts[f], lifts[g]).max() <= 1e-8:
-                raise GeometryError("extors are identical")
-            kinds.append(ExtorPairKind.CONFOCAL)
-        else:
-            c1, c2 = inside(g, f), inside(f, g)
-            kinds.append(
-                ExtorPairKind.BALANCED if c1 and c2 else ExtorPairKind.SEMI_BALANCED if c1 or c2 else ExtorPairKind.UNBALANCED
-            )
-    return kinds
+from .core import sesquilinear
 
 
 def _proj_distances(a, b) -> np.ndarray:
     """Row by row, the distance of the unit representatives of a and b at
-    optimal phase: a less its projection on b."""
-    a = a / np.linalg.norm(a, axis=-1, keepdims=True)
-    b = b / np.linalg.norm(b, axis=-1, keepdims=True)
-    return np.linalg.norm(a - sesquilinear(b, a)[..., None] * b, axis=-1)
+    optimal phase: a less its projection on b; nan for a zero row, as on a
+    torus that collapses near alpha2 = pi/2."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = a / np.linalg.norm(a, axis=-1, keepdims=True)
+        b = b / np.linalg.norm(b, axis=-1, keepdims=True)
+        return np.linalg.norm(a - sesquilinear(b, a)[..., None] * b, axis=-1)
 
 
 class GiraudTorus:
     """The intersection torus of the coequidistant extors E(p,q), E(p,r) of
-    an unbalanced pair (`pair_kinds`), from its lifts and box products.
+    an unbalanced pair, from its lifts and box products; the four pairs of
+    `verify.FaceFamily.tori` are unbalanced at every alpha2 in (0, pi/2),
+    with |det(p, q, r)|^2 of order cos^4 alpha2
+    (tests/test_face_family_identities.py).
 
     Points are [(q - e^{i theta} p) box (r - e^{i phi} p)], expanded as
     qr - e^{-i theta} pr - e^{-i phi} qp in the box products qr = q box r,

@@ -43,21 +43,8 @@ from .family import (
     face_points,
     param_side,
 )
-from .bisector import (
-    ExtorPairKind,
-    GiraudTorus,
-    bisector_kinds,
-    giraud_circle_tangents,
-    pair_kinds,
-    torus_exclusion,
-)
-from .visual import (
-    Silhouette,
-    VisualChart,
-    angular_diameter,
-    silhouette_circles,
-    tangencies,
-)
+from .bisector import GiraudTorus, giraud_circle_tangents, torus_exclusion
+from .visual import Silhouette, VisualChart, angular_diameter, silhouette_circles
 from .report import CheckResult, Verdict, VerdictKind, VerificationReport
 
 DEFAULT_GRID = 720
@@ -129,28 +116,13 @@ class FaceFamily:
         return None
 
     @cached_property
-    def bisector_kinds(self) -> tuple[np.ndarray, list]:
-        """(r_disc, kinds) of the bisectors of p_U with BISECTORS, read from G."""
-        return bisector_kinds(self.G, self.lengths, P_U, BISECTORS, self.tol)
-
-    @cached_property
-    def pair_kinds(self) -> list[ExtorPairKind]:
-        """The pair kinds of the TORI, from the foci's products with the lifts."""
-        lifts = self.P[[[P_U, q] for q in BISECTORS]]
-        return pair_kinds(self.boxes[:4], lifts, TORI, self.space, self.tol)
-
-    @cached_property
     def tori(self) -> list[GiraudTorus]:
         """The tori of J_0^- with J_-1^- and of J_0^+ with J_1^+ (TF, LC),
         then of J_0^+ with J_0^- and with J_-1^- (the Giraud circles of
         `_bitangency`), each parametrized by (q - e^{i th} p_U) box (r -
-        e^{i ph} p_U) from the table's box products, once its lifts have
-        equal norms (`bisector_kinds`) and the pair is unbalanced.  A raise
-        is not cached: each reader raises."""
-        self.bisector_kinds
-        for kind in self.pair_kinds:
-            if kind is not ExtorPairKind.UNBALANCED:
-                raise GeometryError(f"pair is {kind.value}; torus needs an unbalanced pair")
+        e^{i ph} p_U) from the table's box products.  Every pair is an
+        unbalanced pair of equal-norm lifts at each alpha2 in (0, pi/2):
+        proved once, in tests/test_face_family_identities.py."""
         i, j = np.array(TORI).T
         rows = zip(self.boxes[4:8], self.boxes[j], -self.boxes[i])
         return [GiraudTorus(lifts, r, self.space) for lifts, r in zip(self.P[TORUS_LIFTS], rows)]
@@ -176,12 +148,6 @@ class FaceFamily:
         passes = [(tm, P[P_V], P[[P_A, P_B]]), (tp, P[P_W], P[[P_B, U_PA]])]
         blocks = [(tm, [d0], zero, lpole, False), (tm, [d0 + math.pi / 2.0], lpole, zero, False)]
         return torus_exclusion(passes, blocks, self.grid_n // 2)
-
-    @cached_property
-    def criterion_tangencies(self) -> list[bool]:
-        """`tangencies` of (p_U, p_V) at U p_A and U^-1 p_B, read by TF and GC.
-        A raise (the tangency band at the wall) is not cached: each reader raises."""
-        return tangencies(self.G, self.lengths, P_U, P_V, [U_PA, UI_PB], self.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +218,11 @@ def incidence_check(ff: FaceFamily) -> CheckResult:
 
 
 def tf_check(ff: FaceFamily) -> CheckResult:
-    """TF from what can fail: the torus exclusion, the complex-line columns,
-    the bi-tangency and the criterion tangencies; the identities in alpha2
-    behind them are proved once, in tests/test_tf_identities.py."""
+    """TF from what can fail: the torus exclusion, the complex-line columns
+    and the bi-tangency.  The identities in alpha2 behind them are proved
+    once, in tests/test_tf_identities.py, and the tangency criterion at U
+    p_A and U^-1 p_B, with the equal norms and unbalanced pairs the tori
+    need, in tests/test_face_family_identities.py."""
     res = CheckResult("tf", True)
 
     # on the ball part of the torus of J_0^- and J_-1^-, |<z, p_U>| <=
@@ -281,17 +249,8 @@ def tf_check(ff: FaceFamily) -> CheckResult:
     res.residuals["bitangency_pB"] = bt_resid[1]
     res.notes.extend(bt_notes)
 
-    crit_ok = True
-    if ff.side.kind is not SideKind.UNIPOTENT:
-        crit_ok = all(ff.criterion_tangencies)
-        res.counts["criterion_tangencies"] = 2 if crit_ok else 0
-    else:
-        res.notes.append(
-            "criterion tangency skipped: <p_U, p_U> = 0 at the unipotent parameter"
-        )
-
     bt_ok = max(bt_resid) <= 1e-3
-    res.passed = bool(passed_c and bt_ok and crit_ok and col_d0 <= 1e-9 and col_mid > 0)
+    res.passed = bool(passed_c and bt_ok and col_d0 <= 1e-9 and col_mid > 0)
     return res
 
 
@@ -346,12 +305,14 @@ def _tangency_pair_check(ff: FaceFamily, res: CheckResult) -> bool:
     contact lives two steps away, matching the vertex incidences).  The
     neighbour J_k^- is the U^k-translate of J_0^-, so its silhouette is that
     of J_0^- with centre times m^k and radius times |m|^k, m the chart
-    multiplier: no translate is built."""
+    multiplier: no translate is built.  That both contacts are tangencies
+    (<p_U, r> = <p_V, r> while <p_V, p_U> - <p_U, p_U> = -4 cos^2 alpha2)
+    is proved once, in tests/test_face_family_identities.py."""
     m, ok = ff.chart_multiplier, True
     (c1, c0), _ = ff.silhouettes
     # the contact points U p_A (k = +1) and U^-1 p_B (k = -2) in the chart
     zs = ff.chart.values(ff.P[[U_PA, UI_PB]]).tolist()
-    for name, k, zc, crit in zip(("k_plus_1", "k_minus_2"), (1, -2), zs, ff.criterion_tangencies):
+    for name, k, zc in zip(("k_plus_1", "k_minus_2"), (1, -2), zs):
         center, radius = m**k * c0.center, abs(m) ** k * c0.radius
         d = abs(c1.center - center)
         resid = min(abs(d - (c1.radius + radius)), abs(d - abs(c1.radius - radius)))
@@ -360,7 +321,7 @@ def _tangency_pair_check(ff: FaceFamily, res: CheckResult) -> bool:
         on1 = abs(abs(zc - c1.center) - c1.radius)
         on2 = abs(abs(zc - center) - radius)
         res.residuals[f"contact_point_{name}"] = max(on1, on2) / scale
-        ok = ok and crit and resid / scale <= 1e-6
+        ok = ok and resid / scale <= 1e-6
     res.notes.append(
         "second cross-family contact certified at offset -2 (the vertex "
         "U^-1 p_B lies on that bisector by the translation incidences)"

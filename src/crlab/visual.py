@@ -67,36 +67,6 @@ class VisualChart:
             return num / den
 
 
-def tangencies(G, lengths, p: int, q: int, rs, tol) -> list[bool]:
-    """For each lift r of rs, whether the line through [p] and [r] meets
-    the spinal surface of (p, q) only at [r], read from the Gram table G
-    and the Euclidean lengths of a table of lifts.
-
-    Requires equal nonzero norms, a real nonzero <p, q>, and r on the
-    spinal surface (GeometryError otherwise, for the first r that fails);
-    then the test is the existence of a sign eps with <p,r> = eps <q,r>
-    while <q,p> != eps <p,p>.
-    """
-    npp, nq, pq = G[p, p].real, G[q, q].real, G[p, q]
-    scale = lengths[p] * lengths[q]
-    gate = 1e3 * tol * max(scale, 1.0)
-    if abs(npp - nq) > gate:
-        raise GeometryError("tangency criterion needs equal-norm lifts")
-    if abs(npp) <= gate:
-        raise GeometryError("tangency criterion needs non-null lifts")
-    if abs(pq.imag) > gate or abs(pq) <= tol * scale:
-        raise GeometryError("tangency criterion needs a real nonzero <p, q>")
-    found = []
-    for r, pr, qr in zip(rs, G[p, rs].tolist(), G[q, rs].tolist()):
-        if abs(G[r, r].real) > 1e3 * tol * lengths[r] ** 2:
-            raise GeometryError("r must be a boundary point")
-        rgate = 1e3 * tol * max(abs(pr), abs(qr), 1e-300)
-        if abs(abs(pr) - abs(qr)) > rgate:
-            raise GeometryError("r must lie on the spinal surface of (p, q)")
-        found.append(any(abs(pr - eps * qr) <= rgate and abs(pq - eps * npp) > gate for eps in (1.0, -1.0)))
-    return found
-
-
 def _null_circles(B, space):
     """Null circles of the planes spanned by the row pairs of B (..., 2, 3),
     coordinate vectors of `space`.
@@ -179,7 +149,9 @@ def silhouette_circles(chart: VisualChart, Q, pq, scale, tol):
 
     The lines through [p] tangent to the spinal surface touch it on the
     boundary circle of the slice with pole p - eps q, eps = -sign <p, q>
-    (see `tangencies`), the pole of norm 2(<p,p> + |<p,q>|) > 0.  Each
+    (a line through [p] and [r] touches it at [r] alone when <p, r> = eps
+    <q, r> while <q, p> != eps <p, p>: the oracle `tangencies` in
+    tests/oracles.py), the pole of norm 2(<p,p> + |<p,q>|) > 0.  Each
     line through [p] meets that slice once, and the slice's ball disk lies
     on the bisector, so the projection is the chart image of that disk.
     Its boundary em + rho e^{it} ep goes to (a + b w)/(c + d w), |w| = 1,

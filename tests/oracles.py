@@ -27,12 +27,19 @@ None of these is on a program path, and none is imported by `crlab`:
   scalar `inner` and `box` of single HVecs: `classify_bisector` and its
   `Bisector`, `classify_pair`, `giraud_torus`, `tangency_check`,
   `silhouette_circles`, `project_bisector`, `angular_diameter` and
-  `u_power_point`, against which `FaceFamily`'s Gram-table decisions are
-  held; and `table`, the Gram table of a few HVecs, with `bisector_kind`,
-  `pair_kind`, `symmetric_kind` and `tangency`, through which the tests
-  call the kernels on one bisector, pair, triple or point;
+  `u_power_point`, against which `FaceFamily`'s Gram-table decisions and
+  the kernels below are held; and `table`, the Gram table of a few HVecs,
+  with `bisector_kind`, `pair_kind`, `symmetric_kind` and `tangency`,
+  through which the tests call the kernels on one bisector, pair, triple
+  or point;
 - the slice's involution `involution_matrix`, which swaps the two
-  bisector families.
+  bisector families;
+- the precondition kernels on a Gram table of lifts, which `FaceFamily`
+  does not run: `bisector_kinds` with `BisectorKind`, `pair_kinds` with
+  `ExtorPairKind`, and the tangency criterion `tangencies`; on the slice
+  the bisectors verify reads have equal-norm lifts, its torus pairs are
+  unbalanced and its two contacts are tangencies at every parameter
+  (tests/test_face_family_identities.py).
 """
 
 from __future__ import annotations
@@ -44,22 +51,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from crlab.bisector import (
-    BisectorKind,
-    ExtorPairKind,
-    GiraudTorus,
-    _arcs,
-    _harmonic_roots,
-    _ratio_critical,
-    bisector_kinds,
-    level_g,
-    pair_kinds,
-)
+from crlab.bisector import GiraudTorus, _arcs, _harmonic_roots, _proj_distances, _ratio_critical, level_g
 from crlab.core import GeometryError, HVec, box_rows, inner, sesquilinear, tolerance
 from crlab.family import P_W, U_PV, FamilyParams, FamilyRep, SideKind
 from crlab.isometry import Isometry
 from crlab.reference import Location, box, locate, proj_equal, remarkable_points
-from crlab.visual import Silhouette, VisualChart, _null_circles, _polar_basis, circle_points, tangencies
+from crlab.visual import Silhouette, VisualChart, _null_circles, _polar_basis, circle_points
 
 TORUS_GRID_DEFAULT = 720
 TORUS_REFINE_FACTOR = 4
@@ -409,6 +406,108 @@ def is_autopolar_triple(p: HVec, q: HVec, r: HVec, tol=None) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# the precondition kernels FaceFamily does not run: on the slice every
+# bisector verify reads has equal-norm lifts, every torus pair is unbalanced
+# and the contacts at U p_A and U^-1 p_B are tangencies, at each alpha2
+# (tests/test_face_family_identities.py)
+
+
+class BisectorKind(enum.Enum):
+    METRIC_BISECTOR = "metric-bisector"
+    FAN = "fan"
+    CLIFFORD_CONE = "clifford-cone"
+
+
+def bisector_kinds(G, lengths, p: int, qs, tol) -> tuple[np.ndarray, list]:
+    """(r_disc, kinds) of the bisectors of the lift p with each lift qs[i],
+    read from the Gram table G and the Euclidean lengths of a table of
+    lifts: r_disc = <p,p><q,q> - |<p,q>|^2 against the band tol max(1,
+    |<p,p>|)^2.  Raises GeometryError when two lifts' norms differ by more
+    than 1e3 tol times their scale."""
+    n_p, n_q = G[p, p].real, G[qs, qs].real
+    scale = np.maximum(np.maximum(abs(n_p), np.abs(n_q)), lengths[p] * lengths[qs])
+    off = np.flatnonzero(np.abs(n_p - n_q) > 1e3 * tol * np.maximum(scale, 1.0))
+    if len(off):
+        raise GeometryError(f"lifts have different norms ({n_p:.6g} vs {n_q[off[0]]:.6g})")
+    r = n_p * n_q - np.abs(G[p, qs]) ** 2
+    band = tol * max(1.0, abs(n_p)) ** 2
+    kinds = [
+        BisectorKind.METRIC_BISECTOR if x < -band else BisectorKind.CLIFFORD_CONE if x > band else BisectorKind.FAN
+        for x in r.tolist()
+    ]
+    return r, kinds
+
+
+class ExtorPairKind(enum.Enum):
+    CONFOCAL = "confocal"
+    BALANCED = "balanced"
+    SEMI_BALANCED = "semi-balanced"
+    UNBALANCED = "unbalanced"
+
+
+def pair_kinds(foci, lifts, pairs, space, tol) -> list[ExtorPairKind]:
+    """The kind of each pair (i, j) of the bisectors with foci foci[i] and
+    lifts (p_i, q_i) = lifts[i], shapes (k, 3) and (k, 2, 3).  Confocal when
+    the foci are projectively equal within 1e3 tol (GeometryError when the
+    lifts are too: the extors are identical); else a line through a focus
+    lies in an extor exactly when its second point does, so both
+    containments reduce to the membership |<f, p>| = |<f, q>| of each focus
+    in the other extor, within 1e3 tol |f| sqrt(|p| |q|).  The products of
+    every focus with every lift are one form, and the foci's Euclidean
+    products one `sesquilinear`: the squared distance of two unit vectors at
+    optimal phase is 1 - |<a, b>|^2."""
+    H = np.abs(space.form(foci[:, None, None], lifts)).tolist()
+    E, Lpq = sesquilinear(foci[:, None], foci).tolist(), np.linalg.norm(lifts, axis=2).tolist()
+
+    def inside(f, b):  # focus f in the extor of bisector b
+        (ap, aq), (lp, lq) = H[f][b], Lpq[b]
+        return abs(ap - aq) <= 1e3 * tol * max(math.sqrt(E[f][f].real * lp * lq), 1e-300)
+
+    kinds = []
+    for f, g in pairs:
+        if 1.0 - abs(E[f][g]) ** 2 / (E[f][f].real * E[g][g].real) <= (1e3 * tol) ** 2:
+            if _proj_distances(lifts[f], lifts[g]).max() <= 1e-8:
+                raise GeometryError("extors are identical")
+            kinds.append(ExtorPairKind.CONFOCAL)
+        else:
+            c1, c2 = inside(g, f), inside(f, g)
+            kinds.append(
+                ExtorPairKind.BALANCED if c1 and c2 else ExtorPairKind.SEMI_BALANCED if c1 or c2 else ExtorPairKind.UNBALANCED
+            )
+    return kinds
+
+
+def tangencies(G, lengths, p: int, q: int, rs, tol) -> list[bool]:
+    """For each lift r of rs, whether the line through [p] and [r] meets
+    the spinal surface of (p, q) only at [r], read from the Gram table G
+    and the Euclidean lengths of a table of lifts.
+
+    Requires equal nonzero norms, a real nonzero <p, q>, and r on the
+    spinal surface (GeometryError otherwise, for the first r that fails);
+    then the test is the existence of a sign eps with <p,r> = eps <q,r>
+    while <q,p> != eps <p,p>.
+    """
+    npp, nq, pq = G[p, p].real, G[q, q].real, G[p, q]
+    scale = lengths[p] * lengths[q]
+    gate = 1e3 * tol * max(scale, 1.0)
+    if abs(npp - nq) > gate:
+        raise GeometryError("tangency criterion needs equal-norm lifts")
+    if abs(npp) <= gate:
+        raise GeometryError("tangency criterion needs non-null lifts")
+    if abs(pq.imag) > gate or abs(pq) <= tol * scale:
+        raise GeometryError("tangency criterion needs a real nonzero <p, q>")
+    found = []
+    for r, pr, qr in zip(rs, G[p, rs].tolist(), G[q, rs].tolist()):
+        if abs(G[r, r].real) > 1e3 * tol * lengths[r] ** 2:
+            raise GeometryError("r must be a boundary point")
+        rgate = 1e3 * tol * max(abs(pr), abs(qr), 1e-300)
+        if abs(abs(pr) - abs(qr)) > rgate:
+            raise GeometryError("r must lie on the spinal surface of (p, q)")
+        found.append(any(abs(pr - eps * qr) <= rgate and abs(pq - eps * npp) > gate for eps in (1.0, -1.0)))
+    return found
+
+
+# ---------------------------------------------------------------------------
 # per-object forms of the program's array decisions
 
 
@@ -419,19 +518,19 @@ def _length(v: HVec) -> float:
 def table(*points: HVec):
     """(G, lengths) of the rows of HVecs in one space: the Gram table
     G[i, j] = <x_i, x_j> and the Euclidean lengths, the inputs of the
-    program's kernels (`bisector_kinds`, `tangencies`, `angular_diameter`)."""
+    Gram-table kernels (`bisector_kinds`, `tangencies`, `angular_diameter`)."""
     X = np.array([x.v for x in points])
     return points[0].space.gram(X), np.linalg.norm(X, axis=1)
 
 
 def bisector_kind(p: HVec, q: HVec, tol=None):
-    """(r_disc, kind) of the program's `bisector_kinds` on one bisector."""
+    """(r_disc, kind) of `bisector_kinds` on one bisector."""
     r, (kind,) = bisector_kinds(*table(p, q), 0, [1], tolerance(tol))
     return float(r[0]), kind
 
 
 def pair_kind(b1, b2, tol=None) -> ExtorPairKind:
-    """The program's `pair_kinds` on one pair of bisectors."""
+    """`pair_kinds` on one pair of bisectors."""
     lifts = np.array([[b1.p.v, b1.q.v], [b2.p.v, b2.q.v]])
     return pair_kinds(np.array([b1.focus.v, b2.focus.v]), lifts, [(0, 1)], b1.p.space, tolerance(tol))[0]
 
@@ -486,7 +585,7 @@ def symmetric_kind(p: HVec, q: HVec, r: HVec, tol=None):
 
 
 def tangency(p: HVec, q: HVec, r: HVec, tol=None) -> bool:
-    """The program's `tangencies` of (p, q) at one point r."""
+    """`tangencies` of (p, q) at one point r."""
     return tangencies(*table(p, q, r), 0, 1, [2], tolerance(tol))[0]
 
 

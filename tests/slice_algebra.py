@@ -1,6 +1,6 @@
 """The alpha1 = 0 slice over real symbols, for the sympy proofs in
-tests/test_tf_identities.py, tests/test_gc_identities.py and
-tests/test_lc_identities.py.
+tests/test_tf_identities.py, tests/test_gc_identities.py,
+tests/test_lc_identities.py and tests/test_face_family_identities.py.
 
 c = cos(alpha2) and s = sin(alpha2) are real symbols; an expression is an
 identity of the slice when it vanishes modulo c^2 + s^2 - 1 and whatever
@@ -61,9 +61,12 @@ def zero(expr, relations, gens) -> bool:
 S = sp.Matrix([[1, SQ2 * conj(E), -1], [-SQ2 * E, -1, 0], [-1, 0, 0]])
 T = sp.Matrix([[0, 0, -1], [0, -1, -SQ2 * conj(E)], [-1, SQ2 * E, 1]])
 U = (inv(S) * T).expand()
+P_A, P_B = sp.Matrix([1, 0, 0]), sp.Matrix([0, 0, 1])
 P_U = sp.Matrix([1, -SQ2 / 2 * E, E**2])
 P_V = (S * P_U).expand()
 P_W = (S * P_V).expand()
+U_PA = (U * P_A).expand()
+UI_PB = (inv(U) * P_B).expand()
 U_PV = (U * P_V).expand()
 UI_PW = (inv(U) * P_W).expand()
 INVOLUTION = sp.Matrix([[1, 0, 0], [-SQ2 * E, -1, 0], [-1, -SQ2 * conj(E), 1]])

@@ -5,18 +5,14 @@ import numpy as np
 import pytest
 
 from crlab.core import GeometryError, HVec, inner
-from crlab.bisector import (
-    BisectorKind,
-    ExtorPairKind,
-    column_minima,
-    level_g,
-    vertex_angles,
-)
+from crlab.bisector import column_minima, level_g, vertex_angles
 from crlab.family import ALPHA2_LIM, FamilyParams, alpha2_for_order
 from crlab.reference import Location, alpha2_for_length, ball_model, box, locate, proj_distance, remarkable_points
 from crlab.verify import FaceFamily, delta0
 
 from oracles import (
+    BisectorKind,
+    ExtorPairKind,
     SymmetricKind,
     apply,
     ball_arcs,

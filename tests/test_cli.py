@@ -32,7 +32,7 @@ def test_verify_n9(tmp_path):
     files = sorted(os.listdir(tmp_path))
     assert len(files) == 1
     report = json.loads((tmp_path / files[0]).read_text())
-    assert report["schema"] == "report-v4"
+    assert report["schema"] == "report-v5"
     assert report["verdict"]["slope"] == [1, 6]
 
 
@@ -233,13 +233,13 @@ def test_env_tolerance_reaches_verify(monkeypatch):
 
 
 @pytest.mark.parametrize("offset", [1e-13, 2e-14])
-def test_verify_near_the_wall_at_the_least_tolerance_exits_1(offset):
+def test_verify_near_the_wall_at_the_least_tolerance_exits_0(offset):
     # off the wall by param_side at tol 1e-14, with |tr U - 3| below 1e-12:
-    # a summary line, not a traceback
+    # param_side is the one wall, so the loxodromic slope follows
     a2 = "%.17g" % (ALPHA2_LIM - offset)
     code, out, err = run_cli(["verify", "--alpha2", a2, "--tol", "1e-14", "--grid", "128"])
-    assert (code, err) == (1, "")
-    assert out == f"alpha2={float(a2):.17g}: inconclusive (a check failed)\n"
+    assert (code, err) == (0, "")
+    assert out == f"alpha2={float(a2):.17g}: slope 1/-3\n"
 
 
 def test_figure_spinal_trace_and_schwartz(tmp_path):

@@ -28,9 +28,10 @@ FIELDS = ("passed", "skipped", "counts", "notes")
 
 def parameters() -> list[tuple[str, float]]:
     """(label, alpha2): orders 4..10^4 (every order to 20, then strided, and
-    the tangency band above 2809), both sides of the wall away from the
-    orders, the wall and its neighbours, the fan parameter and the alpha2 -> 0
-    end."""
+    2809, 3000 and 10^4 near the wall, each a slope 1/(n - 3) since
+    param_side alone decides the wall), both sides of the wall away from
+    the orders, the wall and its neighbours, the fan parameter and the
+    alpha2 -> 0 end."""
     orders = [*range(4, 21), *range(24, 201, 12), *range(201, 2810, 97), 2809, 3000, 10**4]
     out = [(f"order {n}", alpha2_for_order(n)) for n in orders]
     out += [(f"length {x}", alpha2_for_length(x)) for x in (0.25, 0.7, 1.0, 1.75)]

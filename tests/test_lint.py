@@ -47,11 +47,15 @@ def test_verify_takes_its_side_from_family():
 
 def test_verify_decides_no_proved_identity():
     # LC's symmetric triples and incidence's involution are proved at every
-    # alpha2 (tests/test_lc_identities.py): verify neither decides the
-    # trichotomy nor builds the involution
+    # alpha2 (tests/test_lc_identities.py), and so are the tangency
+    # criterion, the equal norms and the unbalanced pairs of FaceFamily's
+    # bisectors (tests/test_face_family_identities.py): verify neither
+    # decides the trichotomy, builds the involution, nor re-checks a
+    # precondition
     tree = ast.parse((SRC / "verify.py").read_text())
     names = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names}
     assert names.isdisjoint({"symmetric_kinds", "SymmetricKind", "involution_matrix"})
+    assert names.isdisjoint({"tangencies", "bisector_kinds", "pair_kinds", "ExtorPairKind"})
 
 
 def test_verify_imports_no_scalar_form():

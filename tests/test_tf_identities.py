@@ -2,9 +2,11 @@
 cos(alpha2) and s = sin(alpha2) modulo c^2 + s^2 - 1.
 
 `verify.tf_check` decides only from what can fail at a parameter: the
-torus exclusion, its vertex residuals, the complex-line locus columns, the
-bi-tangency and the criterion tangencies.  The facts below hold for every
-alpha2, so they are proved here instead of being re-sampled at each one:
+torus exclusion, its vertex residuals, the complex-line locus columns and
+the bi-tangency (the tangency criterion and the tori's unbalanced pairs are
+proved in tests/test_face_family_identities.py).  The facts below hold for
+every alpha2, so they are proved here instead of being re-sampled at each
+one:
 
 - the real plane {(r, i sqrt2 t, 1)}: |<p_U, x>|^2 and |<p_W, x>|^2 in
   closed form, their difference 4 cos^2(alpha2) (2 t^2 - r), and the gap

@@ -6,6 +6,7 @@ import inspect
 import sys
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,12 +14,14 @@ import pytest
 from crlab.bisector import GiraudTorus, giraud_circle_tangents, torus_exclusion
 from crlab.core import GeometryError, HVec, inner
 from crlab.family import (
-    ALPHA2_LIM, P_A, P_B, P_U, P_U1, P_U2, P_V, P_W, U_PV, U_PW, UI_PV, UI_PW, SideKind, alpha2_for_order, param_side,
+    ALPHA2_LIM, P_A, P_B, P_U, P_U1, P_U2, P_V, P_W, U_PA, U_PV, U_PW, UI_PB, UI_PV, UI_PW, SideKind, alpha2_for_order,
+    param_side,
 )
 from crlab.reference import alpha2_for_length, proj_distance
 from crlab.visual import angular_diameter
 from crlab.verify import (
     _cone_separation,
+    BISECTORS,
     CheckResult,
     FaceFamily,
     TORI,
@@ -54,6 +57,7 @@ from oracles import (
     u_power_point,
 )
 from test_golden_verdicts import parameters as golden_parameters
+import oracles
 
 GRID = 240
 
@@ -123,10 +127,43 @@ def test_chart_exists_exactly_off_the_wall(tol):
 @pytest.mark.parametrize("offset", [1e-13, 2e-14])
 def test_wall_at_the_least_tolerance_gets_a_verdict(offset):
     # off the wall by param_side at tol 1e-14, with |tr U - 3| below 1e-12:
-    # every check runs on p_U' and p_U'', and the report is inconclusive
+    # every check runs on p_U' and p_U'', and, param_side being the one
+    # wall, the loxodromic side's slope follows
     r = verify(ALPHA2_LIM - offset, tol=1e-14, grid_n=128)
     assert r.side.kind is SideKind.LOXODROMIC
-    assert r.verdict.kind is VerdictKind.INCONCLUSIVE and r.verdict.reason == "a check failed"
+    assert r.verdict.kind is VerdictKind.SURGERY and (r.verdict.p, r.verdict.q) == (1, -3)
+    assert r.all_passed()
+
+
+@pytest.mark.parametrize(
+    "label, alpha2",
+    [(n, alpha2_for_order(n)) for n in (2810, 3000, 10**4, 5 * 10**4)]
+    + [(-d, ALPHA2_LIM - d) for d in (1e-6, 2e-7, 1e-8)],
+)
+def test_verdict_near_the_wall_does_not_depend_on_tol(label, alpha2):
+    # param_side alone decides the wall: wherever it reads a side, every
+    # tol gives that side's slope, 1/(n - 3) at order n and -1/3 beside the
+    # wall on the loxodromic side
+    want = (1, label - 3) if label > 0 else (1, -3)
+    for tol in (1e-7, 1e-9, 1e-11, 1e-14):
+        if param_side(alpha2, tol).kind is SideKind.UNIPOTENT:
+            continue
+        v = verify(alpha2, tol=tol, grid_n=128).verdict
+        assert (v.kind, v.p, v.q) == (VerdictKind.SURGERY, *want), tol
+
+
+@pytest.mark.parametrize("offset", [1e-9, 1e-12, 1.2e-15])
+def test_degenerate_tori_near_pi_over_2_fail_without_warnings(offset):
+    # the tori collapse as cos^4(alpha2) -> 0 (tests/test_face_family_identities.py):
+    # TF and LC fail on named vertex residuals, and no floating-point
+    # warning is raised on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = verify(math.pi / 2 - offset, grid_n=128)
+    assert r.verdict.kind is VerdictKind.INCONCLUSIVE
+    for check in (r.tf, r.lc):
+        assert not check.passed
+        assert any("vertex residual" in n and "exceeds the gate" in n for n in check.notes)
 
 
 def test_tf_structure(ff_lox):
@@ -163,10 +200,13 @@ def test_tf_reads_the_complex_line_at_delta0_near_zero(alpha2):
 
 
 def test_tf_at_unipotent_wall():
+    # the tangency criterion holds on the wall too
+    # (tests/test_face_family_identities.py): TF skips nothing there
     ff = FaceFamily(ALPHA2_LIM, grid_n=GRID)
     res = tf_check(ff)
     assert res.passed
-    assert any("unipotent" in n for n in res.notes)
+    assert not any("criterion" in n or "unipotent" in n for n in res.notes)
+    assert res.counts == {}
 
 
 def test_tf_at_fan_and_cone_parameters():
@@ -442,8 +482,8 @@ def test_verdicts_high_orders(n):
     "alpha2", [alpha2_for_order(10**4), ALPHA2_LIM - 1e-6, ALPHA2_LIM + 1e-6]
 )
 def test_verify_near_the_wall_reports(alpha2):
-    # parameters too close to the wall for the tangency criterion still get a
-    # report; an inconclusive one says what could not be certified
+    # parameters close to the wall get a report; an inconclusive one says
+    # what could not be certified
     r = verify(alpha2, grid_n=64)
     if r.verdict.kind is VerdictKind.SURGERY:
         assert r.all_passed()
@@ -456,7 +496,7 @@ def test_verify_near_the_wall_reports(alpha2):
 def test_report_schema():
     r = verify(0.7, grid_n=96)
     d = r.to_dict()
-    assert d["schema"] == "report-v4"
+    assert d["schema"] == "report-v5"
     payload = json.dumps(d, sort_keys=True)
     back = json.loads(payload)
     assert back["checks"]["tf"]["passed"] is True
@@ -779,28 +819,35 @@ def test_verify_runs_one_exclusion_pass_per_torus(alpha2, monkeypatch):
     # faces_minus_minus share the pass over the J_0^-/J_-1^- torus, LC's
     # faces_plus_plus is the second pass, then come each pass's delta_v
     # column alone and TF's two complex-line reads, whole-column blocks of
-    # one column each; every block reads a single constraint, and TF and GC
-    # share the two criterion tangencies, one call for both points
-    module, bisector = importlib.import_module("crlab.verify"), importlib.import_module("crlab.bisector")
-    calls, tangencies = [], []
-    column_minima, tangency_kernel = bisector.column_minima, module.tangencies
+    # one column each; every block reads a single constraint.  No tangency,
+    # bisector-kind or pair-kind kernel runs: what they would decide is
+    # proved once (tests/test_face_family_identities.py), and they are
+    # oracles
+    bisector = importlib.import_module("crlab.bisector")
+    calls, kernels, names = [], [], ("tangencies", "bisector_kinds", "pair_kinds")
+    column_minima = bisector.column_minima
 
     def counted_minima(blocks):
         calls.append([(b, len(d), np.shape(w)) for _, d, _, w, b in blocks])
         return column_minima(blocks)
 
-    def counted_tangency(*args):
-        tangencies.append(args)
-        return tangency_kernel(*args)
+    def counted(name, fn):
+        def wrapper(*args):
+            kernels.append(name)
+            return fn(*args)
+        return wrapper
 
     monkeypatch.setattr(bisector, "column_minima", counted_minima)
-    monkeypatch.setattr(module, "tangencies", counted_tangency)
+    for name in names:
+        monkeypatch.setattr(oracles, name, counted(name, getattr(oracles, name)))
     rep = verify(alpha2, grid_n=720)
     assert rep.all_passed()
     (blocks,) = calls
     assert [(ball, n) for ball, n, _ in blocks] == [(True, 360), (True, 360), (True, 1), (True, 1), (False, 1), (False, 1)]
     assert all(shape == (3,) for *_, shape in blocks)
-    assert [len(args[4]) for args in tangencies] == [2]
+    assert kernels == []
+    crlab_modules = [m for key, m in sys.modules.items() if key.startswith("crlab")]
+    assert [(m.__name__, n) for m in crlab_modules for n in names if hasattr(m, n)] == []
 
 
 def test_verify_and_the_spinal_trace_share_one_column_stage(tmp_path, monkeypatch):
@@ -907,22 +954,24 @@ def _outcome(fn):
     [a for _, a in golden_parameters()] + [ALPHA2_LIM + d for d in (-1e-6, 1e-6, -1e-10, 1e-10)],
 )
 def test_array_decisions_equal_the_per_object_oracle(alpha2):
-    # FaceFamily's Gram-table decisions against the per-object forms of
-    # tests/oracles.py (scalar inner and box on single HVecs): bisector
-    # kinds, pair kinds, the symmetric u, the criterion tangencies and the
-    # silhouettes, on the golden-verdict parameters and near the wall
+    # the Gram-table kernels on FaceFamily's tables (G, lengths, boxes)
+    # against the per-object forms of tests/oracles.py (scalar inner and box
+    # on single HVecs): bisector kinds, pair kinds, the symmetric u, the
+    # criterion tangencies and the silhouettes, on the golden-verdict
+    # parameters and near the wall
     ff = FaceFamily(alpha2, grid_n=128)
     pts, U = family_points(ff), family_U(ff)
     Ui = U.inv()
     seconds = [pts.p_V, pts.p_W, apply(U, pts.p_V), apply(Ui, pts.p_W)]
     bs = [_outcome(lambda q=q: classify_bisector(pts.p_U, q, ff.tol)) for q in seconds]
-    got = _outcome(lambda: ff.bisector_kinds)
+    got = _outcome(lambda: oracles.bisector_kinds(ff.G, ff.lengths, P_U, BISECTORS, ff.tol))
     if isinstance(got, str):
         assert got in bs
         return
     assert got[1] == [b.kind for b in bs]
     assert np.allclose(got[0], [b.r_disc for b in bs], rtol=1e-12, atol=1e-12)
-    assert _outcome(lambda: ff.pair_kinds) == [_outcome(lambda: classify_pair(bs[i], bs[j], ff.tol)) for i, j in TORI]
+    lifts = ff.P[[[P_U, q] for q in BISECTORS]]
+    assert _outcome(lambda: oracles.pair_kinds(ff.boxes[:4], lifts, TORI, ff.space, ff.tol)) == [_outcome(lambda: classify_pair(bs[i], bs[j], ff.tol)) for i, j in TORI]
     triples = [(pts.p_U, pts.p_V, pts.p_W), (pts.p_U, seconds[2], pts.p_W)]
     want = [_outcome(lambda t=t: symmetric_intersection_type(*t, ff.tol)) for t in triples]
     sym = _outcome(lambda: symmetric_kinds(lc_triples(ff), ff.space, ff.tol))
@@ -932,7 +981,7 @@ def test_array_decisions_equal_the_per_object_oracle(alpha2):
         assert sym[1] == [w.kind for w in want]
         assert np.allclose(sym[0], [w.u for w in want], rtol=0.0, atol=1e-12)
     want = [_outcome(lambda x=x: tangency_check(pts.p_U, pts.p_V, x, ff.tol)) for x in (apply(U, pts.p_A), apply(Ui, pts.p_B))]
-    got = _outcome(lambda: ff.criterion_tangencies)
+    got = _outcome(lambda: oracles.tangencies(ff.G, ff.lengths, P_U, P_V, [U_PA, UI_PB], ff.tol))
     assert got == (next((w for w in want if isinstance(w, str)), want))
     if ff.chart is not None:
         assert _outcome(lambda: ff.silhouettes[0]) == _outcome(lambda: silhouette_circles(ff.chart, bs[:2], ff.tol))
