@@ -61,13 +61,13 @@ class GiraudTorus:
     def column_forms(self, sigmas, deltas, pos, neg) -> list:
         """[<V, V>, |<pos, V>|^2, |<neg, V>|^2], each over |V|^2 and of shape
         (len(sigmas), len(deltas)), for coordinate vectors pos and neg: the
-        rows of `_column_sinusoids` for the block of whole columns, so no
-        torus point is formed.  |V|^2 is the plain sinusoid, which cancels
+        rows of `_column_sinusoids` for one block of columns, so no torus
+        point is formed.  |V|^2 is the plain sinusoid, which cancels
         near its column minimum: on the face-family torus at alpha2 = 1.56
         the ratios agree with a 40-digit evaluation of the same points to
         about 6e-12 of the grid's largest value, and to 1e-15 at alpha2 =
         0.7."""
-        kpq, (A, C), _ = _column_sinusoids([(self, deltas, pos, neg, False)])
+        kpq, (A, C) = _column_sinusoids([(self, deltas, pos, neg)])
         cos, sin = np.cos(sigmas)[:, None], np.sin(sigmas)[:, None]
         sq, *forms = [k + p * cos + q * sin for k, p, q in [kpq[:, 0], (A, -2.0 * C.real, -2.0 * C.imag), kpq[:, 1], kpq[:, 2]]]
         return [f / sq for f in forms]
@@ -75,17 +75,16 @@ class GiraudTorus:
 
 def _column_sinusoids(blocks) -> tuple:
     """The one stage that forms a torus column's sinusoids in sigma, for a
-    stack of blocks (torus, deltas, pos, neg, ball) of tori in one space,
-    with coordinate vectors pos and neg: per column the rows (k, p, q) of
-    k + p cos(sigma) + q sin(sigma) for |V|^2, |<pos, V>|^2 and |<neg, V>|^2,
-    shape (3, 3, columns); the terms A = <qr, qr> + <B, B> and C = <qr, B>
-    of <V, V> = A - 2 Re(e^{-i sigma} C); and the ball arc (mid, half) of
-    `_arcs`, or the whole column (0, pi) for a block whose ball is False.
+    stack of blocks (torus, deltas, pos, neg) of tori in one space, with
+    coordinate vectors pos and neg: per column the rows (k, p, q) of k + p
+    cos(sigma) + q sin(sigma) for |V|^2, |<pos, V>|^2 and |<neg, V>|^2, shape
+    (3, 3, columns); and the terms A = <qr, qr> + <B, B> and C = <qr, B> of
+    <V, V> = A - 2 Re(e^{-i sigma} C), from which `_arcs` takes the ball arc.
 
     Every product is a `core.sesquilinear` sum, elementwise on the whole
     stack, so a column has the same bits in any stack."""
     sizes, space = [len(b[1]) for b in blocks], blocks[0][0].space
-    R = np.array([(w1, w2, t.qr, t.pr, t.qp) for t, _, w1, w2, _ in blocks])
+    R = np.array([(w1, w2, t.qr, t.pr, t.qp) for t, _, w1, w2 in blocks])
     # per block <pos, qr>, <neg, qr>, <qr, qr> and |qr|^2, then per column
     # its block's values and its block's rows pos, neg, qr, pr, qp
     per_block = np.concatenate([space.form(R[:, :3], R[:, 2, None]), sesquilinear(R[:, 2], R[:, 2])[:, None]], axis=1)
@@ -99,20 +98,16 @@ def _column_sinusoids(blocks) -> tuple:
     sq = sq.real**2 + sq.imag**2
     k = [eq.real + sesquilinear(B, B).real, sq[0] + sq[2], sq[1] + sq[3]]
     cross = np.array([sesquilinear(X[2], B), fp * up.conj(), fn * un.conj()])
-    kpq = np.array([k, -2.0 * cross.real, -2.0 * cross.imag])
-    mid, half = _arcs(A, C)
-    in_ball = np.repeat([b[4] for b in blocks], sizes)
-    return kpq, (A, C), (np.where(in_ball, mid, 0.0), np.where(in_ball, half, math.pi))
+    return np.array([k, -2.0 * cross.real, -2.0 * cross.imag]), (A, C)
 
 
 def column_minima(blocks) -> tuple:
     """(minima, mid, half) per column of the stacked blocks (torus, deltas,
-    pos, neg, ball) of `_column_sinusoids`: the exact minimum over sigma of
-    E / |V|^2, E = |<pos, V>|^2 - |<neg, V>|^2, over the column's ball arc
-    mid +- half (mid = arg C, half = arccos(A / 2|C|) for <V, V> = A - 2|C|
+    pos, neg) of `_column_sinusoids`: the exact minimum over sigma of E /
+    |V|^2, E = |<pos, V>|^2 - |<neg, V>|^2, over the column's ball arc mid
+    +- half (mid = arg C, half = arccos(A / 2|C|) for <V, V> = A - 2|C|
     cos(sigma - arg C); pi where the whole column is in the ball, nan where
-    no point is), or over the whole column (0 +- pi) for a block whose ball
-    is False; inf where the arc is empty.
+    no point is); inf where the arc is empty.
 
     On the arc the minimum of the ratio sits at an arc end or where E' |V|^2
     - E (|V|^2)' vanishes, a constant plus one harmonic with closed-form
@@ -121,7 +116,8 @@ def column_minima(blocks) -> tuple:
     minimum below the true one.  On the face-family tori through alpha2 =
     1.56 the values agree with a 40-digit evaluation of the same points to
     about 2e-11 relative."""
-    kpq, _, (mid, half) = _column_sinusoids(blocks)
+    kpq, (A, C) = _column_sinusoids(blocks)
+    mid, half = _arcs(A, C)
     # a column with an empty arc reads inf; the others are evaluated
     live = np.flatnonzero(~np.isnan(half))
     kpq, lmid, lhalf = kpq[..., live], mid[live], half[live]
@@ -146,26 +142,25 @@ def vertex_angles(pairs) -> list[tuple[float, float]]:
     return [(-cmath.phase(g[3 * i + 1] / g[3 * i]), -cmath.phase(g[3 * i + 2] / g[3 * i])) for i, g in enumerate(G)]
 
 
-def torus_exclusion(passes, blocks, m: int) -> tuple[list, np.ndarray]:
-    """([(margin, vertex residuals)] per pass (torus, neg, vertices), and the
-    minima of the further column `blocks`): a pass is the claim that on the
-    ball part of `torus` |<z, p>| <= |<z, neg>|, p the torus's own first
-    lift, holds only at the two `vertices`.  Both vertices lie on the
-    delta-column delta_v = (theta - phi) / 2 mod pi (`vertex_angles`), at
-    the two ends of its ball arc, where the contact is of second order.  The
-    margin is the exact minimum of |<p, z>|^2 - |<neg, z>|^2, z unit, on the
-    arcs of the m columns delta_v + (k + 1/2) pi / m, over sin^2(delta -
-    delta_v); a vertex's residual is its projective distance to the nearer
-    end of the delta_v arc.  One `column_minima` call reads these columns,
-    each delta_v column as a block alone, and `blocks`.  Exact in sigma,
-    sampled in delta."""
+def torus_exclusion(passes, m: int) -> list:
+    """[(margin, vertex residuals)] per pass (torus, neg, vertices): a pass
+    is the claim that on the ball part of `torus` |<z, p>| <= |<z, neg>|, p
+    the torus's own first lift, holds only at the two `vertices`.  Both
+    vertices lie on the delta-column delta_v = (theta - phi) / 2 mod pi
+    (`vertex_angles`), at the two ends of its ball arc, where the contact is
+    of second order.  The margin is the exact minimum of |<p, z>|^2 -
+    |<neg, z>|^2, z unit, on the arcs of the m columns delta_v + (k + 1/2)
+    pi / m, over sin^2(delta - delta_v); a vertex's residual is its
+    projective distance to the nearer end of the delta_v arc.  One
+    `column_minima` call reads these columns and each delta_v column as a
+    block alone.  Exact in sigma, sampled in delta."""
     k, (offsets, sin2) = len(passes), _offsets(m)
     dvs = np.array([((th - ph) / 2.0) % math.pi for th, ph in vertex_angles([(t, v[0]) for t, _, v in passes])])
-    # the passes' columns, then each delta_v column alone, then `blocks`
-    cols = [(t, d, t.p, neg, True) for ds in (dvs[:, None] + offsets, dvs[:, None]) for (t, neg, _), d in zip(passes, ds)]
-    minima, mid, half = column_minima(cols + blocks)
+    # the passes' columns, then each delta_v column alone
+    cols = [(t, d, t.p, neg) for ds in (dvs[:, None] + offsets, dvs[:, None]) for (t, neg, _), d in zip(passes, ds)]
+    minima, mid, half = column_minima(cols)
     margins = (minima[: k * m].reshape(k, m) / sin2).min(axis=1)
-    mid, half = mid[k * m : k * m + k, None], half[k * m : k * m + k, None]
+    mid, half = mid[k * m :, None], half[k * m :, None]
     s, dv = mid + half * np.array([-1.0, 1.0]), dvs[:, None]
     # per pass the torus points qr - e^{-i theta} pr - e^{-i phi} qp at the two
     # arc ends, and their distances [pass, vertex, end] to the two vertices
@@ -173,7 +168,7 @@ def torus_exclusion(passes, blocks, m: int) -> tuple[list, np.ndarray]:
     ends = R[:, None, 0] - np.exp(-1j * (s + dv))[..., None] * R[:, None, 1] - np.exp(-1j * (s - dv))[..., None] * R[:, None, 2]
     dist = _proj_distances(ends[:, None], np.array([vs for _, _, vs in passes])[:, :, None])
     resids = np.where(np.isnan(half), math.inf, dist.min(axis=-1))
-    return [(float(a), r) for a, r in zip(margins, resids.tolist())], minima[k * m + k :]
+    return [(float(a), r) for a, r in zip(margins, resids.tolist())]
 
 
 @functools.cache
@@ -206,7 +201,7 @@ def giraud_circle_tangents(pairs):
 
 
 def _arcs(A, C):
-    """The ball arcs (mid, half) of `_column_sinusoids` from the norm terms (A, C)."""
+    """The ball arcs (mid, half) of `column_minima` from the terms (A, C)."""
     mod2 = 2.0 * np.abs(C)
     with np.errstate(divide="ignore", invalid="ignore"):
         half = np.arccos(np.clip(A / mod2, -1.0, 1.0))

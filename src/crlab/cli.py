@@ -115,8 +115,8 @@ def cmd_verify(args) -> int:
         except ValueError:
             print("error: --sweep expects A:B:STEP", file=sys.stderr)
             return 2
-        if step <= 0 or not (0.0 < a < math.pi / 2) or not (0.0 < b <= math.pi / 2):
-            print("error: sweep outside (0, pi/2) or nonpositive step", file=sys.stderr)
+        if not (0.0 < step < math.inf) or not (0.0 < a < math.pi / 2) or not (0.0 < b <= math.pi / 2):
+            print("error: sweep outside (0, pi/2), or a STEP that is not positive and finite", file=sys.stderr)
             return 2
         if a + step == a:
             print("error: sweep step does not advance A", file=sys.stderr)
@@ -220,6 +220,9 @@ def cmd_classify(args) -> int:
     elif args.word:
         if args.alpha2 is None:
             print("error: --word requires --alpha2", file=sys.stderr)
+            return 2
+        if not math.isfinite(args.alpha2):
+            print("error: --alpha2 must be a finite number", file=sys.stderr)
             return 2
         rep = FamilyRep(FamilyParams(0.0, args.alpha2))
         try:

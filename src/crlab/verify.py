@@ -17,10 +17,10 @@ checked numerically:
 TF and LC read the Giraud tori of neighbouring faces one delta-column at a
 time, where every form is a sinusoid in sigma: each exclusion margin is an
 exact minimum over sigma, sampled in delta, and one bisector.column_minima
-call reads every column of a parameter (FaceFamily.torus_pass), from the
-sinusoids of the one stage that also draws the spinal-trace figure.  The
-unipotent wall is decided once, by family.param_side: on it GC is not
-applicable and the visual chart does not exist.
+call reads both exclusion passes of a parameter (FaceFamily.torus_pass),
+from the sinusoids of the one stage that also draws the spinal-trace
+figure.  The unipotent wall is decided once, by family.param_side: on it
+GC is not applicable and the visual chart does not exist.
 
 Passing all three yields the Dehn-surgery verdict for the parameter:
 slope 1/(n-3) on the elliptic side of order n >= 9, slope -1/3 on the
@@ -39,7 +39,6 @@ from .core import GeometryError, box_rows, siegel_model, tolerance
 from .family import (
     P_A, P_B, P_U, P_V, P_W, P_U1, P_U2, U_PA, U_PB, U_PV, U_PW, UI_PB, UI_PV, UI_PW,
     SideKind,
-    delta0,
     face_points,
     param_side,
 )
@@ -137,17 +136,13 @@ class FaceFamily:
         return silhouette_circles(self.chart, self.P[[P_V, P_W]], self.G[P_U, [P_V, P_W]], scale, self.tol)
 
     @cached_property
-    def torus_pass(self) -> tuple[list, np.ndarray]:
+    def torus_pass(self) -> list:
         """`bisector.torus_exclusion` of p_V on the first torus at p_A and
         p_B (TF, LC) and of p_W on the second at p_B and U p_A (LC), on
-        grid_n // 2 columns, and TF's whole complex-line columns of the
-        first: the minima of -|<lpole, z>|^2 at delta0 and of |<lpole,
-        z>|^2 at delta0 + pi/2."""
-        P, (tm, tp, *_), s = self.P, self.tori, math.sin(self.alpha2)
-        d0, lpole, zero = delta0(self.alpha2), np.array([s, -1j * math.sqrt(2.0) / 2.0, -s]), np.zeros(3)
+        grid_n // 2 columns."""
+        P, (tm, tp, *_) = self.P, self.tori
         passes = [(tm, P[P_V], P[[P_A, P_B]]), (tp, P[P_W], P[[P_B, U_PA]])]
-        blocks = [(tm, [d0], zero, lpole, False), (tm, [d0 + math.pi / 2.0], lpole, zero, False)]
-        return torus_exclusion(passes, blocks, self.grid_n // 2)
+        return torus_exclusion(passes, self.grid_n // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -218,25 +213,18 @@ def incidence_check(ff: FaceFamily) -> CheckResult:
 
 
 def tf_check(ff: FaceFamily) -> CheckResult:
-    """TF from what can fail: the torus exclusion, the complex-line columns
-    and the bi-tangency.  The identities in alpha2 behind them are proved
-    once, in tests/test_tf_identities.py, and the tangency criterion at U
-    p_A and U^-1 p_B, with the equal norms and unbalanced pairs the tori
-    need, in tests/test_face_family_identities.py."""
+    """TF from what can fail: the torus exclusion and the bi-tangency.  What
+    holds at every alpha2 is proved once: the identities behind them in
+    tests/test_tf_identities.py, the tori's preconditions in
+    tests/test_face_family_identities.py, and the complex-line locus on the
+    column delta = family.delta0 in tests/test_line_and_contact_identities.py."""
     res = CheckResult("tf", True)
 
     # on the ball part of the torus of J_0^- and J_-1^-, |<z, p_U>| <=
     # |<z, p_V>| only at p_A and p_B
     names = ("vertex_pA_distance", "vertex_pB_distance")
-    (minus, _), lines = ff.torus_pass
+    minus, _ = ff.torus_pass
     passed_c = _record_exclusion(ff, res, "torus_exclusion", minus, names)
-
-    # complex-line locus on the torus sits at delta = delta0 mod pi: the
-    # largest |<z, lpole>| on the whole column at delta0 and the least at
-    # delta0 + pi/2, in closed form (`FaceFamily.torus_pass`)
-    col_d0, col_mid = math.sqrt(max(0.0, -lines[0])), math.sqrt(max(0.0, lines[1]))
-    res.residuals["cline_locus_at_delta0"] = col_d0
-    res.margins["cline_locus_off_delta0"] = col_mid
 
     res.notes.append(
         "torus exclusion is exact in sigma on each delta-column and sampled "
@@ -250,7 +238,7 @@ def tf_check(ff: FaceFamily) -> CheckResult:
     res.notes.extend(bt_notes)
 
     bt_ok = max(bt_resid) <= 1e-3
-    res.passed = bool(passed_c and bt_ok and col_d0 <= 1e-9 and col_mid > 0)
+    res.passed = bool(passed_c and bt_ok)
     return res
 
 
@@ -283,7 +271,7 @@ def lc_check(ff: FaceFamily) -> CheckResult:
     # pair lies in the set of the constraint both faces share, |<z,p_U>| <=
     # |<z,p_V>| (TF's torus_exclusion pass) and <= |<z,p_W>|, so it suffices
     # that this set meets the torus's ball part only at the two vertices
-    (minus, plus), _ = ff.torus_pass
+    minus, plus = ff.torus_pass
     mm_names = ("faces_minus_minus_vertex_pA", "faces_minus_minus_vertex_pB")
     ok_mm = _record_exclusion(ff, res, "faces_minus_minus", minus, mm_names)
     pp_names = ("faces_plus_plus_vertex_pB", "faces_plus_plus_vertex_UpA")
@@ -294,39 +282,6 @@ def lc_check(ff: FaceFamily) -> CheckResult:
 
 # ---------------------------------------------------------------------------
 # GC: global combinatorics
-
-
-def _tangency_pair_check(ff: FaceFamily, res: CheckResult) -> bool:
-    """Single-point contacts of the first face's bisector with its two
-    contact neighbours in the other family.
-
-    The projected disks are tangent to D_0^+ at the chart images of U p_A
-    (neighbour at k = +1) and of U^-1 p_B (neighbour at k = -2; the second
-    contact lives two steps away, matching the vertex incidences).  The
-    neighbour J_k^- is the U^k-translate of J_0^-, so its silhouette is that
-    of J_0^- with centre times m^k and radius times |m|^k, m the chart
-    multiplier: no translate is built.  That both contacts are tangencies
-    (<p_U, r> = <p_V, r> while <p_V, p_U> - <p_U, p_U> = -4 cos^2 alpha2)
-    is proved once, in tests/test_face_family_identities.py."""
-    m, ok = ff.chart_multiplier, True
-    (c1, c0), _ = ff.silhouettes
-    # the contact points U p_A (k = +1) and U^-1 p_B (k = -2) in the chart
-    zs = ff.chart.values(ff.P[[U_PA, UI_PB]]).tolist()
-    for name, k, zc in zip(("k_plus_1", "k_minus_2"), (1, -2), zs):
-        center, radius = m**k * c0.center, abs(m) ** k * c0.radius
-        d = abs(c1.center - center)
-        resid = min(abs(d - (c1.radius + radius)), abs(d - abs(c1.radius - radius)))
-        scale = max(c1.radius, radius, 1.0)
-        res.residuals[f"disk_tangency_{name}"] = resid / scale
-        on1 = abs(abs(zc - c1.center) - c1.radius)
-        on2 = abs(abs(zc - center) - radius)
-        res.residuals[f"contact_point_{name}"] = max(on1, on2) / scale
-        ok = ok and resid / scale <= 1e-6
-    res.notes.append(
-        "second cross-family contact certified at offset -2 (the vertex "
-        "U^-1 p_B lies on that bisector by the translation incidences)"
-    )
-    return ok
 
 
 def cone_angles(ff: FaceFamily, ks) -> np.ndarray:
@@ -361,7 +316,7 @@ def _cone_separation(ff: FaceFamily, res: CheckResult, n: int, diam: float) -> b
     res.residuals["value_cone_radius"] = rho
     ks = np.arange(2, n - 1)
     margins = cone_angles(ff, ks) - 2.0 * rho
-    margins[-1, 1] = math.inf  # k = n - 2, minus: the vertex-contact pair of the tangency check
+    margins[-1, 1] = math.inf  # k = n - 2, minus: J_-2^-, tangent to J_0^+ at U^-1 p_B
     least = margins.min()
     # pairs with equal exact angles (k and n - k of the plus family) differ by
     # rounding; the note names the smallest (k, family) among them
@@ -386,10 +341,10 @@ def _disk_extent(res: CheckResult, name: str, sil: Silhouette):
 
 def gc_check_loxodromic(ff: FaceFamily) -> CheckResult:
     """GC on the loxodromic side from what can fail: the annuli of the exact
-    silhouettes, the contact tangencies and the window.  The closed-form
-    certificate in cosh(l) (the exclusion chain, cosh 4l > 1 and the h
-    identities) holds at every length; it is proved once, in
-    tests/test_gc_identities.py."""
+    silhouettes and the window.  The closed-form certificate in cosh(l) (the
+    exclusion chain, cosh 4l > 1 and the h identities) and the two contact
+    tangencies hold at every length: tests/test_gc_identities.py and
+    tests/test_line_and_contact_identities.py prove them once."""
     res = CheckResult("gc", True)
     if ff.side.kind is not SideKind.LOXODROMIC:
         raise ValueError("loxodromic check on a non-loxodromic parameter")
@@ -407,10 +362,7 @@ def gc_check_loxodromic(ff: FaceFamily) -> CheckResult:
     res.margins["annulus_minus_lower"] = mm_lo + 1.5 * length
     annulus_ok = annulus_ok and res.margins["annulus_minus_upper"] > 0 and res.margins["annulus_minus_lower"] > 0
 
-    # (b) tangencies of the contact pairs
-    tang_ok = _tangency_pair_check(ff, res)
-
-    # (c) separation bookkeeping across the window, from the log-modulus
+    # (b) separation bookkeeping across the window, from the log-modulus
     # range of (a): translates shift by 2kl, the mirrored family is
     # the reflection of the range.  Every gap grows with |k|, so the worst
     # are the nearest translates: k = +-2 in the same family, and k = 2 and
@@ -423,17 +375,18 @@ def gc_check_loxodromic(ff: FaceFamily) -> CheckResult:
         m_lo - (-m_lo - 6 * length),
     )
     res.margins["window_annulus_separation"] = worst_sep
-    res.passed = bool(annulus_ok and tang_ok and worst_sep >= 0.0)
+    res.passed = bool(annulus_ok and worst_sep >= 0.0)
     return res
 
 
 def gc_check_elliptic(ff: FaceFamily) -> CheckResult:
     """GC on the elliptic side of order n >= 9 from what can fail: the
-    sectors of the exact silhouette, the cone separation, the contact
-    tangencies and the rotated-sector gap.  The closed-form certificate in
-    cos(beta) (the guard-ray polynomial, its discriminant, the h identities
-    and the distance ratio) holds at every order n >= 9; it is proved once,
-    in tests/test_gc_identities.py."""
+    sectors of the exact silhouette, the cone separation and the
+    rotated-sector gap.  The closed-form certificate in cos(beta) (the
+    guard-ray polynomial, its discriminant, the h identities and the
+    distance ratio) and the two contact tangencies hold at every order n >=
+    9: tests/test_gc_identities.py and tests/test_line_and_contact_identities.py
+    prove them once."""
     res = CheckResult("gc", True)
     if ff.side.kind is not SideKind.ELLIPTIC:
         raise ValueError("elliptic check on a non-elliptic parameter")
@@ -482,10 +435,7 @@ def gc_check_elliptic(ff: FaceFamily) -> CheckResult:
         )
     cone_ok = _cone_separation(ff, res, n, diam)
 
-    # (c) tangencies of the contact pairs
-    tang_ok = _tangency_pair_check(ff, res)
-
-    # (d) rotated sectors stay disjoint away from the opposite band: the
+    # (c) rotated sectors stay disjoint away from the opposite band: the
     # complex-line projection identifies antipodal rays, so rotations with
     # s near n/2 are left to the real cone margins of (b).  Over the checked
     # s in [2, n - 2] with |s - n/2| >= 2, the rotation 2 s beta stays at
@@ -493,7 +443,7 @@ def gc_check_elliptic(ff: FaceFamily) -> CheckResult:
     # sector of width 2 half leaves the gap 4 beta - 2 half
     res.margins["rotated_sector_gap"] = 4.0 * beta - 2.0 * half
     res.counts["sector_checked_powers"] = n - 6 - n % 2
-    res.passed = bool(sector_ok and cone_ok and tang_ok and res.margins["rotated_sector_gap"] > 0.0)
+    res.passed = bool(sector_ok and cone_ok and res.margins["rotated_sector_gap"] > 0.0)
     return res
 
 

@@ -6,9 +6,9 @@ import pytest
 
 from crlab.core import GeometryError, HVec, inner
 from crlab.bisector import column_minima, level_g, vertex_angles
-from crlab.family import ALPHA2_LIM, FamilyParams, alpha2_for_order
+from crlab.family import ALPHA2_LIM, FamilyParams, alpha2_for_order, delta0
 from crlab.reference import Location, alpha2_for_length, ball_model, box, locate, proj_distance, remarkable_points
-from crlab.verify import FaceFamily, delta0
+from crlab.verify import FaceFamily
 
 from oracles import (
     BisectorKind,
@@ -280,7 +280,7 @@ def test_slice_points_on_extor(rep07, pts07):
 def test_torus_grid_matches_materialized_grid(n, at_delta0):
     # oracle: build every (sigma, delta) point with torus.vectors, normalize
     # the rows and apply the pointwise form kernel
-    from crlab.verify import FaceFamily, delta0
+    from crlab.verify import FaceFamily
 
     rng = np.random.default_rng(41 + n)
     for a2 in rng.uniform(0.05, 1.5, 3):
@@ -411,12 +411,11 @@ def test_ball_sinusoids_match_ball_points(n):
 @pytest.mark.parametrize("n", [64, 720])
 def test_column_minima_is_the_envelope_of_one_constraint(n):
     # the engine's single ratio and the oracle's envelope of one constraint
-    # run the same arithmetic: equal to the bit, on the ball arcs and on
-    # whole columns
+    # run the same arithmetic: equal to the bit, on the ball arcs
     for torus, pos, negs, deltas in _ball_tori(n):
-        for neg, ball in zip(negs, (True, False, True)):
-            got = column_minima([(torus, deltas, pos, neg, ball)])[0]
-            assert np.array_equal(got, envelope_minima(torus, deltas, pos, [neg], ball=ball))
+        for neg in negs:
+            got = column_minima([(torus, deltas, pos, neg)])[0]
+            assert np.array_equal(got, envelope_minima(torus, deltas, pos, [neg]))
 
 
 # the parameters of the benchmark's verify-params workload: orders 9, 6 and
@@ -426,32 +425,27 @@ VERIFY_PARAMS = [alpha2_for_order(9), alpha2_for_order(6), alpha2_for_order(56),
 
 @pytest.mark.parametrize("alpha2, n", [(a, n) for a in VERIFY_PARAMS for n in (64, 720)] + [(1.569, 64)])
 def test_stacked_column_minima_equal_each_block_alone(alpha2, n):
-    # a stack of column blocks from both tori, ball and whole-column blocks,
-    # reads every column with the bits of its block alone (the batch of
-    # one) and of the oracle's envelope of one constraint; at alpha2 1.569
-    # and grid 64 no pass column meets the ball, so every one reads inf
+    # a stack of column blocks from both tori reads every column with the
+    # bits of its block alone (the batch of one) and of the oracle's
+    # envelope of one constraint; at alpha2 1.569 and grid 64 no pass
+    # column meets the ball, so every one reads inf
     ff = FaceFamily(alpha2, grid_n=n)
     pts, tm, tp = family_points(ff), ff.tori[0], ff.tori[1]
     m = n // 2
     offsets = (np.arange(m) + 0.5) * (math.pi / m)
     dvs = [((th - ph) / 2.0) % math.pi for th, ph in vertex_angles([(tm, pts.p_A.v), (tp, pts.p_B.v)])]
-    s, d0 = math.sin(alpha2), delta0(alpha2)
-    lpole, zero = np.array([s, -1j * math.sqrt(2.0) / 2.0, -s]), np.zeros(3)
     passes = [(tm, dvs[0], pts.p_V.v), (tp, dvs[1], pts.p_W.v)]
-    ball = [(t, dv + offsets, pts.p_U.v, neg, True) for t, dv, neg in passes]
-    single = [(t, [dv], pts.p_U.v, neg, True) for t, dv, neg in passes]
-    lines = [(tm, [d0], zero, lpole, False), (tm, [d0 + math.pi / 2.0], lpole, zero, False)]
-    stacks = [single[:1], single[:1] + lines[:1], ball[:1] + single[:1] + lines[1:], ball + single + lines]
-    assert [sum(len(b[1]) for b in stack) for stack in stacks] == [1, 2, m + 2, 2 * m + 4]
+    ball = [(t, dv + offsets, pts.p_U.v, neg) for t, dv, neg in passes]
+    single = [(t, [dv], pts.p_U.v, neg) for t, dv, neg in passes]
+    stacks = [single[:1], single, ball[:1] + single[:1], ball + single]
+    assert [sum(len(b[1]) for b in stack) for stack in stacks] == [1, 2, m + 1, 2 * m + 2]
     for stack in stacks:
         got = column_minima(stack)
         alone = [column_minima([b]) for b in stack]
         for g, want in zip(got, zip(*alone)):
             assert np.array_equal(g, np.concatenate(want), equal_nan=True)
-        oracle = [envelope_minima(t, d, pos, [neg], ball=b) for t, d, pos, neg, b in stack]
+        oracle = [envelope_minima(t, d, pos, [neg]) for t, d, pos, neg in stack]
         assert np.array_equal(got[0], np.concatenate(oracle))
-        whole = np.concatenate([[not b[4]] * len(b[1]) for b in stack])
-        assert (got[1][whole] == 0.0).all() and (got[2][whole] == math.pi).all()
     # an empty arc reads inf, and only an empty arc
     minima, _, half = got
     assert np.isinf(minima).any() and np.array_equal(np.isinf(minima), np.isnan(half))

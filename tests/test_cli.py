@@ -32,7 +32,7 @@ def test_verify_n9(tmp_path):
     files = sorted(os.listdir(tmp_path))
     assert len(files) == 1
     report = json.loads((tmp_path / files[0]).read_text())
-    assert report["schema"] == "report-v5"
+    assert report["schema"] == "report-v6"
     assert report["verdict"]["slope"] == [1, 6]
 
 
@@ -405,6 +405,16 @@ def test_classify_geometry_error_exits_1_with_an_error_line(monkeypatch):
     assert err == "error: eigenvector norms do not split as (+,+,-)\n"
 
 
+@pytest.mark.parametrize("alpha2", ["nan", "inf", "-inf"])
+def test_classify_non_finite_alpha2_is_a_usage_error(alpha2, monkeypatch):
+    # a nan or infinite parameter ended in a ValueError traceback from the
+    # trace rule (round(nan)); it exits 2 with one line, before any word is
+    # built
+    monkeypatch.setattr(cli, "FamilyRep", lambda *args: pytest.fail("a representation was built"))
+    err = "error: --alpha2 must be a finite number\n"
+    assert run_cli(["classify", "--word", "st", f"--alpha2={alpha2}"]) == (2, "", err)
+
+
 def test_classify_order_1e5_at_tol_1e_14():
     # off the band 10 tol of the wall (|tr U - 3| = 3.9e-9), order 10^5
     # reads as the rotation of type (1, -1, 10^5)
@@ -459,11 +469,14 @@ def test_figure_options_are_checked_like_verify(argv, err, tmp_path):
         ("0.1:0.2:1e-300", "error: sweep step does not advance A\n"),
         ("0.5:0.50000000000001:1e-17", "error: sweep step does not advance A\n"),
         ("0.1:1.5:1e-9", "error: sweep has more than 1000000 points\n"),
+        ("0.1:0.5:nan", "error: sweep outside (0, pi/2), or a STEP that is not positive and finite\n"),
+        ("0.1:0.5:inf", "error: sweep outside (0, pi/2), or a STEP that is not positive and finite\n"),
     ],
 )
 def test_sweep_step_is_checked_before_any_point(sweep, err):
-    # a step below A's rounding never moved the sweep on, and a tiny one
-    # listed billions of parameters: both exit 2 at once
+    # a step below A's rounding never moved the sweep on, a tiny one listed
+    # billions of parameters, and a nan or inf one verified A alone and
+    # exited 0: all exit 2 at once
     assert run_cli(["verify", "--sweep", sweep, "--grid", "64"]) == (2, "", err)
 
 

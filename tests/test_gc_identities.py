@@ -3,8 +3,9 @@ every length, and LC's fan-circle identities at alpha2 = pi/6.
 
 `verify.gc_check_elliptic` and `verify.gc_check_loxodromic` decide only from
 what can fail at a parameter: the sector and annulus margins of the exact
-silhouettes, the cone separation, the tangency pairs, the loxodromic window
-and the rotated-sector gap.  The guard annuli and angular sectors of
+silhouettes, the cone separation, the loxodromic window and the
+rotated-sector gap (the tangency pairs are proved in
+tests/test_line_and_contact_identities.py).  The guard annuli and angular sectors of
 Schwartz (Spherical CR Geometry and Dehn Surgery, 2007), applied to the
 Parker-Will structure, rest on inequalities in one variable x: x = cos(beta)
 on the elliptic side of order n (beta = 2 pi/n), x = cosh(l) on the

@@ -15,6 +15,7 @@ from crlab.bisector import GiraudTorus, giraud_circle_tangents, torus_exclusion
 from crlab.core import GeometryError, HVec, inner
 from crlab.family import (
     ALPHA2_LIM, P_A, P_B, P_U, P_U1, P_U2, P_V, P_W, U_PA, U_PV, U_PW, UI_PB, UI_PV, UI_PW, SideKind, alpha2_for_order,
+    delta0,
     param_side,
 )
 from crlab.reference import alpha2_for_length, proj_distance
@@ -27,7 +28,6 @@ from crlab.verify import (
     TORI,
     VerdictKind,
     cone_angles,
-    delta0,
     gc_check_elliptic,
     gc_check_loxodromic,
     incidence_check,
@@ -170,30 +170,37 @@ def test_tf_structure(ff_lox):
     res = tf_check(ff_lox)
     assert res.passed
     assert res.margins["torus_exclusion"] > 0
-    assert res.residuals["cline_locus_at_delta0"] <= 1e-9
     assert max(res.residuals["vertex_pA_distance"], res.residuals["vertex_pB_distance"]) <= 1e-12
     assert res.residuals["bitangency_pA"] <= 1e-4
     assert res.residuals["bitangency_pB"] <= 1e-4
     # TF reports only what can fail at a parameter; its identities in
-    # alpha2 are proved in tests/test_tf_identities.py
-    assert sorted(res.margins) == ["cline_locus_off_delta0", "torus_exclusion"]
-    assert sorted(res.residuals) == [
-        "bitangency_pA", "bitangency_pB", "cline_locus_at_delta0", "vertex_pA_distance", "vertex_pB_distance",
-    ]
+    # alpha2 are proved in tests/test_tf_identities.py, and its complex-line
+    # locus in tests/test_line_and_contact_identities.py
+    assert sorted(res.margins) == ["torus_exclusion"]
+    assert sorted(res.residuals) == ["bitangency_pA", "bitangency_pB", "vertex_pA_distance", "vertex_pB_distance"]
 
 
 @pytest.mark.parametrize("alpha2", [1e-12, 1e-13, 1e-14])
 def test_tf_reads_the_complex_line_at_delta0_near_zero(alpha2):
-    # delta0 tends to -pi/2 as alpha2 -> 0 and is that limit at 0: TF finds
-    # the complex-line locus on the column at delta0 and keeps clear of it
-    # at delta0 + pi/2 down to the least parameters; the verdict still
-    # fails on LC's vertex gate: faces_plus_plus_vertex_pB grows like
-    # 1/alpha2^2 (1.7e-6 at 1e-10)
+    # delta0 tends to -pi/2 as alpha2 -> 0 and is that limit at 0.  TF's
+    # complex-line locus meets the first torus on the column delta0 mod pi
+    # (tests/test_line_and_contact_identities.py): on the program's rows,
+    # <lpole, qr> and <lpole, B(delta0)> vanish to rounding down to the least
+    # parameters, and |<lpole, B(delta0 + pi/2)>| = 2 |<lpole, pr>| = 2 sqrt2
+    # c^2 sqrt(8 s^2 + 1).  TF passes; the verdict still fails on LC's
+    # vertex gate: faces_plus_plus_vertex_pB grows like 1/alpha2^2 (1.7e-6
+    # at 1e-10)
     assert delta0(0.0) == -math.pi / 2
     assert delta0(alpha2) == pytest.approx(-math.pi / 2, abs=1e-11)
     r = verify(alpha2, grid_n=128)
-    assert r.tf.residuals["cline_locus_at_delta0"] <= 1e-15
-    assert r.tf.margins["cline_locus_off_delta0"] == pytest.approx(math.sqrt(0.1), rel=1e-9)
+    torus, c, s = FaceFamily(alpha2, grid_n=128).tori[0], math.cos(alpha2), math.sin(alpha2)
+    lpole = np.array([s, -1j * math.sqrt(2.0) / 2.0, -s])
+    d0 = delta0(alpha2)
+    at, off = (abs(torus.space.form(lpole, np.exp(-1j * d) * torus.pr + np.exp(1j * d) * torus.qp)) for d in (d0, d0 + math.pi / 2))
+    assert abs(torus.space.form(lpole, torus.qr)) <= 1e-15 * np.abs(torus.qr).max()
+    assert at <= 1e-15 * np.abs(torus.pr).max()
+    assert off == pytest.approx(2.0 * math.sqrt(2.0) * c * c * math.sqrt(8.0 * s * s + 1.0), rel=1e-12)
+    assert r.tf.passed
     assert r.lc.residuals["faces_plus_plus_vertex_pB"] > 1e3 * r.tol and not r.lc.passed
     assert any(n.startswith("faces_plus_plus_vertex_pB: vertex residual") and "exceeds the gate" in n for n in r.lc.notes)
     assert r.verdict.kind is VerdictKind.INCONCLUSIVE
@@ -496,7 +503,7 @@ def test_verify_near_the_wall_reports(alpha2):
 def test_report_schema():
     r = verify(0.7, grid_n=96)
     d = r.to_dict()
-    assert d["schema"] == "report-v5"
+    assert d["schema"] == "report-v6"
     payload = json.dumps(d, sort_keys=True)
     back = json.loads(payload)
     assert back["checks"]["tf"]["passed"] is True
@@ -817,9 +824,10 @@ def test_lc_common_constraint_matches_the_three_constraint_envelope(alpha2, grid
 def test_verify_runs_one_exclusion_pass_per_torus(alpha2, monkeypatch):
     # one stacked column call per verify: TF's torus_exclusion and LC's
     # faces_minus_minus share the pass over the J_0^-/J_-1^- torus, LC's
-    # faces_plus_plus is the second pass, then come each pass's delta_v
-    # column alone and TF's two complex-line reads, whole-column blocks of
-    # one column each; every block reads a single constraint.  No tangency,
+    # faces_plus_plus is the second pass, then comes each pass's delta_v
+    # column alone: four ball blocks, each reading a single constraint.  The
+    # complex-line locus is proved once and read from no column
+    # (tests/test_line_and_contact_identities.py).  No tangency,
     # bisector-kind or pair-kind kernel runs: what they would decide is
     # proved once (tests/test_face_family_identities.py), and they are
     # oracles
@@ -828,7 +836,7 @@ def test_verify_runs_one_exclusion_pass_per_torus(alpha2, monkeypatch):
     column_minima = bisector.column_minima
 
     def counted_minima(blocks):
-        calls.append([(b, len(d), np.shape(w)) for _, d, _, w, b in blocks])
+        calls.append([(len(d), np.shape(w)) for _, d, _, w in blocks])
         return column_minima(blocks)
 
     def counted(name, fn):
@@ -843,8 +851,8 @@ def test_verify_runs_one_exclusion_pass_per_torus(alpha2, monkeypatch):
     rep = verify(alpha2, grid_n=720)
     assert rep.all_passed()
     (blocks,) = calls
-    assert [(ball, n) for ball, n, _ in blocks] == [(True, 360), (True, 360), (True, 1), (True, 1), (False, 1), (False, 1)]
-    assert all(shape == (3,) for *_, shape in blocks)
+    assert [n for n, _ in blocks] == [360, 360, 1, 1]
+    assert all(shape == (3,) for _, shape in blocks)
     assert kernels == []
     crlab_modules = [m for key, m in sys.modules.items() if key.startswith("crlab")]
     assert [(m.__name__, n) for m in crlab_modules for n in names if hasattr(m, n)] == []
@@ -852,22 +860,21 @@ def test_verify_runs_one_exclusion_pass_per_torus(alpha2, monkeypatch):
 
 def test_verify_and_the_spinal_trace_share_one_column_stage(tmp_path, monkeypatch):
     # one engine forms the torus columns' sinusoids: a verify calls it once,
-    # with the six blocks of the exclusion passes and the complex-line
-    # reads, and a spinal-trace figure once, with its one block of whole
-    # columns
+    # with the four blocks of the exclusion passes, and a spinal-trace
+    # figure once, with its one block of columns
     bisector, figures = (importlib.import_module(f"crlab.{name}") for name in ("bisector", "figures"))
     calls, stage = [], bisector._column_sinusoids
 
     def counted(blocks):
-        calls.append([(b, len(d)) for _, d, _, _, b in blocks])
+        calls.append([len(d) for _, d, _, _ in blocks])
         return stage(blocks)
 
     monkeypatch.setattr(bisector, "_column_sinusoids", counted)
     assert verify(alpha2_for_order(9), grid_n=720).all_passed()
-    assert calls == [[(True, 360), (True, 360), (True, 1), (True, 1), (False, 1), (False, 1)]]
+    assert calls == [[360, 360, 1, 1]]
     calls.clear()
     figures.figure_spinal_trace(str(tmp_path / "spinal-trace"), resolution=181)
-    assert calls == [[(False, 90)]]
+    assert calls == [[90]]
 
 
 # scalar core.inner and box calls, and HVec constructions, of
