@@ -8,7 +8,7 @@ Modules:
   bisector   Giraud tori of bisector pairs, their column minima, level sets
   visual     visual-sphere charts, silhouettes and angle bounds
   verify     the TF/LC/GC verification engine and surgery verdicts
-  report     check results, verdicts and the report-v6 JSON layout
+  report     check results, verdicts and the report-v7 JSON layout
   figures    deterministic CSV/SVG figure data
   csvfloat   the byte-exact %.17g and %.9g kernel of the figure CSVs and SVGs
   cli        the `crlab` command line

@@ -142,33 +142,19 @@ def vertex_angles(pairs) -> list[tuple[float, float]]:
     return [(-cmath.phase(g[3 * i + 1] / g[3 * i]), -cmath.phase(g[3 * i + 2] / g[3 * i])) for i, g in enumerate(G)]
 
 
-def torus_exclusion(passes, m: int) -> list:
-    """[(margin, vertex residuals)] per pass (torus, neg, vertices): a pass
-    is the claim that on the ball part of `torus` |<z, p>| <= |<z, neg>|, p
-    the torus's own first lift, holds only at the two `vertices`.  Both
-    vertices lie on the delta-column delta_v = (theta - phi) / 2 mod pi
-    (`vertex_angles`), at the two ends of its ball arc, where the contact is
+def torus_exclusion(passes, dv: float, m: int) -> list[float]:
+    """The margin of each pass (torus, neg): a pass is the claim that on the
+    ball part of `torus` |<z, p>| <= |<z, neg>|, p the torus's own first
+    lift, holds only at its two vertices.  Both vertices are the ends of the
+    ball arc of the delta-column dv (`family.delta_v`), where the contact is
     of second order.  The margin is the exact minimum of |<p, z>|^2 -
-    |<neg, z>|^2, z unit, on the arcs of the m columns delta_v + (k + 1/2)
-    pi / m, over sin^2(delta - delta_v); a vertex's residual is its
-    projective distance to the nearer end of the delta_v arc.  One
-    `column_minima` call reads these columns and each delta_v column as a
-    block alone.  Exact in sigma, sampled in delta."""
-    k, (offsets, sin2) = len(passes), _offsets(m)
-    dvs = np.array([((th - ph) / 2.0) % math.pi for th, ph in vertex_angles([(t, v[0]) for t, _, v in passes])])
-    # the passes' columns, then each delta_v column alone
-    cols = [(t, d, t.p, neg) for ds in (dvs[:, None] + offsets, dvs[:, None]) for (t, neg, _), d in zip(passes, ds)]
-    minima, mid, half = column_minima(cols)
-    margins = (minima[: k * m].reshape(k, m) / sin2).min(axis=1)
-    mid, half = mid[k * m :, None], half[k * m :, None]
-    s, dv = mid + half * np.array([-1.0, 1.0]), dvs[:, None]
-    # per pass the torus points qr - e^{-i theta} pr - e^{-i phi} qp at the two
-    # arc ends, and their distances [pass, vertex, end] to the two vertices
-    R = np.array([(t.qr, t.pr, t.qp) for t, _, _ in passes])
-    ends = R[:, None, 0] - np.exp(-1j * (s + dv))[..., None] * R[:, None, 1] - np.exp(-1j * (s - dv))[..., None] * R[:, None, 2]
-    dist = _proj_distances(ends[:, None], np.array([vs for _, _, vs in passes])[:, :, None])
-    resids = np.where(np.isnan(half), math.inf, dist.min(axis=-1))
-    return [(float(a), r) for a, r in zip(margins, resids.tolist())]
+    |<neg, z>|^2, z unit, on the arcs of the m columns dv + (k + 1/2) pi /
+    m, over sin^2(delta - dv); inf where no column meets the ball.  One
+    `column_minima` call reads every pass.  Exact in sigma, sampled in
+    delta."""
+    offsets, sin2 = _offsets(m)
+    minima, _, _ = column_minima([(t, dv + offsets, t.p, neg) for t, neg in passes])
+    return (minima.reshape(len(passes), m) / sin2).min(axis=1).tolist()
 
 
 @functools.cache

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import inspect
 import json
 import math
 import os
@@ -28,10 +27,8 @@ from .verify import DEFAULT_GRID, verify
 MAX_SWEEP_POINTS = 10**6
 # the largest --grid; verify's memory grows about linearly with the grid
 MAX_GRID = 2**16
-# the most output rows one figure may have: resolution^2 grid cells (the
-# grid figures), resolution * (resolution // 2) (spinal-trace), or 2n curves
-# of resolution + 1 points with their 2n marks (disk-projection); a
-# figure's memory grows about linearly with its rows
+# the most output rows one figure may have (figures.FIGURE_ROWS); a figure's
+# memory grows about linearly with its rows
 MAX_FIGURE_ROWS = 2**24
 
 
@@ -84,17 +81,6 @@ def _make_out_dir(path) -> bool:
         print(f"error: cannot make the --out directory {path!r}: {exc.strerror}", file=sys.stderr)
         return False
     return True
-
-
-def _figure_rows(name, kwargs) -> int:
-    """The output rows of figure `name` called with kwargs (see
-    MAX_FIGURE_ROWS), its defaults filling in the rest."""
-    params = inspect.signature(figures.FIGURES[name]).parameters
-    arg = {key: kwargs.get(key, param.default) for key, param in params.items()}
-    if name == "disk-projection":
-        return 2 * arg["n"] * (arg["boundary_points"] + 1)
-    res = arg["resolution"]
-    return res * (res // 2) if name == "spinal-trace" else res * res
 
 
 def cmd_verify(args) -> int:
@@ -173,7 +159,7 @@ def cmd_figure(args) -> int:
     if args.resolution is not None:
         kwargs["boundary_points" if args.name == "disk-projection" else "resolution"] = args.resolution
     kwargs = {key: value for key, value in kwargs.items() if value is not None}
-    if _figure_rows(args.name, kwargs) > MAX_FIGURE_ROWS:
+    if figures.FIGURE_ROWS[args.name](**kwargs) > MAX_FIGURE_ROWS:
         print(f"error: figure has more than {MAX_FIGURE_ROWS} rows (cli.MAX_FIGURE_ROWS)", file=sys.stderr)
         return 2
     if not _make_out_dir(args.out):
@@ -192,6 +178,8 @@ def _read_matrix(path):
     data = np.loadtxt(path).reshape(-1)
     if data.size != 18:
         raise ValueError("matrix file must hold 18 reals (row-major, re/im interleaved)")
+    if not np.isfinite(data).all():
+        raise ValueError("matrix entries must be finite numbers")
     return (data[0::2] + 1j * data[1::2]).reshape(3, 3)
 
 

@@ -238,6 +238,15 @@ def delta0(alpha2: float) -> float:
     return math.atan((1.0 - 2.0 * math.cos(2 * alpha2)) / (2.0 * math.sin(2 * alpha2)))
 
 
+def delta_v(alpha2: float) -> float:
+    """The delta of the vertex column, pi/2 + alpha2 (mod pi), on the tori of
+    J_0^- with J_-1^- (vertices p_A, p_B) and of J_0^+ with J_1^+ (p_B, U
+    p_A): the vertices sit at (theta, phi) = (0, pi - 2 alpha2) and (2 alpha2
+    - pi, 0), the two ends of the column's ball arc
+    (tests/test_vertex_identities.py)."""
+    return alpha2 + math.pi / 2.0
+
+
 def schwartz_point() -> complex:
     """Trace coordinate w of the real-axis uniformization of the same link."""
     theta = math.acos(-7.0 / 8.0) / 3.0

@@ -321,3 +321,15 @@ FIGURES = {
     "spinal-trace": figure_spinal_trace,
     "schwartz-slice": figure_schwartz_slice,
 }
+# each figure's output rows from the keywords it is called with, defaulting
+# as the figure does (cli.MAX_FIGURE_ROWS): resolution^2 grid cells,
+# resolution * (resolution // 2) for spinal-trace, and 2n curves of
+# boundary_points + 1 points for disk-projection
+FIGURE_ROWS = {
+    "level-sets": lambda resolution=720, **_: resolution * resolution,
+    "peach-curve": lambda resolution=256, **_: resolution * resolution,
+    "region-z": lambda resolution=256, **_: resolution * resolution,
+    "disk-projection": lambda n=20, boundary_points=512, **_: 2 * n * (boundary_points + 1),
+    "spinal-trace": lambda resolution=361, **_: resolution * (resolution // 2),
+    "schwartz-slice": lambda resolution=256, **_: resolution * resolution,
+}

@@ -16,11 +16,12 @@ checked numerically:
 
 TF and LC read the Giraud tori of neighbouring faces one delta-column at a
 time, where every form is a sinusoid in sigma: each exclusion margin is an
-exact minimum over sigma, sampled in delta, and one bisector.column_minima
-call reads both exclusion passes of a parameter (FaceFamily.torus_pass),
-from the sinusoids of the one stage that also draws the spinal-trace
-figure.  The unipotent wall is decided once, by family.param_side: on it
-GC is not applicable and the visual chart does not exist.
+exact minimum over sigma, sampled in delta about the vertex column
+family.delta_v, and one bisector.column_minima call reads both exclusion
+passes of a parameter (FaceFamily.torus_pass), from the sinusoids of the
+one stage that also draws the spinal-trace figure.  The unipotent wall is
+decided once, by family.param_side: on it GC is not applicable and the
+visual chart does not exist.
 
 Passing all three yields the Dehn-surgery verdict for the parameter:
 slope 1/(n-3) on the elliptic side of order n >= 9, slope -1/3 on the
@@ -39,6 +40,7 @@ from .core import GeometryError, box_rows, siegel_model, tolerance
 from .family import (
     P_A, P_B, P_U, P_V, P_W, P_U1, P_U2, U_PA, U_PB, U_PV, U_PW, UI_PB, UI_PV, UI_PW,
     SideKind,
+    delta_v,
     face_points,
     param_side,
 )
@@ -136,35 +138,29 @@ class FaceFamily:
         return silhouette_circles(self.chart, self.P[[P_V, P_W]], self.G[P_U, [P_V, P_W]], scale, self.tol)
 
     @cached_property
-    def torus_pass(self) -> list:
-        """`bisector.torus_exclusion` of p_V on the first torus at p_A and
-        p_B (TF, LC) and of p_W on the second at p_B and U p_A (LC), on
-        grid_n // 2 columns."""
+    def torus_pass(self) -> list[float]:
+        """`bisector.torus_exclusion` margins of p_V on the first torus
+        (vertices p_A, p_B; TF, LC) and of p_W on the second (p_B, U p_A;
+        LC), on grid_n // 2 columns about the vertex column `family.delta_v`."""
         P, (tm, tp, *_) = self.P, self.tori
-        passes = [(tm, P[P_V], P[[P_A, P_B]]), (tp, P[P_W], P[[P_B, U_PA]])]
-        return torus_exclusion(passes, self.grid_n // 2)
+        return torus_exclusion([(tm, P[P_V]), (tp, P[P_W])], delta_v(self.alpha2), self.grid_n // 2)
 
 
 # ---------------------------------------------------------------------------
 # small shared helpers
 
 
-def _record_exclusion(ff: FaceFamily, res: CheckResult, key: str, exclusion, names) -> bool:
-    """Record a `torus_exclusion` pass in `res` under `key` and the vertex
-    `names`, with notes; whether the margin is positive and no residual
-    exceeds the gate 1e3 tol."""
-    margin, resids = exclusion
+def _record_exclusion(ff: FaceFamily, res: CheckResult, key: str, margin: float) -> bool:
+    """Record a `torus_exclusion` margin in `res` under `key`; whether it is
+    finite and positive.  Where no sampled column meets the ball the margin
+    is inf, no evidence either way, and a note says why."""
     res.margins[key] = margin
-    res.residuals.update(zip(names, resids))
     if math.isinf(margin):
         res.notes.append(
             f"{key}: no sampled delta-column meets the ball (the ball band at "
             f"delta_v is narrower than the column spacing pi/{ff.grid_n // 2})"
         )
-    gate = 1e3 * ff.tol
-    over = [(n, r) for n, r in zip(names, resids) if not r <= gate]
-    res.notes.extend(f"{n}: vertex residual {r:.2e} exceeds the gate 1e3 tol = {gate:.2e}" for n, r in over)
-    return margin > 0.0 and not over
+    return 0.0 < margin < math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -216,15 +212,16 @@ def tf_check(ff: FaceFamily) -> CheckResult:
     """TF from what can fail: the torus exclusion and the bi-tangency.  What
     holds at every alpha2 is proved once: the identities behind them in
     tests/test_tf_identities.py, the tori's preconditions in
-    tests/test_face_family_identities.py, and the complex-line locus on the
-    column delta = family.delta0 in tests/test_line_and_contact_identities.py."""
+    tests/test_face_family_identities.py, the complex-line locus on the
+    column delta = family.delta0 in tests/test_line_and_contact_identities.py,
+    and the vertices at the ends of the column family.delta_v in
+    tests/test_vertex_identities.py."""
     res = CheckResult("tf", True)
 
     # on the ball part of the torus of J_0^- and J_-1^-, |<z, p_U>| <=
     # |<z, p_V>| only at p_A and p_B
-    names = ("vertex_pA_distance", "vertex_pB_distance")
     minus, _ = ff.torus_pass
-    passed_c = _record_exclusion(ff, res, "torus_exclusion", minus, names)
+    passed_c = _record_exclusion(ff, res, "torus_exclusion", minus)
 
     res.notes.append(
         "torus exclusion is exact in sigma on each delta-column and sampled "
@@ -265,17 +262,16 @@ def lc_check(ff: FaceFamily) -> CheckResult:
     triples with u = (2/3)(4 cos^2 alpha2 - 3) < 2/3 at every alpha2 in (0,
     pi/2), and the fan focus at alpha2 = pi/6 sits inside its arc; both are
     proved once, in tests/test_lc_identities.py and
-    tests/test_gc_identities.py."""
+    tests/test_gc_identities.py, and so are the vertices at the ends of
+    the column family.delta_v, in tests/test_vertex_identities.py."""
     res = CheckResult("lc", True)
     # F_0^- /\ F_-1^- == {p_A, p_B} and F_0^+ /\ F_1^+ == {p_B, U p_A}: each
     # pair lies in the set of the constraint both faces share, |<z,p_U>| <=
     # |<z,p_V>| (TF's torus_exclusion pass) and <= |<z,p_W>|, so it suffices
     # that this set meets the torus's ball part only at the two vertices
     minus, plus = ff.torus_pass
-    mm_names = ("faces_minus_minus_vertex_pA", "faces_minus_minus_vertex_pB")
-    ok_mm = _record_exclusion(ff, res, "faces_minus_minus", minus, mm_names)
-    pp_names = ("faces_plus_plus_vertex_pB", "faces_plus_plus_vertex_UpA")
-    ok_pp = _record_exclusion(ff, res, "faces_plus_plus", plus, pp_names)
+    ok_mm = _record_exclusion(ff, res, "faces_minus_minus", minus)
+    ok_pp = _record_exclusion(ff, res, "faces_plus_plus", plus)
     res.passed = bool(ok_mm and ok_pp)
     return res
 

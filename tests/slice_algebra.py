@@ -1,6 +1,7 @@
 """The alpha1 = 0 slice over real symbols, for the sympy proofs in
 tests/test_tf_identities.py, tests/test_gc_identities.py,
-tests/test_lc_identities.py and tests/test_face_family_identities.py.
+tests/test_lc_identities.py, tests/test_face_family_identities.py,
+tests/test_line_and_contact_identities.py and tests/test_vertex_identities.py.
 
 c = cos(alpha2) and s = sin(alpha2) are real symbols; an expression is an
 identity of the slice when it vanishes modulo c^2 + s^2 - 1 and whatever

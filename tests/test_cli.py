@@ -32,7 +32,7 @@ def test_verify_n9(tmp_path):
     files = sorted(os.listdir(tmp_path))
     assert len(files) == 1
     report = json.loads((tmp_path / files[0]).read_text())
-    assert report["schema"] == "report-v6"
+    assert report["schema"] == "report-v7"
     assert report["verdict"]["slope"] == [1, 6]
 
 
@@ -108,6 +108,23 @@ def test_classify_matrix_file(tmp_path):
     bad.write_text(" ".join(["2", "0", "0", "0", "0", "0"] + ["0"] * 6 + ["0"] * 4 + ["2", "0"]))
     code, out, _ = run_cli(["classify", "--matrix", str(bad)])
     assert code == 2
+
+
+@pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
+def test_classify_matrix_with_a_non_finite_entry_is_a_usage_error(entry, tmp_path):
+    # as for a non-finite --alpha2: one error line, nothing on stdout (no
+    # NaN in JSON), and no floating-point warning on the way
+    import warnings
+
+    path = tmp_path / "m.txt"
+    vals = ["1", "0", "0", "0", "0", "0", "0", "0", "1", "0", "0", "0", "0", "0", "0", "0", "1", "0"]
+    vals[8] = entry
+    path.write_text(" ".join(vals))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["classify", "--matrix", str(path)])
+    assert code == 2 and out == ""
+    assert err == "error: matrix entries must be finite numbers\n"
 
 
 def test_sweep_determinism_across_workers(tmp_path):
@@ -391,6 +408,42 @@ def test_figure_over_the_row_limit_is_a_usage_error(argv, rows, tmp_path):
     assert code == 2 and out == ""
     assert err == f"error: figure has more than {MAX_FIGURE_ROWS} rows (cli.MAX_FIGURE_ROWS)\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_figure_runs_through_a_plain_wrapper(tmp_path, monkeypatch):
+    # an entry of figures.FIGURES wrapped without functools.wraps, as a
+    # tracer wraps it, shows no signature: the CLI reads each figure's rows
+    # from figures.FIGURE_ROWS, so it still runs and still refuses a figure
+    # over the row limit
+    import crlab.cli
+
+    for name, fn in list(crlab.cli.figures.FIGURES.items()):
+        def entry(out_base, fmt="csv", _fn=fn, **kw):
+            return _fn(out_base, fmt=fmt, **kw)
+
+        monkeypatch.setitem(crlab.cli.figures.FIGURES, name, entry)
+    code, out, err = run_cli(["figure", "spinal-trace", "--resolution", "64", "--out", str(tmp_path)])
+    assert (code, err) == (0, "") and out == f"{tmp_path / 'spinal-trace.csv'}\n"
+    code, out, err = run_cli(["figure", "disk-projection", "--n", "9", "--resolution", "64", "--out", str(tmp_path)])
+    assert (code, err) == (0, "") and out == f"{tmp_path / 'disk-projection.csv'}\n"
+    code, out, err = run_cli(["figure", "level-sets", "--resolution", "4097", "--out", str(tmp_path / "big")])
+    assert code == 2 and out == "" and "more than" in err
+    assert not (tmp_path / "big").exists()
+
+
+def test_figure_rows_default_as_the_figures_do():
+    # figures.FIGURE_ROWS declares the defaults its row counts read; they
+    # are the figures' own
+    import inspect
+
+    from crlab import figures
+
+    assert sorted(figures.FIGURE_ROWS) == sorted(figures.FIGURES)
+    for name, rows in figures.FIGURE_ROWS.items():
+        own = inspect.signature(figures.FIGURES[name]).parameters
+        for key, param in inspect.signature(rows).parameters.items():
+            if param.kind is param.POSITIONAL_OR_KEYWORD:
+                assert own[key].default == param.default, (name, key)
 
 
 def test_classify_geometry_error_exits_1_with_an_error_line(monkeypatch):

@@ -39,7 +39,7 @@ def parameters() -> list[tuple[str, float]]:
     out += [(f"elliptic {i}", float(a)) for i, a in enumerate(np.linspace(ALPHA2_LIM + 1e-3, 1.569, 30))]
     out += [("wall", ALPHA2_LIM), ("wall - 1e-6", ALPHA2_LIM - 1e-6), ("wall + 1e-9", ALPHA2_LIM + 1e-9)]
     out += [("pi/6", math.pi / 6)]
-    out += [(f"1e-{k}", 10.0**-k) for k in range(3, 11)]
+    out += [(f"1e-{k}", 10.0**-k) for k in range(3, 17)]
     return out
 
 

@@ -19,7 +19,8 @@ NOT_PROGRAM = ("__init__", "reference")
 # past 8,192 tokens pays the next doubling, so each keeps 1,024 below it
 MODULE_TOKEN_BUDGET = 7_168
 # verify.py's float literals in (0, 1e-2): tf_check's bi-tangency gate 1e-3
-# and _bitangency's vertex-location gate 1e-5, twice
+# and _bitangency's vertex-location gate 1e-5, twice.  The exclusion passes
+# read none: each decides from the sign of a finite margin
 VERIFY_GATE_LITERALS = 3
 # numpy's products, which can run through BLAS
 BLAS_PRODUCTS = ("matmul", "dot", "vdot", "einsum", "inner", "tensordot")
@@ -115,6 +116,24 @@ def test_verify_reads_no_torus_points():
         if isinstance(n, ast.Attribute) and n.attr in ("ball", "ball_points")
     ]
     assert found == []
+
+
+def test_exclusion_passes_take_no_vertex():
+    # the vertices are the ends of the column family.delta_v at every alpha2
+    # (tests/test_vertex_identities.py): torus_exclusion takes that column
+    # and no vertex point, torus_pass names no vertex row, and the numeric
+    # vertex angles serve the bi-tangency alone
+    bisector = ast.parse((SRC / "bisector.py").read_text())
+    (fn,) = [f for f in bisector.body if isinstance(f, ast.FunctionDef) and f.name == "torus_exclusion"]
+    assert [a.arg for a in fn.args.args] == ["passes", "dv", "m"]
+    assert {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)}.isdisjoint({"vertex_angles", "_proj_distances"})
+    verify = ast.parse((SRC / "verify.py").read_text())
+    (prop,) = [
+        f for c in verify.body if isinstance(c, ast.ClassDef) for f in c.body
+        if isinstance(f, ast.FunctionDef) and f.name == "torus_pass"
+    ]
+    assert {n.id for n in ast.walk(prop) if isinstance(n, ast.Name)}.isdisjoint({"P_A", "P_B", "U_PA"})
+    assert callers(SRC, "vertex_angles") == ["bisector.giraud_circle_tangents"]
 
 
 def test_verify_reads_no_sampled_silhouette():
@@ -298,6 +317,24 @@ def unreached_defs(src: pathlib.Path) -> list[str]:
             reached.add(key)
             todo += uses(key[0], defs[key])
     return sorted(f"{mod}.{name}" for mod, name in defs if (mod, name) not in reached)
+
+
+def callers(src: pathlib.Path, name: str) -> list[str]:
+    """"module.def" of each top-level function and "module.Class.method" of
+    each method of the program modules under src that names `name`, as a
+    name or an attribute, outside a def of that name."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.stem in NOT_PROGRAM:
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        defs = [(f.name, f) for f in tree.body if isinstance(f, ast.FunctionDef)]
+        defs += [(f"{c.name}.{f.name}", f) for c in tree.body if isinstance(c, ast.ClassDef) for f in c.body if isinstance(f, ast.FunctionDef)]
+        for qual, fn in defs:
+            named = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)} | {n.attr for n in ast.walk(fn) if isinstance(n, ast.Attribute)}
+            if fn.name != name and name in named:
+                found.append(f"{path.stem}.{qual}")
+    return found
 
 
 def unnamed_methods(src: pathlib.Path) -> list[str]:

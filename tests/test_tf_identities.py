@@ -2,10 +2,11 @@
 cos(alpha2) and s = sin(alpha2) modulo c^2 + s^2 - 1.
 
 `verify.tf_check` decides only from what can fail at a parameter: the
-torus exclusion, its vertex residuals and the bi-tangency (the tangency
-criterion and the tori's unbalanced pairs are proved in
-tests/test_face_family_identities.py, and the complex-line locus on the
-column delta0 in tests/test_line_and_contact_identities.py).  The facts below hold for
+torus exclusion and the bi-tangency (the tangency criterion and the tori's
+unbalanced pairs are proved in tests/test_face_family_identities.py, the
+complex-line locus on the column delta0 in
+tests/test_line_and_contact_identities.py, and the vertices at the ends of
+the column delta_v in tests/test_vertex_identities.py).  The facts below hold for
 every alpha2, so they are proved here instead of being re-sampled at each
 one:
 

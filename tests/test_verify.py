@@ -16,6 +16,7 @@ from crlab.core import GeometryError, HVec, inner
 from crlab.family import (
     ALPHA2_LIM, P_A, P_B, P_U, P_U1, P_U2, P_V, P_W, U_PA, U_PV, U_PW, UI_PB, UI_PV, UI_PW, SideKind, alpha2_for_order,
     delta0,
+    delta_v,
     param_side,
 )
 from crlab.reference import alpha2_for_length, proj_distance
@@ -155,29 +156,30 @@ def test_verdict_near_the_wall_does_not_depend_on_tol(label, alpha2):
 @pytest.mark.parametrize("offset", [1e-9, 1e-12, 1.2e-15])
 def test_degenerate_tori_near_pi_over_2_fail_without_warnings(offset):
     # the tori collapse as cos^4(alpha2) -> 0 (tests/test_face_family_identities.py):
-    # TF and LC fail on named vertex residuals, and no floating-point
-    # warning is raised on the way
+    # no sampled column meets the ball, so TF and LC fail on the note that
+    # says so, and no floating-point warning is raised on the way
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         r = verify(math.pi / 2 - offset, grid_n=128)
     assert r.verdict.kind is VerdictKind.INCONCLUSIVE
     for check in (r.tf, r.lc):
         assert not check.passed
-        assert any("vertex residual" in n and "exceeds the gate" in n for n in check.notes)
+        assert all(math.isinf(m) for m in check.margins.values())
+        assert [n.split(":")[0] for n in check.notes if "no sampled delta-column meets the ball" in n] == list(check.margins)
 
 
 def test_tf_structure(ff_lox):
     res = tf_check(ff_lox)
     assert res.passed
     assert res.margins["torus_exclusion"] > 0
-    assert max(res.residuals["vertex_pA_distance"], res.residuals["vertex_pB_distance"]) <= 1e-12
     assert res.residuals["bitangency_pA"] <= 1e-4
     assert res.residuals["bitangency_pB"] <= 1e-4
     # TF reports only what can fail at a parameter; its identities in
-    # alpha2 are proved in tests/test_tf_identities.py, and its complex-line
-    # locus in tests/test_line_and_contact_identities.py
+    # alpha2 are proved in tests/test_tf_identities.py, its complex-line
+    # locus in tests/test_line_and_contact_identities.py, and its vertices
+    # at the ends of the column delta_v in tests/test_vertex_identities.py
     assert sorted(res.margins) == ["torus_exclusion"]
-    assert sorted(res.residuals) == ["bitangency_pA", "bitangency_pB", "vertex_pA_distance", "vertex_pB_distance"]
+    assert sorted(res.residuals) == ["bitangency_pA", "bitangency_pB"]
 
 
 @pytest.mark.parametrize("alpha2", [1e-12, 1e-13, 1e-14])
@@ -187,9 +189,7 @@ def test_tf_reads_the_complex_line_at_delta0_near_zero(alpha2):
     # (tests/test_line_and_contact_identities.py): on the program's rows,
     # <lpole, qr> and <lpole, B(delta0)> vanish to rounding down to the least
     # parameters, and |<lpole, B(delta0 + pi/2)>| = 2 |<lpole, pr>| = 2 sqrt2
-    # c^2 sqrt(8 s^2 + 1).  TF passes; the verdict still fails on LC's
-    # vertex gate: faces_plus_plus_vertex_pB grows like 1/alpha2^2 (1.7e-6
-    # at 1e-10)
+    # c^2 sqrt(8 s^2 + 1).  Every check passes, and the slope is -1/3
     assert delta0(0.0) == -math.pi / 2
     assert delta0(alpha2) == pytest.approx(-math.pi / 2, abs=1e-11)
     r = verify(alpha2, grid_n=128)
@@ -200,10 +200,8 @@ def test_tf_reads_the_complex_line_at_delta0_near_zero(alpha2):
     assert abs(torus.space.form(lpole, torus.qr)) <= 1e-15 * np.abs(torus.qr).max()
     assert at <= 1e-15 * np.abs(torus.pr).max()
     assert off == pytest.approx(2.0 * math.sqrt(2.0) * c * c * math.sqrt(8.0 * s * s + 1.0), rel=1e-12)
-    assert r.tf.passed
-    assert r.lc.residuals["faces_plus_plus_vertex_pB"] > 1e3 * r.tol and not r.lc.passed
-    assert any(n.startswith("faces_plus_plus_vertex_pB: vertex residual") and "exceeds the gate" in n for n in r.lc.notes)
-    assert r.verdict.kind is VerdictKind.INCONCLUSIVE
+    assert r.all_passed()
+    assert (r.verdict.kind, r.verdict.p, r.verdict.q) == (VerdictKind.SURGERY, 1, -3)
 
 
 def test_tf_at_unipotent_wall():
@@ -227,7 +225,9 @@ def test_lc_structure(ff_lox):
     assert res.passed
     assert res.margins["faces_minus_minus"] > 0
     assert res.margins["faces_plus_plus"] > 0
-    assert max(v for k, v in res.residuals.items() if "_vertex_" in k) <= 1e-12
+    # the vertices at the ends of the column delta_v are proved once
+    # (tests/test_vertex_identities.py): LC reports its margins alone
+    assert res.residuals == {}
 
 
 def test_lc_u_value_at_wall():
@@ -503,7 +503,7 @@ def test_verify_near_the_wall_reports(alpha2):
 def test_report_schema():
     r = verify(0.7, grid_n=96)
     d = r.to_dict()
-    assert d["schema"] == "report-v6"
+    assert d["schema"] == "report-v7"
     payload = json.dumps(d, sort_keys=True)
     back = json.loads(payload)
     assert back["checks"]["tf"]["passed"] is True
@@ -728,12 +728,12 @@ def test_incidence_printed_value(ff_lox):
 def test_tf_lc_pass_where_the_ball_band_is_thin(alpha2, grid):
     # near alpha2 = pi/2 the ball part of the tori is a thin band in delta
     # around the vertex column; no sampled cell came near the vertices there,
-    # while the closed-form arcs end on them
+    # while the closed-form arcs end on them.  A sampled column still meets
+    # the ball, so every margin is finite
     rep = verify(alpha2, grid_n=grid)
     for check in (rep.tf, rep.lc):
         assert check.passed
-        assert min(check.margins.values()) > 0
-        assert max(v for k, v in check.residuals.items() if "vertex" in k) <= 1e-12
+        assert all(0.0 < m < math.inf for m in check.margins.values())
 
 
 @pytest.mark.parametrize("alpha2", [3e-4, 1e-4, 1e-6, 1e-8])
@@ -750,29 +750,39 @@ def test_lc_passes_near_alpha2_zero(alpha2):
     assert kinds == [SymmetricKind.TRI_CIRCLE_DISK] * 2
 
 
-@pytest.mark.parametrize("alpha2, fails", [(1e-10, True), (1e-8, False)])
-def test_failing_vertex_gate_is_named(alpha2, fails):
-    # at alpha2 = 1e-10 LC fails with every margin positive: a vertex
-    # residual of the near-degenerate torus exceeds the 1e3 tol gate, and a
-    # note names it
-    rep = verify(alpha2, grid_n=128)
-    assert min(rep.lc.margins.values()) > 0 and rep.lc.passed != fails
-    over = [k for k, v in rep.lc.residuals.items() if "_vertex_" in k and v > 1e3 * rep.tol]
-    notes = [n for n in rep.lc.notes if "exceeds the gate" in n]
-    assert [n.split(":")[0] for n in notes] == over
-    assert bool(over) == fails
+@pytest.mark.parametrize("alpha2", [1e-16, 1e-14, 1e-12, 1e-10, 1e-8, 1e-5, 1e-3])
+def test_alpha2_zero_end_reads_minus_one_third_at_every_tol(alpha2):
+    # the vertices are the ends of the column delta_v at every alpha2
+    # (tests/test_vertex_identities.py), so TF and LC decide from their
+    # margins, which stay put as alpha2 -> 0: every check passes and the
+    # slope is -1/3 at every tol and grid
+    for tol in (1e-7, 1e-9, 1e-11, 1e-14):
+        for grid in (128, 720):
+            r = verify(alpha2, tol=tol, grid_n=grid)
+            assert r.all_passed(), (tol, grid)
+            assert (r.verdict.kind, r.verdict.p, r.verdict.q) == (VerdictKind.SURGERY, 1, -3), (tol, grid)
+
+
+def test_one_verdict_at_every_tol_near_pi_over_2():
+    # 1.569 is no finite-order rotation: inconclusive at every tol, with the
+    # same flags, since no check reads a gate in tol there
+    reports = [verify(1.569, tol=tol, grid_n=128) for tol in (1e-7, 1e-9, 1e-11, 1e-14)]
+    outcomes = {(r.verdict.kind, r.verdict.reason, tuple(c.passed for c in (r.incidence, r.tf, r.lc, r.gc))) for r in reports}
+    assert len(outcomes) == 1
+    assert reports[0].verdict.kind is VerdictKind.INCONCLUSIVE
 
 
 @pytest.mark.parametrize("alpha2, grid, empty", [(1.569, 64, True), (1.56, 720, False)])
 def test_empty_ball_band_is_named(alpha2, grid, empty):
     # where the ball band at delta_v is narrower than the column spacing no
-    # sampled column meets the ball: the margin reads inf and a note says why
+    # sampled column meets the ball: the margin reads inf, a note says why,
+    # and the pass fails, since an empty sample is no evidence
     rep = verify(alpha2, grid_n=grid)
     for check, keys in ((rep.tf, ["torus_exclusion"]), (rep.lc, ["faces_minus_minus", "faces_plus_plus"])):
         notes = [n for n in check.notes if "no sampled delta-column meets the ball" in n]
         assert [n.split(":")[0] for n in notes] == (keys if empty else [])
         assert all(math.isinf(check.margins[k]) == empty for k in keys)
-        assert check.passed
+        assert check.passed != empty
 
 
 def test_torus_margins_do_not_depend_on_the_grid():
@@ -807,13 +817,15 @@ def test_lc_common_constraint_matches_the_three_constraint_envelope(alpha2, grid
     )
     m = grid // 2
     offsets = (np.arange(m) + 0.5) * (math.pi / m)
+    dv = delta_v(alpha2)
     for key, torus, negs, vertex in (
         ("faces_minus_minus", giraud_torus(classify_bisector(p_U, p_W), classify_bisector(p_U, UipW)), [p_V, UpV, UipV], p_A),
         ("faces_plus_plus", giraud_torus(classify_bisector(p_U, p_V), classify_bisector(p_U, UpV)), [p_W, UipW, UpW], p_B),
     ):
         pt = inner(HVec(torus.p, ff.space), vertex)
         theta, phi = (-cmath.phase(inner(HVec(w, ff.space), vertex) / pt) for w in (torus.q, torus.r))
-        dv = ((theta - phi) / 2.0) % math.pi
+        # the scalar path finds the vertex column delta_v to rounding
+        assert abs(math.remainder((theta - phi) / 2.0 - dv, math.pi)) <= 1e-14
         minima = envelope_minima(torus, dv + offsets, p_U.v, [w.v for w in negs])
         envelope = float((minima / np.sin(offsets) ** 2).min())
         assert envelope >= lc.margins[key]
@@ -823,11 +835,11 @@ def test_lc_common_constraint_matches_the_three_constraint_envelope(alpha2, grid
 @pytest.mark.parametrize("alpha2", [alpha2_for_order(9), alpha2_for_length(1.0)])
 def test_verify_runs_one_exclusion_pass_per_torus(alpha2, monkeypatch):
     # one stacked column call per verify: TF's torus_exclusion and LC's
-    # faces_minus_minus share the pass over the J_0^-/J_-1^- torus, LC's
-    # faces_plus_plus is the second pass, then comes each pass's delta_v
-    # column alone: four ball blocks, each reading a single constraint.  The
-    # complex-line locus is proved once and read from no column
-    # (tests/test_line_and_contact_identities.py).  No tangency,
+    # faces_minus_minus share the pass over the J_0^-/J_-1^- torus, and LC's
+    # faces_plus_plus is the second pass: two ball blocks, each reading a
+    # single constraint.  The complex-line locus and the vertex column are
+    # proved once and read from no column
+    # (tests/test_line_and_contact_identities.py, tests/test_vertex_identities.py).  No tangency,
     # bisector-kind or pair-kind kernel runs: what they would decide is
     # proved once (tests/test_face_family_identities.py), and they are
     # oracles
@@ -851,7 +863,7 @@ def test_verify_runs_one_exclusion_pass_per_torus(alpha2, monkeypatch):
     rep = verify(alpha2, grid_n=720)
     assert rep.all_passed()
     (blocks,) = calls
-    assert [n for n, _ in blocks] == [360, 360, 1, 1]
+    assert [n for n, _ in blocks] == [360, 360]
     assert all(shape == (3,) for _, shape in blocks)
     assert kernels == []
     crlab_modules = [m for key, m in sys.modules.items() if key.startswith("crlab")]
@@ -860,7 +872,7 @@ def test_verify_runs_one_exclusion_pass_per_torus(alpha2, monkeypatch):
 
 def test_verify_and_the_spinal_trace_share_one_column_stage(tmp_path, monkeypatch):
     # one engine forms the torus columns' sinusoids: a verify calls it once,
-    # with the four blocks of the exclusion passes, and a spinal-trace
+    # with the two blocks of the exclusion passes, and a spinal-trace
     # figure once, with its one block of columns
     bisector, figures = (importlib.import_module(f"crlab.{name}") for name in ("bisector", "figures"))
     calls, stage = [], bisector._column_sinusoids
@@ -871,7 +883,7 @@ def test_verify_and_the_spinal_trace_share_one_column_stage(tmp_path, monkeypatc
 
     monkeypatch.setattr(bisector, "_column_sinusoids", counted)
     assert verify(alpha2_for_order(9), grid_n=720).all_passed()
-    assert calls == [[360, 360, 1, 1]]
+    assert calls == [[360, 360]]
     calls.clear()
     figures.figure_spinal_trace(str(tmp_path / "spinal-trace"), resolution=181)
     assert calls == [[90]]
