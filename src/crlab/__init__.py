@@ -6,9 +6,9 @@ Modules:
   isometry   SU(2,1) lifts, trace classification, eigendata, elliptic types
   family     the two-parameter representation family and its point table
   bisector   Giraud tori of bisector pairs, their column minima, level sets
-  visual     visual-sphere charts, silhouettes and angle bounds
+  visual     visual-sphere charts and bisector silhouettes
   verify     the TF/LC/GC verification engine and surgery verdicts
-  report     check results, verdicts and the report-v7 JSON layout
+  report     check results, verdicts and the report-v8 JSON layout
   figures    deterministic CSV/SVG figure data
   csvfloat   the byte-exact %.17g and %.9g kernel of the figure CSVs and SVGs
   cli        the `crlab` command line
@@ -47,7 +47,7 @@ from .family import (
     schwartz_point,
 )
 from .bisector import GiraudTorus
-from .visual import VisualChart, angular_diameter, silhouette_circles
+from .visual import VisualChart, silhouette_circles
 from .report import VerificationReport
 from .verify import FaceFamily, verify
 

@@ -1,5 +1,5 @@
 """The verification report: each check's result, the verdict, and the
-`report-v7` JSON that `crlab verify --out` writes, one file per parameter.
+`report-v8` JSON that `crlab verify --out` writes, one file per parameter.
 
 The JSON bytes are the contract: keys sorted, two-space indent, one
 trailing newline, margins and residuals as floats and counts as ints,
@@ -12,7 +12,7 @@ import enum
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
-SCHEMA_VERSION = "report-v7"
+SCHEMA_VERSION = "report-v8"
 
 
 @dataclass
@@ -104,7 +104,7 @@ class VerificationReport:
 
 
 def to_json(report: VerificationReport) -> str:
-    """The report's `report-v7` JSON text, by one walk of its dict (`_dump`)."""
+    """The report's `report-v8` JSON text, by one walk of its dict (`_dump`)."""
     return _dump(report.to_dict(), "\n") + "\n"
 
 

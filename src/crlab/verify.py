@@ -9,10 +9,13 @@ checked numerically:
   LC  - local combinatorics: neighbouring faces meet in the expected vertex
         pairs (that the others meet in Giraud disks is proved once, in
         tests/test_lc_identities.py);
-  GC  - global combinatorics: non-neighbouring bisectors are disjoint,
-        certified by closed-form guard surfaces on the visual sphere of the
-        deformation's fixed point (annuli on the loxodromic side, angular
-        sectors on the elliptic side) plus exact cone-separation margins.
+  GC  - global combinatorics: non-neighbouring bisectors are disjoint, by
+        guard surfaces on the visual sphere of the deformation's fixed point
+        (annuli on the loxodromic side, angular sectors on the elliptic
+        side) and cone-separation margins; every margin is a closed form in
+        x = cos(beta) or x = cosh(l), proved once in
+        tests/test_gc_disk_identities.py, so GC reads only the order n or
+        the length l of family.param_side.
 
 TF and LC read the Giraud tori of neighbouring faces one delta-column at a
 time, where every form is a sinusoid in sigma: each exclusion margin is an
@@ -45,12 +48,10 @@ from .family import (
     param_side,
 )
 from .bisector import GiraudTorus, giraud_circle_tangents, torus_exclusion
-from .visual import Silhouette, VisualChart, angular_diameter, silhouette_circles
+from .visual import VisualChart, silhouette_circles
 from .report import CheckResult, Verdict, VerdictKind, VerificationReport
 
 DEFAULT_GRID = 720
-# cone margins this close to the least one are ties up to rounding
-CONE_TIE = 8 * np.spacing(math.pi)
 # incidence's Gram block: the vertices and their translates (rows) against
 # the bisectors' points (columns)
 INCIDENCE_ROWS, INCIDENCE_COLS = np.array([[P_A], [P_B], [U_PA], [UI_PB], [U_PB]]), np.array([P_U, P_V, P_W, UI_PV, UI_PW, U_PV])
@@ -131,9 +132,9 @@ class FaceFamily:
     @cached_property
     def silhouettes(self):
         """(silhouettes, slices) of J_0^+ and J_0^- in the chart
-        (`silhouette_circles`), each built once; GC reads every translate's
-        from these by the chart multiplier, and the disk-projection figure
-        samples the slices."""
+        (`silhouette_circles`), each built once, for the disk-projection
+        figure, which samples the slices; GC reads their closed form in
+        cos(beta) or cosh(l) instead (tests/test_gc_disk_identities.py)."""
         scale = (self.lengths[P_U] * self.lengths[[P_V, P_W]]).tolist()
         return silhouette_circles(self.chart, self.P[[P_V, P_W]], self.G[P_U, [P_V, P_W]], scale, self.tol)
 
@@ -280,109 +281,41 @@ def lc_check(ff: FaceFamily) -> CheckResult:
 # GC: global combinatorics
 
 
-def cone_angles(ff: FaceFamily, ks) -> np.ndarray:
-    """Angles at p_U from the geodesic toward p_V to those toward U^k p_V
-    (column 0) and U^k p_W (column 1), shape (len(ks), 2), on the elliptic
-    side of order n.
-
-    U fixes p_U and scales its eigenvectors p_U', p_U'' by e^{i beta},
-    e^{-i beta} with beta = 2 pi / n, so <p_U, U^k x> = <p_U, x> and in the
-    orthonormal basis of the polar line that the normalized eigenvectors
-    give, the unit tangent direction toward U^k x is (c' e^{ik beta},
-    c'' e^{-ik beta}) for the direction (c', c'') toward x.  The angle is
-    2 atan2(|d - x|, |d + x|), which keeps its precision near pi.
-    """
-    # the directions toward p_V and p_W (rows), rephased so that <p_U, x> is
-    # real negative, the geodesic direction's convention (the oracle
-    # tangent_direction in tests/oracles.py), from the Gram table
-    G, e = ff.G, [P_U1, P_U2]
-    dirs = G[e][:, [P_V, P_W]].T / np.sqrt(G[e, e].real) * -G[P_U, [P_V, P_W]].conj()[:, None]
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    z = np.exp(2j * math.pi / ff.side.n * np.asarray(ks))[:, None]
-    X = dirs * np.stack([z, z.conj()], axis=-1)
-    d = dirs[0]
-    return 2.0 * np.arctan2(np.linalg.norm(d - X, axis=-1), np.linalg.norm(d + X, axis=-1))
-
-
-def _cone_separation(ff: FaceFamily, res: CheckResult, n: int, diam: float) -> bool:
-    """Exact pairwise cone margins on the elliptic side: the direction cones
-    of two bisectors are disjoint when their axes are separated by more
-    than twice the cone radius, half the angular diameter `diam`."""
-    rho = diam / 2.0
-    res.residuals["value_cone_radius"] = rho
-    ks = np.arange(2, n - 1)
-    margins = cone_angles(ff, ks) - 2.0 * rho
-    margins[-1, 1] = math.inf  # k = n - 2, minus: J_-2^-, tangent to J_0^+ at U^-1 p_B
-    least = margins.min()
-    # pairs with equal exact angles (k and n - k of the plus family) differ by
-    # rounding; the note names the smallest (k, family) among them
-    i, j = divmod(int(np.flatnonzero(margins <= least + CONE_TIE)[0]), 2)
-    res.margins["cone_separation"] = float(least)
-    res.notes.append(f"tightest cone pair: k={ks[i]},{('plus', 'minus')[j]}")
-    return least > 0.0
-
-
-def _disk_extent(res: CheckResult, name: str, sil: Silhouette):
-    """The projected disk |z - c| <= r of a silhouette as seen from 0: the
-    range log(|c| -+ r) of log|z|, and the half-width asin(r/|c|) of arg z
-    about arg c.  Both need the disk to be bounded and to miss 0 (|c| > r);
-    where that gate fails it is named in a note, and the extent is that of
-    the whole plane."""
-    c, r = abs(sil.center), sil.radius
-    if sil.bounded and c > r:
-        return math.log(c - r), math.log(c + r), math.asin(r / c)
-    res.notes.append(f"disk gate failed: the projected disk of {name} is not bounded away from 0 (|c| > r)")
-    return -math.inf, math.inf, math.pi
-
-
 def gc_check_loxodromic(ff: FaceFamily) -> CheckResult:
-    """GC on the loxodromic side from what can fail: the annuli of the exact
-    silhouettes and the window.  The closed-form certificate in cosh(l) (the
-    exclusion chain, cosh 4l > 1 and the h identities) and the two contact
-    tangencies hold at every length: tests/test_gc_identities.py and
-    tests/test_line_and_contact_identities.py prove them once."""
+    """GC on the loxodromic side of length l, from ff.side alone.  In the
+    chart of `FaceFamily.chart_multiplier` J_0^+ projects to a disk whose
+    log-modulus range is centred at -l/2 with half-width w, sinh^2 w =
+    (8/9) sinh^2 l (2x + 1), x = cosh l, and J_0^- to its mirror about 0:
+    so each annulus margin is 2l - w, positive at every l > 0 since 9x^2 -
+    4x - 2 > 0 on x > 1.  The disk, its mirror, that inequality and the two
+    contact tangencies are proved once, in tests/test_gc_disk_identities.py
+    and tests/test_line_and_contact_identities.py."""
     res = CheckResult("gc", True)
     if ff.side.kind is not SideKind.LOXODROMIC:
         raise ValueError("loxodromic check on a non-loxodromic parameter")
     length = ff.side.length
-
-    # (a) direct guard check: the projected disks stay inside the annuli
-    (sil_plus, sil_minus), _ = ff.silhouettes
-    m_lo, m_hi, _ = _disk_extent(res, "J_0^+", sil_plus)
-    res.margins["annulus_upper"] = 1.5 * length - m_hi
-    res.margins["annulus_lower"] = m_lo + 2.5 * length
-    annulus_ok = res.margins["annulus_upper"] > 0 and res.margins["annulus_lower"] > 0
-    # mirrored family
-    mm_lo, mm_hi, _ = _disk_extent(res, "J_0^-", sil_minus)
-    res.margins["annulus_minus_upper"] = 2.5 * length - mm_hi
-    res.margins["annulus_minus_lower"] = mm_lo + 1.5 * length
-    annulus_ok = annulus_ok and res.margins["annulus_minus_upper"] > 0 and res.margins["annulus_minus_lower"] > 0
-
-    # (b) separation bookkeeping across the window, from the log-modulus
-    # range of (a): translates shift by 2kl, the mirrored family is
-    # the reflection of the range.  Every gap grows with |k|, so the worst
-    # are the nearest translates: k = +-2 in the same family, and k = 2 and
-    # k = -3 in the cross family (range [-m_hi, -m_lo] + 2kl)
-    res.counts["window"] = max(3, math.ceil(math.log(1e6) / (2.0 * length) + 2.0))
-    worst_sep = min(
-        (m_lo + 4 * length) - m_hi,
-        m_lo - (m_hi - 4 * length),
-        (-m_hi + 4 * length) - m_hi,
-        m_lo - (-m_lo - 6 * length),
-    )
-    res.margins["window_annulus_separation"] = worst_sep
-    res.passed = bool(annulus_ok and worst_sep >= 0.0)
+    w = math.asinh(math.sinh(length) * math.sqrt(8.0 * (2.0 * math.cosh(length) + 1.0)) / 3.0)
+    # the guard annuli log|z| in (-5l/2, 3l/2) of J_0^+ and (-3l/2, 5l/2) of J_0^-
+    res.margins["annulus_upper"] = res.margins["annulus_lower"] = 2.0 * length - w
+    res.passed = res.margins["annulus_upper"] > 0.0
     return res
 
 
 def gc_check_elliptic(ff: FaceFamily) -> CheckResult:
-    """GC on the elliptic side of order n >= 9 from what can fail: the
-    sectors of the exact silhouette, the cone separation and the
-    rotated-sector gap.  The closed-form certificate in cos(beta) (the
-    guard-ray polynomial, its discriminant, the h identities and the
-    distance ratio) and the two contact tangencies hold at every order n >=
-    9: tests/test_gc_identities.py and tests/test_line_and_contact_identities.py
-    prove them once."""
+    """GC on the elliptic side of order n >= 9, from ff.side alone, with x =
+    cos(beta), beta = 2 pi/n.  In the chart J_0^+ projects to a disk centred
+    on the ray -beta/2 with half-width `half`, sin^2(half) = (8/9)
+    sin^2(beta) (2x + 1), and J_0^- to its mirror, so the sector margin is
+    2 beta - half and the rotated-sector gap twice that, both positive
+    exactly when 9x^2 - 4x - 2 > 0, which is n >= 9.  The cone angles at p_U
+    toward U^k p_V are dist(k beta, 2 pi Z) and those toward U^k p_W are
+    arccos(R cos((k + 1/2) beta)) with 0 < R < 1, so the least of them,
+    over the pairs the contact tangencies leave, is 2 beta at k = 2 (plus),
+    and the cone margin is 2 beta less the real angular diameter diam =
+    2 arccos sqrt((2x + 1)/(5 - 2x)), positive as (x - 1)(2x^2 - 3x - 1)
+    is on (0, 1).  All of it, and the two contact tangencies, are proved
+    once, in tests/test_gc_disk_identities.py and
+    tests/test_line_and_contact_identities.py."""
     res = CheckResult("gc", True)
     if ff.side.kind is not SideKind.ELLIPTIC:
         raise ValueError("elliptic check on a non-elliptic parameter")
@@ -397,9 +330,8 @@ def gc_check_elliptic(ff: FaceFamily) -> CheckResult:
         return res
     res.counts["order"] = n
     if n < 9:
-        # the certificate's discriminant sign 2 + 4 cos(beta) - 9 cos^2(beta)
-        # is negative exactly when cos(beta) > (2 + sqrt 22)/9, which is n >= 9
-        # (tests/test_gc_identities.py)
+        # 9x^2 - 4x - 2 > 0 exactly when cos(beta) > (2 + sqrt 22)/9, which is
+        # n >= 9 (tests/test_gc_identities.py)
         res.skipped = True
         res.passed = False
         res.notes.append(
@@ -408,20 +340,16 @@ def gc_check_elliptic(ff: FaceFamily) -> CheckResult:
         )
         return res
     beta = 2.0 * math.pi / n
+    t = 2.0 * math.cos(beta) + 1.0
 
-    # (a) direct guard check: the projected disk's arguments avoid the two
-    # rays, with arg c wrapped into a window centred between the rays
-    # -5 beta/2 and 3 beta/2
-    sil = ff.silhouettes[0][0]
-    _, _, half = _disk_extent(res, "J_0^+", sil)
-    centre = -0.5 * beta
-    mid = centre + math.remainder(cmath.phase(sil.center) - centre, 2.0 * math.pi)
-    res.margins["sector_upper"] = 1.5 * beta - (mid + half)
-    res.margins["sector_lower"] = (mid - half) + 2.5 * beta
-    sector_ok = res.margins["sector_upper"] > 0 and res.margins["sector_lower"] > 0
+    # (a) the projected disk's arguments avoid the guard rays -5 beta/2 and
+    # 3 beta/2 about its centre -beta/2
+    half = math.asin(math.sin(beta) * math.sqrt(8.0 * t) / 3.0)
+    res.margins["sector_upper"] = 2.0 * beta - half
 
-    # (b) real angular control from the interior fixed point
-    diam = angular_diameter(ff.G, ff.lengths, P_U, P_V, ff.tol)
+    # (b) real angular control from the interior fixed point: the cone
+    # radius rho = diam/2 has tan(rho) = 2 sqrt2 sin(beta/2) / sqrt(2x + 1)
+    diam = 2.0 * math.atan(2.0 * math.sqrt(2.0) * math.sin(0.5 * beta) / math.sqrt(t))
     res.residuals["value_true_angular_diameter"] = diam
     if diam >= math.pi / 3.0:
         res.notes.append(
@@ -429,17 +357,16 @@ def gc_check_elliptic(ff: FaceFamily) -> CheckResult:
             f"this order (value {diam:.6f}); disjointness is certified by "
             "the pairwise cone margins instead"
         )
-    cone_ok = _cone_separation(ff, res, n, diam)
+    res.margins["cone_separation"] = 2.0 * beta - diam
 
     # (c) rotated sectors stay disjoint away from the opposite band: the
     # complex-line projection identifies antipodal rays, so rotations with
-    # s near n/2 are left to the real cone margins of (b).  Over the checked
-    # s in [2, n - 2] with |s - n/2| >= 2, the rotation 2 s beta stays at
-    # least 4 beta away from 0 mod 2 pi, exactly 4 beta at s = 2, where the
-    # sector of width 2 half leaves the gap 4 beta - 2 half
+    # s near n/2 are left to the cone margins of (b).  Over s in [2, n - 2]
+    # with |s - n/2| >= 2, the rotation 2 s beta stays at least 4 beta away
+    # from 0 mod 2 pi, exactly 4 beta at s = 2, where the sector of width
+    # 2 half leaves the gap 4 beta - 2 half
     res.margins["rotated_sector_gap"] = 4.0 * beta - 2.0 * half
-    res.counts["sector_checked_powers"] = n - 6 - n % 2
-    res.passed = bool(sector_ok and cone_ok and res.margins["rotated_sector_gap"] > 0.0)
+    res.passed = all(m > 0.0 for m in res.margins.values())
     return res
 
 

@@ -1,4 +1,4 @@
-"""The visual sphere of a point: charts, projections and angle bounds.
+"""The visual sphere of a point: charts and the projections of bisectors.
 
 The visual sphere of [p] is the CP^1 of complex lines through [p].  Two
 points p', p'' of the polar line of p give the chart
@@ -178,27 +178,3 @@ def silhouette_circles(chart: VisualChart, Q, pq, scale, tol):
         center = (a * c.conjugate() - bw * d.conjugate()) / den
         sils.append(Silhouette(complex(center), float(abs(a * d - bw * c) / abs(den)), e, bool(den > 0)))
     return sils, (em, ep, rho)
-
-
-def angular_diameter(G, lengths, p: int, q: int, tol) -> float:
-    """The real angular diameter of the bisector of the lifts p and q seen
-    from [p], read from the Gram table G and the Euclidean lengths of a
-    table of lifts.
-
-    With cosh^2(d/2) = <p,q><q,p> / (<p,p><q,q>) for the hyperbolic
-    distance d between the two interior points, the angular radius around
-    the axis toward [q] is arccos(tanh(d/4)): the angle function
-    sinh(r)(cosh r + cos phi) / (1 + 2 cos phi cosh r + cosh^2 r) on the
-    boundary circle (r = d/2) is decreasing in cos phi, so the extreme
-    directions sit on the midpoint slice (phi = 0), not at the spine ends
-    (which realize tanh(d/2), the *largest* cosine).  The diameter is twice
-    the radius by rotational symmetry about the axis.
-    """
-    npp, nqq = G[p, p].real, G[q, q].real
-    if not (npp < -tol * lengths[p] ** 2 and nqq < -tol * lengths[q] ** 2):
-        raise GeometryError("angular diameter needs two interior points")
-    c2 = float(abs(G[p, q]) ** 2 / (npp * nqq))
-    if c2 < 1.0:
-        raise GeometryError("inconsistent distance data")
-    half_d = math.acosh(math.sqrt(c2))
-    return 2.0 * math.acos(math.tanh(half_d / 2.0))

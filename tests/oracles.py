@@ -16,19 +16,19 @@ None of these is on a program path, and none is imported by `crlab`:
   (tests/test_lc_identities.py), so the program decides none;
 - sampled spinal surfaces and null circles (`spinal_samples`,
   `slice_boundary_circle`, `boundary_circle_of_plane`) and the sampled
-  tangency count `line_spinal_crossings`, against which GC's closed-form
+  tangency count `line_spinal_crossings`, against which the closed-form
   silhouettes (`visual.silhouette_circles`) and `tangency_check` are held;
 - geodesic directions and angles at an interior point (`tangent_direction`,
-  `angle_between`), against which `angular_diameter` and
-  `verify.cone_angles` are held;
+  `angle_between`), and the Gram-table kernels held against them, the
+  angular diameter `angular_diameter` and the cone rows `cone_angles`,
+  against which GC's closed forms in cos(beta) are held;
 - equal-modulus membership (`membership`, `Membership`), the real spine's
   ends (`real_spine_endpoints`) and `is_autopolar_triple`;
 - the per-object forms of the program's array decisions, written with the
   scalar `inner` and `box` of single HVecs: `classify_bisector` and its
   `Bisector`, `classify_pair`, `giraud_torus`, `tangency_check`,
-  `silhouette_circles`, `project_bisector`, `angular_diameter` and
-  `u_power_point`, against which `FaceFamily`'s Gram-table decisions and
-  the kernels below are held; and `table`, the Gram table of a few HVecs,
+  `silhouette_circles`, `project_bisector` and `u_power_point`, against
+  which `FaceFamily`'s Gram-table decisions and the kernels below are held; and `table`, the Gram table of a few HVecs,
   with `bisector_kind`, `pair_kind`, `symmetric_kind` and `tangency`,
   through which the tests call the kernels on one bisector, pair, triple
   or point;
@@ -53,7 +53,7 @@ import numpy as np
 
 from crlab.bisector import GiraudTorus, _arcs, _harmonic_roots, _proj_distances, _ratio_critical, level_g
 from crlab.core import GeometryError, HVec, box_rows, inner, sesquilinear, tolerance
-from crlab.family import P_W, U_PV, FamilyParams, FamilyRep, SideKind
+from crlab.family import P_U, P_U1, P_U2, P_V, P_W, U_PV, FamilyParams, FamilyRep, SideKind
 from crlab.isometry import Isometry
 from crlab.reference import Location, box, locate, proj_equal, remarkable_points
 from crlab.visual import Silhouette, VisualChart, _null_circles, _polar_basis, circle_points
@@ -793,17 +793,54 @@ def project_bisector(chart: VisualChart, b: Bisector, n_boundary=1024, tol=None)
     )
 
 
-def angular_diameter(p: HVec, q: HVec, tol=None) -> float:
-    """The real angular diameter 2 arccos(tanh(d/4)) of the bisector of
-    (p, q) seen from [p], d the distance of the two interior points."""
-    tol = tolerance(tol)
-    if locate(p, tol) is not Location.INSIDE or locate(q, tol) is not Location.INSIDE:
+def angular_diameter(G, lengths, p: int, q: int, tol) -> float:
+    """The real angular diameter of the bisector of the lifts p and q seen
+    from [p], read from the Gram table G and the Euclidean lengths of a
+    table of lifts (`table` gives both for a few HVecs).
+
+    With cosh^2(d/2) = <p,q><q,p> / (<p,p><q,q>) for the hyperbolic
+    distance d between the two interior points, the angular radius around
+    the axis toward [q] is arccos(tanh(d/4)): the angle function
+    sinh(r)(cosh r + cos phi) / (1 + 2 cos phi cosh r + cosh^2 r) on the
+    boundary circle (r = d/2) is decreasing in cos phi, so the extreme
+    directions sit on the midpoint slice (phi = 0), not at the spine ends
+    (which realize tanh(d/2), the *largest* cosine).  The diameter is twice
+    the radius by rotational symmetry about the axis.  On the slice GC
+    reads its closed form 2 arccos sqrt((2x + 1)/(5 - 2x)), x = cos(beta)
+    (tests/test_gc_disk_identities.py).
+    """
+    npp, nqq = G[p, p].real, G[q, q].real
+    if not (npp < -tol * lengths[p] ** 2 and nqq < -tol * lengths[q] ** 2):
         raise GeometryError("angular diameter needs two interior points")
-    c2 = (abs(inner(p, q)) ** 2) / (p.norm() * q.norm())
+    c2 = float(abs(G[p, q]) ** 2 / (npp * nqq))
     if c2 < 1.0:
         raise GeometryError("inconsistent distance data")
     half_d = math.acosh(math.sqrt(c2))
     return 2.0 * math.acos(math.tanh(half_d / 2.0))
+
+
+def cone_angles(ff, ks) -> np.ndarray:
+    """Angles at p_U from the geodesic toward p_V to those toward U^k p_V
+    (column 0) and U^k p_W (column 1), shape (len(ks), 2), on the elliptic
+    side of order n, from a FaceFamily's Gram table.
+
+    U fixes p_U and scales its eigenvectors p_U', p_U'' by e^{i beta},
+    e^{-i beta} with beta = 2 pi / n, so <p_U, U^k x> = <p_U, x> and in the
+    orthonormal basis of the polar line that the normalized eigenvectors
+    give, the unit tangent direction toward U^k x is (c' e^{ik beta},
+    c'' e^{-ik beta}) for the direction (c', c'') toward x.  The angle is
+    2 atan2(|d - x|, |d + x|), which keeps its precision near pi.  GC reads
+    these rows in closed form (tests/test_gc_disk_identities.py).
+    """
+    # the directions toward p_V and p_W (rows), rephased so that <p_U, x> is
+    # real negative, the geodesic direction's convention (`tangent_direction`)
+    G, e = ff.G, [P_U1, P_U2]
+    dirs = G[e][:, [P_V, P_W]].T / np.sqrt(G[e, e].real) * -G[P_U, [P_V, P_W]].conj()[:, None]
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    z = np.exp(2j * math.pi / ff.side.n * np.asarray(ks))[:, None]
+    X = dirs * np.stack([z, z.conj()], axis=-1)
+    d = dirs[0]
+    return 2.0 * np.arctan2(np.linalg.norm(d - X, axis=-1), np.linalg.norm(d + X, axis=-1))
 
 
 def family_points(ff):

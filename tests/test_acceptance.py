@@ -33,10 +33,10 @@ from crlab.family import (
 from crlab.isometry import OMEGA, eigen, elliptic_type
 from crlab.verify import FaceFamily, VerdictKind, tf_check, verify
 from crlab.reference import ball_model, box, char_variety_residuals, remarkable_points, trace_coords
-from crlab.visual import angular_diameter
 
 from oracles import (
     angle_between,
+    angular_diameter,
     brute_force_symmetric_kind,
     classify_bisector,
     line_spinal_crossings,
@@ -202,8 +202,9 @@ def test_criterion_4_gc_loxodromic():
         ok &= (rep.verdict.p, rep.verdict.q) == (1, -3)
         gc = rep.gc
         ok &= gc.margins["annulus_upper"] > 0 and gc.margins["annulus_lower"] > 0
-        # the h identities hold at every length: tests/test_gc_identities.py
-        # proves them, and ties them to the Gram table
+        # the disk and its margin 2l - w > 0 hold at every length:
+        # tests/test_gc_disk_identities.py proves them, and ties them to
+        # the program's silhouettes
     report("4 loxodromic verdicts at 10 lengths", ok)
 
 
@@ -217,8 +218,8 @@ def test_criterion_5_gc_elliptic():
         gc = rep.gc
         ok &= rep.verdict.kind is VerdictKind.SURGERY
         ok &= (rep.verdict.p, rep.verdict.q) == (1, n - 3)
-        # the certificate's signs (discriminant sign, P's coefficients and
-        # discriminant) hold at every order n >= 9: tests/test_gc_identities.py
+        # the sector and cone margins are positive at every order n >= 9:
+        # tests/test_gc_disk_identities.py
         ok &= gc.margins["rotated_sector_gap"] > 0 and gc.margins["cone_separation"] > 0
     for n in (4, 5, 6, 7, 8):
         rep = verify(alpha2_for_order(n), grid_n=128)

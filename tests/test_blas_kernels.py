@@ -1,9 +1,16 @@
-"""The same bytes under every OpenBLAS kernel.
+"""The same bytes under every OpenBLAS kernel, and GC's under every numpy
+dispatch level.
 
 OpenBLAS picks a kernel for the machine at run time, and OPENBLAS_CORETYPE
 overrides that choice for one process.  No number on the verify and figure
 path goes through BLAS (`core.sesquilinear`, `core.apply`), so reports and
 figures must not move with the kernel.
+
+numpy picks its SIMD loops at run time too, and NPY_DISABLE_CPU_FEATURES
+turns levels off for one process.  Complex products, `abs`, `arctan2` and
+other loops change their last bits with the level, so most report blocks
+still move with it; GC's block is closed-form `math` on the order or the
+length alone, and must not.
 """
 
 import json
@@ -71,3 +78,39 @@ def test_reports_and_figures_are_the_same_bytes_under_every_kernel():
     for coretype in CORETYPES[1:]:
         moved = sorted(k for k, v in runs[coretype]["sha"].items() if default[k] != v)
         assert moved == [], f"{coretype}: {moved}"
+
+
+# the levels numpy 2.4 dispatches on x86-64 above its X86_V2 baseline: all
+# of them, none of the AVX-512 ones, and none
+CPU_FEATURE_SETTINGS = (None, "X86_V4 AVX512_ICL AVX512_SPR", "X86_V3 X86_V4 AVX512_ICL AVX512_SPR")
+
+# one process: each parameter's GC block of the report, as JSON text
+GC_PROGRAM = r"""
+import json
+from crlab.family import alpha2_for_order
+from crlab.reference import alpha2_for_length
+from crlab.verify import verify
+
+params = [alpha2_for_order(n) for n in (9, 10, 12, 20, 56, 100, 922, 2809, 10**4)]
+params += [alpha2_for_length(x) for x in (0.25, 1.0, 1.75)]
+print(json.dumps([json.dumps(verify(a, grid_n=64).to_dict()["checks"]["gc"], sort_keys=True) for a in params]))
+"""
+
+
+def _run_gc(features):
+    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    env["PYTHONPATH"] = str(SRC)
+    if features is not None:
+        env["NPY_DISABLE_CPU_FEATURES"] = features
+    proc = subprocess.run([sys.executable, "-c", GC_PROGRAM], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_gc_blocks_are_the_same_bytes_at_every_dispatch_level():
+    runs = {features: _run_gc(features) for features in CPU_FEATURE_SETTINGS}
+    default = runs[None]
+    assert len(default) == 12
+    for features in CPU_FEATURE_SETTINGS[1:]:
+        moved = [i for i, (a, b) in enumerate(zip(default, runs[features])) if a != b]
+        assert moved == [], f"{features}: {moved}"

@@ -1,10 +1,9 @@
 """GC's closed-form certificate, proved once over every order n >= 9 and
 every length, and LC's fan-circle identities at alpha2 = pi/6.
 
-`verify.gc_check_elliptic` and `verify.gc_check_loxodromic` decide only from
-what can fail at a parameter: the sector and annulus margins of the exact
-silhouettes, the cone separation, the loxodromic window and the
-rotated-sector gap (the tangency pairs are proved in
+`verify.gc_check_elliptic` and `verify.gc_check_loxodromic` compute their
+margins in closed form from the order or the length alone, as proved in
+tests/test_gc_disk_identities.py (the tangency pairs are proved in
 tests/test_line_and_contact_identities.py).  The guard annuli and angular sectors of
 Schwartz (Spherical CR Geometry and Dehn Surgery, 2007), applied to the
 Parker-Will structure, rest on inequalities in one variable x: x = cos(beta)

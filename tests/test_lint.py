@@ -155,6 +155,29 @@ def test_verify_reads_no_sampled_silhouette():
     assert found == []
 
 
+def test_gc_reads_only_the_side():
+    # GC's margins are closed forms in cos(beta) or cosh(l)
+    # (tests/test_gc_disk_identities.py): its two checks read no attribute of
+    # the face family but side, hand the family to nothing, and call no
+    # numpy function, so they take the same bits at every dispatch level
+    tree = ast.parse((SRC / "verify.py").read_text())
+    fns = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name in ("gc_check_elliptic", "gc_check_loxodromic")]
+    assert len(fns) == 2
+    found = []
+    for fn in fns:
+        ff = fn.args.args[0].arg
+        reads = [n for n in ast.walk(fn) if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == ff]
+        found += [f"{fn.name}:{n.lineno} {ff}.{n.attr}" for n in reads if n.attr != "side"]
+        read_ids = {id(n.value) for n in reads}
+        found += [f"{fn.name}:{n.lineno} {ff}" for n in ast.walk(fn) if isinstance(n, ast.Name) and n.id == ff and id(n) not in read_ids]
+        found += [
+            f"{fn.name}:{n.lineno} {_dotted(n.func)}"
+            for n in ast.walk(fn)
+            if isinstance(n, ast.Call) and _dotted(n.func).split(".")[0] in ("np", "numpy")
+        ]
+    assert found == []
+
+
 def test_verify_path_uses_no_random_numbers_and_no_lapack():
     # the modules that verify and the figures run keep to closed forms and
     # ufuncs: no numpy.random, and no numpy.linalg routine but norm.  Of

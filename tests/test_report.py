@@ -1,4 +1,4 @@
-"""The report-v7 writer against the standard library's encoder."""
+"""The report-v8 writer against the standard library's encoder."""
 
 import json
 import math

@@ -20,15 +20,11 @@ from crlab.family import (
     param_side,
 )
 from crlab.reference import alpha2_for_length, proj_distance
-from crlab.visual import angular_diameter
 from crlab.verify import (
-    _cone_separation,
     BISECTORS,
-    CheckResult,
     FaceFamily,
     TORI,
     VerdictKind,
-    cone_angles,
     gc_check_elliptic,
     gc_check_loxodromic,
     incidence_check,
@@ -41,9 +37,11 @@ from crlab.verify import (
 from conftest import sample_alpha2
 from oracles import (
     SymmetricKind,
+    angular_diameter,
     apply,
     classify_bisector,
     classify_pair,
+    cone_angles,
     envelope_minima,
     family_U,
     family_points,
@@ -255,31 +253,51 @@ def test_gc_loxodromic(ff_lox):
     res = gc_check_loxodromic(ff_lox)
     assert res.passed
     length = ff_lox.side.length
-    # the exclusion chain and the h identities hold at every length:
-    # tests/test_gc_identities.py
+    # the disk, its mirror and the margin 2l - w > 0 hold at every length:
+    # tests/test_gc_disk_identities.py
     assert res.margins["annulus_upper"] > 0 and res.margins["annulus_lower"] > 0
-    assert res.margins["window_annulus_separation"] >= 0
+    assert sorted(res.margins) == ["annulus_lower", "annulus_upper"] and res.counts == {}
     # the marked contact value sits inside the annulus
     z = math.exp(-2 * length)
     assert math.exp(-2.5 * length) < z < math.exp(1.5 * length)
 
 
+def _silhouette_extents(ff):
+    """(log(|c| - r), log(|c| + r), arg c, asin(r/|c|)) of the numeric
+    silhouettes of J_0^+ and J_0^- (`FaceFamily.silhouettes`)."""
+    out = []
+    for sil in ff.silhouettes[0]:
+        c, r = abs(sil.center), sil.radius
+        out.append((math.log(c - r), math.log(c + r), cmath.phase(sil.center), math.asin(r / c)))
+    return out
+
+
 @pytest.mark.parametrize("alpha2", [alpha2_for_length(x) for x in (0.25, 1.0, 1.75)] + [math.pi / 6])
 def test_gc_annulus_margins_are_symmetric(alpha2):
-    # the exact silhouette disks of J_0^+ and J_0^- sit symmetrically in
-    # their annuli: all four margins agree
-    m = gc_check_loxodromic(FaceFamily(alpha2, grid_n=64)).margins
-    keys = ("annulus_upper", "annulus_lower", "annulus_minus_upper", "annulus_minus_lower")
-    for k in keys[1:]:
-        assert m[k] == pytest.approx(m[keys[0]], rel=1e-12)
+    # the numeric silhouette disks of J_0^+ and J_0^- sit symmetrically in
+    # their annuli (-5l/2, 3l/2) and (-3l/2, 5l/2): all four margins read
+    # from them are the one closed-form margin verify reports
+    ff = FaceFamily(alpha2, grid_n=64)
+    m = gc_check_loxodromic(ff).margins
+    assert m["annulus_upper"] == m["annulus_lower"]
+    length = ff.side.length
+    (lo_p, hi_p, _, _), (lo_m, hi_m, _, _) = _silhouette_extents(ff)
+    for margin in (1.5 * length - hi_p, lo_p + 2.5 * length, 2.5 * length - hi_m, lo_m + 1.5 * length):
+        assert margin == pytest.approx(m["annulus_upper"], rel=1e-12)
 
 
 @pytest.mark.parametrize("n", [9, 12, 100])
 def test_gc_sector_margins_are_symmetric(n):
-    # the exact silhouette disk of J_0^+ is centred on the ray -beta/2
-    # between the two guard rays
-    m = gc_check_elliptic(FaceFamily(alpha2_for_order(n), grid_n=64)).margins
-    assert m["sector_upper"] == pytest.approx(m["sector_lower"], rel=1e-12)
+    # the numeric silhouette disk of J_0^+ is centred on the ray -beta/2
+    # between the two guard rays -5 beta/2 and 3 beta/2, and J_0^-'s on its
+    # mirror: both sides of both are the one closed-form margin
+    ff = FaceFamily(alpha2_for_order(n), grid_n=64)
+    m = gc_check_elliptic(ff).margins
+    beta = 2 * math.pi / n
+    (_, _, mid_p, half_p), (_, _, mid_m, half_m) = _silhouette_extents(ff)
+    for margin in (1.5 * beta - (mid_p + half_p), (mid_p - half_p) + 2.5 * beta, 2.5 * beta - (mid_m + half_m), (mid_m - half_m) + 1.5 * beta):
+        assert margin == pytest.approx(m["sector_upper"], rel=1e-12)
+    assert m["rotated_sector_gap"] == 2 * m["sector_upper"]
 
 
 @pytest.mark.parametrize("n", [9, 100, 2809])
@@ -347,14 +365,22 @@ def test_gc_elliptic_cone_separation_n922():
     assert res.margins["cone_separation"] > 1e-3
 
 
-def _mp_cone_reference(n, ks):
-    """Angles at p_U from p_V to U^k p_V and to U^k p_W, and the cone
-    radius, from a 60-digit rebuild of rho_s, rho_t at the order-n parameter
-    with explicit powers of U."""
+def _mp_cone_reference(n=None, alpha2=None, ks=()):
+    """A 60-digit rebuild of rho_s, rho_t at the order-n parameter or at the
+    float alpha2, with explicit powers of U: the angles at p_U from p_V to
+    U^k p_V and to U^k p_W (k in ks), the cone radius rho, and the guard
+    margins of J_0^+'s projected disk, sector_* on the elliptic side (with
+    beta and rho) and annulus_* on the loxodromic side, as floats.
+
+    The disk is the chart image of the null circle of the slice with pole
+    p_U - eps p_V, eps = -sign <p_U, p_V>, read off three of its points:
+    the circle through their images.  The chart rows are `face_points`'
+    eigenvectors, in the order `FaceFamily` takes them."""
     import mpmath as mp
 
     with mp.workdps(60):
-        e = mp.expj(mp.acos(mp.sqrt((2 * mp.cos(2 * mp.pi / n) + 1) / 8)))
+        a2 = mp.acos(mp.sqrt((2 * mp.cos(2 * mp.pi / n) + 1) / 8)) if n else mp.mpf(alpha2)
+        e = mp.expj(a2)
         x1 = mp.sqrt(2)
         S = mp.matrix([[1, x1 * mp.conj(e), -1], [-x1 * e, -1, 0], [-1, 0, 0]])
         T = mp.matrix([[0, 0, -1], [0, -1, -x1 * mp.conj(e)], [-1, x1 * e, 1]])
@@ -376,47 +402,99 @@ def _mp_cone_reference(n, ks):
             u, v = direction(pV), direction(y)
             return mp.acos(mp.re(ip(u, v)) / mp.sqrt(mp.re(ip(u, u)) * mp.re(ip(v, v))))
 
-        angles = [[float(angle(U**k * t)) for t in (pV, pW)] for k in ks]
-        c2 = mp.re(abs(ip(pU, pV)) ** 2 / (ip(pU, pU) * ip(pV, pV)))
-        rho = float(mp.acos(mp.tanh(mp.acosh(mp.sqrt(c2)) / 2)))
-    return np.array(angles), rho
+        tr = 8 * mp.cos(a2) ** 2
+        elliptic = tr < 3
+        out = {"angles": np.array([[float(angle(U**k * t)) for t in (pV, pW)] for k in ks])}
+        if elliptic:
+            c2 = mp.re(abs(ip(pU, pV)) ** 2 / (ip(pU, pU) * ip(pV, pV)))
+            out["rho"] = float(mp.acos(mp.tanh(mp.acosh(mp.sqrt(c2)) / 2)))
+
+        # the slice: w^H z = 0 for w = J pole, spanned by two solutions a, b
+        pole = pU + mp.sign(mp.re(ip(pU, pV))) * pV
+        w = [mp.conj(v) for v in J * pole]
+        a, b = mp.matrix([w[1], -w[0], 0]), mp.matrix([w[2], 0, -w[0]])
+        # null points a + tau b: |tau - tau0| = radius
+        baa, bab, bbb = mp.re(ip(a, a)), ip(a, b), mp.re(ip(b, b))
+        tau0 = -mp.conj(bab) / bbb
+        radius = mp.sqrt(abs(bab) ** 2 - baa * bbb) / abs(bbb)
+        delta = mp.sqrt(mp.mpc((tr - 3) * (tr + 1)))
+
+        def eigenvector(dl):
+            return mp.matrix([2 * (2 * e * e + 1), -x1 * e * (2 * e * e + 1 + dl), -(tr + 1) - dl])
+
+        p1, p2 = (eigenvector(delta), eigenvector(-delta)) if elliptic else (eigenvector(-delta), eigenvector(delta))
+        z1, z2, z3 = (
+            ip(p1, z) / ip(p2, z)
+            for z in (a + (tau0 + radius * mp.expj(2 * mp.pi * j / 3)) * b for j in range(3))
+        )
+        num = abs(z1) ** 2 * (z2 - z3) + abs(z2) ** 2 * (z3 - z1) + abs(z3) ** 2 * (z1 - z2)
+        den = mp.conj(z1) * (z2 - z3) + mp.conj(z2) * (z3 - z1) + mp.conj(z3) * (z1 - z2)
+        centre = num / den
+        r, c = abs(z1 - centre), abs(centre)
+        if elliptic:
+            beta, mid, half = mp.acos((tr - 1) / 2), mp.arg(centre), mp.asin(r / c)
+            out.update(beta=float(beta), sector_upper=float(1.5 * beta - (mid + half)), sector_lower=float(mid - half + 2.5 * beta))
+        else:
+            length = mp.acosh((tr - 1) / 2)
+            out.update(annulus_upper=float(1.5 * length - mp.log(c + r)), annulus_lower=float(mp.log(c - r) + 2.5 * length))
+    return out
 
 
 @pytest.mark.parametrize("n", [9, 100, 922, 2809, 10**4])
 def test_cone_angles_match_mpmath_reference(n):
+    # the Gram-table cone rows (oracles.cone_angles) and the closed-form cone
+    # margin against 60 digits: the reported margin is the pair (2, plus),
+    # and no sampled pair is tighter; (n - 2, minus) is the vertex-contact
+    # pair, at margin 0, which the tangency proof covers
     ff = FaceFamily(alpha2_for_order(n), grid_n=64)
-    res = CheckResult("gc", True)
-    _cone_separation(ff, res, n, angular_diameter(ff.G, ff.lengths, P_U, P_V, ff.tol))
-    k_note, fam_note = res.notes[-1].removeprefix("tightest cone pair: k=").split(",")
-    ks = sorted({2, 3, n // 2 - 1, n // 2 + 1, n - 3, int(k_note)})
-    ref, rho = _mp_cone_reference(n, ks)
-    assert np.abs(cone_angles(ff, ks) - ref).max() <= 1e-9
-    assert res.residuals["value_cone_radius"] == pytest.approx(rho, abs=1e-9)
-    # the reported margin is the true margin of the named pair, and no
-    # sampled pair is tighter; (n - 2, minus) is the vertex-contact pair, at
-    # margin 0, which the tangency check covers
-    margins = ref - 2.0 * rho
-    named = margins[ks.index(int(k_note)), ("plus", "minus").index(fam_note)]
-    assert res.margins["cone_separation"] == pytest.approx(named, abs=1e-9)
-    if n - 2 in ks:
-        assert margins[ks.index(n - 2), 1] == pytest.approx(0.0, abs=1e-9)
-        margins[ks.index(n - 2), 1] = math.inf
-    assert res.margins["cone_separation"] <= margins.min() + 1e-9
+    res = gc_check_elliptic(ff)
+    ks = sorted({2, 3, n // 2 - 1, n // 2 + 1, n - 3, n - 2})
+    ref = _mp_cone_reference(n=n, ks=ks)
+    assert np.abs(cone_angles(ff, ks) - ref["angles"]).max() <= 1e-9
+    assert res.residuals["value_true_angular_diameter"] == pytest.approx(2 * ref["rho"], rel=1e-12)
+    margins = ref["angles"] - 2.0 * ref["rho"]
+    assert margins[ks.index(n - 2), 1] == pytest.approx(0.0, abs=1e-9)
+    margins[ks.index(n - 2), 1] = math.inf
+    assert res.margins["cone_separation"] == pytest.approx(margins[0, 0], rel=1e-12)
+    assert margins.min() == margins[0, 0]
+
+
+@pytest.mark.parametrize("n", [9, 100, 922, 2809, 10**4])
+def test_gc_sector_margins_match_mpmath_reference(n):
+    # the closed-form sector margin is both margins of the 60-digit disk, and
+    # the rotated-sector gap their sum
+    res = gc_check_elliptic(FaceFamily(alpha2_for_order(n), grid_n=64))
+    ref = _mp_cone_reference(n=n)
+    assert ref["beta"] == pytest.approx(2 * math.pi / n, rel=1e-15)
+    for key in ("sector_upper", "sector_lower"):
+        assert res.margins["sector_upper"] == pytest.approx(ref[key], rel=1e-12)
+    assert res.margins["rotated_sector_gap"] == pytest.approx(ref["sector_upper"] + ref["sector_lower"], rel=1e-12)
+
+
+@pytest.mark.parametrize("length", [0.25, 1.0, 1.75])
+def test_gc_annulus_margins_match_mpmath_reference(length):
+    alpha2 = alpha2_for_length(length)
+    res = gc_check_loxodromic(FaceFamily(alpha2, grid_n=64))
+    ref = _mp_cone_reference(alpha2=alpha2)
+    for key in ("annulus_upper", "annulus_lower"):
+        assert res.margins[key] == pytest.approx(ref[key], rel=1e-12)
 
 
 @pytest.mark.parametrize("n", [10, 50, 56, 100, 1000])
 def test_tightest_cone_pair_note_names_the_smallest_tie(n):
-    # k = 2 and k = n - 2 of the plus family have the same exact angle 2 beta;
-    # rounding alone orders them, and the note names k = 2
+    # the tightest pair is proved (tests/test_gc_disk_identities.py), so GC
+    # names none: k = 2 and k = n - 2 of the plus family have the same exact
+    # angle 2 beta, rounding alone orders them in the oracle rows, and no
+    # other pair is within rounding of them
     ff = FaceFamily(alpha2_for_order(n), grid_n=64)
-    res = CheckResult("gc", True)
-    _cone_separation(ff, res, n, angular_diameter(ff.G, ff.lengths, P_U, P_V, ff.tol))
-    assert res.notes[-1] == "tightest cone pair: k=2,plus"
+    res = gc_check_elliptic(ff)
     ks = np.arange(2, n - 1)
-    margins = cone_angles(ff, ks) - 2.0 * res.residuals["value_cone_radius"]
+    margins = cone_angles(ff, ks) - res.residuals["value_true_angular_diameter"]
     margins[-1, 1] = math.inf
-    assert res.margins["cone_separation"] == margins.min()
-    assert abs(margins[0, 0] - margins[-1, 0]) <= 8 * np.spacing(math.pi)
+    ties = np.argwhere(margins <= margins.min() + 8 * np.spacing(math.pi)).tolist()
+    assert ties == [[0, 0], [n - 4, 0]]
+    assert res.margins["cone_separation"] == pytest.approx(margins.min(), abs=1e-14)
+    assert res.notes == []
 
 
 def test_verify_forms_no_dense_torus_grid():
@@ -503,7 +581,7 @@ def test_verify_near_the_wall_reports(alpha2):
 def test_report_schema():
     r = verify(0.7, grid_n=96)
     d = r.to_dict()
-    assert d["schema"] == "report-v7"
+    assert d["schema"] == "report-v8"
     payload = json.dumps(d, sort_keys=True)
     back = json.loads(payload)
     assert back["checks"]["tf"]["passed"] is True

@@ -9,10 +9,11 @@ from crlab.family import alpha2_for_order
 from crlab.isometry import Isometry
 from crlab.reference import alpha2_for_length, box
 from crlab.verify import FaceFamily
-from crlab.visual import INF, VisualChart, angular_diameter
+from crlab.visual import INF, VisualChart
 
 from oracles import (
     angle_between,
+    angular_diameter,
     apply,
     classify_bisector,
     family_U,
