@@ -4,9 +4,10 @@ one-parameter family of deformed Ford domains.
 Modules:
   core       Hermitian linear algebra of signature (2,1), the box product
   isometry   SU(2,1) lifts, trace classification, eigendata, elliptic types
-  family     the two-parameter representation family and its point table
+  family     the two-parameter representation family, its point table and
+             the closed-form projected disks of J_0^+ and J_0^-
   bisector   Giraud tori of bisector pairs, their column minima, level sets
-  visual     visual-sphere charts and bisector silhouettes
+  visual     visual-sphere charts, on which U acts by its multiplier
   verify     the TF/LC/GC verification engine and surgery verdicts
   report     check results, verdicts and the report-v8 JSON layout
   figures    deterministic CSV/SVG figure data
@@ -47,7 +48,7 @@ from .family import (
     schwartz_point,
 )
 from .bisector import GiraudTorus
-from .visual import VisualChart, silhouette_circles
+from .visual import VisualChart
 from .report import VerificationReport
 from .verify import FaceFamily, verify
 

@@ -247,6 +247,32 @@ def delta_v(alpha2: float) -> float:
     return alpha2 + math.pi / 2.0
 
 
+def elliptic_disks(n: int) -> tuple[complex, complex, float]:
+    """(centre of J_0^+, centre of J_0^-, sin(half)): the projections of the
+    bisectors of p_U with p_V and with p_W to the visual sphere of [p_U] at
+    the elliptic order n >= 4, in the chart of rows (p_U', p_U'') where U
+    acts by z -> e^{2 i beta} z, beta = 2 pi/n.
+
+    With x = cos(beta), t = 2x + 1 = 8c^2 (c = cos alpha2, s = sin alpha2)
+    and b = 128 c^3 s sin(beta) > 0, the centres are 12t cos(beta/2)
+    e^{-+i beta/2} / (6t (1 + x)(2x - 1) +- b) and each radius is |centre|
+    sin(half), sin(half) = sin(beta) sqrt(8t)/3.  No denominator vanishes
+    at an order; where one is negative (orders 4..8) the centre lies on the
+    opposite ray and the disk is the outside of its circle.  The chart
+    images of p_A and p_B are e^{-i beta} and 1
+    (tests/test_gc_disk_identities.py)."""
+    beta = 2.0 * math.pi / n
+    x = math.cos(beta)
+    t = 2.0 * x + 1.0
+    c2 = t / 8.0
+    b = 128.0 * c2 * math.sqrt(c2 * (1.0 - c2)) * math.sin(beta)
+    a = 6.0 * t * (1.0 + x) * (2.0 * x - 1.0)
+    hc, hs = math.cos(0.5 * beta), math.sin(0.5 * beta)
+    plus, minus = 12.0 * t * hc / (a + b), 12.0 * t * hc / (a - b)
+    sin_half = math.sin(beta) * math.sqrt(8.0 * t) / 3.0
+    return complex(plus * hc, -plus * hs), complex(minus * hc, minus * hs), sin_half
+
+
 def schwartz_point() -> complex:
     """Trace coordinate w of the real-axis uniformization of the same link."""
     theta = math.acos(-7.0 / 8.0) / 3.0

@@ -9,8 +9,11 @@ every CSV value and every polyline point by the exact numpy kernel of
 (view box, stroke widths, marks) by %.9g itself.  Output bytes are
 identical from run to run, across worker counts and across OpenBLAS
 kernels: no product goes through BLAS (`core.sesquilinear`, `core.apply`).
-They are not promised across numpy's CPU-dispatch levels, nor across its
-and cmath's roundings (numpy ufuncs against Python scalars).
+disk-projection's are the same at every numpy CPU-dispatch level too: it
+is `math` scalars, real cos and sin and real arithmetic.  The others are
+not promised across dispatch levels (complex products and `abs` change
+their last bits with them), nor across numpy's and cmath's roundings
+(numpy ufuncs against Python scalars).
 """
 
 from __future__ import annotations
@@ -22,16 +25,13 @@ import numpy as np
 from .core import GeometryError
 from .family import (
     ALPHA2_LIM,
-    P_A,
-    P_B,
     P_U,
     P_V,
-    SideKind,
-    alpha2_for_order,
     char_P,
     char_Q,
     delta0,
     discriminant_D,
+    elliptic_disks,
     schwartz_point,
     trace_ts_inv,
 )
@@ -39,7 +39,6 @@ from .isometry import goldman_f
 from .bisector import level_g
 from .verify import FaceFamily
 from .csvfloat import g9_fields, g17_fields
-from .visual import circle_points
 
 CSV_FMT = "%.17g"
 CSV_BLOCK_ROWS = 4096  # rows written, and values formatted, at a time by write_csv
@@ -233,41 +232,50 @@ def figure_region_z(out_base, resolution=256, fmt="csv"):
     return canvas.write(out_base + ".svg"), (a1s, a2s, D)
 
 
-def figure_disk_projection(out_base, n=20, boundary_points=512, fmt="csv"):
-    """Boundary circles of the projected bisector family for an elliptic
-    order-n parameter, plus the unit circle and the marked vertex images.
+def _unit_points(angles) -> np.ndarray:
+    """e^{i angles}, from numpy's real cos and sin of the angles."""
+    z = np.empty(np.shape(angles), dtype=complex)
+    z.real, z.imag = np.cos(angles), np.sin(angles)
+    return z
 
-    Only the silhouette slices of J_0^+ and J_0^- are sampled, from the
-    family's one silhouette batch (`FaceFamily.silhouettes`), at
-    boundary_points angles each.  U acts on the chart by its multiplier
-    m = e^{2 i beta} (`FaceFamily.chart_multiplier`), so the curve of J_k^+-
-    is m^k times that of J_0^+-, and the marks are m^k chart(p_A) and
-    m^k chart(p_B), k = 0..n-1.  The geometry is the same
-    at every order; only the output grows with n.  An order that reads as
-    the unipotent wall (10^5 at the default tolerance) raises GeometryError.
+
+def figure_disk_projection(out_base, n=20, boundary_points=512, fmt="csv"):
+    """Boundary circles of the projected bisector family for the elliptic
+    order n >= 4, plus the unit circle and the marked vertex images.
+
+    The disks of J_0^+ and J_0^- are closed forms in n
+    (`family.elliptic_disks`): centres on the rays -+beta/2, beta = 2 pi/n,
+    and radius |centre| sin(half).  U acts on the chart by z -> e^{2 i beta}
+    z, so the circle of J_k^+- is that of J_0^+- turned by 2k beta, and the
+    marks, the images of U^k p_A and U^k p_B (k = 0..n-1), are e^{i (j - 1)
+    beta}, j = 0..2n-1.  Each circle is drawn at boundary_points angles.
+    Every value comes from `math` scalars and numpy's real cos, sin and
+    arithmetic, with no complex product, so the bytes are the same at every
+    numpy dispatch level; and n is read exactly, so every order draws.
     """
-    ff = FaceFamily(alpha2_for_order(n))
-    if ff.side.kind is not SideKind.ELLIPTIC:
-        raise GeometryError(f"order {n} reads as the unipotent wall: U has no rotation to draw")
-    ch = ff.chart
-    powers = ff.chart_multiplier ** np.arange(n)[:, None]
-    ts = np.linspace(0, 2 * math.pi, boundary_points, endpoint=False)
+    if n < 4:
+        raise GeometryError("order must be at least 4")
+    beta = 2.0 * math.pi / n
+    plus, minus, sin_half = elliptic_disks(n)
+    ring = _unit_points(np.linspace(0, 2 * math.pi, boundary_points, endpoint=False))
+    turn = _unit_points(2.0 * beta * np.arange(n))[:, None]
     families = {}
-    for sign, em, ep, rho in zip(("plus", "minus"), *ff.silhouettes[1]):
-        boundary = ch.values(circle_points(em, ep, rho, ts))
-        families[sign] = powers * boundary[np.isfinite(boundary)]
+    for sign, centre in (("plus", plus), ("minus", minus)):
+        radius = abs(centre) * sin_half
+        circles = families[sign] = np.empty((n, boundary_points), dtype=complex)
+        circles.real = centre.real * turn.real - centre.imag * turn.imag + radius * ring.real
+        circles.imag = centre.real * turn.imag + centre.imag * turn.real + radius * ring.imag
     curves = {(sign, k): families[sign][k] for k in range(n) for sign in ("plus", "minus")}
-    marks = (powers * np.array([ch(ff.P[P_A]), ch(ff.P[P_B])])).ravel()
+    marks = _unit_points(beta * (np.arange(2 * n) - 1.0))
     if fmt == "csv":
         # J_k^+ and J_k^- (family 0, 1) for each k, then the marks (family 2)
-        p, m = families["plus"].shape[1], families["minus"].shape[1]
         z = np.concatenate([np.concatenate([families["plus"], families["minus"]], axis=1).ravel(), marks])
-        family = np.append(np.tile(np.repeat([0, 1], [p, m]), n), np.full(2 * n, 2))
-        k = np.append(np.repeat(np.arange(n), p + m), np.arange(2 * n))
+        family = np.append(np.tile(np.repeat([0, 1], boundary_points), n), np.full(2 * n, 2))
+        k = np.append(np.repeat(np.arange(n), 2 * boundary_points), np.arange(2 * n))
         columns = [(np.arange(3.0), family), (np.arange(2.0 * n), k), z.real, z.imag]
         return write_csv(out_base + ".csv", ["family", "k", "re", "im"], columns), curves
     canvas = SvgCanvas(-3.2, 3.2, -3.2, 3.2)
-    canvas.polyline(np.exp(1j * np.linspace(0, 2 * math.pi, 361)), color="#888888")
+    canvas.polyline(_unit_points(np.linspace(0, 2 * math.pi, 361)), color="#888888")
     for sign, color in (("plus", "#1f4e9c"), ("minus", "#0c8a3c")):
         canvas.polylines(np.concatenate([families[sign], families[sign][:, :1]], axis=1), color=color)
     for z in marks:

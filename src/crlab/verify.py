@@ -44,11 +44,12 @@ from .family import (
     P_A, P_B, P_U, P_V, P_W, P_U1, P_U2, U_PA, U_PB, U_PV, U_PW, UI_PB, UI_PV, UI_PW,
     SideKind,
     delta_v,
+    elliptic_disks,
     face_points,
     param_side,
 )
 from .bisector import GiraudTorus, giraud_circle_tangents, torus_exclusion
-from .visual import VisualChart, silhouette_circles
+from .visual import VisualChart
 from .report import CheckResult, Verdict, VerdictKind, VerificationReport
 
 DEFAULT_GRID = 720
@@ -74,9 +75,12 @@ TORUS_LIFTS = np.array([[P_U, BISECTORS[i], BISECTORS[j]] for i, j in TORI])
 class FaceFamily:
     """All data attached to a parameter, as arrays: the point table P of
     `family.face_points` (rows P_A .. UI_PW), its Gram table G[i, j] =
-    <P_i, P_j>, the Euclidean lengths of its rows and the box products of
-    the row pairs BOX_PAIRS, from which every decision of the checks is
-    read; the oriented chart on the visual sphere of [p_U]; grid settings."""
+    <P_i, P_j> and the box products of the row pairs BOX_PAIRS, from which
+    every decision of the checks is read; the oriented chart on the visual
+    sphere of [p_U], whose action incidence checks; grid settings.  The
+    projected disks of J_0^+ and J_0^- in that chart are closed forms in the
+    order n (`family.elliptic_disks`), which the disk-projection figure
+    draws without building a FaceFamily."""
 
     def __init__(self, alpha2: float, tol=None, grid_n: int = DEFAULT_GRID):
         self.alpha2 = float(alpha2)
@@ -86,7 +90,6 @@ class FaceFamily:
         self.space = siegel_model()
         self.P = face_points(self.alpha2)
         self.G = self.space.gram(self.P)
-        self.lengths = np.linalg.norm(self.P, axis=1)
         self.boxes = box_rows(self.P[BOX_PAIRS[0]], self.P[BOX_PAIRS[1]], self.space)
         self.chart = self._oriented_chart()
 
@@ -128,15 +131,6 @@ class FaceFamily:
         i, j = np.array(TORI).T
         rows = zip(self.boxes[4:8], self.boxes[j], -self.boxes[i])
         return [GiraudTorus(lifts, r, self.space) for lifts, r in zip(self.P[TORUS_LIFTS], rows)]
-
-    @cached_property
-    def silhouettes(self):
-        """(silhouettes, slices) of J_0^+ and J_0^- in the chart
-        (`silhouette_circles`), each built once, for the disk-projection
-        figure, which samples the slices; GC reads their closed form in
-        cos(beta) or cosh(l) instead (tests/test_gc_disk_identities.py)."""
-        scale = (self.lengths[P_U] * self.lengths[[P_V, P_W]]).tolist()
-        return silhouette_circles(self.chart, self.P[[P_V, P_W]], self.G[P_U, [P_V, P_W]], scale, self.tol)
 
     @cached_property
     def torus_pass(self) -> list[float]:
@@ -305,7 +299,8 @@ def gc_check_elliptic(ff: FaceFamily) -> CheckResult:
     """GC on the elliptic side of order n >= 9, from ff.side alone, with x =
     cos(beta), beta = 2 pi/n.  In the chart J_0^+ projects to a disk centred
     on the ray -beta/2 with half-width `half`, sin^2(half) = (8/9)
-    sin^2(beta) (2x + 1), and J_0^- to its mirror, so the sector margin is
+    sin^2(beta) (2x + 1) (`family.elliptic_disks`, whose sin(half) it
+    reads), and J_0^- to its mirror, so the sector margin is
     2 beta - half and the rotated-sector gap twice that, both positive
     exactly when 9x^2 - 4x - 2 > 0, which is n >= 9.  The cone angles at p_U
     toward U^k p_V are dist(k beta, 2 pi Z) and those toward U^k p_W are
@@ -344,7 +339,7 @@ def gc_check_elliptic(ff: FaceFamily) -> CheckResult:
 
     # (a) the projected disk's arguments avoid the guard rays -5 beta/2 and
     # 3 beta/2 about its centre -beta/2
-    half = math.asin(math.sin(beta) * math.sqrt(8.0 * t) / 3.0)
+    half = math.asin(elliptic_disks(n)[2])
     res.margins["sector_upper"] = 2.0 * beta - half
 
     # (b) real angular control from the interior fixed point: the cone

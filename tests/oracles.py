@@ -15,9 +15,15 @@ None of these is on a program path, and none is imported by `crlab`:
   (`lc_triples`) are proved to be disks at every parameter
   (tests/test_lc_identities.py), so the program decides none;
 - sampled spinal surfaces and null circles (`spinal_samples`,
-  `slice_boundary_circle`, `boundary_circle_of_plane`) and the sampled
-  tangency count `line_spinal_crossings`, against which the closed-form
-  silhouettes (`visual.silhouette_circles`) and `tangency_check` are held;
+  `slice_boundary_circle`, `boundary_circle_of_plane`, from the null-circle
+  kernel `_null_circles` on the polar bases `_polar_basis`, sampled by
+  `circle_points`) and the sampled tangency count `line_spinal_crossings`,
+  against which the silhouettes and `tangency_check` are held;
+- the silhouettes of bisectors on the visual sphere of their base
+  (`silhouette_circles` with `Silhouette`, `face_silhouettes` for J_0^+ and
+  J_0^-, `project_bisector`) and the chart on the extended plane
+  (`chart`, `ext_div`, `INF`), against which the closed-form disks and
+  marks of `family.elliptic_disks` and the disk-projection figure are held;
 - geodesic directions and angles at an interior point (`tangent_direction`,
   `angle_between`), and the Gram-table kernels held against them, the
   angular diameter `angular_diameter` and the cone rows `cone_angles`,
@@ -26,9 +32,9 @@ None of these is on a program path, and none is imported by `crlab`:
   ends (`real_spine_endpoints`) and `is_autopolar_triple`;
 - the per-object forms of the program's array decisions, written with the
   scalar `inner` and `box` of single HVecs: `classify_bisector` and its
-  `Bisector`, `classify_pair`, `giraud_torus`, `tangency_check`,
-  `silhouette_circles`, `project_bisector` and `u_power_point`, against
-  which `FaceFamily`'s Gram-table decisions and the kernels below are held; and `table`, the Gram table of a few HVecs,
+  `Bisector`, `classify_pair`, `giraud_torus`, `tangency_check` and
+  `u_power_point`, against which `FaceFamily`'s Gram-table decisions and
+  the kernels below are held; and `table`, the Gram table of a few HVecs,
   with `bisector_kind`, `pair_kind`, `symmetric_kind` and `tangency`,
   through which the tests call the kernels on one bisector, pair, triple
   or point;
@@ -36,7 +42,8 @@ None of these is on a program path, and none is imported by `crlab`:
   bisector families;
 - the precondition kernels on a Gram table of lifts, which `FaceFamily`
   does not run: `bisector_kinds` with `BisectorKind`, `pair_kinds` with
-  `ExtorPairKind`, and the tangency criterion `tangencies`; on the slice
+  `ExtorPairKind`, and the tangency criterion `tangencies`, on the row
+  scales `row_lengths` of a FaceFamily's point table; on the slice
   the bisectors verify reads have equal-norm lifts, its torus pairs are
   unbalanced and its two contacts are tangencies at every parameter
   (tests/test_face_family_identities.py).
@@ -52,13 +59,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from crlab.bisector import GiraudTorus, _arcs, _harmonic_roots, _proj_distances, _ratio_critical, level_g
-from crlab.core import GeometryError, HVec, box_rows, inner, sesquilinear, tolerance
+from crlab.core import GeometryError, HVec, box_rows, cross, inner, sesquilinear, tolerance
+from crlab.core import apply as apply_rows
 from crlab.family import P_U, P_U1, P_U2, P_V, P_W, U_PV, FamilyParams, FamilyRep, SideKind
 from crlab.isometry import Isometry
 from crlab.reference import Location, box, locate, proj_equal, remarkable_points
-from crlab.visual import Silhouette, VisualChart, _null_circles, _polar_basis, circle_points
+from crlab.visual import VisualChart
 
 TORUS_GRID_DEFAULT = 720
+INF = complex(math.inf, 0.0)
+_EYE3 = np.eye(3)
 TORUS_REFINE_FACTOR = 4
 
 
@@ -89,7 +99,7 @@ def norm_terms(torus, deltas):
     """(A, C) with <V, V> = A - 2 Re(e^{-i sigma} C) at (sigma, delta):
     A = <qr, qr> + <B, B> is real and C = <qr, B>, one value per delta."""
     sp, B = torus.space, delta_rows(torus, deltas)
-    return sp.norm_grid(torus.qr) + sp.norm_grid(B), sp.inner_grid(torus.qr, B)
+    return sp.form(torus.qr, torus.qr).real + sp.form(B, B).real, sp.inner_grid(torus.qr, B)
 
 
 def ball_arcs(torus, deltas, terms=None):
@@ -286,6 +296,66 @@ def line_spinal_crossings(p: HVec, q: HVec, r: HVec, n=4096):
     if len(nz) == 0:
         return 0
     return int(np.count_nonzero(nz != np.roll(nz, 1)))
+
+
+def _null_circles(B, space):
+    """Null circles of the planes spanned by the row pairs of B (..., 2, 3),
+    coordinate vectors of `space`.
+
+    Uses the eigenbasis of each restricted form [[a, b], [b*, d]], in closed
+    form: with m = (a + d)/2, s = (a - d)/2 and h = hypot(s, |b|), the
+    eigenvalues are lam+- = m +- h, the one of smaller modulus taken as
+    det / (the other), free of the cancellation in m -+ h.  The unit
+    eigenvectors, from the row of G - lam that keeps g = h + |s|, are
+    (g, b*) and (b, -g) for s >= 0, else (b, g) and (-g, b*), over
+    sqrt(g^2 + |b|^2).  With
+    lam+ > 0 > lam-, the null points are em + rho e^{it} ep, rho =
+    sqrt(-lam- / lam+).  Returns (em, ep, rho, keep); keep is False where
+    the form is definite or degenerate and the line misses the ball.
+    """
+    G = space.form(B[..., [0, 1, 0], :], B[..., [0, 1, 1], :])
+    a, d, b = G[..., 0].real, G[..., 1].real, G[..., 2]
+    m, s = 0.5 * (a + d), 0.5 * (a - d)
+    b2 = (b * b.conj()).real
+    h = np.hypot(s, np.abs(b))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        big = np.where(m >= 0, m + h, m - h)
+        small = (a * d - b2) / big
+        lam_m, lam_p = np.where(m >= 0, small, big), np.where(m >= 0, big, small)
+        g = h + np.abs(s)
+        nrm = np.sqrt(g * g + b2)
+        g, bn, bc = g / nrm, b / nrm, b.conj() / nrm
+        up = s >= 0
+        # rows v_m, v_p of one array, shape (..., 2, 2)
+        v = np.empty(up.shape + (2, 2), dtype=complex)
+        v[..., 0, 0], v[..., 0, 1] = np.where(up, bn, -g), np.where(up, -g, bc)
+        v[..., 1, 0], v[..., 1, 1] = np.where(up, g, bn), np.where(up, bc, g)
+        rho = np.sqrt(-lam_m / lam_p)
+    scale = 1e-14 * np.maximum(np.abs(lam_m), np.abs(lam_p))
+    keep = (lam_m < -scale) & (lam_p > scale)
+    E = v[..., 0, None] * B[..., None, 0, :] + v[..., 1, None] * B[..., None, 1, :]
+    return E[..., 0, :], E[..., 1, :], rho, keep
+
+
+def _polar_basis(poles, space):
+    """Orthonormal row pairs (..., 2, 3) spanning the polar lines of poles
+    (..., 3), coordinate vectors of `space`.  The polar line of a pole is the
+    Euclidean complement of w = J pole; with e the unit vector on the least
+    |w_i|, it is spanned by u1 = conj(w x e) and u2 = conj(w x u1), |u1|^2 =
+    |w|^2 - |w_i|^2 and |u2| = |w| |u1|, each scaled to norm 1."""
+    w = apply_rows(space.J, poles)
+    B = np.empty(w.shape[:-1] + (2, 3), dtype=complex)
+    B[..., 0, :] = cross(w, _EYE3[np.argmin(np.abs(w), axis=-1)]).conj()
+    B[..., 0, :] /= np.linalg.norm(B[..., 0, :], axis=-1, keepdims=True)
+    B[..., 1, :] = cross(w, B[..., 0, :]).conj()
+    B[..., 1, :] /= np.linalg.norm(B[..., 1, :], axis=-1, keepdims=True)
+    return B
+
+
+def circle_points(em, ep, rho, ts):
+    """The points em + rho e^{it} ep at the angles ts."""
+    phase = rho * np.exp(1j * np.atleast_1d(ts))
+    return em[None, :] + phase[:, None] * ep[None, :]
 
 
 def _boundary_circle(B, space):
@@ -717,6 +787,43 @@ def tangency_check(p: HVec, q: HVec, r: HVec, tol=None) -> bool:
     return False
 
 
+def ext_div(num: complex, den: complex, tol=1e-12) -> complex:
+    """Division on the extended complex plane with a single infinity."""
+    if abs(den) <= tol * abs(num):
+        if num == 0 and den == 0:
+            raise GeometryError("0/0 in extended-complex division")
+        return INF
+    return num / den
+
+
+def chart(ch: VisualChart, q) -> complex:
+    """The coordinate of `VisualChart` ch, on the extended plane, of the
+    line through its base and the coordinate vector q (q != base)."""
+    num, den = (complex(ch.space.form(w, q)) for w in (ch.p_prime, ch.p_dprime))
+    if num == 0 and den == 0:
+        raise GeometryError("chart undefined at its base point")
+    return ext_div(num, den)
+
+
+def row_lengths(ff) -> np.ndarray:
+    """The Euclidean lengths of the rows of a FaceFamily's point table, the
+    scales of the Gram-table kernels below."""
+    return np.linalg.norm(ff.P, axis=1)
+
+
+@dataclass(frozen=True)
+class Silhouette:
+    """The silhouette circle |z - center| = radius of a bisector in a chart
+    of its base point's visual sphere.  eps is the sign of the slice p -
+    eps q it comes from; the projected disk is the circle's inside when
+    bounded, else its outside."""
+
+    center: complex
+    radius: float
+    eps: float
+    bounded: bool
+
+
 def _silhouettes(chart: VisualChart, bisectors, tol):
     """The silhouette of each bisector from the chart's base, with the
     boundary circles em + rho e^{it} ep of the slices, as (silhouettes, em,
@@ -752,6 +859,16 @@ def _silhouettes(chart: VisualChart, bisectors, tol):
 def silhouette_circles(chart: VisualChart, bisectors, tol=None) -> list:
     """The silhouette of each bisector from its own base point, the chart's base."""
     return _silhouettes(chart, bisectors, tolerance(tol))[0]
+
+
+def face_silhouettes(ff):
+    """(silhouettes, (em, ep, rho)) of J_0^+ and J_0^- in a FaceFamily's
+    chart, with the slices' boundary circles em + rho e^{it} ep, one row per
+    bisector: what `family.elliptic_disks` gives in closed form."""
+    pts = family_points(ff)
+    bisectors = [classify_bisector(pts.p_U, q, ff.tol) for q in (pts.p_V, pts.p_W)]
+    sils, em, ep, rho = _silhouettes(ff.chart, bisectors, ff.tol)
+    return sils, (em, ep, rho)
 
 
 @dataclass

@@ -295,7 +295,7 @@ def test_torus_grid_matches_materialized_grid(n, at_delta0):
             (norm, *abs2), (norm_wx, *abs2_wx) = (torus.column_forms(sigmas, deltas, a.v, b.v) for a, b in (ws[:2], ws[2:]))
             V = torus_vectors(torus, sigmas[:, None] + deltas, sigmas[:, None] - deltas)
             V = V / np.linalg.norm(V, axis=-1, keepdims=True)
-            norms = sp.norm_grid(V)
+            norms = sp.form(V, V).real
             for got in (norm, norm_wx):
                 assert np.abs(got - norms).max() <= 1e-12 * np.abs(norms).max()
             for w, got in zip(ws, abs2 + abs2_wx):
@@ -324,7 +324,8 @@ def test_torus_norm_terms_match_vectors(pts07):
     sigmas, deltas = rng.uniform(0, 2 * math.pi, (2, 20))
     A, C = norm_terms(gt, deltas)
     got = A - 2.0 * (np.exp(-1j * sigmas) * C).real
-    want = gt.space.norm_grid(torus_vectors(gt, sigmas + deltas, sigmas - deltas))
+    V = torus_vectors(gt, sigmas + deltas, sigmas - deltas)
+    want = gt.space.form(V, V).real
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -356,7 +357,7 @@ def _sampled_envelope(torus, pos, negs, sigmas, deltas):
     sp, sq = torus.space, (np.abs(V) ** 2).sum(axis=-1)
     terms = [np.abs(sp.inner_grid(w, V)) ** 2 for w in [pos] + negs]
     env = np.max([terms[0] - t for t in terms[1:]], axis=0)
-    return env / sq, np.max(terms, axis=0) / sq, sp.norm_grid(V) / sq
+    return env / sq, np.max(terms, axis=0) / sq, sp.form(V, V).real / sq
 
 
 def _assert_sampled_minima(got, env, terms):
@@ -379,7 +380,8 @@ def test_ball_cells_match_dense_form(n):
     cells = 0
     for torus, _, _, deltas in _ball_tori(n):
         sigmas = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)[:, None]
-        form = torus.space.norm_grid(torus_vectors(torus, sigmas + deltas, sigmas - deltas))
+        V = torus_vectors(torus, sigmas + deltas, sigmas - deltas)
+        form = torus.space.form(V, V).real
         mid, half = ball_arcs(torus, deltas)
         t = np.remainder(sigmas - mid + math.pi, 2.0 * math.pi) - math.pi
         A, C = norm_terms(torus, deltas)

@@ -1,5 +1,5 @@
-"""The same bytes under every OpenBLAS kernel, and GC's under every numpy
-dispatch level.
+"""The same bytes under every OpenBLAS kernel, and GC's and disk-projection's
+under every numpy dispatch level.
 
 OpenBLAS picks a kernel for the machine at run time, and OPENBLAS_CORETYPE
 overrides that choice for one process.  No number on the verify and figure
@@ -9,8 +9,10 @@ figures must not move with the kernel.
 numpy picks its SIMD loops at run time too, and NPY_DISABLE_CPU_FEATURES
 turns levels off for one process.  Complex products, `abs`, `arctan2` and
 other loops change their last bits with the level, so most report blocks
-still move with it; GC's block is closed-form `math` on the order or the
-length alone, and must not.
+and figures still move with it.  GC's block is closed-form `math` on the
+order or the length alone, and the disk-projection figure `math` scalars
+with numpy's real cos, sin and arithmetic on the order alone: neither may
+move.
 """
 
 import json
@@ -97,20 +99,45 @@ print(json.dumps([json.dumps(verify(a, grid_n=64).to_dict()["checks"]["gc"], sor
 """
 
 
-def _run_gc(features):
+def _run_at_level(features, program=GC_PROGRAM):
     env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
     env["PYTHONPATH"] = str(SRC)
     if features is not None:
         env["NPY_DISABLE_CPU_FEATURES"] = features
-    proc = subprocess.run([sys.executable, "-c", GC_PROGRAM], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
 
 def test_gc_blocks_are_the_same_bytes_at_every_dispatch_level():
-    runs = {features: _run_gc(features) for features in CPU_FEATURE_SETTINGS}
+    runs = {features: _run_at_level(features) for features in CPU_FEATURE_SETTINGS}
     default = runs[None]
     assert len(default) == 12
     for features in CPU_FEATURE_SETTINGS[1:]:
         moved = [i for i, (a, b) in enumerate(zip(default, runs[features])) if a != b]
+        assert moved == [], f"{features}: {moved}"
+
+
+# one process: SHA-256 of the disk-projection CSV and SVG at three orders
+DISK_PROGRAM = r"""
+import hashlib, json, os, tempfile
+from crlab.figures import figure_disk_projection
+
+sha = {}
+with tempfile.TemporaryDirectory() as out:
+    for n in (9, 20, 100):
+        for fmt in ("csv", "svg"):
+            path, _ = figure_disk_projection(os.path.join(out, "dp"), n=n, boundary_points=64, fmt=fmt)
+            with open(path, "rb") as fh:
+                sha[f"{n}.{fmt}"] = hashlib.sha256(fh.read()).hexdigest()
+print(json.dumps(sha))
+"""
+
+
+def test_disk_projection_is_the_same_bytes_at_every_dispatch_level():
+    runs = {features: _run_at_level(features, DISK_PROGRAM) for features in CPU_FEATURE_SETTINGS}
+    default = runs[None]
+    assert len(default) == 6
+    for features in CPU_FEATURE_SETTINGS[1:]:
+        moved = sorted(k for k, v in default.items() if runs[features][k] != v)
         assert moved == [], f"{features}: {moved}"

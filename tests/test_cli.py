@@ -345,17 +345,28 @@ def test_figure_order_below_4_is_a_usage_error(n, tmp_path):
     assert os.listdir(tmp_path) == []
 
 
-def test_figure_geometry_error_exits_1_without_traceback(tmp_path):
-    # order 10^5 reads as the unipotent wall, where U has no rotation to draw
-    proc = subprocess.run(
-        [sys.executable, "-m", "crlab.cli", "figure", "disk-projection", "--n", "100000",
-         "--resolution", "64", "--out", str(tmp_path)],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 1 and proc.stdout == ""
-    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
-    assert proc.stderr.count("\n") == 1
+def test_figure_geometry_error_exits_1_without_traceback(tmp_path, monkeypatch):
+    # no order of disk-projection fails since it reads n exactly, so the
+    # raise is stood in for: cmd_figure prints the GeometryError on one line
+    def raise_geometry(out_base, fmt="csv", **kwargs):
+        raise GeometryError("figure geometry fails here")
+
+    monkeypatch.setitem(cli.figures.FIGURES, "disk-projection", raise_geometry)
+    code, out, err = run_cli(["figure", "disk-projection", "--n", "9", "--resolution", "64", "--out", str(tmp_path)])
+    assert (code, out, err) == (1, "", "error: figure geometry fails here\n")
+
+
+@pytest.mark.parametrize("n", [63, 100])
+def test_figure_disk_projection_takes_the_order_exactly(n, tmp_path, monkeypatch):
+    # at CRLAB_TOL=1e-3 a float alpha2 of these orders reads as the unipotent
+    # wall; the figure reads n itself and draws n curves of each family
+    monkeypatch.setenv("CRLAB_TOL", "1e-3")
+    code, out, err = run_cli(["figure", "disk-projection", "--n", str(n), "--resolution", "64", "--out", str(tmp_path)])
+    path = tmp_path / "disk-projection.csv"
+    assert (code, out, err) == (0, f"{path}\n", "")
+    rows = np.loadtxt(path, delimiter=",", skiprows=1)
+    for family in (0, 1):
+        assert np.bincount(rows[rows[:, 0] == family, 1].astype(int)).tolist() == [64] * n
 
 
 @pytest.mark.parametrize(
@@ -480,7 +491,7 @@ def test_classify_order_1e5_at_tol_1e_14():
 
 @pytest.mark.parametrize("n", ["90", "100", "687", "3000"])
 def test_figure_disk_projection_high_orders(n, tmp_path):
-    # every translate is the k = 0 silhouette turned by the chart multiplier,
+    # every translate is the closed-form disk of J_0^+- turned by 2k beta,
     # so no order builds a bisector near the wall (the per-k builds failed
     # at 90 and 100, and refused a translate from 687)
     code, out, _ = run_cli(["figure", "disk-projection", "--n", n, "--resolution", "64", "--out", str(tmp_path)])

@@ -26,6 +26,7 @@ from crlab.reference import alpha2_for_length
 from crlab.verify import FaceFamily
 
 from oracles import (
+    chart,
     classify_bisector,
     contour_segments,
     family_points,
@@ -295,17 +296,16 @@ def test_grid_figure_csv_matches_per_value_format(name, tmp_path):
 
 def test_disk_projection_csv_matches_per_value_format(tmp_path):
     # the declared family and k labels: the plus and minus curves of each k,
-    # then the marks m^k chart(p_A), m^k chart(p_B) numbered in order
+    # then the marks e^{i (j - 1) beta} numbered in order
     n = 9
     path, curves = figure_disk_projection(str(tmp_path / "dp"), n=n, boundary_points=32)
-    ff = FaceFamily(alpha2_for_order(n))
     rows = []
     for k in range(n):
         for family, sign in enumerate(("plus", "minus")):
             rows += [[family, k, z.real, z.imag] for z in curves[(sign, k)].tolist()]
-    # the marks as the figure forms them (numpy's complex power)
-    marks = ff.chart_multiplier ** np.arange(n)[:, None] * np.array([ff.chart(family_points(ff).p_A.v), ff.chart(family_points(ff).p_B.v)])
-    rows += [[2, i, z.real, z.imag] for i, z in enumerate(marks.ravel().tolist())]
+    # the marks as the figure forms them, from numpy's real cos and sin
+    angles = 2 * math.pi / n * (np.arange(2 * n) - 1.0)
+    rows += [[2, j, c, s] for j, (c, s) in enumerate(zip(np.cos(angles).tolist(), np.sin(angles).tolist()))]
     with open(path, "rb") as fh:
         assert fh.read() == write_csv_loop(["family", "k", "re", "im"], rows)
 
@@ -366,48 +366,41 @@ def test_spinal_trace_side_vanishes_on_the_complex_line_column(alpha2, tmp_path)
 
 
 @pytest.mark.parametrize("n", [20, 1000])
-def test_disk_projection_builds_two_bisectors_at_every_order(n, tmp_path, monkeypatch):
-    # the silhouettes of J_0^+ and J_0^- are taken once, as one batch of two
-    # bisectors, from the family's point table, and both are sampled; every
-    # translate is read from them by the chart multiplier
-    import importlib
+def test_disk_projection_builds_no_face_family(n, tmp_path, monkeypatch):
+    # the disks are closed forms in n (family.elliptic_disks): no FaceFamily,
+    # no point table and no parameter alpha2 are built at any order
+    def refuse(*args, **kwargs):
+        raise AssertionError("disk-projection built a FaceFamily")
 
-    module = importlib.import_module("crlab.verify")
-    calls = []
-    real = module.silhouette_circles
-
-    def counted(chart, Q, *args):
-        calls.append(len(Q))
-        return real(chart, Q, *args)
-
-    monkeypatch.setattr(module, "silhouette_circles", counted)
+    monkeypatch.setattr(FaceFamily, "__init__", refuse)
     for fmt in ("csv", "svg"):
-        calls.clear()
         _, curves = figure_disk_projection(str(tmp_path / "dp"), n=n, boundary_points=64, fmt=fmt)
-        assert calls == [2]
         assert len(curves) == 2 * n and all(len(z) == 64 for z in curves.values())
 
 
-@pytest.mark.parametrize("n", [20, 100])
+@pytest.mark.parametrize("n", [4, 5, 8, 9, 20, 100])
 def test_disk_projection_translates_lie_on_their_silhouettes(n, tmp_path):
     # oracle: each translate J_k^+- built from U^k p_V or U^k p_W and its
-    # circle taken by silhouette_circles, the way the figure once drew it; the
-    # marks against the chart images of U^k p_A and U^k p_B
+    # circle taken by the per-object silhouette_circles; the marks against
+    # the chart images of U^k p_A and U^k p_B.  At orders 4..8 the disk of
+    # J_0^- is its circle's outside, and at order 4 that of J_0^+ too
     path, curves = figure_disk_projection(str(tmp_path / "dp"), n=n, boundary_points=256)
-    ff = FaceFamily(alpha2_for_order(n), grid_n=256)
+    ff = FaceFamily(alpha2_for_order(n), tol=1e-14, grid_n=256)
     pts = family_points(ff)
+    bounded = {"plus": n >= 5, "minus": n >= 9}
     assert list(curves) == [(sign, k) for k in range(n) for sign in ("plus", "minus")]
     for (sign, k), z in curves.items():
         q = u_power_point(ff, k, pts.p_V if sign == "plus" else pts.p_W)
         (sil,) = silhouette_circles(ff.chart, [classify_bisector(pts.p_U, q, ff.tol)], ff.tol)
+        assert sil.bounded == bounded[sign]
         assert len(z) == 256
         assert np.abs(np.abs(z - sil.center) - sil.radius).max() <= 1e-9 * max(abs(sil.center), sil.radius)
     rows = np.loadtxt(path, delimiter=",", skiprows=1)
     marks = rows[rows[:, 0] == 2]
     assert marks[:, 1].tolist() == list(range(2 * n))
     for j, (re, im) in enumerate(marks[:, 2:]):
-        want = ff.chart(u_power_point(ff, j // 2, (pts.p_A, pts.p_B)[j % 2]).v)
-        assert abs(complex(re, im) - want) <= 1e-9 * max(1.0, abs(want))
+        want = chart(ff.chart, u_power_point(ff, j // 2, (pts.p_A, pts.p_B)[j % 2]).v)
+        assert abs(complex(re, im) - want) <= 1e-12 * max(1.0, abs(want))
 
 
 def test_disk_projection_svg_draws_each_family_as_closed_polylines(tmp_path):

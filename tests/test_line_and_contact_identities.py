@@ -23,7 +23,7 @@ sin(alpha2) modulo c^2 + s^2 - 1 (`slice_algebra`).
   and J_-2^- = B(p_U, U^-2 p_W) at U^-1 p_B (U fixes p_U):
   - <p_U, p_V> = <p_U, U p_W> = <p_U, U^-2 p_W> = -3/2 < 0, so the
     silhouette of each comes from the slice of pole p_U - q (eps = +1 in
-    `visual.silhouette_circles`); the three lifts have the norm N = <p_U,
+    `oracles.silhouette_circles`); the three lifts have the norm N = <p_U,
     p_U> (tests/test_face_family_identities.py);
   - <p_V, U p_W> = <p_V, U^-2 p_W> = -(3/2)(8c^2 + 1);
   - each contact r lies on its translate's slice: <p_U, r> = <q_k, r>.  It
@@ -49,8 +49,9 @@ sin(alpha2) modulo c^2 + s^2 - 1 (`slice_algebra`).
 
 Every relation also fails when perturbed: by 10^-6 cs, with eps = -1, or
 with 8c^2 + 2 for 8c^2 + 1 in <p_V, q_k>.  The last test ties the symbols
-to the program's `delta0`, torus rows, Gram table and silhouettes at a few
-parameters on each side.
+to the program's `delta0`, torus rows and Gram table, and to the numeric
+silhouettes of `oracles.face_silhouettes`, at a few parameters on each
+side.
 """
 
 import math
@@ -64,6 +65,7 @@ from crlab.reference import alpha2_for_length
 from crlab.verify import FaceFamily
 
 import slice_algebra as sa
+from oracles import face_silhouettes
 from slice_algebra import I, SQ2, c, conj, inner, positive, s, zero
 
 t, lam = sp.symbols("t lam", real=True)
@@ -193,7 +195,7 @@ SYMBOLIC = sp.lambdify((c, s), [sp.Matrix.hstack(QR, PR, QP).T, X, Y], "numpy")
 def test_symbolic_line_and_contacts_are_the_programs(alpha2):
     # the proof's rows, column direction and Gram entries, evaluated at
     # alpha2, are the program's first torus, delta0 and Gram table; the
-    # silhouette forms vanish on the program's slice circles, and its disks
+    # silhouette forms vanish on the oracle's slice circles, and its disks
     # of J_0^+ and of the m^k-translate of J_0^- touch at the chart images
     # of U p_A (k = +1) and U^-1 p_B (k = -2)
     ff = FaceFamily(alpha2, grid_n=64)
@@ -207,9 +209,9 @@ def test_symbolic_line_and_contacts_are_the_programs(alpha2):
     scale = np.abs(G).max()
     assert np.abs(G[P_U, [P_V, U_PW, P_W]] + 1.5).max() <= 1e-13 * scale
     assert np.abs(G[[P_V, U_PV], [U_PW, UI_PW]] + 1.5 * (8 * co**2 + 1)).max() <= 1e-13 * scale
-    # the program's slice circles are null points of the slices of pole p_U
+    # the oracle's slice circles are null points of the slices of pole p_U
     # - q, eps = +1, where H_q vanishes
-    (plus, minus), (em, ep, rho) = ff.silhouettes
+    (plus, minus), (em, ep, rho) = face_silhouettes(ff)
     for i, q in enumerate((P_V, P_W)):
         z = em[i] + rho[i] * np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 7))[:, None] * ep[i]
         z /= np.linalg.norm(z, axis=1, keepdims=True)

@@ -98,7 +98,7 @@ def test_one_torus_grid_path():
             for node in ast.walk(fn):
                 if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
                     continue
-                if node.func.attr not in ("norm_grid", "inner_grid"):
+                if node.func.attr not in ("form", "inner_grid"):
                     continue
                 for arg in node.args:
                     if _builds_torus_points(arg) or (isinstance(arg, ast.Name) and arg.id in torus_names):
@@ -137,8 +137,9 @@ def test_exclusion_passes_take_no_vertex():
 
 
 def test_verify_reads_no_sampled_silhouette():
-    # GC takes its disks from visual.silhouette_circles in closed form, never
-    # from spinal samples or their projection
+    # GC's disks are closed forms in cos(beta) or cosh(l)
+    # (tests/test_gc_disk_identities.py), never spinal samples or their
+    # projection
     tree = ast.parse((SRC / "verify.py").read_text())
     banned = {"spinal_samples", "project_bisector"}
     found = [
@@ -151,6 +152,26 @@ def test_verify_reads_no_sampled_silhouette():
             else []
         )
         if name in banned
+    ]
+    assert found == []
+
+
+def test_disk_projection_draws_closed_forms():
+    # the disk-projection figure reads the order n alone: its disks, marks
+    # and turns are closed forms in n (family.elliptic_disks, proved in
+    # tests/test_gc_disk_identities.py), so it names no face family, chart or
+    # parameter; and the numeric silhouette pipeline it once sampled is in no
+    # module of the package (tests/oracles.py keeps it)
+    tree = ast.parse((SRC / "figures.py").read_text())
+    (fn,) = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "figure_disk_projection"]
+    names = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)} | {n.attr for n in ast.walk(fn) if isinstance(n, ast.Attribute)}
+    assert names.isdisjoint({"FaceFamily", "chart", "alpha2_for_order", "param_side"})
+    banned = {"silhouette_circles", "_null_circles", "_polar_basis", "circle_points", "ext_div"}
+    found = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in banned
     ]
     assert found == []
 

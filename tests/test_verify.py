@@ -17,6 +17,7 @@ from crlab.family import (
     ALPHA2_LIM, P_A, P_B, P_U, P_U1, P_U2, P_V, P_W, U_PA, U_PV, U_PW, UI_PB, UI_PV, UI_PW, SideKind, alpha2_for_order,
     delta0,
     delta_v,
+    elliptic_disks,
     param_side,
 )
 from crlab.reference import alpha2_for_length, proj_distance
@@ -43,11 +44,13 @@ from oracles import (
     classify_pair,
     cone_angles,
     envelope_minima,
+    face_silhouettes,
     family_U,
     family_points,
     giraud_torus,
     lc_triples,
     power,
+    row_lengths,
     silhouette_circles,
     symmetric_intersection_type,
     symmetric_kinds,
@@ -264,9 +267,9 @@ def test_gc_loxodromic(ff_lox):
 
 def _silhouette_extents(ff):
     """(log(|c| - r), log(|c| + r), arg c, asin(r/|c|)) of the numeric
-    silhouettes of J_0^+ and J_0^- (`FaceFamily.silhouettes`)."""
+    silhouettes of J_0^+ and J_0^- (`oracles.face_silhouettes`)."""
     out = []
-    for sil in ff.silhouettes[0]:
+    for sil in face_silhouettes(ff)[0]:
         c, r = abs(sil.center), sil.radius
         out.append((math.log(c - r), math.log(c + r), cmath.phase(sil.center), math.asin(r / c)))
     return out
@@ -370,11 +373,12 @@ def _mp_cone_reference(n=None, alpha2=None, ks=()):
     float alpha2, with explicit powers of U: the angles at p_U from p_V to
     U^k p_V and to U^k p_W (k in ks), the cone radius rho, and the guard
     margins of J_0^+'s projected disk, sector_* on the elliptic side (with
-    beta and rho) and annulus_* on the loxodromic side, as floats.
+    beta and rho) and annulus_* on the loxodromic side, as floats; and
+    "disks", the (centre, radius) of the projected disks of J_0^+ and J_0^-.
 
-    The disk is the chart image of the null circle of the slice with pole
-    p_U - eps p_V, eps = -sign <p_U, p_V>, read off three of its points:
-    the circle through their images.  The chart rows are `face_points`'
+    The disk of J_0^+ is the chart image of the null circle of the slice
+    with pole p_U - eps p_V, eps = -sign <p_U, p_V>, read off three of its
+    points: the circle through their images; that of J_0^- alike, with p_W.  The chart rows are `face_points`'
     eigenvectors, in the order `FaceFamily` takes them."""
     import mpmath as mp
 
@@ -409,32 +413,44 @@ def _mp_cone_reference(n=None, alpha2=None, ks=()):
             c2 = mp.re(abs(ip(pU, pV)) ** 2 / (ip(pU, pU) * ip(pV, pV)))
             out["rho"] = float(mp.acos(mp.tanh(mp.acosh(mp.sqrt(c2)) / 2)))
 
-        # the slice: w^H z = 0 for w = J pole, spanned by two solutions a, b
-        pole = pU + mp.sign(mp.re(ip(pU, pV))) * pV
-        w = [mp.conj(v) for v in J * pole]
-        a, b = mp.matrix([w[1], -w[0], 0]), mp.matrix([w[2], 0, -w[0]])
-        # null points a + tau b: |tau - tau0| = radius
-        baa, bab, bbb = mp.re(ip(a, a)), ip(a, b), mp.re(ip(b, b))
-        tau0 = -mp.conj(bab) / bbb
-        radius = mp.sqrt(abs(bab) ** 2 - baa * bbb) / abs(bbb)
         delta = mp.sqrt(mp.mpc((tr - 3) * (tr + 1)))
 
         def eigenvector(dl):
             return mp.matrix([2 * (2 * e * e + 1), -x1 * e * (2 * e * e + 1 + dl), -(tr + 1) - dl])
 
         p1, p2 = (eigenvector(delta), eigenvector(-delta)) if elliptic else (eigenvector(-delta), eigenvector(delta))
-        z1, z2, z3 = (
-            ip(p1, z) / ip(p2, z)
-            for z in (a + (tau0 + radius * mp.expj(2 * mp.pi * j / 3)) * b for j in range(3))
-        )
-        num = abs(z1) ** 2 * (z2 - z3) + abs(z2) ** 2 * (z3 - z1) + abs(z3) ** 2 * (z1 - z2)
-        den = mp.conj(z1) * (z2 - z3) + mp.conj(z2) * (z3 - z1) + mp.conj(z3) * (z1 - z2)
-        centre = num / den
-        r, c = abs(z1 - centre), abs(centre)
-        if elliptic:
+
+        def disk(q):
+            # the slice of pole p_U + sign(<p_U, q>) q: w z = 0 for w = conj(J
+            # pole), spanned by a and b off the largest |w_k|; its null points a
+            # + tau b lie on |tau - tau0| = radius, and three of them give the
+            # circle through their chart images
+            pole = pU + mp.sign(mp.re(ip(pU, q))) * q
+            w = [mp.conj(v) for v in J * pole]
+            k = max(range(3), key=lambda i: abs(w[i]))
+            ia, ib = [m for m in range(3) if m != k]
+            a, b = mp.matrix(3, 1), mp.matrix(3, 1)
+            a[ia], a[k], b[ib], b[k] = w[k], -w[ia], w[k], -w[ib]
+            baa, bab, bbb = mp.re(ip(a, a)), ip(a, b), mp.re(ip(b, b))
+            tau0 = -mp.conj(bab) / bbb
+            radius = mp.sqrt(abs(bab) ** 2 - baa * bbb) / abs(bbb)
+            z1, z2, z3 = (
+                ip(p1, z) / ip(p2, z)
+                for z in (a + (tau0 + radius * mp.expj(2 * mp.pi * j / 3)) * b for j in range(3))
+            )
+            num = abs(z1) ** 2 * (z2 - z3) + abs(z2) ** 2 * (z3 - z1) + abs(z3) ** 2 * (z1 - z2)
+            den = mp.conj(z1) * (z2 - z3) + mp.conj(z2) * (z3 - z1) + mp.conj(z3) * (z1 - z2)
+            centre = num / den
+            return centre, abs(z1 - centre)
+
+        disks = [disk(q) for q in (pV, pW)]
+        out["disks"] = [(complex(centre), float(r)) for centre, r in disks]
+        (centre, r), c = disks[0], abs(disks[0][0])
+        if elliptic and r < c:
+            # a disk that misses 0 (every order n >= 9) has a sector
             beta, mid, half = mp.acos((tr - 1) / 2), mp.arg(centre), mp.asin(r / c)
             out.update(beta=float(beta), sector_upper=float(1.5 * beta - (mid + half)), sector_lower=float(mid - half + 2.5 * beta))
-        else:
+        elif not elliptic:
             length = mp.acosh((tr - 1) / 2)
             out.update(annulus_upper=float(1.5 * length - mp.log(c + r)), annulus_lower=float(mp.log(c - r) + 2.5 * length))
     return out
@@ -469,6 +485,17 @@ def test_gc_sector_margins_match_mpmath_reference(n):
     for key in ("sector_upper", "sector_lower"):
         assert res.margins["sector_upper"] == pytest.approx(ref[key], rel=1e-12)
     assert res.margins["rotated_sector_gap"] == pytest.approx(ref["sector_upper"] + ref["sector_lower"], rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [4, 5, 8, 9, 20, 100, 2809, 10**4])
+def test_elliptic_disks_match_mpmath_reference(n):
+    # the closed-form centres and radii of family.elliptic_disks against the
+    # 60-digit circles, on both sides of the sign changes of the centres'
+    # denominators (orders 4..5 and 8..9)
+    plus, minus, sin_half = elliptic_disks(n)
+    for centre, (want, radius) in zip((plus, minus), _mp_cone_reference(n=n)["disks"]):
+        assert abs(centre - want) <= 1e-12 * abs(want)
+        assert abs(centre) * sin_half == pytest.approx(radius, rel=1e-12)
 
 
 @pytest.mark.parametrize("length", [0.25, 1.0, 1.75])
@@ -738,7 +765,7 @@ def test_monotone_exclusion_finite_differences(ff_lox):
     sigmas = np.linspace(0, 2 * math.pi, 101)
     for d1 in delta0(ff_lox.alpha2) + np.linspace(0.05, math.pi - 0.05, 9):
         V = torus_vectors(torus, sigmas[:, None] + d1, sigmas[:, None] - d1)
-        h = ff_lox.space.norm_grid(V)[:, 0]
+        h = ff_lox.space.form(V, V).real[:, 0]
         dh = np.diff(h)
         half = len(dh) // 2
         assert (dh[:half] <= 1e-10).all()
@@ -1051,17 +1078,18 @@ def _outcome(fn):
     [a for _, a in golden_parameters()] + [ALPHA2_LIM + d for d in (-1e-6, 1e-6, -1e-10, 1e-10)],
 )
 def test_array_decisions_equal_the_per_object_oracle(alpha2):
-    # the Gram-table kernels on FaceFamily's tables (G, lengths, boxes)
+    # the Gram-table kernels on FaceFamily's tables (G, boxes, row lengths)
     # against the per-object forms of tests/oracles.py (scalar inner and box
     # on single HVecs): bisector kinds, pair kinds, the symmetric u, the
-    # criterion tangencies and the silhouettes, on the golden-verdict
+    # criterion tangencies, and the closed-form disks of family.elliptic_disks
+    # against the per-object silhouettes, on the golden-verdict
     # parameters and near the wall
     ff = FaceFamily(alpha2, grid_n=128)
     pts, U = family_points(ff), family_U(ff)
     Ui = U.inv()
     seconds = [pts.p_V, pts.p_W, apply(U, pts.p_V), apply(Ui, pts.p_W)]
     bs = [_outcome(lambda q=q: classify_bisector(pts.p_U, q, ff.tol)) for q in seconds]
-    got = _outcome(lambda: oracles.bisector_kinds(ff.G, ff.lengths, P_U, BISECTORS, ff.tol))
+    got = _outcome(lambda: oracles.bisector_kinds(ff.G, row_lengths(ff), P_U, BISECTORS, ff.tol))
     if isinstance(got, str):
         assert got in bs
         return
@@ -1078,7 +1106,8 @@ def test_array_decisions_equal_the_per_object_oracle(alpha2):
         assert sym[1] == [w.kind for w in want]
         assert np.allclose(sym[0], [w.u for w in want], rtol=0.0, atol=1e-12)
     want = [_outcome(lambda x=x: tangency_check(pts.p_U, pts.p_V, x, ff.tol)) for x in (apply(U, pts.p_A), apply(Ui, pts.p_B))]
-    got = _outcome(lambda: oracles.tangencies(ff.G, ff.lengths, P_U, P_V, [U_PA, UI_PB], ff.tol))
+    got = _outcome(lambda: oracles.tangencies(ff.G, row_lengths(ff), P_U, P_V, [U_PA, UI_PB], ff.tol))
     assert got == (next((w for w in want if isinstance(w, str)), want))
-    if ff.chart is not None:
-        assert _outcome(lambda: ff.silhouettes[0]) == _outcome(lambda: silhouette_circles(ff.chart, bs[:2], ff.tol))
+    if ff.side.n is not None:
+        for sil, centre in zip(silhouette_circles(ff.chart, bs[:2], ff.tol), elliptic_disks(ff.side.n)[:2]):
+            assert abs(sil.center - centre) <= 1e-11 * abs(centre)

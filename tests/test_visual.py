@@ -9,12 +9,14 @@ from crlab.family import alpha2_for_order
 from crlab.isometry import Isometry
 from crlab.reference import alpha2_for_length, box
 from crlab.verify import FaceFamily
-from crlab.visual import INF, VisualChart
+from crlab.visual import VisualChart
 
 from oracles import (
+    INF,
     angle_between,
     angular_diameter,
     apply,
+    chart,
     classify_bisector,
     family_U,
     family_points,
@@ -40,14 +42,14 @@ def test_chart_marked_values_elliptic():
     ff = chart_at(alpha2_for_order(12))
     beta = 2 * math.pi / 12
     ch, pts = ff.chart, family_points(ff)
-    assert ch(pts.p_B.v) == pytest.approx(1.0, abs=1e-12)
-    assert ch(pts.p_A.v) == pytest.approx(cmath.exp(-1j * beta), abs=1e-10)
-    assert ch(pts.p_U_prime.v) == INF
-    assert ch(pts.p_U_dprime.v) == pytest.approx(0.0, abs=1e-12)
+    assert chart(ch, pts.p_B.v) == pytest.approx(1.0, abs=1e-12)
+    assert chart(ch, pts.p_A.v) == pytest.approx(cmath.exp(-1j * beta), abs=1e-10)
+    assert chart(ch, pts.p_U_prime.v) == INF
+    assert chart(ch, pts.p_U_dprime.v) == pytest.approx(0.0, abs=1e-12)
     for k in range(1, 6):
-        zk = ch(apply(power(family_U(ff), k), pts.p_B).v)
+        zk = chart(ch, apply(power(family_U(ff), k), pts.p_B).v)
         assert zk == pytest.approx(cmath.exp(2j * k * beta), abs=1e-9)
-        ak = ch(apply(power(family_U(ff), k), pts.p_A).v)
+        ak = chart(ch, apply(power(family_U(ff), k), pts.p_A).v)
         assert ak == pytest.approx(cmath.exp(1j * (2 * k - 1) * beta), abs=1e-9)
 
 
@@ -55,10 +57,10 @@ def test_chart_marked_values_loxodromic():
     ff = chart_at(0.7)
     ln = ff.side.length
     ch, pts = ff.chart, family_points(ff)
-    assert ch(pts.p_B.v) == pytest.approx(1.0, abs=1e-12)
-    assert ch(pts.p_A.v) == pytest.approx(math.exp(-ln), abs=1e-10)
-    assert ch(apply(family_U(ff), pts.p_A).v) == pytest.approx(math.exp(ln), abs=1e-9)
-    assert ch(apply(family_U(ff).inv(), pts.p_B).v) == pytest.approx(math.exp(-2 * ln), abs=1e-9)
+    assert chart(ch, pts.p_B.v) == pytest.approx(1.0, abs=1e-12)
+    assert chart(ch, pts.p_A.v) == pytest.approx(math.exp(-ln), abs=1e-10)
+    assert chart(ch, apply(family_U(ff), pts.p_A).v) == pytest.approx(math.exp(ln), abs=1e-9)
+    assert chart(ch, apply(family_U(ff).inv(), pts.p_B).v) == pytest.approx(math.exp(-2 * ln), abs=1e-9)
 
 
 def test_chart_line_invariance():
@@ -69,7 +71,7 @@ def test_chart_line_invariance():
         q = HVec(rng.normal(size=3) + 1j * rng.normal(size=3), ff.space)
         lam = complex(rng.normal(), rng.normal())
         q2 = HVec(q.v + lam * ch.base, ff.space)
-        assert ch(q.v) == pytest.approx(ch(q2.v), rel=1e-9)
+        assert chart(ch, q.v) == pytest.approx(chart(ch, q2.v), rel=1e-9)
 
 
 def test_chart_autopolar_convention():
@@ -98,13 +100,13 @@ def test_induced_action_rotation_and_homothety():
         ch, m, U = ff.chart, ff.chart_multiplier, family_U(ff).M
         z = ch.values(CHART_SAMPLES)
         assert np.abs(ch.values(CHART_SAMPLES @ U.T) - m * z).max() <= 1e-9 * np.abs(m * z).max()
-        assert ch(apply(family_U(ff), family_points(ff).p_U_prime).v) == INF
-        assert ch(apply(family_U(ff), family_points(ff).p_U_dprime).v) == pytest.approx(0.0, abs=1e-12)
+        assert chart(ch, apply(family_U(ff), family_points(ff).p_U_prime).v) == INF
+        assert chart(ch, apply(family_U(ff), family_points(ff).p_U_dprime).v) == pytest.approx(0.0, abs=1e-12)
     # iterating the action reproduces the power images
-    z = ffe.chart(family_points(ffe).p_B.v)
+    z = chart(ffe.chart, family_points(ffe).p_B.v)
     for k in range(1, 6):
         z = ffe.chart_multiplier * z
-        want = ffe.chart(apply(power(family_U(ffe), k), family_points(ffe).p_B).v)
+        want = chart(ffe.chart, apply(power(family_U(ffe), k), family_points(ffe).p_B).v)
         assert abs(z - want) < 1e-9
 
 
@@ -117,8 +119,8 @@ def test_induced_action_involution_is_inversion():
         z = ff.chart.values(X)
         assert ff.chart.values(X @ I.M.T) * z == pytest.approx(np.ones(6), abs=1e-8)
         # the chart's 0 and infinity swap
-        assert ff.chart(apply(I, family_points(ff).p_U_prime).v) == pytest.approx(0.0, abs=1e-12)
-        assert ff.chart(apply(I, family_points(ff).p_U_dprime).v) == INF
+        assert chart(ff.chart, apply(I, family_points(ff).p_U_prime).v) == pytest.approx(0.0, abs=1e-12)
+        assert chart(ff.chart, apply(I, family_points(ff).p_U_dprime).v) == INF
 
 
 def test_tangency_criterion_examples():
@@ -198,7 +200,7 @@ def test_project_bisector_marked_boundary():
     disk = project_bisector(ff.chart, b, n_boundary=2048)
     assert disk.residual < 1e-9
     for point in (apply(family_U(ff), family_points(ff).p_A), apply(family_U(ff).inv(), family_points(ff).p_B)):
-        z = ff.chart(point.v)
+        z = chart(ff.chart, point.v)
         assert abs(abs(z - disk.circle.center) - disk.circle.radius) < 1e-9
     # metric side: the line to [q] projects inside, the focus line outside
     assert disk.contains_zero and b.r_disc < 0
@@ -361,7 +363,7 @@ def test_project_bisector_shares_the_silhouette_slice(k):
 
 
 def test_silhouette_circle_needs_a_real_pair_and_a_positive_pole(ball, siegel):
-    def chart(p, u, w):
+    def make_chart(p, u, w):
         return VisualChart(p.v, np.asarray(u, dtype=complex), np.asarray(w, dtype=complex), p.space)
 
     # the fan in Siegel normal form: <p, q> = e^{i theta} is not real
@@ -369,19 +371,19 @@ def test_silhouette_circle_needs_a_real_pair_and_a_positive_pole(ball, siegel):
     fan = classify_bisector(p, HVec([-1.0, cmath.exp(0.35j), 0.0], siegel))
     assert fan.kind.value == "fan"
     with pytest.raises(GeometryError, match="real nonzero"):
-        silhouette_circles(chart(p, [1.0, 0, 0], [0, 0, 1.0]), [fan])
+        silhouette_circles(make_chart(p, [1.0, 0, 0], [0, 0, 1.0]), [fan])
     # a Clifford cone of two orthogonal exterior points: <p, q> = 0
     p = HVec([1.0, 0, 0], ball)
     cone = classify_bisector(p, HVec([0, 1.0, 0], ball))
     assert cone.kind.value == "clifford-cone"
     with pytest.raises(GeometryError, match="real nonzero"):
-        silhouette_circles(chart(p, [0, 1.0, 0], [0, 0, 1.0]), [cone])
+        silhouette_circles(make_chart(p, [0, 1.0, 0], [0, 0, 1.0]), [cone])
     # the fan of an interior point with its negated lift: the pole p - eps q is 0
     p = HVec([0, 0, 1.0], ball)
     fan = classify_bisector(p, HVec([0, 0, -1.0], ball))
     assert fan.kind.value == "fan"
     with pytest.raises(GeometryError, match="pole of norm"):
-        silhouette_circles(chart(p, [1.0, 0, 0], [0, 1.0, 0]), [fan])
+        silhouette_circles(make_chart(p, [1.0, 0, 0], [0, 1.0, 0]), [fan])
     # a family bisector with a rephased second lift
     ff = chart_at(alpha2_for_order(9))
     b = classify_bisector(family_points(ff).p_U, HVec(cmath.exp(0.3j) * family_points(ff).p_V.v, ff.space))
@@ -410,8 +412,8 @@ def test_chart_ratio_is_cross_ratio():
     for _ in range(8):
         q = HVec(rng.normal(size=3) + 1j * rng.normal(size=3), sp)
         qp = HVec(rng.normal(size=3) + 1j * rng.normal(size=3), sp)
-        ratio = ch(qp.v) / ch(q.v)
-        cr = cross_ratio(ch2(family_points(ff).p_U_prime.v), ch2(family_points(ff).p_U_dprime.v), ch2(q.v), ch2(qp.v))
+        ratio = chart(ch, qp.v) / chart(ch, q.v)
+        cr = cross_ratio(chart(ch2, family_points(ff).p_U_prime.v), chart(ch2, family_points(ff).p_U_dprime.v), chart(ch2, q.v), chart(ch2, qp.v))
         assert ratio == pytest.approx(cr, rel=1e-8)
 
 
