@@ -7,9 +7,10 @@ Modules:
   family     the two-parameter representation family, its point table and
              the closed-form projected disks of J_0^+ and J_0^-
   bisector   Giraud tori of bisector pairs, their column minima, level sets
-  visual     visual-sphere charts, on which U acts by its multiplier
+  visual     visual-sphere charts, on which U acts by its multiplier;
+             no check reads one (the tests' oracles do)
   verify     the TF/LC/GC verification engine and surgery verdicts
-  report     check results, verdicts and the report-v8 JSON layout
+  report     check results, verdicts and the report-v9 JSON layout
   figures    deterministic CSV/SVG figure data
   csvfloat   the byte-exact %.17g and %.9g kernel of the figure CSVs and SVGs
   cli        the `crlab` command line

@@ -156,10 +156,6 @@ class HermitianSpace:
         w_j, shape (k, 3), the Gram array <w_j, V_i> of shape (..., k)."""
         return self.form(w, V[..., None, :] if np.ndim(w) == 2 else V)
 
-    def gram(self, X: np.ndarray) -> np.ndarray:
-        """The Gram table G[i, j] = <X_i, X_j> of the rows of X, shape (k, 3)."""
-        return self.form(X[:, None], X[None])
-
 
 @functools.cache
 def siegel_model() -> HermitianSpace:

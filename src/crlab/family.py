@@ -23,6 +23,8 @@ from .core import GeometryError, apply, siegel_model
 from .isometry import Isometry, SideKind, rotation_turn, trace_side
 
 ALPHA2_LIM = math.acos(math.sqrt(3.0 / 8.0))
+# arccos sqrt(3/8) - ALPHA2_LIM, the wall's rounding remainder
+ALPHA2_LIM_REM = -4.935854701949338e-17
 
 
 @dataclass(frozen=True)
@@ -132,16 +134,28 @@ class ParamSide:
     delta: complex = 0.0
 
 
+def _wall_gap(alpha2: float) -> float:
+    """(tr U - 3)/8 = cos^2 alpha2 - cos^2 L = sin(L - alpha2) sin(L + alpha2),
+    L = arccos sqrt(3/8) carried as ALPHA2_LIM + ALPHA2_LIM_REM, so that L -
+    alpha2 keeps its relative digits near the wall, where 8 cos^2 alpha2 - 3
+    loses them."""
+    return math.sin((ALPHA2_LIM - alpha2) + ALPHA2_LIM_REM) * math.sin(ALPHA2_LIM + alpha2)
+
+
 def param_side(alpha2: float, tol=None) -> ParamSide:
     """The side of alpha2 by `isometry.trace_side` of tr U = 8 cos^2 alpha2,
-    and the order n where `rotation_turn` reads beta as 2 pi / n."""
+    and the order n where `rotation_turn` reads beta as 2 pi / n.  The
+    length and delta read tr U - 3 from `_wall_gap`, with sinh^2(l/2) =
+    (tr U - 3)/4 from cosh l = (tr U - 1)/2, and keep their relative digits
+    up to the wall."""
     tr = 8.0 * math.cos(alpha2) ** 2
     kind = trace_side(tr, tol).kind
-    delta = cmath.sqrt((tr - 3.0) * (tr + 1.0))
     if kind is SideKind.UNIPOTENT:
         return ParamSide(kind, delta=0.0)
+    gap = _wall_gap(alpha2)
+    delta = cmath.sqrt(8.0 * gap * (tr + 1.0))
     if kind is SideKind.LOXODROMIC:
-        return ParamSide(kind, length=math.acosh((tr - 1.0) / 2.0), delta=delta)
+        return ParamSide(kind, length=2.0 * math.asinh(math.sqrt(2.0 * gap)), delta=delta)
     beta = math.acos((tr - 1.0) / 2.0)
     turn = rotation_turn(beta / (2.0 * math.pi))
     n = turn.denominator if turn is not None and turn.numerator == 1 else None
@@ -156,7 +170,7 @@ def alpha2_for_order(n: int) -> float:
 
 
 # the rows of the point table of `face_points`: the remarkable points, then
-# the U-translates that verify reads
+# the U-translates that verify and the proofs' tie tests read
 P_A, P_B, P_U, P_V, P_W, P_U1, P_U2, U_PA, U_PB, U_PV, U_PW, UI_PB, UI_PV, UI_PW = range(14)
 
 
@@ -168,18 +182,18 @@ def face_points(alpha2: float) -> np.ndarray:
 
     p_U' and p_U'' are the eigenvectors of U for the eigenvalues e^{l},
     e^{-l} (loxodromic side) or e^{i beta}, e^{-i beta} (elliptic side), in
-    closed form with delta = sqrt((tr U - 3)(tr U + 1)) as in `param_side`;
-    at the unipotent parameter delta = 0 and the two coincide.  Every other
-    row is `core.apply` of S, U or U^-1 to a row, where J U = S^H J T is the
-    form of the columns of S against those of T, and J U^-1 = T^H J S its
-    adjoint."""
+    closed form with delta = sqrt((tr U - 3)(tr U + 1)), tr U - 3 from
+    `_wall_gap` as in `param_side`; at the unipotent parameter delta = 0 and
+    the two coincide.  Every other row is `core.apply` of S, U or U^-1 to a
+    row, where J U = S^H J T is the form of the columns of S against those
+    of T, and J U^-1 = T^H J S its adjoint."""
     params, sp = FamilyParams(0.0, alpha2), siegel_model()
     S, T = rho_s(params), rho_t(params)
     G = sp.form(S.T[:, None], T.T[None])
     UU = apply(sp.J_inv, np.stack([G.T, G.conj()])).transpose(0, 2, 1)  # U, U^-1
     e = cmath.exp(1j * alpha2)
     c8 = 8.0 * math.cos(alpha2) ** 2
-    delta = cmath.sqrt((c8 - 3.0) * (c8 + 1.0))
+    delta = cmath.sqrt(8.0 * _wall_gap(alpha2) * (c8 + 1.0))
     P = np.zeros((14, 3), dtype=complex)
     P[P_A, 0] = P[P_B, 2] = 1.0
     P[P_U] = 1.0, -math.sqrt(2.0) / 2.0 * e, e * e

@@ -1,5 +1,6 @@
-"""The verification report: each check's result, the verdict, and the
-`report-v8` JSON that `crlab verify --out` writes, one file per parameter.
+"""The verification report: the results of the checks TF, LC and GC, the
+verdict, and the `report-v9` JSON that `crlab verify --out` writes, one
+file per parameter.
 
 The JSON bytes are the contract: keys sorted, two-space indent, one
 trailing newline, margins and residuals as floats and counts as ints,
@@ -12,7 +13,7 @@ import enum
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
-SCHEMA_VERSION = "report-v8"
+SCHEMA_VERSION = "report-v9"
 
 
 @dataclass
@@ -66,16 +67,13 @@ class VerificationReport:
     tf: CheckResult
     lc: CheckResult
     gc: CheckResult
-    incidence: CheckResult
     verdict: Verdict
     grid_n: int
     tol: float
     notes: list = field(default_factory=list)
 
     def all_passed(self):
-        return all(
-            c.passed for c in (self.incidence, self.tf, self.lc, self.gc) if not c.skipped
-        )
+        return all(c.passed for c in (self.tf, self.lc, self.gc) if not c.skipped)
 
     def to_dict(self):
         side = {
@@ -93,7 +91,6 @@ class VerificationReport:
             "grid_n": int(self.grid_n),
             "tolerance": float(self.tol),
             "checks": {
-                "incidence": self.incidence.to_dict(),
                 "tf": self.tf.to_dict(),
                 "lc": self.lc.to_dict(),
                 "gc": self.gc.to_dict(),
@@ -104,7 +101,7 @@ class VerificationReport:
 
 
 def to_json(report: VerificationReport) -> str:
-    """The report's `report-v8` JSON text, by one walk of its dict (`_dump`)."""
+    """The report's `report-v9` JSON text, by one walk of its dict (`_dump`)."""
     return _dump(report.to_dict(), "\n") + "\n"
 
 

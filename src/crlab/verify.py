@@ -17,14 +17,18 @@ checked numerically:
         tests/test_gc_disk_identities.py, so GC reads only the order n or
         the length l of family.param_side.
 
+What holds at every parameter is not checked here: that the ideal vertices
+p_A and p_B and their U-translates lie on the bisectors around them, and
+that U acts on the visual sphere of p_U by its multiplier, are proved once,
+in tests/test_incidence_identities.py.
+
 TF and LC read the Giraud tori of neighbouring faces one delta-column at a
 time, where every form is a sinusoid in sigma: each exclusion margin is an
 exact minimum over sigma, sampled in delta about the vertex column
 family.delta_v, and one bisector.column_minima call reads both exclusion
 passes of a parameter (FaceFamily.torus_pass), from the sinusoids of the
 one stage that also draws the spinal-trace figure.  The unipotent wall is
-decided once, by family.param_side: on it GC is not applicable and the
-visual chart does not exist.
+decided once, by family.param_side: on it GC is not applicable.
 
 Passing all three yields the Dehn-surgery verdict for the parameter:
 slope 1/(n-3) on the elliptic side of order n >= 9, slope -1/3 on the
@@ -33,7 +37,6 @@ loxodromic side.
 
 from __future__ import annotations
 
-import cmath
 import math
 from functools import cached_property
 
@@ -41,7 +44,7 @@ import numpy as np
 
 from .core import GeometryError, box_rows, siegel_model, tolerance
 from .family import (
-    P_A, P_B, P_U, P_V, P_W, P_U1, P_U2, U_PA, U_PB, U_PV, U_PW, UI_PB, UI_PV, UI_PW,
+    P_A, P_B, P_U, P_V, P_W, U_PV, UI_PW,
     SideKind,
     delta_v,
     elliptic_disks,
@@ -49,13 +52,9 @@ from .family import (
     param_side,
 )
 from .bisector import GiraudTorus, giraud_circle_tangents, torus_exclusion
-from .visual import VisualChart
 from .report import CheckResult, Verdict, VerdictKind, VerificationReport
 
 DEFAULT_GRID = 720
-# incidence's Gram block: the vertices and their translates (rows) against
-# the bisectors' points (columns)
-INCIDENCE_ROWS, INCIDENCE_COLS = np.array([[P_A], [P_B], [U_PA], [UI_PB], [U_PB]]), np.array([P_U, P_V, P_W, UI_PV, UI_PW, U_PV])
 # the second lifts of the bisectors of p_U: J_0^+, J_0^-, J_1^+ and J_-1^-
 BISECTORS = [P_V, P_W, U_PV, UI_PW]
 # row pairs of FaceFamily.boxes: the foci p_U box q of BISECTORS, then q box
@@ -73,14 +72,13 @@ TORUS_LIFTS = np.array([[P_U, BISECTORS[i], BISECTORS[j]] for i, j in TORI])
 
 
 class FaceFamily:
-    """All data attached to a parameter, as arrays: the point table P of
-    `family.face_points` (rows P_A .. UI_PW), its Gram table G[i, j] =
-    <P_i, P_j> and the box products of the row pairs BOX_PAIRS, from which
-    every decision of the checks is read; the oriented chart on the visual
-    sphere of [p_U], whose action incidence checks; grid settings.  The
-    projected disks of J_0^+ and J_0^- in that chart are closed forms in the
-    order n (`family.elliptic_disks`), which the disk-projection figure
-    draws without building a FaceFamily."""
+    """All data attached to a parameter, as arrays: the side of
+    `family.param_side`, the point table P of `family.face_points` (rows
+    P_A .. UI_PW) and the box products of the row pairs BOX_PAIRS, from
+    which every decision of the checks is read; grid settings.  The
+    projected disks of J_0^+ and J_0^- on the visual sphere of [p_U] are
+    closed forms in the order n (`family.elliptic_disks`), which GC and the
+    disk-projection figure read without a chart."""
 
     def __init__(self, alpha2: float, tol=None, grid_n: int = DEFAULT_GRID):
         self.alpha2 = float(alpha2)
@@ -89,36 +87,7 @@ class FaceFamily:
         self.side = param_side(self.alpha2, self.tol)
         self.space = siegel_model()
         self.P = face_points(self.alpha2)
-        self.G = self.space.gram(self.P)
         self.boxes = box_rows(self.P[BOX_PAIRS[0]], self.P[BOX_PAIRS[1]], self.space)
-        self.chart = self._oriented_chart()
-
-    def _oriented_chart(self):
-        """Chart on the visual sphere of [p_U] in which U acts by
-        z -> e^{2l} z (loxodromic) or z -> e^{2 i beta} z (elliptic); None
-        exactly on the unipotent wall of `param_side`, as the multiplier is.
-
-        With the convention <u,v> = u^H J v the usual ordering of the two
-        non-unit eigenvectors yields the reciprocal chart on the loxodromic
-        side (the eigenvectors are null there, so 0 and infinity swap
-        roles); the ordering below restores the expanding orientation.
-        """
-        if self.side.kind is SideKind.UNIPOTENT:
-            return None
-        rows = (P_U2, P_U1) if self.side.kind is SideKind.LOXODROMIC else (P_U1, P_U2)
-        return VisualChart(self.P[P_U], *self.P[list(rows)], self.space)
-
-    @cached_property
-    def chart_multiplier(self) -> complex | None:
-        """The m with chart(U x) = m chart(x): e^{2l} on the loxodromic side,
-        e^{2 i beta} on the elliptic side, None on the unipotent wall.  So
-        the chart image of J_k^+- is m^k times that of J_0^+-."""
-        side = self.side
-        if side.kind is SideKind.LOXODROMIC:
-            return complex(math.exp(2.0 * side.length))
-        if side.kind is SideKind.ELLIPTIC:
-            return cmath.exp(2j * side.beta)
-        return None
 
     @cached_property
     def tori(self) -> list[GiraudTorus]:
@@ -156,47 +125,6 @@ def _record_exclusion(ff: FaceFamily, res: CheckResult, key: str, margin: float)
             f"delta_v is narrower than the column spacing pi/{ff.grid_n // 2})"
         )
     return 0.0 < margin < math.inf
-
-
-# ---------------------------------------------------------------------------
-# incidence check
-
-
-def incidence_check(ff: FaceFamily) -> CheckResult:
-    """Unit-modulus products putting the two ideal vertices on the four
-    bisectors around them, plus translation compatibility of the family and
-    the chart action chart(U x) = m chart(x) of `FaceFamily.chart_multiplier`
-    (skipped, with a note, on the unipotent wall).  The involution that
-    carries J_k^+ onto J_-k^- holds at every alpha2; it is proved once, in
-    tests/test_lc_identities.py."""
-    P = ff.P
-    res = CheckResult("incidence", True)
-    # |<z, w>| for the vertices and their translates z (rows: p_A, p_B, U p_A,
-    # U^-1 p_B, U p_B) and the bisectors' second points w (columns: p_U, p_V,
-    # p_W, U^-1 p_V, U^-1 p_W, U p_V), read from the Gram table
-    G = np.abs(ff.G[INCIDENCE_ROWS, INCIDENCE_COLS]).tolist()
-    units = G[0][:5] + [G[1][j] for j in (0, 1, 2, 5, 4)]
-    res.residuals["max_modulus_deviation"] = max(abs(x - 1.0) for x in units)
-    # corollary translations: both vertices and their U-translates lie on
-    # the expected bisectors
-    res.residuals["max_translation_incidence"] = max(
-        [abs(G[i][0] - G[i][1]) for i in (0, 2, 1, 3)] + [abs(G[i][0] - G[i][2]) for i in (0, 2, 1, 4)]
-    )
-    # U acts on the chart by its multiplier m, from which every translate's
-    # silhouette is taken: checked at the vertices and at p_V, p_W
-    m, ch = ff.chart_multiplier, ff.chart
-    if ch is None:
-        res.notes.append("chart_action skipped: U acts on no chart by a multiplier at the unipotent parameter")
-    else:
-        z = ch.values(P[[P_A, P_B, P_V, P_W, U_PA, U_PB, U_PV, U_PW]])
-        mz = m * z[:4]
-        with np.errstate(invalid="ignore"):
-            act = np.abs(z[4:] - mz) / np.maximum(1.0, np.abs(mz))
-        # a point at the chart's infinity reads inf
-        res.residuals["chart_action"] = float(np.where(np.isnan(act), math.inf, act).max())
-    tol = 1e3 * ff.tol
-    res.passed = all(v <= tol for v in res.residuals.values())
-    return res
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +205,8 @@ def lc_check(ff: FaceFamily) -> CheckResult:
 
 def gc_check_loxodromic(ff: FaceFamily) -> CheckResult:
     """GC on the loxodromic side of length l, from ff.side alone.  In the
-    chart of `FaceFamily.chart_multiplier` J_0^+ projects to a disk whose
+    chart of rows (p_U'', p_U'), where U acts by z -> e^{2l} z
+    (tests/test_incidence_identities.py), J_0^+ projects to a disk whose
     log-modulus range is centred at -l/2 with half-width w, sinh^2 w =
     (8/9) sinh^2 l (2x + 1), x = cosh l, and J_0^- to its mirror about 0:
     so each annulus margin is 2l - w, positive at every l > 0 since 9x^2 -
@@ -400,12 +329,7 @@ def _run_check(name: str, check, ff: FaceFamily) -> CheckResult:
 def verify(alpha2: float, tol=None, grid_n: int = DEFAULT_GRID) -> VerificationReport:
     """Run the checks at a parameter and assemble the verdict from ff.side."""
     ff = FaceFamily(alpha2, tol, grid_n)
-    checks = {
-        name: _run_check(name, check, ff)
-        for name, check in (
-            ("incidence", incidence_check), ("tf", tf_check), ("lc", lc_check), ("gc", gc_check)
-        )
-    }
+    checks = {name: _run_check(name, check, ff) for name, check in (("tf", tf_check), ("lc", lc_check), ("gc", gc_check))}
     side, gc = ff.side, checks["gc"]
     if side.kind is SideKind.UNIPOTENT:
         verdict = Verdict(

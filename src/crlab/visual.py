@@ -9,8 +9,10 @@ which depends only on the line through [p] and [q].  Projections of
 bisectors based at p are closed disks here, bounded by honest circles in
 every chart.  On the slice the disks of J_0^+ and J_0^- are closed forms
 in the order n (`family.elliptic_disks`, proved in
-tests/test_gc_disk_identities.py), so no check and no figure samples a
-silhouette; incidence reads the chart action of U on a few points.
+tests/test_gc_disk_identities.py), and U acts on the chart of its
+eigenvectors by its multiplier, e^{2 i beta} or e^{2l} (proved there and in
+tests/test_incidence_identities.py): no check and no figure reads a chart.
+The tests' oracles build theirs with `VisualChart`.
 """
 
 from __future__ import annotations

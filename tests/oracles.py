@@ -33,13 +33,19 @@ None of these is on a program path, and none is imported by `crlab`:
 - the per-object forms of the program's array decisions, written with the
   scalar `inner` and `box` of single HVecs: `classify_bisector` and its
   `Bisector`, `classify_pair`, `giraud_torus`, `tangency_check` and
-  `u_power_point`, against which `FaceFamily`'s Gram-table decisions and
-  the kernels below are held; and `table`, the Gram table of a few HVecs,
+  `u_power_point`, against which `FaceFamily`'s decisions and the kernels
+  below are held; and `table`, the Gram table of a few HVecs,
   with `bisector_kind`, `pair_kind`, `symmetric_kind` and `tangency`,
   through which the tests call the kernels on one bisector, pair, triple
   or point;
 - the slice's involution `involution_matrix`, which swaps the two
   bisector families;
+- what `FaceFamily` no longer forms: the Gram table of its point table
+  (`face_gram`, with `gram` for any rows), the ten vertex products of
+  the incidences (`vertex_products`, `VERTEX_PRODUCTS`,
+  `TRANSLATION_INCIDENCES`), and the chart of the visual sphere of [p_U]
+  in which U acts by its multiplier (`oriented_chart`,
+  `chart_multiplier`), all proved in tests/test_incidence_identities.py;
 - the precondition kernels on a Gram table of lifts, which `FaceFamily`
   does not run: `bisector_kinds` with `BisectorKind`, `pair_kinds` with
   `ExtorPairKind`, and the tangency criterion `tangencies`, on the row
@@ -61,7 +67,9 @@ import numpy as np
 from crlab.bisector import GiraudTorus, _arcs, _harmonic_roots, _proj_distances, _ratio_critical, level_g
 from crlab.core import GeometryError, HVec, box_rows, cross, inner, sesquilinear, tolerance
 from crlab.core import apply as apply_rows
-from crlab.family import P_U, P_U1, P_U2, P_V, P_W, U_PV, FamilyParams, FamilyRep, SideKind
+from crlab.family import (
+    P_A, P_B, P_U, P_U1, P_U2, P_V, P_W, U_PA, U_PB, U_PV, UI_PB, UI_PV, UI_PW, FamilyParams, FamilyRep, SideKind,
+)
 from crlab.isometry import Isometry
 from crlab.reference import Location, box, locate, proj_equal, remarkable_points
 from crlab.visual import VisualChart
@@ -590,7 +598,7 @@ def table(*points: HVec):
     G[i, j] = <x_i, x_j> and the Euclidean lengths, the inputs of the
     Gram-table kernels (`bisector_kinds`, `tangencies`, `angular_diameter`)."""
     X = np.array([x.v for x in points])
-    return points[0].space.gram(X), np.linalg.norm(X, axis=1)
+    return gram(X, points[0].space), np.linalg.norm(X, axis=1)
 
 
 def bisector_kind(p: HVec, q: HVec, tol=None):
@@ -811,6 +819,61 @@ def row_lengths(ff) -> np.ndarray:
     return np.linalg.norm(ff.P, axis=1)
 
 
+def gram(X: np.ndarray, space) -> np.ndarray:
+    """The Gram table G[i, j] = <X_i, X_j> of the rows of X, shape (k, 3)."""
+    return space.form(X[:, None], X[None])
+
+
+def face_gram(ff) -> np.ndarray:
+    """The Gram table of a FaceFamily's point table P, G[i, j] = <P_i, P_j>:
+    the input of the Gram-table kernels here and of the proofs' tie tests."""
+    return gram(ff.P, ff.space)
+
+
+# the products <z, q> of unit modulus that put the ideal vertices p_A and
+# p_B on the four bisectors around them, as pairs of rows of `face_points`
+VERTEX_PRODUCTS = [(P_A, q) for q in (P_U, P_V, P_W, UI_PV, UI_PW)] + [(P_B, q) for q in (P_U, P_V, P_W, U_PV, UI_PW)]
+# the translation incidences |<z, p_U>| = |<z, q>|: the vertices and their
+# U-translates on the bisectors of p_U with p_V and with p_W
+TRANSLATION_INCIDENCES = [(z, P_V) for z in (P_A, U_PA, P_B, UI_PB)] + [(z, P_W) for z in (P_A, U_PA, P_B, U_PB)]
+
+
+def vertex_products(ff) -> np.ndarray:
+    """The ten products of VERTEX_PRODUCTS from a FaceFamily's point table,
+    each of modulus 1 at every alpha2 (tests/test_incidence_identities.py)."""
+    z, q = np.array(VERTEX_PRODUCTS).T
+    return ff.space.form(ff.P[z], ff.P[q])
+
+
+def oriented_chart(ff) -> VisualChart | None:
+    """The chart of the visual sphere of [p_U] from a FaceFamily's point
+    table in which U acts by z -> `chart_multiplier(ff)` z; None exactly on
+    the unipotent wall of `param_side`, where p_U' and p_U'' coincide.
+
+    With the convention <u,v> = u^H J v the usual ordering (p_U', p_U'') of
+    the two non-unit eigenvectors yields the reciprocal chart on the
+    loxodromic side (the eigenvectors are null there, so 0 and infinity
+    swap roles); the rows (p_U'', p_U') there restore the expanding
+    orientation (tests/test_incidence_identities.py)."""
+    if ff.side.kind is SideKind.UNIPOTENT:
+        return None
+    rows = (P_U2, P_U1) if ff.side.kind is SideKind.LOXODROMIC else (P_U1, P_U2)
+    return VisualChart(ff.P[P_U], *ff.P[list(rows)], ff.space)
+
+
+def chart_multiplier(ff) -> complex | None:
+    """The m with chart(U x) = m chart(x) in `oriented_chart(ff)`: e^{2l} on
+    the loxodromic side, e^{2 i beta} on the elliptic side, None on the
+    unipotent wall.  So the chart image of J_k^+- is m^k times that of
+    J_0^+-."""
+    side = ff.side
+    if side.kind is SideKind.LOXODROMIC:
+        return complex(math.exp(2.0 * side.length))
+    if side.kind is SideKind.ELLIPTIC:
+        return cmath.exp(2j * side.beta)
+    return None
+
+
 @dataclass(frozen=True)
 class Silhouette:
     """The silhouette circle |z - center| = radius of a bisector in a chart
@@ -867,7 +930,7 @@ def face_silhouettes(ff):
     bisector: what `family.elliptic_disks` gives in closed form."""
     pts = family_points(ff)
     bisectors = [classify_bisector(pts.p_U, q, ff.tol) for q in (pts.p_V, pts.p_W)]
-    sils, em, ep, rho = _silhouettes(ff.chart, bisectors, ff.tol)
+    sils, em, ep, rho = _silhouettes(oriented_chart(ff), bisectors, ff.tol)
     return sils, (em, ep, rho)
 
 
@@ -951,7 +1014,7 @@ def cone_angles(ff, ks) -> np.ndarray:
     """
     # the directions toward p_V and p_W (rows), rephased so that <p_U, x> is
     # real negative, the geodesic direction's convention (`tangent_direction`)
-    G, e = ff.G, [P_U1, P_U2]
+    G, e = face_gram(ff), [P_U1, P_U2]
     dirs = G[e][:, [P_V, P_W]].T / np.sqrt(G[e, e].real) * -G[P_U, [P_V, P_W]].conj()[:, None]
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     z = np.exp(2j * math.pi / ff.side.n * np.asarray(ks))[:, None]

@@ -1,7 +1,8 @@
 """The alpha1 = 0 slice over real symbols, for the sympy proofs in
 tests/test_tf_identities.py, tests/test_gc_identities.py,
-tests/test_lc_identities.py, tests/test_face_family_identities.py,
-tests/test_line_and_contact_identities.py and tests/test_vertex_identities.py.
+tests/test_gc_disk_identities.py, tests/test_lc_identities.py,
+tests/test_face_family_identities.py, tests/test_line_and_contact_identities.py,
+tests/test_vertex_identities.py and tests/test_incidence_identities.py.
 
 c = cos(alpha2) and s = sin(alpha2) are real symbols; an expression is an
 identity of the slice when it vanishes modulo c^2 + s^2 - 1 and whatever
@@ -67,8 +68,10 @@ P_U = sp.Matrix([1, -SQ2 / 2 * E, E**2])
 P_V = (S * P_U).expand()
 P_W = (S * P_V).expand()
 U_PA = (U * P_A).expand()
+U_PB = (U * P_B).expand()
 UI_PB = (inv(U) * P_B).expand()
 U_PV = (U * P_V).expand()
+UI_PV = (inv(U) * P_V).expand()
 UI_PW = (inv(U) * P_W).expand()
 INVOLUTION = sp.Matrix([[1, 0, 0], [-SQ2 * E, -1, 0], [-1, -SQ2 * conj(E), 1]])
 

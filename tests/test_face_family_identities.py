@@ -31,8 +31,8 @@ A sign on an interval is proved by Sturm's root count (`Poly.count_roots`)
 and the sign at one point, in exact rational arithmetic.  Each relation is
 also perturbed and seen to fail, among them the other sign eps = -1 and the
 determinant 72c^4 - c^5.  The last test ties the symbolic products,
-contacts and determinants to the program's Gram table, point table and box
-rows at a few parameters on each side.
+contacts and determinants to the program's point table and box rows, and
+their Gram table (`oracles.face_gram`), at a few parameters on each side.
 """
 
 import functools
@@ -46,6 +46,7 @@ from crlab.family import P_U, P_V, U_PA, UI_PB, alpha2_for_order
 from crlab.reference import alpha2_for_length
 from crlab.verify import BISECTORS, TORI, FaceFamily
 
+from oracles import face_gram
 import slice_algebra as sa
 from slice_algebra import J, c, conj, inner, positive, s, zero
 
@@ -151,7 +152,7 @@ def test_symbolic_products_are_the_programs(alpha2):
     ff = FaceFamily(alpha2, grid_n=64)
     co, si = math.cos(alpha2), math.sin(alpha2)
     (contacts,) = (np.array(m, dtype=complex).T for m in SYMBOLIC(co, si))
-    G, P, rows = ff.G, ff.P, [U_PA, UI_PB]
+    G, P, rows = face_gram(ff), ff.P, [U_PA, UI_PB]
     scale = np.abs(G).max()
     assert abs(G[P_U, P_V] + 1.5) <= 1e-13 * scale
     assert abs(G[P_U, P_U] - (8 * co**2 - 3) / 2) <= 1e-13 * scale

@@ -7,6 +7,7 @@ import pytest
 from crlab.core import HVec
 from crlab.family import (
     ALPHA2_LIM,
+    ALPHA2_LIM_REM,
     FamilyParams,
     FamilyRep,
     SideKind,
@@ -193,6 +194,36 @@ def test_param_side_consistency():
     assert side.kind is SideKind.LOXODROMIC
     assert side.delta == pytest.approx(2 * math.sinh(side.length), abs=1e-10)
     assert param_side(ALPHA2_LIM).kind is SideKind.UNIPOTENT
+
+
+def test_wall_remainder_matches_mpmath():
+    # ALPHA2_LIM_REM is arccos sqrt(3/8) - ALPHA2_LIM to the last bit
+    import mpmath as mp
+
+    with mp.workdps(50):
+        assert ALPHA2_LIM_REM == float(mp.acos(mp.sqrt(mp.mpf(3) / 8)) - mp.mpf(ALPHA2_LIM))
+
+
+@pytest.mark.parametrize("offset", [-1e-5, -1e-8, -1e-10, -0.3, -0.8, 1e-10, 1e-8, 1e-5, 0.3])
+def test_param_side_keeps_its_digits_at_the_wall(offset):
+    # the length and delta at the float alpha2 itself against 50 digits:
+    # 8 sin(L - alpha2) sin(L + alpha2) keeps the relative digits of tr U - 3
+    # that 8 cos^2 alpha2 - 3 loses there (acosh((tr U - 1)/2) was 4.6e-12,
+    # 2.8e-9 and 2.3e-8 off at ALPHA2_LIM - 1e-5, 1e-8 and 1e-10)
+    import mpmath as mp
+
+    alpha2 = ALPHA2_LIM + offset
+    side = param_side(alpha2, tol=1e-14)
+    with mp.workdps(50):
+        tr = 8 * mp.cos(mp.mpf(alpha2)) ** 2
+        delta = mp.sqrt(abs((tr - 3) * (tr + 1)))
+        if offset < 0:
+            assert side.kind is SideKind.LOXODROMIC and side.delta.imag == 0.0
+            pairs = [(side.length, mp.acosh((tr - 1) / 2)), (side.delta.real, delta)]
+        else:
+            assert side.kind is SideKind.ELLIPTIC and side.delta.real == 0.0
+            pairs = [(side.delta.imag, delta)]
+        assert all(abs(got - want) <= 4e-16 * want for got, want in pairs)
 
 
 def test_involution(rep07, pts07):

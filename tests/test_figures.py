@@ -30,6 +30,7 @@ from oracles import (
     classify_bisector,
     contour_segments,
     family_points,
+    oriented_chart,
     silhouette_circles,
     slice_boundary_circle,
     spinal_samples,
@@ -391,7 +392,7 @@ def test_disk_projection_translates_lie_on_their_silhouettes(n, tmp_path):
     assert list(curves) == [(sign, k) for k in range(n) for sign in ("plus", "minus")]
     for (sign, k), z in curves.items():
         q = u_power_point(ff, k, pts.p_V if sign == "plus" else pts.p_W)
-        (sil,) = silhouette_circles(ff.chart, [classify_bisector(pts.p_U, q, ff.tol)], ff.tol)
+        (sil,) = silhouette_circles(oriented_chart(ff), [classify_bisector(pts.p_U, q, ff.tol)], ff.tol)
         assert sil.bounded == bounded[sign]
         assert len(z) == 256
         assert np.abs(np.abs(z - sil.center) - sil.radius).max() <= 1e-9 * max(abs(sil.center), sil.radius)
@@ -399,7 +400,7 @@ def test_disk_projection_translates_lie_on_their_silhouettes(n, tmp_path):
     marks = rows[rows[:, 0] == 2]
     assert marks[:, 1].tolist() == list(range(2 * n))
     for j, (re, im) in enumerate(marks[:, 2:]):
-        want = chart(ff.chart, u_power_point(ff, j // 2, (pts.p_A, pts.p_B)[j % 2]).v)
+        want = chart(oriented_chart(ff), u_power_point(ff, j // 2, (pts.p_A, pts.p_B)[j % 2]).v)
         assert abs(complex(re, im) - want) <= 1e-12 * max(1.0, abs(want))
 
 

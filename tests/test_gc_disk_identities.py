@@ -83,7 +83,7 @@ from crlab.reference import alpha2_for_length
 from crlab.verify import FaceFamily, gc_check_elliptic
 
 import slice_algebra
-from oracles import angular_diameter, cone_angles, face_silhouettes, row_lengths
+from oracles import angular_diameter, cone_angles, face_gram, face_silhouettes, row_lengths
 from slice_algebra import I, c, conj, eigenvector, inner, positive, zero
 from test_gc_identities import A, B2, ELLIPTIC, GENS, LO, LOXODROMIC, X_OF_C, b, d, x
 
@@ -400,7 +400,7 @@ def test_cone_rows_are_the_programs(n):
     r = 3 / ((5 - 2 * x_) * math.cos(beta / 2))
     assert np.abs(np.cos(rows[:, 1]) - r * np.cos((ks + 0.5) * beta)).max() <= 1e-15 + 1e-16 * n
     assert (rows[:-1, 1] > 2 * beta).all()
-    diam = angular_diameter(ff.G, row_lengths(ff), P_U, P_V, ff.tol)
+    diam = angular_diameter(face_gram(ff), row_lengths(ff), P_U, P_V, ff.tol)
     res = gc_check_elliptic(ff)
     assert res.residuals["value_true_angular_diameter"] == pytest.approx(diam, rel=1e-8)
     assert res.margins["cone_separation"] == pytest.approx(rows[0, 0] - diam, abs=1e-8 * beta)

@@ -35,7 +35,8 @@ loxodromic side of length l.  They are proved here for every x:
 
 A sign on an interval is proved by Sturm's root count (`Poly.count_roots`)
 and the sign at one point, in exact rational arithmetic.  The symbolic h1,
-h2 are tied to the program's Gram table at a few parameters on each side;
+h2 are tied to the Gram table of the program's point table
+(`oracles.face_gram`) at a few parameters on each side;
 the points themselves are tied to `face_points` in test_tf_identities.py.
 """
 
@@ -49,6 +50,7 @@ from crlab.family import P_U1, P_U2, P_V, SideKind, alpha2_for_order
 from crlab.reference import alpha2_for_length
 from crlab.verify import FaceFamily
 
+from oracles import face_gram
 import slice_algebra
 from slice_algebra import I, SQ2, c, conj, eigenvector, inner, positive, s, zero
 
@@ -190,5 +192,5 @@ def test_symbolic_h_are_the_programs(alpha2):
         xv, dv, h = math.cosh(side.length), side.delta.real, SYMBOLIC_H["loxodromic"]
     assert xv == pytest.approx((8 * math.cos(alpha2) ** 2 - 1) / 2, rel=1e-13)
     want = np.array(h(math.cos(alpha2), math.sin(alpha2), dv), dtype=complex)
-    got = ff.G[[P_U1, P_U2], P_V]
+    got = face_gram(ff)[[P_U1, P_U2], P_V]
     assert np.abs(want - got).max() <= 1e-13 * np.abs(got).max()

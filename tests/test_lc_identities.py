@@ -1,10 +1,11 @@
-"""LC's Giraud disks and incidence's involution, proved once over every
+"""LC's Giraud disks and the slice's involution, proved once over every
 alpha2 in (0, pi/2).
 
 `verify.lc_check` decides only from what can fail at a parameter, its two
-torus-exclusion passes, and `verify.incidence_check` only from its Gram
-table and the chart.  What they no longer sample is proved here, in exact
-arithmetic over c = cos(alpha2), s = sin(alpha2) (`slice_algebra`):
+torus-exclusion passes; the incidences and the chart action are proved in
+tests/test_incidence_identities.py, and no check samples the involution.
+What LC no longer samples is proved here, in exact arithmetic over c =
+cos(alpha2), s = sin(alpha2) (`slice_algebra`):
 
 - Both face-boundary intersections, B(p_U, p_V) /\\ B(p_U, p_W) and
   B(p_U, U p_V) /\\ B(p_U, p_W), are the intersections of order-3 symmetric
@@ -24,7 +25,8 @@ A sign on an interval is proved by Sturm's root count (`Poly.count_roots`)
 and the sign at one point, in exact rational arithmetic.  Each relation is
 also perturbed and seen to fail, so no reduction holds vacuously.  The
 symbolic points, box products and involution are tied to the program's
-point table, box rows and Gram table at a few parameters on each side.
+point table and box rows, and to their Gram table (`oracles.face_gram`),
+at a few parameters on each side.
 """
 
 import math
@@ -37,7 +39,7 @@ from crlab.family import P_U, P_V, P_W, U_PV, UI_PW, alpha2_for_order
 from crlab.reference import alpha2_for_length
 from crlab.verify import FaceFamily
 
-from oracles import involution_matrix, lc_triples
+from oracles import face_gram, gram, involution_matrix, lc_triples
 from slice_algebra import INVOLUTION, J, U, box, c, conj, inner, inv, positive, s, zero
 import slice_algebra
 
@@ -139,11 +141,11 @@ def test_symbolic_triples_and_involution_are_the_programs(alpha2):
     points, boxes = points.T, [b.T for b in boxes]  # rows, as the program's tables
     P = ff.P[ROWS]
     assert np.abs(points - P).max() <= 1e-13 * np.abs(P).max()
-    G = ff.G[np.ix_(ROWS, ROWS)]
-    assert np.abs(ff.space.gram(points) - G).max() <= 1e-12 * np.abs(G).max()
+    G = face_gram(ff)[np.ix_(ROWS, ROWS)]
+    assert np.abs(gram(points, ff.space) - G).max() <= 1e-12 * np.abs(G).max()
     for want, b in zip(boxes, lc_triples(ff)):
         assert np.abs(want - b).max() <= 1e-13 * np.abs(b).max()
-        K = ff.space.gram(b)
+        K = gram(b, ff.space)
         assert abs(K[0, 1] + 6 * co**2) <= 1e-12 and abs(K[0, 0] / K[0, 1].real - (2 / 3) * (4 * co**2 - 3)) <= 1e-12
     I = involution_matrix(alpha2)
     assert np.abs(inv_m - I).max() <= 1e-15

@@ -49,7 +49,8 @@ sin(alpha2) modulo c^2 + s^2 - 1 (`slice_algebra`).
 
 Every relation also fails when perturbed: by 10^-6 cs, with eps = -1, or
 with 8c^2 + 2 for 8c^2 + 1 in <p_V, q_k>.  The last test ties the symbols
-to the program's `delta0`, torus rows and Gram table, and to the numeric
+to the program's `delta0`, torus rows and the Gram table of its point table
+(`oracles.face_gram`), and to the numeric
 silhouettes of `oracles.face_silhouettes`, at a few parameters on each
 side.
 """
@@ -65,7 +66,7 @@ from crlab.reference import alpha2_for_length
 from crlab.verify import FaceFamily
 
 import slice_algebra as sa
-from oracles import face_silhouettes
+from oracles import chart_multiplier, face_gram, face_silhouettes, oriented_chart
 from slice_algebra import I, SQ2, c, conj, inner, positive, s, zero
 
 t, lam = sp.symbols("t lam", real=True)
@@ -205,7 +206,7 @@ def test_symbolic_line_and_contacts_are_the_programs(alpha2):
     for want, got in zip(np.asarray(rows, dtype=complex), (torus.qr, torus.pr, torus.qp)):
         assert np.abs(want - got).max() <= 1e-13 * np.abs(got).max()
     assert delta0(alpha2) == pytest.approx(math.atan2(y, x), abs=1e-15)
-    G, P = ff.G, ff.P
+    G, P = face_gram(ff), ff.P
     scale = np.abs(G).max()
     assert np.abs(G[P_U, [P_V, U_PW, P_W]] + 1.5).max() <= 1e-13 * scale
     assert np.abs(G[[P_V, U_PV], [U_PW, UI_PW]] + 1.5 * (8 * co**2 + 1)).max() <= 1e-13 * scale
@@ -218,8 +219,8 @@ def test_symbolic_line_and_contacts_are_the_programs(alpha2):
         pole = P[P_U] - P[q]
         assert np.abs(ff.space.form(z, z)).max() <= 1e-12
         assert np.abs(ff.space.form(pole, z)).max() <= 1e-12 * np.linalg.norm(pole)
-    m = ff.chart_multiplier
-    for k, contact in zip((1, -2), ff.chart.values(P[[U_PA, UI_PB]]).tolist()):
+    m = chart_multiplier(ff)
+    for k, contact in zip((1, -2), oriented_chart(ff).values(P[[U_PA, UI_PB]]).tolist()):
         center, radius = m**k * minus.center, abs(m) ** k * minus.radius
         d, r1 = abs(plus.center - center), plus.radius
         scale = max(r1, radius, 1.0)

@@ -11,9 +11,11 @@ import tokenize
 import typing
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "crlab"
-# modules outside the program: the package's re-exports, and the paper's
-# objects that no check computes with
-NOT_PROGRAM = ("__init__", "reference")
+# modules outside the program: the package's re-exports, the paper's
+# objects that no check computes with, and the visual-sphere chart, which
+# no check or figure reads (U's action on it is proved, and the tests'
+# oracles build their charts with it)
+NOT_PROGRAM = ("__init__", "reference", "visual")
 # CPython's parser doubles its token array as a module grows, and every
 # process compiles crlab's modules anew (PYTHONDONTWRITEBYTECODE=1): a module
 # past 8,192 tokens pays the next doubling, so each keeps 1,024 below it
@@ -48,21 +50,29 @@ def test_verify_takes_its_side_from_family():
 
 
 def test_verify_decides_no_proved_identity():
-    # LC's symmetric triples and incidence's involution are proved at every
-    # alpha2 (tests/test_lc_identities.py), and so are the tangency
-    # criterion, the equal norms and the unbalanced pairs of FaceFamily's
-    # bisectors (tests/test_face_family_identities.py): verify neither
-    # decides the trichotomy, builds the involution, nor re-checks a
-    # precondition
+    # LC's symmetric triples and the involution are proved at every alpha2
+    # (tests/test_lc_identities.py), and so are the tangency criterion, the
+    # equal norms and the unbalanced pairs of FaceFamily's bisectors
+    # (tests/test_face_family_identities.py), and the incidences and U's
+    # action on the chart (tests/test_incidence_identities.py): verify
+    # neither decides the trichotomy, builds the involution or a chart, nor
+    # re-checks a precondition or an incidence, and its report holds only
+    # TF, LC and GC
     tree = ast.parse((SRC / "verify.py").read_text())
     names = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names}
     assert names.isdisjoint({"symmetric_kinds", "SymmetricKind", "involution_matrix"})
     assert names.isdisjoint({"tangencies", "bisector_kinds", "pair_kinds", "ExtorPairKind"})
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    modules = [m for node in imports for m in [getattr(node, "module", None) or ""] + [a.name for a in node.names]]
+    assert [m for m in modules if m.split(".")[-1] == "visual"] == []
+    from crlab.verify import verify
+
+    assert sorted(verify(0.7, grid_n=64).to_dict()["checks"]) == ["gc", "lc", "tf"]
 
 
 def test_verify_imports_no_scalar_form():
-    # verify reads every decision from its point table, Gram table and box
-    # rows: the scalar Hermitian product, box product and HVec of single
+    # verify reads every decision from its side, point table and box rows:
+    # the scalar Hermitian product, box product and HVec of single
     # points stay out of it
     tree = ast.parse((SRC / "verify.py").read_text())
     names = {

@@ -14,7 +14,7 @@ import pytest
 from crlab.bisector import GiraudTorus, giraud_circle_tangents, torus_exclusion
 from crlab.core import GeometryError, HVec, inner
 from crlab.family import (
-    ALPHA2_LIM, P_A, P_B, P_U, P_U1, P_U2, P_V, P_W, U_PA, U_PV, U_PW, UI_PB, UI_PV, UI_PW, SideKind, alpha2_for_order,
+    ALPHA2_LIM, P_A, P_B, P_U, P_U1, P_U2, P_V, P_W, U_PA, U_PB, U_PV, U_PW, UI_PB, UI_PV, UI_PW, SideKind, alpha2_for_order,
     delta0,
     delta_v,
     elliptic_disks,
@@ -28,7 +28,6 @@ from crlab.verify import (
     VerdictKind,
     gc_check_elliptic,
     gc_check_loxodromic,
-    incidence_check,
     lc_check,
     surgery_slope_from_type,
     tf_check,
@@ -37,18 +36,22 @@ from crlab.verify import (
 
 from conftest import sample_alpha2
 from oracles import (
+    TRANSLATION_INCIDENCES,
     SymmetricKind,
     angular_diameter,
     apply,
+    chart_multiplier,
     classify_bisector,
     classify_pair,
     cone_angles,
     envelope_minima,
+    face_gram,
     face_silhouettes,
     family_U,
     family_points,
     giraud_torus,
     lc_triples,
+    oriented_chart,
     power,
     row_lengths,
     silhouette_circles,
@@ -57,6 +60,7 @@ from oracles import (
     tangency_check,
     torus_vectors,
     u_power_point,
+    vertex_products,
 )
 from test_golden_verdicts import parameters as golden_parameters
 import oracles
@@ -75,45 +79,43 @@ def ff_n12():
 
 
 def test_incidence_many_parameters():
+    # the ten vertex products of the point table have modulus 1 at every
+    # alpha2 (tests/test_incidence_identities.py, tied to face_points there)
     for a2 in sample_alpha2(10, lo=0.2, hi=1.4, seed=3):
-        res = incidence_check(FaceFamily(a2, grid_n=64))
-        assert res.passed
-        assert res.residuals["max_modulus_deviation"] <= 1e-10
+        assert np.abs(np.abs(vertex_products(FaceFamily(a2, grid_n=64))) - 1.0).max() <= 1e-10
 
 
 @pytest.mark.parametrize("n", [9789, 60636])
 def test_incidence_near_the_wall(n):
     # near the wall p_U' and p_U'' tend to one null point; the point table's
-    # rows U^k p need no eigenvector, so every residual keeps its digits
-    res = incidence_check(FaceFamily(alpha2_for_order(n), grid_n=64))
-    assert res.passed
-    assert set(res.residuals) == {"max_modulus_deviation", "max_translation_incidence", "chart_action"}
-    assert max(res.residuals.values()) <= 1e-11
+    # rows U^k p need no eigenvector, so the products of the incidence proof
+    # keep their digits there
+    ff = FaceFamily(alpha2_for_order(n), grid_n=64)
+    G = face_gram(ff)
+    assert np.abs(np.abs(vertex_products(ff)) - 1.0).max() <= 1e-11
+    assert max(abs(abs(G[z, P_U]) - abs(G[z, q])) for z, q in TRANSLATION_INCIDENCES) <= 1e-11
 
 
 @pytest.mark.parametrize("alpha2", [0.7, alpha2_for_length(1.75), alpha2_for_order(9), alpha2_for_order(2809)])
 def test_incidence_checks_the_chart_multiplier(alpha2):
-    # chart(U x) = m chart(x) on both sides of the wall, with m = e^{2l} or
-    # e^{2 i beta}; a multiplier turned the wrong way fails the gate
+    # chart(U x) = m chart(x) in the oracles' chart on both sides of the
+    # wall, with m = e^{2l} or e^{2 i beta} (tests/test_incidence_identities.py,
+    # tests/test_gc_disk_identities.py), at the vertices and at p_V, p_W; a
+    # multiplier turned the wrong way does not act
     ff = FaceFamily(alpha2, grid_n=64)
-    m = ff.chart_multiplier
+    m = chart_multiplier(ff)
     if ff.side.length is not None:
         assert m == math.exp(2 * ff.side.length)
     else:
         assert m == pytest.approx(complex(math.cos(2 * ff.side.beta), math.sin(2 * ff.side.beta)), abs=1e-15)
-    res = incidence_check(ff)
-    assert res.passed and res.residuals["chart_action"] <= 1e-12
-    ff.chart_multiplier = m.conjugate() if ff.side.length is None else 1 / m
-    res = incidence_check(ff)
-    assert not res.passed and res.residuals["chart_action"] > 1e-3
+    z = oriented_chart(ff).values(ff.P[[P_A, P_B, P_V, P_W, U_PA, U_PB, U_PV, U_PW]])
 
+    def action(m):
+        mz = m * z[:4]
+        return float((np.abs(z[4:] - mz) / np.maximum(1.0, np.abs(mz))).max())
 
-def test_chart_action_is_skipped_on_the_wall():
-    ff = FaceFamily(ALPHA2_LIM, grid_n=64)
-    assert ff.chart is None and ff.chart_multiplier is None
-    res = incidence_check(ff)
-    assert "chart_action" not in res.residuals
-    assert res.notes == ["chart_action skipped: U acts on no chart by a multiplier at the unipotent parameter"]
+    assert action(m) <= 1e-12
+    assert action(m.conjugate() if ff.side.length is None else 1 / m) > 1e-3
 
 
 @pytest.mark.parametrize("tol", [1e-14, 1e-9])
@@ -123,7 +125,7 @@ def test_chart_exists_exactly_off_the_wall(tol):
     for a2 in ALPHA2_LIM + np.array([0.0, 1e-13, -1e-13, 1e-10, -1e-10]):
         ff = FaceFamily(float(a2), tol)
         unipotent = param_side(float(a2), tol).kind is SideKind.UNIPOTENT
-        assert (ff.chart is None) == unipotent and (ff.chart_multiplier is None) == unipotent
+        assert (oriented_chart(ff) is None) == unipotent and (chart_multiplier(ff) is None) == unipotent
 
 
 @pytest.mark.parametrize("offset", [1e-13, 2e-14])
@@ -310,7 +312,7 @@ def test_gc_p_maximum_is_exact(n):
     # its maximum over k >= 0 is the vertex value, negative, and a dense
     # sampling of P never exceeds it
     ff = FaceFamily(alpha2_for_order(n), grid_n=64)
-    a_h1, a_h2 = np.abs(ff.G[[P_U1, P_U2], P_V]) ** 2
+    a_h1, a_h2 = np.abs(face_gram(ff)[[P_U1, P_U2], P_V]) ** 2
     beta = 2 * math.pi / n
     c0, c2 = a_h2 * (1 - a_h1 / 18), a_h1 * (1 - a_h2 / 18)
     c1 = 24 * math.cos(2 * beta) * (2 * math.cos(beta) + 1) * math.cos(beta / 2)
@@ -498,13 +500,16 @@ def test_elliptic_disks_match_mpmath_reference(n):
         assert abs(centre) * sin_half == pytest.approx(radius, rel=1e-12)
 
 
-@pytest.mark.parametrize("length", [0.25, 1.0, 1.75])
+@pytest.mark.parametrize("length", [0.25, 1.0, 1.75, 1e-2, 1e-4, 1e-5])
 def test_gc_annulus_margins_match_mpmath_reference(length):
+    # relative to the margin, which shrinks with l: param_side's length keeps
+    # its relative digits up to the wall, and so does 2l - w (the parent's
+    # acosh form of l was 2e-8 off at length 1e-5)
     alpha2 = alpha2_for_length(length)
-    res = gc_check_loxodromic(FaceFamily(alpha2, grid_n=64))
+    res = gc_check_loxodromic(FaceFamily(alpha2, tol=1e-14, grid_n=64))
     ref = _mp_cone_reference(alpha2=alpha2)
     for key in ("annulus_upper", "annulus_lower"):
-        assert res.margins[key] == pytest.approx(ref[key], rel=1e-12)
+        assert abs(res.margins[key] - ref[key]) <= 1e-12 * ref[key]
 
 
 @pytest.mark.parametrize("n", [10, 50, 56, 100, 1000])
@@ -587,7 +592,7 @@ def test_verdicts():
 def test_verdicts_high_orders(n):
     r = verify(alpha2_for_order(n), grid_n=128)
     assert r.verdict.kind is VerdictKind.SURGERY and (r.verdict.p, r.verdict.q) == (1, n - 3)
-    assert all(c.passed for c in (r.incidence, r.tf, r.lc, r.gc) if not c.skipped)
+    assert all(c.passed for c in (r.tf, r.lc, r.gc) if not c.skipped)
 
 
 @pytest.mark.parametrize(
@@ -601,14 +606,14 @@ def test_verify_near_the_wall_reports(alpha2):
         assert r.all_passed()
         return
     assert r.verdict.kind is VerdictKind.INCONCLUSIVE
-    notes = [n for c in (r.incidence, r.tf, r.lc, r.gc) if not c.passed for n in c.notes]
+    notes = [n for c in (r.tf, r.lc, r.gc) if not c.passed for n in c.notes]
     assert r.verdict.reason != "a check failed" or any("not evaluated" in n for n in notes)
 
 
 def test_report_schema():
     r = verify(0.7, grid_n=96)
     d = r.to_dict()
-    assert d["schema"] == "report-v8"
+    assert d["schema"] == "report-v9"
     payload = json.dumps(d, sort_keys=True)
     back = json.loads(payload)
     assert back["checks"]["tf"]["passed"] is True
@@ -674,7 +679,7 @@ def test_u_power_point_matches_mpmath_powers(n):
 
 @pytest.mark.parametrize("n", [2809, 9789, 60636])
 def test_u_power_point_keeps_its_digits_near_the_wall(n):
-    # at |k| <= 2, where incidence reads it: the eigenbasis form was 3e-4
+    # at |k| <= 2, the point table's translates: the eigenbasis form was 3e-4
     # off at order 60636 and the difference quotient for f[1,a,b] 1.3e-11;
     # the closed form is within 1e-14
     ff = FaceFamily(alpha2_for_order(n), grid_n=64)
@@ -796,7 +801,7 @@ def test_h_identities_twenty_parameters_per_side():
     rng = np.random.default_rng(77)
     for a2 in rng.uniform(0.05, ALPHA2_LIM - 0.02, 20):
         ff = FaceFamily(float(a2), grid_n=64)
-        h1, h2 = ff.G[[P_U1, P_U2], P_V]
+        h1, h2 = face_gram(ff)[[P_U1, P_U2], P_V]
         ln = ff.side.length
         t = 2 * math.cosh(ln) + 1
         ch = math.cosh(ln / 2)
@@ -804,7 +809,7 @@ def test_h_identities_twenty_parameters_per_side():
         assert abs(abs(h2) ** 2 - 12 * math.exp(-ln / 2) * t * ch) <= 1e-8 * max(1, abs(h2) ** 2)
     for a2 in rng.uniform(ALPHA2_LIM + 0.02, math.pi / 2 - 0.05, 20):
         ff = FaceFamily(float(a2), grid_n=64)
-        h1, h2 = ff.G[[P_U1, P_U2], P_V]
+        h1, h2 = face_gram(ff)[[P_U1, P_U2], P_V]
         beta = ff.side.beta
         cb = math.cos(beta)
         prod = 72 * (2 * cb + 1) ** 2 * (cb + 1)
@@ -848,7 +853,7 @@ def test_lc_passes_near_alpha2_zero(alpha2):
     # every alpha2 (2/3 - u = (8/3) sin^2 alpha2, tests/test_lc_identities.py)
     rep = verify(alpha2)
     assert rep.verdict.kind is VerdictKind.SURGERY and (rep.verdict.p, rep.verdict.q) == (1, -3)
-    assert all(c.passed for c in (rep.incidence, rep.tf, rep.lc, rep.gc) if not c.skipped)
+    assert all(c.passed for c in (rep.tf, rep.lc, rep.gc) if not c.skipped)
     ff = FaceFamily(alpha2)
     us, kinds = symmetric_kinds(lc_triples(ff), ff.space, ff.tol)
     assert us == pytest.approx([(2 / 3) * (4 * math.cos(alpha2) ** 2 - 3)] * 2, abs=1e-6)
@@ -872,7 +877,7 @@ def test_one_verdict_at_every_tol_near_pi_over_2():
     # 1.569 is no finite-order rotation: inconclusive at every tol, with the
     # same flags, since no check reads a gate in tol there
     reports = [verify(1.569, tol=tol, grid_n=128) for tol in (1e-7, 1e-9, 1e-11, 1e-14)]
-    outcomes = {(r.verdict.kind, r.verdict.reason, tuple(c.passed for c in (r.incidence, r.tf, r.lc, r.gc))) for r in reports}
+    outcomes = {(r.verdict.kind, r.verdict.reason, tuple(c.passed for c in (r.tf, r.lc, r.gc))) for r in reports}
     assert len(outcomes) == 1
     assert reports[0].verdict.kind is VerdictKind.INCONCLUSIVE
 
@@ -996,7 +1001,7 @@ def test_verify_and_the_spinal_trace_share_one_column_stage(tmp_path, monkeypatc
 
 # scalar core.inner and box calls, and HVec constructions, of
 # verify(alpha2, grid_n=720): none since FaceFamily reads every decision from
-# its point table, Gram table and box rows (79 inner calls at order 9 and 64
+# its point table and box rows (79 inner calls at order 9 and 64
 # at length 1.0 before; 229 and 214 when every bisector and torus was built
 # per use and incidence looped)
 INNER_CALLS_BOUND = 0
@@ -1006,7 +1011,7 @@ INNER_CALLS_BOUND = 0
 def test_verify_builds_each_bisector_and_torus_once(alpha2, monkeypatch):
     # FaceFamily builds its four Giraud tori once, from its table's box
     # rows, two of which the bi-tangency reads; from FaceFamily.__init__
-    # through torus_pass and the four checks no scalar Hermitian product,
+    # through torus_pass and the three checks no scalar Hermitian product,
     # box product or HVec is formed
     core, reference, module = (importlib.import_module(f"crlab.{name}") for name in ("core", "reference", "verify"))
     calls = collections.Counter()
@@ -1089,7 +1094,7 @@ def test_array_decisions_equal_the_per_object_oracle(alpha2):
     Ui = U.inv()
     seconds = [pts.p_V, pts.p_W, apply(U, pts.p_V), apply(Ui, pts.p_W)]
     bs = [_outcome(lambda q=q: classify_bisector(pts.p_U, q, ff.tol)) for q in seconds]
-    got = _outcome(lambda: oracles.bisector_kinds(ff.G, row_lengths(ff), P_U, BISECTORS, ff.tol))
+    got = _outcome(lambda: oracles.bisector_kinds(face_gram(ff), row_lengths(ff), P_U, BISECTORS, ff.tol))
     if isinstance(got, str):
         assert got in bs
         return
@@ -1106,8 +1111,8 @@ def test_array_decisions_equal_the_per_object_oracle(alpha2):
         assert sym[1] == [w.kind for w in want]
         assert np.allclose(sym[0], [w.u for w in want], rtol=0.0, atol=1e-12)
     want = [_outcome(lambda x=x: tangency_check(pts.p_U, pts.p_V, x, ff.tol)) for x in (apply(U, pts.p_A), apply(Ui, pts.p_B))]
-    got = _outcome(lambda: oracles.tangencies(ff.G, row_lengths(ff), P_U, P_V, [U_PA, UI_PB], ff.tol))
+    got = _outcome(lambda: oracles.tangencies(face_gram(ff), row_lengths(ff), P_U, P_V, [U_PA, UI_PB], ff.tol))
     assert got == (next((w for w in want if isinstance(w, str)), want))
     if ff.side.n is not None:
-        for sil, centre in zip(silhouette_circles(ff.chart, bs[:2], ff.tol), elliptic_disks(ff.side.n)[:2]):
+        for sil, centre in zip(silhouette_circles(oriented_chart(ff), bs[:2], ff.tol), elliptic_disks(ff.side.n)[:2]):
             assert abs(sil.center - centre) <= 1e-11 * abs(centre)

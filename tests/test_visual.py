@@ -17,12 +17,14 @@ from oracles import (
     angular_diameter,
     apply,
     chart,
+    chart_multiplier,
     classify_bisector,
     family_U,
     family_points,
     involution_matrix,
     is_autopolar_triple,
     line_spinal_crossings,
+    oriented_chart,
     power,
     project_bisector,
     silhouette_circles,
@@ -41,7 +43,7 @@ def chart_at(a2):
 def test_chart_marked_values_elliptic():
     ff = chart_at(alpha2_for_order(12))
     beta = 2 * math.pi / 12
-    ch, pts = ff.chart, family_points(ff)
+    ch, pts = oriented_chart(ff), family_points(ff)
     assert chart(ch, pts.p_B.v) == pytest.approx(1.0, abs=1e-12)
     assert chart(ch, pts.p_A.v) == pytest.approx(cmath.exp(-1j * beta), abs=1e-10)
     assert chart(ch, pts.p_U_prime.v) == INF
@@ -56,7 +58,7 @@ def test_chart_marked_values_elliptic():
 def test_chart_marked_values_loxodromic():
     ff = chart_at(0.7)
     ln = ff.side.length
-    ch, pts = ff.chart, family_points(ff)
+    ch, pts = oriented_chart(ff), family_points(ff)
     assert chart(ch, pts.p_B.v) == pytest.approx(1.0, abs=1e-12)
     assert chart(ch, pts.p_A.v) == pytest.approx(math.exp(-ln), abs=1e-10)
     assert chart(ch, apply(family_U(ff), pts.p_A).v) == pytest.approx(math.exp(ln), abs=1e-9)
@@ -65,7 +67,7 @@ def test_chart_marked_values_loxodromic():
 
 def test_chart_line_invariance():
     ff = chart_at(0.9)
-    ch = ff.chart
+    ch = oriented_chart(ff)
     rng = np.random.default_rng(4)
     for _ in range(10):
         q = HVec(rng.normal(size=3) + 1j * rng.normal(size=3), ff.space)
@@ -94,19 +96,19 @@ def test_induced_action_rotation_and_homothety():
     # U fixes the chart's 0 and infinity and acts on it as z -> m z: a
     # rotation by 2 beta at order 12, a homothety by e^{2l} at 0.7
     ffe, ffl = chart_at(alpha2_for_order(12)), chart_at(0.7)
-    assert ffe.chart_multiplier == pytest.approx(cmath.exp(2j * 2 * math.pi / 12), abs=1e-12)
-    assert ffl.chart_multiplier == pytest.approx(math.exp(2 * ffl.side.length), abs=1e-12)
+    assert chart_multiplier(ffe) == pytest.approx(cmath.exp(2j * 2 * math.pi / 12), abs=1e-12)
+    assert chart_multiplier(ffl) == pytest.approx(math.exp(2 * ffl.side.length), abs=1e-12)
     for ff in (ffe, ffl):
-        ch, m, U = ff.chart, ff.chart_multiplier, family_U(ff).M
+        ch, m, U = oriented_chart(ff), chart_multiplier(ff), family_U(ff).M
         z = ch.values(CHART_SAMPLES)
         assert np.abs(ch.values(CHART_SAMPLES @ U.T) - m * z).max() <= 1e-9 * np.abs(m * z).max()
         assert chart(ch, apply(family_U(ff), family_points(ff).p_U_prime).v) == INF
         assert chart(ch, apply(family_U(ff), family_points(ff).p_U_dprime).v) == pytest.approx(0.0, abs=1e-12)
     # iterating the action reproduces the power images
-    z = chart(ffe.chart, family_points(ffe).p_B.v)
+    z = chart(oriented_chart(ffe), family_points(ffe).p_B.v)
     for k in range(1, 6):
-        z = ffe.chart_multiplier * z
-        want = chart(ffe.chart, apply(power(family_U(ffe), k), family_points(ffe).p_B).v)
+        z = chart_multiplier(ffe) * z
+        want = chart(oriented_chart(ffe), apply(power(family_U(ffe), k), family_points(ffe).p_B).v)
         assert abs(z - want) < 1e-9
 
 
@@ -116,11 +118,11 @@ def test_induced_action_involution_is_inversion():
         I = Isometry(involution_matrix(a2), ff.space)
         rng = np.random.default_rng(2)
         X = rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
-        z = ff.chart.values(X)
-        assert ff.chart.values(X @ I.M.T) * z == pytest.approx(np.ones(6), abs=1e-8)
+        z = oriented_chart(ff).values(X)
+        assert oriented_chart(ff).values(X @ I.M.T) * z == pytest.approx(np.ones(6), abs=1e-8)
         # the chart's 0 and infinity swap
-        assert chart(ff.chart, apply(I, family_points(ff).p_U_prime).v) == pytest.approx(0.0, abs=1e-12)
-        assert chart(ff.chart, apply(I, family_points(ff).p_U_dprime).v) == INF
+        assert chart(oriented_chart(ff), apply(I, family_points(ff).p_U_prime).v) == pytest.approx(0.0, abs=1e-12)
+        assert chart(oriented_chart(ff), apply(I, family_points(ff).p_U_dprime).v) == INF
 
 
 def test_tangency_criterion_examples():
@@ -197,10 +199,10 @@ def test_tangency_eps_mismatch_is_false(ball):
 def test_project_bisector_marked_boundary():
     ff = chart_at(0.7)
     b = classify_bisector(family_points(ff).p_U, family_points(ff).p_V)
-    disk = project_bisector(ff.chart, b, n_boundary=2048)
+    disk = project_bisector(oriented_chart(ff), b, n_boundary=2048)
     assert disk.residual < 1e-9
     for point in (apply(family_U(ff), family_points(ff).p_A), apply(family_U(ff).inv(), family_points(ff).p_B)):
-        z = chart(ff.chart, point.v)
+        z = chart(oriented_chart(ff), point.v)
         assert abs(abs(z - disk.circle.center) - disk.circle.radius) < 1e-9
     # metric side: the line to [q] projects inside, the focus line outside
     assert disk.contains_zero and b.r_disc < 0
@@ -215,7 +217,7 @@ def test_project_bisector_marked_boundary():
 def test_project_bisector_rotation_invariant_radius():
     ff = chart_at(alpha2_for_order(10))
     b = classify_bisector(family_points(ff).p_U, family_points(ff).p_V)
-    disk = project_bisector(ff.chart, b)
+    disk = project_bisector(oriented_chart(ff), b)
     # the privileged chart sees the boundary at one modulus
     assert disk.priv_radius is not None
     assert disk.boundary_eps == 1.0
@@ -328,8 +330,8 @@ def test_silhouette_circle_matches_projected_boundary(alpha2):
     ff = chart_at(alpha2)
     bisectors = [classify_bisector(family_points(ff).p_U, family_points(ff).p_V, ff.tol)] + [classify_bisector(family_points(ff).p_U, u_power_point(ff, k, family_points(ff).p_W), ff.tol) for k in (0, -1, -2, 1)]
     for b in bisectors:
-        (sil,) = silhouette_circles(ff.chart, [b])
-        disk = project_bisector(ff.chart, b, n_boundary=512)
+        (sil,) = silhouette_circles(oriented_chart(ff), [b])
+        disk = project_bisector(oriented_chart(ff), b, n_boundary=512)
         centre, radius = _lstsq_circle(disk.boundary[np.isfinite(disk.boundary)])
         scale = max(abs(centre), radius)
         assert abs(sil.center - centre) <= 1e-10 * scale
@@ -339,7 +341,7 @@ def test_silhouette_circle_matches_projected_boundary(alpha2):
         assert (disk.circle.center, disk.circle.radius) == (sil.center, sil.radius)
         assert disk.residual <= 1e-10 * scale
     # the batch is the circles one by one, to the bit
-    assert silhouette_circles(ff.chart, bisectors) == [silhouette_circles(ff.chart, [b])[0] for b in bisectors]
+    assert silhouette_circles(oriented_chart(ff), bisectors) == [silhouette_circles(oriented_chart(ff), [b])[0] for b in bisectors]
 
 
 @pytest.mark.parametrize("k", [0, 1, 7, 19])
@@ -350,8 +352,8 @@ def test_project_bisector_shares_the_silhouette_slice(k):
     ff = FaceFamily(alpha2_for_order(20), grid_n=256)
     for p in (family_points(ff).p_V, family_points(ff).p_W):
         b = classify_bisector(family_points(ff).p_U, u_power_point(ff, k, p), ff.tol)
-        disk = project_bisector(ff.chart, b, n_boundary=768, tol=ff.tol)
-        (sil,) = silhouette_circles(ff.chart, [b], ff.tol)
+        disk = project_bisector(oriented_chart(ff), b, n_boundary=768, tol=ff.tol)
+        (sil,) = silhouette_circles(oriented_chart(ff), [b], ff.tol)
         assert (disk.circle.center, disk.circle.radius, disk.circle.eps, disk.circle.bounded) == (
             sil.center, sil.radius, sil.eps, sil.bounded
         )
@@ -359,7 +361,7 @@ def test_project_bisector_shares_the_silhouette_slice(k):
         pts = slice_boundary_circle(HVec(b.p.v - sil.eps * b.q.v, b.p.space))(
             np.linspace(0, 2 * math.pi, 768, endpoint=False)
         )
-        assert np.array_equal(disk.boundary, ff.chart.values(pts), equal_nan=True)
+        assert np.array_equal(disk.boundary, oriented_chart(ff).values(pts), equal_nan=True)
 
 
 def test_silhouette_circle_needs_a_real_pair_and_a_positive_pole(ball, siegel):
@@ -388,14 +390,14 @@ def test_silhouette_circle_needs_a_real_pair_and_a_positive_pole(ball, siegel):
     ff = chart_at(alpha2_for_order(9))
     b = classify_bisector(family_points(ff).p_U, HVec(cmath.exp(0.3j) * family_points(ff).p_V.v, ff.space))
     with pytest.raises(GeometryError, match="real nonzero"):
-        silhouette_circles(ff.chart, [b])
+        silhouette_circles(oriented_chart(ff), [b])
 
 
 def test_chart_ratio_is_cross_ratio():
     # psi(q)/psi(q') equals the cross ratio of the four lines, computed
     # independently in a second chart of the same visual sphere
     ff = chart_at(alpha2_for_order(10))
-    ch = ff.chart
+    ch = oriented_chart(ff)
     sp = ff.space
     rng = np.random.default_rng(14)
     # a second chart from two other polar points of the base
@@ -423,9 +425,9 @@ def test_projected_samples_inside_fitted_circle():
     for a2 in (0.7, alpha2_for_order(10)):
         ff = chart_at(a2)
         b = classify_bisector(family_points(ff).p_U, family_points(ff).p_V)
-        disk = project_bisector(ff.chart, b, n_boundary=512)
+        disk = project_bisector(oriented_chart(ff), b, n_boundary=512)
         vals = spinal_samples(b, 64, 32)
-        zs = ff.chart.values(vals)
+        zs = oriented_chart(ff).values(vals)
         zs = zs[np.isfinite(zs)]
         dist = np.abs(zs - disk.circle.center)
         assert dist.max() <= disk.circle.radius * (1 + 1e-9)
