@@ -14,7 +14,6 @@ tori is one array evaluation.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 
@@ -35,10 +34,10 @@ def _proj_distances(a, b) -> np.ndarray:
 
 class GiraudTorus:
     """The intersection torus of the coequidistant extors E(p,q), E(p,r) of
-    an unbalanced pair, from its lifts and box products; the four pairs of
-    `verify.FaceFamily.tori` are unbalanced at every alpha2 in (0, pi/2),
-    with |det(p, q, r)|^2 of order cos^4 alpha2
-    (tests/test_face_family_identities.py).
+    an unbalanced pair, from its lifts and box products: the one-torus view
+    of a row of `verify.FaceFamily`'s lifts and rows, whose four pairs are
+    unbalanced at every alpha2 in (0, pi/2), with |det(p, q, r)|^2 of order
+    cos^4 alpha2 (tests/test_face_family_identities.py).
 
     Points are [(q - e^{i theta} p) box (r - e^{i phi} p)], expanded as
     qr - e^{-i theta} pr - e^{-i phi} qp in the box products qr = q box r,
@@ -54,60 +53,59 @@ class GiraudTorus:
     def __init__(self, lifts, rows, space):
         """The torus of the lifts (p, q, r), coordinate vectors of `space`,
         with the box products rows = (q box r, p box r, q box p)."""
-        self.p, self.q, self.r = lifts
-        self.qr, self.pr, self.qp = rows
+        self.lifts, self.rows = np.asarray(lifts), np.asarray(rows)
+        self.p, self.q, self.r = self.lifts
+        self.qr, self.pr, self.qp = self.rows
         self.space = space
 
     def column_forms(self, sigmas, deltas, pos, neg) -> list:
         """[<V, V>, |<pos, V>|^2, |<neg, V>|^2], each over |V|^2 and of shape
         (len(sigmas), len(deltas)), for coordinate vectors pos and neg: the
-        rows of `_column_sinusoids` for one block of columns, so no torus
+        rows of `_column_sinusoids` for one row array, so no torus
         point is formed.  |V|^2 is the plain sinusoid, which cancels
         near its column minimum: on the face-family torus at alpha2 = 1.56
         the ratios agree with a 40-digit evaluation of the same points to
         about 6e-12 of the grid's largest value, and to 1e-15 at alpha2 =
         0.7."""
-        kpq, (A, C) = _column_sinusoids([(self, deltas, pos, neg)])
+        kpq, (A, C) = _column_sinusoids(np.concatenate([[pos, neg], self.rows]), deltas, self.space)
         cos, sin = np.cos(sigmas)[:, None], np.sin(sigmas)[:, None]
         sq, *forms = [k + p * cos + q * sin for k, p, q in [kpq[:, 0], (A, -2.0 * C.real, -2.0 * C.imag), kpq[:, 1], kpq[:, 2]]]
         return [f / sq for f in forms]
 
 
-def _column_sinusoids(blocks) -> tuple:
-    """The one stage that forms a torus column's sinusoids in sigma, for a
-    stack of blocks (torus, deltas, pos, neg) of tori in one space, with
-    coordinate vectors pos and neg: per column the rows (k, p, q) of k + p
-    cos(sigma) + q sin(sigma) for |V|^2, |<pos, V>|^2 and |<neg, V>|^2, shape
-    (3, 3, columns); and the terms A = <qr, qr> + <B, B> and C = <qr, B> of
-    <V, V> = A - 2 Re(e^{-i sigma} C), from which `_arcs` takes the ball arc.
+def _column_sinusoids(R, deltas, space) -> tuple:
+    """The one stage that forms a torus column's sinusoids in sigma, for row
+    arrays R (..., 5, 3) = (pos, neg, qr, pr, qp) of tori in `space`, with
+    coordinate vectors pos and neg, and delta-columns deltas (..., m) that
+    broadcast against the leading axes of R: per column the rows (k, p, q)
+    of k + p cos(sigma) + q sin(sigma) for |V|^2, |<pos, V>|^2 and |<neg,
+    V>|^2, shape (3, 3, ..., m); and the terms A = <qr, qr> + <B, B> and C
+    = <qr, B> of <V, V> = A - 2 Re(e^{-i sigma} C), from which `_arcs` takes
+    the ball arc.
 
     Every product is a `core.sesquilinear` sum, elementwise on the whole
-    stack, so a column has the same bits in any stack."""
-    sizes, space = [len(b[1]) for b in blocks], blocks[0][0].space
-    R = np.array([(w1, w2, t.qr, t.pr, t.qp) for t, _, w1, w2 in blocks])
-    # per block <pos, qr>, <neg, qr>, <qr, qr> and |qr|^2, then per column
-    # its block's values and its block's rows pos, neg, qr, pr, qp
-    per_block = np.concatenate([space.form(R[:, :3], R[:, 2, None]), sesquilinear(R[:, 2], R[:, 2])[:, None]], axis=1)
-    up, un, nq, eq = np.repeat(per_block.T, sizes, axis=1)
-    X, (pr, qp) = (np.repeat(R[:, i].transpose(1, 0, 2), sizes, axis=1) for i in (slice(3), slice(3, 5)))
-    e = np.exp(-1j * np.concatenate([b[1] for b in blocks]))[:, None]
+    broadcast, so a column has the same bits in any stack: the products
+    with qr are formed once per row array, those with B(delta) per column."""
+    pos, neg, qr, pr, qp = np.moveaxis(np.asarray(R)[..., None, :, :], -2, 0)
+    up, un, nq = (space.form(x, qr) for x in (pos, neg, qr))
+    e = np.exp(-1j * np.asarray(deltas))[..., None]
     B = e * pr + e.conj() * qp
-    fp, fn, C = space.form(X, B)
+    fp, fn, C = (space.form(x, B) for x in (pos, neg, qr))
     A = nq.real + space.form(B, B).real
-    sq = np.array([fp, fn, up, un])
-    sq = sq.real**2 + sq.imag**2
-    k = [eq.real + sesquilinear(B, B).real, sq[0] + sq[2], sq[1] + sq[3]]
-    cross = np.array([sesquilinear(X[2], B), fp * up.conj(), fn * un.conj()])
+    sq = [z.real**2 + z.imag**2 for z in (fp, fn, up, un)]
+    k = [sesquilinear(qr, qr).real + sesquilinear(B, B).real, sq[0] + sq[2], sq[1] + sq[3]]
+    cross = np.array([sesquilinear(qr, B), fp * up.conj(), fn * un.conj()])
     return np.array([k, -2.0 * cross.real, -2.0 * cross.imag]), (A, C)
 
 
-def column_minima(blocks) -> tuple:
-    """(minima, mid, half) per column of the stacked blocks (torus, deltas,
-    pos, neg) of `_column_sinusoids`: the exact minimum over sigma of E /
-    |V|^2, E = |<pos, V>|^2 - |<neg, V>|^2, over the column's ball arc mid
-    +- half (mid = arg C, half = arccos(A / 2|C|) for <V, V> = A - 2|C|
-    cos(sigma - arg C); pi where the whole column is in the ball, nan where
-    no point is); inf where the arc is empty.
+def column_minima(R, deltas, space) -> tuple:
+    """(minima, mid, half), each of shape (..., m), per column of the row
+    arrays R (..., 5, 3) = (pos, neg, qr, pr, qp) and delta-columns (...,
+    m) of `_column_sinusoids`: the exact minimum over sigma of E / |V|^2, E
+    = |<pos, V>|^2 - |<neg, V>|^2, over the column's ball arc mid +- half
+    (mid = arg C, half = arccos(A / 2|C|) for <V, V> = A - 2|C| cos(sigma -
+    arg C); pi where the whole column is in the ball, nan where no point
+    is); inf where the arc is empty.
 
     On the arc the minimum of the ratio sits at an arc end or where E' |V|^2
     - E (|V|^2)' vanishes, a constant plus one harmonic with closed-form
@@ -116,35 +114,35 @@ def column_minima(blocks) -> tuple:
     minimum below the true one.  On the face-family tori through alpha2 =
     1.56 the values agree with a 40-digit evaluation of the same points to
     about 2e-11 relative."""
-    kpq, (A, C) = _column_sinusoids(blocks)
+    kpq, (A, C) = _column_sinusoids(R, deltas, space)
     mid, half = _arcs(A, C)
     # a column with an empty arc reads inf; the others are evaluated
-    live = np.flatnonzero(~np.isnan(half))
-    kpq, lmid, lhalf = kpq[..., live], mid[live], half[live]
+    live = ~np.isnan(half)
+    kpq, lmid, lhalf = kpq[:, :, live], mid[live], half[live]
     sines = np.array([kpq[:, 1] - kpq[:, 2], kpq[:, 0]])  # E and |V|^2
     # offsets from mid: the arc ends, then both roots in (-pi, pi]
     roots = np.array(_harmonic_roots(*_ratio_critical(*sines)))
     t = np.concatenate([[-lhalf, lhalf], math.pi - np.remainder(math.pi + lmid - roots, 2 * math.pi)])
     sigma = lmid + t
     top, bottom = sines[:, 0, None] + sines[:, 1, None] * np.cos(sigma) + sines[:, 2, None] * np.sin(sigma)
-    minima = np.full(len(half), math.inf)
+    minima = np.full(half.shape, math.inf)
     minima[live] = np.where(np.abs(t) <= lhalf, top / bottom, math.inf).min(axis=0)
     return minima, mid, half
 
 
-def vertex_angles(pairs) -> list[tuple[float, float]]:
-    """(theta, phi) of the torus point at the vertex t of each (torus, t)
-    pair: a torus point is J-orthogonal to both factors q - e^{i th} p and
-    r - e^{i ph} p, so e^{-i th} = <q,t>/<p,t> and e^{-i ph} = <r,t>/<p,t>,
-    from one Gram array of the tori's p, q, r against the vertices."""
-    W = np.array([x for torus, _ in pairs for x in (torus.p, torus.q, torus.r)])
-    G = pairs[0][0].space.inner_grid(W, np.array([t for _, t in pairs])).tolist()
-    return [(-cmath.phase(g[3 * i + 1] / g[3 * i]), -cmath.phase(g[3 * i + 2] / g[3 * i])) for i, g in enumerate(G)]
+def vertex_angles(lifts, targets, space) -> np.ndarray:
+    """(theta, phi), shape (..., 2), of the torus point at the vertex t of
+    each torus of lifts (..., 3, 3) = (p, q, r) and targets (..., 3): a
+    torus point is J-orthogonal to both factors q - e^{i th} p and r -
+    e^{i ph} p, so e^{-i th} = <q,t>/<p,t> and e^{-i ph} = <r,t>/<p,t>."""
+    g = space.form(lifts, np.asarray(targets)[..., None, :])
+    return -np.angle(g[..., 1:] / g[..., :1])
 
 
-def torus_exclusion(passes, dv: float, m: int) -> list[float]:
-    """The margin of each pass (torus, neg): a pass is the claim that on the
-    ball part of `torus` |<z, p>| <= |<z, neg>|, p the torus's own first
+def torus_exclusion(R, dv: float, m: int, space) -> list[float]:
+    """The margin of each pass of the row arrays R (..., 5, 3) = (p, neg,
+    qr, pr, qp) of `_column_sinusoids`: a pass is the claim that on the
+    ball part of its torus |<z, p>| <= |<z, neg>|, p the torus's own first
     lift, holds only at its two vertices.  Both vertices are the ends of the
     ball arc of the delta-column dv (`family.delta_v`), where the contact is
     of second order.  The margin is the exact minimum of |<p, z>|^2 -
@@ -153,8 +151,8 @@ def torus_exclusion(passes, dv: float, m: int) -> list[float]:
     `column_minima` call reads every pass.  Exact in sigma, sampled in
     delta."""
     offsets, sin2 = _offsets(m)
-    minima, _, _ = column_minima([(t, dv + offsets, t.p, neg) for t, neg in passes])
-    return (minima.reshape(len(passes), m) / sin2).min(axis=1).tolist()
+    minima, _, _ = column_minima(R, dv + offsets, space)
+    return (minima / sin2).min(axis=-1).tolist()
 
 
 @functools.cache
@@ -165,25 +163,25 @@ def _offsets(m: int):
     return offsets, np.sin(offsets) ** 2
 
 
-def giraud_circle_tangents(pairs):
-    """Affine-chart velocities, shape (k, 2), of the Giraud circles of the k
-    (torus, vertex) pairs at their vertices, with the torus points V (k, 3)
-    at `vertex_angles` and their projective distances (unit representatives
-    at optimal phase) to the vertices, as one array evaluation."""
-    R = np.array([(t.qr, t.pr, t.qp) for t, _ in pairs])
-    PQ = np.exp(-1j * np.array(vertex_angles(pairs)))[..., None] * R[:, 1:]
+def giraud_circle_tangents(lifts, rows, targets, space):
+    """Affine-chart velocities, shape (..., 2), of the Giraud circles of the
+    tori of lifts (..., 3, 3) and box rows (..., 3, 3) = (qr, pr, qp) at
+    their vertices targets (..., 3), with the torus points V (..., 3) at
+    `vertex_angles` and their projective distances (unit representatives at
+    optimal phase) to the vertices, as one array evaluation."""
+    PQ = np.exp(-1j * vertex_angles(lifts, targets, space))[..., None] * rows[..., 1:, :]
     # the torus point qr - e^{-i theta} pr - e^{-i phi} qp and its theta and
     # phi derivatives
-    v, dv = R[:, 0] - PQ[:, 0] - PQ[:, 1], 1j * PQ
-    x = np.array([t for _, t in pairs])
-    g = 2.0 * pairs[0][0].space.form(v[:, None], dv).real
+    v, dv = rows[..., 0, :] - PQ[..., 0, :] - PQ[..., 1, :], 1j * PQ
+    x = np.broadcast_to(targets, v.shape)
+    g = 2.0 * space.form(v[..., None, :], dv).real
     # curve tangent in parameter space is orthogonal to the norm gradient
-    w = (dv * (g[:, ::-1] * [-1.0, 1.0])[..., None]).sum(axis=1)
+    w = (dv * (g[..., ::-1] * [-1.0, 1.0])[..., None]).sum(axis=-2)
     # velocity in the affine chart that pins the relative lift scale
-    j = np.argmax(np.abs(x), axis=1)
-    vj, wj = (y[np.arange(len(pairs)), j, None] for y in (v, w))
+    j = np.argmax(np.abs(x), axis=-1)[..., None]
+    vj, wj = (np.take_along_axis(y, j, axis=-1) for y in (v, w))
     what = (w * vj - v * wj) / vj**2
-    return what[np.arange(3) != j[:, None]].reshape(-1, 2), v, _proj_distances(v, x)
+    return what[np.arange(3) != j].reshape(j.shape[:-1] + (2,)), v, _proj_distances(v, x)
 
 
 def _arcs(A, C):

@@ -151,11 +151,6 @@ class HermitianSpace:
         `sesquilinear` on the terms of J (three products and two sums)."""
         return sesquilinear(X, Y, self.terms)
 
-    def inner_grid(self, w: np.ndarray, V: np.ndarray) -> np.ndarray:
-        """<w, V_i> for every row V_i of V, shape (..., 3) -> (...); for k rows
-        w_j, shape (k, 3), the Gram array <w_j, V_i> of shape (..., k)."""
-        return self.form(w, V[..., None, :] if np.ndim(w) == 2 else V)
-
 
 @functools.cache
 def siegel_model() -> HermitianSpace:

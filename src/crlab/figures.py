@@ -36,7 +36,7 @@ from .family import (
     trace_ts_inv,
 )
 from .isometry import goldman_f
-from .bisector import level_g
+from .bisector import GiraudTorus, level_g
 from .verify import FaceFamily
 from .csvfloat import g9_fields, g17_fields
 
@@ -289,7 +289,7 @@ def figure_spinal_trace(out_base, alpha2=0.7, resolution=361, fmt="csv"):
     ff = FaceFamily(alpha2)
     sigmas = np.linspace(0.0, 2.0 * math.pi, resolution, endpoint=False)
     deltas = delta0(ff.alpha2) + np.linspace(0.0, math.pi, resolution // 2, endpoint=False)
-    norms, to_u, to_v = ff.tori[0].column_forms(sigmas, deltas, ff.P[P_U], ff.P[P_V])
+    norms, to_u, to_v = GiraudTorus(ff.lifts[0], ff.rows[0], ff.space).column_forms(sigmas, deltas, ff.P[P_U], ff.P[P_V])
     side = to_u - to_v
     if fmt == "csv":
         return (

@@ -150,7 +150,12 @@ def build_rep(params: FamilyParams, check=True, tol=None) -> FamilyRep:
 
 
 def alpha2_for_length(length: float) -> float:
-    """The alpha2 < ALPHA2_LIM at which U is loxodromic of length l > 0."""
+    """The alpha2 < ALPHA2_LIM at which U is loxodromic of length l > 0: the
+    nearest float or one ulp from it (50-digit check, l = 0.25 to 1e-6).
+    Near the wall sinh^2(l/2) ~ 2 sin(2 ALPHA2_LIM) (ALPHA2_LIM - alpha2), so
+    the nearest float is off in length by |dl/l| <= ulp(alpha2) / (4
+    (ALPHA2_LIM - alpha2)) (4.9e-7 at l = 1e-5, 1.2e-4 at 1e-6), one ulp
+    more by up to three times that: floats sample alpha2 no finer."""
     if length <= 0:
         raise GeometryError("length must be positive")
     tr = 2.0 * math.cosh(length) + 1.0

@@ -25,10 +25,11 @@ in tests/test_incidence_identities.py.
 TF and LC read the Giraud tori of neighbouring faces one delta-column at a
 time, where every form is a sinusoid in sigma: each exclusion margin is an
 exact minimum over sigma, sampled in delta about the vertex column
-family.delta_v, and one bisector.column_minima call reads both exclusion
-passes of a parameter (FaceFamily.torus_pass), from the sinusoids of the
-one stage that also draws the spinal-trace figure.  The unipotent wall is
-decided once, by family.param_side: on it GC is not applicable.
+family.delta_v.  Both exclusion passes of a parameter are one (2, 5, 3)
+row array of FaceFamily's torus rows, read by one bisector.column_minima
+call (FaceFamily.torus_pass) from the sinusoids of the one stage that also
+draws the spinal-trace figure.  The unipotent wall is decided once, by
+family.param_side: on it GC is not applicable.
 
 Passing all three yields the Dehn-surgery verdict for the parameter:
 slope 1/(n-3) on the elliptic side of order n >= 9, slope -1/3 on the
@@ -51,18 +52,15 @@ from .family import (
     face_points,
     param_side,
 )
-from .bisector import GiraudTorus, giraud_circle_tangents, torus_exclusion
+from .bisector import giraud_circle_tangents, torus_exclusion
 from .report import CheckResult, Verdict, VerdictKind, VerificationReport
 
 DEFAULT_GRID = 720
 # the second lifts of the bisectors of p_U: J_0^+, J_0^-, J_1^+ and J_-1^-
 BISECTORS = [P_V, P_W, U_PV, UI_PW]
-# row pairs of FaceFamily.boxes: the foci p_U box q of BISECTORS, then q box
-# r of the tori (J_0^-, J_-1^-), (J_0^+, J_1^+), (J_0^+, J_0^-) and
-# (J_0^+, J_-1^-)
-BOX_PAIRS = np.array([[P_U, q] for q in BISECTORS] + [[P_W, UI_PW], [P_V, U_PV], [P_V, P_W], [P_V, UI_PW]]).T
-# the tori above as (bisector of q, bisector of r), indices into BISECTORS,
-# with their lifts (p_U, q, r) as rows of the point table
+# the tori (J_0^-, J_-1^-), (J_0^+, J_1^+), (J_0^+, J_0^-) and (J_0^+,
+# J_-1^-) as (bisector of q, bisector of r), indices into BISECTORS, with
+# their lifts (p_U, q, r) as rows of the point table
 TORI = [(1, 3), (0, 2), (0, 1), (0, 3)]
 TORUS_LIFTS = np.array([[P_U, BISECTORS[i], BISECTORS[j]] for i, j in TORI])
 
@@ -74,40 +72,37 @@ TORUS_LIFTS = np.array([[P_U, BISECTORS[i], BISECTORS[j]] for i, j in TORI])
 class FaceFamily:
     """All data attached to a parameter, as arrays: the side of
     `family.param_side`, the point table P of `family.face_points` (rows
-    P_A .. UI_PW) and the box products of the row pairs BOX_PAIRS, from
-    which every decision of the checks is read; grid settings.  The
-    projected disks of J_0^+ and J_0^- on the visual sphere of [p_U] are
-    closed forms in the order n (`family.elliptic_disks`), which GC and the
-    disk-projection figure read without a chart."""
+    P_A .. UI_PW), and the lifts (p_U, q, r) of the tori of TORI with their
+    box rows (q box r, p_U box r, q box p_U), each (4, 3, 3), from which
+    every decision of the checks is read; grid settings.  Tori 0 and 1
+    carry TF's and LC's exclusion passes, tori 2 and 3 the Giraud circles
+    of `_bitangency`; each is parametrized by (q - e^{i th} p_U) box (r -
+    e^{i ph} p_U), and every pair is an unbalanced pair of equal-norm lifts
+    at each alpha2 in (0, pi/2) (tests/test_face_family_identities.py).
+    The projected disks of J_0^+ and J_0^- on the visual sphere of [p_U]
+    are closed forms in the order n (`family.elliptic_disks`), which GC and
+    the disk-projection figure read without a chart."""
 
     def __init__(self, alpha2: float, tol=None, grid_n: int = DEFAULT_GRID):
         self.alpha2 = float(alpha2)
         self.tol = tolerance(tol)
         self.grid_n = int(grid_n)
+        if self.grid_n < 2:
+            # torus_pass reads grid_n // 2 delta-columns, at least one
+            raise ValueError(f"grid_n must be >= 2, got {self.grid_n}")
         self.side = param_side(self.alpha2, self.tol)
         self.space = siegel_model()
         self.P = face_points(self.alpha2)
-        self.boxes = box_rows(self.P[BOX_PAIRS[0]], self.P[BOX_PAIRS[1]], self.space)
-
-    @cached_property
-    def tori(self) -> list[GiraudTorus]:
-        """The tori of J_0^- with J_-1^- and of J_0^+ with J_1^+ (TF, LC),
-        then of J_0^+ with J_0^- and with J_-1^- (the Giraud circles of
-        `_bitangency`), each parametrized by (q - e^{i th} p_U) box (r -
-        e^{i ph} p_U) from the table's box products.  Every pair is an
-        unbalanced pair of equal-norm lifts at each alpha2 in (0, pi/2):
-        proved once, in tests/test_face_family_identities.py."""
-        i, j = np.array(TORI).T
-        rows = zip(self.boxes[4:8], self.boxes[j], -self.boxes[i])
-        return [GiraudTorus(lifts, r, self.space) for lifts, r in zip(self.P[TORUS_LIFTS], rows)]
+        self.lifts = self.P[TORUS_LIFTS]
+        self.rows = box_rows(self.lifts[:, [1, 0, 1]], self.lifts[:, [2, 2, 0]], self.space)
 
     @cached_property
     def torus_pass(self) -> list[float]:
         """`bisector.torus_exclusion` margins of p_V on the first torus
         (vertices p_A, p_B; TF, LC) and of p_W on the second (p_B, U p_A;
         LC), on grid_n // 2 columns about the vertex column `family.delta_v`."""
-        P, (tm, tp, *_) = self.P, self.tori
-        return torus_exclusion([(tm, P[P_V]), (tp, P[P_W])], delta_v(self.alpha2), self.grid_n // 2)
+        R = np.concatenate([self.lifts[:2, :1], self.P[[P_V, P_W], None], self.rows[:2]], axis=1)
+        return torus_exclusion(R, delta_v(self.alpha2), self.grid_n // 2, self.space)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +147,7 @@ def tf_check(ff: FaceFamily) -> CheckResult:
     )
 
     # --- bi-tangency of the two bounding Giraud circles at p_A and p_B
-    bt_resid, bt_notes = _bitangency(ff.tori[2:], ff.P[[P_A, P_B]])
+    bt_resid, bt_notes = _bitangency(ff)
     res.residuals["bitangency_pA"] = bt_resid[0]
     res.residuals["bitangency_pB"] = bt_resid[1]
     res.notes.extend(bt_notes)
@@ -162,15 +157,16 @@ def tf_check(ff: FaceFamily) -> CheckResult:
     return res
 
 
-def _bitangency(circles, targets):
+def _bitangency(ff: FaceFamily):
     """Tangent-direction agreement of the Giraud circles bounding the first
-    face (the last two `FaceFamily.tori`) at both shared ideal vertices, as real
-    lines in an affine chart, from one `giraud_circle_tangents` evaluation."""
-    w, _, dist = giraud_circle_tangents([(c, t) for t in targets for c in circles])
-    r = np.concatenate([w.real, w.imag], axis=1).reshape(len(targets), 2, 4)
+    face (tori 2 and 3 of `FaceFamily`) at both shared ideal vertices, as
+    real lines in an affine chart, from one `giraud_circle_tangents`
+    evaluation over (vertex, circle)."""
+    w, _, dist = giraud_circle_tangents(ff.lifts[2:], ff.rows[2:], ff.P[[P_A, P_B], None], ff.space)
+    r = np.concatenate([w.real, w.imag], axis=-1)
     r /= np.linalg.norm(r, axis=-1, keepdims=True)
     resids = np.sqrt(np.maximum(0.0, 1.0 - (r[:, 0] * r[:, 1]).sum(axis=-1) ** 2)).tolist()
-    dist = dist.reshape(-1, 2).max(axis=1)
+    dist = dist.max(axis=1)
     notes = [f"vertex location failed (dist {d:.2e})" for d in dist if d > 1e-5]
     return [math.inf if d > 1e-5 else r for r, d in zip(resids, dist)], notes
 

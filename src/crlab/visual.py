@@ -37,7 +37,7 @@ class VisualChart:
     def __post_init__(self):
         X = np.array([self.base, self.p_prime, self.p_dprime])
         L = np.linalg.norm(X, axis=1)
-        if (np.abs(self.space.inner_grid(X[1:], X[0])) > 1e-8 * L[0] * L[1:]).any():
+        if (np.abs(self.space.form(X[1:], X[0])) > 1e-8 * L[0] * L[1:]).any():
             raise GeometryError("chart points must lie on the polar line of base")
         if np.abs(cross(X[1], X[2])).max() <= 1e-12:
             raise GeometryError("chart points must be distinct")

@@ -40,7 +40,8 @@ None of these is on a program path, and none is imported by `crlab`:
   or point;
 - the slice's involution `involution_matrix`, which swaps the two
   bisector families;
-- what `FaceFamily` no longer forms: the Gram table of its point table
+- what `FaceFamily` no longer forms: a `GiraudTorus` view of one of its
+  tori (`face_torus`), the Gram table of its point table
   (`face_gram`, with `gram` for any rows), the ten vertex products of
   the incidences (`vertex_products`, `VERTEX_PRODUCTS`,
   `TRANSLATION_INCIDENCES`), and the chart of the visual sphere of [p_U]
@@ -107,7 +108,7 @@ def norm_terms(torus, deltas):
     """(A, C) with <V, V> = A - 2 Re(e^{-i sigma} C) at (sigma, delta):
     A = <qr, qr> + <B, B> is real and C = <qr, B>, one value per delta."""
     sp, B = torus.space, delta_rows(torus, deltas)
-    return sp.form(torus.qr, torus.qr).real + sp.form(B, B).real, sp.inner_grid(torus.qr, B)
+    return sp.form(torus.qr, torus.qr).real + sp.form(B, B).real, sp.form(torus.qr, B)
 
 
 def ball_arcs(torus, deltas, terms=None):
@@ -293,8 +294,8 @@ def line_spinal_crossings(p: HVec, q: HVec, r: HVec, n=4096):
         raise GeometryError("line misses the boundary sphere")
     ts = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
     Z = circle(ts)
-    ap = np.abs(p.space.inner_grid(p.v, Z))
-    aq = np.abs(p.space.inner_grid(q.v, Z))
+    ap = np.abs(p.space.form(p.v, Z))
+    aq = np.abs(p.space.form(q.v, Z))
     res = ap - aq
     scale = float(np.maximum(ap, aq).max())
     res = np.where(np.abs(res) <= 1e-9 * max(scale, 1e-300), 0.0, res)
@@ -650,10 +651,10 @@ def symmetric_kinds(boxes, space, tol) -> tuple[list, list]:
 def lc_triples(ff) -> np.ndarray:
     """The box products (p box q, q box r, r box p) of LC's triples (p_U,
     p_V, p_W) and (p_U, U p_V, p_W), shape (2, 3, 3), the input of
-    `symmetric_kinds`: rows of a FaceFamily's box table (p_W box p_U is
-    -(p_U box p_W)), and U p_V box p_W by `core.box_rows` as they are."""
-    b = ff.boxes
-    return np.array([[b[0], b[6], -b[1]], [b[2], box_rows(ff.P[U_PV], ff.P[P_W], ff.space), -b[1]]])
+    `symmetric_kinds`: `core.box_rows` on the rows of a FaceFamily's point
+    table."""
+    T = ff.P[[[P_U, P_V, P_W], [P_U, U_PV, P_W]]]
+    return box_rows(T, T[:, [1, 2, 0]], ff.space)
 
 
 def symmetric_kind(p: HVec, q: HVec, r: HVec, tol=None):
@@ -822,6 +823,12 @@ def row_lengths(ff) -> np.ndarray:
 def gram(X: np.ndarray, space) -> np.ndarray:
     """The Gram table G[i, j] = <X_i, X_j> of the rows of X, shape (k, 3)."""
     return space.form(X[:, None], X[None])
+
+
+def face_torus(ff, i: int = 0) -> GiraudTorus:
+    """The `GiraudTorus` view of torus i of a FaceFamily's lifts and rows:
+    0 of J_0^- and J_-1^-, 1 of J_0^+ and J_1^+."""
+    return GiraudTorus(ff.lifts[i], ff.rows[i], ff.space)
 
 
 def face_gram(ff) -> np.ndarray:

@@ -6,7 +6,7 @@ import pytest
 
 from crlab.core import GeometryError, HVec, inner
 from crlab.bisector import column_minima, level_g, vertex_angles
-from crlab.family import ALPHA2_LIM, FamilyParams, alpha2_for_order, delta0
+from crlab.family import ALPHA2_LIM, P_A, P_U, P_V, P_W, FamilyParams, alpha2_for_order, delta0
 from crlab.reference import Location, alpha2_for_length, ball_model, box, locate, proj_distance, remarkable_points
 from crlab.verify import FaceFamily
 
@@ -21,6 +21,7 @@ from oracles import (
     classify_bisector,
     count_sublevel_components,
     envelope_minima,
+    face_torus,
     family_U,
     family_points,
     giraud_torus,
@@ -288,7 +289,7 @@ def test_torus_grid_matches_materialized_grid(n, at_delta0):
         pts, sp, U = family_points(ff), ff.space, family_U(ff)
         d0 = delta0(ff.alpha2) if at_delta0 else 0.0
         torus_pp = giraud_torus(classify_bisector(pts.p_U, pts.p_V, ff.tol), classify_bisector(pts.p_U, apply(U, pts.p_V), ff.tol), ff.tol)
-        for torus in (ff.tori[0], torus_pp):
+        for torus in (face_torus(ff), torus_pp):
             sigmas = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
             deltas = d0 + np.linspace(0.0, math.pi, n // 2, endpoint=False)
             ws = (pts.p_U, pts.p_V, pts.p_W, apply(U, pts.p_A))
@@ -299,7 +300,7 @@ def test_torus_grid_matches_materialized_grid(n, at_delta0):
             for got in (norm, norm_wx):
                 assert np.abs(got - norms).max() <= 1e-12 * np.abs(norms).max()
             for w, got in zip(ws, abs2 + abs2_wx):
-                want = np.abs(sp.inner_grid(w.v, V)) ** 2
+                want = np.abs(sp.form(w.v, V)) ** 2
                 assert np.abs(got - want).max() <= 1e-12 * want.max()
 
 
@@ -341,7 +342,7 @@ def _ball_tori(n):
         pts, U, Ui = family_points(ff), family_U(ff), family_U(ff).inv()
         torus_pp = giraud_torus(classify_bisector(pts.p_U, pts.p_V, ff.tol), classify_bisector(pts.p_U, apply(U, pts.p_V), ff.tol), ff.tol)
         for torus, negs in (
-            (ff.tori[0], [pts.p_V, apply(U, pts.p_V), apply(Ui, pts.p_V)]),
+            (face_torus(ff), [pts.p_V, apply(U, pts.p_V), apply(Ui, pts.p_V)]),
             (torus_pp, [pts.p_W, apply(Ui, pts.p_W), apply(U, pts.p_W)]),
         ):
             for d0 in (0.0, delta0(ff.alpha2)):
@@ -355,7 +356,7 @@ def _sampled_envelope(torus, pos, negs, sigmas, deltas):
     torus points V(sigma, delta), built one by one."""
     V = torus_vectors(torus, sigmas + deltas, sigmas - deltas)
     sp, sq = torus.space, (np.abs(V) ** 2).sum(axis=-1)
-    terms = [np.abs(sp.inner_grid(w, V)) ** 2 for w in [pos] + negs]
+    terms = [np.abs(sp.form(w, V)) ** 2 for w in [pos] + negs]
     env = np.max([terms[0] - t for t in terms[1:]], axis=0)
     return env / sq, np.max(terms, axis=0) / sq, sp.form(V, V).real / sq
 
@@ -416,7 +417,7 @@ def test_column_minima_is_the_envelope_of_one_constraint(n):
     # run the same arithmetic: equal to the bit, on the ball arcs
     for torus, pos, negs, deltas in _ball_tori(n):
         for neg in negs:
-            got = column_minima([(torus, deltas, pos, neg)])[0]
+            got = column_minima(np.concatenate([[pos, neg], torus.rows]), deltas, torus.space)[0]
             assert np.array_equal(got, envelope_minima(torus, deltas, pos, [neg]))
 
 
@@ -427,32 +428,36 @@ VERIFY_PARAMS = [alpha2_for_order(9), alpha2_for_order(6), alpha2_for_order(56),
 
 @pytest.mark.parametrize("alpha2, n", [(a, n) for a in VERIFY_PARAMS for n in (64, 720)] + [(1.569, 64)])
 def test_stacked_column_minima_equal_each_block_alone(alpha2, n):
-    # a stack of column blocks from both tori reads every column with the
-    # bits of its block alone (the batch of one) and of the oracle's
-    # envelope of one constraint; at alpha2 1.569 and grid 64 no pass
-    # column meets the ball, so every one reads inf
-    ff = FaceFamily(alpha2, grid_n=n)
-    pts, tm, tp = family_points(ff), ff.tori[0], ff.tori[1]
+    # each exclusion torus reads (minima, mid, half) with the same bits
+    # alone, as R (5, 3), in the pass stack (2, 5, 3) and in a stack of two
+    # parameters (2, 2, 5, 3) with delta-columns (2, 1, m + 1), and with
+    # the bits of the oracle's envelope of one constraint; the columns are
+    # the vertex column and the m pass columns about it.  At alpha2 1.569
+    # and grid 64 no pass column meets the ball, so every one reads inf
+    params = VERIFY_PARAMS + [1.569]
     m = n // 2
     offsets = (np.arange(m) + 0.5) * (math.pi / m)
-    dvs = [((th - ph) / 2.0) % math.pi for th, ph in vertex_angles([(tm, pts.p_A.v), (tp, pts.p_B.v)])]
-    passes = [(tm, dvs[0], pts.p_V.v), (tp, dvs[1], pts.p_W.v)]
-    ball = [(t, dv + offsets, pts.p_U.v, neg) for t, dv, neg in passes]
-    single = [(t, [dv], pts.p_U.v, neg) for t, dv, neg in passes]
-    stacks = [single[:1], single, ball[:1] + single[:1], ball + single]
-    assert [sum(len(b[1]) for b in stack) for stack in stacks] == [1, 2, m + 1, 2 * m + 2]
-    for stack in stacks:
-        got = column_minima(stack)
-        alone = [column_minima([b]) for b in stack]
-        for g, want in zip(got, zip(*alone)):
-            assert np.array_equal(g, np.concatenate(want), equal_nan=True)
-        oracle = [envelope_minima(t, d, pos, [neg]) for t, d, pos, neg in stack]
-        assert np.array_equal(got[0], np.concatenate(oracle))
+    families = [FaceFamily(a, grid_n=n) for a in (alpha2, params[(params.index(alpha2) + 1) % len(params)])]
+    stack, deltas = [], []
+    for ff in families:
+        theta, phi = vertex_angles(ff.lifts[0], ff.P[P_A], ff.space)
+        dv = ((theta - phi) / 2.0) % math.pi
+        stack.append(np.concatenate([ff.lifts[:2, :1], ff.P[[P_V, P_W], None], ff.rows[:2]], axis=1))
+        deltas.append(np.append(dv, dv + offsets))
+    space = families[0].space
+    both = column_minima(np.array(stack), np.array(deltas)[:, None], space)
+    for k, (ff, R, d) in enumerate(zip(families, stack, deltas)):
+        passes = column_minima(R, d, space)
+        for i, neg in enumerate((P_V, P_W)):
+            alone = column_minima(R[i], d, space)
+            for layout in ([x[i] for x in passes], [x[k, i] for x in both]):
+                assert [x.tobytes() for x in layout] == [x.tobytes() for x in alone]
+            assert np.array_equal(alone[0], envelope_minima(face_torus(ff, i), d, ff.P[P_U], [ff.P[neg]]))
     # an empty arc reads inf, and only an empty arc
-    minima, _, half = got
-    assert np.isinf(minima).any() and np.array_equal(np.isinf(minima), np.isnan(half))
+    minima, _, half = both
+    assert np.isinf(minima[0]).any() and np.array_equal(np.isinf(minima), np.isnan(half))
     if alpha2 == 1.569:
-        assert np.isinf(minima[: 2 * m]).all()
+        assert np.isinf(minima[0, :, 1:]).all()
 
 
 @pytest.mark.parametrize("n", [64, 127, 720])
@@ -468,7 +473,7 @@ def test_ball_cells_of_synthetic_columns(n):
     A[1:4] = [1.0, -1.0, 0.0]  # C = 0: none, all, all
     A[5] = -A[5]  # tangent from below: the whole column
     A[6] = 0.0  # half the column
-    torus = ff.tori[0]
+    torus = face_torus(ff)
     deltas = np.linspace(0.2, 3.0, len(C))
     mid, half = ball_arcs(torus, deltas, (A, C))
     assert np.isnan(half[:2]).all()
@@ -481,7 +486,7 @@ def test_ball_cells_of_synthetic_columns(n):
     env, terms, _ = _sampled_envelope(torus, pos, negs, sigmas, deltas[2:])
     _assert_sampled_minima(got[2:], env, terms)
     # the tangent arc is the single point sigma = arg C
-    assert got[4] == pytest.approx(env[0, 2], rel=1e-12)
+    assert got[4] == pytest.approx(env[0, 2], rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize(
@@ -493,8 +498,8 @@ def test_vertex_arc_ends_are_the_vertices(alpha2):
     ff = FaceFamily(float(alpha2), grid_n=64)
     pts, U = family_points(ff), family_U(ff)
     torus_pp = giraud_torus(classify_bisector(pts.p_U, pts.p_V, ff.tol), classify_bisector(pts.p_U, apply(U, pts.p_V), ff.tol), ff.tol)
-    for torus, vertices in ((ff.tori[0], (pts.p_A, pts.p_B)), (torus_pp, (pts.p_B, apply(U, pts.p_A)))):
-        (th1, ph1), (th2, ph2) = vertex_angles([(torus, t.v) for t in vertices])
+    for torus, vertices in ((face_torus(ff), (pts.p_A, pts.p_B)), (torus_pp, (pts.p_B, apply(U, pts.p_A)))):
+        (th1, ph1), (th2, ph2) = vertex_angles(torus.lifts, np.array([t.v for t in vertices]), torus.space)
         dv = (th1 - ph1) / 2.0
         assert abs(math.remainder((th2 - ph2) / 2.0 - dv, math.pi)) <= 1e-12
         (mid,), (half,) = ball_arcs(torus, [dv])

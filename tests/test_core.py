@@ -116,7 +116,7 @@ def test_grid_forms_match_inner():
     V = rng.normal(size=(4, 5, 3)) + 1j * rng.normal(size=(4, 5, 3))
     w = rng.normal(size=3) + 1j * rng.normal(size=3)
     for sp in (siegel_model(), ball_model(), custom_model(J)):
-        forms, norms = sp.inner_grid(w, V), sp.form(V, V).real
+        forms, norms = sp.form(w, V), sp.form(V, V).real
         assert forms.shape == norms.shape == (4, 5)
         for i, j in np.ndindex(4, 5):
             z = HVec(V[i, j], sp)

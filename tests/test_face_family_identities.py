@@ -147,8 +147,8 @@ SYMBOLIC = sp.lambdify((c, s), [sp.Matrix.hstack(*CONTACTS.values())], "numpy")
 def test_symbolic_products_are_the_programs(alpha2):
     # the proof's <p_U, p_V>, <p_U, p_U>, contacts and determinants,
     # evaluated at alpha2, are the program's Gram table, point table rows U
-    # p_A and U^-1 p_B, and the products of its box rows p_U box q with the
-    # second lifts
+    # p_A and U^-1 p_B, and the products of each torus's box row p_U box r
+    # with its lift q
     ff = FaceFamily(alpha2, grid_n=64)
     co, si = math.cos(alpha2), math.sin(alpha2)
     (contacts,) = (np.array(m, dtype=complex).T for m in SYMBOLIC(co, si))
@@ -160,9 +160,9 @@ def test_symbolic_products_are_the_programs(alpha2):
     assert np.abs(contacts - P[rows]).max() <= 1e-13 * np.abs(P[rows]).max()
     assert np.abs(G[rows, rows]).max() <= 1e-13 * scale
     assert np.abs(G[P_U, rows] - G[P_V, rows]).max() <= 1e-13 * scale
-    foci = ff.boxes[:4]
+    foci = ff.rows[:, 1:]
     assert np.abs(ff.space.form(foci, P[P_U])).max() <= 1e-13 * np.abs(foci).max() * np.abs(P[P_U]).max()
-    for (i, j), d in zip(TORI, DETERMINANTS):
+    for (i, _), d, pr in zip(TORI, DETERMINANTS, ff.rows[:, 1]):
         want = float(d.subs(c, co))
-        got = abs(ff.space.form(foci[j], P[BISECTORS[i]])) ** 2
-        assert got == pytest.approx(want, rel=1e-12)
+        got = abs(ff.space.form(pr, P[BISECTORS[i]])) ** 2
+        assert got == pytest.approx(want, rel=1e-12, abs=0)

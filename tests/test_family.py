@@ -27,6 +27,7 @@ from crlab.reference import (
     WORD_M1,
     WORD_M2,
     WORD_RELATOR,
+    alpha2_for_length,
     build_rep,
     char_variety_residuals,
     peripheral_type,
@@ -202,6 +203,25 @@ def test_wall_remainder_matches_mpmath():
 
     with mp.workdps(50):
         assert ALPHA2_LIM_REM == float(mp.acos(mp.sqrt(mp.mpf(3) / 8)) - mp.mpf(ALPHA2_LIM))
+
+
+@pytest.mark.parametrize("length", [0.25, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+def test_alpha2_for_length_is_within_one_ulp(length):
+    # against 50 digits the result is the nearest float to the exact alpha2
+    # or one ulp from it, and the nearest float's own length is within the
+    # docstring's bound ulp(alpha2) / (4 (L - alpha2)) of l: floats sample
+    # alpha2 no finer near the wall, so no formula pins l closer
+    import mpmath as mp
+
+    got = alpha2_for_length(length)
+    with mp.workdps(50):
+        L = mp.acos(mp.sqrt(mp.mpf(3) / 8))
+        exact = mp.acos(mp.sqrt((2 * mp.cosh(mp.mpf(length)) + 1) / 8))
+        nearest = float(exact)
+        assert abs(got - nearest) <= math.ulp(nearest)
+        gap = L - mp.mpf(nearest)
+        dl = 2 * mp.asinh(mp.sqrt(2 * mp.sin(gap) * mp.sin(L + mp.mpf(nearest)))) / length - 1
+        assert abs(dl) <= math.ulp(nearest) / (4 * gap)
 
 
 @pytest.mark.parametrize("offset", [-1e-5, -1e-8, -1e-10, -0.3, -0.8, 1e-10, 1e-8, 1e-5, 0.3])

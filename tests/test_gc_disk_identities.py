@@ -377,14 +377,14 @@ def test_disks_are_the_programs(alpha2):
         for sil, sign, centre in zip(sils, (-1, 1), centres):
             assert abs(np.angle(sil.center) - sign * beta / 2) <= 1e-8 * beta
             assert abs(sil.center - centre) <= 1e-11 * abs(centre)
-            assert sil.radius / abs(sil.center) == pytest.approx(sin_half, rel=1e-8)
+            assert sil.radius / abs(sil.center) == pytest.approx(sin_half, rel=1e-8, abs=0)
     else:
         length = side.length
         w = math.asinh(math.sinh(length) * math.sqrt(8 * (2 * math.cosh(length) + 1)) / 3)
         for sil, sign in zip(sils, (-1, 1)):
             c, r = abs(sil.center), sil.radius
             assert abs(0.5 * math.log(c * c - r * r) - sign * length / 2) <= 1e-8 * length
-            assert 0.5 * math.log((c + r) / (c - r)) == pytest.approx(w, rel=1e-8)
+            assert 0.5 * math.log((c + r) / (c - r)) == pytest.approx(w, rel=1e-8, abs=0)
 
 
 @pytest.mark.parametrize("n", ORDERS)
@@ -402,6 +402,6 @@ def test_cone_rows_are_the_programs(n):
     assert (rows[:-1, 1] > 2 * beta).all()
     diam = angular_diameter(face_gram(ff), row_lengths(ff), P_U, P_V, ff.tol)
     res = gc_check_elliptic(ff)
-    assert res.residuals["value_true_angular_diameter"] == pytest.approx(diam, rel=1e-8)
+    assert res.residuals["value_true_angular_diameter"] == pytest.approx(diam, rel=1e-8, abs=0)
     assert res.margins["cone_separation"] == pytest.approx(rows[0, 0] - diam, abs=1e-8 * beta)
 

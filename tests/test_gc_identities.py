@@ -190,7 +190,7 @@ def test_symbolic_h_are_the_programs(alpha2):
         xv, dv, h = math.cos(side.beta), side.delta.imag, SYMBOLIC_H["elliptic"]
     else:
         xv, dv, h = math.cosh(side.length), side.delta.real, SYMBOLIC_H["loxodromic"]
-    assert xv == pytest.approx((8 * math.cos(alpha2) ** 2 - 1) / 2, rel=1e-13)
+    assert xv == pytest.approx((8 * math.cos(alpha2) ** 2 - 1) / 2, rel=1e-13, abs=0)
     want = np.array(h(math.cos(alpha2), math.sin(alpha2), dv), dtype=complex)
     got = face_gram(ff)[[P_U1, P_U2], P_V]
     assert np.abs(want - got).max() <= 1e-13 * np.abs(got).max()

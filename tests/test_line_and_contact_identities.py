@@ -5,7 +5,7 @@ every alpha2 in (0, pi/2).
 slice, proved here in exact arithmetic over c = cos(alpha2), s =
 sin(alpha2) modulo c^2 + s^2 - 1 (`slice_algebra`).
 
-- Complex line.  On `FaceFamily.tori[0]`, the torus of the lifts (p_U, p_W,
+- Complex line.  On torus 0 of `FaceFamily`, that of the lifts (p_U, p_W,
   U^-1 p_W) with rows qr, pr, qp, and for lpole = (s, -i sqrt2/2, -s):
   - <lpole, qr> = 0;
   - (x - iy) <lpole, pr> + (x + iy) <lpole, qp> = 0, with x = 2 sin 2alpha2
@@ -66,7 +66,7 @@ from crlab.reference import alpha2_for_length
 from crlab.verify import FaceFamily
 
 import slice_algebra as sa
-from oracles import chart_multiplier, face_gram, face_silhouettes, oriented_chart
+from oracles import chart_multiplier, face_gram, face_silhouettes, face_torus, oriented_chart
 from slice_algebra import I, SQ2, c, conj, inner, positive, s, zero
 
 t, lam = sp.symbols("t lam", real=True)
@@ -202,7 +202,7 @@ def test_symbolic_line_and_contacts_are_the_programs(alpha2):
     ff = FaceFamily(alpha2, grid_n=64)
     co, si = math.cos(alpha2), math.sin(alpha2)
     rows, x, y = SYMBOLIC(co, si)
-    torus = ff.tori[0]
+    torus = face_torus(ff)
     for want, got in zip(np.asarray(rows, dtype=complex), (torus.qr, torus.pr, torus.qp)):
         assert np.abs(want - got).max() <= 1e-13 * np.abs(got).max()
     assert delta0(alpha2) == pytest.approx(math.atan2(y, x), abs=1e-15)

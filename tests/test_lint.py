@@ -108,7 +108,7 @@ def test_one_torus_grid_path():
             for node in ast.walk(fn):
                 if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
                     continue
-                if node.func.attr not in ("form", "inner_grid"):
+                if node.func.attr != "form":
                     continue
                 for arg in node.args:
                     if _builds_torus_points(arg) or (isinstance(arg, ast.Name) and arg.id in torus_names):
@@ -135,7 +135,7 @@ def test_exclusion_passes_take_no_vertex():
     # vertex angles serve the bi-tangency alone
     bisector = ast.parse((SRC / "bisector.py").read_text())
     (fn,) = [f for f in bisector.body if isinstance(f, ast.FunctionDef) and f.name == "torus_exclusion"]
-    assert [a.arg for a in fn.args.args] == ["passes", "dv", "m"]
+    assert [a.arg for a in fn.args.args] == ["R", "dv", "m", "space"]
     assert {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)}.isdisjoint({"vertex_angles", "_proj_distances"})
     verify = ast.parse((SRC / "verify.py").read_text())
     (prop,) = [
@@ -299,6 +299,20 @@ def test_verify_gate_literals_do_not_grow():
 def test_every_module_fits_the_parser_token_budget():
     sizes = {path.name: module_tokens(path) for path in sorted(SRC.glob("*.py"))}
     assert {name: n for name, n in sizes.items() if n > MODULE_TOKEN_BUDGET} == {}
+
+
+def test_relative_approx_names_its_absolute_bound():
+    # pytest.approx(x, rel=r) keeps its default abs=1e-12, which passes any
+    # value below 1e-12 whatever r says: every relative comparison in the
+    # tests names abs, 0 where r alone is meant
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(pathlib.Path(__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call) and _dotted(node.func) == "pytest.approx"
+        and {"rel"} <= {k.arg for k in node.keywords} and "abs" not in {k.arg for k in node.keywords}
+    ]
+    assert found == []
 
 
 def test_no_program_module_imports_reference():

@@ -16,7 +16,7 @@ one:
 - the complex line {(mu - 1, 2 i sqrt2 sin(alpha2), mu + 1)}: the two
   squared moduli and the norm 2 (|mu|^2 - 4 cos^2(alpha2) + 3), so that
   its points with |<p_U, x>| = |<p_W, x>| have norm 24 sin^2(alpha2);
-- the torus of J_0^- and J_-1^- (`FaceFamily.tori[0]`): C(delta) = <qr,
+- the torus of J_0^- and J_-1^- (torus 0 of `FaceFamily`): C(delta) = <qr,
   B(delta)> = -12 cos^2(alpha2) (2 cos(2 alpha2 - delta) - cos delta),
   real, so that d<V, V>/d sigma factors as -12 sin(sigma) (2 cos(2 alpha2
   - delta) - cos delta) times 2 cos^2(alpha2).
@@ -37,6 +37,7 @@ from crlab.family import P_U, P_W, UI_PW, face_points
 from crlab.verify import FaceFamily
 
 import slice_algebra
+from oracles import face_torus
 from slice_algebra import I, SQ2, box, c, conj, inner, s, zero
 
 r, t, m1, m2, cd, sd = sp.symbols("r t m1 m2 cd sd", real=True)
@@ -105,7 +106,7 @@ def test_symbolic_rows_are_the_programs(alpha2):
     # the proof's points and torus rows, evaluated, are the rows of
     # face_points and of the program's first torus
     want = np.asarray(ROWS(math.cos(alpha2), math.sin(alpha2)), dtype=complex)
-    P, torus = face_points(alpha2), FaceFamily(alpha2).tori[0]
+    P, torus = face_points(alpha2), face_torus(FaceFamily(alpha2))
     rows = [P[P_U], P[P_W], P[UI_PW], torus.qr, torus.pr, torus.qp]
     assert np.array_equal([torus.p, torus.q, torus.r], rows[:3])
     for w, got in zip(want, rows):

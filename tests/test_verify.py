@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from crlab.bisector import GiraudTorus, giraud_circle_tangents, torus_exclusion
-from crlab.core import GeometryError, HVec, inner
+from crlab.core import GeometryError, HVec, box_rows, inner
 from crlab.family import (
     ALPHA2_LIM, P_A, P_B, P_U, P_U1, P_U2, P_V, P_W, U_PA, U_PB, U_PV, U_PW, UI_PB, UI_PV, UI_PW, SideKind, alpha2_for_order,
     delta0,
@@ -47,6 +47,7 @@ from oracles import (
     envelope_minima,
     face_gram,
     face_silhouettes,
+    face_torus,
     family_U,
     family_points,
     giraud_torus,
@@ -196,13 +197,13 @@ def test_tf_reads_the_complex_line_at_delta0_near_zero(alpha2):
     assert delta0(0.0) == -math.pi / 2
     assert delta0(alpha2) == pytest.approx(-math.pi / 2, abs=1e-11)
     r = verify(alpha2, grid_n=128)
-    torus, c, s = FaceFamily(alpha2, grid_n=128).tori[0], math.cos(alpha2), math.sin(alpha2)
+    torus, c, s = face_torus(FaceFamily(alpha2, grid_n=128)), math.cos(alpha2), math.sin(alpha2)
     lpole = np.array([s, -1j * math.sqrt(2.0) / 2.0, -s])
     d0 = delta0(alpha2)
     at, off = (abs(torus.space.form(lpole, np.exp(-1j * d) * torus.pr + np.exp(1j * d) * torus.qp)) for d in (d0, d0 + math.pi / 2))
     assert abs(torus.space.form(lpole, torus.qr)) <= 1e-15 * np.abs(torus.qr).max()
     assert at <= 1e-15 * np.abs(torus.pr).max()
-    assert off == pytest.approx(2.0 * math.sqrt(2.0) * c * c * math.sqrt(8.0 * s * s + 1.0), rel=1e-12)
+    assert off == pytest.approx(2.0 * math.sqrt(2.0) * c * c * math.sqrt(8.0 * s * s + 1.0), rel=1e-12, abs=0)
     assert r.all_passed()
     assert (r.verdict.kind, r.verdict.p, r.verdict.q) == (VerdictKind.SURGERY, 1, -3)
 
@@ -288,7 +289,7 @@ def test_gc_annulus_margins_are_symmetric(alpha2):
     length = ff.side.length
     (lo_p, hi_p, _, _), (lo_m, hi_m, _, _) = _silhouette_extents(ff)
     for margin in (1.5 * length - hi_p, lo_p + 2.5 * length, 2.5 * length - hi_m, lo_m + 1.5 * length):
-        assert margin == pytest.approx(m["annulus_upper"], rel=1e-12)
+        assert margin == pytest.approx(m["annulus_upper"], rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("n", [9, 12, 100])
@@ -301,7 +302,7 @@ def test_gc_sector_margins_are_symmetric(n):
     beta = 2 * math.pi / n
     (_, _, mid_p, half_p), (_, _, mid_m, half_m) = _silhouette_extents(ff)
     for margin in (1.5 * beta - (mid_p + half_p), (mid_p - half_p) + 2.5 * beta, 2.5 * beta - (mid_m + half_m), (mid_m - half_m) + 1.5 * beta):
-        assert margin == pytest.approx(m["sector_upper"], rel=1e-12)
+        assert margin == pytest.approx(m["sector_upper"], rel=1e-12, abs=0)
     assert m["rotated_sector_gap"] == 2 * m["sector_upper"]
 
 
@@ -469,11 +470,11 @@ def test_cone_angles_match_mpmath_reference(n):
     ks = sorted({2, 3, n // 2 - 1, n // 2 + 1, n - 3, n - 2})
     ref = _mp_cone_reference(n=n, ks=ks)
     assert np.abs(cone_angles(ff, ks) - ref["angles"]).max() <= 1e-9
-    assert res.residuals["value_true_angular_diameter"] == pytest.approx(2 * ref["rho"], rel=1e-12)
+    assert res.residuals["value_true_angular_diameter"] == pytest.approx(2 * ref["rho"], rel=1e-12, abs=0)
     margins = ref["angles"] - 2.0 * ref["rho"]
     assert margins[ks.index(n - 2), 1] == pytest.approx(0.0, abs=1e-9)
     margins[ks.index(n - 2), 1] = math.inf
-    assert res.margins["cone_separation"] == pytest.approx(margins[0, 0], rel=1e-12)
+    assert res.margins["cone_separation"] == pytest.approx(margins[0, 0], rel=1e-12, abs=0)
     assert margins.min() == margins[0, 0]
 
 
@@ -483,10 +484,10 @@ def test_gc_sector_margins_match_mpmath_reference(n):
     # the rotated-sector gap their sum
     res = gc_check_elliptic(FaceFamily(alpha2_for_order(n), grid_n=64))
     ref = _mp_cone_reference(n=n)
-    assert ref["beta"] == pytest.approx(2 * math.pi / n, rel=1e-15)
+    assert ref["beta"] == pytest.approx(2 * math.pi / n, rel=1e-15, abs=0)
     for key in ("sector_upper", "sector_lower"):
-        assert res.margins["sector_upper"] == pytest.approx(ref[key], rel=1e-12)
-    assert res.margins["rotated_sector_gap"] == pytest.approx(ref["sector_upper"] + ref["sector_lower"], rel=1e-12)
+        assert res.margins["sector_upper"] == pytest.approx(ref[key], rel=1e-12, abs=0)
+    assert res.margins["rotated_sector_gap"] == pytest.approx(ref["sector_upper"] + ref["sector_lower"], rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("n", [4, 5, 8, 9, 20, 100, 2809, 10**4])
@@ -497,7 +498,7 @@ def test_elliptic_disks_match_mpmath_reference(n):
     plus, minus, sin_half = elliptic_disks(n)
     for centre, (want, radius) in zip((plus, minus), _mp_cone_reference(n=n)["disks"]):
         assert abs(centre - want) <= 1e-12 * abs(want)
-        assert abs(centre) * sin_half == pytest.approx(radius, rel=1e-12)
+        assert abs(centre) * sin_half == pytest.approx(radius, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("length", [0.25, 1.0, 1.75, 1e-2, 1e-4, 1e-5])
@@ -674,7 +675,7 @@ def test_u_power_point_matches_mpmath_powers(n):
         got = u_power_point(ff, k, pts.p_V)
         # the matrix power was 4.9e-6 off at (100, 99)
         assert np.abs(got.v - want).max() <= 1e-10
-        assert got.norm() == pytest.approx(pts.p_V.norm(), rel=1e-6)
+        assert got.norm() == pytest.approx(pts.p_V.norm(), rel=1e-6, abs=0)
 
 
 @pytest.mark.parametrize("n", [2809, 9789, 60636])
@@ -766,7 +767,7 @@ def test_balanced_pair_decomposition_sampling(ff_lox):
 def test_monotone_exclusion_finite_differences(ff_lox):
     # h(. , delta1) decreases on [0, pi] and increases on [pi, 2 pi] for
     # every delta1 strictly between the two line-locus values
-    torus = ff_lox.tori[0]
+    torus = face_torus(ff_lox)
     sigmas = np.linspace(0, 2 * math.pi, 101)
     for d1 in delta0(ff_lox.alpha2) + np.linspace(0.05, math.pi - 0.05, 9):
         V = torus_vectors(torus, sigmas[:, None] + d1, sigmas[:, None] - d1)
@@ -790,7 +791,7 @@ def test_vertex_location_closed_form(alpha2):
     pts = family_points(ff)
     for r in (pts.p_W, apply(family_U(ff).inv(), pts.p_W)):
         circle = giraud_torus(classify_bisector(pts.p_U, pts.p_V, ff.tol), classify_bisector(pts.p_U, r, ff.tol), ff.tol)
-        _, lifts, dist = giraud_circle_tangents([(circle, t.v) for t in (pts.p_A, pts.p_B)])
+        _, lifts, dist = giraud_circle_tangents(circle.lifts, circle.rows, np.array([pts.p_A.v, pts.p_B.v]), ff.space)
         assert dist.max() <= 1e-12
         for lift, target in zip(lifts, (pts.p_A, pts.p_B)):
             assert proj_distance(HVec(lift, ff.space), target) <= 1e-12
@@ -895,17 +896,27 @@ def test_empty_ball_band_is_named(alpha2, grid, empty):
         assert check.passed != empty
 
 
+def test_grid_below_two_is_rejected():
+    # the exclusion passes read grid_n // 2 delta-columns, so grids 0 and 1
+    # raise a ValueError that names the bound (they ended in a
+    # ZeroDivisionError), and grid 2, one column, still gets a report
+    for grid in (0, 1):
+        with pytest.raises(ValueError, match=r"grid_n must be >= 2"):
+            verify(0.5, grid_n=grid)
+    assert verify(0.5, grid_n=2).grid_n == 2
+
+
 def test_torus_margins_do_not_depend_on_the_grid():
     # grid_n sets only the number of delta-columns; the margins on 64 and
     # 360 columns agree to 1e-3
     for a2 in (alpha2_for_order(9), alpha2_for_order(2809), alpha2_for_length(1.0), math.pi / 6):
         coarse, fine = FaceFamily(a2, grid_n=128), FaceFamily(a2, grid_n=720)
         assert tf_check(coarse).margins["torus_exclusion"] == pytest.approx(
-            tf_check(fine).margins["torus_exclusion"], rel=1e-3
+            tf_check(fine).margins["torus_exclusion"], rel=1e-3, abs=0
         )
         lc_coarse, lc_fine = lc_check(coarse).margins, lc_check(fine).margins
         for key in ("faces_minus_minus", "faces_plus_plus"):
-            assert lc_coarse[key] == pytest.approx(lc_fine[key], rel=1e-3)
+            assert lc_coarse[key] == pytest.approx(lc_fine[key], rel=1e-3, abs=0)
 
 
 @pytest.mark.parametrize("grid", [128, 720])
@@ -944,10 +955,10 @@ def test_lc_common_constraint_matches_the_three_constraint_envelope(alpha2, grid
 
 @pytest.mark.parametrize("alpha2", [alpha2_for_order(9), alpha2_for_length(1.0)])
 def test_verify_runs_one_exclusion_pass_per_torus(alpha2, monkeypatch):
-    # one stacked column call per verify: TF's torus_exclusion and LC's
+    # one column call per verify: TF's torus_exclusion and LC's
     # faces_minus_minus share the pass over the J_0^-/J_-1^- torus, and LC's
-    # faces_plus_plus is the second pass: two ball blocks, each reading a
-    # single constraint.  The complex-line locus and the vertex column are
+    # faces_plus_plus is the second pass: a (2, 5, 3) row array of two
+    # passes, each reading a single constraint, on 360 delta-columns.  The complex-line locus and the vertex column are
     # proved once and read from no column
     # (tests/test_line_and_contact_identities.py, tests/test_vertex_identities.py).  No tangency,
     # bisector-kind or pair-kind kernel runs: what they would decide is
@@ -957,9 +968,9 @@ def test_verify_runs_one_exclusion_pass_per_torus(alpha2, monkeypatch):
     calls, kernels, names = [], [], ("tangencies", "bisector_kinds", "pair_kinds")
     column_minima = bisector.column_minima
 
-    def counted_minima(blocks):
-        calls.append([(len(d), np.shape(w)) for _, d, _, w in blocks])
-        return column_minima(blocks)
+    def counted_minima(R, deltas, space):
+        calls.append((np.shape(R), np.shape(deltas)))
+        return column_minima(R, deltas, space)
 
     def counted(name, fn):
         def wrapper(*args):
@@ -972,9 +983,7 @@ def test_verify_runs_one_exclusion_pass_per_torus(alpha2, monkeypatch):
         monkeypatch.setattr(oracles, name, counted(name, getattr(oracles, name)))
     rep = verify(alpha2, grid_n=720)
     assert rep.all_passed()
-    (blocks,) = calls
-    assert [n for n, _ in blocks] == [360, 360]
-    assert all(shape == (3,) for _, shape in blocks)
+    assert calls == [((2, 5, 3), (360,))]
     assert kernels == []
     crlab_modules = [m for key, m in sys.modules.items() if key.startswith("crlab")]
     assert [(m.__name__, n) for m in crlab_modules for n in names if hasattr(m, n)] == []
@@ -982,26 +991,26 @@ def test_verify_runs_one_exclusion_pass_per_torus(alpha2, monkeypatch):
 
 def test_verify_and_the_spinal_trace_share_one_column_stage(tmp_path, monkeypatch):
     # one engine forms the torus columns' sinusoids: a verify calls it once,
-    # with the two blocks of the exclusion passes, and a spinal-trace
-    # figure once, with its one block of columns
+    # with the rows of both exclusion passes, and a spinal-trace figure
+    # once, with the rows of its one torus
     bisector, figures = (importlib.import_module(f"crlab.{name}") for name in ("bisector", "figures"))
     calls, stage = [], bisector._column_sinusoids
 
-    def counted(blocks):
-        calls.append([len(d) for _, d, _, _ in blocks])
-        return stage(blocks)
+    def counted(R, deltas, space):
+        calls.append((np.shape(R), np.shape(deltas)))
+        return stage(R, deltas, space)
 
     monkeypatch.setattr(bisector, "_column_sinusoids", counted)
     assert verify(alpha2_for_order(9), grid_n=720).all_passed()
-    assert calls == [[360, 360]]
+    assert calls == [((2, 5, 3), (360,))]
     calls.clear()
     figures.figure_spinal_trace(str(tmp_path / "spinal-trace"), resolution=181)
-    assert calls == [[90]]
+    assert calls == [((5, 3), (90,))]
 
 
 # scalar core.inner and box calls, and HVec constructions, of
 # verify(alpha2, grid_n=720): none since FaceFamily reads every decision from
-# its point table and box rows (79 inner calls at order 9 and 64
+# its point table and torus rows (79 inner calls at order 9 and 64
 # at length 1.0 before; 229 and 214 when every bisector and torus was built
 # per use and incidence looped)
 INNER_CALLS_BOUND = 0
@@ -1009,11 +1018,12 @@ INNER_CALLS_BOUND = 0
 
 @pytest.mark.parametrize("alpha2", [alpha2_for_order(9), alpha2_for_length(1.0)])
 def test_verify_builds_each_bisector_and_torus_once(alpha2, monkeypatch):
-    # FaceFamily builds its four Giraud tori once, from its table's box
-    # rows, two of which the bi-tangency reads; from FaceFamily.__init__
+    # FaceFamily builds the box rows of its four Giraud tori in one
+    # box_rows call, and the exclusion passes and the bi-tangency read them
+    # as arrays, through no GiraudTorus view; from FaceFamily.__init__
     # through torus_pass and the three checks no scalar Hermitian product,
     # box product or HVec is formed
-    core, reference, module = (importlib.import_module(f"crlab.{name}") for name in ("core", "reference", "verify"))
+    core, reference = (importlib.import_module(f"crlab.{name}") for name in ("core", "reference"))
     calls = collections.Counter()
 
     def counted(name, fn):
@@ -1022,27 +1032,19 @@ def test_verify_builds_each_bisector_and_torus_once(alpha2, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
+    # the functions as their home modules define them, before any is wrapped
+    kernels = {"inner": core.inner, "box": reference.box, "box_rows": core.box_rows}
     for mod in [m for key, m in sys.modules.items() if key.startswith("crlab")]:
-        for name, home in (("inner", core), ("box", reference)):
-            if getattr(mod, name, None) is getattr(home, name):
-                monkeypatch.setattr(mod, name, counted(name, getattr(home, name)))
+        for name, fn in kernels.items():
+            if getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, counted(name, fn))
     monkeypatch.setattr(HVec, "__post_init__", counted("HVec", HVec.__post_init__))
     monkeypatch.setattr(GiraudTorus, "__init__", counted("torus", GiraudTorus.__init__))
-    bitangency = module._bitangency
-
-    def counted_bitangency(*args):
-        before = calls["torus"]
-        try:
-            return bitangency(*args)
-        finally:
-            calls["bitangency_torus"] += calls["torus"] - before
-
-    monkeypatch.setattr(module, "_bitangency", counted_bitangency)
     ff = FaceFamily(alpha2, grid_n=720)
     ff.torus_pass
-    assert calls["inner"] == calls["box"] == calls["HVec"] == 0
+    assert calls["inner"] == calls["box"] == calls["HVec"] == 0 and calls["box_rows"] == 1
     assert verify(alpha2, grid_n=720).all_passed()
-    assert calls["torus"] == 8 and calls["bitangency_torus"] == 0
+    assert calls["torus"] == 0 and calls["box_rows"] == 2
     assert calls["inner"] + calls["box"] + calls["HVec"] <= INNER_CALLS_BOUND
 
 
@@ -1101,7 +1103,8 @@ def test_array_decisions_equal_the_per_object_oracle(alpha2):
     assert got[1] == [b.kind for b in bs]
     assert np.allclose(got[0], [b.r_disc for b in bs], rtol=1e-12, atol=1e-12)
     lifts = ff.P[[[P_U, q] for q in BISECTORS]]
-    assert _outcome(lambda: oracles.pair_kinds(ff.boxes[:4], lifts, TORI, ff.space, ff.tol)) == [_outcome(lambda: classify_pair(bs[i], bs[j], ff.tol)) for i, j in TORI]
+    foci = box_rows(lifts[:, 0], lifts[:, 1], ff.space)
+    assert _outcome(lambda: oracles.pair_kinds(foci, lifts, TORI, ff.space, ff.tol)) == [_outcome(lambda: classify_pair(bs[i], bs[j], ff.tol)) for i, j in TORI]
     triples = [(pts.p_U, pts.p_V, pts.p_W), (pts.p_U, seconds[2], pts.p_W)]
     want = [_outcome(lambda t=t: symmetric_intersection_type(*t, ff.tol)) for t in triples]
     sym = _outcome(lambda: symmetric_kinds(lc_triples(ff), ff.space, ff.tol))

@@ -9,8 +9,8 @@ modulo c^2 + s^2 - 1 (`slice_algebra`).
 A torus of lifts (p, q, r) with rows qr, pr, qp (`GiraudTorus`) has the
 points V(theta, phi) = qr - e^{-i theta} pr - e^{-i phi} qp, and with
 theta = sigma + delta, phi = sigma - delta, V = qr - e^{-i sigma} B(delta),
-B(delta) = e^{-i delta} pr + e^{i delta} qp.  On `FaceFamily.tori[0]`, of
-(p_U, p_W, U^-1 p_W), and on `tori[1]`, of (p_U, p_V, U p_V), with E =
+B(delta) = e^{-i delta} pr + e^{i delta} qp.  On torus 0 of `FaceFamily`,
+of (p_U, p_W, U^-1 p_W), and on torus 1, of (p_U, p_V, U p_V), with E =
 e^{i alpha2}:
 
 - on the column delta_v = alpha2 - pi/2, where e^{-i delta_v} = i conj(E),
@@ -20,7 +20,7 @@ e^{i alpha2}:
   the whole column, and its two ends sigma = +-(pi/2 - alpha2) are the
   column's only null points;
 - at sigma = pi/2 - alpha2, which is (theta, phi) = (0, pi - 2 alpha2),
-  V = lambda p_A on tori[0] and lambda U p_A on tori[1]; at sigma =
+  V = lambda p_A on torus 0 and lambda U p_A on torus 1; at sigma =
   -(pi/2 - alpha2), which is (2 alpha2 - pi, 0), V = lambda p_B on both.
   Every 2x2 minor of (V, vertex) vanishes, each vertex is null, and
   |lambda|^2 = 72 c^4 > 0.
@@ -56,7 +56,7 @@ def _on_slice(expr):
 
 
 def _rows(p, q, r):
-    """(qr, pr, qp) of the lifts (p, q, r), as `FaceFamily.tori` forms them."""
+    """(qr, pr, qp) of the lifts (p, q, r), as `FaceFamily.rows` holds them."""
     return [sa.box(a, b).applyfunc(_on_slice) for a, b in ((q, r), (p, r), (q, p))]
 
 
@@ -154,20 +154,21 @@ def test_symbolic_vertices_are_the_programs(alpha2):
     # family.delta_v is their column mod pi
     ff = FaceFamily(alpha2, grid_n=64)
     co, si = math.cos(alpha2), math.sin(alpha2)
-    tori, P = ff.tori[:2], ff.P
-    for want, torus in zip(SYMBOLIC(co, si), tori):
-        for w, got in zip(np.asarray(want, dtype=complex), (torus.qr, torus.pr, torus.qp)):
+    P = ff.P
+    for want, rows in zip(SYMBOLIC(co, si), ff.rows[:2]):
+        for w, got in zip(np.asarray(want, dtype=complex), rows):
             assert np.abs(w - got).max() <= 1e-13 * np.abs(got).max()
     up, down = (0.0, math.pi - 2.0 * alpha2), (2.0 * alpha2 - math.pi, 0.0)
-    pairs = [(tori[0], P[P_A]), (tori[0], P[P_B]), (tori[1], P[P_B]), (tori[1], P[U_PA])]
+    angles = vertex_angles(ff.lifts[[0, 0, 1, 1]], P[[P_A, P_B, P_B, U_PA]], ff.space)
     dv = delta_v(alpha2)
-    for (th, ph), want in zip(vertex_angles(pairs), (up, down, down, up)):
+    for (th, ph), want in zip(angles, (up, down, down, up)):
         assert max(abs(math.remainder(x - w, 2.0 * math.pi)) for x, w in zip((th, ph), want)) <= 1e-12
         assert abs(math.remainder((th - ph) / 2.0 - dv, math.pi)) <= 1e-12
     # the program's ball arc on the column delta_v = pi/2 + alpha2 is mid =
     # arg(-36 c^2 s) = pi, half = pi/2 - alpha2: its ends are the vertices.
     # C is of order s against rows of order 1, so its rounding in angle
     # grows like 1/s as alpha2 -> 0
-    _, mid, half = column_minima([(t, np.array([dv]), t.p, P[neg]) for t, neg in zip(tori, (P_V, P_W))])
+    R = np.concatenate([ff.lifts[:2, :1], P[[P_V, P_W], None], ff.rows[:2]], axis=1)
+    _, mid, half = column_minima(R, [dv], ff.space)
     assert np.abs(np.abs(mid) - math.pi).max() <= 1e-14 / si
     assert np.abs(half - (math.pi / 2.0 - alpha2)).max() <= 1e-14 / si

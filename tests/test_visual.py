@@ -73,7 +73,7 @@ def test_chart_line_invariance():
         q = HVec(rng.normal(size=3) + 1j * rng.normal(size=3), ff.space)
         lam = complex(rng.normal(), rng.normal())
         q2 = HVec(q.v + lam * ch.base, ff.space)
-        assert chart(ch, q.v) == pytest.approx(chart(ch, q2.v), rel=1e-9)
+        assert chart(ch, q.v) == pytest.approx(chart(ch, q2.v), rel=1e-9, abs=0)
 
 
 def test_chart_autopolar_convention():
@@ -416,7 +416,7 @@ def test_chart_ratio_is_cross_ratio():
         qp = HVec(rng.normal(size=3) + 1j * rng.normal(size=3), sp)
         ratio = chart(ch, qp.v) / chart(ch, q.v)
         cr = cross_ratio(chart(ch2, family_points(ff).p_U_prime.v), chart(ch2, family_points(ff).p_U_dprime.v), chart(ch2, q.v), chart(ch2, qp.v))
-        assert ratio == pytest.approx(cr, rel=1e-8)
+        assert ratio == pytest.approx(cr, rel=1e-8, abs=0)
 
 
 def test_projected_samples_inside_fitted_circle():
