@@ -6,11 +6,11 @@ Modules:
   isometry   SU(2,1) lifts, trace classification, eigendata, elliptic types
   family     the two-parameter representation family, its point table and
              the closed-form projected disks of J_0^+ and J_0^-
-  bisector   Giraud tori of bisector pairs, their column minima, level sets
+  bisector   Giraud tori as row arrays: column minima and forms, level sets
   visual     visual-sphere charts, on which U acts by its multiplier;
              no check reads one (the tests' oracles do)
   verify     the TF/LC/GC verification engine and surgery verdicts
-  report     check results, verdicts and the report-v9 JSON layout
+  report     check results, verdicts and the report-v10 JSON layout
   figures    deterministic CSV/SVG figure data
   csvfloat   the byte-exact %.17g and %.9g kernel of the figure CSVs and SVGs
   cli        the `crlab` command line
@@ -48,7 +48,6 @@ from .family import (
     param_side,
     schwartz_point,
 )
-from .bisector import GiraudTorus
 from .visual import VisualChart
 from .report import VerificationReport
 from .verify import FaceFamily, verify

@@ -7,9 +7,20 @@ whose focus is the pole [p box q] of the complex spine.  Two extors E(p,q)
 and E(p,r) of equal-norm lifts meet in a Giraud torus when the pair is
 unbalanced: neither focus lies in the other extor (the oracle `pair_kinds`
 in tests/oracles.py; every pair verify reads is unbalanced at each alpha2,
-tests/test_face_family_identities.py).  Every column here is formed from
-the box products of the rows (`core.box_rows`), so that a whole family of
-tori is one array evaluation.
+tests/test_face_family_identities.py).
+
+A torus of lifts (p, q, r) is read from its box products qr = q box r, pr
+= p box r and qp = q box p (`core.box_rows`).  Its points are [(q - e^{i
+theta} p) box (r - e^{i phi} p)] = qr - e^{-i theta} pr - e^{-i phi} qp;
+with theta = sigma + delta and phi = sigma - delta that is qr - e^{-i
+sigma} B(delta), B(delta) = e^{-i delta} pr + e^{i delta} qp, so every
+form on a delta-column is a sinusoid in sigma.  A torus comes as a row
+array R (..., 5, 3) = (pos, neg, qr, pr, qp), with the two coordinate
+vectors whose forms are read, and one stage forms the sinusoids of its
+columns (`_column_sinusoids`): `column_minima` reads each column's ball
+part in closed form for verify, and `column_forms` evaluates the forms on
+a (sigma, delta) grid for the spinal-trace figure, both from the pass
+array of `verify.FaceFamily`; a whole family of tori is one evaluation.
 """
 
 from __future__ import annotations
@@ -32,45 +43,20 @@ def _proj_distances(a, b) -> np.ndarray:
         return np.linalg.norm(a - sesquilinear(b, a)[..., None] * b, axis=-1)
 
 
-class GiraudTorus:
-    """The intersection torus of the coequidistant extors E(p,q), E(p,r) of
-    an unbalanced pair, from its lifts and box products: the one-torus view
-    of a row of `verify.FaceFamily`'s lifts and rows, whose four pairs are
-    unbalanced at every alpha2 in (0, pi/2), with |det(p, q, r)|^2 of order
-    cos^4 alpha2 (tests/test_face_family_identities.py).
-
-    Points are [(q - e^{i theta} p) box (r - e^{i phi} p)], expanded as
-    qr - e^{-i theta} pr - e^{-i phi} qp in the box products qr = q box r,
-    pr = p box r, qp = q box p.  With theta = sigma + delta and phi =
-    sigma - delta the point is qr - e^{-i sigma} B(delta), B(delta) =
-    e^{-i delta} pr + e^{i delta} qp, so every form on a delta-column is a
-    sinusoid in sigma, formed by `_column_sinusoids`
-    alone: `column_minima` reads the ball part of each column in closed
-    form for verify, and `column_forms` evaluates the forms on a (sigma,
-    delta) grid for the figures.
-    """
-
-    def __init__(self, lifts, rows, space):
-        """The torus of the lifts (p, q, r), coordinate vectors of `space`,
-        with the box products rows = (q box r, p box r, q box p)."""
-        self.lifts, self.rows = np.asarray(lifts), np.asarray(rows)
-        self.p, self.q, self.r = self.lifts
-        self.qr, self.pr, self.qp = self.rows
-        self.space = space
-
-    def column_forms(self, sigmas, deltas, pos, neg) -> list:
-        """[<V, V>, |<pos, V>|^2, |<neg, V>|^2], each over |V|^2 and of shape
-        (len(sigmas), len(deltas)), for coordinate vectors pos and neg: the
-        rows of `_column_sinusoids` for one row array, so no torus
-        point is formed.  |V|^2 is the plain sinusoid, which cancels
-        near its column minimum: on the face-family torus at alpha2 = 1.56
-        the ratios agree with a 40-digit evaluation of the same points to
-        about 6e-12 of the grid's largest value, and to 1e-15 at alpha2 =
-        0.7."""
-        kpq, (A, C) = _column_sinusoids(np.concatenate([[pos, neg], self.rows]), deltas, self.space)
-        cos, sin = np.cos(sigmas)[:, None], np.sin(sigmas)[:, None]
-        sq, *forms = [k + p * cos + q * sin for k, p, q in [kpq[:, 0], (A, -2.0 * C.real, -2.0 * C.imag), kpq[:, 1], kpq[:, 2]]]
-        return [f / sq for f in forms]
+def column_forms(R, sigmas, deltas, space) -> list:
+    """[<V, V>, |<pos, V>|^2, |<neg, V>|^2], each over |V|^2 and of shape
+    (..., len(sigmas), len(deltas)), on the (sigma, delta) grid of the tori
+    of the row arrays R (..., 5, 3) = (pos, neg, qr, pr, qp) of
+    `_column_sinusoids`: its sinusoids evaluated at each sigma, so no torus
+    point is formed.  |V|^2 is the plain sinusoid, which cancels near its
+    column minimum: on the face-family torus at alpha2 = 1.56 the ratios
+    agree with a 40-digit evaluation of the same points to about 6e-12 of
+    the grid's largest value, and to 1e-15 at alpha2 = 0.7."""
+    kpq, (A, C) = _column_sinusoids(R, deltas, space)
+    cos, sin = np.cos(sigmas)[:, None], np.sin(sigmas)[:, None]
+    rows = [kpq[:, 0], (A, -2.0 * C.real, -2.0 * C.imag), kpq[:, 1], kpq[:, 2]]
+    sq, *forms = [k[..., None, :] + p[..., None, :] * cos + q[..., None, :] * sin for k, p, q in rows]
+    return [f / sq for f in forms]
 
 
 def _column_sinusoids(R, deltas, space) -> tuple:

@@ -108,13 +108,15 @@ class FamilyRep:
         return Isometry(rho_t(self.params), self.space)
 
     def word(self, word: str) -> Isometry:
-        """Evaluate a group word such as "ts^-1ts^2" in this representation."""
+        """Evaluate a group word such as "ts^-1ts^2" in this representation.
+        rho(s)^3 = rho(t)^3 = I (the group is Z/3 * Z/3), so a power is
+        taken mod 3, keeping its sign: s^-1 is the exact inverse, not s^2."""
         M = np.eye(3, dtype=complex)
         gens = {"s": self.S.M, "t": self.T.M}
         inv = {"s": self.S.inv().M, "t": self.T.inv().M}
         for letter, power in parse_word(word):
             base = gens[letter] if power >= 0 else inv[letter]
-            for _ in range(abs(power)):
+            for _ in range(abs(power) % 3):
                 M = M @ base
         return Isometry(M, self.space)
 

@@ -13,7 +13,9 @@ disk-projection's are the same at every numpy CPU-dispatch level too: it
 is `math` scalars, real cos and sin and real arithmetic.  The others are
 not promised across dispatch levels (complex products and `abs` change
 their last bits with them), nor across numpy's and cmath's roundings
-(numpy ufuncs against Python scalars).
+(numpy ufuncs against Python scalars).  spinal-trace draws the torus of
+TF's exclusion pass, the first row array of `verify.FaceFamily.passes`,
+through `bisector.column_forms`: the sinusoids verify reads, on a grid.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ import numpy as np
 from .core import GeometryError
 from .family import (
     ALPHA2_LIM,
-    P_U,
-    P_V,
     char_P,
     char_Q,
     delta0,
@@ -36,12 +36,12 @@ from .family import (
     trace_ts_inv,
 )
 from .isometry import goldman_f
-from .bisector import GiraudTorus, level_g
+from .bisector import column_forms, level_g
 from .verify import FaceFamily
 from .csvfloat import g9_fields, g17_fields
 
 CSV_FMT = "%.17g"
-CSV_BLOCK_ROWS = 4096  # rows written, and values formatted, at a time by write_csv
+CSV_BLOCK_ROWS = 4096  # rows written, and undeclared values formatted, at a time by write_csv
 SVG_PREC = 9
 
 
@@ -51,10 +51,10 @@ def write_csv(path, header, columns):
 
     A column is a 1-D array, or a pair (values, index) declaring it as
     values[index] (the figures' axes and labels).  Declared values are
-    formatted once, the rest block by block, by `csvfloat.g17_fields`.  A
-    block joins each column's NUL-padded fields, each at its widest field
-    in the block plus one slot for "," or a newline, and is written without
-    its NULs.
+    formatted once, in one call, the rest block by block, by
+    `csvfloat.g17_fields`.  A block joins each column's NUL-padded fields,
+    each at its widest field (in the block, or among the declared values)
+    plus one slot for "," or a newline, and is written without its NULs.
     """
     cols = [col if isinstance(col, tuple) else (col, None) for col in columns]
     cols = [(np.asarray(v, dtype=float), i if i is None else np.asarray(i)) for v, i in cols]
@@ -71,10 +71,7 @@ def write_csv(path, header, columns):
     separators = [ord(",")] * (len(cols) - 1) + [ord("\n")]
     for j, ((values, index), sep) in enumerate(zip(cols, separators)):
         if index is not None:
-            parts = [g17_fields(values[start : start + CSV_BLOCK_ROWS]) for start in range(0, len(values), CSV_BLOCK_ROWS)]
-            fields = np.zeros((len(values), max((p.shape[1] for p in parts), default=1)), dtype=np.uint8)
-            for start, part in zip(range(0, len(values), CSV_BLOCK_ROWS), parts):
-                fields[start : start + len(part), : part.shape[1]] = part
+            fields = g17_fields(values)
             fields[:, -1] = sep
             cols[j] = (fields, index)
     with open(path, "wb") as fh:
@@ -108,10 +105,7 @@ class SvgCanvas:
     def _f(self, x):
         return f"%.{SVG_PREC}g" % x
 
-    def polyline(self, points, color="#1f4e9c", width=0.002):
-        self.polylines(np.asarray(points, dtype=complex)[None, :], color, width)
-
-    def polylines(self, curves, color="#1f4e9c", width=0.002):
+    def polylines(self, curves, color="#1f4e9c"):
         """One polyline per row of an (m, k) array of complex points, every
         coordinate formatted by `csvfloat.g9_fields` in one pass: the ","
         and " " separators and a newline after each row's last point are
@@ -122,7 +116,7 @@ class SvgCanvas:
         if m == 0:
             return
         head = (
-            f'<polyline fill="none" stroke="{color}" stroke-width="{self._f(width * (self.xmax - self.xmin))}" '
+            f'<polyline fill="none" stroke="{color}" stroke-width="{self._f(0.002 * (self.xmax - self.xmin))}" '
             'points="'
         ).encode()
         xy = np.empty((m, k, 2))
@@ -139,10 +133,10 @@ class SvgCanvas:
         del fields, ends
         self.elements.append(b"".join([head, points.replace(b"\n", b'"/>\n' + head), b'"/>']))
 
-    def circle(self, center, r, color="#b02020"):
+    def circle(self, center, r):
         cx, cy = center.real, self.ymax + self.ymin - center.imag
         self.elements.append(
-            f'<circle cx="{self._f(cx)}" cy="{self._f(cy)}" r="{self._f(r)}" fill="{color}"/>'.encode()
+            f'<circle cx="{self._f(cx)}" cy="{self._f(cy)}" r="{self._f(r)}" fill="#b02020"/>'.encode()
         )
 
     def write(self, path):
@@ -275,7 +269,7 @@ def figure_disk_projection(out_base, n=20, boundary_points=512, fmt="csv"):
         columns = [(np.arange(3.0), family), (np.arange(2.0 * n), k), z.real, z.imag]
         return write_csv(out_base + ".csv", ["family", "k", "re", "im"], columns), curves
     canvas = SvgCanvas(-3.2, 3.2, -3.2, 3.2)
-    canvas.polyline(_unit_points(np.linspace(0, 2 * math.pi, 361)), color="#888888")
+    canvas.polylines(_unit_points(np.linspace(0, 2 * math.pi, 361))[None], color="#888888")
     for sign, color in (("plus", "#1f4e9c"), ("minus", "#0c8a3c")):
         canvas.polylines(np.concatenate([families[sign], families[sign][:, :1]], axis=1), color=color)
     for z in marks:
@@ -284,12 +278,14 @@ def figure_disk_projection(out_base, n=20, boundary_points=512, fmt="csv"):
 
 
 def figure_spinal_trace(out_base, alpha2=0.7, resolution=361, fmt="csv"):
-    """Curves on the intersection torus of two neighbouring bisectors: the
-    locus inside the closed ball and the crossing loci with the third extor."""
+    """Curves on the intersection torus of two neighbouring bisectors, that
+    of J_0^- and J_-1^- whose exclusion pass TF reads (`FaceFamily.passes`
+    row 0): the locus inside the closed ball and the crossing loci with the
+    third extor, E(p_U, p_V)."""
     ff = FaceFamily(alpha2)
     sigmas = np.linspace(0.0, 2.0 * math.pi, resolution, endpoint=False)
     deltas = delta0(ff.alpha2) + np.linspace(0.0, math.pi, resolution // 2, endpoint=False)
-    norms, to_u, to_v = GiraudTorus(ff.lifts[0], ff.rows[0], ff.space).column_forms(sigmas, deltas, ff.P[P_U], ff.P[P_V])
+    norms, to_u, to_v = column_forms(ff.passes[0], sigmas, deltas, ff.space)
     side = to_u - to_v
     if fmt == "csv":
         return (
@@ -304,18 +300,18 @@ def figure_spinal_trace(out_base, alpha2=0.7, resolution=361, fmt="csv"):
     return canvas.write(out_base + ".svg"), (sigmas, deltas, norms, side)
 
 
-def figure_schwartz_slice(out_base, resolution=256, extent=3.2, fmt="csv"):
+def figure_schwartz_slice(out_base, resolution=256, fmt="csv"):
     """The trace-coordinate slice through the real-axis uniformization: the
     existence region of the character equations and the non-regular locus."""
     w = schwartz_point()
-    xs = np.linspace(-extent, extent, resolution)
+    xs = np.linspace(-3.2, 3.2, resolution)
     z = np.empty((resolution, resolution), dtype=complex)
     z.real, z.imag = xs[:, None], xs[None, :]
     F = goldman_f(z)
     E = char_P(z, w) - char_Q(z, w) ** 2 / 4.0
     if fmt == "csv":
         return write_csv(out_base + ".csv", ["re_z", "im_z", "f", "existence"], _grid_columns(xs, xs, F, E)), (xs, F, E)
-    canvas = SvgCanvas(-extent, extent, -extent, extent)
+    canvas = SvgCanvas(-3.2, 3.2, -3.2, 3.2)
     canvas.polylines(_contour_segments(xs, xs, F, 0.0))
     canvas.polylines(_contour_segments(xs, xs, E, 0.0), color="#b02020")
     return canvas.write(out_base + ".svg"), (xs, F, E)

@@ -162,8 +162,8 @@ def _cubic_roots(c2: complex, c1: complex, c0: complex):
     return [u - p / (3.0 * u) + shift for u in roots]
 
 
-def _newton_refine(lam, c2, c1, c0, steps=3):
-    for _ in range(steps):
+def _newton_refine(lam, c2, c1, c0):
+    for _ in range(3):
         f = ((lam - c2) * lam + c1) * lam - c0
         df = (3.0 * lam - 2.0 * c2) * lam + c1
         lam = lam - f / df

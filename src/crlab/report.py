@@ -1,10 +1,13 @@
 """The verification report: the results of the checks TF, LC and GC, the
-verdict, and the `report-v9` JSON that `crlab verify --out` writes, one
+verdict, and the `report-v10` JSON that `crlab verify --out` writes, one
 file per parameter.
 
 The JSON bytes are the contract: keys sorted, two-space indent, one
-trailing newline, margins and residuals as floats and counts as ints,
-the bytes of `json.dumps(..., sort_keys=True, indent=2)`.
+trailing newline, margins and residuals as floats, grid_n, the order n and
+the slope as ints, the bytes of `json.dumps(..., sort_keys=True,
+indent=2)`.  Each number is reported once: a margin that equals another,
+or is a fixed multiple of one, is left out, and the check that reads it
+says so.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import enum
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
-SCHEMA_VERSION = "report-v9"
+SCHEMA_VERSION = "report-v10"
 
 
 @dataclass
@@ -22,7 +25,6 @@ class CheckResult:
     passed: bool
     margins: dict = field(default_factory=dict)
     residuals: dict = field(default_factory=dict)
-    counts: dict = field(default_factory=dict)
     notes: list = field(default_factory=list)
     skipped: bool = False
 
@@ -33,7 +35,6 @@ class CheckResult:
             "skipped": bool(self.skipped),
             "margins": {k: float(v) for k, v in sorted(self.margins.items())},
             "residuals": {k: float(v) for k, v in sorted(self.residuals.items())},
-            "counts": {k: int(v) for k, v in sorted(self.counts.items())},
             "notes": list(self.notes),
         }
 
@@ -70,7 +71,6 @@ class VerificationReport:
     verdict: Verdict
     grid_n: int
     tol: float
-    notes: list = field(default_factory=list)
 
     def all_passed(self):
         return all(c.passed for c in (self.tf, self.lc, self.gc) if not c.skipped)
@@ -96,12 +96,11 @@ class VerificationReport:
                 "gc": self.gc.to_dict(),
             },
             "verdict": self.verdict.to_dict(),
-            "notes": list(self.notes),
         }
 
 
 def to_json(report: VerificationReport) -> str:
-    """The report's `report-v9` JSON text, by one walk of its dict (`_dump`)."""
+    """The report's `report-v10` JSON text, by one walk of its dict (`_dump`)."""
     return _dump(report.to_dict(), "\n") + "\n"
 
 

@@ -26,10 +26,12 @@ TF and LC read the Giraud tori of neighbouring faces one delta-column at a
 time, where every form is a sinusoid in sigma: each exclusion margin is an
 exact minimum over sigma, sampled in delta about the vertex column
 family.delta_v.  Both exclusion passes of a parameter are one (2, 5, 3)
-row array of FaceFamily's torus rows, read by one bisector.column_minima
-call (FaceFamily.torus_pass) from the sinusoids of the one stage that also
-draws the spinal-trace figure.  The unipotent wall is decided once, by
-family.param_side: on it GC is not applicable.
+row array, FaceFamily.passes, read by one bisector.column_minima call
+(FaceFamily.torus_pass); its first pass, TF's, is also the torus the
+spinal-trace figure draws.  TF reports that pass's margin once: LC's claim
+on the faces F_0^- and F_-1^- rests on it, and LC reports its own pass
+alone.  The unipotent wall is decided once, by family.param_side: on it GC
+is not applicable.
 
 Passing all three yields the Dehn-surgery verdict for the parameter:
 slope 1/(n-3) on the elliptic side of order n >= 9, slope -1/3 on the
@@ -75,8 +77,10 @@ class FaceFamily:
     P_A .. UI_PW), and the lifts (p_U, q, r) of the tori of TORI with their
     box rows (q box r, p_U box r, q box p_U), each (4, 3, 3), from which
     every decision of the checks is read; grid settings.  Tori 0 and 1
-    carry TF's and LC's exclusion passes, tori 2 and 3 the Giraud circles
-    of `_bitangency`; each is parametrized by (q - e^{i th} p_U) box (r -
+    carry the exclusion passes, as the one row array `passes` (2, 5, 3) =
+    (p_U, neg, q box r, p_U box r, q box p_U) of `bisector.column_minima`
+    with neg = p_V and p_W; tori 2 and 3 the Giraud circles of
+    `_bitangency`.  Each torus is parametrized by (q - e^{i th} p_U) box (r -
     e^{i ph} p_U), and every pair is an unbalanced pair of equal-norm lifts
     at each alpha2 in (0, pi/2) (tests/test_face_family_identities.py).
     The projected disks of J_0^+ and J_0^- on the visual sphere of [p_U]
@@ -95,14 +99,15 @@ class FaceFamily:
         self.P = face_points(self.alpha2)
         self.lifts = self.P[TORUS_LIFTS]
         self.rows = box_rows(self.lifts[:, [1, 0, 1]], self.lifts[:, [2, 2, 0]], self.space)
+        self.passes = np.concatenate([self.lifts[:2, :1], self.P[[P_V, P_W], None], self.rows[:2]], axis=1)
 
     @cached_property
     def torus_pass(self) -> list[float]:
-        """`bisector.torus_exclusion` margins of p_V on the first torus
-        (vertices p_A, p_B; TF, LC) and of p_W on the second (p_B, U p_A;
-        LC), on grid_n // 2 columns about the vertex column `family.delta_v`."""
-        R = np.concatenate([self.lifts[:2, :1], self.P[[P_V, P_W], None], self.rows[:2]], axis=1)
-        return torus_exclusion(R, delta_v(self.alpha2), self.grid_n // 2, self.space)
+        """`bisector.torus_exclusion` margins of the two passes: p_V on the
+        first torus (vertices p_A, p_B; TF, and LC's faces F_0^- and
+        F_-1^-) and p_W on the second (p_B, U p_A; LC), on grid_n // 2
+        columns about the vertex column `family.delta_v`."""
+        return torus_exclusion(self.passes, delta_v(self.alpha2), self.grid_n // 2, self.space)
 
 
 # ---------------------------------------------------------------------------
@@ -176,12 +181,14 @@ def _bitangency(ff: FaceFamily):
 
 
 def lc_check(ff: FaceFamily) -> CheckResult:
-    """LC from what can fail: the two torus-exclusion passes.  Both
-    face-boundary intersections are Giraud disks of order-3 symmetric
-    triples with u = (2/3)(4 cos^2 alpha2 - 3) < 2/3 at every alpha2 in (0,
-    pi/2), and the fan focus at alpha2 = pi/6 sits inside its arc; both are
-    proved once, in tests/test_lc_identities.py and
-    tests/test_gc_identities.py, and so are the vertices at the ends of
+    """LC from what can fail: the two torus-exclusion passes.  The first is
+    TF's, which TF reports as `torus_exclusion`: LC passes only where that
+    margin and its own `faces_plus_plus` are finite and positive, and
+    reports the second alone.  Both face-boundary intersections are Giraud
+    disks of order-3 symmetric triples with u = (2/3)(4 cos^2 alpha2 - 3) <
+    2/3 at every alpha2 in (0, pi/2), and the fan focus at alpha2 = pi/6
+    sits inside its arc; both are proved once, in tests/test_lc_identities.py
+    and tests/test_gc_identities.py, and so are the vertices at the ends of
     the column family.delta_v, in tests/test_vertex_identities.py."""
     res = CheckResult("lc", True)
     # F_0^- /\ F_-1^- == {p_A, p_B} and F_0^+ /\ F_1^+ == {p_B, U p_A}: each
@@ -189,9 +196,8 @@ def lc_check(ff: FaceFamily) -> CheckResult:
     # |<z,p_V>| (TF's torus_exclusion pass) and <= |<z,p_W>|, so it suffices
     # that this set meets the torus's ball part only at the two vertices
     minus, plus = ff.torus_pass
-    ok_mm = _record_exclusion(ff, res, "faces_minus_minus", minus)
     ok_pp = _record_exclusion(ff, res, "faces_plus_plus", plus)
-    res.passed = bool(ok_mm and ok_pp)
+    res.passed = bool(0.0 < minus < math.inf and ok_pp)
     return res
 
 
@@ -205,8 +211,8 @@ def gc_check_loxodromic(ff: FaceFamily) -> CheckResult:
     (tests/test_incidence_identities.py), J_0^+ projects to a disk whose
     log-modulus range is centred at -l/2 with half-width w, sinh^2 w =
     (8/9) sinh^2 l (2x + 1), x = cosh l, and J_0^- to its mirror about 0:
-    so each annulus margin is 2l - w, positive at every l > 0 since 9x^2 -
-    4x - 2 > 0 on x > 1.  The disk, its mirror, that inequality and the two
+    so both annulus margins are 2l - w, reported once, positive at every
+    l > 0 since 9x^2 - 4x - 2 > 0 on x > 1.  The disk, its mirror, that inequality and the two
     contact tangencies are proved once, in tests/test_gc_disk_identities.py
     and tests/test_line_and_contact_identities.py."""
     res = CheckResult("gc", True)
@@ -214,8 +220,9 @@ def gc_check_loxodromic(ff: FaceFamily) -> CheckResult:
         raise ValueError("loxodromic check on a non-loxodromic parameter")
     length = ff.side.length
     w = math.asinh(math.sinh(length) * math.sqrt(8.0 * (2.0 * math.cosh(length) + 1.0)) / 3.0)
-    # the guard annuli log|z| in (-5l/2, 3l/2) of J_0^+ and (-3l/2, 5l/2) of J_0^-
-    res.margins["annulus_upper"] = res.margins["annulus_lower"] = 2.0 * length - w
+    # the guard annuli log|z| in (-5l/2, 3l/2) of J_0^+ and (-3l/2, 5l/2) of
+    # J_0^-, whose margins are mirror twins
+    res.margins["annulus_upper"] = 2.0 * length - w
     res.passed = res.margins["annulus_upper"] > 0.0
     return res
 
@@ -225,11 +232,11 @@ def gc_check_elliptic(ff: FaceFamily) -> CheckResult:
     cos(beta), beta = 2 pi/n.  In the chart J_0^+ projects to a disk centred
     on the ray -beta/2 with half-width `half`, sin^2(half) = (8/9)
     sin^2(beta) (2x + 1) (`family.elliptic_disks`, whose sin(half) it
-    reads), and J_0^- to its mirror, so the sector margin is
-    2 beta - half and the rotated-sector gap twice that, both positive
-    exactly when 9x^2 - 4x - 2 > 0, which is n >= 9.  The cone angles at p_U
-    toward U^k p_V are dist(k beta, 2 pi Z) and those toward U^k p_W are
-    arccos(R cos((k + 1/2) beta)) with 0 < R < 1, so the least of them,
+    reads), and J_0^- to its mirror, so the sector margin is 2 beta -
+    half, positive exactly when 9x^2 - 4x - 2 > 0, which is n >= 9; the
+    rotated-sector gap is twice it and is not reported.  The cone angles
+    at p_U toward U^k p_V are dist(k beta, 2 pi Z) and those toward U^k
+    p_W are arccos(R cos((k + 1/2) beta)) with 0 < R < 1, so the least of them,
     over the pairs the contact tangencies leave, is 2 beta at k = 2 (plus),
     and the cone margin is 2 beta less the real angular diameter diam =
     2 arccos sqrt((2x + 1)/(5 - 2x)), positive as (x - 1)(2x^2 - 3x - 1)
@@ -248,7 +255,6 @@ def gc_check_elliptic(ff: FaceFamily) -> CheckResult:
             "no surgery statement at this parameter"
         )
         return res
-    res.counts["order"] = n
     if n < 9:
         # 9x^2 - 4x - 2 > 0 exactly when cos(beta) > (2 + sqrt 22)/9, which is
         # n >= 9 (tests/test_gc_identities.py)
@@ -284,8 +290,7 @@ def gc_check_elliptic(ff: FaceFamily) -> CheckResult:
     # s near n/2 are left to the cone margins of (b).  Over s in [2, n - 2]
     # with |s - n/2| >= 2, the rotation 2 s beta stays at least 4 beta away
     # from 0 mod 2 pi, exactly 4 beta at s = 2, where the sector of width
-    # 2 half leaves the gap 4 beta - 2 half
-    res.margins["rotated_sector_gap"] = 4.0 * beta - 2.0 * half
+    # 2 half leaves the gap 4 beta - 2 half, twice sector_upper
     res.passed = all(m > 0.0 for m in res.margins.values())
     return res
 

@@ -6,7 +6,8 @@ None of these is on a program path, and none is imported by `crlab`:
   one constraint per Giraud-torus column (`bisector.column_minima`), with
   its own per-form column rows, the per-torus ball arcs `ball_arcs` it
   reads from the norm terms `norm_terms` of the column rows `delta_rows`,
-  and torus points `torus_vectors` and `point`;
+  the one-torus view `GiraudTorus` (the program reads tori as row arrays
+  only), and torus points `torus_vectors` and `point`;
 - the symmetric trichotomy of an order-3 symmetric triple: its array
   form `symmetric_kinds` with `SymmetricKind`, its grid oracle
   (`periodic_components`, `count_sublevel_components`,
@@ -65,7 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from crlab.bisector import GiraudTorus, _arcs, _harmonic_roots, _proj_distances, _ratio_critical, level_g
+from crlab.bisector import _arcs, _harmonic_roots, _proj_distances, _ratio_critical, level_g
 from crlab.core import GeometryError, HVec, box_rows, cross, inner, sesquilinear, tolerance
 from crlab.core import apply as apply_rows
 from crlab.family import (
@@ -79,6 +80,22 @@ TORUS_GRID_DEFAULT = 720
 INF = complex(math.inf, 0.0)
 _EYE3 = np.eye(3)
 TORUS_REFINE_FACTOR = 4
+
+
+class GiraudTorus:
+    """The one-torus view of the row arrays the program reads: the lifts
+    (p, q, r) of a torus, coordinate vectors of `space`, with its box
+    products rows = (q box r, p box r, q box p), as `FaceFamily`'s lifts
+    and rows hold them.  Points are [(q - e^{i theta} p) box (r - e^{i phi}
+    p)] = qr - e^{-i theta} pr - e^{-i phi} qp (`torus_vectors`); the
+    program's `bisector.column_forms` and `column_minima` read the row
+    array (pos, neg, qr, pr, qp) instead."""
+
+    def __init__(self, lifts, rows, space):
+        self.lifts, self.rows = np.asarray(lifts), np.asarray(rows)
+        self.p, self.q, self.r = self.lifts
+        self.qr, self.pr, self.qp = self.rows
+        self.space = space
 
 
 def torus_vectors(torus, theta, phi) -> np.ndarray:

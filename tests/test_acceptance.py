@@ -202,8 +202,8 @@ def test_criterion_4_gc_loxodromic():
         ok &= rep.verdict.kind is VerdictKind.SURGERY
         ok &= (rep.verdict.p, rep.verdict.q) == (1, -3)
         gc = rep.gc
-        ok &= gc.margins["annulus_upper"] > 0 and gc.margins["annulus_lower"] > 0
-        # the disk and its margin 2l - w > 0 hold at every length:
+        ok &= gc.margins["annulus_upper"] > 0
+        # the disk, its mirror and their one margin 2l - w > 0 hold at every length:
         # tests/test_gc_disk_identities.py proves them, and ties them to
         # the program's silhouettes
     report("4 loxodromic verdicts at 10 lengths", ok)
@@ -221,7 +221,7 @@ def test_criterion_5_gc_elliptic():
         ok &= (rep.verdict.p, rep.verdict.q) == (1, n - 3)
         # the sector and cone margins are positive at every order n >= 9:
         # tests/test_gc_disk_identities.py
-        ok &= gc.margins["rotated_sector_gap"] > 0 and gc.margins["cone_separation"] > 0
+        ok &= gc.margins["sector_upper"] > 0 and gc.margins["cone_separation"] > 0
     for n in (4, 5, 6, 7, 8):
         rep = verify(alpha2_for_order(n), grid_n=128)
         ok &= rep.verdict.kind is VerdictKind.INCONCLUSIVE

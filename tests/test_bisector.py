@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from crlab.core import GeometryError, HVec, inner
-from crlab.bisector import column_minima, level_g, vertex_angles
+from crlab.bisector import column_forms, column_minima, level_g, vertex_angles
 from crlab.family import ALPHA2_LIM, P_A, P_U, P_V, P_W, FamilyParams, alpha2_for_order, delta0
 from crlab.reference import Location, alpha2_for_length, ball_model, box, locate, proj_distance, remarkable_points
 from crlab.verify import FaceFamily
@@ -293,7 +293,8 @@ def test_torus_grid_matches_materialized_grid(n, at_delta0):
             sigmas = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
             deltas = d0 + np.linspace(0.0, math.pi, n // 2, endpoint=False)
             ws = (pts.p_U, pts.p_V, pts.p_W, apply(U, pts.p_A))
-            (norm, *abs2), (norm_wx, *abs2_wx) = (torus.column_forms(sigmas, deltas, a.v, b.v) for a, b in (ws[:2], ws[2:]))
+            R = np.array([np.concatenate([[a.v, b.v], torus.rows]) for a, b in (ws[:2], ws[2:])])
+            (norm, *abs2), (norm_wx, *abs2_wx) = np.moveaxis(column_forms(R, sigmas, deltas, sp), 1, 0)
             V = torus_vectors(torus, sigmas[:, None] + deltas, sigmas[:, None] - deltas)
             V = V / np.linalg.norm(V, axis=-1, keepdims=True)
             norms = sp.form(V, V).real

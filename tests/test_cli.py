@@ -32,7 +32,7 @@ def test_verify_n9(tmp_path):
     files = sorted(os.listdir(tmp_path))
     assert len(files) == 1
     report = json.loads((tmp_path / files[0]).read_text())
-    assert report["schema"] == "report-v9"
+    assert report["schema"] == "report-v10"
     assert report["verdict"]["slope"] == [1, 6]
 
 

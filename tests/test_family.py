@@ -86,6 +86,19 @@ def test_group_relations_random_params():
         ) < 1e-12
 
 
+def test_word_powers_are_read_mod_three():
+    # rho(s)^3 = rho(t)^3 = I, so a power is read mod 3 with its sign: a
+    # power of three billion is the identity at once (one matrix product
+    # per unit of exponent would run for hours), and s^-3000000001 is the
+    # exact inverse of s^-1, not a power of s
+    rep = FamilyRep(FamilyParams(0.0, 0.5))
+    assert np.array_equal(rep.word("s^3000000000").M, np.eye(3))
+    assert rep.word("t^-3000000000s^3").M.tobytes() == np.eye(3, dtype=complex).tobytes()
+    assert rep.word("s^-3000000001").M.tobytes() == rep.word("s^-1").M.tobytes()
+    assert np.array_equal(rep.word("s^-1").M, rep.S.inv().M)
+    assert rep.word("t^3000000002").M.tobytes() == rep.word("t^2").M.tobytes()
+
+
 def test_parse_word():
     assert parse_word("ts^-1ts^2") == [("t", 1), ("s", -1), ("t", 1), ("s", 2)]
     assert parse_word("s^-2t^3") == [("s", -2), ("t", 3)]

@@ -1,8 +1,8 @@
 """Golden verdict table: `verify` at grid 128 on strided parameters.
 
 golden_verdicts.json holds, for each parameter of `parameters()`, the
-verdict (kind, slope and reason) and each check's passed, skipped, counts
-and notes, as `verify` reported them when the table was written.  A change
+verdict (kind, slope and reason) and each check's passed, skipped and
+notes, as `verify` reported them when the table was written.  A change
 that moves any of them fails here.  A change that means to move them writes
 the table again with
 
@@ -23,7 +23,7 @@ from crlab.verify import verify
 
 TABLE = pathlib.Path(__file__).with_name("golden_verdicts.json")
 GRID = 128
-FIELDS = ("passed", "skipped", "counts", "notes")
+FIELDS = ("passed", "skipped", "notes")
 
 
 def parameters() -> list[tuple[str, float]]:

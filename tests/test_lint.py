@@ -92,9 +92,11 @@ def test_figures_build_no_representation():
 
 
 def test_one_torus_grid_path():
-    # forms on torus grids come from GiraudTorus.column_forms in closed
-    # form; no module builds the (sigma, delta) grid of points, and the
-    # figures never put torus points through the pointwise form kernel
+    # forms on torus grids come from bisector.column_forms in closed form,
+    # called by the spinal-trace figure alone; no module builds the (sigma,
+    # delta) grid of points, and the figures never put torus points through
+    # the pointwise form kernel
+    assert callers(SRC, "column_forms") == ["figures.figure_spinal_trace"]
     assert [p.name for p in sorted(SRC.glob("*.py")) if "sigma_delta_grid" in p.read_text()] == []
     found = []
     for name in ("figures.py",):
@@ -471,5 +473,6 @@ def _dotted(node) -> str:
 
 
 def _builds_torus_points(node) -> bool:
-    # GiraudTorus.vectors builds torus points as arrays of 3-vectors
+    # a `.vectors` attribute is the shape of a torus-point builder (no
+    # program module has one; the tests' builder is oracles.torus_vectors)
     return any(isinstance(n, ast.Attribute) and n.attr == "vectors" for n in ast.walk(node))

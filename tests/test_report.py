@@ -1,4 +1,4 @@
-"""The report-v9 writer against the standard library's encoder."""
+"""The report-v10 writer against the standard library's encoder."""
 
 import json
 import math
@@ -29,27 +29,28 @@ def test_writer_is_the_standard_encoder_on_verify_reports(alpha2, grid):
 
 def test_writer_is_the_standard_encoder_on_odd_values():
     # NaN, both infinities, -0.0, subnormals, empty containers, a None slope
-    # and side fields, and notes with quotes, backslashes, control and
-    # non-ASCII characters
+    # and side fields, odd ints (zero, negative, large) in grid_n and the
+    # slope, and notes with quotes, backslashes, control and non-ASCII
+    # characters
     checks = {
         name: CheckResult(
             name,
             passed=name != "gc",
             margins={"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "neg_zero": -0.0, "tiny": 5e-324},
             residuals={} if name == "lc" else {"big": 1.7976931348623157e308, "one": 1.0},
-            counts={"n": 3, "zero": 0, "neg": -2},
             notes=[] if name == "tf" else ['say "yes", then {no}', "back\\slash\ttab\nline", "β = 2π/n, ☃"],
             skipped=name == "lc",
         )
         for name in ("tf", "lc", "gc")
     }
-    for side, verdict in (
-        (param_side(ALPHA2_LIM), Verdict(VerdictKind.NOT_APPLICABLE, reason='the "wall"')),
-        (param_side(0.7), Verdict(VerdictKind.SURGERY, 1, -3)),
-        (param_side(alpha2_for_order(9)), Verdict(VerdictKind.INCONCLUSIVE, reason="")),
+    for side, verdict, grid in (
+        (param_side(ALPHA2_LIM), Verdict(VerdictKind.NOT_APPLICABLE, reason='the "wall"'), 0),
+        (param_side(0.7), Verdict(VerdictKind.SURGERY, 1, -3), -2),
+        (param_side(alpha2_for_order(9)), Verdict(VerdictKind.INCONCLUSIVE, reason=""), 64),
+        (param_side(alpha2_for_order(12)), Verdict(VerdictKind.SURGERY, 0, -(2**70)), 3),
     ):
         assert side.kind in SideKind
-        report = VerificationReport(0.7, side, math.inf, verdict=verdict, grid_n=64, tol=1e-9, notes=["ü", ""], **checks)
+        report = VerificationReport(0.7, side, math.inf, verdict=verdict, grid_n=grid, tol=1e-9, **checks)
         assert to_json(report) == reference_text(report)
-        report.notes, report.tr_u = [], -0.0
+        report.tr_u = -0.0
         assert to_json(report) == reference_text(report)

@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from crlab.bisector import GiraudTorus, giraud_circle_tangents, torus_exclusion
+from crlab.bisector import giraud_circle_tangents, torus_exclusion
 from crlab.core import GeometryError, HVec, box_rows, inner
 from crlab.family import (
     ALPHA2_LIM, P_A, P_B, P_U, P_U1, P_U2, P_V, P_W, U_PA, U_PB, U_PV, U_PW, UI_PB, UI_PV, UI_PW, SideKind, alpha2_for_order,
@@ -215,7 +215,6 @@ def test_tf_at_unipotent_wall():
     res = tf_check(ff)
     assert res.passed
     assert not any("criterion" in n or "unipotent" in n for n in res.notes)
-    assert res.counts == {}
 
 
 def test_tf_at_fan_and_cone_parameters():
@@ -227,11 +226,27 @@ def test_tf_at_fan_and_cone_parameters():
 def test_lc_structure(ff_lox):
     res = lc_check(ff_lox)
     assert res.passed
-    assert res.margins["faces_minus_minus"] > 0
     assert res.margins["faces_plus_plus"] > 0
+    # LC's claim on F_0^- and F_-1^- rests on TF's pass, whose margin TF
+    # reports once; LC reports its own pass alone
+    assert sorted(res.margins) == ["faces_plus_plus"]
+    assert tf_check(ff_lox).margins["torus_exclusion"] == ff_lox.torus_pass[0] > 0
     # the vertices at the ends of the column delta_v are proved once
     # (tests/test_vertex_identities.py): LC reports its margins alone
     assert res.residuals == {}
+
+
+@pytest.mark.parametrize("minus", [-1e-3, 0.0, math.inf, math.nan])
+def test_a_failing_tf_pass_fails_lc(minus, monkeypatch):
+    # LC's claim on F_0^- and F_-1^- rests on TF's pass, whose margin LC
+    # does not report: where that margin is not finite and positive, LC
+    # fails with TF though its own pass holds
+    plus = FaceFamily(0.7, grid_n=128).torus_pass[1]
+    monkeypatch.setattr(FaceFamily, "torus_pass", property(lambda self: [minus, plus]))
+    r = verify(0.7, grid_n=128)
+    assert not r.tf.passed and not r.lc.passed
+    assert r.lc.margins == {"faces_plus_plus": plus} and plus > 0
+    assert r.verdict.kind is VerdictKind.INCONCLUSIVE and r.verdict.reason == "a check failed"
 
 
 def test_lc_u_value_at_wall():
@@ -252,7 +267,7 @@ def test_lc_fan_focus_identities():
     # tests/test_gc_identities.py::test_fan_slice_circle_identities; by them
     # the focus 3 pi/2 sits in the arc [7 pi/6, 11 pi/6] between the
     # corrected vertex labels, so LC reads only its torus passes here too
-    assert sorted(res.margins) == ["faces_minus_minus", "faces_plus_plus"] and res.notes == []
+    assert sorted(res.margins) == ["faces_plus_plus"] and res.notes == []
 
 
 def test_gc_loxodromic(ff_lox):
@@ -260,9 +275,10 @@ def test_gc_loxodromic(ff_lox):
     assert res.passed
     length = ff_lox.side.length
     # the disk, its mirror and the margin 2l - w > 0 hold at every length:
-    # tests/test_gc_disk_identities.py
-    assert res.margins["annulus_upper"] > 0 and res.margins["annulus_lower"] > 0
-    assert sorted(res.margins) == ["annulus_lower", "annulus_upper"] and res.counts == {}
+    # tests/test_gc_disk_identities.py; the mirror's margin is the same
+    # number and is not reported
+    assert res.margins["annulus_upper"] > 0
+    assert sorted(res.margins) == ["annulus_upper"]
     # the marked contact value sits inside the annulus
     z = math.exp(-2 * length)
     assert math.exp(-2.5 * length) < z < math.exp(1.5 * length)
@@ -285,7 +301,6 @@ def test_gc_annulus_margins_are_symmetric(alpha2):
     # from them are the one closed-form margin verify reports
     ff = FaceFamily(alpha2, grid_n=64)
     m = gc_check_loxodromic(ff).margins
-    assert m["annulus_upper"] == m["annulus_lower"]
     length = ff.side.length
     (lo_p, hi_p, _, _), (lo_m, hi_m, _, _) = _silhouette_extents(ff)
     for margin in (1.5 * length - hi_p, lo_p + 2.5 * length, 2.5 * length - hi_m, lo_m + 1.5 * length):
@@ -303,7 +318,6 @@ def test_gc_sector_margins_are_symmetric(n):
     (_, _, mid_p, half_p), (_, _, mid_m, half_m) = _silhouette_extents(ff)
     for margin in (1.5 * beta - (mid_p + half_p), (mid_p - half_p) + 2.5 * beta, 2.5 * beta - (mid_m + half_m), (mid_m - half_m) + 1.5 * beta):
         assert margin == pytest.approx(m["sector_upper"], rel=1e-12, abs=0)
-    assert m["rotated_sector_gap"] == 2 * m["sector_upper"]
 
 
 @pytest.mark.parametrize("n", [9, 100, 2809])
@@ -338,7 +352,8 @@ def test_gc_elliptic(ff_n12):
     assert res.passed
     # the certificate's signs and the h identities hold at every order
     # n >= 9: tests/test_gc_identities.py
-    assert res.margins["rotated_sector_gap"] > 0
+    assert sorted(res.margins) == ["cone_separation", "sector_upper"]
+    assert res.margins["sector_upper"] > 0
     assert res.margins["cone_separation"] > 0
 
 
@@ -367,7 +382,7 @@ def test_gc_elliptic_cone_separation_n922():
     ff = FaceFamily(alpha2_for_order(922), grid_n=64)
     res = gc_check_elliptic(ff)
     assert res.passed and not res.skipped
-    assert res.counts["order"] == 922
+    assert ff.side.n == 922
     assert res.margins["cone_separation"] > 1e-3
 
 
@@ -480,14 +495,13 @@ def test_cone_angles_match_mpmath_reference(n):
 
 @pytest.mark.parametrize("n", [9, 100, 922, 2809, 10**4])
 def test_gc_sector_margins_match_mpmath_reference(n):
-    # the closed-form sector margin is both margins of the 60-digit disk, and
-    # the rotated-sector gap their sum
+    # the closed-form sector margin is both margins of the 60-digit disk (the
+    # rotated-sector gap, their sum, is not reported)
     res = gc_check_elliptic(FaceFamily(alpha2_for_order(n), grid_n=64))
     ref = _mp_cone_reference(n=n)
     assert ref["beta"] == pytest.approx(2 * math.pi / n, rel=1e-15, abs=0)
     for key in ("sector_upper", "sector_lower"):
         assert res.margins["sector_upper"] == pytest.approx(ref[key], rel=1e-12, abs=0)
-    assert res.margins["rotated_sector_gap"] == pytest.approx(ref["sector_upper"] + ref["sector_lower"], rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("n", [4, 5, 8, 9, 20, 100, 2809, 10**4])
@@ -509,8 +523,9 @@ def test_gc_annulus_margins_match_mpmath_reference(length):
     alpha2 = alpha2_for_length(length)
     res = gc_check_loxodromic(FaceFamily(alpha2, tol=1e-14, grid_n=64))
     ref = _mp_cone_reference(alpha2=alpha2)
+    # the one reported margin is both margins of the 60-digit disk
     for key in ("annulus_upper", "annulus_lower"):
-        assert abs(res.margins[key] - ref[key]) <= 1e-12 * ref[key]
+        assert abs(res.margins["annulus_upper"] - ref[key]) <= 1e-12 * ref[key]
 
 
 @pytest.mark.parametrize("n", [10, 50, 56, 100, 1000])
@@ -533,7 +548,7 @@ def test_tightest_cone_pair_note_names_the_smallest_tie(n):
 def test_verify_forms_no_dense_torus_grid():
     # TF and LC read the Giraud tori per delta-column in closed form
     # (bisector.column_minima, through bisector.torus_exclusion): verify
-    # never evaluates the figures' (sigma, delta) grid (GiraudTorus.column_forms)
+    # never evaluates the figures' (sigma, delta) grid (bisector.column_forms)
     sources = (inspect.getsource(importlib.import_module("crlab.verify")), inspect.getsource(torus_exclusion))
     called = {
         n.func.attr if isinstance(n.func, ast.Attribute) else n.func.id
@@ -611,10 +626,63 @@ def test_verify_near_the_wall_reports(alpha2):
     assert r.verdict.reason != "a check failed" or any("not evaluated" in n for n in notes)
 
 
+@pytest.mark.parametrize(
+    "alpha2",
+    [alpha2_for_order(n) for n in (9, 12, 56)]
+    + [alpha2_for_length(x) for x in (0.25, 1.0, 1.75)]
+    + np.linspace(0.05, 1.5, 12).tolist(),
+)
+def test_each_margin_is_reported_once(alpha2):
+    # no two margins of a report are the same number, or one twice the
+    # other: report-v9 carried faces_minus_minus = torus_exclusion,
+    # annulus_lower = annulus_upper and rotated_sector_gap = 2 sector_upper
+    r = verify(alpha2)
+    margins = [(f"{c.name}.{k}", v) for c in (r.tf, r.lc, r.gc) for k, v in c.margins.items()]
+    assert len(margins) >= 2
+    for i, (a, x) in enumerate(margins):
+        for b, y in margins[i + 1 :]:
+            assert not any(math.isclose(x, ratio * y, rel_tol=1e-9) for ratio in (0.5, 1.0, 2.0)), (a, b, x, y)
+
+
+def _key_paths(d, prefix=""):
+    """The dotted paths of a report dict's leaves; an empty dict is a leaf."""
+    out = []
+    for k, v in d.items():
+        out += _key_paths(v, f"{prefix}{k}.") if isinstance(v, dict) and v else [prefix + k]
+    return sorted(out)
+
+
+@pytest.mark.parametrize(
+    "alpha2, gc_margins, gc_residuals",
+    [
+        (alpha2_for_length(1.0), ["annulus_upper"], []),
+        (alpha2_for_order(9), ["cone_separation", "sector_upper"], ["value_true_angular_diameter"]),
+        (alpha2_for_order(100), ["cone_separation", "sector_upper"], ["value_true_angular_diameter"]),
+        (alpha2_for_order(6), [], []),
+        (ALPHA2_LIM, [], []),
+    ],
+    ids=["loxodromic", "order 9", "order 100", "order 6", "wall"],
+)
+def test_report_v10_key_sets(alpha2, gc_margins, gc_residuals):
+    # every report-v10 key, pinned per side: no counts, no top-level notes,
+    # and each margin once
+    def check(name, margins, residuals):
+        keys = [f"checks.{name}.{k}" for k in ("name", "notes", "passed", "skipped")]
+        for group, names in (("margins", margins), ("residuals", residuals)):
+            keys += [f"checks.{name}.{group}.{k}" for k in names] or [f"checks.{name}.{group}"]
+        return keys
+
+    top = ["alpha2", "grid_n", "schema", "tolerance", "tr_u", "verdict.kind", "verdict.reason", "verdict.slope"]
+    side = [f"side.{k}" for k in ("beta", "delta", "kind", "length", "n")]
+    want = top + side + check("tf", ["torus_exclusion"], ["bitangency_pA", "bitangency_pB"])
+    want += check("lc", ["faces_plus_plus"], []) + check("gc", gc_margins, gc_residuals)
+    assert _key_paths(verify(alpha2, grid_n=128).to_dict()) == sorted(want)
+
+
 def test_report_schema():
     r = verify(0.7, grid_n=96)
     d = r.to_dict()
-    assert d["schema"] == "report-v9"
+    assert d["schema"] == "report-v10"
     payload = json.dumps(d, sort_keys=True)
     back = json.loads(payload)
     assert back["checks"]["tf"]["passed"] is True
@@ -889,7 +957,7 @@ def test_empty_ball_band_is_named(alpha2, grid, empty):
     # sampled column meets the ball: the margin reads inf, a note says why,
     # and the pass fails, since an empty sample is no evidence
     rep = verify(alpha2, grid_n=grid)
-    for check, keys in ((rep.tf, ["torus_exclusion"]), (rep.lc, ["faces_minus_minus", "faces_plus_plus"])):
+    for check, keys in ((rep.tf, ["torus_exclusion"]), (rep.lc, ["faces_plus_plus"])):
         notes = [n for n in check.notes if "no sampled delta-column meets the ball" in n]
         assert [n.split(":")[0] for n in notes] == (keys if empty else [])
         assert all(math.isinf(check.margins[k]) == empty for k in keys)
@@ -914,9 +982,9 @@ def test_torus_margins_do_not_depend_on_the_grid():
         assert tf_check(coarse).margins["torus_exclusion"] == pytest.approx(
             tf_check(fine).margins["torus_exclusion"], rel=1e-3, abs=0
         )
-        lc_coarse, lc_fine = lc_check(coarse).margins, lc_check(fine).margins
-        for key in ("faces_minus_minus", "faces_plus_plus"):
-            assert lc_coarse[key] == pytest.approx(lc_fine[key], rel=1e-3, abs=0)
+        assert lc_check(coarse).margins["faces_plus_plus"] == pytest.approx(
+            lc_check(fine).margins["faces_plus_plus"], rel=1e-3, abs=0
+        )
 
 
 @pytest.mark.parametrize("grid", [128, 720])
@@ -929,10 +997,11 @@ def test_lc_common_constraint_matches_the_three_constraint_envelope(alpha2, grid
     # oracle: LC's former envelope of all three constraints of each face
     # pair.  The pair's common constraint alone is a lower bound of it on
     # every column, so the reported margin can never exceed the envelope's;
-    # on these parameters the two are equal.  The points and their
+    # on these parameters the two are equal.  LC's pass on F_0^- and F_-1^-
+    # is TF's, reported once as torus_exclusion.  The points and their
     # U-translates are the rows of the program's table
     ff = FaceFamily(alpha2, grid_n=grid)
-    lc = lc_check(ff)
+    margins = {**tf_check(ff).margins, **lc_check(ff).margins}
     p_A, p_B, p_U, p_V, p_W, UpV, UpW, UipV, UipW = (
         HVec(ff.P[i], ff.space) for i in (P_A, P_B, P_U, P_V, P_W, U_PV, U_PW, UI_PV, UI_PW)
     )
@@ -940,7 +1009,7 @@ def test_lc_common_constraint_matches_the_three_constraint_envelope(alpha2, grid
     offsets = (np.arange(m) + 0.5) * (math.pi / m)
     dv = delta_v(alpha2)
     for key, torus, negs, vertex in (
-        ("faces_minus_minus", giraud_torus(classify_bisector(p_U, p_W), classify_bisector(p_U, UipW)), [p_V, UpV, UipV], p_A),
+        ("torus_exclusion", giraud_torus(classify_bisector(p_U, p_W), classify_bisector(p_U, UipW)), [p_V, UpV, UipV], p_A),
         ("faces_plus_plus", giraud_torus(classify_bisector(p_U, p_V), classify_bisector(p_U, UpV)), [p_W, UipW, UpW], p_B),
     ):
         pt = inner(HVec(torus.p, ff.space), vertex)
@@ -949,16 +1018,17 @@ def test_lc_common_constraint_matches_the_three_constraint_envelope(alpha2, grid
         assert abs(math.remainder((theta - phi) / 2.0 - dv, math.pi)) <= 1e-14
         minima = envelope_minima(torus, dv + offsets, p_U.v, [w.v for w in negs])
         envelope = float((minima / np.sin(offsets) ** 2).min())
-        assert envelope >= lc.margins[key]
-        assert envelope == lc.margins[key]
+        assert envelope >= margins[key]
+        assert envelope == margins[key]
 
 
 @pytest.mark.parametrize("alpha2", [alpha2_for_order(9), alpha2_for_length(1.0)])
 def test_verify_runs_one_exclusion_pass_per_torus(alpha2, monkeypatch):
-    # one column call per verify: TF's torus_exclusion and LC's
-    # faces_minus_minus share the pass over the J_0^-/J_-1^- torus, and LC's
-    # faces_plus_plus is the second pass: a (2, 5, 3) row array of two
-    # passes, each reading a single constraint, on 360 delta-columns.  The complex-line locus and the vertex column are
+    # one column call per verify: TF's torus_exclusion is the pass over the
+    # J_0^-/J_-1^- torus, on which LC's claim for F_0^- and F_-1^- rests,
+    # and LC's faces_plus_plus the second: FaceFamily.passes, a (2, 5, 3)
+    # row array of two passes, each reading a single constraint, on 360
+    # delta-columns.  The complex-line locus and the vertex column are
     # proved once and read from no column
     # (tests/test_line_and_contact_identities.py, tests/test_vertex_identities.py).  No tangency,
     # bisector-kind or pair-kind kernel runs: what they would decide is
@@ -990,22 +1060,24 @@ def test_verify_runs_one_exclusion_pass_per_torus(alpha2, monkeypatch):
 
 
 def test_verify_and_the_spinal_trace_share_one_column_stage(tmp_path, monkeypatch):
-    # one engine forms the torus columns' sinusoids: a verify calls it once,
-    # with the rows of both exclusion passes, and a spinal-trace figure
-    # once, with the rows of its one torus
+    # one engine forms the torus columns' sinusoids, from one row array: a
+    # verify calls it once, with FaceFamily.passes, and a spinal-trace
+    # figure once, with that array's first pass, TF's
     bisector, figures = (importlib.import_module(f"crlab.{name}") for name in ("bisector", "figures"))
     calls, stage = [], bisector._column_sinusoids
 
     def counted(R, deltas, space):
-        calls.append((np.shape(R), np.shape(deltas)))
+        calls.append((R, np.shape(deltas)))
         return stage(R, deltas, space)
 
     monkeypatch.setattr(bisector, "_column_sinusoids", counted)
-    assert verify(alpha2_for_order(9), grid_n=720).all_passed()
-    assert calls == [((2, 5, 3), (360,))]
-    calls.clear()
-    figures.figure_spinal_trace(str(tmp_path / "spinal-trace"), resolution=181)
-    assert calls == [((5, 3), (90,))]
+    alpha2 = alpha2_for_order(9)
+    assert verify(alpha2, grid_n=720).all_passed()
+    figures.figure_spinal_trace(str(tmp_path / "spinal-trace"), alpha2=alpha2, resolution=181)
+    passes = FaceFamily(alpha2).passes
+    assert [(np.shape(R), shape) for R, shape in calls] == [((2, 5, 3), (360,)), ((5, 3), (90,))]
+    assert calls[0][0].tobytes() == passes.tobytes()
+    assert calls[1][0].tobytes() == passes[0].tobytes()
 
 
 # scalar core.inner and box calls, and HVec constructions, of
@@ -1020,9 +1092,9 @@ INNER_CALLS_BOUND = 0
 def test_verify_builds_each_bisector_and_torus_once(alpha2, monkeypatch):
     # FaceFamily builds the box rows of its four Giraud tori in one
     # box_rows call, and the exclusion passes and the bi-tangency read them
-    # as arrays, through no GiraudTorus view; from FaceFamily.__init__
-    # through torus_pass and the three checks no scalar Hermitian product,
-    # box product or HVec is formed
+    # as arrays, never through the figures' grid forms (column_forms); from
+    # FaceFamily.__init__ through torus_pass and the three checks no scalar
+    # Hermitian product, box product or HVec is formed
     core, reference = (importlib.import_module(f"crlab.{name}") for name in ("core", "reference"))
     calls = collections.Counter()
 
@@ -1033,18 +1105,18 @@ def test_verify_builds_each_bisector_and_torus_once(alpha2, monkeypatch):
         return wrapper
 
     # the functions as their home modules define them, before any is wrapped
-    kernels = {"inner": core.inner, "box": reference.box, "box_rows": core.box_rows}
+    bisector = importlib.import_module("crlab.bisector")
+    kernels = {"inner": core.inner, "box": reference.box, "box_rows": core.box_rows, "column_forms": bisector.column_forms}
     for mod in [m for key, m in sys.modules.items() if key.startswith("crlab")]:
         for name, fn in kernels.items():
             if getattr(mod, name, None) is fn:
                 monkeypatch.setattr(mod, name, counted(name, fn))
     monkeypatch.setattr(HVec, "__post_init__", counted("HVec", HVec.__post_init__))
-    monkeypatch.setattr(GiraudTorus, "__init__", counted("torus", GiraudTorus.__init__))
     ff = FaceFamily(alpha2, grid_n=720)
     ff.torus_pass
     assert calls["inner"] == calls["box"] == calls["HVec"] == 0 and calls["box_rows"] == 1
     assert verify(alpha2, grid_n=720).all_passed()
-    assert calls["torus"] == 0 and calls["box_rows"] == 2
+    assert calls["column_forms"] == 0 and calls["box_rows"] == 2
     assert calls["inner"] + calls["box"] + calls["HVec"] <= INNER_CALLS_BOUND
 
 

@@ -6,7 +6,7 @@ vertex: where the vertices sit on the two tori of `FaceFamily.torus_pass`
 is proved here, in exact arithmetic over c = cos(alpha2), s = sin(alpha2)
 modulo c^2 + s^2 - 1 (`slice_algebra`).
 
-A torus of lifts (p, q, r) with rows qr, pr, qp (`GiraudTorus`) has the
+A torus of lifts (p, q, r) with rows qr, pr, qp (`bisector`) has the
 points V(theta, phi) = qr - e^{-i theta} pr - e^{-i phi} qp, and with
 theta = sigma + delta, phi = sigma - delta, V = qr - e^{-i sigma} B(delta),
 B(delta) = e^{-i delta} pr + e^{i delta} qp.  On torus 0 of `FaceFamily`,
