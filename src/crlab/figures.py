@@ -4,18 +4,19 @@ Every figure is an array program: its grid is evaluated with numpy in one
 pass, contours come from a marching squares read from a 16-case table, and
 CSV blocks and SVG polylines are laid out as byte arrays.  Floats are
 written with 17 significant digits in CSV (round-trip exact) and 9 in SVG:
-every CSV value and every polyline point by the exact numpy kernel of
-`csvfloat` (`g17_fields`, `g9_fields`), and the few scalar SVG attributes
-(view box, stroke widths, marks) by %.9g itself.  Output bytes are
-identical from run to run, across worker counts and across OpenBLAS
-kernels: no product goes through BLAS (`core.sesquilinear`, `core.apply`).
-disk-projection's are the same at every numpy CPU-dispatch level too: it
-is `math` scalars, real cos and sin and real arithmetic.  The others are
-not promised across dispatch levels (complex products and `abs` change
-their last bits with them), nor across numpy's and cmath's roundings
-(numpy ufuncs against Python scalars).  spinal-trace draws the torus of
-TF's exclusion pass, the first row array of `verify.FaceFamily.passes`,
-through `bisector.column_forms`: the sinusoids verify reads, on a grid.
+every CSV value, every polyline point and every mark's centre by the exact
+numpy kernel of `csvfloat` (`g17_fields`, `g9_fields`), and the few scalar
+SVG attributes (view box, stroke widths, mark radii) by %.9g itself.
+Output bytes are identical from run to run, across worker counts and
+across OpenBLAS kernels: no product goes through BLAS (`core.sesquilinear`,
+`core.apply`).  disk-projection's and level-sets' are the same at every
+numpy CPU-dispatch level too: they are `math` scalars, real cos and sin
+and real arithmetic.  The others are not promised across dispatch levels
+(complex products and `abs` change their last bits with them), nor across
+numpy's and cmath's roundings (numpy ufuncs against Python scalars).
+spinal-trace draws the torus of TF's exclusion pass, the first row array
+of `verify.FaceFamily.passes`, through `bisector.column_forms`: the
+sinusoids verify reads, on a grid.
 """
 
 from __future__ import annotations
@@ -50,11 +51,12 @@ def write_csv(path, header, columns):
     CSV_FMT % v, streamed to the file in blocks of CSV_BLOCK_ROWS rows.
 
     A column is a 1-D array, or a pair (values, index) declaring it as
-    values[index] (the figures' axes and labels).  Declared values are
-    formatted once, in one call, the rest block by block, by
-    `csvfloat.g17_fields`.  A block joins each column's NUL-padded fields,
-    each at its widest field (in the block, or among the declared values)
-    plus one slot for "," or a newline, and is written without its NULs.
+    values[index] (the figures' axes, labels and level-sets' triangle).
+    Every declared table is formatted once, all of them in one call, the
+    rest block by block, by `csvfloat.g17_fields`.  A block joins each
+    column's NUL-padded fields, each at its widest field (in the block, or
+    among the declared values) plus one slot for "," or a newline, and is
+    written without its NULs.
     """
     cols = [col if isinstance(col, tuple) else (col, None) for col in columns]
     cols = [(np.asarray(v, dtype=float), i if i is None else np.asarray(i)) for v, i in cols]
@@ -69,11 +71,13 @@ def write_csv(path, header, columns):
     n = lengths.pop() if lengths else 0
     # each field's last slot takes its separator, once for declared fields
     separators = [ord(",")] * (len(cols) - 1) + [ord("\n")]
-    for j, ((values, index), sep) in enumerate(zip(cols, separators)):
-        if index is not None:
-            fields = g17_fields(values)
-            fields[:, -1] = sep
-            cols[j] = (fields, index)
+    declared = [j for j, (_, index) in enumerate(cols) if index is not None]
+    if declared:
+        fields = g17_fields(np.concatenate([cols[j][0] for j in declared]))
+        ends = np.cumsum([len(cols[j][0]) for j in declared])
+        for j, table in zip(declared, np.split(fields, ends[:-1])):
+            table[:, -1] = separators[j]
+            cols[j] = (table, cols[j][1])
     with open(path, "wb") as fh:
         fh.write(",".join(header).encode() + b"\n")
         for start in range(0, n, CSV_BLOCK_ROWS):
@@ -90,9 +94,12 @@ def write_csv(path, header, columns):
 
 
 def _grid_columns(xs, ys, *values):
-    """Columns (x_i, y_j, v[i, j], ...) over xs x ys, row-major in i."""
-    axes = [(xs, np.repeat(np.arange(len(xs)), len(ys))), (ys, np.tile(np.arange(len(ys)), len(xs)))]
-    return axes + [v.ravel() for v in values]
+    """Columns (x_i, y_j, v[i, j], ...) over xs x ys, row-major in i, the
+    axes declared with indices of the least unsigned type that holds them; a
+    value is an (len(xs), len(ys)) array or a declared (values, index) pair."""
+    i, j = (np.arange(len(axis), dtype=np.min_scalar_type(len(axis))) for axis in (xs, ys))
+    axes = [(xs, np.repeat(i, len(ys))), (ys, np.tile(j, len(xs)))]
+    return axes + [v if isinstance(v, tuple) else v.ravel() for v in values]
 
 
 class SvgCanvas:
@@ -133,11 +140,26 @@ class SvgCanvas:
         del fields, ends
         self.elements.append(b"".join([head, points.replace(b"\n", b'"/>\n' + head), b'"/>']))
 
-    def circle(self, center, r):
-        cx, cy = center.real, self.ymax + self.ymin - center.imag
-        self.elements.append(
-            f'<circle cx="{self._f(cx)}" cy="{self._f(cy)}" r="{self._f(r)}" fill="#b02020"/>'.encode()
-        )
+    def circles(self, centers, r):
+        """One mark of radius r at each point of a 1-D complex array, laid
+        out as `polylines` lays out its points: every centre coordinate by
+        one `g9_fields` call, a tab after each x and a newline after each y
+        in the fields' last slots, one translate, and one replace for each
+        of the two joints."""
+        if len(centers) == 0:
+            return
+        xy = np.empty((len(centers), 2))
+        xy[:, 0] = centers.real
+        xy[:, 1] = self.ymax + self.ymin - centers.imag
+        fields = g9_fields(xy.ravel())
+        del xy
+        ends = fields[:, -1]
+        ends[0::2] = ord("\t")
+        ends[1::2] = ord("\n")
+        ends[-1] = 0
+        head, tail = b'<circle cx="', f'" r="{self._f(r)}" fill="#b02020"/>'.encode()
+        points = fields.tobytes().translate(None, b"\0").replace(b"\t", b'" cy="')
+        self.elements.append(b"".join([head, points.replace(b"\n", tail + b"\n" + head), tail]))
 
     def write(self, path):
         vb = f"{self._f(self.xmin)} {self._f(self.ymin)} {self._f(self.xmax - self.xmin)} {self._f(self.ymax - self.ymin)}"
@@ -152,14 +174,30 @@ class SvgCanvas:
 
 
 def figure_level_sets(out_base, resolution=720, fmt="csv"):
-    """Grid of the symmetric level function on the torus."""
+    """Grid of the symmetric level function on the torus, and its 15 level
+    sets, traced in one pass and drawn by one polylines call.
+
+    G[i, j] == G[j, i] bit for bit: float + commutes, phi - theta is exactly
+    -(theta - phi), and cos is even.  So the CSV declares g by its triangle
+    i <= j, row by row: cell (i, j) is entry tri[min, max] of it, where
+    tri[i, j] = offset[i] + j, offset[i] = i n - i (i + 1)/2, and since
+    tri[i, j] <= tri[j, i] for i <= j, every cell's entry is min(tri, tri.T),
+    in the least unsigned type that holds the entry count (the axes' indices
+    too: `_grid_columns`).
+    """
     th = np.linspace(-math.pi, math.pi, resolution, endpoint=False)
     G = level_g(th[:, None], th[None, :])
     if fmt == "csv":
-        return write_csv(out_base + ".csv", ["theta", "phi", "g"], _grid_columns(th, th, G)), G
+        r = np.arange(resolution)
+        offset = r * resolution - r * (r + 1) // 2
+        r = r.astype(np.min_scalar_type(resolution * (resolution + 1) // 2))
+        tri = offset.astype(r.dtype)[:, None] + r
+        index = np.minimum(tri, tri.T).ravel()
+        del tri
+        columns = _grid_columns(th, th, (G[r[:, None] <= r], index))
+        return write_csv(out_base + ".csv", ["theta", "phi", "g"], columns), G
     canvas = SvgCanvas(-math.pi, math.pi, -math.pi, math.pi)
-    for level in np.linspace(-1.4, 2.8, 15):
-        canvas.polylines(_contour_segments(th, th, G, level))
+    canvas.polylines(_contour_segments(th, th, G, np.linspace(-1.4, 2.8, 15))[0])
     return canvas.write(out_base + ".svg"), G
 
 
@@ -175,29 +213,46 @@ _FIRST_CUTS = np.array(
 )
 
 
-def _contour_segments(xs, ys, Z, level):
-    """Marching-squares crossings of Z - level, one segment per cell.
+def _contour_segments(xs, ys, Z, levels):
+    """Marching-squares crossings of f = Z[p] - levels[p], one segment per
+    cell, for every pair p of a stack in one call.
 
-    An edge whose ends lie on opposite sides of 0 (by f > 0) is cut at
-    x1 + t (x2 - x1), t = f1 / (f1 - f2); a cell cut at least twice (any
-    case but 0 and 15) gives the segment through its first two cuts in
-    edge order, read from _FIRST_CUTS.  Segments come in row-major cell
-    order, as the rows of a (segments, 2) complex array.
+    Z is one (n, m) grid or a stack (p, n, m) of them, and levels one level
+    or p of them; one grid or one level serves every pair.  Each pair's
+    cells are classified in turn, at one grid's memory: an edge whose ends
+    lie on opposite sides of 0 (by f > 0, which is Z > level exactly, as the
+    difference of two doubles rounds to 0 only where they are equal) is
+    cut, and a cell cut at least twice (any case but 0 and 15) gives the
+    segment through its first two cuts in edge order, read from
+    _FIRST_CUTS.  Then every cut of every pair is placed in one pass, at
+    x1 + t (x2 - x1), t = f1 / (f1 - f2).  Returns (segs, counts): pair 0's
+    segments in row-major cell order, then pair 1's, and so on, as the rows
+    of a (segments, 2) complex array, which is the concatenation of one call
+    per pair; and the number of each pair's segments.
     """
-    F = Z - level
-    pos = (F > 0).view(np.uint8)
-    case = pos[:-1, :-1] | pos[1:, :-1] << 1 | pos[1:, 1:] << 2 | pos[:-1, 1:] << 3
-    ci, cj = np.nonzero((case - 1) < 14)  # uint8: cases 1..14
-    edge = _FIRST_CUTS[case[ci, cj]]
+    levels = np.asarray(levels, dtype=float)
+    stack = np.broadcast_shapes(Z.shape[:-2], levels.shape, (1,))
+    Z, levels = np.broadcast_to(Z, stack + Z.shape[-2:]), np.broadcast_to(levels, stack)
+    cells = []
+    for grid, level in zip(Z, levels):
+        pos = (grid > level).view(np.uint8)
+        case = pos[:-1, :-1] | pos[1:, :-1] << 1 | pos[1:, 1:] << 2 | pos[:-1, 1:] << 3
+        ci, cj = np.nonzero((case - 1) < 14)  # uint8: cases 1..14
+        cells.append((ci, cj, case[ci, cj]))
+    counts = np.array([len(ci) for ci, _, _ in cells])
+    ci, cj, case = (np.concatenate(part) for part in zip(*cells))
+    cp = np.repeat(np.arange(len(counts)), counts)[:, None]
+    level = levels[cp]
+    edge = _FIRST_CUTS[case]
     i1, j1 = ci[:, None] + _CORNER_DI[edge], cj[:, None] + _CORNER_DJ[edge]
     edge = (edge + 1) % 4
     i2, j2 = ci[:, None] + _CORNER_DI[edge], cj[:, None] + _CORNER_DJ[edge]
-    f1, f2 = F[i1, j1], F[i2, j2]
+    f1, f2 = Z[cp, i1, j1] - level, Z[cp, i2, j2] - level
     t = f1 / (f1 - f2)
     segs = np.empty(edge.shape, dtype=complex)
     segs.real = xs[i1] + t * (xs[i2] - xs[i1])
     segs.imag = ys[j1] + t * (ys[j2] - ys[j1])
-    return segs
+    return segs, counts
 
 
 def figure_peach_curve(out_base, resolution=256, fmt="csv"):
@@ -209,9 +264,8 @@ def figure_peach_curve(out_base, resolution=256, fmt="csv"):
     if fmt == "csv":
         return write_csv(out_base + ".csv", ["alpha1", "alpha2", "f_tr"], _grid_columns(a1s, a2s, F)), (a1s, a2s, F)
     canvas = SvgCanvas(-math.pi / 2, math.pi / 2, -math.pi / 2, math.pi / 2)
-    canvas.polylines(_contour_segments(a1s, a2s, F, 0.0))
-    canvas.circle(complex(0, ALPHA2_LIM), 0.01)
-    canvas.circle(complex(0, -ALPHA2_LIM), 0.01)
+    canvas.polylines(_contour_segments(a1s, a2s, F, 0.0)[0])
+    canvas.circles(np.array([complex(0, ALPHA2_LIM), complex(0, -ALPHA2_LIM)]), 0.01)
     return canvas.write(out_base + ".svg"), (a1s, a2s, F)
 
 
@@ -222,7 +276,7 @@ def figure_region_z(out_base, resolution=256, fmt="csv"):
     if fmt == "csv":
         return write_csv(out_base + ".csv", ["alpha1", "alpha2", "D"], _grid_columns(a1s, a2s, D)), (a1s, a2s, D)
     canvas = SvgCanvas(-math.pi / 2, math.pi / 2, -math.pi / 2, math.pi / 2)
-    canvas.polylines(_contour_segments(a1s, a2s, D, 0.0))
+    canvas.polylines(_contour_segments(a1s, a2s, D, 0.0)[0])
     return canvas.write(out_base + ".svg"), (a1s, a2s, D)
 
 
@@ -272,8 +326,7 @@ def figure_disk_projection(out_base, n=20, boundary_points=512, fmt="csv"):
     canvas.polylines(_unit_points(np.linspace(0, 2 * math.pi, 361))[None], color="#888888")
     for sign, color in (("plus", "#1f4e9c"), ("minus", "#0c8a3c")):
         canvas.polylines(np.concatenate([families[sign], families[sign][:, :1]], axis=1), color=color)
-    for z in marks:
-        canvas.circle(z, 0.02)
+    canvas.circles(marks, 0.02)
     return canvas.write(out_base + ".svg"), curves
 
 
@@ -293,10 +346,10 @@ def figure_spinal_trace(out_base, alpha2=0.7, resolution=361, fmt="csv"):
             (sigmas, deltas, norms, side),
         )
     canvas = SvgCanvas(0, 2 * math.pi, float(deltas[0]), float(deltas[-1]))
-    canvas.polylines(_contour_segments(sigmas, deltas, norms, 0.0), color="#0c8a3c")
+    canvas.polylines(_contour_segments(sigmas, deltas, norms, 0.0)[0], color="#0c8a3c")
     # side is exactly 0 on the complex-line locus delta = delta0 (column 0),
     # where its sign is rounding noise; that column is left out of its contour
-    canvas.polylines(_contour_segments(sigmas, deltas[1:], side[:, 1:], 0.0), color="#1f4e9c")
+    canvas.polylines(_contour_segments(sigmas, deltas[1:], side[:, 1:], 0.0)[0], color="#1f4e9c")
     return canvas.write(out_base + ".svg"), (sigmas, deltas, norms, side)
 
 
@@ -312,8 +365,10 @@ def figure_schwartz_slice(out_base, resolution=256, fmt="csv"):
     if fmt == "csv":
         return write_csv(out_base + ".csv", ["re_z", "im_z", "f", "existence"], _grid_columns(xs, xs, F, E)), (xs, F, E)
     canvas = SvgCanvas(-3.2, 3.2, -3.2, 3.2)
-    canvas.polylines(_contour_segments(xs, xs, F, 0.0))
-    canvas.polylines(_contour_segments(xs, xs, E, 0.0), color="#b02020")
+    segs, counts = _contour_segments(xs, xs, np.stack([F, E]), 0.0)
+    f_segs, e_segs = np.split(segs, counts[:1])
+    canvas.polylines(f_segs)
+    canvas.polylines(e_segs, color="#b02020")
     return canvas.write(out_base + ".svg"), (xs, F, E)
 
 

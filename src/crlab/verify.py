@@ -184,12 +184,13 @@ def lc_check(ff: FaceFamily) -> CheckResult:
     """LC from what can fail: the two torus-exclusion passes.  The first is
     TF's, which TF reports as `torus_exclusion`: LC passes only where that
     margin and its own `faces_plus_plus` are finite and positive, and
-    reports the second alone.  Both face-boundary intersections are Giraud
-    disks of order-3 symmetric triples with u = (2/3)(4 cos^2 alpha2 - 3) <
-    2/3 at every alpha2 in (0, pi/2), and the fan focus at alpha2 = pi/6
-    sits inside its arc; both are proved once, in tests/test_lc_identities.py
-    and tests/test_gc_identities.py, and so are the vertices at the ends of
-    the column family.delta_v, in tests/test_vertex_identities.py."""
+    reports the second alone, with a note naming TF's margin where that one
+    fails.  Both face-boundary intersections are Giraud disks of order-3
+    symmetric triples with u = (2/3)(4 cos^2 alpha2 - 3) < 2/3 at every
+    alpha2 in (0, pi/2), and the fan focus at alpha2 = pi/6 sits inside its
+    arc; both are proved once, in tests/test_lc_identities.py and
+    tests/test_gc_identities.py, and so are the vertices at the ends of the
+    column family.delta_v, in tests/test_vertex_identities.py."""
     res = CheckResult("lc", True)
     # F_0^- /\ F_-1^- == {p_A, p_B} and F_0^+ /\ F_1^+ == {p_B, U p_A}: each
     # pair lies in the set of the constraint both faces share, |<z,p_U>| <=
@@ -197,7 +198,13 @@ def lc_check(ff: FaceFamily) -> CheckResult:
     # that this set meets the torus's ball part only at the two vertices
     minus, plus = ff.torus_pass
     ok_pp = _record_exclusion(ff, res, "faces_plus_plus", plus)
-    res.passed = bool(0.0 < minus < math.inf and ok_pp)
+    ok_mm = 0.0 < minus < math.inf
+    if not ok_mm:
+        res.notes.append(
+            "faces_minus_minus: rests on TF's pass, whose margin "
+            "tf.torus_exclusion is not finite and positive"
+        )
+    res.passed = bool(ok_mm and ok_pp)
     return res
 
 

@@ -1107,7 +1107,19 @@ _CORNER_DI = np.array([0, 1, 1, 0])
 _CORNER_DJ = np.array([0, 0, 1, 1])
 
 
-def contour_segments(xs, ys, Z, level):
+def contour_segments(xs, ys, Z, levels):
+    """figures._contour_segments as one pass per (grid, level) pair: Z one
+    grid or a stack of them, levels one level or an array of them, and
+    (segments, counts) the concatenation of `contour_segments_at` over the
+    pairs and the count of each one's segments."""
+    levels = np.asarray(levels, dtype=float)
+    stack = np.broadcast_shapes(np.shape(Z)[:-2], levels.shape, (1,))
+    grids, levels = np.broadcast_to(Z, stack + np.shape(Z)[-2:]), np.broadcast_to(levels, stack)
+    parts = [contour_segments_at(xs, ys, grid, level) for grid, level in zip(grids, levels.tolist())]
+    return np.concatenate(parts), np.array([len(part) for part in parts])
+
+
+def contour_segments_at(xs, ys, Z, level):
     """Marching-squares crossings of Z - level, one segment per cell, as
     figures._contour_segments writes them: each cell's four cut flags are
     stacked, a cell cut at least twice keeps its first two cut edges (a
@@ -1127,6 +1139,15 @@ def contour_segments(xs, ys, Z, level):
     segs.real = xs[i1] + t * (xs[i2] - xs[i1])
     segs.imag = ys[j1] + t * (ys[j2] - ys[j1])
     return segs
+
+
+def svg_circles(canvas, centers, r):
+    """figures.SvgCanvas.circles as one `%.9g` f-string per mark: one circle
+    of radius r per point of the 1-D complex array centers, each appended to
+    canvas.elements."""
+    for z in centers.tolist():
+        cx, cy = z.real, canvas.ymax + canvas.ymin - z.imag
+        canvas.elements.append(f'<circle cx="{"%.9g" % cx}" cy="{"%.9g" % cy}" r="{"%.9g" % r}" fill="#b02020"/>'.encode())
 
 
 def svg_polylines(canvas, curves, color="#1f4e9c", width=0.002):

@@ -1,5 +1,5 @@
-"""The same bytes under every OpenBLAS kernel, and GC's and disk-projection's
-under every numpy dispatch level.
+"""The same bytes under every OpenBLAS kernel, and GC's, disk-projection's and
+level-sets' under every numpy dispatch level.
 
 OpenBLAS picks a kernel for the machine at run time, and OPENBLAS_CORETYPE
 overrides that choice for one process.  No number on the verify and figure
@@ -10,9 +10,8 @@ numpy picks its SIMD loops at run time too, and NPY_DISABLE_CPU_FEATURES
 turns levels off for one process.  Complex products, `abs`, `arctan2` and
 other loops change their last bits with the level, so most report blocks
 and figures still move with it.  GC's block is closed-form `math` on the
-order or the length alone, and the disk-projection figure `math` scalars
-with numpy's real cos, sin and arithmetic on the order alone: neither may
-move.
+order or the length alone, and the disk-projection and level-sets figures
+`math` scalars with numpy's real cos, sin and arithmetic: none may move.
 """
 
 import json
@@ -126,26 +125,35 @@ def test_gc_blocks_are_the_same_bytes_at_every_dispatch_level():
         assert moved == [], f"{features}: {moved}"
 
 
-# one process: SHA-256 of the disk-projection CSV and SVG at three orders
+# one process: SHA-256 of the disk-projection CSV and SVG at three orders,
+# and of the level-sets CSV and SVG at two resolutions
 DISK_PROGRAM = r"""
 import hashlib, json, os, tempfile
-from crlab.figures import figure_disk_projection
+from crlab.figures import figure_disk_projection, figure_level_sets
 
 sha = {}
 with tempfile.TemporaryDirectory() as out:
-    for n in (9, 20, 100):
-        for fmt in ("csv", "svg"):
+    for fmt in ("csv", "svg"):
+        for n in (9, 20, 100):
             path, _ = figure_disk_projection(os.path.join(out, "dp"), n=n, boundary_points=64, fmt=fmt)
             with open(path, "rb") as fh:
                 sha[f"{n}.{fmt}"] = hashlib.sha256(fh.read()).hexdigest()
+        for resolution in (64, 65):
+            path, _ = figure_level_sets(os.path.join(out, "ls"), resolution=resolution, fmt=fmt)
+            with open(path, "rb") as fh:
+                sha[f"level-sets {resolution}.{fmt}"] = hashlib.sha256(fh.read()).hexdigest()
 print(json.dumps(sha))
 """
 
 
 def test_disk_projection_is_the_same_bytes_at_every_dispatch_level():
+    # disk-projection, and level-sets, whose CSV declares g by its triangle:
+    # the same bytes at every level also pin G == G.T (cos(-x) == cos(x))
+    # wherever the default level's tie to the full grid holds
+    # (tests/test_figures.py)
     runs = {features: _run_at_level(features, DISK_PROGRAM) for features in CPU_FEATURE_SETTINGS}
     default = runs[None]
-    assert len(default) == 6
+    assert len(default) == 10
     for features in CPU_FEATURE_SETTINGS[1:]:
         moved = sorted(k for k, v in default.items() if runs[features][k] != v)
         assert moved == [], f"{features}: {moved}"

@@ -12,7 +12,9 @@ from crlab.family import FamilyParams, FamilyRep, alpha2_for_order, trace_ts_inv
 from crlab.figures import (
     CSV_BLOCK_ROWS,
     SVG_PREC,
+    SvgCanvas,
     _contour_segments,
+    _grid_columns,
     figure_disk_projection,
     figure_level_sets,
     figure_peach_curve,
@@ -29,11 +31,13 @@ from oracles import (
     chart,
     classify_bisector,
     contour_segments,
+    contour_segments_at,
     family_points,
     oriented_chart,
     silhouette_circles,
     slice_boundary_circle,
     spinal_samples,
+    svg_circles,
     svg_polylines,
     u_power_point,
 )
@@ -83,8 +87,8 @@ def _contour_cases():
 @pytest.mark.parametrize("case", range(14))
 def test_contour_segments_match_loop(case):
     xs, ys, Z, level = list(_contour_cases())[case]
-    new = _contour_segments(xs, ys, Z, level)
-    assert new.shape[1:] == (2,)
+    new, counts = _contour_segments(xs, ys, Z, level)
+    assert new.shape[1:] == (2,) and counts.tolist() == [len(new)]
     assert new.tolist() == contour_segments_loop(xs, ys, Z, level)
 
 
@@ -97,14 +101,54 @@ def test_contour_table_matches_the_oracle_over_all_levels():
         th = np.linspace(-math.pi, math.pi, res, endpoint=False)
         G = np.cos(th[:, None]) + np.cos(th[None, :]) + np.cos(th[None, :] - th[:, None])
         for level in list(th_levels) + [float(G[0, 0]), float(G[1, 2]), float(G.min()), float(G.max())]:
-            assert np.array_equal(_contour_segments(th, th, G, level), contour_segments(th, th, G, level))
+            assert np.array_equal(_contour_segments(th, th, G, level)[0], contour_segments_at(th, th, G, level))
     for res in (64, 65, 100, 160):
         xs = np.linspace(-3.2, 3.2, res)
         Z = xs[:, None] ** 2 - xs[None, :] ** 3 + np.round(xs[:, None])
         for level in (0.0, 1.0, -2.0, float(Z[3, 5])):
-            assert np.array_equal(_contour_segments(xs, xs[::-1], Z, level), contour_segments(xs, xs[::-1], Z, level))
+            assert np.array_equal(_contour_segments(xs, xs[::-1], Z, level)[0], contour_segments_at(xs, xs[::-1], Z, level))
     for case in _contour_cases():
-        assert np.array_equal(_contour_segments(*case), contour_segments(*case))
+        assert np.array_equal(_contour_segments(*case)[0], contour_segments_at(*case))
+
+
+def _same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_a_stacked_contour_call_is_the_concatenation_of_per_pair_calls():
+    # one pass over a stack of (grid, level) pairs gives, byte for byte, the
+    # segments of one call per pair in pair order, and each pair's count:
+    # seeded grids, levels at grid values, levels that no cell crosses, one
+    # grid under many levels and two grids under one level, and the
+    # per-level oracle over the same stacks
+    rng = np.random.default_rng(48)
+    stacks = []
+    for n, m in ((2, 2), (7, 5), (31, 40), (66, 66)):
+        xs, ys = np.sort(rng.uniform(-3, 3, n)), np.sort(rng.uniform(-2, 2, m))
+        Z = rng.standard_normal((n, m))
+        grid = rng.integers(0, 4, (n, m)) / 2.0
+        at_values = [float(grid[0, 0]), 0.5, 1.0, 1.5, float(grid[-1, -1])]
+        stacks += [
+            (xs, ys, Z, rng.uniform(-2, 2, 6)),
+            (xs, ys, grid, at_values),
+            # below, above and at the grid's extremes: the first three cut
+            # no cell, the least only the cells around its point
+            (xs, ys, Z, [Z.min() - 1.0, Z.max() + 1.0, Z.max(), Z.min(), 0.0]),
+            (xs, ys, np.stack([Z, grid, -Z]), 0.5),
+            (xs, ys, np.stack([Z, grid]), [0.0, 1.0]),
+        ]
+    th = np.linspace(-math.pi, math.pi, 66, endpoint=False)
+    G = np.cos(th[:, None]) + np.cos(th[None, :]) + np.cos(th[None, :] - th[:, None])
+    stacks.append((th, th, G, np.linspace(-1.4, 2.8, 15)))
+    for xs, ys, Z, levels in stacks:
+        segs, counts = _contour_segments(xs, ys, Z, levels)
+        grids = np.broadcast_to(Z, (len(counts),) + Z.shape[-2:])
+        parts = [_contour_segments(xs, ys, grid, level)[0] for grid, level in zip(grids, np.broadcast_to(levels, len(counts)))]
+        assert len(counts) == max(np.size(levels), len(Z) if Z.ndim == 3 else 1)
+        assert counts.tolist() == [len(part) for part in parts]
+        assert _same_bytes(segs, np.concatenate(parts))
+        oracle, oracle_counts = contour_segments(xs, ys, Z, levels)
+        assert _same_bytes(segs, oracle) and np.array_equal(counts, oracle_counts)
 
 
 # (figure, arguments) of the tier-1 SVGs and of the benchmark's SVG commands
@@ -129,16 +173,37 @@ SVG_CASES = [
 @pytest.mark.parametrize("case", range(len(SVG_CASES)))
 def test_svg_matches_the_oracle_path(case, tmp_path, monkeypatch):
     # every figure's SVG is byte-identical to the one drawn with the
-    # oracle contours and the per-value %.9g polylines
+    # per-level oracle contours, the per-value %.9g polylines and the
+    # per-mark %.9g circles
     import crlab.figures
 
     name, kwargs = SVG_CASES[case]
     path, _ = crlab.figures.FIGURES[name](str(tmp_path / "new"), fmt="svg", **kwargs)
     monkeypatch.setattr(crlab.figures, "_contour_segments", contour_segments)
     monkeypatch.setattr(crlab.figures.SvgCanvas, "polylines", svg_polylines)
+    monkeypatch.setattr(crlab.figures.SvgCanvas, "circles", svg_circles)
     oracle, _ = crlab.figures.FIGURES[name](str(tmp_path / "oracle"), fmt="svg", **kwargs)
     with open(path, "rb") as fh, open(oracle, "rb") as fo:
         assert fh.read() == fo.read()
+
+
+def test_svg_circles_match_the_per_mark_template():
+    # one kernel call for every mark's centre writes the bytes of one %.9g
+    # f-string per mark: fixed and exponent notation, zeros of both signs,
+    # non-finite values, a y that the canvas flips through 0, and no marks
+    rng = np.random.default_rng(7)
+    values = rng.standard_normal(40) * 10.0 ** rng.integers(-12, 12, 40)
+    values = np.concatenate([values, [0.0, -0.0, math.nan, math.inf, -math.inf, 1e-5, 123456789.5, 0.2, -3.2, 3.2]])
+    centers = np.empty(len(values) // 2, dtype=complex)
+    centers.real, centers.imag = values[0::2], values[1::2]
+    cases = [(centers, 0.02), (centers[:1], 0.01), (centers[:0], 0.02), (np.array([complex(0, 1.25), complex(0, -1.25)]), 0.01)]
+    for box in ((-3.2, 3.2, -3.2, 3.2), (-1.5, 1.5, -0.5, 2.5)):
+        for points, r in cases:
+            new, oracle = SvgCanvas(*box), SvgCanvas(*box)
+            new.circles(points, r)
+            svg_circles(oracle, points, r)
+            assert b"\n".join(new.elements) == b"\n".join(oracle.elements)
+            assert len(new.elements) == (len(points) > 0)
 
 
 def write_csv_loop(header, rows):
@@ -259,9 +324,60 @@ def test_write_csv_peak_memory_is_bounded_by_the_file(tmp_path, monkeypatch):
     assert sum(sizes) == 400 + 250 + 2 * len(rows)
 
 
+def test_write_csv_formats_every_declared_table_in_one_call(tmp_path, monkeypatch):
+    # the declared tables of a CSV, two grid axes and a table of specials,
+    # go to the kernel together, in one call before the plain column's
+    # blocks
+    import crlab.figures
+
+    sizes = []
+
+    def counted(x, _real=crlab.figures.g17_fields):
+        sizes.append(len(x))
+        return _real(x)
+
+    monkeypatch.setattr(crlab.figures, "g17_fields", counted)
+    rng = np.random.default_rng(2)
+    xs, ys = np.linspace(-3, 3, 90), np.concatenate([[0.0, -0.0, math.nan], rng.standard_normal(57) * 1e20])
+    table = np.concatenate([SPECIAL, rng.standard_normal(20)])
+    index = rng.integers(0, len(table), len(xs) * len(ys))
+    plain = rng.standard_normal(len(xs) * len(ys))
+    columns = _grid_columns(xs, ys, (table, index)) + [plain]
+    path = write_csv(str(tmp_path / "t.csv"), ["x", "y", "t", "p"], columns)
+    blocks = -(-len(plain) // CSV_BLOCK_ROWS)
+    assert sizes == [len(xs) + len(ys) + len(table)] + [CSV_BLOCK_ROWS] * (blocks - 1) + [len(plain) - (blocks - 1) * CSV_BLOCK_ROWS]
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    with open(path, "rb") as fh:
+        assert fh.read() == write_csv_loop(["x", "y", "t", "p"], np.column_stack([X.ravel(), Y.ravel(), table[index], plain]))
+
+
+@pytest.mark.parametrize("resolution", [64, 65, 66, 198, 199])
+def test_level_sets_csv_declares_the_triangle_of_a_symmetric_grid(resolution, tmp_path, monkeypatch):
+    # G == G.T bit for bit, so the CSV that declares g by its triangle i <= j
+    # is the full grid's write, byte for byte, and formats only the triangle
+    import crlab.figures
+
+    th = np.linspace(-math.pi, math.pi, resolution, endpoint=False)
+    G = np.cos(th[:, None]) + np.cos(th[None, :]) + np.cos(th[None, :] - th[:, None])
+    assert G.tobytes() == np.ascontiguousarray(G.T).tobytes()
+    full = write_csv(str(tmp_path / "full.csv"), ["theta", "phi", "g"], _grid_columns(th, th, G))
+    sizes = []
+
+    def counted(x, _real=crlab.figures.g17_fields):
+        sizes.append(len(x))
+        return _real(x)
+
+    monkeypatch.setattr(crlab.figures, "g17_fields", counted)
+    path, got = figure_level_sets(str(tmp_path / "ls"), resolution=resolution)
+    assert got.tobytes() == G.tobytes()
+    with open(path, "rb") as fh, open(full, "rb") as fo:
+        assert fh.read() == fo.read()
+    assert sizes == [2 * resolution + resolution * (resolution + 1) // 2]
+
+
 def test_level_sets_csv_matches_per_value_format(tmp_path):
-    # a real grid: both axes declared over theta, and the symmetric g formatted
-    # block by block
+    # a real grid: both axes declared over theta, and the symmetric g
+    # declared by its triangle
     path, G = figure_level_sets(str(tmp_path / "ls"), resolution=96)
     th = np.linspace(-math.pi, math.pi, 96, endpoint=False)
     T, P = np.meshgrid(th, th, indexing="ij")

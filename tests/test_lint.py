@@ -188,6 +188,28 @@ def test_disk_projection_draws_closed_forms():
     assert found == []
 
 
+def test_figures_trace_and_mark_outside_loops():
+    # a figure traces its level sets in one pass per grid shape and draws its
+    # marks in one kernel call: figures.py calls neither _contour_segments nor
+    # SvgCanvas.circles inside a for loop, a while loop or a comprehension,
+    # and the per-mark SvgCanvas.circle is gone
+    from crlab.figures import SvgCanvas
+
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    tree = ast.parse((SRC / "figures.py").read_text())
+    found = [
+        f"figures.py:{call.lineno} {ast.unparse(call.func)}"
+        for loop in ast.walk(tree)
+        if isinstance(loop, loops)
+        for call in ast.walk(loop)
+        if isinstance(call, ast.Call)
+        and (isinstance(call.func, ast.Name) and call.func.id == "_contour_segments"
+             or isinstance(call.func, ast.Attribute) and call.func.attr in ("_contour_segments", "circles"))
+    ]
+    assert found == []
+    assert not hasattr(SvgCanvas, "circle")
+
+
 def test_gc_reads_only_the_side():
     # GC's margins are closed forms in cos(beta) or cosh(l)
     # (tests/test_gc_disk_identities.py): its two checks read no attribute of

@@ -240,12 +240,16 @@ def test_lc_structure(ff_lox):
 def test_a_failing_tf_pass_fails_lc(minus, monkeypatch):
     # LC's claim on F_0^- and F_-1^- rests on TF's pass, whose margin LC
     # does not report: where that margin is not finite and positive, LC
-    # fails with TF though its own pass holds
+    # fails with TF though its own pass holds, and its one note names TF's
+    # margin without repeating it
     plus = FaceFamily(0.7, grid_n=128).torus_pass[1]
     monkeypatch.setattr(FaceFamily, "torus_pass", property(lambda self: [minus, plus]))
     r = verify(0.7, grid_n=128)
     assert not r.tf.passed and not r.lc.passed
     assert r.lc.margins == {"faces_plus_plus": plus} and plus > 0
+    (note,) = r.lc.notes
+    assert "tf.torus_exclusion" in note and "faces_minus_minus" in note
+    assert repr(minus) not in note and not any(ch.isdigit() for ch in note)
     assert r.verdict.kind is VerdictKind.INCONCLUSIVE and r.verdict.reason == "a check failed"
 
 
