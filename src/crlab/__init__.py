@@ -10,7 +10,7 @@ Modules:
   visual     visual-sphere charts, on which U acts by its multiplier;
              no check reads one (the tests' oracles do)
   verify     the TF/LC/GC verification engine and surgery verdicts
-  report     check results, verdicts and the report-v10 JSON layout
+  report     check results, verdicts and the report-v11 JSON layout
   figures    deterministic CSV/SVG figure data
   csvfloat   the byte-exact %.17g and %.9g kernel of the figure CSVs and SVGs
   cli        the `crlab` command line

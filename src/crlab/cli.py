@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import figures
-from .core import GeometryError, siegel_model
+from .core import GeometryError, siegel_model, tolerance
 from .family import FamilyParams, FamilyRep, alpha2_for_order
 from .isometry import MAX_ORDER, Isometry, classify, elliptic_type, verify_su21
 from .report import to_json
@@ -290,17 +290,16 @@ def main(argv=None) -> int:
     if args.command == "verify" and not 64 <= args.grid <= MAX_GRID:
         print(f"error: grid resolution must lie in [64, {MAX_GRID}]", file=sys.stderr)
         return 2
-    # the tolerance of every subcommand: --tol, else CRLAB_TOL, which the
-    # figures read through core.tolerance
-    tol, source, env = getattr(args, "tol", None), "--tol", os.environ.get("CRLAB_TOL")
-    if tol is None and env:
-        source = "CRLAB_TOL"
-        try:
-            tol = float(env)
-        except ValueError:
-            print(f"error: CRLAB_TOL={env!r} is not a number", file=sys.stderr)
-            return 2
-    if tol is not None and not (1e-14 <= tol <= 1e-3):
+    # the tolerance of every subcommand, resolved by core.tolerance, which
+    # the figures read too: --tol, else CRLAB_TOL, else the default
+    flag = getattr(args, "tol", None)
+    try:
+        tol = tolerance(flag)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if not 1e-14 <= tol <= 1e-3:
+        source = "CRLAB_TOL" if flag is None else "--tol"
         print(f"error: tolerance ({source}) must lie in [1e-14, 1e-3]", file=sys.stderr)
         return 2
     if hasattr(args, "tol"):

@@ -29,13 +29,17 @@ EUCLIDEAN = ((0, 0, 1.0), (1, 1, 1.0), (2, 2, 1.0))
 
 
 def tolerance(tol=None):
-    """Resolve a tolerance: explicit argument > CRLAB_TOL env var > default."""
+    """Resolve a tolerance: explicit argument > CRLAB_TOL env var > default.
+    A CRLAB_TOL that is not a number raises a ValueError that names it."""
     if tol is not None:
         return float(tol)
     env = os.environ.get("CRLAB_TOL")
-    if env:
+    if not env:
+        return DEFAULT_TOL
+    try:
         return float(env)
-    return DEFAULT_TOL
+    except ValueError:
+        raise ValueError(f"CRLAB_TOL={env!r} is not a number") from None
 
 
 class Model(enum.Enum):

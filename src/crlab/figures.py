@@ -14,9 +14,9 @@ numpy CPU-dispatch level too: they are `math` scalars, real cos and sin
 and real arithmetic.  The others are not promised across dispatch levels
 (complex products and `abs` change their last bits with them), nor across
 numpy's and cmath's roundings (numpy ufuncs against Python scalars).
-spinal-trace draws the torus of TF's exclusion pass, the first row array
-of `verify.FaceFamily.passes`, through `bisector.column_forms`: the
-sinusoids verify reads, on a grid.
+spinal-trace draws the torus of TF's exclusion pass, the row array
+`verify.FaceFamily.passes`, through `bisector.column_forms`: the sinusoids
+verify reads, on a grid.
 """
 
 from __future__ import annotations
@@ -332,13 +332,13 @@ def figure_disk_projection(out_base, n=20, boundary_points=512, fmt="csv"):
 
 def figure_spinal_trace(out_base, alpha2=0.7, resolution=361, fmt="csv"):
     """Curves on the intersection torus of two neighbouring bisectors, that
-    of J_0^- and J_-1^- whose exclusion pass TF reads (`FaceFamily.passes`
-    row 0): the locus inside the closed ball and the crossing loci with the
+    of J_0^- and J_-1^- whose exclusion pass TF reads (`FaceFamily.passes`):
+    the locus inside the closed ball and the crossing loci with the
     third extor, E(p_U, p_V)."""
     ff = FaceFamily(alpha2)
     sigmas = np.linspace(0.0, 2.0 * math.pi, resolution, endpoint=False)
     deltas = delta0(ff.alpha2) + np.linspace(0.0, math.pi, resolution // 2, endpoint=False)
-    norms, to_u, to_v = column_forms(ff.passes[0], sigmas, deltas, ff.space)
+    norms, to_u, to_v = column_forms(ff.passes, sigmas, deltas, ff.space)
     side = to_u - to_v
     if fmt == "csv":
         return (

@@ -1,5 +1,5 @@
 """The verification report: the results of the checks TF, LC and GC, the
-verdict, and the `report-v10` JSON that `crlab verify --out` writes, one
+verdict, and the `report-v11` JSON that `crlab verify --out` writes, one
 file per parameter.
 
 The JSON bytes are the contract: keys sorted, two-space indent, one
@@ -16,7 +16,7 @@ import enum
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
-SCHEMA_VERSION = "report-v10"
+SCHEMA_VERSION = "report-v11"
 
 
 @dataclass
@@ -100,7 +100,7 @@ class VerificationReport:
 
 
 def to_json(report: VerificationReport) -> str:
-    """The report's `report-v10` JSON text, by one walk of its dict (`_dump`)."""
+    """The report's `report-v11` JSON text, by one walk of its dict (`_dump`)."""
     return _dump(report.to_dict(), "\n") + "\n"
 
 

@@ -22,16 +22,18 @@ p_A and p_B and their U-translates lie on the bisectors around them, and
 that U acts on the visual sphere of p_U by its multiplier, are proved once,
 in tests/test_incidence_identities.py.
 
-TF and LC read the Giraud tori of neighbouring faces one delta-column at a
-time, where every form is a sinusoid in sigma: each exclusion margin is an
-exact minimum over sigma, sampled in delta about the vertex column
-family.delta_v.  Both exclusion passes of a parameter are one (2, 5, 3)
-row array, FaceFamily.passes, read by one bisector.column_minima call
-(FaceFamily.torus_pass); its first pass, TF's, is also the torus the
-spinal-trace figure draws.  TF reports that pass's margin once: LC's claim
-on the faces F_0^- and F_-1^- rests on it, and LC reports its own pass
-alone.  The unipotent wall is decided once, by family.param_side: on it GC
-is not applicable.
+TF reads the Giraud torus of the faces F_0^- and F_-1^- one delta-column
+at a time, where every form is a sinusoid in sigma: its exclusion margin is
+an exact minimum over sigma, sampled in delta about the vertex column
+family.delta_v.  That pass is one (5, 3) row array, FaceFamily.passes,
+read by one bisector.column_minima call (FaceFamily.torus_pass), and it is
+also the torus the spinal-trace figure draws.  LC's claims on both face
+pairs rest on it: on F_0^- and F_-1^- it is the same claim, and the
+slice's involution, which fixes p_U and swaps p_V with p_W, carries the
+pass of F_0^+ and F_1^+ onto it, V onto -V at every (sigma, delta), so
+that pass fails exactly where this one does (tests/test_lc_identities.py).
+The unipotent wall is decided once, by family.param_side: on it GC is not
+applicable.
 
 Passing all three yields the Dehn-surgery verdict for the parameter:
 slope 1/(n-3) on the elliptic side of order n >= 9, slope -1/3 on the
@@ -45,9 +47,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import GeometryError, box_rows, siegel_model, tolerance
+from .core import box_rows, siegel_model, tolerance
 from .family import (
-    P_A, P_B, P_U, P_V, P_W, U_PV, UI_PW,
+    P_A, P_B, P_U, P_V, P_W, UI_PW,
     SideKind,
     delta_v,
     elliptic_disks,
@@ -58,12 +60,12 @@ from .bisector import giraud_circle_tangents, torus_exclusion
 from .report import CheckResult, Verdict, VerdictKind, VerificationReport
 
 DEFAULT_GRID = 720
-# the second lifts of the bisectors of p_U: J_0^+, J_0^-, J_1^+ and J_-1^-
-BISECTORS = [P_V, P_W, U_PV, UI_PW]
-# the tori (J_0^-, J_-1^-), (J_0^+, J_1^+), (J_0^+, J_0^-) and (J_0^+,
-# J_-1^-) as (bisector of q, bisector of r), indices into BISECTORS, with
-# their lifts (p_U, q, r) as rows of the point table
-TORI = [(1, 3), (0, 2), (0, 1), (0, 3)]
+# the second lifts of the bisectors of p_U: J_0^+, J_0^- and J_-1^-
+BISECTORS = [P_V, P_W, UI_PW]
+# the tori (J_0^-, J_-1^-), (J_0^+, J_0^-) and (J_0^+, J_-1^-) as (bisector
+# of q, bisector of r), indices into BISECTORS, with their lifts (p_U, q, r)
+# as rows of the point table
+TORI = [(1, 2), (0, 1), (0, 2)]
 TORUS_LIFTS = np.array([[P_U, BISECTORS[i], BISECTORS[j]] for i, j in TORI])
 
 
@@ -75,14 +77,14 @@ class FaceFamily:
     """All data attached to a parameter, as arrays: the side of
     `family.param_side`, the point table P of `family.face_points` (rows
     P_A .. UI_PW), and the lifts (p_U, q, r) of the tori of TORI with their
-    box rows (q box r, p_U box r, q box p_U), each (4, 3, 3), from which
-    every decision of the checks is read; grid settings.  Tori 0 and 1
-    carry the exclusion passes, as the one row array `passes` (2, 5, 3) =
-    (p_U, neg, q box r, p_U box r, q box p_U) of `bisector.column_minima`
-    with neg = p_V and p_W; tori 2 and 3 the Giraud circles of
-    `_bitangency`.  Each torus is parametrized by (q - e^{i th} p_U) box (r -
-    e^{i ph} p_U), and every pair is an unbalanced pair of equal-norm lifts
-    at each alpha2 in (0, pi/2) (tests/test_face_family_identities.py).
+    box rows (q box r, p_U box r, q box p_U), each (3, 3, 3), from which
+    every decision of the checks is read; grid settings.  Torus 0 carries
+    the exclusion pass, as the row array `passes` (5, 3) = (p_U, p_V, q box
+    r, p_U box r, q box p_U) of `bisector.column_minima`; tori 1 and 2 the
+    Giraud circles of `_bitangency`.  Each torus is parametrized by (q -
+    e^{i th} p_U) box (r - e^{i ph} p_U), and every pair is an unbalanced
+    pair of equal-norm lifts at each alpha2 in (0, pi/2)
+    (tests/test_face_family_identities.py).
     The projected disks of J_0^+ and J_0^- on the visual sphere of [p_U]
     are closed forms in the order n (`family.elliptic_disks`), which GC and
     the disk-projection figure read without a chart."""
@@ -99,32 +101,14 @@ class FaceFamily:
         self.P = face_points(self.alpha2)
         self.lifts = self.P[TORUS_LIFTS]
         self.rows = box_rows(self.lifts[:, [1, 0, 1]], self.lifts[:, [2, 2, 0]], self.space)
-        self.passes = np.concatenate([self.lifts[:2, :1], self.P[[P_V, P_W], None], self.rows[:2]], axis=1)
+        self.passes = np.concatenate([self.lifts[0, :1], self.P[[P_V]], self.rows[0]])
 
     @cached_property
-    def torus_pass(self) -> list[float]:
-        """`bisector.torus_exclusion` margins of the two passes: p_V on the
-        first torus (vertices p_A, p_B; TF, and LC's faces F_0^- and
-        F_-1^-) and p_W on the second (p_B, U p_A; LC), on grid_n // 2
-        columns about the vertex column `family.delta_v`."""
+    def torus_pass(self) -> float:
+        """The `bisector.torus_exclusion` margin of the pass: p_V on torus 0
+        (vertices p_A, p_B), on grid_n // 2 columns about the vertex column
+        `family.delta_v`."""
         return torus_exclusion(self.passes, delta_v(self.alpha2), self.grid_n // 2, self.space)
-
-
-# ---------------------------------------------------------------------------
-# small shared helpers
-
-
-def _record_exclusion(ff: FaceFamily, res: CheckResult, key: str, margin: float) -> bool:
-    """Record a `torus_exclusion` margin in `res` under `key`; whether it is
-    finite and positive.  Where no sampled column meets the ball the margin
-    is inf, no evidence either way, and a note says why."""
-    res.margins[key] = margin
-    if math.isinf(margin):
-        res.notes.append(
-            f"{key}: no sampled delta-column meets the ball (the ball band at "
-            f"delta_v is narrower than the column spacing pi/{ff.grid_n // 2})"
-        )
-    return 0.0 < margin < math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -142,9 +126,14 @@ def tf_check(ff: FaceFamily) -> CheckResult:
     res = CheckResult("tf", True)
 
     # on the ball part of the torus of J_0^- and J_-1^-, |<z, p_U>| <=
-    # |<z, p_V>| only at p_A and p_B
-    minus, _ = ff.torus_pass
-    passed_c = _record_exclusion(ff, res, "torus_exclusion", minus)
+    # |<z, p_V>| only at p_A and p_B; where no sampled column meets the
+    # ball the margin is inf, no evidence either way
+    margin = res.margins["torus_exclusion"] = ff.torus_pass
+    if math.isinf(margin):
+        res.notes.append(
+            "torus_exclusion: no sampled delta-column meets the ball (the ball band at "
+            f"delta_v is narrower than the column spacing pi/{ff.grid_n // 2})"
+        )
 
     res.notes.append(
         "torus exclusion is exact in sigma on each delta-column and sampled "
@@ -158,16 +147,16 @@ def tf_check(ff: FaceFamily) -> CheckResult:
     res.notes.extend(bt_notes)
 
     bt_ok = max(bt_resid) <= 1e-3
-    res.passed = bool(passed_c and bt_ok)
+    res.passed = bool(0.0 < margin < math.inf and bt_ok)
     return res
 
 
 def _bitangency(ff: FaceFamily):
     """Tangent-direction agreement of the Giraud circles bounding the first
-    face (tori 2 and 3 of `FaceFamily`) at both shared ideal vertices, as
+    face (tori 1 and 2 of `FaceFamily`) at both shared ideal vertices, as
     real lines in an affine chart, from one `giraud_circle_tangents`
     evaluation over (vertex, circle)."""
-    w, _, dist = giraud_circle_tangents(ff.lifts[2:], ff.rows[2:], ff.P[[P_A, P_B], None], ff.space)
+    w, _, dist = giraud_circle_tangents(ff.lifts[1:], ff.rows[1:], ff.P[[P_A, P_B], None], ff.space)
     r = np.concatenate([w.real, w.imag], axis=-1)
     r /= np.linalg.norm(r, axis=-1, keepdims=True)
     resids = np.sqrt(np.maximum(0.0, 1.0 - (r[:, 0] * r[:, 1]).sum(axis=-1) ** 2)).tolist()
@@ -181,30 +170,26 @@ def _bitangency(ff: FaceFamily):
 
 
 def lc_check(ff: FaceFamily) -> CheckResult:
-    """LC from what can fail: the two torus-exclusion passes.  The first is
-    TF's, which TF reports as `torus_exclusion`: LC passes only where that
-    margin and its own `faces_plus_plus` are finite and positive, and
-    reports the second alone, with a note naming TF's margin where that one
-    fails.  Both face-boundary intersections are Giraud disks of order-3
-    symmetric triples with u = (2/3)(4 cos^2 alpha2 - 3) < 2/3 at every
-    alpha2 in (0, pi/2), and the fan focus at alpha2 = pi/6 sits inside its
-    arc; both are proved once, in tests/test_lc_identities.py and
-    tests/test_gc_identities.py, and so are the vertices at the ends of the
-    column family.delta_v, in tests/test_vertex_identities.py."""
-    res = CheckResult("lc", True)
-    # F_0^- /\ F_-1^- == {p_A, p_B} and F_0^+ /\ F_1^+ == {p_B, U p_A}: each
-    # pair lies in the set of the constraint both faces share, |<z,p_U>| <=
-    # |<z,p_V>| (TF's torus_exclusion pass) and <= |<z,p_W>|, so it suffices
-    # that this set meets the torus's ball part only at the two vertices
-    minus, plus = ff.torus_pass
-    ok_pp = _record_exclusion(ff, res, "faces_plus_plus", plus)
-    ok_mm = 0.0 < minus < math.inf
-    if not ok_mm:
+    """LC from what can fail: TF's pass.  Each face pair meets in its two
+    vertices, F_0^- /\\ F_-1^- == {p_A, p_B} and F_0^+ /\\ F_1^+ == {p_B,
+    U p_A}, where the constraint both faces share (|<z,p_U>| <= |<z,p_V>|
+    on the torus of J_0^- and J_-1^-, TF's pass, and <= |<z,p_W>| on that
+    of J_0^+ and J_1^+) meets the torus's ball part only at them.  The
+    slice's involution carries the second pass onto the first, so LC
+    passes exactly where TF's margin is finite and positive, with a note
+    naming both face pairs where it is not.  The involution's rows, the
+    Giraud disks of both face-boundary intersections (u = (2/3)(4 cos^2
+    alpha2 - 3) < 2/3 at every alpha2 in (0, pi/2)) and the fan focus at
+    alpha2 = pi/6 inside its arc are proved once, in
+    tests/test_lc_identities.py and tests/test_gc_identities.py, and so
+    are the vertices at the ends of the column family.delta_v, in
+    tests/test_vertex_identities.py."""
+    res = CheckResult("lc", 0.0 < ff.torus_pass < math.inf)
+    if not res.passed:
         res.notes.append(
-            "faces_minus_minus: rests on TF's pass, whose margin "
-            "tf.torus_exclusion is not finite and positive"
+            "faces_minus_minus and faces_plus_plus: rest on TF's pass, whose "
+            "margin tf.torus_exclusion is not finite and positive"
         )
-    res.passed = bool(ok_mm and ok_pp)
     return res
 
 
@@ -325,19 +310,10 @@ def gc_check(ff: FaceFamily) -> CheckResult:
     return CheckResult("gc", True, skipped=True, notes=[note])
 
 
-def _run_check(name: str, check, ff: FaceFamily) -> CheckResult:
-    """A check whose preconditions fail at this parameter (GeometryError)
-    fails with the reason, so that every parameter gets a report."""
-    try:
-        return check(ff)
-    except GeometryError as exc:
-        return CheckResult(name, False, notes=[f"check not evaluated: {exc}"])
-
-
 def verify(alpha2: float, tol=None, grid_n: int = DEFAULT_GRID) -> VerificationReport:
     """Run the checks at a parameter and assemble the verdict from ff.side."""
     ff = FaceFamily(alpha2, tol, grid_n)
-    checks = {name: _run_check(name, check, ff) for name, check in (("tf", tf_check), ("lc", lc_check), ("gc", gc_check))}
+    checks = {"tf": tf_check(ff), "lc": lc_check(ff), "gc": gc_check(ff)}
     side, gc = ff.side, checks["gc"]
     if side.kind is SideKind.UNIPOTENT:
         verdict = Verdict(

@@ -42,7 +42,9 @@ None of these is on a program path, and none is imported by `crlab`:
 - the slice's involution `involution_matrix`, which swaps the two
   bisector families;
 - what `FaceFamily` no longer forms: a `GiraudTorus` view of one of its
-  tori (`face_torus`), the Gram table of its point table
+  tori (`face_torus`), the torus of J_0^+ and J_1^+ and LC's former pass
+  on it (`plus_torus`, `plus_pass`), which the slice's involution carries
+  onto TF's (tests/test_lc_identities.py), the Gram table of its point table
   (`face_gram`, with `gram` for any rows), the ten vertex products of
   the incidences (`vertex_products`, `VERTEX_PRODUCTS`,
   `TRANSLATION_INCIDENCES`), and the chart of the visual sphere of [p_U]
@@ -844,8 +846,23 @@ def gram(X: np.ndarray, space) -> np.ndarray:
 
 def face_torus(ff, i: int = 0) -> GiraudTorus:
     """The `GiraudTorus` view of torus i of a FaceFamily's lifts and rows:
-    0 of J_0^- and J_-1^-, 1 of J_0^+ and J_1^+."""
+    0 of J_0^- and J_-1^-, 1 of J_0^+ and J_0^-, 2 of J_0^+ and J_-1^-."""
     return GiraudTorus(ff.lifts[i], ff.rows[i], ff.space)
+
+
+def plus_pass(ff) -> np.ndarray:
+    """LC's former exclusion pass, the row array (p_U, p_W, qr, pr, qp),
+    shape (5, 3), of the torus of J_0^+ and J_1^+, lifts (p_U, p_V, U p_V):
+    one `core.box_rows` call on a FaceFamily's point table, as
+    `FaceFamily.passes` is formed.  The slice's involution carries it onto
+    `FaceFamily.passes`, its box rows negated (tests/test_lc_identities.py)."""
+    lifts = ff.P[[P_U, P_V, U_PV]]
+    return np.concatenate([ff.P[[P_U, P_W]], box_rows(lifts[[1, 0, 1]], lifts[[2, 2, 0]], ff.space)])
+
+
+def plus_torus(ff) -> GiraudTorus:
+    """The `GiraudTorus` view of `plus_pass`'s torus."""
+    return GiraudTorus(ff.P[[P_U, P_V, U_PV]], plus_pass(ff)[2:], ff.space)
 
 
 def face_gram(ff) -> np.ndarray:

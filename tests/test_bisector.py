@@ -29,6 +29,8 @@ from oracles import (
     norm_terms,
     pair_kind,
     periodic_components,
+    plus_pass,
+    plus_torus,
     point,
     real_spine_endpoints,
     slice_boundary_circle,
@@ -429,12 +431,13 @@ VERIFY_PARAMS = [alpha2_for_order(9), alpha2_for_order(6), alpha2_for_order(56),
 
 @pytest.mark.parametrize("alpha2, n", [(a, n) for a in VERIFY_PARAMS for n in (64, 720)] + [(1.569, 64)])
 def test_stacked_column_minima_equal_each_block_alone(alpha2, n):
-    # each exclusion torus reads (minima, mid, half) with the same bits
-    # alone, as R (5, 3), in the pass stack (2, 5, 3) and in a stack of two
-    # parameters (2, 2, 5, 3) with delta-columns (2, 1, m + 1), and with
-    # the bits of the oracle's envelope of one constraint; the columns are
-    # the vertex column and the m pass columns about it.  At alpha2 1.569
-    # and grid 64 no pass column meets the ball, so every one reads inf
+    # each exclusion torus, TF's and the plus torus of LC's former pass,
+    # reads (minima, mid, half) with the same bits alone, as R (5, 3), in a
+    # pass stack (2, 5, 3) and in a stack of two parameters (2, 2, 5, 3)
+    # with delta-columns (2, 1, m + 1), and with the bits of the oracle's
+    # envelope of one constraint; the columns are the vertex column and the
+    # m pass columns about it.  At alpha2 1.569 and grid 64 no pass column
+    # meets the ball, so every one reads inf
     params = VERIFY_PARAMS + [1.569]
     m = n // 2
     offsets = (np.arange(m) + 0.5) * (math.pi / m)
@@ -443,7 +446,7 @@ def test_stacked_column_minima_equal_each_block_alone(alpha2, n):
     for ff in families:
         theta, phi = vertex_angles(ff.lifts[0], ff.P[P_A], ff.space)
         dv = ((theta - phi) / 2.0) % math.pi
-        stack.append(np.concatenate([ff.lifts[:2, :1], ff.P[[P_V, P_W], None], ff.rows[:2]], axis=1))
+        stack.append(np.stack([ff.passes, plus_pass(ff)]))
         deltas.append(np.append(dv, dv + offsets))
     space = families[0].space
     both = column_minima(np.array(stack), np.array(deltas)[:, None], space)
@@ -453,7 +456,8 @@ def test_stacked_column_minima_equal_each_block_alone(alpha2, n):
             alone = column_minima(R[i], d, space)
             for layout in ([x[i] for x in passes], [x[k, i] for x in both]):
                 assert [x.tobytes() for x in layout] == [x.tobytes() for x in alone]
-            assert np.array_equal(alone[0], envelope_minima(face_torus(ff, i), d, ff.P[P_U], [ff.P[neg]]))
+            torus = (face_torus(ff), plus_torus(ff))[i]
+            assert np.array_equal(alone[0], envelope_minima(torus, d, ff.P[P_U], [ff.P[neg]]))
     # an empty arc reads inf, and only an empty arc
     minima, _, half = both
     assert np.isinf(minima[0]).any() and np.array_equal(np.isinf(minima), np.isnan(half))

@@ -86,7 +86,7 @@ def test_reports_and_figures_are_the_same_bytes_under_every_kernel():
 CPU_FEATURE_SETTINGS = (None, "X86_V4 AVX512_ICL AVX512_SPR", "X86_V3 X86_V4 AVX512_ICL AVX512_SPR")
 
 # one process: each parameter's GC block of the report, then its whole
-# report with the two TF/LC torus margins masked, as JSON text
+# report with TF's torus margin, the one torus margin, masked, as JSON text
 GC_PROGRAM = r"""
 import json
 from crlab.family import alpha2_for_order
@@ -99,7 +99,7 @@ params += [alpha2_for_length(x) for x in (0.25, 1.0, 1.75)]
 reports = [verify(a, grid_n=64) for a in params]
 blocks = [json.dumps(r.to_dict()["checks"]["gc"], sort_keys=True) for r in reports]
 for r in reports:
-    r.tf.margins["torus_exclusion"] = r.lc.margins["faces_plus_plus"] = 0.0
+    r.tf.margins["torus_exclusion"] = 0.0
 print(json.dumps(blocks + [to_json(r) for r in reports]))
 """
 
@@ -115,8 +115,8 @@ def _run_at_level(features, program=GC_PROGRAM):
 
 
 def test_gc_blocks_are_the_same_bytes_at_every_dispatch_level():
-    # GC's blocks, and the whole reports but for the TF/LC torus margins,
-    # whose complex products and transcendentals move with the level
+    # GC's blocks, and the whole reports but for TF's torus margin, whose
+    # complex products and transcendentals move with the level
     runs = {features: _run_at_level(features) for features in CPU_FEATURE_SETTINGS}
     default = runs[None]
     assert len(default) == 24

@@ -32,7 +32,7 @@ def test_verify_n9(tmp_path):
     files = sorted(os.listdir(tmp_path))
     assert len(files) == 1
     report = json.loads((tmp_path / files[0]).read_text())
-    assert report["schema"] == "report-v10"
+    assert report["schema"] == "report-v11"
     assert report["verdict"]["slope"] == [1, 6]
 
 
@@ -207,6 +207,11 @@ def test_env_tolerance_override(monkeypatch):
     assert tolerance(1e-5) == 1e-5
     monkeypatch.delenv("CRLAB_TOL")
     assert tolerance() == 1e-9
+    # a CRLAB_TOL that is not a number is named; an argument is read first
+    monkeypatch.setenv("CRLAB_TOL", "abc")
+    with pytest.raises(ValueError, match=r"^CRLAB_TOL='abc' is not a number$"):
+        tolerance()
+    assert tolerance(1e-5) == 1e-5
 
 
 @pytest.mark.parametrize(

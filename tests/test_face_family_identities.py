@@ -1,6 +1,6 @@
 """FaceFamily's preconditions, proved once over every alpha2 in (0, pi/2).
 
-`verify.FaceFamily` builds its four Giraud tori, and GC reads its two
+`verify.FaceFamily` builds its three Giraud tori, and GC reads its two
 contacts, without running the kernels `bisector_kinds`, `pair_kinds` and
 `tangencies` of tests/oracles.py at a parameter: what they would decide
 there rests on identities of the slice, proved here in exact arithmetic
@@ -11,8 +11,9 @@ over c = cos(alpha2), s = sin(alpha2) modulo c^2 + s^2 - 1
   nonzero, and p_U is null exactly on the unipotent wall 8c^2 = 3, which
   `family.param_side` alone decides.
 - S and U are in U(2,1) (S^H J S = J and U^H J U = J), so the second lifts
-  p_V = S p_U, p_W = S p_V, U p_V and U^-1 p_W of the four bisectors of p_U
-  have the norm of p_U: the equal norms `bisector_kinds` required.
+  p_V = S p_U, p_W = S p_V and U^-1 p_W of the three bisectors of p_U that
+  FaceFamily reads have the norm of p_U: the equal norms `bisector_kinds`
+  required.
 - For r = U p_A and r = U^-1 p_B: <r, r> = 0 and <p_U, r> = <p_V, r>, the
   sign eps = +1 of the tangency criterion, while <p_V, p_U> - <p_U, p_U> =
   -4c^2 != 0.  So the line through [p_U] and [r] meets the spinal surface of
@@ -22,8 +23,8 @@ over c = cos(alpha2), s = sin(alpha2) modulo c^2 + s^2 - 1
   the membership |<f, p_U>| = |<f, q'>| of a focus in the other extor, which
   `pair_kinds` tests, reads det(p_U, q, q') = 0, and two foci are
   projectively equal only where that determinant vanishes too.
-  |det(p_U, q_i, q_j)|^2 is 72c^4 for the tori (J_0^-, J_-1^-) and (J_0^+,
-  J_1^+), and 8c^4 (9 - 8c^2) for (J_0^+, J_0^-) and (J_0^+, J_-1^-).  Both
+  |det(p_U, q_i, q_j)|^2 is 72c^4 for the torus (J_0^-, J_-1^-), and 8c^4
+  (9 - 8c^2) for (J_0^+, J_0^-) and (J_0^+, J_-1^-).  Both
   are positive for t = c^2 in (0, 1), so every torus pair is unbalanced,
   never confocal, on all of (0, pi/2); both tend to 0 only at pi/2.
 
@@ -61,10 +62,10 @@ def _on_slice(v):
 
 
 # the symbolic second lifts, in the order of verify.BISECTORS
-SECONDS = [_on_slice(q) for q in (sa.P_V, sa.P_W, sa.U_PV, sa.UI_PW)]
+SECONDS = [_on_slice(q) for q in (sa.P_V, sa.P_W, sa.UI_PW)]
 CONTACTS = {"U_pA": sa.U_PA, "Ui_pB": sa.UI_PB}
 # |det(p_U, q_i, q_j)|^2 for the pairs (i, j) of verify.TORI
-DETERMINANTS = [72 * c**4, 72 * c**4, 8 * c**4 * (9 - 8 * c**2), 8 * c**4 * (9 - 8 * c**2)]
+DETERMINANTS = [72 * c**4, 8 * c**4 * (9 - 8 * c**2), 8 * c**4 * (9 - 8 * c**2)]
 
 
 @functools.cache
@@ -89,7 +90,7 @@ def _foci():
 
 def _unitary():
     """The entries of S^H J S - J and U^H J U - J, and <q, q> - <p_U, p_U>
-    for the four second lifts."""
+    for the three second lifts."""
     entries = [e for M in (sa.S, sa.U) for e in conj(M).T * J * M - J]
     return entries + [inner(q, q) - inner(sa.P_U, sa.P_U) for q in SECONDS]
 

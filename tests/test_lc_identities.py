@@ -1,8 +1,8 @@
 """LC's Giraud disks and the slice's involution, proved once over every
 alpha2 in (0, pi/2).
 
-`verify.lc_check` decides only from what can fail at a parameter, its two
-torus-exclusion passes; the incidences and the chart action are proved in
+`verify.lc_check` decides only from what can fail at a parameter, TF's
+torus-exclusion pass; the incidences and the chart action are proved in
 tests/test_incidence_identities.py, and no check samples the involution.
 What LC no longer samples is proved here, in exact arithmetic over c =
 cos(alpha2), s = sin(alpha2) (`slice_algebra`):
@@ -20,26 +20,39 @@ cos(alpha2), s = sin(alpha2) (`slice_algebra`):
   J) with det I = -1, I^2 = 1 and I U I = U^-1; it fixes p_U and swaps p_V
   with p_W.  So I U^k = U^-k I, and I carries U^k p_V onto U^-k p_W for
   every k: the bisector families J_k^+ and J_-k^- are swapped.
+- For any a, b, Ia box Ib = conj(det I) I (a box b) = -I (a box b).  So I
+  maps each box row (qr, pr, qp) of the torus of J_0^+ and J_1^+, lifts
+  (p_U, p_V, U p_V), to minus the matching row of the torus of J_0^- and
+  J_-1^-, lifts (p_U, p_W, U^-1 p_W), and LC's former pass on the first
+  (constraint p_W) onto TF's pass on the second (constraint p_V), as row
+  arrays (p_U, neg, qr, pr, qp) with SIGNS: at every (sigma, delta) the
+  torus points obey V_minus = -I V_plus.  As I preserves the form and
+  carries (p_U, p_W) onto (p_U, p_V), both passes have the same <V, V>,
+  hence the same ball arcs, and the same E = |<V, p_U>|^2 - |<V, neg>|^2;
+  only the Euclidean |V|^2 that `bisector.column_minima` divides by
+  differs.  So the plus pass fails exactly where TF's does, and its
+  vertices follow TF's: I p_A = U p_A and I p_B = p_B.
 
 A sign on an interval is proved by Sturm's root count (`Poly.count_roots`)
 and the sign at one point, in exact rational arithmetic.  Each relation is
 also perturbed and seen to fail, so no reduction holds vacuously.  The
 symbolic points, box products and involution are tied to the program's
 point table and box rows, and to their Gram table (`oracles.face_gram`),
+and the symbolic passes to `FaceFamily.passes` and `oracles.plus_pass`,
 at a few parameters on each side.
 """
-
 import math
 
 import numpy as np
 import pytest
 import sympy as sp
 
-from crlab.family import P_U, P_V, P_W, U_PV, UI_PW, alpha2_for_order
+from crlab.bisector import column_minima, torus_exclusion
+from crlab.family import P_A, P_B, P_U, P_V, P_W, U_PA, U_PV, UI_PW, alpha2_for_order, delta_v
 from crlab.reference import alpha2_for_length
 from crlab.verify import FaceFamily
 
-from oracles import face_gram, gram, involution_matrix, lc_triples
+from oracles import face_gram, gram, involution_matrix, lc_triples, plus_pass
 from slice_algebra import INVOLUTION, J, U, box, c, conj, inner, inv, positive, s, zero
 import slice_algebra
 
@@ -88,8 +101,40 @@ def _involution_relations():
     return [e for m in matrices for e in m] + [I.det() + 1]
 
 
+# LC's former pass and TF's pass as row arrays (p_U, neg, qr, pr, qp) of
+# the tori (p, q, r), and the signs with which I carries each row of the
+# first onto the second
+def _pass(p, neg, q, r):
+    return [p, neg, box(q, r), box(p, r), box(q, p)]
+
+
+PASSES = {
+    "plus": _pass(slice_algebra.P_U, slice_algebra.P_W, slice_algebra.P_V, slice_algebra.U_PV),
+    "minus": _pass(slice_algebra.P_U, slice_algebra.P_V, slice_algebra.P_W, slice_algebra.UI_PW),
+}
+SIGNS = (1, 1, -1, -1, -1)
+
+
+def _box_lemma():
+    """The coordinates of Ia box Ib - conj(det I) I (a box b) for a and b
+    of six real symbols each."""
+    x, I = sp.symbols("x:12", real=True), INVOLUTION
+    a, b = (sp.Matrix([x[k + 2 * i] + sp.I * x[k + 2 * i + 1] for i in range(3)]) for k in (0, 6))
+    return list(box(I * a, I * b) - conj(I.det()) * I * box(a, b))
+
+
+def _pass_relations():
+    """I x - sign y for the rows x of the plus pass and y of the minus pass,
+    and I p_A - U p_A, I p_B - p_B."""
+    I, pts = INVOLUTION, slice_algebra
+    rows = [I * x - sign * y for x, y, sign in zip(PASSES["plus"], PASSES["minus"], SIGNS)]
+    return [e for m in rows + [I * pts.P_A - pts.U_PA, I * pts.P_B - pts.P_B] for e in m]
+
+
 RELATIONS = {name: _triple_relations(name) for name in TRIPLES}
 RELATIONS["involution"] = _involution_relations()
+RELATIONS["box_lemma"] = _box_lemma()
+RELATIONS["passes"] = _pass_relations()
 
 
 @pytest.mark.parametrize("name", RELATIONS)
@@ -151,3 +196,39 @@ def test_symbolic_triples_and_involution_are_the_programs(alpha2):
     assert np.abs(inv_m - I).max() <= 1e-15
     # I p_U = p_U, I p_V = p_W, I p_W = p_V and I U p_V = U^-1 p_W
     assert np.abs(P[:4] @ I.T - P[[0, 2, 1, 4]]).max() <= 1e-12 * np.abs(P).max()
+
+
+PASS_SYMBOLIC = sp.lambdify((c, s), [sp.Matrix.hstack(*PASSES[name]) for name in PASSES], "numpy")
+
+
+@pytest.mark.parametrize(
+    "alpha2, grid",
+    [(alpha2_for_order(n), 720) for n in (9, 56, 2809)]
+    + [(alpha2_for_length(v), 720) for v in (0.25, 1.0, 1.75)]
+    + [(1e-4, 720), (1.5, 720), (1.569, 64)],
+)
+def test_the_involution_carries_the_plus_pass_onto_tfs(alpha2, grid):
+    # the proof's passes, evaluated at alpha2, are oracles.plus_pass and
+    # FaceFamily.passes; the oracle's I maps the first onto the second row
+    # by row with SIGNS, and p_A, p_B onto U p_A, p_B.  On the program's
+    # columns both passes read the same ball arcs, and column minima of the
+    # same sign and inf pattern: TF's margin is finite and positive exactly
+    # where the plus pass's is (at 1.569 and grid 64 no column meets the
+    # ball, and both read inf)
+    ff = FaceFamily(alpha2, grid_n=grid)
+    co, si = math.cos(alpha2), math.sin(alpha2)
+    plus, minus = plus_pass(ff), ff.passes
+    for want, got in zip(PASS_SYMBOLIC(co, si), (plus, minus)):
+        assert np.abs(np.array(want, dtype=complex).T - got).max() <= 1e-13 * np.abs(got).max()
+    I = involution_matrix(alpha2)
+    assert np.abs(plus @ I.T - np.array(SIGNS)[:, None] * minus).max() <= 1e-13 * np.abs(minus).max()
+    P = ff.P
+    assert np.abs(P[[P_A, P_B]] @ I.T - P[[U_PA, P_B]]).max() <= 1e-13 * np.abs(P).max()
+    m, dv = grid // 2, delta_v(alpha2)
+    minima, _, half = column_minima(np.stack([minus, plus]), dv + (np.arange(m) + 0.5) * (math.pi / m), ff.space)
+    live = ~np.isnan(half[0])
+    assert np.array_equal(np.isnan(half[1]), ~live) and np.abs(half[0] - half[1])[live].max(initial=0.0) <= 1e-12
+    assert np.array_equal(np.sign(minima[0]), np.sign(minima[1])) and np.array_equal(np.isinf(minima[0]), ~live)
+    tf, other = torus_exclusion(np.stack([minus, plus]), dv, m, ff.space)
+    assert tf == ff.torus_pass and (0.0 < tf < math.inf) == (0.0 < other < math.inf)
+    assert (0.0 < tf < math.inf) == (alpha2 != 1.569)

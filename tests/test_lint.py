@@ -148,6 +148,16 @@ def test_exclusion_passes_take_no_vertex():
     assert callers(SRC, "vertex_angles") == ["bisector.giraud_circle_tangents"]
 
 
+def test_verify_forms_no_plus_torus():
+    # the slice's involution carries the pass on the torus of J_0^+ and
+    # J_1^+ onto TF's (tests/test_lc_identities.py): verify imports and
+    # names no lift U p_V, so it neither builds that torus nor runs its pass
+    tree = ast.parse((SRC / "verify.py").read_text())
+    imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names}
+    named = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    assert "U_PV" not in imported | named
+
+
 def test_verify_reads_no_sampled_silhouette():
     # GC's disks are closed forms in cos(beta) or cosh(l)
     # (tests/test_gc_disk_identities.py), never spinal samples or their

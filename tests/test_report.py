@@ -1,4 +1,4 @@
-"""The report-v10 writer against the standard library's encoder."""
+"""The report-v11 writer against the standard library's encoder."""
 
 import json
 import math

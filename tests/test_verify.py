@@ -53,6 +53,7 @@ from oracles import (
     giraud_torus,
     lc_triples,
     oriented_chart,
+    plus_pass,
     power,
     row_lengths,
     silhouette_circles,
@@ -226,29 +227,28 @@ def test_tf_at_fan_and_cone_parameters():
 def test_lc_structure(ff_lox):
     res = lc_check(ff_lox)
     assert res.passed
-    assert res.margins["faces_plus_plus"] > 0
-    # LC's claim on F_0^- and F_-1^- rests on TF's pass, whose margin TF
-    # reports once; LC reports its own pass alone
-    assert sorted(res.margins) == ["faces_plus_plus"]
-    assert tf_check(ff_lox).margins["torus_exclusion"] == ff_lox.torus_pass[0] > 0
+    # LC's claims on both face pairs rest on TF's pass, whose margin TF
+    # reports once; the slice's involution carries the plus pair's pass onto
+    # it (tests/test_lc_identities.py), so LC reports no margin of its own
+    assert res.margins == {} and res.notes == []
+    assert tf_check(ff_lox).margins["torus_exclusion"] == ff_lox.torus_pass > 0
     # the vertices at the ends of the column delta_v are proved once
-    # (tests/test_vertex_identities.py): LC reports its margins alone
+    # (tests/test_vertex_identities.py)
     assert res.residuals == {}
 
 
 @pytest.mark.parametrize("minus", [-1e-3, 0.0, math.inf, math.nan])
 def test_a_failing_tf_pass_fails_lc(minus, monkeypatch):
-    # LC's claim on F_0^- and F_-1^- rests on TF's pass, whose margin LC
+    # LC's claims on both face pairs rest on TF's pass, whose margin LC
     # does not report: where that margin is not finite and positive, LC
-    # fails with TF though its own pass holds, and its one note names TF's
-    # margin without repeating it
-    plus = FaceFamily(0.7, grid_n=128).torus_pass[1]
-    monkeypatch.setattr(FaceFamily, "torus_pass", property(lambda self: [minus, plus]))
+    # fails with TF, and its one note names both pairs and TF's margin
+    # without repeating it
+    monkeypatch.setattr(FaceFamily, "torus_pass", property(lambda self: minus))
     r = verify(0.7, grid_n=128)
     assert not r.tf.passed and not r.lc.passed
-    assert r.lc.margins == {"faces_plus_plus": plus} and plus > 0
+    assert r.lc.margins == {}
     (note,) = r.lc.notes
-    assert "tf.torus_exclusion" in note and "faces_minus_minus" in note
+    assert all(key in note for key in ("tf.torus_exclusion", "faces_minus_minus", "faces_plus_plus"))
     assert repr(minus) not in note and not any(ch.isdigit() for ch in note)
     assert r.verdict.kind is VerdictKind.INCONCLUSIVE and r.verdict.reason == "a check failed"
 
@@ -270,8 +270,8 @@ def test_lc_fan_focus_identities():
     # the slice-circle identities are proved in
     # tests/test_gc_identities.py::test_fan_slice_circle_identities; by them
     # the focus 3 pi/2 sits in the arc [7 pi/6, 11 pi/6] between the
-    # corrected vertex labels, so LC reads only its torus passes here too
-    assert sorted(res.margins) == ["faces_plus_plus"] and res.notes == []
+    # corrected vertex labels, so LC reads only TF's pass here too
+    assert res.margins == {} and res.notes == []
 
 
 def test_gc_loxodromic(ff_lox):
@@ -620,14 +620,13 @@ def test_verdicts_high_orders(n):
 )
 def test_verify_near_the_wall_reports(alpha2):
     # parameters close to the wall get a report; an inconclusive one says
-    # what could not be certified
+    # what could not be certified: every check that fails carries a note
     r = verify(alpha2, grid_n=64)
     if r.verdict.kind is VerdictKind.SURGERY:
         assert r.all_passed()
         return
     assert r.verdict.kind is VerdictKind.INCONCLUSIVE
-    notes = [n for c in (r.tf, r.lc, r.gc) if not c.passed for n in c.notes]
-    assert r.verdict.reason != "a check failed" or any("not evaluated" in n for n in notes)
+    assert all(c.notes for c in (r.tf, r.lc, r.gc) if not c.passed)
 
 
 @pytest.mark.parametrize(
@@ -642,7 +641,7 @@ def test_each_margin_is_reported_once(alpha2):
     # annulus_lower = annulus_upper and rotated_sector_gap = 2 sector_upper
     r = verify(alpha2)
     margins = [(f"{c.name}.{k}", v) for c in (r.tf, r.lc, r.gc) for k, v in c.margins.items()]
-    assert len(margins) >= 2
+    assert margins[0][0] == "tf.torus_exclusion" and r.lc.margins == {}
     for i, (a, x) in enumerate(margins):
         for b, y in margins[i + 1 :]:
             assert not any(math.isclose(x, ratio * y, rel_tol=1e-9) for ratio in (0.5, 1.0, 2.0)), (a, b, x, y)
@@ -668,8 +667,8 @@ def _key_paths(d, prefix=""):
     ids=["loxodromic", "order 9", "order 100", "order 6", "wall"],
 )
 def test_report_v10_key_sets(alpha2, gc_margins, gc_residuals):
-    # every report-v10 key, pinned per side: no counts, no top-level notes,
-    # and each margin once
+    # every report-v11 key, pinned per side: no counts, no top-level notes,
+    # and each margin once; LC reports none
     def check(name, margins, residuals):
         keys = [f"checks.{name}.{k}" for k in ("name", "notes", "passed", "skipped")]
         for group, names in (("margins", margins), ("residuals", residuals)):
@@ -679,14 +678,14 @@ def test_report_v10_key_sets(alpha2, gc_margins, gc_residuals):
     top = ["alpha2", "grid_n", "schema", "tolerance", "tr_u", "verdict.kind", "verdict.reason", "verdict.slope"]
     side = [f"side.{k}" for k in ("beta", "delta", "kind", "length", "n")]
     want = top + side + check("tf", ["torus_exclusion"], ["bitangency_pA", "bitangency_pB"])
-    want += check("lc", ["faces_plus_plus"], []) + check("gc", gc_margins, gc_residuals)
+    want += check("lc", [], []) + check("gc", gc_margins, gc_residuals)
     assert _key_paths(verify(alpha2, grid_n=128).to_dict()) == sorted(want)
 
 
 def test_report_schema():
     r = verify(0.7, grid_n=96)
     d = r.to_dict()
-    assert d["schema"] == "report-v10"
+    assert d["schema"] == "report-v11"
     payload = json.dumps(d, sort_keys=True)
     back = json.loads(payload)
     assert back["checks"]["tf"]["passed"] is True
@@ -959,13 +958,14 @@ def test_one_verdict_at_every_tol_near_pi_over_2():
 def test_empty_ball_band_is_named(alpha2, grid, empty):
     # where the ball band at delta_v is narrower than the column spacing no
     # sampled column meets the ball: the margin reads inf, a note says why,
-    # and the pass fails, since an empty sample is no evidence
+    # and the pass fails, since an empty sample is no evidence; LC, which
+    # rests on that pass, fails with it, and its one note names TF's margin
     rep = verify(alpha2, grid_n=grid)
-    for check, keys in ((rep.tf, ["torus_exclusion"]), (rep.lc, ["faces_plus_plus"])):
-        notes = [n for n in check.notes if "no sampled delta-column meets the ball" in n]
-        assert [n.split(":")[0] for n in notes] == (keys if empty else [])
-        assert all(math.isinf(check.margins[k]) == empty for k in keys)
-        assert check.passed != empty
+    notes = [n for n in rep.tf.notes if "no sampled delta-column meets the ball" in n]
+    assert [n.split(":")[0] for n in notes] == (["torus_exclusion"] if empty else [])
+    assert math.isinf(rep.tf.margins["torus_exclusion"]) == empty
+    assert rep.tf.passed != empty and rep.lc.passed != empty
+    assert len(rep.lc.notes) == empty and all("tf.torus_exclusion" in n for n in rep.lc.notes)
 
 
 def test_grid_below_two_is_rejected():
@@ -986,9 +986,6 @@ def test_torus_margins_do_not_depend_on_the_grid():
         assert tf_check(coarse).margins["torus_exclusion"] == pytest.approx(
             tf_check(fine).margins["torus_exclusion"], rel=1e-3, abs=0
         )
-        assert lc_check(coarse).margins["faces_plus_plus"] == pytest.approx(
-            lc_check(fine).margins["faces_plus_plus"], rel=1e-3, abs=0
-        )
 
 
 @pytest.mark.parametrize("grid", [128, 720])
@@ -1000,21 +997,25 @@ def test_torus_margins_do_not_depend_on_the_grid():
 def test_lc_common_constraint_matches_the_three_constraint_envelope(alpha2, grid):
     # oracle: LC's former envelope of all three constraints of each face
     # pair.  The pair's common constraint alone is a lower bound of it on
-    # every column, so the reported margin can never exceed the envelope's;
-    # on these parameters the two are equal.  LC's pass on F_0^- and F_-1^-
-    # is TF's, reported once as torus_exclusion.  The points and their
-    # U-translates are the rows of the program's table
+    # every column, so a pass's margin can never exceed the envelope's; on
+    # these parameters the two are equal.  The pass on F_0^- and F_-1^- is
+    # TF's, reported as torus_exclusion; that on F_0^+ and F_1^+ is
+    # oracles.plus_pass, which LC no longer runs (the slice's involution
+    # carries it onto TF's, tests/test_lc_identities.py).  The points and
+    # their U-translates are the rows of the program's table
     ff = FaceFamily(alpha2, grid_n=grid)
-    margins = {**tf_check(ff).margins, **lc_check(ff).margins}
+    m, dv = grid // 2, delta_v(alpha2)
+    margins = {
+        "torus_exclusion": tf_check(ff).margins["torus_exclusion"],
+        "plus": torus_exclusion(plus_pass(ff), dv, m, ff.space),
+    }
     p_A, p_B, p_U, p_V, p_W, UpV, UpW, UipV, UipW = (
         HVec(ff.P[i], ff.space) for i in (P_A, P_B, P_U, P_V, P_W, U_PV, U_PW, UI_PV, UI_PW)
     )
-    m = grid // 2
     offsets = (np.arange(m) + 0.5) * (math.pi / m)
-    dv = delta_v(alpha2)
     for key, torus, negs, vertex in (
         ("torus_exclusion", giraud_torus(classify_bisector(p_U, p_W), classify_bisector(p_U, UipW)), [p_V, UpV, UipV], p_A),
-        ("faces_plus_plus", giraud_torus(classify_bisector(p_U, p_V), classify_bisector(p_U, UpV)), [p_W, UipW, UpW], p_B),
+        ("plus", giraud_torus(classify_bisector(p_U, p_V), classify_bisector(p_U, UpV)), [p_W, UipW, UpW], p_B),
     ):
         pt = inner(HVec(torus.p, ff.space), vertex)
         theta, phi = (-cmath.phase(inner(HVec(w, ff.space), vertex) / pt) for w in (torus.q, torus.r))
@@ -1028,13 +1029,14 @@ def test_lc_common_constraint_matches_the_three_constraint_envelope(alpha2, grid
 
 @pytest.mark.parametrize("alpha2", [alpha2_for_order(9), alpha2_for_length(1.0)])
 def test_verify_runs_one_exclusion_pass_per_torus(alpha2, monkeypatch):
-    # one column call per verify: TF's torus_exclusion is the pass over the
-    # J_0^-/J_-1^- torus, on which LC's claim for F_0^- and F_-1^- rests,
-    # and LC's faces_plus_plus the second: FaceFamily.passes, a (2, 5, 3)
-    # row array of two passes, each reading a single constraint, on 360
-    # delta-columns.  The complex-line locus and the vertex column are
-    # proved once and read from no column
-    # (tests/test_line_and_contact_identities.py, tests/test_vertex_identities.py).  No tangency,
+    # one column call per verify, on one pass: TF's torus_exclusion is the
+    # pass over the J_0^-/J_-1^- torus, on which LC's claims for both face
+    # pairs rest (the slice's involution carries the plus pair's pass onto
+    # it, tests/test_lc_identities.py): FaceFamily.passes, a (5, 3) row
+    # array reading a single constraint, on 360 delta-columns.  The
+    # complex-line locus and the vertex column are proved once and read
+    # from no column (tests/test_line_and_contact_identities.py,
+    # tests/test_vertex_identities.py).  No tangency,
     # bisector-kind or pair-kind kernel runs: what they would decide is
     # proved once (tests/test_face_family_identities.py), and they are
     # oracles
@@ -1057,7 +1059,7 @@ def test_verify_runs_one_exclusion_pass_per_torus(alpha2, monkeypatch):
         monkeypatch.setattr(oracles, name, counted(name, getattr(oracles, name)))
     rep = verify(alpha2, grid_n=720)
     assert rep.all_passed()
-    assert calls == [((2, 5, 3), (360,))]
+    assert calls == [((5, 3), (360,))]
     assert kernels == []
     crlab_modules = [m for key, m in sys.modules.items() if key.startswith("crlab")]
     assert [(m.__name__, n) for m in crlab_modules for n in names if hasattr(m, n)] == []
@@ -1065,8 +1067,8 @@ def test_verify_runs_one_exclusion_pass_per_torus(alpha2, monkeypatch):
 
 def test_verify_and_the_spinal_trace_share_one_column_stage(tmp_path, monkeypatch):
     # one engine forms the torus columns' sinusoids, from one row array: a
-    # verify calls it once, with FaceFamily.passes, and a spinal-trace
-    # figure once, with that array's first pass, TF's
+    # verify calls it once, with FaceFamily.passes, TF's pass, and a
+    # spinal-trace figure once, with the same array
     bisector, figures = (importlib.import_module(f"crlab.{name}") for name in ("bisector", "figures"))
     calls, stage = [], bisector._column_sinusoids
 
@@ -1079,9 +1081,8 @@ def test_verify_and_the_spinal_trace_share_one_column_stage(tmp_path, monkeypatc
     assert verify(alpha2, grid_n=720).all_passed()
     figures.figure_spinal_trace(str(tmp_path / "spinal-trace"), alpha2=alpha2, resolution=181)
     passes = FaceFamily(alpha2).passes
-    assert [(np.shape(R), shape) for R, shape in calls] == [((2, 5, 3), (360,)), ((5, 3), (90,))]
-    assert calls[0][0].tobytes() == passes.tobytes()
-    assert calls[1][0].tobytes() == passes[0].tobytes()
+    assert [(np.shape(R), shape) for R, shape in calls] == [((5, 3), (360,)), ((5, 3), (90,))]
+    assert [R.tobytes() for R, _ in calls] == [passes.tobytes()] * 2
 
 
 # scalar core.inner and box calls, and HVec constructions, of
@@ -1094,7 +1095,7 @@ INNER_CALLS_BOUND = 0
 
 @pytest.mark.parametrize("alpha2", [alpha2_for_order(9), alpha2_for_length(1.0)])
 def test_verify_builds_each_bisector_and_torus_once(alpha2, monkeypatch):
-    # FaceFamily builds the box rows of its four Giraud tori in one
+    # FaceFamily builds the box rows of its three Giraud tori in one
     # box_rows call, and the exclusion passes and the bi-tangency read them
     # as arrays, never through the figures' grid forms (column_forms); from
     # FaceFamily.__init__ through torus_pass and the three checks no scalar
@@ -1170,7 +1171,7 @@ def test_array_decisions_equal_the_per_object_oracle(alpha2):
     ff = FaceFamily(alpha2, grid_n=128)
     pts, U = family_points(ff), family_U(ff)
     Ui = U.inv()
-    seconds = [pts.p_V, pts.p_W, apply(U, pts.p_V), apply(Ui, pts.p_W)]
+    seconds = [pts.p_V, pts.p_W, apply(Ui, pts.p_W)]
     bs = [_outcome(lambda q=q: classify_bisector(pts.p_U, q, ff.tol)) for q in seconds]
     got = _outcome(lambda: oracles.bisector_kinds(face_gram(ff), row_lengths(ff), P_U, BISECTORS, ff.tol))
     if isinstance(got, str):
@@ -1181,7 +1182,7 @@ def test_array_decisions_equal_the_per_object_oracle(alpha2):
     lifts = ff.P[[[P_U, q] for q in BISECTORS]]
     foci = box_rows(lifts[:, 0], lifts[:, 1], ff.space)
     assert _outcome(lambda: oracles.pair_kinds(foci, lifts, TORI, ff.space, ff.tol)) == [_outcome(lambda: classify_pair(bs[i], bs[j], ff.tol)) for i, j in TORI]
-    triples = [(pts.p_U, pts.p_V, pts.p_W), (pts.p_U, seconds[2], pts.p_W)]
+    triples = [(pts.p_U, pts.p_V, pts.p_W), (pts.p_U, apply(U, pts.p_V), pts.p_W)]
     want = [_outcome(lambda t=t: symmetric_intersection_type(*t, ff.tol)) for t in triples]
     sym = _outcome(lambda: symmetric_kinds(lc_triples(ff), ff.space, ff.tol))
     if isinstance(sym, str):

@@ -2,16 +2,18 @@
 alpha2 in (0, pi/2).
 
 `verify` takes the vertex column from `family.delta_v` and measures no
-vertex: where the vertices sit on the two tori of `FaceFamily.torus_pass`
-is proved here, in exact arithmetic over c = cos(alpha2), s = sin(alpha2)
-modulo c^2 + s^2 - 1 (`slice_algebra`).
+vertex: where the vertices sit on the torus of `FaceFamily.torus_pass` and
+on that of LC's former pass (`oracles.plus_pass`), which the slice's
+involution carries onto it (tests/test_lc_identities.py), is proved here,
+in exact arithmetic over c = cos(alpha2), s = sin(alpha2) modulo
+c^2 + s^2 - 1 (`slice_algebra`).
 
 A torus of lifts (p, q, r) with rows qr, pr, qp (`bisector`) has the
 points V(theta, phi) = qr - e^{-i theta} pr - e^{-i phi} qp, and with
 theta = sigma + delta, phi = sigma - delta, V = qr - e^{-i sigma} B(delta),
 B(delta) = e^{-i delta} pr + e^{i delta} qp.  On torus 0 of `FaceFamily`,
-of (p_U, p_W, U^-1 p_W), and on torus 1, of (p_U, p_V, U p_V), with E =
-e^{i alpha2}:
+of (p_U, p_W, U^-1 p_W), and on the plus torus, of (p_U, p_V, U p_V), with
+E = e^{i alpha2}:
 
 - on the column delta_v = alpha2 - pi/2, where e^{-i delta_v} = i conj(E),
   A = <qr, qr> + <B, B> = 72 c^2 s^2 and C = <qr, B> = 36 c^2 s, so that
@@ -30,7 +32,8 @@ So each vertex is an end of the ball arc of the column delta_v, which
 pi) = -B(delta) moves sigma by pi).  Each relation fails when perturbed: by
 10^-6 cs, or with a vertex angle, sigma or delta_v moved by the rational
 rotation ROT.  The last test ties the symbols to `vertex_angles`,
-`family.delta_v`, the program's torus rows and its ball arcs.
+`family.delta_v`, the torus rows of `FaceFamily` and `oracles.plus_pass`,
+and their ball arcs.
 """
 
 import math
@@ -40,10 +43,11 @@ import pytest
 import sympy as sp
 
 from crlab.bisector import column_minima, vertex_angles
-from crlab.family import P_A, P_B, P_V, P_W, U_PA, alpha2_for_order, delta_v
+from crlab.family import P_A, P_B, P_U, P_V, U_PA, U_PV, alpha2_for_order, delta_v
 from crlab.reference import alpha2_for_length
 from crlab.verify import FaceFamily
 
+from oracles import plus_pass
 import slice_algebra as sa
 from slice_algebra import E, I, c, conj, inner, s, zero
 
@@ -149,17 +153,19 @@ SYMBOLIC = sp.lambdify((c, s), [sp.Matrix.hstack(*TORI[t]).T for t in TORI], "nu
     [1e-12, 1e-6, 0.3, math.pi / 6, alpha2_for_order(9), alpha2_for_order(2809), alpha2_for_length(1.0), 1.2, 1.5],
 )
 def test_symbolic_vertices_are_the_programs(alpha2):
-    # the proof's rows are the program's two exclusion tori; vertex_angles
-    # reads the closed-form angles on all four (torus, vertex) pairs, and
-    # family.delta_v is their column mod pi
+    # the proof's rows are those of TF's exclusion torus and of the plus
+    # torus; vertex_angles reads the closed-form angles on all four (torus,
+    # vertex) pairs, and family.delta_v is their column mod pi
     ff = FaceFamily(alpha2, grid_n=64)
     co, si = math.cos(alpha2), math.sin(alpha2)
     P = ff.P
-    for want, rows in zip(SYMBOLIC(co, si), ff.rows[:2]):
+    R = np.stack([ff.passes, plus_pass(ff)])
+    for want, rows in zip(SYMBOLIC(co, si), R[:, 2:]):
         for w, got in zip(np.asarray(want, dtype=complex), rows):
             assert np.abs(w - got).max() <= 1e-13 * np.abs(got).max()
     up, down = (0.0, math.pi - 2.0 * alpha2), (2.0 * alpha2 - math.pi, 0.0)
-    angles = vertex_angles(ff.lifts[[0, 0, 1, 1]], P[[P_A, P_B, P_B, U_PA]], ff.space)
+    lifts = np.stack([ff.lifts[0], P[[P_U, P_V, U_PV]]])
+    angles = vertex_angles(lifts[[0, 0, 1, 1]], P[[P_A, P_B, P_B, U_PA]], ff.space)
     dv = delta_v(alpha2)
     for (th, ph), want in zip(angles, (up, down, down, up)):
         assert max(abs(math.remainder(x - w, 2.0 * math.pi)) for x, w in zip((th, ph), want)) <= 1e-12
@@ -168,7 +174,6 @@ def test_symbolic_vertices_are_the_programs(alpha2):
     # arg(-36 c^2 s) = pi, half = pi/2 - alpha2: its ends are the vertices.
     # C is of order s against rows of order 1, so its rounding in angle
     # grows like 1/s as alpha2 -> 0
-    R = np.concatenate([ff.lifts[:2, :1], P[[P_V, P_W], None], ff.rows[:2]], axis=1)
     _, mid, half = column_minima(R, [dv], ff.space)
     assert np.abs(np.abs(mid) - math.pi).max() <= 1e-14 / si
     assert np.abs(half - (math.pi / 2.0 - alpha2)).max() <= 1e-14 / si
