@@ -263,6 +263,25 @@ def delta_v(alpha2: float) -> float:
     return alpha2 + math.pi / 2.0
 
 
+# alpha* = arccos sqrt(t*), t* the root in (0, 1) of 1024 t^3 + 320 t^2 - 39 t
+# - 9, as the largest double at most alpha*: up to it the column of
+# `exclusion_margin` meets the ball (tests/test_tf_margin_identities.py)
+ALPHA2_STAR = 1.1350434993058038
+
+
+def exclusion_margin(alpha2: float) -> float:
+    """24 c^2 / (8 c^2 + 1), c = cos(alpha2): the exact infimum of E / (|V|^2
+    sin^2(delta - delta_v)), E = |<p_U, V>|^2 - |<p_V, V>|^2, over the
+    closed ball part of the torus of J_0^- and J_-1^- at each alpha2 in
+    (0, ALPHA2_STAR].  On each delta-column the ratio is least on the ideal
+    boundary, where it is 24 c^2 / (3c cos u + s sin u)^2, u = delta -
+    delta_v, s = sin(alpha2); the least of that is at tan u = tan(alpha2)/3,
+    and that column meets the ball exactly up to ALPHA2_STAR
+    (tests/test_tf_margin_identities.py)."""
+    c2 = math.cos(alpha2) ** 2
+    return 24.0 * c2 / (8.0 * c2 + 1.0)
+
+
 def elliptic_disks(n: int) -> tuple[complex, complex, float]:
     """(centre of J_0^+, centre of J_0^-, sin(half)): the projections of the
     bisectors of p_U with p_V and with p_W to the visual sphere of [p_U] at

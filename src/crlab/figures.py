@@ -225,30 +225,33 @@ def _contour_segments(xs, ys, Z, levels):
     cut, and a cell cut at least twice (any case but 0 and 15) gives the
     segment through its first two cuts in edge order, read from
     _FIRST_CUTS.  Then every cut of every pair is placed in one pass, at
-    x1 + t (x2 - x1), t = f1 / (f1 - f2).  Returns (segs, counts): pair 0's
-    segments in row-major cell order, then pair 1's, and so on, as the rows
-    of a (segments, 2) complex array, which is the concatenation of one call
-    per pair; and the number of each pair's segments.
+    x1 + t (x2 - x1), t = f1 / (f1 - f2), its ends read by flat index from
+    the grids stacked as rows.  Returns (segs, counts): pair 0's segments
+    in row-major cell order, then pair 1's, and so on, as the rows of a
+    (segments, 2) complex array, which is the concatenation of one call per
+    pair; and the number of each pair's segments.
     """
-    levels = np.asarray(levels, dtype=float)
-    stack = np.broadcast_shapes(Z.shape[:-2], levels.shape, (1,))
-    Z, levels = np.broadcast_to(Z, stack + Z.shape[-2:]), np.broadcast_to(levels, stack)
+    n, m = Z.shape[-2:]
+    grids, levels = Z.reshape(-1, n, m), np.asarray(levels, dtype=float).reshape(-1)
     cells = []
-    for grid, level in zip(Z, levels):
-        pos = (grid > level).view(np.uint8)
+    for k in range(max(len(grids), len(levels))):
+        pos = (grids[k % len(grids)] > levels[k % len(levels)]).view(np.uint8)
         case = pos[:-1, :-1] | pos[1:, :-1] << 1 | pos[1:, 1:] << 2 | pos[:-1, 1:] << 3
-        ci, cj = np.nonzero((case - 1) < 14)  # uint8: cases 1..14
-        cells.append((ci, cj, case[ci, cj]))
-    counts = np.array([len(ci) for ci, _, _ in cells])
-    ci, cj, case = (np.concatenate(part) for part in zip(*cells))
-    cp = np.repeat(np.arange(len(counts)), counts)[:, None]
-    level = levels[cp]
+        cut = np.flatnonzero((case - 1) < 14)  # uint8: cases 1..14
+        cells.append((cut, case.ravel().take(cut)))
+    counts = np.array([len(cut) for cut, _ in cells])
+    cut, case = (np.concatenate(part) for part in zip(*cells))
+    pair = np.repeat(np.arange(len(counts)), counts)[:, None]
+    ci, cj = np.divmod(cut[:, None], m - 1)
+    ci += pair % len(grids) * n  # the cell's row among the stacked grids' rows
     edge = _FIRST_CUTS[case]
-    i1, j1 = ci[:, None] + _CORNER_DI[edge], cj[:, None] + _CORNER_DJ[edge]
+    i1, j1 = ci + _CORNER_DI[edge], cj + _CORNER_DJ[edge]
     edge = (edge + 1) % 4
-    i2, j2 = ci[:, None] + _CORNER_DI[edge], cj[:, None] + _CORNER_DJ[edge]
-    f1, f2 = Z[cp, i1, j1] - level, Z[cp, i2, j2] - level
+    i2, j2 = ci + _CORNER_DI[edge], cj + _CORNER_DJ[edge]
+    flat, level = grids.reshape(-1), levels[pair % len(levels)]
+    f1, f2 = flat.take(i1 * m + j1) - level, flat.take(i2 * m + j2) - level
     t = f1 / (f1 - f2)
+    i1, i2 = i1 % n, i2 % n
     segs = np.empty(edge.shape, dtype=complex)
     segs.real = xs[i1] + t * (xs[i2] - xs[i1])
     segs.imag = ys[j1] + t * (ys[j2] - ys[j1])

@@ -22,16 +22,22 @@ p_A and p_B and their U-translates lie on the bisectors around them, and
 that U acts on the visual sphere of p_U by its multiplier, are proved once,
 in tests/test_incidence_identities.py.
 
-TF reads the Giraud torus of the faces F_0^- and F_-1^- one delta-column
-at a time, where every form is a sinusoid in sigma: its exclusion margin is
-an exact minimum over sigma, sampled in delta about the vertex column
-family.delta_v.  That pass is one (5, 3) row array, FaceFamily.passes,
-read by one bisector.column_minima call (FaceFamily.torus_pass), and it is
-also the torus the spinal-trace figure draws.  LC's claims on both face
-pairs rest on it: on F_0^- and F_-1^- it is the same claim, and the
-slice's involution, which fixes p_U and swaps p_V with p_W, carries the
-pass of F_0^+ and F_1^+ onto it, V onto -V at every (sigma, delta), so
-that pass fails exactly where this one does (tests/test_lc_identities.py).
+TF's exclusion margin is the infimum of E / (|V|^2 sin^2(delta -
+delta_v)), E = |<p_U, V>|^2 - |<p_V, V>|^2, over the ball part of the
+Giraud torus of the faces F_0^- and F_-1^-, delta_v = family.delta_v the
+vertex column.  Up to family.ALPHA2_STAR it is the closed form
+family.exclusion_margin, 24 cos^2(alpha2) / (8 cos^2(alpha2) + 1), proved
+once in tests/test_tf_margin_identities.py, and no column is read.  Above
+it TF reads the torus one delta-column at a time, where every form is a
+sinusoid in sigma: the margin is an exact minimum over sigma, sampled in
+delta about the vertex column.  That pass is one (5, 3) row array,
+FaceFamily.passes, read by one bisector.column_minima call
+(FaceFamily.torus_pass), and it is also the torus the spinal-trace figure
+draws.  LC's claims on both face pairs rest on TF's margin: on F_0^- and
+F_-1^- it is the same claim, and the slice's involution, which fixes p_U
+and swaps p_V with p_W, carries the pass of F_0^+ and F_1^+ onto it, V
+onto -V at every (sigma, delta), so that pass fails exactly where this
+one does (tests/test_lc_identities.py).
 The unipotent wall is decided once, by family.param_side: on it GC is not
 applicable.
 
@@ -49,10 +55,12 @@ import numpy as np
 
 from .core import box_rows, siegel_model, tolerance
 from .family import (
+    ALPHA2_STAR,
     P_A, P_B, P_U, P_V, P_W, UI_PW,
     SideKind,
     delta_v,
     elliptic_disks,
+    exclusion_margin,
     face_points,
     param_side,
 )
@@ -80,8 +88,9 @@ class FaceFamily:
     box rows (q box r, p_U box r, q box p_U), each (3, 3, 3), from which
     every decision of the checks is read; grid settings.  Torus 0 carries
     the exclusion pass, as the row array `passes` (5, 3) = (p_U, p_V, q box
-    r, p_U box r, q box p_U) of `bisector.column_minima`; tori 1 and 2 the
-    Giraud circles of `_bitangency`.  Each torus is parametrized by (q -
+    r, p_U box r, q box p_U) of `bisector.column_minima`, which TF samples
+    only above ALPHA2_STAR (`tf_margin`); tori 1 and 2 the Giraud circles
+    of `_bitangency`.  Each torus is parametrized by (q -
     e^{i th} p_U) box (r - e^{i ph} p_U), and every pair is an unbalanced
     pair of equal-norm lifts at each alpha2 in (0, pi/2)
     (tests/test_face_family_identities.py).
@@ -107,8 +116,22 @@ class FaceFamily:
     def torus_pass(self) -> float:
         """The `bisector.torus_exclusion` margin of the pass: p_V on torus 0
         (vertices p_A, p_B), on grid_n // 2 columns about the vertex column
-        `family.delta_v`."""
+        `family.delta_v`; never below `family.exclusion_margin` where that
+        is the infimum."""
         return torus_exclusion(self.passes, delta_v(self.alpha2), self.grid_n // 2, self.space)
+
+    @property
+    def margin_is_closed_form(self) -> bool:
+        """Whether TF's margin is `family.exclusion_margin`: at each alpha2
+        in (0, ALPHA2_STAR]."""
+        return 0.0 < self.alpha2 <= ALPHA2_STAR
+
+    @cached_property
+    def tf_margin(self) -> float:
+        """TF's exclusion margin, on which LC rests too: the closed form
+        `family.exclusion_margin` where it is proved the infimum, the
+        sampled `torus_pass` above ALPHA2_STAR."""
+        return exclusion_margin(self.alpha2) if self.margin_is_closed_form else self.torus_pass
 
 
 # ---------------------------------------------------------------------------
@@ -118,27 +141,34 @@ class FaceFamily:
 def tf_check(ff: FaceFamily) -> CheckResult:
     """TF from what can fail: the torus exclusion and the bi-tangency.  What
     holds at every alpha2 is proved once: the identities behind them in
-    tests/test_tf_identities.py, the tori's preconditions in
-    tests/test_face_family_identities.py, the complex-line locus on the
-    column delta = family.delta0 in tests/test_line_and_contact_identities.py,
-    and the vertices at the ends of the column family.delta_v in
-    tests/test_vertex_identities.py."""
+    tests/test_tf_identities.py, the margin in closed form up to
+    ALPHA2_STAR in tests/test_tf_margin_identities.py, the tori's
+    preconditions in tests/test_face_family_identities.py, the complex-line
+    locus on the column delta = family.delta0 in
+    tests/test_line_and_contact_identities.py, and the vertices at the ends
+    of the column family.delta_v in tests/test_vertex_identities.py."""
     res = CheckResult("tf", True)
 
     # on the ball part of the torus of J_0^- and J_-1^-, |<z, p_U>| <=
     # |<z, p_V>| only at p_A and p_B; where no sampled column meets the
     # ball the margin is inf, no evidence either way
-    margin = res.margins["torus_exclusion"] = ff.torus_pass
-    if math.isinf(margin):
+    margin = res.margins["torus_exclusion"] = ff.tf_margin
+    if ff.margin_is_closed_form:
         res.notes.append(
-            "torus_exclusion: no sampled delta-column meets the ball (the ball band at "
-            f"delta_v is narrower than the column spacing pi/{ff.grid_n // 2})"
+            "torus exclusion is the closed form 24c^2/(8c^2 + 1), c = cos(alpha2), the exact "
+            f"infimum on the ball part for alpha2 <= alpha* = {ALPHA2_STAR:.8g} "
+            "(tests/test_tf_margin_identities.py)"
         )
-
-    res.notes.append(
-        "torus exclusion is exact in sigma on each delta-column and sampled "
-        "in delta (numerical, not a proof)"
-    )
+    else:
+        if math.isinf(margin):
+            res.notes.append(
+                "torus_exclusion: no sampled delta-column meets the ball (the ball band at "
+                f"delta_v is narrower than the column spacing pi/{ff.grid_n // 2})"
+            )
+        res.notes.append(
+            "torus exclusion is exact in sigma on each delta-column and sampled "
+            "in delta (numerical, not a proof)"
+        )
 
     # --- bi-tangency of the two bounding Giraud circles at p_A and p_B
     bt_resid, bt_notes = _bitangency(ff)
@@ -170,7 +200,7 @@ def _bitangency(ff: FaceFamily):
 
 
 def lc_check(ff: FaceFamily) -> CheckResult:
-    """LC from what can fail: TF's pass.  Each face pair meets in its two
+    """LC from what can fail: TF's margin.  Each face pair meets in its two
     vertices, F_0^- /\\ F_-1^- == {p_A, p_B} and F_0^+ /\\ F_1^+ == {p_B,
     U p_A}, where the constraint both faces share (|<z,p_U>| <= |<z,p_V>|
     on the torus of J_0^- and J_-1^-, TF's pass, and <= |<z,p_W>| on that
@@ -184,7 +214,7 @@ def lc_check(ff: FaceFamily) -> CheckResult:
     tests/test_lc_identities.py and tests/test_gc_identities.py, and so
     are the vertices at the ends of the column family.delta_v, in
     tests/test_vertex_identities.py."""
-    res = CheckResult("lc", 0.0 < ff.torus_pass < math.inf)
+    res = CheckResult("lc", 0.0 < ff.tf_margin < math.inf)
     if not res.passed:
         res.notes.append(
             "faces_minus_minus and faces_plus_plus: rest on TF's pass, whose "

@@ -8,9 +8,11 @@ figures must not move with the kernel.
 
 numpy picks its SIMD loops at run time too, and NPY_DISABLE_CPU_FEATURES
 turns levels off for one process.  Complex products, `abs`, `arctan2` and
-other loops change their last bits with the level, so most report blocks
-and figures still move with it.  GC's block is closed-form `math` on the
-order or the length alone, and the disk-projection and level-sets figures
+other loops change their last bits with the level, so the sampled torus
+pass and most figures still move with it.  Up to family.ALPHA2_STAR every
+number of a report is closed-form `math` on alpha2, the order or the length
+(TF's margin `family.exclusion_margin`, GC's block) or a residual that
+reads exactly 0.0, and the disk-projection and level-sets figures are
 `math` scalars with numpy's real cos, sin and arithmetic: none may move.
 """
 
@@ -86,20 +88,20 @@ def test_reports_and_figures_are_the_same_bytes_under_every_kernel():
 CPU_FEATURE_SETTINGS = (None, "X86_V4 AVX512_ICL AVX512_SPR", "X86_V3 X86_V4 AVX512_ICL AVX512_SPR")
 
 # one process: each parameter's GC block of the report, then its whole
-# report with TF's torus margin, the one torus margin, masked, as JSON text
+# report, as JSON text; every parameter lies below family.ALPHA2_STAR, where
+# TF's margin is the closed form, so no key is masked
 GC_PROGRAM = r"""
 import json
-from crlab.family import alpha2_for_order
+from crlab.family import ALPHA2_STAR, alpha2_for_order
 from crlab.reference import alpha2_for_length
 from crlab.report import to_json
 from crlab.verify import verify
 
 params = [alpha2_for_order(n) for n in (9, 10, 12, 20, 56, 100, 922, 2809, 10**4)]
 params += [alpha2_for_length(x) for x in (0.25, 1.0, 1.75)]
+assert max(params) <= ALPHA2_STAR
 reports = [verify(a, grid_n=64) for a in params]
 blocks = [json.dumps(r.to_dict()["checks"]["gc"], sort_keys=True) for r in reports]
-for r in reports:
-    r.tf.margins["torus_exclusion"] = 0.0
 print(json.dumps(blocks + [to_json(r) for r in reports]))
 """
 
@@ -115,8 +117,8 @@ def _run_at_level(features, program=GC_PROGRAM):
 
 
 def test_gc_blocks_are_the_same_bytes_at_every_dispatch_level():
-    # GC's blocks, and the whole reports but for TF's torus margin, whose
-    # complex products and transcendentals move with the level
+    # GC's blocks, and the whole reports: TF's margin is the closed form
+    # in math, and the bi-tangency residuals read 0.0
     runs = {features: _run_at_level(features) for features in CPU_FEATURE_SETTINGS}
     default = runs[None]
     assert len(default) == 24

@@ -14,10 +14,12 @@ import pytest
 from crlab.bisector import giraud_circle_tangents, torus_exclusion
 from crlab.core import GeometryError, HVec, box_rows, inner
 from crlab.family import (
-    ALPHA2_LIM, P_A, P_B, P_U, P_U1, P_U2, P_V, P_W, U_PA, U_PB, U_PV, U_PW, UI_PB, UI_PV, UI_PW, SideKind, alpha2_for_order,
+    ALPHA2_LIM, ALPHA2_STAR, P_A, P_B, P_U, P_U1, P_U2, P_V, P_W, U_PA, U_PB, U_PV, U_PW, UI_PB, UI_PV, UI_PW, SideKind,
+    alpha2_for_order,
     delta0,
     delta_v,
     elliptic_disks,
+    exclusion_margin,
     param_side,
 )
 from crlab.reference import alpha2_for_length, proj_distance
@@ -231,7 +233,11 @@ def test_lc_structure(ff_lox):
     # reports once; the slice's involution carries the plus pair's pass onto
     # it (tests/test_lc_identities.py), so LC reports no margin of its own
     assert res.margins == {} and res.notes == []
-    assert tf_check(ff_lox).margins["torus_exclusion"] == ff_lox.torus_pass > 0
+    # TF's margin at 0.7 is the closed form (tests/test_tf_margin_identities.py),
+    # and the sampled pass, which LC does not run, is never below it
+    assert "torus_pass" not in vars(ff_lox)
+    assert tf_check(ff_lox).margins["torus_exclusion"] == ff_lox.tf_margin == exclusion_margin(0.7) > 0
+    assert ff_lox.torus_pass >= ff_lox.tf_margin
     # the vertices at the ends of the column delta_v are proved once
     # (tests/test_vertex_identities.py)
     assert res.residuals == {}
@@ -239,11 +245,11 @@ def test_lc_structure(ff_lox):
 
 @pytest.mark.parametrize("minus", [-1e-3, 0.0, math.inf, math.nan])
 def test_a_failing_tf_pass_fails_lc(minus, monkeypatch):
-    # LC's claims on both face pairs rest on TF's pass, whose margin LC
-    # does not report: where that margin is not finite and positive, LC
-    # fails with TF, and its one note names both pairs and TF's margin
-    # without repeating it
-    monkeypatch.setattr(FaceFamily, "torus_pass", property(lambda self: minus))
+    # LC's claims on both face pairs rest on TF's margin, which LC does
+    # not report: where that margin is not finite and positive, LC fails
+    # with TF, and its one note names both pairs and TF's margin without
+    # repeating it
+    monkeypatch.setattr(FaceFamily, "tf_margin", property(lambda self: minus))
     r = verify(0.7, grid_n=128)
     assert not r.tf.passed and not r.lc.passed
     assert r.lc.margins == {}
@@ -979,13 +985,14 @@ def test_grid_below_two_is_rejected():
 
 
 def test_torus_margins_do_not_depend_on_the_grid():
-    # grid_n sets only the number of delta-columns; the margins on 64 and
-    # 360 columns agree to 1e-3
+    # up to ALPHA2_STAR TF's margin is the closed form at every grid; the
+    # sampled pass sets grid_n only as the number of delta-columns, and on
+    # 64 and 360 columns agrees to 1e-3
     for a2 in (alpha2_for_order(9), alpha2_for_order(2809), alpha2_for_length(1.0), math.pi / 6):
         coarse, fine = FaceFamily(a2, grid_n=128), FaceFamily(a2, grid_n=720)
-        assert tf_check(coarse).margins["torus_exclusion"] == pytest.approx(
-            tf_check(fine).margins["torus_exclusion"], rel=1e-3, abs=0
-        )
+        margins = [tf_check(ff).margins["torus_exclusion"] for ff in (coarse, fine)]
+        assert margins[0] == margins[1] == exclusion_margin(a2)
+        assert coarse.torus_pass == pytest.approx(fine.torus_pass, rel=1e-3, abs=0)
 
 
 @pytest.mark.parametrize("grid", [128, 720])
@@ -999,16 +1006,17 @@ def test_lc_common_constraint_matches_the_three_constraint_envelope(alpha2, grid
     # pair.  The pair's common constraint alone is a lower bound of it on
     # every column, so a pass's margin can never exceed the envelope's; on
     # these parameters the two are equal.  The pass on F_0^- and F_-1^- is
-    # TF's, reported as torus_exclusion; that on F_0^+ and F_1^+ is
+    # TF's, FaceFamily.torus_pass, which TF reports as torus_exclusion
+    # above ALPHA2_STAR and which is never below the closed form that it
+    # reports up to it; that on F_0^+ and F_1^+ is
     # oracles.plus_pass, which LC no longer runs (the slice's involution
     # carries it onto TF's, tests/test_lc_identities.py).  The points and
     # their U-translates are the rows of the program's table
     ff = FaceFamily(alpha2, grid_n=grid)
     m, dv = grid // 2, delta_v(alpha2)
-    margins = {
-        "torus_exclusion": tf_check(ff).margins["torus_exclusion"],
-        "plus": torus_exclusion(plus_pass(ff), dv, m, ff.space),
-    }
+    margins = {"torus_exclusion": ff.torus_pass, "plus": torus_exclusion(plus_pass(ff), dv, m, ff.space)}
+    assert tf_check(ff).margins["torus_exclusion"] == (ff.torus_pass if alpha2 > ALPHA2_STAR else exclusion_margin(alpha2))
+    assert ff.tf_margin <= ff.torus_pass
     p_A, p_B, p_U, p_V, p_W, UpV, UpW, UipV, UipW = (
         HVec(ff.P[i], ff.space) for i in (P_A, P_B, P_U, P_V, P_W, U_PV, U_PW, UI_PV, UI_PW)
     )
@@ -1027,19 +1035,21 @@ def test_lc_common_constraint_matches_the_three_constraint_envelope(alpha2, grid
         assert envelope == margins[key]
 
 
-@pytest.mark.parametrize("alpha2", [alpha2_for_order(9), alpha2_for_length(1.0)])
-def test_verify_runs_one_exclusion_pass_per_torus(alpha2, monkeypatch):
-    # one column call per verify, on one pass: TF's torus_exclusion is the
-    # pass over the J_0^-/J_-1^- torus, on which LC's claims for both face
-    # pairs rest (the slice's involution carries the plus pair's pass onto
-    # it, tests/test_lc_identities.py): FaceFamily.passes, a (5, 3) row
-    # array reading a single constraint, on 360 delta-columns.  The
-    # complex-line locus and the vertex column are proved once and read
-    # from no column (tests/test_line_and_contact_identities.py,
-    # tests/test_vertex_identities.py).  No tangency,
-    # bisector-kind or pair-kind kernel runs: what they would decide is
-    # proved once (tests/test_face_family_identities.py), and they are
-    # oracles
+@pytest.mark.parametrize("alpha2", [alpha2_for_order(9), alpha2_for_length(1.0), 1.3])
+def test_verify_runs_the_sampled_pass_only_above_alpha_star(alpha2, monkeypatch):
+    # up to ALPHA2_STAR TF's margin is the closed form
+    # family.exclusion_margin (tests/test_tf_margin_identities.py) and a
+    # verify makes no column call; above it one, on one pass: TF's
+    # torus_exclusion over the J_0^-/J_-1^- torus, on which LC's claims for
+    # both face pairs rest (the slice's involution carries the plus pair's
+    # pass onto it, tests/test_lc_identities.py): FaceFamily.passes, a
+    # (5, 3) row array reading a single constraint, on 360 delta-columns.
+    # LC alone runs the pass only where TF would.  The complex-line locus
+    # and the vertex column are proved once and read from no column
+    # (tests/test_line_and_contact_identities.py,
+    # tests/test_vertex_identities.py).  No tangency, bisector-kind or
+    # pair-kind kernel runs: what they would decide is proved once
+    # (tests/test_face_family_identities.py), and they are oracles
     bisector = importlib.import_module("crlab.bisector")
     calls, kernels, names = [], [], ("tangencies", "bisector_kinds", "pair_kinds")
     column_minima = bisector.column_minima
@@ -1057,9 +1067,13 @@ def test_verify_runs_one_exclusion_pass_per_torus(alpha2, monkeypatch):
     monkeypatch.setattr(bisector, "column_minima", counted_minima)
     for name in names:
         monkeypatch.setattr(oracles, name, counted(name, getattr(oracles, name)))
+    sampled = alpha2 > ALPHA2_STAR
+    ff = FaceFamily(alpha2, grid_n=720)
+    assert lc_check(ff).passed and len(calls) == sampled and ("torus_pass" in vars(ff)) == sampled
+    calls.clear()
     rep = verify(alpha2, grid_n=720)
     assert rep.all_passed()
-    assert calls == [((5, 3), (360,))]
+    assert calls == [((5, 3), (360,))] * sampled
     assert kernels == []
     crlab_modules = [m for key, m in sys.modules.items() if key.startswith("crlab")]
     assert [(m.__name__, n) for m in crlab_modules for n in names if hasattr(m, n)] == []
@@ -1067,8 +1081,9 @@ def test_verify_runs_one_exclusion_pass_per_torus(alpha2, monkeypatch):
 
 def test_verify_and_the_spinal_trace_share_one_column_stage(tmp_path, monkeypatch):
     # one engine forms the torus columns' sinusoids, from one row array: a
-    # verify calls it once, with FaceFamily.passes, TF's pass, and a
-    # spinal-trace figure once, with the same array
+    # verify above ALPHA2_STAR calls it once, with FaceFamily.passes, TF's
+    # pass, one up to ALPHA2_STAR not at all, and a spinal-trace figure
+    # once, with the same array
     bisector, figures = (importlib.import_module(f"crlab.{name}") for name in ("bisector", "figures"))
     calls, stage = [], bisector._column_sinusoids
 
@@ -1079,10 +1094,12 @@ def test_verify_and_the_spinal_trace_share_one_column_stage(tmp_path, monkeypatc
     monkeypatch.setattr(bisector, "_column_sinusoids", counted)
     alpha2 = alpha2_for_order(9)
     assert verify(alpha2, grid_n=720).all_passed()
+    assert calls == []
+    assert verify(1.3, grid_n=720).tf.passed
     figures.figure_spinal_trace(str(tmp_path / "spinal-trace"), alpha2=alpha2, resolution=181)
-    passes = FaceFamily(alpha2).passes
+    passes = [FaceFamily(a).passes for a in (1.3, alpha2)]
     assert [(np.shape(R), shape) for R, shape in calls] == [((5, 3), (360,)), ((5, 3), (90,))]
-    assert [R.tobytes() for R, _ in calls] == [passes.tobytes()] * 2
+    assert [R.tobytes() for R, _ in calls] == [p.tobytes() for p in passes]
 
 
 # scalar core.inner and box calls, and HVec constructions, of
