@@ -145,63 +145,58 @@ def test_each_column_is_least_on_the_ideal_boundary():
     assert zero(RELATIONS["boundary"][1], CIRCLES, GENS)
 
 
+# u*, where tan u* = tan(alpha2) / 3: sin u* = s / r, cos u* = 3c / r
+R_STAR = sp.sqrt(8 * c**2 + 1)
+AT_STAR = {su: s / R_STAR, cu: 3 * c / R_STAR}
+
+
 def test_the_boundary_value_and_its_minimum():
     # p + Z0 = (3c cos u + s sin u)^2, so on the boundary E / |V|^2 = 24c^2
     # sin^2 u / (3c cos u + s sin u)^2; by Lagrange's identity that square
     # is 8c^2 + 1 - (3c sin u - s cos u)^2 <= 8c^2 + 1, with equality
-    # exactly where 3c sin u = s cos u
+    # exactly where 3c sin u = s cos u, at u*
     assert zero(RELATIONS["boundary"][0], CIRCLES, GENS)
     assert sp.cancel(_f(Z0) - 24 * c**2 * su**2 / (P + Z0)) == 0
-    # at u*, sin u* = s / r and cos u* = 3c / r: the twist vanishes and the
-    # square is r^2 = 8c^2 + 1
-    r = sp.sqrt(8 * c**2 + 1)
-    at_star = {su: s / r, cu: 3 * c / r}
-    assert sp.simplify(TWIST.subs(at_star)) == 0
-    assert sp.cancel(sp.expand(LOOK.subs(at_star) ** 2).subs(s**2, 1 - c**2)) == 8 * c**2 + 1
+    assert sp.simplify(TWIST.subs(AT_STAR)) == 0
+    assert sp.cancel(sp.expand(LOOK.subs(AT_STAR) ** 2).subs(s**2, 1 - c**2)) == 8 * c**2 + 1
 
 
 # g(t), t = c^2: the column u* meets the ball exactly where g(t) >= 0
 G_STAR = 1024 * t**3 + 320 * t**2 - 39 * t - 9
 
 
-def _star_condition():
-    """(3K)^2 r^2 - (K^2 + 6 sin^2 u)^2 r^2 at u*, with K r = 8cs and
-    sin^2 u* r^2 = s^2, in t = c^2 after r^2 = 8t + 1: positive exactly where
-    K^2 + 6 sin^2 u* < 3K, since K > 0 there."""
-    k_r, s2 = 8 * c * s, s**2  # K r and sin^2(u*) r^2
-    r2 = 8 * c**2 + 1
-    expr = 9 * k_r**2 * r2 - (k_r**2 + 6 * s2) ** 2
-    return sp.expand(sp.expand(expr).subs(s**2, 1 - c**2).subs(c**2, t))
-
-
 def test_alpha_star_is_a_root_of_g():
-    # 9 K^2 r^4 - (K^2 + 6 sin^2 u*)^2 r^4 = 4 (1 - t)(144 t (8t + 1) -
-    # (1 - t)(32t + 3)^2) = 4 (1 - t) g(t): on (0, 1) the column u* meets
-    # the ball exactly where g >= 0
-    assert sp.expand(_star_condition() - 4 * (1 - t) * G_STAR) == 0
+    # a column meets the ball where Z0 >= -3|K|, K^2 + 6 sin^2 u <= 3|K|.
+    # At u*, K = 8cs / r > 0, and r^4 (9K^2 - (K^2 + 6 sin^2 u*)^2) = 4 (1
+    # - t)(144t (8t + 1) - (1 - t)(32t + 3)^2) = 4 (1 - t) g(t): on (0, 1)
+    # the column u* meets the ball exactly where g >= 0
+    k = K.subs(AT_STAR)
+    assert sp.simplify(k - 8 * c * s / R_STAR) == 0
+    star = sp.expand((9 * k**2 - (k**2 + 6 * (su**2).subs(AT_STAR)) ** 2) * R_STAR**4)
+    star = sp.expand(star.subs(s, sp.sqrt(1 - c**2)).subs(c, sp.sqrt(t)))
+    assert sp.cancel(star - 4 * (1 - t) * G_STAR) == 0
     assert sp.expand(144 * t * (8 * t + 1) - (1 - t) * (32 * t + 3) ** 2 - G_STAR) == 0
-    # K r = 8cs at u*, positive: K = (3s * 3c - c s) / r
-    assert sp.expand(3 * s * 3 * c - c * s - 8 * c * s) == 0
 
 
-def _bracket(poly, eps):
-    """The rational isolating interval of width <= eps of the one root of
-    poly in (0, 1), with Sturm's count of the roots there."""
+def _bracket(poly):
+    """Sturm's count of the roots of poly, in t, on (0, 1), and the rational
+    isolating interval (lo, hi) of width at most 1e-40 of its first root
+    there."""
     p = sp.Poly(poly, t)
-    inside = [(lo, hi) for (lo, hi), _ in p.intervals(eps=eps) if 0 < lo and hi < 1]
-    return inside, p.count_roots(0, 1)
+    inside = [(lo, hi) for (lo, hi), _ in p.intervals(eps=sp.Rational(1, 10**40)) if 0 < lo and hi < 1]
+    return p.count_roots(0, 1), inside[0]
 
 
 def test_g_has_one_root_in_the_unit_interval():
-    (lo, hi), count = _bracket(G_STAR, sp.Rational(1, 10**40))[0][0], _bracket(G_STAR, 1)[1]
+    count, (lo, hi) = _bracket(G_STAR)
     assert count == 1 and hi - lo <= sp.Rational(1, 10**40)
     # g < 0 below the root and g > 0 above it: the column u* meets the ball
     # for t = cos^2(alpha2) >= t*, which is alpha2 <= alpha*
     assert positive(-G_STAR, 0, lo) and positive(G_STAR, hi, 1)
-    # alpha* = arccos sqrt(t*) to 30 digits, bracketed by arccos sqrt(hi)
-    # and arccos sqrt(lo)
+    # alpha* = arccos sqrt(t*) to 20 digits, between arccos sqrt(hi) and
+    # arccos sqrt(lo)
     with mpmath.workdps(50):
-        ends = [mpmath.acos(mpmath.sqrt(mpmath.mpf(sp.Rational(e).p) / sp.Rational(e).q)) for e in (hi, lo)]
+        ends = [mpmath.acos(mpmath.sqrt(mpmath.mpf(e.p) / e.q)) for e in (hi, lo)]
         assert ends[1] - ends[0] < mpmath.mpf(10) ** -38
         assert mpmath.nstr(ends[0], 20) == "1.1350434993058040244"
 
@@ -209,21 +204,21 @@ def test_g_has_one_root_in_the_unit_interval():
 def test_alpha2_star_is_the_largest_double_at_most_alpha_star():
     # in interval arithmetic: cos^2(ALPHA2_STAR) >= hi, so ALPHA2_STAR <=
     # alpha*, and cos^2 of the next double < lo, so it lies past alpha*
-    (lo, hi), _ = _bracket(G_STAR, sp.Rational(1, 10**40))[0][0], None
+    _, bracket = _bracket(G_STAR)
     iv, prec = mpmath.iv, mpmath.iv.prec
     iv.prec = 200
     try:
         cos2 = [iv.cos(iv.mpf(a)) ** 2 for a in (ALPHA2_STAR, math.nextafter(ALPHA2_STAR, 2.0))]
-        lo, hi = (iv.mpf(sp.Rational(e).p) / sp.Rational(e).q for e in (lo, hi))
+        lo, hi = (iv.mpf(e.p) / e.q for e in bracket)
         assert cos2[0].a >= hi.b and cos2[1].b < lo.a
     finally:
         iv.prec = prec
 
 
 def test_a_perturbed_g_moves_its_root_out_of_the_bracket():
-    (lo, hi), _ = _bracket(G_STAR, sp.Rational(1, 10**40))[0][0], None
+    _, (lo, hi) = _bracket(G_STAR)
     for moved in (G_STAR + sp.Rational(1, 10**6), G_STAR - sp.Rational(1, 10**6) * t**3):
-        (mlo, mhi), count = _bracket(moved, sp.Rational(1, 10**40))[0][0], _bracket(moved, 1)[1]
+        count, (mlo, mhi) = _bracket(moved)
         assert count == 1 and (mhi < lo or mlo > hi)
 
 
@@ -252,7 +247,7 @@ def test_the_programs_column_stage_has_the_structure(alpha2):
     us = (np.arange(720) + 0.5) * (math.pi / 720) - math.pi / 2
     stage = importlib.import_module("crlab.bisector")._column_sinusoids
     kpq, (A, C) = stage(ff.passes, _u_columns(alpha2, us), ff.space)
-    k, sn, cs = _forms(alpha2, us)
+    k, sn, _ = _forms(alpha2, us)
     c2 = math.cos(alpha2) ** 2
     norm, e = kpq[:, 0], kpq[:, 1] - kpq[:, 2]
     scale = np.abs(kpq).max()
