@@ -235,7 +235,8 @@ def test_lc_structure(ff_lox):
     assert res.margins == {} and res.notes == []
     # TF's margin at 0.7 is the closed form (tests/test_tf_margin_identities.py),
     # and the sampled pass, which LC does not run, is never below it
-    assert "torus_pass" not in vars(ff_lox)
+    fresh = FaceFamily(0.7, grid_n=GRID)
+    assert lc_check(fresh).passed and "torus_pass" not in vars(fresh)
     assert tf_check(ff_lox).margins["torus_exclusion"] == ff_lox.tf_margin == exclusion_margin(0.7) > 0
     assert ff_lox.torus_pass >= ff_lox.tf_margin
     # the vertices at the ends of the column delta_v are proved once
