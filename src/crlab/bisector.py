@@ -33,16 +33,6 @@ import numpy as np
 from .core import sesquilinear
 
 
-def _proj_distances(a, b) -> np.ndarray:
-    """Row by row, the distance of the unit representatives of a and b at
-    optimal phase: a less its projection on b; nan for a zero row, as on a
-    torus that collapses near alpha2 = pi/2."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a = a / np.linalg.norm(a, axis=-1, keepdims=True)
-        b = b / np.linalg.norm(b, axis=-1, keepdims=True)
-        return np.linalg.norm(a - sesquilinear(b, a)[..., None] * b, axis=-1)
-
-
 def column_forms(R, sigmas, deltas, space) -> list:
     """[<V, V>, |<pos, V>|^2, |<neg, V>|^2], each over |V|^2 and of shape
     (..., len(sigmas), len(deltas)), on the (sigma, delta) grid of the tori
@@ -116,15 +106,6 @@ def column_minima(R, deltas, space) -> tuple:
     return minima, mid, half
 
 
-def vertex_angles(lifts, targets, space) -> np.ndarray:
-    """(theta, phi), shape (..., 2), of the torus point at the vertex t of
-    each torus of lifts (..., 3, 3) = (p, q, r) and targets (..., 3): a
-    torus point is J-orthogonal to both factors q - e^{i th} p and r -
-    e^{i ph} p, so e^{-i th} = <q,t>/<p,t> and e^{-i ph} = <r,t>/<p,t>."""
-    g = space.form(lifts, np.asarray(targets)[..., None, :])
-    return -np.angle(g[..., 1:] / g[..., :1])
-
-
 def torus_exclusion(R, dv: float, m: int, space) -> list[float]:
     """The margin of each pass of the row arrays R (..., 5, 3) = (p, neg,
     qr, pr, qp) of `_column_sinusoids`: a pass is the claim that on the
@@ -147,27 +128,6 @@ def _offsets(m: int):
     sin^2, formed once per m."""
     offsets = (np.arange(m) + 0.5) * (math.pi / m)
     return offsets, np.sin(offsets) ** 2
-
-
-def giraud_circle_tangents(lifts, rows, targets, space):
-    """Affine-chart velocities, shape (..., 2), of the Giraud circles of the
-    tori of lifts (..., 3, 3) and box rows (..., 3, 3) = (qr, pr, qp) at
-    their vertices targets (..., 3), with the torus points V (..., 3) at
-    `vertex_angles` and their projective distances (unit representatives at
-    optimal phase) to the vertices, as one array evaluation."""
-    PQ = np.exp(-1j * vertex_angles(lifts, targets, space))[..., None] * rows[..., 1:, :]
-    # the torus point qr - e^{-i theta} pr - e^{-i phi} qp and its theta and
-    # phi derivatives
-    v, dv = rows[..., 0, :] - PQ[..., 0, :] - PQ[..., 1, :], 1j * PQ
-    x = np.broadcast_to(targets, v.shape)
-    g = 2.0 * space.form(v[..., None, :], dv).real
-    # curve tangent in parameter space is orthogonal to the norm gradient
-    w = (dv * (g[..., ::-1] * [-1.0, 1.0])[..., None]).sum(axis=-2)
-    # velocity in the affine chart that pins the relative lift scale
-    j = np.argmax(np.abs(x), axis=-1)[..., None]
-    vj, wj = (np.take_along_axis(y, j, axis=-1) for y in (v, w))
-    what = (w * vj - v * wj) / vj**2
-    return what[np.arange(3) != j].reshape(j.shape[:-1] + (2,)), v, _proj_distances(v, x)
 
 
 def _arcs(A, C):

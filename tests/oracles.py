@@ -8,6 +8,10 @@ None of these is on a program path, and none is imported by `crlab`:
   reads from the norm terms `norm_terms` of the column rows `delta_rows`,
   the one-torus view `GiraudTorus` (the program reads tori as row arrays
   only), and torus points `torus_vectors` and `point`;
+- the Giraud circles' affine-chart velocities at their vertices
+  (`giraud_circle_tangents`, at the vertex angles `vertex_angles`, with
+  the projective distances `_proj_distances`), against which the proved
+  bi-tangency at p_A and p_B is held (tests/test_bitangency_identities.py);
 - the symmetric trichotomy of an order-3 symmetric triple: its array
   form `symmetric_kinds` with `SymmetricKind`, its grid oracle
   (`periodic_components`, `count_sublevel_components`,
@@ -68,7 +72,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from crlab.bisector import _arcs, _harmonic_roots, _proj_distances, _ratio_critical, level_g
+from crlab.bisector import _arcs, _harmonic_roots, _ratio_critical, level_g
 from crlab.core import GeometryError, HVec, box_rows, cross, inner, sesquilinear, tolerance
 from crlab.core import apply as apply_rows
 from crlab.family import (
@@ -113,6 +117,48 @@ def torus_vectors(torus, theta, phi) -> np.ndarray:
 def point(torus, theta: float, phi: float) -> HVec:
     """The torus point at (theta, phi) as an HVec."""
     return HVec(torus_vectors(torus, theta, phi), torus.space)
+
+
+def _proj_distances(a, b) -> np.ndarray:
+    """Row by row, the distance of the unit representatives of a and b at
+    optimal phase: a less its projection on b; nan for a zero row, as on a
+    torus that collapses near alpha2 = pi/2."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = a / np.linalg.norm(a, axis=-1, keepdims=True)
+        b = b / np.linalg.norm(b, axis=-1, keepdims=True)
+        return np.linalg.norm(a - sesquilinear(b, a)[..., None] * b, axis=-1)
+
+
+def vertex_angles(lifts, targets, space) -> np.ndarray:
+    """(theta, phi), shape (..., 2), of the torus point at the vertex t of
+    each torus of lifts (..., 3, 3) = (p, q, r) and targets (..., 3): a
+    torus point is J-orthogonal to both factors q - e^{i th} p and r -
+    e^{i ph} p, so e^{-i th} = <q,t>/<p,t> and e^{-i ph} = <r,t>/<p,t>."""
+    g = space.form(lifts, np.asarray(targets)[..., None, :])
+    return -np.angle(g[..., 1:] / g[..., :1])
+
+
+def giraud_circle_tangents(lifts, rows, targets, space):
+    """Affine-chart velocities, shape (..., 2), of the Giraud circles of the
+    tori of lifts (..., 3, 3) and box rows (..., 3, 3) = (qr, pr, qp) at
+    their vertices targets (..., 3), with the torus points V (..., 3) at
+    `vertex_angles` and their projective distances (unit representatives at
+    optimal phase) to the vertices, as one array evaluation.  The
+    bi-tangency of the two circles bounding a face at p_A and p_B, which
+    this measures, is proved once in tests/test_bitangency_identities.py."""
+    PQ = np.exp(-1j * vertex_angles(lifts, targets, space))[..., None] * rows[..., 1:, :]
+    # the torus point qr - e^{-i theta} pr - e^{-i phi} qp and its theta and
+    # phi derivatives
+    v, dv = rows[..., 0, :] - PQ[..., 0, :] - PQ[..., 1, :], 1j * PQ
+    x = np.broadcast_to(targets, v.shape)
+    g = 2.0 * space.form(v[..., None, :], dv).real
+    # curve tangent in parameter space is orthogonal to the norm gradient
+    w = (dv * (g[..., ::-1] * [-1.0, 1.0])[..., None]).sum(axis=-2)
+    # velocity in the affine chart that pins the relative lift scale
+    j = np.argmax(np.abs(x), axis=-1)[..., None]
+    vj, wj = (np.take_along_axis(y, j, axis=-1) for y in (v, w))
+    what = (w * vj - v * wj) / vj**2
+    return what[np.arange(3) != j].reshape(j.shape[:-1] + (2,)), v, _proj_distances(v, x)
 
 
 def delta_rows(torus, deltas) -> np.ndarray:

@@ -2,15 +2,18 @@
 tests/test_tf_identities.py, tests/test_gc_identities.py,
 tests/test_gc_disk_identities.py, tests/test_lc_identities.py,
 tests/test_face_family_identities.py, tests/test_line_and_contact_identities.py,
-tests/test_vertex_identities.py and tests/test_incidence_identities.py.
+tests/test_vertex_identities.py, tests/test_incidence_identities.py,
+tests/test_tf_margin_identities.py and tests/test_bitangency_identities.py.
 
 c = cos(alpha2) and s = sin(alpha2) are real symbols; an expression is an
 identity of the slice when it vanishes modulo c^2 + s^2 - 1 and whatever
 relations its other symbols obey (`zero`), and a polynomial in one symbol
 is positive on an interval by Sturm's count (`positive`).  S and T are the closed forms of
 `family.rho_s` and `family.rho_t` at alpha1 = 0, U = S^-1 T, and the points
-are built from them as `family.face_points` builds its rows.  INVOLUTION
-is the involution that fixes p_U and swaps p_V with p_W.
+are built from them as `family.face_points` builds its rows: P_U, P_V,
+P_W and UI_PW are the lifts of `verify.FaceFamily`'s tori, whose box rows
+the proofs form with `box`.  INVOLUTION is the involution that fixes p_U
+and swaps p_V with p_W.
 """
 
 import sympy as sp

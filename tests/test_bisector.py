@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from crlab.core import GeometryError, HVec, inner
-from crlab.bisector import column_forms, column_minima, level_g, vertex_angles
+from crlab.bisector import column_forms, column_minima, level_g
 from crlab.family import ALPHA2_LIM, P_A, P_U, P_V, P_W, FamilyParams, alpha2_for_order, delta0
 from crlab.reference import Location, alpha2_for_length, ball_model, box, locate, proj_distance, remarkable_points
 from crlab.verify import FaceFamily
@@ -37,6 +37,7 @@ from oracles import (
     symmetric_intersection_type,
     symmetric_kind,
     torus_vectors,
+    vertex_angles,
 )
 
 

@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from crlab.bisector import giraud_circle_tangents, torus_exclusion
+from crlab.bisector import torus_exclusion
 from crlab.core import GeometryError, HVec, box_rows, inner
 from crlab.family import (
     ALPHA2_LIM, ALPHA2_STAR, P_A, P_B, P_U, P_U1, P_U2, P_V, P_W, U_PA, U_PB, U_PV, U_PW, UI_PB, UI_PV, UI_PW, SideKind,
@@ -52,6 +52,7 @@ from oracles import (
     face_torus,
     family_U,
     family_points,
+    giraud_circle_tangents,
     giraud_torus,
     lc_triples,
     oriented_chart,
@@ -1114,10 +1115,12 @@ INNER_CALLS_BOUND = 0
 @pytest.mark.parametrize("alpha2", [alpha2_for_order(9), alpha2_for_length(1.0)])
 def test_verify_builds_each_bisector_and_torus_once(alpha2, monkeypatch):
     # FaceFamily builds the box rows of its three Giraud tori in one
-    # box_rows call, and the exclusion passes and the bi-tangency read them
-    # as arrays, never through the figures' grid forms (column_forms); from
-    # FaceFamily.__init__ through torus_pass and the three checks no scalar
-    # Hermitian product, box product or HVec is formed
+    # box_rows call, on first read, and the exclusion pass reads them as
+    # arrays, never through the figures' grid forms (column_forms); a
+    # verify up to ALPHA2_STAR reads no row (the bi-tangency is proved,
+    # tests/test_bitangency_identities.py); from FaceFamily.__init__
+    # through torus_pass and the three checks no scalar Hermitian product,
+    # box product or HVec is formed
     core, reference = (importlib.import_module(f"crlab.{name}") for name in ("core", "reference"))
     calls = collections.Counter()
 
@@ -1139,8 +1142,35 @@ def test_verify_builds_each_bisector_and_torus_once(alpha2, monkeypatch):
     ff.torus_pass
     assert calls["inner"] == calls["box"] == calls["HVec"] == 0 and calls["box_rows"] == 1
     assert verify(alpha2, grid_n=720).all_passed()
-    assert calls["column_forms"] == 0 and calls["box_rows"] == 2
+    assert calls["column_forms"] == 0 and calls["box_rows"] == 1
     assert calls["inner"] + calls["box"] + calls["HVec"] <= INNER_CALLS_BOUND
+
+
+@pytest.mark.parametrize(
+    "alpha2, tables",
+    [(alpha2_for_order(9), 0), (alpha2_for_order(56), 0), (ALPHA2_LIM, 0), (alpha2_for_length(1.0), 0), (1.3, 1)],
+)
+def test_verify_builds_the_point_table_only_above_alpha_star(alpha2, tables, monkeypatch):
+    # up to ALPHA2_STAR a verify reads the side, the closed-form margin and
+    # GC: the tangency of the first face's circles is proved
+    # (tests/test_bitangency_identities.py), so FaceFamily forms its point
+    # table and box rows only for the sampled pass above ALPHA2_STAR, once
+    calls = collections.Counter()
+    kernels = {"face_points": importlib.import_module("crlab.family").face_points, "box_rows": box_rows}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for mod in [m for key, m in sys.modules.items() if key.startswith("crlab")]:
+        for name, fn in kernels.items():
+            if getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, counted(name, fn))
+    rep = verify(alpha2, grid_n=720)
+    assert rep.tf.residuals == {"bitangency_pA": 0.0, "bitangency_pB": 0.0}
+    assert calls == {name: tables for name in kernels if tables}
 
 
 def test_fan_residuals_match_per_sample_loops():

@@ -42,12 +42,12 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from crlab.bisector import column_minima, vertex_angles
+from crlab.bisector import column_minima
 from crlab.family import P_A, P_B, P_U, P_V, U_PA, U_PV, alpha2_for_order, delta_v
 from crlab.reference import alpha2_for_length
 from crlab.verify import FaceFamily
 
-from oracles import plus_pass
+from oracles import plus_pass, vertex_angles
 import slice_algebra as sa
 from slice_algebra import E, I, c, conj, inner, s, zero
 
