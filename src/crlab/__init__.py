@@ -6,7 +6,7 @@ Modules:
   isometry   SU(2,1) lifts, trace classification, eigendata, elliptic types
   family     the two-parameter representation family, its point table and
              the closed-form projected disks of J_0^+ and J_0^-
-  bisector   Giraud tori as row arrays: column minima and forms, level sets
+  bisector   Giraud tori as row arrays: column forms, level sets
   visual     visual-sphere charts, on which U acts by its multiplier;
              no check reads one (the tests' oracles do)
   verify     the TF/LC/GC verification engine and surgery verdicts

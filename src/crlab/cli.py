@@ -18,15 +18,14 @@ import numpy as np
 
 from . import figures
 from .core import GeometryError, siegel_model, tolerance
-from .family import ALPHA2_STAR, FamilyParams, FamilyRep, alpha2_for_order
+from .family import FamilyParams, FamilyRep, alpha2_for_order
 from .isometry import MAX_ORDER, Isometry, classify, elliptic_type, verify_su21
 from .report import to_json
 from .verify import DEFAULT_GRID, verify
 
 # the most parameters one --sweep may list
 MAX_SWEEP_POINTS = 10**6
-# the largest --grid; above family.ALPHA2_STAR verify's memory grows about
-# linearly with the grid
+# the largest --grid, which verify echoes as grid_n and reads nowhere else
 MAX_GRID = 2**16
 # the most output rows one figure may have (figures.FIGURE_ROWS); a figure's
 # memory grows about linearly with its rows
@@ -255,8 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--sweep", type=str, help="half-open sweep A:B:STEP over alpha2")
     pv.add_argument(
         "--grid", type=int, default=DEFAULT_GRID,
-        help=f"torus resolution in [64, {MAX_GRID}], echoed as grid_n: above alpha* = {ALPHA2_STAR:.8g} TF and LC "
-        "read grid // 2 delta-columns; up to it TF's margin is a closed form and reads none",
+        help=f"torus resolution in [64, {MAX_GRID}], echoed as grid_n; it sets nothing, since TF's margin "
+        "is a closed form at every alpha2 and no torus column is read",
     )
     pv.add_argument("--workers", type=int, default=1)
     pv.add_argument("--out", type=str, default=None, help="directory for report JSON files")

@@ -25,6 +25,8 @@ from .isometry import Isometry, SideKind, rotation_turn, trace_side
 ALPHA2_LIM = math.acos(math.sqrt(3.0 / 8.0))
 # arccos sqrt(3/8) - ALPHA2_LIM, the wall's rounding remainder
 ALPHA2_LIM_REM = -4.935854701949338e-17
+# pi/2 - math.pi / 2, pi/2's rounding remainder
+PIO2_REM = 6.123233995736766e-17
 
 
 @dataclass(frozen=True)
@@ -254,15 +256,6 @@ def delta0(alpha2: float) -> float:
     return math.atan((1.0 - 2.0 * math.cos(2 * alpha2)) / (2.0 * math.sin(2 * alpha2)))
 
 
-def delta_v(alpha2: float) -> float:
-    """The delta of the vertex column, pi/2 + alpha2 (mod pi), on the tori of
-    J_0^- with J_-1^- (vertices p_A, p_B) and of J_0^+ with J_1^+ (p_B, U
-    p_A): the vertices sit at (theta, phi) = (0, pi - 2 alpha2) and (2 alpha2
-    - pi, 0), the two ends of the column's ball arc
-    (tests/test_vertex_identities.py)."""
-    return alpha2 + math.pi / 2.0
-
-
 # alpha* = arccos sqrt(t*), t* the root in (0, 1) of 1024 t^3 + 320 t^2 - 39 t
 # - 9, as the largest double at most alpha*: up to it the column of
 # `exclusion_margin` meets the ball (tests/test_tf_margin_identities.py)
@@ -270,16 +263,37 @@ ALPHA2_STAR = 1.1350434993058038
 
 
 def exclusion_margin(alpha2: float) -> float:
-    """24 c^2 / (8 c^2 + 1), c = cos(alpha2): the exact infimum of E / (|V|^2
-    sin^2(delta - delta_v)), E = |<p_U, V>|^2 - |<p_V, V>|^2, over the
-    closed ball part of the torus of J_0^- and J_-1^- at each alpha2 in
-    (0, ALPHA2_STAR].  On each delta-column the ratio is least on the ideal
-    boundary, where it is 24 c^2 / (3c cos u + s sin u)^2, u = delta -
-    delta_v, s = sin(alpha2); the least of that is at tan u = tan(alpha2)/3,
-    and that column meets the ball exactly up to ALPHA2_STAR
-    (tests/test_tf_margin_identities.py)."""
-    c2 = math.cos(alpha2) ** 2
-    return 24.0 * c2 / (8.0 * c2 + 1.0)
+    """TF's exclusion margin at alpha2 in (0, pi/2): the exact infimum of E /
+    (|V|^2 sin^2 u), E = |<p_U, V>|^2 - |<p_V, V>|^2, over the closed ball
+    part of the torus of J_0^- and J_-1^-, u = delta - delta_v the offset
+    of the point's delta-column from the vertex column.  With c =
+    cos(alpha2), s = sin(alpha2) and K = 3s cos u - c sin u, the column u
+    meets the ball exactly when K^2 + 6 sin^2 u <= 3|K|, and its least
+    ratio is 24c^2 / (3c cos u + s sin u)^2 = 24c^2 / ((8c^2 + 1) cos^2(u
+    - u*)), tan u* = tan(alpha2) / 3: so the infimum is that value at the
+    open column nearest u*.  Up to ALPHA2_STAR that is u* itself, and the
+    margin 24c^2 / (8c^2 + 1); above it, it is the band edge u_e in (0,
+    u*), the one root there of K^2 + 6 sin^2 u = 3K, bisected in `math`
+    from the sign of 6 sin^2 u - K (3 - K), with 3 - K = 6 (sin^2(eps/2) + s
+    sin^2(u/2)) + c sin u and eps = pi/2 - alpha2, which keeps its digits
+    up to pi/2 (tests/test_tf_margin_identities.py)."""
+    if alpha2 <= ALPHA2_STAR:
+        c2 = math.cos(alpha2) ** 2
+        return 24.0 * c2 / (8.0 * c2 + 1.0)
+    # exact by Sterbenz's lemma, but for pi/2's own remainder
+    eps = (math.pi / 2.0 - alpha2) + PIO2_REM
+    c, s, h = math.sin(eps), math.cos(eps), math.sin(0.5 * eps) ** 2
+    lo, hi = 0.0, math.atan2(s, 3.0 * c)
+    u = 0.5 * hi
+    while lo < u < hi:
+        d = 6.0 * (h + s * math.sin(0.5 * u) ** 2) + c * math.sin(u)
+        if 6.0 * math.sin(u) ** 2 < (3.0 - d) * d:
+            lo = u
+        else:
+            hi = u
+        u = 0.5 * (lo + hi)
+    look = 3.0 * c * math.cos(hi) + s * math.sin(hi)
+    return 24.0 * c * c / (look * look)
 
 
 def elliptic_disks(n: int) -> tuple[complex, complex, float]:

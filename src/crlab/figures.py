@@ -15,8 +15,8 @@ and real arithmetic.  The others are not promised across dispatch levels
 (complex products and `abs` change their last bits with them), nor across
 numpy's and cmath's roundings (numpy ufuncs against Python scalars).
 spinal-trace draws the torus of TF's exclusion pass, the row array
-`verify.FaceFamily.passes`, through `bisector.column_forms`: the sinusoids
-verify reads, on a grid.
+`verify.FaceFamily.passes`, through `bisector.column_forms`: its columns'
+sinusoids, on a grid.
 """
 
 from __future__ import annotations
@@ -335,7 +335,7 @@ def figure_disk_projection(out_base, n=20, boundary_points=512, fmt="csv"):
 
 def figure_spinal_trace(out_base, alpha2=0.7, resolution=361, fmt="csv"):
     """Curves on the intersection torus of two neighbouring bisectors, that
-    of J_0^- and J_-1^- whose exclusion pass TF reads (`FaceFamily.passes`):
+    of J_0^- and J_-1^- whose exclusion margin TF reports (`FaceFamily.passes`):
     the locus inside the closed ball and the crossing loci with the
     third extor, E(p_U, p_V)."""
     ff = FaceFamily(alpha2)

@@ -26,16 +26,12 @@ tests/test_bitangency_identities.py.
 
 TF's exclusion margin is the infimum of E / (|V|^2 sin^2(delta -
 delta_v)), E = |<p_U, V>|^2 - |<p_V, V>|^2, over the ball part of the
-Giraud torus of the faces F_0^- and F_-1^-, delta_v = family.delta_v the
-vertex column.  Up to family.ALPHA2_STAR it is the closed form
-family.exclusion_margin, 24 cos^2(alpha2) / (8 cos^2(alpha2) + 1), proved
-once in tests/test_tf_margin_identities.py, and no column is read.  Above
-it TF reads the torus one delta-column at a time, where every form is a
-sinusoid in sigma: the margin is an exact minimum over sigma, sampled in
-delta about the vertex column.  That pass is one (5, 3) row array,
-FaceFamily.passes, read by one bisector.column_minima call
-(FaceFamily.torus_pass), and it is also the torus the spinal-trace figure
-draws.  LC's claims on both face pairs rest on TF's margin: on F_0^- and
+Giraud torus of the faces F_0^- and F_-1^-, delta_v the vertex column.  It
+is the closed form family.exclusion_margin at every alpha2 in (0, pi/2),
+proved once in tests/test_tf_margin_identities.py: 24 cos^2(alpha2) / (8
+cos^2(alpha2) + 1) up to family.ALPHA2_STAR, and above it the same ratio
+at the band edge, the open column nearest the least one.  No torus column
+is read.  LC's claims on both face pairs rest on TF's margin: on F_0^- and
 F_-1^- it is the same claim, and the slice's involution, which fixes p_U
 and swaps p_V with p_W, carries the pass of F_0^+ and F_1^+ onto it, V
 onto -V at every (sigma, delta), so that pass fails exactly where this
@@ -60,23 +56,14 @@ from .family import (
     ALPHA2_STAR,
     P_U, P_V, P_W, UI_PW,
     SideKind,
-    delta_v,
     elliptic_disks,
     exclusion_margin,
     face_points,
     param_side,
 )
-from .bisector import torus_exclusion
 from .report import CheckResult, Verdict, VerdictKind, VerificationReport
 
 DEFAULT_GRID = 720
-# the second lifts of the bisectors of p_U: J_0^+, J_0^- and J_-1^-
-BISECTORS = [P_V, P_W, UI_PW]
-# the tori (J_0^-, J_-1^-), (J_0^+, J_0^-) and (J_0^+, J_-1^-) as (bisector
-# of q, bisector of r), indices into BISECTORS, with their lifts (p_U, q, r)
-# as rows of the point table
-TORI = [(1, 2), (0, 1), (0, 2)]
-TORUS_LIFTS = np.array([[P_U, BISECTORS[i], BISECTORS[j]] for i, j in TORI])
 
 
 # ---------------------------------------------------------------------------
@@ -84,31 +71,21 @@ TORUS_LIFTS = np.array([[P_U, BISECTORS[i], BISECTORS[j]] for i, j in TORI])
 
 
 class FaceFamily:
-    """All data attached to a parameter: the side of `family.param_side`
-    and grid settings, formed at once, and as arrays, formed on first read,
-    the point table P of `family.face_points` (rows P_A .. UI_PW) and the
-    lifts (p_U, q, r) of the tori of TORI with their box rows (q box r, p_U
-    box r, q box p_U), each (3, 3, 3).  Torus 0 carries the exclusion pass,
-    as the row array `passes` (5, 3) = (p_U, p_V, q box r, p_U box r, q box
-    p_U) of `bisector.column_minima`, which TF samples only above
-    ALPHA2_STAR (`tf_margin`); so a verify up to ALPHA2_STAR forms none of
-    the arrays.  Tori 1 and 2 bound the first face by Giraud circles that
-    are tangent at p_A and p_B at each alpha2 in (0, pi/2), proved once in
-    tests/test_bitangency_identities.py; the program reads them nowhere.
-    Each torus is parametrized by (q - e^{i th} p_U) box (r - e^{i ph}
-    p_U), and every pair is an unbalanced pair of equal-norm lifts at each
-    alpha2 in (0, pi/2) (tests/test_face_family_identities.py).
+    """All data attached to a parameter: the side of `family.param_side`,
+    formed at once, and, each formed on first read, TF's margin
+    `tf_margin`, the point table P of `family.face_points` (rows P_A ..
+    UI_PW) and TF's pass `passes` on the torus of J_0^- and J_-1^-, which
+    the spinal-trace figure draws; a verify forms neither array.  The torus
+    is parametrized by (q - e^{i th} p_U) box (r - e^{i ph} p_U), lifts
+    (p_U, q, r) = (p_U, p_W, U^-1 p_W), an unbalanced pair of equal-norm
+    lifts at each alpha2 in (0, pi/2) (tests/test_face_family_identities.py).
     The projected disks of J_0^+ and J_0^- on the visual sphere of [p_U]
     are closed forms in the order n (`family.elliptic_disks`), which GC and
     the disk-projection figure read without a chart."""
 
-    def __init__(self, alpha2: float, tol=None, grid_n: int = DEFAULT_GRID):
+    def __init__(self, alpha2: float, tol=None):
         self.alpha2 = float(alpha2)
         self.tol = tolerance(tol)
-        self.grid_n = int(grid_n)
-        if self.grid_n < 2:
-            # torus_pass reads grid_n // 2 delta-columns, at least one
-            raise ValueError(f"grid_n must be >= 2, got {self.grid_n}")
         self.side = param_side(self.alpha2, self.tol)
         self.space = siegel_model()
 
@@ -118,42 +95,18 @@ class FaceFamily:
         return face_points(self.alpha2)
 
     @cached_property
-    def lifts(self) -> np.ndarray:
-        """The lifts (p_U, q, r) of the tori of TORI, (3, 3, 3)."""
-        return self.P[TORUS_LIFTS]
-
-    @cached_property
-    def rows(self) -> np.ndarray:
-        """The box rows (q box r, p_U box r, q box p_U) of the tori of
-        TORI, (3, 3, 3), in one `core.box_rows` call."""
-        return box_rows(self.lifts[:, [1, 0, 1]], self.lifts[:, [2, 2, 0]], self.space)
-
-    @cached_property
     def passes(self) -> np.ndarray:
-        """TF's pass on torus 0, the row array (p_U, p_V, q box r, p_U box
-        r, q box p_U), (5, 3)."""
-        return np.concatenate([self.lifts[0, :1], self.P[[P_V]], self.rows[0]])
-
-    @cached_property
-    def torus_pass(self) -> float:
-        """The `bisector.torus_exclusion` margin of the pass: p_V on torus 0
-        (vertices p_A, p_B), on grid_n // 2 columns about the vertex column
-        `family.delta_v`; never below `family.exclusion_margin` where that
-        is the infimum."""
-        return torus_exclusion(self.passes, delta_v(self.alpha2), self.grid_n // 2, self.space)
-
-    @property
-    def margin_is_closed_form(self) -> bool:
-        """Whether TF's margin is `family.exclusion_margin`: at each alpha2
-        in (0, ALPHA2_STAR]."""
-        return 0.0 < self.alpha2 <= ALPHA2_STAR
+        """TF's pass, the row array (p_U, p_V, q box r, p_U box r, q box
+        p_U), (5, 3), of the torus of lifts (p_U, q, r) = (p_U, p_W, U^-1
+        p_W), its box rows in one `core.box_rows` call."""
+        P = self.P
+        return np.concatenate([P[[P_U, P_V]], box_rows(P[[P_W, P_U, P_W]], P[[UI_PW, UI_PW, P_U]], self.space)])
 
     @cached_property
     def tf_margin(self) -> float:
-        """TF's exclusion margin, on which LC rests too: the closed form
-        `family.exclusion_margin` where it is proved the infimum, the
-        sampled `torus_pass` above ALPHA2_STAR."""
-        return exclusion_margin(self.alpha2) if self.margin_is_closed_form else self.torus_pass
+        """TF's exclusion margin, on which LC rests too:
+        `family.exclusion_margin`."""
+        return exclusion_margin(self.alpha2)
 
 
 # ---------------------------------------------------------------------------
@@ -163,36 +116,33 @@ class FaceFamily:
 def tf_check(ff: FaceFamily) -> CheckResult:
     """TF from what can fail: the torus exclusion.  What holds at every
     alpha2 is proved once: the identities behind it in
-    tests/test_tf_identities.py, the margin in closed form up to
-    ALPHA2_STAR in tests/test_tf_margin_identities.py, the tori's
+    tests/test_tf_identities.py, the margin in closed form on all of (0,
+    pi/2) in tests/test_tf_margin_identities.py, the torus's
     preconditions in tests/test_face_family_identities.py, the complex-line
     locus on the column delta = family.delta0 in
     tests/test_line_and_contact_identities.py, the vertices at the ends of
-    the column family.delta_v in tests/test_vertex_identities.py, and the
+    the vertex column delta_v = alpha2 + pi/2 in
+    tests/test_vertex_identities.py, and the
     bi-tangency of the two Giraud circles bounding the first face at p_A
     and p_B in tests/test_bitangency_identities.py, whose residuals the
     report carries as the proved zeros of `_bitangency`."""
     res = CheckResult("tf", True)
 
     # on the ball part of the torus of J_0^- and J_-1^-, |<z, p_U>| <=
-    # |<z, p_V>| only at p_A and p_B; where no sampled column meets the
-    # ball the margin is inf, no evidence either way
+    # |<z, p_V>| only at p_A and p_B
     margin = res.margins["torus_exclusion"] = ff.tf_margin
-    if ff.margin_is_closed_form:
+    if ff.alpha2 <= ALPHA2_STAR:
         res.notes.append(
             "torus exclusion is the closed form 24c^2/(8c^2 + 1), c = cos(alpha2), the exact "
             f"infimum on the ball part for alpha2 <= alpha* = {ALPHA2_STAR:.8g} "
             "(tests/test_tf_margin_identities.py)"
         )
     else:
-        if math.isinf(margin):
-            res.notes.append(
-                "torus_exclusion: no sampled delta-column meets the ball (the ball band at "
-                f"delta_v is narrower than the column spacing pi/{ff.grid_n // 2})"
-            )
         res.notes.append(
-            "torus exclusion is exact in sigma on each delta-column and sampled "
-            "in delta (numerical, not a proof)"
+            "torus exclusion is the closed form 24c^2/(3c cos u + s sin u)^2, c = cos(alpha2), "
+            "s = sin(alpha2), at the band edge u in (0, u*) where K^2 + 6 sin^2 u = 3K, K = 3s cos u "
+            "- c sin u, tan u* = tan(alpha2)/3: the exact infimum on the ball part for alpha2 > "
+            f"alpha* = {ALPHA2_STAR:.8g} (tests/test_tf_margin_identities.py)"
         )
 
     res.residuals["bitangency_pA"], res.residuals["bitangency_pB"] = _bitangency()
@@ -201,10 +151,10 @@ def tf_check(ff: FaceFamily) -> CheckResult:
 
 
 def _bitangency() -> list[float]:
-    """The angles between the Giraud circles bounding the first face (tori 1
-    and 2 of `FaceFamily`) at p_A and at p_B: both 0 at each alpha2 in (0,
-    pi/2), where the circles' affine-chart velocities at each vertex are
-    nonzero and real multiples of one another
+    """The angles between the Giraud circles bounding the first face (the
+    tori of J_0^+ with J_0^- and with J_-1^-) at p_A and at p_B: both 0 at
+    each alpha2 in (0, pi/2), where the circles' affine-chart velocities at
+    each vertex are nonzero and real multiples of one another
     (tests/test_bitangency_identities.py)."""
     return [0.0, 0.0]
 
@@ -226,7 +176,7 @@ def lc_check(ff: FaceFamily) -> CheckResult:
     alpha2 - 3) < 2/3 at every alpha2 in (0, pi/2)) and the fan focus at
     alpha2 = pi/6 inside its arc are proved once, in
     tests/test_lc_identities.py and tests/test_gc_identities.py, and so
-    are the vertices at the ends of the column family.delta_v, in
+    are the vertices at the ends of the vertex column delta_v, in
     tests/test_vertex_identities.py."""
     res = CheckResult("lc", 0.0 < ff.tf_margin < math.inf)
     if not res.passed:
@@ -355,8 +305,9 @@ def gc_check(ff: FaceFamily) -> CheckResult:
 
 
 def verify(alpha2: float, tol=None, grid_n: int = DEFAULT_GRID) -> VerificationReport:
-    """Run the checks at a parameter and assemble the verdict from ff.side."""
-    ff = FaceFamily(alpha2, tol, grid_n)
+    """Run the checks at a parameter and assemble the verdict from ff.side;
+    grid_n sets nothing and is echoed in the report."""
+    ff = FaceFamily(alpha2, tol)
     checks = {"tf": tf_check(ff), "lc": lc_check(ff), "gc": gc_check(ff)}
     side, gc = ff.side, checks["gc"]
     if side.kind is SideKind.UNIPOTENT:

@@ -2,12 +2,22 @@
 
 None of these is on a program path, and none is imported by `crlab`:
 
-- `envelope_minima`, the multi-constraint envelope of which `verify` reads
-  one constraint per Giraud-torus column (`bisector.column_minima`), with
-  its own per-form column rows, the per-torus ball arcs `ball_arcs` it
-  reads from the norm terms `norm_terms` of the column rows `delta_rows`,
-  the one-torus view `GiraudTorus` (the program reads tori as row arrays
+- the sampled torus pass that `verify` read above ALPHA2_STAR before TF's
+  margin became the closed form `family.exclusion_margin` on all of (0,
+  pi/2): the exact column minima `column_minima` (ball arcs `_arcs`,
+  critical points `_ratio_critical` and `_harmonic_roots`) on the columns
+  `_offsets` about the vertex column `delta_v`, as `torus_exclusion` and
+  `torus_pass`, the evidence the closed form is held against
+  (tests/test_tf_margin_identities.py);
+- `envelope_minima`, the multi-constraint envelope of which
+  `column_minima` reads one constraint per Giraud-torus column, with its
+  own per-form column rows, the per-torus ball arcs `ball_arcs` it reads
+  from the norm terms `norm_terms` of the column rows `delta_rows`, the
+  one-torus view `GiraudTorus` (the program reads tori as row arrays
   only), and torus points `torus_vectors` and `point`;
+- the three tori of the face family (`TORI` of the bisectors `BISECTORS`,
+  their lifts `TORUS_LIFTS` and `torus_lifts` and box rows `torus_rows`),
+  of which `FaceFamily` forms torus 0 alone, as TF's pass;
 - the Giraud circles' affine-chart velocities at their vertices
   (`giraud_circle_tangents`, at the vertex angles `vertex_angles`, with
   the projective distances `_proj_distances`), against which the proved
@@ -67,12 +77,13 @@ from __future__ import annotations
 
 import cmath
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from crlab.bisector import _arcs, _harmonic_roots, _ratio_critical, level_g
+from crlab.bisector import _column_sinusoids, level_g
 from crlab.core import GeometryError, HVec, box_rows, cross, inner, sesquilinear, tolerance
 from crlab.core import apply as apply_rows
 from crlab.family import (
@@ -83,6 +94,15 @@ from crlab.reference import Location, box, locate, proj_equal, remarkable_points
 from crlab.visual import VisualChart
 
 TORUS_GRID_DEFAULT = 720
+# the second lifts of the bisectors of p_U: J_0^+, J_0^- and J_-1^-
+BISECTORS = [P_V, P_W, UI_PW]
+# the tori (J_0^-, J_-1^-), (J_0^+, J_0^-) and (J_0^+, J_-1^-) as (bisector
+# of q, bisector of r), indices into BISECTORS, with their lifts (p_U, q, r)
+# as rows of the point table: torus 0 carries TF's pass
+# (`FaceFamily.passes`), and the Giraud circles of tori 1 and 2 bound the
+# first face (tests/test_bitangency_identities.py)
+TORI = [(1, 2), (0, 1), (0, 2)]
+TORUS_LIFTS = np.array([[P_U, BISECTORS[i], BISECTORS[j]] for i, j in TORI])
 INF = complex(math.inf, 0.0)
 _EYE3 = np.eye(3)
 TORUS_REFINE_FACTOR = 4
@@ -91,10 +111,10 @@ TORUS_REFINE_FACTOR = 4
 class GiraudTorus:
     """The one-torus view of the row arrays the program reads: the lifts
     (p, q, r) of a torus, coordinate vectors of `space`, with its box
-    products rows = (q box r, p box r, q box p), as `FaceFamily`'s lifts
-    and rows hold them.  Points are [(q - e^{i theta} p) box (r - e^{i phi}
+    products rows = (q box r, p box r, q box p), as `torus_lifts` and
+    `torus_rows` hold them.  Points are [(q - e^{i theta} p) box (r - e^{i phi}
     p)] = qr - e^{-i theta} pr - e^{-i phi} qp (`torus_vectors`); the
-    program's `bisector.column_forms` and `column_minima` read the row
+    program's `bisector.column_forms` and the oracle `column_minima` read the row
     array (pos, neg, qr, pr, qp) instead."""
 
     def __init__(self, lifts, rows, space):
@@ -161,6 +181,125 @@ def giraud_circle_tangents(lifts, rows, targets, space):
     return what[np.arange(3) != j].reshape(j.shape[:-1] + (2,)), v, _proj_distances(v, x)
 
 
+def torus_lifts(ff) -> np.ndarray:
+    """The lifts (p_U, q, r) of the tori of TORI, (3, 3, 3), rows of a
+    FaceFamily's point table."""
+    return ff.P[TORUS_LIFTS]
+
+
+def torus_rows(ff) -> np.ndarray:
+    """The box rows (q box r, p_U box r, q box p_U) of the tori of TORI, (3,
+    3, 3), in one `core.box_rows` call; torus 0's are the last three rows of
+    `FaceFamily.passes`, to the bit."""
+    lifts = torus_lifts(ff)
+    return box_rows(lifts[:, [1, 0, 1]], lifts[:, [2, 2, 0]], ff.space)
+
+
+def delta_v(alpha2: float) -> float:
+    """The delta of the vertex column, pi/2 + alpha2 (mod pi), on the tori of
+    J_0^- with J_-1^- (vertices p_A, p_B) and of J_0^+ with J_1^+ (p_B, U
+    p_A): the vertices sit at (theta, phi) = (0, pi - 2 alpha2) and (2 alpha2
+    - pi, 0), the two ends of the column's ball arc
+    (tests/test_vertex_identities.py)."""
+    return alpha2 + math.pi / 2.0
+
+
+def column_minima(R, deltas, space) -> tuple:
+    """(minima, mid, half), each of shape (..., m), per column of the row
+    arrays R (..., 5, 3) = (pos, neg, qr, pr, qp) and delta-columns (...,
+    m) of `bisector._column_sinusoids`: the exact minimum over sigma of E /
+    |V|^2, E = |<pos, V>|^2 - |<neg, V>|^2, over the column's ball arc mid
+    +- half (mid = arg C, half = arccos(A / 2|C|) for <V, V> = A - 2|C|
+    cos(sigma - arg C); pi where the whole column is in the ball, nan where
+    no point is); inf where the arc is empty.
+
+    On the arc the minimum of the ratio sits at an arc end or where E' |V|^2
+    - E (|V|^2)' vanishes, a constant plus one harmonic with closed-form
+    roots, so no sigma is sampled.  A candidate that is no root
+    (`_harmonic_roots`) is still a point of the arc, so it cannot take the
+    minimum below the true one.  On the face-family tori through alpha2 =
+    1.56 the values agree with a 40-digit evaluation of the same points to
+    about 2e-11 relative.  `verify` ran this stage above ALPHA2_STAR until
+    TF's margin became the closed form `family.exclusion_margin` there too;
+    it is the sampled evidence that form is held against."""
+    kpq, (A, C) = _column_sinusoids(R, deltas, space)
+    mid, half = _arcs(A, C)
+    # a column with an empty arc reads inf; the others are evaluated
+    live = ~np.isnan(half)
+    kpq, lmid, lhalf = kpq[:, :, live], mid[live], half[live]
+    sines = np.array([kpq[:, 1] - kpq[:, 2], kpq[:, 0]])  # E and |V|^2
+    # offsets from mid: the arc ends, then both roots in (-pi, pi]
+    roots = np.array(_harmonic_roots(*_ratio_critical(*sines)))
+    t = np.concatenate([[-lhalf, lhalf], math.pi - np.remainder(math.pi + lmid - roots, 2 * math.pi)])
+    sigma = lmid + t
+    top, bottom = sines[:, 0, None] + sines[:, 1, None] * np.cos(sigma) + sines[:, 2, None] * np.sin(sigma)
+    minima = np.full(half.shape, math.inf)
+    minima[live] = np.where(np.abs(t) <= lhalf, top / bottom, math.inf).min(axis=0)
+    return minima, mid, half
+
+
+def torus_exclusion(R, dv: float, m: int, space) -> list[float]:
+    """The margin of each pass of the row arrays R (..., 5, 3) = (p, neg,
+    qr, pr, qp) of `bisector._column_sinusoids`: a pass is the claim that
+    on the ball part of its torus |<z, p>| <= |<z, neg>|, p the torus's own
+    first lift, holds only at its two vertices.  Both vertices are the ends
+    of the ball arc of the delta-column dv (`delta_v`), where the contact
+    is of second order.  The margin is the exact minimum of |<p, z>|^2 -
+    |<neg, z>|^2, z unit, on the arcs of the m columns dv + (k + 1/2) pi /
+    m, over sin^2(delta - dv); inf where no column meets the ball.  One
+    `column_minima` call reads every pass.  Exact in sigma, sampled in
+    delta."""
+    offsets, sin2 = _offsets(m)
+    minima, _, _ = column_minima(R, dv + offsets, space)
+    return (minima / sin2).min(axis=-1).tolist()
+
+
+def torus_pass(ff, grid_n: int = TORUS_GRID_DEFAULT) -> float:
+    """The sampled margin of TF's pass, `torus_exclusion` of
+    `FaceFamily.passes` on grid_n // 2 columns about the vertex column
+    `delta_v`, as `verify` read it above ALPHA2_STAR before the band edge
+    (`family.exclusion_margin`); never below that closed form, and inf
+    where no sampled column meets the ball."""
+    return torus_exclusion(ff.passes, delta_v(ff.alpha2), grid_n // 2, ff.space)
+
+
+@functools.cache
+def _offsets(m: int):
+    """The column offsets (k + 1/2) pi / m of `torus_exclusion` and their
+    sin^2, formed once per m."""
+    offsets = (np.arange(m) + 0.5) * (math.pi / m)
+    return offsets, np.sin(offsets) ** 2
+
+
+def _arcs(A, C):
+    """The ball arcs (mid, half) of `column_minima` from the terms (A, C)."""
+    mod2 = 2.0 * np.abs(C)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        half = np.arccos(np.clip(A / mod2, -1.0, 1.0))
+    half[A <= -mod2] = math.pi
+    half[A > mod2] = math.nan
+    return np.arctan2(C.imag, C.real), half  # arg C, as np.angle forms it
+
+
+def _ratio_critical(num, den):
+    """(k, p, q) of num' den - num den' for two sinusoids in (k, p, q) rows:
+    the sin^2 and cos^2 terms sum to a constant, and the products sin cos
+    cancel, so it is a constant plus one harmonic."""
+    num, den = np.asarray(num), np.asarray(den)
+    # q1 p0 - p1 q0, q1 k0 - k1 q0, k1 p0 - p1 k0
+    return num[[2, 2, 0]] * den[[1, 0, 1]] - num[[1, 0, 1]] * den[[2, 2, 0]]
+
+
+def _harmonic_roots(k, p, q):
+    """The two roots phase +- arccos(-k / R) of k + R cos(sigma - phase) =
+    k + p cos(sigma) + q sin(sigma); where it has none, the angles at which
+    it comes nearest to 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        half = np.arccos(np.clip(-k / np.hypot(p, q), -1.0, 1.0))
+    phase = np.arctan2(q, p)
+    return phase - half, phase + half
+
+
 def delta_rows(torus, deltas) -> np.ndarray:
     """B(delta) = e^{-i delta} pr + e^{i delta} qp, shape (len(deltas), 3):
     with theta = sigma + delta and phi = sigma - delta the torus point is
@@ -199,7 +338,7 @@ def envelope_minima(torus, deltas, pos, negs, ball=True, terms=None):
     (|V|^2)' vanishes, or at a crossing E_i = E_j.  Both conditions are a
     constant plus one harmonic, with closed-form roots, so the least envelope
     value over these candidates is the minimum.  With one constraint this is
-    the arithmetic of `bisector.column_minima`, to the bit."""
+    the arithmetic of `column_minima`, to the bit."""
     deltas = np.asarray(deltas, dtype=float)
     den, (top, *rest) = _column_rows(torus, delta_rows(torus, deltas), [pos, *negs])
     den, top = np.array(den), np.array(top)
@@ -891,9 +1030,9 @@ def gram(X: np.ndarray, space) -> np.ndarray:
 
 
 def face_torus(ff, i: int = 0) -> GiraudTorus:
-    """The `GiraudTorus` view of torus i of a FaceFamily's lifts and rows:
-    0 of J_0^- and J_-1^-, 1 of J_0^+ and J_0^-, 2 of J_0^+ and J_-1^-."""
-    return GiraudTorus(ff.lifts[i], ff.rows[i], ff.space)
+    """The `GiraudTorus` view of torus i of TORI at a FaceFamily: 0 of J_0^-
+    and J_-1^-, 1 of J_0^+ and J_0^-, 2 of J_0^+ and J_-1^-."""
+    return GiraudTorus(torus_lifts(ff)[i], torus_rows(ff)[i], ff.space)
 
 
 def plus_pass(ff) -> np.ndarray:

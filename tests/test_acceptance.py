@@ -161,7 +161,7 @@ def test_criterion_2_incidence():
     els = list(rng.uniform(ALPHA2_LIM + 0.02, math.pi / 2 - 0.05, 10))
     lox = list(rng.uniform(0.05, ALPHA2_LIM - 0.02, 10))
     for a2 in els + lox:
-        products = vertex_products(FaceFamily(float(a2), grid_n=64))
+        products = vertex_products(FaceFamily(float(a2)))
         worst = max(worst, float(np.abs(np.abs(products) - 1.0).max()))
     report("2 incidence products at 20 parameters", worst <= 1e-9)
 
@@ -181,7 +181,7 @@ TF_PARAMS = [
 @pytest.mark.parametrize("label,a2", TF_PARAMS)
 def test_criterion_3_tf(label, a2):
     start = time.time()
-    ff = FaceFamily(a2, grid_n=720)
+    ff = FaceFamily(a2)
     res = tf_check(ff)
     elapsed = time.time() - start
     bitangent = max(res.residuals["bitangency_pA"], res.residuals["bitangency_pB"]) <= 1e-3
@@ -257,7 +257,7 @@ def test_criterion_6b_tangency_oracle():
     total = 0
     ok = True
     for a2 in (0.7, 0.9, 1.1, alpha2_for_order(9), alpha2_for_order(15)):
-        ff = FaceFamily(a2, grid_n=64)
+        ff = FaceFamily(a2)
         pts = remarkable_points(FamilyParams(0.0, ff.alpha2))
         p, q = pts.p_U, pts.p_V
         circ_t = slice_boundary_circle(HVec(q.v - p.v, ff.space))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from crlab.core import GeometryError, HVec, inner
-from crlab.bisector import column_forms, column_minima, level_g
+from crlab.bisector import column_forms, level_g
 from crlab.family import ALPHA2_LIM, P_A, P_U, P_V, P_W, FamilyParams, alpha2_for_order, delta0
 from crlab.reference import Location, alpha2_for_length, ball_model, box, locate, proj_distance, remarkable_points
 from crlab.verify import FaceFamily
@@ -19,6 +19,7 @@ from oracles import (
     bisector_kind,
     brute_force_symmetric_kind,
     classify_bisector,
+    column_minima,
     count_sublevel_components,
     envelope_minima,
     face_torus,
@@ -288,7 +289,7 @@ def test_torus_grid_matches_materialized_grid(n, at_delta0):
 
     rng = np.random.default_rng(41 + n)
     for a2 in rng.uniform(0.05, 1.5, 3):
-        ff = FaceFamily(float(a2), grid_n=n)
+        ff = FaceFamily(float(a2))
         pts, sp, U = family_points(ff), ff.space, family_U(ff)
         d0 = delta0(ff.alpha2) if at_delta0 else 0.0
         torus_pp = giraud_torus(classify_bisector(pts.p_U, pts.p_V, ff.tol), classify_bisector(pts.p_U, apply(U, pts.p_V), ff.tol), ff.tol)
@@ -342,7 +343,7 @@ def _ball_tori(n):
     rng = np.random.default_rng(90 + n)
     params = list(rng.uniform(0.02, 0.91, 2)) + list(rng.uniform(0.92, 1.56, 2)) + [1.56]
     for a2 in params:
-        ff = FaceFamily(float(a2), grid_n=n)
+        ff = FaceFamily(float(a2))
         pts, U, Ui = family_points(ff), family_U(ff), family_U(ff).inv()
         torus_pp = giraud_torus(classify_bisector(pts.p_U, pts.p_V, ff.tol), classify_bisector(pts.p_U, apply(U, pts.p_V), ff.tol), ff.tol)
         for torus, negs in (
@@ -417,7 +418,7 @@ def test_ball_sinusoids_match_ball_points(n):
 
 @pytest.mark.parametrize("n", [64, 720])
 def test_column_minima_is_the_envelope_of_one_constraint(n):
-    # the engine's single ratio and the oracle's envelope of one constraint
+    # the sampled pass's single ratio and the oracle's envelope of one constraint
     # run the same arithmetic: equal to the bit, on the ball arcs
     for torus, pos, negs, deltas in _ball_tori(n):
         for neg in negs:
@@ -442,10 +443,10 @@ def test_stacked_column_minima_equal_each_block_alone(alpha2, n):
     params = VERIFY_PARAMS + [1.569]
     m = n // 2
     offsets = (np.arange(m) + 0.5) * (math.pi / m)
-    families = [FaceFamily(a, grid_n=n) for a in (alpha2, params[(params.index(alpha2) + 1) % len(params)])]
+    families = [FaceFamily(a) for a in (alpha2, params[(params.index(alpha2) + 1) % len(params)])]
     stack, deltas = [], []
     for ff in families:
-        theta, phi = vertex_angles(ff.lifts[0], ff.P[P_A], ff.space)
+        theta, phi = vertex_angles(face_torus(ff).lifts, ff.P[P_A], ff.space)
         dv = ((theta - phi) / 2.0) % math.pi
         stack.append(np.stack([ff.passes, plus_pass(ff)]))
         deltas.append(np.append(dv, dv + offsets))
@@ -471,7 +472,7 @@ def test_ball_cells_of_synthetic_columns(n):
     # ball arcs and column minima for an empty arc, C = 0 with A of both
     # signs and 0, tangent arcs from above and below, and a half column,
     # against 64 n + 1 explicit points on each arc
-    ff = FaceFamily(0.7, grid_n=n)
+    ff = FaceFamily(0.7)
     pts = family_points(ff)
     C = np.array([1.0 + 1j, 0.0, 0.0, 0.0, 3.0 * np.exp(2j * math.pi * 5 / n), -0.5j, 2.0])
     A = 2.0 * np.abs(C)
@@ -501,7 +502,7 @@ def test_ball_cells_of_synthetic_columns(n):
 def test_vertex_arc_ends_are_the_vertices(alpha2):
     # both vertices of each face-family torus sit on one delta-column, at
     # the two ends of its ball arc
-    ff = FaceFamily(float(alpha2), grid_n=64)
+    ff = FaceFamily(float(alpha2))
     pts, U = family_points(ff), family_U(ff)
     torus_pp = giraud_torus(classify_bisector(pts.p_U, pts.p_V, ff.tol), classify_bisector(pts.p_U, apply(U, pts.p_V), ff.tol), ff.tol)
     for torus, vertices in ((face_torus(ff), (pts.p_A, pts.p_B)), (torus_pp, (pts.p_B, apply(U, pts.p_A)))):

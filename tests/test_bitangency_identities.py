@@ -4,7 +4,7 @@ alpha2 in (0, pi/2).
 TF asks, besides the torus exclusion, that the two Giraud circles bounding
 the first face be tangent at its ideal vertices p_A and p_B (Parker-Will
 2017, after Schwartz's Spherical CR Geometry and Dehn Surgery).  The circles
-are the ideal boundaries of tori 1 and 2 of `FaceFamily`, of the lifts
+are the ideal boundaries of tori 1 and 2 of `oracles.TORI`, of the lifts
 (p_U, p_V, p_W) and (p_U, p_V, U^-1 p_W).  `verify` measures no tangent:
 `verify._bitangency` reports the zero angles proved here, in exact
 arithmetic over c = cos(alpha2), s = sin(alpha2) modulo c^2 + s^2 - 1
@@ -48,7 +48,8 @@ The tangency relations are formed from the rows and the closed-form angles
 alone, not from the closed-form velocities.  Each relation fails when
 perturbed by 10^-6 cs, and the tangency fails when one circle's vertex
 angle is moved by the rational rotation ROT.  The tie tests hold the
-symbols to the rows of `FaceFamily` and the oracle
+symbols to the box rows `oracles.torus_rows` of the program's point table
+`FaceFamily.P`, and the oracle
 `giraud_circle_tangents` to the closed forms on 23 parameters.
 """
 
@@ -62,7 +63,7 @@ from crlab.family import P_A, P_B, alpha2_for_order
 from crlab.reference import alpha2_for_length
 from crlab.verify import FaceFamily
 
-from oracles import giraud_circle_tangents, vertex_angles
+from oracles import giraud_circle_tangents, torus_lifts, torus_rows, vertex_angles
 import slice_algebra as sa
 from slice_algebra import E, I, c, conj, inner, s, zero
 
@@ -75,7 +76,7 @@ def _on_slice(expr):
 
 
 LIFTS = {1: (sa.P_U, sa.P_V, sa.P_W), 2: (sa.P_U, sa.P_V, sa.UI_PW)}
-# (qr, pr, qp) of each torus, as `FaceFamily.rows` holds them
+# (qr, pr, qp) of each torus, as `oracles.torus_rows` holds them
 ROWS = {k: [sa.box(a, b).applyfunc(_on_slice) for a, b in ((q, r), (p, r), (q, p))] for k, (p, q, r) in LIFTS.items()}
 UP, DOWN = -(E**2), -(conj(E) ** 2)  # e^{-i (pi - 2 alpha2)}, e^{-i (2 alpha2 - pi)}
 # (vertex, component j where it is 1) and, per torus, (e^{-i theta},
@@ -203,20 +204,22 @@ TIE_PARAMETERS = (
 
 @pytest.mark.parametrize("alpha2", TIE_PARAMETERS)
 def test_the_oracle_reads_the_closed_forms(alpha2):
-    # the proof's rows are FaceFamily's tori 1 and 2; vertex_angles reads the
+    # the proof's rows are tori 1 and 2 of oracles.TORI, on the program's
+    # point table; vertex_angles reads the
     # closed-form angles, the torus points land on p_A and p_B, the unit
     # chart velocities of the two circles are opposite, and each velocity
     # is its closed form, to 1e-12
     ff = FaceFamily(alpha2)
+    lifts, tori = torus_lifts(ff)[1:], torus_rows(ff)[1:]
     co, si = math.cos(alpha2), math.sin(alpha2)
-    for want, rows in zip(SYMBOLIC(co, si), ff.rows[1:]):
+    for want, rows in zip(SYMBOLIC(co, si), tori):
         assert np.abs(np.asarray(want, dtype=complex) - rows).max() <= 1e-13 * np.abs(rows).max()
     targets = ff.P[[P_A, P_B], None]
     up, down = math.pi - 2.0 * alpha2, 2.0 * alpha2 - math.pi
-    angles = vertex_angles(ff.lifts[1:], targets, ff.space)
+    angles = vertex_angles(lifts, targets, ff.space)
     want = np.array([[[up, 0.0], [up, up]], [[down, down], [down, 0.0]]])
     assert np.abs(np.remainder(angles - want + math.pi, 2.0 * math.pi) - math.pi).max() <= 1e-12
-    w, _, dist = giraud_circle_tangents(ff.lifts[1:], ff.rows[1:], targets, ff.space)
+    w, _, dist = giraud_circle_tangents(lifts, tori, targets, ff.space)
     assert dist.max() <= 1e-12
     r = np.concatenate([w.real, w.imag], axis=-1)
     r /= np.linalg.norm(r, axis=-1, keepdims=True)

@@ -8,12 +8,12 @@ figures must not move with the kernel.
 
 numpy picks its SIMD loops at run time too, and NPY_DISABLE_CPU_FEATURES
 turns levels off for one process.  Complex products, `abs`, `arctan2` and
-other loops change their last bits with the level, so the sampled torus
-pass and most figures still move with it.  Up to family.ALPHA2_STAR every
-number of a report is closed-form `math` on alpha2, the order or the length
-(TF's margin `family.exclusion_margin`, GC's block) or a residual that
-reads exactly 0.0, and the disk-projection and level-sets figures are
-`math` scalars with numpy's real cos, sin and arithmetic: none may move.
+other loops change their last bits with the level, so most figures still
+move with it.  Every number of a report is closed-form `math` on alpha2,
+the order or the length (TF's margin `family.exclusion_margin`, the band
+edge's bisection included, and GC's block) or a residual that reads
+exactly 0.0, and the disk-projection and level-sets figures are `math`
+scalars with numpy's real cos, sin and arithmetic: none may move.
 """
 
 import json
@@ -88,18 +88,19 @@ def test_reports_and_figures_are_the_same_bytes_under_every_kernel():
 CPU_FEATURE_SETTINGS = (None, "X86_V4 AVX512_ICL AVX512_SPR", "X86_V3 X86_V4 AVX512_ICL AVX512_SPR")
 
 # one process: each parameter's GC block of the report, then its whole
-# report, as JSON text; every parameter lies below family.ALPHA2_STAR, where
-# TF's margin is the closed form, so no key is masked
+# report, as JSON text, on both sides of family.ALPHA2_STAR (order 4, 1.3,
+# 1.5, 1.569 and pi/2 - 1e-9 above it, where TF's margin is the band edge's
+# bisection); no key is masked
 GC_PROGRAM = r"""
-import json
-from crlab.family import ALPHA2_STAR, alpha2_for_order
+import json, math
+from crlab.family import alpha2_for_order
 from crlab.reference import alpha2_for_length
 from crlab.report import to_json
 from crlab.verify import verify
 
-params = [alpha2_for_order(n) for n in (9, 10, 12, 20, 56, 100, 922, 2809, 10**4)]
+params = [alpha2_for_order(n) for n in (4, 9, 10, 12, 20, 56, 100, 922, 2809, 10**4)]
 params += [alpha2_for_length(x) for x in (0.25, 1.0, 1.75)]
-assert max(params) <= ALPHA2_STAR
+params += [1.3, 1.5, 1.569, math.pi / 2 - 1e-9]
 reports = [verify(a, grid_n=64) for a in params]
 blocks = [json.dumps(r.to_dict()["checks"]["gc"], sort_keys=True) for r in reports]
 print(json.dumps(blocks + [to_json(r) for r in reports]))
@@ -118,10 +119,10 @@ def _run_at_level(features, program=GC_PROGRAM):
 
 def test_gc_blocks_are_the_same_bytes_at_every_dispatch_level():
     # GC's blocks, and the whole reports: TF's margin is the closed form
-    # in math, and the bi-tangency residuals read 0.0
+    # in math at every alpha2, and the bi-tangency residuals read 0.0
     runs = {features: _run_at_level(features) for features in CPU_FEATURE_SETTINGS}
     default = runs[None]
-    assert len(default) == 24
+    assert len(default) == 34
     for features in CPU_FEATURE_SETTINGS[1:]:
         moved = [i for i, (a, b) in enumerate(zip(default, runs[features])) if a != b]
         assert moved == [], f"{features}: {moved}"

@@ -1,8 +1,10 @@
 """FaceFamily's preconditions, proved once over every alpha2 in (0, pi/2).
 
-`verify.FaceFamily` builds its three Giraud tori, and GC reads its two
-contacts, without running the kernels `bisector_kinds`, `pair_kinds` and
-`tangencies` of tests/oracles.py at a parameter: what they would decide
+`verify.FaceFamily` forms TF's pass on its first Giraud torus, the
+bi-tangency rests on the other two (tests/oracles.py's TORI), and GC reads
+its two contacts, without running the kernels `bisector_kinds`,
+`pair_kinds` and `tangencies` of tests/oracles.py at a parameter: what
+they would decide
 there rests on identities of the slice, proved here in exact arithmetic
 over c = cos(alpha2), s = sin(alpha2) modulo c^2 + s^2 - 1
 (`slice_algebra`):
@@ -11,9 +13,9 @@ over c = cos(alpha2), s = sin(alpha2) modulo c^2 + s^2 - 1
   nonzero, and p_U is null exactly on the unipotent wall 8c^2 = 3, which
   `family.param_side` alone decides.
 - S and U are in U(2,1) (S^H J S = J and U^H J U = J), so the second lifts
-  p_V = S p_U, p_W = S p_V and U^-1 p_W of the three bisectors of p_U that
-  FaceFamily reads have the norm of p_U: the equal norms `bisector_kinds`
-  required.
+  p_V = S p_U, p_W = S p_V and U^-1 p_W of the three bisectors of p_U
+  (`oracles.BISECTORS`) have the norm of p_U: the equal norms
+  `bisector_kinds` required.
 - For r = U p_A and r = U^-1 p_B: <r, r> = 0 and <p_U, r> = <p_V, r>, the
   sign eps = +1 of the tangency criterion, while <p_V, p_U> - <p_U, p_U> =
   -4c^2 != 0.  So the line through [p_U] and [r] meets the spinal surface of
@@ -32,8 +34,10 @@ A sign on an interval is proved by Sturm's root count (`Poly.count_roots`)
 and the sign at one point, in exact rational arithmetic.  Each relation is
 also perturbed and seen to fail, among them the other sign eps = -1 and the
 determinant 72c^4 - c^5.  The last test ties the symbolic products,
-contacts and determinants to the program's point table and box rows, and
-their Gram table (`oracles.face_gram`), at a few parameters on each side.
+contacts and determinants to the program's point table and the box rows
+of the three tori (`oracles.torus_rows`, whose torus 0 is the program's
+`FaceFamily.passes`), and their Gram table (`oracles.face_gram`), at a few
+parameters on each side.
 """
 
 import functools
@@ -45,9 +49,9 @@ import sympy as sp
 
 from crlab.family import P_U, P_V, U_PA, UI_PB, alpha2_for_order
 from crlab.reference import alpha2_for_length
-from crlab.verify import BISECTORS, TORI, FaceFamily
+from crlab.verify import FaceFamily
 
-from oracles import face_gram
+from oracles import BISECTORS, TORI, face_gram, torus_rows
 import slice_algebra as sa
 from slice_algebra import J, c, conj, inner, positive, s, zero
 
@@ -61,10 +65,10 @@ def _on_slice(v):
     return v.applyfunc(lambda e: sp.reduced(sp.expand(e), SLICE, *GENS)[1])
 
 
-# the symbolic second lifts, in the order of verify.BISECTORS
+# the symbolic second lifts, in the order of oracles.BISECTORS
 SECONDS = [_on_slice(q) for q in (sa.P_V, sa.P_W, sa.UI_PW)]
 CONTACTS = {"U_pA": sa.U_PA, "Ui_pB": sa.UI_PB}
-# |det(p_U, q_i, q_j)|^2 for the pairs (i, j) of verify.TORI
+# |det(p_U, q_i, q_j)|^2 for the pairs (i, j) of oracles.TORI
 DETERMINANTS = [72 * c**4, 8 * c**4 * (9 - 8 * c**2), 8 * c**4 * (9 - 8 * c**2)]
 
 
@@ -150,7 +154,7 @@ def test_symbolic_products_are_the_programs(alpha2):
     # evaluated at alpha2, are the program's Gram table, point table rows U
     # p_A and U^-1 p_B, and the products of each torus's box row p_U box r
     # with its lift q
-    ff = FaceFamily(alpha2, grid_n=64)
+    ff = FaceFamily(alpha2)
     co, si = math.cos(alpha2), math.sin(alpha2)
     (contacts,) = (np.array(m, dtype=complex).T for m in SYMBOLIC(co, si))
     G, P, rows = face_gram(ff), ff.P, [U_PA, UI_PB]
@@ -161,9 +165,11 @@ def test_symbolic_products_are_the_programs(alpha2):
     assert np.abs(contacts - P[rows]).max() <= 1e-13 * np.abs(P[rows]).max()
     assert np.abs(G[rows, rows]).max() <= 1e-13 * scale
     assert np.abs(G[P_U, rows] - G[P_V, rows]).max() <= 1e-13 * scale
-    foci = ff.rows[:, 1:]
+    rows = torus_rows(ff)
+    assert rows[0].tobytes() == ff.passes[2:].tobytes()
+    foci = rows[:, 1:]
     assert np.abs(ff.space.form(foci, P[P_U])).max() <= 1e-13 * np.abs(foci).max() * np.abs(P[P_U]).max()
-    for (i, _), d, pr in zip(TORI, DETERMINANTS, ff.rows[:, 1]):
+    for (i, _), d, pr in zip(TORI, DETERMINANTS, rows[:, 1]):
         want = float(d.subs(c, co))
         got = abs(ff.space.form(pr, P[BISECTORS[i]])) ** 2
         assert got == pytest.approx(want, rel=1e-12, abs=0)

@@ -462,7 +462,7 @@ def spinal_samples_loop(b, n_alpha, n_t):
 
 @pytest.mark.parametrize("alpha2", [alpha2_for_order(9), alpha2_for_order(20), alpha2_for_length(1.0)])
 def test_spinal_samples_match_slice_loop(alpha2, ball):
-    ff = FaceFamily(alpha2, grid_n=64)
+    ff = FaceFamily(alpha2)
     bisectors = [classify_bisector(family_points(ff).p_U, u_power_point(ff, k, q), ff.tol) for k, q in ((1, family_points(ff).p_V), (2, family_points(ff).p_W))]
     bisectors.append(classify_bisector(HVec([0, 0, 1.0], ball), HVec([math.sinh(1.2), 0, math.cosh(1.2)], ball)))
     for b in bisectors:
@@ -502,7 +502,7 @@ def test_disk_projection_translates_lie_on_their_silhouettes(n, tmp_path):
     # the chart images of U^k p_A and U^k p_B.  At orders 4..8 the disk of
     # J_0^- is its circle's outside, and at order 4 that of J_0^+ too
     path, curves = figure_disk_projection(str(tmp_path / "dp"), n=n, boundary_points=256)
-    ff = FaceFamily(alpha2_for_order(n), tol=1e-14, grid_n=256)
+    ff = FaceFamily(alpha2_for_order(n), tol=1e-14)
     pts = family_points(ff)
     bounded = {"plus": n >= 5, "minus": n >= 9}
     assert list(curves) == [(sign, k) for k in range(n) for sign in ("plus", "minus")]

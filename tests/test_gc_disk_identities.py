@@ -367,7 +367,7 @@ def test_disks_are_the_programs(alpha2):
     # (the numeric disk loses digits as the scale shrinks: 7e-10 at order
     # 10^4, 3e-10 at length 1e-6); tol 1e-14 keeps length 1e-6 off the
     # unipotent band of param_side
-    ff = FaceFamily(alpha2, tol=1e-14, grid_n=64)
+    ff = FaceFamily(alpha2, tol=1e-14)
     side, sils = ff.side, face_silhouettes(ff)[0]
     assert all(sil.bounded for sil in sils)
     if side.kind is SideKind.ELLIPTIC:
@@ -392,7 +392,7 @@ def test_cone_rows_are_the_programs(n):
     # oracles.cone_angles, from the Gram table: the plus row is dist(k beta,
     # 2 pi Z), the minus row has cosine R cos((k + 1/2) beta) and is wider
     # than 2 beta on k in [2, n - 3]; the least margin is verify's
-    ff = FaceFamily(alpha2_for_order(n), grid_n=64)
+    ff = FaceFamily(alpha2_for_order(n))
     beta, ks = 2 * math.pi / n, np.arange(2, n - 1)
     x_ = math.cos(beta)
     rows = cone_angles(ff, ks)

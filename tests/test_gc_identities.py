@@ -184,7 +184,7 @@ def test_symbolic_h_are_the_programs(alpha2):
     # the proof's h1, h2 and its x, evaluated at the program's delta, are the
     # program's Gram entries G[[p_U', p_U''], p_V] and the cos(beta) or
     # cosh(l) of its side
-    ff = FaceFamily(alpha2, grid_n=64)
+    ff = FaceFamily(alpha2)
     side = ff.side
     if side.kind is SideKind.ELLIPTIC:
         xv, dv, h = math.cos(side.beta), side.delta.imag, SYMBOLIC_H["elliptic"]

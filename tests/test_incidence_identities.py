@@ -178,7 +178,7 @@ def test_symbols_are_the_programs(alpha2):
     # delta of param_side are the rows p_U', p_U''; the elliptic Gram
     # diagonal has the proved values and signs; on the loxodromic side lam+-
     # are e^{+-l} of param_side and lam+^2 is the oracles' chart multiplier
-    ff = FaceFamily(alpha2, grid_n=64)
+    ff = FaceFamily(alpha2)
     side, co, si = ff.side, math.cos(alpha2), math.sin(alpha2)
     elliptic = side.kind is SideKind.ELLIPTIC
     dv = side.delta.imag if elliptic else side.delta.real

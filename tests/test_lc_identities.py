@@ -29,7 +29,7 @@ cos(alpha2), s = sin(alpha2) (`slice_algebra`):
   torus points obey V_minus = -I V_plus.  As I preserves the form and
   carries (p_U, p_W) onto (p_U, p_V), both passes have the same <V, V>,
   hence the same ball arcs, and the same E = |<V, p_U>|^2 - |<V, neg>|^2;
-  only the Euclidean |V|^2 that `bisector.column_minima` divides by
+  only the Euclidean |V|^2 that `oracles.column_minima` divides by
   differs.  So the plus pass fails exactly where TF's does, and its
   vertices follow TF's: I p_A = U p_A and I p_B = p_B.
 
@@ -47,12 +47,11 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from crlab.bisector import column_minima, torus_exclusion
-from crlab.family import P_A, P_B, P_U, P_V, P_W, U_PA, U_PV, UI_PW, alpha2_for_order, delta_v
+from crlab.family import P_A, P_B, P_U, P_V, P_W, U_PA, U_PV, UI_PW, alpha2_for_order
 from crlab.reference import alpha2_for_length
 from crlab.verify import FaceFamily
 
-from oracles import face_gram, gram, involution_matrix, lc_triples, plus_pass
+from oracles import column_minima, delta_v, face_gram, gram, involution_matrix, lc_triples, plus_pass, torus_exclusion, torus_pass
 from slice_algebra import INVOLUTION, J, U, box, c, conj, inner, inv, positive, s, zero
 import slice_algebra
 
@@ -180,7 +179,7 @@ def test_symbolic_triples_and_involution_are_the_programs(alpha2):
     # are the program's rows ROWS, its box rows, and the oracle's
     # involution; the Gram blocks of the program's box rows carry k = -6c^2
     # and u = (2/3)(4c^2 - 3), and the involution maps its rows
-    ff = FaceFamily(alpha2, grid_n=64)
+    ff = FaceFamily(alpha2)
     co, si = math.cos(alpha2), math.sin(alpha2)
     points, *boxes, inv_m = (np.array(m, dtype=complex) for m in SYMBOLIC(co, si))
     points, boxes = points.T, [b.T for b in boxes]  # rows, as the program's tables
@@ -210,12 +209,12 @@ PASS_SYMBOLIC = sp.lambdify((c, s), [sp.Matrix.hstack(*PASSES[name]) for name in
 def test_the_involution_carries_the_plus_pass_onto_tfs(alpha2, grid):
     # the proof's passes, evaluated at alpha2, are oracles.plus_pass and
     # FaceFamily.passes; the oracle's I maps the first onto the second row
-    # by row with SIGNS, and p_A, p_B onto U p_A, p_B.  On the program's
-    # columns both passes read the same ball arcs, and column minima of the
+    # by row with SIGNS, and p_A, p_B onto U p_A, p_B.  On the sampled
+    # columns of `oracles.torus_pass` both passes read the same ball arcs, and column minima of the
     # same sign and inf pattern: TF's margin is finite and positive exactly
     # where the plus pass's is (at 1.569 and grid 64 no column meets the
     # ball, and both read inf)
-    ff = FaceFamily(alpha2, grid_n=grid)
+    ff = FaceFamily(alpha2)
     co, si = math.cos(alpha2), math.sin(alpha2)
     plus, minus = plus_pass(ff), ff.passes
     for want, got in zip(PASS_SYMBOLIC(co, si), (plus, minus)):
@@ -230,5 +229,5 @@ def test_the_involution_carries_the_plus_pass_onto_tfs(alpha2, grid):
     assert np.array_equal(np.isnan(half[1]), ~live) and np.abs(half[0] - half[1])[live].max(initial=0.0) <= 1e-12
     assert np.array_equal(np.sign(minima[0]), np.sign(minima[1])) and np.array_equal(np.isinf(minima[0]), ~live)
     tf, other = torus_exclusion(np.stack([minus, plus]), dv, m, ff.space)
-    assert tf == ff.torus_pass and (0.0 < tf < math.inf) == (0.0 < other < math.inf)
+    assert tf == torus_pass(ff, grid) and (0.0 < tf < math.inf) == (0.0 < other < math.inf)
     assert (0.0 < tf < math.inf) == (alpha2 != 1.569)

@@ -199,7 +199,7 @@ def test_symbolic_line_and_contacts_are_the_programs(alpha2):
     # silhouette forms vanish on the oracle's slice circles, and its disks
     # of J_0^+ and of the m^k-translate of J_0^- touch at the chart images
     # of U p_A (k = +1) and U^-1 p_B (k = -2)
-    ff = FaceFamily(alpha2, grid_n=64)
+    ff = FaceFamily(alpha2)
     co, si = math.cos(alpha2), math.sin(alpha2)
     rows, x, y = SYMBOLIC(co, si)
     torus = face_torus(ff)

@@ -131,22 +131,34 @@ def test_verify_reads_no_torus_points():
 
 
 def test_exclusion_passes_take_no_vertex():
-    # the vertices are the ends of the column family.delta_v at every alpha2
-    # (tests/test_vertex_identities.py): torus_exclusion takes that column
-    # and no vertex point, torus_pass names no vertex row, and no program
-    # module names the numeric vertex angles, which serve the bi-tangency's
-    # tie test alone (tests/oracles.py, tests/test_bitangency_identities.py)
-    bisector = ast.parse((SRC / "bisector.py").read_text())
-    (fn,) = [f for f in bisector.body if isinstance(f, ast.FunctionDef) and f.name == "torus_exclusion"]
-    assert [a.arg for a in fn.args.args] == ["R", "dv", "m", "space"]
-    assert {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)}.isdisjoint({"vertex_angles", "_proj_distances"})
-    verify = ast.parse((SRC / "verify.py").read_text())
-    (prop,) = [
-        f for c in verify.body if isinstance(c, ast.ClassDef) for f in c.body
-        if isinstance(f, ast.FunctionDef) and f.name == "torus_pass"
-    ]
-    assert {n.id for n in ast.walk(prop) if isinstance(n, ast.Name)}.isdisjoint({"P_A", "P_B", "U_PA"})
+    # the vertices are the ends of the column delta_v at every alpha2
+    # (tests/test_vertex_identities.py): the sampled pass of tests/oracles.py,
+    # against which TF's closed-form margin is held, takes that column and
+    # no vertex point (torus_exclusion), and names no vertex row
+    # (torus_pass); and no program module names the numeric vertex angles,
+    # which serve the bi-tangency's tie test alone (tests/oracles.py,
+    # tests/test_bitangency_identities.py)
+    oracles = ast.parse((pathlib.Path(__file__).parent / "oracles.py").read_text())
+    fns = {f.name: f for f in oracles.body if isinstance(f, ast.FunctionDef) and f.name in ("torus_exclusion", "torus_pass")}
+    assert [a.arg for a in fns["torus_exclusion"].args.args] == ["R", "dv", "m", "space"]
+    assert {n.id for n in ast.walk(fns["torus_exclusion"]) if isinstance(n, ast.Name)}.isdisjoint({"vertex_angles", "_proj_distances"})
+    assert {n.id for n in ast.walk(fns["torus_pass"]) if isinstance(n, ast.Name)}.isdisjoint({"P_A", "P_B", "U_PA"})
     assert [p.name for p in sorted(SRC.glob("*.py")) if "vertex_angles" in p.read_text()] == []
+
+
+def test_verify_imports_nothing_from_bisector():
+    # TF's margin is the closed form family.exclusion_margin at every alpha2
+    # (tests/test_tf_margin_identities.py): verify reads no torus column, so
+    # it imports neither the bisector module nor any name from it
+    tree = ast.parse((SRC / "verify.py").read_text())
+    found = [
+        f"verify.py:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "bisector"
+        or isinstance(node, ast.ImportFrom) and node.module is None and "bisector" in [a.name for a in node.names]
+        or isinstance(node, ast.Import) and any(a.name.split(".")[-1] == "bisector" for a in node.names)
+    ]
+    assert found == []
 
 
 def test_verify_forms_no_plus_torus():

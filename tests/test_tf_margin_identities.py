@@ -1,5 +1,5 @@
 """TF's exclusion margin in closed form, proved once over every alpha2 in
-(0, alpha*].
+(0, pi/2).
 
 `verify.tf_check` reports as its margin the infimum of
 
@@ -8,14 +8,13 @@
 over the closed ball part <V, V> <= 0 of the torus of J_0^- and J_-1^-
 (lifts p_U, p_W, U^-1 p_W, TF's pass `FaceFamily.passes`), with u = delta
 - delta_v the offset of the point's delta-column from the vertex column
-delta_v = alpha2 + pi/2 (tests/test_vertex_identities.py).  Up to
-family.ALPHA2_STAR it reads `family.exclusion_margin`, 24c^2 / (8c^2 + 1)
-with c = cos(alpha2), s = sin(alpha2), and runs no column; this module is
-why.  On the column of offset u the torus point is V = qr - e^{-i sigma}
-B(delta) (`bisector`), with e^{-i delta} = -i conj(e^{i alpha2}) e^{-i u},
-and with K = 3s cos u - c sin u and Z = 3K cos(sigma), in exact arithmetic
-over (c, s), (cos u, sin u) and (cos sigma, sin sigma) on their circles
-(`slice_algebra`):
+delta_v = alpha2 + pi/2 (tests/test_vertex_identities.py).  It reads
+`family.exclusion_margin` and runs no column; this module is why.  On the
+column of offset u the torus point is V = qr - e^{-i sigma} B(delta)
+(`bisector`), with e^{-i delta} = -i conj(e^{i alpha2}) e^{-i u}, and with
+c = cos(alpha2), s = sin(alpha2), K = 3s cos u - c sin u and Z = 3K
+cos(sigma), in exact arithmetic over (c, s), (cos u, sin u) and (cos
+sigma, sin sigma) on their circles (`slice_algebra`):
 
 - Structure.  C = <qr, B> = -12c^2 K is real, A = <qr, qr> + <B, B> =
   8c^2 (K^2 + 6 sin^2 u), |V|^2 = 8c^2 (9 - 2 sin^2 u + Z) and E = -32c^4
@@ -34,24 +33,47 @@ over (c, s), (cos u, sin u) and (cos sigma, sin sigma) on their circles
   so F = 24c^2 / (3c cos u + s sin u)^2 = 24c^2 / (8c^2 + 1 - (3c sin u -
   s cos u)^2) (Lagrange's identity), at least 24c^2 / (8c^2 + 1), with
   equality exactly at tan u* = tan(alpha2) / 3: delta* = alpha2 + pi/2 +
-  arctan(tan(alpha2) / 3).
+  arctan(tan(alpha2) / 3).  With r = sqrt(8c^2 + 1), (cos u*, sin u*) =
+  (3c, s) / r is on the unit circle and 3c cos u + s sin u = r cos(u -
+  u*), so F = 24c^2 / ((8c^2 + 1) cos^2(u - u*)), which grows with |u -
+  u*| on |u - u*| < pi/2: the infimum is F at the open column nearest u*.
 - alpha*.  A column meets the ball exactly when K^2 + 6 sin^2 u <= 3|K|.
-  On u*, sin u* = s / r and cos u* = 3c / r with r = sqrt(8c^2 + 1), K =
-  8cs / r > 0, and the condition reads g(c^2) >= 0 with g(t) = 144t (8t +
-  1) - (1 - t)(32t + 3)^2 = 1024t^3 + 320t^2 - 39t - 9.  By Sturm's count g
-  has one root t* in (0, 1), inside a rational bracket of width 1e-40, and
-  is positive on (t*, 1): the column u* meets the ball exactly when
-  alpha2 <= alpha* = arccos sqrt(t*) = 1.13504349930580402..., where its
-  arc closes to a point.  `family.ALPHA2_STAR` is the largest double at
-  most alpha*, checked in interval arithmetic.
+  On u*, sin u* = s / r and cos u* = 3c / r, K = 8cs / r > 0, and the
+  condition reads g(c^2) >= 0 with g(t) = 144t (8t + 1) - (1 - t)(32t +
+  3)^2 = 1024t^3 + 320t^2 - 39t - 9.  By Sturm's count g has one root t*
+  in (0, 1), inside a rational bracket of width 1e-40, and is positive on
+  (t*, 1): the column u* meets the ball exactly when alpha2 <= alpha* =
+  arccos sqrt(t*) = 1.13504349930580402..., where its arc closes to a
+  point.  `family.ALPHA2_STAR` is the largest double at most alpha*,
+  checked in interval arithmetic.
+- The band edge, above alpha*.  Both sides of K^2 + 6 sin^2 u <= 3|K| are
+  nonnegative, so squaring keeps it: with x = tan u it is Q(x) <= 0, Q(x)
+  = ((3s - cx)^2 + 6x^2)^2 - 9 (3s - cx)^2 (1 + x^2), the quartic with
+  cos^4 u Q(tan u) = (K^2 + 6 sin^2 u - 3K)(K^2 + 6 sin^2 u + 3K), and u =
+  pi/2 never meets the ball.  For t = c^2 in (0, t*] (indeed up to the
+  bracket's upper end) Q'' has a positive leading coefficient and a
+  negative discriminant (Sturm), so Q is strictly convex and has at most
+  two real roots; Q(0) = -81 c^2 s^2 < 0, Q(-3c/s) = 324 c^2 (9c^2 + 1) /
+  s^4 > 0 and cos^4 u* Q(tan u*) = -4 (1 - t) g(t) / r^4 > 0 above
+  alpha*.  So the ball band is one arc [u_-, u_e] with u* - pi/2 <
+  u_- < 0 < u_e < u*: it lies where cos^2(u - u*) grows with u, so its
+  column nearest u* is the edge u_e, the one root of K^2 + 6 sin^2 u = 3K
+  in (0, u*), and the infimum is 24c^2 / (3c cos u_e + s sin u_e)^2.  On
+  [0, u*] K > 0, so the equation's sign is Q's, negative at 0 and
+  positive at u*: the bracket `family.exclusion_margin` bisects holds
+  exactly that root.  It bisects the sign of 6 sin^2 u - K (3 - K), with
+  3 - K = 6 (sin^2(eps/2) + s sin^2(u/2)) + c sin u, eps = pi/2 - alpha2,
+  a sum of nonnegative terms that keeps its digits up to pi/2 (the plain
+  K^2 + 6 sin^2 u - 3K loses every one there).
 
-So on (0, alpha*] the infimum is attained, at the boundary point of the
-column u*, and is 24c^2 / (8c^2 + 1); above alpha* it is larger and TF
-samples it (`FaceFamily.torus_pass`).  Each relation fails when
-perturbed, and so does the bracket of a perturbed g.  The tie tests hold
+So the infimum is attained at every alpha2 in (0, pi/2), on the boundary
+point of the column u* up to alpha* and of the band edge u_e above it.
+Each relation fails when perturbed, and so do the sign facts of a
+perturbed quartic and the bracket of a perturbed g.  The tie tests hold
 the forms to the program's column stage (`bisector._column_sinusoids`, on
-`FaceFamily.passes`), the boundary curve to `bisector.column_minima`, the
-closed form to `bisector.torus_exclusion` at grid 65,536, and alpha* to
+`FaceFamily.passes`), the boundary curve and the band to the oracle
+`column_minima`, the margin to a 90-digit evaluation of the band edge and
+to the sampled pass `oracles.torus_pass` at grid 65,536, and alpha* to
 the ball arc of the column u*.
 """
 
@@ -63,11 +85,11 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from crlab.bisector import column_minima, torus_exclusion
-from crlab.family import ALPHA2_STAR, alpha2_for_order, delta_v, exclusion_margin
+from crlab.family import ALPHA2_STAR, PIO2_REM, alpha2_for_order, exclusion_margin
 from crlab.reference import alpha2_for_length
 from crlab.verify import FaceFamily
 
+from oracles import column_minima, delta_v, torus_exclusion, torus_pass
 import slice_algebra as sa
 from slice_algebra import E, I, box, c, conj, inner, positive, s, zero
 
@@ -87,8 +109,21 @@ K = 3 * s * cu - c * su
 Z = 3 * K * X
 P = 9 - 2 * su**2
 Z0 = -(K**2 + 6 * su**2)
-LOOK = 3 * c * cu + s * su  # (3c cos u + s sin u)
-TWIST = 3 * c * su - s * cu  # zero exactly at u*
+LOOK = 3 * c * cu + s * su  # (3c cos u + s sin u) = r cos(u - u*)
+TWIST = 3 * c * su - s * cu  # r sin(u - u*), zero exactly at u*
+EDGE = K**2 + 6 * su**2 - 3 * K  # zero at the band edge, where K > 0
+
+
+def _quartic(cos_u, sin_u):
+    """cos^4 u Q(tan u) for the band's quartic Q(x) = ((3s - cx)^2 +
+    6x^2)^2 - 9 (3s - cx)^2 (1 + x^2), homogeneous of degree 4 in (cos u,
+    sin u): at any nonzero multiple of (cos u, sin u) its sign is Q's."""
+    k = 3 * s * cos_u - c * sin_u
+    return sp.expand((k**2 + 6 * sin_u**2) ** 2 - 9 * k**2 * (cos_u**2 + sin_u**2))
+
+
+xs = sp.Symbol("x", real=True)  # tan u
+QUARTIC = sp.expand(((3 * s - c * xs) ** 2 + 6 * xs**2) ** 2 - 9 * (3 * s - c * xs) ** 2 * (1 + xs**2))
 
 
 def _abs2(z):
@@ -107,6 +142,18 @@ RELATIONS = {
     "form": [inner(V, V) - 8 * c**2 * (K**2 + 6 * su**2 + Z)],
     "lagrange": [K**2 + LOOK**2 - (9 - 8 * su**2), LOOK**2 + TWIST**2 - (8 * c**2 + 1)],
     "boundary": [P + Z0 - LOOK**2, P - K**2 - LOOK**2 - 6 * su**2],
+    # (cos u*, sin u*) = (3c, s) / r is on the unit circle, r^2 = 8c^2 + 1,
+    # so LOOK = r cos(u - u*) and TWIST = r sin(u - u*)
+    "offset": [(3 * c) ** 2 + s**2 - (8 * c**2 + 1)],
+    # the band's quartic factors through the edge equation, and the
+    # program's bisected sign 6 sin^2 u - K (3 - K), with 3 - K = 6
+    # (sin^2(eps/2) + s sin^2(u/2)) + c sin u, sin^2(eps/2) = (1 - s)/2 and
+    # sin^2(u/2) = (1 - cos u)/2, is the edge equation's
+    "edge": [
+        _quartic(cu, su) - EDGE * (EDGE + 6 * K),
+        (3 - K) - (6 * ((1 - s) / 2 + s * (1 - cu) / 2) + c * su),
+        6 * su**2 - K * (3 - K) - EDGE,
+    ],
 }
 
 
@@ -222,6 +269,74 @@ def test_a_perturbed_g_moves_its_root_out_of_the_bracket():
         assert count == 1 and (mhi < lo or mlo > hi)
 
 
+def test_the_quartic_is_the_edge_equation_in_tan_u():
+    # cos^4 u Q(sin u / cos u) is `_quartic` as rational functions, and the
+    # "edge" relations factor it through K^2 + 6 sin^2 u - 3K; a perturbed
+    # quartic is not
+    cos_u, sin_u = sp.symbols("cos_u sin_u", real=True)
+    for quartic, holds in ((QUARTIC, True), (QUARTIC + sp.Rational(1, 10**6) * c * s * xs**3, False)):
+        gap = sp.cancel(cos_u**4 * quartic.subs(xs, sin_u / cos_u) - _quartic(cos_u, sin_u))
+        assert (gap == 0) == holds
+
+
+def _in_t(expr):
+    """An expression of (c, s), even in both, as a polynomial in t = c^2."""
+    e = sp.reduced(sp.expand(expr), [s**2 + c**2 - 1], s, c)[1]
+    assert not e.has(s)
+    return sp.expand(e.subs(c, sp.sqrt(t)))
+
+
+def _band_facts(quartic):
+    """The facts that make the ball band one arc [u_-, u_e], u* - pi/2 <
+    u_- < 0 < u_e < u*, for t = c^2 in (0, t*): the second derivative in x
+    has a positive leading coefficient on (0, 1) and a negative
+    discriminant on (0, hi), hi the upper end of t*'s bracket, so the
+    quartic is strictly convex and has at most two real roots; it is
+    negative at x = 0 and positive at x = -3c/s, the column u* - pi/2, on
+    (0, 1); and at u* it is -4 (1 - t) g(t) / r^4, positive where g < 0,
+    which is (0, t*) (`test_g_has_one_root_in_the_unit_interval`)."""
+    _, (_, hi) = _bracket(G_STAR)
+    a2, a1, a0 = sp.Poly(sp.diff(quartic, xs, 2), xs).all_coeffs()
+    at = {x: s**4 * quartic.subs(xs, x) for x in (0, -3 * c / s)}
+    return [
+        positive(_in_t(a2), 0, 1),
+        positive(-_in_t(a1**2 - 4 * a2 * a0), 0, hi),
+        positive(-_in_t(at[0]), 0, 1),
+        positive(_in_t(sp.cancel(at[-3 * c / s])), 0, 1),
+        _in_t(sp.cancel((3 * c) ** 4 * quartic.subs(xs, s / (3 * c)))) == sp.expand(-4 * (1 - t) * G_STAR),
+    ]
+
+
+def test_the_band_is_one_arc_short_of_u_star():
+    # so on [0, u*], where K = cos u (3s - c tan u) >= cos u 8s/3 > 0, the
+    # edge equation has Q's sign: negative at 0, positive at u*, with one
+    # root, the band edge; and the band lies in (u* - pi/2, u*), where
+    # cos^2(u - u*) grows with u, so its column nearest u* is the edge
+    assert all(_band_facts(QUARTIC))
+    assert sp.expand((3 * s - c * s / (3 * c)) - 8 * s / 3) == 0
+    # the column x = -3c/s is u* - pi/2: 3c cos u + s sin u vanishes there
+    assert sp.expand(LOOK.subs({cu: s, su: -3 * c})) == 0
+
+
+@pytest.mark.parametrize(
+    "moved",
+    [-100 * xs**2, 82 * c**2 * s**2, -400 * c**2 * (1 + xs**2) ** 2, sp.Rational(1, 10**6) * c**2 * xs**4],
+)
+def test_a_perturbed_quartic_breaks_a_band_fact(moved):
+    # the Sturm counts and the identity at u* are not vacuous: a quartic
+    # moved by a non-convex term, by a positive value at 0, by a negative
+    # value at -3c/s, or by 10^-6 c^2 x^4 fails one of them
+    assert not all(_band_facts(sp.expand(QUARTIC + moved)))
+
+
+def test_pi_over_2_remainder_is_exact():
+    # PIO2_REM is pi/2 - math.pi / 2 to the last bit, so eps = (math.pi / 2
+    # - alpha2) + PIO2_REM, whose first difference is exact by Sterbenz's
+    # lemma for alpha2 in [pi/4, pi], is pi/2 - alpha2 to rounding
+    with mpmath.workdps(60):
+        assert PIO2_REM == float(mpmath.pi / 2 - mpmath.mpf(math.pi / 2))
+
+
 # ---------------------------------------------------------------------------
 # ties to the program
 
@@ -265,13 +380,14 @@ def test_the_programs_column_stage_has_the_structure(alpha2):
         assert np.abs(got - w).max() <= 1e-13 * scale, key
 
 
-@pytest.mark.parametrize("alpha2", [0.05, 0.4, 0.7, alpha2_for_order(9), 1.1, 1.13])
+@pytest.mark.parametrize("alpha2", [0.05, 0.4, 0.7, alpha2_for_order(9), 1.1, 1.13, 1.2, 1.3, 1.4])
 def test_column_minima_read_the_boundary_curve(alpha2):
     # every column that meets the ball (K^2 + 6 sin^2 u <= 3|K|, to
     # rounding) reads its minimum on the boundary, 24c^2 sin^2 u / (3c cos
     # u + s sin u)^2, to rounding in the minimum (which dividing by sin^2 u
     # next to the vertex column amplifies); over sin^2 u it is never below
-    # 24c^2 / (8c^2 + 1)
+    # family.exclusion_margin, 24c^2 / (8c^2 + 1) up to alpha* and the band
+    # edge's value above it
     ff = FaceFamily(alpha2)
     us = (np.arange(4096) + 0.5) * (math.pi / 4096) - math.pi / 2
     minima, _, half = column_minima(ff.passes, _u_columns(alpha2, us), ff.space)
@@ -294,7 +410,7 @@ TIE_PARAMETERS = (
 
 
 def test_the_closed_form_is_the_sampled_margin_at_grid_65536():
-    # torus_exclusion on 32,768 columns agrees with 24c^2 / (8c^2 + 1) to
+    # the oracle's torus_exclusion on 32,768 columns agrees with 24c^2 / (8c^2 + 1) to
     # 1e-8 relative, and at grids 64, 128 and 720 the sampled margin is
     # never below it
     worst = 0.0
@@ -306,6 +422,88 @@ def test_the_closed_form_is_the_sampled_margin_at_grid_65536():
             (sampled,) = torus_exclusion(ff.passes[None], delta_v(alpha2), grid // 2, ff.space)
             assert sampled >= want, (alpha2, grid)
     assert worst <= 1e-8
+
+
+def _edge_reference(alpha2, dps=90):
+    """(u_e, margin) at alpha2 > alpha* to dps digits, in mpmath: the band
+    edge bisected 60 times on [0, u*] and then found by the secant method,
+    in the same well-conditioned form as the program (eps = pi/2 - alpha2
+    formed with 20 more digits, which its cancellation spends), checked to
+    change sign about its root."""
+    with mpmath.workdps(dps + 20):
+        eps = mpmath.pi / 2 - mpmath.mpf(alpha2)
+    with mpmath.workdps(dps):
+        co, si = mpmath.sin(eps), mpmath.cos(eps)
+
+        def edge(u):
+            d = 6 * (mpmath.sin(eps / 2) ** 2 + si * mpmath.sin(u / 2) ** 2) + co * mpmath.sin(u)
+            return 6 * mpmath.sin(u) ** 2 - (3 - d) * d
+
+        lo, hi = mpmath.mpf(0), mpmath.atan2(si, 3 * co)
+        for _ in range(60):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if edge(mid) < 0 else (lo, mid)
+        u = mpmath.findroot(edge, (lo, hi), solver="secant")
+        step = mpmath.mpf(10) ** (-dps // 2) * u
+        assert lo <= u <= hi and edge(u - step) < 0 < edge(u + step)
+        return u, 24 * co**2 / (3 * co * mpmath.cos(u) + si * mpmath.sin(u)) ** 2
+
+
+# math.pi / 2 is the largest double below pi/2, eps = PIO2_REM there
+EDGE_PARAMETERS = [float(a) for a in np.linspace(1.136, 1.5707, 200)] + [math.pi / 2 - d for d in (1e-9, 1e-12, 1.2e-15, 0.0)]
+
+
+def test_the_band_edge_margin_is_the_90_digit_value():
+    # family.exclusion_margin above alpha* agrees with the 90-digit band
+    # edge to 1e-14 relative on 200 points of [1.136, 1.5707] and at pi/2 -
+    # {1e-9, 1e-12, 1.2e-15} and math.pi / 2, where the margin tends to 2/3
+    worst = 0.0
+    for alpha2 in EDGE_PARAMETERS:
+        _, want = _edge_reference(alpha2)
+        worst = max(worst, float(abs(exclusion_margin(alpha2) - want) / want))
+    assert worst <= 1e-14
+    assert exclusion_margin(math.pi / 2 - 1.2e-15) == pytest.approx(2 / 3, rel=1e-14, abs=0)
+
+
+def test_the_reference_edge_keeps_its_digits_near_pi_over_2():
+    # the naive edge equation K^2 + 6 sin^2 u - 3K cancels as alpha2 ->
+    # pi/2; at 140 digits it keeps about 100, and its root there agrees with
+    # the 90-digit well-conditioned reference to 1e-80 relative
+    for alpha2 in (math.pi / 2 - 1e-12, math.pi / 2 - 1.2e-15):
+        u, _ = _edge_reference(alpha2)
+        with mpmath.workdps(140):
+            co, si = mpmath.cos(mpmath.mpf(alpha2)), mpmath.sin(mpmath.mpf(alpha2))
+
+            def naive(v):
+                k = 3 * si * mpmath.cos(v) - co * mpmath.sin(v)
+                return k**2 + 6 * mpmath.sin(v) ** 2 - 3 * k
+
+            root = mpmath.findroot(naive, (u * (1 - mpmath.mpf(10) ** -30), u * (1 + mpmath.mpf(10) ** -30)), solver="secant")
+            assert abs(root - u) <= mpmath.mpf(10) ** -80 * u
+
+
+def test_the_edge_is_the_sampled_margin_at_grid_65536():
+    # the oracle's sampled pass on 32,768 columns is never below the band
+    # edge's margin on linspace(1.136, 1.56, 20), and within 5e-3 relative
+    # of it (2.5e-3 at 1.56, where the band is thin)
+    for alpha2 in np.linspace(1.136, 1.56, 20):
+        ff, want = FaceFamily(float(alpha2)), exclusion_margin(float(alpha2))
+        sampled = torus_pass(ff, 65536)
+        assert want <= sampled <= want * (1 + 5e-3), alpha2
+
+
+@pytest.mark.parametrize("alpha2", [1.14, 1.3, 1.5, 1.56])
+def test_the_oracles_band_ends_at_the_edge(alpha2):
+    # on 4,096 columns about the edge, the oracle's ball arcs are open
+    # exactly on the columns below u_e, to rounding, and closed on those
+    # above it up to u*: the band's end nearest u* is the edge
+    ff = FaceFamily(alpha2)
+    u_e, _ = _edge_reference(alpha2, dps=30)
+    u_e, u_star = float(u_e), math.atan(math.tan(alpha2) / 3)
+    us = u_e + np.linspace(-1.0, 1.0, 4097)[1:] * min(u_e, u_star - u_e)
+    _, _, half = column_minima(ff.passes, _u_columns(alpha2, us), ff.space)
+    sure = np.abs(us - u_e) > 1e-9
+    assert np.array_equal(~np.isnan(half[sure]), (us < u_e)[sure])
 
 
 @pytest.mark.parametrize("alpha2, meets", [(1.13, True), (ALPHA2_STAR - 1e-7, True), (ALPHA2_STAR + 1e-7, False), (1.2, False)])

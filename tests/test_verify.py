@@ -11,22 +11,18 @@ import warnings
 import numpy as np
 import pytest
 
-from crlab.bisector import torus_exclusion
 from crlab.core import GeometryError, HVec, box_rows, inner
 from crlab.family import (
-    ALPHA2_LIM, ALPHA2_STAR, P_A, P_B, P_U, P_U1, P_U2, P_V, P_W, U_PA, U_PB, U_PV, U_PW, UI_PB, UI_PV, UI_PW, SideKind,
+    ALPHA2_LIM, P_A, P_B, P_U, P_U1, P_U2, P_V, P_W, U_PA, U_PB, U_PV, U_PW, UI_PB, UI_PV, UI_PW, SideKind,
     alpha2_for_order,
     delta0,
-    delta_v,
     elliptic_disks,
     exclusion_margin,
     param_side,
 )
 from crlab.reference import alpha2_for_length, proj_distance
 from crlab.verify import (
-    BISECTORS,
     FaceFamily,
-    TORI,
     VerdictKind,
     gc_check_elliptic,
     gc_check_loxodromic,
@@ -38,6 +34,8 @@ from crlab.verify import (
 
 from conftest import sample_alpha2
 from oracles import (
+    BISECTORS,
+    TORI,
     TRANSLATION_INCIDENCES,
     SymmetricKind,
     angular_diameter,
@@ -46,6 +44,7 @@ from oracles import (
     classify_bisector,
     classify_pair,
     cone_angles,
+    delta_v,
     envelope_minima,
     face_gram,
     face_silhouettes,
@@ -63,6 +62,8 @@ from oracles import (
     symmetric_intersection_type,
     symmetric_kinds,
     tangency_check,
+    torus_exclusion,
+    torus_pass,
     torus_vectors,
     u_power_point,
     vertex_products,
@@ -75,19 +76,19 @@ GRID = 240
 
 @pytest.fixture(scope="module")
 def ff_lox():
-    return FaceFamily(0.7, grid_n=GRID)
+    return FaceFamily(0.7)
 
 
 @pytest.fixture(scope="module")
 def ff_n12():
-    return FaceFamily(alpha2_for_order(12), grid_n=GRID)
+    return FaceFamily(alpha2_for_order(12))
 
 
 def test_incidence_many_parameters():
     # the ten vertex products of the point table have modulus 1 at every
     # alpha2 (tests/test_incidence_identities.py, tied to face_points there)
     for a2 in sample_alpha2(10, lo=0.2, hi=1.4, seed=3):
-        assert np.abs(np.abs(vertex_products(FaceFamily(a2, grid_n=64))) - 1.0).max() <= 1e-10
+        assert np.abs(np.abs(vertex_products(FaceFamily(a2))) - 1.0).max() <= 1e-10
 
 
 @pytest.mark.parametrize("n", [9789, 60636])
@@ -95,7 +96,7 @@ def test_incidence_near_the_wall(n):
     # near the wall p_U' and p_U'' tend to one null point; the point table's
     # rows U^k p need no eigenvector, so the products of the incidence proof
     # keep their digits there
-    ff = FaceFamily(alpha2_for_order(n), grid_n=64)
+    ff = FaceFamily(alpha2_for_order(n))
     G = face_gram(ff)
     assert np.abs(np.abs(vertex_products(ff)) - 1.0).max() <= 1e-11
     assert max(abs(abs(G[z, P_U]) - abs(G[z, q])) for z, q in TRANSLATION_INCIDENCES) <= 1e-11
@@ -107,7 +108,7 @@ def test_incidence_checks_the_chart_multiplier(alpha2):
     # wall, with m = e^{2l} or e^{2 i beta} (tests/test_incidence_identities.py,
     # tests/test_gc_disk_identities.py), at the vertices and at p_V, p_W; a
     # multiplier turned the wrong way does not act
-    ff = FaceFamily(alpha2, grid_n=64)
+    ff = FaceFamily(alpha2)
     m = chart_multiplier(ff)
     if ff.side.length is not None:
         assert m == math.exp(2 * ff.side.length)
@@ -164,16 +165,20 @@ def test_verdict_near_the_wall_does_not_depend_on_tol(label, alpha2):
 @pytest.mark.parametrize("offset", [1e-9, 1e-12, 1.2e-15])
 def test_degenerate_tori_near_pi_over_2_fail_without_warnings(offset):
     # the tori collapse as cos^4(alpha2) -> 0 (tests/test_face_family_identities.py):
-    # no sampled column meets the ball, so TF and LC fail on the note that
-    # says so, and no floating-point warning is raised on the way
+    # the sampled pass of 64 columns (oracles.torus_pass) meets no ball
+    # there and fails, reading inf, while verify reads TF's margin at the
+    # band edge, which tends to 2/3 (tests/test_tf_margin_identities.py), and
+    # TF and LC pass; no floating-point warning is raised on either way
+    alpha2 = math.pi / 2 - offset
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        r = verify(math.pi / 2 - offset, grid_n=128)
-    assert r.verdict.kind is VerdictKind.INCONCLUSIVE
-    for check in (r.tf, r.lc):
-        assert not check.passed
-        assert all(math.isinf(m) for m in check.margins.values())
-        assert [n.split(":")[0] for n in check.notes if "no sampled delta-column meets the ball" in n] == list(check.margins)
+        sampled = torus_pass(FaceFamily(alpha2), 128)
+        r = verify(alpha2, grid_n=128)
+    assert math.isinf(sampled)
+    assert r.verdict.kind is VerdictKind.INCONCLUSIVE and r.gc.skipped
+    assert r.tf.passed and r.lc.passed and r.lc.notes == []
+    assert r.tf.margins["torus_exclusion"] == pytest.approx(2 / 3, rel=1e-12, abs=0)
+    assert [n for n in r.tf.notes if "band edge" in n] == r.tf.notes != []
 
 
 def test_tf_structure(ff_lox):
@@ -201,7 +206,7 @@ def test_tf_reads_the_complex_line_at_delta0_near_zero(alpha2):
     assert delta0(0.0) == -math.pi / 2
     assert delta0(alpha2) == pytest.approx(-math.pi / 2, abs=1e-11)
     r = verify(alpha2, grid_n=128)
-    torus, c, s = face_torus(FaceFamily(alpha2, grid_n=128)), math.cos(alpha2), math.sin(alpha2)
+    torus, c, s = face_torus(FaceFamily(alpha2)), math.cos(alpha2), math.sin(alpha2)
     lpole = np.array([s, -1j * math.sqrt(2.0) / 2.0, -s])
     d0 = delta0(alpha2)
     at, off = (abs(torus.space.form(lpole, np.exp(-1j * d) * torus.pr + np.exp(1j * d) * torus.qp)) for d in (d0, d0 + math.pi / 2))
@@ -215,7 +220,7 @@ def test_tf_reads_the_complex_line_at_delta0_near_zero(alpha2):
 def test_tf_at_unipotent_wall():
     # the tangency criterion holds on the wall too
     # (tests/test_face_family_identities.py): TF skips nothing there
-    ff = FaceFamily(ALPHA2_LIM, grid_n=GRID)
+    ff = FaceFamily(ALPHA2_LIM)
     res = tf_check(ff)
     assert res.passed
     assert not any("criterion" in n or "unipotent" in n for n in res.notes)
@@ -223,7 +228,7 @@ def test_tf_at_unipotent_wall():
 
 def test_tf_at_fan_and_cone_parameters():
     for a2 in (math.pi / 6, 0.45):
-        res = tf_check(FaceFamily(a2, grid_n=GRID))
+        res = tf_check(FaceFamily(a2))
         assert res.passed
 
 
@@ -235,11 +240,11 @@ def test_lc_structure(ff_lox):
     # it (tests/test_lc_identities.py), so LC reports no margin of its own
     assert res.margins == {} and res.notes == []
     # TF's margin at 0.7 is the closed form (tests/test_tf_margin_identities.py),
-    # and the sampled pass, which LC does not run, is never below it
-    fresh = FaceFamily(0.7, grid_n=GRID)
-    assert lc_check(fresh).passed and "torus_pass" not in vars(fresh)
+    # LC forms no array, and the sampled pass is never below the margin
+    fresh = FaceFamily(0.7)
+    assert lc_check(fresh).passed and not {"P", "passes"} & set(vars(fresh))
     assert tf_check(ff_lox).margins["torus_exclusion"] == ff_lox.tf_margin == exclusion_margin(0.7) > 0
-    assert ff_lox.torus_pass >= ff_lox.tf_margin
+    assert torus_pass(ff_lox, GRID) >= ff_lox.tf_margin
     # the vertices at the ends of the column delta_v are proved once
     # (tests/test_vertex_identities.py)
     assert res.residuals == {}
@@ -262,7 +267,7 @@ def test_a_failing_tf_pass_fails_lc(minus, monkeypatch):
 
 
 def test_lc_u_value_at_wall():
-    ff = FaceFamily(ALPHA2_LIM, grid_n=GRID)
+    ff = FaceFamily(ALPHA2_LIM)
     res = lc_check(ff)
     # u = (2/3)(4 cos^2 - 3) = (2/3)(3/2 - 3) = -1 at the wall, read by the
     # array oracle from the program's box rows
@@ -272,7 +277,7 @@ def test_lc_u_value_at_wall():
 
 
 def test_lc_fan_focus_identities():
-    ff = FaceFamily(math.pi / 6, grid_n=GRID)
+    ff = FaceFamily(math.pi / 6)
     res = lc_check(ff)
     assert res.passed
     # the slice-circle identities are proved in
@@ -311,7 +316,7 @@ def test_gc_annulus_margins_are_symmetric(alpha2):
     # the numeric silhouette disks of J_0^+ and J_0^- sit symmetrically in
     # their annuli (-5l/2, 3l/2) and (-3l/2, 5l/2): all four margins read
     # from them are the one closed-form margin verify reports
-    ff = FaceFamily(alpha2, grid_n=64)
+    ff = FaceFamily(alpha2)
     m = gc_check_loxodromic(ff).margins
     length = ff.side.length
     (lo_p, hi_p, _, _), (lo_m, hi_m, _, _) = _silhouette_extents(ff)
@@ -324,7 +329,7 @@ def test_gc_sector_margins_are_symmetric(n):
     # the numeric silhouette disk of J_0^+ is centred on the ray -beta/2
     # between the two guard rays -5 beta/2 and 3 beta/2, and J_0^-'s on its
     # mirror: both sides of both are the one closed-form margin
-    ff = FaceFamily(alpha2_for_order(n), grid_n=64)
+    ff = FaceFamily(alpha2_for_order(n))
     m = gc_check_elliptic(ff).margins
     beta = 2 * math.pi / n
     (_, _, mid_p, half_p), (_, _, mid_m, half_m) = _silhouette_extents(ff)
@@ -338,7 +343,7 @@ def test_gc_p_maximum_is_exact(n):
     # tests/test_gc_identities.py proves negative, from the program's h1, h2:
     # its maximum over k >= 0 is the vertex value, negative, and a dense
     # sampling of P never exceeds it
-    ff = FaceFamily(alpha2_for_order(n), grid_n=64)
+    ff = FaceFamily(alpha2_for_order(n))
     a_h1, a_h2 = np.abs(face_gram(ff)[[P_U1, P_U2], P_V]) ** 2
     beta = 2 * math.pi / n
     c0, c2 = a_h2 * (1 - a_h1 / 18), a_h1 * (1 - a_h2 / 18)
@@ -352,7 +357,7 @@ def test_gc_p_maximum_is_exact(n):
 
 
 def test_gc_h_identities_at_05():
-    ff = FaceFamily(0.5, grid_n=128)
+    ff = FaceFamily(0.5)
     res = gc_check_loxodromic(ff)
     # the h identities: tests/test_gc_identities.py, tied to the Gram table
     # at 0.5 by test_symbolic_h_are_the_programs
@@ -370,7 +375,7 @@ def test_gc_elliptic(ff_n12):
 
 
 def test_gc_elliptic_n9_true_diameter_note():
-    ff = FaceFamily(alpha2_for_order(9), grid_n=128)
+    ff = FaceFamily(alpha2_for_order(9))
     res = gc_check_elliptic(ff)
     assert res.passed
     assert res.residuals["value_true_angular_diameter"] > math.pi / 3
@@ -378,7 +383,7 @@ def test_gc_elliptic_n9_true_diameter_note():
 
 
 def test_gc_elliptic_n8_inconclusive():
-    ff = FaceFamily(alpha2_for_order(8), grid_n=96)
+    ff = FaceFamily(alpha2_for_order(8))
     res = gc_check_elliptic(ff)
     assert res.skipped and not res.passed
     # the discriminant sign test indeed flips below order 9
@@ -391,7 +396,7 @@ def test_gc_elliptic_n8_inconclusive():
 def test_gc_elliptic_cone_separation_n922():
     # a margin taken from floating-point powers U^k drifts negative here for
     # k near n; the closed-form angles of cone_angles keep it near 2.5e-3
-    ff = FaceFamily(alpha2_for_order(922), grid_n=64)
+    ff = FaceFamily(alpha2_for_order(922))
     res = gc_check_elliptic(ff)
     assert res.passed and not res.skipped
     assert ff.side.n == 922
@@ -492,7 +497,7 @@ def test_cone_angles_match_mpmath_reference(n):
     # margin against 60 digits: the reported margin is the pair (2, plus),
     # and no sampled pair is tighter; (n - 2, minus) is the vertex-contact
     # pair, at margin 0, which the tangency proof covers
-    ff = FaceFamily(alpha2_for_order(n), grid_n=64)
+    ff = FaceFamily(alpha2_for_order(n))
     res = gc_check_elliptic(ff)
     ks = sorted({2, 3, n // 2 - 1, n // 2 + 1, n - 3, n - 2})
     ref = _mp_cone_reference(n=n, ks=ks)
@@ -509,7 +514,7 @@ def test_cone_angles_match_mpmath_reference(n):
 def test_gc_sector_margins_match_mpmath_reference(n):
     # the closed-form sector margin is both margins of the 60-digit disk (the
     # rotated-sector gap, their sum, is not reported)
-    res = gc_check_elliptic(FaceFamily(alpha2_for_order(n), grid_n=64))
+    res = gc_check_elliptic(FaceFamily(alpha2_for_order(n)))
     ref = _mp_cone_reference(n=n)
     assert ref["beta"] == pytest.approx(2 * math.pi / n, rel=1e-15, abs=0)
     for key in ("sector_upper", "sector_lower"):
@@ -533,7 +538,7 @@ def test_gc_annulus_margins_match_mpmath_reference(length):
     # its relative digits up to the wall, and so does 2l - w (the parent's
     # acosh form of l was 2e-8 off at length 1e-5)
     alpha2 = alpha2_for_length(length)
-    res = gc_check_loxodromic(FaceFamily(alpha2, tol=1e-14, grid_n=64))
+    res = gc_check_loxodromic(FaceFamily(alpha2, tol=1e-14))
     ref = _mp_cone_reference(alpha2=alpha2)
     # the one reported margin is both margins of the 60-digit disk
     for key in ("annulus_upper", "annulus_lower"):
@@ -546,7 +551,7 @@ def test_tightest_cone_pair_note_names_the_smallest_tie(n):
     # names none: k = 2 and k = n - 2 of the plus family have the same exact
     # angle 2 beta, rounding alone orders them in the oracle rows, and no
     # other pair is within rounding of them
-    ff = FaceFamily(alpha2_for_order(n), grid_n=64)
+    ff = FaceFamily(alpha2_for_order(n))
     res = gc_check_elliptic(ff)
     ks = np.arange(2, n - 1)
     margins = cone_angles(ff, ks) - res.residuals["value_true_angular_diameter"]
@@ -558,18 +563,18 @@ def test_tightest_cone_pair_note_names_the_smallest_tie(n):
 
 
 def test_verify_forms_no_dense_torus_grid():
-    # TF and LC read the Giraud tori per delta-column in closed form
-    # (bisector.column_minima, through bisector.torus_exclusion): verify
-    # never evaluates the figures' (sigma, delta) grid (bisector.column_forms)
-    sources = (inspect.getsource(importlib.import_module("crlab.verify")), inspect.getsource(torus_exclusion))
+    # TF's margin is the closed form family.exclusion_margin at every alpha2
+    # (tests/test_tf_margin_identities.py), on which LC rests: verify calls
+    # neither the figures' (sigma, delta) grid (bisector.column_forms) nor a
+    # sampled column pass (oracles.column_minima, oracles.torus_exclusion)
+    source = inspect.getsource(importlib.import_module("crlab.verify"))
     called = {
         n.func.attr if isinstance(n.func, ast.Attribute) else n.func.id
-        for source in sources
         for n in ast.walk(ast.parse(source))
         if isinstance(n, ast.Call) and isinstance(n.func, (ast.Attribute, ast.Name))
     }
-    assert "column_forms" not in called
-    assert "column_minima" in called
+    assert called.isdisjoint({"column_forms", "_column_sinusoids", "column_minima", "torus_exclusion", "torus_pass"})
+    assert "exclusion_margin" in called
 
 
 def test_gc_elliptic_powers_of_u_do_not_grow_with_order(monkeypatch):
@@ -580,7 +585,7 @@ def test_gc_elliptic_powers_of_u_do_not_grow_with_order(monkeypatch):
     monkeypatch.setattr(np.linalg, "matrix_power", lambda M, k: calls.append(k) or power(M, k))
     counts = []
     for n in (100, 1000):
-        ff = FaceFamily(alpha2_for_order(n), grid_n=64)
+        ff = FaceFamily(alpha2_for_order(n))
         calls.clear()
         assert gc_check_elliptic(ff).passed
         counts.append(len(calls))
@@ -720,7 +725,7 @@ def test_u_power_point_bisectors_build_at_orders_30_to_100():
     # a product of k matrices drifted the norm of U^k p until classify_bisector
     # rejected the pair (orders 90 and 100, k = n - 1)
     for n in range(30, 101):
-        ff = FaceFamily(alpha2_for_order(n), grid_n=64)
+        ff = FaceFamily(alpha2_for_order(n))
         for p in (family_points(ff).p_V, family_points(ff).p_W):
             for k in range(n):
                 classify_bisector(family_points(ff).p_U, u_power_point(ff, k, p), ff.tol)
@@ -743,7 +748,7 @@ def _mp_u_powers(alpha2, ks):
 
 @pytest.mark.parametrize("n", [9, 100])
 def test_u_power_point_matches_mpmath_powers(n):
-    ff = FaceFamily(alpha2_for_order(n), grid_n=64)
+    ff = FaceFamily(alpha2_for_order(n))
     pts = family_points(ff)
     for p in (pts.p_V, pts.p_W, pts.p_A, pts.p_B):
         # k = 0 is p itself, bit for bit, so the k = 0 bisectors do not move
@@ -762,7 +767,7 @@ def test_u_power_point_keeps_its_digits_near_the_wall(n):
     # at |k| <= 2, the point table's translates: the eigenbasis form was 3e-4
     # off at order 60636 and the difference quotient for f[1,a,b] 1.3e-11;
     # the closed form is within 1e-14
-    ff = FaceFamily(alpha2_for_order(n), grid_n=64)
+    ff = FaceFamily(alpha2_for_order(n))
     ks = [-2, -1, 1, 2]
     for k, want in zip(ks, _mp_u_powers(ff.alpha2, ks)):
         assert np.abs(u_power_point(ff, k, family_points(ff).p_V).v - want).max() <= 1e-13
@@ -866,7 +871,7 @@ def test_monotone_exclusion_finite_differences(ff_lox):
 def test_vertex_location_closed_form(alpha2):
     # both Giraud circles bounding the first face pass through p_A and p_B,
     # and the closed-form angles land on each vertex to rounding
-    ff = FaceFamily(alpha2, grid_n=64)
+    ff = FaceFamily(alpha2)
     pts = family_points(ff)
     for r in (pts.p_W, apply(family_U(ff).inv(), pts.p_W)):
         circle = giraud_torus(classify_bisector(pts.p_U, pts.p_V, ff.tol), classify_bisector(pts.p_U, r, ff.tol), ff.tol)
@@ -880,7 +885,7 @@ def test_h_identities_twenty_parameters_per_side():
     # h1 = <p_U', p_V> and h2 = <p_U'', p_V>, GC's reads of the Gram table
     rng = np.random.default_rng(77)
     for a2 in rng.uniform(0.05, ALPHA2_LIM - 0.02, 20):
-        ff = FaceFamily(float(a2), grid_n=64)
+        ff = FaceFamily(float(a2))
         h1, h2 = face_gram(ff)[[P_U1, P_U2], P_V]
         ln = ff.side.length
         t = 2 * math.cosh(ln) + 1
@@ -888,7 +893,7 @@ def test_h_identities_twenty_parameters_per_side():
         assert abs(abs(h1) ** 2 - 12 * math.exp(ln / 2) * t * ch) <= 1e-8 * abs(h1) ** 2
         assert abs(abs(h2) ** 2 - 12 * math.exp(-ln / 2) * t * ch) <= 1e-8 * max(1, abs(h2) ** 2)
     for a2 in rng.uniform(ALPHA2_LIM + 0.02, math.pi / 2 - 0.05, 20):
-        ff = FaceFamily(float(a2), grid_n=64)
+        ff = FaceFamily(float(a2))
         h1, h2 = face_gram(ff)[[P_U1, P_U2], P_V]
         beta = ff.side.beta
         cb = math.cos(beta)
@@ -917,9 +922,9 @@ def test_incidence_printed_value(ff_lox):
 @pytest.mark.parametrize("alpha2", [1.4395, 1.5, 1.5205, 1.56])
 def test_tf_lc_pass_where_the_ball_band_is_thin(alpha2, grid):
     # near alpha2 = pi/2 the ball part of the tori is a thin band in delta
-    # around the vertex column; no sampled cell came near the vertices there,
-    # while the closed-form arcs end on them.  A sampled column still meets
-    # the ball, so every margin is finite
+    # around the vertex column; TF's margin is read at the band's edge in
+    # closed form (tests/test_tf_margin_identities.py), at every grid, so
+    # every margin is finite
     rep = verify(alpha2, grid_n=grid)
     for check in (rep.tf, rep.lc):
         assert check.passed
@@ -965,36 +970,42 @@ def test_one_verdict_at_every_tol_near_pi_over_2():
 @pytest.mark.parametrize("alpha2, grid, empty", [(1.569, 64, True), (1.56, 720, False)])
 def test_empty_ball_band_is_named(alpha2, grid, empty):
     # where the ball band at delta_v is narrower than the column spacing no
-    # sampled column meets the ball: the margin reads inf, a note says why,
-    # and the pass fails, since an empty sample is no evidence; LC, which
-    # rests on that pass, fails with it, and its one note names TF's margin
+    # sampled column meets the ball, and the sampled pass (oracles.torus_pass)
+    # reads inf; verify reads no column: its margin is the band edge's closed
+    # form at every grid, finite and never above the sampled pass, and its
+    # one TF note names the band edge, so TF and LC pass with no note of an
+    # empty sample
     rep = verify(alpha2, grid_n=grid)
-    notes = [n for n in rep.tf.notes if "no sampled delta-column meets the ball" in n]
-    assert [n.split(":")[0] for n in notes] == (["torus_exclusion"] if empty else [])
-    assert math.isinf(rep.tf.margins["torus_exclusion"]) == empty
-    assert rep.tf.passed != empty and rep.lc.passed != empty
-    assert len(rep.lc.notes) == empty and all("tf.torus_exclusion" in n for n in rep.lc.notes)
+    sampled = torus_pass(FaceFamily(alpha2), grid)
+    assert math.isinf(sampled) == empty
+    margin = rep.tf.margins["torus_exclusion"]
+    assert margin == exclusion_margin(alpha2)
+    assert 0.0 < margin < sampled
+    (note,) = rep.tf.notes
+    assert "band edge" in note and "sampled" not in note
+    assert rep.tf.passed and rep.lc.passed and rep.lc.notes == []
 
 
 def test_grid_below_two_is_rejected():
-    # the exclusion passes read grid_n // 2 delta-columns, so grids 0 and 1
-    # raise a ValueError that names the bound (they ended in a
-    # ZeroDivisionError), and grid 2, one column, still gets a report
-    for grid in (0, 1):
-        with pytest.raises(ValueError, match=r"grid_n must be >= 2"):
-            verify(0.5, grid_n=grid)
+    # the grid sets nothing in verify, which echoes it as grid_n; the command
+    # line rejects every grid outside [64, MAX_GRID], so grids 0 and 1 among
+    # them, with exit code 2 before any parameter is verified
+    from crlab import cli
+
+    for grid in ("0", "1", "63"):
+        assert cli.main(["verify", "--n", "9", "--grid", grid]) == 2
     assert verify(0.5, grid_n=2).grid_n == 2
+    assert verify(0.5, grid_n=2).to_dict()["checks"] == verify(0.5, grid_n=720).to_dict()["checks"]
 
 
 def test_torus_margins_do_not_depend_on_the_grid():
-    # up to ALPHA2_STAR TF's margin is the closed form at every grid; the
-    # sampled pass sets grid_n only as the number of delta-columns, and on
-    # 64 and 360 columns agrees to 1e-3
-    for a2 in (alpha2_for_order(9), alpha2_for_order(2809), alpha2_for_length(1.0), math.pi / 6):
-        coarse, fine = FaceFamily(a2, grid_n=128), FaceFamily(a2, grid_n=720)
-        margins = [tf_check(ff).margins["torus_exclusion"] for ff in (coarse, fine)]
-        assert margins[0] == margins[1] == exclusion_margin(a2)
-        assert coarse.torus_pass == pytest.approx(fine.torus_pass, rel=1e-3, abs=0)
+    # TF's margin is a closed form at every alpha2: 24c^2 / (8c^2 + 1) up to
+    # ALPHA2_STAR and the band edge's above it, so grids 128 and 720 report
+    # the same margin, exactly, below and above alpha* alike
+    params = [alpha2_for_order(9), alpha2_for_order(2809), alpha2_for_length(1.0), math.pi / 6, 1.3, 1.5, 1.569]
+    for a2 in params:
+        margins = [verify(a2, grid_n=grid).tf.margins["torus_exclusion"] for grid in (128, 720)]
+        assert margins[0] == margins[1] == exclusion_margin(a2), a2
 
 
 @pytest.mark.parametrize("grid", [128, 720])
@@ -1008,17 +1019,16 @@ def test_lc_common_constraint_matches_the_three_constraint_envelope(alpha2, grid
     # pair.  The pair's common constraint alone is a lower bound of it on
     # every column, so a pass's margin can never exceed the envelope's; on
     # these parameters the two are equal.  The pass on F_0^- and F_-1^- is
-    # TF's, FaceFamily.torus_pass, which TF reports as torus_exclusion
-    # above ALPHA2_STAR and which is never below the closed form that it
-    # reports up to it; that on F_0^+ and F_1^+ is
+    # TF's, sampled by oracles.torus_pass, which is never below the closed
+    # form that TF reports as torus_exclusion; that on F_0^+ and F_1^+ is
     # oracles.plus_pass, which LC no longer runs (the slice's involution
     # carries it onto TF's, tests/test_lc_identities.py).  The points and
     # their U-translates are the rows of the program's table
-    ff = FaceFamily(alpha2, grid_n=grid)
+    ff = FaceFamily(alpha2)
     m, dv = grid // 2, delta_v(alpha2)
-    margins = {"torus_exclusion": ff.torus_pass, "plus": torus_exclusion(plus_pass(ff), dv, m, ff.space)}
-    assert tf_check(ff).margins["torus_exclusion"] == (ff.torus_pass if alpha2 > ALPHA2_STAR else exclusion_margin(alpha2))
-    assert ff.tf_margin <= ff.torus_pass
+    margins = {"torus_exclusion": torus_pass(ff, grid), "plus": torus_exclusion(plus_pass(ff), dv, m, ff.space)}
+    assert tf_check(ff).margins["torus_exclusion"] == ff.tf_margin == exclusion_margin(alpha2)
+    assert ff.tf_margin <= margins["torus_exclusion"]
     p_A, p_B, p_U, p_V, p_W, UpV, UpW, UipV, UipW = (
         HVec(ff.P[i], ff.space) for i in (P_A, P_B, P_U, P_V, P_W, U_PV, U_PW, UI_PV, UI_PW)
     )
@@ -1037,55 +1047,51 @@ def test_lc_common_constraint_matches_the_three_constraint_envelope(alpha2, grid
         assert envelope == margins[key]
 
 
-@pytest.mark.parametrize("alpha2", [alpha2_for_order(9), alpha2_for_length(1.0), 1.3])
-def test_verify_runs_the_sampled_pass_only_above_alpha_star(alpha2, monkeypatch):
-    # up to ALPHA2_STAR TF's margin is the closed form
-    # family.exclusion_margin (tests/test_tf_margin_identities.py) and a
-    # verify makes no column call; above it one, on one pass: TF's
-    # torus_exclusion over the J_0^-/J_-1^- torus, on which LC's claims for
-    # both face pairs rest (the slice's involution carries the plus pair's
-    # pass onto it, tests/test_lc_identities.py): FaceFamily.passes, a
-    # (5, 3) row array reading a single constraint, on 360 delta-columns.
-    # LC alone runs the pass only where TF would.  The complex-line locus
-    # and the vertex column are proved once and read from no column
+# parameters on both sides of ALPHA2_STAR, up to pi/2 - 1e-9, where the
+# sampled pass read inf
+NO_COLUMN_PARAMS = [alpha2_for_order(9), alpha2_for_length(1.0), 1.3, 1.569, math.pi / 2 - 1e-9]
+
+
+@pytest.mark.parametrize("alpha2", NO_COLUMN_PARAMS)
+def test_verify_runs_no_column_stage(alpha2, monkeypatch):
+    # TF's margin is the closed form family.exclusion_margin at every alpha2
+    # in (0, pi/2) (tests/test_tf_margin_identities.py), on which LC's claims
+    # for both face pairs rest (the slice's involution carries the plus
+    # pair's pass onto TF's, tests/test_lc_identities.py): a verify makes no
+    # column call, neither the figures' column stage nor a sampled pass,
+    # below alpha* and above it alike.  The complex-line locus and the
+    # vertex column are proved once and read from no column
     # (tests/test_line_and_contact_identities.py,
     # tests/test_vertex_identities.py).  No tangency, bisector-kind or
     # pair-kind kernel runs: what they would decide is proved once
     # (tests/test_face_family_identities.py), and they are oracles
     bisector = importlib.import_module("crlab.bisector")
-    calls, kernels, names = [], [], ("tangencies", "bisector_kinds", "pair_kinds")
-    column_minima = bisector.column_minima
-
-    def counted_minima(R, deltas, space):
-        calls.append((np.shape(R), np.shape(deltas)))
-        return column_minima(R, deltas, space)
+    calls, kernels = [], []
+    names = ("tangencies", "bisector_kinds", "pair_kinds", "column_minima", "torus_exclusion")
 
     def counted(name, fn):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             kernels.append(name)
-            return fn(*args)
+            return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(bisector, "column_minima", counted_minima)
+    stage = bisector._column_sinusoids
+    monkeypatch.setattr(bisector, "_column_sinusoids", lambda *args: calls.append(args) or stage(*args))
     for name in names:
         monkeypatch.setattr(oracles, name, counted(name, getattr(oracles, name)))
-    sampled = alpha2 > ALPHA2_STAR
-    ff = FaceFamily(alpha2, grid_n=720)
-    assert lc_check(ff).passed and len(calls) == sampled and ("torus_pass" in vars(ff)) == sampled
-    calls.clear()
+    ff = FaceFamily(alpha2)
+    assert lc_check(ff).passed and tf_check(ff).passed
     rep = verify(alpha2, grid_n=720)
-    assert rep.all_passed()
-    assert calls == [((5, 3), (360,))] * sampled
-    assert kernels == []
+    assert rep.tf.passed and rep.lc.passed
+    assert calls == [] and kernels == []
     crlab_modules = [m for key, m in sys.modules.items() if key.startswith("crlab")]
     assert [(m.__name__, n) for m in crlab_modules for n in names if hasattr(m, n)] == []
 
 
-def test_verify_and_the_spinal_trace_share_one_column_stage(tmp_path, monkeypatch):
+def test_only_the_spinal_trace_runs_the_column_stage(tmp_path, monkeypatch):
     # one engine forms the torus columns' sinusoids, from one row array: a
-    # verify above ALPHA2_STAR calls it once, with FaceFamily.passes, TF's
-    # pass, one up to ALPHA2_STAR not at all, and a spinal-trace figure
-    # once, with the same array
+    # verify calls it at no alpha2, and a spinal-trace figure once, with
+    # FaceFamily.passes, TF's pass
     bisector, figures = (importlib.import_module(f"crlab.{name}") for name in ("bisector", "figures"))
     calls, stage = [], bisector._column_sinusoids
 
@@ -1096,12 +1102,11 @@ def test_verify_and_the_spinal_trace_share_one_column_stage(tmp_path, monkeypatc
     monkeypatch.setattr(bisector, "_column_sinusoids", counted)
     alpha2 = alpha2_for_order(9)
     assert verify(alpha2, grid_n=720).all_passed()
-    assert calls == []
     assert verify(1.3, grid_n=720).tf.passed
+    assert calls == []
     figures.figure_spinal_trace(str(tmp_path / "spinal-trace"), alpha2=alpha2, resolution=181)
-    passes = [FaceFamily(a).passes for a in (1.3, alpha2)]
-    assert [(np.shape(R), shape) for R, shape in calls] == [((5, 3), (360,)), ((5, 3), (90,))]
-    assert [R.tobytes() for R, _ in calls] == [p.tobytes() for p in passes]
+    assert [(np.shape(R), shape) for R, shape in calls] == [((5, 3), (90,))]
+    assert calls[0][0].tobytes() == FaceFamily(alpha2).passes.tobytes()
 
 
 # scalar core.inner and box calls, and HVec constructions, of
@@ -1114,13 +1119,13 @@ INNER_CALLS_BOUND = 0
 
 @pytest.mark.parametrize("alpha2", [alpha2_for_order(9), alpha2_for_length(1.0)])
 def test_verify_builds_each_bisector_and_torus_once(alpha2, monkeypatch):
-    # FaceFamily builds the box rows of its three Giraud tori in one
-    # box_rows call, on first read, and the exclusion pass reads them as
-    # arrays, never through the figures' grid forms (column_forms); a
-    # verify up to ALPHA2_STAR reads no row (the bi-tangency is proved,
-    # tests/test_bitangency_identities.py); from FaceFamily.__init__
-    # through torus_pass and the three checks no scalar Hermitian product,
-    # box product or HVec is formed
+    # FaceFamily builds the box rows of its one Giraud torus, TF's pass, in
+    # one box_rows call, on first read, as arrays, never through the
+    # figures' grid forms (column_forms); a verify reads no row (TF's margin
+    # is a closed form, tests/test_tf_margin_identities.py, and the
+    # bi-tangency is proved, tests/test_bitangency_identities.py); from
+    # FaceFamily.__init__ through its pass and the three checks no scalar
+    # Hermitian product, box product or HVec is formed
     core, reference = (importlib.import_module(f"crlab.{name}") for name in ("core", "reference"))
     calls = collections.Counter()
 
@@ -1138,23 +1143,21 @@ def test_verify_builds_each_bisector_and_torus_once(alpha2, monkeypatch):
             if getattr(mod, name, None) is fn:
                 monkeypatch.setattr(mod, name, counted(name, fn))
     monkeypatch.setattr(HVec, "__post_init__", counted("HVec", HVec.__post_init__))
-    ff = FaceFamily(alpha2, grid_n=720)
-    ff.torus_pass
+    ff = FaceFamily(alpha2)
+    ff.passes
     assert calls["inner"] == calls["box"] == calls["HVec"] == 0 and calls["box_rows"] == 1
     assert verify(alpha2, grid_n=720).all_passed()
     assert calls["column_forms"] == 0 and calls["box_rows"] == 1
     assert calls["inner"] + calls["box"] + calls["HVec"] <= INNER_CALLS_BOUND
 
 
-@pytest.mark.parametrize(
-    "alpha2, tables",
-    [(alpha2_for_order(9), 0), (alpha2_for_order(56), 0), (ALPHA2_LIM, 0), (alpha2_for_length(1.0), 0), (1.3, 1)],
-)
-def test_verify_builds_the_point_table_only_above_alpha_star(alpha2, tables, monkeypatch):
-    # up to ALPHA2_STAR a verify reads the side, the closed-form margin and
-    # GC: the tangency of the first face's circles is proved
-    # (tests/test_bitangency_identities.py), so FaceFamily forms its point
-    # table and box rows only for the sampled pass above ALPHA2_STAR, once
+@pytest.mark.parametrize("alpha2", [alpha2_for_order(9), alpha2_for_order(56), ALPHA2_LIM] + NO_COLUMN_PARAMS[1:])
+def test_verify_builds_no_point_table(alpha2, monkeypatch):
+    # a verify reads the side, the closed-form margin and GC: TF's margin is
+    # family.exclusion_margin at every alpha2 (tests/test_tf_margin_identities.py)
+    # and the tangency of the first face's circles is proved
+    # (tests/test_bitangency_identities.py), so FaceFamily forms neither its
+    # point table nor its box rows, below alpha* and above it alike
     calls = collections.Counter()
     kernels = {"face_points": importlib.import_module("crlab.family").face_points, "box_rows": box_rows}
 
@@ -1170,13 +1173,13 @@ def test_verify_builds_the_point_table_only_above_alpha_star(alpha2, tables, mon
                 monkeypatch.setattr(mod, name, counted(name, fn))
     rep = verify(alpha2, grid_n=720)
     assert rep.tf.residuals == {"bitangency_pA": 0.0, "bitangency_pB": 0.0}
-    assert calls == {name: tables for name in kernels if tables}
+    assert rep.tf.passed and rep.lc.passed and calls == {}
 
 
 def test_fan_residuals_match_per_sample_loops():
     # the fan's slice-circle identities and its arc, sampled one point at a
     # time on the scalar path
-    ff = FaceFamily(math.pi / 6, grid_n=64)
+    ff = FaceFamily(math.pi / 6)
     pts = family_points(ff)
     UipW = apply(family_U(ff).inv(), pts.p_W)
     worst, member = 0.0, []
@@ -1216,7 +1219,7 @@ def test_array_decisions_equal_the_per_object_oracle(alpha2):
     # criterion tangencies, and the closed-form disks of family.elliptic_disks
     # against the per-object silhouettes, on the golden-verdict
     # parameters and near the wall
-    ff = FaceFamily(alpha2, grid_n=128)
+    ff = FaceFamily(alpha2)
     pts, U = family_points(ff), family_U(ff)
     Ui = U.inv()
     seconds = [pts.p_V, pts.p_W, apply(Ui, pts.p_W)]

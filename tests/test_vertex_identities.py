@@ -1,9 +1,10 @@
 """The vertices of TF's and LC's exclusion passes, proved once over every
 alpha2 in (0, pi/2).
 
-`verify` takes the vertex column from `family.delta_v` and measures no
-vertex: where the vertices sit on the torus of `FaceFamily.torus_pass` and
-on that of LC's former pass (`oracles.plus_pass`), which the slice's
+`verify` measures no vertex, and its margin `family.exclusion_margin` is
+taken about the vertex column: where the vertices sit on the torus of TF's
+pass `FaceFamily.passes` (sampled by `oracles.torus_pass` about the
+column `oracles.delta_v`) and on that of LC's former pass (`oracles.plus_pass`), which the slice's
 involution carries onto it (tests/test_lc_identities.py), is proved here,
 in exact arithmetic over c = cos(alpha2), s = sin(alpha2) modulo
 c^2 + s^2 - 1 (`slice_algebra`).
@@ -11,7 +12,7 @@ c^2 + s^2 - 1 (`slice_algebra`).
 A torus of lifts (p, q, r) with rows qr, pr, qp (`bisector`) has the
 points V(theta, phi) = qr - e^{-i theta} pr - e^{-i phi} qp, and with
 theta = sigma + delta, phi = sigma - delta, V = qr - e^{-i sigma} B(delta),
-B(delta) = e^{-i delta} pr + e^{i delta} qp.  On torus 0 of `FaceFamily`,
+B(delta) = e^{-i delta} pr + e^{i delta} qp.  On TF's torus,
 of (p_U, p_W, U^-1 p_W), and on the plus torus, of (p_U, p_V, U p_V), with
 E = e^{i alpha2}:
 
@@ -28,11 +29,11 @@ E = e^{i alpha2}:
   |lambda|^2 = 72 c^4 > 0.
 
 So each vertex is an end of the ball arc of the column delta_v, which
-`family.delta_v` gives as pi/2 + alpha2, the same column mod pi (B(delta +
+`oracles.delta_v` gives as pi/2 + alpha2, the same column mod pi (B(delta +
 pi) = -B(delta) moves sigma by pi).  Each relation fails when perturbed: by
 10^-6 cs, or with a vertex angle, sigma or delta_v moved by the rational
 rotation ROT.  The last test ties the symbols to `vertex_angles`,
-`family.delta_v`, the torus rows of `FaceFamily` and `oracles.plus_pass`,
+`oracles.delta_v`, the torus rows of `FaceFamily.passes` and `oracles.plus_pass`,
 and their ball arcs.
 """
 
@@ -42,12 +43,11 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from crlab.bisector import column_minima
-from crlab.family import P_A, P_B, P_U, P_V, U_PA, U_PV, alpha2_for_order, delta_v
+from crlab.family import P_A, P_B, P_U, P_V, U_PA, U_PV, P_W, UI_PW, alpha2_for_order
 from crlab.reference import alpha2_for_length
 from crlab.verify import FaceFamily
 
-from oracles import plus_pass, vertex_angles
+from oracles import column_minima, delta_v, plus_pass, vertex_angles
 import slice_algebra as sa
 from slice_algebra import E, I, c, conj, inner, s, zero
 
@@ -60,7 +60,7 @@ def _on_slice(expr):
 
 
 def _rows(p, q, r):
-    """(qr, pr, qp) of the lifts (p, q, r), as `FaceFamily.rows` holds them."""
+    """(qr, pr, qp) of the lifts (p, q, r), as `FaceFamily.passes` holds them."""
     return [sa.box(a, b).applyfunc(_on_slice) for a, b in ((q, r), (p, r), (q, p))]
 
 
@@ -155,8 +155,8 @@ SYMBOLIC = sp.lambdify((c, s), [sp.Matrix.hstack(*TORI[t]).T for t in TORI], "nu
 def test_symbolic_vertices_are_the_programs(alpha2):
     # the proof's rows are those of TF's exclusion torus and of the plus
     # torus; vertex_angles reads the closed-form angles on all four (torus,
-    # vertex) pairs, and family.delta_v is their column mod pi
-    ff = FaceFamily(alpha2, grid_n=64)
+    # vertex) pairs, and oracles.delta_v is their column mod pi
+    ff = FaceFamily(alpha2)
     co, si = math.cos(alpha2), math.sin(alpha2)
     P = ff.P
     R = np.stack([ff.passes, plus_pass(ff)])
@@ -164,13 +164,13 @@ def test_symbolic_vertices_are_the_programs(alpha2):
         for w, got in zip(np.asarray(want, dtype=complex), rows):
             assert np.abs(w - got).max() <= 1e-13 * np.abs(got).max()
     up, down = (0.0, math.pi - 2.0 * alpha2), (2.0 * alpha2 - math.pi, 0.0)
-    lifts = np.stack([ff.lifts[0], P[[P_U, P_V, U_PV]]])
+    lifts = P[[[P_U, P_W, UI_PW], [P_U, P_V, U_PV]]]
     angles = vertex_angles(lifts[[0, 0, 1, 1]], P[[P_A, P_B, P_B, U_PA]], ff.space)
     dv = delta_v(alpha2)
     for (th, ph), want in zip(angles, (up, down, down, up)):
         assert max(abs(math.remainder(x - w, 2.0 * math.pi)) for x, w in zip((th, ph), want)) <= 1e-12
         assert abs(math.remainder((th - ph) / 2.0 - dv, math.pi)) <= 1e-12
-    # the program's ball arc on the column delta_v = pi/2 + alpha2 is mid =
+    # the oracle's ball arc on the column delta_v = pi/2 + alpha2 is mid =
     # arg(-36 c^2 s) = pi, half = pi/2 - alpha2: its ends are the vertices.
     # C is of order s against rows of order 1, so its rounding in angle
     # grows like 1/s as alpha2 -> 0

@@ -37,7 +37,7 @@ from oracles import (
 
 
 def chart_at(a2):
-    return FaceFamily(a2, grid_n=128)
+    return FaceFamily(a2)
 
 
 def test_chart_marked_values_elliptic():
@@ -349,7 +349,7 @@ def test_project_bisector_shares_the_silhouette_slice(k):
     # the disk-projection bisectors (order 20, 768 boundary points): the
     # circle is silhouette_circles', field for field, and the boundary is the
     # chart image of slice_boundary_circle's points on the slice p - eps q
-    ff = FaceFamily(alpha2_for_order(20), grid_n=256)
+    ff = FaceFamily(alpha2_for_order(20))
     for p in (family_points(ff).p_V, family_points(ff).p_W):
         b = classify_bisector(family_points(ff).p_U, u_power_point(ff, k, p), ff.tol)
         disk = project_bisector(oriented_chart(ff), b, n_boundary=768, tol=ff.tol)
