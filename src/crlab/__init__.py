@@ -2,6 +2,9 @@
 one-parameter family of deformed Ford domains.
 
 Modules:
+  scalar     the numpy-free scalar code every verify reads: the tolerance
+             rule, the trace and order rules, the side, TF's margin and GC's
+             disks on the alpha1 = 0 slice, and CSV_FMT
   core       Hermitian linear algebra of signature (2,1), the box product
   isometry   SU(2,1) lifts, trace classification, eigendata, elliptic types
   family     the two-parameter representation family, its point table and
@@ -19,37 +22,39 @@ Modules:
              models, and the per-point forms: remarkable points as HVecs,
              box, locate, proj_equal); not imported here, nor by any
              module above
+
+`import crlab`, `crlab.verify` and `crlab verify` load no numpy: the exports
+`verify`, `FaceFamily`, `VerificationReport`, `param_side`,
+`alpha2_for_order` and `ALPHA2_LIM` are imported with the package, and the
+rest (the matrices, the point table, the charts) from their home modules on
+first read, by the module `__getattr__` of PEP 562.
 """
 
-from .core import (
-    HermitianSpace,
-    HVec,
-    Model,
-    box_rows,
-    inner,
-    siegel_model,
-)
-from .isometry import (
-    EllipticType,
-    Isometry,
-    IsometryKind,
-    classify,
-    eigen,
-    elliptic_type,
-    goldman_f,
-    verify_su21,
-)
-from .family import (
-    ALPHA2_LIM,
-    FamilyParams,
-    FamilyRep,
-    alpha2_for_order,
-    face_points,
-    param_side,
-    schwartz_point,
-)
-from .visual import VisualChart
+import importlib
+
 from .report import VerificationReport
+from .scalar import ALPHA2_LIM, alpha2_for_order, param_side
 from .verify import FaceFamily, verify
 
+# the exports that load numpy, by home module, each imported on first read
+_LAZY = {
+    name: module
+    for module, names in (
+        ("core", ("HermitianSpace", "HVec", "Model", "box_rows", "inner", "siegel_model")),
+        ("isometry", ("EllipticType", "Isometry", "IsometryKind", "classify", "eigen", "elliptic_type", "goldman_f", "verify_su21")),
+        ("family", ("FamilyParams", "FamilyRep", "face_points", "schwartz_point")),
+        ("visual", ("VisualChart",)),
+    )
+    for name in names
+}
+
+__all__ = sorted(["ALPHA2_LIM", "FaceFamily", "VerificationReport", "alpha2_for_order", "param_side", "verify", *_LAZY])
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # bound in the package, so that a later read skips __getattr__
+    value = globals()[name] = getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+    return value

@@ -3,6 +3,10 @@ and classification of matrices or group words.
 
 Exit codes: 0 on success (all verdicts as predicted), 1 when a check fails
 at a parameter where it should pass, 2 on usage errors.
+
+Only the verify path is imported with this module, and it loads no numpy:
+`figure` and `classify` import the figures, the matrices and numpy when
+they run.
 """
 
 from __future__ import annotations
@@ -14,13 +18,8 @@ import math
 import os
 import sys
 
-import numpy as np
-
-from . import figures
-from .core import GeometryError, siegel_model, tolerance
-from .family import FamilyParams, FamilyRep, alpha2_for_order
-from .isometry import MAX_ORDER, Isometry, classify, elliptic_type, verify_su21
 from .report import to_json
+from .scalar import CSV_FMT, MAX_ORDER, GeometryError, alpha2_for_order, tolerance
 from .verify import DEFAULT_GRID, verify
 
 # the most parameters one --sweep may list
@@ -33,14 +32,14 @@ MAX_FIGURE_ROWS = 2**24
 
 
 def _param_token(alpha2: float) -> str:
-    return (figures.CSV_FMT % alpha2).replace("-", "m").replace(".", "p").replace("+", "")
+    return (CSV_FMT % alpha2).replace("-", "m").replace(".", "p").replace("+", "")
 
 
 def _verify_one(job):
     """Verify one parameter: (summary line, whether it failed).  A
     GeometryError fails this parameter alone; a sweep keeps the others."""
     alpha2, grid_n, tol, out_dir = job
-    head = f"alpha2={figures.CSV_FMT % alpha2}: "
+    head = f"alpha2={CSV_FMT % alpha2}: "
     try:
         report = verify(alpha2, tol=tol, grid_n=grid_n)
     except GeometryError as exc:
@@ -142,6 +141,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_figure(args) -> int:
+    from . import figures
+
     if args.name not in figures.FIGURES:
         print(f"error: unknown figure {args.name!r}; choose from "
               f"{sorted(figures.FIGURES)}", file=sys.stderr)
@@ -175,6 +176,8 @@ def cmd_figure(args) -> int:
 
 
 def _read_matrix(path):
+    import numpy as np
+
     data = np.loadtxt(path).reshape(-1)
     if data.size != 18:
         raise ValueError("matrix file must hold 18 reals (row-major, re/im interleaved)")
@@ -184,6 +187,10 @@ def _read_matrix(path):
 
 
 def cmd_classify(args) -> int:
+    from .core import siegel_model
+    from .family import FamilyParams, FamilyRep
+    from .isometry import Isometry, classify, elliptic_type, verify_su21
+
     sp = siegel_model()
     if args.matrix:
         try:

@@ -19,37 +19,20 @@ from __future__ import annotations
 
 import enum
 import functools
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-DEFAULT_TOL = 1e-9
+# the tolerance rule lives in the numpy-free `scalar`; its names are read here too
+from .scalar import DEFAULT_TOL, GeometryError, tolerance
+
 EUCLIDEAN = ((0, 0, 1.0), (1, 1, 1.0), (2, 2, 1.0))
-
-
-def tolerance(tol=None):
-    """Resolve a tolerance: explicit argument > CRLAB_TOL env var > default.
-    A CRLAB_TOL that is not a number raises a ValueError that names it."""
-    if tol is not None:
-        return float(tol)
-    env = os.environ.get("CRLAB_TOL")
-    if not env:
-        return DEFAULT_TOL
-    try:
-        return float(env)
-    except ValueError:
-        raise ValueError(f"CRLAB_TOL={env!r} is not a number") from None
 
 
 class Model(enum.Enum):
     BALL = "ball"
     SIEGEL = "siegel"
     CUSTOM = "custom"
-
-
-class GeometryError(ValueError):
-    """Raised when an operation's geometric preconditions fail."""
 
 
 def cross(a, b):

@@ -40,8 +40,7 @@ from .isometry import goldman_f
 from .bisector import column_forms, level_g
 from .verify import FaceFamily
 from .csvfloat import g9_fields, g17_fields
-
-CSV_FMT = "%.17g"
+from .scalar import CSV_FMT
 CSV_BLOCK_ROWS = 4096  # rows written, and undeclared values formatted, at a time by write_csv
 SVG_PREC = 9
 

@@ -8,7 +8,8 @@ about the cusp, names the side.  The same rule gives the eigenvalues (the
 roots of the SU(2,1) cubic, solved about the cusp), the norm signs of the
 eigenvectors (Krein signs, read without the eigenvector) and, through
 `rotation_turn`, the order of a rotation; `family.param_side` reads the
-alpha1 = 0 slice through it.  `classify` asks the matrix only what the
+alpha1 = 0 slice through it.  The trace rule and the order rule are scalar
+code, defined in the numpy-free `scalar` and imported here.  `classify` asks the matrix only what the
 trace cannot tell: the identity from a unipotent element, and a complex
 reflection from an ellipto-parabolic one.
 """
@@ -19,25 +20,21 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .core import GeometryError, HermitianSpace, HVec, tolerance
-
-OMEGA = cmath.exp(2j * math.pi / 3)
-
-# A trace pins the turn t of a rotation by 2 pi t to TURN_SLACK scale / |t|:
-# scale is 1 for param_side's 8 cos^2 alpha2, and for a matrix M the ulps
-# (at least 1) by which M's characteristic polynomial misses the SU(2,1)
-# cubic of its trace.  |t - p/n| |t| / scale reads at most 1.65e-17 through
-# param_side at every order n <= 3e5 (alpha2_for_order), 1.85e-17 through
-# s^-1 t at orders to 232,079, and 1.92e-17 on 6,000 conjugates of s^+-1
-# and t^+-1 by words of length 1-3.
-TURN_SLACK = 4e-17
-# the largest order that window pins: the windows of 1/n and of any p/m
-# (m <= MAX_ORDER) stay apart while 2 TURN_SLACK MAX_ORDER^3 <= 1
-MAX_ORDER = 232_079
+from .core import HermitianSpace, HVec
+from .scalar import (
+    MAX_ORDER,
+    OMEGA,
+    TURN_SLACK,
+    GeometryError,
+    SideKind,
+    TraceSide,
+    rotation_turn,
+    tolerance,
+    trace_side,
+)
 
 
 class IsometryKind(enum.Enum):
@@ -95,56 +92,6 @@ def goldman_f(z):
     """
     z = complex(z) if np.ndim(z) == 0 else np.asarray(z, dtype=complex)
     return abs(z) ** 4 - 8.0 * (z**3).real + 18.0 * abs(z) ** 2 - 27.0
-
-
-class SideKind(enum.Enum):
-    """An element's class by its trace."""
-
-    ELLIPTIC = "elliptic"  # f < 0: three distinct unit eigenvalues
-    UNIPOTENT = "unipotent"  # at a cusp: unipotent or the identity
-    LOXODROMIC = "loxodromic"  # f > 0
-    REPEATED = "repeated"  # f = 0 off the cusps: a repeated unit eigenvalue
-
-
-@dataclass(frozen=True)
-class TraceSide:
-    kind: SideKind
-    k: int  # the nearest cusp is 3 omega^k
-    eps: complex  # omega^-k tr - 3
-
-
-def trace_side(tau, tol=None) -> TraceSide:
-    """The side of an element of trace tau, read about its nearest cusp.
-
-    With eps = omega^-k tau - 3 = x + iy, Goldman's f(tau) equals
-    108 y^2 + 4x(x^2 + 9y^2) + |eps|^4 exactly ((tau - 3)^3 (tau + 1) for
-    real tau): summed so, its sign keeps its digits next to the cusp,
-    where `goldman_f` loses them to cancellation.  Unipotent within
-    |eps| <= 10 tol; a repeated eigenvalue where |f| is within tol of the
-    size of its terms; else elliptic for f < 0 and loxodromic for f > 0.
-    """
-    tol = tolerance(tol)
-    k = round(1.5 * cmath.phase(tau) / math.pi) % 3
-    eps = tau * OMEGA**-k - 3.0
-    x, y = eps.real, eps.imag
-    terms = (108.0 * y * y, 4.0 * x * (x * x + 9.0 * y * y), (x * x + y * y) ** 2)
-    f = sum(terms)
-    if abs(eps) <= 10 * tol:
-        kind = SideKind.UNIPOTENT
-    elif abs(f) <= tol * sum(map(abs, terms)):
-        kind = SideKind.REPEATED
-    else:
-        kind = SideKind.ELLIPTIC if f < 0 else SideKind.LOXODROMIC
-    return TraceSide(kind, k, eps)
-
-
-def rotation_turn(turn: float, scale=1.0) -> Fraction | None:
-    """The fraction p/n (n <= MAX_ORDER) within TURN_SLACK scale / |turn|
-    of a rotation by 2 pi turn, or None."""
-    frac = Fraction(turn).limit_denominator(MAX_ORDER)
-    if frac == 0 or abs(turn - frac) > TURN_SLACK * scale / abs(turn):
-        return None
-    return frac
 
 
 def _cubic_roots(c2: complex, c1: complex, c0: complex):

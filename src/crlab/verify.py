@@ -49,19 +49,16 @@ from __future__ import annotations
 import math
 from functools import cached_property
 
-import numpy as np
-
-from .core import box_rows, siegel_model, tolerance
-from .family import (
+from .report import CheckResult, Verdict, VerdictKind, VerificationReport
+from .scalar import (
     ALPHA2_STAR,
-    P_U, P_V, P_W, UI_PW,
+    GeometryError,
     SideKind,
     elliptic_disks,
     exclusion_margin,
-    face_points,
     param_side,
+    tolerance,
 )
-from .report import CheckResult, Verdict, VerdictKind, VerificationReport
 
 DEFAULT_GRID = 720
 
@@ -73,32 +70,48 @@ DEFAULT_GRID = 720
 class FaceFamily:
     """All data attached to a parameter: the side of `family.param_side`,
     formed at once, and, each formed on first read, TF's margin
-    `tf_margin`, the point table P of `family.face_points` (rows P_A ..
-    UI_PW) and TF's pass `passes` on the torus of J_0^- and J_-1^-, which
-    the spinal-trace figure draws; a verify forms neither array.  The torus
-    is parametrized by (q - e^{i th} p_U) box (r - e^{i ph} p_U), lifts
-    (p_U, q, r) = (p_U, p_W, U^-1 p_W), an unbalanced pair of equal-norm
-    lifts at each alpha2 in (0, pi/2) (tests/test_face_family_identities.py).
-    The projected disks of J_0^+ and J_0^- on the visual sphere of [p_U]
-    are closed forms in the order n (`family.elliptic_disks`), which GC and
-    the disk-projection figure read without a chart."""
+    `tf_margin`, the Siegel space `space`, the point table P of
+    `family.face_points` (rows P_A .. UI_PW) and TF's pass `passes` on the
+    torus of J_0^- and J_-1^-, which the spinal-trace figure draws; a
+    verify forms neither array, and the three array attributes import
+    `core`, `family` and numpy on first read, so that a verify loads none
+    of them.  The torus is parametrized by (q - e^{i th} p_U) box (r - e^{i
+    ph} p_U), lifts (p_U, q, r) = (p_U, p_W, U^-1 p_W), an unbalanced pair
+    of equal-norm lifts at each alpha2 in (0, pi/2)
+    (tests/test_face_family_identities.py).  The projected disks of J_0^+
+    and J_0^- on the visual sphere of [p_U] are closed forms in the order n
+    (`family.elliptic_disks`), which GC and the disk-projection figure read
+    without a chart."""
 
     def __init__(self, alpha2: float, tol=None):
         self.alpha2 = float(alpha2)
         self.tol = tolerance(tol)
         self.side = param_side(self.alpha2, self.tol)
-        self.space = siegel_model()
 
     @cached_property
-    def P(self) -> np.ndarray:
+    def space(self):
+        """The Siegel space, `core.siegel_model`, one per process."""
+        from .core import siegel_model
+
+        return siegel_model()
+
+    @cached_property
+    def P(self):
         """The point table of `family.face_points`, (14, 3)."""
+        from .family import face_points
+
         return face_points(self.alpha2)
 
     @cached_property
-    def passes(self) -> np.ndarray:
+    def passes(self):
         """TF's pass, the row array (p_U, p_V, q box r, p_U box r, q box
         p_U), (5, 3), of the torus of lifts (p_U, q, r) = (p_U, p_W, U^-1
         p_W), its box rows in one `core.box_rows` call."""
+        import numpy as np
+
+        from .core import box_rows
+        from .family import P_U, P_V, P_W, UI_PW
+
         P = self.P
         return np.concatenate([P[[P_U, P_V]], box_rows(P[[P_W, P_U, P_W]], P[[UI_PW, UI_PW, P_U]], self.space)])
 
@@ -305,8 +318,12 @@ def gc_check(ff: FaceFamily) -> CheckResult:
 
 
 def verify(alpha2: float, tol=None, grid_n: int = DEFAULT_GRID) -> VerificationReport:
-    """Run the checks at a parameter and assemble the verdict from ff.side;
-    grid_n sets nothing and is echoed in the report."""
+    """Run the checks at a parameter alpha2 in (0, pi/2) and assemble the
+    verdict from ff.side; grid_n sets nothing and is echoed in the report.
+    Outside (0, pi/2), NaN included, no check's proof holds, and a
+    GeometryError is raised, the CLI's own rule for --alpha2."""
+    if not 0.0 < alpha2 < math.pi / 2:
+        raise GeometryError("alpha2 outside (0, pi/2)")
     ff = FaceFamily(alpha2, tol)
     checks = {"tf": tf_check(ff), "lc": lc_check(ff), "gc": gc_check(ff)}
     side, gc = ff.side, checks["gc"]

@@ -7,6 +7,9 @@ import sys
 import numpy as np
 import pytest
 
+import crlab.family
+import crlab.figures
+import crlab.isometry
 from crlab import cli
 from crlab.cli import MAX_FIGURE_ROWS, MAX_GRID, MAX_ORDER, main
 from crlab.core import GeometryError
@@ -356,7 +359,7 @@ def test_figure_geometry_error_exits_1_without_traceback(tmp_path, monkeypatch):
     def raise_geometry(out_base, fmt="csv", **kwargs):
         raise GeometryError("figure geometry fails here")
 
-    monkeypatch.setitem(cli.figures.FIGURES, "disk-projection", raise_geometry)
+    monkeypatch.setitem(crlab.figures.FIGURES, "disk-projection", raise_geometry)
     code, out, err = run_cli(["figure", "disk-projection", "--n", "9", "--resolution", "64", "--out", str(tmp_path)])
     assert (code, out, err) == (1, "", "error: figure geometry fails here\n")
 
@@ -395,7 +398,7 @@ def test_out_naming_an_existing_file_is_a_usage_error(argv, tmp_path, monkeypatc
         return functools.wraps(fn)(lambda *a, **k: pytest.fail(f"{fn.__name__} ran"))
 
     monkeypatch.setattr(crlab.cli, "verify", refuse(crlab.cli.verify))
-    monkeypatch.setitem(crlab.cli.figures.FIGURES, "peach-curve", refuse(crlab.cli.figures.FIGURES["peach-curve"]))
+    monkeypatch.setitem(crlab.figures.FIGURES, "peach-curve", refuse(crlab.figures.FIGURES["peach-curve"]))
     code, out, err = run_cli(argv + ["--out", str(path)])
     assert code == 2 and out == ""
     assert err == f"error: cannot make the --out directory {str(path)!r}: File exists\n"
@@ -431,13 +434,11 @@ def test_figure_runs_through_a_plain_wrapper(tmp_path, monkeypatch):
     # tracer wraps it, shows no signature: the CLI reads each figure's rows
     # from figures.FIGURE_ROWS, so it still runs and still refuses a figure
     # over the row limit
-    import crlab.cli
-
-    for name, fn in list(crlab.cli.figures.FIGURES.items()):
+    for name, fn in list(crlab.figures.FIGURES.items()):
         def entry(out_base, fmt="csv", _fn=fn, **kw):
             return _fn(out_base, fmt=fmt, **kw)
 
-        monkeypatch.setitem(crlab.cli.figures.FIGURES, name, entry)
+        monkeypatch.setitem(crlab.figures.FIGURES, name, entry)
     code, out, err = run_cli(["figure", "spinal-trace", "--resolution", "64", "--out", str(tmp_path)])
     assert (code, err) == (0, "") and out == f"{tmp_path / 'spinal-trace.csv'}\n"
     code, out, err = run_cli(["figure", "disk-projection", "--n", "9", "--resolution", "64", "--out", str(tmp_path)])
@@ -468,7 +469,7 @@ def test_classify_geometry_error_exits_1_with_an_error_line(monkeypatch):
     def raise_split(g, tol=None):
         raise GeometryError("eigenvector norms do not split as (+,+,-)")
 
-    monkeypatch.setattr(cli, "elliptic_type", raise_split)
+    monkeypatch.setattr(crlab.isometry, "elliptic_type", raise_split)
     code, out, err = run_cli(["classify", "--word", "s^-1t", "--alpha2", "%.17g" % alpha2_for_order(9)])
     assert code == 1 and out == ""
     assert err == "error: eigenvector norms do not split as (+,+,-)\n"
@@ -479,7 +480,7 @@ def test_classify_non_finite_alpha2_is_a_usage_error(alpha2, monkeypatch):
     # a nan or infinite parameter ended in a ValueError traceback from the
     # trace rule (round(nan)); it exits 2 with one line, before any word is
     # built
-    monkeypatch.setattr(cli, "FamilyRep", lambda *args: pytest.fail("a representation was built"))
+    monkeypatch.setattr(crlab.family, "FamilyRep", lambda *args: pytest.fail("a representation was built"))
     err = "error: --alpha2 must be a finite number\n"
     assert run_cli(["classify", "--word", "st", f"--alpha2={alpha2}"]) == (2, "", err)
 

@@ -258,20 +258,18 @@ def test_gc_reads_only_the_side():
 
 def test_verify_path_uses_no_random_numbers_and_no_lapack():
     # the modules that verify and the figures run keep to closed forms and
-    # ufuncs: no numpy.random, and no numpy.linalg routine but norm.  Of
-    # isometry only the trace rule that param_side calls is held to this
-    # (the rest keeps its own, for classify).  No product goes through BLAS
-    # either: no @ and no matmul, dot, vdot, einsum, inner or tensordot, so
-    # every number is a fixed-order elementwise sum (`core.sesquilinear`,
-    # `core.apply`) with the same bits under every BLAS kernel; norm takes
-    # an axis, without which it sums by BLAS dot.  Exempt is
-    # family.FamilyRep, whose group words serve the classify command
+    # ufuncs: no numpy.random, and no numpy.linalg routine but norm.  The
+    # trace rule that param_side calls is held to this with the whole of
+    # scalar, where it lives (the rest of isometry keeps its own rules, for
+    # classify).  No product goes through BLAS either: no @ and no matmul,
+    # dot, vdot, einsum, inner or tensordot, so every number is a
+    # fixed-order elementwise sum (`core.sesquilinear`, `core.apply`) with
+    # the same bits under every BLAS kernel; norm takes an axis, without
+    # which it sums by BLAS dot.  Exempt is family.FamilyRep, whose group
+    # words serve the classify command
     found = []
-    iso = ast.parse((SRC / "isometry.py").read_text())
-    rule = [f for f in iso.body if isinstance(f, ast.FunctionDef) and f.name in ("trace_side", "rotation_turn")]
-    assert len(rule) == 2
-    trees = {name: ast.parse((SRC / name).read_text()) for name in ("core.py", "family.py", "bisector.py", "visual.py", "verify.py", "figures.py", "csvfloat.py")}
-    trees["isometry.py"] = ast.Module(rule, [])
+    names = ("scalar.py", "core.py", "family.py", "bisector.py", "visual.py", "verify.py", "figures.py", "csvfloat.py")
+    trees = {name: ast.parse((SRC / name).read_text()) for name in names}
     for name, tree in trees.items():
         reps = [c for c in tree.body if name == "family.py" and isinstance(c, ast.ClassDef) and c.name == "FamilyRep"]
         exempt = {id(n) for c in reps for n in ast.walk(c)}
@@ -379,15 +377,121 @@ def test_no_program_module_imports_reference():
     assert found == []
 
 
-def test_import_of_the_cli_leaves_reference_unloaded():
-    code = "import sys, crlab.cli; print('crlab.reference' in sys.modules)"
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
+def test_verify_path_imports_no_numpy():
+    # the modules that `import crlab.cli` loads, the package's own imports,
+    # cli's and verify's module-level imports and, through their relative
+    # imports, those of every module they load, import no numpy: a verify is
+    # scalar code (`scalar`), and the commands that need arrays import them
+    # when they run
+    todo, seen, found = ["__init__", "cli", "verify"], set(), []
+    while todo:
+        mod = todo.pop()
+        if mod in seen:
+            continue
+        seen.add(mod)
+        tree = ast.parse((SRC / f"{mod}.py").read_text())
+        for node in _module_level_nodes(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                todo += [node.module] if node.module else [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found += [f"{mod}.py:{node.lineno}"] if node.module.split(".")[0] == "numpy" else []
+            elif isinstance(node, ast.Import):
+                found += [f"{mod}.py:{node.lineno}" for a in node.names if a.name.split(".")[0] == "numpy"]
+    assert {"cli", "verify", "scalar", "report"} <= seen and found == []
+
+
+def test_verify_runs_leave_numpy_unloaded(tmp_path):
+    # numpy is not loaded by `import crlab.cli`, nor by a verify at an order,
+    # at alpha2 1.3 (the band edge above alpha*) and a sweep with reports
+    code = (
+        "import sys, crlab.cli\n"
+        "print('numpy' in sys.modules)\n"
+        "for argv in (['--n', '9'], ['--alpha2', '1.3'], ['--sweep', '0.3:1.5:0.2', '--out', sys.argv[1]]):\n"
+        "    assert crlab.cli.main(['verify', '--grid', '128'] + argv) == 0\n"
+        "    print('numpy' in sys.modules)\n"
     )
+    proc = run_fresh(code, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert [line for line in proc.stdout.splitlines() if line in ("True", "False")] == ["False"] * 4
+    assert len(list(tmp_path.iterdir())) == 6
+
+
+# the package's exports, by home module
+EXPORTS = {
+    "core": ("HermitianSpace", "HVec", "Model", "box_rows", "inner", "siegel_model"),
+    "isometry": ("EllipticType", "Isometry", "IsometryKind", "classify", "eigen", "elliptic_type", "goldman_f", "verify_su21"),
+    "family": ("ALPHA2_LIM", "FamilyParams", "FamilyRep", "alpha2_for_order", "face_points", "param_side", "schwartz_point"),
+    "visual": ("VisualChart",),
+    "report": ("VerificationReport",),
+    "verify": ("FaceFamily", "verify"),
+}
+
+
+def test_package_exports_are_their_home_modules_objects():
+    import crlab
+
+    names = [name for names in EXPORTS.values() for name in names]
+    assert len(names) == 25 and sorted(crlab.__all__) == sorted(names)
+    for home, names in EXPORTS.items():
+        module = importlib.import_module(f"crlab.{home}")
+        for name in names:
+            assert getattr(crlab, name) is getattr(module, name), (home, name)
+    assert inspect.isfunction(crlab.verify)
+    # hasattr catches AttributeError alone: any other error would propagate
+    assert not hasattr(crlab, "no_such_export")
+
+
+def test_package_import_loads_no_numpy_and_keeps_verify_the_function():
+    # `import crlab` loads only the numpy-free exports; the rest load on
+    # first read, and `crlab.verify` stays the function after the verify
+    # module and the CLI are imported
+    code = (
+        "import inspect, sys, crlab\n"
+        "print('numpy' in sys.modules)\n"
+        "import crlab.verify, crlab.cli\n"
+        "from crlab import verify\n"
+        "print(inspect.isfunction(crlab.verify), verify is crlab.verify, 'numpy' in sys.modules)\n"
+        "crlab.HVec\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    proc = run_fresh(code)
+    assert proc.returncode == 0 and proc.stdout.split() == ["False", "True", "True", "False", "True"], proc.stderr
+
+
+def test_import_of_the_cli_leaves_reference_unloaded():
+    proc = run_fresh("import sys, crlab.cli; print('crlab.reference' in sys.modules)")
     assert proc.returncode == 0 and proc.stdout.strip() == "False", proc.stderr
+
+
+def test_unreached_defs_scope_a_functions_imports_to_it(tmp_path):
+    # a def named only through an import inside a function is reached from
+    # that function alone: the same name in another function reaches
+    # nothing, and a def no function imports or names stays flagged
+    (tmp_path / "cli.py").write_text(
+        "def main():\n"
+        "    from .figures import draw\n"
+        "    from . import shapes\n"
+        "    def inner():\n"
+        "        return draw() + shapes.square()\n"
+        "    return inner() + tail()\n"
+        "\n"
+        "def tail():\n"
+        "    return circle()\n"
+        "\n"
+        "def unused():\n"
+        "    from .shapes import circle\n"
+        "    return circle()\n"
+    )
+    (tmp_path / "figures.py").write_text("def draw():\n    return 1\n\ndef dead():\n    return 2\n")
+    (tmp_path / "shapes.py").write_text("def square():\n    return 3\n\ndef circle():\n    return 4\n")
+    assert unreached_defs(tmp_path) == ["cli.unused", "figures.dead", "shapes.circle"]
+
+
+def run_fresh(code: str, *argv: str) -> subprocess.CompletedProcess:
+    """Run `python -c code *argv` in a fresh interpreter that imports crlab
+    from this source tree."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env)
 
 
 def unreached_defs(src: pathlib.Path) -> list[str]:
@@ -395,30 +499,39 @@ def unreached_defs(src: pathlib.Path) -> list[str]:
     that no walk from cli.main and the modules' top-level statements reaches.
 
     A reached def makes every name in it reached (a class: its whole body).
-    A name is resolved in its module: its own top-level defs, its relative
-    imports `from .mod import name`, and `mod.name` for `from . import mod`.
-    Import statements themselves reach nothing."""
+    A name is resolved in its module: the relative imports made in the
+    functions around it (a command's `from .figures import FIGURES`, say),
+    its own top-level defs, its module's relative imports `from .mod import
+    name`, and `mod.name` for `from . import mod`.  An import inside a
+    function binds its names in that function and the functions nested in
+    it alone.  Import statements themselves reach nothing."""
     trees = {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(src.glob("*.py")) if p.stem not in NOT_PROGRAM}
     defs, imported = {}, {}
     for mod, tree in trees.items():
-        imported[mod] = {}
+        imported[mod] = _relative_imports(tree.body)
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 defs[mod, node.name] = node
-            elif isinstance(node, ast.ImportFrom) and node.level == 1:
-                for a in node.names:
-                    imported[mod][a.asname or a.name] = (node.module, a.name) if node.module else (a.name, None)
 
-    def uses(mod, node):
-        for n in ast.walk(node):
-            if isinstance(n, ast.Name):
-                target = (mod, n.id) if (mod, n.id) in defs else imported[mod].get(n.id)
-                if target and target[1] is not None:
-                    yield target
-            elif isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name):
-                target = imported[mod].get(n.value.id)
-                if target and target[1] is None:
-                    yield target[0], n.attr
+    def resolve(mod, local, name):
+        if name in local:
+            return local[name]
+        return (mod, name) if (mod, name) in defs else imported[mod].get(name)
+
+    def uses(mod, node, local=None):
+        local = {} if local is None else local
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            local = {**local, **_relative_imports(_own_nodes(node))}
+        if isinstance(node, ast.Name):
+            target = resolve(mod, local, node.id)
+            if target and target[1] is not None:
+                yield target
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            target = resolve(mod, local, node.value.id)
+            if target and target[1] is None:
+                yield target[0], node.attr
+        for child in ast.iter_child_nodes(node):
+            yield from uses(mod, child, local)
 
     todo = [("cli", "main")]
     for mod, tree in trees.items():
@@ -432,6 +545,28 @@ def unreached_defs(src: pathlib.Path) -> list[str]:
             reached.add(key)
             todo += uses(key[0], defs[key])
     return sorted(f"{mod}.{name}" for mod, name in defs if (mod, name) not in reached)
+
+
+def _relative_imports(statements) -> dict:
+    """name -> (module, name) for each `from .module import name`, and name
+    -> (module, None) for each `from . import module`, among statements."""
+    found = {}
+    for node in statements:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for a in node.names:
+                found[a.asname or a.name] = (node.module, a.name) if node.module else (a.name, None)
+    return found
+
+
+def _own_nodes(fn):
+    """The nodes of a function's body, at any depth, but not those of the
+    functions, lambdas and classes defined in it."""
+    todo = list(fn.body)
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            todo += ast.iter_child_nodes(node)
 
 
 def callers(src: pathlib.Path, name: str) -> list[str]:
@@ -499,6 +634,17 @@ def module_tokens(path: pathlib.Path) -> int:
     skip = (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING)
     with open(path, "rb") as fh:
         return sum(t.type not in skip for t in tokenize.tokenize(fh.readline))
+
+
+def _module_level_nodes(tree):
+    """The nodes a module runs when it is imported: all but those inside
+    its functions and lambdas (a class body runs at import)."""
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            todo += ast.iter_child_nodes(node)
 
 
 def _is_object_dtype(node) -> bool:

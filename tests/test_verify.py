@@ -181,6 +181,30 @@ def test_degenerate_tori_near_pi_over_2_fail_without_warnings(offset):
     assert [n for n in r.tf.notes if "band edge" in n] == r.tf.notes != []
 
 
+@pytest.mark.parametrize("alpha2", [0.0, -0.3, math.pi / 2, 1.6, 3.0, math.nan, math.inf, -math.inf])
+def test_verify_refuses_a_parameter_outside_the_slice(alpha2):
+    # every proof behind a report holds on (0, pi/2) alone: outside it, and
+    # at nan, verify raises GeometryError (it read slope -1/3 with every
+    # check passed at 0, -0.3 and 3.0, and raised a bare ValueError from the
+    # trace rule at nan), which the CLI's one-parameter runner reports as
+    # that parameter's error line
+    from crlab.cli import _verify_one
+
+    with pytest.raises(GeometryError, match="outside"):
+        verify(alpha2)
+    line, failed = _verify_one((alpha2, 720, None, None))
+    assert failed and line.startswith(f"alpha2={'%.17g' % alpha2}: error (") and "outside (0, pi/2)" in line
+
+
+@pytest.mark.parametrize("alpha2", [5e-324, 1e-16, math.nextafter(math.pi / 2, 0.0)])
+def test_verify_reports_up_to_the_ends_of_the_slice(alpha2):
+    # the last doubles inside (0, pi/2) still get a report, and no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = verify(alpha2)
+    assert r.alpha2 == alpha2 and r.tf.passed and r.lc.passed
+
+
 def test_tf_structure(ff_lox):
     res = tf_check(ff_lox)
     assert res.passed
