@@ -5,11 +5,11 @@ Modules:
   scalar     the numpy-free scalar code every verify reads: the tolerance
              rule, the trace and order rules, the side, TF's margin and GC's
              disks on the alpha1 = 0 slice, and CSV_FMT
-  core       Hermitian linear algebra of signature (2,1), the box product
+  core       Hermitian linear algebra of signature (2,1)
   isometry   SU(2,1) lifts, trace classification, eigendata, elliptic types
-  family     the two-parameter representation family, its point table and
-             the closed-form projected disks of J_0^+ and J_0^-
-  bisector   Giraud tori as row arrays: column forms, level sets
+  family     the two-parameter representation family and the closed-form
+             projected disks of J_0^+ and J_0^-
+  bisector   the level function
   visual     visual-sphere charts, on which U acts by its multiplier;
              no check reads one (the tests' oracles do)
   verify     the TF/LC/GC verification engine and surgery verdicts
@@ -19,9 +19,10 @@ Modules:
   cli        the `crlab` command line
   reference  the paper's objects no check computes with (trace coordinates,
              region Z, peripheral words, fixed points, ball and custom
-             models, and the per-point forms: remarkable points as HVecs,
-             box, locate, proj_equal); not imported here, nor by any
-             module above
+             models, the slice's point table face_points with apply and
+             box_rows, and the per-point forms: remarkable points as HVecs,
+             box, locate, proj_equal); imported by no module above, and
+             here only on a read of `crlab.face_points` or `crlab.box_rows`
 
 `import crlab`, `crlab.verify` and `crlab verify` load no numpy: the exports
 `verify`, `FaceFamily`, `VerificationReport`, `param_side`,
@@ -40,9 +41,10 @@ from .verify import FaceFamily, verify
 _LAZY = {
     name: module
     for module, names in (
-        ("core", ("HermitianSpace", "HVec", "Model", "box_rows", "inner", "siegel_model")),
+        ("core", ("HermitianSpace", "HVec", "Model", "inner", "siegel_model")),
+        ("reference", ("box_rows", "face_points")),
         ("isometry", ("EllipticType", "Isometry", "IsometryKind", "classify", "eigen", "elliptic_type", "goldman_f", "verify_su21")),
-        ("family", ("FamilyParams", "FamilyRep", "face_points", "schwartz_point")),
+        ("family", ("FamilyParams", "FamilyRep", "schwartz_point")),
         ("visual", ("VisualChart",)),
     )
     for name in names

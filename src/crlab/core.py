@@ -10,9 +10,9 @@ The sesquilinear convention throughout is
 formulas in the other modules assume this convention; tests flag any
 identity that only holds after a conjugation swap.
 
-Every product on the verify and figure path is a fixed-order elementwise
-sum, `sesquilinear` (`HermitianSpace.form` on the terms of J) or `apply`:
-no BLAS routine forms a number, and a row has its bits in any array.
+Every Hermitian product is a fixed-order elementwise sum, `sesquilinear`
+(`HermitianSpace.form` on the terms of J): no BLAS routine forms a number,
+and a row has its bits in any array.
 """
 
 from __future__ import annotations
@@ -51,28 +51,6 @@ def sesquilinear(X, Y, terms=EUCLIDEAN):
         t = Xc[..., i] * Y[..., j] if c == 1.0 else Xc[..., i] * c * Y[..., j]
         total = t if total is None else total + t
     return total
-
-
-def apply(M, X):
-    """M x for every row x of X (..., 3), M (..., 3, 3) broadcast against the
-    leading axes of X: x_0 M[:, 0] + x_1 M[:, 1] + x_2 M[:, 2], left to right."""
-    return X[..., 0, None] * M[..., 0] + X[..., 1, None] * M[..., 1] + X[..., 2, None] * M[..., 2]
-
-
-def box_rows(a, b, space: "HermitianSpace") -> np.ndarray:
-    """The box products of the rows of a and b, shape (..., 3): J^{-1}
-    conj(a x b), the unique s with <s, r> = det(a, b, r).  Each complex
-    product is formed from its real parts as Python's complex scalars form
-    it (no fused multiply-add), so every row has the bits of the same
-    product taken on one pair of complex scalars."""
-    # the six products a_i b_j of both terms of the cross product at once
-    x, y = a[..., [1, 2, 0, 2, 0, 1]], b[..., [2, 0, 1, 1, 2, 0]]
-    re = x.real * y.real - x.imag * y.imag
-    im = x.real * y.imag + x.imag * y.real
-    c = np.empty(re.shape[:-1] + (3,), dtype=complex)
-    c.real = re[..., :3] - re[..., 3:]
-    c.imag = im[..., 3:] - im[..., :3]
-    return apply(space.J_inv, c)
 
 
 def _sign_changes(coeffs) -> int:

@@ -11,7 +11,8 @@ angle beta.
 The slice's scalar closed forms (the side `param_side`, `alpha2_for_order`,
 TF's margin `exclusion_margin` and GC's `elliptic_disks`) are defined in the
 numpy-free `scalar` and imported here; this module adds the matrices, the
-group words and the point table.
+group words and the names of the rows of the point table, which
+`reference.face_points` forms.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import apply, siegel_model
+from .core import siegel_model
 from .isometry import Isometry
 from .scalar import (
     ALPHA2_LIM,
@@ -38,7 +39,6 @@ from .scalar import (
     elliptic_disks,
     exclusion_margin,
     param_side,
-    wall_gap,
 )
 
 
@@ -136,40 +136,9 @@ class FamilyRep:
         return Isometry(M, self.space)
 
 
-# the rows of the point table of `face_points`: the remarkable points, then
-# the U-translates that verify and the proofs' tie tests read
+# the rows of the point table `reference.face_points`: the remarkable points,
+# then the U-translates that the proofs' tie tests read
 P_A, P_B, P_U, P_V, P_W, P_U1, P_U2, U_PA, U_PB, U_PV, U_PW, UI_PB, UI_PV, UI_PW = range(14)
-
-
-def face_points(alpha2: float) -> np.ndarray:
-    """The table P, shape (14, 3), on the alpha1 = 0 slice, of the
-    remarkable points p_A, p_B, p_U, p_V = S p_U, p_W = S p_V,
-    p_U', p_U'' and of U p_A, U p_B, U p_V, U p_W, U^-1 p_B, U^-1 p_V and
-    U^-1 p_W (U = S^-1 T), in the order of the row names above.
-
-    p_U' and p_U'' are the eigenvectors of U for the eigenvalues e^{l},
-    e^{-l} (loxodromic side) or e^{i beta}, e^{-i beta} (elliptic side), in
-    closed form with delta = sqrt((tr U - 3)(tr U + 1)), tr U - 3 from
-    `wall_gap` as in `param_side`; at the unipotent parameter delta = 0
-    and the two coincide.  Every other row is `core.apply` of S, U or U^-1 to a
-    row, where J U = S^H J T is the form of the columns of S against those
-    of T, and J U^-1 = T^H J S its adjoint."""
-    params, sp = FamilyParams(0.0, alpha2), siegel_model()
-    S, T = rho_s(params), rho_t(params)
-    G = sp.form(S.T[:, None], T.T[None])
-    UU = apply(sp.J_inv, np.stack([G.T, G.conj()])).transpose(0, 2, 1)  # U, U^-1
-    e = cmath.exp(1j * alpha2)
-    c8 = 8.0 * math.cos(alpha2) ** 2
-    delta = cmath.sqrt(8.0 * wall_gap(alpha2) * (c8 + 1.0))
-    P = np.zeros((14, 3), dtype=complex)
-    P[P_A, 0] = P[P_B, 2] = 1.0
-    P[P_U] = 1.0, -math.sqrt(2.0) / 2.0 * e, e * e
-    P[P_V] = apply(S, P[P_U])
-    P[P_W] = apply(S, P[P_V])
-    for row, d in ((P_U1, delta), (P_U2, -delta)):
-        P[row] = 2.0 * (2.0 * e * e + 1.0), -math.sqrt(2.0) * e * (2.0 * e * e + 1.0 + d), -(c8 + 1.0) - d
-    P[U_PA:] = apply(UU[[0, 0, 0, 0, 1, 1, 1]], P[[P_A, P_B, P_V, P_W, P_B, P_V, P_W]])
-    return P
 
 
 def char_Q(z: complex, w: complex) -> float:

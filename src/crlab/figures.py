@@ -8,15 +8,15 @@ every CSV value, every polyline point and every mark's centre by the exact
 numpy kernel of `csvfloat` (`g17_fields`, `g9_fields`), and the few scalar
 SVG attributes (view box, stroke widths, mark radii) by %.9g itself.
 Output bytes are identical from run to run, across worker counts and
-across OpenBLAS kernels: no product goes through BLAS (`core.sesquilinear`,
-`core.apply`).  disk-projection's and level-sets' are the same at every
-numpy CPU-dispatch level too: they are `math` scalars, real cos and sin
-and real arithmetic.  The others are not promised across dispatch levels
-(complex products and `abs` change their last bits with them), nor across
-numpy's and cmath's roundings (numpy ufuncs against Python scalars).
-spinal-trace draws the torus of TF's exclusion pass, the row array
-`verify.FaceFamily.passes`, through `bisector.column_forms`: its columns'
-sinusoids, on a grid.
+across OpenBLAS kernels: no product goes through BLAS.  disk-projection's,
+level-sets' and spinal-trace's are the same at every numpy CPU-dispatch
+level too: they are `math` scalars, real cos and sin and real arithmetic.
+The others are not promised across dispatch levels (complex products and
+`abs` change their last bits with them), nor across numpy's and cmath's
+roundings (numpy ufuncs against Python scalars).  spinal-trace draws the
+torus of TF's exclusion pass from its forms proved in closed form
+(tests/test_tf_margin_identities.py): no torus point, row or column stage
+is formed.
 """
 
 from __future__ import annotations
@@ -37,10 +37,10 @@ from .family import (
     trace_ts_inv,
 )
 from .isometry import goldman_f
-from .bisector import column_forms, level_g
-from .verify import FaceFamily
+from .bisector import level_g
 from .csvfloat import g9_fields, g17_fields
-from .scalar import CSV_FMT
+from .scalar import CSV_FMT, PIO2_REM
+
 CSV_BLOCK_ROWS = 4096  # rows written, and undeclared values formatted, at a time by write_csv
 SVG_PREC = 9
 
@@ -334,14 +334,40 @@ def figure_disk_projection(out_base, n=20, boundary_points=512, fmt="csv"):
 
 def figure_spinal_trace(out_base, alpha2=0.7, resolution=361, fmt="csv"):
     """Curves on the intersection torus of two neighbouring bisectors, that
-    of J_0^- and J_-1^- whose exclusion margin TF reports (`FaceFamily.passes`):
-    the locus inside the closed ball and the crossing loci with the
-    third extor, E(p_U, p_V)."""
-    ff = FaceFamily(alpha2)
+    of J_0^- and J_-1^- whose exclusion margin TF reports: the locus inside
+    the closed ball (norm = <V, V> / |V|^2 <= 0) and the crossing locus
+    with the third extor, E(p_U, p_V) (side = E / |V|^2 = 0, E = |<p_U,
+    V>|^2 - |<p_V, V>|^2).
+
+    The forms are proved at every alpha2 (tests/test_tf_margin_identities.py):
+    on the column of offset u = delta - delta_v, delta_v = alpha2 + pi/2,
+    with c = cos(alpha2), s = sin(alpha2), K = 3s cos u - c sin u and Z =
+    3K cos(sigma), <V, V> = 8c^2 (K^2 + 6 sin^2 u + Z), |V|^2 = 8c^2 (9 - 2
+    sin^2 u + Z) and E = -32c^4 (K^2 + Z).  Near pi/2, 9 + Z cancels to
+    1e-4 of its terms, so each form is summed from the nonnegative parts k
+    = |K|, h = 3 - k and kg = 3k (1 +- cos(sigma)), the sign that of K:
+    |V|^2 / 8c^2 = 3h - 2 sin^2 u + kg, <V, V> / 8c^2 = 6 sin^2 u - kh + kg
+    and E / -32c^4 = kg - kh.  h is 6 (sin^2(eps/2) + s sin^2(u/2)) + c sin
+    u where K >= 0 and 6 (sin^2(eps/2) + s cos^2(u/2)) - c sin u where not
+    (eps = pi/2 - alpha2), and 1 +- cos(sigma) is 2 cos^2(sigma/2) or 2
+    sin^2(sigma/2).  Real cos, sin and arithmetic alone, so the bits do not
+    move with numpy's dispatch level."""
     sigmas = np.linspace(0.0, 2.0 * math.pi, resolution, endpoint=False)
-    deltas = delta0(ff.alpha2) + np.linspace(0.0, math.pi, resolution // 2, endpoint=False)
-    norms, to_u, to_v = column_forms(ff.passes, sigmas, deltas, ff.space)
-    side = to_u - to_v
+    deltas = delta0(alpha2) + np.linspace(0.0, math.pi, resolution // 2, endpoint=False)
+    c, s = math.cos(alpha2), math.sin(alpha2)
+    half_eps = math.sin(0.5 * ((math.pi / 2.0 - alpha2) + PIO2_REM)) ** 2
+    u = deltas - (alpha2 + math.pi / 2.0)
+    sin_u = np.sin(u)
+    sin2 = sin_u * sin_u
+    K = 3.0 * s * np.cos(u) - c * sin_u
+    up = K >= 0.0
+    k = np.abs(K)
+    h = 6.0 * (half_eps + s * np.where(up, np.sin(0.5 * u) ** 2, np.cos(0.5 * u) ** 2)) + c * np.where(up, sin_u, -sin_u)
+    half = 0.5 * sigmas[:, None]
+    kg = 6.0 * k * np.where(up, np.cos(half) ** 2, np.sin(half) ** 2)
+    den = 3.0 * h - 2.0 * sin2 + kg
+    norms = (6.0 * sin2 - k * h + kg) / den
+    side = -4.0 * c * c * (kg - k * h) / den
     if fmt == "csv":
         return (
             write_csv(out_base + ".csv", ["sigma", "delta", "norm", "side"], _grid_columns(sigmas, deltas, norms, side)),

@@ -2,10 +2,11 @@
 trace coordinates and the character variety, the discreteness region Z,
 the peripheral words and their classes, Schwartz's peripheral generator,
 checked builds of a representation, fixed points of single elements, the
-ball and custom models of the form, and the per-point forms of the
-program's point tables: the remarkable points as HVecs, the box product
-of two HVecs, the location of a point against the null cone and
-projective equality.
+ball and custom models of the form, the point table of the alpha1 = 0
+slice (`face_points`, its rows named in `family`) with the row kernels
+`apply` and `box_rows`, and the per-point forms: the remarkable points as
+HVecs, the box product of two HVecs, the location of a point against the
+null cone and projective equality.
 
 The command line never loads this module; the tests and interactive use
 import it as `crlab.reference`.
@@ -20,8 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GeometryError, HermitianSpace, HVec, Model, box_rows, siegel_model, tolerance
-from .family import FamilyParams, FamilyRep, char_P, char_Q, discriminant_D, face_points
+from .core import GeometryError, HermitianSpace, HVec, Model, siegel_model, tolerance
+from .family import (
+    P_A, P_B, P_U, P_U1, P_U2, P_V, P_W, U_PA, FamilyParams, FamilyRep, char_P, char_Q, discriminant_D, rho_s, rho_t,
+)
 from .isometry import (
     OMEGA,
     Isometry,
@@ -32,6 +35,7 @@ from .isometry import (
     trace_side,
     verify_su21,
 )
+from .scalar import wall_gap
 
 # peripheral words on T1/T2 and the link-group relator, in the letters s, t
 WORD_M1 = "ts^-1"
@@ -49,10 +53,64 @@ class Location(enum.Enum):
     OUTSIDE = "outside"
 
 
+def apply(M, X):
+    """M x for every row x of X (..., 3), M (..., 3, 3) broadcast against the
+    leading axes of X: x_0 M[:, 0] + x_1 M[:, 1] + x_2 M[:, 2], left to right."""
+    return X[..., 0, None] * M[..., 0] + X[..., 1, None] * M[..., 1] + X[..., 2, None] * M[..., 2]
+
+
+def face_points(alpha2: float) -> np.ndarray:
+    """The table P, shape (14, 3), on the alpha1 = 0 slice, of the
+    remarkable points p_A, p_B, p_U, p_V = S p_U, p_W = S p_V,
+    p_U', p_U'' and of U p_A, U p_B, U p_V, U p_W, U^-1 p_B, U^-1 p_V and
+    U^-1 p_W (U = S^-1 T), in the order of the row names `family.P_A` ..
+    `family.UI_PW`.
+
+    p_U' and p_U'' are the eigenvectors of U for the eigenvalues e^{l},
+    e^{-l} (loxodromic side) or e^{i beta}, e^{-i beta} (elliptic side), in
+    closed form with delta = sqrt((tr U - 3)(tr U + 1)), tr U - 3 from
+    `wall_gap` as in `param_side`; at the unipotent parameter delta = 0
+    and the two coincide.  Every other row is `apply` of S, U or U^-1 to a
+    row, where J U = S^H J T is the form of the columns of S against those
+    of T, and J U^-1 = T^H J S its adjoint."""
+    params, sp = FamilyParams(0.0, alpha2), siegel_model()
+    S, T = rho_s(params), rho_t(params)
+    G = sp.form(S.T[:, None], T.T[None])
+    UU = apply(sp.J_inv, np.stack([G.T, G.conj()])).transpose(0, 2, 1)  # U, U^-1
+    e = cmath.exp(1j * alpha2)
+    c8 = 8.0 * math.cos(alpha2) ** 2
+    delta = cmath.sqrt(8.0 * wall_gap(alpha2) * (c8 + 1.0))
+    P = np.zeros((14, 3), dtype=complex)
+    P[P_A, 0] = P[P_B, 2] = 1.0
+    P[P_U] = 1.0, -math.sqrt(2.0) / 2.0 * e, e * e
+    P[P_V] = apply(S, P[P_U])
+    P[P_W] = apply(S, P[P_V])
+    for row, d in ((P_U1, delta), (P_U2, -delta)):
+        P[row] = 2.0 * (2.0 * e * e + 1.0), -math.sqrt(2.0) * e * (2.0 * e * e + 1.0 + d), -(c8 + 1.0) - d
+    P[U_PA:] = apply(UU[[0, 0, 0, 0, 1, 1, 1]], P[[P_A, P_B, P_V, P_W, P_B, P_V, P_W]])
+    return P
+
+
+def box_rows(a, b, space: HermitianSpace) -> np.ndarray:
+    """The box products of the rows of a and b, shape (..., 3): J^{-1}
+    conj(a x b), the unique s with <s, r> = det(a, b, r).  Each complex
+    product is formed from its real parts as Python's complex scalars form
+    it (no fused multiply-add), so every row has the bits of the same
+    product taken on one pair of complex scalars."""
+    # the six products a_i b_j of both terms of the cross product at once
+    x, y = a[..., [1, 2, 0, 2, 0, 1]], b[..., [2, 0, 1, 1, 2, 0]]
+    re = x.real * y.real - x.imag * y.imag
+    im = x.real * y.imag + x.imag * y.real
+    c = np.empty(re.shape[:-1] + (3,), dtype=complex)
+    c.real = re[..., :3] - re[..., 3:]
+    c.imag = im[..., 3:] - im[..., :3]
+    return apply(space.J_inv, c)
+
+
 def box(u: HVec, v: HVec) -> HVec:
     """Hermitian cross product: the unique s with <s, r> = det(u, v, r).
 
-    Computed as J^{-1} conj(u x v) (`core.box_rows` on one pair); for the
+    Computed as J^{-1} conj(u x v) (`box_rows` on one pair); for the
     ball and Siegel forms this reduces to the usual coordinate formulas.
     Collinear inputs give the zero vector.
     """
@@ -102,7 +160,7 @@ def _length(v: np.ndarray) -> float:
 @dataclass(frozen=True)
 class RemarkablePoints:
     """Fixed points of the distinguished elements on the alpha1 = 0 slice,
-    the first seven rows of `family.face_points` as HVecs.
+    the first seven rows of `face_points` as HVecs.
 
     p_U_prime and p_U_dprime are formed at every parameter, the wall
     included, where they merge; which side the parameter is on is
@@ -118,7 +176,7 @@ class RemarkablePoints:
 
 
 def remarkable_points(params: FamilyParams) -> RemarkablePoints:
-    """The remarkable points as HVecs (`family.face_points`); p_V and p_W
+    """The remarkable points as HVecs (`face_points`); p_V and p_W
     are the S-translates of p_U."""
     if abs(params.alpha1) > 1e-14:
         raise GeometryError("remarkable points are tabulated on the alpha1 = 0 slice")

@@ -69,17 +69,13 @@ DEFAULT_GRID = 720
 
 class FaceFamily:
     """All data attached to a parameter: the side of `family.param_side`,
-    formed at once, and, each formed on first read, TF's margin
-    `tf_margin`, the Siegel space `space`, the point table P of
-    `family.face_points` (rows P_A .. UI_PW) and TF's pass `passes` on the
-    torus of J_0^- and J_-1^-, which the spinal-trace figure draws; a
-    verify forms neither array, and the three array attributes import
-    `core`, `family` and numpy on first read, so that a verify loads none
-    of them.  The torus is parametrized by (q - e^{i th} p_U) box (r - e^{i
-    ph} p_U), lifts (p_U, q, r) = (p_U, p_W, U^-1 p_W), an unbalanced pair
-    of equal-norm lifts at each alpha2 in (0, pi/2)
-    (tests/test_face_family_identities.py).  The projected disks of J_0^+
-    and J_0^- on the visual sphere of [p_U] are closed forms in the order n
+    formed at once, and, each formed on first read, TF's margin `tf_margin`
+    and the Siegel space `space`, which imports `core` and numpy then, so
+    that a verify loads neither.  No torus, pass or point table is formed:
+    TF's margin is a closed form, and the tests' oracles build the point
+    table of `reference.face_points` and TF's pass on it (`point_table`,
+    `passes`).  The projected disks of J_0^+ and J_0^- on the visual
+    sphere of [p_U] are closed forms in the order n
     (`family.elliptic_disks`), which GC and the disk-projection figure read
     without a chart."""
 
@@ -94,26 +90,6 @@ class FaceFamily:
         from .core import siegel_model
 
         return siegel_model()
-
-    @cached_property
-    def P(self):
-        """The point table of `family.face_points`, (14, 3)."""
-        from .family import face_points
-
-        return face_points(self.alpha2)
-
-    @cached_property
-    def passes(self):
-        """TF's pass, the row array (p_U, p_V, q box r, p_U box r, q box
-        p_U), (5, 3), of the torus of lifts (p_U, q, r) = (p_U, p_W, U^-1
-        p_W), its box rows in one `core.box_rows` call."""
-        import numpy as np
-
-        from .core import box_rows
-        from .family import P_U, P_V, P_W, UI_PW
-
-        P = self.P
-        return np.concatenate([P[[P_U, P_V]], box_rows(P[[P_W, P_U, P_W]], P[[UI_PW, UI_PW, P_U]], self.space)])
 
     @cached_property
     def tf_margin(self) -> float:
@@ -256,13 +232,15 @@ def gc_check_elliptic(ff: FaceFamily) -> CheckResult:
         return res
     if n < 9:
         # 9x^2 - 4x - 2 > 0 exactly when cos(beta) > (2 + sqrt 22)/9, which is
-        # n >= 9 (tests/test_gc_identities.py)
+        # n >= 9 (tests/test_gc_identities.py); order 3 is read only where
+        # tr U = 8 cos^2(alpha2) rounds into the window of the turn 1/3
         res.skipped = True
         res.passed = False
-        res.notes.append(
-            "angular-sector method requires order >= 9; orders 4..8 are "
-            "settled in the triangle-group literature by other techniques"
-        )
+        if n == 3:
+            below = "order 3 is the alpha2 -> pi/2 limit of the slice, where tr U = 8 cos^2(alpha2) -> 0"
+        else:
+            below = "orders 4..8 are settled in the triangle-group literature by other techniques"
+        res.notes.append(f"angular-sector method requires order >= 9; {below}")
         return res
     beta = 2.0 * math.pi / n
     t = 2.0 * math.cos(beta) + 1.0

@@ -9,15 +9,19 @@ None of these is on a program path, and none is imported by `crlab`:
   `_offsets` about the vertex column `delta_v`, as `torus_exclusion` and
   `torus_pass`, the evidence the closed form is held against
   (tests/test_tf_margin_identities.py);
+- the torus column stage: TF's pass `passes` as a row array on the point
+  table `point_table`, its columns' sinusoids `_column_sinusoids` and
+  their grid forms `column_forms`, against which the spinal-trace
+  figure's closed forms are held (tests/test_figures.py);
 - `envelope_minima`, the multi-constraint envelope of which
   `column_minima` reads one constraint per Giraud-torus column, with its
   own per-form column rows, the per-torus ball arcs `ball_arcs` it reads
   from the norm terms `norm_terms` of the column rows `delta_rows`, the
-  one-torus view `GiraudTorus` (the program reads tori as row arrays
-  only), and torus points `torus_vectors` and `point`;
+  one-torus view `GiraudTorus` (the row arrays of `passes` and
+  `plus_pass` read tori otherwise), and torus points `torus_vectors` and `point`;
 - the three tori of the face family (`TORI` of the bisectors `BISECTORS`,
   their lifts `TORUS_LIFTS` and `torus_lifts` and box rows `torus_rows`),
-  of which `FaceFamily` forms torus 0 alone, as TF's pass;
+  torus 0 carrying TF's pass `passes`;
 - the Giraud circles' affine-chart velocities at their vertices
   (`giraud_circle_tangents`, at the vertex angles `vertex_angles`, with
   the projective distances `_proj_distances`), against which the proved
@@ -83,14 +87,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from crlab.bisector import _column_sinusoids, level_g
-from crlab.core import GeometryError, HVec, box_rows, cross, inner, sesquilinear, tolerance
-from crlab.core import apply as apply_rows
+from crlab.bisector import level_g
+from crlab.core import GeometryError, HVec, cross, inner, sesquilinear, tolerance
 from crlab.family import (
     P_A, P_B, P_U, P_U1, P_U2, P_V, P_W, U_PA, U_PB, U_PV, UI_PB, UI_PV, UI_PW, FamilyParams, FamilyRep, SideKind,
 )
 from crlab.isometry import Isometry
-from crlab.reference import Location, box, locate, proj_equal, remarkable_points
+from crlab.reference import Location, box, box_rows, face_points, locate, proj_equal, remarkable_points
+from crlab.reference import apply as apply_rows
 from crlab.visual import VisualChart
 
 TORUS_GRID_DEFAULT = 720
@@ -99,7 +103,7 @@ BISECTORS = [P_V, P_W, UI_PW]
 # the tori (J_0^-, J_-1^-), (J_0^+, J_0^-) and (J_0^+, J_-1^-) as (bisector
 # of q, bisector of r), indices into BISECTORS, with their lifts (p_U, q, r)
 # as rows of the point table: torus 0 carries TF's pass
-# (`FaceFamily.passes`), and the Giraud circles of tori 1 and 2 bound the
+# (`passes`), and the Giraud circles of tori 1 and 2 bound the
 # first face (tests/test_bitangency_identities.py)
 TORI = [(1, 2), (0, 1), (0, 2)]
 TORUS_LIFTS = np.array([[P_U, BISECTORS[i], BISECTORS[j]] for i, j in TORI])
@@ -109,12 +113,12 @@ TORUS_REFINE_FACTOR = 4
 
 
 class GiraudTorus:
-    """The one-torus view of the row arrays the program reads: the lifts
+    """The one-torus view of the row arrays of `passes`: the lifts
     (p, q, r) of a torus, coordinate vectors of `space`, with its box
     products rows = (q box r, p box r, q box p), as `torus_lifts` and
     `torus_rows` hold them.  Points are [(q - e^{i theta} p) box (r - e^{i phi}
     p)] = qr - e^{-i theta} pr - e^{-i phi} qp (`torus_vectors`); the
-    program's `bisector.column_forms` and the oracle `column_minima` read the row
+    column stage `column_forms` and the oracle `column_minima` read the row
     array (pos, neg, qr, pr, qp) instead."""
 
     def __init__(self, lifts, rows, space):
@@ -181,18 +185,79 @@ def giraud_circle_tangents(lifts, rows, targets, space):
     return what[np.arange(3) != j].reshape(j.shape[:-1] + (2,)), v, _proj_distances(v, x)
 
 
+def point_table(ff) -> np.ndarray:
+    """The point table of `reference.face_points` at a FaceFamily's alpha2,
+    (14, 3), rows P_A .. UI_PW: the lifts every torus, pass, Gram table and
+    chart here is built from."""
+    return face_points(ff.alpha2)
+
+
 def torus_lifts(ff) -> np.ndarray:
     """The lifts (p_U, q, r) of the tori of TORI, (3, 3, 3), rows of a
     FaceFamily's point table."""
-    return ff.P[TORUS_LIFTS]
+    return point_table(ff)[TORUS_LIFTS]
 
 
 def torus_rows(ff) -> np.ndarray:
     """The box rows (q box r, p_U box r, q box p_U) of the tori of TORI, (3,
-    3, 3), in one `core.box_rows` call; torus 0's are the last three rows of
-    `FaceFamily.passes`, to the bit."""
+    3, 3), in one `reference.box_rows` call; torus 0's are the last three rows of
+    `passes`, to the bit."""
     lifts = torus_lifts(ff)
     return box_rows(lifts[:, [1, 0, 1]], lifts[:, [2, 2, 0]], ff.space)
+
+
+def passes(ff) -> np.ndarray:
+    """TF's pass, the row array (p_U, p_V, q box r, p_U box r, q box p_U),
+    (5, 3), of the torus of lifts (p_U, q, r) = (p_U, p_W, U^-1 p_W) of
+    J_0^- and J_-1^-, its box rows in one `reference.box_rows` call on
+    `point_table`.  The spinal-trace figure draws this torus from its
+    proved forms (tests/test_tf_margin_identities.py)."""
+    P = point_table(ff)
+    return np.concatenate([P[[P_U, P_V]], box_rows(P[[P_W, P_U, P_W]], P[[UI_PW, UI_PW, P_U]], ff.space)])
+
+
+def column_forms(R, sigmas, deltas, space) -> list:
+    """[<V, V>, |<pos, V>|^2, |<neg, V>|^2], each over |V|^2 and of shape
+    (..., len(sigmas), len(deltas)), on the (sigma, delta) grid of the tori
+    of the row arrays R (..., 5, 3) = (pos, neg, qr, pr, qp) of
+    `_column_sinusoids`: its sinusoids evaluated at each sigma, so no torus
+    point is formed; the spinal-trace figure's closed forms are held
+    against it.  |V|^2 is the plain sinusoid, which cancels near its column
+    minimum: on TF's pass at alpha2 = 1.56 the ratios agree with a 40-digit
+    evaluation of the same points to about 8e-13 of the grid's largest
+    value, and to 2e-15 at alpha2 = 0.7."""
+    kpq, (A, C) = _column_sinusoids(R, deltas, space)
+    cos, sin = np.cos(sigmas)[:, None], np.sin(sigmas)[:, None]
+    rows = [kpq[:, 0], (A, -2.0 * C.real, -2.0 * C.imag), kpq[:, 1], kpq[:, 2]]
+    sq, *forms = [k[..., None, :] + p[..., None, :] * cos + q[..., None, :] * sin for k, p, q in rows]
+    return [f / sq for f in forms]
+
+
+def _column_sinusoids(R, deltas, space) -> tuple:
+    """The one stage that forms a torus column's sinusoids in sigma, for row
+    arrays R (..., 5, 3) = (pos, neg, qr, pr, qp) of tori in `space`, with
+    coordinate vectors pos and neg, and delta-columns deltas (..., m) that
+    broadcast against the leading axes of R: per column the rows (k, p, q)
+    of k + p cos(sigma) + q sin(sigma) for |V|^2, |<pos, V>|^2 and |<neg,
+    V>|^2, shape (3, 3, ..., m); and the terms A = <qr, qr> + <B, B> and C
+    = <qr, B> of <V, V> = A - 2 Re(e^{-i sigma} C).
+
+    A torus point at theta = sigma + delta and phi = sigma - delta is qr -
+    e^{-i sigma} B(delta), B(delta) = e^{-i delta} pr + e^{i delta} qp, so
+    every form on a delta-column is a sinusoid in sigma.  Every product is a
+    `core.sesquilinear` sum, elementwise on the whole broadcast, so a column
+    has the same bits in any stack: the products with qr are formed once
+    per row array, those with B(delta) per column."""
+    pos, neg, qr, pr, qp = np.moveaxis(np.asarray(R)[..., None, :, :], -2, 0)
+    up, un, nq = (space.form(x, qr) for x in (pos, neg, qr))
+    e = np.exp(-1j * np.asarray(deltas))[..., None]
+    B = e * pr + e.conj() * qp
+    fp, fn, C = (space.form(x, B) for x in (pos, neg, qr))
+    A = nq.real + space.form(B, B).real
+    sq = [z.real**2 + z.imag**2 for z in (fp, fn, up, un)]
+    k = [sesquilinear(qr, qr).real + sesquilinear(B, B).real, sq[0] + sq[2], sq[1] + sq[3]]
+    cross = np.array([sesquilinear(qr, B), fp * up.conj(), fn * un.conj()])
+    return np.array([k, -2.0 * cross.real, -2.0 * cross.imag]), (A, C)
 
 
 def delta_v(alpha2: float) -> float:
@@ -207,7 +272,7 @@ def delta_v(alpha2: float) -> float:
 def column_minima(R, deltas, space) -> tuple:
     """(minima, mid, half), each of shape (..., m), per column of the row
     arrays R (..., 5, 3) = (pos, neg, qr, pr, qp) and delta-columns (...,
-    m) of `bisector._column_sinusoids`: the exact minimum over sigma of E /
+    m) of `_column_sinusoids`: the exact minimum over sigma of E /
     |V|^2, E = |<pos, V>|^2 - |<neg, V>|^2, over the column's ball arc mid
     +- half (mid = arg C, half = arccos(A / 2|C|) for <V, V> = A - 2|C|
     cos(sigma - arg C); pi where the whole column is in the ball, nan where
@@ -240,7 +305,7 @@ def column_minima(R, deltas, space) -> tuple:
 
 def torus_exclusion(R, dv: float, m: int, space) -> list[float]:
     """The margin of each pass of the row arrays R (..., 5, 3) = (p, neg,
-    qr, pr, qp) of `bisector._column_sinusoids`: a pass is the claim that
+    qr, pr, qp) of `_column_sinusoids`: a pass is the claim that
     on the ball part of its torus |<z, p>| <= |<z, neg>|, p the torus's own
     first lift, holds only at its two vertices.  Both vertices are the ends
     of the ball arc of the delta-column dv (`delta_v`), where the contact
@@ -256,11 +321,11 @@ def torus_exclusion(R, dv: float, m: int, space) -> list[float]:
 
 def torus_pass(ff, grid_n: int = TORUS_GRID_DEFAULT) -> float:
     """The sampled margin of TF's pass, `torus_exclusion` of
-    `FaceFamily.passes` on grid_n // 2 columns about the vertex column
+    `passes` on grid_n // 2 columns about the vertex column
     `delta_v`, as `verify` read it above ALPHA2_STAR before the band edge
     (`family.exclusion_margin`); never below that closed form, and inf
     where no sampled column meets the ball."""
-    return torus_exclusion(ff.passes, delta_v(ff.alpha2), grid_n // 2, ff.space)
+    return torus_exclusion(passes(ff), delta_v(ff.alpha2), grid_n // 2, ff.space)
 
 
 @functools.cache
@@ -362,7 +427,7 @@ def _column_rows(torus, B, ws):
     """Per delta-column rows (k, p, q) of |V|^2 and of each |<w, V>|^2 =
     |<w, qr> - e^{-i sigma} <w, B_d>|^2, as sinusoids in sigma, for the rows
     B of `delta_rows`: each form on its own, apart from the
-    program's stacked `bisector._column_sinusoids`."""
+    stacked `_column_sinusoids`."""
     sp, qr = torus.space, torus.qr
     den = _harmonic(sesquilinear(qr, qr).real + sesquilinear(B, B).real, sesquilinear(qr, B))
     return den, [_harmonic(*_abs2_terms(sp.form(w, qr[None]), sp.form(w, B))) for w in ws]
@@ -855,9 +920,9 @@ def symmetric_kinds(boxes, space, tol) -> tuple[list, list]:
 def lc_triples(ff) -> np.ndarray:
     """The box products (p box q, q box r, r box p) of LC's triples (p_U,
     p_V, p_W) and (p_U, U p_V, p_W), shape (2, 3, 3), the input of
-    `symmetric_kinds`: `core.box_rows` on the rows of a FaceFamily's point
+    `symmetric_kinds`: `reference.box_rows` on the rows of a FaceFamily's point
     table."""
-    T = ff.P[[[P_U, P_V, P_W], [P_U, U_PV, P_W]]]
+    T = point_table(ff)[[[P_U, P_V, P_W], [P_U, U_PV, P_W]]]
     return box_rows(T, T[:, [1, 2, 0]], ff.space)
 
 
@@ -1021,7 +1086,7 @@ def chart(ch: VisualChart, q) -> complex:
 def row_lengths(ff) -> np.ndarray:
     """The Euclidean lengths of the rows of a FaceFamily's point table, the
     scales of the Gram-table kernels below."""
-    return np.linalg.norm(ff.P, axis=1)
+    return np.linalg.norm(point_table(ff), axis=1)
 
 
 def gram(X: np.ndarray, space) -> np.ndarray:
@@ -1038,22 +1103,23 @@ def face_torus(ff, i: int = 0) -> GiraudTorus:
 def plus_pass(ff) -> np.ndarray:
     """LC's former exclusion pass, the row array (p_U, p_W, qr, pr, qp),
     shape (5, 3), of the torus of J_0^+ and J_1^+, lifts (p_U, p_V, U p_V):
-    one `core.box_rows` call on a FaceFamily's point table, as
-    `FaceFamily.passes` is formed.  The slice's involution carries it onto
-    `FaceFamily.passes`, its box rows negated (tests/test_lc_identities.py)."""
-    lifts = ff.P[[P_U, P_V, U_PV]]
-    return np.concatenate([ff.P[[P_U, P_W]], box_rows(lifts[[1, 0, 1]], lifts[[2, 2, 0]], ff.space)])
+    one `reference.box_rows` call on a FaceFamily's point table, as
+    `passes` is formed.  The slice's involution carries it onto
+    `passes`, its box rows negated (tests/test_lc_identities.py)."""
+    P = point_table(ff)
+    lifts = P[[P_U, P_V, U_PV]]
+    return np.concatenate([P[[P_U, P_W]], box_rows(lifts[[1, 0, 1]], lifts[[2, 2, 0]], ff.space)])
 
 
 def plus_torus(ff) -> GiraudTorus:
     """The `GiraudTorus` view of `plus_pass`'s torus."""
-    return GiraudTorus(ff.P[[P_U, P_V, U_PV]], plus_pass(ff)[2:], ff.space)
+    return GiraudTorus(point_table(ff)[[P_U, P_V, U_PV]], plus_pass(ff)[2:], ff.space)
 
 
 def face_gram(ff) -> np.ndarray:
     """The Gram table of a FaceFamily's point table P, G[i, j] = <P_i, P_j>:
     the input of the Gram-table kernels here and of the proofs' tie tests."""
-    return gram(ff.P, ff.space)
+    return gram(point_table(ff), ff.space)
 
 
 # the products <z, q> of unit modulus that put the ideal vertices p_A and
@@ -1068,7 +1134,8 @@ def vertex_products(ff) -> np.ndarray:
     """The ten products of VERTEX_PRODUCTS from a FaceFamily's point table,
     each of modulus 1 at every alpha2 (tests/test_incidence_identities.py)."""
     z, q = np.array(VERTEX_PRODUCTS).T
-    return ff.space.form(ff.P[z], ff.P[q])
+    P = point_table(ff)
+    return ff.space.form(P[z], P[q])
 
 
 def oriented_chart(ff) -> VisualChart | None:
@@ -1084,7 +1151,8 @@ def oriented_chart(ff) -> VisualChart | None:
     if ff.side.kind is SideKind.UNIPOTENT:
         return None
     rows = (P_U2, P_U1) if ff.side.kind is SideKind.LOXODROMIC else (P_U1, P_U2)
-    return VisualChart(ff.P[P_U], *ff.P[list(rows)], ff.space)
+    P = point_table(ff)
+    return VisualChart(P[P_U], *P[list(rows)], ff.space)
 
 
 def chart_multiplier(ff) -> complex | None:

@@ -10,7 +10,7 @@ identity of the slice when it vanishes modulo c^2 + s^2 - 1 and whatever
 relations its other symbols obey (`zero`), and a polynomial in one symbol
 is positive on an interval by Sturm's count (`positive`).  S and T are the closed forms of
 `family.rho_s` and `family.rho_t` at alpha1 = 0, U = S^-1 T, and the points
-are built from them as `family.face_points` builds its rows: P_U, P_V,
+are built from them as `reference.face_points` builds its rows: P_U, P_V,
 P_W and UI_PW are the lifts of `verify.FaceFamily`'s tori, whose box rows
 the proofs form with `box`.  INVOLUTION is the involution that fixes p_U
 and swaps p_V with p_W.
@@ -40,7 +40,7 @@ def inner(u, v):
 
 
 def box(a, b):
-    """J^-1 conj(a x b), as `core.box_rows`."""
+    """J^-1 conj(a x b), as `reference.box_rows`."""
     return J * conj(a.cross(b))
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from crlab.core import GeometryError, HVec, inner
-from crlab.bisector import column_forms, level_g
+from crlab.bisector import level_g
 from crlab.family import ALPHA2_LIM, P_A, P_U, P_V, P_W, FamilyParams, alpha2_for_order, delta0
 from crlab.reference import Location, alpha2_for_length, ball_model, box, locate, proj_distance, remarkable_points
 from crlab.verify import FaceFamily
@@ -19,6 +19,7 @@ from oracles import (
     bisector_kind,
     brute_force_symmetric_kind,
     classify_bisector,
+    column_forms,
     column_minima,
     count_sublevel_components,
     envelope_minima,
@@ -29,10 +30,12 @@ from oracles import (
     membership,
     norm_terms,
     pair_kind,
+    passes,
     periodic_components,
     plus_pass,
     plus_torus,
     point,
+    point_table,
     real_spine_endpoints,
     slice_boundary_circle,
     symmetric_intersection_type,
@@ -446,20 +449,21 @@ def test_stacked_column_minima_equal_each_block_alone(alpha2, n):
     families = [FaceFamily(a) for a in (alpha2, params[(params.index(alpha2) + 1) % len(params)])]
     stack, deltas = [], []
     for ff in families:
-        theta, phi = vertex_angles(face_torus(ff).lifts, ff.P[P_A], ff.space)
+        theta, phi = vertex_angles(face_torus(ff).lifts, point_table(ff)[P_A], ff.space)
         dv = ((theta - phi) / 2.0) % math.pi
-        stack.append(np.stack([ff.passes, plus_pass(ff)]))
+        stack.append(np.stack([passes(ff), plus_pass(ff)]))
         deltas.append(np.append(dv, dv + offsets))
     space = families[0].space
     both = column_minima(np.array(stack), np.array(deltas)[:, None], space)
     for k, (ff, R, d) in enumerate(zip(families, stack, deltas)):
-        passes = column_minima(R, d, space)
+        each = column_minima(R, d, space)
+        P = point_table(ff)
         for i, neg in enumerate((P_V, P_W)):
             alone = column_minima(R[i], d, space)
-            for layout in ([x[i] for x in passes], [x[k, i] for x in both]):
+            for layout in ([x[i] for x in each], [x[k, i] for x in both]):
                 assert [x.tobytes() for x in layout] == [x.tobytes() for x in alone]
             torus = (face_torus(ff), plus_torus(ff))[i]
-            assert np.array_equal(alone[0], envelope_minima(torus, d, ff.P[P_U], [ff.P[neg]]))
+            assert np.array_equal(alone[0], envelope_minima(torus, d, P[P_U], [P[neg]]))
     # an empty arc reads inf, and only an empty arc
     minima, _, half = both
     assert np.isinf(minima[0]).any() and np.array_equal(np.isinf(minima), np.isnan(half))

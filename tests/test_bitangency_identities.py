@@ -10,7 +10,7 @@ are the ideal boundaries of tori 1 and 2 of `oracles.TORI`, of the lifts
 arithmetic over c = cos(alpha2), s = sin(alpha2) modulo c^2 + s^2 - 1
 (`slice_algebra`), with E = e^{i alpha2}.
 
-A torus of lifts (p, q, r) with rows qr, pr, qp (`bisector`) has the
+A torus of lifts (p, q, r) with rows qr, pr, qp (`oracles.GiraudTorus`) has the
 points V(theta, phi) = qr - e^{-i theta} pr - e^{-i phi} qp, and its
 Giraud circle is the null curve <V, V> = 0.
 
@@ -49,7 +49,7 @@ alone, not from the closed-form velocities.  Each relation fails when
 perturbed by 10^-6 cs, and the tangency fails when one circle's vertex
 angle is moved by the rational rotation ROT.  The tie tests hold the
 symbols to the box rows `oracles.torus_rows` of the program's point table
-`FaceFamily.P`, and the oracle
+`oracles.point_table`, and the oracle
 `giraud_circle_tangents` to the closed forms on 23 parameters.
 """
 
@@ -63,7 +63,7 @@ from crlab.family import P_A, P_B, alpha2_for_order
 from crlab.reference import alpha2_for_length
 from crlab.verify import FaceFamily
 
-from oracles import giraud_circle_tangents, torus_lifts, torus_rows, vertex_angles
+from oracles import giraud_circle_tangents, point_table, torus_lifts, torus_rows, vertex_angles
 import slice_algebra as sa
 from slice_algebra import E, I, c, conj, inner, s, zero
 
@@ -214,7 +214,7 @@ def test_the_oracle_reads_the_closed_forms(alpha2):
     co, si = math.cos(alpha2), math.sin(alpha2)
     for want, rows in zip(SYMBOLIC(co, si), tori):
         assert np.abs(np.asarray(want, dtype=complex) - rows).max() <= 1e-13 * np.abs(rows).max()
-    targets = ff.P[[P_A, P_B], None]
+    targets = point_table(ff)[[P_A, P_B], None]
     up, down = math.pi - 2.0 * alpha2, 2.0 * alpha2 - math.pi
     angles = vertex_angles(lifts, targets, ff.space)
     want = np.array([[[up, 0.0], [up, up]], [[down, down], [down, 0.0]]])

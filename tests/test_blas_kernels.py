@@ -1,9 +1,10 @@
-"""The same bytes under every OpenBLAS kernel, and GC's, disk-projection's and
-level-sets' under every numpy dispatch level.
+"""The same bytes under every OpenBLAS kernel, and the reports' and the
+disk-projection, level-sets and spinal-trace figures' under every numpy
+dispatch level.
 
 OpenBLAS picks a kernel for the machine at run time, and OPENBLAS_CORETYPE
 overrides that choice for one process.  No number on the verify and figure
-path goes through BLAS (`core.sesquilinear`, `core.apply`), so reports and
+path goes through BLAS (`core.sesquilinear`), so reports and
 figures must not move with the kernel.
 
 numpy picks its SIMD loops at run time too, and NPY_DISABLE_CPU_FEATURES
@@ -12,8 +13,9 @@ other loops change their last bits with the level, so most figures still
 move with it.  Every number of a report is closed-form `math` on alpha2,
 the order or the length (TF's margin `family.exclusion_margin`, the band
 edge's bisection included, and GC's block) or a residual that reads
-exactly 0.0, and the disk-projection and level-sets figures are `math`
-scalars with numpy's real cos, sin and arithmetic: none may move.
+exactly 0.0, and the disk-projection, level-sets and spinal-trace figures
+are `math` scalars with numpy's real cos, sin and arithmetic: none may
+move.
 """
 
 import json
@@ -129,10 +131,11 @@ def test_gc_blocks_are_the_same_bytes_at_every_dispatch_level():
 
 
 # one process: SHA-256 of the disk-projection CSV and SVG at three orders,
-# and of the level-sets CSV and SVG at two resolutions
+# of the level-sets CSV and SVG at two resolutions, and of the spinal-trace
+# CSV and SVG at two parameters
 DISK_PROGRAM = r"""
 import hashlib, json, os, tempfile
-from crlab.figures import figure_disk_projection, figure_level_sets
+from crlab.figures import figure_disk_projection, figure_level_sets, figure_spinal_trace
 
 sha = {}
 with tempfile.TemporaryDirectory() as out:
@@ -145,18 +148,23 @@ with tempfile.TemporaryDirectory() as out:
             path, _ = figure_level_sets(os.path.join(out, "ls"), resolution=resolution, fmt=fmt)
             with open(path, "rb") as fh:
                 sha[f"level-sets {resolution}.{fmt}"] = hashlib.sha256(fh.read()).hexdigest()
+        for alpha2 in (0.7, 1.3):
+            path, _ = figure_spinal_trace(os.path.join(out, "st"), alpha2=alpha2, resolution=64, fmt=fmt)
+            with open(path, "rb") as fh:
+                sha[f"spinal-trace {alpha2}.{fmt}"] = hashlib.sha256(fh.read()).hexdigest()
 print(json.dumps(sha))
 """
 
 
 def test_disk_projection_is_the_same_bytes_at_every_dispatch_level():
-    # disk-projection, and level-sets, whose CSV declares g by its triangle:
-    # the same bytes at every level also pin G == G.T (cos(-x) == cos(x))
+    # disk-projection; level-sets, whose CSV declares g by its triangle: the
+    # same bytes at every level also pin G == G.T (cos(-x) == cos(x))
     # wherever the default level's tie to the full grid holds
-    # (tests/test_figures.py)
+    # (tests/test_figures.py); and spinal-trace, drawn from the proved forms
+    # of TF's pass in real cos, sin and arithmetic
     runs = {features: _run_at_level(features, DISK_PROGRAM) for features in CPU_FEATURE_SETTINGS}
     default = runs[None]
-    assert len(default) == 10
+    assert len(default) == 14
     for features in CPU_FEATURE_SETTINGS[1:]:
         moved = sorted(k for k, v in default.items() if runs[features][k] != v)
         assert moved == [], f"{features}: {moved}"

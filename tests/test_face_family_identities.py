@@ -36,7 +36,7 @@ also perturbed and seen to fail, among them the other sign eps = -1 and the
 determinant 72c^4 - c^5.  The last test ties the symbolic products,
 contacts and determinants to the program's point table and the box rows
 of the three tori (`oracles.torus_rows`, whose torus 0 is the program's
-`FaceFamily.passes`), and their Gram table (`oracles.face_gram`), at a few
+`oracles.passes`), and their Gram table (`oracles.face_gram`), at a few
 parameters on each side.
 """
 
@@ -51,7 +51,7 @@ from crlab.family import P_U, P_V, U_PA, UI_PB, alpha2_for_order
 from crlab.reference import alpha2_for_length
 from crlab.verify import FaceFamily
 
-from oracles import BISECTORS, TORI, face_gram, torus_rows
+from oracles import BISECTORS, TORI, face_gram, passes, point_table, torus_rows
 import slice_algebra as sa
 from slice_algebra import J, c, conj, inner, positive, s, zero
 
@@ -157,7 +157,7 @@ def test_symbolic_products_are_the_programs(alpha2):
     ff = FaceFamily(alpha2)
     co, si = math.cos(alpha2), math.sin(alpha2)
     (contacts,) = (np.array(m, dtype=complex).T for m in SYMBOLIC(co, si))
-    G, P, rows = face_gram(ff), ff.P, [U_PA, UI_PB]
+    G, P, rows = face_gram(ff), point_table(ff), [U_PA, UI_PB]
     scale = np.abs(G).max()
     assert abs(G[P_U, P_V] + 1.5) <= 1e-13 * scale
     assert abs(G[P_U, P_U] - (8 * co**2 - 3) / 2) <= 1e-13 * scale
@@ -166,7 +166,7 @@ def test_symbolic_products_are_the_programs(alpha2):
     assert np.abs(G[rows, rows]).max() <= 1e-13 * scale
     assert np.abs(G[P_U, rows] - G[P_V, rows]).max() <= 1e-13 * scale
     rows = torus_rows(ff)
-    assert rows[0].tobytes() == ff.passes[2:].tobytes()
+    assert rows[0].tobytes() == passes(ff)[2:].tobytes()
     foci = rows[:, 1:]
     assert np.abs(ff.space.form(foci, P[P_U])).max() <= 1e-13 * np.abs(foci).max() * np.abs(P[P_U]).max()
     for (i, _), d, pr in zip(TORI, DETERMINANTS, rows[:, 1]):

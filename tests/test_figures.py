@@ -4,6 +4,7 @@ replace, kept here as oracles."""
 import math
 import os
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -30,10 +31,12 @@ from crlab.verify import FaceFamily
 from oracles import (
     chart,
     classify_bisector,
+    column_forms,
     contour_segments,
     contour_segments_at,
     family_points,
     oriented_chart,
+    passes,
     silhouette_circles,
     slice_boundary_circle,
     spinal_samples,
@@ -480,6 +483,67 @@ def test_spinal_trace_side_vanishes_on_the_complex_line_column(alpha2, tmp_path)
     top = np.abs(side).max()
     assert np.abs(side[:, 0]).max() <= 1e-12 * top
     assert np.abs(side[:, 1]).max() > 1e-12 * top
+
+
+@pytest.mark.parametrize("alpha2, bound", [(0.3, 4e-15), (0.7, 4e-15), (1.0, 5e-15), (1.3, 2e-14)])
+def test_spinal_trace_is_the_column_stage_of_tfs_pass(alpha2, bound, tmp_path):
+    # the figure's grids are the proved forms of TF's pass
+    # (tests/test_tf_margin_identities.py): at resolution 361 they are the
+    # column stage's on the pass's row array to rounding, of the grid
+    # maximum; the bound is the stage's own distance from the 40-digit
+    # values below (4.0e-15 at 1.0, 1.5e-14 at 1.3) and the figure's
+    _, (sigmas, deltas, norms, side) = figure_spinal_trace(str(tmp_path / "st"), alpha2=alpha2, resolution=361)
+    ff = FaceFamily(alpha2)
+    norm, to_u, to_v = column_forms(passes(ff), sigmas, deltas, ff.space)
+    for got, want in ((norms, norm), (side, to_u - to_v)):
+        assert np.abs(got - want).max() <= bound * np.abs(want).max()
+
+
+# bits of the fixed point in which proved_forms_40 sums each cell: 2^-160 is
+# 1e-48, and |V|^2 / 8c^2 is at least 7.8e-4 on the grids below
+FIXED_BITS = 160
+
+
+def proved_forms_40(alpha2, sigmas, deltas):
+    """(norm, side) of the proved forms at the float points (sigma, delta):
+    norm = (K^2 + 6 sin^2 u + Z) / (9 - 2 sin^2 u + Z) and side = -4c^2 (K^2
+    + Z) / (9 - 2 sin^2 u + Z), u = delta - alpha2 - pi/2, K = 3s cos u - c
+    sin u, Z = 3K cos(sigma).  Each sine and cosine is an mpmath value at 50
+    digits, held as an integer in units of 2^-FIXED_BITS, each cell is
+    summed exactly in those integers, and each ratio is rounded to a float
+    once, by Python's correctly rounded integer division."""
+    one = 1 << FIXED_BITS
+
+    def fixed(x):
+        return int(mpmath.nint(x * one))
+
+    with mpmath.workdps(50):
+        a = mpmath.mpf(alpha2)
+        c, s = mpmath.cos(a), mpmath.sin(a)
+        cols = []
+        for d in deltas.tolist():
+            u = mpmath.mpf(d) - a - mpmath.pi / 2
+            sin2, k = mpmath.sin(u) ** 2, 3 * s * mpmath.cos(u) - c * mpmath.sin(u)
+            cols.append([fixed(x) << FIXED_BITS for x in (k * k + 6 * sin2, 9 - 2 * sin2, k * k)] + [fixed(3 * k)])
+        w = np.array([fixed(mpmath.cos(mpmath.mpf(x))) for x in sigmas.tolist()], dtype=object)
+        c2 = fixed(4 * c * c)
+    num, den, e, k3 = (np.array(col, dtype=object) for col in zip(*cols))
+    z = np.multiply.outer(w, k3)
+    den = den + z
+    norm = ((num + z) / den).astype(float)
+    side = ((-c2 * (e + z)) / (den * one)).astype(float)
+    return norm, side
+
+
+@pytest.mark.parametrize("alpha2", [0.3, 0.7, 1.0, 1.3, 1.56])
+def test_spinal_trace_matches_a_40_digit_evaluation(alpha2, tmp_path):
+    # at the figure's own float points, the grids agree with the proved forms
+    # taken to 40 digits, also at 1.56, where the plain sum 9 - 2 sin^2 u + Z
+    # cancels to 1e-4 of its terms (the column stage's |V|^2 there agrees to
+    # 8.4e-13 of the grid maximum)
+    _, (sigmas, deltas, norms, side) = figure_spinal_trace(str(tmp_path / "st"), alpha2=alpha2, resolution=361)
+    for got, want in zip((norms, side), proved_forms_40(alpha2, sigmas, deltas)):
+        assert np.abs(got - want).max() <= 4e-15 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("n", [20, 1000])

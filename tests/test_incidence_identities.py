@@ -51,7 +51,7 @@ from crlab.reference import alpha2_for_length
 from crlab.verify import FaceFamily
 
 import slice_algebra as sa
-from oracles import TRANSLATION_INCIDENCES, VERTEX_PRODUCTS, chart_multiplier, face_gram
+from oracles import TRANSLATION_INCIDENCES, VERTEX_PRODUCTS, chart_multiplier, face_gram, point_table
 from slice_algebra import I, J, U, c, conj, eigenvector, inner, positive, s, zero
 
 d = sp.symbols("d", real=True)
@@ -183,11 +183,11 @@ def test_symbols_are_the_programs(alpha2):
     elliptic = side.kind is SideKind.ELLIPTIC
     dv = side.delta.imag if elliptic else side.delta.real
     points, lox_p, lox_m, ell_p, ell_m, lam_p, lam_m = SYMBOLIC(co, si, dv)
-    P = ff.P[list(POINTS)]
+    P = point_table(ff)[list(POINTS)]
     assert np.abs(np.asarray(points, dtype=complex).T - P).max() <= 1e-13 * np.abs(P).max()
     eigen = [ell_p, ell_m] if elliptic else [lox_p, lox_m]
     want = np.array(eigen, dtype=complex)[..., 0]
-    got = ff.P[[P_U1, P_U2]]
+    got = point_table(ff)[[P_U1, P_U2]]
     assert np.abs(want - got).max() <= 1e-13 * np.abs(got).max()
     G = face_gram(ff)
     if elliptic:

@@ -38,7 +38,7 @@ and the sign at one point, in exact rational arithmetic.  Each relation is
 also perturbed and seen to fail, so no reduction holds vacuously.  The
 symbolic points, box products and involution are tied to the program's
 point table and box rows, and to their Gram table (`oracles.face_gram`),
-and the symbolic passes to `FaceFamily.passes` and `oracles.plus_pass`,
+and the symbolic passes to `oracles.passes` and `oracles.plus_pass`,
 at a few parameters on each side.
 """
 import math
@@ -51,7 +51,10 @@ from crlab.family import P_A, P_B, P_U, P_V, P_W, U_PA, U_PV, UI_PW, alpha2_for_
 from crlab.reference import alpha2_for_length
 from crlab.verify import FaceFamily
 
-from oracles import column_minima, delta_v, face_gram, gram, involution_matrix, lc_triples, plus_pass, torus_exclusion, torus_pass
+from oracles import (
+    column_minima, delta_v, face_gram, gram, involution_matrix, lc_triples, passes, plus_pass, point_table, torus_exclusion,
+    torus_pass,
+)
 from slice_algebra import INVOLUTION, J, U, box, c, conj, inner, inv, positive, s, zero
 import slice_algebra
 
@@ -183,7 +186,7 @@ def test_symbolic_triples_and_involution_are_the_programs(alpha2):
     co, si = math.cos(alpha2), math.sin(alpha2)
     points, *boxes, inv_m = (np.array(m, dtype=complex) for m in SYMBOLIC(co, si))
     points, boxes = points.T, [b.T for b in boxes]  # rows, as the program's tables
-    P = ff.P[ROWS]
+    P = point_table(ff)[ROWS]
     assert np.abs(points - P).max() <= 1e-13 * np.abs(P).max()
     G = face_gram(ff)[np.ix_(ROWS, ROWS)]
     assert np.abs(gram(points, ff.space) - G).max() <= 1e-12 * np.abs(G).max()
@@ -208,7 +211,7 @@ PASS_SYMBOLIC = sp.lambdify((c, s), [sp.Matrix.hstack(*PASSES[name]) for name in
 )
 def test_the_involution_carries_the_plus_pass_onto_tfs(alpha2, grid):
     # the proof's passes, evaluated at alpha2, are oracles.plus_pass and
-    # FaceFamily.passes; the oracle's I maps the first onto the second row
+    # oracles.passes; the oracle's I maps the first onto the second row
     # by row with SIGNS, and p_A, p_B onto U p_A, p_B.  On the sampled
     # columns of `oracles.torus_pass` both passes read the same ball arcs, and column minima of the
     # same sign and inf pattern: TF's margin is finite and positive exactly
@@ -216,12 +219,12 @@ def test_the_involution_carries_the_plus_pass_onto_tfs(alpha2, grid):
     # ball, and both read inf)
     ff = FaceFamily(alpha2)
     co, si = math.cos(alpha2), math.sin(alpha2)
-    plus, minus = plus_pass(ff), ff.passes
+    plus, minus = plus_pass(ff), passes(ff)
     for want, got in zip(PASS_SYMBOLIC(co, si), (plus, minus)):
         assert np.abs(np.array(want, dtype=complex).T - got).max() <= 1e-13 * np.abs(got).max()
     I = involution_matrix(alpha2)
     assert np.abs(plus @ I.T - np.array(SIGNS)[:, None] * minus).max() <= 1e-13 * np.abs(minus).max()
-    P = ff.P
+    P = point_table(ff)
     assert np.abs(P[[P_A, P_B]] @ I.T - P[[U_PA, P_B]]).max() <= 1e-13 * np.abs(P).max()
     m, dv = grid // 2, delta_v(alpha2)
     minima, _, half = column_minima(np.stack([minus, plus]), dv + (np.arange(m) + 0.5) * (math.pi / m), ff.space)

@@ -66,7 +66,7 @@ from crlab.reference import alpha2_for_length
 from crlab.verify import FaceFamily
 
 import slice_algebra as sa
-from oracles import chart_multiplier, face_gram, face_silhouettes, face_torus, oriented_chart
+from oracles import chart_multiplier, face_gram, face_silhouettes, face_torus, oriented_chart, point_table
 from slice_algebra import I, SQ2, c, conj, inner, positive, s, zero
 
 t, lam = sp.symbols("t lam", real=True)
@@ -206,7 +206,7 @@ def test_symbolic_line_and_contacts_are_the_programs(alpha2):
     for want, got in zip(np.asarray(rows, dtype=complex), (torus.qr, torus.pr, torus.qp)):
         assert np.abs(want - got).max() <= 1e-13 * np.abs(got).max()
     assert delta0(alpha2) == pytest.approx(math.atan2(y, x), abs=1e-15)
-    G, P = face_gram(ff), ff.P
+    G, P = face_gram(ff), point_table(ff)
     scale = np.abs(G).max()
     assert np.abs(G[P_U, [P_V, U_PW, P_W]] + 1.5).max() <= 1e-13 * scale
     assert np.abs(G[[P_V, U_PV], [U_PW, UI_PW]] + 1.5 * (8 * co**2 + 1)).max() <= 1e-13 * scale

@@ -92,11 +92,21 @@ def test_figures_build_no_representation():
 
 
 def test_one_torus_grid_path():
-    # forms on torus grids come from bisector.column_forms in closed form,
-    # called by the spinal-trace figure alone; no module builds the (sigma,
-    # delta) grid of points, and the figures never put torus points through
-    # the pointwise form kernel
-    assert callers(SRC, "column_forms") == ["figures.figure_spinal_trace"]
+    # the spinal-trace figure reads its torus's proved forms in closed form
+    # (tests/test_tf_margin_identities.py): the column stage and TF's pass
+    # are oracles (tests/oracles.py), so no module defines them, bisector
+    # holds only the level function, and figures reads nothing of verify;
+    # no module builds the (sigma, delta) grid of points, and the figures
+    # never put torus points through the pointwise form kernel
+    defined = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name in ("column_forms", "_column_sinusoids", "passes")
+    ]
+    assert defined == []
+    assert "core" not in imported_modules(SRC / "bisector.py")
+    assert "verify" not in imported_modules(SRC / "figures.py")
     assert [p.name for p in sorted(SRC.glob("*.py")) if "sigma_delta_grid" in p.read_text()] == []
     found = []
     for name in ("figures.py",):
@@ -150,15 +160,7 @@ def test_verify_imports_nothing_from_bisector():
     # TF's margin is the closed form family.exclusion_margin at every alpha2
     # (tests/test_tf_margin_identities.py): verify reads no torus column, so
     # it imports neither the bisector module nor any name from it
-    tree = ast.parse((SRC / "verify.py").read_text())
-    found = [
-        f"verify.py:{node.lineno}"
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "bisector"
-        or isinstance(node, ast.ImportFrom) and node.module is None and "bisector" in [a.name for a in node.names]
-        or isinstance(node, ast.Import) and any(a.name.split(".")[-1] == "bisector" for a in node.names)
-    ]
-    assert found == []
+    assert "bisector" not in imported_modules(SRC / "verify.py")
 
 
 def test_verify_forms_no_plus_torus():
@@ -263,7 +265,7 @@ def test_verify_path_uses_no_random_numbers_and_no_lapack():
     # scalar, where it lives (the rest of isometry keeps its own rules, for
     # classify).  No product goes through BLAS either: no @ and no matmul,
     # dot, vdot, einsum, inner or tensordot, so every number is a
-    # fixed-order elementwise sum (`core.sesquilinear`, `core.apply`) with
+    # fixed-order elementwise sum (`core.sesquilinear`) with
     # the same bits under every BLAS kernel; norm takes an axis, without
     # which it sums by BLAS dot.  Exempt is family.FamilyRep, whose group
     # words serve the classify command
@@ -418,9 +420,10 @@ def test_verify_runs_leave_numpy_unloaded(tmp_path):
 
 # the package's exports, by home module
 EXPORTS = {
-    "core": ("HermitianSpace", "HVec", "Model", "box_rows", "inner", "siegel_model"),
+    "core": ("HermitianSpace", "HVec", "Model", "inner", "siegel_model"),
+    "reference": ("box_rows", "face_points"),
     "isometry": ("EllipticType", "Isometry", "IsometryKind", "classify", "eigen", "elliptic_type", "goldman_f", "verify_su21"),
-    "family": ("ALPHA2_LIM", "FamilyParams", "FamilyRep", "alpha2_for_order", "face_points", "param_side", "schwartz_point"),
+    "family": ("ALPHA2_LIM", "FamilyParams", "FamilyRep", "alpha2_for_order", "param_side", "schwartz_point"),
     "visual": ("VisualChart",),
     "report": ("VerificationReport",),
     "verify": ("FaceFamily", "verify"),
@@ -569,21 +572,16 @@ def _own_nodes(fn):
             todo += ast.iter_child_nodes(node)
 
 
-def callers(src: pathlib.Path, name: str) -> list[str]:
-    """"module.def" of each top-level function and "module.Class.method" of
-    each method of the program modules under src that names `name`, as a
-    name or an attribute, outside a def of that name."""
-    found = []
-    for path in sorted(src.glob("*.py")):
-        if path.stem in NOT_PROGRAM:
-            continue
-        tree = ast.parse(path.read_text(), str(path))
-        defs = [(f.name, f) for f in tree.body if isinstance(f, ast.FunctionDef)]
-        defs += [(f"{c.name}.{f.name}", f) for c in tree.body if isinstance(c, ast.ClassDef) for f in c.body if isinstance(f, ast.FunctionDef)]
-        for qual, fn in defs:
-            named = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)} | {n.attr for n in ast.walk(fn) if isinstance(n, ast.Attribute)}
-            if fn.name != name and name in named:
-                found.append(f"{path.stem}.{qual}")
+def imported_modules(path: pathlib.Path) -> set[str]:
+    """The last component of each module that the module at path imports,
+    at any depth: "core" for `from .core import x`, `from . import core` and
+    `import crlab.core`."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and node.module is not None:
+            found.add(node.module.split(".")[-1])
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found |= {a.name.split(".")[-1] for a in node.names}
     return found
 
 

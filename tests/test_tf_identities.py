@@ -23,7 +23,7 @@ one:
 
 The symbolic points are built (tests/slice_algebra.py) from the closed
 forms of `family.rho_s` and `family.rho_t` at alpha1 = 0, and the torus rows
-as `core.box_rows` forms them, J^-1 conj(a x b); the last test ties them to the program's own
+as `reference.box_rows` forms them, J^-1 conj(a x b); the last test ties them to the program's own
 point table and torus at a few parameters.
 """
 
@@ -33,7 +33,8 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from crlab.family import P_U, P_W, UI_PW, face_points
+from crlab.family import P_U, P_W, UI_PW
+from crlab.reference import face_points
 from crlab.verify import FaceFamily
 
 import slice_algebra

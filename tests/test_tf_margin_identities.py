@@ -6,12 +6,12 @@
     F = E / (|V|^2 sin^2 u),  E = |<p_U, V>|^2 - |<p_V, V>|^2,
 
 over the closed ball part <V, V> <= 0 of the torus of J_0^- and J_-1^-
-(lifts p_U, p_W, U^-1 p_W, TF's pass `FaceFamily.passes`), with u = delta
+(lifts p_U, p_W, U^-1 p_W, TF's pass `oracles.passes`), with u = delta
 - delta_v the offset of the point's delta-column from the vertex column
 delta_v = alpha2 + pi/2 (tests/test_vertex_identities.py).  It reads
 `family.exclusion_margin` and runs no column; this module is why.  On the
 column of offset u the torus point is V = qr - e^{-i sigma} B(delta)
-(`bisector`), with e^{-i delta} = -i conj(e^{i alpha2}) e^{-i u}, and with
+(`oracles._column_sinusoids`), with e^{-i delta} = -i conj(e^{i alpha2}) e^{-i u}, and with
 c = cos(alpha2), s = sin(alpha2), K = 3s cos u - c sin u and Z = 3K
 cos(sigma), in exact arithmetic over (c, s), (cos u, sin u) and (cos
 sigma, sin sigma) on their circles (`slice_algebra`):
@@ -70,14 +70,14 @@ So the infimum is attained at every alpha2 in (0, pi/2), on the boundary
 point of the column u* up to alpha* and of the band edge u_e above it.
 Each relation fails when perturbed, and so do the sign facts of a
 perturbed quartic and the bracket of a perturbed g.  The tie tests hold
-the forms to the program's column stage (`bisector._column_sinusoids`, on
-`FaceFamily.passes`), the boundary curve and the band to the oracle
+the forms to the column stage (`oracles._column_sinusoids`, on
+`oracles.passes`; the spinal-trace figure reads the forms themselves,
+tests/test_figures.py), the boundary curve and the band to the oracle
 `column_minima`, the margin to a 90-digit evaluation of the band edge and
 to the sampled pass `oracles.torus_pass` at grid 65,536, and alpha* to
 the ball arc of the column u*.
 """
 
-import importlib
 import math
 
 import mpmath
@@ -89,7 +89,7 @@ from crlab.family import ALPHA2_STAR, PIO2_REM, alpha2_for_order, exclusion_marg
 from crlab.reference import alpha2_for_length
 from crlab.verify import FaceFamily
 
-from oracles import column_minima, delta_v, torus_exclusion, torus_pass
+from oracles import _column_sinusoids, column_minima, delta_v, passes, torus_exclusion, torus_pass
 import slice_algebra as sa
 from slice_algebra import E, I, box, c, conj, inner, positive, s, zero
 
@@ -355,13 +355,12 @@ def _forms(alpha2, us):
 
 @pytest.mark.parametrize("alpha2", [0.01, 0.3, 0.7, math.pi / 6, alpha2_for_order(9), 1.1, 1.2, 1.3])
 def test_the_programs_column_stage_has_the_structure(alpha2):
-    # on FaceFamily.passes, at 720 columns: Im C and the sin(sigma) rows of
+    # on oracles.passes, at 720 columns: Im C and the sin(sigma) rows of
     # |V|^2 and E vanish to rounding, and C, A and the cos(sigma) and
     # constant rows are the closed forms in K and sin u
     ff = FaceFamily(alpha2)
     us = (np.arange(720) + 0.5) * (math.pi / 720) - math.pi / 2
-    stage = importlib.import_module("crlab.bisector")._column_sinusoids
-    kpq, (A, C) = stage(ff.passes, _u_columns(alpha2, us), ff.space)
+    kpq, (A, C) = _column_sinusoids(passes(ff), _u_columns(alpha2, us), ff.space)
     k, sn, _ = _forms(alpha2, us)
     c2 = math.cos(alpha2) ** 2
     norm, e = kpq[:, 0], kpq[:, 1] - kpq[:, 2]
@@ -390,7 +389,7 @@ def test_column_minima_read_the_boundary_curve(alpha2):
     # edge's value above it
     ff = FaceFamily(alpha2)
     us = (np.arange(4096) + 0.5) * (math.pi / 4096) - math.pi / 2
-    minima, _, half = column_minima(ff.passes, _u_columns(alpha2, us), ff.space)
+    minima, _, half = column_minima(passes(ff), _u_columns(alpha2, us), ff.space)
     k, sn, cs = _forms(alpha2, us)
     live = ~np.isnan(half)
     slack = np.abs(k**2 + 6 * sn**2 - 3 * np.abs(k))
@@ -416,10 +415,10 @@ def test_the_closed_form_is_the_sampled_margin_at_grid_65536():
     worst = 0.0
     for alpha2 in TIE_PARAMETERS:
         ff, want = FaceFamily(alpha2), exclusion_margin(alpha2)
-        (fine,) = torus_exclusion(ff.passes[None], delta_v(alpha2), 32768, ff.space)
+        (fine,) = torus_exclusion(passes(ff)[None], delta_v(alpha2), 32768, ff.space)
         worst = max(worst, abs(fine - want) / want)
         for grid in (64, 128, 720):
-            (sampled,) = torus_exclusion(ff.passes[None], delta_v(alpha2), grid // 2, ff.space)
+            (sampled,) = torus_exclusion(passes(ff)[None], delta_v(alpha2), grid // 2, ff.space)
             assert sampled >= want, (alpha2, grid)
     assert worst <= 1e-8
 
@@ -501,7 +500,7 @@ def test_the_oracles_band_ends_at_the_edge(alpha2):
     u_e, _ = _edge_reference(alpha2, dps=30)
     u_e, u_star = float(u_e), math.atan(math.tan(alpha2) / 3)
     us = u_e + np.linspace(-1.0, 1.0, 4097)[1:] * min(u_e, u_star - u_e)
-    _, _, half = column_minima(ff.passes, _u_columns(alpha2, us), ff.space)
+    _, _, half = column_minima(passes(ff), _u_columns(alpha2, us), ff.space)
     sure = np.abs(us - u_e) > 1e-9
     assert np.array_equal(~np.isnan(half[sure]), (us < u_e)[sure])
 
@@ -513,7 +512,7 @@ def test_the_column_u_star_closes_at_alpha_star(alpha2, meets):
     # alpha*
     ff = FaceFamily(alpha2)
     u_star = math.atan(math.tan(alpha2) / 3)
-    _, _, half = column_minima(ff.passes, _u_columns(alpha2, [u_star]), ff.space)
+    _, _, half = column_minima(passes(ff), _u_columns(alpha2, [u_star]), ff.space)
     assert np.isnan(half[0]) != meets
     if meets and alpha2 > 1.135:
         assert half[0] <= 1e-3

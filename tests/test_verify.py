@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from crlab.core import GeometryError, HVec, box_rows, inner
+from crlab.core import GeometryError, HVec, inner
 from crlab.family import (
     ALPHA2_LIM, P_A, P_B, P_U, P_U1, P_U2, P_V, P_W, U_PA, U_PB, U_PV, U_PW, UI_PB, UI_PV, UI_PW, SideKind,
     alpha2_for_order,
@@ -20,7 +20,7 @@ from crlab.family import (
     exclusion_margin,
     param_side,
 )
-from crlab.reference import alpha2_for_length, proj_distance
+from crlab.reference import alpha2_for_length, box_rows, proj_distance
 from crlab.verify import (
     FaceFamily,
     VerdictKind,
@@ -56,6 +56,7 @@ from oracles import (
     lc_triples,
     oriented_chart,
     plus_pass,
+    point_table,
     power,
     row_lengths,
     silhouette_circles,
@@ -114,7 +115,7 @@ def test_incidence_checks_the_chart_multiplier(alpha2):
         assert m == math.exp(2 * ff.side.length)
     else:
         assert m == pytest.approx(complex(math.cos(2 * ff.side.beta), math.sin(2 * ff.side.beta)), abs=1e-15)
-    z = oriented_chart(ff).values(ff.P[[P_A, P_B, P_V, P_W, U_PA, U_PB, U_PV, U_PW]])
+    z = oriented_chart(ff).values(point_table(ff)[[P_A, P_B, P_V, P_W, U_PA, U_PB, U_PV, U_PW]])
 
     def action(m):
         mz = m * z[:4]
@@ -179,6 +180,26 @@ def test_degenerate_tori_near_pi_over_2_fail_without_warnings(offset):
     assert r.tf.passed and r.lc.passed and r.lc.notes == []
     assert r.tf.margins["torus_exclusion"] == pytest.approx(2 / 3, rel=1e-12, abs=0)
     assert [n for n in r.tf.notes if "band edge" in n] == r.tf.notes != []
+
+
+@pytest.mark.parametrize("alpha2", [math.pi / 2 - 1e-8, math.pi / 2 - 1e-12])
+def test_order_three_near_pi_over_2_has_its_own_note(alpha2):
+    # within about 1.3e-8 of pi/2, tr U = 8 cos^2(alpha2) falls in the window
+    # of the turn 1/3, and param_side reads order 3, which --n refuses: GC's
+    # skip note names order 3 as the slice's limit at pi/2, not among the
+    # orders 4..8 of the triangle-group literature, whose note keeps its bytes
+    rep = verify(alpha2)
+    note = (
+        "angular-sector method requires order >= 9; "
+        "order 3 is the alpha2 -> pi/2 limit of the slice, where tr U = 8 cos^2(alpha2) -> 0"
+    )
+    assert rep.side.n == 3 and rep.gc.skipped and not rep.gc.passed and rep.gc.notes == [note]
+    assert rep.verdict.kind is VerdictKind.INCONCLUSIVE and rep.verdict.reason == note
+    literature = (
+        "angular-sector method requires order >= 9; "
+        "orders 4..8 are settled in the triangle-group literature by other techniques"
+    )
+    assert [verify(alpha2_for_order(n)).gc.notes for n in range(4, 9)] == [[literature]] * 5
 
 
 @pytest.mark.parametrize("alpha2", [0.0, -0.3, math.pi / 2, 1.6, 3.0, math.nan, math.inf, -math.inf])
@@ -266,7 +287,7 @@ def test_lc_structure(ff_lox):
     # TF's margin at 0.7 is the closed form (tests/test_tf_margin_identities.py),
     # LC forms no array, and the sampled pass is never below the margin
     fresh = FaceFamily(0.7)
-    assert lc_check(fresh).passed and not {"P", "passes"} & set(vars(fresh))
+    assert lc_check(fresh).passed and sorted(vars(fresh)) == ["alpha2", "side", "tf_margin", "tol"]
     assert tf_check(ff_lox).margins["torus_exclusion"] == ff_lox.tf_margin == exclusion_margin(0.7) > 0
     assert torus_pass(ff_lox, GRID) >= ff_lox.tf_margin
     # the vertices at the ends of the column delta_v are proved once
@@ -589,8 +610,8 @@ def test_tightest_cone_pair_note_names_the_smallest_tie(n):
 def test_verify_forms_no_dense_torus_grid():
     # TF's margin is the closed form family.exclusion_margin at every alpha2
     # (tests/test_tf_margin_identities.py), on which LC rests: verify calls
-    # neither the figures' (sigma, delta) grid (bisector.column_forms) nor a
-    # sampled column pass (oracles.column_minima, oracles.torus_exclusion)
+    # neither the column stage's (sigma, delta) grid (oracles.column_forms)
+    # nor a sampled column pass (oracles.column_minima, oracles.torus_exclusion)
     source = inspect.getsource(importlib.import_module("crlab.verify"))
     called = {
         n.func.attr if isinstance(n.func, ast.Attribute) else n.func.id
@@ -1053,8 +1074,9 @@ def test_lc_common_constraint_matches_the_three_constraint_envelope(alpha2, grid
     margins = {"torus_exclusion": torus_pass(ff, grid), "plus": torus_exclusion(plus_pass(ff), dv, m, ff.space)}
     assert tf_check(ff).margins["torus_exclusion"] == ff.tf_margin == exclusion_margin(alpha2)
     assert ff.tf_margin <= margins["torus_exclusion"]
+    P = point_table(ff)
     p_A, p_B, p_U, p_V, p_W, UpV, UpW, UipV, UipW = (
-        HVec(ff.P[i], ff.space) for i in (P_A, P_B, P_U, P_V, P_W, U_PV, U_PW, UI_PV, UI_PW)
+        HVec(P[i], ff.space) for i in (P_A, P_B, P_U, P_V, P_W, U_PV, U_PW, UI_PV, UI_PW)
     )
     offsets = (np.arange(m) + 0.5) * (math.pi / m)
     for key, torus, negs, vertex in (
@@ -1082,16 +1104,16 @@ def test_verify_runs_no_column_stage(alpha2, monkeypatch):
     # in (0, pi/2) (tests/test_tf_margin_identities.py), on which LC's claims
     # for both face pairs rest (the slice's involution carries the plus
     # pair's pass onto TF's, tests/test_lc_identities.py): a verify makes no
-    # column call, neither the figures' column stage nor a sampled pass,
+    # column call, neither the column stage nor a sampled pass,
     # below alpha* and above it alike.  The complex-line locus and the
     # vertex column are proved once and read from no column
     # (tests/test_line_and_contact_identities.py,
     # tests/test_vertex_identities.py).  No tangency, bisector-kind or
     # pair-kind kernel runs: what they would decide is proved once
-    # (tests/test_face_family_identities.py), and they are oracles
-    bisector = importlib.import_module("crlab.bisector")
-    calls, kernels = [], []
-    names = ("tangencies", "bisector_kinds", "pair_kinds", "column_minima", "torus_exclusion")
+    # (tests/test_face_family_identities.py), and they are oracles, as is
+    # the column stage itself
+    kernels = []
+    names = ("_column_sinusoids", "column_forms", "tangencies", "bisector_kinds", "pair_kinds", "column_minima", "torus_exclusion")
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -1099,38 +1121,42 @@ def test_verify_runs_no_column_stage(alpha2, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    stage = bisector._column_sinusoids
-    monkeypatch.setattr(bisector, "_column_sinusoids", lambda *args: calls.append(args) or stage(*args))
     for name in names:
         monkeypatch.setattr(oracles, name, counted(name, getattr(oracles, name)))
     ff = FaceFamily(alpha2)
     assert lc_check(ff).passed and tf_check(ff).passed
     rep = verify(alpha2, grid_n=720)
     assert rep.tf.passed and rep.lc.passed
-    assert calls == [] and kernels == []
+    assert kernels == []
     crlab_modules = [m for key, m in sys.modules.items() if key.startswith("crlab")]
     assert [(m.__name__, n) for m in crlab_modules for n in names if hasattr(m, n)] == []
 
 
-def test_only_the_spinal_trace_runs_the_column_stage(tmp_path, monkeypatch):
-    # one engine forms the torus columns' sinusoids, from one row array: a
-    # verify calls it at no alpha2, and a spinal-trace figure once, with
-    # FaceFamily.passes, TF's pass
-    bisector, figures = (importlib.import_module(f"crlab.{name}") for name in ("bisector", "figures"))
-    calls, stage = [], bisector._column_sinusoids
+def test_no_program_path_runs_the_column_stage(tmp_path, monkeypatch):
+    # the column stage that forms a torus column's sinusoids from a row
+    # array is an oracle: a verify calls it at no alpha2, and the
+    # spinal-trace figure, which draws TF's pass from its proved forms
+    # (tests/test_tf_margin_identities.py), neither calls it nor builds a
+    # FaceFamily; no crlab module defines the stage or TF's pass
+    figures = importlib.import_module("crlab.figures")
+    calls = []
+    for name in ("_column_sinusoids", "column_forms", "passes"):
+        stage = getattr(oracles, name)
+        monkeypatch.setattr(oracles, name, lambda *args, name=name, stage=stage: calls.append(name) or stage(*args))
 
-    def counted(R, deltas, space):
-        calls.append((R, np.shape(deltas)))
-        return stage(R, deltas, space)
+    def refuse(*args, **kwargs):
+        raise AssertionError("spinal-trace built a FaceFamily")
 
-    monkeypatch.setattr(bisector, "_column_sinusoids", counted)
     alpha2 = alpha2_for_order(9)
     assert verify(alpha2, grid_n=720).all_passed()
     assert verify(1.3, grid_n=720).tf.passed
+    monkeypatch.setattr(FaceFamily, "__init__", refuse)
+    for fmt in ("csv", "svg"):
+        figures.figure_spinal_trace(str(tmp_path / "spinal-trace"), alpha2=alpha2, resolution=181, fmt=fmt)
     assert calls == []
-    figures.figure_spinal_trace(str(tmp_path / "spinal-trace"), alpha2=alpha2, resolution=181)
-    assert [(np.shape(R), shape) for R, shape in calls] == [((5, 3), (90,))]
-    assert calls[0][0].tobytes() == FaceFamily(alpha2).passes.tobytes()
+    crlab_modules = [m for key, m in sys.modules.items() if key.startswith("crlab")]
+    defined = [(m.__name__, n) for m in crlab_modules for n in ("_column_sinusoids", "column_forms") if hasattr(m, n)]
+    assert defined == [] and not hasattr(FaceFamily, "passes")
 
 
 # scalar core.inner and box calls, and HVec constructions, of
@@ -1143,12 +1169,12 @@ INNER_CALLS_BOUND = 0
 
 @pytest.mark.parametrize("alpha2", [alpha2_for_order(9), alpha2_for_length(1.0)])
 def test_verify_builds_each_bisector_and_torus_once(alpha2, monkeypatch):
-    # FaceFamily builds the box rows of its one Giraud torus, TF's pass, in
-    # one box_rows call, on first read, as arrays, never through the
-    # figures' grid forms (column_forms); a verify reads no row (TF's margin
-    # is a closed form, tests/test_tf_margin_identities.py, and the
-    # bi-tangency is proved, tests/test_bitangency_identities.py); from
-    # FaceFamily.__init__ through its pass and the three checks no scalar
+    # TF's pass (oracles.passes) takes the box rows of its one Giraud torus
+    # from a FaceFamily's point table in one box_rows call, as arrays; a
+    # verify reads no row and runs no column stage (TF's margin is a closed
+    # form, tests/test_tf_margin_identities.py, and the bi-tangency is
+    # proved, tests/test_bitangency_identities.py); from
+    # FaceFamily.__init__ through the pass and the three checks no scalar
     # Hermitian product, box product or HVec is formed
     core, reference = (importlib.import_module(f"crlab.{name}") for name in ("core", "reference"))
     calls = collections.Counter()
@@ -1160,18 +1186,17 @@ def test_verify_builds_each_bisector_and_torus_once(alpha2, monkeypatch):
         return wrapper
 
     # the functions as their home modules define them, before any is wrapped
-    bisector = importlib.import_module("crlab.bisector")
-    kernels = {"inner": core.inner, "box": reference.box, "box_rows": core.box_rows, "column_forms": bisector.column_forms}
-    for mod in [m for key, m in sys.modules.items() if key.startswith("crlab")]:
+    kernels = {"inner": core.inner, "box": reference.box, "box_rows": reference.box_rows}
+    kernels.update(column_forms=oracles.column_forms, _column_sinusoids=oracles._column_sinusoids)
+    for mod in [m for key, m in sys.modules.items() if key.startswith("crlab")] + [oracles]:
         for name, fn in kernels.items():
             if getattr(mod, name, None) is fn:
                 monkeypatch.setattr(mod, name, counted(name, fn))
     monkeypatch.setattr(HVec, "__post_init__", counted("HVec", HVec.__post_init__))
-    ff = FaceFamily(alpha2)
-    ff.passes
+    oracles.passes(FaceFamily(alpha2))
     assert calls["inner"] == calls["box"] == calls["HVec"] == 0 and calls["box_rows"] == 1
     assert verify(alpha2, grid_n=720).all_passed()
-    assert calls["column_forms"] == 0 and calls["box_rows"] == 1
+    assert calls["column_forms"] == calls["_column_sinusoids"] == 0 and calls["box_rows"] == 1
     assert calls["inner"] + calls["box"] + calls["HVec"] <= INNER_CALLS_BOUND
 
 
@@ -1180,10 +1205,10 @@ def test_verify_builds_no_point_table(alpha2, monkeypatch):
     # a verify reads the side, the closed-form margin and GC: TF's margin is
     # family.exclusion_margin at every alpha2 (tests/test_tf_margin_identities.py)
     # and the tangency of the first face's circles is proved
-    # (tests/test_bitangency_identities.py), so FaceFamily forms neither its
-    # point table nor its box rows, below alpha* and above it alike
+    # (tests/test_bitangency_identities.py), so a verify forms neither the
+    # point table nor box rows, below alpha* and above it alike
     calls = collections.Counter()
-    kernels = {"face_points": importlib.import_module("crlab.family").face_points, "box_rows": box_rows}
+    kernels = {"face_points": importlib.import_module("crlab.reference").face_points, "box_rows": box_rows}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -1254,7 +1279,7 @@ def test_array_decisions_equal_the_per_object_oracle(alpha2):
         return
     assert got[1] == [b.kind for b in bs]
     assert np.allclose(got[0], [b.r_disc for b in bs], rtol=1e-12, atol=1e-12)
-    lifts = ff.P[[[P_U, q] for q in BISECTORS]]
+    lifts = point_table(ff)[[[P_U, q] for q in BISECTORS]]
     foci = box_rows(lifts[:, 0], lifts[:, 1], ff.space)
     assert _outcome(lambda: oracles.pair_kinds(foci, lifts, TORI, ff.space, ff.tol)) == [_outcome(lambda: classify_pair(bs[i], bs[j], ff.tol)) for i, j in TORI]
     triples = [(pts.p_U, pts.p_V, pts.p_W), (pts.p_U, apply(U, pts.p_V), pts.p_W)]

@@ -3,13 +3,13 @@ alpha2 in (0, pi/2).
 
 `verify` measures no vertex, and its margin `family.exclusion_margin` is
 taken about the vertex column: where the vertices sit on the torus of TF's
-pass `FaceFamily.passes` (sampled by `oracles.torus_pass` about the
+pass `oracles.passes` (sampled by `oracles.torus_pass` about the
 column `oracles.delta_v`) and on that of LC's former pass (`oracles.plus_pass`), which the slice's
 involution carries onto it (tests/test_lc_identities.py), is proved here,
 in exact arithmetic over c = cos(alpha2), s = sin(alpha2) modulo
 c^2 + s^2 - 1 (`slice_algebra`).
 
-A torus of lifts (p, q, r) with rows qr, pr, qp (`bisector`) has the
+A torus of lifts (p, q, r) with rows qr, pr, qp (`oracles.GiraudTorus`) has the
 points V(theta, phi) = qr - e^{-i theta} pr - e^{-i phi} qp, and with
 theta = sigma + delta, phi = sigma - delta, V = qr - e^{-i sigma} B(delta),
 B(delta) = e^{-i delta} pr + e^{i delta} qp.  On TF's torus,
@@ -33,7 +33,7 @@ So each vertex is an end of the ball arc of the column delta_v, which
 pi) = -B(delta) moves sigma by pi).  Each relation fails when perturbed: by
 10^-6 cs, or with a vertex angle, sigma or delta_v moved by the rational
 rotation ROT.  The last test ties the symbols to `vertex_angles`,
-`oracles.delta_v`, the torus rows of `FaceFamily.passes` and `oracles.plus_pass`,
+`oracles.delta_v`, the torus rows of `oracles.passes` and `oracles.plus_pass`,
 and their ball arcs.
 """
 
@@ -47,7 +47,7 @@ from crlab.family import P_A, P_B, P_U, P_V, U_PA, U_PV, P_W, UI_PW, alpha2_for_
 from crlab.reference import alpha2_for_length
 from crlab.verify import FaceFamily
 
-from oracles import column_minima, delta_v, plus_pass, vertex_angles
+from oracles import column_minima, delta_v, passes, plus_pass, point_table, vertex_angles
 import slice_algebra as sa
 from slice_algebra import E, I, c, conj, inner, s, zero
 
@@ -60,7 +60,7 @@ def _on_slice(expr):
 
 
 def _rows(p, q, r):
-    """(qr, pr, qp) of the lifts (p, q, r), as `FaceFamily.passes` holds them."""
+    """(qr, pr, qp) of the lifts (p, q, r), as `oracles.passes` holds them."""
     return [sa.box(a, b).applyfunc(_on_slice) for a, b in ((q, r), (p, r), (q, p))]
 
 
@@ -158,8 +158,8 @@ def test_symbolic_vertices_are_the_programs(alpha2):
     # vertex) pairs, and oracles.delta_v is their column mod pi
     ff = FaceFamily(alpha2)
     co, si = math.cos(alpha2), math.sin(alpha2)
-    P = ff.P
-    R = np.stack([ff.passes, plus_pass(ff)])
+    P = point_table(ff)
+    R = np.stack([passes(ff), plus_pass(ff)])
     for want, rows in zip(SYMBOLIC(co, si), R[:, 2:]):
         for w, got in zip(np.asarray(want, dtype=complex), rows):
             assert np.abs(w - got).max() <= 1e-13 * np.abs(got).max()
