@@ -3,8 +3,8 @@ one-parameter family of deformed Ford domains.
 
 Modules:
   scalar     the numpy-free scalar code every verify reads: the tolerance
-             rule, the trace and order rules, the side, TF's margin and GC's
-             disks on the alpha1 = 0 slice, and CSV_FMT
+             rule, the trace rule and order window, the side, TF's margin
+             and GC's disks on the alpha1 = 0 slice, and CSV_FMT
   core       Hermitian linear algebra of signature (2,1)
   isometry   SU(2,1) lifts, trace classification, eigendata, elliptic types
   family     the two-parameter representation family and the closed-form

@@ -8,8 +8,9 @@ about the cusp, names the side.  The same rule gives the eigenvalues (the
 roots of the SU(2,1) cubic, solved about the cusp), the norm signs of the
 eigenvectors (Krein signs, read without the eigenvector) and, through
 `rotation_turn`, the order of a rotation; `family.param_side` reads the
-alpha1 = 0 slice through it.  The trace rule and the order rule are scalar
-code, defined in the numpy-free `scalar` and imported here.  `classify` asks the matrix only what the
+alpha1 = 0 slice through the trace rule, and reads the order there in
+closed form.  The trace rule is scalar code, defined in the numpy-free
+`scalar` and imported here.  `classify` asks the matrix only what the
 trace cannot tell: the identity from a unipotent element, and a complex
 reflection from an ellipto-parabolic one.
 """
@@ -20,6 +21,7 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -31,7 +33,6 @@ from .scalar import (
     GeometryError,
     SideKind,
     TraceSide,
-    rotation_turn,
     tolerance,
     trace_side,
 )
@@ -258,6 +259,15 @@ class EllipticType:
     @property
     def is_finite(self) -> bool:
         return self.n is not None
+
+
+def rotation_turn(turn: float, scale=1.0) -> Fraction | None:
+    """The fraction p/n (n <= MAX_ORDER) within TURN_SLACK scale / |turn|
+    of a rotation by 2 pi turn, or None."""
+    frac = Fraction(turn).limit_denominator(MAX_ORDER)
+    if frac == 0 or abs(turn - frac) > TURN_SLACK * scale / abs(turn):
+        return None
+    return frac
 
 
 def elliptic_type(g: Isometry, tol=None) -> EllipticType:

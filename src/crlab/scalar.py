@@ -1,10 +1,10 @@
 """The scalar half of the program: everything `verify` and `crlab verify`
-read, in `math`, `cmath` and `fractions` alone, with no numpy.
+read, in `math` and `cmath` alone, with no numpy.
 
 Since every number of a verification report is a closed form in alpha2,
 the order n or the length l, the verify path needs no array: this module
-holds the tolerance rule, the trace rule and order rule of `isometry`, and
-the side, order, TF margin and GC disks of `family`.  `core`, `isometry`
+holds the tolerance rule, the trace rule and order window of `isometry`,
+and the side, order, TF margin and GC disks of `family`.  `core`, `isometry`
 and `family` import these names back, so each stays where it was read
 before (`crlab.family.param_side`, `crlab.core.tolerance`, ...), and a
 process that runs only `verify` never loads numpy.
@@ -17,7 +17,6 @@ import enum
 import math
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 
 DEFAULT_TOL = 1e-9
 # the format of every float a CSV or a summary line writes
@@ -43,7 +42,7 @@ class GeometryError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# the trace rule and the order rule of `isometry`
+# the trace rule and the order window of `isometry`
 
 OMEGA = cmath.exp(2j * math.pi / 3)
 
@@ -101,15 +100,6 @@ def trace_side(tau, tol=None) -> TraceSide:
     return TraceSide(kind, k, eps)
 
 
-def rotation_turn(turn: float, scale=1.0) -> Fraction | None:
-    """The fraction p/n (n <= MAX_ORDER) within TURN_SLACK scale / |turn|
-    of a rotation by 2 pi turn, or None."""
-    frac = Fraction(turn).limit_denominator(MAX_ORDER)
-    if frac == 0 or abs(turn - frac) > TURN_SLACK * scale / abs(turn):
-        return None
-    return frac
-
-
 # ---------------------------------------------------------------------------
 # the alpha1 = 0 slice of `family`: side, order, TF margin and GC disks
 
@@ -145,7 +135,10 @@ def wall_gap(alpha2: float) -> float:
 
 def param_side(alpha2: float, tol=None) -> ParamSide:
     """The side of alpha2 by `trace_side` of tr U = 8 cos^2 alpha2, and the
-    order n where `rotation_turn` reads beta as 2 pi / n.  The length and
+    order n where beta reads as 2 pi / n: n = round(1/t) for the turn t =
+    beta / 2 pi, kept when n <= MAX_ORDER and |t - 1/n| <= TURN_SLACK / t.
+    The windows about the 1/n are disjoint, so this is the n that
+    `isometry.rotation_turn` reads, with no search.  The length and
     delta read tr U - 3 from `wall_gap`, with sinh^2(l/2) = (tr U - 3)/4
     from cosh l = (tr U - 1)/2, and keep their relative digits up to the
     wall."""
@@ -158,8 +151,10 @@ def param_side(alpha2: float, tol=None) -> ParamSide:
     if kind is SideKind.LOXODROMIC:
         return ParamSide(kind, length=2.0 * math.asinh(math.sqrt(2.0 * gap)), delta=delta)
     beta = math.acos((tr - 1.0) / 2.0)
-    turn = rotation_turn(beta / (2.0 * math.pi))
-    n = turn.denominator if turn is not None and turn.numerator == 1 else None
+    turn = beta / (2.0 * math.pi)
+    n = round(1.0 / turn)
+    if n > MAX_ORDER or abs(turn - 1.0 / n) > TURN_SLACK / turn:
+        n = None
     return ParamSide(kind, beta=beta, n=n, delta=delta)
 
 

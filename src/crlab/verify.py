@@ -69,27 +69,18 @@ DEFAULT_GRID = 720
 
 class FaceFamily:
     """All data attached to a parameter: the side of `family.param_side`,
-    formed at once, and, each formed on first read, TF's margin `tf_margin`
-    and the Siegel space `space`, which imports `core` and numpy then, so
-    that a verify loads neither.  No torus, pass or point table is formed:
-    TF's margin is a closed form, and the tests' oracles build the point
-    table of `reference.face_points` and TF's pass on it (`point_table`,
-    `passes`).  The projected disks of J_0^+ and J_0^- on the visual
-    sphere of [p_U] are closed forms in the order n
-    (`family.elliptic_disks`), which GC and the disk-projection figure read
-    without a chart."""
+    formed at once, and TF's margin `tf_margin`, formed on first read.  No
+    torus, pass or point table is formed: TF's margin is a closed form, and
+    the tests' oracles build the point table of `reference.face_points` and
+    TF's pass on it (`point_table`, `passes`) in `core.siegel_model`.  The
+    projected disks of J_0^+ and J_0^- on the visual sphere of [p_U] are
+    closed forms in the order n (`family.elliptic_disks`), which GC and the
+    disk-projection figure read without a chart."""
 
     def __init__(self, alpha2: float, tol=None):
         self.alpha2 = float(alpha2)
         self.tol = tolerance(tol)
         self.side = param_side(self.alpha2, self.tol)
-
-    @cached_property
-    def space(self):
-        """The Siegel space, `core.siegel_model`, one per process."""
-        from .core import siegel_model
-
-        return siegel_model()
 
     @cached_property
     def tf_margin(self) -> float:

@@ -1,80 +1,80 @@
 """Reference implementations that the tests compare the program against.
 
-None of these is on a program path, and none is imported by `crlab`:
+None of these is on a program path, and none is imported by `crlab`.  The
+map below names, for each group, the program path (`src/crlab`) or the
+proof module (tests/test_*_identities.py) that it ties to, and
+tests/test_lint.py keeps every name here read by some test module.
 
-- the sampled torus pass that `verify` read above ALPHA2_STAR before TF's
-  margin became the closed form `family.exclusion_margin` on all of (0,
-  pi/2): the exact column minima `column_minima` (ball arcs `_arcs`,
-  critical points `_ratio_critical` and `_harmonic_roots`) on the columns
-  `_offsets` about the vertex column `delta_v`, as `torus_exclusion` and
-  `torus_pass`, the evidence the closed form is held against
-  (tests/test_tf_margin_identities.py);
-- the torus column stage: TF's pass `passes` as a row array on the point
-  table `point_table`, its columns' sinusoids `_column_sinusoids` and
-  their grid forms `column_forms`, against which the spinal-trace
-  figure's closed forms are held (tests/test_figures.py);
-- `envelope_minima`, the multi-constraint envelope of which
-  `column_minima` reads one constraint per Giraud-torus column, with its
-  own per-form column rows, the per-torus ball arcs `ball_arcs` it reads
-  from the norm terms `norm_terms` of the column rows `delta_rows`, the
-  one-torus view `GiraudTorus` (the row arrays of `passes` and
-  `plus_pass` read tori otherwise), and torus points `torus_vectors` and `point`;
-- the three tori of the face family (`TORI` of the bisectors `BISECTORS`,
-  their lifts `TORUS_LIFTS` and `torus_lifts` and box rows `torus_rows`),
-  torus 0 carrying TF's pass `passes`;
-- the Giraud circles' affine-chart velocities at their vertices
-  (`giraud_circle_tangents`, at the vertex angles `vertex_angles`, with
-  the projective distances `_proj_distances`), against which the proved
-  bi-tangency at p_A and p_B is held (tests/test_bitangency_identities.py);
-- the symmetric trichotomy of an order-3 symmetric triple: its array
-  form `symmetric_kinds` with `SymmetricKind`, its grid oracle
-  (`periodic_components`, `count_sublevel_components`,
-  `brute_force_symmetric_kind`), and the per-object form
-  `symmetric_intersection_type`; on the slice, LC's two triples
-  (`lc_triples`) are proved to be disks at every parameter
-  (tests/test_lc_identities.py), so the program decides none;
-- sampled spinal surfaces and null circles (`spinal_samples`,
-  `slice_boundary_circle`, `boundary_circle_of_plane`, from the null-circle
-  kernel `_null_circles` on the polar bases `_polar_basis`, sampled by
-  `circle_points`) and the sampled tangency count `line_spinal_crossings`,
-  against which the silhouettes and `tangency_check` are held;
-- the silhouettes of bisectors on the visual sphere of their base
-  (`silhouette_circles` with `Silhouette`, `face_silhouettes` for J_0^+ and
-  J_0^-, `project_bisector`) and the chart on the extended plane
-  (`chart`, `ext_div`, `INF`), against which the closed-form disks and
-  marks of `family.elliptic_disks` and the disk-projection figure are held;
-- geodesic directions and angles at an interior point (`tangent_direction`,
-  `angle_between`), and the Gram-table kernels held against them, the
-  angular diameter `angular_diameter` and the cone rows `cone_angles`,
-  against which GC's closed forms in cos(beta) are held;
-- equal-modulus membership (`membership`, `Membership`), the real spine's
-  ends (`real_spine_endpoints`) and `is_autopolar_triple`;
-- the per-object forms of the program's array decisions, written with the
-  scalar `inner` and `box` of single HVecs: `classify_bisector` and its
-  `Bisector`, `classify_pair`, `giraud_torus`, `tangency_check` and
-  `u_power_point`, against which `FaceFamily`'s decisions and the kernels
-  below are held; and `table`, the Gram table of a few HVecs,
-  with `bisector_kind`, `pair_kind`, `symmetric_kind` and `tangency`,
-  through which the tests call the kernels on one bisector, pair, triple
-  or point;
-- the slice's involution `involution_matrix`, which swaps the two
-  bisector families;
-- what `FaceFamily` no longer forms: a `GiraudTorus` view of one of its
-  tori (`face_torus`), the torus of J_0^+ and J_1^+ and LC's former pass
-  on it (`plus_torus`, `plus_pass`), which the slice's involution carries
-  onto TF's (tests/test_lc_identities.py), the Gram table of its point table
-  (`face_gram`, with `gram` for any rows), the ten vertex products of
-  the incidences (`vertex_products`, `VERTEX_PRODUCTS`,
-  `TRANSLATION_INCIDENCES`), and the chart of the visual sphere of [p_U]
-  in which U acts by its multiplier (`oriented_chart`,
-  `chart_multiplier`), all proved in tests/test_incidence_identities.py;
-- the precondition kernels on a Gram table of lifts, which `FaceFamily`
-  does not run: `bisector_kinds` with `BisectorKind`, `pair_kinds` with
-  `ExtorPairKind`, and the tangency criterion `tangencies`, on the row
-  scales `row_lengths` of a FaceFamily's point table; on the slice
-  the bisectors verify reads have equal-norm lifts, its torus pairs are
-  unbalanced and its two contacts are tangencies at every parameter
-  (tests/test_face_family_identities.py).
+- The face family's rows: the point table `point_table`
+  (`reference.face_points`), the tori `TORI` of the bisectors `BISECTORS`
+  (`TORUS_LIFTS`, `torus_lifts`, `torus_rows`, `face_torus` with the
+  one-torus view `GiraudTorus`), TF's pass `passes`, LC's former pass
+  `plus_pass` (`plus_torus`) and their Gram table (`face_gram`, `gram`,
+  `row_lengths`).  Every proof module's tie test holds its symbols to
+  these rows.
+- The torus column stage `_column_sinusoids` and its grid forms
+  `column_forms`: held to the proved forms of
+  tests/test_tf_margin_identities.py and to the spinal-trace figure
+  (`figures.figure_spinal_trace`, tests/test_figures.py).
+- The sampled margin that TF's closed form `family.exclusion_margin` is
+  held to (tests/test_tf_margin_identities.py): `column_minima` (ball
+  arcs `_arcs`, critical points `_ratio_critical`, `_harmonic_roots`) on
+  the columns `_offsets` about the vertex column `delta_v`, as
+  `torus_exclusion` and `torus_pass` (`TORUS_GRID_DEFAULT`); itself held
+  to sampled torus points (`torus_vectors`, `point`, tests/test_bisector.py).
+- `envelope_minima`, LC's former envelope of three constraints, on the
+  rows of `_column_sinusoids`: held to sampled points and to
+  `column_minima` (tests/test_bisector.py), and to TF's reported margin
+  (tests/test_verify.py).
+- The bi-tangency that `verify._bitangency` reports as proved zeros:
+  `giraud_circle_tangents` at the vertex angles `vertex_angles`
+  (`_proj_distances`), held to tests/test_bitangency_identities.py.
+- The trichotomy of an order-3 symmetric triple, which LC no longer
+  decides (its triples are proved disks, tests/test_lc_identities.py):
+  `symmetric_kinds` on `lc_triples`, `symmetric_kind` and the per-object
+  `symmetric_intersection_type` (`SymmetricIntersection`,
+  `SymmetricKind`), and the grid oracle `brute_force_symmetric_kind`
+  (`count_sublevel_components`, `periodic_components`, `_row_runs`,
+  `_runs_overlap`, `TORUS_REFINE_FACTOR`) on `bisector.level_g`, for
+  acceptance criterion 6a.
+- The preconditions that tests/test_face_family_identities.py proves and
+  `FaceFamily` does not run: the Gram-table kernels `bisector_kinds`
+  (`BisectorKind`), `pair_kinds` (`ExtorPairKind`) and `tangencies`, on
+  one object through `table`, `bisector_kind`, `pair_kind` and
+  `tangency`, held to the per-object forms `classify_bisector`
+  (`Bisector`, `_length`), `classify_pair` (`_focus_in_extor`),
+  `giraud_torus` and `tangency_check` (tests/test_verify.py), and
+  acceptance criterion 6b.
+- Points of bisectors: `membership` (`Membership`),
+  `real_spine_endpoints`, `is_autopolar_triple`, sampled spinal surfaces
+  and null circles (`spinal_samples`, `slice_boundary_circle`,
+  `boundary_circle_of_plane`, `_boundary_circle`, `circle_points`, the
+  null-circle kernel `_null_circles` on the polar bases `_polar_basis`,
+  `_EYE3`) and the sampled tangency count `line_spinal_crossings`, for
+  acceptance criteria 6b and 6c.
+- The visual sphere of [p_U]: the chart `oriented_chart` in which U acts
+  by `chart_multiplier` (proved in tests/test_incidence_identities.py),
+  `chart`, `ext_div` and `INF` on `visual.VisualChart`, and the
+  silhouettes (`silhouette_circles`, `face_silhouettes`, `_silhouettes`,
+  `Silhouette`, `project_bisector` with `DiskProjection`), held to the
+  closed-form disks `family.elliptic_disks` that GC and the
+  disk-projection figure read (tests/test_gc_disk_identities.py,
+  tests/test_figures.py).
+- GC's angles at p_U: `tangent_direction`, `angle_between`, the angular
+  diameter `angular_diameter` and the cone rows `cone_angles`, held to
+  GC's closed forms in cos(beta) (`verify.gc_check_elliptic`,
+  tests/test_gc_disk_identities.py) and acceptance criterion 6c.
+- The incidences that `verify` no longer checks: `vertex_products` of
+  `VERTEX_PRODUCTS` and `TRANSLATION_INCIDENCES`, proved in
+  tests/test_incidence_identities.py, for acceptance criterion 2.
+- The group: `family_points`, `family_U`, `apply`, `power` and
+  `u_power_point`, held to `family.FamilyRep`, `isometry` and 60-digit
+  powers (tests/test_verify.py), and the involution `involution_matrix`
+  proved in tests/test_lc_identities.py.
+- The figures' former writers: `contour_segments` and
+  `contour_segments_at` (`_CORNER_DI`, `_CORNER_DJ`), `svg_circles` and
+  `svg_polylines`, held byte for byte to `figures._contour_segments`,
+  `SvgCanvas.circles` and `SvgCanvas.polylines` (tests/test_figures.py).
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from crlab.bisector import level_g
-from crlab.core import GeometryError, HVec, cross, inner, sesquilinear, tolerance
+from crlab.core import GeometryError, HVec, cross, inner, sesquilinear, siegel_model, tolerance
 from crlab.family import (
     P_A, P_B, P_U, P_U1, P_U2, P_V, P_W, U_PA, U_PB, U_PV, UI_PB, UI_PV, UI_PW, FamilyParams, FamilyRep, SideKind,
 )
@@ -203,7 +203,7 @@ def torus_rows(ff) -> np.ndarray:
     3, 3), in one `reference.box_rows` call; torus 0's are the last three rows of
     `passes`, to the bit."""
     lifts = torus_lifts(ff)
-    return box_rows(lifts[:, [1, 0, 1]], lifts[:, [2, 2, 0]], ff.space)
+    return box_rows(lifts[:, [1, 0, 1]], lifts[:, [2, 2, 0]], siegel_model())
 
 
 def passes(ff) -> np.ndarray:
@@ -213,7 +213,7 @@ def passes(ff) -> np.ndarray:
     `point_table`.  The spinal-trace figure draws this torus from its
     proved forms (tests/test_tf_margin_identities.py)."""
     P = point_table(ff)
-    return np.concatenate([P[[P_U, P_V]], box_rows(P[[P_W, P_U, P_W]], P[[UI_PW, UI_PW, P_U]], ff.space)])
+    return np.concatenate([P[[P_U, P_V]], box_rows(P[[P_W, P_U, P_W]], P[[UI_PW, UI_PW, P_U]], siegel_model())])
 
 
 def column_forms(R, sigmas, deltas, space) -> list:
@@ -325,7 +325,7 @@ def torus_pass(ff, grid_n: int = TORUS_GRID_DEFAULT) -> float:
     `delta_v`, as `verify` read it above ALPHA2_STAR before the band edge
     (`family.exclusion_margin`); never below that closed form, and inf
     where no sampled column meets the ball."""
-    return torus_exclusion(passes(ff), delta_v(ff.alpha2), grid_n // 2, ff.space)
+    return torus_exclusion(passes(ff), delta_v(ff.alpha2), grid_n // 2, siegel_model())
 
 
 @functools.cache
@@ -365,51 +365,27 @@ def _harmonic_roots(k, p, q):
     return phase - half, phase + half
 
 
-def delta_rows(torus, deltas) -> np.ndarray:
-    """B(delta) = e^{-i delta} pr + e^{i delta} qp, shape (len(deltas), 3):
-    with theta = sigma + delta and phi = sigma - delta the torus point is
-    qr - e^{-i sigma} B(delta)."""
-    e = np.exp(-1j * np.asarray(deltas))[:, None]
-    return e * torus.pr + e.conj() * torus.qp
-
-
-def norm_terms(torus, deltas):
-    """(A, C) with <V, V> = A - 2 Re(e^{-i sigma} C) at (sigma, delta):
-    A = <qr, qr> + <B, B> is real and C = <qr, B>, one value per delta."""
-    sp, B = torus.space, delta_rows(torus, deltas)
-    return sp.form(torus.qr, torus.qr).real + sp.form(B, B).real, sp.form(torus.qr, B)
-
-
-def ball_arcs(torus, deltas, terms=None):
-    """(mid, half) per delta-column of `torus`: the form <V, V> = A - 2 |C|
-    cos(sigma - arg C) is <= 0 exactly on the arc mid +- half, mid = arg C
-    and half = arccos(A / 2|C|), for the terms (A, C), by default
-    `norm_terms(torus, deltas)`.  half is pi where the whole column is in
-    the ball (A <= -2|C|, which covers C = 0 with A <= 0) and nan where no
-    point is (A > 2|C|)."""
-    return _arcs(*(norm_terms(torus, deltas) if terms is None else terms))
-
-
 def envelope_minima(torus, deltas, pos, negs, ball=True, terms=None):
     """Per delta-column, the exact minimum over sigma of max_i E_i / |V|^2
     with E_i = |<pos, V>|^2 - |<neg_i, V>|^2, for coordinate vectors pos and
-    neg_i: over the column's ball arc (`ball_arcs` of the norm terms
-    `terms`), or over the whole column when ball is False; inf where the arc
-    is empty.
+    neg_i: over the column's ball arc (`_arcs` of the norm terms (A, C) of
+    `_column_sinusoids`, or of `terms`), or over the whole column when ball
+    is False; inf where the arc is empty.
 
     In a column every E_i and |V|^2 is a sinusoid k + p cos(sigma) + q
-    sin(sigma).  On the arc the minimum of the envelope sits at an arc end,
-    at a critical point of one ratio E_i / |V|^2, where E_i' |V|^2 - E_i
-    (|V|^2)' vanishes, or at a crossing E_i = E_j.  Both conditions are a
-    constant plus one harmonic, with closed-form roots, so the least envelope
-    value over these candidates is the minimum.  With one constraint this is
-    the arithmetic of `column_minima`, to the bit."""
+    sin(sigma), the rows that `_column_sinusoids` forms for the row array
+    (pos, neg_i, qr, pr, qp) of each constraint.  On the arc the minimum of
+    the envelope sits at an arc end, at a critical point of one ratio E_i /
+    |V|^2, where E_i' |V|^2 - E_i (|V|^2)' vanishes, or at a crossing E_i =
+    E_j.  Both conditions are a constant plus one harmonic, with closed-form
+    roots, so the least envelope value over these candidates is the
+    minimum."""
     deltas = np.asarray(deltas, dtype=float)
-    den, (top, *rest) = _column_rows(torus, delta_rows(torus, deltas), [pos, *negs])
-    den, top = np.array(den), np.array(top)
-    nums = [top - np.array(e) for e in rest]
+    R = np.array([[pos, neg, *torus.rows] for neg in negs])
+    kpq, (A, C) = _column_sinusoids(R, deltas, torus.space)
+    den, nums = kpq[:, 0, 0], list(np.moveaxis(kpq[:, 1] - kpq[:, 2], 1, 0))
     if ball:
-        mid, half = ball_arcs(torus, deltas, terms)
+        mid, half = _arcs(*((A[0], C[0]) if terms is None else terms))
     else:
         mid, half = np.zeros(len(deltas)), np.full(len(deltas), math.pi)
     roots = [r for e in nums for r in _harmonic_roots(*_ratio_critical(e, den))]
@@ -421,29 +397,6 @@ def envelope_minima(torus, deltas, pos, negs, ball=True, terms=None):
     k, p, q = den
     env /= k + p * cos + q * sin
     return np.where(np.abs(t) <= half, env, math.inf).min(axis=0)
-
-
-def _column_rows(torus, B, ws):
-    """Per delta-column rows (k, p, q) of |V|^2 and of each |<w, V>|^2 =
-    |<w, qr> - e^{-i sigma} <w, B_d>|^2, as sinusoids in sigma, for the rows
-    B of `delta_rows`: each form on its own, apart from the
-    stacked `_column_sinusoids`."""
-    sp, qr = torus.space, torus.qr
-    den = _harmonic(sesquilinear(qr, qr).real + sesquilinear(B, B).real, sesquilinear(qr, B))
-    return den, [_harmonic(*_abs2_terms(sp.form(w, qr[None]), sp.form(w, B))) for w in ws]
-
-
-def _abs2_terms(u: np.ndarray, v: np.ndarray):
-    """(A, C) with |u - z v_d|^2 = A_d - 2 Re(z C_d) for |z| = 1, where u has
-    shape (1,) and v shape (len(deltas),): A = |v_d|^2 + |u|^2, C = v_d
-    conj(u)."""
-    return v.real**2 + v.imag**2 + (u.real**2 + u.imag**2), v * u.conj()
-
-
-def _harmonic(A, C) -> tuple:
-    """The sinusoid A - 2 Re(e^{-i sigma} C) as the rows (k, p, q) of k +
-    p cos(sigma) + q sin(sigma)."""
-    return A, -2.0 * C.real, -2.0 * C.imag
 
 
 def _row_runs(row: np.ndarray):
@@ -923,7 +876,7 @@ def lc_triples(ff) -> np.ndarray:
     `symmetric_kinds`: `reference.box_rows` on the rows of a FaceFamily's point
     table."""
     T = point_table(ff)[[[P_U, P_V, P_W], [P_U, U_PV, P_W]]]
-    return box_rows(T, T[:, [1, 2, 0]], ff.space)
+    return box_rows(T, T[:, [1, 2, 0]], siegel_model())
 
 
 def symmetric_kind(p: HVec, q: HVec, r: HVec, tol=None):
@@ -1097,7 +1050,7 @@ def gram(X: np.ndarray, space) -> np.ndarray:
 def face_torus(ff, i: int = 0) -> GiraudTorus:
     """The `GiraudTorus` view of torus i of TORI at a FaceFamily: 0 of J_0^-
     and J_-1^-, 1 of J_0^+ and J_0^-, 2 of J_0^+ and J_-1^-."""
-    return GiraudTorus(torus_lifts(ff)[i], torus_rows(ff)[i], ff.space)
+    return GiraudTorus(torus_lifts(ff)[i], torus_rows(ff)[i], siegel_model())
 
 
 def plus_pass(ff) -> np.ndarray:
@@ -1108,18 +1061,18 @@ def plus_pass(ff) -> np.ndarray:
     `passes`, its box rows negated (tests/test_lc_identities.py)."""
     P = point_table(ff)
     lifts = P[[P_U, P_V, U_PV]]
-    return np.concatenate([P[[P_U, P_W]], box_rows(lifts[[1, 0, 1]], lifts[[2, 2, 0]], ff.space)])
+    return np.concatenate([P[[P_U, P_W]], box_rows(lifts[[1, 0, 1]], lifts[[2, 2, 0]], siegel_model())])
 
 
 def plus_torus(ff) -> GiraudTorus:
     """The `GiraudTorus` view of `plus_pass`'s torus."""
-    return GiraudTorus(point_table(ff)[[P_U, P_V, U_PV]], plus_pass(ff)[2:], ff.space)
+    return GiraudTorus(point_table(ff)[[P_U, P_V, U_PV]], plus_pass(ff)[2:], siegel_model())
 
 
 def face_gram(ff) -> np.ndarray:
     """The Gram table of a FaceFamily's point table P, G[i, j] = <P_i, P_j>:
     the input of the Gram-table kernels here and of the proofs' tie tests."""
-    return gram(point_table(ff), ff.space)
+    return gram(point_table(ff), siegel_model())
 
 
 # the products <z, q> of unit modulus that put the ideal vertices p_A and
@@ -1135,7 +1088,7 @@ def vertex_products(ff) -> np.ndarray:
     each of modulus 1 at every alpha2 (tests/test_incidence_identities.py)."""
     z, q = np.array(VERTEX_PRODUCTS).T
     P = point_table(ff)
-    return ff.space.form(P[z], P[q])
+    return siegel_model().form(P[z], P[q])
 
 
 def oriented_chart(ff) -> VisualChart | None:
@@ -1152,7 +1105,7 @@ def oriented_chart(ff) -> VisualChart | None:
         return None
     rows = (P_U2, P_U1) if ff.side.kind is SideKind.LOXODROMIC else (P_U1, P_U2)
     P = point_table(ff)
-    return VisualChart(P[P_U], *P[list(rows)], ff.space)
+    return VisualChart(P[P_U], *P[list(rows)], siegel_model())
 
 
 def chart_multiplier(ff) -> complex | None:

@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from crlab.core import HVec, inner
+from crlab.core import HVec, inner, siegel_model
 from crlab.family import (
     ALPHA2_LIM,
     FamilyParams,
@@ -260,18 +260,18 @@ def test_criterion_6b_tangency_oracle():
         ff = FaceFamily(a2)
         pts = remarkable_points(FamilyParams(0.0, ff.alpha2))
         p, q = pts.p_U, pts.p_V
-        circ_t = slice_boundary_circle(HVec(q.v - p.v, ff.space))
+        circ_t = slice_boundary_circle(HVec(q.v - p.v, siegel_model()))
         for t in rng.uniform(0, 2 * math.pi, 5):
-            r = HVec(circ_t(np.array([t]))[0], ff.space)
+            r = HVec(circ_t(np.array([t]))[0], siegel_model())
             ok &= tangency(p, q, r) and line_spinal_crossings(p, q, r) == 0
             total += 1
         drawn = 0
         while drawn < 5:
             alpha = cmath.exp(1j * rng.uniform(0.1, math.pi - 0.1))
-            circ = slice_boundary_circle(HVec(q.v - alpha * p.v, ff.space))
+            circ = slice_boundary_circle(HVec(q.v - alpha * p.v, siegel_model()))
             if circ is None:
                 continue
-            r = HVec(circ(np.array([rng.uniform(0, 2 * math.pi)]))[0], ff.space)
+            r = HVec(circ(np.array([rng.uniform(0, 2 * math.pi)]))[0], siegel_model())
             ok &= tangency(p, q, r) == (line_spinal_crossings(p, q, r) == 0)
             drawn += 1
             total += 1

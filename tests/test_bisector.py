@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from crlab.core import GeometryError, HVec, inner
+from crlab.core import GeometryError, HVec, inner, siegel_model
 from crlab.bisector import level_g
 from crlab.family import ALPHA2_LIM, P_A, P_U, P_V, P_W, FamilyParams, alpha2_for_order, delta0
 from crlab.reference import Location, alpha2_for_length, ball_model, box, locate, proj_distance, remarkable_points
@@ -14,8 +14,9 @@ from oracles import (
     BisectorKind,
     ExtorPairKind,
     SymmetricKind,
+    _arcs,
+    _column_sinusoids,
     apply,
-    ball_arcs,
     bisector_kind,
     brute_force_symmetric_kind,
     classify_bisector,
@@ -28,7 +29,6 @@ from oracles import (
     family_points,
     giraud_torus,
     membership,
-    norm_terms,
     pair_kind,
     passes,
     periodic_components,
@@ -293,7 +293,7 @@ def test_torus_grid_matches_materialized_grid(n, at_delta0):
     rng = np.random.default_rng(41 + n)
     for a2 in rng.uniform(0.05, 1.5, 3):
         ff = FaceFamily(float(a2))
-        pts, sp, U = family_points(ff), ff.space, family_U(ff)
+        pts, sp, U = family_points(ff), siegel_model(), family_U(ff)
         d0 = delta0(ff.alpha2) if at_delta0 else 0.0
         torus_pp = giraud_torus(classify_bisector(pts.p_U, pts.p_V, ff.tol), classify_bisector(pts.p_U, apply(U, pts.p_V), ff.tol), ff.tol)
         for torus in (face_torus(ff), torus_pp):
@@ -326,12 +326,19 @@ def test_torus_from_bisectors_matches_the_box_products(pts07):
         giraud_torus(b1, classify_bisector(q, r))
 
 
+def _ball_arcs(torus, deltas):
+    """The ball arcs (mid, half) of the columns deltas of torus, and their
+    norm terms (A, C), as the column stage `_column_sinusoids` forms them."""
+    _, terms = _column_sinusoids(np.concatenate([[torus.p, torus.p], torus.rows]), deltas, torus.space)
+    return _arcs(*terms), terms
+
+
 def test_torus_norm_terms_match_vectors(pts07):
     # <V, V> = A - 2 Re(e^{-i sigma} C) at theta = sigma + delta, phi = sigma - delta
     gt = giraud_torus(classify_bisector(pts07.p_U, pts07.p_V), classify_bisector(pts07.p_U, pts07.p_W))
     rng = np.random.default_rng(8)
     sigmas, deltas = rng.uniform(0, 2 * math.pi, (2, 20))
-    A, C = norm_terms(gt, deltas)
+    _, (A, C) = _ball_arcs(gt, deltas)
     got = A - 2.0 * (np.exp(-1j * sigmas) * C).real
     V = torus_vectors(gt, sigmas + deltas, sigmas - deltas)
     want = gt.space.form(V, V).real
@@ -391,9 +398,8 @@ def test_ball_cells_match_dense_form(n):
         sigmas = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)[:, None]
         V = torus_vectors(torus, sigmas + deltas, sigmas - deltas)
         form = torus.space.form(V, V).real
-        mid, half = ball_arcs(torus, deltas)
+        (mid, half), (A, C) = _ball_arcs(torus, deltas)
         t = np.remainder(sigmas - mid + math.pi, 2.0 * math.pi) - math.pi
-        A, C = norm_terms(torus, deltas)
         clear = np.abs(form) > 1e-10 * (np.abs(A) + 2.0 * np.abs(C))
         assert np.array_equal((np.abs(t) <= half)[clear], (form <= 0.0)[clear])
         cells += np.count_nonzero(form <= 0.0)
@@ -405,7 +411,7 @@ def test_ball_sinusoids_match_ball_points(n):
     # oracle: 4001 torus points on each column's ball arc, ends included,
     # and 4001 on the whole column, built explicitly
     for torus, pos, negs, deltas in _ball_tori(n):
-        mid, half = ball_arcs(torus, deltas)
+        (mid, half), _ = _ball_arcs(torus, deltas)
         got = envelope_minima(torus, deltas, pos, negs)
         empty = np.isnan(half)
         assert np.array_equal(np.isinf(got), empty) and not empty.all()
@@ -417,16 +423,6 @@ def test_ball_sinusoids_match_ball_points(n):
         sigmas = np.linspace(0.0, 2.0 * math.pi, 4001)[:, None]
         env, terms, _ = _sampled_envelope(torus, pos, negs, sigmas, whole)
         _assert_sampled_minima(envelope_minima(torus, whole, pos, negs, ball=False), env, terms)
-
-
-@pytest.mark.parametrize("n", [64, 720])
-def test_column_minima_is_the_envelope_of_one_constraint(n):
-    # the sampled pass's single ratio and the oracle's envelope of one constraint
-    # run the same arithmetic: equal to the bit, on the ball arcs
-    for torus, pos, negs, deltas in _ball_tori(n):
-        for neg in negs:
-            got = column_minima(np.concatenate([[pos, neg], torus.rows]), deltas, torus.space)[0]
-            assert np.array_equal(got, envelope_minima(torus, deltas, pos, [neg]))
 
 
 # the parameters of the benchmark's verify-params workload: orders 9, 6 and
@@ -449,11 +445,11 @@ def test_stacked_column_minima_equal_each_block_alone(alpha2, n):
     families = [FaceFamily(a) for a in (alpha2, params[(params.index(alpha2) + 1) % len(params)])]
     stack, deltas = [], []
     for ff in families:
-        theta, phi = vertex_angles(face_torus(ff).lifts, point_table(ff)[P_A], ff.space)
+        theta, phi = vertex_angles(face_torus(ff).lifts, point_table(ff)[P_A], siegel_model())
         dv = ((theta - phi) / 2.0) % math.pi
         stack.append(np.stack([passes(ff), plus_pass(ff)]))
         deltas.append(np.append(dv, dv + offsets))
-    space = families[0].space
+    space = siegel_model()
     both = column_minima(np.array(stack), np.array(deltas)[:, None], space)
     for k, (ff, R, d) in enumerate(zip(families, stack, deltas)):
         each = column_minima(R, d, space)
@@ -486,7 +482,7 @@ def test_ball_cells_of_synthetic_columns(n):
     A[6] = 0.0  # half the column
     torus = face_torus(ff)
     deltas = np.linspace(0.2, 3.0, len(C))
-    mid, half = ball_arcs(torus, deltas, (A, C))
+    mid, half = _arcs(A, C)
     assert np.isnan(half[:2]).all()
     assert list(half[2:]) == [math.pi, math.pi, 0.0, math.pi, pytest.approx(math.pi / 2)]
     assert mid[4] == pytest.approx(2.0 * math.pi * 5 / n)
@@ -513,7 +509,7 @@ def test_vertex_arc_ends_are_the_vertices(alpha2):
         (th1, ph1), (th2, ph2) = vertex_angles(torus.lifts, np.array([t.v for t in vertices]), torus.space)
         dv = (th1 - ph1) / 2.0
         assert abs(math.remainder((th2 - ph2) / 2.0 - dv, math.pi)) <= 1e-12
-        (mid,), (half,) = ball_arcs(torus, [dv])
+        ((mid,), (half,)), _ = _ball_arcs(torus, [dv])
         ends = [point(torus, s + dv, s - dv) for s in (mid - half, mid + half)]
         dist = np.array([[proj_distance(e, t) for e in ends] for t in vertices])
         assert max(dist[0, 0], dist[1, 1]) <= 1e-12 or max(dist[0, 1], dist[1, 0]) <= 1e-12

@@ -47,6 +47,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from crlab.core import siegel_model
 from crlab.family import P_U, P_V, U_PA, UI_PB, alpha2_for_order
 from crlab.reference import alpha2_for_length
 from crlab.verify import FaceFamily
@@ -168,8 +169,8 @@ def test_symbolic_products_are_the_programs(alpha2):
     rows = torus_rows(ff)
     assert rows[0].tobytes() == passes(ff)[2:].tobytes()
     foci = rows[:, 1:]
-    assert np.abs(ff.space.form(foci, P[P_U])).max() <= 1e-13 * np.abs(foci).max() * np.abs(P[P_U]).max()
+    assert np.abs(siegel_model().form(foci, P[P_U])).max() <= 1e-13 * np.abs(foci).max() * np.abs(P[P_U]).max()
     for (i, _), d, pr in zip(TORI, DETERMINANTS, rows[:, 1]):
         want = float(d.subs(c, co))
-        got = abs(ff.space.form(pr, P[BISECTORS[i]])) ** 2
+        got = abs(siegel_model().form(pr, P[BISECTORS[i]])) ** 2
         assert got == pytest.approx(want, rel=1e-12, abs=0)

@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from crlab.core import HVec
+from crlab.core import HVec, siegel_model
 from crlab.family import FamilyParams, FamilyRep, alpha2_for_order, trace_ts_inv
 from crlab.figures import (
     CSV_BLOCK_ROWS,
@@ -494,7 +494,7 @@ def test_spinal_trace_is_the_column_stage_of_tfs_pass(alpha2, bound, tmp_path):
     # values below (4.0e-15 at 1.0, 1.5e-14 at 1.3) and the figure's
     _, (sigmas, deltas, norms, side) = figure_spinal_trace(str(tmp_path / "st"), alpha2=alpha2, resolution=361)
     ff = FaceFamily(alpha2)
-    norm, to_u, to_v = column_forms(passes(ff), sigmas, deltas, ff.space)
+    norm, to_u, to_v = column_forms(passes(ff), sigmas, deltas, siegel_model())
     for got, want in ((norms, norm), (side, to_u - to_v)):
         assert np.abs(got - want).max() <= bound * np.abs(want).max()
 

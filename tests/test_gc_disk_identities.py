@@ -72,6 +72,7 @@ lengths 1e-6..1.75; tests/test_verify.py ties `family.elliptic_disks` to a
 60-digit rebuild at orders 4..10^4.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -136,6 +137,7 @@ W_LOXODROMIC = 2 * T * ((5 - 2 * x) * (x + 1) - 2 * I * sig * d)
 H_SQ_LOXODROMIC = (6 * T * (1 + x + d / 2), 6 * T * (1 + x - d / 2))
 
 
+@functools.cache
 def _elliptic_disks():
     """{name: (H11, H12, H22)} of J_0^+ (h = (h1, h2)) and J_0^- (h = (h2,
     h1), by the swap) in the chart rows (p_U', p_U''), G2 = 16 (1 - x^2) I."""
@@ -146,6 +148,7 @@ def _elliptic_disks():
     }
 
 
+@functools.cache
 def _loxodromic_disks():
     """The same in the chart rows (p_U'', p_U'), G2 = [[0, m], [m, 0]] with m
     = <p_U'', p_U'> = -16 (x^2 - 1): h = (h2, h1) for J_0^+, (h1, h2) for J_0^-."""
@@ -195,6 +198,7 @@ def test_elliptic_disks():
         assert _is_zero(-det - S_RADIUS * (1 - x**2) * h12 * conj(h12), ELLIPTIC_X, gens)
 
 
+@functools.cache
 def _elliptic_centre(sign):
     """(numerator, denominator) of 12t cos(beta/2) e^{sign i beta/2} / (A_DEN
     - sign b), with 12t cos(beta/2) e^{-+i beta/2} = 6t (1 + e^{-+i beta}):

@@ -23,6 +23,7 @@ from crlab.isometry import (
     eigen,
     elliptic_type,
     goldman_f,
+    rotation_turn,
     verify_su21,
 )
 from crlab.reference import (
@@ -118,6 +119,23 @@ def test_the_two_classifiers_agree_on_the_slice(tol):
 
 def test_max_order_is_the_largest_order_the_window_pins():
     assert 2 * TURN_SLACK * MAX_ORDER**3 <= 1 < 2 * TURN_SLACK * (MAX_ORDER + 1) ** 3
+
+
+def test_param_side_reads_the_order_rotation_turn_reads():
+    # param_side's n = round(1/t) within TURN_SLACK / t of 1/n is the order
+    # rotation_turn's search gives, 1/n the fraction it finds: at tol 1e-14
+    # on the round trips alpha2_for_order(N), strided to MAX_ORDER, their
+    # neighbours up to 4 ulps either way, and seeded elliptic floats, random
+    # and next to the wall
+    rng = np.random.default_rng(56)
+    params = [alpha2_for_order(n) for n in list(range(4, 400)) + list(range(401, MAX_ORDER + 1, 293)) + [MAX_ORDER]]
+    params = [a + k * math.ulp(a) for a in params for k in range(-4, 5)]
+    params += list(rng.uniform(ALPHA2_LIM, math.pi / 2, 2000)) + list(ALPHA2_LIM + 10 ** rng.uniform(-15, -3, 2000))
+    for a2 in params:
+        side = param_side(float(a2), 1e-14)
+        if side.kind is SideKind.ELLIPTIC:
+            turn = rotation_turn(side.beta / (2.0 * math.pi))
+            assert side.n == (turn.denominator if turn is not None and turn.numerator == 1 else None), a2
 
 
 def test_classify_conjugation_invariance():

@@ -47,6 +47,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from crlab.core import siegel_model
 from crlab.family import P_A, P_B, P_U, P_V, P_W, U_PA, U_PV, UI_PW, alpha2_for_order
 from crlab.reference import alpha2_for_length
 from crlab.verify import FaceFamily
@@ -189,10 +190,10 @@ def test_symbolic_triples_and_involution_are_the_programs(alpha2):
     P = point_table(ff)[ROWS]
     assert np.abs(points - P).max() <= 1e-13 * np.abs(P).max()
     G = face_gram(ff)[np.ix_(ROWS, ROWS)]
-    assert np.abs(gram(points, ff.space) - G).max() <= 1e-12 * np.abs(G).max()
+    assert np.abs(gram(points, siegel_model()) - G).max() <= 1e-12 * np.abs(G).max()
     for want, b in zip(boxes, lc_triples(ff)):
         assert np.abs(want - b).max() <= 1e-13 * np.abs(b).max()
-        K = gram(b, ff.space)
+        K = gram(b, siegel_model())
         assert abs(K[0, 1] + 6 * co**2) <= 1e-12 and abs(K[0, 0] / K[0, 1].real - (2 / 3) * (4 * co**2 - 3)) <= 1e-12
     I = involution_matrix(alpha2)
     assert np.abs(inv_m - I).max() <= 1e-15
@@ -227,10 +228,10 @@ def test_the_involution_carries_the_plus_pass_onto_tfs(alpha2, grid):
     P = point_table(ff)
     assert np.abs(P[[P_A, P_B]] @ I.T - P[[U_PA, P_B]]).max() <= 1e-13 * np.abs(P).max()
     m, dv = grid // 2, delta_v(alpha2)
-    minima, _, half = column_minima(np.stack([minus, plus]), dv + (np.arange(m) + 0.5) * (math.pi / m), ff.space)
+    minima, _, half = column_minima(np.stack([minus, plus]), dv + (np.arange(m) + 0.5) * (math.pi / m), siegel_model())
     live = ~np.isnan(half[0])
     assert np.array_equal(np.isnan(half[1]), ~live) and np.abs(half[0] - half[1])[live].max(initial=0.0) <= 1e-12
     assert np.array_equal(np.sign(minima[0]), np.sign(minima[1])) and np.array_equal(np.isinf(minima[0]), ~live)
-    tf, other = torus_exclusion(np.stack([minus, plus]), dv, m, ff.space)
+    tf, other = torus_exclusion(np.stack([minus, plus]), dv, m, siegel_model())
     assert tf == torus_pass(ff, grid) and (0.0 < tf < math.inf) == (0.0 < other < math.inf)
     assert (0.0 < tf < math.inf) == (alpha2 != 1.569)

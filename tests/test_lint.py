@@ -322,6 +322,22 @@ def test_every_top_level_def_is_reached_from_the_program():
     assert unreached_defs(SRC) == []
 
 
+def test_every_oracle_is_read_by_a_test():
+    # each top-level def and constant of tests/oracles.py is imported by a
+    # test module, or read by one that is: a reference no test compares
+    # anything against is dead code
+    tests = pathlib.Path(__file__).parent
+    roots = set()
+    for path in sorted(tests.glob("test_*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "oracles":
+                roots |= {("oracles", a.name) for a in node.names}
+            elif isinstance(node, ast.Attribute) and _dotted(node.value) == "oracles":
+                roots.add(("oracles", node.attr))
+    trees = {"oracles": ast.parse((tests / "oracles.py").read_text())}
+    assert unreached(trees, sorted(roots), assignments=True) == []
+
+
 def test_every_method_is_named_by_the_program():
     # each method of a class in the program modules, dunders aside, is named
     # as an attribute somewhere in the program outside its own body; a
@@ -490,6 +506,35 @@ def test_unreached_defs_scope_a_functions_imports_to_it(tmp_path):
     assert unreached_defs(tmp_path) == ["cli.unused", "figures.dead", "shapes.circle"]
 
 
+def test_unnamed_methods_resolve_the_receivers_class(tmp_path):
+    # a method that only another class's attribute of the same name names
+    # is flagged: through self, an annotated argument, an assignment from a
+    # call of the class and the class itself; a receiver of unknown class
+    # names the method of every class
+    (tmp_path / "cli.py").write_text(
+        "class Rep:\n"
+        "    def space(self):\n"
+        "        return 1\n"
+        "    def word(self):\n"
+        "        return self.space()\n"
+        "\n"
+        "class Face:\n"
+        "    def space(self):\n"
+        "        return 2\n"
+        "    def word(self):\n"
+        "        return 3\n"
+        "    def margin(self):\n"
+        "        return 4\n"
+        "    def tol(self):\n"
+        "        return 5\n"
+        "\n"
+        "def main(face: Face, other):\n"
+        "    rep = Rep()\n"
+        "    return rep.word() + Rep.word(rep) + face.margin() + other.tol()\n"
+    )
+    assert unnamed_methods(tmp_path) == ["Face.space", "Face.word"]
+
+
 def run_fresh(code: str, *argv: str) -> subprocess.CompletedProcess:
     """Run `python -c code *argv` in a fresh interpreter that imports crlab
     from this source tree."""
@@ -499,22 +544,34 @@ def run_fresh(code: str, *argv: str) -> subprocess.CompletedProcess:
 
 def unreached_defs(src: pathlib.Path) -> list[str]:
     """"module.name" of each top-level def of the program modules under src
-    that no walk from cli.main and the modules' top-level statements reaches.
+    that no walk from cli.main and the modules' top-level statements reaches
+    (`unreached`)."""
+    trees = {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(src.glob("*.py")) if p.stem not in NOT_PROGRAM}
+    return unreached(trees, [("cli", "main")])
+
+
+def unreached(trees: dict, roots: list, assignments: bool = False) -> list[str]:
+    """"module.name" of each top-level def, and with `assignments` of each
+    name a top-level assignment binds, in the modules `trees` (name ->
+    parsed module), that no walk from the (module, name) pairs `roots` and
+    from the modules' other top-level statements reaches.
 
     A reached def makes every name in it reached (a class: its whole body).
     A name is resolved in its module: the relative imports made in the
     functions around it (a command's `from .figures import FIGURES`, say),
-    its own top-level defs, its module's relative imports `from .mod import
-    name`, and `mod.name` for `from . import mod`.  An import inside a
-    function binds its names in that function and the functions nested in
-    it alone.  Import statements themselves reach nothing."""
-    trees = {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(src.glob("*.py")) if p.stem not in NOT_PROGRAM}
+    its own top-level defs and assignments, its module's relative imports
+    `from .mod import name`, and `mod.name` for `from . import mod`.  An
+    import inside a function binds its names in that function and the
+    functions nested in it alone.  Import statements themselves reach
+    nothing."""
     defs, imported = {}, {}
     for mod, tree in trees.items():
         imported[mod] = _relative_imports(tree.body)
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 defs[mod, node.name] = node
+            elif assignments and _assigned_names(node):
+                defs.update(((mod, name), node) for name in _assigned_names(node))
 
     def resolve(mod, local, name):
         if name in local:
@@ -536,11 +593,11 @@ def unreached_defs(src: pathlib.Path) -> list[str]:
         for child in ast.iter_child_nodes(node):
             yield from uses(mod, child, local)
 
-    todo = [("cli", "main")]
+    todo = list(roots)
     for mod, tree in trees.items():
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Import, ast.ImportFrom)):
-                todo += uses(mod, node)
+                todo += [] if assignments and _assigned_names(node) else uses(mod, node)
     reached = set()
     while todo:
         key = todo.pop()
@@ -548,6 +605,15 @@ def unreached_defs(src: pathlib.Path) -> list[str]:
             reached.add(key)
             todo += uses(key[0], defs[key])
     return sorted(f"{mod}.{name}" for mod, name in defs if (mod, name) not in reached)
+
+
+def _assigned_names(node) -> list[str]:
+    """The names a top-level `name = ...` or `a, b = ...` binds; [] for any
+    other statement."""
+    if not isinstance(node, ast.Assign):
+        return []
+    targets = [e for t in node.targets for e in (t.elts if isinstance(t, ast.Tuple) else [t])]
+    return [e.id for e in targets] if all(isinstance(e, ast.Name) for e in targets) else []
 
 
 def _relative_imports(statements) -> dict:
@@ -588,18 +654,56 @@ def imported_modules(path: pathlib.Path) -> set[str]:
 def unnamed_methods(src: pathlib.Path) -> list[str]:
     """"Class.method" of each method of the top-level classes of the program
     modules under src that no `.method` attribute in those modules names,
-    outside the method's own body; dunder methods are left out."""
+    outside the method's own body; dunder methods are left out.
+
+    An attribute names the method of that name of one class when its
+    receiver's class is known, and of every class otherwise.  The class is
+    known for the class's own name, for `self` (the first argument of a
+    method of the class), and for a name that a function annotates with a
+    program class or assigns from a call of one."""
     trees = [ast.parse(p.read_text(), str(p)) for p in sorted(src.glob("*.py")) if p.stem not in NOT_PROGRAM]
+    classes = {n.name: n for tree in trees for n in tree.body if isinstance(n, ast.ClassDef)}
+    receivers = {}  # id of an attribute in a function -> its receiver's class, or None
+    for top in (n for tree in trees for n in tree.body):
+        for cls, fn in [(top, fn) for fn in top.body] if isinstance(top, ast.ClassDef) else [(None, top)]:
+            for scope in ast.walk(fn):
+                if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    known = _known_classes(scope, classes, cls if scope is fn else None)
+                    receivers.update(
+                        (id(a), known.get(a.value.id))
+                        for a in _own_nodes(scope) if isinstance(a, ast.Attribute) and isinstance(a.value, ast.Name)
+                    )
     attrs = [n for tree in trees for n in ast.walk(tree) if isinstance(n, ast.Attribute)]
     found = []
-    for cls in (n for tree in trees for n in tree.body if isinstance(n, ast.ClassDef)):
+    for cls in classes.values():
         for fn in cls.body:
             if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("__"):
                 continue
             own = {id(n) for n in ast.walk(fn)}
-            if not any(a.attr == fn.name and id(a) not in own for a in attrs):
+            if not any(a.attr == fn.name and id(a) not in own and receivers.get(id(a)) in (None, cls.name) for a in attrs):
                 found.append(f"{cls.name}.{fn.name}")
     return found
+
+
+def _known_classes(fn, classes, cls=None) -> dict:
+    """name -> program class, for the names in function fn whose class is
+    known: the program classes themselves, `self` when fn is a method of
+    cls, the arguments annotated with a program class and the names
+    assigned from a call of one."""
+    known = {name: name for name in classes}
+    args = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+    if cls is not None and args:
+        known[args[0].arg] = cls.name
+    for arg in args:
+        ann = arg.annotation
+        name = ann.id if isinstance(ann, ast.Name) else ann.value if isinstance(ann, ast.Constant) else None
+        if name in classes:
+            known[arg.arg] = name
+    for node in _own_nodes(fn):
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call) and isinstance(node.value.func, ast.Name):
+            if node.value.func.id in classes:
+                known.update((t.id, node.value.func.id) for t in node.targets if isinstance(t, ast.Name))
+    return known
 
 
 def unresolved_annotations(src: pathlib.Path) -> list[str]:

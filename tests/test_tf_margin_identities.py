@@ -85,6 +85,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from crlab.core import siegel_model
 from crlab.family import ALPHA2_STAR, PIO2_REM, alpha2_for_order, exclusion_margin
 from crlab.reference import alpha2_for_length
 from crlab.verify import FaceFamily
@@ -100,10 +101,22 @@ CIRCLES = [s**2 + c**2 - 1, su**2 + cu**2 - 1, Y**2 + X**2 - 1]
 GENS = (s, su, Y, c, cu, X)
 
 QR, PR, QP = (box(a, b).expand() for a, b in ((sa.P_W, sa.UI_PW), (sa.P_U, sa.UI_PW), (sa.P_W, sa.P_U)))
-# e^{-i delta} at delta = delta_v + u, and the column's B and torus point
+
+
+def _on_circles(z):
+    """z with its real and imaginary parts reduced modulo CIRCLES: the same
+    value on the circles, in far fewer terms."""
+    z = sp.expand(z)
+    re, im = z.subs(I, 0), sp.expand((z - z.subs(I, 0)) / I)
+    return sp.reduced(re, CIRCLES, *GENS)[1] + I * sp.reduced(im, CIRCLES, *GENS)[1]
+
+
+# e^{-i delta} at delta = delta_v + u, and the column's B and torus point,
+# each entry reduced once: the relations below read the same values on the
+# circles, and take products of these reduced entries
 ED = -I * conj(E) * (cu - I * su)
-B = ED * PR + conj(ED) * QP
-V = QR - (X - I * Y) * B
+B = (ED * PR + conj(ED) * QP).applyfunc(_on_circles)
+V = (QR - (X - I * Y) * B).applyfunc(_on_circles)
 
 K = 3 * s * cu - c * su
 Z = 3 * K * X
@@ -127,11 +140,9 @@ QUARTIC = sp.expand(((3 * s - c * xs) ** 2 + 6 * xs**2) ** 2 - 9 * (3 * s - c * 
 
 
 def _abs2(z):
-    """|z|^2 as re^2 + im^2, each part first reduced modulo CIRCLES: the
-    same value on the circles, in far fewer terms."""
-    z = sp.expand(z)
-    re, im = z.subs(I, 0), sp.expand((z - z.subs(I, 0)) / I)
-    return sum(sp.reduced(part, CIRCLES, *GENS)[1] ** 2 for part in (re, im))
+    """|z|^2 as re^2 + im^2 of z reduced by `_on_circles`."""
+    z = _on_circles(z)
+    return z.subs(I, 0) ** 2 + sp.expand((z - z.subs(I, 0)) / I) ** 2
 
 
 RELATIONS = {
@@ -360,7 +371,7 @@ def test_the_programs_column_stage_has_the_structure(alpha2):
     # constant rows are the closed forms in K and sin u
     ff = FaceFamily(alpha2)
     us = (np.arange(720) + 0.5) * (math.pi / 720) - math.pi / 2
-    kpq, (A, C) = _column_sinusoids(passes(ff), _u_columns(alpha2, us), ff.space)
+    kpq, (A, C) = _column_sinusoids(passes(ff), _u_columns(alpha2, us), siegel_model())
     k, sn, _ = _forms(alpha2, us)
     c2 = math.cos(alpha2) ** 2
     norm, e = kpq[:, 0], kpq[:, 1] - kpq[:, 2]
@@ -389,7 +400,7 @@ def test_column_minima_read_the_boundary_curve(alpha2):
     # edge's value above it
     ff = FaceFamily(alpha2)
     us = (np.arange(4096) + 0.5) * (math.pi / 4096) - math.pi / 2
-    minima, _, half = column_minima(passes(ff), _u_columns(alpha2, us), ff.space)
+    minima, _, half = column_minima(passes(ff), _u_columns(alpha2, us), siegel_model())
     k, sn, cs = _forms(alpha2, us)
     live = ~np.isnan(half)
     slack = np.abs(k**2 + 6 * sn**2 - 3 * np.abs(k))
@@ -415,10 +426,10 @@ def test_the_closed_form_is_the_sampled_margin_at_grid_65536():
     worst = 0.0
     for alpha2 in TIE_PARAMETERS:
         ff, want = FaceFamily(alpha2), exclusion_margin(alpha2)
-        (fine,) = torus_exclusion(passes(ff)[None], delta_v(alpha2), 32768, ff.space)
+        (fine,) = torus_exclusion(passes(ff)[None], delta_v(alpha2), 32768, siegel_model())
         worst = max(worst, abs(fine - want) / want)
         for grid in (64, 128, 720):
-            (sampled,) = torus_exclusion(passes(ff)[None], delta_v(alpha2), grid // 2, ff.space)
+            (sampled,) = torus_exclusion(passes(ff)[None], delta_v(alpha2), grid // 2, siegel_model())
             assert sampled >= want, (alpha2, grid)
     assert worst <= 1e-8
 
@@ -500,7 +511,7 @@ def test_the_oracles_band_ends_at_the_edge(alpha2):
     u_e, _ = _edge_reference(alpha2, dps=30)
     u_e, u_star = float(u_e), math.atan(math.tan(alpha2) / 3)
     us = u_e + np.linspace(-1.0, 1.0, 4097)[1:] * min(u_e, u_star - u_e)
-    _, _, half = column_minima(passes(ff), _u_columns(alpha2, us), ff.space)
+    _, _, half = column_minima(passes(ff), _u_columns(alpha2, us), siegel_model())
     sure = np.abs(us - u_e) > 1e-9
     assert np.array_equal(~np.isnan(half[sure]), (us < u_e)[sure])
 
@@ -512,7 +523,7 @@ def test_the_column_u_star_closes_at_alpha_star(alpha2, meets):
     # alpha*
     ff = FaceFamily(alpha2)
     u_star = math.atan(math.tan(alpha2) / 3)
-    _, _, half = column_minima(passes(ff), _u_columns(alpha2, [u_star]), ff.space)
+    _, _, half = column_minima(passes(ff), _u_columns(alpha2, [u_star]), siegel_model())
     assert np.isnan(half[0]) != meets
     if meets and alpha2 > 1.135:
         assert half[0] <= 1e-3

@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from crlab.core import GeometryError, HVec, inner
+from crlab.core import GeometryError, HVec, inner, siegel_model
 from crlab.family import (
     ALPHA2_LIM, P_A, P_B, P_U, P_U1, P_U2, P_V, P_W, U_PA, U_PB, U_PV, U_PW, UI_PB, UI_PV, UI_PW, SideKind,
     alpha2_for_order,
@@ -38,7 +38,6 @@ from oracles import (
     TORI,
     TRANSLATION_INCIDENCES,
     SymmetricKind,
-    angular_diameter,
     apply,
     chart_multiplier,
     classify_bisector,
@@ -65,7 +64,6 @@ from oracles import (
     tangency_check,
     torus_exclusion,
     torus_pass,
-    torus_vectors,
     u_power_point,
     vertex_products,
 )
@@ -316,7 +314,7 @@ def test_lc_u_value_at_wall():
     res = lc_check(ff)
     # u = (2/3)(4 cos^2 - 3) = (2/3)(3/2 - 3) = -1 at the wall, read by the
     # array oracle from the program's box rows
-    us, kinds = symmetric_kinds(lc_triples(ff), ff.space, ff.tol)
+    us, kinds = symmetric_kinds(lc_triples(ff), siegel_model(), ff.tol)
     assert us == pytest.approx([-1.0, -1.0], abs=1e-12) and kinds == [SymmetricKind.DISK] * 2
     assert res.passed
 
@@ -759,7 +757,7 @@ def test_family_translation_compatibility(ff_lox):
     for k in (1, 2, -1):
         q = u_power_point(ff_lox, k, pts.p_V)
         for _ in range(10):
-            z = HVec(rng.normal(size=3) + 1j * rng.normal(size=3), ff_lox.space)
+            z = HVec(rng.normal(size=3) + 1j * rng.normal(size=3), siegel_model())
             r0 = abs(inner(z, pts.p_U)) - abs(inner(z, pts.p_V))
             zk = apply(power(U, k), z)
             rk = abs(inner(zk, pts.p_U)) - abs(inner(zk, q))
@@ -831,7 +829,7 @@ def test_balanced_pair_decomposition_sampling(ff_lox):
 
     pts = family_points(ff_lox)
     a2 = ff_lox.alpha2
-    sp = ff_lox.space
+    sp = siegel_model()
     J = sp.J
     pW, UipW = pts.p_W, apply(family_U(ff_lox).inv(), pts.p_W)
     lpole = np.array([math.sin(a2), -1j * math.sqrt(2) / 2, -math.sin(a2)])
@@ -893,20 +891,6 @@ def test_balanced_pair_decomposition_sampling(ff_lox):
     assert worst <= 1e-7
 
 
-def test_monotone_exclusion_finite_differences(ff_lox):
-    # h(. , delta1) decreases on [0, pi] and increases on [pi, 2 pi] for
-    # every delta1 strictly between the two line-locus values
-    torus = face_torus(ff_lox)
-    sigmas = np.linspace(0, 2 * math.pi, 101)
-    for d1 in delta0(ff_lox.alpha2) + np.linspace(0.05, math.pi - 0.05, 9):
-        V = torus_vectors(torus, sigmas[:, None] + d1, sigmas[:, None] - d1)
-        h = ff_lox.space.form(V, V).real[:, 0]
-        dh = np.diff(h)
-        half = len(dh) // 2
-        assert (dh[:half] <= 1e-10).all()
-        assert (dh[half:] >= -1e-10).all()
-
-
 @pytest.mark.parametrize(
     "alpha2",
     [alpha2_for_order(n) for n in (9, 12, 50)]
@@ -920,10 +904,10 @@ def test_vertex_location_closed_form(alpha2):
     pts = family_points(ff)
     for r in (pts.p_W, apply(family_U(ff).inv(), pts.p_W)):
         circle = giraud_torus(classify_bisector(pts.p_U, pts.p_V, ff.tol), classify_bisector(pts.p_U, r, ff.tol), ff.tol)
-        _, lifts, dist = giraud_circle_tangents(circle.lifts, circle.rows, np.array([pts.p_A.v, pts.p_B.v]), ff.space)
+        _, lifts, dist = giraud_circle_tangents(circle.lifts, circle.rows, np.array([pts.p_A.v, pts.p_B.v]), siegel_model())
         assert dist.max() <= 1e-12
         for lift, target in zip(lifts, (pts.p_A, pts.p_B)):
-            assert proj_distance(HVec(lift, ff.space), target) <= 1e-12
+            assert proj_distance(HVec(lift, siegel_model()), target) <= 1e-12
 
 
 def test_h_identities_twenty_parameters_per_side():
@@ -985,7 +969,7 @@ def test_lc_passes_near_alpha2_zero(alpha2):
     assert rep.verdict.kind is VerdictKind.SURGERY and (rep.verdict.p, rep.verdict.q) == (1, -3)
     assert all(c.passed for c in (rep.tf, rep.lc, rep.gc) if not c.skipped)
     ff = FaceFamily(alpha2)
-    us, kinds = symmetric_kinds(lc_triples(ff), ff.space, ff.tol)
+    us, kinds = symmetric_kinds(lc_triples(ff), siegel_model(), ff.tol)
     assert us == pytest.approx([(2 / 3) * (4 * math.cos(alpha2) ** 2 - 3)] * 2, abs=1e-6)
     assert kinds == [SymmetricKind.TRI_CIRCLE_DISK] * 2
 
@@ -1071,20 +1055,20 @@ def test_lc_common_constraint_matches_the_three_constraint_envelope(alpha2, grid
     # their U-translates are the rows of the program's table
     ff = FaceFamily(alpha2)
     m, dv = grid // 2, delta_v(alpha2)
-    margins = {"torus_exclusion": torus_pass(ff, grid), "plus": torus_exclusion(plus_pass(ff), dv, m, ff.space)}
+    margins = {"torus_exclusion": torus_pass(ff, grid), "plus": torus_exclusion(plus_pass(ff), dv, m, siegel_model())}
     assert tf_check(ff).margins["torus_exclusion"] == ff.tf_margin == exclusion_margin(alpha2)
     assert ff.tf_margin <= margins["torus_exclusion"]
     P = point_table(ff)
     p_A, p_B, p_U, p_V, p_W, UpV, UpW, UipV, UipW = (
-        HVec(P[i], ff.space) for i in (P_A, P_B, P_U, P_V, P_W, U_PV, U_PW, UI_PV, UI_PW)
+        HVec(P[i], siegel_model()) for i in (P_A, P_B, P_U, P_V, P_W, U_PV, U_PW, UI_PV, UI_PW)
     )
     offsets = (np.arange(m) + 0.5) * (math.pi / m)
     for key, torus, negs, vertex in (
         ("torus_exclusion", giraud_torus(classify_bisector(p_U, p_W), classify_bisector(p_U, UipW)), [p_V, UpV, UipV], p_A),
         ("plus", giraud_torus(classify_bisector(p_U, p_V), classify_bisector(p_U, UpV)), [p_W, UipW, UpW], p_B),
     ):
-        pt = inner(HVec(torus.p, ff.space), vertex)
-        theta, phi = (-cmath.phase(inner(HVec(w, ff.space), vertex) / pt) for w in (torus.q, torus.r))
+        pt = inner(HVec(torus.p, siegel_model()), vertex)
+        theta, phi = (-cmath.phase(inner(HVec(w, siegel_model()), vertex) / pt) for w in (torus.q, torus.r))
         # the scalar path finds the vertex column delta_v to rounding
         assert abs(math.remainder((theta - phi) / 2.0 - dv, math.pi)) <= 1e-14
         minima = envelope_minima(torus, dv + offsets, p_U.v, [w.v for w in negs])
@@ -1233,7 +1217,7 @@ def test_fan_residuals_match_per_sample_loops():
     UipW = apply(family_U(ff).inv(), pts.p_W)
     worst, member = 0.0, []
     for th in np.linspace(0.0, 2.0 * math.pi, 1441):
-        q = HVec([1.0, math.sqrt(2.0) * np.exp(1j * th), -1.0], ff.space)
+        q = HVec([1.0, math.sqrt(2.0) * np.exp(1j * th), -1.0], siegel_model())
         mu, mw, muw = (abs(inner(w, q)) ** 2 for w in (pts.p_U, pts.p_W, UipW))
         worst = max(
             worst,
@@ -1280,11 +1264,11 @@ def test_array_decisions_equal_the_per_object_oracle(alpha2):
     assert got[1] == [b.kind for b in bs]
     assert np.allclose(got[0], [b.r_disc for b in bs], rtol=1e-12, atol=1e-12)
     lifts = point_table(ff)[[[P_U, q] for q in BISECTORS]]
-    foci = box_rows(lifts[:, 0], lifts[:, 1], ff.space)
-    assert _outcome(lambda: oracles.pair_kinds(foci, lifts, TORI, ff.space, ff.tol)) == [_outcome(lambda: classify_pair(bs[i], bs[j], ff.tol)) for i, j in TORI]
+    foci = box_rows(lifts[:, 0], lifts[:, 1], siegel_model())
+    assert _outcome(lambda: oracles.pair_kinds(foci, lifts, TORI, siegel_model(), ff.tol)) == [_outcome(lambda: classify_pair(bs[i], bs[j], ff.tol)) for i, j in TORI]
     triples = [(pts.p_U, pts.p_V, pts.p_W), (pts.p_U, apply(U, pts.p_V), pts.p_W)]
     want = [_outcome(lambda t=t: symmetric_intersection_type(*t, ff.tol)) for t in triples]
-    sym = _outcome(lambda: symmetric_kinds(lc_triples(ff), ff.space, ff.tol))
+    sym = _outcome(lambda: symmetric_kinds(lc_triples(ff), siegel_model(), ff.tol))
     if isinstance(sym, str):
         assert sym == want[0] if isinstance(want[0], str) else sym == want[1]
     else:

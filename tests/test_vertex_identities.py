@@ -37,12 +37,14 @@ rotation ROT.  The last test ties the symbols to `vertex_angles`,
 and their ball arcs.
 """
 
+import functools
 import math
 
 import numpy as np
 import pytest
 import sympy as sp
 
+from crlab.core import siegel_model
 from crlab.family import P_A, P_B, P_U, P_V, U_PA, U_PV, P_W, UI_PW, alpha2_for_order
 from crlab.reference import alpha2_for_length
 from crlab.verify import FaceFamily
@@ -86,6 +88,7 @@ def _point(rows, e_theta, e_phi):
     return qr - e_theta * pr - e_phi * qp
 
 
+@functools.cache
 def _vertex_relations(name, rot_theta=1, rot_phi=1):
     """The expressions that vanish for the vertex `name`: the 2x2 minors of
     (V, vertex) at its (sigma, delta_v), with e^{-i theta} and e^{-i phi}
@@ -165,7 +168,7 @@ def test_symbolic_vertices_are_the_programs(alpha2):
             assert np.abs(w - got).max() <= 1e-13 * np.abs(got).max()
     up, down = (0.0, math.pi - 2.0 * alpha2), (2.0 * alpha2 - math.pi, 0.0)
     lifts = P[[[P_U, P_W, UI_PW], [P_U, P_V, U_PV]]]
-    angles = vertex_angles(lifts[[0, 0, 1, 1]], P[[P_A, P_B, P_B, U_PA]], ff.space)
+    angles = vertex_angles(lifts[[0, 0, 1, 1]], P[[P_A, P_B, P_B, U_PA]], siegel_model())
     dv = delta_v(alpha2)
     for (th, ph), want in zip(angles, (up, down, down, up)):
         assert max(abs(math.remainder(x - w, 2.0 * math.pi)) for x, w in zip((th, ph), want)) <= 1e-12
@@ -174,6 +177,6 @@ def test_symbolic_vertices_are_the_programs(alpha2):
     # arg(-36 c^2 s) = pi, half = pi/2 - alpha2: its ends are the vertices.
     # C is of order s against rows of order 1, so its rounding in angle
     # grows like 1/s as alpha2 -> 0
-    _, mid, half = column_minima(R, [dv], ff.space)
+    _, mid, half = column_minima(R, [dv], siegel_model())
     assert np.abs(np.abs(mid) - math.pi).max() <= 1e-14 / si
     assert np.abs(half - (math.pi / 2.0 - alpha2)).max() <= 1e-14 / si

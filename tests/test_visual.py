@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from crlab.core import GeometryError, HVec, inner
+from crlab.core import GeometryError, HVec, inner, siegel_model
 from crlab.family import alpha2_for_order
 from crlab.isometry import Isometry
 from crlab.reference import alpha2_for_length, box
@@ -70,9 +70,9 @@ def test_chart_line_invariance():
     ch = oriented_chart(ff)
     rng = np.random.default_rng(4)
     for _ in range(10):
-        q = HVec(rng.normal(size=3) + 1j * rng.normal(size=3), ff.space)
+        q = HVec(rng.normal(size=3) + 1j * rng.normal(size=3), siegel_model())
         lam = complex(rng.normal(), rng.normal())
-        q2 = HVec(q.v + lam * ch.base, ff.space)
+        q2 = HVec(q.v + lam * ch.base, siegel_model())
         assert chart(ch, q.v) == pytest.approx(chart(ch, q2.v), rel=1e-9, abs=0)
 
 
@@ -115,7 +115,7 @@ def test_induced_action_rotation_and_homothety():
 def test_induced_action_involution_is_inversion():
     for a2 in (0.7, alpha2_for_order(9)):
         ff = chart_at(a2)
-        I = Isometry(involution_matrix(a2), ff.space)
+        I = Isometry(involution_matrix(a2), siegel_model())
         rng = np.random.default_rng(2)
         X = rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
         z = oriented_chart(ff).values(X)
@@ -138,8 +138,8 @@ def test_tangency_criterion_examples():
     assert tangency(pts.p_U, pts.p_V, UpA)
     assert tangency(pts.p_U, pts.p_V, UiB)
     # a generic spinal point admits no sign and is not a touch point
-    circ = slice_boundary_circle(HVec(pts.p_V.v - cmath.exp(0.4j) * pts.p_U.v, ff.space))
-    z = HVec(circ(np.array([0.7]))[0], ff.space)
+    circ = slice_boundary_circle(HVec(pts.p_V.v - cmath.exp(0.4j) * pts.p_U.v, siegel_model()))
+    z = HVec(circ(np.array([0.7]))[0], siegel_model())
     assert not tangency(pts.p_U, pts.p_V, z)
 
 
@@ -152,9 +152,9 @@ def test_tangency_vs_crossing_oracle():
         pts = family_points(ff)
         p, q = pts.p_U, pts.p_V
         # engineered touch points: the midpoint-slice boundary circle
-        circ_t = slice_boundary_circle(HVec(q.v - p.v, ff.space))
+        circ_t = slice_boundary_circle(HVec(q.v - p.v, siegel_model()))
         for t in rng.uniform(0, 2 * math.pi, 5):
-            r = HVec(circ_t(np.array([t]))[0], ff.space)
+            r = HVec(circ_t(np.array([t]))[0], siegel_model())
             res = tangency(p, q, r)
             crossings = line_spinal_crossings(p, q, r)
             assert res and crossings == 0
@@ -165,11 +165,11 @@ def test_tangency_vs_crossing_oracle():
         while drawn < 6:
             t = rng.uniform(0, 2 * math.pi)
             alpha = cmath.exp(1j * rng.uniform(0.1, math.pi - 0.1))
-            circ = slice_boundary_circle(HVec(q.v - alpha * p.v, ff.space))
+            circ = slice_boundary_circle(HVec(q.v - alpha * p.v, siegel_model()))
             if circ is None:
                 continue
             drawn += 1
-            r = HVec(circ(np.array([t]))[0], ff.space)
+            r = HVec(circ(np.array([t]))[0], siegel_model())
             res = tangency(p, q, r)
             crossings = line_spinal_crossings(p, q, r)
             assert (crossings == 0) == res
@@ -388,7 +388,7 @@ def test_silhouette_circle_needs_a_real_pair_and_a_positive_pole(ball, siegel):
         silhouette_circles(make_chart(p, [1.0, 0, 0], [0, 1.0, 0]), [fan])
     # a family bisector with a rephased second lift
     ff = chart_at(alpha2_for_order(9))
-    b = classify_bisector(family_points(ff).p_U, HVec(cmath.exp(0.3j) * family_points(ff).p_V.v, ff.space))
+    b = classify_bisector(family_points(ff).p_U, HVec(cmath.exp(0.3j) * family_points(ff).p_V.v, siegel_model()))
     with pytest.raises(GeometryError, match="real nonzero"):
         silhouette_circles(oriented_chart(ff), [b])
 
@@ -398,7 +398,7 @@ def test_chart_ratio_is_cross_ratio():
     # independently in a second chart of the same visual sphere
     ff = chart_at(alpha2_for_order(10))
     ch = oriented_chart(ff)
-    sp = ff.space
+    sp = siegel_model()
     rng = np.random.default_rng(14)
     # a second chart from two other polar points of the base
     base = ch.base
