@@ -187,6 +187,12 @@ def _read_matrix(path):
 
 
 def cmd_classify(args) -> int:
+    if args.matrix is not None and args.word is not None:
+        print("error: give only one of --matrix, --word", file=sys.stderr)
+        return 2
+    if args.alpha2 is not None and args.word is None:
+        print("error: --alpha2 applies only to --word", file=sys.stderr)
+        return 2
     from .core import siegel_model
     from .family import FamilyParams, FamilyRep
     from .isometry import Isometry, classify, elliptic_type, verify_su21

@@ -15,7 +15,7 @@ checked numerically:
         side) and cone-separation margins; every margin is a closed form in
         x = cos(beta) or x = cosh(l), proved once in
         tests/test_gc_disk_identities.py, so GC reads only the order n or
-        the length l of family.param_side.
+        the length l of scalar.param_side.
 
 What holds at every parameter is not checked here: that the ideal vertices
 p_A and p_B and their U-translates lie on the bisectors around them, and
@@ -27,16 +27,16 @@ tests/test_bitangency_identities.py.
 TF's exclusion margin is the infimum of E / (|V|^2 sin^2(delta -
 delta_v)), E = |<p_U, V>|^2 - |<p_V, V>|^2, over the ball part of the
 Giraud torus of the faces F_0^- and F_-1^-, delta_v the vertex column.  It
-is the closed form family.exclusion_margin at every alpha2 in (0, pi/2),
+is the closed form scalar.exclusion_margin at every alpha2 in (0, pi/2),
 proved once in tests/test_tf_margin_identities.py: 24 cos^2(alpha2) / (8
-cos^2(alpha2) + 1) up to family.ALPHA2_STAR, and above it the same ratio
+cos^2(alpha2) + 1) up to scalar.ALPHA2_STAR, and above it the same ratio
 at the band edge, the open column nearest the least one.  No torus column
 is read.  LC's claims on both face pairs rest on TF's margin: on F_0^- and
 F_-1^- it is the same claim, and the slice's involution, which fixes p_U
 and swaps p_V with p_W, carries the pass of F_0^+ and F_1^+ onto it, V
 onto -V at every (sigma, delta), so that pass fails exactly where this
 one does (tests/test_lc_identities.py).
-The unipotent wall is decided once, by family.param_side: on it GC is not
+The unipotent wall is decided once, by scalar.param_side: on it GC is not
 applicable.
 
 Passing all three yields the Dehn-surgery verdict for the parameter:
@@ -68,13 +68,13 @@ DEFAULT_GRID = 720
 
 
 class FaceFamily:
-    """All data attached to a parameter: the side of `family.param_side`,
+    """All data attached to a parameter: the side of `scalar.param_side`,
     formed at once, and TF's margin `tf_margin`, formed on first read.  No
     torus, pass or point table is formed: TF's margin is a closed form, and
     the tests' oracles build the point table of `reference.face_points` and
     TF's pass on it (`point_table`, `passes`) in `core.siegel_model`.  The
     projected disks of J_0^+ and J_0^- on the visual sphere of [p_U] are
-    closed forms in the order n (`family.elliptic_disks`), which GC and the
+    closed forms in the order n (`scalar.elliptic_disks`), which GC and the
     disk-projection figure read without a chart."""
 
     def __init__(self, alpha2: float, tol=None):
@@ -85,7 +85,7 @@ class FaceFamily:
     @cached_property
     def tf_margin(self) -> float:
         """TF's exclusion margin, on which LC rests too:
-        `family.exclusion_margin`."""
+        `scalar.exclusion_margin`."""
         return exclusion_margin(self.alpha2)
 
 
@@ -197,7 +197,7 @@ def gc_check_elliptic(ff: FaceFamily) -> CheckResult:
     """GC on the elliptic side of order n >= 9, from ff.side alone, with x =
     cos(beta), beta = 2 pi/n.  In the chart J_0^+ projects to a disk centred
     on the ray -beta/2 with half-width `half`, sin^2(half) = (8/9)
-    sin^2(beta) (2x + 1) (`family.elliptic_disks`, whose sin(half) it
+    sin^2(beta) (2x + 1) (`scalar.elliptic_disks`, whose sin(half) it
     reads), and J_0^- to its mirror, so the sector margin is 2 beta -
     half, positive exactly when 9x^2 - 4x - 2 > 0, which is n >= 9; the
     rotated-sector gap is twice it and is not reported.  The cone angles

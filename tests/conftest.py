@@ -3,7 +3,11 @@ import pytest
 
 from crlab.core import siegel_model
 from crlab.family import ALPHA2_LIM, FamilyParams, FamilyRep, alpha2_for_order
-from crlab.reference import ball_model, remarkable_points
+from crlab.reference import alpha2_for_length, ball_model, remarkable_points
+
+# the parameters of the benchmark's verify-params workload: orders 9, 6 and
+# 56, the unipotent wall and a loxodromic length
+VERIFY_PARAMS = [alpha2_for_order(9), alpha2_for_order(6), alpha2_for_order(56), ALPHA2_LIM, alpha2_for_length(1.0)]
 
 
 @pytest.fixture(scope="session")

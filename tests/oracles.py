@@ -9,9 +9,8 @@ tests/test_lint.py keeps every name here read by some test module.
   (`reference.face_points`), the tori `TORI` of the bisectors `BISECTORS`
   (`TORUS_LIFTS`, `torus_lifts`, `torus_rows`, `face_torus` with the
   one-torus view `GiraudTorus`), TF's pass `passes`, LC's former pass
-  `plus_pass` (`plus_torus`) and their Gram table (`face_gram`, `gram`,
-  `row_lengths`).  Every proof module's tie test holds its symbols to
-  these rows.
+  `plus_pass` and their Gram table (`face_gram`, `gram`, `row_lengths`).
+  Every proof module's tie test holds its symbols to these rows.
 - The torus column stage `_column_sinusoids` and its grid forms
   `column_forms`: held to the proved forms of
   tests/test_tf_margin_identities.py and to the spinal-trace figure
@@ -22,29 +21,23 @@ tests/test_lint.py keeps every name here read by some test module.
   the columns `_offsets` about the vertex column `delta_v`, as
   `torus_exclusion` and `torus_pass` (`TORUS_GRID_DEFAULT`); itself held
   to sampled torus points (`torus_vectors`, `point`, tests/test_bisector.py).
-- `envelope_minima`, LC's former envelope of three constraints, on the
-  rows of `_column_sinusoids`: held to sampled points and to
-  `column_minima` (tests/test_bisector.py), and to TF's reported margin
-  (tests/test_verify.py).
 - The bi-tangency that `verify._bitangency` reports as proved zeros:
   `giraud_circle_tangents` at the vertex angles `vertex_angles`
   (`_proj_distances`), held to tests/test_bitangency_identities.py.
 - The trichotomy of an order-3 symmetric triple, which LC no longer
-  decides (its triples are proved disks, tests/test_lc_identities.py):
-  `symmetric_kinds` on `lc_triples`, `symmetric_kind` and the per-object
+  decides (its triples are proved disks, tests/test_lc_identities.py,
+  which holds its symbols to their box rows `lc_triples`):
   `symmetric_intersection_type` (`SymmetricIntersection`,
   `SymmetricKind`), and the grid oracle `brute_force_symmetric_kind`
   (`count_sublevel_components`, `periodic_components`, `_row_runs`,
   `_runs_overlap`, `TORUS_REFINE_FACTOR`) on `bisector.level_g`, for
   acceptance criterion 6a.
 - The preconditions that tests/test_face_family_identities.py proves and
-  `FaceFamily` does not run: the Gram-table kernels `bisector_kinds`
-  (`BisectorKind`), `pair_kinds` (`ExtorPairKind`) and `tangencies`, on
-  one object through `table`, `bisector_kind`, `pair_kind` and
-  `tangency`, held to the per-object forms `classify_bisector`
-  (`Bisector`, `_length`), `classify_pair` (`_focus_in_extor`),
-  `giraud_torus` and `tangency_check` (tests/test_verify.py), and
-  acceptance criterion 6b.
+  `FaceFamily` does not run, one form each, on single `HVec`s:
+  `classify_bisector` (`Bisector`, `BisectorKind`, `_length`),
+  `classify_pair` (`ExtorPairKind`, `_focus_in_extor`), `giraud_torus`
+  and `tangency_check`, held to the proved decisions on the golden-verdict
+  parameters (tests/test_verify.py) and to acceptance criterion 6b.
 - Points of bisectors: `membership` (`Membership`),
   `real_spine_endpoints`, `is_autopolar_triple`, sampled spinal surfaces
   and null circles (`spinal_samples`, `slice_boundary_circle`,
@@ -61,7 +54,8 @@ tests/test_lint.py keeps every name here read by some test module.
   disk-projection figure read (tests/test_gc_disk_identities.py,
   tests/test_figures.py).
 - GC's angles at p_U: `tangent_direction`, `angle_between`, the angular
-  diameter `angular_diameter` and the cone rows `cone_angles`, held to
+  diameter `angular_diameter` (of the Gram table `table` forms) and the
+  cone rows `cone_angles`, held to
   GC's closed forms in cos(beta) (`verify.gc_check_elliptic`,
   tests/test_gc_disk_identities.py) and acceptance criterion 6c.
 - The incidences that `verify` no longer checks: `vertex_products` of
@@ -363,40 +357,6 @@ def _harmonic_roots(k, p, q):
         half = np.arccos(np.clip(-k / np.hypot(p, q), -1.0, 1.0))
     phase = np.arctan2(q, p)
     return phase - half, phase + half
-
-
-def envelope_minima(torus, deltas, pos, negs, ball=True, terms=None):
-    """Per delta-column, the exact minimum over sigma of max_i E_i / |V|^2
-    with E_i = |<pos, V>|^2 - |<neg_i, V>|^2, for coordinate vectors pos and
-    neg_i: over the column's ball arc (`_arcs` of the norm terms (A, C) of
-    `_column_sinusoids`, or of `terms`), or over the whole column when ball
-    is False; inf where the arc is empty.
-
-    In a column every E_i and |V|^2 is a sinusoid k + p cos(sigma) + q
-    sin(sigma), the rows that `_column_sinusoids` forms for the row array
-    (pos, neg_i, qr, pr, qp) of each constraint.  On the arc the minimum of
-    the envelope sits at an arc end, at a critical point of one ratio E_i /
-    |V|^2, where E_i' |V|^2 - E_i (|V|^2)' vanishes, or at a crossing E_i =
-    E_j.  Both conditions are a constant plus one harmonic, with closed-form
-    roots, so the least envelope value over these candidates is the
-    minimum."""
-    deltas = np.asarray(deltas, dtype=float)
-    R = np.array([[pos, neg, *torus.rows] for neg in negs])
-    kpq, (A, C) = _column_sinusoids(R, deltas, torus.space)
-    den, nums = kpq[:, 0, 0], list(np.moveaxis(kpq[:, 1] - kpq[:, 2], 1, 0))
-    if ball:
-        mid, half = _arcs(*((A[0], C[0]) if terms is None else terms))
-    else:
-        mid, half = np.zeros(len(deltas)), np.full(len(deltas), math.pi)
-    roots = [r for e in nums for r in _harmonic_roots(*_ratio_critical(e, den))]
-    roots += [r for i, e in enumerate(nums) for f in nums[:i] for r in _harmonic_roots(*(e - f))]
-    # offsets from mid: the arc ends, then every root in (-pi, pi]
-    t = np.stack([-half, half] + [math.pi - np.remainder(math.pi + mid - r, 2 * math.pi) for r in roots])
-    cos, sin = np.cos(mid + t), np.sin(mid + t)
-    env = np.max([k + p * cos + q * sin for k, p, q in nums], axis=0)
-    k, p, q = den
-    env /= k + p * cos + q * sin
-    return np.where(np.abs(t) <= half, env, math.inf).min(axis=0)
 
 
 def _row_runs(row: np.ndarray):
@@ -707,36 +667,17 @@ def is_autopolar_triple(p: HVec, q: HVec, r: HVec, tol=None) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the precondition kernels FaceFamily does not run: on the slice every
-# bisector verify reads has equal-norm lifts, every torus pair is unbalanced
-# and the contacts at U p_A and U^-1 p_B are tangencies, at each alpha2
-# (tests/test_face_family_identities.py)
+# the per-object forms of the preconditions FaceFamily does not run: on the
+# slice every bisector verify reads has equal-norm lifts, every torus pair is
+# unbalanced, LC's triples are disks and the contacts at U p_A and U^-1 p_B
+# are tangencies, at each alpha2 (tests/test_face_family_identities.py,
+# tests/test_lc_identities.py)
 
 
 class BisectorKind(enum.Enum):
     METRIC_BISECTOR = "metric-bisector"
     FAN = "fan"
     CLIFFORD_CONE = "clifford-cone"
-
-
-def bisector_kinds(G, lengths, p: int, qs, tol) -> tuple[np.ndarray, list]:
-    """(r_disc, kinds) of the bisectors of the lift p with each lift qs[i],
-    read from the Gram table G and the Euclidean lengths of a table of
-    lifts: r_disc = <p,p><q,q> - |<p,q>|^2 against the band tol max(1,
-    |<p,p>|)^2.  Raises GeometryError when two lifts' norms differ by more
-    than 1e3 tol times their scale."""
-    n_p, n_q = G[p, p].real, G[qs, qs].real
-    scale = np.maximum(np.maximum(abs(n_p), np.abs(n_q)), lengths[p] * lengths[qs])
-    off = np.flatnonzero(np.abs(n_p - n_q) > 1e3 * tol * np.maximum(scale, 1.0))
-    if len(off):
-        raise GeometryError(f"lifts have different norms ({n_p:.6g} vs {n_q[off[0]]:.6g})")
-    r = n_p * n_q - np.abs(G[p, qs]) ** 2
-    band = tol * max(1.0, abs(n_p)) ** 2
-    kinds = [
-        BisectorKind.METRIC_BISECTOR if x < -band else BisectorKind.CLIFFORD_CONE if x > band else BisectorKind.FAN
-        for x in r.tolist()
-    ]
-    return r, kinds
 
 
 class ExtorPairKind(enum.Enum):
@@ -746,94 +687,16 @@ class ExtorPairKind(enum.Enum):
     UNBALANCED = "unbalanced"
 
 
-def pair_kinds(foci, lifts, pairs, space, tol) -> list[ExtorPairKind]:
-    """The kind of each pair (i, j) of the bisectors with foci foci[i] and
-    lifts (p_i, q_i) = lifts[i], shapes (k, 3) and (k, 2, 3).  Confocal when
-    the foci are projectively equal within 1e3 tol (GeometryError when the
-    lifts are too: the extors are identical); else a line through a focus
-    lies in an extor exactly when its second point does, so both
-    containments reduce to the membership |<f, p>| = |<f, q>| of each focus
-    in the other extor, within 1e3 tol |f| sqrt(|p| |q|).  The products of
-    every focus with every lift are one form, and the foci's Euclidean
-    products one `sesquilinear`: the squared distance of two unit vectors at
-    optimal phase is 1 - |<a, b>|^2."""
-    H = np.abs(space.form(foci[:, None, None], lifts)).tolist()
-    E, Lpq = sesquilinear(foci[:, None], foci).tolist(), np.linalg.norm(lifts, axis=2).tolist()
-
-    def inside(f, b):  # focus f in the extor of bisector b
-        (ap, aq), (lp, lq) = H[f][b], Lpq[b]
-        return abs(ap - aq) <= 1e3 * tol * max(math.sqrt(E[f][f].real * lp * lq), 1e-300)
-
-    kinds = []
-    for f, g in pairs:
-        if 1.0 - abs(E[f][g]) ** 2 / (E[f][f].real * E[g][g].real) <= (1e3 * tol) ** 2:
-            if _proj_distances(lifts[f], lifts[g]).max() <= 1e-8:
-                raise GeometryError("extors are identical")
-            kinds.append(ExtorPairKind.CONFOCAL)
-        else:
-            c1, c2 = inside(g, f), inside(f, g)
-            kinds.append(
-                ExtorPairKind.BALANCED if c1 and c2 else ExtorPairKind.SEMI_BALANCED if c1 or c2 else ExtorPairKind.UNBALANCED
-            )
-    return kinds
-
-
-def tangencies(G, lengths, p: int, q: int, rs, tol) -> list[bool]:
-    """For each lift r of rs, whether the line through [p] and [r] meets
-    the spinal surface of (p, q) only at [r], read from the Gram table G
-    and the Euclidean lengths of a table of lifts.
-
-    Requires equal nonzero norms, a real nonzero <p, q>, and r on the
-    spinal surface (GeometryError otherwise, for the first r that fails);
-    then the test is the existence of a sign eps with <p,r> = eps <q,r>
-    while <q,p> != eps <p,p>.
-    """
-    npp, nq, pq = G[p, p].real, G[q, q].real, G[p, q]
-    scale = lengths[p] * lengths[q]
-    gate = 1e3 * tol * max(scale, 1.0)
-    if abs(npp - nq) > gate:
-        raise GeometryError("tangency criterion needs equal-norm lifts")
-    if abs(npp) <= gate:
-        raise GeometryError("tangency criterion needs non-null lifts")
-    if abs(pq.imag) > gate or abs(pq) <= tol * scale:
-        raise GeometryError("tangency criterion needs a real nonzero <p, q>")
-    found = []
-    for r, pr, qr in zip(rs, G[p, rs].tolist(), G[q, rs].tolist()):
-        if abs(G[r, r].real) > 1e3 * tol * lengths[r] ** 2:
-            raise GeometryError("r must be a boundary point")
-        rgate = 1e3 * tol * max(abs(pr), abs(qr), 1e-300)
-        if abs(abs(pr) - abs(qr)) > rgate:
-            raise GeometryError("r must lie on the spinal surface of (p, q)")
-        found.append(any(abs(pr - eps * qr) <= rgate and abs(pq - eps * npp) > gate for eps in (1.0, -1.0)))
-    return found
-
-
-# ---------------------------------------------------------------------------
-# per-object forms of the program's array decisions
-
-
 def _length(v: HVec) -> float:
     return float(np.linalg.norm(v.v))
 
 
 def table(*points: HVec):
     """(G, lengths) of the rows of HVecs in one space: the Gram table
-    G[i, j] = <x_i, x_j> and the Euclidean lengths, the inputs of the
-    Gram-table kernels (`bisector_kinds`, `tangencies`, `angular_diameter`)."""
+    G[i, j] = <x_i, x_j> and the Euclidean lengths, the inputs of
+    `angular_diameter`."""
     X = np.array([x.v for x in points])
     return gram(X, points[0].space), np.linalg.norm(X, axis=1)
-
-
-def bisector_kind(p: HVec, q: HVec, tol=None):
-    """(r_disc, kind) of `bisector_kinds` on one bisector."""
-    r, (kind,) = bisector_kinds(*table(p, q), 0, [1], tolerance(tol))
-    return float(r[0]), kind
-
-
-def pair_kind(b1, b2, tol=None) -> ExtorPairKind:
-    """`pair_kinds` on one pair of bisectors."""
-    lifts = np.array([[b1.p.v, b1.q.v], [b2.p.v, b2.q.v]])
-    return pair_kinds(np.array([b1.focus.v, b2.focus.v]), lifts, [(0, 1)], b1.p.space, tolerance(tol))[0]
 
 
 class SymmetricKind(enum.Enum):
@@ -842,52 +705,13 @@ class SymmetricKind(enum.Enum):
     TORUS_MINUS_TWO_DISKS = "torus-minus-two-disks"
 
 
-def symmetric_kinds(boxes, space, tol) -> tuple[list, list]:
-    """(u, kinds) of the intersections B(p,q) /\\ B(p,r) of order-3
-    symmetric triples, decided by u = <pxq, pxq> / <pxq, qxr> against 2/3,
-    from the box products (p box q, q box r, r box p) of each triple, shape
-    (m, 3, 3), and their Gram blocks, one form.  Raises GeometryError for
-    a triple that is not order-3 symmetric, or whose mixed product is not
-    real negative.  On the slice both of LC's triples are proved DISK at
-    every alpha2 in (0, pi/2) (tests/test_lc_identities.py)."""
-    us, kinds = [], []
-    for K in space.form(boxes[:, :, None], boxes[:, None]).tolist():
-        (l1, k1, _), (_, l2, k2), (k3, _, l3) = K
-        l1, l2, l3 = l1.real, l2.real, l3.real
-        scale = max(abs(k1), abs(l1), 1e-300)
-        sym_tol = 1e3 * tol * scale
-        if max(abs(k1 - k2), abs(k2 - k3)) > sym_tol or max(abs(l1 - l2), abs(l2 - l3)) > sym_tol:
-            raise GeometryError("triple is not order-3 symmetric within tolerance")
-        if abs(k1.imag) > sym_tol or k1.real >= -tol * scale:
-            raise GeometryError("mixed product is not real negative; hypotheses violated")
-        u = l1 / k1.real
-        band = 1e3 * tol * max(1.0, abs(u))
-        us.append(u)
-        kinds.append(
-            SymmetricKind.DISK if u < 2.0 / 3.0 - band else SymmetricKind.TORUS_MINUS_TWO_DISKS if u > 2.0 / 3.0 + band
-            else SymmetricKind.TRI_CIRCLE_DISK
-        )
-    return us, kinds
-
-
 def lc_triples(ff) -> np.ndarray:
     """The box products (p box q, q box r, r box p) of LC's triples (p_U,
-    p_V, p_W) and (p_U, U p_V, p_W), shape (2, 3, 3), the input of
-    `symmetric_kinds`: `reference.box_rows` on the rows of a FaceFamily's point
-    table."""
+    p_V, p_W) and (p_U, U p_V, p_W), shape (2, 3, 3): `reference.box_rows`
+    on the rows of a FaceFamily's point table, to which
+    tests/test_lc_identities.py holds its symbols."""
     T = point_table(ff)[[[P_U, P_V, P_W], [P_U, U_PV, P_W]]]
     return box_rows(T, T[:, [1, 2, 0]], siegel_model())
-
-
-def symmetric_kind(p: HVec, q: HVec, r: HVec, tol=None):
-    """(u, kind) of `symmetric_kinds` on one triple."""
-    (u,), (kind,) = symmetric_kinds(np.array([[box(p, q).v, box(q, r).v, box(r, p).v]]), p.space, tolerance(tol))
-    return float(u), kind
-
-
-def tangency(p: HVec, q: HVec, r: HVec, tol=None) -> bool:
-    """`tangencies` of (p, q) at one point r."""
-    return tangencies(*table(p, q, r), 0, 1, [2], tolerance(tol))[0]
 
 
 @dataclass(frozen=True)
@@ -1038,7 +862,7 @@ def chart(ch: VisualChart, q) -> complex:
 
 def row_lengths(ff) -> np.ndarray:
     """The Euclidean lengths of the rows of a FaceFamily's point table, the
-    scales of the Gram-table kernels below."""
+    scales that `angular_diameter` reads."""
     return np.linalg.norm(point_table(ff), axis=1)
 
 
@@ -1064,14 +888,10 @@ def plus_pass(ff) -> np.ndarray:
     return np.concatenate([P[[P_U, P_W]], box_rows(lifts[[1, 0, 1]], lifts[[2, 2, 0]], siegel_model())])
 
 
-def plus_torus(ff) -> GiraudTorus:
-    """The `GiraudTorus` view of `plus_pass`'s torus."""
-    return GiraudTorus(point_table(ff)[[P_U, P_V, U_PV]], plus_pass(ff)[2:], siegel_model())
-
-
 def face_gram(ff) -> np.ndarray:
     """The Gram table of a FaceFamily's point table P, G[i, j] = <P_i, P_j>:
-    the input of the Gram-table kernels here and of the proofs' tie tests."""
+    the input of `angular_diameter` and `cone_angles` and of the proofs'
+    tie tests."""
     return gram(point_table(ff), siegel_model())
 
 

@@ -42,9 +42,9 @@ from oracles import (
     line_spinal_crossings,
     slice_boundary_circle,
     spinal_samples,
-    symmetric_kind,
+    symmetric_intersection_type,
     table,
-    tangency,
+    tangency_check,
     tangent_direction,
     vertex_products,
 )
@@ -241,13 +241,13 @@ def test_criterion_6a_trichotomy_oracle():
     count = 0
     for a2 in (0.3, 0.7, 1.1, 1.4):
         pts = remarkable_points(FamilyParams(0.0, a2))
-        u, kind = symmetric_kind(pts.p_U, pts.p_V, pts.p_W)
-        ok &= brute_force_symmetric_kind(u, 720) is kind
+        si = symmetric_intersection_type(pts.p_U, pts.p_V, pts.p_W)
+        ok &= brute_force_symmetric_kind(si.u, 720) is si.kind
         count += 1
     for a, b in ((0.4, 0.3), (1.2, 0.0), (3.0, 1.0), (5.0, 0.0), (5.0, 1.0), (8.0, 2.0)):
         p = HVec([a, b, 1.0], ball)
-        u, kind = symmetric_kind(p, HVec(R @ p.v, ball), HVec(R @ R @ p.v, ball))
-        ok &= brute_force_symmetric_kind(u, 720) is kind
+        si = symmetric_intersection_type(p, HVec(R @ p.v, ball), HVec(R @ R @ p.v, ball))
+        ok &= brute_force_symmetric_kind(si.u, 720) is si.kind
         count += 1
     report(f"6a trichotomy vs level-set components on {count} triples", ok and count == 10)
 
@@ -263,7 +263,7 @@ def test_criterion_6b_tangency_oracle():
         circ_t = slice_boundary_circle(HVec(q.v - p.v, siegel_model()))
         for t in rng.uniform(0, 2 * math.pi, 5):
             r = HVec(circ_t(np.array([t]))[0], siegel_model())
-            ok &= tangency(p, q, r) and line_spinal_crossings(p, q, r) == 0
+            ok &= tangency_check(p, q, r) and line_spinal_crossings(p, q, r) == 0
             total += 1
         drawn = 0
         while drawn < 5:
@@ -272,7 +272,7 @@ def test_criterion_6b_tangency_oracle():
             if circ is None:
                 continue
             r = HVec(circ(np.array([rng.uniform(0, 2 * math.pi)]))[0], siegel_model())
-            ok &= tangency(p, q, r) == (line_spinal_crossings(p, q, r) == 0)
+            ok &= tangency_check(p, q, r) == (line_spinal_crossings(p, q, r) == 0)
             drawn += 1
             total += 1
     report(f"6b tangency criterion vs crossing oracle on {total} triples", ok and total == 50)

@@ -6,10 +6,11 @@ import pytest
 
 from crlab.core import GeometryError, HVec, inner, siegel_model
 from crlab.bisector import level_g
-from crlab.family import ALPHA2_LIM, P_A, P_U, P_V, P_W, FamilyParams, alpha2_for_order, delta0
-from crlab.reference import Location, alpha2_for_length, ball_model, box, locate, proj_distance, remarkable_points
+from crlab.family import P_A, FamilyParams, alpha2_for_order, delta0
+from crlab.reference import Location, ball_model, box, locate, proj_distance, remarkable_points
 from crlab.verify import FaceFamily
 
+from conftest import VERIFY_PARAMS
 from oracles import (
     BisectorKind,
     ExtorPairKind,
@@ -17,29 +18,25 @@ from oracles import (
     _arcs,
     _column_sinusoids,
     apply,
-    bisector_kind,
     brute_force_symmetric_kind,
     classify_bisector,
+    classify_pair,
     column_forms,
     column_minima,
     count_sublevel_components,
-    envelope_minima,
     face_torus,
     family_U,
     family_points,
     giraud_torus,
     membership,
-    pair_kind,
     passes,
     periodic_components,
     plus_pass,
-    plus_torus,
     point,
     point_table,
     real_spine_endpoints,
     slice_boundary_circle,
     symmetric_intersection_type,
-    symmetric_kind,
     torus_vectors,
     vertex_angles,
 )
@@ -77,10 +74,10 @@ def test_classify_bisector_trichotomy():
         (0.3, BisectorKind.CLIFFORD_CONE),
     ):
         pts = remarkable_points(FamilyParams(0.0, a2))
-        r_disc, got = bisector_kind(pts.p_U, pts.p_V)
-        assert got is kind
+        b = classify_bisector(pts.p_U, pts.p_V)
+        assert b.kind is kind
         want = 4 * math.cos(a2) ** 2 * (4 * math.cos(a2) ** 2 - 3)
-        assert r_disc == pytest.approx(want, abs=1e-12)
+        assert b.r_disc == pytest.approx(want, abs=1e-12)
 
 
 def test_two_inside_points_always_metric(ball):
@@ -93,7 +90,7 @@ def test_two_inside_points_always_metric(ball):
             continue
         g = np.linalg.matrix_power(R, int(rng.integers(1, 3)))
         q = HVec(g @ p.v, ball)
-        assert bisector_kind(p, q)[1] is BisectorKind.METRIC_BISECTOR
+        assert classify_bisector(p, q).kind is BisectorKind.METRIC_BISECTOR
 
 
 def test_orthogonal_outside_pair_is_cone(ball):
@@ -101,19 +98,19 @@ def test_orthogonal_outside_pair_is_cone(ball):
     q = HVec([0, 1.5, 1.0], ball)
     assert locate(p) is Location.OUTSIDE and locate(q) is Location.OUTSIDE
     # rephase q to match norms exactly (already equal) and check <p,q> != 0 case vs = 0
-    r_disc, kind = bisector_kind(p, q)
-    assert r_disc > 0 and kind is BisectorKind.CLIFFORD_CONE
+    b = classify_bisector(p, q)
+    assert b.r_disc > 0 and b.kind is BisectorKind.CLIFFORD_CONE
 
 
 def test_norm_mismatch_rejected(siegel):
     with pytest.raises(GeometryError, match="different norms"):
-        bisector_kind(HVec([1, 0, 0], siegel), HVec([0, 1, 0], siegel))
+        classify_bisector(HVec([1, 0, 0], siegel), HVec([0, 1, 0], siegel))
 
 
 def test_classify_pair_examples(rep07, pts07):
     b1 = classify_bisector(pts07.p_U, pts07.p_V)
     b2 = classify_bisector(pts07.p_W, apply(rep07.word("s^-1t").inv(), pts07.p_W))
-    assert pair_kind(b1, b2) is ExtorPairKind.BALANCED
+    assert classify_pair(b1, b2) is ExtorPairKind.BALANCED
     # the pair's common line has the printed pole
     a2 = 0.7
     pole = np.array([math.sin(a2), -1j * math.sqrt(2) / 2, -math.sin(a2)])
@@ -122,7 +119,7 @@ def test_classify_pair_examples(rep07, pts07):
     s = np.linalg.svd(M, compute_uv=False)
     assert s[1] / s[0] < 1e-10
     b3 = classify_bisector(pts07.p_U, pts07.p_W)
-    assert pair_kind(b1, b3) is ExtorPairKind.UNBALANCED
+    assert classify_pair(b1, b3) is ExtorPairKind.UNBALANCED
     # confocal: same focus, different defining circles
     sp = pts07.p_U.space
     lam = cmath.exp(0.83j)
@@ -133,9 +130,9 @@ def test_classify_pair_examples(rep07, pts07):
     mid = HVec(pts07.p_U.v + 0.2 * pts07.p_V.v, sp)
     other = HVec(pts07.p_V.v + 0.2 * pts07.p_U.v, sp)
     b5 = classify_bisector(mid, other)
-    assert pair_kind(b1, b5) is ExtorPairKind.CONFOCAL
+    assert classify_pair(b1, b5) is ExtorPairKind.CONFOCAL
     with pytest.raises(GeometryError, match="identical"):
-        pair_kind(b1, b4)
+        classify_pair(b1, b4)
 
 
 def test_giraud_torus_samples_on_both_extors(rep07, pts07):
@@ -208,16 +205,14 @@ def test_symmetric_trichotomy_family(rep07):
     for a2 in (0.3, 0.7, 1.2):
         pts = remarkable_points(FamilyParams(0.0, a2))
         si = symmetric_intersection_type(pts.p_U, pts.p_V, pts.p_W)
-        u, kind = symmetric_kind(pts.p_U, pts.p_V, pts.p_W)
-        assert si.kind is kind is SymmetricKind.DISK
-        assert u == pytest.approx((2 / 3) * (4 * math.cos(a2) ** 2 - 3), abs=1e-12)
-        assert si.u == pytest.approx(u, abs=1e-12)
+        assert si.kind is SymmetricKind.DISK
+        assert si.u == pytest.approx((2 / 3) * (4 * math.cos(a2) ** 2 - 3), abs=1e-12)
         assert si.k_value.real < 0 and abs(si.k_value.imag) < 1e-9
         # Gram sign pattern of the hypothesis lemma
         assert si.l_value - si.k_value.real > 0
         assert si.l_value + 2 * si.k_value.real < 0
     pts0 = remarkable_points(FamilyParams(0.0, 0.0))
-    assert symmetric_kind(pts0.p_U, pts0.p_V, pts0.p_W)[1] is SymmetricKind.TRI_CIRCLE_DISK
+    assert symmetric_intersection_type(pts0.p_U, pts0.p_V, pts0.p_W).kind is SymmetricKind.TRI_CIRCLE_DISK
 
 
 def test_symmetric_trichotomy_vs_grid_oracle(ball):
@@ -227,8 +222,8 @@ def test_symmetric_trichotomy_vs_grid_oracle(ball):
     for a, b in cases:
         p = HVec([a, b, 1.0], ball)
         q, r = HVec(R @ p.v, ball), HVec(R @ R @ p.v, ball)
-        u, kind = symmetric_kind(p, q, r)
-        assert kind is brute_force_symmetric_kind(u, 480)
+        si = symmetric_intersection_type(p, q, r)
+        assert si.kind is brute_force_symmetric_kind(si.u, 480)
 
 
 def test_count_sublevel_components_direct():
@@ -346,44 +341,41 @@ def test_torus_norm_terms_match_vectors(pts07):
 
 
 def _ball_tori(n):
-    """(torus, pos, negs, deltas) for five seeded alpha2 on both sides of the
-    wall plus 1.56: the torus of J_0^- and J_-1^- with LC's envelope for
-    F_0^- /\\ F_-1^-, the plus-plus torus with that for F_0^+ /\\ F_1^+, and
-    the n // 2 columns of the grid at delta offsets 0 and delta0."""
+    """(torus, pos, neg, deltas) for five seeded alpha2 on both sides of the
+    wall plus 1.56: the torus of J_0^- and J_-1^- with the constraint of
+    TF's pass, |<p_U, V>| <= |<p_V, V>|, the plus-plus torus with that of
+    LC's former pass, |<p_U, V>| <= |<p_W, V>|, and the n // 2 columns of
+    the grid at delta offsets 0 and delta0."""
     rng = np.random.default_rng(90 + n)
     params = list(rng.uniform(0.02, 0.91, 2)) + list(rng.uniform(0.92, 1.56, 2)) + [1.56]
     for a2 in params:
         ff = FaceFamily(float(a2))
-        pts, U, Ui = family_points(ff), family_U(ff), family_U(ff).inv()
+        pts, U = family_points(ff), family_U(ff)
         torus_pp = giraud_torus(classify_bisector(pts.p_U, pts.p_V, ff.tol), classify_bisector(pts.p_U, apply(U, pts.p_V), ff.tol), ff.tol)
-        for torus, negs in (
-            (face_torus(ff), [pts.p_V, apply(U, pts.p_V), apply(Ui, pts.p_V)]),
-            (torus_pp, [pts.p_W, apply(Ui, pts.p_W), apply(U, pts.p_W)]),
-        ):
+        for torus, neg in ((face_torus(ff), pts.p_V), (torus_pp, pts.p_W)):
             for d0 in (0.0, delta0(ff.alpha2)):
                 deltas = d0 + np.linspace(0.0, math.pi, n // 2, endpoint=False)
-                yield torus, pts.p_U.v, [w.v for w in negs], deltas
+                yield torus, pts.p_U.v, neg.v, deltas
 
 
-def _sampled_envelope(torus, pos, negs, sigmas, deltas):
-    """The envelope max_i |<pos, V>|^2 - |<neg_i, V>|^2 over |V|^2, the
-    largest |<w, V>|^2 / |V|^2 that it cancels, and <V, V> / |V|^2, at the
-    torus points V(sigma, delta), built one by one."""
+def _sampled_ratio(torus, pos, neg, sigmas, deltas):
+    """E / |V|^2 with E = |<pos, V>|^2 - |<neg, V>|^2, the larger of the two
+    terms that E cancels over |V|^2, and <V, V> / |V|^2, at the torus points
+    V(sigma, delta), built one by one."""
     V = torus_vectors(torus, sigmas + deltas, sigmas - deltas)
     sp, sq = torus.space, (np.abs(V) ** 2).sum(axis=-1)
-    terms = [np.abs(sp.form(w, V)) ** 2 for w in [pos] + negs]
-    env = np.max([terms[0] - t for t in terms[1:]], axis=0)
-    return env / sq, np.max(terms, axis=0) / sq, sp.form(V, V).real / sq
+    up, un = (np.abs(sp.form(w, V)) ** 2 for w in (pos, neg))
+    return (up - un) / sq, np.maximum(up, un) / sq, sp.form(V, V).real / sq
 
 
-def _assert_sampled_minima(got, env, terms):
-    """got is the minimum of the sampled envelope rows (sample axis 0): no
+def _assert_sampled_minima(got, ratio, terms):
+    """got is the minimum of the sampled ratio rows (sample axis 0): no
     sample is below it, and the least sample exceeds it by at most twice
-    the largest step between neighbours (the slope bound at a kink).  Both
-    sides round like differences of terms as large as `terms`; the ratios
-    agree with a 40-digit evaluation to about 4e-11 relative."""
-    least = env.min(axis=0)
-    step = np.abs(np.diff(env, axis=0)).max(axis=0)
+    the largest step between neighbours.  Both sides round like differences
+    of terms as large as `terms`; the ratios agree with a 40-digit
+    evaluation to about 4e-11 relative."""
+    least = ratio.min(axis=0)
+    step = np.abs(np.diff(ratio, axis=0)).max(axis=0)
     slack = 1e-10 * terms.max(axis=0)
     assert np.all(got <= least + slack)
     assert np.all(least - got <= 2.0 * step + slack)
@@ -408,26 +400,17 @@ def test_ball_cells_match_dense_form(n):
 
 @pytest.mark.parametrize("n", [64, 127, 128, 720])
 def test_ball_sinusoids_match_ball_points(n):
-    # oracle: 4001 torus points on each column's ball arc, ends included,
-    # and 4001 on the whole column, built explicitly
-    for torus, pos, negs, deltas in _ball_tori(n):
-        (mid, half), _ = _ball_arcs(torus, deltas)
-        got = envelope_minima(torus, deltas, pos, negs)
+    # the sampled margin that TF's closed form is held to: column_minima of
+    # one constraint against 4001 torus points on each column's ball arc,
+    # ends included, built explicitly
+    for torus, pos, neg, deltas in _ball_tori(n):
+        minima, mid, half = column_minima(np.concatenate([[pos, neg], torus.rows]), deltas, torus.space)
         empty = np.isnan(half)
-        assert np.array_equal(np.isinf(got), empty) and not empty.all()
+        assert np.array_equal(np.isinf(minima), empty) and not empty.all()
         sigmas = mid[~empty] + np.linspace(-1.0, 1.0, 4001)[:, None] * half[~empty]
-        env, terms, norm = _sampled_envelope(torus, pos, negs, sigmas, deltas[~empty])
+        ratio, terms, norm = _sampled_ratio(torus, pos, neg, sigmas, deltas[~empty])
         assert norm.max() <= 1e-10
-        _assert_sampled_minima(got[~empty], env, terms)
-        whole = deltas[:: len(deltas) // 4]
-        sigmas = np.linspace(0.0, 2.0 * math.pi, 4001)[:, None]
-        env, terms, _ = _sampled_envelope(torus, pos, negs, sigmas, whole)
-        _assert_sampled_minima(envelope_minima(torus, whole, pos, negs, ball=False), env, terms)
-
-
-# the parameters of the benchmark's verify-params workload: orders 9, 6 and
-# 56, the unipotent wall and a loxodromic length
-VERIFY_PARAMS = [alpha2_for_order(9), alpha2_for_order(6), alpha2_for_order(56), ALPHA2_LIM, alpha2_for_length(1.0)]
+        _assert_sampled_minima(minima[~empty], ratio, terms)
 
 
 @pytest.mark.parametrize("alpha2, n", [(a, n) for a in VERIFY_PARAMS for n in (64, 720)] + [(1.569, 64)])
@@ -435,10 +418,9 @@ def test_stacked_column_minima_equal_each_block_alone(alpha2, n):
     # each exclusion torus, TF's and the plus torus of LC's former pass,
     # reads (minima, mid, half) with the same bits alone, as R (5, 3), in a
     # pass stack (2, 5, 3) and in a stack of two parameters (2, 2, 5, 3)
-    # with delta-columns (2, 1, m + 1), and with the bits of the oracle's
-    # envelope of one constraint; the columns are the vertex column and the
-    # m pass columns about it.  At alpha2 1.569 and grid 64 no pass column
-    # meets the ball, so every one reads inf
+    # with delta-columns (2, 1, m + 1); the columns are the vertex column and
+    # the m pass columns about it.  At alpha2 1.569 and grid 64 no pass
+    # column meets the ball, so every one reads inf
     params = VERIFY_PARAMS + [1.569]
     m = n // 2
     offsets = (np.arange(m) + 0.5) * (math.pi / m)
@@ -451,15 +433,12 @@ def test_stacked_column_minima_equal_each_block_alone(alpha2, n):
         deltas.append(np.append(dv, dv + offsets))
     space = siegel_model()
     both = column_minima(np.array(stack), np.array(deltas)[:, None], space)
-    for k, (ff, R, d) in enumerate(zip(families, stack, deltas)):
+    for k, (R, d) in enumerate(zip(stack, deltas)):
         each = column_minima(R, d, space)
-        P = point_table(ff)
-        for i, neg in enumerate((P_V, P_W)):
+        for i in range(2):
             alone = column_minima(R[i], d, space)
             for layout in ([x[i] for x in each], [x[k, i] for x in both]):
                 assert [x.tobytes() for x in layout] == [x.tobytes() for x in alone]
-            torus = (face_torus(ff), plus_torus(ff))[i]
-            assert np.array_equal(alone[0], envelope_minima(torus, d, P[P_U], [P[neg]]))
     # an empty arc reads inf, and only an empty arc
     minima, _, half = both
     assert np.isinf(minima[0]).any() and np.array_equal(np.isinf(minima), np.isnan(half))
@@ -469,31 +448,18 @@ def test_stacked_column_minima_equal_each_block_alone(alpha2, n):
 
 @pytest.mark.parametrize("n", [64, 127, 720])
 def test_ball_cells_of_synthetic_columns(n):
-    # ball arcs and column minima for an empty arc, C = 0 with A of both
-    # signs and 0, tangent arcs from above and below, and a half column,
-    # against 64 n + 1 explicit points on each arc
-    ff = FaceFamily(0.7)
-    pts = family_points(ff)
+    # ball arcs for an empty arc, C = 0 with A of both signs and 0, tangent
+    # arcs from above and below, and a half column
     C = np.array([1.0 + 1j, 0.0, 0.0, 0.0, 3.0 * np.exp(2j * math.pi * 5 / n), -0.5j, 2.0])
     A = 2.0 * np.abs(C)
     A[0] *= 1.5  # empty
     A[1:4] = [1.0, -1.0, 0.0]  # C = 0: none, all, all
     A[5] = -A[5]  # tangent from below: the whole column
     A[6] = 0.0  # half the column
-    torus = face_torus(ff)
-    deltas = np.linspace(0.2, 3.0, len(C))
     mid, half = _arcs(A, C)
     assert np.isnan(half[:2]).all()
     assert list(half[2:]) == [math.pi, math.pi, 0.0, math.pi, pytest.approx(math.pi / 2)]
     assert mid[4] == pytest.approx(2.0 * math.pi * 5 / n)
-    pos, negs = pts.p_U.v, [pts.p_V.v, apply(family_U(ff), pts.p_V).v]
-    got = envelope_minima(torus, deltas, pos, negs, terms=(A, C))
-    assert np.isinf(got[:2]).all() and np.isfinite(got[2:]).all()
-    sigmas = mid[2:] + np.linspace(-1.0, 1.0, 64 * n + 1)[:, None] * half[2:]
-    env, terms, _ = _sampled_envelope(torus, pos, negs, sigmas, deltas[2:])
-    _assert_sampled_minima(got[2:], env, terms)
-    # the tangent arc is the single point sigma = arg C
-    assert got[4] == pytest.approx(env[0, 2], rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize(

@@ -113,6 +113,25 @@ def test_classify_matrix_file(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "flags, error",
+    [
+        (["--matrix", "M", "--word", "st", "--alpha2", "0.7"], "give only one of --matrix, --word"),
+        (["--matrix", "M", "--word", "st"], "give only one of --matrix, --word"),
+        (["--matrix", "M", "--alpha2", "0.7"], "--alpha2 applies only to --word"),
+        (["--alpha2", "0.7"], "--alpha2 applies only to --word"),
+    ],
+    ids=["matrix-word-alpha2", "matrix-word", "matrix-alpha2", "alpha2"],
+)
+def test_classify_takes_one_source(flags, error, tmp_path):
+    # as verify refuses a mix of parameter sources: a matrix with a word, or
+    # an --alpha2 that no word reads, is a usage error, not a silent choice
+    path = tmp_path / "identity.txt"
+    path.write_text(" ".join(["1", "0", "0", "0", "0", "0", "0", "0", "1", "0", "0", "0", "0", "0", "0", "0", "1", "0"]))
+    argv = ["classify"] + [str(path) if flag == "M" else flag for flag in flags]
+    assert run_cli(argv) == (2, "", f"error: {error}\n")
+
+
 @pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
 def test_classify_matrix_with_a_non_finite_entry_is_a_usage_error(entry, tmp_path):
     # as for a non-finite --alpha2: one error line, nothing on stdout (no

@@ -2,10 +2,10 @@
 
 `verify.FaceFamily` forms TF's pass on its first Giraud torus, the
 bi-tangency rests on the other two (tests/oracles.py's TORI), and GC reads
-its two contacts, without running the kernels `bisector_kinds`,
-`pair_kinds` and `tangencies` of tests/oracles.py at a parameter: what
-they would decide
-there rests on identities of the slice, proved here in exact arithmetic
+its two contacts, without running the per-object decisions
+`classify_bisector`, `classify_pair` and `tangency_check` of
+tests/oracles.py at a parameter: what they would decide there rests on
+identities of the slice, proved here in exact arithmetic
 over c = cos(alpha2), s = sin(alpha2) modulo c^2 + s^2 - 1
 (`slice_algebra`):
 
@@ -15,7 +15,7 @@ over c = cos(alpha2), s = sin(alpha2) modulo c^2 + s^2 - 1
 - S and U are in U(2,1) (S^H J S = J and U^H J U = J), so the second lifts
   p_V = S p_U, p_W = S p_V and U^-1 p_W of the three bisectors of p_U
   (`oracles.BISECTORS`) have the norm of p_U: the equal norms
-  `bisector_kinds` required.
+  `classify_bisector` requires.
 - For r = U p_A and r = U^-1 p_B: <r, r> = 0 and <p_U, r> = <p_V, r>, the
   sign eps = +1 of the tangency criterion, while <p_V, p_U> - <p_U, p_U> =
   -4c^2 != 0.  So the line through [p_U] and [r] meets the spinal surface of
@@ -23,7 +23,7 @@ over c = cos(alpha2), s = sin(alpha2) modulo c^2 + s^2 - 1
   GC's two contacts are tangencies.
 - A focus f = p_U box q has <f, p_U> = 0 and <f, q'> = det(p_U, q, q'), so
   the membership |<f, p_U>| = |<f, q'>| of a focus in the other extor, which
-  `pair_kinds` tests, reads det(p_U, q, q') = 0, and two foci are
+  `classify_pair` tests, reads det(p_U, q, q') = 0, and two foci are
   projectively equal only where that determinant vanishes too.
   |det(p_U, q_i, q_j)|^2 is 72c^4 for the torus (J_0^-, J_-1^-), and 8c^4
   (9 - 8c^2) for (J_0^+, J_0^-) and (J_0^+, J_-1^-).  Both

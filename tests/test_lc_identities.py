@@ -13,7 +13,7 @@ cos(alpha2), s = sin(alpha2) (`slice_algebra`):
   circulant, with the common mixed product k = <p box q, q box r> = -6c^2
   and the common squared norm l = <p box q, p box q> = u k, u = (2/3)(4c^2 -
   3).  So k is real negative for c > 0, 2/3 - u = (8/3) s^2 > 0 for s > 0,
-  and the trichotomy (`oracles.symmetric_kinds`) reads DISK on the whole
+  and the trichotomy (`oracles.symmetric_intersection_type`) reads DISK on the whole
   open interval.  The hypothesis lemma's sign pattern l - k = 2c^2 (9 -
   8c^2) > 0 and l + 2k = -16c^4 < 0 holds too.
 - The involution I of `slice_algebra.INVOLUTION` is in U(2,1) (I^H J I =

@@ -26,6 +26,31 @@ MODULE_TOKEN_BUDGET = 7_168
 VERIFY_GATE_LITERALS = 0
 # numpy's products, which can run through BLAS
 BLAS_PRODUCTS = ("matmul", "dot", "vdot", "einsum", "inner", "tensordot")
+# the crlab modules each program module imports, at any depth
+# (`imported_modules`): verify reads the report and the numpy-free scalar
+# forms alone, so no sampled torus, point table, chart, Gram-table kernel or
+# oracle is within its reach; bisector holds the level function alone;
+# figures reads nothing of verify; cli's imports past verify and report are
+# those its figure and classify commands make when they run; and no program
+# module imports `reference`
+PROGRAM_IMPORTS = {
+    "bisector": set(),
+    "cli": {"core", "family", "figures", "isometry", "report", "scalar", "verify"},
+    "core": {"scalar"},
+    "csvfloat": set(),
+    "family": {"core", "isometry", "scalar"},
+    "figures": {"bisector", "core", "csvfloat", "family", "isometry", "scalar"},
+    "isometry": {"core", "scalar"},
+    "report": set(),
+    "scalar": set(),
+    "verify": {"report", "scalar"},
+}
+
+
+def test_the_module_graph_is_the_table():
+    modules = {path.stem for path in SRC.glob("*.py")}
+    graph = {path.stem: imported_modules(path) & modules for path in sorted(SRC.glob("*.py")) if path.stem not in NOT_PROGRAM}
+    assert graph == PROGRAM_IMPORTS
 
 
 def test_no_private_names_imported_across_modules():
@@ -41,49 +66,6 @@ def test_no_private_names_imported_across_modules():
     assert found == []
 
 
-def test_verify_takes_its_side_from_family():
-    # the wall, side and order are decided once, by family.param_side
-    # through isometry's trace rule
-    tree = ast.parse((SRC / "verify.py").read_text())
-    names = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names}
-    assert names.isdisjoint({"elliptic_type", "classify"})
-
-
-def test_verify_decides_no_proved_identity():
-    # LC's symmetric triples and the involution are proved at every alpha2
-    # (tests/test_lc_identities.py), and so are the tangency criterion, the
-    # equal norms and the unbalanced pairs of FaceFamily's bisectors
-    # (tests/test_face_family_identities.py), and the incidences and U's
-    # action on the chart (tests/test_incidence_identities.py): verify
-    # neither decides the trichotomy, builds the involution or a chart, nor
-    # re-checks a precondition or an incidence, and its report holds only
-    # TF, LC and GC
-    tree = ast.parse((SRC / "verify.py").read_text())
-    names = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names}
-    assert names.isdisjoint({"symmetric_kinds", "SymmetricKind", "involution_matrix"})
-    assert names.isdisjoint({"tangencies", "bisector_kinds", "pair_kinds", "ExtorPairKind"})
-    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
-    modules = [m for node in imports for m in [getattr(node, "module", None) or ""] + [a.name for a in node.names]]
-    assert [m for m in modules if m.split(".")[-1] == "visual"] == []
-    from crlab.verify import verify
-
-    assert sorted(verify(0.7, grid_n=64).to_dict()["checks"]) == ["gc", "lc", "tf"]
-
-
-def test_verify_imports_no_scalar_form():
-    # verify reads every decision from its side, point table and box rows:
-    # the scalar Hermitian product, box product and HVec of single
-    # points stay out of it
-    tree = ast.parse((SRC / "verify.py").read_text())
-    names = {
-        a.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] in ("core", "reference")
-        for a in node.names
-    }
-    assert names.isdisjoint({"inner", "box", "HVec"})
-
-
 def test_figures_build_no_representation():
     # figures evaluate closed forms on whole grids, never a FamilyRep per cell
     tree = ast.parse((SRC / "figures.py").read_text())
@@ -94,10 +76,9 @@ def test_figures_build_no_representation():
 def test_one_torus_grid_path():
     # the spinal-trace figure reads its torus's proved forms in closed form
     # (tests/test_tf_margin_identities.py): the column stage and TF's pass
-    # are oracles (tests/oracles.py), so no module defines them, bisector
-    # holds only the level function, and figures reads nothing of verify;
-    # no module builds the (sigma, delta) grid of points, and the figures
-    # never put torus points through the pointwise form kernel
+    # are oracles (tests/oracles.py), so no module defines them; no module
+    # builds the (sigma, delta) grid of points, and the figures never put
+    # torus points through the pointwise form kernel
     defined = [
         f"{path.name}:{node.lineno} {node.name}"
         for path in sorted(SRC.glob("*.py"))
@@ -105,8 +86,6 @@ def test_one_torus_grid_path():
         if isinstance(node, ast.FunctionDef) and node.name in ("column_forms", "_column_sinusoids", "passes")
     ]
     assert defined == []
-    assert "core" not in imported_modules(SRC / "bisector.py")
-    assert "verify" not in imported_modules(SRC / "figures.py")
     assert [p.name for p in sorted(SRC.glob("*.py")) if "sigma_delta_grid" in p.read_text()] == []
     found = []
     for name in ("figures.py",):
@@ -125,71 +104,6 @@ def test_one_torus_grid_path():
                 for arg in node.args:
                     if _builds_torus_points(arg) or (isinstance(arg, ast.Name) and arg.id in torus_names):
                         found.append(f"{name}:{node.lineno} {node.func.attr}")
-    assert found == []
-
-
-def test_verify_reads_no_torus_points():
-    # TF and LC read the ball cells from their closed-form sigma-arcs, never
-    # from sampled torus points
-    tree = ast.parse((SRC / "verify.py").read_text())
-    found = [
-        f"verify.py:{n.lineno} {n.attr}"
-        for n in ast.walk(tree)
-        if isinstance(n, ast.Attribute) and n.attr in ("ball", "ball_points")
-    ]
-    assert found == []
-
-
-def test_exclusion_passes_take_no_vertex():
-    # the vertices are the ends of the column delta_v at every alpha2
-    # (tests/test_vertex_identities.py): the sampled pass of tests/oracles.py,
-    # against which TF's closed-form margin is held, takes that column and
-    # no vertex point (torus_exclusion), and names no vertex row
-    # (torus_pass); and no program module names the numeric vertex angles,
-    # which serve the bi-tangency's tie test alone (tests/oracles.py,
-    # tests/test_bitangency_identities.py)
-    oracles = ast.parse((pathlib.Path(__file__).parent / "oracles.py").read_text())
-    fns = {f.name: f for f in oracles.body if isinstance(f, ast.FunctionDef) and f.name in ("torus_exclusion", "torus_pass")}
-    assert [a.arg for a in fns["torus_exclusion"].args.args] == ["R", "dv", "m", "space"]
-    assert {n.id for n in ast.walk(fns["torus_exclusion"]) if isinstance(n, ast.Name)}.isdisjoint({"vertex_angles", "_proj_distances"})
-    assert {n.id for n in ast.walk(fns["torus_pass"]) if isinstance(n, ast.Name)}.isdisjoint({"P_A", "P_B", "U_PA"})
-    assert [p.name for p in sorted(SRC.glob("*.py")) if "vertex_angles" in p.read_text()] == []
-
-
-def test_verify_imports_nothing_from_bisector():
-    # TF's margin is the closed form family.exclusion_margin at every alpha2
-    # (tests/test_tf_margin_identities.py): verify reads no torus column, so
-    # it imports neither the bisector module nor any name from it
-    assert "bisector" not in imported_modules(SRC / "verify.py")
-
-
-def test_verify_forms_no_plus_torus():
-    # the slice's involution carries the pass on the torus of J_0^+ and
-    # J_1^+ onto TF's (tests/test_lc_identities.py): verify imports and
-    # names no lift U p_V, so it neither builds that torus nor runs its pass
-    tree = ast.parse((SRC / "verify.py").read_text())
-    imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names}
-    named = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    assert "U_PV" not in imported | named
-
-
-def test_verify_reads_no_sampled_silhouette():
-    # GC's disks are closed forms in cos(beta) or cosh(l)
-    # (tests/test_gc_disk_identities.py), never spinal samples or their
-    # projection
-    tree = ast.parse((SRC / "verify.py").read_text())
-    banned = {"spinal_samples", "project_bisector"}
-    found = [
-        f"verify.py:{n.lineno} {name}"
-        for n in ast.walk(tree)
-        for name in (
-            [a.name for a in n.names] if isinstance(n, ast.ImportFrom)
-            else [n.id] if isinstance(n, ast.Name)
-            else [n.attr] if isinstance(n, ast.Attribute)
-            else []
-        )
-        if name in banned
-    ]
     assert found == []
 
 
@@ -375,23 +289,6 @@ def test_relative_approx_names_its_absolute_bound():
         if isinstance(node, ast.Call) and _dotted(node.func) == "pytest.approx"
         and {"rel"} <= {k.arg for k in node.keywords} and "abs" not in {k.arg for k in node.keywords}
     ]
-    assert found == []
-
-
-def test_no_program_module_imports_reference():
-    found = []
-    for path in sorted(SRC.glob("*.py")):
-        if path.stem in NOT_PROGRAM:
-            continue
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.ImportFrom):
-                mods = [node.module or ""] + [f"{node.module or ''}.{a.name}" for a in node.names]
-            elif isinstance(node, ast.Import):
-                mods = [a.name for a in node.names]
-            else:
-                continue
-            if any(mod.split(".")[-1] == "reference" for mod in mods):
-                found.append(f"{path.name}:{node.lineno}")
     assert found == []
 
 
@@ -640,13 +537,13 @@ def _own_nodes(fn):
 
 def imported_modules(path: pathlib.Path) -> set[str]:
     """The last component of each module that the module at path imports,
-    at any depth: "core" for `from .core import x`, `from . import core` and
-    `import crlab.core`."""
+    at any depth: "core" for `from .core import x`, `from . import core`,
+    `from crlab import core` and `import crlab.core`."""
     found = set()
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
         if isinstance(node, ast.ImportFrom) and node.module is not None:
             found.add(node.module.split(".")[-1])
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and node.module in (None, "crlab")):
             found |= {a.name.split(".")[-1] for a in node.names}
     return found
 

@@ -6,15 +6,11 @@ import math
 import pytest
 
 from crlab.family import ALPHA2_LIM, SideKind, alpha2_for_order, param_side
-from crlab.reference import alpha2_for_length
 from crlab.report import CheckResult, Verdict, VerdictKind, VerificationReport, to_json
 from crlab.verify import verify
 
+from conftest import VERIFY_PARAMS
 from test_golden_verdicts import parameters as golden_parameters
-
-# the parameters of the benchmark's verify-params workload: orders 9, 6 and
-# 56, the unipotent wall and a loxodromic length
-VERIFY_PARAMS = [alpha2_for_order(9), alpha2_for_order(6), alpha2_for_order(56), ALPHA2_LIM, alpha2_for_length(1.0)]
 
 
 def reference_text(report) -> str:

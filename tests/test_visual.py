@@ -31,7 +31,7 @@ from oracles import (
     slice_boundary_circle,
     spinal_samples,
     table,
-    tangency,
+    tangency_check,
     u_power_point,
 )
 
@@ -135,12 +135,12 @@ def test_tangency_criterion_examples():
     assert inner(pts.p_V, UpA) == pytest.approx(cmath.exp(-2j * 0.8), abs=1e-12)
     assert inner(pts.p_U, UiB) == pytest.approx(1.0, abs=1e-12)
     assert inner(pts.p_V, pts.p_U) == pytest.approx(-1.5, abs=1e-12)
-    assert tangency(pts.p_U, pts.p_V, UpA)
-    assert tangency(pts.p_U, pts.p_V, UiB)
+    assert tangency_check(pts.p_U, pts.p_V, UpA)
+    assert tangency_check(pts.p_U, pts.p_V, UiB)
     # a generic spinal point admits no sign and is not a touch point
     circ = slice_boundary_circle(HVec(pts.p_V.v - cmath.exp(0.4j) * pts.p_U.v, siegel_model()))
     z = HVec(circ(np.array([0.7]))[0], siegel_model())
-    assert not tangency(pts.p_U, pts.p_V, z)
+    assert not tangency_check(pts.p_U, pts.p_V, z)
 
 
 def test_tangency_vs_crossing_oracle():
@@ -155,7 +155,7 @@ def test_tangency_vs_crossing_oracle():
         circ_t = slice_boundary_circle(HVec(q.v - p.v, siegel_model()))
         for t in rng.uniform(0, 2 * math.pi, 5):
             r = HVec(circ_t(np.array([t]))[0], siegel_model())
-            res = tangency(p, q, r)
+            res = tangency_check(p, q, r)
             crossings = line_spinal_crossings(p, q, r)
             assert res and crossings == 0
             agree += 1
@@ -170,7 +170,7 @@ def test_tangency_vs_crossing_oracle():
                 continue
             drawn += 1
             r = HVec(circ(np.array([t]))[0], siegel_model())
-            res = tangency(p, q, r)
+            res = tangency_check(p, q, r)
             crossings = line_spinal_crossings(p, q, r)
             assert (crossings == 0) == res
             agree += 1
@@ -192,7 +192,7 @@ def test_tangency_eps_mismatch_is_false(ball):
     r = HVec(circ(np.array([1.1]))[0], ball)
     pr, qr = inner(p, r), inner(q, r)
     assert abs(pr / qr - alpha) < 1e-9
-    assert not tangency(p, q, r)
+    assert not tangency_check(p, q, r)
     assert line_spinal_crossings(p, q, r) == 2
 
 
