@@ -55,6 +55,7 @@ from oracles import (
     vertex_products,
 )
 from test_golden_verdicts import parameters as golden_parameters
+from test_lint import run_fresh
 
 GRID = 240
 
@@ -920,16 +921,18 @@ def test_incidence_printed_value(ff_lox):
     assert abs(val - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("grid", [128, 720])
 @pytest.mark.parametrize("alpha2", [1.4395, 1.5, 1.5205, 1.56])
-def test_tf_lc_pass_where_the_ball_band_is_thin(alpha2):
+def test_tf_lc_pass_where_the_ball_band_is_thin(alpha2, grid):
     # near alpha2 = pi/2 the ball part of the tori is a thin band in delta
     # around the vertex column; TF's margin is read at the band's edge in
     # closed form (tests/test_tf_margin_identities.py), so every margin is
-    # finite
-    rep = verify(alpha2)
+    # finite, and a coarse grid reports the checks of the default one
+    rep = verify(alpha2, grid_n=grid)
     for check in (rep.tf, rep.lc):
         assert check.passed
         assert all(0.0 < m < math.inf for m in check.margins.values())
+    assert rep.to_dict()["checks"] == verify(alpha2).to_dict()["checks"]
 
 
 @pytest.mark.parametrize("alpha2", [3e-4, 1e-4, 1e-6, 1e-8])
@@ -1005,6 +1008,73 @@ def test_torus_margins_do_not_depend_on_the_grid():
     for a2 in params:
         margins = [verify(a2, grid_n=grid).tf.margins["torus_exclusion"] for grid in (128, 720)]
         assert margins[0] == margins[1] == exclusion_margin(a2), a2
+
+
+# parameters on both sides of ALPHA2_STAR, up to pi/2 - 1e-9, where the
+# sampled pass read inf
+NO_COLUMN_PARAMS = [alpha2_for_order(9), alpha2_for_length(1.0), 1.3, 1.569, math.pi / 2 - 1e-9]
+POINT_TABLE_PARAMS = [alpha2_for_order(9), alpha2_for_order(56), ALPHA2_LIM] + NO_COLUMN_PARAMS[1:]
+COLUMN_STAGE = ("_column_sinusoids", "column_forms", "column_minima", "torus_exclusion", "passes", "torus_pass")
+POINT_TABLE = ("face_points", "box_rows", "point_table")
+
+
+@pytest.fixture(scope="module")
+def fresh_verifies():
+    # one fresh interpreter runs verify(alpha2, grid_n=720) at each parameter
+    # and prints, after each, the crlab modules then loaded, which of them
+    # define a column-stage or point-table name (read from the module's
+    # namespace: the package's lazy exports are not loaded by the read),
+    # whether numpy or the oracles are loaded, and TF's and LC's results
+    code = (
+        "import json, sys\n"
+        "from crlab.verify import verify\n"
+        "names = json.loads(sys.argv[1])\n"
+        "for a2 in json.loads(sys.argv[2]):\n"
+        "    r = verify(a2, grid_n=720)\n"
+        "    mods = sorted(k for k in sys.modules if k.split('.')[0] in ('crlab', 'numpy', 'oracles'))\n"
+        "    crlab = [k for k in mods if k.split('.')[0] == 'crlab']\n"
+        "    defined = sorted(k + '.' + n for k in crlab for n in names if n in vars(sys.modules[k]))\n"
+        "    print(json.dumps([a2, mods, defined, r.tf.passed, r.lc.passed, r.tf.residuals]))\n"
+    )
+    params = sorted(set(NO_COLUMN_PARAMS + POINT_TABLE_PARAMS))
+    proc = run_fresh(code, json.dumps(COLUMN_STAGE + POINT_TABLE), json.dumps(params))
+    assert proc.returncode == 0, proc.stderr
+    runs = {a2: rest for a2, *rest in map(json.loads, proc.stdout.splitlines())}
+    assert sorted(runs) == params
+    return runs
+
+
+@pytest.mark.parametrize("alpha2", NO_COLUMN_PARAMS)
+def test_verify_runs_no_column_stage(alpha2, fresh_verifies):
+    # TF's margin is the closed form scalar.exclusion_margin at every alpha2
+    # in (0, pi/2) (tests/test_tf_margin_identities.py), on which LC's claims
+    # for both face pairs rest (the slice's involution carries the plus
+    # pair's pass onto TF's, tests/test_lc_identities.py): a verify in a
+    # fresh interpreter loads only the modules of its import table
+    # (tests/test_lint.py::PROGRAM_IMPORTS), neither numpy nor the oracles,
+    # and no loaded module defines a column-stage name, below alpha* and
+    # above it alike; the oracles' column stage agrees with TF and LC there
+    mods, defined, tf_passed, lc_passed, _ = fresh_verifies[alpha2]
+    assert mods == ["crlab", "crlab.report", "crlab.scalar", "crlab.verify"]
+    assert [d for d in defined if d.rsplit(".", 1)[1] in COLUMN_STAGE] == []
+    assert tf_passed and lc_passed
+    ff = FaceFamily(alpha2)
+    assert lc_check(ff).passed and tf_check(ff).passed
+
+
+@pytest.mark.parametrize("alpha2", POINT_TABLE_PARAMS)
+def test_verify_builds_no_point_table(alpha2, fresh_verifies):
+    # a verify reads the side, the closed-form margin and GC: TF's margin is
+    # scalar.exclusion_margin at every alpha2 (tests/test_tf_margin_identities.py)
+    # and the tangency of the first face's circles is proved
+    # (tests/test_bitangency_identities.py), so a verify in a fresh
+    # interpreter loads neither the point table's module (crlab.reference)
+    # nor the scalar products' (crlab.core), below alpha* and above it alike
+    mods, defined, tf_passed, lc_passed, residuals = fresh_verifies[alpha2]
+    assert "crlab.reference" not in mods and "crlab.core" not in mods
+    assert [d for d in defined if d.rsplit(".", 1)[1] in POINT_TABLE] == []
+    assert residuals == {"bitangency_pA": 0.0, "bitangency_pB": 0.0}
+    assert tf_passed and lc_passed
 
 
 def test_fan_residuals_match_per_sample_loops():
